@@ -332,7 +332,6 @@ mod tests {
                 comm_mode: whale_dsps::CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: None,
-                dedicated_senders: false,
                 fabric: whale_dsps::FabricKind::PerSend,
                 ..whale_dsps::LiveConfig::default()
             },

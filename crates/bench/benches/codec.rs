@@ -5,12 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
-use std::sync::Arc;
 use whale_dsps::codec::{decode_tuple, encode_tuple};
-use whale_dsps::{
-    InstanceMessage, LengthPrefixedCodec, TaskId, Tuple, TupleView, Value, WhaleCodec, WireCodec,
-    WorkerMessage,
-};
+use whale_dsps::{InstanceMessage, TaskId, Tuple, TupleView, Value, WorkerMessage};
 
 fn sample_tuple() -> Tuple {
     Tuple::with_id(
@@ -110,30 +106,6 @@ fn bench_lazy_decode(c: &mut Criterion) {
                     }
                 }
                 touched
-            })
-        });
-    }
-
-    // Codec head-to-head through the trait object: fixed-offset whale
-    // format vs the length-prefixed variant.
-    let tuple = payload_tuple(512);
-    for codec in [
-        &WhaleCodec as &dyn WireCodec,
-        &LengthPrefixedCodec as &dyn WireCodec,
-    ] {
-        let encoded = codec.encode_tuple(&tuple);
-        c.bench_function(&format!("codec_{}_roundtrip/512", codec.name()), |b| {
-            b.iter(|| {
-                let bytes = codec.encode_tuple(black_box(&tuple));
-                let view = codec.tuple_view(&bytes).unwrap();
-                view.arity()
-            })
-        });
-        let buf: Arc<[u8]> = Arc::from(&encoded[..]);
-        c.bench_function(&format!("codec_{}_view/512", codec.name()), |b| {
-            b.iter(|| {
-                let view = codec.tuple_view(black_box(&buf[..])).unwrap();
-                view.field(0).unwrap().unwrap().as_i64().unwrap()
             })
         });
     }

@@ -20,8 +20,6 @@
 //! per-field allocation. [`LazyTuple`] carries a validated view across
 //! threads anchored to the shared `Arc<[u8]>` receive buffer and
 //! materializes an owned [`Tuple`] at most once, on first touch.
-//! [`WireCodec`] makes the tuple format pluggable so formats can be
-//! priced head-to-head ([`WhaleCodec`] is the default).
 
 use crate::task::TaskId;
 use crate::tuple::{Tuple, Value};
@@ -84,7 +82,7 @@ fn encode_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
+pub(crate) fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
     if buf.remaining() < n {
         Err(DecodeError::Truncated)
     } else {
@@ -879,119 +877,6 @@ pub fn dispatch_worker_message_into(msg: &WorkerMessageView<'_>, dsts: &mut Vec<
     dsts.extend(msg.dst_ids());
 }
 
-/// A pluggable wire format for the data item. Implementations must be
-/// able to do all three: encode, eagerly decode, and hand out a
-/// framing-validated [`TupleView`] — which is what lets the bench crate
-/// price formats head-to-head on both the eager and the lazy path.
-pub trait WireCodec: Send + Sync {
-    /// Short stable name (bench/report label).
-    fn name(&self) -> &'static str;
-
-    /// Serialize `t` into `buf`.
-    fn encode_tuple_into(&self, buf: &mut BytesMut, t: &Tuple);
-
-    /// Eagerly decode a tuple from the front of `buf`, returning it and
-    /// the bytes consumed.
-    fn decode_tuple(&self, buf: &[u8]) -> Result<(Tuple, usize), DecodeError>;
-
-    /// Validate framing once and return the lazy view.
-    fn tuple_view<'a>(&self, buf: &'a [u8]) -> Result<TupleView<'a>, DecodeError>;
-
-    /// Serialize into a fresh buffer (convenience over
-    /// [`WireCodec::encode_tuple_into`]).
-    fn encode_tuple(&self, t: &Tuple) -> Bytes {
-        let mut buf = BytesMut::with_capacity(t.payload_bytes());
-        self.encode_tuple_into(&mut buf, t);
-        buf.freeze()
-    }
-}
-
-/// The default fixed-offset format this module's free functions
-/// implement: `id u64 | arity u16 | (tag, payload)…`, everything
-/// little-endian.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct WhaleCodec;
-
-impl WireCodec for WhaleCodec {
-    fn name(&self) -> &'static str {
-        "whale"
-    }
-
-    fn encode_tuple_into(&self, buf: &mut BytesMut, t: &Tuple) {
-        encode_tuple_into(buf, t);
-    }
-
-    fn decode_tuple(&self, buf: &[u8]) -> Result<(Tuple, usize), DecodeError> {
-        let mut b = buf;
-        let t = decode_tuple(&mut b)?;
-        Ok((t, buf.len() - b.len()))
-    }
-
-    fn tuple_view<'a>(&self, buf: &'a [u8]) -> Result<TupleView<'a>, DecodeError> {
-        TupleView::parse(buf)
-    }
-}
-
-/// A second format for head-to-head pricing: the whale item behind a
-/// `u32` little-endian length prefix. Four bytes bigger on the wire, but
-/// a reader can bound or skip the whole item in O(1) without walking
-/// fields — the classic framing trade the serialization-protocols
-/// literature prices.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct LengthPrefixedCodec;
-
-impl WireCodec for LengthPrefixedCodec {
-    fn name(&self) -> &'static str {
-        "whale+len"
-    }
-
-    fn encode_tuple_into(&self, buf: &mut BytesMut, t: &Tuple) {
-        buf.put_u32_le(t.payload_bytes() as u32);
-        encode_tuple_into(buf, t);
-    }
-
-    fn decode_tuple(&self, buf: &[u8]) -> Result<(Tuple, usize), DecodeError> {
-        let (t, used) = self.checked_item(buf, |item| {
-            let mut b = item;
-            let t = decode_tuple(&mut b)?;
-            Ok((t, item.len() - b.len()))
-        })?;
-        Ok((t, used))
-    }
-
-    fn tuple_view<'a>(&self, buf: &'a [u8]) -> Result<TupleView<'a>, DecodeError> {
-        let (view, _) = self.checked_item(buf, |item| {
-            let v = TupleView::parse(item)?;
-            Ok((v, v.wire_len()))
-        })?;
-        Ok(view)
-    }
-}
-
-impl LengthPrefixedCodec {
-    /// Slice out the length-prefixed item, run `f` over it, and verify
-    /// the declared length matches what the item actually consumed — a
-    /// lying prefix is a framing error, not a silent drift.
-    fn checked_item<'a, T>(
-        &self,
-        buf: &'a [u8],
-        f: impl FnOnce(&'a [u8]) -> Result<(T, usize), DecodeError>,
-    ) -> Result<(T, usize), DecodeError> {
-        if buf.len() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let len = read_u32(buf, 0) as usize;
-        if buf.len() < 4 + len {
-            return Err(DecodeError::Truncated);
-        }
-        let (out, used) = f(&buf[4..4 + len])?;
-        if used != len {
-            return Err(DecodeError::Truncated);
-        }
-        Ok((out, 4 + len))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1419,42 +1304,5 @@ mod tests {
         assert!(lazy.view().is_none());
         assert_eq!(lazy.field(2).unwrap().unwrap().as_str(), Some("driver-42"));
         assert_eq!(lazy.materialize().unwrap(), &t);
-    }
-
-    #[test]
-    fn wire_codecs_roundtrip_and_agree() {
-        let t = sample_tuple();
-        for codec in [&WhaleCodec as &dyn WireCodec, &LengthPrefixedCodec] {
-            let bytes = codec.encode_tuple(&t);
-            let (back, used) = codec.decode_tuple(&bytes).unwrap();
-            assert_eq!(back, t, "{}", codec.name());
-            assert_eq!(used, bytes.len(), "{}", codec.name());
-            let view = codec.tuple_view(&bytes).unwrap();
-            assert_eq!(view.to_tuple().unwrap(), t, "{}", codec.name());
-            for cut in 0..bytes.len() {
-                assert!(
-                    codec.decode_tuple(&bytes[..cut]).is_err(),
-                    "{} cut={cut}",
-                    codec.name()
-                );
-            }
-        }
-        // The prefix costs exactly four bytes.
-        assert_eq!(
-            LengthPrefixedCodec.encode_tuple(&t).len(),
-            WhaleCodec.encode_tuple(&t).len() + 4
-        );
-    }
-
-    #[test]
-    fn length_prefix_must_match_the_item() {
-        let t = sample_tuple();
-        let good = LengthPrefixedCodec.encode_tuple(&t);
-        // Inflate the declared length past the item: framing error.
-        let mut lying = good.to_vec();
-        let len = u32::from_le_bytes(lying[0..4].try_into().unwrap());
-        lying[0..4].copy_from_slice(&(len + 1).to_le_bytes());
-        assert!(LengthPrefixedCodec.decode_tuple(&lying).is_err());
-        assert!(LengthPrefixedCodec.tuple_view(&lying).is_err());
     }
 }

@@ -29,9 +29,8 @@ pub mod tuple;
 pub use ack::{LatencyTracker, MulticastTracker};
 pub use acker::{AckBuilder, Acker, TreeState};
 pub use codec::{
-    AddressedTuple, DecodeError, InstanceMessage, InstanceMessageView, LazyTuple,
-    LengthPrefixedCodec, RelayHeader, TupleView, ValueView, WhaleCodec, WireCodec, WorkerMessage,
-    WorkerMessageView,
+    AddressedTuple, DecodeError, InstanceMessage, InstanceMessageView, LazyTuple, RelayHeader,
+    TupleView, ValueView, WorkerMessage, WorkerMessageView,
 };
 pub use grouping::{hash_value, hash_value_view, GroupingExec, RouteError};
 pub use messaging::{plan, CommMode, Envelope, MessagePlan};

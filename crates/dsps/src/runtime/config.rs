@@ -1,0 +1,398 @@
+//! What a live run is configured with: [`LiveConfig`] and its
+//! sub-configs, the [`Operators`] registry, and the up-front validation
+//! that turns an unrunnable combination into a [`BuildError`] before
+//! anything is built.
+
+use crate::messaging::CommMode;
+use crate::operator::{Bolt, BoltFactory, Spout, SpoutFactory};
+use crate::topology::{ComponentKind, Grouping, Topology};
+use std::collections::HashMap;
+use std::time::Duration;
+use whale_net::{FabricKind, FaultPlan, LogConfig, SendPolicy, TopologyConfig};
+
+/// Runtime configuration.
+#[derive(Clone, Debug)]
+pub struct LiveConfig {
+    /// Number of simulated machines (= worker processes).
+    pub machines: u32,
+    /// Instance-oriented (Storm) or worker-oriented (Whale) messaging.
+    pub comm_mode: CommMode,
+    /// RDMA-style shared buffers (true) vs TCP-style copies (false).
+    pub zero_copy: bool,
+    /// Relay all-grouped broadcasts through a non-blocking multicast tree
+    /// over the workers with this maximum out-degree, instead of the
+    /// source sending to every worker directly. Requires
+    /// [`CommMode::WorkerOriented`].
+    pub multicast_d_star: Option<u32>,
+    /// Re-plan the relay tree's out-degree at runtime from live workload
+    /// samples (the paper's workload monitor + self-adjusting
+    /// controller), switching between epoch-versioned tree generations
+    /// without stopping the data plane. Implies the relay path; when
+    /// both this and `multicast_d_star` are set, `multicast_d_star`
+    /// seeds the initial degree. Requires [`CommMode::WorkerOriented`].
+    pub multicast_adaptive: Option<AdaptiveConfig>,
+    /// Shard-owned pipelines per worker. Each worker's tasks are split
+    /// across this many pipeline threads by the stable map
+    /// `task % shards` (mirroring `RingConfig::flusher_shards`); every
+    /// pipeline owns its own fabric endpoint, routing state, and
+    /// executors, so the per-worker receive path scales with cores
+    /// instead of serializing behind one dispatcher. `1` (the default)
+    /// runs one pipeline per worker. Values are clamped to at least 1.
+    pub shards: u32,
+    /// Capacity of each pipeline's cross-shard inbox. Deliveries to a
+    /// task another shard owns go through this bounded queue; a full
+    /// inbox backpressures the sender under [`LiveConfig::send`] and
+    /// drops loudly (`send_failed`) if it never clears.
+    pub shard_inbox_capacity: usize,
+    /// Which live transport carries inter-worker frames: synchronous
+    /// per-send delivery, or descriptors posted to per-endpoint rings and
+    /// flushed in MMS/WTL batches (the paper's stream slicing, §4).
+    pub fabric: FabricKind,
+    /// Bounded retry schedule for backpressured sends. The default parks
+    /// up to 5 s before declaring a frame failed; a run can never
+    /// livelock on a dead flusher.
+    pub send: SendPolicy,
+    /// At-least-once delivery tracking (Storm's XOR acker wired into the
+    /// live path). `None` (the default) runs exactly the untracked wire
+    /// protocol; `Some` tracks every spout emission to its first-hop
+    /// subscribers, replays expired trees, and dedups replays at the
+    /// executors by root id.
+    pub ack: Option<AckConfig>,
+    /// Deterministic fault injection: when set, the run's fabric is
+    /// wrapped in a [`whale_net::FaultFabric`] driven by this plan, and the injected
+    /// fault counters surface in the [`super::RunReport`].
+    pub fault: Option<FaultPlan>,
+    /// Persistent partition log behind the send path: every
+    /// point-to-point data frame is appended to a per-endpoint
+    /// [`whale_net::PartitionLog`] *before* the fabric send (write-ahead, so frames
+    /// rejected inside a crash window are still replayable). On tracked
+    /// runs the acker's resolved roots drive the log's GC watermark, and
+    /// a crashed endpoint with a scheduled [`whale_net::EndpointRestart`]
+    /// gets its slice replayed from the log once it rejoins — executors'
+    /// root-id dedup absorbs the overlap with live and acker-replayed
+    /// deliveries, so delivery upgrades to effectively-once without
+    /// spending the acker's replay budget. Relay-tree frames are not
+    /// logged (crash recovery on relay runs stays with the acker).
+    pub log: Option<LogConfig>,
+    /// Liveness backstop: executors give up waiting for traffic (EOS
+    /// included) this long after the run starts, so a lost EOS frame can
+    /// degrade the run but never hang it. `None` waits forever.
+    pub run_deadline: Option<Duration>,
+    /// Snapshot the run's counters at this interval into
+    /// [`super::RunReport::timeline`], so long runs show *when* things happened
+    /// rather than only end-of-run totals. `None` records no timeline.
+    pub monitor_interval: Option<Duration>,
+}
+
+impl Default for LiveConfig {
+    fn default() -> Self {
+        LiveConfig {
+            machines: 4,
+            comm_mode: CommMode::WorkerOriented,
+            zero_copy: true,
+            multicast_d_star: None,
+            multicast_adaptive: None,
+            shards: 1,
+            shard_inbox_capacity: 4096,
+            fabric: FabricKind::PerSend,
+            send: SendPolicy::default(),
+            ack: None,
+            fault: None,
+            log: None,
+            run_deadline: None,
+            monitor_interval: None,
+        }
+    }
+}
+
+/// Runtime tree adaptation (see [`LiveConfig::multicast_adaptive`]).
+#[derive(Clone, Debug)]
+pub struct AdaptiveConfig {
+    /// Out-degree of the initial tree generation.
+    pub initial_d: u32,
+    /// Controller sampling interval (wall clock).
+    pub interval: Duration,
+    /// Transfer-queue capacity Q feeding the controller's waterline and
+    /// the M/D/1 `d*` computation.
+    pub queue_capacity: usize,
+    /// EWMA smoothing factor for the arrival-rate estimate λ.
+    pub alpha: f64,
+    /// Per-hop emit-time estimate t_e (seconds) used until calibrated.
+    pub t_e_default: f64,
+    /// Bounded wait for the previous tree generation to drain before it
+    /// is retired (and before EOS departs on the current tree). Frames a
+    /// fault swallowed never drain; the grace keeps lossy runs moving.
+    pub drain_grace: Duration,
+    /// Drive the paper's coordinator/agent switch protocol over the data
+    /// fabric for every reconfiguration (one representative session —
+    /// all per-origin trees share a shape). Costs protocol round-trips;
+    /// `false` applies the planned moves directly.
+    pub switch_protocol: bool,
+    /// Deterministic forced switches for benchmarks and tests: when
+    /// `spout_emitted` crosses each threshold, switch to the paired
+    /// degree. Non-empty bypasses the λ-driven controller.
+    pub forced_switches: Vec<(u64, u32)>,
+    /// Cluster topology awareness: when set, workers are placed on the
+    /// configured rack layout, a [`whale_net::LinkTracker`] attributes every fabric
+    /// send to its (loopback / intra-rack / rack-uplink) link, the
+    /// controller sees per-uplink pressure alongside λ, and — unless
+    /// [`TopologyConfig::topo_trees`] is off — relay epochs are built
+    /// rack-aware: subtrees stay intra-rack, each destination rack is
+    /// entered over exactly one uplink edge, and switches route rack
+    /// entries over the coolest uplinks. `None` keeps the single-rack
+    /// topology-oblivious behavior.
+    pub topology: Option<TopologyConfig>,
+}
+
+impl Default for AdaptiveConfig {
+    fn default() -> Self {
+        AdaptiveConfig {
+            initial_d: 2,
+            interval: Duration::from_millis(2),
+            queue_capacity: 1024,
+            alpha: 0.3,
+            t_e_default: 20e-6,
+            drain_grace: Duration::from_millis(250),
+            switch_protocol: false,
+            forced_switches: Vec::new(),
+            topology: None,
+        }
+    }
+}
+
+/// At-least-once tracking configuration (see [`LiveConfig::ack`]).
+#[derive(Clone, Copy, Debug)]
+pub struct AckConfig {
+    /// How long a tuple tree may stay incomplete before it is failed and
+    /// replayed (Storm's `topology.message.timeout.secs`).
+    pub timeout: Duration,
+    /// Replay attempts per tuple before giving up and counting it in
+    /// [`super::RunReport::tuples_failed`].
+    pub max_replays: u32,
+    /// Hard bound on the spout's post-emission drain loop; pending
+    /// tuples left at the deadline are failed, never waited on forever.
+    pub drain_deadline: Duration,
+    /// Sleep between drain-loop passes.
+    pub poll_interval: Duration,
+    /// Send each remote EOS frame this many times. The receiver's EOS
+    /// accounting is idempotent, so redundancy costs only bytes and buys
+    /// EOS survival under drop faults.
+    pub eos_redundancy: u32,
+}
+
+impl Default for AckConfig {
+    fn default() -> Self {
+        AckConfig {
+            timeout: Duration::from_millis(250),
+            max_replays: 8,
+            drain_deadline: Duration::from_secs(30),
+            poll_interval: Duration::from_millis(1),
+            eos_redundancy: 1,
+        }
+    }
+}
+
+/// Why a topology could not be built into a running worker set.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum BuildError {
+    /// A spout component has no registered factory in [`Operators`].
+    MissingSpout(String),
+    /// A bolt component has no registered factory in [`Operators`].
+    MissingBolt(String),
+    /// The relay tree ([`LiveConfig::multicast_d_star`] or
+    /// [`LiveConfig::multicast_adaptive`]) forwards worker-oriented
+    /// frames, but the run asked for [`CommMode::InstanceOriented`].
+    RelayNeedsWorkerOriented,
+    /// An edge (`"from->to"`) uses [`Grouping::Direct`], which the live
+    /// runtime does not route.
+    UnsupportedGrouping(String),
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::MissingSpout(name) => write!(f, "no spout registered for {name:?}"),
+            BuildError::MissingBolt(name) => write!(f, "no bolt registered for {name:?}"),
+            BuildError::RelayNeedsWorkerOriented => {
+                write!(f, "the multicast tree relays worker-oriented messages")
+            }
+            BuildError::UnsupportedGrouping(edge) => {
+                write!(
+                    f,
+                    "direct grouping on {edge} is not supported by the live runtime"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// Per-component operator implementations.
+#[derive(Default)]
+pub struct Operators {
+    pub(super) spouts: HashMap<String, SpoutFactory>,
+    pub(super) bolts: HashMap<String, BoltFactory>,
+}
+
+impl Operators {
+    /// New empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Register a spout factory for a component name.
+    pub fn spout(
+        mut self,
+        name: &str,
+        f: impl Fn(u32) -> Box<dyn Spout> + Send + Sync + 'static,
+    ) -> Self {
+        self.spouts.insert(name.to_string(), Box::new(f));
+        self
+    }
+
+    /// Register a bolt factory for a component name.
+    pub fn bolt(
+        mut self,
+        name: &str,
+        f: impl Fn(u32) -> Box<dyn Bolt> + Send + Sync + 'static,
+    ) -> Self {
+        self.bolts.insert(name.to_string(), Box::new(f));
+        self
+    }
+}
+
+impl LiveConfig {
+    /// Whether all-grouped broadcasts travel the multicast relay tree.
+    pub(super) fn relay_enabled(&self) -> bool {
+        self.multicast_d_star.is_some() || self.multicast_adaptive.is_some()
+    }
+
+    /// Check the run can be built at all — every component has an
+    /// operator, every grouping is one the runtime routes, and the relay
+    /// tree has the message format it forwards — so a bad configuration
+    /// is a [`BuildError`], never a worker crash.
+    pub(super) fn validate(&self, topology: &Topology, ops: &Operators) -> Result<(), BuildError> {
+        for comp in topology.components() {
+            match comp.kind {
+                ComponentKind::Spout if !ops.spouts.contains_key(&comp.name) => {
+                    return Err(BuildError::MissingSpout(comp.name.clone()));
+                }
+                ComponentKind::Bolt if !ops.bolts.contains_key(&comp.name) => {
+                    return Err(BuildError::MissingBolt(comp.name.clone()));
+                }
+                _ => {}
+            }
+        }
+        if let Some(e) = topology
+            .edges()
+            .iter()
+            .find(|e| e.grouping == Grouping::Direct)
+        {
+            let name = |id| &topology.component_by_id(id).name;
+            return Err(BuildError::UnsupportedGrouping(format!(
+                "{}->{}",
+                name(e.from),
+                name(e.to)
+            )));
+        }
+        if self.relay_enabled() && self.comm_mode != CommMode::WorkerOriented {
+            return Err(BuildError::RelayNeedsWorkerOriented);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+
+    /// A config error is caught before anything is built: every counter
+    /// is zero, with one `executed` slot per component.
+    fn assert_nothing_ran(r: &RunReport) {
+        assert!(r.executed.iter().all(|&n| n == 0));
+        assert_eq!(r.spout_emitted, 0);
+        assert_eq!(r.fabric_messages, 0);
+        assert_eq!(r.frames_encoded, 0);
+        assert_eq!(r.thread_panics, 0);
+        assert_eq!(r.elapsed, Duration::ZERO);
+    }
+
+    #[test]
+    fn missing_spout_is_a_config_error_not_a_panic() {
+        let (t, _ops) = counting_topology(2, 4);
+        let ops = Operators::new()
+            .bolt("double", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            })
+            .bolt("sink", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            });
+        let r = run_topology(t, ops, LiveConfig::default());
+        assert_eq!(
+            r.outcome,
+            RunOutcome::ConfigError(BuildError::MissingSpout("src".into()))
+        );
+        // Nothing ran: the report is all zeros with one slot per component.
+        assert_eq!(r.executed, vec![0, 0, 0]);
+        assert_eq!(r.spout_emitted, 0);
+        assert_eq!(r.fabric_messages, 0);
+        assert_eq!(r.thread_panics, 0);
+        // The reason round-trips through Display for operators' logs.
+        if let RunOutcome::ConfigError(e) = &r.outcome {
+            assert!(e.to_string().contains("src"));
+        }
+    }
+
+    #[test]
+    fn missing_bolt_is_a_config_error_not_a_panic() {
+        let (t, _ops) = counting_topology(2, 4);
+        let ops = Operators::new().spout("src", |_| {
+            Box::new(IterSpout::new(
+                (0..10i64).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
+            ))
+        });
+        let r = run_topology(t, ops, LiveConfig::default());
+        assert!(matches!(
+            &r.outcome,
+            RunOutcome::ConfigError(BuildError::MissingBolt(name)) if name == "double" || name == "sink"
+        ));
+        assert_eq!(r.spout_emitted, 0, "no spout thread may have started");
+    }
+
+    #[test]
+    fn relay_requires_worker_oriented() {
+        let (t, ops) = counting_topology(4, 4);
+        let r = run_topology(
+            t,
+            ops,
+            LiveConfig {
+                machines: 4,
+                comm_mode: CommMode::InstanceOriented,
+                zero_copy: false,
+                multicast_d_star: Some(2),
+                ..LiveConfig::default()
+            },
+        );
+        assert_eq!(
+            r.outcome,
+            RunOutcome::ConfigError(BuildError::RelayNeedsWorkerOriented)
+        );
+        assert_nothing_ran(&r);
+    }
+
+    #[test]
+    fn direct_grouping_is_a_config_error_not_a_panic() {
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("sink", 2, Schema::new(vec!["n"]))
+            .connect("src", "sink", Grouping::Direct);
+        let (_, ops) = ack_topology(10, 2);
+        let r = run_topology(b.build().unwrap(), ops, LiveConfig::default());
+        assert_eq!(
+            r.outcome,
+            RunOutcome::ConfigError(BuildError::UnsupportedGrouping("src->sink".into()))
+        );
+        assert_nothing_ran(&r);
+    }
+}

@@ -1,0 +1,365 @@
+//! The run's background control threads: the adaptive relay controller
+//! (workload monitor → `d*` re-plan → generation switch) and the
+//! timeline monitor.
+
+use super::config::AdaptiveConfig;
+use super::relay::{rack_aware_trees, RelayEpoch};
+use super::report::TimelineSample;
+use super::send::Routing;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use whale_multicast::{
+    plan_switch, run_switch_over_fabric_at, AdjustController, ControllerConfig, Decision,
+    LinkPressure, WorkloadMonitor,
+};
+use whale_net::{ClusterSpec, TopologyConfig};
+use whale_sim::{SimDuration, SimTime};
+
+impl Routing {
+    /// The run's topology config, if topology awareness is on.
+    fn topology_config(&self) -> Option<&TopologyConfig> {
+        self.config
+            .multicast_adaptive
+            .as_ref()
+            .and_then(|a| a.topology.as_ref())
+    }
+
+    /// Rack-uplink pressure snapshot for the controller (zeros when no
+    /// tracker is installed).
+    fn link_pressure(&self) -> LinkPressure {
+        match (self.tracker.as_deref(), self.topology_config()) {
+            (Some(t), Some(cfg)) => LinkPressure {
+                max_uplink_queue: t.max_uplink_queue(),
+                uplink_bytes: t.uplink_bytes(),
+                hot_uplinks: t.hot_uplinks(cfg.hot_uplink_queue),
+            },
+            _ => LinkPressure::default(),
+        }
+    }
+
+    /// The tree-construction inputs when rack-aware relay trees are on:
+    /// the cluster spec plus the current per-rack uplink loads.
+    fn topo_tree_inputs(&self) -> Option<(&ClusterSpec, Vec<u64>)> {
+        let tracker = self.tracker.as_deref()?;
+        self.topology_config()
+            .filter(|cfg| cfg.topo_trees)
+            .map(|_| (tracker.spec(), tracker.uplink_loads()))
+    }
+}
+
+/// Sleep up to `total`, in small slices, re-checking `stop` between
+/// slices, so a long sampling interval never delays shutdown. Returns
+/// `true` if the full interval elapsed, `false` if the stop flag cut it
+/// short.
+pub(super) fn sleep_with_stop(total: Duration, stop: &AtomicBool) -> bool {
+    const SLICE: Duration = Duration::from_millis(5);
+    let deadline = Instant::now() + total;
+    loop {
+        if stop.load(Ordering::Relaxed) {
+            return false;
+        }
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return true;
+        }
+        std::thread::sleep(remaining.min(SLICE));
+    }
+}
+
+/// The adaptive controller thread: every interval, retire drained tree
+/// generations, sample the live workload (λ from spout emissions, queue
+/// length from the fabric's transfer queue plus the acker's pending
+/// trees), and let the self-adjusting controller re-plan `d*`; a changed
+/// target triggers a generation switch. Forced switches (when
+/// configured) replace the controller with deterministic thresholds on
+/// `spout_emitted` — benchmarks and tests use those to make switching
+/// reproducible.
+pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &AtomicBool) {
+    let relay = routing
+        .relay
+        .as_ref()
+        .expect("adaptive implies relay state");
+    let epoch0 = Instant::now();
+    let interval = SimDuration::from_nanos((cfg.interval.as_nanos() as u64).max(1));
+    let mut monitor = WorkloadMonitor::new(interval, cfg.alpha, cfg.t_e_default);
+    let mut controller = AdjustController::new(
+        ControllerConfig::for_queue(cfg.queue_capacity, routing.placement.workers()),
+        relay.current().d_star,
+    );
+    let mut last_emitted = 0u64;
+    let mut next_forced = 0usize;
+    while sleep_with_stop(cfg.interval, stop) {
+        relay.try_retire_prev();
+        let emitted = routing.stats.spout_emitted.load(Ordering::Relaxed);
+        let target = if cfg.forced_switches.is_empty() {
+            monitor.record_arrivals(emitted.saturating_sub(last_emitted));
+            let now = SimTime::from_nanos(epoch0.elapsed().as_nanos() as u64);
+            let queue_len = routing.fabric.queue_depth() as usize
+                + routing.max_inbox_depth()
+                + routing.ack.as_ref().map_or(0, |a| a.acker.lock().pending());
+            let report = monitor.sample_with_links(now, queue_len, routing.link_pressure());
+            match controller.decide(&report) {
+                Decision::Hold => None,
+                Decision::ScaleDown { d_star } | Decision::ScaleUp { d_star } => Some(d_star),
+            }
+        } else {
+            let mut t = None;
+            while next_forced < cfg.forced_switches.len()
+                && emitted >= cfg.forced_switches[next_forced].0
+            {
+                t = Some(cfg.forced_switches[next_forced].1);
+                next_forced += 1;
+            }
+            t
+        };
+        last_emitted = emitted;
+        if let Some(new_d) = target {
+            let new_d = new_d.max(1);
+            if new_d != relay.current().d_star {
+                switch_structure(cfg, routing, new_d);
+            }
+        }
+    }
+}
+
+/// Reconfigure the relay plane to out-degree `new_d`: wait (bounded) for
+/// the previous generation to drain so at most two are ever live,
+/// optionally drive the paper's coordinator/agent switch protocol over
+/// the data fabric, plan the per-origin moves, and publish the new
+/// generation. In-flight frames on the demoted generation keep being
+/// accepted until it drains (or the grace expires on a lossy run).
+fn switch_structure(cfg: &AdaptiveConfig, routing: &Routing, new_d: u32) {
+    let relay = routing
+        .relay
+        .as_ref()
+        .expect("switching implies relay state");
+    relay.await_prev_drained(cfg.drain_grace);
+    let cur = relay.current();
+    if cfg.switch_protocol {
+        // One representative coordinator/agent session per switch: every
+        // per-origin tree shares the same shape, so one session carries
+        // the status/control/ACK exchange the paper describes. Protocol
+        // endpoints sit above the shard endpoint range to avoid
+        // collisions.
+        let base = routing.placement.workers() * routing.shards;
+        let _ = run_switch_over_fabric_at(Arc::clone(&routing.fabric), &cur.trees[0], new_d, base);
+    }
+    let mut total_moves = 0u64;
+    let trees = if let Some((spec, loads)) = routing.topo_tree_inputs() {
+        // Rack-aware rebuild: the new generation's rack entries route
+        // over whichever uplinks are coolest *right now*. Moves are the
+        // parent changes between generations (same accounting
+        // `plan_switch` reports on the oblivious path).
+        let next = rack_aware_trees(new_d, &routing.placement, spec, &loads);
+        for (old, new) in cur.trees.iter().zip(&next) {
+            total_moves += (0..new.n())
+                .filter(|&i| old.parent(i) != new.parent(i))
+                .count() as u64;
+        }
+        next
+    } else {
+        let mut trees = Vec::with_capacity(cur.trees.len());
+        for t in &cur.trees {
+            let (next, plan) = plan_switch(t, new_d);
+            total_moves += plan.moves.len() as u64;
+            trees.push(next);
+        }
+        trees
+    };
+    relay.publish(Arc::new(RelayEpoch::new(cur.epoch + 1, new_d, trees)));
+    relay.switches.fetch_add(1, Ordering::Relaxed);
+    relay.switch_moves.fetch_add(total_moves, Ordering::Relaxed);
+}
+
+/// The monitor thread: snapshot the run's counters every `interval`
+/// until stopped, plus one final post-run sample.
+pub(super) fn monitor_loop(
+    routing: &Routing,
+    interval: Duration,
+    start: Instant,
+    stop: &AtomicBool,
+) -> Vec<TimelineSample> {
+    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    let (stats, ack) = (&routing.stats, routing.ack.as_ref());
+    let sample = || TimelineSample {
+        at: start.elapsed(),
+        spout_emitted: get(&stats.spout_emitted),
+        executed: stats.executed.iter().map(get).sum(),
+        fabric_messages: routing.fabric.messages(),
+        send_errors: routing.fabric.send_errors(),
+        send_retries: get(&stats.send_retries),
+        acked: ack.map_or(0, |a| get(&a.acked)),
+        failed: ack.map_or(0, |a| get(&a.failed)),
+        replayed: ack.map_or(0, |a| get(&a.replayed)),
+    };
+    let mut timeline = Vec::new();
+    while sleep_with_stop(interval, stop) {
+        timeline.push(sample());
+    }
+    timeline.push(sample());
+    timeline
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use whale_net::TopologyConfig;
+
+    #[test]
+    fn adaptive_forced_switch_keeps_every_delivery() {
+        // Phase-shift the tree mid-run (d* 1 → 4) through the full
+        // switch protocol: every broadcast still reaches every instance,
+        // nothing lands on a retired generation.
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("fan", 16, Schema::new(vec!["n"]))
+            .connect("src", "fan", Grouping::All);
+        let t = b.build().unwrap();
+        let ops = Operators::new()
+            .spout("src", |_| {
+                Box::new(IterSpout::new((0..100i64).map(|i| {
+                    std::thread::sleep(Duration::from_micros(300));
+                    Tuple::with_id(i as u64, vec![Value::I64(i)])
+                })))
+            })
+            .bolt("fan", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            });
+        let r = run_topology(
+            t,
+            ops,
+            LiveConfig {
+                machines: 8,
+                multicast_adaptive: Some(AdaptiveConfig {
+                    initial_d: 1,
+                    interval: Duration::from_millis(1),
+                    forced_switches: vec![(30, 4)],
+                    switch_protocol: true,
+                    ..AdaptiveConfig::default()
+                }),
+                ..LiveConfig::default()
+            },
+        );
+        assert_eq!(r.executed[1], 100 * 16, "no broadcast lost to the switch");
+        assert!(r.relay_switches >= 1, "the forced switch must fire");
+        assert!(r.relay_switch_moves > 0, "d* 1→4 moves instances");
+        assert_eq!(r.relay_d_star, 4);
+        assert!(r.relay_epoch >= 1);
+        assert!(r.relay_forwards > 0);
+        assert_eq!(r.relay_stale_drops, 0, "drained switch drops nothing");
+        assert_eq!(r.outcome, RunOutcome::Clean);
+    }
+
+    #[test]
+    fn per_link_byte_sums_tile_the_wire_total() {
+        // Every fabric send traverses exactly one link, so the per-link
+        // accounting must tile the wire byte total exactly — with the
+        // rack-aware trees and with Whale's oblivious trees under the
+        // same topology (the regression that caught uplink sends being
+        // attributed twice). The rack-aware trees must also move
+        // strictly fewer bytes over the uplink: machines alternate racks
+        // round-robin, so the oblivious tree crosses racks on most
+        // edges while the topo tree enters the far rack exactly once.
+        let run_with = |topo_trees: bool| {
+            let (t, ops) = counting_topology(8, 16);
+            run_topology(
+                t,
+                ops,
+                LiveConfig {
+                    machines: 8,
+                    multicast_adaptive: Some(AdaptiveConfig {
+                        initial_d: 2,
+                        // No mid-run switches: one deterministic tree.
+                        interval: Duration::from_secs(30),
+                        topology: Some(TopologyConfig {
+                            racks: 2,
+                            topo_trees,
+                            ..TopologyConfig::default()
+                        }),
+                        ..AdaptiveConfig::default()
+                    }),
+                    ..LiveConfig::default()
+                },
+            )
+        };
+        let topo = run_with(true);
+        let oblivious = run_with(false);
+        for r in [&topo, &oblivious] {
+            assert_eq!(r.outcome, RunOutcome::Clean);
+            assert_eq!(r.executed[1], 100 * 16, "every broadcast lands");
+            let linked: u64 = r.link_bytes.iter().map(|(_, b)| b).sum();
+            assert_eq!(
+                linked,
+                r.copied_bytes + r.shared_bytes,
+                "per-link sums must tile the wire total exactly"
+            );
+            assert!(r.uplink_bytes > 0, "cross-rack traffic must register");
+            assert!(r.uplink_bytes <= linked);
+            let m = r.metrics();
+            assert_eq!(m.counter("dsps.links.uplink_bytes"), Some(r.uplink_bytes));
+        }
+        assert!(
+            topo.uplink_bytes < oblivious.uplink_bytes,
+            "rack-aware trees must economize the uplink ({} vs {})",
+            topo.uplink_bytes,
+            oblivious.uplink_bytes
+        );
+    }
+
+    #[test]
+    fn monitor_interval_records_timeline() {
+        let (t, ops) = counting_topology(4, 8);
+        let r = run_topology(
+            t,
+            ops,
+            LiveConfig {
+                machines: 4,
+                monitor_interval: Some(Duration::from_millis(1)),
+                ..LiveConfig::default()
+            },
+        );
+        assert!(!r.timeline.is_empty(), "the final sample always lands");
+        let last = r.timeline.last().unwrap();
+        assert_eq!(last.spout_emitted, 100);
+        assert!(last.executed > 0);
+        // Samples are orderable and the series export is wired through.
+        for w in r.timeline.windows(2) {
+            assert!(w[0].at <= w[1].at);
+        }
+        let m = r.metrics();
+        assert!(m.get("dsps.timeline.spout_emitted").is_some());
+        assert!(m.get("dsps.timeline.executed").is_some());
+    }
+
+    #[test]
+    fn background_threads_shut_down_promptly() {
+        // Monitor and adaptive intervals far longer than the run: both
+        // threads used to sleep the whole interval before noticing the
+        // stop flag, stalling teardown by up to a full interval each.
+        let (t, ops) = counting_topology(4, 8);
+        let started = Instant::now();
+        let r = run_topology(
+            t,
+            ops,
+            LiveConfig {
+                machines: 4,
+                monitor_interval: Some(Duration::from_secs(30)),
+                multicast_adaptive: Some(AdaptiveConfig {
+                    interval: Duration::from_secs(30),
+                    ..AdaptiveConfig::default()
+                }),
+                ..LiveConfig::default()
+            },
+        );
+        assert_eq!(r.outcome, RunOutcome::Clean);
+        assert_eq!(r.spout_emitted, 100);
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "shutdown must not wait out 30s sampling intervals (took {:?})",
+            started.elapsed()
+        );
+        let last = r.timeline.last().expect("final sample always lands");
+        assert_eq!(last.spout_emitted, 100);
+    }
+}

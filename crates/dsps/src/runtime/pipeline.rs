@@ -1,0 +1,723 @@
+//! The shard-owned pipeline: one thread running the whole receive →
+//! route → execute → send loop for its slice of tasks — spout stepping,
+//! frame dispatch, bolt execution — with no central dispatcher.
+
+use super::reliability::{anchor_for, prune_completed, root_of, AckRuntime, ROOT_BITS, ROOT_MASK};
+use super::report::LATENCY_SAMPLE;
+use super::send::{ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE};
+use super::wire::{self, FrameView};
+use crate::codec::{self, TupleView};
+use crate::operator::{Bolt, Spout};
+use crate::task::{ComponentId, TaskId};
+use crate::tuple::Tuple;
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use whale_sim::SimTime;
+
+/// Where one spout is in its lifecycle. The drain phase (tracked runs
+/// only) is a cooperative state machine, not a blocking loop: the owning
+/// pipeline interleaves drain passes with frame dispatch and executor
+/// work, so a draining spout never starves the executors sharing its
+/// thread.
+enum SpoutPhase {
+    /// Still producing tuples.
+    Emitting,
+    /// Emissions exhausted; waiting out in-flight tracked trees,
+    /// replaying expired ones, until `deadline`. `next_poll` rate-limits
+    /// the acker polls to the configured interval.
+    Draining {
+        deadline: Instant,
+        next_poll: Instant,
+    },
+    /// EOS broadcast; nothing left to do.
+    Done,
+}
+
+/// One spout task owned by a shard pipeline.
+struct SpoutState {
+    task: TaskId,
+    spout: Box<dyn Spout>,
+    groupings: Groupings,
+    /// Tracked ids still in flight: id → (tuple, attempt).
+    pending: HashMap<u64, (Tuple, u32)>,
+    since_prune: u32,
+    phase: SpoutPhase,
+}
+
+impl SpoutState {
+    /// Give up on everything still in flight: force-expire it so late
+    /// acks are rejected, count each root as failed exactly once, and
+    /// tell the log its records are dead weight.
+    fn fail_pending(&mut self, routing: &Routing, ack: &AckRuntime) {
+        ack.acker
+            .lock()
+            .expire_matching(SimTime::MAX, |id| self.pending.contains_key(&id));
+        ack.failed
+            .fetch_add(self.pending.len() as u64, Ordering::Relaxed);
+        if let Some(log) = &routing.log {
+            for id in self.pending.keys() {
+                log.note_resolved(root_of(*id));
+            }
+        }
+        self.pending.clear();
+    }
+
+    /// Broadcast EOS and retire the spout.
+    fn finish(&mut self, routing: &Routing) {
+        routing.broadcast_eos(self.task);
+        self.phase = SpoutPhase::Done;
+    }
+}
+
+/// Advance one spout by one step: emit one tuple, or run one drain pass.
+/// Returns whether the step made progress (drives the pipeline's idle
+/// backoff). A panicking `next_tuple` poisons the spout: its pending
+/// tuples are failed loudly and EOS still departs so downstream drains.
+fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
+    let stats = &routing.stats;
+    match state.phase {
+        SpoutPhase::Done => false,
+        SpoutPhase::Emitting => {
+            let next = catch_unwind(AssertUnwindSafe(|| state.spout.next_tuple()));
+            let Ok(next) = next else {
+                stats.op_panics.fetch_add(1, Ordering::Relaxed);
+                if let Some(ack) = routing.ack.as_ref() {
+                    state.fail_pending(routing, ack);
+                }
+                state.finish(routing);
+                return true;
+            };
+            let Some(t) = next else {
+                match routing.ack.as_ref() {
+                    Some(ack) => {
+                        let now = Instant::now();
+                        state.phase = SpoutPhase::Draining {
+                            deadline: now + ack.config.drain_deadline,
+                            next_poll: now,
+                        };
+                    }
+                    None => state.finish(routing),
+                }
+                return true;
+            };
+            stats.spout_emitted.fetch_add(1, Ordering::Relaxed);
+            if t.id != 0 && t.id % LATENCY_SAMPLE == 0 {
+                stats.emit_times.lock().insert(t.id, Instant::now());
+            }
+            match routing.ack.as_ref() {
+                None => routing.emit(state.task, &mut state.groupings, t, None),
+                Some(ack) => {
+                    let tracked = ack.next_root.fetch_add(1, Ordering::Relaxed) & ROOT_MASK;
+                    // Register before emitting: an executor's ack can land
+                    // before the routing layer arms the ledger, and XOR
+                    // order-independence keeps that race benign — but only
+                    // if the entry already exists.
+                    ack.acker.lock().init(tracked, 0, ack.now());
+                    state.pending.insert(tracked, (t.clone(), 0));
+                    routing.emit(state.task, &mut state.groupings, t, Some(tracked));
+                    state.since_prune += 1;
+                    if state.since_prune >= 64 {
+                        state.since_prune = 0;
+                        prune_completed(routing, ack, &mut state.pending);
+                    }
+                }
+            }
+            true
+        }
+        SpoutPhase::Draining {
+            deadline,
+            next_poll,
+        } => {
+            let now = Instant::now();
+            if now < next_poll {
+                return false;
+            }
+            let ack = routing.ack.as_ref().expect("draining implies tracking");
+            // One drain pass: replay expired trees (fresh ledger key,
+            // stable root for sink dedup), prune completed ones.
+            let expired = {
+                let mut acker = ack.acker.lock();
+                acker.expire_matching(ack.now(), |id| state.pending.contains_key(&id))
+            };
+            let mut replayed = false;
+            for id in expired {
+                let Some((tuple, attempt)) = state.pending.remove(&id) else {
+                    continue;
+                };
+                if attempt >= ack.config.max_replays {
+                    ack.failed.fetch_add(1, Ordering::Relaxed);
+                    // A failed root is resolved for log-GC purposes: its
+                    // records will never be needed again.
+                    if let Some(log) = &routing.log {
+                        log.note_resolved(root_of(id));
+                    }
+                    continue;
+                }
+                let attempt = attempt + 1;
+                let tracked = ((attempt as u64) << ROOT_BITS) | root_of(id);
+                ack.acker.lock().init(tracked, 0, ack.now());
+                state.pending.insert(tracked, (tuple.clone(), attempt));
+                ack.replayed.fetch_add(1, Ordering::Relaxed);
+                replayed = true;
+                routing.emit(state.task, &mut state.groupings, tuple, Some(tracked));
+            }
+            prune_completed(routing, ack, &mut state.pending);
+            if state.pending.is_empty() {
+                state.finish(routing);
+                return true;
+            }
+            if now >= deadline {
+                state.fail_pending(routing, ack);
+                state.finish(routing);
+                return true;
+            }
+            state.phase = SpoutPhase::Draining {
+                deadline,
+                next_poll: now + ack.config.poll_interval,
+            };
+            replayed
+        }
+    }
+}
+
+/// Parse and dispatch one fabric frame received by `worker`'s pipeline.
+/// Framing is validated once per frame (views, nothing materialized);
+/// data items are handed to executors as shared [`LazyTuple`]s, and
+/// `scratch` is the pipeline's reusable destination buffer, so the
+/// steady-state dispatch path allocates nothing. A frame that is
+/// truncated, fails to validate, carries an unknown kind, or addresses a
+/// task this run does not host is dropped and counted
+/// (`RunStats::dropped_frames`) — a bad peer must not crash the worker.
+///
+/// [`LazyTuple`]: crate::codec::LazyTuple
+pub(super) fn on_frame(
+    worker: u32,
+    msg: &whale_net::LiveMessage,
+    routing: &Routing,
+    scratch: &mut Vec<TaskId>,
+) {
+    let drop_frame = || {
+        routing.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
+    };
+    let deliver = |dst: TaskId, msg: ExecMsg| {
+        if !routing.deliver(dst, msg) {
+            drop_frame();
+        }
+    };
+    // Hand one received data item to `dsts` as views over the shared
+    // receive buffer.
+    let deliver_data = |item: &TupleView<'_>, tracked: Option<u64>, dsts: &[TaskId]| {
+        let Ok(lazy) = routing.lazy_tuple(&msg.payload, item) else {
+            return drop_frame();
+        };
+        let Some((&last, rest)) = dsts.split_last() else {
+            return;
+        };
+        for &dst in rest {
+            deliver(dst, ExecMsg::Data(lazy.clone(), tracked));
+        }
+        deliver(last, ExecMsg::Data(lazy, tracked));
+    };
+    let bytes = msg.payload.bytes();
+    if bytes.is_empty() {
+        return;
+    }
+    match wire::parse(bytes) {
+        Ok(FrameView::Instance(tracked, m)) => deliver_data(m.tuple(), tracked, &[m.dst()]),
+        Ok(FrameView::Worker(tracked, m)) => {
+            codec::dispatch_worker_message_into(&m, scratch);
+            deliver_data(m.tuple(), tracked, scratch);
+        }
+        Ok(FrameView::Eos { src, dsts }) => {
+            for dst in dsts {
+                deliver(dst, ExecMsg::Eos(src));
+            }
+        }
+        // The received payload is handed along untouched so forwards
+        // reuse its bytes.
+        Ok(FrameView::Relay { header, item }) => {
+            routing.on_relay_frame(worker, header, &msg.payload, item)
+        }
+        Ok(FrameView::RelayEos(eos)) => routing.on_relay_eos(worker, eos, &msg.payload),
+        Err(_) => drop_frame(),
+    }
+}
+
+/// One bolt task owned by a shard pipeline.
+struct BoltState {
+    task: TaskId,
+    comp: ComponentId,
+    bolt: Box<dyn Bolt>,
+    groupings: Groupings,
+    eos_seen: HashSet<TaskId>,
+    expected_eos: usize,
+    /// Tracked ids already XOR'd into the acker (a duplicated frame must
+    /// not ack the ledger twice) and roots already executed (replays and
+    /// duplicates are acked but not re-executed).
+    acked_tracked: HashSet<u64>,
+    seen_roots: HashSet<u64>,
+    /// A panicking `execute`/`finish` poisons the task: later tuples are
+    /// dropped unprocessed and unacked (they time out into replays on
+    /// tracked runs), but EOS still departs so downstream drains.
+    poisoned: bool,
+    done: bool,
+}
+
+/// Process one executor message for a bolt.
+fn bolt_handle(state: &mut BoltState, msg: ExecMsg, routing: &Routing) {
+    let stats = &routing.stats;
+    if state.done {
+        return;
+    }
+    match msg {
+        ExecMsg::Data(t, tracked) => {
+            if state.poisoned {
+                return;
+            }
+            let mut fresh = true;
+            if let (Some(tracked), Some(ack)) = (tracked, routing.ack.as_ref()) {
+                if state.acked_tracked.insert(tracked) {
+                    // The anchor is derived, not carried: the same pure
+                    // function the sender armed the ledger with.
+                    let anchor = anchor_for(tracked, state.task);
+                    ack.acker.lock().ack(tracked, anchor);
+                }
+                fresh = state.seen_roots.insert(root_of(tracked));
+                if !fresh {
+                    ack.dedup_dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            if !fresh {
+                return;
+            }
+            stats.executed[state.comp.0 as usize].fetch_add(1, Ordering::Relaxed);
+            let id = t.id();
+            if id != 0 && id % LATENCY_SAMPLE == 0 {
+                let start = stats.emit_times.lock().get(&id).copied();
+                if let Some(start) = start {
+                    let ns = start.elapsed().as_nanos() as u64;
+                    stats.delivery_ns.lock().push(ns);
+                }
+            }
+            let mut emitter = TaskEmitter {
+                routing,
+                src: state.task,
+                groupings: &mut state.groupings,
+            };
+            let bolt = &mut state.bolt;
+            let was_materialized = t.is_materialized();
+            match catch_unwind(AssertUnwindSafe(|| bolt.execute_lazy(&t, &mut emitter))) {
+                Err(_) => {
+                    state.poisoned = true;
+                    stats.op_panics.fetch_add(1, Ordering::Relaxed);
+                }
+                // Corrupt wire bytes (deferred UTF-8 validation failed):
+                // drop the tuple, keep the task healthy.
+                Ok(Err(_)) => {
+                    stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(Ok(())) => {}
+            }
+            if !was_materialized && t.is_materialized() {
+                stats.tuples_materialized.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        ExecMsg::Eos(src) => {
+            state.eos_seen.insert(src);
+            if state.eos_seen.len() >= state.expected_eos {
+                finish_bolt(state, routing);
+            }
+        }
+    }
+}
+
+/// Close out a bolt: run its `finish` hook (skipped for poisoned tasks —
+/// a panicking operator gets no second invocation) and broadcast EOS.
+fn finish_bolt(state: &mut BoltState, routing: &Routing) {
+    let stats = &routing.stats;
+    if state.done {
+        return;
+    }
+    state.done = true;
+    if !state.poisoned {
+        let mut emitter = TaskEmitter {
+            routing,
+            src: state.task,
+            groupings: &mut state.groupings,
+        };
+        let bolt = &mut state.bolt;
+        if catch_unwind(AssertUnwindSafe(|| bolt.finish(&mut emitter))).is_err() {
+            state.poisoned = true;
+            stats.op_panics.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    routing.broadcast_eos(state.task);
+}
+
+/// Fabric frames and cross-shard messages consumed per scheduling pass
+/// before the pipeline rotates to its other work (keeps one flooded
+/// source from starving the rest).
+const PIPELINE_BATCH: usize = 128;
+/// Idle passes of busy-spinning before the pipeline starts sleeping.
+const IDLE_SPINS: u32 = 64;
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
+
+/// One shard-owned pipeline: the whole hot path for its slice of tasks —
+/// fabric reader, routing (each task's grouping state), execution, and
+/// sink — on one thread, with no central dispatcher. See the module docs.
+pub(super) struct ShardPipeline {
+    /// Flat shard id (`worker * shards + shard`) — also the fabric
+    /// endpoint this pipeline reads.
+    flat: usize,
+    worker: u32,
+    fabric_rx: Receiver<whale_net::LiveMessage>,
+    inbox_rx: Receiver<(TaskId, ExecMsg)>,
+    spouts: Vec<SpoutState>,
+    bolts: HashMap<TaskId, BoltState>,
+    /// Signals the run driver once every owned task has completed (the
+    /// pipeline keeps relaying/draining frames until the fabric closes).
+    done_tx: Sender<()>,
+    /// Reusable destination-id buffer for worker-message fan-out, so the
+    /// steady-state dispatch path allocates nothing per frame.
+    scratch: Vec<TaskId>,
+}
+
+impl ShardPipeline {
+    /// An empty pipeline reading fabric endpoint `flat` on `worker`.
+    pub(super) fn new(
+        flat: usize,
+        worker: u32,
+        fabric_rx: Receiver<whale_net::LiveMessage>,
+        inbox_rx: Receiver<(TaskId, ExecMsg)>,
+        done_tx: Sender<()>,
+    ) -> Self {
+        ShardPipeline {
+            flat,
+            worker,
+            fabric_rx,
+            inbox_rx,
+            spouts: Vec::new(),
+            bolts: HashMap::new(),
+            done_tx,
+            scratch: Vec::new(),
+        }
+    }
+
+    pub(super) fn add_spout(&mut self, task: TaskId, spout: Box<dyn Spout>, groupings: Groupings) {
+        self.spouts.push(SpoutState {
+            task,
+            spout,
+            groupings,
+            pending: HashMap::new(),
+            since_prune: 0,
+            phase: SpoutPhase::Emitting,
+        });
+    }
+
+    /// `expected_eos` is the number of upstream tasks whose EOS the bolt
+    /// waits for before finishing.
+    pub(super) fn add_bolt(
+        &mut self,
+        task: TaskId,
+        comp: ComponentId,
+        bolt: Box<dyn Bolt>,
+        groupings: Groupings,
+        expected_eos: usize,
+    ) {
+        let state = BoltState {
+            task,
+            comp,
+            bolt,
+            groupings,
+            eos_seen: HashSet::new(),
+            expected_eos,
+            acked_tracked: HashSet::new(),
+            seen_roots: HashSet::new(),
+            poisoned: false,
+            done: false,
+        };
+        self.bolts.insert(task, state);
+    }
+
+    /// Run the pipeline on its own thread until its tasks are done and
+    /// the fabric closes.
+    pub(super) fn spawn(self, routing: Arc<Routing>) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            // Operator panics are caught inside the pipeline; a panic
+            // escaping here is a runtime bug, but the completion signal
+            // must still fire or the driver would block forever.
+            let done_tx = self.done_tx.clone();
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.run(&routing))) {
+                let _ = done_tx.send(());
+                std::panic::resume_unwind(payload);
+            }
+        })
+    }
+
+    fn run(mut self, routing: &Routing) {
+        CURRENT_SHARD.with(|c| c.set(Some(self.flat)));
+        // A bolt with no upstream can never receive EOS; close it out
+        // up front instead of hanging the pipeline.
+        for b in self.bolts.values_mut() {
+            if b.expected_eos == 0 {
+                finish_bolt(b, routing);
+            }
+        }
+        self.drain_local(routing);
+        let deadline = routing.config.run_deadline.map(|d| Instant::now() + d);
+        let mut fabric_open = true;
+        let mut signaled = false;
+        let mut idle_passes = 0u32;
+        loop {
+            let mut progress = false;
+            for _ in 0..PIPELINE_BATCH {
+                match self.fabric_rx.try_recv() {
+                    Ok(msg) => {
+                        on_frame(self.worker, &msg, routing, &mut self.scratch);
+                        progress = true;
+                        self.drain_local(routing);
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        fabric_open = false;
+                        break;
+                    }
+                }
+            }
+            for _ in 0..PIPELINE_BATCH {
+                match self.inbox_rx.try_recv() {
+                    Ok((dst, msg)) => {
+                        self.handle_exec(dst, msg, routing);
+                        progress = true;
+                        self.drain_local(routing);
+                    }
+                    Err(_) => break,
+                }
+            }
+            for i in 0..self.spouts.len() {
+                if spout_step(&mut self.spouts[i], routing) {
+                    progress = true;
+                }
+            }
+            if self.drain_local(routing) {
+                progress = true;
+            }
+            let all_done = self
+                .spouts
+                .iter()
+                .all(|s| matches!(s.phase, SpoutPhase::Done))
+                && self.bolts.values().all(|b| b.done);
+            if all_done && !signaled {
+                signaled = true;
+                let _ = self.done_tx.send(());
+            }
+            if all_done && !fabric_open {
+                break;
+            }
+            if progress {
+                idle_passes = 0;
+                continue;
+            }
+            if !all_done {
+                if let Some(dl) = deadline {
+                    if Instant::now() >= dl {
+                        // Liveness backstop, checked only on idle passes
+                        // (already-queued traffic is still processed): a
+                        // lost EOS degrades the run but never hangs it.
+                        // Finishing still broadcasts this task's own EOS
+                        // so downstream can drain.
+                        for b in self.bolts.values_mut() {
+                            if !b.done {
+                                routing.stats.deadline_exits.fetch_add(1, Ordering::Relaxed);
+                                finish_bolt(b, routing);
+                            }
+                        }
+                        self.drain_local(routing);
+                        continue;
+                    }
+                }
+            }
+            idle_passes += 1;
+            if idle_passes < IDLE_SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::sleep(IDLE_SLEEP);
+            }
+        }
+        CURRENT_SHARD.with(|c| c.set(None));
+    }
+
+    /// Route one executor message to the owning task. Messages for tasks
+    /// this shard does not own (a spout task, or a stale frame for a
+    /// completed run) are ignored.
+    fn handle_exec(&mut self, dst: TaskId, msg: ExecMsg, routing: &Routing) {
+        if let Some(state) = self.bolts.get_mut(&dst) {
+            bolt_handle(state, msg, routing);
+        }
+    }
+
+    /// Drain the thread-local same-shard loopback queue. Executions may
+    /// push more (a bolt emitting to a same-shard successor), so this
+    /// loops until the queue is genuinely empty.
+    fn drain_local(&mut self, routing: &Routing) -> bool {
+        let mut any = false;
+        while let Some((dst, msg)) = LOCAL_QUEUE.with_borrow_mut(|q| q.pop_front()) {
+            self.handle_exec(dst, msg, routing);
+            any = true;
+        }
+        any
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+    use crate::codec::RelayHeader;
+
+    #[test]
+    fn dispatcher_drops_garbage_frames_instead_of_crashing() {
+        let routing = bare_routing(
+            LiveConfig {
+                machines: 2,
+                zero_copy: false,
+                ..LiveConfig::default()
+            },
+            None,
+        );
+        let encoded = |fill: &dyn Fn(&mut bytes::BytesMut)| {
+            let mut buf = bytes::BytesMut::new();
+            fill(&mut buf);
+            buf.to_vec()
+        };
+        let tuple = Tuple::new(vec![Value::I64(1)]);
+        let relay = encoded(&|b| {
+            let h = RelayHeader {
+                origin: 0,
+                epoch: 0,
+                component: 0,
+                tracked: 0,
+            };
+            wire::encode_relay(b, h, &tuple)
+        });
+        let relay_eos = encoded(&|b| {
+            let eos = wire::RelayEos {
+                origin: 0,
+                epoch: 0,
+                component: ComponentId(0),
+                src: TaskId(0),
+            };
+            wire::encode_relay_eos(b, eos)
+        });
+        let instance = encoded(&|b| wire::encode_instance(b, None, TaskId(0), TaskId(7), &tuple));
+        let worker = encoded(&|b| wire::encode_worker(b, None, TaskId(0), &[], &[]));
+        let mut eos = encoded(&|b| wire::encode_eos(b, TaskId(0), &[]));
+        let frames: Vec<Vec<u8>> = vec![
+            vec![99],                // unknown kind
+            relay[..3].to_vec(),     // truncated relay header (2 of 20 bytes)
+            relay[..13].to_vec(),    // truncated relay header (12 of 20 bytes)
+            relay_eos[..4].to_vec(), // truncated relay EOS
+            instance[..4].to_vec(),  // truncated instance message
+            worker[..1].to_vec(),    // truncated worker message
+            eos[..2].to_vec(),       // truncated EOS header
+            // Well-formed relay header on a worker with the relay path off.
+            relay[..1 + RelayHeader::WIRE_BYTES].to_vec(),
+            // EOS claiming 100 destinations but carrying none.
+            {
+                eos[5..9].copy_from_slice(&100u32.to_le_bytes());
+                eos
+            },
+            // Well-formed instance message addressed to a task with no inbox.
+            instance,
+        ];
+        let mut scratch = Vec::new();
+        for f in &frames {
+            let msg = whale_net::LiveMessage {
+                from: whale_net::EndpointId(1),
+                payload: whale_net::Payload::Copied(f.clone()),
+            };
+            on_frame(0, &msg, &routing, &mut scratch);
+        }
+        assert_eq!(
+            routing.stats.dropped_frames.load(Ordering::Relaxed),
+            frames.len() as u64
+        );
+    }
+
+    #[test]
+    fn sharded_pipelines_match_single_shard_results() {
+        let base = run(CommMode::WorkerOriented, true, 4, 8);
+        assert_eq!(base.shards, 1);
+        for shards in [2, 4] {
+            let (t, ops) = counting_topology(4, 8);
+            let r = run_topology(
+                t,
+                ops,
+                LiveConfig {
+                    machines: 4,
+                    shards,
+                    ..LiveConfig::default()
+                },
+            );
+            assert_eq!(r.outcome, RunOutcome::Clean, "{shards} shards");
+            assert_eq!(r.executed, base.executed, "{shards} shards");
+            assert_eq!(r.spout_emitted, base.spout_emitted);
+            assert_eq!(r.shards, shards as u64);
+            assert_eq!(r.dropped_frames, 0);
+        }
+    }
+
+    #[test]
+    fn same_worker_cross_shard_traffic_uses_the_inboxes() {
+        // One machine, 4 shards: nothing crosses the fabric, but the
+        // all-grouped stage spans every shard, so deliveries must flow
+        // through the cross-shard inboxes (and be counted).
+        let (t, ops) = counting_topology(1, 8);
+        let r = run_topology(
+            t,
+            ops,
+            LiveConfig {
+                machines: 1,
+                shards: 4,
+                ..LiveConfig::default()
+            },
+        );
+        assert_eq!(r.outcome, RunOutcome::Clean);
+        assert_eq!(r.executed[1], 800);
+        assert_eq!(r.copied_bytes + r.shared_bytes, 0, "single worker");
+        assert!(r.cross_shard_msgs > 0, "fan-out must cross shard inboxes");
+        let m = r.metrics();
+        assert_eq!(m.counter("dsps.cross_shard_msgs"), Some(r.cross_shard_msgs));
+        assert_eq!(m.gauge("dsps.shards"), Some(4.0));
+    }
+
+    #[test]
+    fn tracked_sharded_run_accounts_for_every_tuple() {
+        for fabric in [
+            FabricKind::PerSend,
+            FabricKind::Ring(whale_net::RingConfig::default()),
+            FabricKind::OneSided(whale_net::OneSidedConfig::default()),
+        ] {
+            let (t, ops) = ack_topology(200, 4);
+            let r = run_topology(
+                t,
+                ops,
+                LiveConfig {
+                    machines: 4,
+                    shards: 4,
+                    fabric,
+                    ack: Some(AckConfig::default()),
+                    ..LiveConfig::default()
+                },
+            );
+            assert_eq!(r.outcome, RunOutcome::Clean);
+            assert_eq!(r.tuples_acked + r.tuples_failed, r.spout_emitted);
+            assert_eq!(r.tuples_acked, 200);
+            assert_eq!(r.executed[1], 200 * 4, "exactly once per instance");
+        }
+    }
+}

@@ -1,0 +1,348 @@
+//! The live fabric's frame layout — the only place frame bytes are
+//! written or read.
+//!
+//! Every frame starts with one kind byte: the low seven bits name the
+//! kind, the high bit ([`TRACKED`]) says an acker ledger key follows.
+//! All integers are little-endian.
+//!
+//! | kind | after the kind byte | bytes |
+//! |---|---|---|
+//! | 1 instance | `[tracked u64]` `src u32` `dst u32` item | 1 [+8] + 8 + item |
+//! | 2 worker | `[tracked u64]` `src u32` `n u32` `dst u32 × n` item | 1 [+8] + 8 + 4n + item |
+//! | 3 EOS | `src u32` `n u32` `dst u32 × n` | 9 + 4n |
+//! | 4 relay | `origin u32` `epoch u32` `component u32` `tracked u64` item | 21 + item |
+//! | 5 relay EOS | `origin u32` `epoch u32` `component u32` `src u32` | 17 |
+//!
+//! Only instance and worker frames take the [`TRACKED`] bit. A relay
+//! frame always carries its ledger key inline (0 = untracked) so its
+//! header stays fixed-offset and *child-invariant* — no node index, every
+//! receiver derives its own — which is what lets a relay forward the
+//! received bytes verbatim. Anchors never travel: both sides derive them
+//! from `(tracked, dst)`.
+
+use crate::codec::{
+    need, DecodeError, InstanceMessage, InstanceMessageView, RelayHeader, WorkerMessage,
+    WorkerMessageView,
+};
+use crate::task::{ComponentId, TaskId};
+use crate::tuple::Tuple;
+use bytes::{Buf, BufMut, BytesMut};
+use std::sync::Arc;
+use whale_net::Payload;
+
+const KIND_INSTANCE: u8 = 1;
+const KIND_WORKER: u8 = 2;
+const KIND_EOS: u8 = 3;
+const KIND_RELAY: u8 = 4;
+const KIND_RELAY_EOS: u8 = 5;
+/// Kind-byte flag: a `tracked u64` ledger key follows the kind byte.
+const TRACKED: u8 = 0x80;
+
+/// End-of-stream traveling the relay tree (the same path as relayed
+/// data, so it cannot overtake in-flight tuples).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) struct RelayEos {
+    /// Worker id of the source worker (tree root).
+    pub origin: u32,
+    /// Tree generation the frame was sent on.
+    pub epoch: u32,
+    /// Component whose instances receive the EOS.
+    pub component: ComponentId,
+    /// The upstream task that finished.
+    pub src: TaskId,
+}
+
+/// One validated frame, borrowing the received bytes. Data items stay
+/// lazy views; nothing is materialized here.
+#[derive(Debug)]
+pub(super) enum FrameView<'a> {
+    /// Storm's per-destination message, with its ledger key when tracked.
+    Instance(Option<u64>, InstanceMessageView<'a>),
+    /// Whale's per-worker message, with its ledger key when tracked.
+    Worker(Option<u64>, WorkerMessageView<'a>),
+    /// Point-to-point end-of-stream from `src` to the listed tasks.
+    Eos { src: TaskId, dsts: EosDsts<'a> },
+    /// A relayed broadcast. The item is handed over unvalidated: a relay
+    /// forwards the received bytes before it decodes anything.
+    Relay { header: RelayHeader, item: &'a [u8] },
+    /// A relayed end-of-stream.
+    RelayEos(RelayEos),
+}
+
+/// The destination ids of an EOS frame, read straight off the wire.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct EosDsts<'a>(&'a [u8]);
+
+impl Iterator for EosDsts<'_> {
+    type Item = TaskId;
+    fn next(&mut self) -> Option<TaskId> {
+        (self.0.len() >= 4).then(|| TaskId(self.0.get_u32_le()))
+    }
+}
+
+/// Validate one received frame's framing. Truncated input, an unknown
+/// kind byte, a [`TRACKED`] bit on a kind that does not take one, or a
+/// length field the frame cannot back all come out as `Err`.
+pub(super) fn parse(frame: &[u8]) -> Result<FrameView<'_>, DecodeError> {
+    let mut buf = frame;
+    need(&buf, 1)?;
+    let byte = buf.get_u8();
+    let (kind, tracked) = match byte & !TRACKED {
+        kind @ (KIND_INSTANCE | KIND_WORKER) if byte & TRACKED != 0 => {
+            need(&buf, 8)?;
+            (kind, Some(buf.get_u64_le()))
+        }
+        _ => (byte, None),
+    };
+    match kind {
+        KIND_INSTANCE => Ok(FrameView::Instance(
+            tracked,
+            InstanceMessageView::parse(buf)?,
+        )),
+        KIND_WORKER => Ok(FrameView::Worker(tracked, WorkerMessageView::parse(buf)?)),
+        KIND_EOS => {
+            need(&buf, 8)?;
+            let src = TaskId(buf.get_u32_le());
+            let n = buf.get_u32_le() as usize;
+            need(&buf, n.saturating_mul(4))?;
+            Ok(FrameView::Eos {
+                src,
+                dsts: EosDsts(&buf[..n * 4]),
+            })
+        }
+        KIND_RELAY => Ok(FrameView::Relay {
+            header: RelayHeader::decode(&mut buf)?,
+            item: buf,
+        }),
+        KIND_RELAY_EOS => {
+            need(&buf, 16)?;
+            Ok(FrameView::RelayEos(RelayEos {
+                origin: buf.get_u32_le(),
+                epoch: buf.get_u32_le(),
+                component: ComponentId(buf.get_u32_le()),
+                src: TaskId(buf.get_u32_le()),
+            }))
+        }
+        _ => Err(DecodeError::BadTag(byte)),
+    }
+}
+
+fn put_kind(buf: &mut BytesMut, kind: u8, tracked: Option<u64>) {
+    match tracked {
+        Some(tr) => {
+            buf.put_u8(kind | TRACKED);
+            buf.put_u64_le(tr);
+        }
+        None => buf.put_u8(kind),
+    }
+}
+
+/// Storm's per-destination frame. The shared decoded tuple is borrowed
+/// straight into the frame — no per-destination clone.
+pub(super) fn encode_instance(
+    buf: &mut BytesMut,
+    tracked: Option<u64>,
+    src: TaskId,
+    dst: TaskId,
+    tuple: &Tuple,
+) {
+    put_kind(buf, KIND_INSTANCE, tracked);
+    InstanceMessage::encode_parts_into(src, dst, tuple, buf);
+}
+
+/// Whale's per-worker frame around an already-serialized data item.
+pub(super) fn encode_worker(
+    buf: &mut BytesMut,
+    tracked: Option<u64>,
+    src: TaskId,
+    dsts: &[TaskId],
+    item: &[u8],
+) {
+    put_kind(buf, KIND_WORKER, tracked);
+    WorkerMessage::encode_with_item_into(src, dsts, item, buf);
+}
+
+/// Point-to-point end-of-stream from `src` to `dsts`.
+pub(super) fn encode_eos(buf: &mut BytesMut, src: TaskId, dsts: &[TaskId]) {
+    buf.put_u8(KIND_EOS);
+    buf.put_u32_le(src.0);
+    buf.put_u32_le(dsts.len() as u32);
+    for t in dsts {
+        buf.put_u32_le(t.0);
+    }
+}
+
+/// A broadcast tuple entering the relay tree: the whole frame is encoded
+/// exactly once and every hop forwards these bytes.
+pub(super) fn encode_relay(buf: &mut BytesMut, header: RelayHeader, tuple: &Tuple) {
+    buf.put_u8(KIND_RELAY);
+    header.encode_into(buf);
+    crate::codec::encode_tuple_into(buf, tuple);
+}
+
+/// End-of-stream entering the relay tree.
+pub(super) fn encode_relay_eos(buf: &mut BytesMut, eos: RelayEos) {
+    buf.put_u8(KIND_RELAY_EOS);
+    buf.put_u32_le(eos.origin);
+    buf.put_u32_le(eos.epoch);
+    buf.put_u32_le(eos.component.0);
+    buf.put_u32_le(eos.src.0);
+}
+
+/// An encoded frame ready for the fabric, by send semantics: one shared
+/// buffer every post and retry refcounts (RDMA), or borrowed bytes the
+/// fabric copies per send (TCP). A received [`Payload`] converts for
+/// free, so a relay forwards what it received without touching it.
+#[derive(Clone, Copy)]
+pub(super) enum Wire<'a> {
+    Shared(&'a Arc<[u8]>),
+    Copied(&'a [u8]),
+}
+
+impl Wire<'_> {
+    pub(super) fn len(&self) -> usize {
+        match self {
+            Wire::Shared(buf) => buf.len(),
+            Wire::Copied(bytes) => bytes.len(),
+        }
+    }
+}
+
+impl<'a> From<&'a Payload> for Wire<'a> {
+    fn from(payload: &'a Payload) -> Self {
+        match payload {
+            Payload::Shared(buf) => Wire::Shared(buf),
+            Payload::Copied(bytes) => Wire::Copied(bytes),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tuple::Value;
+
+    fn tuple() -> Tuple {
+        Tuple::with_id(9, vec![Value::I64(-3), Value::str("driver-42")])
+    }
+
+    fn encoded(fill: impl FnOnce(&mut BytesMut)) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        fill(&mut buf);
+        buf.to_vec()
+    }
+
+    /// Framing and — for relay frames, whose item `parse` leaves to the
+    /// receiver — the data item both validate.
+    fn valid(frame: &[u8]) -> bool {
+        match parse(frame) {
+            Ok(FrameView::Relay { item, .. }) => crate::codec::TupleView::parse(item).is_ok(),
+            other => other.is_ok(),
+        }
+    }
+
+    #[test]
+    fn every_kind_roundtrips_and_every_strict_prefix_is_rejected() {
+        let t = tuple();
+        let item = crate::codec::encode_tuple(&t);
+        let dsts = [TaskId(4), TaskId(5), TaskId(6)];
+        let eos = RelayEos {
+            origin: 2,
+            epoch: 7,
+            component: ComponentId(1),
+            src: TaskId(3),
+        };
+        let mut frames = Vec::new();
+        for tracked in [None, Some((3u64 << 48) | 0xBEEF)] {
+            let f = encoded(|b| encode_instance(b, tracked, TaskId(1), TaskId(8), &t));
+            assert_eq!(f.len(), 1 + tracked.map_or(0, |_| 8) + 8 + item.len());
+            match parse(&f).unwrap() {
+                FrameView::Instance(tr, m) => {
+                    assert_eq!(tr, tracked);
+                    assert_eq!((m.src(), m.dst()), (TaskId(1), TaskId(8)));
+                    assert_eq!(m.tuple().to_tuple().unwrap(), t);
+                }
+                other => panic!("instance frame parsed as {other:?}"),
+            }
+            frames.push(f);
+
+            let f = encoded(|b| encode_worker(b, tracked, TaskId(1), &dsts, &item));
+            assert_eq!(
+                f.len(),
+                1 + tracked.map_or(0, |_| 8) + 8 + 4 * 3 + item.len()
+            );
+            match parse(&f).unwrap() {
+                FrameView::Worker(tr, m) => {
+                    assert_eq!(tr, tracked);
+                    assert_eq!(m.src(), TaskId(1));
+                    assert_eq!(m.dst_ids().collect::<Vec<_>>(), dsts);
+                    assert_eq!(m.tuple().to_tuple().unwrap(), t);
+                }
+                other => panic!("worker frame parsed as {other:?}"),
+            }
+            frames.push(f);
+
+            let header = RelayHeader {
+                origin: 2,
+                epoch: 7,
+                component: 1,
+                tracked: tracked.unwrap_or(0),
+            };
+            let f = encoded(|b| encode_relay(b, header, &t));
+            assert_eq!(f.len(), 1 + RelayHeader::WIRE_BYTES + item.len());
+            match parse(&f).unwrap() {
+                FrameView::Relay { header: h, item: i } => {
+                    assert_eq!(h, header);
+                    assert_eq!(i, &item[..]);
+                }
+                other => panic!("relay frame parsed as {other:?}"),
+            }
+            frames.push(f);
+        }
+        let f = encoded(|b| encode_eos(b, TaskId(3), &dsts));
+        assert_eq!(f.len(), 9 + 4 * 3);
+        match parse(&f).unwrap() {
+            FrameView::Eos { src, dsts: d } => {
+                assert_eq!(src, TaskId(3));
+                assert_eq!(d.collect::<Vec<_>>(), dsts);
+            }
+            other => panic!("EOS frame parsed as {other:?}"),
+        }
+        frames.push(f);
+        let f = encoded(|b| encode_relay_eos(b, eos));
+        assert_eq!(f.len(), 17);
+        match parse(&f).unwrap() {
+            FrameView::RelayEos(back) => assert_eq!(back, eos),
+            other => panic!("relay EOS frame parsed as {other:?}"),
+        }
+        frames.push(f);
+
+        for f in &frames {
+            assert!(valid(f));
+            for cut in 0..f.len() {
+                assert!(!valid(&f[..cut]), "kind {:#x} cut at {cut}", f[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_kinds_misplaced_flags_and_lying_lengths_are_rejected() {
+        for kind in [0u8, 6, 7, 99, 0x7f, TRACKED, TRACKED | 6] {
+            let mut f = vec![kind];
+            f.extend_from_slice(&[0u8; 64]);
+            assert_eq!(parse(&f).err(), Some(DecodeError::BadTag(kind)));
+        }
+        // Only instance and worker frames take the TRACKED bit.
+        for kind in [KIND_EOS, KIND_RELAY, KIND_RELAY_EOS] {
+            let mut f = vec![kind | TRACKED];
+            f.extend_from_slice(&[0u8; 64]);
+            assert_eq!(parse(&f).err(), Some(DecodeError::BadTag(kind | TRACKED)));
+        }
+        // An EOS claiming more destinations than it carries.
+        let mut f = encoded(|b| encode_eos(b, TaskId(0), &[TaskId(1)]));
+        f[5..9].copy_from_slice(&100u32.to_le_bytes());
+        assert_eq!(parse(&f).err(), Some(DecodeError::Truncated));
+        f[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(parse(&f).err(), Some(DecodeError::Truncated));
+    }
+}

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use whale_dsps::codec::{self, decode_tuple, encode_tuple};
 use whale_dsps::{
-    DecodeError, InstanceMessage, InstanceMessageView, LazyTuple, LengthPrefixedCodec, TaskId,
-    Tuple, TupleView, Value, WhaleCodec, WireCodec, WorkerMessage, WorkerMessageView,
+    DecodeError, InstanceMessage, InstanceMessageView, LazyTuple, TaskId, Tuple, TupleView, Value,
+    WorkerMessage, WorkerMessageView,
 };
 
 /// Strategy over every `Value` variant, including arbitrary (valid)
@@ -186,24 +186,6 @@ proptest! {
         if let Ok(view) = InstanceMessageView::parse(&data) {
             let _ = view.to_owned();
         }
-    }
-
-    /// Both codec implementations roundtrip any tuple, and the
-    /// length-prefixed format is exactly 4 bytes heavier.
-    #[test]
-    fn wire_codecs_roundtrip(tuple in tuple_strategy()) {
-        for c in [&WhaleCodec as &dyn WireCodec, &LengthPrefixedCodec as &dyn WireCodec] {
-            let bytes = c.encode_tuple(&tuple);
-            let (decoded, consumed) = c.decode_tuple(&bytes).unwrap();
-            prop_assert_eq!(consumed, bytes.len());
-            prop_assert_eq!(encode_tuple(&decoded)[..], encode_tuple(&tuple)[..]);
-            let view = c.tuple_view(&bytes).unwrap();
-            prop_assert_eq!(view.arity(), tuple.arity());
-            prop_assert_eq!(encode_tuple(&view.to_tuple().unwrap())[..], encode_tuple(&tuple)[..]);
-        }
-        let plain = WhaleCodec.encode_tuple(&tuple);
-        let prefixed = LengthPrefixedCodec.encode_tuple(&tuple);
-        prop_assert_eq!(prefixed.len(), plain.len() + 4);
     }
 }
 

@@ -53,7 +53,6 @@ fn main() {
                 comm_mode: comm,
                 zero_copy,
                 multicast_d_star: d_star,
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },

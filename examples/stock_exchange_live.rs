@@ -32,7 +32,6 @@ fn main() {
             zero_copy: true,
             // Relay broadcast buys through the non-blocking tree (d* = 2).
             multicast_d_star: Some(2),
-            dedicated_senders: false,
             fabric: FabricKind::PerSend,
             ..LiveConfig::default()
         },

@@ -96,7 +96,6 @@ fn main() {
             comm_mode: CommMode::WorkerOriented,
             zero_copy: true,
             multicast_d_star: Some(2),
-            dedicated_senders: true,
             fabric: FabricKind::PerSend,
             ..LiveConfig::default()
         },

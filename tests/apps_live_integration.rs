@@ -16,7 +16,6 @@ fn run_ride(comm: CommMode, zero_copy: bool, machines: u32) -> RunReport {
             comm_mode: comm,
             zero_copy,
             multicast_d_star: None,
-            dedicated_senders: false,
             fabric: FabricKind::PerSend,
             ..LiveConfig::default()
         },
@@ -32,7 +31,6 @@ fn run_stock(comm: CommMode, zero_copy: bool, machines: u32) -> RunReport {
             comm_mode: comm,
             zero_copy,
             multicast_d_star: None,
-            dedicated_senders: false,
             fabric: FabricKind::PerSend,
             ..LiveConfig::default()
         },
@@ -111,7 +109,6 @@ fn ride_hailing_results_identical_over_ring_fabric() {
             comm_mode: CommMode::WorkerOriented,
             zero_copy: true,
             multicast_d_star: None,
-            dedicated_senders: false,
             fabric: FabricKind::Ring(whale::dsps::RingConfig::default()),
             ..LiveConfig::default()
         },
@@ -134,7 +131,6 @@ fn broadcast_fanout_scales_with_parallelism() {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: None,
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },
