@@ -84,12 +84,15 @@ pub mod channel {
     impl<T> Sender<T> {
         /// Send, blocking while a bounded channel is full.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+            // Count before the send and undo on failure: the send wakes a
+            // blocked receiver, whose `fetch_sub` must never run first.
+            self.depth.fetch_add(1, Ordering::Relaxed);
             let r = match &self.tx {
                 Tx::Unbounded(t) => t.send(value).map_err(|mpsc::SendError(v)| SendError(v)),
                 Tx::Bounded(t) => t.send(value).map_err(|mpsc::SendError(v)| SendError(v)),
             };
-            if r.is_ok() {
-                self.depth.fetch_add(1, Ordering::Relaxed);
+            if r.is_err() {
+                self.depth.fetch_sub(1, Ordering::Relaxed);
             }
             r
         }
@@ -97,6 +100,7 @@ pub mod channel {
         /// Send without blocking; fails with [`TrySendError::Full`] when a
         /// bounded channel is at capacity.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            self.depth.fetch_add(1, Ordering::Relaxed);
             let r = match &self.tx {
                 Tx::Unbounded(t) => t
                     .send(value)
@@ -106,13 +110,14 @@ pub mod channel {
                     mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
                 }),
             };
-            if r.is_ok() {
-                self.depth.fetch_add(1, Ordering::Relaxed);
+            if r.is_err() {
+                self.depth.fetch_sub(1, Ordering::Relaxed);
             }
             r
         }
 
-        /// Messages sent but not yet received (queue depth).
+        /// Messages sent but not yet received (queue depth). A send in
+        /// flight on another thread may already be counted.
         pub fn len(&self) -> usize {
             self.depth.load(Ordering::Relaxed)
         }
@@ -264,6 +269,36 @@ pub mod channel {
             drop(rx);
             assert_eq!(tx.try_send(3), Err(TrySendError::Disconnected(3)));
             assert_eq!(tx.len(), 1);
+        }
+
+        #[test]
+        fn len_never_underflows_with_a_blocked_receiver() {
+            // The send wakes the blocked receiver; its decrement must not
+            // overtake the sender's increment and wrap the depth.
+            let (tx, rx) = unbounded::<u32>();
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let receiver = std::thread::spawn(move || while rx.recv().is_ok() {});
+            let watcher = {
+                let (tx, stop) = (tx.clone(), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut max = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        max = max.max(tx.len());
+                    }
+                    max
+                })
+            };
+            for i in 0..20_000 {
+                tx.send(i).unwrap();
+                if i % 64 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            let max = watcher.join().unwrap();
+            drop(tx);
+            receiver.join().unwrap();
+            assert!(max <= 20_000, "depth wrapped: {max}");
         }
 
         #[test]

@@ -45,7 +45,7 @@ use crossbeam::channel::{bounded, unbounded};
 use pipeline::ShardPipeline;
 use relay::{oblivious_trees, rack_aware_trees, RelayEpoch, RelayState};
 use reliability::{AckRuntime, LogRuntime};
-use send::{Groupings, Routing};
+use send::{Groupings, Routing, ShardInbox};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -134,7 +134,7 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         let endpoint = EndpointId(flat as u32);
         let worker = flat as u32 / shards;
         let (tx, inbox_rx) = bounded(inbox_capacity);
-        shard_inboxes.push(tx);
+        shard_inboxes.push(ShardInbox::new(tx));
         let fabric_rx = fabric
             .register(endpoint)
             .expect("shard endpoint ids are unique");

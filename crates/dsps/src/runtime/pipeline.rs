@@ -3,17 +3,16 @@
 //! frame dispatch, bolt execution — with no central dispatcher.
 
 use super::reliability::{anchor_for, prune_completed, root_of, AckRuntime, ROOT_BITS, ROOT_MASK};
-use super::report::LATENCY_SAMPLE;
 use super::send::{ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE};
 use super::wire::{self, FrameView};
 use crate::codec::{self, TupleView};
 use crate::operator::{Bolt, Spout};
 use crate::task::{ComponentId, TaskId};
 use crate::tuple::Tuple;
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use whale_sim::SimTime;
@@ -105,9 +104,7 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
                 return true;
             };
             stats.spout_emitted.fetch_add(1, Ordering::Relaxed);
-            if t.id != 0 && t.id % LATENCY_SAMPLE == 0 {
-                stats.emit_times.lock().insert(t.id, Instant::now());
-            }
+            stats.delivery.on_emit(t.id);
             match routing.ack.as_ref() {
                 None => routing.emit(state.task, &mut state.groupings, t, None),
                 Some(ack) => {
@@ -295,14 +292,7 @@ fn bolt_handle(state: &mut BoltState, msg: ExecMsg, routing: &Routing) {
                 return;
             }
             stats.executed[state.comp.0 as usize].fetch_add(1, Ordering::Relaxed);
-            let id = t.id();
-            if id != 0 && id % LATENCY_SAMPLE == 0 {
-                let start = stats.emit_times.lock().get(&id).copied();
-                if let Some(start) = start {
-                    let ns = start.elapsed().as_nanos() as u64;
-                    stats.delivery_ns.lock().push(ns);
-                }
-            }
+            stats.delivery.on_execute(t.id());
             let mut emitter = TaskEmitter {
                 routing,
                 src: state.task,
@@ -362,9 +352,13 @@ fn finish_bolt(state: &mut BoltState, routing: &Routing) {
 /// before the pipeline rotates to its other work (keeps one flooded
 /// source from starving the rest).
 const PIPELINE_BATCH: usize = 128;
-/// Idle passes of busy-spinning before the pipeline starts sleeping.
+/// Idle passes of busy-spinning before the pipeline yields once and, still
+/// idle after that, blocks on its fabric endpoint.
 const IDLE_SPINS: u32 = 64;
-const IDLE_SLEEP: Duration = Duration::from_micros(50);
+/// Longest single blocking wait. Nothing depends on it firing — every
+/// source of work either wakes the block or bounds it by its own due time —
+/// so it only caps how long a missed wake-up could stall a pipeline.
+const PARK_CAP: Duration = Duration::from_millis(100);
 
 /// One shard-owned pipeline: the whole hot path for its slice of tasks —
 /// fabric reader, routing (each task's grouping state), execution, and
@@ -541,14 +535,86 @@ impl ShardPipeline {
                     }
                 }
             }
+            // Out of work: spin, yield once, then block on what delivers
+            // the work — the receive-side mirror of the send policy's
+            // spin → yield → park ladder.
             idle_passes += 1;
             if idle_passes < IDLE_SPINS {
                 std::hint::spin_loop();
+                continue;
+            }
+            if idle_passes == IDLE_SPINS {
+                // Load-bearing: blocking straight away turns every frame
+                // into futex-wake + preempt + re-park. Yielding first lets
+                // a busy producer run on, and this stage comes back to a
+                // batch instead of one frame.
+                std::thread::yield_now();
+                continue;
+            }
+            let wait = self.idle_wait(deadline.filter(|_| !all_done));
+            routing.stats.pipeline_parks.fetch_add(1, Ordering::Relaxed);
+            let woke_with_work = if fabric_open {
+                match self.park(routing, wait) {
+                    Ok(msg) => {
+                        on_frame(self.worker, &msg, routing, &mut self.scratch);
+                        true
+                    }
+                    Err(RecvTimeoutError::Timeout) => false,
+                    Err(RecvTimeoutError::Disconnected) => {
+                        fabric_open = false;
+                        false
+                    }
+                }
             } else {
-                std::thread::sleep(IDLE_SLEEP);
+                // The endpoint is closed; only the inbox can still deliver.
+                self.inbox_rx
+                    .recv_timeout(wait)
+                    .map(|(dst, msg)| self.handle_exec(dst, msg, routing))
+                    .is_ok()
+            };
+            if woke_with_work {
+                let woken = &routing.stats.pipeline_wakeups_with_work;
+                woken.fetch_add(1, Ordering::Relaxed);
+                self.drain_local(routing);
+                idle_passes = 0;
             }
         }
         CURRENT_SHARD.with(|c| c.set(None));
+    }
+
+    /// How long an idle pipeline may block: until the nearest draining
+    /// spout's next acker poll or the run deadline, at most [`PARK_CAP`].
+    fn idle_wait(&self, run_deadline: Option<Instant>) -> Duration {
+        let now = Instant::now();
+        let polls = self.spouts.iter().filter_map(|s| match s.phase {
+            SpoutPhase::Draining { next_poll, .. } => Some(next_poll),
+            _ => None,
+        });
+        polls
+            .chain(run_deadline)
+            .map(|at| at.saturating_duration_since(now))
+            .fold(PARK_CAP, Duration::min)
+    }
+
+    /// Block on the fabric endpoint for up to `timeout`. A delivered frame
+    /// is its own wake-up (the channel send unblocks the receive); a
+    /// cross-shard inbox send sees `parked` and drops an empty frame into
+    /// the endpoint (see [`ShardInbox`](super::send::ShardInbox)).
+    fn park(
+        &self,
+        routing: &Routing,
+        timeout: Duration,
+    ) -> Result<whale_net::LiveMessage, RecvTimeoutError> {
+        let parked = &routing.shard_inboxes[self.flat].parked;
+        parked.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let got = if self.inbox_rx.is_empty() {
+            self.fabric_rx.recv_timeout(timeout)
+        } else {
+            Err(RecvTimeoutError::Timeout)
+        };
+        parked.store(false, Ordering::SeqCst);
+        got
     }
 
     /// Route one executor message to the owning task. Messages for tasks
@@ -693,6 +759,158 @@ mod tests {
         let m = r.metrics();
         assert_eq!(m.counter("dsps.cross_shard_msgs"), Some(r.cross_shard_msgs));
         assert_eq!(m.gauge("dsps.shards"), Some(4.0));
+    }
+
+    /// `tuples` tuples, one every `gap`, broadcast to 8 sinks.
+    fn sparse_topology(tuples: u64, gap: Duration) -> (Topology, Operators) {
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("sink", 8, Schema::new(vec!["n"]))
+            .connect("src", "sink", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", move |_| {
+                Box::new(IterSpout::new((1..=tuples).map(move |i| {
+                    std::thread::sleep(gap);
+                    Tuple::with_id(i, vec![Value::I64(i as i64)])
+                })))
+            })
+            .bolt("sink", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            });
+        (b.build().unwrap(), ops)
+    }
+
+    #[test]
+    fn idle_pipelines_block_once_per_arrival_not_once_per_tick() {
+        const TUPLES: u64 = 40;
+        let gap = Duration::from_millis(5);
+        for fabric in [
+            FabricKind::PerSend,
+            FabricKind::Ring(whale_net::RingConfig::default()),
+            FabricKind::OneSided(whale_net::OneSidedConfig::default()),
+        ] {
+            for shards in [1u32, 4] {
+                let (t, ops) = sparse_topology(TUPLES, gap);
+                let r = run_topology(
+                    t,
+                    ops,
+                    LiveConfig {
+                        machines: 4,
+                        shards,
+                        fabric,
+                        ..LiveConfig::default()
+                    },
+                );
+                let what = format!("{fabric:?} shards={shards}");
+                assert_eq!(r.outcome, RunOutcome::Clean, "{what}");
+                assert_eq!(r.executed[1], TUPLES * 8, "{what}");
+                // At most one block per arriving tuple (plus EOS and the
+                // odd liveness-cap expiry) per pipeline. Polling on a
+                // fixed 50 µs period would enter ~4 000 waits per pipeline
+                // over the same 200 ms.
+                let pipelines = 4 * shards as u64;
+                assert!(
+                    r.pipeline_parks <= pipelines * (TUPLES + 20),
+                    "{what}: parks = {}",
+                    r.pipeline_parks
+                );
+                assert!(
+                    r.pipeline_wakeups_with_work >= TUPLES / 2,
+                    "{what}: arrivals wake blocked pipelines, woke = {}",
+                    r.pipeline_wakeups_with_work
+                );
+                assert!(r.pipeline_wakeups_with_work <= r.pipeline_parks);
+                let m = r.metrics();
+                assert_eq!(m.counter("dsps.pipeline.parks"), Some(r.pipeline_parks));
+                assert_eq!(
+                    m.counter("dsps.pipeline.wakeups_with_work"),
+                    Some(r.pipeline_wakeups_with_work)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cross_shard_inbox_send_wakes_a_blocked_pipeline() {
+        // One machine, 4 shards: nothing crosses the fabric, so a pipeline
+        // blocked on its (silent) endpoint can only be woken by the empty
+        // frame an inbox send drops there. The 5 ms gaps make sure the
+        // receivers are blocked when the next tuple arrives.
+        const TUPLES: u64 = 20;
+        let (t, ops) = sparse_topology(TUPLES, Duration::from_millis(5));
+        let r = run_topology(
+            t,
+            ops,
+            LiveConfig {
+                machines: 1,
+                shards: 4,
+                ..LiveConfig::default()
+            },
+        );
+        assert_eq!(r.outcome, RunOutcome::Clean);
+        assert_eq!(r.executed[1], TUPLES * 8);
+        assert_eq!(r.copied_bytes + r.shared_bytes, 0, "single worker");
+        assert!(r.cross_shard_msgs >= TUPLES);
+        // A timed-out wait does not count as a wake-up with work: these
+        // are inbox sends that found the flag set and rang the endpoint.
+        assert!(
+            r.pipeline_wakeups_with_work >= TUPLES,
+            "woke = {}",
+            r.pipeline_wakeups_with_work
+        );
+    }
+
+    /// A task-less pipeline on endpoint 0 of its own per-send fabric.
+    fn empty_pipeline() -> (ShardPipeline, Routing, Receiver<()>) {
+        let fabric = Arc::new(whale_net::LiveFabric::new());
+        let fabric_rx = fabric.register(whale_net::EndpointId(0)).unwrap();
+        let (inbox_tx, inbox_rx) = crossbeam::channel::bounded(4);
+        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        let routing = Routing {
+            fabric,
+            shard_inboxes: vec![super::super::send::ShardInbox::new(inbox_tx)],
+            ..bare_routing(LiveConfig::default(), None)
+        };
+        let pipeline = ShardPipeline::new(0, 0, fabric_rx, inbox_rx, done_tx);
+        (pipeline, routing, done_rx)
+    }
+
+    #[test]
+    fn a_blocked_pipeline_exits_as_soon_as_its_endpoint_closes() {
+        let (pipeline, routing, done_rx) = empty_pipeline();
+        let routing = Arc::new(routing);
+        let handle = pipeline.spawn(Arc::clone(&routing));
+        // No tasks: done at once, then idle until the fabric closes.
+        done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        while routing.stats.pipeline_parks.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let closed = Instant::now();
+        routing.fabric.deregister(whale_net::EndpointId(0));
+        handle.join().unwrap();
+        assert!(closed.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn idle_wait_is_bounded_by_the_next_ack_poll_and_the_run_deadline() {
+        let (mut pipeline, routing, _done_rx) = empty_pipeline();
+        assert_eq!(pipeline.idle_wait(None), PARK_CAP);
+        let now = Instant::now();
+        let near = now + Duration::from_millis(20);
+        assert!(pipeline.idle_wait(Some(near)) <= Duration::from_millis(20));
+        // A draining spout is due at `AckConfig::poll_interval`, whatever
+        // else bounds the wait.
+        pipeline.add_spout(
+            TaskId(0),
+            Box::new(IterSpout::new(std::iter::empty())),
+            Groupings::new(&routing.topology, TaskId(0), ComponentId(0)),
+        );
+        pipeline.spouts[0].phase = SpoutPhase::Draining {
+            deadline: now + Duration::from_secs(30),
+            next_poll: now + AckConfig::default().poll_interval,
+        };
+        assert!(pipeline.idle_wait(Some(near)) <= AckConfig::default().poll_interval);
+        assert!(pipeline.idle_wait(None) <= AckConfig::default().poll_interval);
     }
 
     #[test]

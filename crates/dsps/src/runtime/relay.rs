@@ -278,7 +278,7 @@ impl Routing {
         let src_worker = self.placement.worker_of(src);
         let mut arm_xor = 0u64;
         if let Some(tr) = tracked {
-            for &t in &self.topology.tasks().tasks_of(comp) {
+            for t in self.topology.tasks().task_ids(comp) {
                 arm_xor ^= anchor_for(tr, t);
             }
         }

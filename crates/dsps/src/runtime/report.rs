@@ -3,9 +3,9 @@
 //! its [`MetricsRegistry`](whale_sim::MetricsRegistry) export.
 
 use super::config::BuildError;
+use super::reliability::splitmix64;
 use super::send::Routing;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use whale_net::{FaultFabric, PartitionLog};
@@ -82,16 +82,97 @@ pub struct RunStats {
     pub send_failed: AtomicU64,
     /// Executors that exited on the run deadline instead of EOS.
     pub deadline_exits: AtomicU64,
-    /// Emission instants of sampled tuple ids (delivery-latency probes).
-    pub emit_times: Mutex<HashMap<u64, Instant>>,
-    /// Spout-to-execute delivery latencies of sampled tuples (ns).
-    pub delivery_ns: Mutex<Vec<u64>>,
+    /// Blocking waits pipelines entered after spinning and yielding.
+    pub pipeline_parks: AtomicU64,
+    /// Blocking waits that returned work (a frame or an inbox wake-up)
+    /// rather than timing out.
+    pub pipeline_wakeups_with_work: AtomicU64,
+    /// Spout-to-execute delivery-latency probes of sampled tuples.
+    pub(super) delivery: DeliveryProbes,
 }
 
 /// Every `LATENCY_SAMPLE`-th tracked tuple is timed from spout emission to
 /// each bolt execution (wall clock); relay forward latency is sampled at
 /// the same rate.
 pub(super) const LATENCY_SAMPLE: u64 = 8;
+
+/// Emit stamps kept at once: a sampled id's stamp is evicted by the id
+/// `EMIT_WINDOW` samples after it, so the table is one fixed allocation
+/// however long the run. A delivery that far behind its spout goes
+/// untimed.
+const EMIT_WINDOW: usize = 8 * 1024;
+
+/// Delivery latencies kept for the report. Past it the kept values are a
+/// uniform reservoir over every sampled delivery (algorithm R, seeded by
+/// the running count, so a replayed sequence keeps the same values).
+const DELIVERY_RESERVOIR: usize = 64 * 1024;
+
+/// Delivery-latency bookkeeping in bounded memory: a fixed window of emit
+/// stamps and a fixed-size reservoir of latencies with an exact count.
+#[derive(Debug, Default)]
+pub(super) struct DeliveryProbes {
+    /// `(id, emit instant)` of sampled ids, at slot
+    /// `(id / LATENCY_SAMPLE) % EMIT_WINDOW`; allocated on first use.
+    stamps: Mutex<Vec<Option<(u64, Instant)>>>,
+    latencies: Mutex<Reservoir>,
+}
+
+#[derive(Debug, Default)]
+struct Reservoir {
+    kept: Vec<u64>,
+    seen: u64,
+}
+
+impl DeliveryProbes {
+    fn sampled(id: u64) -> bool {
+        id != 0 && id.is_multiple_of(LATENCY_SAMPLE)
+    }
+
+    fn slot(id: u64) -> usize {
+        (id / LATENCY_SAMPLE) as usize % EMIT_WINDOW
+    }
+
+    /// A spout emitted tuple `id`: stamp it if it is a sampled one.
+    pub(super) fn on_emit(&self, id: u64) {
+        if !Self::sampled(id) {
+            return;
+        }
+        let mut stamps = self.stamps.lock();
+        if stamps.is_empty() {
+            stamps.resize(EMIT_WINDOW, None);
+        }
+        stamps[Self::slot(id)] = Some((id, Instant::now()));
+    }
+
+    /// A bolt is about to execute tuple `id`: record the time since its
+    /// emit stamp, if it is sampled and the stamp is still in the window.
+    pub(super) fn on_execute(&self, id: u64) {
+        if !Self::sampled(id) {
+            return;
+        }
+        let stamp = self.stamps.lock().get(Self::slot(id)).copied().flatten();
+        let Some((_, start)) = stamp.filter(|(stamped, _)| *stamped == id) else {
+            return;
+        };
+        let ns = start.elapsed().as_nanos() as u64;
+        let mut r = self.latencies.lock();
+        r.seen += 1;
+        if r.kept.len() < DELIVERY_RESERVOIR {
+            r.kept.push(ns);
+        } else {
+            let j = splitmix64(r.seen) % r.seen;
+            if let Some(kept) = r.kept.get_mut(j as usize) {
+                *kept = ns;
+            }
+        }
+    }
+
+    /// The kept latencies and the exact number of sampled deliveries.
+    fn take(&self) -> (Vec<u64>, u64) {
+        let mut r = self.latencies.lock();
+        (std::mem::take(&mut r.kept), r.seen)
+    }
+}
 
 /// Result of a completed live run.
 #[derive(Debug, Default)]
@@ -185,6 +266,12 @@ pub struct RunReport {
     pub send_failed: u64,
     /// Executors that exited on [`super::LiveConfig::run_deadline`].
     pub deadline_exits: u64,
+    /// Blocking waits the pipelines entered (idle after spin and yield).
+    /// Scales with how often work arrives at an idle pipeline, not with
+    /// run length.
+    pub pipeline_parks: u64,
+    /// Blocking waits that returned work rather than timing out.
+    pub pipeline_wakeups_with_work: u64,
     /// Tracked tuples fully delivered (ack runs only).
     pub tuples_acked: u64,
     /// Tracked tuples given up on after the replay budget (ack runs only).
@@ -227,8 +314,12 @@ pub struct RunReport {
     pub timeline: Vec<TimelineSample>,
     /// Structured shutdown reason.
     pub outcome: RunOutcome,
-    /// Sampled spout-to-execute delivery latencies (ns), unordered.
+    /// Sampled spout-to-execute delivery latencies (ns), unordered; a
+    /// uniform sample of them once a long run has taken more than the
+    /// reservoir holds.
     pub delivery_ns: Vec<u64>,
+    /// Sampled deliveries timed, exact (≥ `delivery_ns.len()`).
+    pub delivery_samples: u64,
 }
 
 /// One periodic snapshot of a live run's counters (see
@@ -331,6 +422,11 @@ impl RunReport {
         reg.set_counter("dsps.send.retries", self.send_retries);
         reg.set_counter("dsps.send.failed", self.send_failed);
         reg.set_counter("dsps.deadline_exits", self.deadline_exits);
+        reg.set_counter("dsps.pipeline.parks", self.pipeline_parks);
+        reg.set_counter(
+            "dsps.pipeline.wakeups_with_work",
+            self.pipeline_wakeups_with_work,
+        );
         reg.set_counter("dsps.ack.acked", self.tuples_acked);
         reg.set_counter("dsps.ack.failed", self.tuples_failed);
         reg.set_counter("dsps.ack.replayed", self.tuples_replayed);
@@ -382,6 +478,7 @@ impl RunReport {
             h.record(ns);
         }
         reg.set_summary("dsps.delivery_ns", &h);
+        reg.set_counter("dsps.delivery_samples", self.delivery_samples);
         reg
     }
 }
@@ -410,6 +507,7 @@ impl RunReport {
         let degraded =
             thread_panics > 0 || failed_sends > 0 || failed_tuples > 0 || deadline_exits > 0;
         let batches = fabric.flushed_batches();
+        let (delivery_ns, delivery_samples) = stats.delivery.take();
         RunReport {
             elapsed,
             serializations: get(&stats.serializations),
@@ -457,6 +555,8 @@ impl RunReport {
             send_retries: get(&stats.send_retries),
             send_failed: failed_sends,
             deadline_exits,
+            pipeline_parks: get(&stats.pipeline_parks),
+            pipeline_wakeups_with_work: get(&stats.pipeline_wakeups_with_work),
             tuples_acked: ack.map_or(0, |a| get(&a.acked)),
             tuples_failed: failed_tuples,
             tuples_replayed: ack.map_or(0, |a| get(&a.replayed)),
@@ -486,7 +586,8 @@ impl RunReport {
             } else {
                 RunOutcome::Clean
             },
-            delivery_ns: std::mem::take(&mut *stats.delivery_ns.lock()),
+            delivery_ns,
+            delivery_samples,
         }
     }
 }
@@ -494,6 +595,30 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
+    use super::{DeliveryProbes, DELIVERY_RESERVOIR, EMIT_WINDOW, LATENCY_SAMPLE};
+
+    #[test]
+    fn delivery_probes_stay_bounded_and_count_exactly() {
+        let probes = DeliveryProbes::default();
+        // Unsampled ids cost nothing; a sampled id is timed per delivery.
+        probes.on_emit(LATENCY_SAMPLE + 1);
+        probes.on_execute(LATENCY_SAMPLE + 1);
+        probes.on_emit(LATENCY_SAMPLE);
+        probes.on_execute(LATENCY_SAMPLE);
+        probes.on_execute(LATENCY_SAMPLE);
+        // A stamp lives until the id one window later takes its slot.
+        let evictor = LATENCY_SAMPLE * (1 + EMIT_WINDOW as u64);
+        probes.on_emit(evictor);
+        probes.on_execute(LATENCY_SAMPLE);
+        assert_eq!(probes.stamps.lock().len(), EMIT_WINDOW);
+        let sampled = 2 + 2 * DELIVERY_RESERVOIR as u64;
+        for _ in 2..sampled {
+            probes.on_execute(evictor);
+        }
+        let (kept, seen) = probes.take();
+        assert_eq!(seen, sampled, "the count stays exact");
+        assert_eq!(kept.len(), DELIVERY_RESERVOIR, "the values are capped");
+    }
 
     #[test]
     fn report_metrics_snapshot() {

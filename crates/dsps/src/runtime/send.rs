@@ -22,7 +22,7 @@ use bytes::BytesMut;
 use crossbeam::channel::{Sender, TrySendError};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use whale_net::{EndpointId, FabricPath, LinkTracker, Payload, SendError};
@@ -37,6 +37,26 @@ pub(super) enum ExecMsg {
     Data(LazyTuple, Option<u64>),
     /// End-of-stream from one upstream task.
     Eos(TaskId),
+}
+
+/// The sending side of one pipeline's cross-shard inbox.
+pub(super) struct ShardInbox {
+    pub(super) tx: Sender<(TaskId, ExecMsg)>,
+    /// Set by the owning pipeline while it blocks on its fabric endpoint.
+    /// The pipeline re-checks the inbox after setting it, and a sender
+    /// tests it after sending (`SeqCst` fences on both sides), so one of
+    /// the two always sees the other: an inbox message can never sit
+    /// behind a blocked pipeline.
+    pub(super) parked: AtomicBool,
+}
+
+impl ShardInbox {
+    pub(super) fn new(tx: Sender<(TaskId, ExecMsg)>) -> Self {
+        ShardInbox {
+            tx,
+            parked: AtomicBool::new(false),
+        }
+    }
 }
 
 /// Per-task routing state: one [`GroupingExec`] per downstream edge plus
@@ -61,7 +81,7 @@ pub(super) struct Routing {
     /// Cross-shard inboxes, indexed by flat shard id
     /// (`worker * shards + task % shards`). Bounded: a full inbox
     /// backpressures the sender under the run's [`whale_net::SendPolicy`].
-    pub(super) shard_inboxes: Vec<Sender<(TaskId, ExecMsg)>>,
+    pub(super) shard_inboxes: Vec<ShardInbox>,
     /// Pipeline threads per worker (`LiveConfig::shards`, clamped ≥ 1).
     pub(super) shards: u32,
     /// Behind its own allocation: the counters are written constantly,
@@ -121,7 +141,7 @@ impl Routing {
     pub(super) fn max_inbox_depth(&self) -> usize {
         self.shard_inboxes
             .iter()
-            .map(|s| s.len())
+            .map(|s| s.tx.len())
             .max()
             .unwrap_or(0)
     }
@@ -160,7 +180,7 @@ impl Routing {
             return false;
         }
         let flat = self.flat_shard_of(dst);
-        let Some(tx) = self.shard_inboxes.get(flat) else {
+        let Some(inbox) = self.shard_inboxes.get(flat) else {
             return false;
         };
         if CURRENT_SHARD.with(|c| c.get()) == Some(flat) {
@@ -169,7 +189,7 @@ impl Routing {
         }
         let mut item = Some((dst, msg));
         let sent = self.config.send.run(&self.stats.send_retries, || {
-            match tx.try_send(item.take().expect("re-armed on Full")) {
+            match inbox.tx.try_send(item.take().expect("re-armed on Full")) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(v)) => {
                     item = Some(v);
@@ -181,6 +201,14 @@ impl Routing {
         match sent {
             Ok(()) => {
                 self.stats.cross_shard_msgs.fetch_add(1, Ordering::Relaxed);
+                // The owning pipeline blocks on its fabric endpoint, not on
+                // this inbox: if it is parked, wake it through the fabric
+                // (the swap elects one waker per park).
+                fence(Ordering::SeqCst);
+                if inbox.parked.load(Ordering::SeqCst) && inbox.parked.swap(false, Ordering::SeqCst)
+                {
+                    self.fabric.wake(EndpointId(flat as u32));
+                }
             }
             Err(SendError::Full) => {
                 // Backpressure never cleared: the message is lost,

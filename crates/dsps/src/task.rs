@@ -26,6 +26,9 @@ pub struct ComponentId(pub u32);
 #[derive(Clone, Debug, Default)]
 pub struct TaskTable {
     ranges: BTreeMap<ComponentId, Range<u32>>,
+    /// Dense task id → owning component (task ids are allocated densely,
+    /// so the task id is the index).
+    owners: Vec<ComponentId>,
     next: u32,
 }
 
@@ -44,16 +47,22 @@ impl TaskTable {
         );
         let range = self.next..self.next + parallelism;
         self.next += parallelism;
+        self.owners
+            .extend(std::iter::repeat_n(component, parallelism as usize));
         self.ranges.insert(component, range.clone());
         range
     }
 
     /// Task ids of a component.
     pub fn tasks_of(&self, component: ComponentId) -> Vec<TaskId> {
-        self.ranges
-            .get(&component)
-            .map(|r| r.clone().map(TaskId).collect())
-            .unwrap_or_default()
+        self.task_ids(component).collect()
+    }
+
+    /// Task ids of a component in order, without allocating (empty if the
+    /// component is unknown).
+    pub fn task_ids(&self, component: ComponentId) -> impl Iterator<Item = TaskId> {
+        let range = self.ranges.get(&component).cloned().unwrap_or(0..0);
+        range.map(TaskId)
     }
 
     /// Parallelism of a component (0 if unknown).
@@ -63,10 +72,7 @@ impl TaskTable {
 
     /// The component owning a task id.
     pub fn component_of(&self, task: TaskId) -> Option<ComponentId> {
-        self.ranges
-            .iter()
-            .find(|(_, r)| r.contains(&task.0))
-            .map(|(&c, _)| c)
+        self.owners.get(task.0 as usize).copied()
     }
 
     /// Index of a task within its component (0-based).
@@ -112,6 +118,8 @@ mod tests {
         assert_eq!(t.component_of(TaskId(0)), Some(ComponentId(0)));
         assert_eq!(t.component_of(TaskId(4)), Some(ComponentId(1)));
         assert_eq!(t.component_of(TaskId(9)), None);
+        assert!(t.task_ids(ComponentId(1)).eq(t.tasks_of(ComponentId(1))));
+        assert_eq!(t.task_ids(ComponentId(9)).count(), 0);
         assert_eq!(t.index_within(TaskId(3)), Some(1));
         assert_eq!(t.parallelism(ComponentId(1)), 3);
         assert_eq!(t.parallelism(ComponentId(9)), 0);

@@ -66,6 +66,16 @@ pub struct LiveMessage {
     pub payload: Payload,
 }
 
+impl LiveMessage {
+    /// The empty frame [`FabricPath::wake`] delivers (allocates nothing).
+    pub(crate) fn wake(id: EndpointId) -> Self {
+        LiveMessage {
+            from: id,
+            payload: Payload::Copied(Vec::new()),
+        }
+    }
+}
+
 /// Errors from live sends.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SendError {
@@ -139,6 +149,15 @@ pub trait FabricPath: Send + Sync {
     /// Force out anything the transport has buffered (no-op when the
     /// transport delivers synchronously).
     fn flush(&self);
+
+    /// Wake the reader of `id`'s inbox: drop an empty frame straight into
+    /// it, past any ring, outbox or fault plan, outside the message, byte
+    /// and per-link counts. For a reader that blocks on its inbox but also
+    /// takes work from elsewhere; empty frames carry nothing and readers
+    /// skip them. Best effort — a full or missing inbox needs no wake-up.
+    /// Until the woken reader takes it the frame does sit in the inbox, so
+    /// [`LiveFabric::queue_depth`], which reports inbox lengths, sees it.
+    fn wake(&self, id: EndpointId);
 
     /// Messages delivered so far.
     fn messages(&self) -> u64;
@@ -260,6 +279,13 @@ impl LiveFabric {
     /// Remove an endpoint; subsequent sends fail.
     pub fn deregister(&self, id: EndpointId) {
         self.endpoints.write().remove(&id);
+    }
+
+    /// See [`FabricPath::wake`].
+    pub fn wake(&self, id: EndpointId) {
+        if let Some(slot) = self.endpoints.read().get(&id) {
+            let _ = slot.tx.try_send(LiveMessage::wake(id));
+        }
     }
 
     fn send(&self, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
@@ -421,6 +447,10 @@ impl FabricPath for LiveFabric {
     }
 
     fn flush(&self) {}
+
+    fn wake(&self, id: EndpointId) {
+        LiveFabric::wake(self, id);
+    }
 
     fn messages(&self) -> u64 {
         LiveFabric::messages(self)
@@ -636,6 +666,44 @@ mod tests {
         assert_eq!(FabricPath::queue_depth(&fabric), 2);
         rx1.recv().unwrap();
         assert_eq!(FabricPath::queue_depth(&fabric), 1);
+    }
+
+    #[test]
+    fn queue_depth_stays_sane_while_a_blocked_receiver_is_woken() {
+        // Each send wakes the receiver blocked in `recv_timeout`; a depth
+        // decremented before it is incremented would wrap and overflow
+        // the sum (a debug-build panic in the adaptive controller).
+        const SENDS: u64 = 20_000;
+        let fabric = Arc::new(LiveFabric::new());
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        let receiver = std::thread::spawn(move || {
+            let mut got = 0;
+            while got < SENDS {
+                if rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok() {
+                    got += 1;
+                }
+            }
+        });
+        let sender = {
+            let fabric = Arc::clone(&fabric);
+            std::thread::spawn(move || {
+                for i in 0..SENDS {
+                    fabric
+                        .send_copied(EndpointId(0), EndpointId(1), b"x")
+                        .unwrap();
+                    if i % 64 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        while !sender.is_finished() {
+            let depth = FabricPath::queue_depth(&*fabric);
+            assert!(depth <= SENDS, "depth wrapped: {depth}");
+        }
+        sender.join().unwrap();
+        receiver.join().unwrap();
+        assert_eq!(FabricPath::queue_depth(&*fabric), 0);
     }
 
     #[test]

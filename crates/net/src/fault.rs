@@ -519,6 +519,10 @@ impl FabricPath for FaultFabric {
         self.inner.flush();
     }
 
+    fn wake(&self, id: EndpointId) {
+        self.inner.wake(id);
+    }
+
     fn messages(&self) -> u64 {
         self.inner.messages()
     }

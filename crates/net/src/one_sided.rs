@@ -104,6 +104,31 @@ type LinkKey = (EndpointId, EndpointId);
 /// Shared handle to one link's outbox state.
 type LinkHandle = Arc<Mutex<LinkOutbox>>;
 
+/// The link table plus the (destination, sender)-sorted order every fetch
+/// pass walks. A link's first use or its destination's deregistration only
+/// clears `sorted`; the next fetch pass rebuilds it once, however many
+/// links changed meanwhile, and every later pass clones one `Arc` — it
+/// never collects or sorts.
+#[derive(Default)]
+struct Links {
+    by_key: HashMap<LinkKey, LinkHandle>,
+    /// `None` while stale.
+    sorted: Option<Arc<[(EndpointId, LinkHandle)]>>,
+}
+
+impl Links {
+    fn sorted(&mut self) -> Arc<[(EndpointId, LinkHandle)]> {
+        let by_key = &self.by_key;
+        Arc::clone(self.sorted.get_or_insert_with(|| {
+            let mut keys: Vec<LinkKey> = by_key.keys().copied().collect();
+            keys.sort_unstable();
+            keys.iter()
+                .map(|key| (key.0, Arc::clone(&by_key[key])))
+                .collect()
+        }))
+    }
+}
+
 /// The remote-fetch transport. See the module docs for semantics.
 pub struct OneSidedFabric {
     config: OneSidedConfig,
@@ -111,7 +136,7 @@ pub struct OneSidedFabric {
     inboxes: RwLock<HashMap<EndpointId, Sender<LiveMessage>>>,
     /// Keyed (destination, sender) so fetch passes group a destination's
     /// links together in the deterministic iteration order.
-    links: RwLock<HashMap<LinkKey, LinkHandle>>,
+    links: RwLock<Links>,
     /// Registration ledger: one registration per link, paid lazily on the
     /// first publish, refunded on deregistration.
     registry: Mutex<MemoryRegistry>,
@@ -154,7 +179,7 @@ impl OneSidedFabric {
             config,
             cost: CostModel::default(),
             inboxes: RwLock::new(HashMap::new()),
-            links: RwLock::new(HashMap::new()),
+            links: RwLock::new(Links::default()),
             registry: Mutex::new(MemoryRegistry::new()),
             doorbell: Doorbell::new(),
             next_qp: AtomicU64::new(0),
@@ -219,26 +244,41 @@ impl OneSidedFabric {
         self.inboxes.write().remove(&id);
         let mut links = self.links.write();
         let dead: Vec<(EndpointId, EndpointId)> = links
+            .by_key
             .keys()
             .filter(|(to, _)| *to == id)
             .copied()
             .collect();
+        if dead.is_empty() {
+            return;
+        }
         let mut registry = self.registry.lock();
         for key in dead {
-            if let Some(slot) = links.remove(&key) {
+            if let Some(slot) = links.by_key.remove(&key) {
                 registry.deregister(slot.lock().ring.region());
             }
+        }
+        links.sorted = None;
+    }
+
+    /// See [`FabricPath::wake`].
+    pub fn wake(&self, id: EndpointId) {
+        if let Some(tx) = self.inboxes.read().get(&id) {
+            let _ = tx.try_send(LiveMessage::wake(id));
         }
     }
 
     /// The outbox ring for `from → to`, registered lazily on first use so
     /// registration is paid once per link, never per message.
     fn link(&self, from: EndpointId, to: EndpointId) -> Arc<Mutex<LinkOutbox>> {
-        if let Some(slot) = self.links.read().get(&(to, from)) {
+        if let Some(slot) = self.links.read().by_key.get(&(to, from)) {
             return Arc::clone(slot);
         }
         let mut links = self.links.write();
-        Arc::clone(links.entry((to, from)).or_insert_with(|| {
+        if let Some(slot) = links.by_key.get(&(to, from)) {
+            return Arc::clone(slot);
+        }
+        let slot = {
             let ring = RingRegion::new(
                 self.config.ring_slots,
                 self.config.slot_bytes,
@@ -264,7 +304,10 @@ impl OneSidedFabric {
                 qp,
                 log,
             }))
-        }))
+        };
+        links.by_key.insert((to, from), Arc::clone(&slot));
+        links.sorted = None;
+        slot
     }
 
     /// Publish a frame into the `from → to` outbox and ring the doorbell.
@@ -316,7 +359,7 @@ impl OneSidedFabric {
         let Some(tx) = self.inboxes.read().get(&reader).cloned() else {
             return Err(SendError::UnknownEndpoint);
         };
-        let Some(slot) = self.links.read().get(&(to, from)).map(Arc::clone) else {
+        let Some(slot) = self.links.read().by_key.get(&(to, from)).map(Arc::clone) else {
             return Err(SendError::UnknownEndpoint);
         };
         let mut link = slot.lock();
@@ -359,10 +402,9 @@ impl OneSidedFabric {
 
     /// Fold `f` over every link's partition log (no-op without a log).
     fn fold_logs(&self, f: impl Fn(&PartitionLog) -> u64) -> u64 {
-        let links: Vec<LinkHandle> = self.links.read().values().map(Arc::clone).collect();
-        links
+        self.link_snapshot()
             .iter()
-            .map(|slot| slot.lock().log.as_ref().map_or(0, &f))
+            .map(|(_, slot)| slot.lock().log.as_ref().map_or(0, &f))
             .sum()
     }
 
@@ -433,14 +475,13 @@ impl OneSidedFabric {
         )
     }
 
-    /// Snapshot links in (destination, sender) order so fetch passes are
+    /// Links in (destination, sender) order so fetch passes are
     /// deterministic.
-    fn link_snapshot(&self) -> Vec<(EndpointId, LinkHandle)> {
-        let map = self.links.read();
-        let mut all: Vec<(LinkKey, LinkHandle)> =
-            map.iter().map(|(k, s)| (*k, Arc::clone(s))).collect();
-        all.sort_by_key(|(k, _)| *k);
-        all.into_iter().map(|((to, _), s)| (to, s)).collect()
+    fn link_snapshot(&self) -> Arc<[(EndpointId, LinkHandle)]> {
+        if let Some(sorted) = &self.links.read().sorted {
+            return Arc::clone(sorted);
+        }
+        self.links.write().sorted()
     }
 
     /// One fetch pass over every link: model the `RDMA READ` of each tail
@@ -450,7 +491,7 @@ impl OneSidedFabric {
     /// [`SendError::Full`]. Returns the number of frames delivered.
     pub fn fetch_all(&self) -> u64 {
         let mut delivered = 0;
-        for (to, slot) in self.link_snapshot() {
+        for &(to, ref slot) in self.link_snapshot().iter() {
             let tx = self.inboxes.read().get(&to).cloned();
             let mut link = slot.lock();
             loop {
@@ -537,8 +578,16 @@ impl OneSidedFabric {
     /// occupancy across every link, the λ-pressure signal the adaptive
     /// controller samples.
     pub fn queue_depth(&self) -> u64 {
-        let map = self.links.read();
-        map.values().map(|slot| slot.lock().pending() as u64).sum()
+        self.link_snapshot()
+            .iter()
+            .map(|(_, slot)| slot.lock().pending() as u64)
+            .sum()
+    }
+
+    /// Doorbell rings that woke (or would have woken) the fetcher: one per
+    /// idle→pending transition, not one per publish.
+    pub fn doorbell_rings(&self) -> u64 {
+        self.doorbell.rings()
     }
 
     /// Frames published into outbox rings so far.
@@ -583,13 +632,14 @@ impl OneSidedFabric {
 
     /// Live (sender, destination) link count.
     pub fn link_count(&self) -> usize {
-        self.links.read().len()
+        self.links.read().by_key.len()
     }
 
     /// Export delivery, fetch, and registration counters into `reg` under
     /// `prefix.*`.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
         reg.set_counter(&format!("{prefix}.posted"), self.posted());
+        reg.set_counter(&format!("{prefix}.doorbell_rings"), self.doorbell_rings());
         reg.set_counter(&format!("{prefix}.messages"), self.messages());
         reg.set_counter(&format!("{prefix}.copied_bytes"), self.copied_bytes());
         reg.set_counter(&format!("{prefix}.shared_bytes"), self.shared_bytes());
@@ -669,6 +719,10 @@ impl FabricPath for OneSidedFabric {
 
     fn flush(&self) {
         self.fetch_all();
+    }
+
+    fn wake(&self, id: EndpointId) {
+        OneSidedFabric::wake(self, id);
     }
 
     fn messages(&self) -> u64 {
@@ -756,7 +810,15 @@ fn fetcher_loop(fabric: &OneSidedFabric) {
             fabric.fetch_all();
             return;
         }
-        let wait = if fabric.queue_depth() > 0 {
+        let mut backlog = fabric.queue_depth() > 0;
+        if !backlog {
+            // Out of frames: hand the CPU to the publishers once and look
+            // again before blocking, so a busy sender is met by one batched
+            // fetch pass instead of a futex wake-up per frame.
+            std::thread::yield_now();
+            backlog = fabric.queue_depth() > 0;
+        }
+        let wait = if backlog {
             if delivered == 0 {
                 stalled
             } else {
@@ -989,6 +1051,13 @@ mod tests {
         assert_eq!(got, (0..50).collect::<Vec<u8>>());
         fetcher.stop();
         assert_eq!(fabric.reads_posted(), 50);
+        // Only idle→pending transitions of the bell count, never more than
+        // one per publish (plus the stop ring).
+        let rings = fabric.doorbell_rings();
+        assert!((1..=51).contains(&rings), "rings = {rings}");
+        let mut reg = MetricsRegistry::new();
+        fabric.export_metrics(&mut reg, "net.one_sided");
+        assert_eq!(reg.counter("net.one_sided.doorbell_rings"), Some(rings));
     }
 
     #[test]
