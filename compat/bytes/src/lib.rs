@@ -8,7 +8,7 @@
 //! the zero-copy internals differ (an `Arc<[u8]>` plus a range instead of
 //! a refcounted vtable).
 
-use std::ops::{Deref, RangeBounds};
+use std::ops::{Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, shared byte buffer.
@@ -184,6 +184,17 @@ impl BytesMut {
         self.vec.clear();
     }
 
+    /// Shorten to `len` bytes, keeping the allocation (no-op if already
+    /// shorter).
+    pub fn truncate(&mut self, len: usize) {
+        self.vec.truncate(len);
+    }
+
+    /// Resize to `new_len` bytes, filling any growth with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.vec.resize(new_len, value);
+    }
+
     /// Freeze into an immutable shared [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
@@ -194,6 +205,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.vec
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.vec
     }
 }
 

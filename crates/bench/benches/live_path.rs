@@ -1,12 +1,15 @@
 //! Criterion microbenchmarks of the zero-copy live path: buffer-pool
-//! acquire/release vs fresh allocation, pooled encode + share, and the
-//! sharded ring drain.
+//! acquire/release vs fresh allocation, pooled encode + share, the
+//! per-tuple send path up to the fabric, and the sharded ring drain.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-use whale_dsps::{BufferPool, PoolConfig};
-use whale_net::{BatchConfig, EndpointId, RingConfig, RingFabric};
+use whale_dsps::{
+    codec, BufferPool, CommMode, Grouping, GroupingExec, MessagePlan, Placement, PoolConfig,
+    Schema, TopologyBuilder, Tuple, Value,
+};
+use whale_net::{BatchConfig, ClusterSpec, EndpointId, RingConfig, RingFabric};
 use whale_sim::{SimDuration, SimTime};
 
 use bytes::BufMut;
@@ -36,6 +39,50 @@ fn bench_pool(c: &mut Criterion) {
         b.iter(|| {
             let mut buf = pool.acquire();
             buf.put_slice(black_box(&payload));
+            black_box(buf.share())
+        })
+    });
+}
+
+/// Everything the sender of one key-grouped 30 B tuple does before the
+/// fabric takes over, with the state a task keeps between tuples: route,
+/// plan, one worker frame (header, then the tuple serialized in place)
+/// into pooled scratch, share.
+fn bench_send_path(c: &mut Criterion) {
+    c.bench_function("send_path_keyed", |b| {
+        let mut t = TopologyBuilder::new();
+        t.spout("src", 1, Schema::new(vec!["n", "k"]))
+            .bolt("sink", 16, Schema::new(vec!["n", "k"]))
+            .connect("src", "sink", Grouping::Fields(1));
+        let topology = t.build().unwrap();
+        let placement = Placement::even(&topology, &ClusterSpec::new(4, 1, 16));
+        let src = topology.tasks_of("src")[0];
+        let mut grouping = GroupingExec::new(Grouping::Fields(1), topology.tasks_of("sink"));
+        // A key whose sink is not on the source's worker.
+        let tuple = (0..)
+            .map(|k| Tuple::with_id(7, vec![Value::I64(k), Value::str("key-07")]))
+            .find(|t| {
+                let dst = grouping.route(t, None).unwrap()[0];
+                !placement.colocated(src, dst)
+            })
+            .unwrap();
+        assert_eq!(tuple.payload_bytes(), 30);
+        let (mut dsts, mut plan) = (Vec::new(), MessagePlan::default());
+        let pool = BufferPool::new(PoolConfig::default());
+        b.iter(|| {
+            let tuple = black_box(&tuple);
+            grouping.route_into(tuple, None, &mut dsts).unwrap();
+            let mode = CommMode::WorkerOriented;
+            plan.fill(mode, src, tuple.payload_bytes(), &dsts, &placement);
+            let frame = &plan.remote()[0];
+            let mut buf = pool.acquire();
+            buf.put_u8(2);
+            buf.put_u32_le(src.0);
+            buf.put_u32_le(plan.tasks_of(frame).len() as u32);
+            for dst in plan.tasks_of(frame) {
+                buf.put_u32_le(dst.0);
+            }
+            codec::encode_tuple_into(&mut buf, tuple);
             black_box(buf.share())
         })
     });
@@ -81,5 +128,5 @@ fn bench_sharded_flush(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_pool, bench_sharded_flush);
+criterion_group!(benches, bench_pool, bench_send_path, bench_sharded_flush);
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::TaskId;
-use std::collections::BTreeMap;
+use std::ops::Range;
 use whale_sim::{CostModel, SimDuration};
 
 /// Which communication mechanism the system runs.
@@ -32,19 +32,25 @@ pub enum CommMode {
 pub struct Envelope {
     /// Receiving worker.
     pub dst_worker: WorkerId,
-    /// Destination tasks on that worker covered by this message.
-    pub dst_tasks: Vec<TaskId>,
+    /// Where the covered destination tasks sit in the plan's task list
+    /// (read them with [`MessagePlan::tasks_of`]).
+    tasks: Range<usize>,
     /// Bytes on the wire.
     pub wire_bytes: usize,
 }
 
-/// The complete send plan for one tuple.
-#[derive(Clone, Debug)]
+/// The complete send plan for one tuple. Reusable: [`MessagePlan::fill`]
+/// overwrites a plan in place and keeps its allocations, so a sender that
+/// holds on to one plans every later tuple without touching the heap.
+#[derive(Clone, Debug, Default)]
 pub struct MessagePlan {
+    /// Every destination task, grouped by hosting worker (workers
+    /// ascending, each worker's tasks in routed order).
+    tasks: Vec<TaskId>,
     /// Remote messages, ordered by destination worker.
-    pub remote: Vec<Envelope>,
-    /// Tasks delivered locally (source's own worker), no network involved.
-    pub local_tasks: Vec<TaskId>,
+    remote: Vec<Envelope>,
+    /// The tasks on the source's own worker, as a range of `tasks`.
+    local: Range<usize>,
     /// How many times the data item is serialized for this plan.
     pub serializations: u32,
     /// Total bytes crossing the network.
@@ -68,72 +74,81 @@ pub fn plan(
     dsts: &[TaskId],
     placement: &Placement,
 ) -> MessagePlan {
-    let src_worker = placement.worker_of(src);
-    let by_worker: BTreeMap<WorkerId, Vec<TaskId>> = placement.group_by_worker(dsts);
-
-    let mut remote = Vec::new();
-    let mut local_tasks = Vec::new();
-    let mut serializations: u32 = 0;
-    let mut total_wire_bytes = 0usize;
-
-    match mode {
-        CommMode::InstanceOriented => {
-            // Even local destinations pay serialization in Storm's executor
-            // send path; only the network hop is skipped.
-            for (&worker, tasks) in &by_worker {
-                for &t in tasks {
-                    serializations += 1;
-                    if worker == src_worker {
-                        local_tasks.push(t);
-                    } else {
-                        let wire_bytes = INSTANCE_HEADER + item_bytes;
-                        total_wire_bytes += wire_bytes;
-                        remote.push(Envelope {
-                            dst_worker: worker,
-                            dst_tasks: vec![t],
-                            wire_bytes,
-                        });
-                    }
-                }
-            }
-        }
-        CommMode::WorkerOriented => {
-            // Serialize the data item exactly once, reuse it per worker.
-            serializations = 1;
-            for (&worker, tasks) in &by_worker {
-                if worker == src_worker {
-                    local_tasks.extend(tasks.iter().copied());
-                } else {
-                    let wire_bytes = WORKER_HEADER + PER_ID * tasks.len() + item_bytes;
-                    total_wire_bytes += wire_bytes;
-                    remote.push(Envelope {
-                        dst_worker: worker,
-                        dst_tasks: tasks.clone(),
-                        wire_bytes,
-                    });
-                }
-            }
-        }
-    }
-
-    MessagePlan {
-        remote,
-        local_tasks,
-        serializations,
-        total_wire_bytes,
-    }
+    let mut plan = MessagePlan::default();
+    plan.fill(mode, src, item_bytes, dsts, placement);
+    plan
 }
 
 impl MessagePlan {
+    /// Overwrite this plan with the one for a new tuple (arguments as for
+    /// [`plan`]), reusing the allocations of whatever it held before.
+    pub fn fill(
+        &mut self,
+        mode: CommMode,
+        src: TaskId,
+        item_bytes: usize,
+        dsts: &[TaskId],
+        placement: &Placement,
+    ) {
+        let MessagePlan { tasks, remote, .. } = self;
+        tasks.clear();
+        tasks.extend_from_slice(dsts);
+        // Stable: a worker's tasks keep their routed order. (std sorts a
+        // slice this short in place or on the stack — no heap block.)
+        tasks.sort_by_key(|&t| placement.worker_of(t));
+        remote.clear();
+        self.local = 0..0;
+        // Storm's executor send path serializes per destination, local
+        // ones included (only the network hop is skipped); Whale
+        // serializes the data item exactly once and reuses it per worker.
+        self.serializations = match mode {
+            CommMode::InstanceOriented => dsts.len() as u32,
+            CommMode::WorkerOriented => 1,
+        };
+        let src_worker = placement.worker_of(src);
+        let mut end = 0;
+        for run in tasks.chunk_by(|&a, &b| placement.worker_of(a) == placement.worker_of(b)) {
+            let dst_worker = placement.worker_of(run[0]);
+            let range = end..end + run.len();
+            end = range.end;
+            if dst_worker == src_worker {
+                self.local = range;
+                continue;
+            }
+            // One message per task, or one for the worker's whole run.
+            let (header, covers) = match mode {
+                CommMode::InstanceOriented => (INSTANCE_HEADER, 1),
+                CommMode::WorkerOriented => (WORKER_HEADER + PER_ID * run.len(), run.len()),
+            };
+            remote.extend(range.step_by(covers).map(|at| Envelope {
+                dst_worker,
+                tasks: at..at + covers,
+                wire_bytes: header + item_bytes,
+            }));
+        }
+        self.total_wire_bytes = remote.iter().map(|e| e.wire_bytes).sum();
+    }
+
+    /// Remote messages, ordered by destination worker.
+    pub fn remote(&self) -> &[Envelope] {
+        &self.remote
+    }
+
+    /// The destination tasks one of this plan's messages covers.
+    pub fn tasks_of(&self, envelope: &Envelope) -> &[TaskId] {
+        &self.tasks[envelope.tasks.clone()]
+    }
+
+    /// Tasks delivered locally (source's own worker), no network involved.
+    pub fn local_tasks(&self) -> &[TaskId] {
+        &self.tasks[self.local.clone()]
+    }
+
     /// Upstream CPU spent serializing for this plan.
     pub fn serialization_cpu(&self, item_bytes: usize, cost: &CostModel) -> SimDuration {
         match self.serializations {
             0 => SimDuration::ZERO,
-            1 => {
-                let ids: usize = self.remote.iter().map(|e| e.dst_tasks.len()).sum::<usize>()
-                    + self.local_tasks.len();
-                cost.serialize_batch(item_bytes, ids)
-            }
+            1 => cost.serialize_batch(item_bytes, self.fanout()),
             n => cost.serialize(item_bytes) * n as u64,
         }
     }
@@ -145,7 +160,7 @@ impl MessagePlan {
 
     /// Total destination tasks covered (remote + local).
     pub fn fanout(&self) -> usize {
-        self.remote.iter().map(|e| e.dst_tasks.len()).sum::<usize>() + self.local_tasks.len()
+        self.tasks.len()
     }
 }
 
@@ -175,7 +190,7 @@ mod tests {
         let (p, src, dsts) = setup(12, 4);
         let plan = plan(CommMode::InstanceOriented, src, 100, &dsts, &p);
         // 12 tasks over 4 workers: 3 local (worker 0), 9 remote.
-        assert_eq!(plan.local_tasks.len(), 3);
+        assert_eq!(plan.local_tasks().len(), 3);
         assert_eq!(plan.remote_count(), 9);
         assert_eq!(plan.serializations, 12);
         assert_eq!(plan.total_wire_bytes, 9 * (8 + 100));
@@ -186,7 +201,7 @@ mod tests {
     fn worker_oriented_one_message_per_remote_worker() {
         let (p, src, dsts) = setup(12, 4);
         let plan = plan(CommMode::WorkerOriented, src, 100, &dsts, &p);
-        assert_eq!(plan.local_tasks.len(), 3);
+        assert_eq!(plan.local_tasks().len(), 3);
         assert_eq!(plan.remote_count(), 3, "one message per remote worker");
         assert_eq!(plan.serializations, 1);
         // Each remote worker hosts 3 tasks: 8 + 4*3 + 100 bytes.
@@ -224,7 +239,7 @@ mod tests {
         for mode in [CommMode::InstanceOriented, CommMode::WorkerOriented] {
             let plan = plan(mode, src, 100, &dsts, &p);
             assert_eq!(plan.remote_count(), 0);
-            assert_eq!(plan.local_tasks.len(), 8);
+            assert_eq!(plan.local_tasks().len(), 8);
             assert_eq!(plan.total_wire_bytes, 0);
         }
     }
@@ -233,7 +248,7 @@ mod tests {
     fn envelopes_ordered_by_worker() {
         let (p, src, dsts) = setup(30, 10);
         let plan = plan(CommMode::WorkerOriented, src, 64, &dsts, &p);
-        let workers: Vec<u32> = plan.remote.iter().map(|e| e.dst_worker.0).collect();
+        let workers: Vec<u32> = plan.remote().iter().map(|e| e.dst_worker.0).collect();
         let mut sorted = workers.clone();
         sorted.sort_unstable();
         assert_eq!(workers, sorted);
@@ -255,5 +270,98 @@ mod tests {
         assert_eq!(wo.remote_count(), 1);
         assert_eq!(io.total_wire_bytes, 108);
         assert_eq!(wo.total_wire_bytes, 112); // 8 + 4*1 + 100
+    }
+    /// What a plan says goes where: `(worker, tasks, wire bytes)` per
+    /// remote message, then the local tasks and the two totals.
+    type Shape = (Vec<(u32, Vec<TaskId>, usize)>, Vec<TaskId>, u32, usize);
+
+    fn shape(p: &MessagePlan) -> Shape {
+        let remote = p.remote().iter();
+        (
+            remote
+                .map(|e| (e.dst_worker.0, p.tasks_of(e).to_vec(), e.wire_bytes))
+                .collect(),
+            p.local_tasks().to_vec(),
+            p.serializations,
+            p.total_wire_bytes,
+        )
+    }
+
+    /// The grouping as it was written before plans were reusable: a
+    /// worker-ordered tree of per-worker task lists.
+    fn tree_grouped(
+        mode: CommMode,
+        src: TaskId,
+        item_bytes: usize,
+        dsts: &[TaskId],
+        p: &Placement,
+    ) -> Shape {
+        let mut by_worker = std::collections::BTreeMap::<WorkerId, Vec<TaskId>>::new();
+        for &t in dsts {
+            by_worker.entry(p.worker_of(t)).or_default().push(t);
+        }
+        let local = by_worker.remove(&p.worker_of(src)).unwrap_or_default();
+        let remote: Vec<_> = match mode {
+            CommMode::InstanceOriented => by_worker
+                .iter()
+                .flat_map(|(w, tasks)| tasks.iter().map(|&t| (w.0, vec![t], 8 + item_bytes)))
+                .collect(),
+            CommMode::WorkerOriented => by_worker
+                .into_iter()
+                .map(|(w, tasks)| (w.0, tasks.clone(), 8 + 4 * tasks.len() + item_bytes))
+                .collect(),
+        };
+        let serializations = match mode {
+            CommMode::InstanceOriented => dsts.len() as u32,
+            CommMode::WorkerOriented => 1,
+        };
+        let total = remote.iter().map(|(_, _, bytes)| bytes).sum();
+        (remote, local, serializations, total)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A reused plan is the plan a fresh `plan()` builds — also right
+        /// after holding a larger one, so nothing stale leaks out of the
+        /// retained capacity — and both are the tree-built grouping.
+        #[test]
+        fn refilled_plan_equals_fresh_plan(
+            bolt_p in 1u32..40,
+            machines in 1u32..8,
+            workers_per_machine in 1u32..3,
+            item_bytes in 0usize..200,
+            picks in proptest::collection::vec((0u32..1000, 0u32..1000), 1..4),
+        ) {
+            let mut b = TopologyBuilder::new();
+            b.spout("src", 1, Schema::new(vec!["k"]))
+                .bolt("match", bolt_p, Schema::new(vec!["k"]))
+                .connect("src", "match", Grouping::All);
+            let t = b.build().unwrap();
+            let c = ClusterSpec::new(machines, 1, 16);
+            let p = Placement::even_with_workers(&t, &c, workers_per_machine);
+            let src = t.tasks_of("src")[0];
+            let bolts = t.tasks_of("match");
+            let mut reused = MessagePlan::default();
+            // Every task once (the largest plan), then arbitrary
+            // sub-lists in arbitrary rotation, repeats included.
+            let mut lists = vec![bolts.clone()];
+            for (len, rot) in picks {
+                let len = 1 + len as usize % bolts.len();
+                lists.push((0..len).map(|i| bolts[(i * 7 + rot as usize) % bolts.len()]).collect());
+            }
+            for dsts in &lists {
+                for mode in [CommMode::WorkerOriented, CommMode::InstanceOriented] {
+                    reused.fill(mode, src, item_bytes, dsts, &p);
+                    let fresh = plan(mode, src, item_bytes, dsts, &p);
+                    proptest::prop_assert_eq!(shape(&reused), shape(&fresh));
+                    proptest::prop_assert_eq!(
+                        shape(&fresh),
+                        tree_grouped(mode, src, item_bytes, dsts, &p)
+                    );
+                    proptest::prop_assert_eq!(fresh.fanout(), dsts.len());
+                }
+            }
+        }
     }
 }

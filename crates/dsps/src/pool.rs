@@ -10,13 +10,18 @@
 //!
 //! Buffers are [`PooledBuf`] guards: deref to `BytesMut` for encoding,
 //! return to the pool on drop. After warmup the steady state allocates
-//! nothing — the hit-rate gauge exported by
-//! [`BufferPool::export_metrics`] approaches 1.0.
+//! nothing (the exported hit rate approaches 1.0) and locks nothing: each
+//! thread keeps the buffer it released last out of the shared free list
+//! and counts into a lane only it writes, so an acquire → share → drop
+//! round trip on one thread touches no mutex and no shared
+//! read-modify-write. Readers sum the lanes: every counter is exact
+//! whenever it is read.
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use whale_sim::MetricsRegistry;
 
@@ -39,21 +44,146 @@ impl Default for PoolConfig {
     }
 }
 
+/// The counters of a [`Lane`], by index.
+#[derive(Clone, Copy)]
+enum Stat {
+    Hits,
+    Misses,
+    Released,
+    Discarded,
+    /// Wire-buffer snapshots taken via [`PooledBuf::share`].
+    Shares,
+    /// Bytes copied out of scratch buffers by those snapshots.
+    SharedBytes,
+    /// Most buffers the thread ever held at once.
+    Peak,
+}
+use Stat::*;
+
+/// One thread's counters for one pool. Only that thread writes them — a
+/// plain load and store, never a read-modify-write — and anyone may read.
+#[derive(Default)]
+struct Lane([AtomicU64; Peak as usize + 1]);
+
+impl Lane {
+    fn get(&self, stat: Stat) -> u64 {
+        self.0[stat as usize].load(Relaxed)
+    }
+
+    fn set(&self, stat: Stat, value: u64) {
+        self.0[stat as usize].store(value, Relaxed);
+    }
+
+    fn add(&self, stat: Stat, by: u64) {
+        self.set(stat, self.get(stat) + by);
+    }
+
+    /// Fold `other` into `self`: every counter a sum, [`Stat::Peak`] a
+    /// maximum.
+    fn absorb(&self, other: &Lane) {
+        for (i, (mine, theirs)) in self.0.iter().zip(&other.0).enumerate() {
+            let (a, b) = (mine.load(Relaxed), theirs.load(Relaxed));
+            let peak = i == Peak as usize;
+            mine.store(if peak { a.max(b) } else { a + b }, Relaxed);
+        }
+    }
+}
+
 struct PoolInner {
     config: PoolConfig,
-    free: Mutex<Vec<BytesMut>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    released: AtomicU64,
-    discarded: AtomicU64,
-    /// Buffers currently acquired and not yet returned.
-    outstanding: AtomicU64,
-    /// Most buffers ever outstanding at once.
-    high_watermark: AtomicU64,
-    /// Wire-buffer snapshots taken via [`PooledBuf::share`].
-    shares: AtomicU64,
-    /// Bytes copied out of scratch buffers by those snapshots.
-    shared_bytes: AtomicU64,
+    shared: Mutex<Shared>,
+}
+
+#[derive(Default)]
+struct Shared {
+    /// Buffers released by threads whose own cache was occupied.
+    free: Vec<BytesMut>,
+    /// The lane of every thread attached to the pool right now ...
+    lanes: Vec<Arc<Lane>>,
+    /// ... and the totals of the threads that have detached (written
+    /// under this lock only).
+    retired: Lane,
+}
+
+impl Shared {
+    /// Put `buf` on the free list if there is room — every attached
+    /// thread's cache slot counts against [`PoolConfig::max_pooled`] too.
+    /// Returns whether it was kept.
+    fn keep(&mut self, buf: BytesMut, config: &PoolConfig) -> bool {
+        let room = self.free.len() + self.lanes.len() < config.max_pooled;
+        self.free.extend(room.then_some(buf));
+        room
+    }
+}
+
+/// A thread's attachment to the pool it used last: its lane there, and at
+/// most one released buffer kept back from the shared free list.
+struct Local {
+    pool: Arc<PoolInner>,
+    lane: Arc<Lane>,
+    cached: Option<BytesMut>,
+    /// Whether `cached` may be filled: only the first
+    /// [`PoolConfig::max_pooled`] attached threads get a cache slot.
+    may_cache: bool,
+    /// Buffers of the pool this thread holds right now.
+    held: u64,
+}
+
+thread_local! {
+    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
+}
+
+impl PoolInner {
+    /// Run `f` on the calling thread's attachment to this pool, attaching
+    /// first if the thread used another pool (or none) last. `None` only
+    /// while the thread's locals are being torn down.
+    fn with_local<R>(self: &Arc<Self>, f: impl FnOnce(&mut Local) -> R) -> Option<R> {
+        let attached = |slot: &mut Option<Local>| {
+            if !slot.as_ref().is_some_and(|l| Arc::ptr_eq(&l.pool, self)) {
+                let lane = Arc::new(Lane::default());
+                let mut shared = self.shared.lock();
+                shared.lanes.push(Arc::clone(&lane));
+                let may_cache = shared.lanes.len() <= self.config.max_pooled;
+                drop(shared);
+                // Dropping the previous attachment detaches it.
+                *slot = Some(Local {
+                    pool: Arc::clone(self),
+                    lane,
+                    cached: None,
+                    may_cache,
+                    held: 0,
+                });
+            }
+            f(slot.as_mut().expect("attached above"))
+        };
+        LOCAL.try_with(|slot| attached(&mut slot.borrow_mut())).ok()
+    }
+
+    /// Every lane folded into one, at one instant.
+    fn totals(&self) -> Lane {
+        let shared = self.shared.lock();
+        let totals = Lane::default();
+        shared.lanes.iter().for_each(|lane| totals.absorb(lane));
+        totals.absorb(&shared.retired);
+        totals
+    }
+}
+
+impl Drop for Local {
+    /// Detach: the cached buffer moves to the shared list (or is freed if
+    /// that is full) and the lane's counts to the retired totals.
+    fn drop(&mut self) {
+        let lane = &self.lane;
+        let mut shared = self.pool.shared.lock();
+        shared.lanes.retain(|attached| !Arc::ptr_eq(attached, lane));
+        if let Some(buf) = self.cached.take() {
+            if !shared.keep(buf, &self.pool.config) {
+                lane.set(Released, lane.get(Released) - 1);
+                lane.add(Discarded, 1);
+            }
+        }
+        shared.retired.absorb(lane);
+    }
 }
 
 /// A shared pool of encode buffers. Cloning shares the same pool.
@@ -74,15 +204,7 @@ impl BufferPool {
         BufferPool {
             inner: Arc::new(PoolInner {
                 config,
-                free: Mutex::new(Vec::new()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                released: AtomicU64::new(0),
-                discarded: AtomicU64::new(0),
-                outstanding: AtomicU64::new(0),
-                high_watermark: AtomicU64::new(0),
-                shares: AtomicU64::new(0),
-                shared_bytes: AtomicU64::new(0),
+                shared: Mutex::default(),
             }),
         }
     }
@@ -94,54 +216,54 @@ impl BufferPool {
 
     /// Take a cleared buffer from the pool (hit) or allocate one (miss).
     /// The buffer returns to the pool when the guard drops.
-    pub fn acquire(&self) -> PooledBuf {
-        let reused = self.inner.free.lock().pop();
-        let buf = match reused {
-            Some(buf) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                buf
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                BytesMut::with_capacity(self.inner.config.initial_capacity)
-            }
-        };
-        let out = self.inner.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner.high_watermark.fetch_max(out, Ordering::Relaxed);
+    pub fn acquire(&self) -> PooledBuf<'_> {
+        let reused = self.inner.with_local(|local| {
+            let lane = &local.lane;
+            local.held += 1;
+            lane.set(Peak, lane.get(Peak).max(local.held));
+            let cached = local.cached.take();
+            let reused = cached.or_else(|| self.inner.shared.lock().free.pop());
+            lane.add(if reused.is_some() { Hits } else { Misses }, 1);
+            reused
+        });
+        let buf = reused
+            .flatten()
+            .unwrap_or_else(|| BytesMut::with_capacity(self.inner.config.initial_capacity));
         PooledBuf {
             buf: Some(buf),
-            pool: Arc::clone(&self.inner),
+            pool: &self.inner,
         }
     }
 
     /// Pool hits (acquires served from a released buffer) so far.
     pub fn hits(&self) -> u64 {
-        self.inner.hits.load(Ordering::Relaxed)
+        self.inner.totals().get(Hits)
     }
 
     /// Pool misses (acquires that allocated) so far.
     pub fn misses(&self) -> u64 {
-        self.inner.misses.load(Ordering::Relaxed)
+        self.inner.totals().get(Misses)
     }
 
     /// Buffers returned to the pool so far.
     pub fn released(&self) -> u64 {
-        self.inner.released.load(Ordering::Relaxed)
+        self.inner.totals().get(Released)
     }
 
     /// Buffers freed instead of pooled because the pool was full.
     pub fn discarded(&self) -> u64 {
-        self.inner.discarded.load(Ordering::Relaxed)
+        self.inner.totals().get(Discarded)
     }
 
     /// Buffers currently acquired and not yet returned.
     pub fn outstanding(&self) -> u64 {
-        self.inner.outstanding.load(Ordering::Relaxed)
+        let t = self.inner.totals();
+        t.get(Hits) + t.get(Misses) - t.get(Released) - t.get(Discarded)
     }
 
-    /// Most buffers ever outstanding at once.
+    /// Most buffers any one thread ever held at once.
     pub fn high_watermark(&self) -> u64 {
-        self.inner.high_watermark.load(Ordering::Relaxed)
+        self.inner.totals().get(Peak)
     }
 
     /// Wire-buffer snapshots taken via [`PooledBuf::share`]. On the
@@ -149,31 +271,30 @@ impl BufferPool {
     /// fan-out — relay forwarding clones the snapshot by reference — so
     /// `shares ≈ frames_encoded` confirms the serialize-once discipline.
     pub fn shares(&self) -> u64 {
-        self.inner.shares.load(Ordering::Relaxed)
+        self.inner.totals().get(Shares)
     }
 
     /// Bytes copied out of scratch buffers by [`PooledBuf::share`] (the
     /// one physical copy a zero-copy frame ever pays).
     pub fn shared_bytes(&self) -> u64 {
-        self.inner.shared_bytes.load(Ordering::Relaxed)
+        self.inner.totals().get(SharedBytes)
     }
 
-    /// Released buffers currently available for reuse.
+    /// Released buffers currently available for reuse (the shared free
+    /// list plus every thread's cached buffer): each release added one,
+    /// each hit took one.
     pub fn pooled(&self) -> usize {
-        self.inner.free.lock().len()
+        let t = self.inner.totals();
+        (t.get(Released) - t.get(Hits)) as usize
     }
 
     /// Hits over total acquires (0 before the first acquire). Approaches
     /// 1.0 once the working set is warm — the steady state allocates
     /// nothing.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits();
-        let total = hits + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        let t = self.inner.totals();
+        let (hits, misses) = (t.get(Hits), t.get(Misses));
+        hits as f64 / (hits + misses).max(1) as f64
     }
 
     /// Export pool counters into `reg` under `prefix.*`.
@@ -196,49 +317,59 @@ impl BufferPool {
 
 /// An acquired pool buffer. Dereferences to `BytesMut` for encoding and
 /// returns to the pool (cleared, capacity kept) when dropped.
-pub struct PooledBuf {
+pub struct PooledBuf<'a> {
     buf: Option<BytesMut>,
-    pool: Arc<PoolInner>,
+    pool: &'a Arc<PoolInner>,
 }
 
-impl PooledBuf {
+impl PooledBuf<'_> {
     /// Copy the encoded contents into a freshly shared wire buffer (the
     /// transfer the fabric posts by reference); the scratch buffer itself
     /// stays with the guard and returns to the pool.
     pub fn share(&self) -> Arc<[u8]> {
-        self.pool.shares.fetch_add(1, Ordering::Relaxed);
-        self.pool
-            .shared_bytes
-            .fetch_add(self.len() as u64, Ordering::Relaxed);
-        Arc::from(&self[..])
+        self.share_from(0)
+    }
+
+    /// [`Self::share`] of the contents from byte `start` on — one frame
+    /// of several encoded back to back in the same scratch.
+    pub fn share_from(&self, start: usize) -> Arc<[u8]> {
+        let frame = &self[start..];
+        self.pool.with_local(|local| {
+            local.lane.add(Shares, 1);
+            local.lane.add(SharedBytes, frame.len() as u64);
+        });
+        Arc::from(frame)
     }
 }
 
-impl Deref for PooledBuf {
+impl Deref for PooledBuf<'_> {
     type Target = BytesMut;
     fn deref(&self) -> &BytesMut {
         self.buf.as_ref().expect("buffer present until drop")
     }
 }
 
-impl DerefMut for PooledBuf {
+impl DerefMut for PooledBuf<'_> {
     fn deref_mut(&mut self) -> &mut BytesMut {
         self.buf.as_mut().expect("buffer present until drop")
     }
 }
 
-impl Drop for PooledBuf {
+impl Drop for PooledBuf<'_> {
     fn drop(&mut self) {
         let mut buf = self.buf.take().expect("dropped once");
-        self.pool.outstanding.fetch_sub(1, Ordering::Relaxed);
         buf.clear();
-        let mut free = self.pool.free.lock();
-        if free.len() < self.pool.config.max_pooled {
-            free.push(buf);
-            self.pool.released.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.pool.discarded.fetch_add(1, Ordering::Relaxed);
-        }
+        let pool = self.pool;
+        pool.with_local(|local| {
+            local.held = local.held.saturating_sub(1);
+            let kept = if local.cached.is_none() && local.may_cache {
+                local.cached = Some(buf);
+                true
+            } else {
+                pool.shared.lock().keep(buf, &pool.config)
+            };
+            local.lane.add(if kept { Released } else { Discarded }, 1);
+        });
     }
 }
 
@@ -322,6 +453,70 @@ mod tests {
         let _children: Vec<_> = (0..4).map(|_| Arc::clone(&wire)).collect();
         assert_eq!(pool.shares(), 1);
         assert_eq!(pool.shared_bytes(), 13);
+    }
+
+    #[test]
+    fn counters_are_exact_across_four_threads() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 10_000;
+        let pool = BufferPool::default();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let mut frame = pool.acquire();
+                        frame.put_slice(b"frame");
+                        if round % 8 == 0 {
+                            // Hold three at once now and then.
+                            let more = (pool.acquire(), pool.acquire());
+                            assert!(pool.outstanding() >= 3);
+                            drop(more);
+                        }
+                        std::hint::black_box(frame.share());
+                    }
+                });
+            }
+        });
+        let acquires = THREADS * (ROUNDS + 2 * ROUNDS / 8);
+        assert_eq!(pool.hits() + pool.misses(), acquires);
+        assert_eq!(pool.released() + pool.discarded(), acquires);
+        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.shares(), THREADS * ROUNDS);
+        assert_eq!(pool.shared_bytes(), THREADS * ROUNDS * 5);
+        assert_eq!(pool.high_watermark(), 3, "the most one thread held");
+        // Each thread warmed at most three buffers; all of them — the
+        // exited threads' cached ones included — are back in the pool.
+        assert!(pool.misses() <= THREADS * 3);
+        assert_eq!(pool.pooled() as u64, pool.misses() - pool.discarded());
+        assert!(pool.pooled() <= pool.config().max_pooled);
+        drop(pool.acquire());
+        assert_eq!(pool.hits() + pool.misses(), acquires + 1);
+        assert!(pool.misses() <= THREADS * 3, "a flushed buffer is reused");
+    }
+
+    #[test]
+    fn a_thread_that_switches_pools_leaves_nothing_behind() {
+        let (a, b) = (BufferPool::default(), BufferPool::default());
+        for _ in 0..3 {
+            drop(a.acquire());
+            drop(b.acquire());
+        }
+        for pool in [&a, &b] {
+            assert_eq!((pool.misses(), pool.hits()), (1, 2));
+            assert_eq!(pool.released(), 3);
+            assert_eq!(pool.outstanding(), 0);
+            assert_eq!(pool.pooled(), 1);
+            assert_eq!(pool.high_watermark(), 1);
+        }
+        // A guard may outlive its thread's attachment to the pool.
+        let held = a.acquire();
+        drop(b.acquire());
+        assert_eq!(a.outstanding(), 1);
+        drop(held);
+        assert_eq!(a.outstanding(), 0);
+        assert_eq!(a.pooled(), 1);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use whale_net::IdHashMap;
 use whale_sim::SimTime;
 
 /// Where one spout is in its lifecycle. The drain phase (tracked runs
@@ -371,7 +372,7 @@ pub(super) struct ShardPipeline {
     fabric_rx: Receiver<whale_net::LiveMessage>,
     inbox_rx: Receiver<(TaskId, ExecMsg)>,
     spouts: Vec<SpoutState>,
-    bolts: HashMap<TaskId, BoltState>,
+    bolts: IdHashMap<TaskId, BoltState>,
     /// Signals the run driver once every owned task has completed (the
     /// pipeline keeps relaying/draining frames until the fabric closes).
     done_tx: Sender<()>,
@@ -395,7 +396,7 @@ impl ShardPipeline {
             fabric_rx,
             inbox_rx,
             spouts: Vec::new(),
-            bolts: HashMap::new(),
+            bolts: IdHashMap::default(),
             done_tx,
             scratch: Vec::new(),
         }
@@ -462,7 +463,7 @@ impl ShardPipeline {
             }
         }
         self.drain_local(routing);
-        let deadline = routing.config.run_deadline.map(|d| Instant::now() + d);
+        let mut deadline = routing.config.run_deadline.map(|d| Instant::now() + d);
         let mut fabric_open = true;
         let mut signaled = false;
         let mut idle_passes = 0u32;
@@ -516,31 +517,29 @@ impl ShardPipeline {
                 idle_passes = 0;
                 continue;
             }
-            if !all_done {
-                if let Some(dl) = deadline {
-                    if Instant::now() >= dl {
-                        // Liveness backstop, checked only on idle passes
-                        // (already-queued traffic is still processed): a
-                        // lost EOS degrades the run but never hangs it.
-                        // Finishing still broadcasts this task's own EOS
-                        // so downstream can drain.
-                        for b in self.bolts.values_mut() {
-                            if !b.done {
-                                routing.stats.deadline_exits.fetch_add(1, Ordering::Relaxed);
-                                finish_bolt(b, routing);
-                            }
-                        }
-                        self.drain_local(routing);
-                        continue;
-                    }
-                }
-            }
             // Out of work: spin, yield once, then block on what delivers
             // the work — the receive-side mirror of the send policy's
             // spin → yield → park ladder.
             idle_passes += 1;
             if idle_passes < IDLE_SPINS {
                 std::hint::spin_loop();
+                continue;
+            }
+            // Liveness backstop, checked once per idle episode — at the
+            // yield rung and after each park, never on the spin passes
+            // (already-queued traffic is still processed first): a lost
+            // EOS degrades the run but never hangs it. Finishing still
+            // broadcasts this task's own EOS so downstream can drain.
+            if !all_done && deadline.is_some_and(|dl| Instant::now() >= dl) {
+                for b in self.bolts.values_mut() {
+                    if !b.done {
+                        routing.stats.deadline_exits.fetch_add(1, Ordering::Relaxed);
+                        finish_bolt(b, routing);
+                    }
+                }
+                self.drain_local(routing);
+                // Fired: every bolt is finished, nothing left to reap.
+                deadline = None;
                 continue;
             }
             if idle_passes == IDLE_SPINS {
@@ -680,8 +679,10 @@ mod tests {
             wire::encode_relay_eos(b, eos)
         });
         let instance = encoded(&|b| wire::encode_instance(b, None, TaskId(0), TaskId(7), &tuple));
-        let worker = encoded(&|b| wire::encode_worker(b, None, TaskId(0), &[], &[]));
-        let mut eos = encoded(&|b| wire::encode_eos(b, TaskId(0), &[]));
+        let worker = encoded(&|b| {
+            wire::encode_worker(b, None, TaskId(0), std::iter::empty(), &tuple, &mut (0..0))
+        });
+        let mut eos = encoded(&|b| wire::encode_eos(b, TaskId(0), std::iter::empty()));
         let frames: Vec<Vec<u8>> = vec![
             vec![99],                // unknown kind
             relay[..3].to_vec(),     // truncated relay header (2 of 20 bytes)

@@ -55,6 +55,9 @@ pub(super) struct RelayEpoch {
     pub(super) epoch: u32,
     pub(super) d_star: u32,
     pub(super) trees: Vec<MulticastTree>,
+    /// Per origin, each destination node's hop distance from the source
+    /// (`None` if unreachable) — walked once here, read per frame.
+    depths: Vec<Vec<Option<u32>>>,
     /// Relay frames sent minus received on this generation. A node
     /// forwards to its children *before* decrementing its own receipt,
     /// so zero means the generation is genuinely drained (frames a fault
@@ -64,9 +67,19 @@ pub(super) struct RelayEpoch {
 
 impl RelayEpoch {
     pub(super) fn new(epoch: u32, d_star: u32, trees: Vec<MulticastTree>) -> Self {
+        let depths_of = |tree: &MulticastTree| {
+            let mut depths = vec![None; tree.n() as usize];
+            for (node, depth) in tree.bfs() {
+                if let Node::Dest(i) = node {
+                    depths[i as usize] = Some(depth);
+                }
+            }
+            depths
+        };
         RelayEpoch {
             epoch,
             d_star,
+            depths: trees.iter().map(depths_of).collect(),
             trees,
             inflight: AtomicI64::new(0),
         }
@@ -294,7 +307,6 @@ impl Routing {
             tracked: tracked.unwrap_or(0),
         };
         self.with_frame(
-            None,
             |buf| wire::encode_relay(buf, header, tuple),
             |frame| self.relay_fanout(&epoch, src_worker.0, Node::Source, frame, 1),
         );
@@ -322,7 +334,6 @@ impl Routing {
             src,
         };
         self.with_frame(
-            None,
             |buf| wire::encode_relay_eos(buf, eos),
             |frame| self.relay_fanout(&epoch, src_worker.0, Node::Source, frame, copies),
         );
@@ -405,10 +416,17 @@ impl Routing {
         let Some((relay, epoch, node)) = self.relay_admit(my_worker, h.origin, h.epoch) else {
             return;
         };
-        if let Some(depth) = epoch.trees[h.origin as usize].depth(Node::Dest(node)) {
+        if let Some(depth) = epoch.depths[h.origin as usize][node as usize] {
             relay.record_depth(depth);
         }
-        let t0 = Instant::now();
+        // Only 1 in LATENCY_SAMPLE forwarding hops is timed: pick first,
+        // read the clock only for the pick.
+        let forwards = !epoch.trees[h.origin as usize]
+            .children(Node::Dest(node))
+            .is_empty();
+        let sampled =
+            forwards && relay.forward_events.fetch_add(1, Ordering::Relaxed) % LATENCY_SAMPLE == 0;
+        let t0 = sampled.then(Instant::now);
         let forwarded = self.relay_fanout(&epoch, h.origin, Node::Dest(node), payload.into(), 1);
         // Children are charged before this receipt is released, so the
         // epoch's in-flight count can only read zero once the whole
@@ -418,9 +436,8 @@ impl Routing {
             self.stats
                 .relay_forwards
                 .fetch_add(forwarded, Ordering::Relaxed);
-            if relay.forward_events.fetch_add(1, Ordering::Relaxed) % LATENCY_SAMPLE == 0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                relay.forward_ns.lock().push(ns);
+            if let Some(t0) = t0 {
+                relay.forward_ns.lock().push(t0.elapsed().as_nanos() as u64);
             }
         }
         // Validate framing once for the whole worker, then dispatch the

@@ -9,11 +9,11 @@ use super::relay::{RelayEpoch, RelayState};
 use super::reliability::{anchor_for, splitmix64, AckRuntime, LogRuntime};
 use super::report::RunStats;
 use super::wire::{self, Wire};
-use crate::codec::{self, DecodeError, LazyTuple, TupleView};
+use crate::codec::{DecodeError, LazyTuple, TupleView};
 use crate::grouping::GroupingExec;
-use crate::messaging::{plan, CommMode};
+use crate::messaging::{CommMode, MessagePlan};
 use crate::operator::Emitter;
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, PooledBuf};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Topology;
@@ -60,12 +60,14 @@ impl ShardInbox {
 }
 
 /// Per-task routing state: one [`GroupingExec`] per downstream edge plus
-/// reusable destination scratch, so steady-state routing allocates
-/// nothing (`route_into` fills `scratch` in place; `All` never clones
-/// its target list).
+/// reusable destination scratch and send plan, so steady-state routing
+/// and planning allocate nothing (`route_into` fills `scratch` and
+/// [`MessagePlan::fill`] the plan in place; `All` never clones its target
+/// list).
 pub(super) struct Groupings {
     edges: Vec<(ComponentId, GroupingExec)>,
     scratch: Vec<TaskId>,
+    plan: MessagePlan,
 }
 
 /// Shared, immutable context of one run, used by every pipeline and
@@ -235,7 +237,11 @@ impl Routing {
         tuple: Tuple,
         tracked: Option<u64>,
     ) {
-        let Groupings { edges, scratch } = groupings;
+        let Groupings {
+            edges,
+            scratch,
+            plan,
+        } = groupings;
         let shared = Arc::new(tuple);
         let mut arm_xor = 0u64;
         for (comp, g) in edges.iter_mut() {
@@ -243,7 +249,7 @@ impl Routing {
                 arm_xor ^= self.relay_broadcast(src, &shared, *comp, tracked);
             } else {
                 match g.route_into(&shared, None, scratch) {
-                    Ok(()) => arm_xor ^= self.send_data(src, &shared, scratch, tracked),
+                    Ok(()) => arm_xor ^= self.send_data(src, &shared, scratch, plan, tracked),
                     Err(_) => {
                         self.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
                     }
@@ -262,158 +268,124 @@ impl Routing {
     /// every destination — including ones whose frame fails to send — so
     /// an undelivered destination leaves the ledger non-zero and the
     /// tuple times out into a replay instead of silently "completing".
+    ///
+    /// All remote frames of the tuple are built in one pooled scratch:
+    /// the first worker frame serializes the data item behind its own
+    /// header, later ones copy those bytes ([`wire::encode_worker`]), so
+    /// one and N remote workers take the same path.
     fn send_data(
         &self,
         src: TaskId,
         tuple: &Arc<Tuple>,
         dsts: &[TaskId],
+        plan: &mut MessagePlan,
         tracked: Option<u64>,
     ) -> u64 {
-        let p = plan(
-            self.config.comm_mode,
-            src,
-            tuple.payload_bytes(),
-            dsts,
-            &self.placement,
-        );
-        let mut arm_xor = 0u64;
+        let mode = self.config.comm_mode;
+        plan.fill(mode, src, tuple.payload_bytes(), dsts, &self.placement);
+        let arm_xor = tracked.map_or(0, |tr| {
+            let anchors = dsts.iter().map(|&t| anchor_for(tr, t));
+            anchors.fold(0, |xor, anchor| xor ^ anchor)
+        });
         // Local deliveries: no serialization beyond what the mode charges.
-        let lazy = LazyTuple::from_arc(Arc::clone(tuple));
-        for &t in &p.local_tasks {
-            arm_xor ^= tracked.map_or(0, |tr| anchor_for(tr, t));
-            // The owning pipeline may already have exited after EOS; the
-            // delivery layer swallows that race.
-            self.deliver(t, ExecMsg::Data(lazy.clone(), tracked));
+        // The owning pipeline may already have exited after EOS; the
+        // delivery layer swallows that race.
+        if let Some((&last, rest)) = plan.local_tasks().split_last() {
+            let lazy = LazyTuple::from_arc(Arc::clone(tuple));
+            for &t in rest {
+                self.deliver(t, ExecMsg::Data(lazy.clone(), tracked));
+            }
+            self.deliver(last, ExecMsg::Data(lazy, tracked));
         }
         self.stats
             .serializations
-            .fetch_add(p.serializations as u64, Ordering::Relaxed);
-        if p.remote.is_empty() {
+            .fetch_add(plan.serializations as u64, Ordering::Relaxed);
+        if plan.remote().is_empty() {
             return arm_xor;
         }
-        // Whale serializes the data item once into pooled scratch; each
-        // per-worker frame borrows it and adds only the header.
-        let item = (self.config.comm_mode == CommMode::WorkerOriented).then(|| {
-            let mut item = self.pool.acquire();
-            codec::encode_tuple_into(&mut item, tuple);
-            item
-        });
-        for env in &p.remote {
-            if let Some(tr) = tracked {
-                for &t in &env.dst_tasks {
-                    arm_xor ^= anchor_for(tr, t);
+        let from = self.endpoint(self.placement.worker_of(src).0, self.shard_of(src));
+        let mut scratch = self.pool.acquire();
+        let mut item = 0..0;
+        for env in plan.remote() {
+            let tasks = plan.tasks_of(env);
+            for (to, owned) in self.pipelines_of(env.dst_worker, tasks) {
+                let start = scratch.len();
+                match mode {
+                    CommMode::WorkerOriented => {
+                        wire::encode_worker(&mut scratch, tracked, src, owned, tuple, &mut item)
+                    }
+                    // Storm serializes per destination, but without a deep
+                    // clone of the tuple: the shared decoded tuple is
+                    // borrowed straight into the frame.
+                    CommMode::InstanceOriented => {
+                        wire::encode_instance(&mut scratch, tracked, src, tasks[0], tuple)
+                    }
                 }
-            }
-            match &item {
-                Some(item) => {
-                    self.transmit_worker_frame(src, env.dst_worker, &env.dst_tasks, item, tracked)
-                }
-                // Storm serializes per destination, but without a deep
-                // clone of the tuple: the shared decoded tuple is borrowed
-                // straight into the frame.
-                None => {
-                    debug_assert_eq!(env.dst_tasks.len(), 1);
-                    let dst = env.dst_tasks[0];
-                    self.transmit(src, env.dst_worker, self.shard_of(dst), tracked, |buf| {
-                        wire::encode_instance(buf, tracked, src, dst, tuple)
-                    });
+                self.send_frame(&scratch, start, Some((to, tracked)), |frame| {
+                    self.send_wire(from, to, frame, None)
+                });
+                // Only the frame holding the serialized item is kept.
+                if item.end <= start {
+                    scratch.truncate(start);
                 }
             }
         }
         arm_xor
     }
 
-    /// Send one worker-oriented frame per destination *pipeline*: the
-    /// envelope's task list is split by owning shard (each pipeline reads
-    /// only its own endpoint) and every per-shard frame borrows the same
-    /// serialized item. One shard (the common case, and always true at
-    /// `shards == 1`) stays a single frame with no extra allocation.
-    fn transmit_worker_frame(
-        &self,
-        src: TaskId,
-        dst_worker: WorkerId,
-        dst_tasks: &[TaskId],
-        item: &[u8],
-        tracked: Option<u64>,
-    ) {
-        let send = |shard: u32, tasks: &[TaskId]| {
-            self.transmit(src, dst_worker, shard, tracked, |buf| {
-                wire::encode_worker(buf, tracked, src, tasks, item)
-            });
-        };
-        let first_shard = self.shard_of(dst_tasks[0]);
-        if self.shards == 1 || dst_tasks.iter().all(|&t| self.shard_of(t) == first_shard) {
-            send(first_shard, dst_tasks);
-            return;
-        }
-        for (shard, tasks) in self.split_by_shard(dst_tasks) {
-            send(shard, &tasks);
-        }
-    }
-
-    /// `tasks` (all on one worker) grouped by owning shard, empty shards
-    /// skipped.
-    fn split_by_shard<'a>(
+    /// One frame per destination *pipeline*: each reads only its own
+    /// endpoint, so `tasks` (all on `worker`) are split by owning shard —
+    /// the endpoint and tasks of every shard that owns any.
+    fn pipelines_of<'a>(
         &'a self,
+        worker: WorkerId,
         tasks: &'a [TaskId],
-    ) -> impl Iterator<Item = (u32, Vec<TaskId>)> + 'a {
+    ) -> impl Iterator<Item = (EndpointId, impl Iterator<Item = TaskId> + Clone + 'a)> + 'a {
         (0..self.shards).filter_map(move |shard| {
-            let owned: Vec<TaskId> = tasks
-                .iter()
-                .copied()
-                .filter(|&t| self.shard_of(t) == shard)
-                .collect();
-            (!owned.is_empty()).then_some((shard, owned))
+            let owns = move |t: &TaskId| self.shard_of(*t) == shard;
+            let owned = tasks.iter().copied().filter(owns);
+            let to = self.endpoint(worker.0, shard);
+            owned.clone().next().map(|_| (to, owned))
         })
     }
 
-    /// Send one point-to-point data frame from `src`'s pipeline to a
-    /// destination pipeline, written through the destination's partition
-    /// log first when [`LiveConfig::log`] is set. Relay and EOS frames
-    /// never come through here and are not logged.
-    fn transmit(
-        &self,
-        src: TaskId,
-        dst_worker: WorkerId,
-        dst_shard: u32,
-        tracked: Option<u64>,
-        fill: impl FnOnce(&mut BytesMut),
-    ) {
-        let from = self.endpoint(self.placement.worker_of(src).0, self.shard_of(src));
-        let to = self.endpoint(dst_worker.0, dst_shard);
-        self.with_frame(Some((to, tracked)), fill, |frame| {
-            self.send_wire(from, to, frame, None)
-        });
-    }
-
-    /// Encode one frame into pooled scratch and hand it to `send` as a
-    /// [`Wire`] — the one place a frame is built. With `log_to` (and a
-    /// log configured) the encoded bytes are appended to that endpoint's
-    /// partition log *before* any send (write-ahead), so a crash after
-    /// the append can always be healed by replaying the log. Zero-copy
-    /// runs snapshot the frame into a single shared buffer that every
-    /// send and retry refcounts, and return the scratch to the pool
-    /// before any retry wait; copied runs lend the scratch itself and pay
-    /// the TCP copy per send. Sending `frame` several times costs wire
-    /// bytes but never a second encode.
+    /// Encode one unlogged frame (relay, EOS) into pooled scratch and hand
+    /// it to `send` (see [`Self::send_frame`]).
     pub(super) fn with_frame<R>(
         &self,
-        log_to: Option<(EndpointId, Option<u64>)>,
         fill: impl FnOnce(&mut BytesMut),
         send: impl FnOnce(Wire<'_>) -> R,
     ) -> R {
         let mut scratch = self.pool.acquire();
         fill(&mut scratch);
+        self.send_frame(&scratch, 0, None, send)
+    }
+
+    /// Hand the frame encoded at `scratch[start..]` to `send` as a
+    /// [`Wire`] — the one place a frame leaves for the fabric. With
+    /// `log_to` (and a log configured) the encoded bytes are appended to
+    /// that endpoint's partition log *before* any send (write-ahead), so a
+    /// crash after the append can always be healed by replaying the log.
+    /// Zero-copy runs snapshot the frame into a single shared buffer that
+    /// every send and retry refcounts; copied runs lend the scratch
+    /// itself and pay the TCP copy per send. Sending `frame` several
+    /// times costs wire bytes but never a second encode.
+    fn send_frame<R>(
+        &self,
+        scratch: &PooledBuf<'_>,
+        start: usize,
+        log_to: Option<(EndpointId, Option<u64>)>,
+        send: impl FnOnce(Wire<'_>) -> R,
+    ) -> R {
+        let frame = &scratch[start..];
         self.stats.frames_encoded.fetch_add(1, Ordering::Relaxed);
         if let (Some(log), Some((to, tracked))) = (&self.log, log_to) {
-            log.append(to, tracked, &scratch);
+            log.append(to, tracked, frame);
         }
         if self.config.zero_copy {
-            let buf = scratch.share();
-            drop(scratch);
-            send(Wire::Shared(&buf))
+            send(Wire::Shared(&scratch.share_from(start)))
         } else {
-            send(Wire::Copied(&scratch))
+            send(Wire::Copied(frame))
         }
     }
 
@@ -476,28 +448,22 @@ impl Routing {
         // so duplicates are harmless). Each redundant frame is encoded
         // once and resent — copies grow wire traffic, not encodes.
         let copies = self.config.ack.map_or(1, |a| a.eos_redundancy.max(1));
-        let src_worker = self.placement.worker_of(src);
-        let from = self.endpoint(src_worker.0, self.shard_of(src));
+        let from = self.endpoint(self.placement.worker_of(src).0, self.shard_of(src));
         for edge in self.topology.downstream_edges(comp) {
             if self.relayed(&edge.grouping) {
                 self.relay_eos(src, edge.to, copies);
                 continue;
             }
             let dsts = self.topology.tasks().tasks_of(edge.to);
-            for (worker, tasks) in self.placement.group_by_worker(&dsts) {
-                if worker == src_worker {
-                    for t in tasks {
-                        self.deliver(t, ExecMsg::Eos(src));
-                    }
-                    continue;
-                }
-                // One EOS frame per destination pipeline: each shard
-                // reads only its own endpoint.
-                for (shard, shard_tasks) in self.split_by_shard(&tasks) {
-                    let to = self.endpoint(worker.0, shard);
+            let mut plan = MessagePlan::default();
+            plan.fill(CommMode::WorkerOriented, src, 0, &dsts, &self.placement);
+            for &t in plan.local_tasks() {
+                self.deliver(t, ExecMsg::Eos(src));
+            }
+            for env in plan.remote() {
+                for (to, owned) in self.pipelines_of(env.dst_worker, plan.tasks_of(env)) {
                     self.with_frame(
-                        None,
-                        |buf| wire::encode_eos(buf, src, &shard_tasks),
+                        |buf| wire::encode_eos(buf, src, owned),
                         |frame| {
                             for _ in 0..copies {
                                 self.send_wire(from, to, frame, None);
@@ -537,6 +503,7 @@ impl Groupings {
         Groupings {
             edges,
             scratch: Vec::new(),
+            plan: MessagePlan::default(),
         }
     }
 }
@@ -560,9 +527,11 @@ impl Emitter for TaskEmitter<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::reliability::replay_endpoint;
     use super::super::testkit::*;
+    use super::*;
     use std::time::Instant;
-    use whale_net::{FaultPlan, SendPolicy};
+    use whale_net::{ClusterSpec, FaultPlan, LogConfig, SendPolicy};
 
     #[test]
     fn zero_copy_uses_shared_path() {
@@ -597,6 +566,56 @@ mod tests {
             let m = r.metrics();
             assert_eq!(m.counter("dsps.pool.hits"), Some(r.pool_hits));
             assert!(m.gauge("dsps.pool.hit_rate").unwrap() > 0.9);
+        }
+    }
+
+    #[test]
+    fn log_and_fabric_see_the_frames_a_separate_item_would_have_given() {
+        // One broadcast tuple, sent directly to 1..=4 remote workers with
+        // the write-ahead log on: every worker's frame — as the fabric
+        // delivers it and as the log replays it — is byte for byte the
+        // frame built around a separately serialized item.
+        let tuple = Tuple::with_id(9, vec![Value::I64(-3), Value::str("driver-42")]);
+        let item = crate::codec::encode_tuple(&tuple);
+        for remote in 1..=4u32 {
+            for tracked in [None, Some((2u64 << 48) | 77)] {
+                let machines = remote + 1;
+                let (topology, _ops) = counting_topology(machines, 2 * machines + 1);
+                let placement = Placement::even(&topology, &ClusterSpec::new(machines, 1, 16));
+                let config = LiveConfig {
+                    machines,
+                    ..LiveConfig::default()
+                };
+                let routing = Routing {
+                    topology,
+                    placement,
+                    log: Some(LogRuntime::new(LogConfig::default(), machines as usize)),
+                    ..bare_routing(config, None)
+                };
+                let inboxes: Vec<_> = (0..machines)
+                    .map(|w| routing.fabric.register(EndpointId(w)).unwrap())
+                    .collect();
+                let src = routing.topology.tasks_of("src")[0];
+                let comp = routing.topology.tasks().component_of(src).unwrap();
+                let mut groupings = Groupings::new(&routing.topology, src, comp);
+                routing.emit(src, &mut groupings, tuple.clone(), tracked);
+                for w in 1..machines {
+                    let dsts: Vec<TaskId> = routing
+                        .topology
+                        .tasks_of("double")
+                        .into_iter()
+                        .filter(|&t| routing.placement.worker_of(t).0 == w)
+                        .collect();
+                    let expected = wire::worker_around_item(tracked, src, &dsts, &item);
+                    let sent = inboxes[w as usize].try_recv().unwrap();
+                    assert_eq!(sent.payload.bytes(), expected, "{remote} remote: {w}");
+                    replay_endpoint(&routing, EndpointId(w));
+                    let logged = inboxes[w as usize].try_recv().unwrap();
+                    assert_eq!(logged.payload.bytes(), expected, "log of worker {w}");
+                    assert!(inboxes[w as usize].try_recv().is_err(), "one frame each");
+                }
+                assert_eq!(routing.pool.high_watermark(), 1, "one scratch per tuple");
+            }
         }
     }
 

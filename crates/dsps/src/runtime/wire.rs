@@ -21,12 +21,12 @@
 //! from `(tracked, dst)`.
 
 use crate::codec::{
-    need, DecodeError, InstanceMessage, InstanceMessageView, RelayHeader, WorkerMessage,
-    WorkerMessageView,
+    need, DecodeError, InstanceMessage, InstanceMessageView, RelayHeader, WorkerMessageView,
 };
 use crate::task::{ComponentId, TaskId};
 use crate::tuple::Tuple;
 use bytes::{Buf, BufMut, BytesMut};
+use std::ops::Range;
 use std::sync::Arc;
 use whale_net::Payload;
 
@@ -150,26 +150,64 @@ pub(super) fn encode_instance(
     InstanceMessage::encode_parts_into(src, dst, tuple, buf);
 }
 
-/// Whale's per-worker frame around an already-serialized data item.
+/// `n u32` `dst u32 × n`.
+fn put_ids(buf: &mut BytesMut, ids: impl Iterator<Item = TaskId> + Clone) {
+    buf.put_u32_le(ids.clone().count() as u32);
+    for t in ids {
+        buf.put_u32_le(t.0);
+    }
+}
+
+/// Whale's per-worker frame, appended to `buf`. A tuple's data item is
+/// serialized once however many worker frames it takes: `item` is where
+/// an earlier frame of the same tuple left it in `buf`. Empty, this is
+/// the first frame — the tuple is serialized straight behind the header
+/// and `item` set to those bytes; otherwise they are copied.
 pub(super) fn encode_worker(
     buf: &mut BytesMut,
     tracked: Option<u64>,
     src: TaskId,
-    dsts: &[TaskId],
-    item: &[u8],
+    dsts: impl Iterator<Item = TaskId> + Clone,
+    tuple: &Tuple,
+    item: &mut Range<usize>,
 ) {
     put_kind(buf, KIND_WORKER, tracked);
-    WorkerMessage::encode_with_item_into(src, dsts, item, buf);
+    buf.put_u32_le(src.0);
+    put_ids(buf, dsts);
+    let at = buf.len();
+    if Range::is_empty(item) {
+        crate::codec::encode_tuple_into(buf, tuple);
+        *item = at..buf.len();
+    } else {
+        buf.resize(at + item.len(), 0);
+        buf.copy_within(item.clone(), at);
+    }
+}
+
+/// A worker frame built the pre-fusion way — the item serialized on its
+/// own, then copied behind a header — for tests to hold fused frames to.
+#[cfg(test)]
+pub(super) fn worker_around_item(
+    tracked: Option<u64>,
+    src: TaskId,
+    dsts: &[TaskId],
+    item: &[u8],
+) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    put_kind(&mut buf, KIND_WORKER, tracked);
+    crate::codec::WorkerMessage::encode_with_item_into(src, dsts, item, &mut buf);
+    buf.to_vec()
 }
 
 /// Point-to-point end-of-stream from `src` to `dsts`.
-pub(super) fn encode_eos(buf: &mut BytesMut, src: TaskId, dsts: &[TaskId]) {
+pub(super) fn encode_eos(
+    buf: &mut BytesMut,
+    src: TaskId,
+    dsts: impl Iterator<Item = TaskId> + Clone,
+) {
     buf.put_u8(KIND_EOS);
     buf.put_u32_le(src.0);
-    buf.put_u32_le(dsts.len() as u32);
-    for t in dsts {
-        buf.put_u32_le(t.0);
-    }
+    put_ids(buf, dsts);
 }
 
 /// A broadcast tuple entering the relay tree: the whole frame is encoded
@@ -266,7 +304,9 @@ mod tests {
             }
             frames.push(f);
 
-            let f = encoded(|b| encode_worker(b, tracked, TaskId(1), &dsts, &item));
+            let ids = dsts.iter().copied();
+            let f = encoded(|b| encode_worker(b, tracked, TaskId(1), ids, &t, &mut (0..0)));
+            assert_eq!(f, worker_around_item(tracked, TaskId(1), &dsts, &item));
             assert_eq!(
                 f.len(),
                 1 + tracked.map_or(0, |_| 8) + 8 + 4 * 3 + item.len()
@@ -299,7 +339,7 @@ mod tests {
             }
             frames.push(f);
         }
-        let f = encoded(|b| encode_eos(b, TaskId(3), &dsts));
+        let f = encoded(|b| encode_eos(b, TaskId(3), dsts.iter().copied()));
         assert_eq!(f.len(), 9 + 4 * 3);
         match parse(&f).unwrap() {
             FrameView::Eos { src, dsts: d } => {
@@ -326,6 +366,36 @@ mod tests {
     }
 
     #[test]
+    fn fused_worker_frames_match_frames_built_around_a_separate_item() {
+        // One tuple to 1..=4 remote workers, all frames back to back in
+        // one scratch the way the send path builds them: the first
+        // serializes the item in place, the rest copy it — and every one
+        // is the frame a separately serialized item would have given.
+        let t = tuple();
+        let item = crate::codec::encode_tuple(&t);
+        for workers in 1..=4u32 {
+            for tracked in [None, Some((3u64 << 48) | 0xBEEF)] {
+                let mut buf = BytesMut::new();
+                let mut at = 0..0;
+                for w in 0..workers {
+                    // Worker w hosts w + 1 tasks: header lengths differ.
+                    let dsts: Vec<TaskId> = (0..=w).map(|i| TaskId(10 * w + i)).collect();
+                    let start = buf.len();
+                    let ids = dsts.iter().copied();
+                    encode_worker(&mut buf, tracked, TaskId(1), ids, &t, &mut at);
+                    assert_eq!(
+                        buf[start..],
+                        worker_around_item(tracked, TaskId(1), &dsts, &item)[..],
+                        "frame {w} of {workers}, tracked {tracked:?}"
+                    );
+                    assert!(valid(&buf[start..]));
+                }
+                assert_eq!(buf[at], item[..], "the item was serialized once");
+            }
+        }
+    }
+
+    #[test]
     fn unknown_kinds_misplaced_flags_and_lying_lengths_are_rejected() {
         for kind in [0u8, 6, 7, 99, 0x7f, TRACKED, TRACKED | 6] {
             let mut f = vec![kind];
@@ -339,7 +409,7 @@ mod tests {
             assert_eq!(parse(&f).err(), Some(DecodeError::BadTag(kind | TRACKED)));
         }
         // An EOS claiming more destinations than it carries.
-        let mut f = encoded(|b| encode_eos(b, TaskId(0), &[TaskId(1)]));
+        let mut f = encoded(|b| encode_eos(b, TaskId(0), [TaskId(1)].into_iter()));
         f[5..9].copy_from_slice(&100u32.to_le_bytes());
         assert_eq!(parse(&f).err(), Some(DecodeError::Truncated));
         f[5..9].copy_from_slice(&u32::MAX.to_le_bytes());

@@ -8,7 +8,6 @@
 
 use crate::task::TaskId;
 use crate::topology::Topology;
-use std::collections::BTreeMap;
 use std::fmt;
 use whale_net::{ClusterSpec, MachineId};
 
@@ -97,16 +96,6 @@ impl Placement {
         &self.worker_tasks[worker.0 as usize]
     }
 
-    /// Group destination tasks by hosting worker — the key operation of
-    /// worker-oriented communication: one `WorkerMessage` per map entry.
-    pub fn group_by_worker(&self, dsts: &[TaskId]) -> BTreeMap<WorkerId, Vec<TaskId>> {
-        let mut map: BTreeMap<WorkerId, Vec<TaskId>> = BTreeMap::new();
-        for &t in dsts {
-            map.entry(self.worker_of(t)).or_default().push(t);
-        }
-        map
-    }
-
     /// True if two tasks share a worker process.
     pub fn colocated(&self, a: TaskId, b: TaskId) -> bool {
         self.worker_of(a) == self.worker_of(b)
@@ -135,11 +124,10 @@ mod tests {
         assert_eq!(p.workers(), 30);
         // The 480 matching tasks spread 16 per worker; worker 0 also hosts
         // the spout task.
-        let match_tasks = t.tasks_of("match");
-        let by_worker = p.group_by_worker(&match_tasks);
-        assert_eq!(by_worker.len(), 30);
-        for tasks in by_worker.values() {
-            assert_eq!(tasks.len(), 16);
+        let spout = t.tasks_of("src")[0];
+        for w in 0..30 {
+            let tasks = p.tasks_on(WorkerId(w));
+            assert_eq!(tasks.iter().filter(|&&t| t != spout).count(), 16);
         }
     }
 
@@ -183,22 +171,6 @@ mod tests {
             .map(|w| p.tasks_on(WorkerId(w)).len())
             .sum();
         assert_eq!(total, t.total_tasks() as usize);
-    }
-
-    #[test]
-    fn group_by_worker_covers_all_dsts() {
-        let t = topo(1, 12);
-        let c = ClusterSpec::new(5, 1, 4);
-        let p = Placement::even(&t, &c);
-        let dsts = t.tasks_of("match");
-        let grouped = p.group_by_worker(&dsts);
-        let n: usize = grouped.values().map(Vec::len).sum();
-        assert_eq!(n, 12);
-        for (w, tasks) in &grouped {
-            for &task in tasks {
-                assert_eq!(p.worker_of(task), *w);
-            }
-        }
     }
 
     #[test]

@@ -21,12 +21,44 @@ use crate::topology::LinkTracker;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a fabric endpoint (a worker process in the live runtime).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct EndpointId(pub u32);
+
+/// Hasher for tables keyed by the runtime's own small dense ids
+/// (endpoints, tasks, pairs of them), which sit on every post and every
+/// delivery: a rotate, an xor and a multiply per word instead of SipHash.
+/// The program assigns these ids itself — none arrives from outside — so
+/// there is no crafted-collision attack for SipHash to defend against.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`].
+pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Message payload: copied (TCP semantics) or shared (RDMA semantics).
 #[derive(Clone, Debug)]
@@ -212,7 +244,7 @@ struct EndpointSlot {
 /// An in-process message fabric connecting registered endpoints, with
 /// synchronous per-send delivery.
 pub struct LiveFabric {
-    endpoints: RwLock<HashMap<EndpointId, EndpointSlot>>,
+    endpoints: RwLock<IdHashMap<EndpointId, EndpointSlot>>,
     /// Total bytes physically copied (TCP semantics accounting).
     copied_bytes: AtomicU64,
     /// Total bytes shared by reference (RDMA semantics accounting).
@@ -234,7 +266,7 @@ impl LiveFabric {
     /// New fabric with no endpoints.
     pub fn new() -> Self {
         LiveFabric {
-            endpoints: RwLock::new(HashMap::new()),
+            endpoints: RwLock::default(),
             copied_bytes: AtomicU64::new(0),
             shared_bytes: AtomicU64::new(0),
             messages: AtomicU64::new(0),

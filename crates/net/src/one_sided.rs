@@ -26,7 +26,7 @@
 //!   stays staged at the front of its link.
 
 use crate::fabric::{
-    EndpointId, FabricPath, LiveMessage, Payload, RegisterError, SendError,
+    EndpointId, FabricPath, IdHashMap, LiveMessage, Payload, RegisterError, SendError,
 };
 use crate::log::{LogConfig, PartitionLog};
 use crate::memory::{MemoryRegistry, RingRegion};
@@ -35,7 +35,6 @@ use crate::topology::{LinkTracker, MachineId};
 use crate::verbs::{QpId, QueuePair, WorkRequest, WrId};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -111,7 +110,7 @@ type LinkHandle = Arc<Mutex<LinkOutbox>>;
 /// never collects or sorts.
 #[derive(Default)]
 struct Links {
-    by_key: HashMap<LinkKey, LinkHandle>,
+    by_key: IdHashMap<LinkKey, LinkHandle>,
     /// `None` while stale.
     sorted: Option<Arc<[(EndpointId, LinkHandle)]>>,
 }
@@ -133,7 +132,7 @@ impl Links {
 pub struct OneSidedFabric {
     config: OneSidedConfig,
     cost: CostModel,
-    inboxes: RwLock<HashMap<EndpointId, Sender<LiveMessage>>>,
+    inboxes: RwLock<IdHashMap<EndpointId, Sender<LiveMessage>>>,
     /// Keyed (destination, sender) so fetch passes group a destination's
     /// links together in the deterministic iteration order.
     links: RwLock<Links>,
@@ -178,7 +177,7 @@ impl OneSidedFabric {
         OneSidedFabric {
             config,
             cost: CostModel::default(),
-            inboxes: RwLock::new(HashMap::new()),
+            inboxes: RwLock::default(),
             links: RwLock::new(Links::default()),
             registry: Mutex::new(MemoryRegistry::new()),
             doorbell: Doorbell::new(),

@@ -25,12 +25,12 @@
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::fabric::{
-    EndpointId, FabricPath, LiveFabric, LiveMessage, Payload, RegisterError, SendError,
+    EndpointId, FabricPath, IdHashMap, LiveFabric, LiveMessage, Payload, RegisterError, SendError,
 };
 use crate::topology::LinkTracker;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
@@ -188,7 +188,7 @@ type Slot = Arc<Mutex<EndpointRing>>;
 /// later pass clones one `Arc` — it never collects or sorts.
 #[derive(Default)]
 struct Registry {
-    by_id: HashMap<EndpointId, Slot>,
+    by_id: IdHashMap<EndpointId, Slot>,
     /// `None` while stale.
     orders: Option<VisitOrders>,
 }

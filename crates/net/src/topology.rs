@@ -9,9 +9,8 @@
 //! bytes) so tree construction and the adaptive controller can see *which
 //! link* is congested, not just which endpoint.
 
-use crate::fabric::EndpointId;
+use crate::fabric::{EndpointId, IdHashMap};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -217,7 +216,7 @@ pub struct LinkLoad {
 /// traffic, per link.
 pub struct LinkTracker {
     spec: ClusterSpec,
-    endpoints: RwLock<HashMap<EndpointId, MachineId>>,
+    endpoints: RwLock<IdHashMap<EndpointId, MachineId>>,
     /// Flat per-link slots: loopback per machine, then intra per rack,
     /// then uplink per rack.
     bytes: Vec<AtomicU64>,
@@ -232,7 +231,7 @@ impl LinkTracker {
         let slots = (spec.machines() + 2 * spec.racks()) as usize;
         LinkTracker {
             spec,
-            endpoints: RwLock::new(HashMap::new()),
+            endpoints: RwLock::default(),
             bytes: (0..slots).map(|_| AtomicU64::new(0)).collect(),
             frames: (0..slots).map(|_| AtomicU64::new(0)).collect(),
             queued_frames: (0..slots).map(|_| AtomicI64::new(0)).collect(),
