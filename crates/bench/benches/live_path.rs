@@ -1,15 +1,20 @@
 //! Criterion microbenchmarks of the zero-copy live path: buffer-pool
 //! acquire/release vs fresh allocation, pooled encode + share, the
-//! per-tuple send path up to the fabric, and the sharded ring drain.
+//! per-tuple send path up to the fabric, the receive path from a relayed
+//! frame to its local sinks, and the sharded ring drain.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
+use whale_dsps::runtime::PipelineHarness;
 use whale_dsps::{
-    codec, BufferPool, CommMode, Grouping, GroupingExec, MessagePlan, Placement, PoolConfig,
-    Schema, TopologyBuilder, Tuple, Value,
+    codec, BufferPool, CommMode, Emitter, Grouping, GroupingExec, IterSpout, LazyFnBolt, LazyTuple,
+    LiveConfig, MessagePlan, Operators, Placement, PoolConfig, Schema, TopologyBuilder, Tuple,
+    Value,
 };
-use whale_net::{BatchConfig, ClusterSpec, EndpointId, RingConfig, RingFabric};
+use whale_net::{
+    BatchConfig, ClusterSpec, EndpointId, LiveMessage, Payload, RingConfig, RingFabric,
+};
 use whale_sim::{SimDuration, SimTime};
 
 use bytes::BufMut;
@@ -88,6 +93,43 @@ fn bench_send_path(c: &mut Criterion) {
     });
 }
 
+/// Everything a leaf worker of the relay tree does with one received
+/// 150 B broadcast frame, through its real pipeline: parse, admit, anchor
+/// the item to the receive buffer, hand it to the worker's four sinks and
+/// run them (they read one field off the wire and discard).
+fn bench_local_fanout(c: &mut Criterion) {
+    c.bench_function("local_fanout_4", |b| {
+        let mut t = TopologyBuilder::new();
+        t.spout("src", 1, Schema::new(vec!["n", "payload"]))
+            .bolt("sink", 8, Schema::new(vec!["n", "payload"]))
+            .connect("src", "sink", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+            .bolt("sink", |_| {
+                Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
+                    black_box(t.field(0));
+                }))
+            });
+        let config = LiveConfig {
+            machines: 2,
+            multicast_d_star: Some(2),
+            ..LiveConfig::default()
+        };
+        // Worker 1: the one child of worker 0's tree, hosting sinks 1, 3, 5, 7.
+        let mut worker = PipelineHarness::new(t.build().unwrap(), &ops, config, 1);
+        let payload = "x".repeat(126);
+        let tuple = Tuple::with_id(7, vec![Value::I64(7), Value::str(payload)]);
+        assert_eq!(tuple.payload_bytes(), 150);
+        let msg = LiveMessage {
+            from: EndpointId(0),
+            payload: Payload::Shared(worker.relay_frame(0, "sink", None, &tuple)),
+        };
+        b.iter(|| worker.receive(black_box(&msg)));
+        let executed = worker.stats().executed[1].load(std::sync::atomic::Ordering::Relaxed);
+        assert!(executed > 0 && executed.is_multiple_of(4));
+    });
+}
+
 fn sharded_ring(shards: usize) -> RingFabric {
     RingFabric::new(RingConfig {
         ring_capacity: 64 * 1024,
@@ -128,5 +170,11 @@ fn bench_sharded_flush(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_pool, bench_send_path, bench_sharded_flush);
+criterion_group!(
+    benches,
+    bench_pool,
+    bench_send_path,
+    bench_local_fanout,
+    bench_sharded_flush
+);
 criterion_main!(benches);

@@ -36,6 +36,8 @@ mod send;
 mod wire;
 
 pub use config::{AckConfig, AdaptiveConfig, BuildError, LiveConfig, Operators};
+#[doc(hidden)]
+pub use pipeline::PipelineHarness;
 pub use report::{RunOutcome, RunReport, RunStats, TimelineSample};
 
 use crate::pool::BufferPool;
@@ -45,7 +47,7 @@ use crossbeam::channel::{bounded, unbounded};
 use pipeline::ShardPipeline;
 use relay::{oblivious_trees, rack_aware_trees, RelayEpoch, RelayState};
 use reliability::{AckRuntime, LogRuntime};
-use send::{Groupings, Routing, ShardInbox};
+use send::{Groupings, LocalGroups, Routing, ShardInbox};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,17 +70,6 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         };
     }
 
-    // Topology awareness (racks, per-link accounting) comes in through
-    // the adaptive config; without it the cluster is one flat rack.
-    let topo_config = config
-        .multicast_adaptive
-        .as_ref()
-        .and_then(|a| a.topology.clone());
-    let cluster = match &topo_config {
-        Some(t) => t.cluster_spec(config.machines, 16),
-        None => ClusterSpec::new(config.machines, 1, 16),
-    };
-    let placement = Placement::even(&topology, &cluster);
     let mut instance = config.fabric.build();
     // Fault injection wraps the concrete transport: every runtime send
     // and registration goes through the wrapper so the plan sees each
@@ -91,82 +82,9 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         Some(f) => Arc::clone(f) as Arc<dyn FabricPath>,
         None => Arc::clone(&instance.fabric),
     };
-
-    let stats = Arc::new(RunStats {
-        executed: (0..n_components).map(|_| AtomicU64::new(0)).collect(),
-        ..RunStats::default()
-    });
-
-    // Per-link accounting: attribute every send on the *outermost*
-    // fabric (the fault wrapper delegates inward, so injected drops
-    // never count and nothing double-counts) to its one egress link.
-    let tracker = topo_config.as_ref().map(|_| {
-        let t = Arc::new(LinkTracker::new(cluster.clone()));
-        fabric.install_link_tracker(Arc::clone(&t));
-        t
-    });
-
-    let relay = config.relay_enabled().then(|| {
-        let d = config
-            .multicast_d_star
-            .or(config.multicast_adaptive.as_ref().map(|a| a.initial_d))
-            .expect("relay_enabled implies one of the two")
-            .max(1);
-        let trees = if topo_config.as_ref().is_some_and(|t| t.topo_trees) {
-            // No traffic yet: the initial generation sees idle uplinks.
-            rack_aware_trees(d, &placement, &cluster, &[])
-        } else {
-            oblivious_trees(d, placement.workers())
-        };
-        RelayState::new(RelayEpoch::new(0, d, trees))
-    });
-
-    // One flat shard per (worker, shard): each gets its own fabric
-    // endpoint (ids are assigned sequentially, so registration cannot
-    // collide) and a bounded cross-shard inbox.
-    let shards = config.shards.max(1);
-    let n_flat = (placement.workers() * shards) as usize;
-    let inbox_capacity = config.shard_inbox_capacity.max(1);
-    let mut shard_inboxes = Vec::with_capacity(n_flat);
-    let mut pipelines: Vec<ShardPipeline> = Vec::with_capacity(n_flat);
-    let (done_tx, done_rx) = unbounded::<()>();
-    for flat in 0..n_flat {
-        let endpoint = EndpointId(flat as u32);
-        let worker = flat as u32 / shards;
-        let (tx, inbox_rx) = bounded(inbox_capacity);
-        shard_inboxes.push(ShardInbox::new(tx));
-        let fabric_rx = fabric
-            .register(endpoint)
-            .expect("shard endpoint ids are unique");
-        if let Some(t) = &tracker {
-            // Pipeline endpoint → hosting machine, so the tracker can
-            // classify each send's one egress link.
-            t.map_endpoint(endpoint, placement.machine_of_worker(WorkerId(worker)));
-        }
-        pipelines.push(ShardPipeline::new(
-            flat,
-            worker,
-            fabric_rx,
-            inbox_rx,
-            done_tx.clone(),
-        ));
-    }
-    drop(done_tx);
-
-    let routing = Arc::new(Routing {
-        ack: config.ack.map(AckRuntime::new),
-        log: config.log.map(|cfg| LogRuntime::new(cfg, n_flat)),
-        topology,
-        placement,
-        config,
-        relay,
-        fabric: Arc::clone(&fabric),
-        pool: BufferPool::default(),
-        shard_inboxes,
-        shards,
-        stats,
-        tracker,
-    });
+    let (routing, mut pipelines, done_rx) = wire_up(topology, config, Arc::clone(&fabric));
+    let routing = Arc::new(routing);
+    let n_flat = pipelines.len();
 
     let start = Instant::now();
 
@@ -196,33 +114,7 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         std::thread::spawn(move || control::monitor_loop(&routing, interval, start, &stop))
     });
 
-    // Hand every task to the pipeline owning its shard slice (stable
-    // `task % shards` map) — operators are constructed here on the
-    // driver thread so factory panics surface as config-time panics, not
-    // degraded runs.
-    for comp in routing.topology.components() {
-        let tasks = routing.topology.tasks().tasks_of(comp.id);
-        for (idx, task) in tasks.into_iter().enumerate() {
-            let pipeline = &mut pipelines[routing.flat_shard_of(task)];
-            let groupings = Groupings::new(&routing.topology, task, comp.id);
-            match comp.kind {
-                ComponentKind::Spout => {
-                    let factory = &operators.spouts[&comp.name];
-                    pipeline.add_spout(task, factory(idx as u32), groupings);
-                }
-                ComponentKind::Bolt => {
-                    let factory = &operators.bolts[&comp.name];
-                    let expected_eos: usize = routing
-                        .topology
-                        .upstream_edges(comp.id)
-                        .iter()
-                        .map(|e| routing.topology.tasks().parallelism(e.from) as usize)
-                        .sum();
-                    pipeline.add_bolt(task, comp.id, factory(idx as u32), groupings, expected_eos);
-                }
-            }
-        }
-    }
+    populate(&routing, &operators, &mut pipelines);
     let handles: Vec<_> = pipelines
         .into_iter()
         .map(|p| p.spawn(Arc::clone(&routing)))
@@ -280,6 +172,139 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         thread_panics,
         timeline,
     )
+}
+
+/// Everything of a run that exists before a thread does: the shared
+/// [`Routing`] over `fabric` and one empty pipeline per (worker, shard),
+/// each registered on the fabric, plus the channel the pipelines report
+/// completion on.
+fn wire_up(
+    topology: Topology,
+    config: LiveConfig,
+    fabric: Arc<dyn FabricPath>,
+) -> (
+    Routing,
+    Vec<ShardPipeline>,
+    crossbeam::channel::Receiver<()>,
+) {
+    // Topology awareness (racks, per-link accounting) comes in through
+    // the adaptive config; without it the cluster is one flat rack.
+    let topo_config = config
+        .multicast_adaptive
+        .as_ref()
+        .and_then(|a| a.topology.clone());
+    let cluster = match &topo_config {
+        Some(t) => t.cluster_spec(config.machines, 16),
+        None => ClusterSpec::new(config.machines, 1, 16),
+    };
+    let placement = Placement::even(&topology, &cluster);
+
+    let stats = Arc::new(RunStats {
+        executed: (topology.components().iter().map(|_| AtomicU64::new(0))).collect(),
+        ..RunStats::default()
+    });
+
+    // Per-link accounting: attribute every send on the *outermost*
+    // fabric (the fault wrapper delegates inward, so injected drops
+    // never count and nothing double-counts) to its one egress link.
+    let tracker = topo_config.as_ref().map(|_| {
+        let t = Arc::new(LinkTracker::new(cluster.clone()));
+        fabric.install_link_tracker(Arc::clone(&t));
+        t
+    });
+
+    let relay = config.relay_enabled().then(|| {
+        let d = config
+            .multicast_d_star
+            .or(config.multicast_adaptive.as_ref().map(|a| a.initial_d))
+            .expect("relay_enabled implies one of the two")
+            .max(1);
+        let trees = if topo_config.as_ref().is_some_and(|t| t.topo_trees) {
+            // No traffic yet: the initial generation sees idle uplinks.
+            rack_aware_trees(d, &placement, &cluster, &[])
+        } else {
+            oblivious_trees(d, placement.workers())
+        };
+        RelayState::new(RelayEpoch::new(0, d, trees))
+    });
+
+    // One flat shard per (worker, shard): each gets its own fabric
+    // endpoint (ids are assigned sequentially, so registration cannot
+    // collide) and a bounded cross-shard inbox.
+    let shards = config.shards.max(1);
+    let n_flat = (placement.workers() * shards) as usize;
+    let inbox_capacity = config.shard_inbox_capacity.max(1);
+    let mut shard_inboxes = Vec::with_capacity(n_flat);
+    let mut pipelines: Vec<ShardPipeline> = Vec::with_capacity(n_flat);
+    let (done_tx, done_rx) = unbounded::<()>();
+    for flat in 0..n_flat {
+        let endpoint = EndpointId(flat as u32);
+        let worker = flat as u32 / shards;
+        let (tx, inbox_rx) = bounded(inbox_capacity);
+        shard_inboxes.push(ShardInbox::new(tx));
+        let fabric_rx = fabric
+            .register(endpoint)
+            .expect("shard endpoint ids are unique");
+        if let Some(t) = &tracker {
+            // Pipeline endpoint → hosting machine, so the tracker can
+            // classify each send's one egress link.
+            t.map_endpoint(endpoint, placement.machine_of_worker(WorkerId(worker)));
+        }
+        pipelines.push(ShardPipeline::new(
+            flat,
+            worker,
+            fabric_rx,
+            inbox_rx,
+            done_tx.clone(),
+        ));
+    }
+
+    let routing = Routing {
+        ack: config.ack.map(AckRuntime::new),
+        log: config.log.map(|cfg| LogRuntime::new(cfg, n_flat)),
+        groups: LocalGroups::new(&topology, &placement, shards),
+        topology,
+        placement,
+        config,
+        relay,
+        fabric,
+        pool: BufferPool::default(),
+        shard_inboxes,
+        shards,
+        stats,
+        tracker,
+    };
+    (routing, pipelines, done_rx)
+}
+
+/// Hand every task to the pipeline owning its shard slice (stable
+/// `task % shards` map) — operators are constructed here on the driver
+/// thread so factory panics surface as config-time panics, not degraded
+/// runs.
+fn populate(routing: &Routing, operators: &Operators, pipelines: &mut [ShardPipeline]) {
+    for comp in routing.topology.components() {
+        let tasks = routing.topology.tasks().tasks_of(comp.id);
+        for (idx, task) in tasks.into_iter().enumerate() {
+            let pipeline = &mut pipelines[routing.flat_shard_of(task)];
+            let groupings = Groupings::new(&routing.topology, task, comp.id);
+            match comp.kind {
+                ComponentKind::Spout => {
+                    let factory = &operators.spouts[&comp.name];
+                    pipeline.add_spout(task, factory(idx as u32), groupings);
+                }
+                ComponentKind::Bolt => {
+                    let factory = &operators.bolts[&comp.name];
+                    let expected_eos: usize = routing
+                        .topology
+                        .upstream_edges(comp.id)
+                        .iter()
+                        .map(|e| routing.topology.tasks().parallelism(e.from) as usize)
+                        .sum();
+                    pipeline.add_bolt(task, comp.id, factory(idx as u32), groupings, expected_eos);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,6 +390,7 @@ mod testkit {
         let (topology, _ops) = counting_topology(2, 4);
         let placement = Placement::even(&topology, &ClusterSpec::new(2, 1, 16));
         Routing {
+            groups: LocalGroups::new(&topology, &placement, 1),
             topology,
             placement,
             config,

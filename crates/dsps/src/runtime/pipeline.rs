@@ -2,20 +2,23 @@
 //! route → execute → send loop for its slice of tasks — spout stepping,
 //! frame dispatch, bolt execution — with no central dispatcher.
 
+use super::config::{LiveConfig, Operators};
 use super::reliability::{anchor_for, prune_completed, root_of, AckRuntime, ROOT_BITS, ROOT_MASK};
-use super::send::{ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE};
+use super::send::{
+    Dest, Entry, ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE,
+};
 use super::wire::{self, FrameView};
-use crate::codec::{self, TupleView};
+use crate::codec::{self, LazyTuple, TupleView};
 use crate::operator::{Bolt, Spout};
 use crate::task::{ComponentId, TaskId};
+use crate::topology::Topology;
 use crate::tuple::Tuple;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whale_net::IdHashMap;
+use whale_net::{IdHashMap, IdHashSet};
 use whale_sim::SimTime;
 
 /// Where one spout is in its lifecycle. The drain phase (tracked runs
@@ -43,7 +46,7 @@ struct SpoutState {
     spout: Box<dyn Spout>,
     groupings: Groupings,
     /// Tracked ids still in flight: id → (tuple, attempt).
-    pending: HashMap<u64, (Tuple, u32)>,
+    pending: IdHashMap<u64, (Tuple, u32)>,
     since_prune: u32,
     phase: SpoutPhase,
 }
@@ -184,41 +187,30 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
 
 /// Parse and dispatch one fabric frame received by `worker`'s pipeline.
 /// Framing is validated once per frame (views, nothing materialized);
-/// data items are handed to executors as shared [`LazyTuple`]s, and
-/// `scratch` is the pipeline's reusable destination buffer, so the
-/// steady-state dispatch path allocates nothing. A frame that is
-/// truncated, fails to validate, carries an unknown kind, or addresses a
-/// task this run does not host is dropped and counted
-/// (`RunStats::dropped_frames`) — a bad peer must not crash the worker.
-///
-/// [`LazyTuple`]: crate::codec::LazyTuple
+/// a data item is handed on as one shared [`LazyTuple`] per destination
+/// pipeline, and `scratch` is the pipeline's reusable destination buffer,
+/// so the steady-state dispatch path allocates nothing. A frame that is
+/// truncated, fails to validate or carries an unknown kind is dropped and
+/// counted (`RunStats::dropped_frames`), and so is every destination id
+/// this run executes nothing on — a bad peer must not crash the worker.
 pub(super) fn on_frame(
     worker: u32,
     msg: &whale_net::LiveMessage,
     routing: &Routing,
     scratch: &mut Vec<TaskId>,
 ) {
-    let drop_frame = || {
-        routing.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
-    };
-    let deliver = |dst: TaskId, msg: ExecMsg| {
-        if !routing.deliver(dst, msg) {
-            drop_frame();
+    let dropped = |n: u64| {
+        if n > 0 {
+            routing.stats.dropped_frames.fetch_add(n, Ordering::Relaxed);
         }
     };
-    // Hand one received data item to `dsts` as views over the shared
+    // Hand one received data item to `dsts` as a view over the shared
     // receive buffer.
     let deliver_data = |item: &TupleView<'_>, tracked: Option<u64>, dsts: &[TaskId]| {
-        let Ok(lazy) = routing.lazy_tuple(&msg.payload, item) else {
-            return drop_frame();
-        };
-        let Some((&last, rest)) = dsts.split_last() else {
-            return;
-        };
-        for &dst in rest {
-            deliver(dst, ExecMsg::Data(lazy.clone(), tracked));
-        }
-        deliver(last, ExecMsg::Data(lazy, tracked));
+        let lazy = routing.lazy_tuple(&msg.payload, item);
+        dropped(lazy.map_or(1, |lazy| {
+            routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked))
+        }))
     };
     let bytes = msg.payload.bytes();
     if bytes.is_empty() {
@@ -231,9 +223,9 @@ pub(super) fn on_frame(
             deliver_data(m.tuple(), tracked, scratch);
         }
         Ok(FrameView::Eos { src, dsts }) => {
-            for dst in dsts {
-                deliver(dst, ExecMsg::Eos(src));
-            }
+            scratch.clear();
+            scratch.extend(dsts);
+            dropped(routing.deliver_listed(scratch, ExecMsg::Eos(src)));
         }
         // The received payload is handed along untouched so forwards
         // reuse its bytes.
@@ -241,7 +233,7 @@ pub(super) fn on_frame(
             routing.on_relay_frame(worker, header, &msg.payload, item)
         }
         Ok(FrameView::RelayEos(eos)) => routing.on_relay_eos(worker, eos, &msg.payload),
-        Err(_) => drop_frame(),
+        Err(_) => dropped(1),
     }
 }
 
@@ -251,13 +243,13 @@ struct BoltState {
     comp: ComponentId,
     bolt: Box<dyn Bolt>,
     groupings: Groupings,
-    eos_seen: HashSet<TaskId>,
+    eos_seen: IdHashSet<TaskId>,
     expected_eos: usize,
     /// Tracked ids already XOR'd into the acker (a duplicated frame must
     /// not ack the ledger twice) and roots already executed (replays and
     /// duplicates are acked but not re-executed).
-    acked_tracked: HashSet<u64>,
-    seen_roots: HashSet<u64>,
+    acked_tracked: IdHashSet<u64>,
+    seen_roots: IdHashSet<u64>,
     /// A panicking `execute`/`finish` poisons the task: later tuples are
     /// dropped unprocessed and unacked (they time out into replays on
     /// tracked runs), but EOS still departs so downstream drains.
@@ -265,64 +257,91 @@ struct BoltState {
     done: bool,
 }
 
-/// Process one executor message for a bolt.
-fn bolt_handle(state: &mut BoltState, msg: ExecMsg, routing: &Routing) {
-    let stats = &routing.stats;
-    if state.done {
-        return;
-    }
+/// Process one queue entry for the bolts it names (all of one
+/// component): one after the other against the one message, with the
+/// shared bookkeeping — run counters, the acker, the latency probes —
+/// touched once per batch. `latencies` is the pipeline's scratch.
+fn run_batch(bolts: &mut [BoltState], msg: ExecMsg, routing: &Routing, latencies: &mut Vec<u64>) {
     match msg {
-        ExecMsg::Data(t, tracked) => {
-            if state.poisoned {
-                return;
-            }
-            let mut fresh = true;
-            if let (Some(tracked), Some(ack)) = (tracked, routing.ack.as_ref()) {
-                if state.acked_tracked.insert(tracked) {
-                    // The anchor is derived, not carried: the same pure
-                    // function the sender armed the ledger with.
-                    let anchor = anchor_for(tracked, state.task);
-                    ack.acker.lock().ack(tracked, anchor);
-                }
-                fresh = state.seen_roots.insert(root_of(tracked));
-                if !fresh {
-                    ack.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if !fresh {
-                return;
-            }
-            stats.executed[state.comp.0 as usize].fetch_add(1, Ordering::Relaxed);
-            stats.delivery.on_execute(t.id());
-            let mut emitter = TaskEmitter {
-                routing,
-                src: state.task,
-                groupings: &mut state.groupings,
-            };
-            let bolt = &mut state.bolt;
-            let was_materialized = t.is_materialized();
-            match catch_unwind(AssertUnwindSafe(|| bolt.execute_lazy(&t, &mut emitter))) {
-                Err(_) => {
-                    state.poisoned = true;
-                    stats.op_panics.fetch_add(1, Ordering::Relaxed);
-                }
-                // Corrupt wire bytes (deferred UTF-8 validation failed):
-                // drop the tuple, keep the task healthy.
-                Ok(Err(_)) => {
-                    stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(Ok(())) => {}
-            }
-            if !was_materialized && t.is_materialized() {
-                stats.tuples_materialized.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        ExecMsg::Data(t, tracked) => execute_batch(bolts, &t, tracked, routing, latencies),
         ExecMsg::Eos(src) => {
-            state.eos_seen.insert(src);
-            if state.eos_seen.len() >= state.expected_eos {
-                finish_bolt(state, routing);
+            for state in bolts.iter_mut().filter(|b| !b.done) {
+                state.eos_seen.insert(src);
+                if state.eos_seen.len() >= state.expected_eos {
+                    finish_bolt(state, routing);
+                }
             }
         }
+    }
+}
+
+fn execute_batch(
+    bolts: &mut [BoltState],
+    t: &LazyTuple,
+    tracked: Option<u64>,
+    routing: &Routing,
+    latencies: &mut Vec<u64>,
+) {
+    let stats = &routing.stats;
+    let Some(comp) = bolts.first().map(|b| b.comp) else {
+        return;
+    };
+    let ack = tracked.zip(routing.ack.as_ref());
+    let was_materialized = t.is_materialized();
+    let emitted_at = stats.delivery.emitted_at(t.id());
+    let (mut executed, mut duplicates) = (0u64, 0u64);
+    // The batch's acks, folded: XOR is what the ledger does with them.
+    let mut ack_xor = None;
+    for state in bolts.iter_mut().filter(|b| !b.done && !b.poisoned) {
+        if let Some((tracked, _)) = ack {
+            if state.acked_tracked.insert(tracked) {
+                // The anchor is derived, not carried: the same pure
+                // function the sender armed the ledger with.
+                *ack_xor.get_or_insert(0) ^= anchor_for(tracked, state.task);
+            }
+            if !state.seen_roots.insert(root_of(tracked)) {
+                duplicates += 1;
+                continue;
+            }
+        }
+        executed += 1;
+        if let Some(at) = emitted_at {
+            latencies.push(at.elapsed().as_nanos() as u64);
+        }
+        let mut emitter = TaskEmitter {
+            routing,
+            src: state.task,
+            groupings: &mut state.groupings,
+        };
+        let bolt = &mut state.bolt;
+        match catch_unwind(AssertUnwindSafe(|| bolt.execute_lazy(t, &mut emitter))) {
+            Err(_) => {
+                state.poisoned = true;
+                stats.op_panics.fetch_add(1, Ordering::Relaxed);
+            }
+            // Corrupt wire bytes (deferred UTF-8 validation failed):
+            // drop the tuple, keep the task healthy.
+            Ok(Err(_)) => {
+                stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Ok(())) => {}
+        }
+    }
+    if let Some((tracked, ack)) = ack {
+        if let Some(xor) = ack_xor {
+            ack.acker.lock().ack(tracked, xor);
+        }
+        if duplicates > 0 {
+            ack.dedup_dropped.fetch_add(duplicates, Ordering::Relaxed);
+        }
+    }
+    if executed > 0 {
+        stats.executed[comp.0 as usize].fetch_add(executed, Ordering::Relaxed);
+    }
+    stats.delivery.record(latencies);
+    latencies.clear();
+    if !was_materialized && t.is_materialized() {
+        stats.tuples_materialized.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -370,15 +389,19 @@ pub(super) struct ShardPipeline {
     flat: usize,
     worker: u32,
     fabric_rx: Receiver<whale_net::LiveMessage>,
-    inbox_rx: Receiver<(TaskId, ExecMsg)>,
+    inbox_rx: Receiver<Entry>,
     spouts: Vec<SpoutState>,
-    bolts: IdHashMap<TaskId, BoltState>,
+    /// Ascending by task id, so one component's bolts — a
+    /// [`LocalGroups`](super::send::LocalGroups) row — are one slice.
+    bolts: Vec<BoltState>,
     /// Signals the run driver once every owned task has completed (the
     /// pipeline keeps relaying/draining frames until the fabric closes).
     done_tx: Sender<()>,
     /// Reusable destination-id buffer for worker-message fan-out, so the
     /// steady-state dispatch path allocates nothing per frame.
     scratch: Vec<TaskId>,
+    /// Reusable buffer for one batch's sampled delivery latencies.
+    latencies: Vec<u64>,
 }
 
 impl ShardPipeline {
@@ -387,7 +410,7 @@ impl ShardPipeline {
         flat: usize,
         worker: u32,
         fabric_rx: Receiver<whale_net::LiveMessage>,
-        inbox_rx: Receiver<(TaskId, ExecMsg)>,
+        inbox_rx: Receiver<Entry>,
         done_tx: Sender<()>,
     ) -> Self {
         ShardPipeline {
@@ -396,9 +419,10 @@ impl ShardPipeline {
             fabric_rx,
             inbox_rx,
             spouts: Vec::new(),
-            bolts: IdHashMap::default(),
+            bolts: Vec::new(),
             done_tx,
             scratch: Vec::new(),
+            latencies: Vec::new(),
         }
     }
 
@@ -407,14 +431,14 @@ impl ShardPipeline {
             task,
             spout,
             groupings,
-            pending: HashMap::new(),
+            pending: IdHashMap::default(),
             since_prune: 0,
             phase: SpoutPhase::Emitting,
         });
     }
 
     /// `expected_eos` is the number of upstream tasks whose EOS the bolt
-    /// waits for before finishing.
+    /// waits for before finishing. Bolts are added in task-id order.
     pub(super) fn add_bolt(
         &mut self,
         task: TaskId,
@@ -428,14 +452,16 @@ impl ShardPipeline {
             comp,
             bolt,
             groupings,
-            eos_seen: HashSet::new(),
+            eos_seen: IdHashSet::default(),
             expected_eos,
-            acked_tracked: HashSet::new(),
-            seen_roots: HashSet::new(),
+            acked_tracked: IdHashSet::default(),
+            seen_roots: IdHashSet::default(),
             poisoned: false,
             done: false,
         };
-        self.bolts.insert(task, state);
+        let ascending = self.bolts.last().is_none_or(|last| last.task < task);
+        assert!(ascending, "bolts are added in task-id order");
+        self.bolts.push(state);
     }
 
     /// Run the pipeline on its own thread until its tasks are done and
@@ -457,7 +483,7 @@ impl ShardPipeline {
         CURRENT_SHARD.with(|c| c.set(Some(self.flat)));
         // A bolt with no upstream can never receive EOS; close it out
         // up front instead of hanging the pipeline.
-        for b in self.bolts.values_mut() {
+        for b in &mut self.bolts {
             if b.expected_eos == 0 {
                 finish_bolt(b, routing);
             }
@@ -505,7 +531,7 @@ impl ShardPipeline {
                 .spouts
                 .iter()
                 .all(|s| matches!(s.phase, SpoutPhase::Done))
-                && self.bolts.values().all(|b| b.done);
+                && self.bolts.iter().all(|b| b.done);
             if all_done && !signaled {
                 signaled = true;
                 let _ = self.done_tx.send(());
@@ -531,7 +557,7 @@ impl ShardPipeline {
             // EOS degrades the run but never hangs it. Finishing still
             // broadcasts this task's own EOS so downstream can drain.
             if !all_done && deadline.is_some_and(|dl| Instant::now() >= dl) {
-                for b in self.bolts.values_mut() {
+                for b in &mut self.bolts {
                     if !b.done {
                         routing.stats.deadline_exits.fetch_add(1, Ordering::Relaxed);
                         finish_bolt(b, routing);
@@ -616,12 +642,20 @@ impl ShardPipeline {
         got
     }
 
-    /// Route one executor message to the owning task. Messages for tasks
-    /// this shard does not own (a spout task, or a stale frame for a
-    /// completed run) are ignored.
-    fn handle_exec(&mut self, dst: TaskId, msg: ExecMsg, routing: &Routing) {
-        if let Some(state) = self.bolts.get_mut(&dst) {
-            bolt_handle(state, msg, routing);
+    /// Run one queue entry on the bolts it names. Entries for tasks this
+    /// shard does not own (a stale frame for a completed run) are
+    /// ignored.
+    fn handle_exec(&mut self, dest: Dest, msg: ExecMsg, routing: &Routing) {
+        let (first, n) = match dest {
+            Dest::Task(t) => (Some(t), 1),
+            Dest::Group(row) => {
+                let tasks = routing.groups.tasks(row);
+                (tasks.first().copied(), tasks.len())
+            }
+        };
+        let at = first.and_then(|t| self.bolts.binary_search_by_key(&t, |b| b.task).ok());
+        if let Some(bolts) = at.and_then(|i| self.bolts.get_mut(i..i + n)) {
+            run_batch(bolts, msg, routing, &mut self.latencies);
         }
     }
 
@@ -638,6 +672,74 @@ impl ShardPipeline {
     }
 }
 
+/// One worker's shard-0 pipeline with no thread and no peers behind it,
+/// driven frame by frame on the caller's thread: the real receive path —
+/// parse, relay admission, local delivery, batch execution — for benches
+/// and tests that need it without a run around it. Sends to any other
+/// pipeline are refused as a torn-down peer's would be.
+#[doc(hidden)]
+pub struct PipelineHarness {
+    routing: Routing,
+    pipeline: ShardPipeline,
+}
+
+impl PipelineHarness {
+    /// Set `topology` up as [`run_topology`](super::run_topology) would
+    /// over a per-send fabric and keep `worker`'s first pipeline.
+    ///
+    /// # Panics
+    /// If `config` cannot run `topology` with `operators`.
+    pub fn new(topology: Topology, operators: &Operators, config: LiveConfig, worker: u32) -> Self {
+        let valid = config.validate(&topology, operators);
+        valid.expect("a configuration that runs");
+        let fabric = Arc::new(whale_net::LiveFabric::new());
+        let (routing, mut pipelines, _) = super::wire_up(topology, config, fabric);
+        super::populate(&routing, operators, &mut pipelines);
+        let pipeline = pipelines.swap_remove((worker * routing.shards) as usize);
+        PipelineHarness { routing, pipeline }
+    }
+
+    /// Receive one fabric frame and run everything it causes locally.
+    pub fn receive(&mut self, msg: &whale_net::LiveMessage) {
+        CURRENT_SHARD.with(|c| c.set(Some(self.pipeline.flat)));
+        on_frame(
+            self.pipeline.worker,
+            msg,
+            &self.routing,
+            &mut self.pipeline.scratch,
+        );
+        self.pipeline.drain_local(&self.routing);
+        CURRENT_SHARD.with(|c| c.set(None));
+    }
+
+    /// The frame `origin`'s worker would put on the relay tree for
+    /// `tuple`, broadcast to `component`.
+    pub fn relay_frame(
+        &self,
+        origin: u32,
+        component: &str,
+        tracked: Option<u64>,
+        tuple: &Tuple,
+    ) -> Arc<[u8]> {
+        let relay = self.routing.relay.as_ref().expect("a relayed run");
+        let component = self.routing.topology.component(component);
+        let header = codec::RelayHeader {
+            origin,
+            epoch: relay.current().epoch,
+            component: component.expect("a component of the topology").id.0,
+            tracked: tracked.unwrap_or(0),
+        };
+        let mut buf = bytes::BytesMut::new();
+        wire::encode_relay(&mut buf, header, tuple);
+        Arc::from(&buf[..])
+    }
+
+    /// The run's counters so far.
+    pub fn stats(&self) -> &super::RunStats {
+        &self.routing.stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
@@ -646,14 +748,25 @@ mod tests {
 
     #[test]
     fn dispatcher_drops_garbage_frames_instead_of_crashing() {
-        let routing = bare_routing(
-            LiveConfig {
-                machines: 2,
-                zero_copy: false,
-                ..LiveConfig::default()
-            },
-            None,
-        );
+        // Both workers' pipelines have inboxes, so nothing below is
+        // dropped for want of one.
+        let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) = (0..2)
+            .map(|_| {
+                let (tx, rx) = crossbeam::channel::bounded(4);
+                (super::super::send::ShardInbox::new(tx), rx)
+            })
+            .unzip();
+        let routing = Routing {
+            shard_inboxes: inbox_txs,
+            ..bare_routing(
+                LiveConfig {
+                    machines: 2,
+                    zero_copy: false,
+                    ..LiveConfig::default()
+                },
+                None,
+            )
+        };
         let encoded = |fill: &dyn Fn(&mut bytes::BytesMut)| {
             let mut buf = bytes::BytesMut::new();
             fill(&mut buf);
@@ -679,10 +792,18 @@ mod tests {
             wire::encode_relay_eos(b, eos)
         });
         let instance = encoded(&|b| wire::encode_instance(b, None, TaskId(0), TaskId(7), &tuple));
-        let worker = encoded(&|b| {
-            wire::encode_worker(b, None, TaskId(0), std::iter::empty(), &tuple, &mut (0..0))
-        });
+        let worker_to = |dsts: &'static [TaskId]| {
+            encoded(&|b| {
+                let dsts = dsts.iter().copied();
+                wire::encode_worker(b, None, TaskId(0), dsts, &tuple, &mut (0..0))
+            })
+        };
+        let worker = worker_to(&[]);
         let mut eos = encoded(&|b| wire::encode_eos(b, TaskId(0), std::iter::empty()));
+        // Task 0 is the spout: it has a component and an owning pipeline,
+        // but nothing there executes for it.
+        let spout = routing.topology.tasks_of("src")[0];
+        assert_eq!(spout, TaskId(0));
         let frames: Vec<Vec<u8>> = vec![
             vec![99],                // unknown kind
             relay[..3].to_vec(),     // truncated relay header (2 of 20 bytes)
@@ -698,8 +819,14 @@ mod tests {
                 eos[5..9].copy_from_slice(&100u32.to_le_bytes());
                 eos
             },
-            // Well-formed instance message addressed to a task with no inbox.
+            // Well-formed instance message addressed to a task that does
+            // not exist.
             instance,
+            // Well-formed messages addressed to the spout: alone, next to
+            // a bolt (which is delivered), and by EOS.
+            worker_to(&[TaskId(0)]),
+            worker_to(&[TaskId(1), TaskId(0)]),
+            encoded(&|b| wire::encode_eos(b, TaskId(0), [TaskId(0)].into_iter())),
         ];
         let mut scratch = Vec::new();
         for f in &frames {
@@ -713,6 +840,204 @@ mod tests {
             routing.stats.dropped_frames.load(Ordering::Relaxed),
             frames.len() as u64
         );
+        let queued: Vec<_> = (inbox_rxs.iter())
+            .flat_map(|rx| std::iter::from_fn(|| rx.try_recv().ok()))
+            .collect();
+        assert!(
+            matches!(queued[..], [(Dest::Task(TaskId(1)), ExecMsg::Data(..))]),
+            "only the bolt next to the spout is delivered"
+        );
+        // Nothing rejected was counted as delivered (copied payloads are
+        // materialized at dispatch, so no delivery here is a lazy view).
+        assert_eq!(routing.stats.wire_tuples_lazy.load(Ordering::Relaxed), 0);
+    }
+
+    /// src → 8 all-grouped sinks over two machines with the relay tree
+    /// on, seen from worker 1: a leaf of worker 0's tree hosting four of
+    /// the sinks. Every sink calls `on_execute` with its instance index.
+    fn leaf_harness(
+        ack: Option<AckConfig>,
+        on_execute: impl Fn(u32) + Clone + Send + Sync + 'static,
+    ) -> (PipelineHarness, Vec<TaskId>) {
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("sink", 8, Schema::new(vec!["n"]))
+            .connect("src", "sink", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+            .bolt("sink", move |idx| {
+                let on_execute = on_execute.clone();
+                Box::new(FnBolt::new(move |_t: &Tuple, _out: &mut dyn Emitter| {
+                    on_execute(idx)
+                }))
+            });
+        let config = LiveConfig {
+            machines: 2,
+            multicast_d_star: Some(2),
+            ack,
+            ..LiveConfig::default()
+        };
+        let harness = PipelineHarness::new(b.build().unwrap(), &ops, config, 1);
+        let sinks: Vec<TaskId> = harness.pipeline.bolts.iter().map(|b| b.task).collect();
+        assert_eq!(sinks.len(), 4);
+        (harness, sinks)
+    }
+
+    fn shared(frame: Arc<[u8]>) -> whale_net::LiveMessage {
+        whale_net::LiveMessage {
+            from: whale_net::EndpointId(0),
+            payload: whale_net::Payload::Shared(frame),
+        }
+    }
+
+    /// Per-instance execution counts, and the hook that feeds them.
+    fn counting() -> (
+        Arc<[std::sync::atomic::AtomicU64; 8]>,
+        impl Fn(u32) + Clone + Send + Sync,
+    ) {
+        let counts: Arc<[std::sync::atomic::AtomicU64; 8]> = Arc::default();
+        let tap = Arc::clone(&counts);
+        (counts, move |idx: u32| {
+            tap[idx as usize].fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    /// Register `tracked` with the acker, armed for `dsts` plus one
+    /// destination that is not there; returns that destination's anchor.
+    fn arm(routing: &Routing, tracked: u64, dsts: &[TaskId]) -> u64 {
+        let ack = routing.ack.as_ref().unwrap();
+        let elsewhere = anchor_for(tracked, TaskId(1_000));
+        let anchors = dsts.iter().map(|&t| anchor_for(tracked, t));
+        let mut acker = ack.acker.lock();
+        acker.init(tracked, 0, ack.now());
+        acker.ack(tracked, anchors.fold(elsewhere, |xor, a| xor ^ a));
+        elsewhere
+    }
+
+    #[test]
+    fn a_relayed_frame_runs_its_local_sinks_as_one_batch() {
+        let (counts, tap) = counting();
+        let (mut h, _sinks) = leaf_harness(None, tap);
+        // Id 8 is a latency-sampled one.
+        h.routing.stats.delivery.on_emit(8);
+        let tuple = Tuple::with_id(8, vec![Value::I64(1)]);
+        h.receive(&shared(h.relay_frame(0, "sink", None, &tuple)));
+        let stats = h.stats();
+        assert_eq!(stats.executed[1].load(Ordering::Relaxed), 4);
+        assert_eq!(stats.wire_tuples_lazy.load(Ordering::Relaxed), 4);
+        assert_eq!(stats.tuples_materialized.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.dropped_frames.load(Ordering::Relaxed), 0);
+        let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        assert_eq!(executed, 4);
+        let (kept, seen) = stats.delivery.take();
+        assert_eq!((kept.len(), seen), (4, 4), "one latency per execution");
+    }
+
+    #[test]
+    fn a_relay_frame_for_a_component_that_does_not_exist_reaches_nobody() {
+        // The component id is read off the wire: one no row exists for
+        // (or the spout's, which executes nothing) must find no sinks.
+        let (counts, tap) = counting();
+        let (mut h, _sinks) = leaf_harness(None, tap);
+        for component in [0, 2, u32::MAX] {
+            let header = RelayHeader {
+                origin: 0,
+                epoch: 0,
+                component,
+                tracked: 0,
+            };
+            let mut buf = bytes::BytesMut::new();
+            wire::encode_relay(&mut buf, header, &Tuple::new(vec![Value::I64(1)]));
+            h.receive(&shared(Arc::from(&buf[..])));
+        }
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 0));
+        assert_eq!(h.stats().wire_tuples_lazy.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_bolt_panicking_mid_batch_poisons_only_itself() {
+        let (counts, tap) = counting();
+        // The second of worker 1's four sinks (instances 1, 3, 5, 7).
+        let (mut h, sinks) = leaf_harness(Some(AckConfig::default()), move |idx| {
+            tap(idx);
+            assert_ne!(idx, 3, "injected bolt failure");
+        });
+        let tuple = Tuple::new(vec![Value::I64(1)]);
+        let elsewhere = arm(&h.routing, 1, &sinks);
+        h.receive(&shared(h.relay_frame(0, "sink", Some(1), &tuple)));
+        let executed = |h: &PipelineHarness| h.stats().executed[1].load(Ordering::Relaxed);
+        assert_eq!(executed(&h), 4, "the rest of the batch still executed");
+        assert_eq!(h.stats().op_panics.load(Ordering::Relaxed), 1);
+        for idx in [1, 3, 5, 7] {
+            assert_eq!(counts[idx].load(Ordering::Relaxed), 1, "instance {idx}");
+        }
+        // All four acked (the panicking one before it ran, as ever).
+        fn acker(h: &PipelineHarness) -> parking_lot::MutexGuard<'_, crate::acker::Acker> {
+            h.routing.ack.as_ref().unwrap().acker.lock()
+        }
+        let state = acker(&h).ack(1, elsewhere);
+        assert_eq!(state, crate::acker::TreeState::Acked);
+        // The poisoned bolt sits the next tuple out, unexecuted and
+        // unacked; its neighbours do not.
+        let elsewhere = arm(&h.routing, 2, &sinks);
+        h.receive(&shared(h.relay_frame(0, "sink", Some(2), &tuple)));
+        assert_eq!(executed(&h), 7);
+        assert_eq!(counts[3].load(Ordering::Relaxed), 1);
+        assert_eq!(h.stats().op_panics.load(Ordering::Relaxed), 1);
+        let mut acker = acker(&h);
+        assert_eq!(acker.ack(2, elsewhere), crate::acker::TreeState::Pending);
+        let state = acker.ack(2, anchor_for(2, sinks[1]));
+        assert_eq!(state, crate::acker::TreeState::Acked);
+    }
+
+    #[test]
+    fn a_replayed_tracked_batch_acks_every_task_once_and_reexecutes_none() {
+        let (counts, tap) = counting();
+        let (mut h, sinks) = leaf_harness(Some(AckConfig::default()), tap);
+        let tuple = Tuple::new(vec![Value::I64(1)]);
+        let root = 77u64;
+        let replay = (1 << ROOT_BITS) | root;
+        let original_elsewhere = arm(&h.routing, root, &sinks);
+        let replay_elsewhere = arm(&h.routing, replay, &sinks);
+        // The original, a duplicate of it (a second ack of the same
+        // ledger key would XOR the first back out), then the replay.
+        let original = shared(h.relay_frame(0, "sink", Some(root), &tuple));
+        h.receive(&original);
+        h.receive(&original);
+        h.receive(&shared(h.relay_frame(0, "sink", Some(replay), &tuple)));
+        assert_eq!(h.stats().executed[1].load(Ordering::Relaxed), 4);
+        let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        assert_eq!(executed, 4, "no sink runs the root twice");
+        let ack = h.routing.ack.as_ref().unwrap();
+        assert_eq!(ack.dedup_dropped.load(Ordering::Relaxed), 8);
+        let mut acker = ack.acker.lock();
+        for (tracked, elsewhere) in [(root, original_elsewhere), (replay, replay_elsewhere)] {
+            let state = acker.ack(tracked, elsewhere);
+            assert_eq!(state, crate::acker::TreeState::Acked, "{tracked:#x}");
+        }
+    }
+
+    #[test]
+    fn a_worker_frame_with_an_unknown_id_drops_that_id_and_runs_the_rest() {
+        let (counts, tap) = counting();
+        let (mut h, sinks) = leaf_harness(None, tap);
+        let tuple = Tuple::new(vec![Value::I64(1)]);
+        let spout = h.routing.topology.tasks_of("src")[0];
+        let mut frames = 0;
+        for stranger in [TaskId(99), spout] {
+            let listed = [sinks[0], stranger, sinks[2]];
+            let mut buf = bytes::BytesMut::new();
+            let dsts = listed.iter().copied();
+            wire::encode_worker(&mut buf, None, TaskId(0), dsts, &tuple, &mut (0..0));
+            h.receive(&shared(Arc::from(&buf[..])));
+            frames += 1;
+            let stats = h.stats();
+            assert_eq!(stats.dropped_frames.load(Ordering::Relaxed), frames);
+            assert_eq!(stats.executed[1].load(Ordering::Relaxed), 2 * frames);
+            assert_eq!(stats.wire_tuples_lazy.load(Ordering::Relaxed), 2 * frames);
+        }
+        let per_instance: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(per_instance, [0, 2, 0, 0, 0, 2, 0, 0]);
     }
 
     #[test]

@@ -258,20 +258,6 @@ impl Routing {
         self.relay.is_some() && *grouping == Grouping::All
     }
 
-    /// The tasks of `comp` hosted on `worker`.
-    fn local_tasks_of(
-        &self,
-        worker: WorkerId,
-        comp: ComponentId,
-    ) -> impl Iterator<Item = TaskId> + '_ {
-        let tasks = self.topology.tasks();
-        self.placement
-            .tasks_on(worker)
-            .iter()
-            .copied()
-            .filter(move |&t| tasks.component_of(t) == Some(comp))
-    }
-
     /// Whale's multicast path: serialize once into a child-invariant
     /// relay frame, dispatch locally, and send the same wire buffer to
     /// each of the source worker's tree children; relays forward the
@@ -296,9 +282,7 @@ impl Routing {
             }
         }
         let lazy = LazyTuple::from_arc(Arc::clone(tuple));
-        for t in self.local_tasks_of(src_worker, comp) {
-            self.deliver(t, ExecMsg::Data(lazy.clone(), tracked));
-        }
+        self.deliver_to_component(src_worker, comp, ExecMsg::Data(lazy, tracked));
         let epoch = relay.current();
         let header = RelayHeader {
             origin: src_worker.0,
@@ -319,9 +303,7 @@ impl Routing {
     pub(super) fn relay_eos(&self, src: TaskId, comp: ComponentId, copies: u32) {
         let relay = self.relay.as_ref().expect("relayed implies relay state");
         let src_worker = self.placement.worker_of(src);
-        for t in self.local_tasks_of(src_worker, comp) {
-            self.deliver(t, ExecMsg::Eos(src));
-        }
+        self.deliver_to_component(src_worker, comp, ExecMsg::Eos(src));
         // EOS departs on the current generation; wait (bounded) for the
         // previous one to drain first so it cannot beat still-relaying
         // data from before a switch.
@@ -452,9 +434,8 @@ impl Routing {
             }
         };
         let tracked = (h.tracked != 0).then_some(h.tracked);
-        for t in self.local_tasks_of(WorkerId(my_worker), ComponentId(h.component)) {
-            self.deliver(t, ExecMsg::Data(lazy.clone(), tracked));
-        }
+        let comp = ComponentId(h.component);
+        self.deliver_to_component(WorkerId(my_worker), comp, ExecMsg::Data(lazy, tracked));
     }
 
     /// A relay worker received an EOS frame: forward the received bytes
@@ -466,9 +447,7 @@ impl Routing {
         };
         self.relay_fanout(&epoch, eos.origin, Node::Dest(node), payload.into(), 1);
         epoch.note_received();
-        for t in self.local_tasks_of(WorkerId(my_worker), eos.component) {
-            self.deliver(t, ExecMsg::Eos(eos.src));
-        }
+        self.deliver_to_component(WorkerId(my_worker), eos.component, ExecMsg::Eos(eos.src));
     }
 }
 

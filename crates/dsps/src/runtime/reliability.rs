@@ -10,11 +10,11 @@ use crate::acker::Acker;
 use crate::task::TaskId;
 use crate::tuple::Tuple;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whale_net::{EndpointId, FaultFabric, LogConfig, PartitionLog};
+use whale_net::{EndpointId, FaultFabric, IdHashMap, LogConfig, PartitionLog};
 use whale_sim::{SimDuration, SimTime};
 
 /// Tracked ids pack a replay attempt above [`ROOT_BITS`] bits of root id,
@@ -253,7 +253,7 @@ pub(super) fn replay_endpoint(routing: &Routing, ep: EndpointId) {
 pub(super) fn prune_completed(
     routing: &Routing,
     ack: &AckRuntime,
-    pending: &mut HashMap<u64, (Tuple, u32)>,
+    pending: &mut IdHashMap<u64, (Tuple, u32)>,
 ) {
     let acker = ack.acker.lock();
     let before = pending.len();

@@ -144,31 +144,40 @@ impl DeliveryProbes {
         stamps[Self::slot(id)] = Some((id, Instant::now()));
     }
 
-    /// A bolt is about to execute tuple `id`: record the time since its
-    /// emit stamp, if it is sampled and the stamp is still in the window.
-    pub(super) fn on_execute(&self, id: u64) {
+    /// When tuple `id` left its spout, if it is a sampled one whose emit
+    /// stamp is still in the window — one lock per batch of deliveries;
+    /// an unsampled id costs a modulo.
+    pub(super) fn emitted_at(&self, id: u64) -> Option<Instant> {
         if !Self::sampled(id) {
-            return;
+            return None;
         }
         let stamp = self.stamps.lock().get(Self::slot(id)).copied().flatten();
-        let Some((_, start)) = stamp.filter(|(stamped, _)| *stamped == id) else {
+        let (_, at) = stamp.filter(|(stamped, _)| *stamped == id)?;
+        Some(at)
+    }
+
+    /// Record the emit-to-execute times of one batch of sampled
+    /// deliveries, under one lock.
+    pub(super) fn record(&self, latencies_ns: &[u64]) {
+        if latencies_ns.is_empty() {
             return;
-        };
-        let ns = start.elapsed().as_nanos() as u64;
+        }
         let mut r = self.latencies.lock();
-        r.seen += 1;
-        if r.kept.len() < DELIVERY_RESERVOIR {
-            r.kept.push(ns);
-        } else {
-            let j = splitmix64(r.seen) % r.seen;
-            if let Some(kept) = r.kept.get_mut(j as usize) {
-                *kept = ns;
+        for &ns in latencies_ns {
+            r.seen += 1;
+            if r.kept.len() < DELIVERY_RESERVOIR {
+                r.kept.push(ns);
+            } else {
+                let j = splitmix64(r.seen) % r.seen;
+                if let Some(kept) = r.kept.get_mut(j as usize) {
+                    *kept = ns;
+                }
             }
         }
     }
 
     /// The kept latencies and the exact number of sampled deliveries.
-    fn take(&self) -> (Vec<u64>, u64) {
+    pub(super) fn take(&self) -> (Vec<u64>, u64) {
         let mut r = self.latencies.lock();
         (std::mem::take(&mut r.kept), r.seen)
     }
@@ -602,18 +611,21 @@ mod tests {
         let probes = DeliveryProbes::default();
         // Unsampled ids cost nothing; a sampled id is timed per delivery.
         probes.on_emit(LATENCY_SAMPLE + 1);
-        probes.on_execute(LATENCY_SAMPLE + 1);
+        assert!(probes.emitted_at(LATENCY_SAMPLE + 1).is_none());
         probes.on_emit(LATENCY_SAMPLE);
-        probes.on_execute(LATENCY_SAMPLE);
-        probes.on_execute(LATENCY_SAMPLE);
+        assert!(probes.emitted_at(LATENCY_SAMPLE).is_some());
+        probes.record(&[5, 7]);
         // A stamp lives until the id one window later takes its slot.
         let evictor = LATENCY_SAMPLE * (1 + EMIT_WINDOW as u64);
         probes.on_emit(evictor);
-        probes.on_execute(LATENCY_SAMPLE);
+        assert!(probes.emitted_at(LATENCY_SAMPLE).is_none());
+        assert!(probes.emitted_at(evictor).is_some());
         assert_eq!(probes.stamps.lock().len(), EMIT_WINDOW);
+        probes.record(&[]);
         let sampled = 2 + 2 * DELIVERY_RESERVOIR as u64;
-        for _ in 2..sampled {
-            probes.on_execute(evictor);
+        let batch = [9; 16];
+        for _ in 0..(sampled - 2) / batch.len() as u64 {
+            probes.record(&batch);
         }
         let (kept, seen) = probes.take();
         assert_eq!(seen, sampled, "the count stays exact");

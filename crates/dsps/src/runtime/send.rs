@@ -16,7 +16,7 @@ use crate::operator::Emitter;
 use crate::pool::{BufferPool, PooledBuf};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::{ComponentId, TaskId};
-use crate::topology::Topology;
+use crate::topology::{ComponentKind, Topology};
 use crate::tuple::Tuple;
 use bytes::BytesMut;
 use crossbeam::channel::{Sender, TrySendError};
@@ -28,6 +28,7 @@ use std::time::Duration;
 use whale_net::{EndpointId, FabricPath, LinkTracker, Payload, SendError};
 
 /// What an executor receives in its incoming queue.
+#[derive(Clone)]
 pub(super) enum ExecMsg {
     /// A data tuple — locally emitted ones arrive owned, received wire
     /// frames arrive as lazy views anchored to the shared receive buffer
@@ -39,9 +40,104 @@ pub(super) enum ExecMsg {
     Eos(TaskId),
 }
 
+/// Who one queue entry is for. The unit of local delivery is one message
+/// for one destination *pipeline*: only `Grouping::All` fans out, so a
+/// multi-task destination set is always every bolt task of one component
+/// that one pipeline owns — a row of [`LocalGroups`] — and the pipeline
+/// runs those bolts back to back against the one message.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum Dest {
+    Task(TaskId),
+    /// A [`LocalGroups`] row.
+    Group(u32),
+}
+
+/// One entry of a pipeline's loopback queue or cross-shard inbox.
+pub(super) type Entry = (Dest, ExecMsg);
+
+// The inboxes preallocate `shard_inbox_capacity` (4 096) entries per
+// pipeline: naming a batch must not cost more than naming a task did
+// (`(TaskId, ExecMsg)` was 40 bytes).
+const _: () = assert!(std::mem::size_of::<Entry>() <= 40);
+
+/// `(pipeline, component) → [TaskId]`: the bolt tasks of each component
+/// each pipeline owns, built once per run. It is what a [`Dest::Group`]
+/// names, what tells a sender which pipelines of a worker host a
+/// component at all, and what a task id off the wire is checked against.
+pub(super) struct LocalGroups {
+    n_components: u32,
+    shards: u32,
+    /// Row `flat * n_components + component`, tasks ascending.
+    rows: Vec<Vec<TaskId>>,
+    /// Task id → its row; [`Self::NO_ROW`] for a task that executes
+    /// nothing (a spout).
+    row_of_task: Vec<u32>,
+}
+
+impl LocalGroups {
+    const NO_ROW: u32 = u32::MAX;
+
+    pub(super) fn new(topology: &Topology, placement: &Placement, shards: u32) -> Self {
+        let n_components = topology.components().len() as u32;
+        let n_rows = placement.workers() * shards * n_components;
+        let mut rows = vec![Vec::new(); n_rows as usize];
+        let mut row_of_task = vec![Self::NO_ROW; topology.total_tasks() as usize];
+        for comp in topology.components() {
+            if comp.kind != ComponentKind::Bolt {
+                continue;
+            }
+            for task in topology.tasks().task_ids(comp.id) {
+                let row = flat_shard(placement, shards, task) * n_components + comp.id.0;
+                rows[row as usize].push(task);
+                row_of_task[task.0 as usize] = row;
+            }
+        }
+        LocalGroups {
+            n_components,
+            shards,
+            rows,
+            row_of_task,
+        }
+    }
+
+    /// The row holding `task`; `None` for an id this run executes
+    /// nothing on.
+    pub(super) fn row_of(&self, task: TaskId) -> Option<u32> {
+        let row = self.row_of_task.get(task.0 as usize).copied();
+        row.filter(|&r| r != Self::NO_ROW)
+    }
+
+    pub(super) fn tasks(&self, row: u32) -> &[TaskId] {
+        &self.rows[row as usize]
+    }
+
+    /// The flat shard id of the pipeline a row belongs to.
+    fn pipeline_of(&self, row: u32) -> usize {
+        (row / self.n_components) as usize
+    }
+
+    /// The non-empty rows of `comp` on `worker`, one per owning
+    /// pipeline (none for a component id that does not exist).
+    fn rows_on(&self, worker: WorkerId, comp: ComponentId) -> impl Iterator<Item = u32> + '_ {
+        let shards = if comp.0 < self.n_components {
+            0..self.shards
+        } else {
+            0..0
+        };
+        shards
+            .map(move |shard| (worker.0 * self.shards + shard) * self.n_components + comp.0)
+            .filter(|&row| !self.tasks(row).is_empty())
+    }
+}
+
+/// The flat pipeline index of a task: `worker * shards + task % shards`.
+fn flat_shard(placement: &Placement, shards: u32, task: TaskId) -> u32 {
+    placement.worker_of(task).0 * shards + task.0 % shards
+}
+
 /// The sending side of one pipeline's cross-shard inbox.
 pub(super) struct ShardInbox {
-    pub(super) tx: Sender<(TaskId, ExecMsg)>,
+    pub(super) tx: Sender<Entry>,
     /// Set by the owning pipeline while it blocks on its fabric endpoint.
     /// The pipeline re-checks the inbox after setting it, and a sender
     /// tests it after sending (`SeqCst` fences on both sides), so one of
@@ -51,7 +147,7 @@ pub(super) struct ShardInbox {
 }
 
 impl ShardInbox {
-    pub(super) fn new(tx: Sender<(TaskId, ExecMsg)>) -> Self {
+    pub(super) fn new(tx: Sender<Entry>) -> Self {
         ShardInbox {
             tx,
             parked: AtomicBool::new(false),
@@ -86,6 +182,8 @@ pub(super) struct Routing {
     pub(super) shard_inboxes: Vec<ShardInbox>,
     /// Pipeline threads per worker (`LiveConfig::shards`, clamped ≥ 1).
     pub(super) shards: u32,
+    /// Which bolt tasks each pipeline owns, by component.
+    pub(super) groups: LocalGroups,
     /// Behind its own allocation: the counters are written constantly,
     /// the rest of this struct is read-mostly.
     pub(super) stats: Arc<RunStats>,
@@ -111,7 +209,7 @@ thread_local! {
     pub(super) static CURRENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
     /// Same-shard deliveries looped back without touching any channel;
     /// the owning pipeline drains it after every operator step.
-    pub(super) static LOCAL_QUEUE: RefCell<VecDeque<(TaskId, ExecMsg)>> =
+    pub(super) static LOCAL_QUEUE: RefCell<VecDeque<Entry>> =
         const { RefCell::new(VecDeque::new()) };
 }
 
@@ -123,7 +221,7 @@ impl Routing {
 
     /// The flat pipeline index of a task: `worker * shards + shard`.
     pub(super) fn flat_shard_of(&self, t: TaskId) -> usize {
-        (self.placement.worker_of(t).0 * self.shards + self.shard_of(t)) as usize
+        flat_shard(&self.placement, self.shards, t) as usize
     }
 
     /// The fabric endpoint of one (worker, shard) pipeline.
@@ -165,31 +263,37 @@ impl Routing {
         }
     }
 
-    /// Deliver one executor message to the pipeline owning `dst`.
+    /// Deliver one executor message to the pipeline owning `dest`.
     /// Same-shard deliveries loop back through the thread-local queue
     /// (no channel, no lock); everything else goes to the owning shard's
     /// bounded inbox under the send policy's backoff — a full inbox that
     /// never clears drops the message loudly (`send_failed`), mirroring
-    /// fabric backpressure. Returns false only when `dst` is not a task
-    /// this run hosts (the caller counts the drop when it came off the
-    /// wire); backpressure loss and teardown races are handled here.
-    /// Deliveries of lazy wire views are counted here.
-    pub(super) fn deliver(&self, dst: TaskId, msg: ExecMsg) -> bool {
-        if matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire()) {
-            self.stats.wire_tuples_lazy.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.topology.tasks().component_of(dst).is_none() {
-            return false;
-        }
-        let flat = self.flat_shard_of(dst);
+    /// fabric backpressure. Returns false only when `dest` is a task
+    /// this run executes nothing on (the caller counts the drop when it
+    /// came off the wire); backpressure loss and teardown races are
+    /// handled here. Accepted deliveries of lazy wire views are counted
+    /// here, one per destination task.
+    pub(super) fn deliver(&self, dest: Dest, msg: ExecMsg) -> bool {
+        let (row, n_tasks) = match dest {
+            Dest::Task(t) => match self.groups.row_of(t) {
+                Some(row) => (row, 1),
+                None => return false,
+            },
+            Dest::Group(row) => (row, self.groups.tasks(row).len()),
+        };
+        let flat = self.groups.pipeline_of(row);
         let Some(inbox) = self.shard_inboxes.get(flat) else {
             return false;
         };
+        if matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire()) {
+            let n = n_tasks as u64;
+            self.stats.wire_tuples_lazy.fetch_add(n, Ordering::Relaxed);
+        }
         if CURRENT_SHARD.with(|c| c.get()) == Some(flat) {
-            LOCAL_QUEUE.with_borrow_mut(|q| q.push_back((dst, msg)));
+            LOCAL_QUEUE.with_borrow_mut(|q| q.push_back((dest, msg)));
             return true;
         }
-        let mut item = Some((dst, msg));
+        let mut item = Some((dest, msg));
         let sent = self.config.send.run(&self.stats.send_retries, || {
             match inbox.tx.try_send(item.take().expect("re-armed on Full")) {
                 Ok(()) => Ok(()),
@@ -221,6 +325,42 @@ impl Routing {
             Err(_) => {}
         }
         true
+    }
+
+    /// Deliver `msg` to every bolt task of `comp` on `worker`: one entry
+    /// per pipeline owning any (the cross-shard mirror of
+    /// [`Self::pipelines_of`]), the last one taking `msg` itself.
+    pub(super) fn deliver_to_component(&self, worker: WorkerId, comp: ComponentId, msg: ExecMsg) {
+        let mut rows = self.groups.rows_on(worker, comp);
+        let Some(mut row) = rows.next() else {
+            return;
+        };
+        for next in rows {
+            self.deliver(Dest::Group(row), msg.clone());
+            row = next;
+        }
+        self.deliver(Dest::Group(row), msg);
+    }
+
+    /// Deliver `msg` to a destination list read off the wire, returning
+    /// how many of its ids were rejected (see [`Self::deliver`]). A list
+    /// that is exactly one pipeline's tasks of one component — what
+    /// [`Self::pipelines_of`] writes for a broadcast — is one entry; any
+    /// other list is checked and delivered id by id.
+    pub(super) fn deliver_listed(&self, dsts: &[TaskId], msg: ExecMsg) -> u64 {
+        let rejected = |accepted: bool, n: usize| if accepted { 0 } else { n as u64 };
+        match dsts {
+            [] => 0,
+            [dst] => rejected(self.deliver(Dest::Task(*dst), msg), 1),
+            [first, ..] => {
+                let row = self.groups.row_of(*first);
+                if let Some(row) = row.filter(|&row| self.groups.tasks(row) == dsts) {
+                    return rejected(self.deliver(Dest::Group(row), msg), dsts.len());
+                }
+                let deliver = |&dst| self.deliver(Dest::Task(dst), msg.clone());
+                dsts.iter().map(|dst| rejected(deliver(dst), 1)).sum()
+            }
+        }
     }
 
     /// Send one tuple from `src` to routed destinations of every
@@ -290,12 +430,19 @@ impl Routing {
         // Local deliveries: no serialization beyond what the mode charges.
         // The owning pipeline may already have exited after EOS; the
         // delivery layer swallows that race.
-        if let Some((&last, rest)) = plan.local_tasks().split_last() {
-            let lazy = LazyTuple::from_arc(Arc::clone(tuple));
-            for &t in rest {
-                self.deliver(t, ExecMsg::Data(lazy.clone(), tracked));
+        let data = || ExecMsg::Data(LazyTuple::from_arc(Arc::clone(tuple)), tracked);
+        match plan.local_tasks() {
+            [] => {}
+            [dst] => {
+                self.deliver(Dest::Task(*dst), data());
             }
-            self.deliver(last, ExecMsg::Data(lazy, tracked));
+            // Only `Grouping::All` routes to more than one task, and it
+            // routes to every task of the component.
+            [dst, ..] => {
+                let tasks = self.topology.tasks();
+                let comp = tasks.component_of(*dst).expect("routed to a task");
+                self.deliver_to_component(self.placement.worker_of(src), comp, data());
+            }
         }
         self.stats
             .serializations
@@ -457,9 +604,7 @@ impl Routing {
             let dsts = self.topology.tasks().tasks_of(edge.to);
             let mut plan = MessagePlan::default();
             plan.fill(CommMode::WorkerOriented, src, 0, &dsts, &self.placement);
-            for &t in plan.local_tasks() {
-                self.deliver(t, ExecMsg::Eos(src));
-            }
+            self.deliver_to_component(self.placement.worker_of(src), edge.to, ExecMsg::Eos(src));
             for env in plan.remote() {
                 for (to, owned) in self.pipelines_of(env.dst_worker, plan.tasks_of(env)) {
                     self.with_frame(
@@ -587,6 +732,7 @@ mod tests {
                     ..LiveConfig::default()
                 };
                 let routing = Routing {
+                    groups: LocalGroups::new(&topology, &placement, 1),
                     topology,
                     placement,
                     log: Some(LogRuntime::new(LogConfig::default(), machines as usize)),

@@ -1,20 +1,28 @@
 //! What one routed tuple costs the sending thread in heap blocks, from
-//! `emit` to fabric accept. Its own test binary: the counting
-//! `#[global_allocator]` below would tax every other suite.
+//! `emit` to fabric accept, and what one received frame costs the
+//! receiving one, from parse to the last local execution. Its own test
+//! binary: the counting `#[global_allocator]` below would tax every other
+//! suite.
 //!
 //! The tuple's own `Arc` and the wire `Arc<[u8]>` the receiver ends up
 //! owning are the only blocks the direct send path is allowed — grouping,
-//! planning, frame encode and scratch reuse must not allocate in steady
-//! state.
+//! planning, frame encode, scratch reuse and the hand-off to local tasks
+//! must not allocate in steady state — and the handle anchoring a
+//! received item to its buffer is the only one the receive path is,
+//! however many local tasks it is for. (That a queue entry naming a batch
+//! is no larger than one naming a task is a `const` assertion beside the
+//! type, in `runtime/send.rs`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use whale_dsps::runtime::PipelineHarness;
 use whale_dsps::{
-    run_topology, Emitter, FnBolt, Grouping, LiveConfig, Operators, RunOutcome, Schema, Spout,
-    TopologyBuilder, Tuple, Value,
+    run_topology, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt, LazyTuple, LiveConfig,
+    Operators, RunOutcome, Schema, Spout, TopologyBuilder, Tuple, Value,
 };
-use whale_net::{FabricKind, RingConfig};
+use whale_net::{EndpointId, FabricKind, LiveMessage, Payload, RingConfig};
 
 thread_local! {
     /// Heap blocks this thread has asked the allocator for.
@@ -96,11 +104,13 @@ impl Spout for ProbeSpout {
 }
 
 /// Run `src` (one instance per machine, only the last one emits) into
-/// `sinks` sink instances, which the even scheduler deals to workers
-/// `0..sinks` — all remote from the emitter as long as `sinks < machines`.
+/// `sinks` sink instances, which the even scheduler deals round-robin to
+/// workers from 0 up — all remote from the emitter when `sinks <
+/// machines`, all local to it on one machine, where a send runs through
+/// to the last sink's execution before the spout is asked again.
 /// Returns the emitter's per-send block counts after warm-up, sorted.
 fn send_costs(grouping: Grouping, fabric: FabricKind, machines: u32, sinks: u32) -> Vec<u64> {
-    assert!(sinks < machines);
+    assert!(sinks < machines || machines == 1);
     let fanout = if grouping == Grouping::All { sinks } else { 1 };
     let mut b = TopologyBuilder::new();
     b.spout("src", machines, Schema::new(vec!["n", "k"]))
@@ -143,16 +153,18 @@ fn send_costs(grouping: Grouping, fabric: FabricKind, machines: u32, sinks: u32)
 }
 
 /// One block for the tuple's `Arc` plus one wire buffer per frame: held
-/// by nine sends in ten, and on average up to 0.05 of a block per frame.
-/// (The slack is the fabric's own queue, behind the accept — std's list
-/// channel links a new segment every 31 messages — which is why this is
-/// not a bound on the maximum.)
+/// by nine sends in ten, and on average up to 0.05 of a block per frame
+/// and 0.01 per send. (The slack is the fabric's own queue, behind the
+/// accept — std's list channel links a new segment every 31 messages —
+/// and, where sinks run on the sending thread, the run's reservoir of
+/// sampled delivery latencies doubling; which is why this is not a bound
+/// on the maximum.)
 fn assert_one_block_per_frame(steady: &[u64], frames: u64, what: &str) {
     let budget = 1 + frames;
     let p90 = steady[steady.len() * 9 / 10];
     let mean = steady.iter().sum::<u64>() as f64 / steady.len() as f64;
     assert!(
-        p90 <= budget && mean <= budget as f64 + 0.05 * frames as f64,
+        p90 <= budget && mean <= budget as f64 + 0.05 * frames as f64 + 0.01,
         "{what}: p90 {p90}, mean {mean:.3} blocks per send, budget {budget}"
     );
 }
@@ -172,4 +184,60 @@ fn a_direct_broadcast_costs_one_block_plus_one_per_remote_frame() {
         let steady = send_costs(Grouping::All, fabric, 5, 4);
         assert_one_block_per_frame(&steady, 4, &format!("broadcast over {fabric:?}"));
     }
+}
+
+#[test]
+fn a_broadcast_to_four_local_sinks_costs_the_tuples_own_block() {
+    // One machine: nothing is framed, and handing the tuple to its four
+    // local sinks (one queue entry) and running them adds no block.
+    let steady = send_costs(Grouping::All, FabricKind::PerSend, 1, 4);
+    assert_one_block_per_frame(&steady, 0, "local broadcast");
+}
+
+#[test]
+fn a_relayed_frame_costs_its_four_local_sinks_one_heap_block() {
+    // src → 8 all-grouped sinks over two machines, seen from worker 1: a
+    // leaf of worker 0's tree with four of the sinks.
+    let mut b = TopologyBuilder::new();
+    b.spout("src", 1, Schema::new(vec!["n", "k"]))
+        .bolt("sink", 8, Schema::new(vec!["n", "k"]))
+        .connect("src", "sink", Grouping::All);
+    let executed = Arc::new(AtomicU64::new(0));
+    let tap = Arc::clone(&executed);
+    let ops = Operators::new()
+        .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+        .bolt("sink", move |_| {
+            let executed = Arc::clone(&tap);
+            // Reads a field off the wire; materializing would allocate.
+            Box::new(LazyFnBolt::new(
+                move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                    assert!(t.field(0).is_some());
+                    executed.fetch_add(1, Ordering::Relaxed);
+                },
+            ))
+        });
+    let config = LiveConfig {
+        machines: 2,
+        multicast_d_star: Some(2),
+        ..LiveConfig::default()
+    };
+    let mut worker = PipelineHarness::new(b.build().unwrap(), &ops, config, 1);
+    let tuple = Tuple::with_id(7, vec![Value::I64(7), Value::str("key-07")]);
+    let msg = LiveMessage {
+        from: EndpointId(0),
+        payload: Payload::Shared(worker.relay_frame(0, "sink", None, &tuple)),
+    };
+    let mut costs = Vec::with_capacity(TUPLES);
+    for _ in 0..TUPLES {
+        let before = blocks();
+        worker.receive(&msg);
+        costs.push(blocks() - before);
+    }
+    assert_eq!(executed.load(Ordering::Relaxed), 4 * TUPLES as u64);
+    let steady = &costs[WARMUP..];
+    assert!(
+        steady.iter().all(|&c| c == 1),
+        "the handle on the received item and nothing else: max {:?}",
+        steady.iter().max()
+    );
 }

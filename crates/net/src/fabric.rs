@@ -20,10 +20,10 @@
 use crate::topology::LinkTracker;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a fabric endpoint (a worker process in the live runtime).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -59,6 +59,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` hashed by [`IdHasher`].
 pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` hashed by [`IdHasher`].
+pub type IdHashSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Message payload: copied (TCP semantics) or shared (RDMA semantics).
 #[derive(Clone, Debug)]
@@ -230,7 +233,8 @@ pub trait FabricPath: Send + Sync {
     /// per-link accounting override this; the default ignores the
     /// tracker (no per-link visibility). Install on the *outermost*
     /// fabric only — a decorator that both tracked itself and delegated
-    /// to a tracked inner transport would double-count every frame.
+    /// to a tracked inner transport would double-count every frame. A
+    /// second install on the same transport keeps the first tracker.
     fn install_link_tracker(&self, _tracker: Arc<LinkTracker>) {}
 
     /// Export delivery counters into `reg` under `prefix.*`.
@@ -253,7 +257,7 @@ pub struct LiveFabric {
     send_errors: AtomicU64,
     /// Optional per-link attribution; delivery is synchronous here, so a
     /// successful send is charged to its link immediately.
-    tracker: RwLock<Option<Arc<LinkTracker>>>,
+    tracker: OnceLock<Arc<LinkTracker>>,
 }
 
 impl Default for LiveFabric {
@@ -271,13 +275,14 @@ impl LiveFabric {
             shared_bytes: AtomicU64::new(0),
             messages: AtomicU64::new(0),
             send_errors: AtomicU64::new(0),
-            tracker: RwLock::new(None),
+            tracker: OnceLock::new(),
         }
     }
 
     /// Attribute subsequent sends to physical links through `tracker`.
+    /// Install once, before traffic: a second install keeps the first.
     pub fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        *self.tracker.write() = Some(tracker);
+        let _ = self.tracker.set(tracker);
     }
 
     /// Register an endpoint with an unbounded inbox; returns its receiver.
@@ -337,7 +342,7 @@ impl LiveFabric {
         match result {
             Ok(()) => {
                 self.messages.fetch_add(1, Ordering::Relaxed);
-                if let Some(tracker) = self.tracker.read().as_ref() {
+                if let Some(tracker) = self.tracker.get() {
                     // Synchronous delivery: the frame is in the
                     // destination inbox, so charge the link directly.
                     tracker.on_send(from, to, len);

@@ -27,8 +27,8 @@ pub mod verbs;
 pub use batch::{Batch, BatchConfig, Batcher, FlushReason};
 pub use channel::{ChannelMsg, Departure, PushResult, RdmaChannel};
 pub use fabric::{
-    EndpointId, FabricPath, IdHashMap, IdHasher, LiveFabric, LiveMessage, Payload, RegisterError,
-    SendError,
+    EndpointId, FabricPath, IdHashMap, IdHashSet, IdHasher, LiveFabric, LiveMessage, Payload,
+    RegisterError, SendError,
 };
 pub use fault::{EndpointCrash, EndpointRestart, FaultFabric, FaultPlan, LinkFaults, Partition};
 pub use log::{LogConfig, LogRead, PartitionLog, RECORD_HEADER};

@@ -36,7 +36,7 @@ use crate::verbs::{QpId, QueuePair, WorkRequest, WrId};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use whale_sim::{CostModel, MetricsRegistry, Transport, Verb};
@@ -159,7 +159,7 @@ pub struct OneSidedFabric {
     stopping: AtomicBool,
     /// Optional per-link attribution: publishes raise a link's queue
     /// gauge, fetches settle it and count the bytes.
-    tracker: RwLock<Option<Arc<LinkTracker>>>,
+    tracker: OnceLock<Arc<LinkTracker>>,
 }
 
 impl Default for OneSidedFabric {
@@ -193,14 +193,15 @@ impl OneSidedFabric {
             fetch_cpu_ns: AtomicU64::new(0),
             fetch_wire_ns: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
-            tracker: RwLock::new(None),
+            tracker: OnceLock::new(),
         }
     }
 
     /// Attribute subsequent publishes and fetches to physical links
-    /// through `tracker`.
+    /// through `tracker`. Install once, before traffic: a second install
+    /// keeps the first.
     pub fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        *self.tracker.write() = Some(tracker);
+        let _ = self.tracker.set(tracker);
     }
 
     /// The active configuration.
@@ -331,7 +332,7 @@ impl OneSidedFabric {
                 log.append(&bytes);
             }
         }
-        if let Some(tracker) = self.tracker.read().as_ref() {
+        if let Some(tracker) = self.tracker.get() {
             // Published into the outbox: the frame occupies its link's
             // queue until the fetcher pulls it across.
             tracker.on_send(from, to, published_bytes);
@@ -378,7 +379,7 @@ impl OneSidedFabric {
                 Ok(()) => {
                     self.messages.fetch_add(1, Ordering::Relaxed);
                     self.copied_bytes.fetch_add(len, Ordering::Relaxed);
-                    if let Some(tracker) = self.tracker.read().as_ref() {
+                    if let Some(tracker) = self.tracker.get() {
                         // Backfill READs land synchronously in the
                         // reader's inbox.
                         tracker.on_send(from, reader, len as usize);
@@ -527,7 +528,7 @@ impl OneSidedFabric {
                 let Some(tx) = tx.as_ref() else {
                     // Destination deregistered with frames still published.
                     if let Some(dead) = link.staged.take() {
-                        if let Some(tracker) = self.tracker.read().as_ref() {
+                        if let Some(tracker) = self.tracker.get() {
                             tracker.on_dropped(dead.from, to, dead.payload.len());
                         }
                     }
@@ -549,7 +550,7 @@ impl OneSidedFabric {
                 match tx.try_send(msg) {
                     Ok(()) => {
                         delivered += 1;
-                        if let Some(tracker) = self.tracker.read().as_ref() {
+                        if let Some(tracker) = self.tracker.get() {
                             tracker.on_delivered(from, to, len as usize);
                         }
                     }
@@ -563,7 +564,7 @@ impl OneSidedFabric {
                         self.messages.fetch_sub(1, Ordering::Relaxed);
                         bytes_ctr.fetch_sub(len, Ordering::Relaxed);
                         self.send_errors.fetch_add(1, Ordering::Relaxed);
-                        if let Some(tracker) = self.tracker.read().as_ref() {
+                        if let Some(tracker) = self.tracker.get() {
                             tracker.on_dropped(from, to, len as usize);
                         }
                     }

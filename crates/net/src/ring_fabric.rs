@@ -32,7 +32,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use whale_sim::{MetricsRegistry, SimTime};
@@ -249,7 +249,7 @@ pub struct RingFabric {
     stopping: AtomicBool,
     /// Optional per-link attribution: posts raise a link's queue gauge,
     /// deliveries settle it and count the bytes.
-    tracker: RwLock<Option<Arc<LinkTracker>>>,
+    tracker: OnceLock<Arc<LinkTracker>>,
 }
 
 impl Default for RingFabric {
@@ -277,14 +277,15 @@ impl RingFabric {
             flushed_items: AtomicU64::new(0),
             epoch: Instant::now(),
             stopping: AtomicBool::new(false),
-            tracker: RwLock::new(None),
+            tracker: OnceLock::new(),
         }
     }
 
     /// Attribute subsequent posts and deliveries to physical links
-    /// through `tracker`.
+    /// through `tracker`. Install once, before traffic: a second install
+    /// keeps the first.
     pub fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        *self.tracker.write() = Some(tracker);
+        let _ = self.tracker.set(tracker);
     }
 
     /// The active configuration.
@@ -378,7 +379,7 @@ impl RingFabric {
                 return Err(SendError::Full);
             }
             let bytes = msg.payload.len();
-            if let Some(tracker) = self.tracker.read().as_ref() {
+            if let Some(tracker) = self.tracker.get() {
                 // Accepted into the ring: the frame now occupies its link's
                 // queue until the flusher delivers (or drops) it.
                 tracker.on_send(msg.from, to, bytes);
@@ -469,7 +470,7 @@ impl RingFabric {
             match ep.tx.try_send(msg) {
                 Ok(()) => {
                     delivered += 1;
-                    if let Some(tracker) = self.tracker.read().as_ref() {
+                    if let Some(tracker) = self.tracker.get() {
                         tracker.on_delivered(from, ep.id, len as usize);
                     }
                 }
@@ -483,7 +484,7 @@ impl RingFabric {
                     self.messages.fetch_sub(1, Ordering::Relaxed);
                     bytes_ctr.fetch_sub(len, Ordering::Relaxed);
                     self.send_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tracker) = self.tracker.read().as_ref() {
+                    if let Some(tracker) = self.tracker.get() {
                         tracker.on_dropped(from, ep.id, len as usize);
                     }
                 }
@@ -1567,5 +1568,35 @@ mod tests {
         assert_eq!(reg.counter("ring.copied_bytes"), Some(128));
         assert_eq!(reg.counter("ring.flushed_batches"), Some(2));
         assert!(reg.gauge("ring.mean_batch_size").unwrap() > 1.0);
+    }
+
+    #[test]
+    fn a_second_link_tracker_install_keeps_the_first() {
+        use crate::topology::{ClusterSpec, MachineId};
+        for kind in [
+            FabricKind::PerSend,
+            FabricKind::Ring(RingConfig::default()),
+            FabricKind::OneSided(crate::OneSidedConfig::default()),
+        ] {
+            let mut instance = kind.build();
+            let tracker = || {
+                let t = Arc::new(LinkTracker::new(ClusterSpec::new(2, 1, 1)));
+                t.map_endpoint(EndpointId(0), MachineId(0));
+                t.map_endpoint(EndpointId(1), MachineId(1));
+                t
+            };
+            let (first, second) = (tracker(), tracker());
+            instance.fabric.install_link_tracker(Arc::clone(&first));
+            instance.fabric.install_link_tracker(Arc::clone(&second));
+            let rx = instance.fabric.register(EndpointId(1)).unwrap();
+            let sent = instance
+                .fabric
+                .send_copied(EndpointId(0), EndpointId(1), b"12345");
+            assert_eq!(sent, Ok(()), "{kind:?}");
+            instance.shutdown();
+            assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"12345");
+            assert_eq!(first.total_bytes(), 5, "{kind:?}");
+            assert_eq!(second.total_bytes(), 0, "{kind:?}");
+        }
     }
 }
