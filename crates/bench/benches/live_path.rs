@@ -93,41 +93,54 @@ fn bench_send_path(c: &mut Criterion) {
     });
 }
 
-/// Everything a leaf worker of the relay tree does with one received
-/// 150 B broadcast frame, through its real pipeline: parse, admit, anchor
-/// the item to the receive buffer, hand it to the worker's four sinks and
-/// run them (they read one field off the wire and discard).
-fn bench_local_fanout(c: &mut Criterion) {
-    c.bench_function("local_fanout_4", |b| {
-        let mut t = TopologyBuilder::new();
-        t.spout("src", 1, Schema::new(vec!["n", "payload"]))
-            .bolt("sink", 8, Schema::new(vec!["n", "payload"]))
-            .connect("src", "sink", Grouping::All);
-        let ops = Operators::new()
-            .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
-            .bolt("sink", |_| {
-                Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
-                    black_box(t.field(0));
-                }))
+/// Everything a worker of the relay tree does with one received 150 B
+/// broadcast frame, through its real pipeline: parse, admit, forward to
+/// its tree children, anchor the item to the receive buffer, hand it to
+/// the worker's four sinks and run them (they read one field off the wire
+/// and discard). `local_fanout_4` is a leaf — worker 1 of two —
+/// `relay_forward_1_local_4` the mid-tree worker of four machines, which
+/// forwards every frame to one child.
+fn bench_relay_receive(c: &mut Criterion) {
+    for (name, machines, forwards) in [("local_fanout_4", 2, 0), ("relay_forward_1_local_4", 4, 1)]
+    {
+        c.bench_function(name, |b| {
+            let mut t = TopologyBuilder::new();
+            t.spout("src", 1, Schema::new(vec!["n", "payload"]))
+                .bolt("sink", 4 * machines, Schema::new(vec!["n", "payload"]))
+                .connect("src", "sink", Grouping::All);
+            let ops = Operators::new()
+                .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+                .bolt("sink", |_| {
+                    Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
+                        black_box(t.field(0));
+                    }))
+                });
+            let config = LiveConfig {
+                machines,
+                multicast_d_star: Some(2),
+                ..LiveConfig::default()
+            };
+            // Worker 1: the first child of worker 0's tree.
+            let mut worker = PipelineHarness::new(t.build().unwrap(), &ops, config, 1);
+            let payload = "x".repeat(126);
+            let tuple = Tuple::with_id(7, vec![Value::I64(7), Value::str(payload)]);
+            assert_eq!(tuple.payload_bytes(), 150);
+            let msg = LiveMessage {
+                from: EndpointId(0),
+                payload: Payload::Shared(worker.relay_frame(0, "sink", None, &tuple)),
+            };
+            b.iter(|| {
+                worker.receive(black_box(&msg));
+                // A leaf sends nothing; a relay's child is drained so its
+                // queue does not grow with the iteration count.
+                if forwards > 0 {
+                    assert_eq!(worker.take_sent(), forwards);
+                }
             });
-        let config = LiveConfig {
-            machines: 2,
-            multicast_d_star: Some(2),
-            ..LiveConfig::default()
-        };
-        // Worker 1: the one child of worker 0's tree, hosting sinks 1, 3, 5, 7.
-        let mut worker = PipelineHarness::new(t.build().unwrap(), &ops, config, 1);
-        let payload = "x".repeat(126);
-        let tuple = Tuple::with_id(7, vec![Value::I64(7), Value::str(payload)]);
-        assert_eq!(tuple.payload_bytes(), 150);
-        let msg = LiveMessage {
-            from: EndpointId(0),
-            payload: Payload::Shared(worker.relay_frame(0, "sink", None, &tuple)),
-        };
-        b.iter(|| worker.receive(black_box(&msg)));
-        let executed = worker.stats().executed[1].load(std::sync::atomic::Ordering::Relaxed);
-        assert!(executed > 0 && executed.is_multiple_of(4));
-    });
+            let executed = worker.stats().executed[1].load(std::sync::atomic::Ordering::Relaxed);
+            assert!(executed > 0 && executed.is_multiple_of(4));
+        });
+    }
 }
 
 fn sharded_ring(shards: usize) -> RingFabric {
@@ -174,7 +187,7 @@ criterion_group!(
     benches,
     bench_pool,
     bench_send_path,
-    bench_local_fanout,
+    bench_relay_receive,
     bench_sharded_flush
 );
 criterion_main!(benches);

@@ -1,0 +1,200 @@
+//! A sampling profiler around one saturating `fanout_relay`-shaped run
+//! (150 B tuples broadcast to 16 field-reading sinks over 4 machines
+//! through the d* = 2 relay tree on the per-send fabric): `SIGPROF` on
+//! process CPU time, the handler stores the interrupted `rip` and a
+//! bounded frame-pointer walk. A developer tool for containers without
+//! `perf` — not a knob, not linked into the runtime. README "Profiling"
+//! has the build line (`-C force-frame-pointers=yes`) and the `addr2line`
+//! pipeline that folds the output into inclusive shares.
+//!
+//! Output: the process's `/proc/self/maps` on `#` lines, then one line per
+//! sample, innermost first, as offsets from the executable's load address
+//! (what `addr2line -e` takes for a PIE); frames outside the executable
+//! (libc, vdso) stay absolute and fold to `??`.
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+fn main() {
+    eprintln!("live_profile reads x86_64 Linux signal frames; nothing to do on this target");
+}
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn main() {
+    let tuples = std::env::args().nth(1).map_or(3_000_000, |n| {
+        n.parse().expect("usage: live_profile [tuples]")
+    });
+    let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
+    sampler::start();
+    let report = run(tuples);
+    sampler::arm(0);
+    assert!(report.outcome.is_clean(), "{:?}", report.outcome);
+    assert_eq!(report.executed[1], 16 * tuples);
+    for line in maps.lines() {
+        println!("# {line}");
+    }
+    // The first mapping of the executable starts at its load address.
+    let exe = std::env::current_exe().expect("procfs");
+    let exe = exe.to_str().expect("a UTF-8 path");
+    let mut own = maps.lines().filter(|l| l.ends_with(exe));
+    let (first, last) = (own.next().expect("own mapping"), own.next_back());
+    let bound = |line: &str, i| u64::from_str_radix(line.split(['-', ' ']).nth(i).unwrap(), 16);
+    let base = bound(first, 0).unwrap();
+    let end = bound(last.unwrap_or(first), 1).unwrap();
+    let samples = sampler::samples();
+    for stack in &samples {
+        let frames = stack.iter().map(|&pc| match pc {
+            // `addr2line -a`'s own format, so its output joins on it.
+            pc if (base..end).contains(&pc) => format!("{:#018x}", pc - base),
+            pc => format!("{pc:#018x}"),
+        });
+        println!("{}", frames.collect::<Vec<_>>().join(" "));
+    }
+    let (secs, taken) = (report.elapsed.as_secs_f64(), samples.len());
+    eprintln!("{tuples} tuples in {secs:.2} s, {taken} samples");
+}
+
+/// `fanout_relay`'s shape, unthrottled.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn run(tuples: u64) -> whale_dsps::RunReport {
+    use whale_dsps::{
+        Emitter, Grouping, IterSpout, LazyFnBolt, LazyTuple, LiveConfig, Operators, Schema,
+        TopologyBuilder, Tuple, Value,
+    };
+    let mut t = TopologyBuilder::new();
+    t.spout("src", 1, Schema::new(vec!["n", "payload"]))
+        .bolt("sink", 16, Schema::new(vec!["n", "payload"]))
+        .connect("src", "sink", Grouping::All);
+    let ops = Operators::new()
+        .spout("src", move |_| {
+            let payload: std::sync::Arc<str> = "x".repeat(126).into();
+            Box::new(IterSpout::new((1..=tuples).map(move |i| {
+                let fields = vec![Value::I64(i as i64), Value::Str(payload.clone())];
+                Tuple::with_id(i, fields)
+            })))
+        })
+        .bolt("sink", |_| {
+            Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
+                std::hint::black_box(t.field(0));
+            }))
+        });
+    let config = LiveConfig {
+        machines: 4,
+        multicast_d_star: Some(2),
+        ..LiveConfig::default()
+    };
+    whale_dsps::run_topology(t.build().unwrap(), ops, config)
+}
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod sampler {
+    use std::ffi::c_void;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    /// Frames kept per sample (`rip` + callers), and samples kept.
+    const DEPTH: usize = 24;
+    const CAPACITY: usize = 64 * 1024;
+    /// How far above the interrupted `rsp` a frame pointer is believed: a
+    /// function built without one uses `rbp` for anything.
+    const STACK_WINDOW: u64 = 512 * 1024;
+
+    static STACKS: [AtomicU64; CAPACITY * DEPTH] = [const { AtomicU64::new(0) }; CAPACITY * DEPTH];
+    static TAKEN: AtomicUsize = AtomicUsize::new(0);
+    const SIGPROF: i32 = 27;
+    const ITIMER_PROF: i32 = 2;
+    const SA_SIGINFO: i32 = 4;
+    const SA_RESTART: i32 = 0x1000_0000;
+    /// `ucontext_t.uc_mcontext.gregs` starts 40 bytes in; `REG_RBP` = 10,
+    /// `REG_RSP` = 15, `REG_RIP` = 16 (x86_64 `sys/ucontext.h`).
+    const GREGS: usize = 40 / 8;
+
+    /// glibc's x86_64 `struct sigaction`.
+    #[repr(C)]
+    struct SigAction {
+        handler: usize,
+        mask: [u64; 16],
+        flags: i32,
+        restorer: usize,
+    }
+
+    /// `struct itimerval`: interval, then first expiry, as `(sec, usec)`.
+    #[repr(C)]
+    struct ITimerVal([i64; 4]);
+
+    extern "C" {
+        fn sigaction(signum: i32, act: *const SigAction, old: *mut SigAction) -> i32;
+        fn setitimer(which: i32, new: *const ITimerVal, old: *mut ITimerVal) -> i32;
+    }
+
+    extern "C" fn on_sigprof(_sig: i32, _info: *mut c_void, ucontext: *mut c_void) {
+        let sample = TAKEN.fetch_add(1, Ordering::Relaxed);
+        if sample >= CAPACITY {
+            return;
+        }
+        let regs = ucontext as *const u64;
+        // SAFETY: the kernel passes an SA_SIGINFO handler a valid
+        // `ucontext_t`; the three registers are inside it (layout above).
+        let (mut fp, sp, pc) = unsafe {
+            let greg = |i: usize| regs.add(GREGS + i).read();
+            (greg(10), greg(15), greg(16))
+        };
+        let out = &STACKS[sample * DEPTH..][..DEPTH];
+        out[0].store(pc, Ordering::Relaxed);
+        for slot in &out[1..] {
+            // A frame record is `[caller's rbp, return address]`, on this
+            // thread's stack above `rsp`, and records move up the stack.
+            if fp % 8 != 0 || fp < sp || fp - sp > STACK_WINDOW {
+                break;
+            }
+            // SAFETY: `fp` is 8-aligned and within half a megabyte above
+            // the interrupted `rsp`, i.e. inside the interrupted thread's
+            // mapped stack whenever the code was built with frame
+            // pointers (the documented build); both words are plain reads.
+            let (next, ret) = unsafe {
+                let record = fp as *const u64;
+                (record.read(), record.add(1).read())
+            };
+            if ret == 0 || next <= fp {
+                break;
+            }
+            // The call instruction, not the one it returns to (which may
+            // belong to the next source line or inlined function).
+            slot.store(ret - 1, Ordering::Relaxed);
+            fp = next;
+        }
+    }
+
+    /// Fire every `usec` of process CPU time from now on; 0 disarms.
+    pub fn arm(usec: i64) {
+        let every = ITimerVal([0, usec, 0, usec]);
+        // SAFETY: `every` is a valid `itimerval`; no old value is asked for.
+        let rc = unsafe { setitimer(ITIMER_PROF, &every, std::ptr::null_mut()) };
+        assert_eq!(rc, 0, "setitimer");
+    }
+
+    /// Install the handler and start the process-CPU-time timer (asked
+    /// for at 1 kHz; the kernel delivers at its tick, 250 Hz on most).
+    pub fn start() {
+        let act = SigAction {
+            handler: on_sigprof as *const () as usize,
+            mask: [0; 16],
+            flags: SA_SIGINFO | SA_RESTART,
+            restorer: 0,
+        };
+        // SAFETY: `act` is a fully initialized glibc `struct sigaction`
+        // whose handler only touches its arguments and the statics above
+        // (async-signal-safe: atomics, no allocation, no locks).
+        let rc = unsafe { sigaction(SIGPROF, &act, std::ptr::null_mut()) };
+        assert_eq!(rc, 0, "sigaction");
+        arm(1_000);
+    }
+
+    /// The stacks taken, innermost frame first.
+    pub fn samples() -> Vec<Vec<u64>> {
+        let taken = TAKEN.load(Ordering::Relaxed).min(CAPACITY);
+        let stack = |s: usize| {
+            let frames = STACKS[s * DEPTH..][..DEPTH].iter();
+            let frames = frames.map(|f| f.load(Ordering::Relaxed));
+            frames.take_while(|&pc| pc != 0).collect()
+        };
+        (0..taken).map(stack).collect()
+    }
+}

@@ -544,7 +544,8 @@ enum LazyRepr {
 
 #[derive(Debug)]
 struct WireTuple {
-    buf: Arc<[u8]>,
+    /// `None` only while the block waits in a [`WireSpare`].
+    buf: Option<Arc<[u8]>>,
     start: u32,
     len: u32,
     id: u64,
@@ -555,11 +556,70 @@ struct WireTuple {
 
 impl WireTuple {
     fn view(&self) -> TupleView<'_> {
+        let buf = self.buf.as_deref().expect("a handle in use has its buffer");
         TupleView {
-            bytes: &self.buf[self.start as usize..(self.start + self.len) as usize],
+            bytes: &buf[self.start as usize..(self.start + self.len) as usize],
             id: self.id,
             arity: self.arity,
             offsets: self.offsets,
+        }
+    }
+}
+
+/// The heap block of a wire-backed [`LazyTuple`] between two frames. A
+/// receiver that handles frames one after the other hands each finished
+/// handle to [`WireSpare::reclaim`] and anchors the next frame with
+/// [`WireSpare::anchor`]: when the handle came back unique its block is
+/// refilled in place, otherwise (a bolt kept a clone, the tuple crossed
+/// to another thread) the next frame gets a fresh block — there is one
+/// way to build a wire handle, with or without a block to reuse.
+#[derive(Debug, Default)]
+pub struct WireSpare(Option<Arc<WireTuple>>);
+
+impl WireSpare {
+    /// Anchor a parsed view to its backing shared buffer. `view` must
+    /// borrow from `buf` (checked); no bytes are re-validated or copied.
+    pub fn anchor(&mut self, buf: Arc<[u8]>, view: &TupleView<'_>) -> LazyTuple {
+        let base = buf.as_ptr() as usize;
+        let p = view.bytes.as_ptr() as usize;
+        assert!(
+            p >= base && p + view.bytes.len() <= base + buf.len(),
+            "view must borrow from the anchoring buffer"
+        );
+        let filled = WireTuple {
+            start: (p - base) as u32,
+            len: view.bytes.len() as u32,
+            id: view.id,
+            arity: view.arity,
+            offsets: view.offsets,
+            cache: OnceLock::new(),
+            buf: Some(buf),
+        };
+        let block = match self.0.take() {
+            Some(mut block) => {
+                *Arc::get_mut(&mut block).expect("kept only when unique") = filled;
+                block
+            }
+            None => Arc::new(filled),
+        };
+        LazyTuple(LazyRepr::Wire(block))
+    }
+
+    /// Take `t` out of use. If it is the last handle on a wire block and
+    /// no block is waiting already, the block is kept for the next
+    /// [`Self::anchor`] — emptied first: it holds on to neither the
+    /// frame's buffer nor a tuple memoized from it.
+    pub fn reclaim(&mut self, t: LazyTuple) {
+        let LazyRepr::Wire(mut block) = t.0 else {
+            return;
+        };
+        if self.0.is_some() {
+            return;
+        }
+        if let Some(w) = Arc::get_mut(&mut block) {
+            w.buf = None;
+            w.cache = OnceLock::new();
+            self.0 = Some(block);
         }
     }
 }
@@ -575,25 +635,10 @@ impl LazyTuple {
         LazyTuple(LazyRepr::Owned(t))
     }
 
-    /// Anchor a parsed view to its backing shared buffer. `view` must
-    /// borrow from `buf` (checked); no bytes are re-validated or copied.
+    /// Anchor a parsed view to its backing shared buffer in a block of
+    /// its own ([`WireSpare::anchor`] with nothing to reuse).
     pub fn from_wire_view(buf: Arc<[u8]>, view: &TupleView<'_>) -> Self {
-        let base = buf.as_ptr() as usize;
-        let p = view.bytes.as_ptr() as usize;
-        assert!(
-            p >= base && p + view.bytes.len() <= base + buf.len(),
-            "view must borrow from the anchoring buffer"
-        );
-        let start = (p - base) as u32;
-        LazyTuple(LazyRepr::Wire(Arc::new(WireTuple {
-            start,
-            len: view.bytes.len() as u32,
-            id: view.id,
-            arity: view.arity,
-            offsets: view.offsets,
-            cache: OnceLock::new(),
-            buf,
-        })))
+        WireSpare::default().anchor(buf, view)
     }
 
     /// Validate framing at `start` within `buf` and anchor the view.

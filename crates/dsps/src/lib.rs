@@ -30,7 +30,7 @@ pub use ack::{LatencyTracker, MulticastTracker};
 pub use acker::{AckBuilder, Acker, TreeState};
 pub use codec::{
     AddressedTuple, DecodeError, InstanceMessage, InstanceMessageView, LazyTuple, RelayHeader,
-    TupleView, ValueView, WorkerMessage, WorkerMessageView,
+    TupleView, ValueView, WireSpare, WorkerMessage, WorkerMessageView,
 };
 pub use grouping::{hash_value, hash_value_view, GroupingExec, RouteError};
 pub use messaging::{plan, CommMode, Envelope, MessagePlan};

@@ -129,7 +129,7 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
 /// the data fabric, plan the per-origin moves, and publish the new
 /// generation. In-flight frames on the demoted generation keep being
 /// accepted until it drains (or the grace expires on a lossy run).
-fn switch_structure(cfg: &AdaptiveConfig, routing: &Routing, new_d: u32) {
+pub(super) fn switch_structure(cfg: &AdaptiveConfig, routing: &Routing, new_d: u32) {
     let relay = routing
         .relay
         .as_ref()

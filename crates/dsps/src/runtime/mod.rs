@@ -384,6 +384,51 @@ mod testkit {
         (t, ops)
     }
 
+    /// The threads of a run without the run around them: `topology`'s
+    /// pipelines spawned over a per-send fabric and left running — blocked
+    /// on their endpoints once their tasks are done — until
+    /// [`Self::finish`], for tests that reach into the shared state of a
+    /// run in progress. No control thread is started.
+    pub(super) struct LiveRun {
+        pub(super) routing: Arc<Routing>,
+        handles: Vec<std::thread::JoinHandle<()>>,
+        done_rx: crossbeam::channel::Receiver<()>,
+    }
+
+    impl LiveRun {
+        pub(super) fn start(topology: Topology, operators: &Operators, config: LiveConfig) -> Self {
+            let fabric: Arc<dyn FabricPath> = Arc::new(whale_net::LiveFabric::new());
+            let (routing, mut pipelines, done_rx) = wire_up(topology, config, fabric);
+            let routing = Arc::new(routing);
+            populate(&routing, operators, &mut pipelines);
+            let spawn = |p: ShardPipeline| p.spawn(Arc::clone(&routing));
+            let handles = pipelines.into_iter().map(spawn).collect();
+            LiveRun {
+                routing,
+                handles,
+                done_rx,
+            }
+        }
+
+        /// Block until every pipeline has completed its tasks.
+        pub(super) fn wait_done(&self) {
+            for _ in &self.handles {
+                self.done_rx.recv().expect("pipelines report completion");
+            }
+        }
+
+        /// Close the endpoints and join the pipelines (after
+        /// [`Self::wait_done`]).
+        pub(super) fn finish(self) {
+            for flat in 0..self.handles.len() {
+                self.routing.fabric.deregister(EndpointId(flat as u32));
+            }
+            for h in self.handles {
+                h.join().expect("no pipeline panicked");
+            }
+        }
+    }
+
     /// A [`Routing`] over [`counting_topology`] on two machines with no
     /// pipelines behind it, for driving the receive path frame by frame.
     pub(super) fn bare_routing(config: LiveConfig, relay: Option<RelayState>) -> Routing {

@@ -3,12 +3,13 @@
 //! frame dispatch, bolt execution — with no central dispatcher.
 
 use super::config::{LiveConfig, Operators};
+use super::relay::{swap_held, RelayEpoch};
 use super::reliability::{anchor_for, prune_completed, root_of, AckRuntime, ROOT_BITS, ROOT_MASK};
 use super::send::{
     Dest, Entry, ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE,
 };
 use super::wire::{self, FrameView};
-use crate::codec::{self, LazyTuple, TupleView};
+use crate::codec::{self, LazyTuple, TupleView, WireSpare};
 use crate::operator::{Bolt, Spout};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Topology;
@@ -185,11 +186,21 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
     }
 }
 
+/// What a pipeline reuses from one received frame to the next, so the
+/// steady-state dispatch path allocates nothing.
+#[derive(Default)]
+pub(super) struct RecvScratch {
+    /// Destination ids of a worker frame or EOS.
+    dsts: Vec<TaskId>,
+    /// The wire handle of the last batch executed, when it came back
+    /// unique (no bolt kept a clone, it did not cross to another shard).
+    spare: WireSpare,
+}
+
 /// Parse and dispatch one fabric frame received by `worker`'s pipeline.
 /// Framing is validated once per frame (views, nothing materialized);
 /// a data item is handed on as one shared [`LazyTuple`] per destination
-/// pipeline, and `scratch` is the pipeline's reusable destination buffer,
-/// so the steady-state dispatch path allocates nothing. A frame that is
+/// pipeline, built in `scratch`. A frame that is
 /// truncated, fails to validate or carries an unknown kind is dropped and
 /// counted (`RunStats::dropped_frames`), and so is every destination id
 /// this run executes nothing on — a bad peer must not crash the worker.
@@ -197,8 +208,9 @@ pub(super) fn on_frame(
     worker: u32,
     msg: &whale_net::LiveMessage,
     routing: &Routing,
-    scratch: &mut Vec<TaskId>,
+    scratch: &mut RecvScratch,
 ) {
+    let RecvScratch { dsts, spare } = scratch;
     let dropped = |n: u64| {
         if n > 0 {
             routing.stats.dropped_frames.fetch_add(n, Ordering::Relaxed);
@@ -206,8 +218,8 @@ pub(super) fn on_frame(
     };
     // Hand one received data item to `dsts` as a view over the shared
     // receive buffer.
-    let deliver_data = |item: &TupleView<'_>, tracked: Option<u64>, dsts: &[TaskId]| {
-        let lazy = routing.lazy_tuple(&msg.payload, item);
+    let mut deliver_data = |item: &TupleView<'_>, tracked: Option<u64>, dsts: &[TaskId]| {
+        let lazy = routing.lazy_tuple(&msg.payload, item, spare);
         dropped(lazy.map_or(1, |lazy| {
             routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked))
         }))
@@ -219,18 +231,18 @@ pub(super) fn on_frame(
     match wire::parse(bytes) {
         Ok(FrameView::Instance(tracked, m)) => deliver_data(m.tuple(), tracked, &[m.dst()]),
         Ok(FrameView::Worker(tracked, m)) => {
-            codec::dispatch_worker_message_into(&m, scratch);
-            deliver_data(m.tuple(), tracked, scratch);
+            codec::dispatch_worker_message_into(&m, dsts);
+            deliver_data(m.tuple(), tracked, dsts);
         }
-        Ok(FrameView::Eos { src, dsts }) => {
-            scratch.clear();
-            scratch.extend(dsts);
-            dropped(routing.deliver_listed(scratch, ExecMsg::Eos(src)));
+        Ok(FrameView::Eos { src, dsts: listed }) => {
+            dsts.clear();
+            dsts.extend(listed);
+            dropped(routing.deliver_listed(dsts, ExecMsg::Eos(src)));
         }
         // The received payload is handed along untouched so forwards
         // reuse its bytes.
         Ok(FrameView::Relay { header, item }) => {
-            routing.on_relay_frame(worker, header, &msg.payload, item)
+            routing.on_relay_frame(worker, header, &msg.payload, item, spare)
         }
         Ok(FrameView::RelayEos(eos)) => routing.on_relay_eos(worker, eos, &msg.payload),
         Err(_) => dropped(1),
@@ -260,10 +272,13 @@ struct BoltState {
 /// Process one queue entry for the bolts it names (all of one
 /// component): one after the other against the one message, with the
 /// shared bookkeeping — run counters, the acker, the latency probes —
-/// touched once per batch. `latencies` is the pipeline's scratch.
-fn run_batch(bolts: &mut [BoltState], msg: ExecMsg, routing: &Routing, latencies: &mut Vec<u64>) {
+/// touched once per batch. The executed tuple's handle goes to `spare`.
+fn run_batch(bolts: &mut [BoltState], msg: ExecMsg, routing: &Routing, spare: &mut WireSpare) {
     match msg {
-        ExecMsg::Data(t, tracked) => execute_batch(bolts, &t, tracked, routing, latencies),
+        ExecMsg::Data(t, tracked) => {
+            execute_batch(bolts, &t, tracked, routing);
+            spare.reclaim(t);
+        }
         ExecMsg::Eos(src) => {
             for state in bolts.iter_mut().filter(|b| !b.done) {
                 state.eos_seen.insert(src);
@@ -275,20 +290,17 @@ fn run_batch(bolts: &mut [BoltState], msg: ExecMsg, routing: &Routing, latencies
     }
 }
 
-fn execute_batch(
-    bolts: &mut [BoltState],
-    t: &LazyTuple,
-    tracked: Option<u64>,
-    routing: &Routing,
-    latencies: &mut Vec<u64>,
-) {
+fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, routing: &Routing) {
     let stats = &routing.stats;
     let Some(comp) = bolts.first().map(|b| b.comp) else {
         return;
     };
     let ack = tracked.zip(routing.ack.as_ref());
     let was_materialized = t.is_materialized();
+    // A sampled delivery is timed to the start of the batch that executes
+    // it: one clock read per sampled batch.
     let emitted_at = stats.delivery.emitted_at(t.id());
+    let latency_ns = emitted_at.map(|at| at.elapsed().as_nanos() as u64);
     let (mut executed, mut duplicates) = (0u64, 0u64);
     // The batch's acks, folded: XOR is what the ledger does with them.
     let mut ack_xor = None;
@@ -305,9 +317,6 @@ fn execute_batch(
             }
         }
         executed += 1;
-        if let Some(at) = emitted_at {
-            latencies.push(at.elapsed().as_nanos() as u64);
-        }
         let mut emitter = TaskEmitter {
             routing,
             src: state.task,
@@ -338,8 +347,9 @@ fn execute_batch(
     if executed > 0 {
         stats.executed[comp.0 as usize].fetch_add(executed, Ordering::Relaxed);
     }
-    stats.delivery.record(latencies);
-    latencies.clear();
+    if let Some(ns) = latency_ns {
+        stats.delivery.record(ns, executed);
+    }
     if !was_materialized && t.is_materialized() {
         stats.tuples_materialized.fetch_add(1, Ordering::Relaxed);
     }
@@ -397,11 +407,7 @@ pub(super) struct ShardPipeline {
     /// Signals the run driver once every owned task has completed (the
     /// pipeline keeps relaying/draining frames until the fabric closes).
     done_tx: Sender<()>,
-    /// Reusable destination-id buffer for worker-message fan-out, so the
-    /// steady-state dispatch path allocates nothing per frame.
-    scratch: Vec<TaskId>,
-    /// Reusable buffer for one batch's sampled delivery latencies.
-    latencies: Vec<u64>,
+    scratch: RecvScratch,
 }
 
 impl ShardPipeline {
@@ -421,8 +427,7 @@ impl ShardPipeline {
             spouts: Vec::new(),
             bolts: Vec::new(),
             done_tx,
-            scratch: Vec::new(),
-            latencies: Vec::new(),
+            scratch: RecvScratch::default(),
         }
     }
 
@@ -495,7 +500,15 @@ impl ShardPipeline {
         let mut idle_passes = 0u32;
         loop {
             let mut progress = false;
-            for _ in 0..PIPELINE_BATCH {
+            if let Some(relay) = &routing.relay {
+                relay.revalidate_held();
+            }
+            // A queue's depth is one load; only what it counts is
+            // received, so an empty queue is never probed and no failing
+            // receive ends a slice. (A counted send may still be in
+            // flight: `Empty` ends the slice early. A closed endpoint is
+            // learnt when the pipeline blocks on it.)
+            for _ in 0..self.fabric_rx.len().min(PIPELINE_BATCH) {
                 match self.fabric_rx.try_recv() {
                     Ok(msg) => {
                         on_frame(self.worker, &msg, routing, &mut self.scratch);
@@ -509,7 +522,7 @@ impl ShardPipeline {
                     }
                 }
             }
-            for _ in 0..PIPELINE_BATCH {
+            for _ in 0..self.inbox_rx.len().min(PIPELINE_BATCH) {
                 match self.inbox_rx.try_recv() {
                     Ok((dst, msg)) => {
                         self.handle_exec(dst, msg, routing);
@@ -573,11 +586,15 @@ impl ShardPipeline {
                 // into futex-wake + preempt + re-park. Yielding first lets
                 // a busy producer run on, and this stage comes back to a
                 // batch instead of one frame.
+                let yields = &routing.stats.pipeline_yields;
+                yields.fetch_add(1, Ordering::Relaxed);
                 std::thread::yield_now();
                 continue;
             }
             let wait = self.idle_wait(deadline.filter(|_| !all_done));
             routing.stats.pipeline_parks.fetch_add(1, Ordering::Relaxed);
+            // A blocked pipeline must not keep a relay generation alive.
+            drop(swap_held(None));
             let woke_with_work = if fabric_open {
                 match self.park(routing, wait) {
                     Ok(msg) => {
@@ -604,6 +621,7 @@ impl ShardPipeline {
                 idle_passes = 0;
             }
         }
+        drop(swap_held(None));
         CURRENT_SHARD.with(|c| c.set(None));
     }
 
@@ -655,7 +673,7 @@ impl ShardPipeline {
         };
         let at = first.and_then(|t| self.bolts.binary_search_by_key(&t, |b| b.task).ok());
         if let Some(bolts) = at.and_then(|i| self.bolts.get_mut(i..i + n)) {
-            run_batch(bolts, msg, routing, &mut self.latencies);
+            run_batch(bolts, msg, routing, &mut self.scratch.spare);
         }
     }
 
@@ -672,20 +690,26 @@ impl ShardPipeline {
     }
 }
 
-/// One worker's shard-0 pipeline with no thread and no peers behind it,
-/// driven frame by frame on the caller's thread: the real receive path —
-/// parse, relay admission, local delivery, batch execution — for benches
-/// and tests that need it without a run around it. Sends to any other
-/// pipeline are refused as a torn-down peer's would be.
+/// One worker's shard-0 pipeline with no thread behind it, driven frame by
+/// frame on the caller's thread: the real receive path — parse, relay
+/// admission, forwarding, local delivery, batch execution — for benches
+/// and tests that need it without a run around it. The other pipelines'
+/// endpoints exist and accept what this one sends them; nothing reads
+/// them but [`Self::take_sent`].
 #[doc(hidden)]
 pub struct PipelineHarness {
     routing: Routing,
     pipeline: ShardPipeline,
+    peers: Vec<ShardPipeline>,
+    /// The pipeline's held relay generation between two `receive`s (a
+    /// pipeline thread keeps it in a thread-local; this thread is only
+    /// that pipeline's while it is inside `receive`).
+    held: Option<Arc<RelayEpoch>>,
 }
 
 impl PipelineHarness {
     /// Set `topology` up as [`run_topology`](super::run_topology) would
-    /// over a per-send fabric and keep `worker`'s first pipeline.
+    /// over a per-send fabric and drive `worker`'s first pipeline.
     ///
     /// # Panics
     /// If `config` cannot run `topology` with `operators`.
@@ -693,15 +717,21 @@ impl PipelineHarness {
         let valid = config.validate(&topology, operators);
         valid.expect("a configuration that runs");
         let fabric = Arc::new(whale_net::LiveFabric::new());
-        let (routing, mut pipelines, _) = super::wire_up(topology, config, fabric);
-        super::populate(&routing, operators, &mut pipelines);
-        let pipeline = pipelines.swap_remove((worker * routing.shards) as usize);
-        PipelineHarness { routing, pipeline }
+        let (routing, mut peers, _) = super::wire_up(topology, config, fabric);
+        super::populate(&routing, operators, &mut peers);
+        let pipeline = peers.swap_remove((worker * routing.shards) as usize);
+        PipelineHarness {
+            routing,
+            pipeline,
+            peers,
+            held: None,
+        }
     }
 
     /// Receive one fabric frame and run everything it causes locally.
     pub fn receive(&mut self, msg: &whale_net::LiveMessage) {
         CURRENT_SHARD.with(|c| c.set(Some(self.pipeline.flat)));
+        swap_held(self.held.take());
         on_frame(
             self.pipeline.worker,
             msg,
@@ -709,7 +739,15 @@ impl PipelineHarness {
             &mut self.pipeline.scratch,
         );
         self.pipeline.drain_local(&self.routing);
+        self.held = swap_held(None);
         CURRENT_SHARD.with(|c| c.set(None));
+    }
+
+    /// Discard what the pipeline has sent to its peers' fabric endpoints
+    /// since the last call; returns how many frames that was.
+    pub fn take_sent(&mut self) -> usize {
+        let sent = |p: &ShardPipeline| std::iter::from_fn(|| p.fabric_rx.try_recv().ok()).count();
+        self.peers.iter().map(sent).sum()
     }
 
     /// The frame `origin`'s worker would put on the relay tree for
@@ -828,7 +866,7 @@ mod tests {
             worker_to(&[TaskId(1), TaskId(0)]),
             encoded(&|b| wire::encode_eos(b, TaskId(0), [TaskId(0)].into_iter())),
         ];
-        let mut scratch = Vec::new();
+        let mut scratch = RecvScratch::default();
         for f in &frames {
             let msg = whale_net::LiveMessage {
                 from: whale_net::EndpointId(1),
@@ -1146,7 +1184,11 @@ mod tests {
                     r.pipeline_wakeups_with_work
                 );
                 assert!(r.pipeline_wakeups_with_work <= r.pipeline_parks);
+                // An idle episode yields once before it first blocks, and
+                // a block that returns work ends the episode.
+                assert!(r.pipeline_yields >= r.pipeline_wakeups_with_work);
                 let m = r.metrics();
+                assert_eq!(m.counter("dsps.pipeline.yields"), Some(r.pipeline_yields));
                 assert_eq!(m.counter("dsps.pipeline.parks"), Some(r.pipeline_parks));
                 assert_eq!(
                     m.counter("dsps.pipeline.wakeups_with_work"),

@@ -3,16 +3,17 @@
 //! validate-forward-deliver path for relayed data and relayed EOS.
 
 use super::reliability::anchor_for;
-use super::report::LATENCY_SAMPLE;
-use super::send::{ExecMsg, Routing};
+use super::report::{Reservoir, LATENCY_SAMPLE};
+use super::send::{ExecMsg, Routing, CURRENT_SHARD};
 use super::wire::{self, RelayEos, Wire};
-use crate::codec::{LazyTuple, RelayHeader, TupleView};
+use crate::codec::{LazyTuple, RelayHeader, TupleView, WireSpare};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Grouping;
 use crate::tuple::Tuple;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use whale_multicast::{build_nonblocking, MulticastTree, Node, TopoTreeBuilder};
@@ -141,6 +142,9 @@ pub(super) fn rack_aware_trees(
 /// silently lose a tracked tuple.
 pub(super) struct RelayState {
     current: RwLock<Arc<RelayEpoch>>,
+    /// `current`'s epoch id, stored under `current`'s write lock: what a
+    /// pipeline revalidates the generation it holds against (one load).
+    current_id: AtomicU32,
     prev: RwLock<Option<Arc<RelayEpoch>>>,
     /// Frames dropped because their epoch was already retired.
     pub(super) stale_drops: AtomicU64,
@@ -153,7 +157,7 @@ pub(super) struct RelayState {
     /// Received relay frames by tree depth of the receiving node.
     pub(super) depth_counts: [AtomicU64; DEPTH_BUCKETS],
     /// Sampled per-hop forward latencies (receipt to last child send).
-    pub(super) forward_ns: Mutex<Vec<u64>>,
+    pub(super) forward_ns: Mutex<Reservoir>,
     /// Forward events so far (drives latency sampling).
     forward_events: AtomicU64,
 }
@@ -161,6 +165,7 @@ pub(super) struct RelayState {
 impl RelayState {
     pub(super) fn new(initial: RelayEpoch) -> Self {
         RelayState {
+            current_id: AtomicU32::new(initial.epoch),
             current: RwLock::new(Arc::new(initial)),
             prev: RwLock::new(None),
             stale_drops: AtomicU64::new(0),
@@ -168,7 +173,7 @@ impl RelayState {
             switch_moves: AtomicU64::new(0),
             relay_bytes: AtomicU64::new(0),
             depth_counts: [(); DEPTH_BUCKETS].map(|_| AtomicU64::new(0)),
-            forward_ns: Mutex::new(Vec::new()),
+            forward_ns: Mutex::default(),
             forward_events: AtomicU64::new(0),
         }
     }
@@ -179,7 +184,7 @@ impl RelayState {
 
     /// The generation a frame's epoch belongs to: current, draining
     /// previous, or `None` (retired — the frame is stale).
-    pub(super) fn lookup(&self, epoch: u32) -> Option<Arc<RelayEpoch>> {
+    fn lookup(&self, epoch: u32) -> Option<Arc<RelayEpoch>> {
         let cur = self.current.read();
         if cur.epoch == epoch {
             return Some(Arc::clone(&cur));
@@ -187,6 +192,45 @@ impl RelayState {
         drop(cur);
         let prev = self.prev.read();
         prev.as_ref().filter(|p| p.epoch == epoch).map(Arc::clone)
+    }
+
+    /// The generation `want` names — `None`: whichever is current — for
+    /// the caller to charge and send on, or `None` for a retired one.
+    ///
+    /// A pipeline thread answers for the current generation from the
+    /// reference it [holds](HELD) whenever that still is the published
+    /// one (one load), and refills it under the lock when it is not; a
+    /// draining or stale epoch, and any other thread, take the locked
+    /// [`Self::lookup`] / [`Self::current`], one reference per call.
+    pub(super) fn hold(&self, want: Option<u32>) -> Option<Held> {
+        let uncached = |generation: Arc<RelayEpoch>| Held {
+            generation: Some(generation),
+            keep: false,
+        };
+        if CURRENT_SHARD.with(|c| c.get()).is_none() {
+            let generation = want.map_or_else(|| Some(self.current()), |e| self.lookup(e));
+            return generation.map(uncached);
+        }
+        let published = self.current_id.load(Ordering::Acquire);
+        let held = HELD.take().filter(|held| held.epoch == published);
+        let held = held.unwrap_or_else(|| self.current());
+        if want.is_none_or(|epoch| epoch == held.epoch) {
+            return Some(Held {
+                generation: Some(held),
+                keep: true,
+            });
+        }
+        HELD.set(Some(held));
+        self.lookup(want?).map(uncached)
+    }
+
+    /// Let go of a held generation that is no longer the published one.
+    /// Every [`Self::hold`] does this for itself; a pipeline also calls it
+    /// once per scheduling pass, so one that stops using the relay plane
+    /// cannot keep a demoted generation from retiring.
+    pub(super) fn revalidate_held(&self) {
+        let published = self.current_id.load(Ordering::Acquire);
+        HELD.set(HELD.take().filter(|held| held.epoch == published));
     }
 
     pub(super) fn note_bytes(&self, bytes: usize) {
@@ -205,14 +249,17 @@ impl RelayState {
         match prev.as_ref() {
             None => true,
             Some(p) => {
-                // Drained means no counted frames in flight AND nobody
-                // else holds the generation (senders keep the Arc from
-                // snapshot until after their note_sent; receivers keep
-                // theirs through forwarding) — so a frame between
-                // snapshot and charge can't slip through retirement. The
-                // counter is the generation's own, so retirement is
-                // exact: it fires the moment *this* epoch's queue is
-                // empty, not when a shared slot happens to read zero.
+                // Invariant: whoever can still charge a generation holds
+                // a strong reference to it. Drained therefore means no
+                // counted frames in flight AND nobody else holds the
+                // generation — senders and receivers keep theirs from
+                // resolving it until after their last `note_sent`, a
+                // pipeline for up to one scheduling pass (see [`HELD`]) —
+                // so a frame between resolve and charge can't slip
+                // through retirement. The counter is the generation's
+                // own, so retirement is exact: it fires the moment *this*
+                // epoch's queue is empty, not when a shared slot happens
+                // to read zero.
                 if p.inflight.load(Ordering::Relaxed) <= 0 && Arc::strong_count(p) == 1 {
                     *prev = None;
                     true
@@ -244,8 +291,55 @@ impl RelayState {
     /// stale and their charges die with the dropped generation).
     pub(super) fn publish(&self, next: Arc<RelayEpoch>) {
         let mut cur = self.current.write();
+        self.current_id.store(next.epoch, Ordering::Release);
         let old = std::mem::replace(&mut *cur, next);
         *self.prev.write() = Some(old);
+    }
+}
+
+thread_local! {
+    /// The pipeline on this thread's own reference to the current
+    /// generation, kept from one [`RelayState::hold`] to the next so that
+    /// resolving it costs a load instead of a lock round trip and a
+    /// refcount round trip per frame. It is revalidated at every use and
+    /// once per scheduling pass, and given up ([`swap_held`]) before the
+    /// pipeline blocks and when it exits: a generation is never pinned by
+    /// a pipeline that is not running. Threads without a pipeline never
+    /// fill it.
+    static HELD: Cell<Option<Arc<RelayEpoch>>> = const { Cell::new(None) };
+}
+
+/// Exchange this thread's held generation for `with`. `swap_held(None)`
+/// is how a pipeline lets go of it.
+pub(super) fn swap_held(with: Option<Arc<RelayEpoch>>) -> Option<Arc<RelayEpoch>> {
+    HELD.replace(with)
+}
+
+/// A generation resolved by [`RelayState::hold`], good for one use. On a
+/// pipeline thread dropping it hands the current generation's reference
+/// back to the thread instead of releasing it.
+pub(super) struct Held {
+    /// `Some` until dropped.
+    generation: Option<Arc<RelayEpoch>>,
+    /// Whether the reference goes back to [`HELD`].
+    keep: bool,
+}
+
+impl std::ops::Deref for Held {
+    type Target = RelayEpoch;
+
+    fn deref(&self) -> &RelayEpoch {
+        self.generation.as_deref().expect("taken only by drop")
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        if self.keep {
+            // `try_with`: nothing to hand back to on a thread whose
+            // locals are already gone.
+            let _ = HELD.try_with(|held| held.set(self.generation.take()));
+        }
     }
 }
 
@@ -283,7 +377,7 @@ impl Routing {
         }
         let lazy = LazyTuple::from_arc(Arc::clone(tuple));
         self.deliver_to_component(src_worker, comp, ExecMsg::Data(lazy, tracked));
-        let epoch = relay.current();
+        let epoch = relay.hold(None).expect("a current generation");
         let header = RelayHeader {
             origin: src_worker.0,
             epoch: epoch.epoch,
@@ -306,9 +400,11 @@ impl Routing {
         self.deliver_to_component(src_worker, comp, ExecMsg::Eos(src));
         // EOS departs on the current generation; wait (bounded) for the
         // previous one to drain first so it cannot beat still-relaying
-        // data from before a switch.
+        // data from before a switch — holding nothing meanwhile, or a
+        // switch during the wait would find this thread in its way.
+        drop(swap_held(None));
         relay.await_prev_drained(self.drain_grace());
-        let epoch = relay.current();
+        let epoch = relay.hold(None).expect("a current generation");
         let eos = RelayEos {
             origin: src_worker.0,
             epoch: epoch.epoch,
@@ -360,12 +456,12 @@ impl Routing {
         my_worker: u32,
         origin: u32,
         epoch: u32,
-    ) -> Option<(&RelayState, Arc<RelayEpoch>, u32)> {
+    ) -> Option<(&RelayState, Held, u32)> {
         let Some(relay) = self.relay.as_ref() else {
             self.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let Some(epoch) = relay.lookup(epoch) else {
+        let Some(epoch) = relay.hold(Some(epoch)) else {
             relay.stale_drops.fetch_add(1, Ordering::Relaxed);
             return None;
         };
@@ -394,6 +490,7 @@ impl Routing {
         h: RelayHeader,
         payload: &Payload,
         item: &[u8],
+        spare: &mut WireSpare,
     ) {
         let Some((relay, epoch, node)) = self.relay_admit(my_worker, h.origin, h.epoch) else {
             return;
@@ -419,14 +516,16 @@ impl Routing {
                 .relay_forwards
                 .fetch_add(forwarded, Ordering::Relaxed);
             if let Some(t0) = t0 {
-                relay.forward_ns.lock().push(t0.elapsed().as_nanos() as u64);
+                let ns = t0.elapsed().as_nanos() as u64;
+                relay.forward_ns.lock().record(ns);
             }
         }
         // Validate framing once for the whole worker, then dispatch the
         // lazy view — local executors decode at most once, on first
         // touch, against the shared relay buffer. A corrupt frame is
         // dropped (and counted) rather than crashing the relay worker.
-        let lazy = match TupleView::parse(item).and_then(|v| self.lazy_tuple(payload, &v)) {
+        let lazy = TupleView::parse(item).and_then(|v| self.lazy_tuple(payload, &v, spare));
+        let lazy = match lazy {
             Ok(l) => l,
             Err(_) => {
                 self.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
@@ -455,6 +554,7 @@ impl Routing {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn relay_node_worker_mapping_skips_origin() {
@@ -591,6 +691,130 @@ mod tests {
         assert!(m.summary("dsps.relay.forward_ns").is_some());
     }
 
+    /// src → 16 all-grouped sinks counting into the first array; the
+    /// spout counts into the second and emits ids 1, 2, … flat out — never
+    /// more than 256 ahead of the slowest sink: a spout that outruns its
+    /// sinks without bound would put the drain time of its backlog, not
+    /// the switch, under test — until `stop` is set and at least
+    /// `at_least` are out.
+    fn windowed_broadcast(
+        at_least: u64,
+        stop: &Arc<AtomicBool>,
+    ) -> (Topology, Operators, Arc<[AtomicU64; 16]>, Arc<AtomicU64>) {
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("sink", 16, Schema::new(vec!["n"]))
+            .connect("src", "sink", Grouping::All);
+        let counts: Arc<[AtomicU64; 16]> = Arc::default();
+        let emitted: Arc<AtomicU64> = Arc::default();
+        let (seen, sent, stop) = (Arc::clone(&counts), Arc::clone(&emitted), Arc::clone(stop));
+        let executed = Arc::clone(&counts);
+        let ops = Operators::new()
+            .spout("src", move |_| {
+                let (seen, sent, stop) = (Arc::clone(&seen), Arc::clone(&sent), Arc::clone(&stop));
+                Box::new(IterSpout::new(std::iter::from_fn(move || {
+                    let n = sent.load(Ordering::Relaxed);
+                    if n >= at_least && stop.load(Ordering::Relaxed) {
+                        return None;
+                    }
+                    let slowest = || seen.iter().map(|c| c.load(Ordering::Relaxed)).min();
+                    while slowest().unwrap() + 256 <= n {
+                        std::thread::yield_now();
+                    }
+                    sent.store(n + 1, Ordering::Relaxed);
+                    Some(Tuple::with_id(n + 1, vec![Value::I64(n as i64)]))
+                })))
+            })
+            .bolt("sink", move |idx| {
+                let executed = Arc::clone(&executed);
+                Box::new(FnBolt::new(move |_t: &Tuple, _out: &mut dyn Emitter| {
+                    executed[idx as usize].fetch_add(1, Ordering::Relaxed);
+                }))
+            });
+        (b.build().unwrap(), ops, counts, emitted)
+    }
+
+    #[test]
+    fn a_switch_storm_under_saturation_loses_nothing() {
+        const SWITCHES: u64 = 24;
+        let cfg = AdaptiveConfig::default();
+        for shards in [1, 2] {
+            let stop = Arc::new(AtomicBool::new(false));
+            let (topology, ops, counts, emitted) = windowed_broadcast(1, &stop);
+            let config = LiveConfig {
+                machines: 4,
+                shards,
+                multicast_d_star: Some(2),
+                ..LiveConfig::default()
+            };
+            let run = LiveRun::start(topology, &ops, config);
+            let relay = run.routing.relay.as_ref().unwrap();
+            let mut generations = vec![Arc::downgrade(&relay.current())];
+            for k in 0..SWITCHES {
+                // Some hundred tuples travel every generation.
+                let mark = emitted.load(Ordering::Relaxed) + 300;
+                while emitted.load(Ordering::Relaxed) < mark {
+                    std::thread::yield_now();
+                }
+                // The generation before last drains while traffic runs on
+                // (the default grace is the bound, never the mechanism),
+                // so at most two are ever alive.
+                let drained = relay.await_prev_drained(cfg.drain_grace);
+                assert!(drained, "{shards} shards, switch {k}");
+                let d_star = [3, 1, 2][k as usize % 3];
+                super::super::control::switch_structure(&cfg, &run.routing, d_star);
+                generations.push(Arc::downgrade(&relay.current()));
+                let alive = generations.iter().filter(|g| g.strong_count() > 0);
+                assert!(alive.count() <= 2, "{shards} shards, switch {k}");
+            }
+            stop.store(true, Ordering::Relaxed);
+            run.wait_done();
+            let emitted = emitted.load(Ordering::Relaxed);
+            assert!(emitted >= 300 * SWITCHES);
+            for (sink, count) in counts.iter().enumerate() {
+                assert_eq!(count.load(Ordering::Relaxed), emitted, "sink {sink}");
+            }
+            assert_eq!(relay.switches.load(Ordering::Relaxed), SWITCHES);
+            assert_eq!(relay.current().epoch as u64, SWITCHES);
+            assert_eq!(relay.stale_drops.load(Ordering::Relaxed), 0);
+            let stats = &run.routing.stats;
+            assert_eq!(stats.dropped_frames.load(Ordering::Relaxed), 0);
+            assert_eq!(stats.send_failed.load(Ordering::Relaxed), 0);
+            run.finish();
+        }
+    }
+
+    #[test]
+    fn a_parked_pipeline_does_not_pin_a_generation() {
+        // Every pipeline resolves generation 0 a thousand times over,
+        // then runs out of work and blocks on its endpoint.
+        let stop = Arc::new(AtomicBool::new(true));
+        let (topology, ops, counts, _) = windowed_broadcast(1_000, &stop);
+        let config = LiveConfig {
+            machines: 4,
+            multicast_d_star: Some(2),
+            ..LiveConfig::default()
+        };
+        let run = LiveRun::start(topology, &ops, config);
+        run.wait_done();
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1_000));
+        let all_parked = || {
+            let parked = |i: &super::super::send::ShardInbox| i.parked.load(Ordering::SeqCst);
+            run.routing.shard_inboxes.iter().all(parked)
+        };
+        while !all_parked() {
+            std::thread::yield_now();
+        }
+        // One switch: the demoted generation has nothing in flight, and
+        // retires at once — not when the blocked pipelines next wake
+        // (`PARK_CAP`), not when the drain grace runs out — because none
+        // of them took its reference into the block.
+        let relay = run.routing.relay.as_ref().unwrap();
+        super::super::control::switch_structure(&AdaptiveConfig::default(), &run.routing, 3);
+        assert!(relay.try_retire_prev());
+        run.finish();
+    }
+
     #[test]
     fn stale_epoch_relay_frames_are_dropped_not_delivered() {
         let routing = bare_routing(
@@ -620,7 +844,7 @@ mod tests {
                 from: whale_net::EndpointId(1),
                 payload: Payload::Copied(f[..1 + RelayHeader::WIRE_BYTES].to_vec()),
             };
-            super::super::pipeline::on_frame(0, &msg, &routing, &mut Vec::new());
+            super::super::pipeline::on_frame(0, &msg, &routing, &mut Default::default());
         };
         // A frame from a retired generation: stale-dropped, not counted
         // as a malformed frame, never delivered.

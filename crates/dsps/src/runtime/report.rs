@@ -82,6 +82,8 @@ pub struct RunStats {
     pub send_failed: AtomicU64,
     /// Executors that exited on the run deadline instead of EOS.
     pub deadline_exits: AtomicU64,
+    /// Idle episodes that outlasted the spin rung and yielded the CPU.
+    pub pipeline_yields: AtomicU64,
     /// Blocking waits pipelines entered after spinning and yielding.
     pub pipeline_parks: AtomicU64,
     /// Blocking waits that returned work (a frame or an inbox wake-up)
@@ -91,9 +93,11 @@ pub struct RunStats {
     pub(super) delivery: DeliveryProbes,
 }
 
-/// Every `LATENCY_SAMPLE`-th tracked tuple is timed from spout emission to
-/// each bolt execution (wall clock); relay forward latency is sampled at
-/// the same rate.
+/// Every `LATENCY_SAMPLE`-th tuple id is timed from spout emission to the
+/// start of each batch that executes it (wall clock): one clock read per
+/// sampled batch, recorded once per executing task, so a bolt's sample
+/// does not include the bolts that ran before it in the same batch. Relay
+/// forward latency is sampled at the same rate.
 pub(super) const LATENCY_SAMPLE: u64 = 8;
 
 /// Emit stamps kept at once: a sampled id's stamp is evicted by the id
@@ -102,10 +106,11 @@ pub(super) const LATENCY_SAMPLE: u64 = 8;
 /// untimed.
 const EMIT_WINDOW: usize = 8 * 1024;
 
-/// Delivery latencies kept for the report. Past it the kept values are a
-/// uniform reservoir over every sampled delivery (algorithm R, seeded by
-/// the running count, so a replayed sequence keeps the same values).
-const DELIVERY_RESERVOIR: usize = 64 * 1024;
+/// Sampled timings kept for the report, per [`Reservoir`]. Past it the
+/// kept values are a uniform sample of every recorded one (algorithm R,
+/// seeded by the running count, so a replayed sequence keeps the same
+/// values).
+const RESERVOIR_CAP: usize = 64 * 1024;
 
 /// Delivery-latency bookkeeping in bounded memory: a fixed window of emit
 /// stamps and a fixed-size reservoir of latencies with an exact count.
@@ -117,10 +122,31 @@ pub(super) struct DeliveryProbes {
     latencies: Mutex<Reservoir>,
 }
 
+/// Sampled timings in bounded memory: an exact count and at most
+/// [`RESERVOIR_CAP`] of the values.
 #[derive(Debug, Default)]
-struct Reservoir {
+pub(super) struct Reservoir {
     kept: Vec<u64>,
     seen: u64,
+}
+
+impl Reservoir {
+    pub(super) fn record(&mut self, ns: u64) {
+        self.seen += 1;
+        if self.kept.len() < RESERVOIR_CAP {
+            self.kept.push(ns);
+        } else {
+            let j = splitmix64(self.seen) % self.seen;
+            if let Some(kept) = self.kept.get_mut(j as usize) {
+                *kept = ns;
+            }
+        }
+    }
+
+    /// The kept values and the exact number recorded.
+    pub(super) fn take(&mut self) -> (Vec<u64>, u64) {
+        (std::mem::take(&mut self.kept), self.seen)
+    }
 }
 
 impl DeliveryProbes {
@@ -156,30 +182,21 @@ impl DeliveryProbes {
         Some(at)
     }
 
-    /// Record the emit-to-execute times of one batch of sampled
-    /// deliveries, under one lock.
-    pub(super) fn record(&self, latencies_ns: &[u64]) {
-        if latencies_ns.is_empty() {
+    /// Record one batch's emit-to-batch-start time once per task that
+    /// executed it, under one lock.
+    pub(super) fn record(&self, ns: u64, executions: u64) {
+        if executions == 0 {
             return;
         }
         let mut r = self.latencies.lock();
-        for &ns in latencies_ns {
-            r.seen += 1;
-            if r.kept.len() < DELIVERY_RESERVOIR {
-                r.kept.push(ns);
-            } else {
-                let j = splitmix64(r.seen) % r.seen;
-                if let Some(kept) = r.kept.get_mut(j as usize) {
-                    *kept = ns;
-                }
-            }
+        for _ in 0..executions {
+            r.record(ns);
         }
     }
 
     /// The kept latencies and the exact number of sampled deliveries.
     pub(super) fn take(&self) -> (Vec<u64>, u64) {
-        let mut r = self.latencies.lock();
-        (std::mem::take(&mut r.kept), r.seen)
+        self.latencies.lock().take()
     }
 }
 
@@ -231,7 +248,8 @@ pub struct RunReport {
     /// bucket absorbs deeper hops); empty when the relay path was off.
     pub relay_depths: Vec<u64>,
     /// Sampled per-hop relay forward latencies (receipt to last child
-    /// send, ns), unordered.
+    /// send, ns), unordered; a uniform sample of them once a long run has
+    /// taken more than the reservoir holds.
     pub relay_forward_ns: Vec<u64>,
     /// Malformed or unroutable fabric frames (and unroutable tuples)
     /// dropped by the pipelines.
@@ -275,6 +293,9 @@ pub struct RunReport {
     pub send_failed: u64,
     /// Executors that exited on [`super::LiveConfig::run_deadline`].
     pub deadline_exits: u64,
+    /// Idle episodes that outlasted the spin rung and yielded the CPU
+    /// (each then either found work or went on to block).
+    pub pipeline_yields: u64,
     /// Blocking waits the pipelines entered (idle after spin and yield).
     /// Scales with how often work arrives at an idle pipeline, not with
     /// run length.
@@ -431,6 +452,7 @@ impl RunReport {
         reg.set_counter("dsps.send.retries", self.send_retries);
         reg.set_counter("dsps.send.failed", self.send_failed);
         reg.set_counter("dsps.deadline_exits", self.deadline_exits);
+        reg.set_counter("dsps.pipeline.yields", self.pipeline_yields);
         reg.set_counter("dsps.pipeline.parks", self.pipeline_parks);
         reg.set_counter(
             "dsps.pipeline.wakeups_with_work",
@@ -542,8 +564,7 @@ impl RunReport {
             relay_epoch: relay.map_or(0, |r| r.current().epoch),
             relay_d_star: relay.map_or(0, |r| r.current().d_star),
             relay_depths: relay.map_or_else(Vec::new, |r| r.depth_counts.iter().map(get).collect()),
-            relay_forward_ns: relay
-                .map_or_else(Vec::new, |r| std::mem::take(&mut *r.forward_ns.lock())),
+            relay_forward_ns: relay.map_or_else(Vec::new, |r| r.forward_ns.lock().take().0),
             dropped_frames: get(&stats.dropped_frames),
             thread_panics,
             shards: routing.shards as u64,
@@ -564,6 +585,7 @@ impl RunReport {
             send_retries: get(&stats.send_retries),
             send_failed: failed_sends,
             deadline_exits,
+            pipeline_yields: get(&stats.pipeline_yields),
             pipeline_parks: get(&stats.pipeline_parks),
             pipeline_wakeups_with_work: get(&stats.pipeline_wakeups_with_work),
             tuples_acked: ack.map_or(0, |a| get(&a.acked)),
@@ -604,7 +626,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use super::{DeliveryProbes, DELIVERY_RESERVOIR, EMIT_WINDOW, LATENCY_SAMPLE};
+    use super::{DeliveryProbes, Reservoir, EMIT_WINDOW, LATENCY_SAMPLE, RESERVOIR_CAP};
 
     #[test]
     fn delivery_probes_stay_bounded_and_count_exactly() {
@@ -614,22 +636,40 @@ mod tests {
         assert!(probes.emitted_at(LATENCY_SAMPLE + 1).is_none());
         probes.on_emit(LATENCY_SAMPLE);
         assert!(probes.emitted_at(LATENCY_SAMPLE).is_some());
-        probes.record(&[5, 7]);
+        probes.record(5, 2);
         // A stamp lives until the id one window later takes its slot.
         let evictor = LATENCY_SAMPLE * (1 + EMIT_WINDOW as u64);
         probes.on_emit(evictor);
         assert!(probes.emitted_at(LATENCY_SAMPLE).is_none());
         assert!(probes.emitted_at(evictor).is_some());
         assert_eq!(probes.stamps.lock().len(), EMIT_WINDOW);
-        probes.record(&[]);
-        let sampled = 2 + 2 * DELIVERY_RESERVOIR as u64;
-        let batch = [9; 16];
-        for _ in 0..(sampled - 2) / batch.len() as u64 {
-            probes.record(&batch);
+        probes.record(9, 0);
+        let sampled = 2 + 2 * RESERVOIR_CAP as u64;
+        for _ in 0..(sampled - 2) / 16 {
+            probes.record(9, 16);
         }
         let (kept, seen) = probes.take();
         assert_eq!(seen, sampled, "the count stays exact");
-        assert_eq!(kept.len(), DELIVERY_RESERVOIR, "the values are capped");
+        assert_eq!(kept.len(), RESERVOIR_CAP, "the values are capped");
+    }
+
+    #[test]
+    fn a_reservoir_stays_bounded_counts_exactly_and_samples_the_whole_run() {
+        // What `RelayState::forward_ns` is: one value per sampled hop for
+        // as long as the run lasts.
+        let mut r = Reservoir::default();
+        let recorded = 3 * RESERVOIR_CAP as u64;
+        for ns in 0..recorded {
+            r.record(ns);
+        }
+        assert!(r.kept.capacity() <= 2 * RESERVOIR_CAP, "never regrown");
+        let (kept, seen) = r.take();
+        assert_eq!(seen, recorded, "the count stays exact");
+        assert_eq!(kept.len(), RESERVOIR_CAP, "the values are capped");
+        // Uniform over the run, not its first `RESERVOIR_CAP` values.
+        let late = |ns: &&u64| **ns >= RESERVOIR_CAP as u64;
+        let late = kept.iter().filter(late).count();
+        assert!(late > RESERVOIR_CAP / 2, "late values kept: {late}");
     }
 
     #[test]

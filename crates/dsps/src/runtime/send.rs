@@ -9,7 +9,7 @@ use super::relay::{RelayEpoch, RelayState};
 use super::reliability::{anchor_for, splitmix64, AckRuntime, LogRuntime};
 use super::report::RunStats;
 use super::wire::{self, Wire};
-use crate::codec::{DecodeError, LazyTuple, TupleView};
+use crate::codec::{DecodeError, LazyTuple, TupleView, WireSpare};
 use crate::grouping::GroupingExec;
 use crate::messaging::{CommMode, MessagePlan};
 use crate::operator::Emitter;
@@ -249,16 +249,19 @@ impl Routing {
     /// Turn a received data item into the executor-facing handle. A
     /// shared payload (RDMA semantics) is anchored as-is — the view
     /// rides the receive buffer's refcount and nothing is decoded until
-    /// an executor touches it. A copied payload (TCP semantics) does not
-    /// outlive dispatch, so the tuple is materialized here, eagerly —
-    /// which is also where a copied frame's bad UTF-8 still surfaces.
+    /// an executor touches it — in the block `spare` kept from the
+    /// pipeline's last batch, if it kept one. A copied payload (TCP
+    /// semantics) does not outlive dispatch, so the tuple is
+    /// materialized here, eagerly — which is also where a copied frame's
+    /// bad UTF-8 still surfaces.
     pub(super) fn lazy_tuple(
         &self,
         payload: &Payload,
         view: &TupleView<'_>,
+        spare: &mut WireSpare,
     ) -> Result<LazyTuple, DecodeError> {
         match payload {
-            Payload::Shared(buf) => Ok(LazyTuple::from_wire_view(Arc::clone(buf), view)),
+            Payload::Shared(buf) => Ok(spare.anchor(Arc::clone(buf), view)),
             Payload::Copied(_) => view.to_tuple().map(LazyTuple::from_tuple),
         }
     }
@@ -285,12 +288,16 @@ impl Routing {
         let Some(inbox) = self.shard_inboxes.get(flat) else {
             return false;
         };
-        if matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire()) {
-            let n = n_tasks as u64;
-            self.stats.wire_tuples_lazy.fetch_add(n, Ordering::Relaxed);
-        }
+        let lazy = matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire());
+        let accepted = || {
+            if lazy {
+                let n = n_tasks as u64;
+                self.stats.wire_tuples_lazy.fetch_add(n, Ordering::Relaxed);
+            }
+        };
         if CURRENT_SHARD.with(|c| c.get()) == Some(flat) {
             LOCAL_QUEUE.with_borrow_mut(|q| q.push_back((dest, msg)));
+            accepted();
             return true;
         }
         let mut item = Some((dest, msg));
@@ -306,6 +313,7 @@ impl Routing {
         });
         match sent {
             Ok(()) => {
+                accepted();
                 self.stats.cross_shard_msgs.fetch_add(1, Ordering::Relaxed);
                 // The owning pipeline blocks on its fabric endpoint, not on
                 // this inbox: if it is parked, wake it through the fabric
@@ -763,6 +771,49 @@ mod tests {
                 assert_eq!(routing.pool.high_watermark(), 1, "one scratch per tuple");
             }
         }
+    }
+
+    #[test]
+    fn a_refused_delivery_is_not_counted_as_a_lazy_delivery() {
+        // A capacity-1 inbox nobody reads and a policy that gives up at
+        // once: the first delivery is accepted, every later one refused.
+        // Each attempt is in exactly one of the two counters.
+        let (tx, _inbox_rx) = crossbeam::channel::bounded(1);
+        let routing = Routing {
+            shard_inboxes: vec![ShardInbox::new(tx)],
+            ..bare_routing(
+                LiveConfig {
+                    machines: 2,
+                    send: SendPolicy {
+                        spin: 0,
+                        yields: 0,
+                        deadline: Duration::ZERO,
+                        ..SendPolicy::default()
+                    },
+                    ..LiveConfig::default()
+                },
+                None,
+            )
+        };
+        // Worker 0's pipeline owns two `double` tasks: one row, two
+        // lazy deliveries per accepted entry.
+        let groups = &routing.groups;
+        let row = (routing.topology.tasks_of("double").into_iter())
+            .find_map(|t| groups.row_of(t).filter(|&r| groups.pipeline_of(r) == 0))
+            .expect("worker 0 hosts a bolt");
+        let n_tasks = routing.groups.tasks(row).len() as u64;
+        let item: Arc<[u8]> = Arc::from(&crate::codec::encode_tuple(&Tuple::new(vec![]))[..]);
+        const ATTEMPTS: u64 = 5;
+        for _ in 0..ATTEMPTS {
+            let lazy = LazyTuple::from_wire(Arc::clone(&item), 0).unwrap();
+            assert!(routing.deliver(Dest::Group(row), ExecMsg::Data(lazy, None)));
+        }
+        let stats = &routing.stats;
+        let lazy = stats.wire_tuples_lazy.load(Ordering::Relaxed);
+        let failed = stats.send_failed.load(Ordering::Relaxed);
+        assert_eq!(lazy / n_tasks + failed, ATTEMPTS, "every attempt, once");
+        assert_eq!((lazy, failed), (n_tasks, ATTEMPTS - 1));
+        assert_eq!(stats.cross_shard_msgs.load(Ordering::Relaxed), 1);
     }
 
     #[test]
