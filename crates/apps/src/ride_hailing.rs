@@ -8,9 +8,13 @@
 //! and emits its best local candidate; an aggregation operator picks the
 //! overall closest driver per order.
 
+mod driver_index;
+
+use driver_index::DriverIndex;
 use std::collections::HashMap;
 use whale_dsps::{
-    Bolt, Emitter, Grouping, Operators, Schema, Spout, Topology, TopologyBuilder, Tuple, Value,
+    Bolt, DecodeError, Emitter, Grouping, LazyTuple, Operators, Schema, Spout, Topology,
+    TopologyBuilder, Tuple, Value, ValueView,
 };
 use whale_workloads::{DidiConfig, DidiGenerator};
 
@@ -132,12 +136,22 @@ impl Spout for RequestSpout {
     }
 }
 
+/// Field `i` of an input as both entry points of a bolt read it:
+/// [`Bolt::execute`] off an owned tuple (never `Err`),
+/// [`Bolt::execute_lazy`] straight off the wire view.
+type Field<'a> = Result<Option<ValueView<'a>>, DecodeError>;
+
+fn owned_field(input: &Tuple, i: usize) -> Field<'_> {
+    Ok(input.get(i).map(ValueView::from))
+}
+
+const NO_DEFERRED_DECODE: &str = "an owned tuple has no deferred decode to fail";
+
 /// The matching bolt: stores driver locations, joins requests against
 /// them, and emits the best local candidate per request.
 #[derive(Default)]
 pub struct MatchingBolt {
-    drivers: HashMap<i64, (f64, f64)>,
-    requests_handled: u64,
+    drivers: DriverIndex,
 }
 
 impl MatchingBolt {
@@ -145,34 +159,53 @@ impl MatchingBolt {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Bolt for MatchingBolt {
-    fn execute(&mut self, input: &Tuple, out: &mut dyn Emitter) {
-        let tag = input.get(0).and_then(Value::as_i64).expect("tag field");
-        let key = input.get(1).and_then(Value::as_i64).expect("key field");
-        let lat = input.get(2).and_then(Value::as_f64).expect("lat field");
-        let lng = input.get(3).and_then(Value::as_f64).expect("lng field");
+    fn on_event<'a>(
+        &mut self,
+        id: u64,
+        field: impl Fn(usize) -> Field<'a>,
+        out: &mut dyn Emitter,
+    ) -> Result<(), DecodeError> {
+        let tag = field(0)?.and_then(|v| v.as_i64()).expect("tag field");
+        let key = field(1)?.and_then(|v| v.as_i64()).expect("key field");
+        let lat = field(2)?.and_then(|v| v.as_f64()).expect("lat field");
+        let lng = field(3)?.and_then(|v| v.as_f64()).expect("lng field");
         match tag {
-            TAG_LOCATION => {
-                self.drivers.insert(key, (lat, lng));
-            }
+            TAG_LOCATION => self.drivers.update(key, lat, lng),
             TAG_REQUEST => {
-                self.requests_handled += 1;
                 // Best locally-known driver for this request.
-                let best = self
-                    .drivers
-                    .iter()
-                    .map(|(&d, &(dlat, dlng))| (d, dist2(lat, lng, dlat, dlng)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-                if let Some((driver, d2)) = best {
+                if let Some((driver, d2)) = self.drivers.nearest(lat, lng) {
                     out.emit(Tuple::with_id(
-                        input.id,
+                        id,
                         vec![Value::I64(key), Value::I64(driver), Value::F64(d2)],
                     ));
                 }
             }
             other => panic!("unknown event tag {other}"),
+        }
+        Ok(())
+    }
+}
+
+impl Bolt for MatchingBolt {
+    fn execute(&mut self, input: &Tuple, out: &mut dyn Emitter) {
+        self.on_event(input.id, |i| owned_field(input, i), out)
+            .expect(NO_DEFERRED_DECODE)
+    }
+
+    fn execute_lazy(
+        &mut self,
+        input: &LazyTuple,
+        out: &mut dyn Emitter,
+    ) -> Result<(), DecodeError> {
+        // One view for the four reads (`LazyTuple::field` rebuilds it per
+        // call); a handle that is not wire-backed holds the owned tuple.
+        match input.view() {
+            Some(view) => self.on_event(view.id(), |i| view.field(i).transpose(), out),
+            None => {
+                self.execute(input.materialize()?, out);
+                Ok(())
+            }
         }
     }
 }
@@ -189,20 +222,40 @@ impl AggregationBolt {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn on_candidate<'a>(&mut self, field: impl Fn(usize) -> Field<'a>) -> Result<(), DecodeError> {
+        let order = field(0)?.and_then(|v| v.as_i64()).expect("order field");
+        let driver = field(1)?.and_then(|v| v.as_i64()).expect("driver field");
+        let d2 = field(2)?.and_then(|v| v.as_f64()).expect("distance field");
+        // Equal distances go to the lower driver id, as in `DriverIndex`:
+        // the assignment is a function of the candidate set, not of which
+        // worker's frame arrived first.
+        match self.best.get(&order) {
+            Some(&(best, best_d2)) if best_d2 < d2 || (best_d2 == d2 && best <= driver) => {}
+            _ => {
+                self.best.insert(order, (driver, d2));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Bolt for AggregationBolt {
     fn execute(&mut self, input: &Tuple, _out: &mut dyn Emitter) {
-        let order = input.get(0).and_then(Value::as_i64).expect("order field");
-        let driver = input.get(1).and_then(Value::as_i64).expect("driver field");
-        let d2 = input
-            .get(2)
-            .and_then(Value::as_f64)
-            .expect("distance field");
-        match self.best.get(&order) {
-            Some(&(_, best_d2)) if best_d2 <= d2 => {}
-            _ => {
-                self.best.insert(order, (driver, d2));
+        self.on_candidate(|i| owned_field(input, i))
+            .expect(NO_DEFERRED_DECODE)
+    }
+
+    fn execute_lazy(
+        &mut self,
+        input: &LazyTuple,
+        out: &mut dyn Emitter,
+    ) -> Result<(), DecodeError> {
+        match input.view() {
+            Some(view) => self.on_candidate(|i| view.field(i).transpose()),
+            None => {
+                self.execute(input.materialize()?, out);
+                Ok(())
             }
         }
     }
@@ -317,6 +370,114 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_coordinates_neither_panic_nor_match() {
+        let mut m = MatchingBolt::new();
+        let mut out = VecEmitter::default();
+        m.execute(&loc(1, 39.9, 116.3), &mut out);
+        m.execute(&loc(1, f64::NAN, 116.3), &mut out); // driver 1 stays put
+        m.execute(&loc(2, 39.9, f64::INFINITY), &mut out); // driver 2 is not stored
+        m.execute(&req(7, f64::NAN, 116.3), &mut out); // nowhere: no candidate
+        assert!(out.emitted.is_empty());
+        m.execute(&req(8, 39.9, 116.3), &mut out);
+        assert_eq!(out.emitted.len(), 1, "the instance still answers");
+        assert_eq!(out.emitted[0].get(1).unwrap().as_i64(), Some(1));
+        assert_eq!(out.emitted[0].get(2).unwrap().as_f64(), Some(0.0));
+    }
+
+    /// The same inputs through `execute` and through `execute_lazy`, off
+    /// the wire and as owned handles: identical emissions, and a wire
+    /// handle is never materialized.
+    fn assert_lazy_equals_eager<B: Bolt>(new: fn() -> B, inputs: &[Tuple]) -> Vec<Tuple> {
+        let mut runs = [new(), new(), new()].map(|bolt| (bolt, VecEmitter::default()));
+        for t in inputs {
+            let bytes = whale_dsps::codec::encode_tuple(t);
+            let wire = LazyTuple::from_wire(std::sync::Arc::from(&bytes[..]), 0).unwrap();
+            let [(eager, eager_out), (lazy, lazy_out), (owned, owned_out)] = &mut runs;
+            eager.execute(t, eager_out);
+            lazy.execute_lazy(&wire, lazy_out).unwrap();
+            owned
+                .execute_lazy(&LazyTuple::from_tuple(t.clone()), owned_out)
+                .unwrap();
+            assert!(wire.is_wire() && !wire.is_materialized());
+        }
+        let [eager, lazy, owned] = runs.map(|(mut bolt, mut out)| {
+            bolt.finish(&mut out);
+            out.emitted
+        });
+        assert_eq!(eager, lazy);
+        assert_eq!(eager, owned);
+        eager
+    }
+
+    #[test]
+    fn lazy_and_eager_entry_points_agree() {
+        // Enough drivers for the grid, requests interleaved with moves.
+        let mut gen = DidiGenerator::new(
+            3,
+            DidiConfig {
+                drivers: 150,
+                ..DidiConfig::default()
+            },
+        );
+        let events: Vec<Tuple> = (0..600)
+            .map(|i| match i % 3 {
+                0 => {
+                    let o = gen.next_order();
+                    req(o.order_id as i64, o.lat, o.lng)
+                }
+                _ => {
+                    let l = gen.next_location();
+                    loc(l.driver_id as i64, l.lat, l.lng)
+                }
+            })
+            .collect();
+        let candidates = assert_lazy_equals_eager(MatchingBolt::new, &events);
+        assert!(
+            candidates.len() > 190,
+            "all but the first requests find a driver"
+        );
+        // Three instances' worth of candidates per order.
+        let candidates: Vec<Tuple> = (0..3).flat_map(|_| candidates.iter().cloned()).collect();
+        let assigned = assert_lazy_equals_eager(AggregationBolt::new, &candidates);
+        assert!(!assigned.is_empty());
+    }
+
+    #[test]
+    fn aggregation_is_a_function_of_the_candidate_set() {
+        // Drivers 31 and 17 are equally near: whichever worker's frame
+        // arrives first, the order goes to 17.
+        let cands = [(40, 0.5), (31, 0.25), (17, 0.25), (8, 0.75)];
+        let n = cands.len();
+        // Every arrival order: the n! index sequences without a repeat.
+        let orders = (0..n.pow(n as u32))
+            .map(|code| {
+                (0..n)
+                    .map(|k| code / n.pow(k as u32) % n)
+                    .collect::<Vec<_>>()
+            })
+            .filter(|order| (0..n).all(|i| order.contains(&i)));
+        let mut seen = 0;
+        for order in orders {
+            let mut a = AggregationBolt::new();
+            let mut out = VecEmitter::default();
+            for &i in &order {
+                let (driver, d2) = cands[i];
+                let t = Tuple::new(vec![Value::I64(1), Value::I64(driver), Value::F64(d2)]);
+                a.execute(&t, &mut out);
+            }
+            a.finish(&mut out);
+            assert_eq!(out.emitted.len(), 1);
+            assert_eq!(
+                out.emitted[0].get(1).unwrap().as_i64(),
+                Some(17),
+                "{order:?}"
+            );
+            seen += 1;
+        }
+        assert_eq!(seen, 24);
+    }
+
+    #[test]
     fn aggregation_keeps_minimum() {
         let mut a = AggregationBolt::new();
         let mut out = VecEmitter::default();
@@ -374,5 +535,7 @@ mod tests {
         // its first location does: the candidate count is bounded, not
         // exact.
         assert!(report.executed[3] > 0 && report.executed[3] <= 50 * 8);
+        // Both bolts read their fields off the wire view.
+        assert_eq!(report.tuples_materialized, 0);
     }
 }
