@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-use whale_net::{BatchConfig, Batcher, EndpointId, LiveFabric, MemoryRegistry, RingRegion};
+use whale_net::{
+    BatchConfig, Batcher, EndpointId, FabricPath, LiveFabric, MemoryRegistry, RingRegion,
+};
 use whale_sim::{SimDuration, SimTime};
 
 fn bench_fabric(c: &mut Criterion) {

@@ -40,7 +40,7 @@ use whale_dsps::{
     Operators, RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
 };
 use whale_net::{
-    EndpointCrash, EndpointId, EndpointRestart, FabricKind, FaultPlan, OneSidedConfig,
+    EndpointCrash, EndpointId, EndpointRestart, FabricKind, FabricPath, FaultPlan, OneSidedConfig,
     OneSidedFabric, PartitionLog, RingConfig,
 };
 use whale_sim::JsonValue;
@@ -235,7 +235,6 @@ pub fn measure_late_subscriber(scale: Scale) -> RecoveryPoint {
     let fabric = OneSidedFabric::new(OneSidedConfig {
         ring_slots: 64,
         log: Some(LogConfig::default()),
-        ..OneSidedConfig::default()
     });
     let live = fabric
         .register(EndpointId(1))
@@ -266,19 +265,19 @@ pub fn measure_late_subscriber(scale: Scale) -> RecoveryPoint {
     let late = fabric
         .register(EndpointId(9))
         .expect("late endpoint registers");
-    let cpu_before = fabric.log_sender_cpu_ns();
-    let reads_before = fabric.log_reads_posted();
+    let cpu_before = fabric.log_sum(PartitionLog::sender_cpu_ns);
+    let reads_before = fabric.log_sum(PartitionLog::reads_posted);
     let backfilled = fabric
         .backfill(EndpointId(0), EndpointId(1), EndpointId(9), 0)
         .expect("backfill reads the retained history");
-    let cpu_during_backfill = fabric.log_sender_cpu_ns() - cpu_before;
+    let cpu_during_backfill = fabric.log_sum(PartitionLog::sender_cpu_ns) - cpu_before;
     assert_eq!(backfilled, frames, "backfill must replay the full history");
     assert_eq!(
         cpu_during_backfill, 0,
         "backfill must never touch the sender's CPU"
     );
     assert_eq!(
-        fabric.log_reads_posted() - reads_before,
+        fabric.log_sum(PartitionLog::reads_posted) - reads_before,
         frames,
         "each backfilled record is one modeled one-sided READ"
     );

@@ -12,7 +12,7 @@
 
 use crate::{Scale, Table};
 use std::sync::Arc;
-use whale_net::{BatchConfig, EndpointId, RingConfig, RingFabric};
+use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
 use whale_sim::{CostModel, SimDuration, SimTime, Transport};
 
 /// Tuple payload size, matching the Figs 11/12 calibration runs.
@@ -105,14 +105,15 @@ pub fn measure(scale: Scale, fanout: u32) -> LivePoint {
     );
 
     let cost = CostModel::default();
+    let stats = fabric.stats();
     LivePoint {
         fanout,
         tuples,
-        messages: fabric.messages(),
-        batches: fabric.flushed_batches(),
-        mean_batch: fabric.mean_batch_size(),
+        messages: stats.messages,
+        batches: stats.flushed_batches,
+        mean_batch: stats.mean_batch_size(),
         per_send_msgs_s: sender_capacity(1.0, &cost),
-        ring_msgs_s: sender_capacity(fabric.mean_batch_size().max(1.0), &cost),
+        ring_msgs_s: sender_capacity(stats.mean_batch_size().max(1.0), &cost),
     }
 }
 

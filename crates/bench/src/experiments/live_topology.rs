@@ -486,7 +486,7 @@ pub fn run_experiment(_scale: Scale) -> Vec<Table> {
         let whale = cell(&points, p.racks, p.lambda, "whale");
         assert!(p.cost.uplink_edges <= whale.cost.uplink_edges);
         // …and every remote rack costs exactly one crossing.
-        let expect: u32 = if p.racks > 1 { p.racks - 1 } else { 0 };
+        let expect = p.racks.saturating_sub(1);
         assert_eq!(p.cost.uplink_edges, expect, "one entry per remote rack");
     }
 

@@ -21,7 +21,7 @@
 use crate::{Scale, Table};
 use bytes::BufMut;
 use whale_dsps::BufferPool;
-use whale_net::{BatchConfig, EndpointId, RingConfig, RingFabric};
+use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
 use whale_sim::{CostModel, JsonValue, SimDuration, SimTime, Transport};
 
 /// Tuple payload size, matching the Figs 11/12 and E19 calibration runs.
@@ -164,12 +164,12 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
                 .expect("ring sized above the workload");
         }
     });
+    let (cloned, shared) = (clone_fabric.stats(), shared_fabric.stats());
     assert_eq!(
-        clone_fabric.copied_bytes(),
-        shared_fabric.shared_bytes(),
+        cloned.copied_bytes, shared.shared_bytes,
         "both disciplines deliver the same frames"
     );
-    assert_eq!(shared_fabric.copied_bytes(), 0, "shared run never copies");
+    assert_eq!(shared.copied_bytes, 0, "shared run never copies");
 
     // Drain critical path: each endpoint belongs to exactly one shard, so
     // the slowest shard drains `tuples × (endpoints it owns)` messages.
@@ -196,7 +196,7 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
     let mr_op = cost.ring_mr_op.as_secs_f64();
     let post = cost.rdma_post_send.as_secs_f64();
     let wire = cost.wire_time(Transport::Rdma, MSG_BYTES).as_secs_f64();
-    let mean_batch = shared_fabric.mean_batch_size().max(1.0);
+    let mean_batch = shared.mean_batch_size().max(1.0);
     let drain_per_msg = mr_op + wire + post / mean_batch;
     let drain_time = max_shard_msgs as f64 * drain_per_msg;
     let f = fanout as f64;
@@ -206,15 +206,15 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
         fanout,
         shards: config.shard_count(),
         tuples,
-        messages: shared_fabric.messages(),
-        clone_bytes: clone_fabric.copied_bytes(),
-        shared_bytes: shared_fabric.shared_bytes(),
+        messages: shared.messages,
+        clone_bytes: cloned.copied_bytes,
+        shared_bytes: shared.shared_bytes,
         clone_encodes: tuples * fanout as u64,
         shared_encodes: tuples,
         pool_hits: pool.hits(),
         pool_misses: pool.misses(),
         pool_hit_rate: pool.hit_rate(),
-        mean_batch: shared_fabric.mean_batch_size(),
+        mean_batch: shared.mean_batch_size(),
         max_shard_msgs,
         clone_tuples_s: tuples as f64 / sender_clone.max(drain_time),
         shared_tuples_s: tuples as f64 / sender_shared.max(drain_time),

@@ -95,7 +95,7 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
         let target = if cfg.forced_switches.is_empty() {
             monitor.record_arrivals(emitted.saturating_sub(last_emitted));
             let now = SimTime::from_nanos(epoch0.elapsed().as_nanos() as u64);
-            let queue_len = routing.fabric.queue_depth() as usize
+            let queue_len = routing.fabric.stats().queue_depth as usize
                 + routing.max_inbox_depth()
                 + routing.ack.as_ref().map_or(0, |a| a.acker.lock().pending());
             let report = monitor.sample_with_links(now, queue_len, routing.link_pressure());
@@ -182,16 +182,19 @@ pub(super) fn monitor_loop(
 ) -> Vec<TimelineSample> {
     let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
     let (stats, ack) = (&routing.stats, routing.ack.as_ref());
-    let sample = || TimelineSample {
-        at: start.elapsed(),
-        spout_emitted: get(&stats.spout_emitted),
-        executed: stats.executed.iter().map(get).sum(),
-        fabric_messages: routing.fabric.messages(),
-        send_errors: routing.fabric.send_errors(),
-        send_retries: get(&stats.send_retries),
-        acked: ack.map_or(0, |a| get(&a.acked)),
-        failed: ack.map_or(0, |a| get(&a.failed)),
-        replayed: ack.map_or(0, |a| get(&a.replayed)),
+    let sample = || {
+        let fabric = routing.fabric.stats();
+        TimelineSample {
+            at: start.elapsed(),
+            spout_emitted: get(&stats.spout_emitted),
+            executed: stats.executed.iter().map(get).sum(),
+            fabric_messages: fabric.messages,
+            send_errors: fabric.send_errors,
+            send_retries: get(&stats.send_retries),
+            acked: ack.map_or(0, |a| get(&a.acked)),
+            failed: ack.map_or(0, |a| get(&a.failed)),
+            replayed: ack.map_or(0, |a| get(&a.replayed)),
+        }
     };
     let mut timeline = Vec::new();
     while sleep_with_stop(interval, stop) {

@@ -537,16 +537,16 @@ impl RunReport {
         let deadline_exits = get(&stats.deadline_exits);
         let degraded =
             thread_panics > 0 || failed_sends > 0 || failed_tuples > 0 || deadline_exits > 0;
-        let batches = fabric.flushed_batches();
+        let fabric = fabric.stats();
         let (delivery_ns, delivery_samples) = stats.delivery.take();
         RunReport {
             elapsed,
             serializations: get(&stats.serializations),
             executed: stats.executed.iter().map(get).collect(),
             spout_emitted: get(&stats.spout_emitted),
-            fabric_messages: fabric.messages(),
-            copied_bytes: fabric.copied_bytes(),
-            shared_bytes: fabric.shared_bytes(),
+            fabric_messages: fabric.messages,
+            copied_bytes: fabric.copied_bytes,
+            shared_bytes: fabric.shared_bytes,
             relay_forwards: get(&stats.relay_forwards),
             frames_encoded: get(&stats.frames_encoded),
             relay_bytes: relay.map_or(0, |r| get(&r.relay_bytes)),
@@ -571,13 +571,9 @@ impl RunReport {
             cross_shard_msgs: get(&stats.cross_shard_msgs),
             wire_tuples_lazy: get(&stats.wire_tuples_lazy),
             tuples_materialized: get(&stats.tuples_materialized),
-            send_errors: fabric.send_errors(),
-            batches_flushed: batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                fabric.flushed_items() as f64 / batches as f64
-            },
+            send_errors: fabric.send_errors,
+            batches_flushed: fabric.flushed_batches,
+            mean_batch_size: fabric.mean_batch_size(),
             pool_hits: pool.hits(),
             pool_misses: pool.misses(),
             pool_high_watermark: pool.high_watermark(),

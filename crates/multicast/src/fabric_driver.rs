@@ -774,6 +774,6 @@ mod tests {
         let err = run_switch_over_fabric(dyn_fabric, &tree, 2).unwrap_err();
         assert!(matches!(err, DriverError::Register(_)), "got {err:?}");
         // The failed attempt must not leave partial registrations behind.
-        assert_eq!(fabric.endpoint_count(), 1);
+        assert_eq!(fabric.stats().endpoints, 1);
     }
 }

@@ -34,7 +34,7 @@
 //! [`flush`]: FabricPath::flush
 
 use crate::fabric::{
-    EndpointId, FabricPath, LiveMessage, Payload, RegisterError, SendError,
+    EndpointId, FabricPath, FabricStats, LiveMessage, Payload, RegisterError, SendError,
 };
 use crossbeam::channel::Receiver;
 use std::collections::{HashMap, VecDeque};
@@ -227,11 +227,6 @@ impl FaultFabric {
         }
     }
 
-    /// The wrapped fabric.
-    pub fn inner(&self) -> &Arc<dyn FabricPath> {
-        &self.inner
-    }
-
     /// Frames silently dropped by drop faults.
     pub fn drops(&self) -> u64 {
         self.counters.drops.load(Ordering::Relaxed)
@@ -260,18 +255,6 @@ impl FaultFabric {
     /// Sends rejected because the destination crashed.
     pub fn crashed_sends(&self) -> u64 {
         self.counters.crashed_sends.load(Ordering::Relaxed)
-    }
-
-    /// Total sends rejected with an injected error (`Full` bursts plus
-    /// crashed destinations).
-    pub fn injected_errors(&self) -> u64 {
-        self.full_injected() + self.crashed_sends()
-    }
-
-    /// Frames currently parked by delay faults across every link.
-    pub fn parked_count(&self) -> u64 {
-        let links = self.links.lock().unwrap_or_else(PoisonError::into_inner);
-        links.values().map(|s| s.parked.len() as u64).sum()
     }
 
     /// True while `to` sits inside its crash window — frames still
@@ -309,8 +292,9 @@ impl FaultFabric {
     /// Parked frames split by destination liveness: `(deliverable,
     /// doomed)`. Doomed frames are parked for an endpoint already past
     /// its crash point — they will never be usefully delivered, so they
-    /// must not inflate the sampled λ-pressure.
-    fn parked_split(&self) -> (u64, u64) {
+    /// must not inflate the sampled λ-pressure: only the deliverable ones
+    /// contribute to [`FabricStats::queue_depth`].
+    pub fn parked_split(&self) -> (u64, u64) {
         // Snapshot under the links lock, classify outside it: the crash
         // check takes the addressed lock and must not nest inside.
         let per_dest: Vec<(EndpointId, u64)> = {
@@ -333,18 +317,12 @@ impl FaultFabric {
         (deliverable, doomed)
     }
 
-    /// Parked frames whose destination is still alive — the only parked
-    /// frames that contribute to [`FabricPath::queue_depth`].
-    pub fn parked_deliverable(&self) -> u64 {
-        self.parked_split().0
-    }
-
-    /// Parked frames addressed to an endpoint past its crash point.
-    pub fn parked_doomed(&self) -> u64 {
-        self.parked_split().1
-    }
-
-    fn deliver(&self, from: EndpointId, to: EndpointId, payload: &Payload) -> Result<(), SendError> {
+    fn deliver(
+        &self,
+        from: EndpointId,
+        to: EndpointId,
+        payload: &Payload,
+    ) -> Result<(), SendError> {
         match payload {
             Payload::Copied(bytes) => self.inner.send_copied(from, to, bytes),
             Payload::Shared(buf) => self.inner.send_shared(from, to, Arc::clone(buf)),
@@ -355,11 +333,7 @@ impl FaultFabric {
     /// passed. Delivery failures of parked frames are absorbed (the
     /// original send already reported `Ok`).
     fn release_due(&self, to: EndpointId, state: &mut LinkState, now: u64) {
-        while state
-            .parked
-            .front()
-            .is_some_and(|p| p.release_at <= now)
-        {
+        while state.parked.front().is_some_and(|p| p.release_at <= now) {
             let p = state.parked.pop_front().expect("checked front");
             let _ = self.deliver(p.from, to, &p.payload);
         }
@@ -496,12 +470,7 @@ impl FabricPath for FaultFabric {
         self.inner.deregister(id);
     }
 
-    fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
+    fn send_copied(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
         self.send(from, to, Payload::Copied(bytes.to_vec()))
     }
 
@@ -523,41 +492,16 @@ impl FabricPath for FaultFabric {
         self.inner.wake(id);
     }
 
-    fn messages(&self) -> u64 {
-        self.inner.messages()
-    }
-
-    fn copied_bytes(&self) -> u64 {
-        self.inner.copied_bytes()
-    }
-
-    fn shared_bytes(&self) -> u64 {
-        self.inner.shared_bytes()
-    }
-
-    fn send_errors(&self) -> u64 {
-        self.inner.send_errors() + self.injected_errors()
-    }
-
-    fn flushed_batches(&self) -> u64 {
-        self.inner.flushed_batches()
-    }
-
-    fn flushed_items(&self) -> u64 {
-        self.inner.flushed_items()
-    }
-
-    fn queue_depth(&self) -> u64 {
+    fn stats(&self) -> FabricStats {
+        let mut stats = self.inner.stats();
+        stats.send_errors += self.full_injected() + self.crashed_sends();
         // Delayed frames parked inside the wrapper are also "in the
         // queue" from the sender's point of view — but only the ones a
         // live destination will eventually accept. Counting frames doomed
         // to a crashed endpoint would inflate the sampled λ-pressure and
         // skew the adaptive controller's d* upward.
-        self.inner.queue_depth() + self.parked_deliverable()
-    }
-
-    fn endpoint_count(&self) -> usize {
-        self.inner.endpoint_count()
+        stats.queue_depth += self.parked_split().0;
+        stats
     }
 
     fn install_link_tracker(&self, tracker: Arc<crate::topology::LinkTracker>) {
@@ -573,12 +517,18 @@ impl FabricPath for FaultFabric {
         reg.set_counter(&format!("{prefix}.fault.drops"), self.drops());
         reg.set_counter(&format!("{prefix}.fault.duplicates"), self.duplicates());
         reg.set_counter(&format!("{prefix}.fault.delayed"), self.delayed());
-        reg.set_counter(&format!("{prefix}.fault.full_injected"), self.full_injected());
+        reg.set_counter(
+            &format!("{prefix}.fault.full_injected"),
+            self.full_injected(),
+        );
         reg.set_counter(
             &format!("{prefix}.fault.partition_drops"),
             self.partition_drops(),
         );
-        reg.set_counter(&format!("{prefix}.fault.crashed_sends"), self.crashed_sends());
+        reg.set_counter(
+            &format!("{prefix}.fault.crashed_sends"),
+            self.crashed_sends(),
+        );
         let (deliverable, doomed) = self.parked_split();
         reg.set_gauge(
             &format!("{prefix}.fault.parked_deliverable"),
@@ -591,7 +541,7 @@ impl FabricPath for FaultFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::LiveFabric;
+    use crate::core::LiveFabric;
 
     fn drain(rx: &Receiver<LiveMessage>) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
@@ -611,18 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_plan_is_transparent() {
-        let (fabric, _) = faulty(FaultPlan::default());
-        let rx = fabric.register(EndpointId(1)).unwrap();
-        fabric
-            .send_copied(EndpointId(0), EndpointId(1), b"hello")
-            .unwrap();
-        assert_eq!(rx.recv().unwrap().payload.bytes(), b"hello");
-        assert_eq!(fabric.drops(), 0);
-        assert_eq!(fabric.messages(), 1);
-    }
-
-    #[test]
     fn certain_drop_loses_every_frame_silently() {
         let (fabric, _) = faulty(FaultPlan::uniform_drops(7, 1.0));
         let rx = fabric.register(EndpointId(1)).unwrap();
@@ -633,9 +571,9 @@ mod tests {
         }
         assert!(rx.try_recv().is_err());
         assert_eq!(fabric.drops(), 10);
-        assert_eq!(fabric.messages(), 0);
+        assert_eq!(fabric.stats().messages, 0);
         // Silent loss is not a send error.
-        assert_eq!(fabric.send_errors(), 0);
+        assert_eq!(fabric.stats().send_errors, 0);
     }
 
     #[test]
@@ -681,7 +619,7 @@ mod tests {
             );
         }
         assert_eq!(fabric.full_injected(), 4);
-        assert_eq!(fabric.send_errors(), 4);
+        assert_eq!(fabric.stats().send_errors, 4);
     }
 
     #[test]
@@ -753,7 +691,10 @@ mod tests {
             .send_copied(EndpointId(0), EndpointId(1), b"c")
             .unwrap();
         assert_eq!(fabric.crashed_sends(), 2);
-        assert_eq!(drain(&rx), vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+        assert_eq!(
+            drain(&rx),
+            vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]
+        );
     }
 
     #[test]
@@ -790,8 +731,7 @@ mod tests {
             fabric.send_copied(EndpointId(0), EndpointId(1), b"x"),
             Err(SendError::Disconnected)
         );
-        assert_eq!(fabric.parked_doomed(), 2);
-        assert_eq!(fabric.parked_deliverable(), 0);
+        assert_eq!(fabric.parked_split(), (0, 2));
         // ...and frame 3, the last of the window, crosses the restart
         // point: the same parked frames reclassify to deliverable.
         assert_eq!(
@@ -799,12 +739,11 @@ mod tests {
             Err(SendError::Disconnected)
         );
         assert!(fabric.restarted(EndpointId(1)));
-        assert_eq!(fabric.parked_doomed(), 0);
-        assert_eq!(fabric.parked_deliverable(), 2);
+        assert_eq!(fabric.parked_split(), (2, 0));
         fabric
             .send_copied(EndpointId(0), EndpointId(1), b"c")
             .unwrap();
-        assert_eq!(fabric.parked_deliverable(), 3);
+        assert_eq!(fabric.parked_split(), (3, 0));
     }
 
     #[test]
@@ -897,11 +836,9 @@ mod tests {
             .send_copied(EndpointId(0), EndpointId(2), b"d")
             .unwrap();
 
-        assert_eq!(fabric.parked_count(), 3);
-        assert_eq!(fabric.parked_doomed(), 2);
-        assert_eq!(fabric.parked_deliverable(), 1);
+        assert_eq!(fabric.parked_split(), (1, 2));
         // Only the deliverable frame is λ-pressure.
-        assert_eq!(FabricPath::queue_depth(&*fabric), 1);
+        assert_eq!(fabric.stats().queue_depth, 1);
 
         let mut reg = whale_sim::MetricsRegistry::new();
         fabric.export_metrics(&mut reg, "net");

@@ -13,6 +13,7 @@
 
 pub mod batch;
 pub mod channel;
+pub mod core;
 pub mod fabric;
 pub mod fault;
 pub mod log;
@@ -26,17 +27,18 @@ pub mod verbs;
 
 pub use batch::{Batch, BatchConfig, Batcher, FlushReason};
 pub use channel::{ChannelMsg, Departure, PushResult, RdmaChannel};
+pub use crate::core::{
+    spawn_drain, DrainThread, FabricInstance, FabricKind, LiveFabric, Transport,
+};
 pub use fabric::{
-    EndpointId, FabricPath, IdHashMap, IdHashSet, IdHasher, LiveFabric, LiveMessage, Payload,
+    EndpointId, FabricPath, FabricStats, IdHashMap, IdHashSet, IdHasher, LiveMessage, Payload,
     RegisterError, SendError,
 };
 pub use fault::{EndpointCrash, EndpointRestart, FaultFabric, FaultPlan, LinkFaults, Partition};
 pub use log::{LogConfig, LogRead, PartitionLog, RECORD_HEADER};
-pub use one_sided::{spawn_fetcher, OneSidedConfig, OneSidedFabric, OneSidedFetcher};
+pub use one_sided::{OneSidedConfig, OneSidedFabric};
 pub use policy::SendPolicy;
-pub use ring_fabric::{
-    spawn_flusher, FabricInstance, FabricKind, RingConfig, RingFabric, RingFlusher,
-};
+pub use ring_fabric::{RingConfig, RingFabric};
 pub use memory::{MemoryRegionId, MemoryRegistry, RingFull, RingRegion, SlotAddr};
 pub use nic::Nic;
 pub use topology::{ClusterSpec, LinkId, LinkLoad, LinkTracker, MachineId, RackId, TopologyConfig};

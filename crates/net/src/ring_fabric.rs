@@ -3,38 +3,34 @@
 //!
 //! Sends *post a descriptor* into a fixed-capacity per-endpoint ring and
 //! ring a doorbell — they never touch the destination inbox directly. A
-//! flusher (a background thread in live mode, or the caller via
-//! [`RingFabric::pump`] in deterministic mode) drains each ring into the
-//! stream-slicing [`Batcher`] and delivers whole MMS/WTL batches, so the
-//! live path exercises the same batching policy the simulator models
-//! (§4, Figs 11–12):
+//! drain pass (the background thread of [`crate::spawn_drain`] in live
+//! mode, or the caller via [`RingFabric::pump`] in deterministic mode)
+//! empties each ring into the stream-slicing [`Batcher`] and delivers
+//! whole MMS/WTL batches, so the live path exercises the same batching
+//! policy the simulator models (§4, Figs 11–12):
 //!
 //! - a post that would exceed the ring capacity fails with
 //!   [`SendError::Full`] — the bounded transfer queue of the paper's M/D/1
 //!   model, surfaced as backpressure instead of a deadlock;
 //! - batches flush when buffered bytes reach MMS or the oldest descriptor
-//!   has waited WTL (the flusher's monitor tick drives
+//!   has waited WTL (the drain thread's wait is bounded by
 //!   [`Batcher::deadline`]);
 //! - per-sender FIFO order is preserved end to end: posts enter the ring
 //!   in order, batches drain in order, deliveries retry in order when the
 //!   destination inbox is bounded and momentarily full.
 //!
-//! Byte counters follow the same rule as [`LiveFabric`]: only bytes that
-//! actually reach an inbox count; failed posts and failed deliveries
-//! increment `send_errors`.
+//! Only the policy lives here — what a post and a drain pass do. The
+//! endpoint table, counters, link attribution and the drain thread are
+//! [`crate::core`]'s.
 
 use crate::batch::{BatchConfig, Batcher};
-use crate::fabric::{
-    EndpointId, FabricPath, IdHashMap, LiveFabric, LiveMessage, Payload, RegisterError, SendError,
-};
-use crate::topology::LinkTracker;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
+use crate::core::{Entry, Handoff, Policy, Transport};
+use crate::fabric::{EndpointId, FabricStats, LiveMessage, SendError};
+use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 use whale_sim::{MetricsRegistry, SimTime};
 
 /// Configuration of the ring transport.
@@ -44,7 +40,7 @@ pub struct RingConfig {
     /// but not yet delivered descriptors. Posts beyond it fail with
     /// [`SendError::Full`].
     pub ring_capacity: usize,
-    /// The MMS/WTL stream-slicing policy the flusher applies.
+    /// The MMS/WTL stream-slicing policy the drain pass applies.
     pub batch: BatchConfig,
     /// Live drain workers. Endpoints map to shards by
     /// `EndpointId % flusher_shards`, so an endpoint's ring is always
@@ -52,12 +48,9 @@ pub struct RingConfig {
     /// Deterministic [`RingFabric::pump`]/[`RingFabric::flush_at`] ignore
     /// sharding and stay single-threaded. `0` is treated as `1`.
     pub flusher_shards: usize,
-    /// Idle heartbeat of each flusher shard: the longest a lost doorbell
+    /// Idle heartbeat of each drain shard: the longest a lost doorbell
     /// wakeup can stall a fully idle fabric.
     pub idle_heartbeat: Duration,
-    /// Backoff while a bounded inbox stays full and a flusher pass makes
-    /// no delivery progress.
-    pub stall_backoff: Duration,
 }
 
 impl Default for RingConfig {
@@ -66,8 +59,7 @@ impl Default for RingConfig {
             ring_capacity: 64 * 1024,
             batch: BatchConfig::default(),
             flusher_shards: 1,
-            idle_heartbeat: Duration::from_millis(5),
-            stall_backoff: Duration::from_micros(100),
+            idle_heartbeat: crate::core::IDLE_HEARTBEAT,
         }
     }
 }
@@ -84,19 +76,20 @@ impl RingConfig {
     }
 }
 
-/// One endpoint's send state: the descriptor ring, the transfer buffer,
-/// and the inbox it drains into.
-struct EndpointRing {
+/// One endpoint's send state: the descriptor ring and the transfer buffer
+/// it drains into.
+pub struct EndpointRing {
     /// The destination endpoint this ring feeds (for link attribution).
     id: EndpointId,
+    /// Set by deregistration: a post through a slot resolved earlier must
+    /// not strand a frame in a ring nothing drains.
+    closed: bool,
     /// Posted, not yet drained descriptors (the send ring proper).
     ring: VecDeque<LiveMessage>,
     /// Payload bytes sitting in `ring` (posted since the last pump).
     ring_bytes: usize,
-    /// The MMS/WTL transfer buffer the flusher drains the ring into.
+    /// The MMS/WTL transfer buffer the drain pass empties the ring into.
     batcher: Batcher<LiveMessage>,
-    /// Destination inbox.
-    tx: Sender<LiveMessage>,
     /// Batch items a bounded inbox could not yet accept; retried first on
     /// the next pump so FIFO order holds.
     undelivered: VecDeque<LiveMessage>,
@@ -119,381 +112,220 @@ impl EndpointRing {
     }
 }
 
-/// Doorbell: posts set a pending flag and wake the flusher; the flusher
-/// clears the flag before sleeping so a post between pump and wait can
-/// never be missed. Only the ring that flips the flag notifies — while it
-/// stays set the drain thread has not slept since, so it needs no second
-/// wake-up (std's `notify_all` is a futex syscall even with no waiter).
-/// Shared with the one-sided fabric, whose fetcher waits on the same
-/// post-side wakeup.
-pub(crate) struct Doorbell {
-    pending: StdMutex<bool>,
-    bell: Condvar,
-    /// Rings that flipped the flag and notified.
-    rings: AtomicU64,
-}
-
-impl Doorbell {
-    pub(crate) fn new() -> Self {
-        Doorbell {
-            pending: StdMutex::new(false),
-            bell: Condvar::new(),
-            rings: AtomicU64::new(0),
-        }
-    }
-
-    /// Notifying rings so far.
-    pub(crate) fn rings(&self) -> u64 {
-        self.rings.load(Ordering::Relaxed)
-    }
-
-    // Doorbell locks tolerate poison: a panicking flusher shard must
-    // degrade the run, not cascade panics into every sender that rings
-    // the bell afterwards. The flag is a plain bool, so the inner value
-    // is valid even if a holder died mid-critical-section.
-    pub(crate) fn ring(&self) {
-        let was_pending = std::mem::replace(
-            &mut *self
-                .pending
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            true,
-        );
-        if !was_pending {
-            self.rings.fetch_add(1, Ordering::Relaxed);
-            self.bell.notify_all();
-        }
-    }
-
-    /// Sleep until rung or `timeout`, consuming the pending flag.
-    pub(crate) fn wait(&self, timeout: Duration) {
-        let guard = self
-            .pending
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (mut guard, _) = self
-            .bell
-            .wait_timeout_while(guard, timeout, |pending| !*pending)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *guard = false;
-    }
-}
-
 /// Shared handle to one endpoint's send state.
 type Slot = Arc<Mutex<EndpointRing>>;
 
-/// The endpoint table plus the id-sorted visit orders every pump walks.
-/// An endpoint coming or going only clears `orders`; the next pump
-/// rebuilds them once, however many endpoints changed meanwhile, and every
-/// later pass clones one `Arc` — it never collects or sorts.
-#[derive(Default)]
-struct Registry {
-    by_id: IdHashMap<EndpointId, Slot>,
-    /// `None` while stale.
-    orders: Option<VisitOrders>,
-}
+/// One stop of a drain pass: an endpoint's inbox and its ring.
+type Visit = (Sender<LiveMessage>, Slot);
 
-struct VisitOrders {
+/// The id-sorted visit orders every pump walks.
+pub struct VisitOrders {
     /// Every endpoint in id order (the deterministic pump's visit order).
-    all: Arc<[Slot]>,
-    /// The same order, split by flusher shard.
-    by_shard: Vec<Arc<[Slot]>>,
+    all: Vec<Visit>,
+    /// The same order, split by drain shard.
+    by_shard: Vec<Vec<Visit>>,
 }
 
 impl VisitOrders {
-    fn pick(&self, shard: Option<usize>) -> Arc<[Slot]> {
+    fn pick(&self, shard: Option<usize>) -> &[Visit] {
         match shard {
-            None => Arc::clone(&self.all),
-            Some(s) => self.by_shard.get(s).cloned().unwrap_or_default(),
+            None => &self.all,
+            Some(s) => self.by_shard.get(s).map_or(&[], Vec::as_slice),
         }
     }
 }
 
-impl Registry {
-    fn orders(&mut self, config: &RingConfig) -> &VisitOrders {
-        let by_id = &self.by_id;
-        self.orders.get_or_insert_with(|| {
-            let mut ids: Vec<EndpointId> = by_id.keys().copied().collect();
-            ids.sort_unstable();
-            let pick = |shard: Option<usize>| -> Arc<[Slot]> {
-                ids.iter()
-                    .filter(|id| shard.is_none_or(|s| config.shard_of(**id) == s))
-                    .map(|id| Arc::clone(&by_id[id]))
-                    .collect()
-            };
-            VisitOrders {
-                all: pick(None),
-                by_shard: (0..config.shard_count()).map(|s| pick(Some(s))).collect(),
-            }
-        })
-    }
+/// The batched-ring policy: a send posts to the endpoint's ring; a drain
+/// pass batches at MMS/WTL and delivers.
+pub struct Ring {
+    config: RingConfig,
 }
 
 /// The batched ring-buffer transport. See the module docs for semantics.
-pub struct RingFabric {
-    config: RingConfig,
-    endpoints: RwLock<Registry>,
-    /// One doorbell per flusher shard; posts ring only their endpoint's
-    /// shard so drain workers never wake for another shard's traffic.
-    doorbells: Vec<Doorbell>,
-    copied_bytes: AtomicU64,
-    shared_bytes: AtomicU64,
-    messages: AtomicU64,
-    send_errors: AtomicU64,
-    /// Descriptors accepted into rings.
-    posted: AtomicU64,
-    flushed_batches: AtomicU64,
-    flushed_items: AtomicU64,
-    /// Live-mode clock origin for mapping wall time onto [`SimTime`].
-    epoch: Instant,
-    stopping: AtomicBool,
-    /// Optional per-link attribution: posts raise a link's queue gauge,
-    /// deliveries settle it and count the bytes.
-    tracker: OnceLock<Arc<LinkTracker>>,
-}
+pub type RingFabric = Transport<Ring>;
 
-impl Default for RingFabric {
-    fn default() -> Self {
-        Self::new(RingConfig::default())
-    }
-}
+impl Policy for Ring {
+    type Endpoint = Slot;
+    type Snapshot = VisitOrders;
 
-impl RingFabric {
-    /// New ring fabric with no endpoints. Pair with [`spawn_flusher`] for
-    /// live use, or drive [`RingFabric::pump`] manually with a virtual
-    /// clock for deterministic benchmarks.
-    pub fn new(config: RingConfig) -> Self {
-        assert!(config.ring_capacity > 0, "ring capacity must be positive");
-        RingFabric {
-            config,
-            endpoints: RwLock::new(Registry::default()),
-            doorbells: (0..config.shard_count()).map(|_| Doorbell::new()).collect(),
-            copied_bytes: AtomicU64::new(0),
-            shared_bytes: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            send_errors: AtomicU64::new(0),
-            posted: AtomicU64::new(0),
-            flushed_batches: AtomicU64::new(0),
-            flushed_items: AtomicU64::new(0),
-            epoch: Instant::now(),
-            stopping: AtomicBool::new(false),
-            tracker: OnceLock::new(),
-        }
+    fn shards(&self) -> usize {
+        self.config.shard_count()
     }
 
-    /// Attribute subsequent posts and deliveries to physical links
-    /// through `tracker`. Install once, before traffic: a second install
-    /// keeps the first.
-    pub fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        let _ = self.tracker.set(tracker);
+    fn idle_heartbeat(&self) -> Duration {
+        self.config.idle_heartbeat
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> RingConfig {
-        self.config
-    }
-
-    /// Wall time since this fabric was created, as a [`SimTime`] (live
-    /// flusher mode only; deterministic callers pass their own clock).
-    pub fn wall_now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    fn install(&self, id: EndpointId, tx: Sender<LiveMessage>) -> Result<(), RegisterError> {
-        let mut reg = self.endpoints.write();
-        if reg.by_id.contains_key(&id) {
-            return Err(RegisterError::AlreadyRegistered(id));
-        }
-        reg.by_id.insert(
+    fn open(&self, id: EndpointId) -> Slot {
+        Arc::new(Mutex::new(EndpointRing {
             id,
-            Arc::new(Mutex::new(EndpointRing {
-                id,
-                ring: VecDeque::new(),
-                ring_bytes: 0,
-                batcher: Batcher::new(self.config.batch),
-                tx,
-                undelivered: VecDeque::new(),
-            })),
-        );
-        reg.orders = None;
-        Ok(())
+            closed: false,
+            ring: VecDeque::new(),
+            ring_bytes: 0,
+            batcher: Batcher::new(self.config.batch),
+            undelivered: VecDeque::new(),
+        }))
     }
 
-    /// Register an endpoint with an unbounded inbox; returns its receiver.
-    pub fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = unbounded();
-        self.install(id, tx)?;
-        Ok(rx)
+    fn close(&self, slot: Slot, dropped: &mut dyn FnMut(LiveMessage)) {
+        let mut guard = slot.lock();
+        let ep = &mut *guard;
+        ep.closed = true;
+        let batched = ep
+            .batcher
+            .flush()
+            .map_or_else(Vec::new, |batch| batch.items);
+        ep.undelivered
+            .drain(..)
+            .chain(batched)
+            .chain(ep.ring.drain(..))
+            .for_each(dropped);
     }
 
-    /// Register an endpoint whose inbox holds at most `capacity` delivered
-    /// messages; full inboxes park flushed batches for later retry rather
-    /// than dropping them.
-    pub fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = bounded(capacity);
-        self.install(id, tx)?;
-        Ok(rx)
-    }
-
-    /// Remove an endpoint; pending descriptors are dropped. Flush first if
-    /// they must arrive.
-    pub fn deregister(&self, id: EndpointId) {
-        let mut reg = self.endpoints.write();
-        if reg.by_id.remove(&id).is_some() {
-            reg.orders = None;
-        }
-    }
-
-    /// See [`FabricPath::wake`].
-    pub fn wake(&self, id: EndpointId) {
-        let slot = self.endpoints.read().by_id.get(&id).cloned();
-        if let Some(slot) = slot {
-            let _ = slot.lock().tx.try_send(LiveMessage::wake(id));
+    fn snapshot(&self, entries: &[(EndpointId, &Entry<Slot>)]) -> VisitOrders {
+        let pick = |shard: Option<usize>| -> Vec<Visit> {
+            entries
+                .iter()
+                .filter(|(id, _)| shard.is_none_or(|s| self.config.shard_of(*id) == s))
+                .map(|(_, entry)| (entry.tx.clone(), Arc::clone(&entry.state)))
+                .collect()
+        };
+        VisitOrders {
+            all: pick(None),
+            by_shard: (0..self.config.shard_count())
+                .map(|s| pick(Some(s)))
+                .collect(),
         }
     }
 
     /// Post a descriptor to `to`'s ring. The doorbell rings only when the
-    /// flusher could otherwise sleep past this descriptor: the endpoint was
-    /// idle (nothing pending, so no WTL deadline is armed for it), or this
-    /// post carries the bytes buffered since the last flush across MMS.
-    /// Every other post rides the deadline its predecessors armed — the
-    /// flusher wakes for it anyway and pumps whatever was posted meanwhile,
-    /// which is what makes a stream slice cost one wake-up, not one per
-    /// message.
-    fn post(&self, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        let slot = self.endpoints.read().by_id.get(&to).cloned();
-        let Some(slot) = slot else {
-            self.send_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(SendError::UnknownEndpoint);
+    /// drain thread could otherwise sleep past this descriptor: the
+    /// endpoint was idle (nothing pending, so no WTL deadline is armed for
+    /// it), or this post carries the bytes buffered since the last flush
+    /// across MMS. Every other post rides the deadline its predecessors
+    /// armed — the drain thread wakes for it anyway and pumps whatever was
+    /// posted meanwhile, which is what makes a stream slice cost one
+    /// wake-up, not one per message.
+    fn send(t: &RingFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
+        let config = &t.policy.config;
+        let Some(slot) = t.with_entry(to, |entry| Arc::clone(&entry.state)) else {
+            return Err(t.reject(SendError::UnknownEndpoint));
         };
         let wake = {
             let mut ep = slot.lock();
-            let pending = ep.pending();
-            if pending >= self.config.ring_capacity {
+            if ep.closed {
                 drop(ep);
-                self.send_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(SendError::Full);
+                return Err(t.reject(SendError::UnknownEndpoint));
+            }
+            let pending = ep.pending();
+            if pending >= config.ring_capacity {
+                drop(ep);
+                return Err(t.reject(SendError::Full));
             }
             let bytes = msg.payload.len();
-            if let Some(tracker) = self.tracker.get() {
-                // Accepted into the ring: the frame now occupies its link's
-                // queue until the flusher delivers (or drops) it.
-                tracker.on_send(msg.from, to, bytes);
-            }
+            // Accepted into the ring: the frame now occupies its link's
+            // queue until a drain pass delivers (or drops) it.
+            t.note_queued(msg.from, to, bytes);
             let buffered = ep.batcher.buffered_bytes() + ep.ring_bytes;
             ep.ring_bytes += bytes;
             ep.ring.push_back(msg);
-            let mms = self.config.batch.mms;
+            let mms = config.batch.mms;
             pending == 0 || (buffered < mms && buffered + bytes >= mms)
         };
-        self.posted.fetch_add(1, Ordering::Relaxed);
+        t.note_posted();
         if wake {
-            self.doorbells[self.config.shard_of(to)].ring();
+            t.ring_doorbell(config.shard_of(to));
         }
         Ok(())
     }
 
-    /// TCP-semantics post: the bytes are copied into the descriptor now
-    /// (the copy tax is paid per destination), counted on delivery.
-    pub fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        self.post(
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Copied(bytes.to_vec()),
-            },
-        )
-    }
-
-    /// RDMA-semantics post: the shared buffer rides the descriptor by
-    /// reference, counted on delivery.
-    pub fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        self.post(
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Shared(buf),
-            },
-        )
-    }
-
-    /// Endpoint slots in id order, so deterministic pumps visit rings in
-    /// a stable order. `shard = None` selects every endpoint; `Some(s)`
-    /// only those assigned to shard `s`.
-    fn slots(&self, shard: Option<usize>) -> Arc<[Slot]> {
-        if let Some(orders) = &self.endpoints.read().orders {
-            return orders.pick(shard);
+    fn drain(
+        t: &RingFabric,
+        shard: Option<usize>,
+        now: SimTime,
+        force: bool,
+    ) -> (u64, Option<SimTime>) {
+        let orders = t.snapshot();
+        let visits = orders.pick(shard);
+        let (mut delivered, next) = t.pump_visits(visits, now);
+        if force {
+            for (tx, slot) in visits {
+                let mut ep = slot.lock();
+                if let Some(batch) = ep.batcher.flush() {
+                    t.note_batch(batch.items.len());
+                    ep.undelivered.extend(batch.items);
+                }
+                delivered += t.drain_undelivered(tx, &mut ep);
+            }
         }
-        self.endpoints.write().orders(&self.config).pick(shard)
+        (delivered, next)
     }
 
-    fn note_batch(&self, n_items: usize) {
-        self.flushed_batches.fetch_add(1, Ordering::Relaxed);
-        self.flushed_items.fetch_add(n_items as u64, Ordering::Relaxed);
+    /// Descriptors currently sitting in rings awaiting a drain pass — the
+    /// live transfer-queue length across every endpoint.
+    fn queue_depth(t: &RingFabric) -> u64 {
+        let orders = t.snapshot();
+        orders
+            .all
+            .iter()
+            .map(|(_, slot)| slot.lock().pending() as u64)
+            .sum()
+    }
+
+    fn export_metrics(
+        t: &RingFabric,
+        stats: &FabricStats,
+        reg: &mut MetricsRegistry,
+        prefix: &str,
+    ) {
+        reg.set_counter(&format!("{prefix}.posted"), stats.posted);
+        reg.set_counter(&format!("{prefix}.doorbell_rings"), stats.doorbell_rings);
+        reg.set_counter(&format!("{prefix}.flushed_batches"), stats.flushed_batches);
+        reg.set_counter(&format!("{prefix}.flushed_items"), stats.flushed_items);
+        reg.set_gauge(
+            &format!("{prefix}.mean_batch_size"),
+            stats.mean_batch_size(),
+        );
+        reg.set_gauge(
+            &format!("{prefix}.flusher_shards"),
+            t.policy.config.shard_count() as f64,
+        );
+    }
+}
+
+impl RingFabric {
+    /// New ring fabric with no endpoints. Pair with [`crate::spawn_drain`]
+    /// for live use, or drive [`RingFabric::pump`] manually with a virtual
+    /// clock for deterministic benchmarks.
+    pub fn new(config: RingConfig) -> Self {
+        assert!(config.ring_capacity > 0, "ring capacity must be positive");
+        Transport::with_policy(Ring { config })
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> RingConfig {
+        self.policy.config
     }
 
     /// Hand parked batch items to the inbox, preserving order. Stops at a
-    /// full bounded inbox (retried next pump); drops and counts errors on
-    /// a disconnected one.
-    fn drain_undelivered(&self, ep: &mut EndpointRing) -> u64 {
+    /// full bounded inbox (retried next pump); a disconnected one drops
+    /// and counts errors.
+    fn drain_undelivered(&self, tx: &Sender<LiveMessage>, ep: &mut EndpointRing) -> u64 {
         let mut delivered = 0;
         while let Some(msg) = ep.undelivered.pop_front() {
-            let len = msg.payload.len() as u64;
-            let shared = matches!(msg.payload, Payload::Shared(_));
-            // Count before the hand-off: the channel's send→recv
-            // synchronization then guarantees that a receiver which has
-            // seen the message also sees the counters (counting after
-            // would let a reader observe the delivery but a stale count).
-            // Failed hand-offs undo the increment below.
-            let bytes_ctr = if shared {
-                &self.shared_bytes
-            } else {
-                &self.copied_bytes
-            };
-            self.messages.fetch_add(1, Ordering::Relaxed);
-            bytes_ctr.fetch_add(len, Ordering::Relaxed);
-            let from = msg.from;
-            match ep.tx.try_send(msg) {
-                Ok(()) => {
-                    delivered += 1;
-                    if let Some(tracker) = self.tracker.get() {
-                        tracker.on_delivered(from, ep.id, len as usize);
-                    }
-                }
-                Err(TrySendError::Full(msg)) => {
-                    self.messages.fetch_sub(1, Ordering::Relaxed);
-                    bytes_ctr.fetch_sub(len, Ordering::Relaxed);
+            match self.deliver(Some(tx), ep.id, msg, true) {
+                Handoff::Delivered => delivered += 1,
+                Handoff::Full(msg) => {
                     ep.undelivered.push_front(msg);
                     break;
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.messages.fetch_sub(1, Ordering::Relaxed);
-                    bytes_ctr.fetch_sub(len, Ordering::Relaxed);
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tracker) = self.tracker.get() {
-                        tracker.on_dropped(from, ep.id, len as usize);
-                    }
-                }
+                Handoff::Disconnected => {}
             }
         }
         delivered
     }
 
-    /// One flusher pass at time `now`: drain every ring into its batcher
+    /// One drain pass at time `now`: empty every ring into its batcher
     /// (size-triggered batches flush immediately), fire expired WTL timers,
     /// and deliver flushed items. Returns the number delivered.
     ///
@@ -501,23 +333,23 @@ impl RingFabric {
     /// order regardless of `flusher_shards`, so virtual-clock delivery
     /// traces are identical across shard counts.
     pub fn pump(&self, now: SimTime) -> u64 {
-        self.pump_slots(&self.slots(None), now).0
+        Ring::drain(self, None, now, false).0
     }
 
-    /// [`RingFabric::pump`] restricted to the endpoints of one flusher
-    /// shard — the live drain workers call this so two shards never
+    /// [`RingFabric::pump`] restricted to the endpoints of one drain
+    /// shard — what the live drain workers run, so two shards never
     /// contend on the same endpoint ring.
     pub fn pump_shard(&self, shard: usize, now: SimTime) -> u64 {
-        self.pump_slots(&self.slots(Some(shard)), now).0
+        Ring::drain(self, Some(shard), now, false).0
     }
 
     /// Returns the number delivered and, taken under the same endpoint
-    /// locks, when these slots next need a pump (see
+    /// locks, when these endpoints next need a pump (see
     /// [`RingFabric::next_deadline`]).
-    fn pump_slots(&self, slots: &[Slot], now: SimTime) -> (u64, Option<SimTime>) {
+    fn pump_visits(&self, visits: &[Visit], now: SimTime) -> (u64, Option<SimTime>) {
         let mut delivered = 0;
         let mut next: Option<SimTime> = None;
-        for slot in slots {
+        for (tx, slot) in visits {
             let mut ep = slot.lock();
             ep.ring_bytes = 0;
             while let Some(msg) = ep.ring.pop_front() {
@@ -531,7 +363,7 @@ impl RingFabric {
                 self.note_batch(batch.items.len());
                 ep.undelivered.extend(batch.items);
             }
-            delivered += self.drain_undelivered(&mut ep);
+            delivered += self.drain_undelivered(tx, &mut ep);
             next = next.into_iter().chain(ep.next_due()).min();
         }
         (delivered, next)
@@ -541,368 +373,33 @@ impl RingFabric {
     /// batcher regardless of MMS/WTL and deliver (shutdown / end of a
     /// deterministic run). Returns the number delivered.
     pub fn flush_at(&self, now: SimTime) -> u64 {
-        self.flush_slots_at(None, now)
+        Ring::drain(self, None, now, true).0
     }
 
-    /// [`RingFabric::flush_at`] restricted to one flusher shard's
-    /// endpoints (live shard shutdown).
+    /// [`RingFabric::flush_at`] restricted to one drain shard's
+    /// endpoints.
     pub fn flush_shard_at(&self, shard: usize, now: SimTime) -> u64 {
-        self.flush_slots_at(Some(shard), now)
-    }
-
-    fn flush_slots_at(&self, shard: Option<usize>, now: SimTime) -> u64 {
-        let slots = self.slots(shard);
-        let (mut delivered, _) = self.pump_slots(&slots, now);
-        for slot in slots.iter() {
-            let mut ep = slot.lock();
-            if let Some(batch) = ep.batcher.flush() {
-                self.note_batch(batch.items.len());
-                ep.undelivered.extend(batch.items);
-            }
-            delivered += self.drain_undelivered(&mut ep);
-        }
-        delivered
+        Ring::drain(self, Some(shard), now, true).0
     }
 
     /// Earliest WTL deadline across endpoints; `SimTime::ZERO` if any ring
     /// or retry queue already holds work. `None` when fully idle.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.slots(None)
+        let orders = self.snapshot();
+        orders
+            .all
             .iter()
-            .filter_map(|slot| slot.lock().next_due())
+            .filter_map(|(_, slot)| slot.lock().next_due())
             .min()
-    }
-
-    /// Descriptors accepted into rings so far.
-    pub fn posted(&self) -> u64 {
-        self.posted.load(Ordering::Relaxed)
-    }
-
-    /// Doorbell rings that woke (or would have woken) a flusher shard: one
-    /// per idle→pending transition or MMS crossing, not one per post.
-    pub fn doorbell_rings(&self) -> u64 {
-        self.doorbells.iter().map(Doorbell::rings).sum()
-    }
-
-    /// Descriptors currently sitting in rings awaiting the flusher —
-    /// the live transfer-queue length across every endpoint.
-    pub fn queue_depth(&self) -> u64 {
-        let slots = self.slots(None);
-        slots.iter().map(|slot| slot.lock().pending() as u64).sum()
-    }
-
-    /// Messages delivered so far.
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Bytes delivered through the copied (TCP) path so far.
-    pub fn copied_bytes(&self) -> u64 {
-        self.copied_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes delivered through the shared (RDMA) path so far.
-    pub fn shared_bytes(&self) -> u64 {
-        self.shared_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Failed posts plus failed deliveries so far.
-    pub fn send_errors(&self) -> u64 {
-        self.send_errors.load(Ordering::Relaxed)
-    }
-
-    /// Batches flushed so far.
-    pub fn flushed_batches(&self) -> u64 {
-        self.flushed_batches.load(Ordering::Relaxed)
-    }
-
-    /// Items delivered through flushed batches so far.
-    pub fn flushed_items(&self) -> u64 {
-        self.flushed_items.load(Ordering::Relaxed)
-    }
-
-    /// Mean items per flushed batch (0 if none flushed yet).
-    pub fn mean_batch_size(&self) -> f64 {
-        let batches = self.flushed_batches();
-        if batches == 0 {
-            0.0
-        } else {
-            self.flushed_items() as f64 / batches as f64
-        }
-    }
-
-    /// Registered endpoint count.
-    pub fn endpoint_count(&self) -> usize {
-        self.endpoints.read().by_id.len()
-    }
-
-    /// Export delivery and batching counters into `reg` under `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.posted"), self.posted());
-        reg.set_counter(&format!("{prefix}.doorbell_rings"), self.doorbell_rings());
-        reg.set_counter(&format!("{prefix}.messages"), self.messages());
-        reg.set_counter(&format!("{prefix}.copied_bytes"), self.copied_bytes());
-        reg.set_counter(&format!("{prefix}.shared_bytes"), self.shared_bytes());
-        reg.set_counter(&format!("{prefix}.send_errors"), self.send_errors());
-        reg.set_counter(&format!("{prefix}.flushed_batches"), self.flushed_batches());
-        reg.set_counter(&format!("{prefix}.flushed_items"), self.flushed_items());
-        reg.set_gauge(&format!("{prefix}.mean_batch_size"), self.mean_batch_size());
-        reg.set_gauge(&format!("{prefix}.endpoints"), self.endpoint_count() as f64);
-        reg.set_gauge(
-            &format!("{prefix}.flusher_shards"),
-            self.config.shard_count() as f64,
-        );
-    }
-}
-
-impl FabricPath for RingFabric {
-    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        RingFabric::register(self, id)
-    }
-
-    fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        RingFabric::register_bounded(self, id, capacity)
-    }
-
-    fn deregister(&self, id: EndpointId) {
-        RingFabric::deregister(self, id);
-    }
-
-    fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        RingFabric::send_copied(self, from, to, bytes)
-    }
-
-    fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        RingFabric::send_shared(self, from, to, buf)
-    }
-
-    fn flush(&self) {
-        self.flush_at(self.wall_now());
-    }
-
-    fn wake(&self, id: EndpointId) {
-        RingFabric::wake(self, id);
-    }
-
-    fn messages(&self) -> u64 {
-        RingFabric::messages(self)
-    }
-
-    fn copied_bytes(&self) -> u64 {
-        RingFabric::copied_bytes(self)
-    }
-
-    fn shared_bytes(&self) -> u64 {
-        RingFabric::shared_bytes(self)
-    }
-
-    fn send_errors(&self) -> u64 {
-        RingFabric::send_errors(self)
-    }
-
-    fn flushed_batches(&self) -> u64 {
-        RingFabric::flushed_batches(self)
-    }
-
-    fn flushed_items(&self) -> u64 {
-        RingFabric::flushed_items(self)
-    }
-
-    fn queue_depth(&self) -> u64 {
-        RingFabric::queue_depth(self)
-    }
-
-    fn endpoint_count(&self) -> usize {
-        RingFabric::endpoint_count(self)
-    }
-
-    fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        RingFabric::install_link_tracker(self, tracker);
-    }
-
-    fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        RingFabric::export_metrics(self, reg, prefix);
-    }
-}
-
-/// Handle to the background flusher shards. Stop it (or drop it) to force
-/// a final flush and join every drain worker.
-pub struct RingFlusher {
-    fabric: Arc<RingFabric>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl RingFlusher {
-    /// Signal every flusher shard to drain everything and exit, then join
-    /// them all.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    /// Number of drain workers this flusher runs.
-    pub fn shard_count(&self) -> usize {
-        self.handles.len().max(1)
-    }
-
-    fn shutdown(&mut self) {
-        self.fabric.stopping.store(true, Ordering::SeqCst);
-        for bell in &self.fabric.doorbells {
-            bell.ring();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RingFlusher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Spawn the background flusher: one drain worker per
-/// [`RingConfig::flusher_shards`], each pumping its shard's rings when
-/// its doorbell rings (an idle endpoint got a post, or buffered bytes
-/// crossed MMS) or the nearest WTL deadline falls due, and force-flushing
-/// its shard on stop. An endpoint is
-/// always drained by the same shard, so per-endpoint FIFO order holds.
-pub fn spawn_flusher(fabric: Arc<RingFabric>) -> RingFlusher {
-    let handles = (0..fabric.config.shard_count())
-        .map(|shard| {
-            let worker = Arc::clone(&fabric);
-            std::thread::Builder::new()
-                .name(format!("ring-flusher-{shard}"))
-                .spawn(move || flusher_loop(&worker, shard))
-                .expect("spawn ring flusher shard")
-        })
-        .collect();
-    RingFlusher { fabric, handles }
-}
-
-fn flusher_loop(fabric: &RingFabric, shard: usize) {
-    // Idle heartbeat so a lost wakeup can never stall the fabric for long.
-    let idle = fabric.config.idle_heartbeat;
-    // Backoff while a bounded inbox stays full (delivery made no progress).
-    let stalled = fabric.config.stall_backoff;
-    loop {
-        // The deadline comes out of the pump's own pass over the endpoint
-        // locks. A post that lands behind the pass either found its
-        // endpoint idle and rang — the wait below returns at once — or
-        // rides a deadline this pass already saw.
-        let (delivered, deadline) =
-            fabric.pump_slots(&fabric.slots(Some(shard)), fabric.wall_now());
-        if fabric.stopping.load(Ordering::SeqCst) {
-            fabric.flush_shard_at(shard, fabric.wall_now());
-            return;
-        }
-        let wait = match deadline {
-            Some(deadline) => {
-                let now = fabric.wall_now();
-                if deadline <= now {
-                    if delivered == 0 {
-                        stalled
-                    } else {
-                        // More work is already due; pump again immediately.
-                        continue;
-                    }
-                } else {
-                    Duration::from_nanos(deadline.as_nanos() - now.as_nanos())
-                }
-            }
-            None => idle,
-        };
-        fabric.doorbells[shard].wait(wait);
-    }
-}
-
-/// Which live transport a runtime should instantiate.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum FabricKind {
-    /// The synchronous per-send channel map ([`LiveFabric`]).
-    #[default]
-    PerSend,
-    /// The batched ring-buffer path ([`RingFabric`]) with a background
-    /// flusher.
-    Ring(RingConfig),
-    /// The remote-fetch path ([`crate::OneSidedFabric`]) with a background
-    /// fetcher: senders publish into per-link ring regions, receivers pull
-    /// via modeled `RDMA READ`s.
-    OneSided(crate::OneSidedConfig),
-}
-
-/// A built live transport plus, on the buffered paths, the background
-/// drain thread (ring flusher or one-sided fetcher).
-pub struct FabricInstance {
-    /// The shared transport handle.
-    pub fabric: Arc<dyn FabricPath>,
-    flusher: Option<RingFlusher>,
-    fetcher: Option<crate::OneSidedFetcher>,
-}
-
-impl FabricKind {
-    /// Instantiate the transport (and its drain thread, for the buffered
-    /// paths).
-    pub fn build(self) -> FabricInstance {
-        match self {
-            FabricKind::PerSend => FabricInstance {
-                fabric: Arc::new(LiveFabric::new()),
-                flusher: None,
-                fetcher: None,
-            },
-            FabricKind::Ring(config) => {
-                let ring = Arc::new(RingFabric::new(config));
-                let flusher = spawn_flusher(Arc::clone(&ring));
-                FabricInstance {
-                    fabric: ring,
-                    flusher: Some(flusher),
-                    fetcher: None,
-                }
-            }
-            FabricKind::OneSided(config) => {
-                let one_sided = Arc::new(crate::OneSidedFabric::new(config));
-                let fetcher = crate::spawn_fetcher(Arc::clone(&one_sided));
-                FabricInstance {
-                    fabric: one_sided,
-                    flusher: None,
-                    fetcher: Some(fetcher),
-                }
-            }
-        }
-    }
-}
-
-impl FabricInstance {
-    /// Flush buffered sends and stop the drain thread (if any). Call after
-    /// all senders have finished but before deregistering receivers.
-    pub fn shutdown(&mut self) {
-        self.fabric.flush();
-        if let Some(flusher) = self.flusher.take() {
-            flusher.stop();
-        }
-        if let Some(fetcher) = self.fetcher.take() {
-            fetcher.stop();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::spawn_drain;
+    use crate::fabric::FabricPath;
+    use std::time::Instant;
     use whale_sim::SimDuration;
 
     fn cfg(ring_capacity: usize, mms: usize, wtl_ms: u64) -> RingConfig {
@@ -924,9 +421,13 @@ mod tests {
             .send_copied(EndpointId(0), EndpointId(1), b"hello")
             .unwrap();
         assert!(rx.try_recv().is_err(), "nothing delivered before a flush");
-        assert_eq!(fabric.posted(), 1);
-        assert_eq!(fabric.messages(), 0);
-        assert_eq!(fabric.copied_bytes(), 0, "bytes count on delivery only");
+        assert_eq!(fabric.stats().posted, 1);
+        assert_eq!(fabric.stats().messages, 0);
+        assert_eq!(
+            fabric.stats().copied_bytes,
+            0,
+            "bytes count on delivery only"
+        );
 
         // Under MMS and before WTL: still buffered after a pump.
         fabric.pump(SimTime::ZERO);
@@ -936,8 +437,8 @@ mod tests {
         let delivered = fabric.pump(SimTime::from_millis(1));
         assert_eq!(delivered, 1);
         assert_eq!(rx.recv().unwrap().payload.bytes(), b"hello");
-        assert_eq!(fabric.copied_bytes(), 5);
-        assert_eq!(fabric.flushed_batches(), 1);
+        assert_eq!(fabric.stats().copied_bytes, 5);
+        assert_eq!(fabric.stats().flushed_batches, 1);
     }
 
     #[test]
@@ -952,8 +453,8 @@ mod tests {
         // 10 × 25 B versus MMS 100 B: pumps flush by size alone, no WTL.
         let delivered = fabric.pump(SimTime::ZERO);
         assert_eq!(delivered, 8, "two full batches of four 25 B items");
-        assert_eq!(fabric.flushed_batches(), 2);
-        assert!((fabric.mean_batch_size() - 4.0).abs() < 1e-12);
+        assert_eq!(fabric.stats().flushed_batches, 2);
+        assert!((fabric.stats().mean_batch_size() - 4.0).abs() < 1e-12);
         // The remainder needs a forced flush (or a WTL tick).
         assert_eq!(fabric.flush_at(SimTime::ZERO), 2);
         assert_eq!(std::iter::from_fn(|| rx.try_recv().ok()).count(), 10);
@@ -973,32 +474,12 @@ mod tests {
             .send_copied(EndpointId(0), EndpointId(1), b"c")
             .unwrap_err();
         assert_eq!(err, SendError::Full);
-        assert_eq!(fabric.send_errors(), 1);
+        assert_eq!(fabric.stats().send_errors, 1);
         // Draining the ring frees capacity.
         fabric.flush_at(SimTime::ZERO);
         fabric
             .send_copied(EndpointId(0), EndpointId(1), b"c")
             .unwrap();
-    }
-
-    #[test]
-    fn unknown_endpoint_and_disconnected_count_errors_not_bytes() {
-        let fabric = RingFabric::new(cfg(16, 1_000_000, 1));
-        assert_eq!(
-            fabric
-                .send_copied(EndpointId(0), EndpointId(9), b"x")
-                .unwrap_err(),
-            SendError::UnknownEndpoint
-        );
-        let rx = fabric.register(EndpointId(1)).unwrap();
-        drop(rx);
-        fabric
-            .send_copied(EndpointId(0), EndpointId(1), b"xx")
-            .unwrap();
-        fabric.flush_at(SimTime::ZERO);
-        assert_eq!(fabric.send_errors(), 2);
-        assert_eq!(fabric.copied_bytes(), 0);
-        assert_eq!(fabric.messages(), 0);
     }
 
     #[test]
@@ -1015,19 +496,7 @@ mod tests {
         assert_eq!(fabric.pump(SimTime::ZERO), 2);
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"c");
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"d");
-        assert_eq!(fabric.send_errors(), 0);
-    }
-
-    #[test]
-    fn reregister_errors_until_deregistered() {
-        let fabric = RingFabric::new(RingConfig::default());
-        let _rx = fabric.register(EndpointId(3)).unwrap();
-        assert_eq!(
-            fabric.register(EndpointId(3)).unwrap_err(),
-            RegisterError::AlreadyRegistered(EndpointId(3))
-        );
-        fabric.deregister(EndpointId(3));
-        assert!(fabric.register(EndpointId(3)).is_ok());
+        assert_eq!(fabric.stats().send_errors, 0);
     }
 
     #[test]
@@ -1056,7 +525,7 @@ mod tests {
     #[test]
     fn live_flusher_delivers_without_manual_pumps() {
         let fabric = Arc::new(RingFabric::new(cfg(1024, 1_000_000, 1)));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         let rx = fabric.register(EndpointId(1)).unwrap();
         for i in 0..50u8 {
             fabric
@@ -1081,7 +550,7 @@ mod tests {
         const N: u8 = 100;
         // WTL far above the time 100 posts take, MMS out of reach.
         let fabric = Arc::new(RingFabric::new(cfg(1024, 1_000_000, 200)));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         let rx = fabric.register(EndpointId(1)).unwrap();
         let started = Instant::now();
         for i in 0..N {
@@ -1092,9 +561,9 @@ mod tests {
         // The first post found the endpoint idle and rang; the rest ride
         // the deadline it armed.
         assert!(
-            fabric.doorbell_rings() <= 2,
+            fabric.stats().doorbell_rings <= 2,
             "rings = {}",
-            fabric.doorbell_rings()
+            fabric.stats().doorbell_rings
         );
         let got: Vec<u8> = (0..N)
             .map(|_| {
@@ -1109,13 +578,17 @@ mod tests {
             started.elapsed() >= Duration::from_millis(200),
             "held to WTL"
         );
-        assert_eq!(fabric.flushed_batches(), 1, "one batch, not one per post");
-        assert!(fabric.doorbell_rings() <= 2);
+        assert_eq!(
+            fabric.stats().flushed_batches,
+            1,
+            "one batch, not one per post"
+        );
+        assert!(fabric.stats().doorbell_rings <= 2);
         let mut reg = MetricsRegistry::new();
         fabric.export_metrics(&mut reg, "net.ring");
         assert_eq!(
             reg.counter("net.ring.doorbell_rings"),
-            Some(fabric.doorbell_rings())
+            Some(fabric.stats().doorbell_rings)
         );
         assert_eq!(reg.counter("net.ring.posted"), Some(N as u64));
         flusher.stop();
@@ -1125,14 +598,14 @@ mod tests {
     fn crossing_mms_rings_at_once_and_flushes_before_wtl() {
         // WTL is 10 s: only the size trigger can deliver within the test.
         let fabric = Arc::new(RingFabric::new(cfg(1024, 1_000, 10_000)));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         let rx = fabric.register(EndpointId(1)).unwrap();
         for i in 0..9u8 {
             fabric
                 .send_copied(EndpointId(0), EndpointId(1), &[i; 100])
                 .unwrap();
         }
-        assert!(fabric.doorbell_rings() <= 1, "900 B stay under MMS");
+        assert!(fabric.stats().doorbell_rings <= 1, "900 B stay under MMS");
         fabric
             .send_copied(EndpointId(0), EndpointId(1), &[9; 100])
             .unwrap();
@@ -1142,8 +615,8 @@ mod tests {
                 .expect("the post that crossed MMS woke the flusher");
             assert_eq!(msg.payload.bytes()[0], i);
         }
-        assert_eq!(fabric.flushed_batches(), 1);
-        assert!(fabric.doorbell_rings() <= 2);
+        assert_eq!(fabric.stats().flushed_batches, 1);
+        assert!(fabric.stats().doorbell_rings <= 2);
         flusher.stop();
     }
 
@@ -1151,7 +624,7 @@ mod tests {
     fn live_flusher_drains_a_bounded_inbox_in_order() {
         const N: u8 = 50;
         let fabric = Arc::new(RingFabric::new(cfg(1024, 1_000_000, 1)));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         let rx = fabric.register_bounded(EndpointId(1), 2).unwrap();
         for i in 0..N {
             fabric
@@ -1167,7 +640,7 @@ mod tests {
                 .expect("parked items are retried");
             assert_eq!(msg.payload.bytes()[0], i);
         }
-        assert_eq!(fabric.send_errors(), 0);
+        assert_eq!(fabric.stats().send_errors, 0);
         flusher.stop();
     }
 
@@ -1187,9 +660,8 @@ mod tests {
             },
             flusher_shards: 2,
             idle_heartbeat: Duration::from_secs(30),
-            ..RingConfig::default()
         }));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         let epoch = Instant::now();
         let readers: Vec<_> = (0..ENDPOINTS)
             .map(|d| {
@@ -1250,70 +722,11 @@ mod tests {
                 "a frame waited {longest:?}: its wake-up was lost"
             );
         }
-        assert_eq!(fabric.messages(), (SENDERS * ENDPOINTS * PER_PAIR) as u64);
-        assert!(fabric.doorbell_rings() <= fabric.posted());
-        flusher.stop();
-    }
-
-    #[test]
-    fn flusher_stop_flushes_stragglers() {
-        let fabric = Arc::new(RingFabric::new(cfg(1024, 1_000_000, 10_000)));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
-        let rx = fabric.register(EndpointId(1)).unwrap();
-        // WTL is 10 s: nothing would flush on its own within the test.
-        fabric
-            .send_copied(EndpointId(0), EndpointId(1), b"tail")
-            .unwrap();
-        flusher.stop();
-        assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"tail");
-    }
-
-    #[test]
-    fn multi_producer_stress_keeps_per_sender_order() {
-        const SENDERS: u32 = 8;
-        const PER_SENDER: u32 = 2_000;
-        let fabric = Arc::new(RingFabric::new(cfg(
-            (SENDERS * PER_SENDER) as usize,
-            4 * 1024,
-            1,
-        )));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
-        let rx = fabric.register(EndpointId(0)).unwrap();
-
-        let producers: Vec<_> = (1..=SENDERS)
-            .map(|s| {
-                let f = Arc::clone(&fabric);
-                std::thread::spawn(move || {
-                    for seq in 0..PER_SENDER {
-                        let frame = [s.to_le_bytes(), seq.to_le_bytes()].concat();
-                        // The ring is sized to hold everything, so Full
-                        // can only mean lost capacity accounting.
-                        f.send_copied(EndpointId(s), EndpointId(0), &frame)
-                            .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-
-        let mut next_seq = vec![0u32; SENDERS as usize + 1];
-        for _ in 0..SENDERS * PER_SENDER {
-            let msg = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("no descriptor lost");
-            let bytes = msg.payload.bytes();
-            let s = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-            let seq = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-            assert_eq!(msg.from, EndpointId(s));
-            assert_eq!(seq, next_seq[s as usize], "per-sender FIFO order");
-            next_seq[s as usize] = seq + 1;
-        }
-        assert!(rx.try_recv().is_err(), "no duplicated descriptors");
-        assert_eq!(fabric.messages(), (SENDERS * PER_SENDER) as u64);
-        assert_eq!(fabric.send_errors(), 0);
-        assert!(fabric.mean_batch_size() >= 1.0);
+        assert_eq!(
+            fabric.stats().messages,
+            (SENDERS * ENDPOINTS * PER_PAIR) as u64
+        );
+        assert!(fabric.stats().doorbell_rings <= fabric.stats().posted);
         flusher.stop();
     }
 
@@ -1322,7 +735,7 @@ mod tests {
         const SENDERS: u32 = 4;
         const PER_SENDER: u32 = 500;
         let fabric = Arc::new(RingFabric::new(cfg(8, 64, 1)));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         let rx = fabric.register(EndpointId(0)).unwrap();
 
         let producers: Vec<_> = (1..=SENDERS)
@@ -1363,34 +776,8 @@ mod tests {
             next_seq[s as usize] = seq + 1;
         }
         assert!(rx.try_recv().is_err());
-        assert_eq!(fabric.messages(), (SENDERS * PER_SENDER) as u64);
+        assert_eq!(fabric.stats().messages, (SENDERS * PER_SENDER) as u64);
         flusher.stop();
-    }
-
-    #[test]
-    fn fabric_kind_builds_interchangeable_paths() {
-        for kind in [
-            FabricKind::PerSend,
-            FabricKind::Ring(RingConfig::default()),
-            FabricKind::OneSided(crate::OneSidedConfig::default()),
-        ] {
-            let mut instance = kind.build();
-            let rx = instance.fabric.register(EndpointId(1)).unwrap();
-            instance
-                .fabric
-                .send_copied(EndpointId(0), EndpointId(1), b"hi")
-                .unwrap();
-            instance.fabric.flush();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_secs(5))
-                    .unwrap()
-                    .payload
-                    .bytes(),
-                b"hi"
-            );
-            assert_eq!(instance.fabric.messages(), 1);
-            instance.shutdown();
-        }
     }
 
     #[test]
@@ -1398,18 +785,16 @@ mod tests {
         let d = RingConfig::default();
         assert_eq!(d.flusher_shards, 1);
         assert_eq!(d.idle_heartbeat, Duration::from_millis(5));
-        assert_eq!(d.stall_backoff, Duration::from_micros(100));
 
         let custom = RingConfig {
             flusher_shards: 4,
             idle_heartbeat: Duration::from_millis(1),
-            stall_backoff: Duration::from_micros(10),
             ..RingConfig::default()
         };
         // The config must survive the fabric and the flusher unchanged.
         let fabric = Arc::new(RingFabric::new(custom));
         assert_eq!(fabric.config(), custom);
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         assert_eq!(flusher.shard_count(), 4);
         flusher.stop();
         // Zero shards degrades to one worker, never zero.
@@ -1496,7 +881,7 @@ mod tests {
             flusher_shards: 4,
             ..RingConfig::default()
         }));
-        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let flusher = spawn_drain(Arc::clone(&fabric));
         assert_eq!(flusher.shard_count(), 4);
         let rxs: Vec<_> = (0..ENDPOINTS)
             .map(|d| fabric.register(EndpointId(d)).unwrap())
@@ -1543,7 +928,7 @@ mod tests {
             assert!(rx.try_recv().is_err(), "no duplicated descriptors");
         }
         assert_eq!(
-            fabric.messages(),
+            fabric.stats().messages,
             (SENDERS * ENDPOINTS * PER_PAIR) as u64,
             "lossless across shards"
         );
@@ -1568,35 +953,5 @@ mod tests {
         assert_eq!(reg.counter("ring.copied_bytes"), Some(128));
         assert_eq!(reg.counter("ring.flushed_batches"), Some(2));
         assert!(reg.gauge("ring.mean_batch_size").unwrap() > 1.0);
-    }
-
-    #[test]
-    fn a_second_link_tracker_install_keeps_the_first() {
-        use crate::topology::{ClusterSpec, MachineId};
-        for kind in [
-            FabricKind::PerSend,
-            FabricKind::Ring(RingConfig::default()),
-            FabricKind::OneSided(crate::OneSidedConfig::default()),
-        ] {
-            let mut instance = kind.build();
-            let tracker = || {
-                let t = Arc::new(LinkTracker::new(ClusterSpec::new(2, 1, 1)));
-                t.map_endpoint(EndpointId(0), MachineId(0));
-                t.map_endpoint(EndpointId(1), MachineId(1));
-                t
-            };
-            let (first, second) = (tracker(), tracker());
-            instance.fabric.install_link_tracker(Arc::clone(&first));
-            instance.fabric.install_link_tracker(Arc::clone(&second));
-            let rx = instance.fabric.register(EndpointId(1)).unwrap();
-            let sent = instance
-                .fabric
-                .send_copied(EndpointId(0), EndpointId(1), b"12345");
-            assert_eq!(sent, Ok(()), "{kind:?}");
-            instance.shutdown();
-            assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"12345");
-            assert_eq!(first.total_bytes(), 5, "{kind:?}");
-            assert_eq!(second.total_bytes(), 0, "{kind:?}");
-        }
     }
 }

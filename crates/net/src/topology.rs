@@ -539,7 +539,7 @@ mod tests {
         let spec = ClusterSpec::with_rack_map(4, 2, 1, vec![0, 0, 1, 1]);
         let t = LinkTracker::new(spec);
         for m in 0..4 {
-            t.map_endpoint(EndpointId(m), MachineId(m as u32));
+            t.map_endpoint(EndpointId(m), MachineId(m));
         }
         t
     }

@@ -35,8 +35,8 @@ fn switch_protocol_converges_over_the_ring_fabric() {
     assert!(report.t_switch > SimDuration::ZERO);
     // Ring delivery is batched: the flusher must have drained at least one
     // doorbell-triggered batch to carry the protocol traffic.
-    assert!(instance.fabric.flushed_batches() > 0, "ring path must batch");
-    assert_eq!(instance.fabric.send_errors(), 0);
+    assert!(instance.fabric.stats().flushed_batches > 0, "ring path must batch");
+    assert_eq!(instance.fabric.stats().send_errors, 0);
     instance.shutdown();
 }
 
