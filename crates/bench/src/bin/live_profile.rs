@@ -1,11 +1,15 @@
-//! A sampling profiler around one saturating `fanout_relay`-shaped run
-//! (150 B tuples broadcast to 16 field-reading sinks over 4 machines
-//! through the d* = 2 relay tree on the per-send fabric): `SIGPROF` on
-//! process CPU time, the handler stores the interrupted `rip` and a
-//! bounded frame-pointer walk. A developer tool for containers without
-//! `perf` — not a knob, not linked into the runtime. README "Profiling"
-//! has the build line (`-C force-frame-pointers=yes`) and the `addr2line`
-//! pipeline that folds the output into inclusive shares.
+//! A sampling profiler around one saturating run of a benchmark-shaped
+//! topology — `fanout` (the default): `fanout_relay`'s, 150 B tuples
+//! broadcast to 16 field-reading sinks over 4 machines through the
+//! d* = 2 relay tree on the per-send fabric; `stock`: `stock_acklog`'s,
+//! the stock exchange with 16 matching instances over 4 machines on the
+//! per-send fabric, every tuple tracked by the acker and every frame
+//! written ahead to the partition log. `SIGPROF` on process CPU time,
+//! the handler stores the interrupted `rip` and a bounded frame-pointer
+//! walk. A developer tool for containers without `perf` — not a knob,
+//! not linked into the runtime. README "Profiling" has the build line
+//! (`-C force-frame-pointers=yes`) and the `addr2line` pipeline that
+//! folds the output into inclusive shares.
 //!
 //! Output: the process's `/proc/self/maps` on `#` lines, then one line per
 //! sample, innermost first, as offsets from the executable's load address
@@ -19,15 +23,39 @@ fn main() {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
-    let tuples = std::env::args().nth(1).map_or(3_000_000, |n| {
-        n.parse().expect("usage: live_profile [tuples]")
-    });
+    const USAGE: &str = "usage: live_profile [fanout|stock] [tuples]";
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let shape = args
+        .first()
+        .filter(|a| ["fanout", "stock"].contains(&a.as_str()));
+    let stock = shape.is_some_and(|s| s == "stock");
+    if shape.is_some() {
+        args.remove(0);
+    }
+    assert!(args.len() <= 1, "{USAGE}");
+    let tuples: u64 = args.first().map_or(3_000_000, |n| n.parse().expect(USAGE));
     let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
     sampler::start();
-    let report = run(tuples);
+    let elapsed = if stock {
+        // As the benchmark runs it: segment after segment, each a run of
+        // its own, so the order books a matching instance scans stay the
+        // size they are there.
+        let segments = (0..tuples.div_ceil(STOCK_SEGMENT)).map(|i| {
+            let n = STOCK_SEGMENT.min(tuples - i * STOCK_SEGMENT);
+            let report = run_stock(i, n);
+            assert!(report.outcome.is_clean(), "{:?}", report.outcome);
+            assert_eq!((report.spout_emitted, report.tuples_acked), (n, n));
+            assert_eq!(report.tuples_replayed, 0);
+            report.elapsed
+        });
+        segments.sum()
+    } else {
+        let report = run_fanout(tuples);
+        assert!(report.outcome.is_clean(), "{:?}", report.outcome);
+        assert_eq!(report.executed[1], 16 * tuples);
+        report.elapsed
+    };
     sampler::arm(0);
-    assert!(report.outcome.is_clean(), "{:?}", report.outcome);
-    assert_eq!(report.executed[1], 16 * tuples);
     for line in maps.lines() {
         println!("# {line}");
     }
@@ -48,13 +76,37 @@ fn main() {
         });
         println!("{}", frames.collect::<Vec<_>>().join(" "));
     }
-    let (secs, taken) = (report.elapsed.as_secs_f64(), samples.len());
+    let (secs, taken): (f64, _) = (elapsed.as_secs_f64(), samples.len());
     eprintln!("{tuples} tuples in {secs:.2} s, {taken} samples");
+}
+
+/// Source tuples per `stock` run.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+const STOCK_SEGMENT: u64 = 200_000;
+
+/// `stock_acklog`'s shape, unthrottled: the timeout is one nothing needs
+/// on a fault-free fabric, so no replay changes the work per run.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn run_stock(seed: u64, tuples: u64) -> whale_dsps::RunReport {
+    use whale_apps::stock_exchange;
+    use whale_dsps::{AckConfig, LiveConfig, LogConfig};
+    let config = LiveConfig {
+        machines: 4,
+        ack: Some(AckConfig {
+            timeout: std::time::Duration::from_secs(20),
+            ..AckConfig::default()
+        }),
+        log: Some(LogConfig::default()),
+        ..LiveConfig::default()
+    };
+    let nasdaq = whale_workloads::NasdaqConfig::default();
+    let ops = stock_exchange::operators(seed, nasdaq, tuples);
+    whale_dsps::run_topology(stock_exchange::topology(16), ops, config)
 }
 
 /// `fanout_relay`'s shape, unthrottled.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run(tuples: u64) -> whale_dsps::RunReport {
+fn run_fanout(tuples: u64) -> whale_dsps::RunReport {
     use whale_dsps::{
         Emitter, Grouping, IterSpout, LazyFnBolt, LazyTuple, LiveConfig, Operators, Schema,
         TopologyBuilder, Tuple, Value,

@@ -97,7 +97,8 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
             let now = SimTime::from_nanos(epoch0.elapsed().as_nanos() as u64);
             let queue_len = routing.fabric.stats().queue_depth as usize
                 + routing.max_inbox_depth()
-                + routing.ack.as_ref().map_or(0, |a| a.acker.lock().pending());
+                + (routing.ack.as_ref())
+                    .map_or(0, |a| a.gauges.pending.load(Ordering::Relaxed) as usize);
             let report = monitor.sample_with_links(now, queue_len, routing.link_pressure());
             match controller.decide(&report) {
                 Decision::Hold => None,
@@ -191,7 +192,7 @@ pub(super) fn monitor_loop(
             fabric_messages: fabric.messages,
             send_errors: fabric.send_errors,
             send_retries: get(&stats.send_retries),
-            acked: ack.map_or(0, |a| get(&a.acked)),
+            acked: ack.map_or(0, |a| a.acker.lock().acked()),
             failed: ack.map_or(0, |a| get(&a.failed)),
             replayed: ack.map_or(0, |a| get(&a.replayed)),
         }

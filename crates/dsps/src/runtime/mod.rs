@@ -88,13 +88,15 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
 
     let start = Instant::now();
 
-    // Log recovery thread: partition-log GC against the acker watermark
-    // and replay of crashed-and-restarted endpoints.
+    // Log replay thread, only for a plan that restarts an endpoint: its
+    // log slice is replayed when the fault layer reports it back. (Log GC
+    // needs no thread: each appender collects under the lock it holds.)
     let log_stop = Arc::new(AtomicBool::new(false));
-    let log_handle = routing.log.is_some().then(|| {
-        let (routing, fault, stop) = (Arc::clone(&routing), fault.clone(), Arc::clone(&log_stop));
+    let awaiting = reliability::restarting_endpoints(&routing, n_flat);
+    let log_handle = fault.clone().filter(|_| !awaiting.is_empty()).map(|fault| {
+        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&log_stop));
         std::thread::spawn(move || {
-            reliability::log_recovery_loop(&routing, fault.as_deref(), n_flat, &stop)
+            reliability::log_recovery_loop(&routing, &fault, awaiting, &stop)
         })
     });
 
@@ -137,10 +139,15 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         thread_panics += h.join().is_err() as u64;
     }
     // Producers done means every replay that can still complete a tuple
-    // has happened; stop the log GC/replay thread before teardown.
+    // has happened; stop the log replay thread before teardown, and
+    // collect what resolved after each endpoint's last append so the
+    // report's retained-bytes gauge reflects the end-of-run watermark.
     log_stop.store(true, Ordering::Relaxed);
     if let Some(h) = log_handle {
         thread_panics += h.join().is_err() as u64;
+    }
+    if let Some(log) = &routing.log {
+        log.gc_pass();
     }
     // All producers done: release any fault-parked frames, flush
     // anything still buffered in the transport (and stop the ring
@@ -259,9 +266,13 @@ fn wire_up(
         ));
     }
 
+    let ack = config.ack.map(AckRuntime::new);
+    // An untracked run logs no tracked record: its watermark stays at 0.
+    let ledger = ack.as_ref().map(|a| Arc::clone(&a.gauges));
+    let log = config.log;
     let routing = Routing {
-        ack: config.ack.map(AckRuntime::new),
-        log: config.log.map(|cfg| LogRuntime::new(cfg, n_flat)),
+        ack,
+        log: log.map(|cfg| LogRuntime::new(cfg, n_flat, ledger.unwrap_or_default())),
         groups: LocalGroups::new(&topology, &placement, shards),
         topology,
         placement,

@@ -4,11 +4,12 @@
 
 use super::config::{LiveConfig, Operators};
 use super::relay::{swap_held, RelayEpoch};
-use super::reliability::{anchor_for, prune_completed, root_of, AckRuntime, ROOT_BITS, ROOT_MASK};
+use super::reliability::{anchor_for, AckRuntime, Admit, DedupWindow};
 use super::send::{
     Dest, Entry, ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE,
 };
 use super::wire::{self, FrameView};
+use crate::acker::Expired;
 use crate::codec::{self, LazyTuple, TupleView, WireSpare};
 use crate::operator::{Bolt, Spout};
 use crate::task::{ComponentId, TaskId};
@@ -19,8 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whale_net::{IdHashMap, IdHashSet};
-use whale_sim::SimTime;
+use whale_net::IdHashSet;
 
 /// Where one spout is in its lifecycle. The drain phase (tracked runs
 /// only) is a cooperative state machine, not a blocking loop: the owning
@@ -41,33 +41,42 @@ enum SpoutPhase {
     Done,
 }
 
-/// One spout task owned by a shard pipeline.
+/// One spout task owned by a shard pipeline. What it has in flight lives
+/// in the ledger, in the slots it owns.
 struct SpoutState {
     task: TaskId,
     spout: Box<dyn Spout>,
     groupings: Groupings,
-    /// Tracked ids still in flight: id → (tuple, attempt).
-    pending: IdHashMap<u64, (Tuple, u32)>,
-    since_prune: u32,
     phase: SpoutPhase,
 }
 
 impl SpoutState {
-    /// Give up on everything still in flight: force-expire it so late
-    /// acks are rejected, count each root as failed exactly once, and
-    /// tell the log its records are dead weight.
-    fn fail_pending(&mut self, routing: &Routing, ack: &AckRuntime) {
-        ack.acker
-            .lock()
-            .expire_matching(SimTime::MAX, |id| self.pending.contains_key(&id));
-        ack.failed
-            .fetch_add(self.pending.len() as u64, Ordering::Relaxed);
-        if let Some(log) = &routing.log {
-            for id in self.pending.keys() {
-                log.note_resolved(root_of(*id));
-            }
-        }
-        self.pending.clear();
+    /// Give up on everything still in flight: late acks are rejected from
+    /// here on, each root counts as failed exactly once, and the ledger's
+    /// watermark releases its log records.
+    fn fail_pending(&mut self, ack: &AckRuntime) {
+        let given_up = ack.acker.lock().fail_owned(self.task.0);
+        ack.failed.fetch_add(given_up, Ordering::Relaxed);
+    }
+
+    /// Emit one tuple the spout produced; on a tracked run, under a fresh
+    /// root. Returns the tracked id.
+    fn emit(&mut self, routing: &Routing, t: Tuple) -> Option<u64> {
+        let stats = &routing.stats;
+        stats.spout_emitted.fetch_add(1, Ordering::Relaxed);
+        stats.delivery.on_emit(t.id);
+        let t = Arc::new(t);
+        let tracked = routing.ack.as_ref().map(|ack| {
+            // Registered before emitting: an executor's ack can land
+            // before the routing layer arms the ledger, and XOR
+            // order-independence keeps that race benign — but only if
+            // the slot already exists. The slot shares the tuple with
+            // the routing layer; a replay re-emits it.
+            let now = ack.now();
+            ack.acker.lock().track(self.task.0, Arc::clone(&t), now)
+        });
+        routing.emit(self.task, &mut self.groupings, t, tracked);
+        tracked
     }
 
     /// Broadcast EOS and retire the spout.
@@ -90,7 +99,7 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
             let Ok(next) = next else {
                 stats.op_panics.fetch_add(1, Ordering::Relaxed);
                 if let Some(ack) = routing.ack.as_ref() {
-                    state.fail_pending(routing, ack);
+                    state.fail_pending(ack);
                 }
                 state.finish(routing);
                 return true;
@@ -108,26 +117,7 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
                 }
                 return true;
             };
-            stats.spout_emitted.fetch_add(1, Ordering::Relaxed);
-            stats.delivery.on_emit(t.id);
-            match routing.ack.as_ref() {
-                None => routing.emit(state.task, &mut state.groupings, t, None),
-                Some(ack) => {
-                    let tracked = ack.next_root.fetch_add(1, Ordering::Relaxed) & ROOT_MASK;
-                    // Register before emitting: an executor's ack can land
-                    // before the routing layer arms the ledger, and XOR
-                    // order-independence keeps that race benign — but only
-                    // if the entry already exists.
-                    ack.acker.lock().init(tracked, 0, ack.now());
-                    state.pending.insert(tracked, (t.clone(), 0));
-                    routing.emit(state.task, &mut state.groupings, t, Some(tracked));
-                    state.since_prune += 1;
-                    if state.since_prune >= 64 {
-                        state.since_prune = 0;
-                        prune_completed(routing, ack, &mut state.pending);
-                    }
-                }
-            }
+            state.emit(routing, t);
             true
         }
         SpoutPhase::Draining {
@@ -139,41 +129,41 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
                 return false;
             }
             let ack = routing.ack.as_ref().expect("draining implies tracking");
-            // One drain pass: replay expired trees (fresh ledger key,
-            // stable root for sink dedup), prune completed ones.
-            let expired = {
-                let mut acker = ack.acker.lock();
-                acker.expire_matching(ack.now(), |id| state.pending.contains_key(&id))
-            };
+            // One drain pass: replay this spout's expired trees (fresh
+            // ledger key, stable root for sink dedup) or give up on them.
+            let mut expired = Vec::new();
+            let owner = state.task.0;
+            let mut in_flight = ack
+                .acker
+                .lock()
+                .expire_owned(owner, ack.now(), &mut expired);
             let mut replayed = false;
-            for id in expired {
-                let Some((tuple, attempt)) = state.pending.remove(&id) else {
-                    continue;
-                };
+            for Expired {
+                root,
+                attempt,
+                tuple,
+            } in expired
+            {
                 if attempt >= ack.config.max_replays {
+                    // A failed root is resolved: the watermark moves past
+                    // it and its log records will never be needed again.
+                    ack.acker.lock().give_up(root);
                     ack.failed.fetch_add(1, Ordering::Relaxed);
-                    // A failed root is resolved for log-GC purposes: its
-                    // records will never be needed again.
-                    if let Some(log) = &routing.log {
-                        log.note_resolved(root_of(id));
-                    }
+                    in_flight -= 1;
                     continue;
                 }
-                let attempt = attempt + 1;
-                let tracked = ((attempt as u64) << ROOT_BITS) | root_of(id);
-                ack.acker.lock().init(tracked, 0, ack.now());
-                state.pending.insert(tracked, (tuple.clone(), attempt));
+                let rearmed = ack.acker.lock().replay(root, ack.now());
+                let tracked = rearmed.expect("expired a moment ago, by this spout");
                 ack.replayed.fetch_add(1, Ordering::Relaxed);
                 replayed = true;
                 routing.emit(state.task, &mut state.groupings, tuple, Some(tracked));
             }
-            prune_completed(routing, ack, &mut state.pending);
-            if state.pending.is_empty() {
+            if in_flight == 0 {
                 state.finish(routing);
                 return true;
             }
             if now >= deadline {
-                state.fail_pending(routing, ack);
+                state.fail_pending(ack);
                 state.finish(routing);
                 return true;
             }
@@ -257,11 +247,10 @@ struct BoltState {
     groupings: Groupings,
     eos_seen: IdHashSet<TaskId>,
     expected_eos: usize,
-    /// Tracked ids already XOR'd into the acker (a duplicated frame must
-    /// not ack the ledger twice) and roots already executed (replays and
+    /// What this task has acked and executed of the ledger's live roots
+    /// (a duplicated frame must not ack the ledger twice; replays and
     /// duplicates are acked but not re-executed).
-    acked_tracked: IdHashSet<u64>,
-    seen_roots: IdHashSet<u64>,
+    dedup: DedupWindow,
     /// A panicking `execute`/`finish` poisons the task: later tuples are
     /// dropped unprocessed and unacked (they time out into replays on
     /// tracked runs), but EOS still departs so downstream drains.
@@ -295,7 +284,9 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
     let Some(comp) = bolts.first().map(|b| b.comp) else {
         return;
     };
+    // The ledger's live roots, read once for the batch.
     let ack = tracked.zip(routing.ack.as_ref());
+    let ack = ack.map(|(tracked, ack)| (tracked, ack, ack.gauges.live_roots()));
     let was_materialized = t.is_materialized();
     // A sampled delivery is timed to the start of the batch that executes
     // it: one clock read per sampled batch.
@@ -305,13 +296,14 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
     // The batch's acks, folded: XOR is what the ledger does with them.
     let mut ack_xor = None;
     for state in bolts.iter_mut().filter(|b| !b.done && !b.poisoned) {
-        if let Some((tracked, _)) = ack {
-            if state.acked_tracked.insert(tracked) {
+        if let Some((tracked, ack, live)) = &ack {
+            let (tracked, admit) = (*tracked, state.dedup.admit(*tracked, live, ack));
+            if matches!(admit, Admit::Execute | Admit::Duplicate { ack: true }) {
                 // The anchor is derived, not carried: the same pure
                 // function the sender armed the ledger with.
                 *ack_xor.get_or_insert(0) ^= anchor_for(tracked, state.task);
             }
-            if !state.seen_roots.insert(root_of(tracked)) {
+            if admit != Admit::Execute {
                 duplicates += 1;
                 continue;
             }
@@ -336,7 +328,7 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
             Ok(Ok(())) => {}
         }
     }
-    if let Some((tracked, ack)) = ack {
+    if let Some((tracked, ack, _)) = ack {
         if let Some(xor) = ack_xor {
             ack.acker.lock().ack(tracked, xor);
         }
@@ -436,8 +428,6 @@ impl ShardPipeline {
             task,
             spout,
             groupings,
-            pending: IdHashMap::default(),
-            since_prune: 0,
             phase: SpoutPhase::Emitting,
         });
     }
@@ -459,8 +449,7 @@ impl ShardPipeline {
             groupings,
             eos_seen: IdHashSet::default(),
             expected_eos,
-            acked_tracked: IdHashSet::default(),
-            seen_roots: IdHashSet::default(),
+            dedup: DedupWindow::default(),
             poisoned: false,
             done: false,
         };
@@ -728,19 +717,39 @@ impl PipelineHarness {
         }
     }
 
-    /// Receive one fabric frame and run everything it causes locally.
-    pub fn receive(&mut self, msg: &whale_net::LiveMessage) {
+    /// Run `f` with this thread standing in for the pipeline's own, then
+    /// everything `f` caused locally.
+    fn as_pipeline<R>(&mut self, f: impl FnOnce(&mut ShardPipeline, &Routing) -> R) -> R {
         CURRENT_SHARD.with(|c| c.set(Some(self.pipeline.flat)));
         swap_held(self.held.take());
-        on_frame(
-            self.pipeline.worker,
-            msg,
-            &self.routing,
-            &mut self.pipeline.scratch,
-        );
+        let result = f(&mut self.pipeline, &self.routing);
         self.pipeline.drain_local(&self.routing);
         self.held = swap_held(None);
         CURRENT_SHARD.with(|c| c.set(None));
+        result
+    }
+
+    /// Receive one fabric frame and run everything it causes locally.
+    pub fn receive(&mut self, msg: &whale_net::LiveMessage) {
+        self.as_pipeline(|p, routing| on_frame(p.worker, msg, routing, &mut p.scratch));
+    }
+
+    /// Emit `tuple` as the pipeline's first spout would (tracked under a
+    /// fresh root and written ahead to the log when the run is) and run
+    /// everything that causes locally. Returns the tracked id.
+    ///
+    /// # Panics
+    /// If the pipeline owns no spout.
+    pub fn emit(&mut self, tuple: Tuple) -> Option<u64> {
+        self.as_pipeline(|p, routing| p.spouts[0].emit(routing, tuple))
+    }
+
+    /// Ack `tracked` as `task` would after executing it; true when that
+    /// completed the tree.
+    pub fn ack(&self, tracked: u64, task: TaskId) -> bool {
+        let ack = self.routing.ack.as_ref().expect("a tracked run");
+        let state = ack.acker.lock().ack(tracked, anchor_for(tracked, task));
+        state == crate::acker::TreeState::Acked
     }
 
     /// Discard what the pipeline has sent to its peers' fabric endpoints
@@ -782,6 +791,7 @@ impl PipelineHarness {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use crate::acker::tracked_id;
     use crate::codec::RelayHeader;
 
     #[test]
@@ -1034,14 +1044,20 @@ mod tests {
         let (mut h, sinks) = leaf_harness(Some(AckConfig::default()), tap);
         let tuple = Tuple::new(vec![Value::I64(1)]);
         let root = 77u64;
-        let replay = (1 << ROOT_BITS) | root;
+        let replay = tracked_id(root, 1);
         let original_elsewhere = arm(&h.routing, root, &sinks);
-        let replay_elsewhere = arm(&h.routing, replay, &sinks);
         // The original, a duplicate of it (a second ack of the same
         // ledger key would XOR the first back out), then the replay.
         let original = shared(h.relay_frame(0, "sink", Some(root), &tuple));
         h.receive(&original);
         h.receive(&original);
+        let ack = h.routing.ack.as_ref().unwrap();
+        // Each sink acked the original once: only the destination that
+        // is not here is still owed.
+        assert_eq!(ack.acker.lock().ledger_of(root), Some(original_elsewhere));
+        // A root holds one attempt at a time: the replay supersedes the
+        // original, as the spout's expiry would have.
+        let replay_elsewhere = arm(&h.routing, replay, &sinks);
         h.receive(&shared(h.relay_frame(0, "sink", Some(replay), &tuple)));
         assert_eq!(h.stats().executed[1].load(Ordering::Relaxed), 4);
         let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
@@ -1049,10 +1065,45 @@ mod tests {
         let ack = h.routing.ack.as_ref().unwrap();
         assert_eq!(ack.dedup_dropped.load(Ordering::Relaxed), 8);
         let mut acker = ack.acker.lock();
-        for (tracked, elsewhere) in [(root, original_elsewhere), (replay, replay_elsewhere)] {
-            let state = acker.ack(tracked, elsewhere);
-            assert_eq!(state, crate::acker::TreeState::Acked, "{tracked:#x}");
+        let late = acker.ack(root, original_elsewhere);
+        assert_eq!(late, crate::acker::TreeState::Failed, "superseded");
+        let state = acker.ack(replay, replay_elsewhere);
+        assert_eq!(state, crate::acker::TreeState::Acked, "{replay:#x}");
+    }
+
+    #[test]
+    fn a_late_frame_of_a_resolved_root_is_dropped_and_counted() {
+        // The rule below the watermark: a frame naming a root that is no
+        // longer live — resolved, or never opened — is a duplicate by
+        // definition. It is neither executed nor acked, even by a task
+        // that has no record of the root.
+        let (counts, tap) = counting();
+        let (mut h, sinks) = leaf_harness(Some(AckConfig::default()), tap);
+        let tuple = Tuple::new(vec![Value::I64(1)]);
+        let frame =
+            |h: &PipelineHarness, root| shared(h.relay_frame(0, "sink", Some(root), &tuple));
+        let elsewhere = arm(&h.routing, 5, &sinks);
+        h.receive(&frame(&h, 5));
+        let ack = h.routing.ack.as_ref().unwrap();
+        let closed = ack.acker.lock().ack(5, elsewhere);
+        assert_eq!(closed, crate::acker::TreeState::Acked);
+        assert_eq!(ack.gauges.live_roots(), 6..6);
+        // Root 6 keeps the window open past the late frames below.
+        arm(&h.routing, 6, &sinks);
+        for stale in [5, 99, tracked_id(5, 1)] {
+            h.receive(&frame(&h, stale));
         }
+        assert_eq!(h.stats().executed[1].load(Ordering::Relaxed), 4);
+        let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        assert_eq!(executed, 4, "only the live delivery ran");
+        let ack = h.routing.ack.as_ref().unwrap();
+        assert_eq!(ack.dedup_dropped.load(Ordering::Relaxed), 3 * 4);
+        assert_eq!(ack.acker.lock().acked(), 1);
+        // The live root still runs, on sinks whose window was trimmed.
+        h.receive(&frame(&h, 6));
+        assert_eq!(h.stats().executed[1].load(Ordering::Relaxed), 8);
+        let ack = h.routing.ack.as_ref().unwrap();
+        assert_eq!(ack.dedup_window_peak.load(Ordering::Relaxed), 1);
     }
 
     #[test]

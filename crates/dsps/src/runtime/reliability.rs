@@ -1,32 +1,22 @@
-//! At-least-once delivery and crash recovery: tracked-id and anchor
-//! arithmetic, the acker wiring ([`AckRuntime`]), and the write-ahead
-//! partition logs with their GC/replay thread ([`LogRuntime`]).
+//! At-least-once delivery and crash recovery: anchor arithmetic, the
+//! acker wiring ([`AckRuntime`]), the executors' duplicate filter
+//! ([`DedupWindow`]), and the write-ahead partition logs with their
+//! inline GC and restart replay ([`LogRuntime`]).
 
 use super::config::AckConfig;
 use super::control::sleep_with_stop;
 use super::send::Routing;
 use super::wire::Wire;
-use crate::acker::Acker;
+use crate::acker::{attempt_of, root_of, Acker, LedgerGauges};
 use crate::task::TaskId;
-use crate::tuple::Tuple;
 use parking_lot::Mutex;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whale_net::{EndpointId, FaultFabric, IdHashMap, LogConfig, PartitionLog};
+use whale_net::{EndpointId, FaultFabric, LogConfig, PartitionLog};
 use whale_sim::{SimDuration, SimTime};
-
-/// Tracked ids pack a replay attempt above [`ROOT_BITS`] bits of root id,
-/// so every replay re-registers under a fresh ledger key while sinks
-/// dedup on the stable root.
-pub(super) const ROOT_BITS: u32 = 48;
-pub(super) const ROOT_MASK: u64 = (1 << ROOT_BITS) - 1;
-
-/// The root id a tracked id belongs to (stable across replays).
-pub(super) fn root_of(tracked: u64) -> u64 {
-    tracked & ROOT_MASK
-}
 
 pub(super) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -46,34 +36,38 @@ pub(super) fn anchor_for(tracked: u64, dst: TaskId) -> u64 {
 /// The shared at-least-once machinery of one tracked run.
 pub(super) struct AckRuntime {
     pub(super) config: AckConfig,
+    /// The one ledger of the run: root allocation, the XOR window, the
+    /// replay handles and the acked count, behind one lock.
     pub(super) acker: Mutex<Acker>,
+    /// What the ledger publishes, read without its lock.
+    pub(super) gauges: Arc<LedgerGauges>,
     /// Wall-clock epoch backing the acker's [`SimTime`] clock.
     epoch: Instant,
-    /// Next root id (roots stay below `2^ROOT_BITS`).
-    pub(super) next_root: AtomicU64,
-    /// Roots fully delivered (ledger hit zero, observed by their spout).
-    pub(super) acked: AtomicU64,
     /// Roots given up on after the replay budget or drain deadline.
     pub(super) failed: AtomicU64,
     /// Replay emissions performed.
     pub(super) replayed: AtomicU64,
     /// Duplicate deliveries suppressed at executors (same root seen
-    /// again: a replay that raced the original, or a duplicated frame).
+    /// again: a replay that raced the original, a duplicated frame, or a
+    /// late frame of a root already resolved).
     pub(super) dedup_dropped: AtomicU64,
+    /// The longest any executor's [`DedupWindow`] has been.
+    pub(super) dedup_window_peak: AtomicU64,
 }
 
 impl AckRuntime {
     pub(super) fn new(config: AckConfig) -> Self {
         let timeout = SimDuration::from_nanos((config.timeout.as_nanos() as u64).max(1));
+        let acker = Acker::new(timeout);
         AckRuntime {
             config,
-            acker: Mutex::new(Acker::new(timeout)),
+            gauges: acker.gauges(),
+            acker: Mutex::new(acker),
             epoch: Instant::now(),
-            next_root: AtomicU64::new(1),
-            acked: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             dedup_dropped: AtomicU64::new(0),
+            dedup_window_peak: AtomicU64::new(0),
         }
     }
 
@@ -83,19 +77,101 @@ impl AckRuntime {
     }
 }
 
+/// What an executor does with one tracked frame.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum Admit {
+    /// First sight of the root here: execute it, and XOR this task's
+    /// anchor into the ledger.
+    Execute,
+    /// The root already ran here. `ack` when the frame is a newer attempt
+    /// than any acked here — a replay is acked, never re-executed.
+    Duplicate { ack: bool },
+    /// Not a live root ([`LedgerGauges::live_roots`]): a late frame of a
+    /// tree already resolved, or an id the ledger never opened. Neither
+    /// executed nor acked.
+    Resolved,
+}
+
+/// One executor's duplicate filter: `last attempt acked + 1` per live
+/// root (`0` = never seen), indexed by `root − base` and trimmed to the
+/// ledger's resolved-below watermark — a root below it needs no entry,
+/// because a frame naming it is a duplicate by definition.
+#[derive(Default)]
+pub(super) struct DedupWindow {
+    base: u64,
+    acked_through: VecDeque<u32>,
+}
+
+impl DedupWindow {
+    /// Decide one frame of tree `tracked` and record the decision. `live`
+    /// is [`LedgerGauges::live_roots`], read once per batch.
+    pub(super) fn admit(&mut self, tracked: u64, live: &Range<u64>, ack: &AckRuntime) -> Admit {
+        let root = root_of(tracked);
+        if !live.contains(&root) {
+            return Admit::Resolved;
+        }
+        if self.base < live.start {
+            let resolved = (live.start - self.base).min(self.acked_through.len() as u64);
+            self.acked_through.drain(..resolved as usize);
+            self.base = live.start;
+        }
+        let idx = (root - self.base) as usize;
+        if idx >= self.acked_through.len() {
+            // Bounded by the ledger's own window: `root` is one it opened.
+            self.acked_through.resize(idx + 1, 0);
+            let len = self.acked_through.len() as u64;
+            if len > ack.dedup_window_peak.load(Ordering::Relaxed) {
+                ack.dedup_window_peak.fetch_max(len, Ordering::Relaxed);
+            }
+        }
+        let seen = &mut self.acked_through[idx];
+        let attempt = attempt_of(tracked) + 1;
+        let (first, newer) = (*seen == 0, *seen < attempt);
+        *seen = (*seen).max(attempt);
+        if first {
+            Admit::Execute
+        } else {
+            Admit::Duplicate { ack: newer }
+        }
+    }
+}
+
+/// One destination endpoint's write-ahead log and the tracked appends in
+/// it that log GC still waits on.
+struct EndpointLog {
+    log: PartitionLog,
+    /// `(seq, root)` of every tracked append, oldest first.
+    tracked: VecDeque<(u64, u64)>,
+}
+
+impl EndpointLog {
+    /// Advance the GC watermark over the prefix of tracked appends whose
+    /// roots are resolved and truncate the log to it.
+    fn gc(&mut self, resolved_below: u64) {
+        let mut watermark = None;
+        while let Some(&(seq, root)) = self.tracked.front() {
+            if root >= resolved_below {
+                break;
+            }
+            watermark = Some(seq + 1);
+            self.tracked.pop_front();
+        }
+        if let Some(wm) = watermark {
+            self.log.truncate_to(wm);
+        }
+    }
+}
+
 /// The per-run partition-log machinery (see [`super::LiveConfig::log`]): one
-/// write-ahead [`PartitionLog`] per flat destination endpoint, an
-/// acknowledgement-driven GC watermark, and replay counters.
+/// write-ahead [`PartitionLog`] per flat destination endpoint, garbage
+/// collected by its appender against the ledger's watermark, and replay
+/// counters.
 pub(super) struct LogRuntime {
     /// One log per flat fabric endpoint, indexed by endpoint id.
-    logs: Vec<Mutex<PartitionLog>>,
-    /// Per-endpoint FIFO of `(seq, root)` for tracked appends. The GC
-    /// watermark advances over the prefix whose roots have resolved.
-    pending: Vec<Mutex<VecDeque<(u64, u64)>>>,
-    /// Roots whose ledger resolved — acked, replay budget exhausted, or
-    /// force-failed at the drain deadline. Their log records are dead
-    /// weight: replaying them is at worst a dedup-dropped duplicate.
-    resolved: Mutex<HashSet<u64>>,
+    logs: Vec<Mutex<EndpointLog>>,
+    /// The ledger's gauges (all zero on an untracked run, which logs no
+    /// tracked append either).
+    ledger: Arc<LedgerGauges>,
     /// Records re-sent from the log after an endpoint restart.
     pub(super) replayed_records: AtomicU64,
     /// Bytes re-sent from the log after an endpoint restart.
@@ -103,124 +179,101 @@ pub(super) struct LogRuntime {
 }
 
 impl LogRuntime {
-    pub(super) fn new(config: LogConfig, n_flat: usize) -> Self {
+    pub(super) fn new(config: LogConfig, n_flat: usize, ledger: Arc<LedgerGauges>) -> Self {
+        let endpoint = || EndpointLog {
+            log: PartitionLog::new(config),
+            tracked: VecDeque::new(),
+        };
         LogRuntime {
-            logs: (0..n_flat)
-                .map(|_| Mutex::new(PartitionLog::new(config)))
-                .collect(),
-            pending: (0..n_flat).map(|_| Mutex::new(VecDeque::new())).collect(),
-            resolved: Mutex::new(HashSet::new()),
+            logs: (0..n_flat).map(|_| Mutex::new(endpoint())).collect(),
+            ledger,
             replayed_records: AtomicU64::new(0),
             replayed_bytes: AtomicU64::new(0),
         }
     }
 
+    fn resolved_below(&self) -> u64 {
+        self.ledger.resolved_below.load(Ordering::Relaxed)
+    }
+
     /// Write one encoded frame through the destination's log (called
-    /// before the fabric send). Endpoints outside the data range (switch
-    /// protocol endpoints sit above it) are not logged.
+    /// before the fabric send) and, under the same lock, collect what the
+    /// ledger's watermark has released since the last append. Endpoints
+    /// outside the data range (switch protocol endpoints sit above it)
+    /// are not logged.
     pub(super) fn append(&self, to: EndpointId, tracked: Option<u64>, bytes: &[u8]) {
-        let Some(log) = self.logs.get(to.0 as usize) else {
+        let Some(endpoint) = self.logs.get(to.0 as usize) else {
             return;
         };
-        let seq = log.lock().append(bytes);
+        let mut endpoint = endpoint.lock();
+        let seq = endpoint.log.append(bytes);
         if let Some(tr) = tracked {
-            self.pending[to.0 as usize]
-                .lock()
-                .push_back((seq, root_of(tr)));
+            endpoint.tracked.push_back((seq, root_of(tr)));
         }
+        endpoint.gc(self.resolved_below());
     }
 
-    /// Mark a root's ledger resolved, unblocking log GC past its records.
-    pub(super) fn note_resolved(&self, root: u64) {
-        self.resolved.lock().insert(root);
-    }
-
-    /// One GC pass: per endpoint, advance the watermark over the
-    /// resolved prefix of tracked appends and truncate the log to it.
+    /// GC every endpoint once: an endpoint nobody appends to any more
+    /// (the run is over) still owes the roots resolved since its last
+    /// append.
     pub(super) fn gc_pass(&self) {
-        let resolved = self.resolved.lock();
-        for (idx, pend) in self.pending.iter().enumerate() {
-            let mut pend = pend.lock();
-            let mut watermark = None;
-            while let Some(&(seq, root)) = pend.front() {
-                if !resolved.contains(&root) {
-                    break;
-                }
-                watermark = Some(seq + 1);
-                pend.pop_front();
-            }
-            if let Some(wm) = watermark {
-                self.logs[idx].lock().truncate_to(wm);
-            }
+        let resolved_below = self.resolved_below();
+        for endpoint in &self.logs {
+            endpoint.lock().gc(resolved_below);
         }
     }
 
     /// Sum a per-endpoint log counter over every endpoint.
     pub(super) fn sum(&self, f: impl Fn(&PartitionLog) -> u64) -> u64 {
-        self.logs.iter().map(|l| f(&l.lock())).sum()
+        self.logs.iter().map(|l| f(&l.lock().log)).sum()
     }
 
     pub(super) fn gc_watermark(&self) -> u64 {
-        self.logs
-            .iter()
-            .map(|l| l.lock().gc_watermark())
-            .max()
-            .unwrap_or(0)
+        let watermarks = self.logs.iter().map(|l| l.lock().log.gc_watermark());
+        watermarks.max().unwrap_or(0)
     }
 }
 
-/// The log GC/replay thread (see [`super::LiveConfig::log`]). Two duties, both
-/// polled on a short interval: advance each endpoint's log GC watermark
-/// over the resolved-root prefix (acker feedback keeps retention flat),
-/// and watch injected crash+restart pairs — when the fault layer reports
-/// an endpoint restarted, its log slice is replayed from the oldest
-/// retained record. Replayed frames go straight to the fabric (one
-/// modeled one-sided READ per record against the log's registered
-/// region), bypassing `transmit` so they are not re-logged, and root-id
-/// dedup at executors absorbs overlap with in-flight acker replays.
+/// The data endpoints of a logged run that the injected plan crashes and
+/// later restarts: each comes back needing its log slice replayed exactly
+/// once.
+pub(super) fn restarting_endpoints(routing: &Routing, n_flat: usize) -> Vec<EndpointId> {
+    let plan = routing.config.fault.as_ref();
+    let Some(plan) = plan.filter(|_| routing.log.is_some()) else {
+        return Vec::new();
+    };
+    let restarts_after = |c: &whale_net::EndpointCrash| {
+        let mut restarts = plan.restarts.iter();
+        restarts.any(|r| r.endpoint == c.endpoint && r.at_frame > c.at_frame)
+    };
+    let crashes = plan.crashes.iter();
+    crashes
+        .filter(|c| (c.endpoint.0 as usize) < n_flat && restarts_after(c))
+        .map(|c| c.endpoint)
+        .collect()
+}
+
+/// The log replay thread (see [`super::LiveConfig::log`]), run only when the
+/// injected plan restarts an endpoint: when the fault layer reports one
+/// of `awaiting` back, its log slice is replayed from the oldest retained
+/// record. Replayed frames go straight to the fabric (one modeled
+/// one-sided READ per record against the log's registered region),
+/// bypassing `transmit` so they are not re-logged, and root-id dedup at
+/// executors absorbs overlap with in-flight acker replays.
 pub(super) fn log_recovery_loop(
     routing: &Routing,
-    fault: Option<&FaultFabric>,
-    n_flat: usize,
+    fault: &FaultFabric,
+    mut awaiting: Vec<EndpointId>,
     stop: &AtomicBool,
 ) {
-    let log = routing.log.as_ref().expect("recovery thread implies logs");
-    // Crash+restart pairs from the injected plan: data endpoints that
-    // will come back and need their slice replayed exactly once.
-    let mut awaiting: Vec<EndpointId> = routing
-        .config
-        .fault
-        .as_ref()
-        .map(|plan| {
-            plan.crashes
-                .iter()
-                .filter(|c| (c.endpoint.0 as usize) < n_flat)
-                .filter(|c| {
-                    plan.restarts
-                        .iter()
-                        .any(|r| r.endpoint == c.endpoint && r.at_frame > c.at_frame)
-                })
-                .map(|c| c.endpoint)
-                .collect()
-        })
-        .unwrap_or_default();
-    loop {
-        log.gc_pass();
-        if let Some(fault) = fault {
-            awaiting.retain(|&ep| {
-                if !fault.restarted(ep) {
-                    return true;
-                }
-                replay_endpoint(routing, ep);
-                false
-            });
-        }
-        if !sleep_with_stop(Duration::from_millis(1), stop) {
-            // One final pass so the report's retained-bytes gauge
-            // reflects the end-of-run watermark.
-            log.gc_pass();
-            return;
-        }
+    while !awaiting.is_empty() && sleep_with_stop(Duration::from_millis(1), stop) {
+        awaiting.retain(|&ep| {
+            if !fault.restarted(ep) {
+                return true;
+            }
+            replay_endpoint(routing, ep);
+            false
+        });
     }
 }
 
@@ -231,9 +284,9 @@ pub(super) fn log_recovery_loop(
 pub(super) fn replay_endpoint(routing: &Routing, ep: EndpointId) {
     let log = routing.log.as_ref().expect("replay implies logs");
     let read = {
-        let mut l = log.logs[ep.0 as usize].lock();
-        let start = l.first_seq();
-        l.read_from(start)
+        let mut endpoint = log.logs[ep.0 as usize].lock();
+        let start = endpoint.log.first_seq();
+        endpoint.log.read_from(start)
     };
     for (_seq, bytes) in read.records {
         let n = bytes.len() as u64;
@@ -245,35 +298,253 @@ pub(super) fn replay_endpoint(routing: &Routing, ep: EndpointId) {
     }
 }
 
-/// Drop roots the acker no longer tracks, counting them as acked. Only
-/// acks can remove entries outside the drain loop (expiry is driven by
-/// the owning spout), so anything gone from the acker completed. An
-/// acked root is also reported to the partition log as resolved,
-/// advancing the log's GC watermark past its records.
-pub(super) fn prune_completed(
-    routing: &Routing,
-    ack: &AckRuntime,
-    pending: &mut IdHashMap<u64, (Tuple, u32)>,
-) {
-    let acker = ack.acker.lock();
-    let before = pending.len();
-    pending.retain(|id, _| {
-        if acker.contains(*id) {
-            return true;
-        }
-        if let Some(log) = &routing.log {
-            log.note_resolved(root_of(*id));
-        }
-        false
-    });
-    ack.acked
-        .fetch_add((before - pending.len()) as u64, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use whale_net::{EndpointId, FaultPlan, LogConfig};
+    use super::{anchor_for, AckRuntime, Admit, DedupWindow};
+    use crate::acker::{attempt_of, root_of, tracked_id, Expired, TreeState};
+    use crate::task::TaskId;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use whale_net::{EndpointId, FaultPlan, IdHashSet, LogConfig};
+
+    /// The two sets a bolt used to keep: tracked ids it XOR'd into the
+    /// ledger, roots it executed. What [`DedupWindow`] is checked against.
+    #[derive(Default)]
+    struct HashSets {
+        acked_tracked: IdHashSet<u64>,
+        seen_roots: IdHashSet<u64>,
+    }
+
+    impl HashSets {
+        /// `(ack, execute)` for one frame.
+        fn admit(&mut self, tracked: u64) -> (bool, bool) {
+            let ack = self.acked_tracked.insert(tracked);
+            (ack, self.seen_roots.insert(root_of(tracked)))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Frames in any order — duplicated, replayed under later and
+        /// earlier attempts, replayed to another task, naming roots
+        /// already resolved or never opened — while the ledger's live
+        /// range moves. For a live root the window executes exactly when
+        /// the sets do and acks exactly when they do, but for one case:
+        /// an attempt older than one this task already acked is not acked
+        /// again (the ledger has superseded it and would reject the ack).
+        /// A root that is not live is dropped, whatever the task knows.
+        #[test]
+        fn dedup_window_equals_hash_sets(
+            script in proptest::collection::vec((0u8..8, any::<u64>()), 0..200),
+        ) {
+            let ack = AckRuntime::new(AckConfig::default());
+            let gauge = |g: &AtomicU64| g.load(Ordering::Relaxed);
+            let mut tasks: Vec<(DedupWindow, HashSets)> = Default::default();
+            tasks.resize_with(3, Default::default);
+            let mut peak = 0;
+            for (op, arg) in script {
+                let g = &ack.gauges;
+                let (resolved, opened) = (gauge(&g.resolved_below), gauge(&g.opened_below));
+                match op {
+                    // The spout opens roots; the oldest ones resolve.
+                    0 => g.opened_below.store(opened + 1 + arg % 3, Ordering::Relaxed),
+                    1 => {
+                        let to = (resolved + arg % 4).min(opened);
+                        g.resolved_below.store(to, Ordering::Relaxed);
+                    }
+                    // A frame: mostly of a live root, sometimes below or
+                    // beyond; a low attempt number, any task.
+                    _ => {
+                        let span = opened - resolved + 4;
+                        let root = (resolved + (arg >> 8) % span).saturating_sub(2);
+                        let tracked = tracked_id(root, (arg % 3) as u32);
+                        let (window, sets) = &mut tasks[(arg >> 4) as usize % 3];
+                        let live = g.live_roots();
+                        let admit = window.admit(tracked, &live, &ack);
+                        peak = peak.max(window.acked_through.len() as u64);
+                        if !live.contains(&root) {
+                            prop_assert_eq!(admit, Admit::Resolved);
+                            continue;
+                        }
+                        // Trimmed to the live range by every live frame.
+                        prop_assert!(window.acked_through.len() as u64 <= opened - resolved);
+                        let newest = (0..3).rev().find(|&a| {
+                            sets.acked_tracked.contains(&tracked_id(root, a))
+                        });
+                        let (ref_ack, ref_execute) = sets.admit(tracked);
+                        let superseded = newest.is_some_and(|a| a > attempt_of(tracked));
+                        let expected = match (ref_execute, ref_ack && !superseded) {
+                            (true, ack) => {
+                                prop_assert!(ack, "a first sight is always acked");
+                                Admit::Execute
+                            }
+                            (false, ack) => Admit::Duplicate { ack },
+                        };
+                        prop_assert_eq!(admit, expected, "{:#x}", tracked);
+                    }
+                }
+            }
+            prop_assert_eq!(gauge(&ack.dedup_window_peak), peak);
+        }
+    }
+
+    #[test]
+    fn four_pipelines_ack_one_window_while_the_spout_expires_and_replays() {
+        // The ledger's one lock against five threads: the spout tracks,
+        // arms, force-expires whatever is pending (an ack may be in
+        // flight: it then lands on a superseded attempt and is rejected),
+        // replays or gives up; four pipelines ack every frame they are
+        // sent. Every root must end acked or given up, exactly once.
+        const ROOTS: u64 = 20_000;
+        const PIPELINES: u32 = 4;
+        let ack = AckRuntime::new(AckConfig::default());
+        let tasks: Vec<TaskId> = (0..PIPELINES).map(TaskId).collect();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..PIPELINES)
+            .map(|_| crossbeam::channel::unbounded::<u64>())
+            .unzip();
+        let start = std::sync::Barrier::new(PIPELINES as usize + 1);
+        let given_up = std::thread::scope(|s| {
+            for (rx, &task) in rxs.into_iter().zip(&tasks) {
+                let (ack, start) = (&ack, &start);
+                s.spawn(move || {
+                    start.wait();
+                    while let Ok(tracked) = rx.recv() {
+                        let anchor = anchor_for(tracked, task);
+                        ack.acker.lock().ack(tracked, anchor);
+                    }
+                });
+            }
+            start.wait();
+            let send = |tracked: u64| {
+                let anchors = tasks.iter().map(|&t| anchor_for(tracked, t));
+                let arm = anchors.fold(0, |x, a| x ^ a);
+                let armed = ack.acker.lock().ack(tracked, arm);
+                assert_ne!(armed, TreeState::Failed, "armed its own fresh attempt");
+                for tx in &txs {
+                    tx.send(tracked).unwrap();
+                }
+            };
+            let (mut expired, mut given_up) = (Vec::new(), 0u64);
+            let mut expire = |now, expired: &mut Vec<Expired>| {
+                let unresolved = ack.acker.lock().expire_owned(0, now, expired);
+                for Expired { root, attempt, .. } in expired.drain(..) {
+                    if attempt >= 2 {
+                        ack.acker.lock().give_up(root);
+                        given_up += 1;
+                    } else {
+                        let rearmed = ack.acker.lock().replay(root, ack.now());
+                        send(rearmed.expect("expired a moment ago, by this thread"));
+                    }
+                }
+                unresolved
+            };
+            for n in 0..ROOTS {
+                let tuple = Arc::new(Tuple::with_id(n, vec![Value::I64(n as i64)]));
+                let tracked = ack.acker.lock().track(0, tuple, ack.now());
+                send(tracked);
+                if n % 64 == 63 {
+                    expire(whale_sim::SimTime::MAX, &mut expired);
+                }
+            }
+            // Nothing is overdue at time zero: this only counts.
+            while expire(whale_sim::SimTime::ZERO, &mut expired) > 0 {
+                std::thread::yield_now();
+            }
+            drop(txs);
+            given_up
+        });
+        let acker = ack.acker.lock();
+        assert_eq!(acker.acked() + given_up, ROOTS, "acked + failed == emitted");
+        assert_eq!(acker.pending(), 0);
+        assert_eq!(ack.gauges.live_roots(), ROOTS + 1..ROOTS + 1);
+        assert!(
+            given_up < ROOTS && acker.acked() < ROOTS,
+            "both ends were exercised"
+        );
+    }
+
+    /// src → two all-grouped sinks over two machines, tracked and logged,
+    /// the spout held to `window` tuples ahead of the slower sink.
+    fn closed_loop_run(tuples: u64, window: u64) -> RunReport {
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("sink", 2, Schema::new(vec!["n"]))
+            .connect("src", "sink", Grouping::All);
+        let done: Arc<[AtomicU64; 2]> = Arc::default();
+        let executed = Arc::clone(&done);
+        let ops = Operators::new()
+            .spout("src", move |_| {
+                let done = Arc::clone(&done);
+                Box::new(IterSpout::new((0..tuples).map(move |i| {
+                    let behind = |d: &AtomicU64| d.load(Ordering::Relaxed) + window <= i;
+                    while done.iter().any(behind) {
+                        std::thread::yield_now();
+                    }
+                    Tuple::with_id(i, vec![Value::I64(i as i64)])
+                })))
+            })
+            .bolt("sink", move |idx| {
+                let executed = Arc::clone(&executed);
+                Box::new(FnBolt::new(move |_t: &Tuple, _out: &mut dyn Emitter| {
+                    executed[idx as usize].fetch_add(1, Ordering::Relaxed);
+                }))
+            });
+        let config = LiveConfig {
+            machines: 2,
+            ack: Some(AckConfig {
+                timeout: Duration::from_secs(20),
+                ..AckConfig::default()
+            }),
+            log: Some(LogConfig {
+                segment_bytes: 256,
+                max_segments: 1 << 20,
+                rack_hops: 0,
+            }),
+            ..LiveConfig::default()
+        };
+        let r = run_topology(b.build().unwrap(), ops, config);
+        assert_eq!(r.outcome, RunOutcome::Clean);
+        assert_eq!((r.tuples_acked, r.tuples_replayed), (tuples, 0));
+        assert_eq!(r.executed[1], 2 * tuples);
+        r
+    }
+
+    #[test]
+    fn a_long_tracked_logged_run_keeps_reliability_state_bounded() {
+        // What the run keeps per tuple — the ledger's window, each
+        // executor's dedup window, the log — follows what is in flight,
+        // not what has been emitted: four times the stream, same state.
+        const WINDOW: u64 = 32;
+        for tuples in [3_000, 12_000] {
+            let r = closed_loop_run(tuples, WINDOW);
+            let m = r.metrics();
+            let gauge = |name: &str| m.gauge(name).unwrap_or_else(|| panic!("{name} exported"));
+            // An ack lands after the execution the spout waited for, and
+            // the spout runs a tuple ahead of its own check.
+            let in_flight = (WINDOW + 4) as f64;
+            let window_peak = gauge("dsps.ack.window_peak");
+            assert!(
+                window_peak <= in_flight,
+                "{tuples}: ledger window {window_peak}"
+            );
+            assert_eq!(window_peak, r.ack_window_peak as f64);
+            let dedup_peak = gauge("dsps.ack.dedup_window_peak");
+            assert!(
+                dedup_peak <= in_flight,
+                "{tuples}: dedup window {dedup_peak}"
+            );
+            assert!(dedup_peak >= 1.0 && window_peak >= 1.0);
+            // Every root resolved, so the final pass reclaimed every
+            // segment; the cap (a million segments) never evicted one.
+            assert_eq!(gauge("dsps.log.retained_bytes"), 0.0, "{tuples}");
+            assert_eq!(
+                r.log_gcd_bytes,
+                r.log_appended_bytes + 12 * r.log_appended_records
+            );
+        }
+    }
 
     #[test]
     fn tracked_clean_run_acks_every_tuple() {

@@ -310,6 +310,13 @@ pub struct RunReport {
     pub tuples_replayed: u64,
     /// Duplicate deliveries suppressed at executors by root-id dedup.
     pub dedup_dropped: u64,
+    /// The most roots the ledger's window has held at once: the distance
+    /// from the oldest unresolved root to the newest, not the length of
+    /// the stream.
+    pub ack_window_peak: u64,
+    /// The most roots any one executor's dedup window has held at once
+    /// (it is trimmed to the ledger's watermark).
+    pub dedup_window_peak: u64,
     /// Frames silently dropped by injected drop faults.
     pub fault_drops: u64,
     /// Frames duplicated by injected faults.
@@ -462,6 +469,8 @@ impl RunReport {
         reg.set_counter("dsps.ack.failed", self.tuples_failed);
         reg.set_counter("dsps.ack.replayed", self.tuples_replayed);
         reg.set_counter("dsps.ack.dedup_dropped", self.dedup_dropped);
+        reg.set_gauge("dsps.ack.window_peak", self.ack_window_peak as f64);
+        reg.set_gauge("dsps.ack.dedup_window_peak", self.dedup_window_peak as f64);
         reg.set_counter("dsps.fault.drops", self.fault_drops);
         reg.set_counter("dsps.fault.duplicates", self.fault_duplicates);
         reg.set_counter("dsps.fault.delayed", self.fault_delayed);
@@ -584,10 +593,12 @@ impl RunReport {
             pipeline_yields: get(&stats.pipeline_yields),
             pipeline_parks: get(&stats.pipeline_parks),
             pipeline_wakeups_with_work: get(&stats.pipeline_wakeups_with_work),
-            tuples_acked: ack.map_or(0, |a| get(&a.acked)),
+            tuples_acked: ack.map_or(0, |a| a.acker.lock().acked()),
             tuples_failed: failed_tuples,
             tuples_replayed: ack.map_or(0, |a| get(&a.replayed)),
             dedup_dropped: ack.map_or(0, |a| get(&a.dedup_dropped)),
+            ack_window_peak: ack.map_or(0, |a| a.acker.lock().window_peak() as u64),
+            dedup_window_peak: ack.map_or(0, |a| get(&a.dedup_window_peak)),
             fault_drops: fault.map_or(0, |f| f.drops()),
             fault_duplicates: fault.map_or(0, |f| f.duplicates()),
             fault_delayed: fault.map_or(0, |f| f.delayed()),

@@ -382,7 +382,7 @@ impl Routing {
         &self,
         src: TaskId,
         groupings: &mut Groupings,
-        tuple: Tuple,
+        shared: Arc<Tuple>,
         tracked: Option<u64>,
     ) {
         let Groupings {
@@ -390,7 +390,6 @@ impl Routing {
             scratch,
             plan,
         } = groupings;
-        let shared = Arc::new(tuple);
         let mut arm_xor = 0u64;
         for (comp, g) in edges.iter_mut() {
             if self.relayed(g.grouping()) {
@@ -674,6 +673,7 @@ impl Emitter for TaskEmitter<'_> {
         // Bolt emissions are untracked: the acker tracks spout roots to
         // their first-hop subscribers (delivery tracking, not full tree
         // tracking — replays re-enter at the spout).
+        let tuple = Arc::new(tuple);
         self.routing.emit(self.src, self.groupings, tuple, None);
     }
 }
@@ -743,7 +743,11 @@ mod tests {
                     groups: LocalGroups::new(&topology, &placement, 1),
                     topology,
                     placement,
-                    log: Some(LogRuntime::new(LogConfig::default(), machines as usize)),
+                    log: Some(LogRuntime::new(
+                        LogConfig::default(),
+                        machines as usize,
+                        Arc::default(),
+                    )),
                     ..bare_routing(config, None)
                 };
                 let inboxes: Vec<_> = (0..machines)
@@ -752,7 +756,7 @@ mod tests {
                 let src = routing.topology.tasks_of("src")[0];
                 let comp = routing.topology.tasks().component_of(src).unwrap();
                 let mut groupings = Groupings::new(&routing.topology, src, comp);
-                routing.emit(src, &mut groupings, tuple.clone(), tracked);
+                routing.emit(src, &mut groupings, Arc::new(tuple.clone()), tracked);
                 for w in 1..machines {
                     let dsts: Vec<TaskId> = routing
                         .topology

@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use whale_dsps::runtime::PipelineHarness;
 use whale_dsps::{
-    run_topology, Bolt, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt, LazyTuple, LiveConfig,
-    Operators, RunOutcome, Schema, Spout, TopologyBuilder, Tuple, Value,
+    run_topology, AckConfig, Bolt, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt, LazyTuple,
+    LiveConfig, LogConfig, Operators, RunOutcome, Schema, Spout, TopologyBuilder, Tuple, Value,
 };
 use whale_net::{EndpointId, FabricKind, LiveMessage, Payload, RingConfig};
 
@@ -108,8 +108,16 @@ impl Spout for ProbeSpout {
 /// workers from 0 up — all remote from the emitter when `sinks <
 /// machines`, all local to it on one machine, where a send runs through
 /// to the last sink's execution before the spout is asked again.
-/// Returns the emitter's per-send block counts after warm-up, sorted.
-fn send_costs(grouping: Grouping, fabric: FabricKind, machines: u32, sinks: u32) -> Vec<u64> {
+/// `reliable` tracks every tuple in the acker and writes every frame
+/// ahead to the partition log. Returns the emitter's per-send block
+/// counts after warm-up, sorted.
+fn send_costs(
+    grouping: Grouping,
+    fabric: FabricKind,
+    machines: u32,
+    sinks: u32,
+    reliable: bool,
+) -> Vec<u64> {
     assert!(sinks < machines || machines == 1);
     let fanout = if grouping == Grouping::All { sinks } else { 1 };
     let mut b = TopologyBuilder::new();
@@ -138,11 +146,22 @@ fn send_costs(grouping: Grouping, fabric: FabricKind, machines: u32, sinks: u32)
             machines,
             zero_copy: true,
             fabric,
+            // Nothing is lost here, so nothing needs the timeout; a
+            // replay would be a second send between two `next_tuple`s.
+            ack: reliable.then(|| AckConfig {
+                timeout: std::time::Duration::from_secs(20),
+                ..AckConfig::default()
+            }),
+            log: reliable.then(LogConfig::default),
             ..LiveConfig::default()
         },
     );
     assert_eq!(r.outcome, RunOutcome::Clean);
     assert_eq!(r.executed[1], (TUPLES as u64) * fanout as u64);
+    if reliable {
+        assert_eq!((r.tuples_acked, r.tuples_replayed), (TUPLES as u64, 0));
+        assert_eq!(r.log_appended_records, (TUPLES as u64) * fanout as u64);
+    }
     let mut costs = costs
         .try_iter()
         .find(|c| c.len() == TUPLES)
@@ -172,7 +191,7 @@ fn assert_one_block_per_frame(steady: &[u64], frames: u64, what: &str) {
 #[test]
 fn a_keyed_tuple_to_one_remote_worker_costs_two_heap_blocks() {
     for fabric in [FabricKind::PerSend, FabricKind::Ring(RingConfig::default())] {
-        let steady = send_costs(Grouping::Fields(1), fabric, 2, 1);
+        let steady = send_costs(Grouping::Fields(1), fabric, 2, 1, false);
         assert_one_block_per_frame(&steady, 1, &format!("keyed over {fabric:?}"));
     }
 }
@@ -181,16 +200,28 @@ fn a_keyed_tuple_to_one_remote_worker_costs_two_heap_blocks() {
 fn a_direct_broadcast_costs_one_block_plus_one_per_remote_frame() {
     for fabric in [FabricKind::PerSend, FabricKind::Ring(RingConfig::default())] {
         // Four sinks on four other workers: four worker frames.
-        let steady = send_costs(Grouping::All, fabric, 5, 4);
+        let steady = send_costs(Grouping::All, fabric, 5, 4, false);
         assert_one_block_per_frame(&steady, 4, &format!("broadcast over {fabric:?}"));
     }
+}
+
+#[test]
+fn a_tracked_logged_tuple_costs_no_block_beyond_its_frames() {
+    // Two sinks on two other workers, tracked and logged: registering the
+    // root shares the tuple's `Arc` with the ledger's slot (a deep clone
+    // of its values used to be a block per tuple, and a map insert a
+    // rehash now and then), arming and the write-ahead appends allocate
+    // nothing (a log segment is 64 KiB: one block per ≈ 1 200 of these
+    // frames, until GC starts handing segments back).
+    let steady = send_costs(Grouping::All, FabricKind::PerSend, 3, 2, true);
+    assert_one_block_per_frame(&steady, 2, "tracked + logged broadcast");
 }
 
 #[test]
 fn a_broadcast_to_four_local_sinks_costs_the_tuples_own_block() {
     // One machine: nothing is framed, and handing the tuple to its four
     // local sinks (one queue entry) and running them adds no block.
-    let steady = send_costs(Grouping::All, FabricKind::PerSend, 1, 4);
+    let steady = send_costs(Grouping::All, FabricKind::PerSend, 1, 4, false);
     assert_one_block_per_frame(&steady, 0, "local broadcast");
 }
 

@@ -65,6 +65,9 @@ struct Segment {
     /// Byte offset of each record within `buf`.
     offsets: Vec<usize>,
     buf: Vec<u8>,
+    /// Bytes the segment was registered for; `buf` never outgrows it
+    /// (its own capacity may be larger: a recycled buffer).
+    cap: usize,
     region: MemoryRegionId,
 }
 
@@ -86,6 +89,10 @@ pub struct PartitionLog {
     qp: QueuePair,
     cost: CostModel,
     segments: VecDeque<Segment>,
+    /// The buffers of the last standard-size segment dropped, emptied:
+    /// the next segment's, so a log in steady state (one segment GC'd
+    /// per segment filled) allocates nothing.
+    spare: Option<(Vec<u8>, Vec<usize>)>,
     /// Sequence number the next append receives.
     next_seq: u64,
     /// Oldest retained sequence number (== `next_seq` when empty).
@@ -93,7 +100,6 @@ pub struct PartitionLog {
     // Counters. Writer-side:
     appended_records: u64,
     appended_bytes: u64,
-    sender_cpu_ns: u64,
     // GC:
     gcd_records: u64,
     gcd_bytes: u64,
@@ -123,11 +129,11 @@ impl PartitionLog {
             qp: QueuePair::new(qp, local, remote, Transport::Rdma),
             cost: CostModel::default(),
             segments: VecDeque::new(),
+            spare: None,
             next_seq: 0,
             first_seq: 0,
             appended_records: 0,
             appended_bytes: 0,
-            sender_cpu_ns: 0,
             gcd_records: 0,
             gcd_bytes: 0,
             evicted_segments: 0,
@@ -142,12 +148,12 @@ impl PartitionLog {
 
     /// Append one record; returns its sequence number. The write is
     /// priced as the sender-side CPU of a one-sided WRITE (the log lives
-    /// next to the outbox, on the sender).
+    /// next to the outbox, on the sender): see [`Self::sender_cpu_ns`].
     pub fn append(&mut self, payload: &[u8]) -> u64 {
         let need = RECORD_HEADER + payload.len();
         let roll = match self.segments.back() {
             None => true,
-            Some(s) => s.buf.len() + need > s.buf.capacity(),
+            Some(s) => s.buf.len() + need > s.cap,
         };
         if roll {
             self.push_segment(need);
@@ -161,20 +167,19 @@ impl PartitionLog {
         seg.buf.extend_from_slice(payload);
         self.appended_records += 1;
         self.appended_bytes += payload.len() as u64;
-        self.sender_cpu_ns += self
-            .cost
-            .send_cpu(Transport::Rdma, Verb::Write, need)
-            .as_nanos();
         seq
     }
 
     fn push_segment(&mut self, need: usize) {
         let cap = self.config.segment_bytes.max(need);
         let region = self.registry.register(cap);
+        let (mut buf, offsets) = self.spare.take().unwrap_or_default();
+        buf.reserve_exact(cap);
         self.segments.push_back(Segment {
             base_seq: self.next_seq,
-            offsets: Vec::new(),
-            buf: Vec::with_capacity(cap),
+            offsets,
+            buf,
+            cap,
             region,
         });
         while self.segments.len() > self.config.max_segments {
@@ -185,11 +190,17 @@ impl PartitionLog {
     }
 
     /// Account one segment's removal and advance `first_seq` past it.
-    fn drop_segment(&mut self, seg: Segment) {
+    fn drop_segment(&mut self, mut seg: Segment) {
         self.gcd_records += seg.offsets.len() as u64;
         self.gcd_bytes += seg.buf.len() as u64;
         self.first_seq = seg.base_seq + seg.offsets.len() as u64;
         self.registry.deregister(seg.region);
+        // An oversized record's segment is not worth holding on to.
+        if seg.cap == self.config.segment_bytes {
+            seg.buf.clear();
+            seg.offsets.clear();
+            self.spare = Some((seg.buf, seg.offsets));
+        }
     }
 
     /// Read every retained record with sequence `>= seq`, pricing each as
@@ -313,10 +324,13 @@ impl PartitionLog {
         self.appended_bytes
     }
 
-    /// Modeled sender-side CPU nanoseconds spent appending. Reads never
-    /// move this — that is the server-bypass property recovery leans on.
+    /// Modeled sender-side CPU nanoseconds spent appending: posting an
+    /// RDMA WRITE costs the same whatever it carries, so this is the
+    /// record count times that constant. Reads never move it — that is
+    /// the server-bypass property recovery leans on.
     pub fn sender_cpu_ns(&self) -> u64 {
-        self.sender_cpu_ns
+        let post = self.cost.send_cpu(Transport::Rdma, Verb::Write, 0);
+        self.appended_records * post.as_nanos()
     }
 
     /// Records dropped by watermark GC or the segment cap.
@@ -388,7 +402,7 @@ impl PartitionLog {
     pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
         reg.set_counter(&format!("{prefix}.appended_records"), self.appended_records);
         reg.set_counter(&format!("{prefix}.appended_bytes"), self.appended_bytes);
-        reg.set_counter(&format!("{prefix}.sender_cpu_ns"), self.sender_cpu_ns);
+        reg.set_counter(&format!("{prefix}.sender_cpu_ns"), self.sender_cpu_ns());
         reg.set_counter(&format!("{prefix}.gcd_records"), self.gcd_records);
         reg.set_counter(&format!("{prefix}.gcd_bytes"), self.gcd_bytes);
         reg.set_counter(&format!("{prefix}.evicted_segments"), self.evicted_segments);
@@ -478,6 +492,13 @@ mod tests {
         assert_eq!(read.records.len(), 8);
         assert_eq!(log.reads_posted(), 8);
         let cost = CostModel::default();
+        // Priced at read time, to what pricing each append came to.
+        let per_append = |i| {
+            let bytes = RECORD_HEADER + payload(i).len();
+            cost.send_cpu(Transport::Rdma, Verb::Write, bytes)
+                .as_nanos()
+        };
+        assert_eq!(writer_cpu, (0..8u64).map(per_append).sum::<u64>());
         let expect_bytes: u64 = (0..8u64)
             .map(|i| (RECORD_HEADER + payload(i).len()) as u64)
             .sum();
@@ -542,6 +563,41 @@ mod tests {
             log.first_seq() + log.read_from(0).records.len() as u64,
             log.next_seq()
         );
+    }
+
+    #[test]
+    fn a_dropped_segments_buffer_becomes_the_next_segments() {
+        let mut log = PartitionLog::new(roomy());
+        for i in 0..8u64 {
+            log.append(&payload(i));
+        }
+        assert!(log.segment_count() >= 2);
+        let first = log.segments[0].buf.as_ptr();
+        let (registered, end) = (log.registrations(), log.segments[1].base_seq);
+        log.truncate_to(end);
+        assert_eq!(log.deregistrations(), 1);
+        // Fill the open segment; the one after it reuses the block.
+        let open = log.segment_count();
+        let mut next = log.next_seq();
+        while log.segment_count() == open {
+            log.append(&payload(next));
+            next += 1;
+        }
+        let newest = log.segments.back().unwrap();
+        assert_eq!(newest.buf.as_ptr(), first, "the GC'd segment's block");
+        assert_eq!(newest.offsets.len(), 1);
+        assert_eq!(log.registrations(), registered + 1, "still registered anew");
+        // Packing is by registered size, not by what the block can hold.
+        let read = log.read_from(end);
+        assert_eq!(read.records.len() as u64, next - end);
+        let intact = |(seq, bytes): &(u64, Vec<u8>)| bytes == &payload(*seq);
+        assert!(read.records.iter().all(intact));
+        // An oversized segment's block is not kept.
+        let mut log = PartitionLog::new(small());
+        log.append(&[7u8; 500]);
+        log.append(&payload(1));
+        log.truncate_to(1);
+        assert!(log.spare.is_none());
     }
 
     #[test]
