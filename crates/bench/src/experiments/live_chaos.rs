@@ -15,65 +15,20 @@
 //! *counts*, which are asserted as invariants but kept out of the rows),
 //! making `results/live_chaos.json` byte-identical across reruns.
 
-use crate::{Scale, Table};
+use super::cell::{fabric_name, run_cell, tracked_ack, CellOutcome, CellSpec, Expect};
+use super::Output;
+use crate::{object, Scale, Table};
 use std::time::Duration;
-use whale_dsps::{
-    run_topology, AckConfig, Emitter, FnBolt, Grouping, IterSpout, LiveConfig, Operators,
-    RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
-};
+use whale_dsps::AckConfig;
 use whale_net::{EndpointCrash, EndpointId, FabricKind, FaultPlan, RingConfig};
 use whale_sim::JsonValue;
 
 /// Simulated worker processes per cell.
 const MACHINES: u32 = 4;
 
-/// One chaos cell. Every field is a pure function of the cell's inputs,
-/// so rows render identically across reruns.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ChaosPoint {
-    /// Transport under test (`per_send` or `ring`).
-    pub fabric: &'static str,
-    /// Injected silent-drop probability, in percent.
-    pub drop_pct: u32,
-    /// Sink instances each spout tuple fans out to.
-    pub fanout: u32,
-    /// Worker processes in the run.
-    pub machines: u32,
-    /// Whether one endpoint crashed mid-run.
-    pub crash: bool,
-    /// Tuples the spout emitted (excludes replays).
-    pub emitted: u64,
-    /// Emitted tuples with no final verdict (`emitted - acked - failed`).
-    /// The at-least-once contract makes this identically zero.
-    pub silent_lost: u64,
-}
-
-/// All-grouped spout → sink topology: every tuple is tracked to `fanout`
-/// first-hop subscribers.
-fn topology(n: i64, fanout: u32) -> (Topology, Operators) {
-    let mut b = TopologyBuilder::new();
-    b.spout("src", 1, Schema::new(vec!["n"]))
-        .bolt("sink", fanout, Schema::new(vec!["n"]))
-        .connect("src", "sink", Grouping::All);
-    let t = b.build().expect("static topology is valid");
-    let ops = Operators::new()
-        .spout("src", move |_| {
-            Box::new(IterSpout::new(
-                (0..n).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-            ))
-        })
-        .bolt("sink", |_| {
-            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
-        });
-    (t, ops)
-}
-
 /// The transports each cell is run over.
-pub fn fabric_kinds() -> [(&'static str, FabricKind); 2] {
-    [
-        ("per_send", FabricKind::PerSend),
-        ("ring", FabricKind::Ring(RingConfig::default())),
-    ]
+pub fn fabric_kinds() -> [FabricKind; 2] {
+    [FabricKind::PerSend, FabricKind::Ring(RingConfig::default())]
 }
 
 /// Drop rates swept (percent).
@@ -82,16 +37,27 @@ pub const DROP_PCTS: [u32; 3] = [0, 10, 25];
 /// Fan-outs swept.
 pub const FANOUTS: [u32; 2] = [2, 4];
 
+/// The columns of a chaos row. Every one is a pure function of the
+/// cell's inputs, so rows render identically across reruns.
+const COLUMNS: [&str; 7] = [
+    "fabric",
+    "drop_pct",
+    "fanout",
+    "machines",
+    "crash",
+    "emitted",
+    "silent_lost",
+];
+
 /// Run one chaos cell and verify the at-least-once contract.
 pub fn measure(
     scale: Scale,
-    label: &'static str,
     kind: FabricKind,
     drop_pct: u32,
     fanout: u32,
     crash: bool,
-) -> ChaosPoint {
-    let tuples: i64 = scale.pick3(200, 1_000, 5_000);
+) -> CellOutcome {
+    let label = fabric_name(kind);
     // Seed mixes the cell coordinates so no two cells share a fault
     // schedule, while reruns of the same cell replay it exactly.
     let seed = 0xC4A0_5000
@@ -106,143 +72,76 @@ pub fn measure(
             at_frame: 10,
         });
     }
-    let config = LiveConfig {
-        machines: MACHINES,
-        fabric: kind,
-        ack: Some(AckConfig {
-            timeout: Duration::from_millis(40),
-            // A crashed endpoint never acks, so keep its replay budget
-            // small; pure drops deserve enough budget to always get
-            // through.
-            max_replays: if crash { 3 } else { 20 },
-            drain_deadline: Duration::from_secs(20),
-            eos_redundancy: 4,
-            ..AckConfig::default()
-        }),
-        fault: Some(plan),
-        run_deadline: Some(Duration::from_secs(10)),
-        ..LiveConfig::default()
-    };
-    let (t, ops) = topology(tuples, fanout);
-    let r = run_topology(t, ops, config);
-
-    // The at-least-once contract: every emitted tuple ends acked or
-    // failed — never unaccounted.
-    assert_eq!(r.spout_emitted, tuples as u64, "{label}: spout must finish");
-    assert_eq!(
-        r.tuples_acked + r.tuples_failed,
-        r.spout_emitted,
-        "{label} drop={drop_pct}% fanout={fanout} crash={crash}: silent loss"
-    );
-    assert_eq!(r.thread_panics, 0, "{label}: no thread may panic");
-    if drop_pct > 0 {
-        assert!(r.fault_drops > 0, "{label}: plan must actually drop frames");
-    } else if !crash {
-        assert_eq!(r.tuples_failed, 0, "{label}: clean cell must ack everything");
-        assert!(matches!(r.outcome, RunOutcome::Clean), "{label}: {:?}", r.outcome);
-    }
+    let label = format!("{label} drop={drop_pct}% fanout={fanout} crash={crash}");
+    let mut cell = CellSpec::tracked(label, scale.pick3(200, 1_000, 5_000), fanout, MACHINES);
+    cell.config.fabric = kind;
+    cell.config.ack = Some(AckConfig {
+        timeout: Duration::from_millis(40),
+        // A crashed endpoint never acks, so keep its replay budget small;
+        // pure drops deserve enough budget to always get through.
+        max_replays: if crash { 3 } else { 20 },
+        eos_redundancy: 4,
+        ..tracked_ack()
+    });
+    cell.config.fault = Some(plan);
     if crash {
-        assert!(
-            r.fault_crashed_sends > 0,
-            "{label}: the crash must reject sends"
-        );
-        assert!(
-            r.tuples_failed > 0,
-            "{label}: tuples routed at the dead endpoint must fail"
-        );
+        // Tuples routed at the dead endpoint must fail.
+        cell.expect.push(Expect::SomeFail);
     }
-
-    ChaosPoint {
-        fabric: label,
-        drop_pct,
-        fanout,
-        machines: MACHINES,
-        crash,
-        emitted: r.spout_emitted,
-        silent_lost: r.spout_emitted - r.tuples_acked - r.tuples_failed,
-    }
+    run_cell(&cell)
 }
 
 /// Measure the full sweep: drops × fan-out per transport, plus the
 /// 10 %-drops-and-a-crash acceptance cell per transport.
-pub fn sweep(scale: Scale) -> Vec<ChaosPoint> {
+pub fn sweep(scale: Scale) -> Vec<CellOutcome> {
     let mut points = Vec::new();
-    for (label, kind) in fabric_kinds() {
+    for kind in fabric_kinds() {
         for &drop_pct in &DROP_PCTS {
             for &fanout in &FANOUTS {
-                points.push(measure(scale, label, kind, drop_pct, fanout, false));
+                points.push(measure(scale, kind, drop_pct, fanout, false));
             }
         }
-        points.push(measure(scale, label, kind, 10, 2, true));
+        points.push(measure(scale, kind, 10, 2, true));
     }
     points
 }
 
-/// Build the result table from measured points.
-pub fn table_from_points(points: &[ChaosPoint]) -> Table {
+/// Run the chaos sweep: one table row per cell, and the headline
+/// `BENCH_chaos.json` (its acceptance cells are the crash cells).
+pub fn run_experiment(scale: Scale) -> Output {
+    let points = sweep(scale);
     let mut table = Table::new(
         "live_chaos",
         "Live chaos: at-least-once delivery under injected drops and crashes",
-        &[
-            "fabric",
-            "drop_pct",
-            "fanout",
-            "machines",
-            "crash",
-            "emitted",
-            "silent_lost",
-        ],
+        &COLUMNS,
     );
-    for p in points {
-        table.row_strings(vec![
-            p.fabric.to_string(),
-            p.drop_pct.to_string(),
-            p.fanout.to_string(),
-            p.machines.to_string(),
-            p.crash.to_string(),
-            p.emitted.to_string(),
-            p.silent_lost.to_string(),
-        ]);
+    for p in &points {
+        table.row_json(&p.json(&COLUMNS));
     }
-    table
-}
-
-/// Headline summary written as the top-level `BENCH_chaos.json`.
-/// Schema-stable and byte-identical across same-scale reruns.
-pub fn summary_json(points: &[ChaosPoint]) -> JsonValue {
-    let acceptance = points
+    let acceptance: Vec<JsonValue> = points
         .iter()
         .filter(|p| p.crash)
-        .map(|p| {
-            JsonValue::Object(vec![
-                ("fabric".into(), JsonValue::str(p.fabric)),
-                ("drop_pct".into(), JsonValue::UInt(p.drop_pct as u64)),
-                ("fanout".into(), JsonValue::UInt(p.fanout as u64)),
-                ("emitted".into(), JsonValue::UInt(p.emitted)),
-                ("silent_lost".into(), JsonValue::UInt(p.silent_lost)),
-            ])
-        })
+        .map(|p| p.json(&["fabric", "drop_pct", "fanout", "emitted", "silent_lost"]))
         .collect();
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::str(crate::JSON_SCHEMA)),
-        ("report".into(), JsonValue::str("chaos")),
-        ("experiment".into(), JsonValue::str("live_chaos")),
-        ("cells".into(), JsonValue::UInt(points.len() as u64)),
+    let headline = object(&[
+        ("schema", &crate::JSON_SCHEMA),
+        ("report", &"chaos"),
+        ("experiment", &"live_chaos"),
+        ("cells", &points.len()),
         (
-            "max_drop_pct".into(),
-            JsonValue::UInt(points.iter().map(|p| p.drop_pct).max().unwrap_or(0) as u64),
+            "max_drop_pct",
+            &points.iter().map(|p| p.drop_pct).max().unwrap_or(0),
         ),
         (
-            "silent_lost_total".into(),
-            JsonValue::UInt(points.iter().map(|p| p.silent_lost).sum()),
+            "silent_lost_total",
+            &points.iter().map(CellOutcome::silent_lost).sum::<u64>(),
         ),
-        ("acceptance_cells".into(), JsonValue::Array(acceptance)),
-    ])
-}
-
-/// Run the chaos sweep.
-pub fn run_experiment(scale: Scale) -> Vec<Table> {
-    vec![table_from_points(&sweep(scale))]
+        ("acceptance_cells", &acceptance),
+    ]);
+    Output {
+        tables: vec![table],
+        headline: Some(headline),
+    }
 }
 
 #[cfg(test)]
@@ -251,57 +150,28 @@ mod tests {
 
     #[test]
     fn clean_cell_acks_everything() {
-        let p = measure(Scale::Smoke, "per_send", FabricKind::PerSend, 0, 2, false);
-        assert_eq!(p.silent_lost, 0);
-        assert_eq!(p.emitted, 200);
+        let p = measure(Scale::Smoke, FabricKind::PerSend, 0, 2, false);
+        assert_eq!(p.silent_lost(), 0);
+        assert_eq!(p.report.spout_emitted, 200);
     }
 
     #[test]
     fn drops_never_cause_silent_loss() {
-        for (label, kind) in fabric_kinds() {
-            let p = measure(Scale::Smoke, label, kind, 25, 2, false);
-            assert_eq!(p.silent_lost, 0, "{label}");
+        for kind in fabric_kinds() {
+            let p = measure(Scale::Smoke, kind, 25, 2, false);
+            assert_eq!(p.silent_lost(), 0, "{}", p.fabric);
         }
     }
 
     #[test]
     fn crash_cell_terminates_and_accounts_for_every_tuple() {
         let start = std::time::Instant::now();
-        let p = measure(Scale::Smoke, "per_send", FabricKind::PerSend, 10, 2, true);
-        assert_eq!(p.silent_lost, 0);
+        let p = measure(Scale::Smoke, FabricKind::PerSend, 10, 2, true);
+        assert_eq!(p.silent_lost(), 0);
         assert!(p.crash);
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "crash cell must terminate promptly"
         );
-    }
-
-    #[test]
-    fn points_are_deterministic() {
-        let a = measure(Scale::Smoke, "per_send", FabricKind::PerSend, 10, 4, false);
-        let b = measure(Scale::Smoke, "per_send", FabricKind::PerSend, 10, 4, false);
-        assert_eq!(a, b, "same-seed cells must render identical rows");
-    }
-
-    #[test]
-    fn table_rows_carry_the_schema() {
-        let points = [
-            measure(Scale::Smoke, "per_send", FabricKind::PerSend, 0, 2, false),
-            measure(
-                Scale::Smoke,
-                "ring",
-                FabricKind::Ring(RingConfig::default()),
-                10,
-                2,
-                false,
-            ),
-        ];
-        let table = table_from_points(&points);
-        assert_eq!(table.len(), 2);
-        let json = table.to_json().to_json_string();
-        assert!(json.contains("\"schema\":\"whale-bench/v1\""), "{json}");
-        assert!(json.contains("\"figure\":\"live_chaos\""));
-        let summary = summary_json(&points).to_json_string();
-        assert!(summary.contains("\"schema\": \"whale-bench/v1\"") || summary.contains("\"schema\":\"whale-bench/v1\""));
     }
 }

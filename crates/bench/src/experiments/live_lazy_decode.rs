@@ -27,12 +27,10 @@
 //! only run-invariant fields; `results/live_lazy_decode.json` and
 //! `BENCH_lazy_decode.json` are byte-identical across same-seed reruns.
 
-use crate::{Scale, Table};
-use std::time::Duration;
-use whale_dsps::{
-    run_topology, AckConfig, Bolt, CommMode, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt,
-    LazyTuple, LiveConfig, Operators, RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
-};
+use super::cell::{cells_json, run_cell, CellOutcome, CellSpec, Expect, Workload};
+use super::Output;
+use crate::{object, Scale, Table};
+use whale_dsps::{Bolt, Emitter, FnBolt, LazyFnBolt, LazyTuple, Tuple, Value};
 use whale_sim::JsonValue;
 
 /// Payload sizes swept (bytes carried by the tuple's string field).
@@ -77,11 +75,6 @@ impl DecodePoint {
     pub fn speedup_full(&self) -> f64 {
         self.eager_ns / self.lazy_full_ns
     }
-
-    /// Modeled receive capacity (tuples/s) for each profile.
-    pub fn tuples_s(&self, ns: f64) -> f64 {
-        1e9 / ns
-    }
 }
 
 /// Price one payload point. The tuple is `[I64 key, Str payload]` — the
@@ -115,151 +108,72 @@ pub fn sweep() -> Vec<DecodePoint> {
     PAYLOADS.iter().map(|&p| measure(p)).collect()
 }
 
-/// One live acceptance cell. Every field is run-invariant: counts that
-/// thread scheduling perturbs surface as booleans asserted inside
-/// [`measure_live`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LivePoint {
-    /// Sink profile: `"eager"` (materializing) or `"lazy"` (view-only).
-    pub sink: &'static str,
-    /// Worker processes in the run.
-    pub machines: u32,
-    /// Tuples the spout emitted (excludes replays).
-    pub emitted: u64,
-    /// `emitted - acked - failed`; identically zero (at-least-once).
-    pub silent_lost: u64,
-    /// Whether wire tuples were delivered as borrowed lazy views.
-    pub lazy_wire_active: bool,
-    /// Whether any wire tuple was materialized during execution.
-    pub materialized_any: bool,
-}
-
-/// All-grouped spout → sink topology carrying a key plus a string
-/// payload, with a pluggable sink bolt.
-fn topology<F>(n: i64, fanout: u32, sink: F) -> (Topology, Operators)
-where
-    F: Fn(u32) -> Box<dyn Bolt> + Send + Sync + 'static,
-{
-    let mut b = TopologyBuilder::new();
-    b.spout("src", 1, Schema::new(vec!["key", "body"]))
-        .bolt("sink", fanout, Schema::new(vec!["key", "body"]))
-        .connect("src", "sink", Grouping::All);
-    let t = b.build().expect("static topology is valid");
-    let ops = Operators::new()
-        .spout("src", move |_| {
-            Box::new(IterSpout::new((0..n).map(|i| {
-                Tuple::with_id(
-                    i as u64,
-                    vec![Value::I64(i), Value::str("w".repeat(200).as_str())],
-                )
-            })))
-        })
-        .bolt("sink", sink);
-    (t, ops)
-}
-
-/// Run one tracked cell on the real runtime and verify acceptance.
-pub fn measure_live(scale: Scale, sink: &'static str) -> LivePoint {
-    let tuples: i64 = scale.pick3(120, 400, 1_500);
-    let machines = 4;
-    let config = LiveConfig {
-        machines,
-        comm_mode: CommMode::WorkerOriented,
-        zero_copy: true,
-        ack: Some(AckConfig {
-            timeout: Duration::from_millis(60),
-            max_replays: 20,
-            drain_deadline: Duration::from_secs(20),
-            eos_redundancy: 8,
-            ..AckConfig::default()
-        }),
-        run_deadline: Some(Duration::from_secs(10)),
-        ..LiveConfig::default()
-    };
-    let make_sink: Box<dyn Fn(u32) -> Box<dyn Bolt> + Send + Sync> = match sink {
-        // Eager profile: an owned-tuple bolt; the runtime's default
-        // `execute_lazy` materializes each wire tuple exactly once.
-        "eager" => Box::new(|_| {
-            Box::new(FnBolt::new(|t: &Tuple, _out: &mut dyn Emitter| {
-                std::hint::black_box(t.arity());
-            }))
-        }),
-        // Lazy profile: reads the key straight off the wire view and
-        // never materializes anything.
-        _ => Box::new(|_| {
-            Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
-                let key = t.field(0).and_then(|f| f.ok()).and_then(|v| v.as_i64());
-                std::hint::black_box(key);
-            }))
-        }),
-    };
-    let (t, ops) = topology(tuples, 16, move |i| make_sink(i));
-    let r = run_topology(t, ops, config);
-
-    assert_eq!(r.spout_emitted, tuples as u64, "{sink}: spout must finish");
-    assert_eq!(
-        r.tuples_acked + r.tuples_failed,
-        r.spout_emitted,
-        "{sink}: silent loss"
-    );
-    assert_eq!(r.tuples_failed, 0, "{sink}: clean cell must ack everything");
-    assert!(matches!(r.outcome, RunOutcome::Clean), "{sink}: {:?}", r.outcome);
-    assert!(
-        r.wire_tuples_lazy > 0,
-        "{sink}: cross-machine tuples must arrive as borrowed views"
-    );
-    match sink {
-        "eager" => assert!(
-            r.tuples_materialized > 0,
-            "eager sink must materialize wire tuples"
-        ),
-        _ => assert_eq!(
-            r.tuples_materialized, 0,
-            "lazy sink must never materialize a wire tuple"
-        ),
-    }
-
-    LivePoint {
+/// A key plus a 200-byte string body into a pluggable sink.
+const fn keyed_body(sink: fn(u32) -> Box<dyn Bolt>) -> Workload {
+    Workload {
+        fields: &["key", "body"],
+        tuple: |i| {
+            Tuple::with_id(
+                i as u64,
+                vec![Value::I64(i), Value::str("w".repeat(200).as_str())],
+            )
+        },
         sink,
-        machines,
-        emitted: r.spout_emitted,
-        silent_lost: r.spout_emitted - r.tuples_acked - r.tuples_failed,
-        lazy_wire_active: r.wire_tuples_lazy > 0,
-        materialized_any: r.tuples_materialized > 0,
     }
+}
+
+/// Eager profile: an owned-tuple bolt; the runtime's default
+/// `execute_lazy` materializes each wire tuple exactly once.
+const EAGER: Workload = keyed_body(|_| {
+    Box::new(FnBolt::new(|t: &Tuple, _out: &mut dyn Emitter| {
+        std::hint::black_box(t.arity());
+    }))
+});
+
+/// Lazy profile: reads the key straight off the wire view and never
+/// materializes anything.
+const LAZY: Workload = keyed_body(|_| {
+    Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
+        let key = t.field(0).and_then(|f| f.ok()).and_then(|v| v.as_i64());
+        std::hint::black_box(key);
+    }))
+});
+
+/// Run one tracked cell on the real runtime and verify acceptance: wire
+/// tuples arrive as borrowed views, the eager sink materializes them and
+/// the lazy sink never does.
+pub fn measure_live(scale: Scale, sink: &'static str) -> CellOutcome {
+    let (workload, materialization) = match sink {
+        "eager" => (EAGER, Expect::Materializes),
+        _ => (LAZY, Expect::NeverMaterializes),
+    };
+    let mut cell = CellSpec::tracked(sink, scale.pick3(120, 400, 1_500), 16, 4);
+    cell.workload = workload;
+    cell.expect = vec![Expect::LazyWire, materialization];
+    run_cell(&cell)
 }
 
 /// Run both live acceptance cells: the materializing sink, then the
 /// zero-materialization sink.
-pub fn live_cells(scale: Scale) -> Vec<LivePoint> {
+pub fn live_cells(scale: Scale) -> Vec<CellOutcome> {
     vec![measure_live(scale, "eager"), measure_live(scale, "lazy")]
 }
 
 /// Build the decode-cost result table.
-pub fn table_from_points(points: &[DecodePoint]) -> Table {
-    let mut table = Table::new(
+fn table_from_points(points: &[DecodePoint]) -> Table {
+    Table::of(
         "live_lazy_decode",
         "Lazy zero-materialization decode: receive cost vs payload size (modeled ns/tuple)",
+        points,
         &[
-            "payload_bytes",
-            "eager_ns",
-            "lazy_key_ns",
-            "lazy_full_ns",
-            "speedup_key_touch",
-            "speedup_full_touch",
+            ("payload_bytes", |p| p.payload.to_string()),
+            ("eager_ns", |p| format!("{:.1}", p.eager_ns)),
+            ("lazy_key_ns", |p| format!("{:.1}", p.lazy_key_ns)),
+            ("lazy_full_ns", |p| format!("{:.1}", p.lazy_full_ns)),
+            ("speedup_key_touch", |p| format!("{:.2}", p.speedup_key())),
+            ("speedup_full_touch", |p| format!("{:.2}", p.speedup_full())),
         ],
-    );
-    for p in points {
-        table.row_strings(vec![
-            p.payload.to_string(),
-            format!("{:.1}", p.eager_ns),
-            format!("{:.1}", p.lazy_key_ns),
-            format!("{:.1}", p.lazy_full_ns),
-            format!("{:.2}", p.speedup_key()),
-            format!("{:.2}", p.speedup_full()),
-        ]);
-    }
-    table
+    )
 }
 
 /// The point at one payload size.
@@ -272,77 +186,49 @@ fn by(points: &[DecodePoint], payload: usize) -> &DecodePoint {
 
 /// Headline summary written as the top-level `BENCH_lazy_decode.json`.
 /// Schema-stable and byte-identical across same-scale reruns.
-pub fn summary_json(points: &[DecodePoint], cells: &[LivePoint]) -> JsonValue {
+fn summary_json(points: &[DecodePoint], cells: &[CellOutcome]) -> JsonValue {
     let small = by(points, PAYLOADS[0]);
     let large = by(points, PAYLOADS[PAYLOADS.len() - 1]);
     let curve: Vec<JsonValue> = points
         .iter()
         .map(|p| {
-            JsonValue::Object(vec![
-                ("payload_bytes".into(), JsonValue::UInt(p.payload as u64)),
-                ("eager_ns".into(), JsonValue::Float(p.eager_ns)),
-                ("lazy_key_ns".into(), JsonValue::Float(p.lazy_key_ns)),
-                ("lazy_full_ns".into(), JsonValue::Float(p.lazy_full_ns)),
-                ("speedup_key_touch".into(), JsonValue::Float(p.speedup_key())),
-                (
-                    "speedup_full_touch".into(),
-                    JsonValue::Float(p.speedup_full()),
-                ),
+            object(&[
+                ("payload_bytes", &p.payload),
+                ("eager_ns", &p.eager_ns),
+                ("lazy_key_ns", &p.lazy_key_ns),
+                ("lazy_full_ns", &p.lazy_full_ns),
+                ("speedup_key_touch", &p.speedup_key()),
+                ("speedup_full_touch", &p.speedup_full()),
             ])
         })
         .collect();
-    let cell_json = |p: &LivePoint| {
-        JsonValue::Object(vec![
-            ("sink".into(), JsonValue::str(p.sink)),
-            ("machines".into(), JsonValue::UInt(p.machines as u64)),
-            ("emitted".into(), JsonValue::UInt(p.emitted)),
-            ("silent_lost".into(), JsonValue::UInt(p.silent_lost)),
-            (
-                "lazy_wire_active".into(),
-                JsonValue::Bool(p.lazy_wire_active),
-            ),
-            (
-                "materialized_any".into(),
-                JsonValue::Bool(p.materialized_any),
-            ),
-        ])
-    };
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::str(crate::JSON_SCHEMA)),
-        ("report".into(), JsonValue::str("lazy_decode")),
-        ("experiment".into(), JsonValue::str("live_lazy_decode")),
-        (
-            "payload_sizes".into(),
-            JsonValue::Array(
-                PAYLOADS
-                    .iter()
-                    .map(|&p| JsonValue::UInt(p as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "key_touch_speedup_64b".into(),
-            JsonValue::Float(small.speedup_key()),
-        ),
-        (
-            "key_touch_speedup_16kib".into(),
-            JsonValue::Float(large.speedup_key()),
-        ),
-        (
-            "full_touch_speedup_16kib".into(),
-            JsonValue::Float(large.speedup_full()),
-        ),
-        ("decode_curve".into(), JsonValue::Array(curve)),
-        (
-            "acceptance_cells".into(),
-            JsonValue::Array(cells.iter().map(cell_json).collect()),
-        ),
+    let cells = cells_json(
+        cells,
+        &[
+            "sink",
+            "machines",
+            "emitted",
+            "silent_lost",
+            "lazy_wire_active",
+            "materialized_any",
+        ],
+    );
+    object(&[
+        ("schema", &crate::JSON_SCHEMA),
+        ("report", &"lazy_decode"),
+        ("experiment", &"live_lazy_decode"),
+        ("payload_sizes", &PAYLOADS),
+        ("key_touch_speedup_64b", &small.speedup_key()),
+        ("key_touch_speedup_16kib", &large.speedup_key()),
+        ("full_touch_speedup_16kib", &large.speedup_full()),
+        ("decode_curve", &curve),
+        ("acceptance_cells", &cells),
     ])
 }
 
-/// Run the decode sweep, assert the acceptance margins, and return the
-/// result table.
-pub fn run_experiment(_scale: Scale) -> Vec<Table> {
+/// Run the decode sweep, assert the acceptance margins, run the live
+/// cells, and return the result table and the headline report.
+pub fn run_experiment(scale: Scale) -> Output {
     let points = sweep();
     for p in &points {
         assert!(
@@ -363,7 +249,10 @@ pub fn run_experiment(_scale: Scale) -> Vec<Table> {
             "key-touch speedup must grow with payload size"
         );
     }
-    vec![table_from_points(&points)]
+    Output {
+        tables: vec![table_from_points(&points)],
+        headline: Some(summary_json(&points, &live_cells(scale))),
+    }
 }
 
 #[cfg(test)]
@@ -387,39 +276,5 @@ mod tests {
         for w in points.windows(2) {
             assert!(w[1].speedup_key() > w[0].speedup_key());
         }
-    }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        assert_eq!(sweep(), sweep());
-        let a = summary_json(&sweep(), &[]).to_json_string();
-        let b = summary_json(&sweep(), &[]).to_json_string();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn live_cells_account_for_every_tuple() {
-        for cell in live_cells(Scale::Smoke) {
-            assert_eq!(cell.silent_lost, 0, "{}", cell.sink);
-            assert!(cell.lazy_wire_active, "{}", cell.sink);
-            match cell.sink {
-                "eager" => assert!(cell.materialized_any),
-                _ => assert!(!cell.materialized_any),
-            }
-        }
-    }
-
-    #[test]
-    fn table_and_summary_carry_the_schema() {
-        let tables = run_experiment(Scale::Smoke);
-        assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].len(), PAYLOADS.len());
-        let json = tables[0].to_json().to_json_string();
-        assert!(json.contains("\"schema\":\"whale-bench/v1\""), "{json}");
-        assert!(json.contains("\"figure\":\"live_lazy_decode\""));
-        let summary = summary_json(&sweep(), &[]).to_json_string();
-        assert!(summary.contains("\"report\":\"lazy_decode\""));
-        assert!(summary.contains("decode_curve"));
-        assert!(summary.contains("key_touch_speedup_16kib"));
     }
 }

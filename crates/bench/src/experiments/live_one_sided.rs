@@ -22,12 +22,9 @@
 //! carry only run-invariant fields; `results/live_one_sided.json` and
 //! `BENCH_one_sided.json` are byte-identical across same-seed reruns.
 
-use crate::{Scale, Table};
-use std::time::Duration;
-use whale_dsps::{
-    run_topology, AckConfig, Emitter, FnBolt, Grouping, IterSpout, LiveConfig, Operators,
-    RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
-};
+use super::cell::{cells_json, run_cell, CellOutcome, CellSpec, Expect};
+use super::Output;
+use crate::{object, Scale, Table};
 use whale_net::{FabricKind, FaultPlan, OneSidedConfig};
 use whale_sim::{CostModel, JsonValue, Transport, Verb};
 
@@ -151,97 +148,22 @@ pub fn sender_bypass_speedup(cost: &CostModel, fanout: u32) -> f64 {
     per_send / one_sided
 }
 
-/// One live acceptance cell. Every field is run-invariant: counts that
-/// thread scheduling perturbs (replays, fetches) surface as booleans
-/// asserted inside [`measure_live`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LivePoint {
-    /// Cell label.
-    pub mode: &'static str,
-    /// Injected silent-drop probability, in percent.
-    pub drop_pct: u32,
-    /// Worker processes in the run.
-    pub machines: u32,
-    /// Tuples the spout emitted (excludes replays).
-    pub emitted: u64,
-    /// `emitted - acked - failed`; identically zero (at-least-once).
-    pub silent_lost: u64,
-    /// Whether tuples actually rode the relay tree.
-    pub relay_active: bool,
-}
-
-/// All-grouped spout → sink topology, matching the E22 acceptance cells.
-fn topology(n: i64, fanout: u32) -> (Topology, Operators) {
-    let mut b = TopologyBuilder::new();
-    b.spout("src", 1, Schema::new(vec!["n"]))
-        .bolt("sink", fanout, Schema::new(vec!["n"]))
-        .connect("src", "sink", Grouping::All);
-    let t = b.build().expect("static topology is valid");
-    let ops = Operators::new()
-        .spout("src", move |_| {
-            Box::new(IterSpout::new(
-                (0..n).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-            ))
-        })
-        .bolt("sink", |_| {
-            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
-        });
-    (t, ops)
-}
-
 /// Run one acked relay cell over `FabricKind::OneSided` and verify
-/// acceptance: every emitted tuple ends acked or failed.
-pub fn measure_live(scale: Scale, mode: &'static str, drop_pct: u32) -> LivePoint {
-    let tuples: i64 = scale.pick3(120, 400, 1_500);
-    let machines = 8;
+/// acceptance: every emitted tuple ends acked or failed, tuples ride the
+/// relay tree, and the fan-out shares buffers.
+pub fn measure_live(scale: Scale, mode: &'static str, drop_pct: u32) -> CellOutcome {
     let seed = 0x0515_ED00 + drop_pct as u64 * 31 + mode.len() as u64;
-    let config = LiveConfig {
-        machines,
-        zero_copy: true,
-        multicast_d_star: Some(2),
-        fabric: FabricKind::OneSided(OneSidedConfig::default()),
-        ack: Some(AckConfig {
-            timeout: Duration::from_millis(60),
-            max_replays: 20,
-            drain_deadline: Duration::from_secs(20),
-            eos_redundancy: 8,
-            ..AckConfig::default()
-        }),
-        fault: (drop_pct > 0).then(|| FaultPlan::uniform_drops(seed, drop_pct as f64 / 100.0)),
-        run_deadline: Some(Duration::from_secs(10)),
-        ..LiveConfig::default()
-    };
-    let (t, ops) = topology(tuples, 16);
-    let r = run_topology(t, ops, config);
-
-    assert_eq!(r.spout_emitted, tuples as u64, "{mode}: spout must finish");
-    assert_eq!(
-        r.tuples_acked + r.tuples_failed,
-        r.spout_emitted,
-        "{mode}: silent loss"
-    );
-    assert!(r.relay_forwards > 0, "{mode}: tuples must ride the relay tree");
-    assert_eq!(r.thread_panics, 0, "{mode}: no thread may panic");
-    assert!(r.shared_bytes > 0, "{mode}: fan-out must share buffers");
-    if drop_pct == 0 {
-        assert_eq!(r.tuples_failed, 0, "{mode}: clean cell must ack everything");
-        assert!(matches!(r.outcome, RunOutcome::Clean), "{mode}: {:?}", r.outcome);
-    } else {
-        assert!(r.fault_drops > 0, "{mode}: plan must actually drop frames");
-    }
-
-    LivePoint {
-        mode,
-        drop_pct,
-        machines,
-        emitted: r.spout_emitted,
-        silent_lost: r.spout_emitted - r.tuples_acked - r.tuples_failed,
-        relay_active: r.relay_forwards > 0,
-    }
+    let mut cell = CellSpec::tracked(mode, scale.pick3(120, 400, 1_500), 16, 8);
+    cell.config.multicast_d_star = Some(2);
+    cell.config.fabric = FabricKind::OneSided(OneSidedConfig::default());
+    cell.config.fault =
+        (drop_pct > 0).then(|| FaultPlan::uniform_drops(seed, drop_pct as f64 / 100.0));
+    cell.expect = vec![Expect::RelayActive, Expect::SharesBuffers];
+    run_cell(&cell)
 }
 
 /// Run every live acceptance cell.
-pub fn live_cells(scale: Scale) -> Vec<LivePoint> {
+pub fn live_cells(scale: Scale) -> Vec<CellOutcome> {
     vec![
         measure_live(scale, "one_sided_clean", 0),
         measure_live(scale, "one_sided_drops", 10),
@@ -249,93 +171,54 @@ pub fn live_cells(scale: Scale) -> Vec<LivePoint> {
 }
 
 /// Build the model-sweep result table.
-pub fn table_from_points(points: &[ModelPoint]) -> Table {
-    let mut table = Table::new(
+fn table_from_points(points: &[ModelPoint]) -> Table {
+    Table::of(
         "live_one_sided",
         "One-sided remote fetch vs per-send and batched ring (modeled ns/tuple/dest)",
+        points,
         &[
-            "fanout",
-            "msg_bytes",
-            "per_send_ns",
-            "ring_ns",
-            "one_sided_ns",
-            "winner",
+            ("fanout", |p| p.fanout.to_string()),
+            ("msg_bytes", |p| p.msg_bytes.to_string()),
+            ("per_send_ns", |p| format!("{:.1}", p.per_send_ns)),
+            ("ring_ns", |p| format!("{:.1}", p.ring_ns)),
+            ("one_sided_ns", |p| format!("{:.1}", p.one_sided_ns)),
+            ("winner", |p| p.winner().to_string()),
         ],
-    );
-    for p in points {
-        table.row_strings(vec![
-            p.fanout.to_string(),
-            p.msg_bytes.to_string(),
-            format!("{:.1}", p.per_send_ns),
-            format!("{:.1}", p.ring_ns),
-            format!("{:.1}", p.one_sided_ns),
-            p.winner().to_string(),
-        ]);
-    }
-    table
+    )
 }
 
 /// Headline summary written as the top-level `BENCH_one_sided.json`.
 /// Schema-stable and byte-identical across same-scale reruns.
-pub fn summary_json(points: &[ModelPoint], cells: &[LivePoint]) -> JsonValue {
+fn summary_json(points: &[ModelPoint], cells: &[CellOutcome]) -> JsonValue {
     let cost = CostModel::default();
     let crossovers: Vec<JsonValue> = FANOUTS
         .iter()
         .map(|&f| {
-            JsonValue::Object(vec![
-                ("fanout".into(), JsonValue::UInt(f as u64)),
-                (
-                    "crossover_bytes".into(),
-                    match crossover_bytes(points, f) {
-                        Some(b) => JsonValue::UInt(b as u64),
-                        None => JsonValue::Null,
-                    },
-                ),
-                (
-                    "sender_bypass_speedup".into(),
-                    JsonValue::Float(sender_bypass_speedup(&cost, f)),
-                ),
+            object(&[
+                ("fanout", &f),
+                ("crossover_bytes", &crossover_bytes(points, f)),
+                ("sender_bypass_speedup", &sender_bypass_speedup(&cost, f)),
             ])
         })
         .collect();
     let beats_per_send = points.iter().all(|p| p.one_sided_ns < p.per_send_ns);
-    let cell_json = |p: &LivePoint| {
-        JsonValue::Object(vec![
-            ("mode".into(), JsonValue::str(p.mode)),
-            ("drop_pct".into(), JsonValue::UInt(p.drop_pct as u64)),
-            ("emitted".into(), JsonValue::UInt(p.emitted)),
-            ("silent_lost".into(), JsonValue::UInt(p.silent_lost)),
-            ("relay_active".into(), JsonValue::Bool(p.relay_active)),
-        ])
-    };
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::str(crate::JSON_SCHEMA)),
-        ("report".into(), JsonValue::str("one_sided")),
-        ("experiment".into(), JsonValue::str("live_one_sided")),
-        ("mms_bytes".into(), JsonValue::UInt(MMS as u64)),
-        (
-            "sizes_bytes".into(),
-            JsonValue::Array(SIZES.iter().map(|&s| JsonValue::UInt(s as u64)).collect()),
-        ),
-        (
-            "fanouts".into(),
-            JsonValue::Array(FANOUTS.iter().map(|&f| JsonValue::UInt(f as u64)).collect()),
-        ),
-        (
-            "one_sided_beats_per_send_everywhere".into(),
-            JsonValue::Bool(beats_per_send),
-        ),
-        ("crossovers".into(), JsonValue::Array(crossovers)),
-        (
-            "acceptance_cells".into(),
-            JsonValue::Array(cells.iter().map(cell_json).collect()),
-        ),
+    let keys = ["mode", "drop_pct", "emitted", "silent_lost", "relay_active"];
+    object(&[
+        ("schema", &crate::JSON_SCHEMA),
+        ("report", &"one_sided"),
+        ("experiment", &"live_one_sided"),
+        ("mms_bytes", &MMS),
+        ("sizes_bytes", &SIZES),
+        ("fanouts", &FANOUTS),
+        ("one_sided_beats_per_send_everywhere", &beats_per_send),
+        ("crossovers", &crossovers),
+        ("acceptance_cells", &cells_json(cells, &keys)),
     ])
 }
 
-/// Run the model sweep, assert the acceptance margins, and return the
-/// result table.
-pub fn run_experiment(_scale: Scale) -> Vec<Table> {
+/// Run the model sweep, assert the acceptance margins, run the live
+/// cells, and return the result table and the headline report.
+pub fn run_experiment(scale: Scale) -> Output {
     let points = model_sweep();
     assert!(
         points.iter().all(|p| p.one_sided_ns < p.per_send_ns),
@@ -349,7 +232,10 @@ pub fn run_experiment(_scale: Scale) -> Vec<Table> {
             "fanout {f}: small messages must still favor batching (crossover {cross}B)"
         );
     }
-    vec![table_from_points(&points)]
+    Output {
+        tables: vec![table_from_points(&points)],
+        headline: Some(summary_json(&points, &live_cells(scale))),
+    }
 }
 
 #[cfg(test)]
@@ -400,40 +286,5 @@ mod tests {
         let s32 = sender_bypass_speedup(&cost, 32);
         assert!(s2 > 1.0, "{s2:.1}");
         assert!(s32 > s2, "{s32:.1} vs {s2:.1}");
-    }
-
-    #[test]
-    fn model_sweep_is_deterministic() {
-        assert_eq!(model_sweep(), model_sweep());
-        let json_a = summary_json(&model_sweep(), &[]).to_json_string();
-        let json_b = summary_json(&model_sweep(), &[]).to_json_string();
-        assert_eq!(json_a, json_b);
-    }
-
-    #[test]
-    fn one_sided_clean_cell_accounts_for_every_tuple() {
-        let p = measure_live(Scale::Smoke, "one_sided_clean", 0);
-        assert_eq!(p.silent_lost, 0);
-        assert!(p.relay_active);
-    }
-
-    #[test]
-    fn drops_over_remote_fetch_never_cause_silent_loss() {
-        let p = measure_live(Scale::Smoke, "one_sided_drops", 10);
-        assert_eq!(p.silent_lost, 0);
-        assert!(p.relay_active);
-    }
-
-    #[test]
-    fn table_and_summary_carry_the_schema() {
-        let tables = run_experiment(Scale::Smoke);
-        assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].len(), SIZES.len() * FANOUTS.len());
-        let json = tables[0].to_json().to_json_string();
-        assert!(json.contains("\"schema\":\"whale-bench/v1\""), "{json}");
-        assert!(json.contains("\"figure\":\"live_one_sided\""));
-        let summary = summary_json(&model_sweep(), &[]).to_json_string();
-        assert!(summary.contains("\"report\":\"one_sided\""));
-        assert!(summary.contains("crossover_bytes"));
     }
 }

@@ -33,15 +33,14 @@
 //! and surfaced as booleans); `results/live_recovery.json` and
 //! `BENCH_recovery.json` are byte-identical across same-seed reruns.
 
-use crate::{Scale, Table};
+use super::cell::{fabric_kinds, fabric_name, run_cell, CellOutcome, CellSpec, Expect};
+use super::Output;
+use crate::{object, Scale, Table};
 use std::time::Duration;
-use whale_dsps::{
-    run_topology, AckConfig, Emitter, FnBolt, Grouping, IterSpout, LiveConfig, LogConfig,
-    Operators, RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
-};
+use whale_dsps::{AckConfig, LogConfig};
 use whale_net::{
     EndpointCrash, EndpointId, EndpointRestart, FabricKind, FabricPath, FaultPlan, OneSidedConfig,
-    OneSidedFabric, PartitionLog, RingConfig,
+    OneSidedFabric, PartitionLog,
 };
 use whale_sim::JsonValue;
 
@@ -78,33 +77,37 @@ pub struct RecoveryPoint {
     pub torn_tails: u64,
 }
 
-/// All-grouped spout → sink topology: every tuple is tracked to `fanout`
-/// first-hop subscribers.
-fn topology(n: i64, fanout: u32) -> (Topology, Operators) {
-    let mut b = TopologyBuilder::new();
-    b.spout("src", 1, Schema::new(vec!["n"]))
-        .bolt("sink", fanout, Schema::new(vec!["n"]))
-        .connect("src", "sink", Grouping::All);
-    let t = b.build().expect("static topology is valid");
-    let ops = Operators::new()
-        .spout("src", move |_| {
-            Box::new(IterSpout::new(
-                (0..n).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-            ))
-        })
-        .bolt("sink", |_| {
-            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
-        });
-    (t, ops)
-}
+impl RecoveryPoint {
+    /// The row of a cell that ran on the live runtime.
+    fn of_cell(cell: &'static str, c: &CellOutcome) -> Self {
+        RecoveryPoint {
+            cell,
+            fabric: c.fabric,
+            emitted: c.report.spout_emitted,
+            silent_lost: c.silent_lost(),
+            log_replayed: c.report.log_replayed_records > 0,
+            acker_replay_free: c.report.tuples_replayed == 0,
+            backfill_sender_cpu_ns: 0,
+            retained_end_bytes: c.report.log_retained_bytes,
+            torn_tails: c.report.log_torn_tails,
+        }
+    }
 
-/// The transports the crash-recovery cell runs over.
-pub fn fabric_kinds() -> [(&'static str, FabricKind); 3] {
-    [
-        ("per_send", FabricKind::PerSend),
-        ("ring", FabricKind::Ring(RingConfig::default())),
-        ("one_sided", FabricKind::OneSided(OneSidedConfig::default())),
-    ]
+    /// The row as the headline report files it; the table takes the same
+    /// values in the same order.
+    fn json(&self) -> JsonValue {
+        object(&[
+            ("cell", &self.cell),
+            ("fabric", &self.fabric),
+            ("emitted", &self.emitted),
+            ("silent_lost", &self.silent_lost),
+            ("log_replayed", &self.log_replayed),
+            ("acker_replay_free", &self.acker_replay_free),
+            ("sender_cpu_during_backfill", &self.backfill_sender_cpu_ns),
+            ("retained_end_bytes", &self.retained_end_bytes),
+            ("torn_tails", &self.torn_tails),
+        ])
+    }
 }
 
 /// The crash-then-rejoin schedule every crash cell uses: `EndpointId(1)`
@@ -125,16 +128,13 @@ fn crash_plan() -> FaultPlan {
     }
 }
 
-/// Run one crash+restart cell and verify the recovery contract. Returns
-/// the row plus the acker replays the run actually spent (run-variant,
-/// compared against the baseline by [`sweep`], kept out of the row).
-pub fn measure_crash(
-    scale: Scale,
-    label: &'static str,
-    kind: FabricKind,
-    with_log: bool,
-) -> (RecoveryPoint, u64) {
-    let tuples: i64 = scale.pick3(200, 800, 3_000);
+/// Run one crash+restart cell and verify the recovery contract: the
+/// crash window rejects sends and the restart lets every tuple recover —
+/// from the log without spending the acker's replay budget, or, unlogged,
+/// by spending it. Returns the row plus the acker replays the run
+/// actually spent (run-variant, compared against the baseline by
+/// [`sweep`], kept out of the row).
+pub fn measure_crash(scale: Scale, kind: FabricKind, with_log: bool) -> (RecoveryPoint, u64) {
     let ack = if with_log {
         AckConfig {
             // Far past the run length: only the log replay can heal the
@@ -156,74 +156,31 @@ pub fn measure_crash(
             ..AckConfig::default()
         }
     };
-    let config = LiveConfig {
-        machines: MACHINES,
-        fabric: kind,
-        ack: Some(ack),
-        fault: Some(crash_plan()),
-        log: with_log.then(LogConfig::default),
-        run_deadline: Some(Duration::from_secs(15)),
-        ..LiveConfig::default()
-    };
-    let (t, ops) = topology(tuples, 2);
-    let r = run_topology(t, ops, config);
-
-    assert_eq!(r.spout_emitted, tuples as u64, "{label}: spout must finish");
-    assert_eq!(
-        r.tuples_acked + r.tuples_failed,
-        r.spout_emitted,
-        "{label} log={with_log}: silent loss"
-    );
-    assert_eq!(r.thread_panics, 0, "{label}: no thread may panic");
-    assert!(
-        r.fault_crashed_sends > 0,
-        "{label}: the crash window must reject sends"
-    );
-    assert_eq!(
-        r.tuples_failed, 0,
-        "{label} log={with_log}: the restart must let every tuple recover"
-    );
-    if with_log {
-        assert!(
-            r.log_appended_records > 0,
-            "{label}: sends must write through the log"
-        );
-        assert!(
-            r.log_replayed_records > 0,
-            "{label}: the restart must trigger a log replay"
-        );
-        assert_eq!(
-            r.tuples_replayed, 0,
-            "{label}: recovery must not spend the acker's replay budget"
-        );
-        assert_eq!(
-            r.log_retained_bytes, 0,
-            "{label}: the acked watermark must reclaim the whole log"
-        );
+    let cell = if with_log {
+        "crash_restart_log"
     } else {
-        assert!(
-            r.tuples_replayed > 0,
-            "{label}: the baseline must recover via acker replays"
-        );
-        assert_eq!(r.log_appended_records, 0, "{label}: baseline runs unlogged");
-    }
-
-    let point = RecoveryPoint {
-        cell: if with_log {
-            "crash_restart_log"
-        } else {
-            "crash_restart_acker"
-        },
-        fabric: label,
-        emitted: r.spout_emitted,
-        silent_lost: r.spout_emitted - r.tuples_acked - r.tuples_failed,
-        log_replayed: r.log_replayed_records > 0,
-        acker_replay_free: r.tuples_replayed == 0,
-        backfill_sender_cpu_ns: 0,
-        retained_end_bytes: r.log_retained_bytes,
-        torn_tails: r.log_torn_tails,
+        "crash_restart_acker"
     };
-    (point, r.tuples_replayed)
+    let label = format!("{cell}/{}", fabric_name(kind));
+    let mut spec = CellSpec::tracked(label, scale.pick3(200, 800, 3_000), 2, MACHINES);
+    spec.config.fabric = kind;
+    spec.config.ack = Some(ack);
+    spec.config.fault = Some(crash_plan());
+    spec.config.log = with_log.then(LogConfig::default);
+    spec.config.run_deadline = Some(Duration::from_secs(15));
+    // The restart must let every tuple recover.
+    spec.expect = if with_log {
+        vec![
+            Expect::AllAcked,
+            Expect::LogReplays,
+            Expect::ReplayFree,
+            Expect::LogDrained,
+        ]
+    } else {
+        vec![Expect::AllAcked, Expect::AckerReplays, Expect::Unlogged]
+    };
+    let c = run_cell(&spec);
+    (RecoveryPoint::of_cell(cell, &c), c.report.tuples_replayed)
 }
 
 /// Late-subscriber cell: publish a stream over a logged one-sided link,
@@ -310,29 +267,25 @@ pub fn measure_late_subscriber(scale: Scale) -> RecoveryPoint {
 /// streams, so the log drains to zero resident bytes by shutdown even
 /// though the whole stream wrote through it.
 pub fn measure_bounded_retention(scale: Scale) -> RecoveryPoint {
-    let tuples: i64 = scale.pick3(200, 1_000, 4_000);
-    let config = LiveConfig {
-        machines: 2,
-        ack: Some(AckConfig {
-            timeout: Duration::from_secs(10),
-            drain_deadline: Duration::from_secs(30),
-            ..AckConfig::default()
-        }),
-        log: Some(LogConfig {
-            segment_bytes: 256,
-            // Far above what the stream needs: the watermark GC, not the
-            // segment cap, is what keeps memory flat.
-            max_segments: 1 << 20,
-            rack_hops: 0,
-        }),
-        run_deadline: Some(Duration::from_secs(15)),
-        ..LiveConfig::default()
-    };
-    let (t, ops) = topology(tuples, 2);
-    let r = run_topology(t, ops, config);
-
-    assert_eq!(r.outcome, RunOutcome::Clean, "retention cell runs clean");
-    assert_eq!(r.tuples_acked, tuples as u64);
+    let tuples = scale.pick3(200, 1_000, 4_000);
+    let mut spec = CellSpec::tracked("bounded_retention", tuples, 2, 2);
+    spec.config.ack = Some(AckConfig {
+        timeout: Duration::from_secs(10),
+        drain_deadline: Duration::from_secs(30),
+        ..AckConfig::default()
+    });
+    spec.config.log = Some(LogConfig {
+        segment_bytes: 256,
+        // Far above what the stream needs: the watermark GC, not the
+        // segment cap, is what keeps memory flat.
+        max_segments: 1 << 20,
+        rack_hops: 0,
+    });
+    spec.config.run_deadline = Some(Duration::from_secs(15));
+    // Retention must drain to zero, not grow with the stream.
+    spec.expect = vec![Expect::LogDrained];
+    let c = run_cell(&spec);
+    let r = &c.report;
     assert!(r.log_appended_records > 0, "the stream must write through");
     assert!(
         r.log_gcd_bytes > 0,
@@ -345,23 +298,8 @@ pub fn measure_bounded_retention(scale: Scale) -> RecoveryPoint {
         r.log_appended_bytes + whale_net::RECORD_HEADER as u64 * r.log_appended_records,
         "by shutdown the watermark must have reclaimed every byte"
     );
-    assert_eq!(
-        r.log_retained_bytes, 0,
-        "retention must drain to zero, not grow with the stream"
-    );
     assert!(r.log_gc_watermark > 0);
-
-    RecoveryPoint {
-        cell: "bounded_retention",
-        fabric: "per_send",
-        emitted: r.spout_emitted,
-        silent_lost: r.spout_emitted - r.tuples_acked - r.tuples_failed,
-        log_replayed: false,
-        acker_replay_free: r.tuples_replayed == 0,
-        backfill_sender_cpu_ns: 0,
-        retained_end_bytes: r.log_retained_bytes,
-        torn_tails: r.log_torn_tails,
-    }
+    RecoveryPoint::of_cell("bounded_retention", &c)
 }
 
 /// Torn-tail cell: persist a log image, truncate it mid-record, and
@@ -413,14 +351,14 @@ pub fn measure_torn_tail() -> RecoveryPoint {
 /// baseline), the late subscriber, bounded retention, and the torn tail.
 pub fn sweep(scale: Scale) -> Vec<RecoveryPoint> {
     let mut points = Vec::new();
-    let (baseline, baseline_replays) =
-        measure_crash(scale, "per_send", FabricKind::PerSend, false);
+    let (baseline, baseline_replays) = measure_crash(scale, FabricKind::PerSend, false);
     points.push(baseline);
-    for (label, kind) in fabric_kinds() {
-        let (p, replays) = measure_crash(scale, label, kind, true);
+    for kind in fabric_kinds() {
+        let (p, replays) = measure_crash(scale, kind, true);
         assert!(
             replays <= baseline_replays,
-            "{label}: log recovery spent {replays} acker replays, baseline {baseline_replays}"
+            "{}: log recovery spent {replays} acker replays, baseline {baseline_replays}",
+            p.fabric
         );
         points.push(p);
     }
@@ -430,8 +368,10 @@ pub fn sweep(scale: Scale) -> Vec<RecoveryPoint> {
     points
 }
 
-/// Build the result table from measured points.
-pub fn table_from_points(points: &[RecoveryPoint]) -> Table {
+/// Run the recovery sweep: one table row per cell, the same rows as the
+/// headline `BENCH_recovery.json`'s acceptance cells.
+pub fn run_experiment(scale: Scale) -> Output {
+    let points = sweep(scale);
     let mut table = Table::new(
         "live_recovery",
         "Crash recovery and late-subscriber backfill from the partition log",
@@ -447,75 +387,30 @@ pub fn table_from_points(points: &[RecoveryPoint]) -> Table {
             "torn_tails",
         ],
     );
-    for p in points {
-        table.row_strings(vec![
-            p.cell.to_string(),
-            p.fabric.to_string(),
-            p.emitted.to_string(),
-            p.silent_lost.to_string(),
-            p.log_replayed.to_string(),
-            p.acker_replay_free.to_string(),
-            p.backfill_sender_cpu_ns.to_string(),
-            p.retained_end_bytes.to_string(),
-            p.torn_tails.to_string(),
-        ]);
+    let rows: Vec<JsonValue> = points.iter().map(RecoveryPoint::json).collect();
+    for row in &rows {
+        table.row_json(row);
     }
-    table
-}
-
-/// Headline summary written as the top-level `BENCH_recovery.json`.
-/// Schema-stable and byte-identical across same-scale reruns.
-pub fn summary_json(points: &[RecoveryPoint]) -> JsonValue {
-    let cell_json = |p: &RecoveryPoint| {
-        JsonValue::Object(vec![
-            ("cell".into(), JsonValue::str(p.cell)),
-            ("fabric".into(), JsonValue::str(p.fabric)),
-            ("emitted".into(), JsonValue::UInt(p.emitted)),
-            ("silent_lost".into(), JsonValue::UInt(p.silent_lost)),
-            ("log_replayed".into(), JsonValue::Bool(p.log_replayed)),
-            (
-                "acker_replay_free".into(),
-                JsonValue::Bool(p.acker_replay_free),
-            ),
-            (
-                "sender_cpu_during_backfill".into(),
-                JsonValue::UInt(p.backfill_sender_cpu_ns),
-            ),
-            (
-                "retained_end_bytes".into(),
-                JsonValue::UInt(p.retained_end_bytes),
-            ),
-            ("torn_tails".into(), JsonValue::UInt(p.torn_tails)),
-        ])
-    };
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::str(crate::JSON_SCHEMA)),
-        ("report".into(), JsonValue::str("recovery")),
-        ("experiment".into(), JsonValue::str("live_recovery")),
-        ("cells".into(), JsonValue::UInt(points.len() as u64)),
+    let log_cells_replay_free = points
+        .iter()
+        .filter(|p| p.cell == "crash_restart_log")
+        .all(|p| p.acker_replay_free && p.log_replayed);
+    let headline = object(&[
+        ("schema", &crate::JSON_SCHEMA),
+        ("report", &"recovery"),
+        ("experiment", &"live_recovery"),
+        ("cells", &points.len()),
         (
-            "silent_lost_total".into(),
-            JsonValue::UInt(points.iter().map(|p| p.silent_lost).sum()),
+            "silent_lost_total",
+            &points.iter().map(|p| p.silent_lost).sum::<u64>(),
         ),
-        (
-            "log_cells_replay_free".into(),
-            JsonValue::Bool(
-                points
-                    .iter()
-                    .filter(|p| p.cell == "crash_restart_log")
-                    .all(|p| p.acker_replay_free && p.log_replayed),
-            ),
-        ),
-        (
-            "acceptance_cells".into(),
-            JsonValue::Array(points.iter().map(cell_json).collect()),
-        ),
-    ])
-}
-
-/// Run the recovery sweep.
-pub fn run_experiment(scale: Scale) -> Vec<Table> {
-    vec![table_from_points(&sweep(scale))]
+        ("log_cells_replay_free", &log_cells_replay_free),
+        ("acceptance_cells", &rows),
+    ]);
+    Output {
+        tables: vec![table],
+        headline: Some(headline),
+    }
 }
 
 #[cfg(test)]
@@ -524,7 +419,7 @@ mod tests {
 
     #[test]
     fn log_cell_recovers_without_acker_replays() {
-        let (p, replays) = measure_crash(Scale::Smoke, "per_send", FabricKind::PerSend, true);
+        let (p, replays) = measure_crash(Scale::Smoke, FabricKind::PerSend, true);
         assert_eq!(p.silent_lost, 0);
         assert!(p.log_replayed);
         assert!(p.acker_replay_free);
@@ -533,7 +428,7 @@ mod tests {
 
     #[test]
     fn acker_baseline_recovers_by_spending_replays() {
-        let (p, replays) = measure_crash(Scale::Smoke, "per_send", FabricKind::PerSend, false);
+        let (p, replays) = measure_crash(Scale::Smoke, FabricKind::PerSend, false);
         assert_eq!(p.silent_lost, 0);
         assert!(!p.log_replayed);
         assert!(replays > 0, "the baseline must ride the acker's budget");
@@ -559,26 +454,5 @@ mod tests {
         let p = measure_torn_tail();
         assert_eq!(p.torn_tails, 1);
         assert_eq!(p.silent_lost, 0);
-    }
-
-    #[test]
-    fn points_are_deterministic() {
-        let (a, _) = measure_crash(Scale::Smoke, "per_send", FabricKind::PerSend, true);
-        let (b, _) = measure_crash(Scale::Smoke, "per_send", FabricKind::PerSend, true);
-        assert_eq!(a, b, "same-seed cells must render identical rows");
-    }
-
-    #[test]
-    fn table_and_summary_carry_the_schema() {
-        let points = [measure_torn_tail(), measure_late_subscriber(Scale::Smoke)];
-        let table = table_from_points(&points);
-        assert_eq!(table.len(), 2);
-        let json = table.to_json().to_json_string();
-        assert!(json.contains("\"schema\":\"whale-bench/v1\""), "{json}");
-        assert!(json.contains("\"figure\":\"live_recovery\""));
-        let summary = summary_json(&points).to_json_string();
-        assert!(summary.contains("\"report\":\"recovery\""));
-        assert!(summary.contains("\"sender_cpu_during_backfill\":0"));
-        assert!(summary.contains("\"silent_lost_total\":0"));
     }
 }

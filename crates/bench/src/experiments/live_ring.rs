@@ -1,6 +1,6 @@
 //! E19 — live path: batched ring delivery vs synchronous per-send.
 //!
-//! Drives a real [`RingFabric`] in deterministic mode (virtual clock, no
+//! Drives a real [`whale_net::RingFabric`] in deterministic mode (virtual clock, no
 //! flusher thread) with a rate-driven one-to-many workload: one source
 //! posting each tuple to `fanout` destination endpoints, the ring drained
 //! on every tick exactly as the doorbell-woken flusher would. The measured
@@ -10,13 +10,11 @@
 //! memory-region reuse per message (stream slicing, §4). Every run is a
 //! pure function of the config, so reruns emit byte-identical JSON.
 
+use super::live_zero_copy::{drive, ring_config, MSG_BYTES};
 use crate::{Scale, Table};
 use std::sync::Arc;
-use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
-use whale_sim::{CostModel, SimDuration, SimTime, Transport};
-
-/// Tuple payload size, matching the Figs 11/12 calibration runs.
-const MSG_BYTES: usize = 150;
+use whale_net::{EndpointId, FabricPath};
+use whale_sim::{CostModel, Transport};
 
 /// One fan-out operating point.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -54,55 +52,19 @@ fn sender_capacity(batch_n: f64, cost: &CostModel) -> f64 {
     batch_n / (post + batch_n * per_msg)
 }
 
-/// Drive a ring fabric at `rate` tuples/s for `tuples` tuples, fanning
-/// each tuple out to `fanout` endpoints, and price the result.
+/// Drive E20's deterministic ring workload (one flusher, every tuple one
+/// shared buffer posted to `fanout` endpoints, lossless delivery
+/// asserted) for `tuples` tuples, and price the result.
 pub fn measure(scale: Scale, fanout: u32) -> LivePoint {
     let tuples: u64 = scale.pick3(2_000, 10_000, 50_000);
-    let rate = 50_000.0; // tuples/s — WTL governs, as in the Fig 12 runs
-    let config = RingConfig {
-        ring_capacity: 64 * 1024,
-        batch: BatchConfig {
-            mms: 4 * 1024,
-            wtl: SimDuration::from_millis(1),
-        },
-        ..RingConfig::default()
-    };
-    let fabric = RingFabric::new(config);
-    let receivers: Vec<_> = (0..fanout)
-        .map(|d| {
-            fabric
-                .register(EndpointId(d + 1))
-                .expect("fresh fabric has free endpoints")
-        })
-        .collect();
-
-    let source = EndpointId(0);
     let payload: Arc<[u8]> = Arc::from(vec![0u8; MSG_BYTES].into_boxed_slice());
-    let gap = SimDuration::from_secs_f64(1.0 / rate);
-    let mut now = SimTime::ZERO;
-    for _ in 0..tuples {
+    let fabric = drive(ring_config(1), tuples, fanout, |fabric, _seq| {
         for d in 0..fanout {
             fabric
-                .send_shared(source, EndpointId(d + 1), Arc::clone(&payload))
+                .send_shared(EndpointId(0), EndpointId(d + 1), Arc::clone(&payload))
                 .expect("ring sized above the workload");
         }
-        // The doorbell-woken flusher drains size-triggered batches
-        // immediately and timer batches at their WTL deadline; pumping on
-        // every tick covers both (the tick gap is far below the WTL).
-        fabric.pump(now);
-        now += gap;
-    }
-    fabric.flush_at(now);
-
-    let mut delivered = 0u64;
-    for rx in &receivers {
-        delivered += std::iter::from_fn(|| rx.try_recv().ok()).count() as u64;
-    }
-    assert_eq!(
-        delivered,
-        tuples * fanout as u64,
-        "ring delivery must be lossless"
-    );
+    });
 
     let cost = CostModel::default();
     let stats = fabric.stats();
@@ -119,32 +81,24 @@ pub fn measure(scale: Scale, fanout: u32) -> LivePoint {
 
 /// Run the fan-out sweep.
 pub fn run_experiment(scale: Scale) -> Vec<Table> {
-    let mut table = Table::new(
+    let points: Vec<LivePoint> = [1u32, 2, 4, 8]
+        .into_iter()
+        .map(|fanout| measure(scale, fanout))
+        .collect();
+    vec![Table::of(
         "live_ring",
         "Live path: batched ring delivery vs per-send (modeled sender capacity)",
+        &points,
         &[
-            "fanout",
-            "messages",
-            "batches",
-            "mean_batch",
-            "per_send_msgs_s",
-            "ring_msgs_s",
-            "speedup",
+            ("fanout", |p| p.fanout.to_string()),
+            ("messages", |p| p.messages.to_string()),
+            ("batches", |p| p.batches.to_string()),
+            ("mean_batch", |p| format!("{:.1}", p.mean_batch)),
+            ("per_send_msgs_s", |p| format!("{:.0}", p.per_send_msgs_s)),
+            ("ring_msgs_s", |p| format!("{:.0}", p.ring_msgs_s)),
+            ("speedup", |p| format!("{:.2}", p.speedup())),
         ],
-    );
-    for fanout in [1u32, 2, 4, 8] {
-        let p = measure(scale, fanout);
-        table.row_strings(vec![
-            p.fanout.to_string(),
-            p.messages.to_string(),
-            p.batches.to_string(),
-            format!("{:.1}", p.mean_batch),
-            format!("{:.0}", p.per_send_msgs_s),
-            format!("{:.0}", p.ring_msgs_s),
-            format!("{:.2}", p.speedup()),
-        ]);
-    }
-    vec![table]
+    )]
 }
 
 #[cfg(test)]

@@ -24,26 +24,19 @@
 //! carry only run-invariant fields; `results/live_shards.json` and
 //! `BENCH_shards.json` are byte-identical across same-seed reruns.
 
-use crate::{Scale, Table};
-use std::time::Duration;
-use whale_dsps::{
-    run_topology, AckConfig, Emitter, FnBolt, Grouping, IterSpout, LiveConfig, Operators,
-    RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
-};
-use whale_net::{FabricKind, OneSidedConfig, RingConfig};
-use whale_sim::{CostModel, JsonValue, Transport};
+use super::cell::{cells_json, fabric_kinds, fabric_name, run_cell, CellOutcome, CellSpec};
+use super::Output;
+use crate::{object, Scale, Table};
+use whale_net::FabricKind;
+use whale_sim::JsonValue;
 
-use super::live_zero_copy::{self, MSG_BYTES};
+use super::live_zero_copy;
 
 /// Pipeline shard counts swept per worker.
 pub const PIPE_SHARDS: [u32; 4] = [1, 2, 4, 8];
 
 /// Fan-outs swept (destinations per tuple).
 pub const FANOUTS: [u32; 3] = [2, 8, 32];
-
-/// The committed `BENCH_live_path.json` fan-out-8 shared-path baseline
-/// (tuples/s) the 1-shard cell must not regress below.
-pub const BASELINE_F8_TUPLES_S: f64 = 63897.76357827476;
 
 /// One (fanout, shards) cell of the scaling sweep.
 #[derive(Clone, PartialEq, Debug)]
@@ -60,6 +53,10 @@ pub struct ShardPoint {
     pub mean_batch: f64,
     /// Messages on the most loaded pipeline (drain critical path).
     pub max_shard_msgs: u64,
+    /// E20's own shared-path capacity at this (fanout, flusher shards):
+    /// at (8, 1) the `BENCH_live_path.json` baseline the 1-shard cell
+    /// must not regress below.
+    pub e20_tuples_s: f64,
     /// Modeled shared-path capacity with an unsharded sender on the
     /// same drain configuration (at 1 shard: exactly the E20 number).
     pub single_tuples_s: f64,
@@ -84,21 +81,11 @@ impl ShardPoint {
 /// price the sender stage divided across `shards` pipelines.
 pub fn measure(scale: Scale, fanout: u32, shards: u32) -> ShardPoint {
     let p = live_zero_copy::measure(scale, fanout, shards as usize);
-    let cost = CostModel::default();
-    let ser = cost.serialize(MSG_BYTES).as_secs_f64();
-    let id_pack = cost.id_pack.as_secs_f64();
-    let mr_op = cost.ring_mr_op.as_secs_f64();
-    let post = cost.rdma_post_send.as_secs_f64();
-    let wire = cost.wire_time(Transport::Rdma, MSG_BYTES).as_secs_f64();
-
-    // Same arithmetic as E20's shared discipline, with the sender stage
-    // divided by the pipeline count (routing, encode, and bookkeeping
-    // are per-shard work now) — at `shards == 1` this reproduces
-    // `p.shared_tuples_s` bit for bit.
-    let drain_per_msg = mr_op + wire + post / p.mean_batch.max(1.0);
-    let drain_time = p.max_shard_msgs as f64 * drain_per_msg;
-    let f = fanout as f64;
-    let sender_shared = p.tuples as f64 * (ser + f * (id_pack + mr_op));
+    // E20's shared discipline, with the sender stage divided by the
+    // pipeline count (routing, encode, and bookkeeping are per-shard work
+    // now) — at `shards == 1` this reproduces `p.shared_tuples_s` bit for
+    // bit.
+    let (sender_shared, drain_time) = (p.sender_shared_s, p.drain_s);
     let sender_sharded = sender_shared / shards as f64;
     ShardPoint {
         fanout,
@@ -107,6 +94,7 @@ pub fn measure(scale: Scale, fanout: u32, shards: u32) -> ShardPoint {
         messages: p.messages,
         mean_batch: p.mean_batch,
         max_shard_msgs: p.max_shard_msgs,
+        e20_tuples_s: p.shared_tuples_s,
         single_tuples_s: p.tuples as f64 / sender_shared.max(drain_time),
         sharded_tuples_s: p.tuples as f64 / sender_sharded.max(drain_time),
         sender_bound: sender_sharded >= drain_time,
@@ -124,149 +112,44 @@ pub fn sweep(scale: Scale) -> Vec<ShardPoint> {
     points
 }
 
-/// One live acceptance cell. Every field is run-invariant: counts that
-/// thread scheduling perturbs (replays, cross-shard messages) surface
-/// as booleans asserted inside [`measure_live`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LivePoint {
-    /// Transport label.
-    pub fabric: &'static str,
-    /// Pipelines per worker in the run.
-    pub shards: u32,
-    /// Worker processes in the run.
-    pub machines: u32,
-    /// Tuples the spout emitted (excludes replays).
-    pub emitted: u64,
-    /// `emitted - acked - failed`; identically zero (at-least-once).
-    pub silent_lost: u64,
-    /// Whether deliveries actually crossed shard inboxes.
-    pub cross_shard_active: bool,
-}
-
-/// All-grouped spout → sink topology, matching the E20/E23 cells.
-fn topology(n: i64, fanout: u32) -> (Topology, Operators) {
-    let mut b = TopologyBuilder::new();
-    b.spout("src", 1, Schema::new(vec!["n"]))
-        .bolt("sink", fanout, Schema::new(vec!["n"]))
-        .connect("src", "sink", Grouping::All);
-    let t = b.build().expect("static topology is valid");
-    let ops = Operators::new()
-        .spout("src", move |_| {
-            Box::new(IterSpout::new(
-                (0..n).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-            ))
-        })
-        .bolt("sink", |_| {
-            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
-        });
-    (t, ops)
-}
-
 /// Run one tracked cell on the real runtime and verify acceptance:
-/// every emitted tuple ends acked or failed, and a clean run acks all.
-pub fn measure_live(
-    scale: Scale,
-    fabric: &'static str,
-    kind: FabricKind,
-    shards: u32,
-) -> LivePoint {
-    let tuples: i64 = scale.pick3(120, 400, 1_500);
-    let machines = 4;
-    let config = LiveConfig {
-        machines,
-        shards,
-        zero_copy: true,
-        fabric: kind,
-        ack: Some(AckConfig {
-            timeout: Duration::from_millis(60),
-            max_replays: 20,
-            drain_deadline: Duration::from_secs(20),
-            eos_redundancy: 8,
-            ..AckConfig::default()
-        }),
-        run_deadline: Some(Duration::from_secs(10)),
-        ..LiveConfig::default()
-    };
-    let (t, ops) = topology(tuples, 16);
-    let r = run_topology(t, ops, config);
-
-    let label = format!("{fabric}/{shards}");
-    assert_eq!(r.spout_emitted, tuples as u64, "{label}: spout must finish");
-    assert_eq!(
-        r.tuples_acked + r.tuples_failed,
-        r.spout_emitted,
-        "{label}: silent loss"
-    );
-    assert_eq!(r.tuples_failed, 0, "{label}: clean cell must ack everything");
-    assert!(matches!(r.outcome, RunOutcome::Clean), "{label}: {:?}", r.outcome);
-    assert_eq!(r.shards, shards as u64, "{label}: report must carry shards");
-    if shards > 1 {
-        assert!(
-            r.cross_shard_msgs > 0,
-            "{label}: fan-out must cross shard inboxes"
-        );
-    }
-
-    LivePoint {
-        fabric,
-        shards,
-        machines,
-        emitted: r.spout_emitted,
-        silent_lost: r.spout_emitted - r.tuples_acked - r.tuples_failed,
-        cross_shard_active: r.cross_shard_msgs > 0,
-    }
+/// every emitted tuple ends acked, and a multi-shard run crosses shards.
+pub fn measure_live(scale: Scale, kind: FabricKind, shards: u32) -> CellOutcome {
+    let label = format!("{}/{shards}", fabric_name(kind));
+    let mut cell = CellSpec::tracked(label, scale.pick3(120, 400, 1_500), 16, 4);
+    cell.config.shards = shards;
+    cell.config.fabric = kind;
+    run_cell(&cell)
 }
 
 /// Run every live acceptance cell: three transports × {1, 4} shards.
-pub fn live_cells(scale: Scale) -> Vec<LivePoint> {
-    let kinds = || {
-        vec![
-            ("per_send", FabricKind::PerSend),
-            ("ring", FabricKind::Ring(RingConfig::default())),
-            (
-                "one_sided",
-                FabricKind::OneSided(OneSidedConfig::default()),
-            ),
-        ]
-    };
+pub fn live_cells(scale: Scale) -> Vec<CellOutcome> {
     let mut cells = Vec::new();
     for shards in [1u32, 4] {
-        for (label, kind) in kinds() {
-            cells.push(measure_live(scale, label, kind, shards));
+        for kind in fabric_kinds() {
+            cells.push(measure_live(scale, kind, shards));
         }
     }
     cells
 }
 
 /// Build the scaling-sweep result table.
-pub fn table_from_points(points: &[ShardPoint]) -> Table {
-    let mut table = Table::new(
+fn table_from_points(points: &[ShardPoint]) -> Table {
+    Table::of(
         "live_shards",
         "Shard-owned pipelines: live-path capacity vs pipelines per worker (modeled tuples/s)",
+        points,
         &[
-            "fanout",
-            "shards",
-            "messages",
-            "max_shard_msgs",
-            "single_tuples_s",
-            "sharded_tuples_s",
-            "speedup",
-            "sender_bound",
+            ("fanout", |p| p.fanout.to_string()),
+            ("shards", |p| p.shards.to_string()),
+            ("messages", |p| p.messages.to_string()),
+            ("max_shard_msgs", |p| p.max_shard_msgs.to_string()),
+            ("single_tuples_s", |p| format!("{:.0}", p.single_tuples_s)),
+            ("sharded_tuples_s", |p| format!("{:.0}", p.sharded_tuples_s)),
+            ("speedup", |p| format!("{:.2}", p.speedup())),
+            ("sender_bound", |p| p.sender_bound.to_string()),
         ],
-    );
-    for p in points {
-        table.row_strings(vec![
-            p.fanout.to_string(),
-            p.shards.to_string(),
-            p.messages.to_string(),
-            p.max_shard_msgs.to_string(),
-            format!("{:.0}", p.single_tuples_s),
-            format!("{:.0}", p.sharded_tuples_s),
-            format!("{:.2}", p.speedup()),
-            p.sender_bound.to_string(),
-        ]);
-    }
-    table
+    )
 }
 
 /// The cell at one (fanout, shards) coordinate.
@@ -279,93 +162,63 @@ fn by(points: &[ShardPoint], fanout: u32, shards: u32) -> &ShardPoint {
 
 /// Headline summary written as the top-level `BENCH_shards.json`.
 /// Schema-stable and byte-identical across same-scale reruns.
-pub fn summary_json(points: &[ShardPoint], cells: &[LivePoint]) -> JsonValue {
+fn summary_json(points: &[ShardPoint], cells: &[CellOutcome]) -> JsonValue {
     let f8_1 = by(points, 8, 1);
     let f8_4 = by(points, 8, 4);
     let curve: Vec<JsonValue> = points
         .iter()
         .map(|p| {
-            JsonValue::Object(vec![
-                ("fanout".into(), JsonValue::UInt(p.fanout as u64)),
-                ("shards".into(), JsonValue::UInt(p.shards as u64)),
-                (
-                    "sharded_tuples_s".into(),
-                    JsonValue::Float(p.sharded_tuples_s),
-                ),
-                ("speedup".into(), JsonValue::Float(p.speedup())),
-                ("sender_bound".into(), JsonValue::Bool(p.sender_bound)),
+            object(&[
+                ("fanout", &p.fanout),
+                ("shards", &p.shards),
+                ("sharded_tuples_s", &p.sharded_tuples_s),
+                ("speedup", &p.speedup()),
+                ("sender_bound", &p.sender_bound),
             ])
         })
         .collect();
-    let cell_json = |p: &LivePoint| {
-        JsonValue::Object(vec![
-            ("fabric".into(), JsonValue::str(p.fabric)),
-            ("shards".into(), JsonValue::UInt(p.shards as u64)),
-            ("machines".into(), JsonValue::UInt(p.machines as u64)),
-            ("emitted".into(), JsonValue::UInt(p.emitted)),
-            ("silent_lost".into(), JsonValue::UInt(p.silent_lost)),
-            (
-                "cross_shard_active".into(),
-                JsonValue::Bool(p.cross_shard_active),
-            ),
-        ])
-    };
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::str(crate::JSON_SCHEMA)),
-        ("report".into(), JsonValue::str("shards")),
-        ("experiment".into(), JsonValue::str("live_shards")),
+    let cells = cells_json(
+        cells,
+        &[
+            "fabric",
+            "shards",
+            "machines",
+            "emitted",
+            "silent_lost",
+            "cross_shard_active",
+        ],
+    );
+    object(&[
+        ("schema", &crate::JSON_SCHEMA),
+        ("report", &"shards"),
+        ("experiment", &"live_shards"),
+        ("fanouts", &FANOUTS),
+        ("shard_counts", &PIPE_SHARDS),
+        ("fanout8_1shard_tuples_s", &f8_1.sharded_tuples_s),
+        ("fanout8_4shard_tuples_s", &f8_4.sharded_tuples_s),
+        ("fanout8_4shard_speedup", &f8_4.speedup()),
+        ("baseline_tuples_s", &f8_1.e20_tuples_s),
         (
-            "fanouts".into(),
-            JsonValue::Array(FANOUTS.iter().map(|&f| JsonValue::UInt(f as u64)).collect()),
+            "one_shard_matches_baseline",
+            &(f8_1.sharded_tuples_s >= f8_1.e20_tuples_s * 0.999),
         ),
-        (
-            "shard_counts".into(),
-            JsonValue::Array(
-                PIPE_SHARDS
-                    .iter()
-                    .map(|&s| JsonValue::UInt(s as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "fanout8_1shard_tuples_s".into(),
-            JsonValue::Float(f8_1.sharded_tuples_s),
-        ),
-        (
-            "fanout8_4shard_tuples_s".into(),
-            JsonValue::Float(f8_4.sharded_tuples_s),
-        ),
-        (
-            "fanout8_4shard_speedup".into(),
-            JsonValue::Float(f8_4.speedup()),
-        ),
-        (
-            "baseline_tuples_s".into(),
-            JsonValue::Float(BASELINE_F8_TUPLES_S),
-        ),
-        (
-            "one_shard_matches_baseline".into(),
-            JsonValue::Bool(f8_1.sharded_tuples_s >= BASELINE_F8_TUPLES_S * 0.999),
-        ),
-        ("scaling_curve".into(), JsonValue::Array(curve)),
-        (
-            "acceptance_cells".into(),
-            JsonValue::Array(cells.iter().map(cell_json).collect()),
-        ),
+        ("scaling_curve", &curve),
+        ("acceptance_cells", &cells),
     ])
 }
 
-/// Run the scaling sweep, assert the acceptance margins, and return the
-/// result table.
-pub fn run_experiment(scale: Scale) -> Vec<Table> {
+/// Run the scaling sweep, assert the acceptance margins, run the live
+/// cells, and return the result table and the headline report.
+pub fn run_experiment(scale: Scale) -> Output {
     let points = sweep(scale);
     let f8_1 = by(&points, 8, 1);
     let f8_4 = by(&points, 8, 4);
     assert!(
-        f8_1.sharded_tuples_s >= BASELINE_F8_TUPLES_S * 0.999,
+        f8_1.sharded_tuples_s >= f8_1.e20_tuples_s * 0.999,
         "1-shard fan-out-8 cell regressed below the live-path baseline: \
-         {:.2} < {BASELINE_F8_TUPLES_S:.2}",
-        f8_1.sharded_tuples_s
+         {:.2} < {:.2}",
+        f8_1.sharded_tuples_s,
+        f8_1.e20_tuples_s
     );
     assert!(
         f8_4.speedup() >= 2.5,
@@ -383,7 +236,10 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
             );
         }
     }
-    vec![table_from_points(&points)]
+    Output {
+        tables: vec![table_from_points(&points)],
+        headline: Some(summary_json(&points, &live_cells(scale))),
+    }
 }
 
 #[cfg(test)]
@@ -423,37 +279,5 @@ mod tests {
                 last = p.sharded_tuples_s;
             }
         }
-    }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        assert_eq!(sweep(Scale::Smoke), sweep(Scale::Smoke));
-        let a = summary_json(&sweep(Scale::Smoke), &[]).to_json_string();
-        let b = summary_json(&sweep(Scale::Smoke), &[]).to_json_string();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn live_cells_account_for_every_tuple() {
-        for cell in live_cells(Scale::Smoke) {
-            assert_eq!(cell.silent_lost, 0, "{}/{}", cell.fabric, cell.shards);
-            if cell.shards > 1 {
-                assert!(cell.cross_shard_active, "{}", cell.fabric);
-            }
-        }
-    }
-
-    #[test]
-    fn table_and_summary_carry_the_schema() {
-        let tables = run_experiment(Scale::Smoke);
-        assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].len(), FANOUTS.len() * PIPE_SHARDS.len());
-        let json = tables[0].to_json().to_json_string();
-        assert!(json.contains("\"schema\":\"whale-bench/v1\""), "{json}");
-        assert!(json.contains("\"figure\":\"live_shards\""));
-        let summary = summary_json(&sweep(Scale::Smoke), &[]).to_json_string();
-        assert!(summary.contains("\"report\":\"shards\""));
-        assert!(summary.contains("scaling_curve"));
-        assert!(summary.contains("fanout8_4shard_speedup"));
     }
 }

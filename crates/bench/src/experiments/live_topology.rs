@@ -27,19 +27,19 @@
 //! Emits `results/live_topology.{csv,json}` and the headline
 //! `BENCH_topology.json`; both are byte-identical across reruns.
 
-use crate::{Scale, Table};
+use super::cell::{cells_json, run_cell, tracked_ack, CellOutcome, CellSpec, Expect, Workload};
+use super::live_adaptive::planned_d;
+use super::Output;
+use crate::{object, Scale, Table};
 use std::time::Duration;
-use whale_dsps::{
-    run_topology, AckConfig, AdaptiveConfig, Emitter, FnBolt, Grouping, IterSpout, LiveConfig,
-    Operators, RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
-};
+use whale_dsps::{AdaptiveConfig, LiveConfig};
 use whale_multicast::{build_binomial, build_nonblocking, tree_cost, TopoTreeBuilder, TreeCost};
 use whale_net::{FabricKind, TopologyConfig};
-use whale_sim::cost::mdone;
 use whale_sim::JsonValue;
 
 /// Per-destination serialization time (µs), matching the live
-/// controller's `t_e_default`.
+/// controller's `t_e_default` (and E22's planner, whose `d*(λ)` the
+/// sweep reuses).
 const T_E_US: f64 = 20.0;
 
 /// Modeled one-hop latency within a rack (µs).
@@ -49,14 +49,11 @@ const T_INTRA_US: f64 = 5.0;
 /// their egress rack's uplink.
 const T_UPLINK_US: f64 = 40.0;
 
-/// Transfer-queue capacity Q for the M/D/1 `d*`.
-const Q: usize = 1024;
-
-/// Degree ceiling the planner may pick.
-const MAX_D: u32 = 8;
-
 /// Workers in the modeled cluster (trees span `WORKERS - 1` dests).
 const WORKERS: u32 = 24;
+
+/// Worker processes in every live cell.
+const MACHINES: u32 = 10;
 
 /// Rack counts swept by the model.
 pub const RACKS: [u32; 3] = [1, 2, 5];
@@ -68,11 +65,6 @@ pub const LAMBDA_RAMP: [f64; 3] = [4_000.0, 12_000.0, 45_000.0];
 pub const HEADLINE_RACKS: u32 = 5;
 /// Headline arrival rate.
 pub const HEADLINE_LAMBDA: f64 = 12_000.0;
-
-/// The out-degree the live controller would plan for arrival rate λ.
-fn planned_d(lambda: f64) -> u32 {
-    mdone::d_star(lambda, T_E_US * 1e-6, Q).clamp(1, MAX_D)
-}
 
 /// Skewed, *interleaved* destination placement: roughly a third of the
 /// destinations are scattered across the remote racks in between the
@@ -160,20 +152,6 @@ pub fn cell<'a>(
         .expect("cell present")
 }
 
-/// One deterministic live byte-measurement cell.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ByteCell {
-    /// Rack count of the cell.
-    pub racks: u32,
-    /// Rack-aware trees (true) vs Whale's oblivious trees (false),
-    /// both under the same per-link accounting.
-    pub topo_trees: bool,
-    /// Total wire bytes (`copied + shared`).
-    pub wire_bytes: u64,
-    /// Measured bytes delivered over rack uplinks.
-    pub uplink_bytes: u64,
-}
-
 /// Skewed machine → rack map for `machines` workers: remote racks get
 /// one machine each, interleaved with the hot rack's.
 pub fn skewed_rack_map(racks: u32, machines: u32) -> Vec<u32> {
@@ -188,84 +166,70 @@ pub fn skewed_rack_map(racks: u32, machines: u32) -> Vec<u32> {
         .collect()
 }
 
-/// All-grouped spout → sink topology.
-fn topology(n: i64, fanout: u32, gap: Duration) -> (Topology, Operators) {
-    let mut b = TopologyBuilder::new();
-    b.spout("src", 1, Schema::new(vec!["n"]))
-        .bolt("sink", fanout, Schema::new(vec!["n"]))
-        .connect("src", "sink", Grouping::All);
-    let t = b.build().expect("static topology is valid");
-    let ops = Operators::new()
-        .spout("src", move |_| {
-            Box::new(IterSpout::new((0..n).map(move |i| {
-                if !gap.is_zero() {
-                    std::thread::sleep(gap);
-                }
-                Tuple::with_id(i as u64, vec![Value::I64(i)])
-            })))
-        })
-        .bolt("sink", |_| {
-            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
-        });
-    (t, ops)
-}
-
-/// Run one untracked, fault-free, switch-free cell and read the link
-/// counters. Everything on this path is deterministic, so the returned
-/// byte counts are identical across reruns.
-pub fn measure_bytes(scale: Scale, racks: u32, topo_trees: bool) -> ByteCell {
-    let tuples: i64 = scale.pick3(120, 400, 1_200);
-    let machines = 10;
-    let (t, ops) = topology(tuples, 16, Duration::ZERO);
-    let r = run_topology(
-        t,
-        ops,
-        LiveConfig {
-            machines,
+/// A relay cell on the skewed rack map: 10 machines, 16-way fan-out,
+/// per-send fabric, zero-copy.
+fn live_cell(scale: Scale, label: String, gap: Duration, adaptive: AdaptiveConfig) -> CellSpec {
+    CellSpec {
+        label,
+        tuples: scale.pick3(120, 400, 1_200),
+        fanout: 16,
+        gap,
+        workload: Workload::COUNTER,
+        config: LiveConfig {
+            machines: MACHINES,
             zero_copy: true,
             fabric: FabricKind::PerSend,
-            multicast_adaptive: Some(AdaptiveConfig {
-                initial_d: 2,
-                // No mid-run switches: one tree generation end to end.
-                interval: Duration::from_secs(60),
-                topology: Some(TopologyConfig {
-                    racks,
-                    rack_of_machine: Some(skewed_rack_map(racks, machines)),
-                    topo_trees,
-                    ..TopologyConfig::default()
-                }),
-                ..AdaptiveConfig::default()
-            }),
+            multicast_adaptive: Some(adaptive),
             ..LiveConfig::default()
         },
-    );
-    assert_eq!(r.outcome, RunOutcome::Clean, "byte cell must run clean");
-    assert_eq!(r.executed[1], tuples as u64 * 16, "every broadcast lands");
-    assert!(r.relay_forwards > 0, "tuples must ride the relay tree");
-    let wire = r.copied_bytes + r.shared_bytes;
+        expect: vec![Expect::RelayActive],
+    }
+}
+
+/// Run one untracked, fault-free, switch-free cell — rack-aware trees
+/// (`topo_trees`) or Whale's oblivious trees under the same per-link
+/// accounting — and check the link counters. Everything on this path is
+/// deterministic, so the `wire_bytes` (`copied + shared`) and
+/// `uplink_bytes` it reports are identical across reruns.
+pub fn measure_bytes(scale: Scale, racks: u32, topo_trees: bool) -> CellOutcome {
+    let adaptive = AdaptiveConfig {
+        initial_d: 2,
+        // No mid-run switches: one tree generation end to end.
+        interval: Duration::from_secs(60),
+        topology: Some(TopologyConfig {
+            racks,
+            rack_of_machine: Some(skewed_rack_map(racks, MACHINES)),
+            topo_trees,
+            ..TopologyConfig::default()
+        }),
+        ..AdaptiveConfig::default()
+    };
+    let label = format!("racks={racks} topo_trees={topo_trees}");
+    let c = run_cell(&live_cell(scale, label, Duration::ZERO, adaptive));
+    let r = &c.report;
+    assert_eq!(r.executed[1], r.spout_emitted * 16, "every broadcast lands");
     let linked: u64 = r.link_bytes.iter().map(|(_, b)| b).sum();
-    assert_eq!(linked, wire, "per-link sums must tile the wire total");
+    assert_eq!(
+        linked,
+        r.copied_bytes + r.shared_bytes,
+        "per-link sums must tile the wire total"
+    );
     if racks > 1 {
         assert!(r.uplink_bytes > 0, "cross-rack traffic must register");
     } else {
         assert_eq!(r.uplink_bytes, 0, "one rack has no uplink traffic");
     }
-    ByteCell {
-        racks,
-        topo_trees,
-        wire_bytes: wire,
-        uplink_bytes: r.uplink_bytes,
-    }
+    c
 }
 
-/// Every deterministic byte cell, with the rack-aware tree required to
-/// move strictly fewer uplink bytes than the oblivious tree wherever an
-/// uplink exists.
-pub fn byte_cells(scale: Scale) -> Vec<ByteCell> {
+/// Every deterministic byte cell as its report row, with the rack-aware
+/// tree required to move strictly fewer uplink bytes than the oblivious
+/// tree wherever an uplink exists.
+pub fn byte_cells(scale: Scale) -> Vec<JsonValue> {
     let mut cells = Vec::new();
     for &racks in &RACKS {
-        let topo = measure_bytes(scale, racks, true);
-        let oblivious = measure_bytes(scale, racks, false);
+        let topo = measure_bytes(scale, racks, true).report;
+        let oblivious = measure_bytes(scale, racks, false).report;
         if racks > 1 {
             assert!(
                 topo.uplink_bytes < oblivious.uplink_bytes,
@@ -277,187 +241,108 @@ pub fn byte_cells(scale: Scale) -> Vec<ByteCell> {
         } else {
             assert_eq!(topo.uplink_bytes, 0);
             assert_eq!(
-                topo.wire_bytes, oblivious.wire_bytes,
+                topo.copied_bytes + topo.shared_bytes,
+                oblivious.copied_bytes + oblivious.shared_bytes,
                 "one rack: the builders produce the same tree"
             );
         }
-        cells.push(topo);
-        cells.push(oblivious);
+        for (topo_trees, r) in [(true, topo), (false, oblivious)] {
+            cells.push(object(&[
+                ("racks", &racks),
+                ("topo_trees", &topo_trees),
+                ("wire_bytes", &(r.copied_bytes + r.shared_bytes)),
+                ("uplink_bytes", &r.uplink_bytes),
+            ]));
+        }
     }
     cells
 }
 
-/// The acked acceptance cell: run-invariant booleans only (replay and
-/// forward counts are scheduling-dependent).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AckedCell {
-    /// Tuples the spout emitted (excludes replays).
-    pub emitted: u64,
-    /// `emitted - acked - failed`; identically zero.
-    pub silent_lost: u64,
-    /// Whether the run switched tree generations mid-stream.
-    pub switched: bool,
-    /// Whether tuples actually rode the relay tree.
-    pub relay_active: bool,
-}
-
 /// Acked run on the 5-rack skew with a forced mid-stream switch: the
 /// XOR acker must account for every tuple across the topo-aware epoch
-/// handoff.
-pub fn measure_acked(scale: Scale) -> AckedCell {
-    let tuples: i64 = scale.pick3(120, 400, 1_200);
-    let machines = 10;
-    let (t, ops) = topology(tuples, 16, Duration::from_micros(100));
-    let r = run_topology(
-        t,
-        ops,
-        LiveConfig {
-            machines,
-            zero_copy: true,
-            fabric: FabricKind::PerSend,
-            multicast_adaptive: Some(AdaptiveConfig {
-                initial_d: 1,
-                interval: Duration::from_millis(1),
-                forced_switches: vec![(tuples as u64 / 3, 4)],
-                topology: Some(TopologyConfig {
-                    racks: HEADLINE_RACKS,
-                    rack_of_machine: Some(skewed_rack_map(HEADLINE_RACKS, machines)),
-                    ..TopologyConfig::default()
-                }),
-                ..AdaptiveConfig::default()
-            }),
-            ack: Some(AckConfig {
-                timeout: Duration::from_millis(60),
-                max_replays: 20,
-                drain_deadline: Duration::from_secs(20),
-                eos_redundancy: 8,
-                ..AckConfig::default()
-            }),
-            run_deadline: Some(Duration::from_secs(10)),
-            ..LiveConfig::default()
-        },
+/// handoff. Reports run-invariant booleans only (replay and forward
+/// counts are scheduling-dependent).
+pub fn measure_acked(scale: Scale) -> CellOutcome {
+    let tuples: u64 = scale.pick3(120, 400, 1_200);
+    let adaptive = AdaptiveConfig {
+        initial_d: 1,
+        interval: Duration::from_millis(1),
+        forced_switches: vec![(tuples / 3, 4)],
+        topology: Some(TopologyConfig {
+            racks: HEADLINE_RACKS,
+            rack_of_machine: Some(skewed_rack_map(HEADLINE_RACKS, MACHINES)),
+            ..TopologyConfig::default()
+        }),
+        ..AdaptiveConfig::default()
+    };
+    let mut spec = live_cell(
+        scale,
+        "acked".to_string(),
+        Duration::from_micros(100),
+        adaptive,
     );
-    assert_eq!(r.spout_emitted, tuples as u64, "acked: spout must finish");
-    assert_eq!(
-        r.tuples_acked + r.tuples_failed,
-        r.spout_emitted,
-        "acked: silent loss"
-    );
-    assert_eq!(r.tuples_failed, 0, "acked: clean run must ack everything");
-    assert!(r.relay_switches >= 1, "acked: forced switch must land");
-    assert!(r.relay_forwards > 0, "acked: tuples must ride the tree");
-    assert_eq!(r.thread_panics, 0, "acked: no thread may panic");
-    AckedCell {
-        emitted: r.spout_emitted,
-        silent_lost: r.spout_emitted - r.tuples_acked - r.tuples_failed,
-        switched: r.relay_switches >= 1,
-        relay_active: r.relay_forwards > 0,
-    }
+    spec.config.ack = Some(tracked_ack());
+    spec.config.run_deadline = Some(Duration::from_secs(10));
+    spec.expect.push(Expect::Switched);
+    run_cell(&spec)
 }
 
 /// Build the model-sweep result table.
-pub fn table_from_points(points: &[ModelPoint]) -> Table {
-    let mut table = Table::new(
+fn table_from_points(points: &[ModelPoint]) -> Table {
+    Table::of(
         "live_topology",
         "Rack-aware vs oblivious multicast trees on skewed placements (modeled)",
+        points,
         &[
-            "racks",
-            "structure",
-            "lambda",
-            "d",
-            "completion_us",
-            "uplink_edges",
-            "depth",
+            ("racks", |p| p.racks.to_string()),
+            ("structure", |p| p.structure.to_string()),
+            ("lambda", |p| format!("{:.0}", p.lambda)),
+            ("d", |p| p.d.to_string()),
+            ("completion_us", |p| format!("{:.1}", p.cost.completion_us)),
+            ("uplink_edges", |p| p.cost.uplink_edges.to_string()),
+            ("depth", |p| p.cost.max_depth.to_string()),
         ],
-    );
-    for p in points {
-        table.row_strings(vec![
-            p.racks.to_string(),
-            p.structure.to_string(),
-            format!("{:.0}", p.lambda),
-            p.d.to_string(),
-            format!("{:.1}", p.cost.completion_us),
-            p.cost.uplink_edges.to_string(),
-            p.cost.max_depth.to_string(),
-        ]);
-    }
-    table
+    )
 }
 
 /// Headline summary written as the top-level `BENCH_topology.json`.
 /// Schema-stable and byte-identical across same-scale reruns.
-pub fn summary_json(points: &[ModelPoint], bytes: &[ByteCell], acked: &[AckedCell]) -> JsonValue {
-    let topo = cell(points, HEADLINE_RACKS, HEADLINE_LAMBDA, "topo");
-    let whale = cell(points, HEADLINE_RACKS, HEADLINE_LAMBDA, "whale");
-    let binomial = cell(points, HEADLINE_RACKS, HEADLINE_LAMBDA, "binomial");
-    let byte_json = |c: &ByteCell| {
-        JsonValue::Object(vec![
-            ("racks".into(), JsonValue::UInt(c.racks as u64)),
-            ("topo_trees".into(), JsonValue::Bool(c.topo_trees)),
-            ("wire_bytes".into(), JsonValue::UInt(c.wire_bytes)),
-            ("uplink_bytes".into(), JsonValue::UInt(c.uplink_bytes)),
-        ])
-    };
-    let acked_json = |c: &AckedCell| {
-        JsonValue::Object(vec![
-            ("emitted".into(), JsonValue::UInt(c.emitted)),
-            ("silent_lost".into(), JsonValue::UInt(c.silent_lost)),
-            ("switched".into(), JsonValue::Bool(c.switched)),
-            ("relay_active".into(), JsonValue::Bool(c.relay_active)),
-        ])
-    };
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::str(crate::JSON_SCHEMA)),
-        ("report".into(), JsonValue::str("topology")),
-        ("experiment".into(), JsonValue::str("live_topology")),
-        ("headline_racks".into(), JsonValue::UInt(HEADLINE_RACKS as u64)),
-        ("headline_lambda".into(), JsonValue::Float(HEADLINE_LAMBDA)),
+fn summary_json(points: &[ModelPoint], bytes: Vec<JsonValue>, acked: &[CellOutcome]) -> JsonValue {
+    let topo = &cell(points, HEADLINE_RACKS, HEADLINE_LAMBDA, "topo").cost;
+    let whale = &cell(points, HEADLINE_RACKS, HEADLINE_LAMBDA, "whale").cost;
+    let binomial = &cell(points, HEADLINE_RACKS, HEADLINE_LAMBDA, "binomial").cost;
+    let acked = cells_json(
+        acked,
+        &["emitted", "silent_lost", "switched", "relay_active"],
+    );
+    object(&[
+        ("schema", &crate::JSON_SCHEMA),
+        ("report", &"topology"),
+        ("experiment", &"live_topology"),
+        ("headline_racks", &HEADLINE_RACKS),
+        ("headline_lambda", &HEADLINE_LAMBDA),
+        ("topo_completion_us", &topo.completion_us),
+        ("whale_completion_us", &whale.completion_us),
+        ("binomial_completion_us", &binomial.completion_us),
+        ("topo_uplink_edges", &topo.uplink_edges),
+        ("whale_uplink_edges", &whale.uplink_edges),
+        ("binomial_uplink_edges", &binomial.uplink_edges),
         (
-            "topo_completion_us".into(),
-            JsonValue::Float(topo.cost.completion_us),
+            "speedup_vs_whale",
+            &(whale.completion_us / topo.completion_us),
         ),
         (
-            "whale_completion_us".into(),
-            JsonValue::Float(whale.cost.completion_us),
+            "speedup_vs_binomial",
+            &(binomial.completion_us / topo.completion_us),
         ),
-        (
-            "binomial_completion_us".into(),
-            JsonValue::Float(binomial.cost.completion_us),
-        ),
-        (
-            "topo_uplink_edges".into(),
-            JsonValue::UInt(topo.cost.uplink_edges as u64),
-        ),
-        (
-            "whale_uplink_edges".into(),
-            JsonValue::UInt(whale.cost.uplink_edges as u64),
-        ),
-        (
-            "binomial_uplink_edges".into(),
-            JsonValue::UInt(binomial.cost.uplink_edges as u64),
-        ),
-        (
-            "speedup_vs_whale".into(),
-            JsonValue::Float(whale.cost.completion_us / topo.cost.completion_us),
-        ),
-        (
-            "speedup_vs_binomial".into(),
-            JsonValue::Float(binomial.cost.completion_us / topo.cost.completion_us),
-        ),
-        (
-            "byte_cells".into(),
-            JsonValue::Array(bytes.iter().map(byte_json).collect()),
-        ),
-        (
-            "acked_cells".into(),
-            JsonValue::Array(acked.iter().map(acked_json).collect()),
-        ),
+        ("byte_cells", &bytes),
+        ("acked_cells", &acked),
     ])
 }
 
-/// Run the model sweep, assert the acceptance margins, and return the
-/// result table.
-pub fn run_experiment(_scale: Scale) -> Vec<Table> {
+/// Run the model sweep, assert the acceptance margins, run the live
+/// cells, and return the result table and the headline report.
+pub fn run_experiment(scale: Scale) -> Output {
     let points = model_sweep();
 
     // Headline: the rack-aware tree must beat *both* baselines on *both*
@@ -499,7 +384,11 @@ pub fn run_experiment(_scale: Scale) -> Vec<Table> {
         );
     }
 
-    vec![table_from_points(&points)]
+    let acked = [measure_acked(scale)];
+    Output {
+        tables: vec![table_from_points(&points)],
+        headline: Some(summary_json(&points, byte_cells(scale), &acked)),
+    }
 }
 
 #[cfg(test)]
@@ -514,24 +403,6 @@ mod tests {
         let whale = cell(&points, HEADLINE_RACKS, HEADLINE_LAMBDA, "whale");
         assert!(topo.cost.completion_us < whale.cost.completion_us);
         assert!(topo.cost.uplink_edges < whale.cost.uplink_edges);
-    }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        assert_eq!(model_sweep(), model_sweep());
-        let a = summary_json(&model_sweep(), &[], &[]).to_json_string();
-        let b = summary_json(&model_sweep(), &[], &[]).to_json_string();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn table_covers_the_full_sweep() {
-        let tables = run_experiment(Scale::Smoke);
-        assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].len(), RACKS.len() * LAMBDA_RAMP.len() * 3);
-        let json = tables[0].to_json().to_json_string();
-        assert!(json.contains("\"schema\":\"whale-bench/v1\""), "{json}");
-        assert!(json.contains("\"figure\":\"live_topology\""));
     }
 
     #[test]
@@ -554,19 +425,14 @@ mod tests {
     fn live_byte_cells_prefer_the_uplink_economizing_tree() {
         // `byte_cells` itself asserts topo < oblivious per rack count;
         // smoke-run the 5-rack pair here.
-        let topo = measure_bytes(Scale::Smoke, 5, true);
-        let oblivious = measure_bytes(Scale::Smoke, 5, false);
-        assert!(topo.uplink_bytes > 0);
-        assert!(topo.uplink_bytes < oblivious.uplink_bytes);
+        let bytes = |topo_trees| {
+            let r = measure_bytes(Scale::Smoke, 5, topo_trees).report;
+            (r.copied_bytes + r.shared_bytes, r.uplink_bytes)
+        };
+        let (topo, oblivious) = (bytes(true), bytes(false));
+        assert!(topo.1 > 0);
+        assert!(topo.1 < oblivious.1);
         // Deterministic: the same cell re-measures byte-identically.
-        assert_eq!(topo, measure_bytes(Scale::Smoke, 5, true));
-    }
-
-    #[test]
-    fn acked_cell_accounts_for_every_tuple() {
-        let c = measure_acked(Scale::Smoke);
-        assert_eq!(c.silent_lost, 0);
-        assert!(c.switched);
-        assert!(c.relay_active);
+        assert_eq!(topo, bytes(true));
     }
 }

@@ -18,14 +18,15 @@
 //! then price both disciplines on the paper's cost model. Every run is a
 //! pure function of the config, so reruns emit byte-identical JSON.
 
-use crate::{Scale, Table};
+use super::Output;
+use crate::{object, Scale, Table};
 use bytes::BufMut;
 use whale_dsps::BufferPool;
 use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
 use whale_sim::{CostModel, JsonValue, SimDuration, SimTime, Transport};
 
-/// Tuple payload size, matching the Figs 11/12 and E19 calibration runs.
-/// Public so E24 prices its pipeline-shard sweep on the same frames.
+/// Tuple payload size, matching the Figs 11/12 calibration runs. Public
+/// so E19 drives the same frames.
 pub const MSG_BYTES: usize = 150;
 
 /// One (fanout, shards) operating point measured under both disciplines.
@@ -57,6 +58,11 @@ pub struct ZeroCopyPoint {
     pub mean_batch: f64,
     /// Messages on the most loaded flusher shard (drain critical path).
     pub max_shard_msgs: u64,
+    /// Modeled time the shared discipline's sender stage takes (s).
+    /// Public, with `drain_s`, so E24 divides it across pipelines.
+    pub sender_shared_s: f64,
+    /// Modeled time the slowest flusher shard takes to drain (s).
+    pub drain_s: f64,
     /// Modeled end-to-end capacity of clone-per-dest (tuples/s).
     pub clone_tuples_s: f64,
     /// Modeled end-to-end capacity of shared fan-out (tuples/s).
@@ -85,10 +91,24 @@ fn pump_all_shards(fabric: &RingFabric, now: SimTime) {
     }
 }
 
+/// The ring every live-path sweep (E19, E20, E24) drives: 64 KiB of ring
+/// sliced at MMS = 4 KiB / WTL = 1 ms, drained by `shards` flushers.
+pub(super) fn ring_config(shards: usize) -> RingConfig {
+    RingConfig {
+        ring_capacity: 64 * 1024,
+        batch: BatchConfig {
+            mms: 4 * 1024,
+            wtl: SimDuration::from_millis(1),
+        },
+        flusher_shards: shards,
+        ..RingConfig::default()
+    }
+}
+
 /// Run one discipline: emit `tuples` frames to `fanout` destinations,
 /// draining per shard on every tick, and return the fabric for its
 /// counters. `send` posts one frame to all destinations.
-fn drive(
+pub(super) fn drive(
     config: RingConfig,
     tuples: u64,
     fanout: u32,
@@ -129,15 +149,7 @@ fn drive(
 /// the result on the cost model.
 pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
     let tuples: u64 = scale.pick3(600, 10_000, 50_000);
-    let config = RingConfig {
-        ring_capacity: 64 * 1024,
-        batch: BatchConfig {
-            mms: 4 * 1024,
-            wtl: SimDuration::from_millis(1),
-        },
-        flusher_shards: shards,
-        ..RingConfig::default()
-    };
+    let config = ring_config(shards);
     let source = EndpointId(0);
 
     // Clone-per-dest: a fresh encode and a physical copy per destination.
@@ -216,6 +228,8 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
         pool_hit_rate: pool.hit_rate(),
         mean_batch: shared.mean_batch_size(),
         max_shard_msgs,
+        sender_shared_s: sender_shared,
+        drain_s: drain_time,
         clone_tuples_s: tuples as f64 / sender_clone.max(drain_time),
         shared_tuples_s: tuples as f64 / sender_shared.max(drain_time),
     }
@@ -239,95 +253,71 @@ pub fn sweep(scale: Scale) -> Vec<ZeroCopyPoint> {
 }
 
 /// Build the result table from measured points.
-pub fn table_from_points(points: &[ZeroCopyPoint]) -> Table {
-    let mut table = Table::new(
+fn table_from_points(points: &[ZeroCopyPoint]) -> Table {
+    Table::of(
         "live_zero_copy",
         "Live path: clone-per-dest vs serialize-once shared fan-out (modeled capacity)",
+        points,
         &[
-            "fanout",
-            "shards",
-            "messages",
-            "clone_encodes",
-            "shared_encodes",
-            "pool_hit_rate",
-            "mean_batch",
-            "max_shard_msgs",
-            "clone_tuples_s",
-            "shared_tuples_s",
-            "speedup",
+            ("fanout", |p| p.fanout.to_string()),
+            ("shards", |p| p.shards.to_string()),
+            ("messages", |p| p.messages.to_string()),
+            ("clone_encodes", |p| p.clone_encodes.to_string()),
+            ("shared_encodes", |p| p.shared_encodes.to_string()),
+            ("pool_hit_rate", |p| format!("{:.4}", p.pool_hit_rate)),
+            ("mean_batch", |p| format!("{:.1}", p.mean_batch)),
+            ("max_shard_msgs", |p| p.max_shard_msgs.to_string()),
+            ("clone_tuples_s", |p| format!("{:.0}", p.clone_tuples_s)),
+            ("shared_tuples_s", |p| format!("{:.0}", p.shared_tuples_s)),
+            ("speedup", |p| format!("{:.2}", p.speedup())),
         ],
-    );
-    for p in points {
-        table.row_strings(vec![
-            p.fanout.to_string(),
-            p.shards.to_string(),
-            p.messages.to_string(),
-            p.clone_encodes.to_string(),
-            p.shared_encodes.to_string(),
-            format!("{:.4}", p.pool_hit_rate),
-            format!("{:.1}", p.mean_batch),
-            p.max_shard_msgs.to_string(),
-            format!("{:.0}", p.clone_tuples_s),
-            format!("{:.0}", p.shared_tuples_s),
-            format!("{:.2}", p.speedup()),
-        ]);
-    }
-    table
+    )
 }
 
 /// Headline summary of the live path, written as the top-level
 /// `BENCH_live_path.json`. Schema-stable and byte-identical across
 /// same-scale reruns (every field derives from the deterministic sweep).
-pub fn summary_json(points: &[ZeroCopyPoint]) -> JsonValue {
-    let by = |fanout: u32, shards: usize| {
-        points
-            .iter()
-            .find(|p| p.fanout == fanout && p.shards == shards)
-            .expect("sweep covers the headline points")
-    };
+fn summary_json(points: &[ZeroCopyPoint]) -> JsonValue {
+    let f8 = points
+        .iter()
+        .find(|p| p.fanout == 8 && p.shards == 1)
+        .expect("sweep covers the headline points");
     let best = points
         .iter()
         .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
         .expect("sweep is non-empty");
-    let f8 = by(8, 1);
     let point_json = |p: &ZeroCopyPoint| {
-        JsonValue::Object(vec![
-            ("fanout".into(), JsonValue::UInt(p.fanout as u64)),
-            ("shards".into(), JsonValue::UInt(p.shards as u64)),
-            ("speedup".into(), JsonValue::Float(p.speedup())),
-            ("clone_tuples_s".into(), JsonValue::Float(p.clone_tuples_s)),
-            (
-                "shared_tuples_s".into(),
-                JsonValue::Float(p.shared_tuples_s),
-            ),
-            ("pool_hit_rate".into(), JsonValue::Float(p.pool_hit_rate)),
+        object(&[
+            ("fanout", &p.fanout),
+            ("shards", &p.shards),
+            ("speedup", &p.speedup()),
+            ("clone_tuples_s", &p.clone_tuples_s),
+            ("shared_tuples_s", &p.shared_tuples_s),
+            ("pool_hit_rate", &p.pool_hit_rate),
         ])
     };
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::str(crate::JSON_SCHEMA)),
-        ("report".into(), JsonValue::str("live_path")),
-        ("experiment".into(), JsonValue::str("live_zero_copy")),
-        ("fanout_8".into(), point_json(f8)),
-        ("best".into(), point_json(best)),
-        (
-            "min_pool_hit_rate".into(),
-            JsonValue::Float(
-                points
-                    .iter()
-                    .map(|p| p.pool_hit_rate)
-                    .fold(f64::INFINITY, f64::min),
-            ),
-        ),
-        (
-            "points".into(),
-            JsonValue::UInt(points.len() as u64),
-        ),
+    let min_hit_rate = points
+        .iter()
+        .map(|p| p.pool_hit_rate)
+        .fold(f64::INFINITY, f64::min);
+    object(&[
+        ("schema", &crate::JSON_SCHEMA),
+        ("report", &"live_path"),
+        ("experiment", &"live_zero_copy"),
+        ("fanout_8", &point_json(f8)),
+        ("best", &point_json(best)),
+        ("min_pool_hit_rate", &min_hit_rate),
+        ("points", &points.len()),
     ])
 }
 
 /// Run the fan-out × shards sweep.
-pub fn run_experiment(scale: Scale) -> Vec<Table> {
-    vec![table_from_points(&sweep(scale))]
+pub fn run_experiment(scale: Scale) -> Output {
+    let points = sweep(scale);
+    Output {
+        tables: vec![table_from_points(&points)],
+        headline: Some(summary_json(&points)),
+    }
 }
 
 #[cfg(test)]
@@ -379,11 +369,8 @@ mod tests {
 
     #[test]
     fn sweep_emits_one_row_per_point() {
-        let tables = run_experiment(Scale::Smoke);
+        let tables = run_experiment(Scale::Smoke).tables;
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), FANOUTS.len() * SHARDS.len());
-        let json = tables[0].to_json().to_json_string();
-        assert!(json.contains("\"schema\":\"whale-bench/v1\""), "{json}");
-        assert!(json.contains("\"figure\":\"live_zero_copy\""));
     }
 }

@@ -1,19 +1,25 @@
 //! # whale-bench — the experiment harness
 //!
-//! One module per paper artifact (figure or table); each exposes
-//! `run(scale) -> Vec<Table>` printing the same rows/series the paper
-//! reports and writing CSVs under `results/`. The `repro_all` binary runs
-//! the whole evaluation section; individual `figXX_*` binaries run one
-//! experiment.
+//! One module per paper artifact (figure, table, ablation or live
+//! experiment) under [`experiments`], each listed once in
+//! [`experiments::REGISTRY`] with the `fn(Scale) -> Output` that
+//! regenerates it: the rows/series the paper reports as tables (printed,
+//! and written as CSV + JSON under `results/`) and, for the live
+//! experiments, a headline `BENCH_*.json`. The one binary, `whale-bench`,
+//! runs the registry: `run <name|id|all> [--smoke]`, `list`, and `check`
+//! ([`check`]: every committed headline against a fresh regeneration).
 
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod experiments;
 pub mod par;
 pub mod report;
 
 pub use par::{par_map, par_map_with};
-pub use report::{engine_run_json, fmt_rate, results_dir, Table, JSON_SCHEMA};
+pub use report::{
+    engine_run_json, fmt_rate, object, results_dir, write_headline, Json, Table, JSON_SCHEMA,
+};
 
 /// How much work to spend: `Quick` keeps every experiment seconds-scale;
 /// `Full` uses longer runs for smoother series; `Smoke` is a minimal

@@ -1,6 +1,9 @@
 //! Result tables: aligned console output + CSV files under `results/`,
-//! each paired with a schema-stable machine-readable JSON report.
+//! each paired with a schema-stable machine-readable JSON report, plus
+//! the headline `BENCH_*.json` writer and the [`object`] builder both
+//! kinds of report are assembled with.
 
+use crate::Scale;
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
@@ -10,6 +13,9 @@ use whale_sim::JsonValue;
 /// Version tag stamped into every JSON report so downstream tooling can
 /// detect layout changes.
 pub const JSON_SCHEMA: &str = "whale-bench/v1";
+
+/// One column of [`Table::of`]: its name and the cell a point puts in it.
+pub type Column<'a, P> = (&'a str, fn(&P) -> String);
 
 /// A simple column-aligned result table that doubles as a CSV writer.
 #[derive(Clone, Debug)]
@@ -37,6 +43,17 @@ impl Table {
         }
     }
 
+    /// A table of one row per point: each column is its name and how a
+    /// point renders in it.
+    pub fn of<P>(id: &str, title: &str, points: &[P], columns: &[Column<P>]) -> Self {
+        let header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
+        let mut table = Table::new(id, title, &header);
+        for p in points {
+            table.row_strings(columns.iter().map(|(_, cell)| cell(p)).collect());
+        }
+        table
+    }
+
     /// Attach one run-level JSON object (typically from
     /// [`engine_run_json`]) to the table's JSON report.
     pub fn attach_run(&mut self, run: JsonValue) {
@@ -54,6 +71,20 @@ impl Table {
     pub fn row_strings(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
+    }
+
+    /// Append a report object as a row: its values in field order,
+    /// strings as they are, everything else as it renders in JSON
+    /// (`true`, `42`).
+    pub fn row_json(&mut self, record: &JsonValue) {
+        let JsonValue::Object(fields) = record else {
+            panic!("a table row is built from a JSON object, got {record:?}");
+        };
+        let cells = fields.iter().map(|(_, v)| match v {
+            JsonValue::Str(s) => s.clone(),
+            other => other.to_json_string(),
+        });
+        self.row_strings(cells.collect());
     }
 
     /// Number of data rows.
@@ -177,6 +208,77 @@ impl Table {
     }
 }
 
+/// A value a report field can hold, so [`object`] takes plain Rust
+/// values and picks the [`JsonValue`] variant itself.
+pub trait Json {
+    /// The value as JSON.
+    fn json(&self) -> JsonValue;
+}
+
+macro_rules! json_uint {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn json(&self) -> JsonValue {
+                JsonValue::UInt(*self as u64)
+            }
+        }
+    )*};
+}
+json_uint!(u32, u64, usize);
+
+impl Json for f64 {
+    fn json(&self) -> JsonValue {
+        JsonValue::Float(*self)
+    }
+}
+
+impl Json for bool {
+    fn json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+}
+
+impl Json for &str {
+    fn json(&self) -> JsonValue {
+        JsonValue::str(*self)
+    }
+}
+
+impl Json for JsonValue {
+    fn json(&self) -> JsonValue {
+        self.clone()
+    }
+}
+
+/// `None` is `null`.
+impl<T: Json> Json for Option<T> {
+    fn json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, Json::json)
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(Json::json).collect())
+    }
+}
+
+impl<T: Json, const N: usize> Json for [T; N] {
+    fn json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(Json::json).collect())
+    }
+}
+
+/// A JSON object with `fields` in the order given.
+pub fn object(fields: &[(&str, &dyn Json)]) -> JsonValue {
+    JsonValue::Object(
+        fields
+            .iter()
+            .map(|(key, value)| (key.to_string(), value.json()))
+            .collect(),
+    )
+}
+
 /// A CSV cell as a typed JSON value: unsigned, signed, finite float, or
 /// string, in that preference order.
 fn cell_to_json(cell: &str) -> JsonValue {
@@ -212,62 +314,40 @@ pub fn engine_run_json(
     r: &EngineReport,
 ) -> JsonValue {
     let ns_to_ms = 1e-6;
-    let lat = |f: &dyn Fn(&whale_sim::Summary) -> f64| -> JsonValue {
-        match r.metrics.summary("engine.latency_ns") {
-            Some(s) => JsonValue::Float(f(&s) * ns_to_ms),
-            None => JsonValue::Null,
-        }
+    let lat = |f: &dyn Fn(&whale_sim::Summary) -> f64| -> Option<f64> {
+        let summary = r.metrics.summary("engine.latency_ns")?;
+        Some(f(&summary) * ns_to_ms)
     };
-    let gauge = |name: &str| -> JsonValue {
-        match r.metrics.gauge(name) {
-            Some(v) => JsonValue::Float(v),
-            None => JsonValue::Null,
-        }
-    };
-    JsonValue::Object(vec![
-        ("figure".to_string(), JsonValue::str(figure)),
-        ("mode".to_string(), JsonValue::str(mode)),
-        ("parallelism".to_string(), JsonValue::UInt(parallelism as u64)),
-        ("seed".to_string(), JsonValue::UInt(seed)),
-        ("completed".to_string(), JsonValue::UInt(r.completed)),
-        ("dropped".to_string(), JsonValue::UInt(r.dropped)),
-        (
-            "throughput_tuples_per_s".to_string(),
-            JsonValue::Float(r.throughput),
-        ),
-        (
-            "latency_ms".to_string(),
-            JsonValue::Object(vec![
-                ("mean".to_string(), lat(&|s| s.mean)),
-                ("p50".to_string(), lat(&|s| s.p50)),
-                ("p95".to_string(), lat(&|s| s.p95)),
-                ("p99".to_string(), lat(&|s| s.p99)),
-            ]),
-        ),
-        (
-            "queue".to_string(),
-            JsonValue::Object(vec![
-                ("capacity".to_string(), gauge("engine.queue.capacity")),
-                (
-                    "mean_load_factor".to_string(),
-                    gauge("engine.queue.mean_load_factor"),
-                ),
-            ]),
-        ),
-        (
-            "cpu".to_string(),
-            JsonValue::Object(vec![
-                ("source".to_string(), gauge("engine.cpu.source")),
-                ("downstream".to_string(), gauge("engine.cpu.downstream")),
-                ("dispatcher".to_string(), gauge("engine.cpu.dispatcher")),
-                ("aggregator".to_string(), gauge("engine.cpu.aggregator")),
-            ]),
-        ),
-        (
-            "elapsed_secs".to_string(),
-            JsonValue::Float(r.elapsed.as_secs_f64()),
-        ),
-        ("metrics".to_string(), r.metrics.to_json()),
+    let gauge = |name: &str| r.metrics.gauge(name);
+    let latency_ms = object(&[
+        ("mean", &lat(&|s| s.mean)),
+        ("p50", &lat(&|s| s.p50)),
+        ("p95", &lat(&|s| s.p95)),
+        ("p99", &lat(&|s| s.p99)),
+    ]);
+    let queue = object(&[
+        ("capacity", &gauge("engine.queue.capacity")),
+        ("mean_load_factor", &gauge("engine.queue.mean_load_factor")),
+    ]);
+    let cpu = object(&[
+        ("source", &gauge("engine.cpu.source")),
+        ("downstream", &gauge("engine.cpu.downstream")),
+        ("dispatcher", &gauge("engine.cpu.dispatcher")),
+        ("aggregator", &gauge("engine.cpu.aggregator")),
+    ]);
+    object(&[
+        ("figure", &figure),
+        ("mode", &mode),
+        ("parallelism", &parallelism),
+        ("seed", &seed),
+        ("completed", &r.completed),
+        ("dropped", &r.dropped),
+        ("throughput_tuples_per_s", &r.throughput),
+        ("latency_ms", &latency_ms),
+        ("queue", &queue),
+        ("cpu", &cpu),
+        ("elapsed_secs", &r.elapsed.as_secs_f64()),
+        ("metrics", &r.metrics.to_json()),
     ])
 }
 
@@ -276,6 +356,32 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("WHALE_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
+}
+
+/// Where a headline `BENCH_*.json` lands: `$WHALE_BENCH_DIR` if set;
+/// otherwise the working directory at the scale the committed reports
+/// were generated at (quick), and [`results_dir`] at any other scale, so
+/// a smoke or full run never overwrites a committed report.
+pub fn headline_dir(scale: Scale) -> PathBuf {
+    match std::env::var_os("WHALE_BENCH_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None if scale == Scale::Quick => PathBuf::from("."),
+        None => results_dir(),
+    }
+}
+
+/// A headline report as the bytes of its file: compact JSON, one line.
+pub fn headline_text(json: &JsonValue) -> String {
+    format!("{}\n", json.to_json_string())
+}
+
+/// Write the headline report `file` into [`headline_dir`].
+pub fn write_headline(scale: Scale, file: &str, json: &JsonValue) {
+    let dir = headline_dir(scale);
+    let _ = fs::create_dir_all(&dir);
+    let path = dir.join(file);
+    fs::write(&path, headline_text(json)).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("headline report → {}", path.display());
 }
 
 /// Format a tuples/s number compactly.
