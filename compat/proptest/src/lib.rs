@@ -322,7 +322,7 @@ pub mod arbitrary {
 pub mod collection {
     use super::strategy::{Strategy, TestRng};
 
-    /// Size specification accepted by [`vec`].
+    /// Size specification accepted by [`vec()`].
     pub struct SizeRange {
         lo: usize,
         hi: usize,

@@ -4,7 +4,7 @@
 //! Two passes per `BENCH_*.json`. The **invariant** pass reads the
 //! regenerated report as a value: schema tag, report name, zero silent
 //! loss wherever a `silent_lost*` field appears, and the per-report flags
-//! of [`RULES`]. The **byte** pass compares its rendering with the
+//! of `RULES`. The **byte** pass compares its rendering with the
 //! committed file; a difference is reported with the file and the key it
 //! falls under, so a stale headline fails the build instead of waiting
 //! for someone to rerun it.

@@ -75,7 +75,6 @@ pub fn tracked_ack() -> AckConfig {
         max_replays: 20,
         drain_deadline: Duration::from_secs(20),
         eos_redundancy: 8,
-        ..AckConfig::default()
     }
 }
 

@@ -36,7 +36,7 @@ use whale_sim::{CostModel, JsonValue};
 const MSG_BYTES: usize = 150;
 
 /// Per-destination serialization time fed to `d*` (matches the live
-/// controller's `t_e_default`).
+/// controller's `T_E_DEFAULT`).
 const T_E: f64 = 20e-6;
 
 /// Transfer-queue capacity Q for the M/D/1 waterline.
@@ -152,14 +152,15 @@ pub fn hop_prices() -> (f64, f64) {
     ((2.0 * ser + mr_op) * 1e6, (id_pack + mr_op) * 1e6)
 }
 
-/// One acked relay cell: 8 machines, 16-way fan-out, per-send fabric.
+/// One acked relay cell: 8 machines, 16-way fan-out, per-send fabric,
+/// first tree generation of out-degree `d_star`.
 /// Every emitted tuple must end acked or failed, and the relay tree must
 /// actually have carried them; a forced switch must land mid-stream.
 fn cell(
     scale: Scale,
     mode: &'static str,
     adaptive: Option<AdaptiveConfig>,
-    static_d: Option<u32>,
+    d_star: Option<u32>,
     zero_copy: bool,
     drop_pct: u32,
 ) -> CellSpec {
@@ -169,7 +170,7 @@ fn cell(
     let seed = 0xADA9_7000 + drop_pct as u64 * 31 + zero_copy as u64 * 7 + mode.len() as u64;
     let mut cell = CellSpec::tracked(mode, scale.pick3(120, 400, 1_500), 16, 8);
     cell.config.zero_copy = zero_copy;
-    cell.config.multicast_d_star = static_d;
+    cell.config.multicast_d_star = d_star;
     cell.config.multicast_adaptive = adaptive;
     cell.config.fault =
         (drop_pct > 0).then(|| FaultPlan::uniform_drops(seed, drop_pct as f64 / 100.0));
@@ -198,7 +199,6 @@ fn cell(
 /// switch landed with zero silent loss.
 pub fn measure_controller_soak(scale: Scale) -> CellOutcome {
     let organic = AdaptiveConfig {
-        initial_d: 1,
         interval: Duration::from_millis(1),
         // Empty: decisions come from the monitor + controller.
         forced_switches: Vec::new(),
@@ -212,7 +212,7 @@ pub fn measure_controller_soak(scale: Scale) -> CellOutcome {
         gap: Duration::from_micros(200),
         // The controller itself must scale the tree up from d*=1.
         expect: vec![Expect::RelayActive, Expect::Switched, Expect::Widened],
-        ..cell(scale, "controller_soak", Some(organic), None, true, 0)
+        ..cell(scale, "controller_soak", Some(organic), Some(1), true, 0)
     })
 }
 
@@ -221,17 +221,16 @@ pub fn measure_controller_soak(scale: Scale) -> CellOutcome {
 pub fn live_cells(scale: Scale) -> Vec<CellOutcome> {
     let forced = || {
         Some(AdaptiveConfig {
-            initial_d: 2,
             interval: Duration::from_millis(1),
             forced_switches: vec![(scale.pick3(120, 400, 1_500) / 3, 4)],
             ..AdaptiveConfig::default()
         })
     };
     vec![
-        run_cell(&cell(scale, "adaptive_clean", forced(), None, true, 0)),
-        run_cell(&cell(scale, "adaptive_drops", forced(), None, true, 10)),
+        run_cell(&cell(scale, "adaptive_clean", forced(), Some(2), true, 0)),
+        run_cell(&cell(scale, "adaptive_drops", forced(), Some(2), true, 10)),
         run_cell(&cell(scale, "static_clean", None, Some(2), true, 0)),
-        run_cell(&cell(scale, "clone_forward", forced(), None, false, 0)),
+        run_cell(&cell(scale, "clone_forward", forced(), Some(2), false, 0)),
         measure_controller_soak(scale),
     ]
 }

@@ -143,7 +143,6 @@ pub fn measure_crash(scale: Scale, kind: FabricKind, with_log: bool) -> (Recover
             max_replays: 3,
             drain_deadline: Duration::from_secs(30),
             eos_redundancy: 4,
-            ..AckConfig::default()
         }
     } else {
         AckConfig {
@@ -153,7 +152,6 @@ pub fn measure_crash(scale: Scale, kind: FabricKind, with_log: bool) -> (Recover
             max_replays: 20,
             drain_deadline: Duration::from_secs(30),
             eos_redundancy: 4,
-            ..AckConfig::default()
         }
     };
     let cell = if with_log {
@@ -279,7 +277,6 @@ pub fn measure_bounded_retention(scale: Scale) -> RecoveryPoint {
         // Far above what the stream needs: the watermark GC, not the
         // segment cap, is what keeps memory flat.
         max_segments: 1 << 20,
-        rack_hops: 0,
     });
     spec.config.run_deadline = Some(Duration::from_secs(15));
     // Retention must drain to zero, not grow with the stream.
@@ -309,7 +306,6 @@ pub fn measure_torn_tail() -> RecoveryPoint {
     let config = whale_net::LogConfig {
         segment_bytes: 256,
         max_segments: 1024,
-        rack_hops: 0,
     };
     let mut log = PartitionLog::new(config);
     let records: u64 = 24;

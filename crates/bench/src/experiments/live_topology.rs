@@ -38,7 +38,7 @@ use whale_net::{FabricKind, TopologyConfig};
 use whale_sim::JsonValue;
 
 /// Per-destination serialization time (µs), matching the live
-/// controller's `t_e_default` (and E22's planner, whose `d*(λ)` the
+/// controller's `T_E_DEFAULT` (and E22's planner, whose `d*(λ)` the
 /// sweep reuses).
 const T_E_US: f64 = 20.0;
 
@@ -167,7 +167,7 @@ pub fn skewed_rack_map(racks: u32, machines: u32) -> Vec<u32> {
 }
 
 /// A relay cell on the skewed rack map: 10 machines, 16-way fan-out,
-/// per-send fabric, zero-copy.
+/// per-send fabric, zero-copy, first tree generation at `d* = 2`.
 fn live_cell(scale: Scale, label: String, gap: Duration, adaptive: AdaptiveConfig) -> CellSpec {
     CellSpec {
         label,
@@ -179,6 +179,7 @@ fn live_cell(scale: Scale, label: String, gap: Duration, adaptive: AdaptiveConfi
             machines: MACHINES,
             zero_copy: true,
             fabric: FabricKind::PerSend,
+            multicast_d_star: Some(2),
             multicast_adaptive: Some(adaptive),
             ..LiveConfig::default()
         },
@@ -193,14 +194,12 @@ fn live_cell(scale: Scale, label: String, gap: Duration, adaptive: AdaptiveConfi
 /// `uplink_bytes` it reports are identical across reruns.
 pub fn measure_bytes(scale: Scale, racks: u32, topo_trees: bool) -> CellOutcome {
     let adaptive = AdaptiveConfig {
-        initial_d: 2,
         // No mid-run switches: one tree generation end to end.
         interval: Duration::from_secs(60),
         topology: Some(TopologyConfig {
             racks,
             rack_of_machine: Some(skewed_rack_map(racks, MACHINES)),
             topo_trees,
-            ..TopologyConfig::default()
         }),
         ..AdaptiveConfig::default()
     };
@@ -265,7 +264,6 @@ pub fn byte_cells(scale: Scale) -> Vec<JsonValue> {
 pub fn measure_acked(scale: Scale) -> CellOutcome {
     let tuples: u64 = scale.pick3(120, 400, 1_200);
     let adaptive = AdaptiveConfig {
-        initial_d: 1,
         interval: Duration::from_millis(1),
         forced_switches: vec![(tuples / 3, 4)],
         topology: Some(TopologyConfig {
@@ -273,7 +271,6 @@ pub fn measure_acked(scale: Scale) -> CellOutcome {
             rack_of_machine: Some(skewed_rack_map(HEADLINE_RACKS, MACHINES)),
             ..TopologyConfig::default()
         }),
-        ..AdaptiveConfig::default()
     };
     let mut spec = live_cell(
         scale,
@@ -281,6 +278,7 @@ pub fn measure_acked(scale: Scale) -> CellOutcome {
         Duration::from_micros(100),
         adaptive,
     );
+    spec.config.multicast_d_star = Some(1);
     spec.config.ack = Some(tracked_ack());
     spec.config.run_deadline = Some(Duration::from_secs(10));
     spec.expect.push(Expect::Switched);

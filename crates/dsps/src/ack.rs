@@ -11,7 +11,6 @@ pub struct LatencyTracker {
     inflight: HashMap<u64, SimTime>,
     hist: Histogram,
     completed: u64,
-    orphans: u64,
 }
 
 impl LatencyTracker {
@@ -26,20 +25,13 @@ impl LatencyTracker {
     }
 
     /// Record completion of tuple `id` at `at`; returns its latency.
-    /// Unknown ids (e.g. dropped then retried) count as orphans.
+    /// Unknown ids (e.g. dropped then retried) return `None`.
     pub fn completed(&mut self, id: u64, at: SimTime) -> Option<SimDuration> {
-        match self.inflight.remove(&id) {
-            Some(start) => {
-                let lat = at.since(start);
-                self.hist.record_duration(lat);
-                self.completed += 1;
-                Some(lat)
-            }
-            None => {
-                self.orphans += 1;
-                None
-            }
-        }
+        let start = self.inflight.remove(&id)?;
+        let lat = at.since(start);
+        self.hist.record_duration(lat);
+        self.completed += 1;
+        Some(lat)
     }
 
     /// Discard an in-flight tuple (e.g. dropped at an overflowing queue).
@@ -55,11 +47,6 @@ impl LatencyTracker {
     /// Completed tuple count.
     pub fn completed_count(&self) -> u64 {
         self.completed
-    }
-
-    /// Completions for unknown ids.
-    pub fn orphan_count(&self) -> u64 {
-        self.orphans
     }
 
     /// Latency distribution of completed tuples.
@@ -143,13 +130,6 @@ mod tests {
         assert_eq!(lat, SimDuration::from_micros(25));
         assert_eq!(t.completed_count(), 1);
         assert_eq!(t.inflight(), 0);
-    }
-
-    #[test]
-    fn orphan_completion_counted() {
-        let mut t = LatencyTracker::new();
-        assert!(t.completed(99, SimTime::ZERO).is_none());
-        assert_eq!(t.orphan_count(), 1);
     }
 
     #[test]

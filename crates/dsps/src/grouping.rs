@@ -6,7 +6,7 @@
 //! destination), and *all grouping* (one-to-many: every downstream task) —
 //! plus direct addressing.
 
-use crate::codec::{LazyTuple, ValueView};
+use crate::codec::ValueView;
 use crate::task::TaskId;
 use crate::topology::Grouping;
 use crate::tuple::{Tuple, Value};
@@ -19,16 +19,12 @@ use crate::tuple::{Tuple, Value};
 pub enum RouteError {
     /// The tuple lacks the field a fields grouping hashes.
     MissingKeyField(usize),
-    /// The key field exists but its wire bytes are corrupt (a lazily
-    /// validated string that failed deferred UTF-8 checking).
-    CorruptKeyField(usize),
 }
 
 impl std::fmt::Display for RouteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RouteError::MissingKeyField(idx) => write!(f, "tuple lacks key field {idx}"),
-            RouteError::CorruptKeyField(idx) => write!(f, "key field {idx} is corrupt on the wire"),
         }
     }
 }
@@ -92,48 +88,6 @@ impl GroupingExec {
         direct: Option<TaskId>,
         out: &mut Vec<TaskId>,
     ) -> Result<(), RouteError> {
-        self.route_keyed_into(
-            |idx| {
-                tuple
-                    .get(idx)
-                    .map(hash_value)
-                    .ok_or(RouteError::MissingKeyField(idx))
-            },
-            direct,
-            out,
-        )
-    }
-
-    /// Destinations for one lazily-decoded tuple. Fields grouping hashes
-    /// the key straight off the wire view — no materialization, no
-    /// allocation ([`hash_value_view`] equals [`hash_value`] on the
-    /// owned value by construction).
-    pub fn route_lazy_into(
-        &mut self,
-        tuple: &LazyTuple,
-        direct: Option<TaskId>,
-        out: &mut Vec<TaskId>,
-    ) -> Result<(), RouteError> {
-        self.route_keyed_into(
-            |idx| match tuple.field(idx) {
-                None => Err(RouteError::MissingKeyField(idx)),
-                Some(Err(_)) => Err(RouteError::CorruptKeyField(idx)),
-                Some(Ok(v)) => Ok(hash_value_view(&v)),
-            },
-            direct,
-            out,
-        )
-    }
-
-    /// The shared routing core: every strategy except `Fields` ignores
-    /// the tuple, so the key hash is abstracted behind a closure and the
-    /// owned and view paths cannot drift apart.
-    fn route_keyed_into(
-        &mut self,
-        key_hash: impl FnOnce(usize) -> Result<u64, RouteError>,
-        direct: Option<TaskId>,
-        out: &mut Vec<TaskId>,
-    ) -> Result<(), RouteError> {
         out.clear();
         match &self.grouping {
             Grouping::Shuffle => {
@@ -143,7 +97,8 @@ impl GroupingExec {
                 out.push(t);
             }
             Grouping::Fields(idx) => {
-                let h = key_hash(*idx)?;
+                let key = tuple.get(*idx).ok_or(RouteError::MissingKeyField(*idx))?;
+                let h = hash_value(key);
                 out.push(self.targets[(h % self.targets.len() as u64) as usize]);
             }
             Grouping::All => out.extend_from_slice(&self.targets),
@@ -368,28 +323,6 @@ mod tests {
         let _ = GroupingExec::new(Grouping::Shuffle, vec![]);
     }
 
-    fn lazy_of(t: &Tuple) -> LazyTuple {
-        let bytes = crate::codec::encode_tuple(t);
-        let buf: std::sync::Arc<[u8]> = std::sync::Arc::from(&bytes[..]);
-        LazyTuple::from_wire(buf, 0).unwrap()
-    }
-
-    #[test]
-    fn lazy_routing_matches_owned_routing() {
-        for key in ["driver-1", "driver-2", "k", ""] {
-            let t = key_tuple(key);
-            let lazy = lazy_of(&t);
-            let mut owned = GroupingExec::new(Grouping::Fields(0), targets(8));
-            let mut viewed = GroupingExec::new(Grouping::Fields(0), targets(8));
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            owned.route_into(&t, None, &mut a).unwrap();
-            viewed.route_lazy_into(&lazy, None, &mut b).unwrap();
-            assert_eq!(a, b, "key {key:?} must route identically");
-            assert!(!lazy.is_materialized(), "routing must stay lazy");
-        }
-    }
-
     #[test]
     fn hash_view_equals_hash_owned_for_every_type() {
         let values = [
@@ -404,31 +337,5 @@ mod tests {
         for v in &values {
             assert_eq!(hash_value(v), hash_value_view(&ValueView::from(v)), "{v:?}");
         }
-    }
-
-    #[test]
-    fn lazy_missing_and_corrupt_key_fields_are_errors() {
-        let mut g = GroupingExec::new(Grouping::Fields(3), targets(4));
-        let lazy = lazy_of(&key_tuple("x"));
-        let mut out = Vec::new();
-        assert_eq!(
-            g.route_lazy_into(&lazy, None, &mut out),
-            Err(RouteError::MissingKeyField(3))
-        );
-        // A key whose string bytes fail deferred UTF-8 validation.
-        use bytes::{BufMut, BytesMut};
-        let mut raw = BytesMut::new();
-        raw.put_u64_le(1);
-        raw.put_u16_le(1);
-        raw.put_u8(3); // TAG_STR
-        raw.put_u32_le(2);
-        raw.put_slice(&[0xFF, 0xFE]);
-        let buf: std::sync::Arc<[u8]> = std::sync::Arc::from(&raw.freeze()[..]);
-        let corrupt = LazyTuple::from_wire(buf, 0).unwrap();
-        let mut g0 = GroupingExec::new(Grouping::Fields(0), targets(4));
-        assert_eq!(
-            g0.route_lazy_into(&corrupt, None, &mut out),
-            Err(RouteError::CorruptKeyField(0))
-        );
     }
 }

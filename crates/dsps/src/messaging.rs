@@ -16,7 +16,6 @@
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::TaskId;
 use std::ops::Range;
-use whale_sim::{CostModel, SimDuration};
 
 /// Which communication mechanism the system runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -144,20 +143,6 @@ impl MessagePlan {
         &self.tasks[self.local.clone()]
     }
 
-    /// Upstream CPU spent serializing for this plan.
-    pub fn serialization_cpu(&self, item_bytes: usize, cost: &CostModel) -> SimDuration {
-        match self.serializations {
-            0 => SimDuration::ZERO,
-            1 => cost.serialize_batch(item_bytes, self.fanout()),
-            n => cost.serialize(item_bytes) * n as u64,
-        }
-    }
-
-    /// Number of remote messages.
-    pub fn remote_count(&self) -> usize {
-        self.remote.len()
-    }
-
     /// Total destination tasks covered (remote + local).
     pub fn fanout(&self) -> usize {
         self.tasks.len()
@@ -191,7 +176,7 @@ mod tests {
         let plan = plan(CommMode::InstanceOriented, src, 100, &dsts, &p);
         // 12 tasks over 4 workers: 3 local (worker 0), 9 remote.
         assert_eq!(plan.local_tasks().len(), 3);
-        assert_eq!(plan.remote_count(), 9);
+        assert_eq!(plan.remote().len(), 9);
         assert_eq!(plan.serializations, 12);
         assert_eq!(plan.total_wire_bytes, 9 * (8 + 100));
         assert_eq!(plan.fanout(), 12);
@@ -202,7 +187,7 @@ mod tests {
         let (p, src, dsts) = setup(12, 4);
         let plan = plan(CommMode::WorkerOriented, src, 100, &dsts, &p);
         assert_eq!(plan.local_tasks().len(), 3);
-        assert_eq!(plan.remote_count(), 3, "one message per remote worker");
+        assert_eq!(plan.remote().len(), 3, "one message per remote worker");
         assert_eq!(plan.serializations, 1);
         // Each remote worker hosts 3 tasks: 8 + 4*3 + 100 bytes.
         assert_eq!(plan.total_wire_bytes, 3 * (8 + 12 + 100));
@@ -220,25 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn serialization_cpu_scales() {
-        let (p, src, dsts) = setup(480, 30);
-        let cost = CostModel::default();
-        let io = plan(CommMode::InstanceOriented, src, 150, &dsts, &p);
-        let wo = plan(CommMode::WorkerOriented, src, 150, &dsts, &p);
-        let io_cpu = io.serialization_cpu(150, &cost);
-        let wo_cpu = wo.serialization_cpu(150, &cost);
-        assert!(
-            io_cpu.as_nanos() > 100 * wo_cpu.as_nanos(),
-            "io={io_cpu} wo={wo_cpu}"
-        );
-    }
-
-    #[test]
     fn all_local_when_single_machine() {
         let (p, src, dsts) = setup(8, 1);
         for mode in [CommMode::InstanceOriented, CommMode::WorkerOriented] {
             let plan = plan(mode, src, 100, &dsts, &p);
-            assert_eq!(plan.remote_count(), 0);
+            assert_eq!(plan.remote().len(), 0);
             assert_eq!(plan.local_tasks().len(), 8);
             assert_eq!(plan.total_wire_bytes, 0);
         }
@@ -266,8 +237,8 @@ mod tests {
             .collect();
         let io = plan(CommMode::InstanceOriented, src, 100, &remote_dst, &p);
         let wo = plan(CommMode::WorkerOriented, src, 100, &remote_dst, &p);
-        assert_eq!(io.remote_count(), 1);
-        assert_eq!(wo.remote_count(), 1);
+        assert_eq!(io.remote().len(), 1);
+        assert_eq!(wo.remote().len(), 1);
         assert_eq!(io.total_wire_bytes, 108);
         assert_eq!(wo.total_wire_bytes, 112); // 8 + 4*1 + 100
     }

@@ -27,9 +27,9 @@ pub struct LiveConfig {
     /// Re-plan the relay tree's out-degree at runtime from live workload
     /// samples (the paper's workload monitor + self-adjusting
     /// controller), switching between epoch-versioned tree generations
-    /// without stopping the data plane. Implies the relay path; when
-    /// both this and `multicast_d_star` are set, `multicast_d_star`
-    /// seeds the initial degree. Requires [`CommMode::WorkerOriented`].
+    /// without stopping the data plane. Implies the relay path, whose
+    /// first generation has out-degree `multicast_d_star` (2 when that
+    /// is `None`). Requires [`CommMode::WorkerOriented`].
     pub multicast_adaptive: Option<AdaptiveConfig>,
     /// Shard-owned pipelines per worker. Each worker's tasks are split
     /// across this many pipeline threads by the stable map
@@ -39,11 +39,6 @@ pub struct LiveConfig {
     /// instead of serializing behind one dispatcher. `1` (the default)
     /// runs one pipeline per worker. Values are clamped to at least 1.
     pub shards: u32,
-    /// Capacity of each pipeline's cross-shard inbox. Deliveries to a
-    /// task another shard owns go through this bounded queue; a full
-    /// inbox backpressures the sender under [`LiveConfig::send`] and
-    /// drops loudly (`send_failed`) if it never clears.
-    pub shard_inbox_capacity: usize,
     /// Which live transport carries inter-worker frames: synchronous
     /// per-send delivery, or descriptors posted to per-endpoint rings and
     /// flushed in MMS/WTL batches (the paper's stream slicing, §4).
@@ -93,7 +88,6 @@ impl Default for LiveConfig {
             multicast_d_star: None,
             multicast_adaptive: None,
             shards: 1,
-            shard_inbox_capacity: 4096,
             fabric: FabricKind::PerSend,
             send: SendPolicy::default(),
             ack: None,
@@ -108,26 +102,8 @@ impl Default for LiveConfig {
 /// Runtime tree adaptation (see [`LiveConfig::multicast_adaptive`]).
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
-    /// Out-degree of the initial tree generation.
-    pub initial_d: u32,
     /// Controller sampling interval (wall clock).
     pub interval: Duration,
-    /// Transfer-queue capacity Q feeding the controller's waterline and
-    /// the M/D/1 `d*` computation.
-    pub queue_capacity: usize,
-    /// EWMA smoothing factor for the arrival-rate estimate λ.
-    pub alpha: f64,
-    /// Per-hop emit-time estimate t_e (seconds) used until calibrated.
-    pub t_e_default: f64,
-    /// Bounded wait for the previous tree generation to drain before it
-    /// is retired (and before EOS departs on the current tree). Frames a
-    /// fault swallowed never drain; the grace keeps lossy runs moving.
-    pub drain_grace: Duration,
-    /// Drive the paper's coordinator/agent switch protocol over the data
-    /// fabric for every reconfiguration (one representative session —
-    /// all per-origin trees share a shape). Costs protocol round-trips;
-    /// `false` applies the planned moves directly.
-    pub switch_protocol: bool,
     /// Deterministic forced switches for benchmarks and tests: when
     /// `spout_emitted` crosses each threshold, switch to the paired
     /// degree. Non-empty bypasses the λ-driven controller.
@@ -147,13 +123,7 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            initial_d: 2,
             interval: Duration::from_millis(2),
-            queue_capacity: 1024,
-            alpha: 0.3,
-            t_e_default: 20e-6,
-            drain_grace: Duration::from_millis(250),
-            switch_protocol: false,
             forced_switches: Vec::new(),
             topology: None,
         }
@@ -172,8 +142,6 @@ pub struct AckConfig {
     /// Hard bound on the spout's post-emission drain loop; pending
     /// tuples left at the deadline are failed, never waited on forever.
     pub drain_deadline: Duration,
-    /// Sleep between drain-loop passes.
-    pub poll_interval: Duration,
     /// Send each remote EOS frame this many times. The receiver's EOS
     /// accounting is idempotent, so redundancy costs only bytes and buys
     /// EOS survival under drop faults.
@@ -186,7 +154,6 @@ impl Default for AckConfig {
             timeout: Duration::from_millis(250),
             max_replays: 8,
             drain_deadline: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(1),
             eos_redundancy: 1,
         }
     }
@@ -206,6 +173,14 @@ pub enum BuildError {
     /// An edge (`"from->to"`) uses [`Grouping::Direct`], which the live
     /// runtime does not route.
     UnsupportedGrouping(String),
+    /// [`LiveConfig::machines`] and the [`TopologyConfig`] do not describe
+    /// a cluster: no machines, a rack count outside `1..=machines`, or a
+    /// rack map of the wrong length or naming a rack that does not exist.
+    BadCluster(String),
+    /// The [`LiveConfig::fabric`] transport, or a partition log behind
+    /// it, cannot be built (a ring or outbox with no slots, a log with no
+    /// segments or segments too small for one record header).
+    BadTransport(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -222,6 +197,8 @@ impl std::fmt::Display for BuildError {
                     "direct grouping on {edge} is not supported by the live runtime"
                 )
             }
+            BuildError::BadCluster(why) => write!(f, "unrunnable cluster: {why}"),
+            BuildError::BadTransport(why) => write!(f, "unrunnable transport: {why}"),
         }
     }
 }
@@ -268,10 +245,16 @@ impl LiveConfig {
         self.multicast_d_star.is_some() || self.multicast_adaptive.is_some()
     }
 
+    /// The rack layout, when topology awareness is on.
+    pub(super) fn topology(&self) -> Option<&TopologyConfig> {
+        self.multicast_adaptive.as_ref()?.topology.as_ref()
+    }
+
     /// Check the run can be built at all — every component has an
-    /// operator, every grouping is one the runtime routes, and the relay
-    /// tree has the message format it forwards — so a bad configuration
-    /// is a [`BuildError`], never a worker crash.
+    /// operator, every grouping is one the runtime routes, the relay
+    /// tree has the message format it forwards, and the cluster and the
+    /// transport are ones their constructors accept — so a bad
+    /// configuration is a [`BuildError`], never a worker crash.
     pub(super) fn validate(&self, topology: &Topology, ops: &Operators) -> Result<(), BuildError> {
         for comp in topology.components() {
             match comp.kind {
@@ -299,13 +282,64 @@ impl LiveConfig {
         if self.relay_enabled() && self.comm_mode != CommMode::WorkerOriented {
             return Err(BuildError::RelayNeedsWorkerOriented);
         }
+        self.validate_cluster().map_err(BuildError::BadCluster)?;
+        self.validate_transport().map_err(BuildError::BadTransport)
+    }
+
+    /// What the transports' and [`whale_net::PartitionLog`]'s constructors
+    /// would panic on.
+    fn validate_transport(&self) -> Result<(), String> {
+        let outbox_log = match self.fabric {
+            FabricKind::Ring(ring) if ring.ring_capacity == 0 => {
+                return Err("RingConfig::ring_capacity must be positive".into());
+            }
+            FabricKind::OneSided(one_sided) if one_sided.ring_slots == 0 => {
+                return Err("OneSidedConfig::ring_slots must be positive".into());
+            }
+            FabricKind::OneSided(one_sided) => one_sided.log,
+            FabricKind::PerSend | FabricKind::Ring(_) => None,
+        };
+        for log in [self.log, outbox_log].into_iter().flatten() {
+            if log.segment_bytes <= whale_net::RECORD_HEADER {
+                return Err("LogConfig::segment_bytes must exceed one record header".into());
+            }
+            if log.max_segments == 0 {
+                return Err("LogConfig::max_segments must be positive".into());
+            }
+        }
         Ok(())
+    }
+
+    /// What [`whale_net::ClusterSpec`]'s constructors would panic on.
+    fn validate_cluster(&self) -> Result<(), String> {
+        let machines = self.machines;
+        if machines == 0 {
+            return Err("machines must be positive".into());
+        }
+        let Some(topo) = self.topology() else {
+            return Ok(());
+        };
+        let racks = topo.racks;
+        if racks == 0 || racks > machines {
+            return Err(format!("racks = {racks} is outside 1..={machines}"));
+        }
+        match &topo.rack_of_machine {
+            Some(map) if map.len() != machines as usize => Err(format!(
+                "rack_of_machine has {} entries for {machines} machines",
+                map.len()
+            )),
+            Some(map) if map.iter().any(|&r| r >= racks) => {
+                Err(format!("rack_of_machine names a rack >= {racks}"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
+    use whale_net::{LogConfig, TopologyConfig};
 
     /// A config error is caught before anything is built: every counter
     /// is zero, with one `executed` slot per component.
@@ -379,6 +413,136 @@ mod tests {
             RunOutcome::ConfigError(BuildError::RelayNeedsWorkerOriented)
         );
         assert_nothing_ran(&r);
+    }
+
+    #[test]
+    fn unbuildable_clusters_and_transports_are_config_errors_not_panics() {
+        let topo = |racks: u32, rack_of_machine: Option<Vec<u32>>| LiveConfig {
+            multicast_adaptive: Some(AdaptiveConfig {
+                topology: Some(TopologyConfig {
+                    racks,
+                    rack_of_machine,
+                    ..TopologyConfig::default()
+                }),
+                ..AdaptiveConfig::default()
+            }),
+            ..LiveConfig::default()
+        };
+        let fabric = |fabric: FabricKind| LiveConfig {
+            fabric,
+            ..LiveConfig::default()
+        };
+        let no_machines = LiveConfig {
+            machines: 0,
+            ..LiveConfig::default()
+        };
+        let no_ring = whale_net::RingConfig {
+            ring_capacity: 0,
+            ..Default::default()
+        };
+        let no_slots = whale_net::OneSidedConfig {
+            ring_slots: 0,
+            ..Default::default()
+        };
+        let no_segments = LogConfig {
+            max_segments: 0,
+            ..LogConfig::default()
+        };
+        let logged_outbox = whale_net::OneSidedConfig {
+            log: Some(LogConfig {
+                segment_bytes: whale_net::RECORD_HEADER,
+                ..LogConfig::default()
+            }),
+            ..Default::default()
+        };
+        let logged = LiveConfig {
+            log: Some(no_segments),
+            ..LiveConfig::default()
+        };
+        // Each shape used to reach an `assert!` in `ClusterSpec::new`,
+        // `ClusterSpec::with_rack_map`, a transport constructor or
+        // `PartitionLog::new`.
+        let shapes = [
+            ("machines: 0", no_machines, true),
+            ("racks: 0", topo(0, None), true),
+            ("racks > machines", topo(5, None), true),
+            ("short rack map", topo(2, Some(vec![0, 1, 0])), true),
+            ("rack map entry >= racks", topo(2, Some(vec![0, 1, 2, 0])), true),
+            ("ring_capacity: 0", fabric(FabricKind::Ring(no_ring)), false),
+            ("ring_slots: 0", fabric(FabricKind::OneSided(no_slots)), false),
+            ("max_segments: 0", logged, false),
+            ("segment too small", fabric(FabricKind::OneSided(logged_outbox)), false),
+        ];
+        for (shape, config, cluster) in shapes {
+            let (t, ops) = counting_topology(4, 4);
+            let r = run_topology(t, ops, config);
+            match &r.outcome {
+                RunOutcome::ConfigError(BuildError::BadCluster(_)) if cluster => {}
+                RunOutcome::ConfigError(BuildError::BadTransport(_)) if !cluster => {}
+                other => panic!("{shape}: {other:?}"),
+            }
+            assert_nothing_ran(&r);
+        }
+    }
+
+    #[test]
+    fn an_adaptive_run_starts_at_multicast_d_star_or_two() {
+        for (d_star, expect) in [(None, 2), (Some(4), 4)] {
+            let (t, ops) = counting_topology(8, 16);
+            let r = run_topology(
+                t,
+                ops,
+                LiveConfig {
+                    machines: 8,
+                    multicast_d_star: d_star,
+                    multicast_adaptive: Some(AdaptiveConfig {
+                        // Longer than the run: no switch moves the degree.
+                        interval: Duration::from_secs(30),
+                        ..AdaptiveConfig::default()
+                    }),
+                    ..LiveConfig::default()
+                },
+            );
+            assert_eq!(r.outcome, RunOutcome::Clean);
+            assert_eq!(r.relay_switches, 0);
+            assert_eq!(r.relay_d_star, expect, "multicast_d_star: {d_star:?}");
+        }
+    }
+
+    /// Every settable field of the run's own config structs, destructured
+    /// with no `..`: adding a field fails to compile here. Before it goes
+    /// in, it needs a row in DESIGN.md's "The settable surface" naming the
+    /// two non-test callers that set it differently (or the timing- or
+    /// fault-dependent failure a test needs it to reach); with one value
+    /// in use it is a constant next to its reader.
+    #[test]
+    fn the_settable_surface_is_pinned() {
+        let LiveConfig {
+            machines: _,
+            comm_mode: _,
+            zero_copy: _,
+            multicast_d_star: _,
+            multicast_adaptive: _,
+            shards: _,
+            fabric: _,
+            send: _,
+            ack: _,
+            fault: _,
+            log: _,
+            run_deadline: _,
+            monitor_interval: _,
+        } = LiveConfig::default();
+        let AdaptiveConfig {
+            interval: _,
+            forced_switches: _,
+            topology: _,
+        } = AdaptiveConfig::default();
+        let AckConfig {
+            timeout: _,
+            max_replays: _,
+            drain_deadline: _,
+            eos_redundancy: _,
+        } = AckConfig::default();
     }
 
     #[test]

@@ -10,31 +10,33 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use whale_multicast::{
-    plan_switch, run_switch_over_fabric_at, AdjustController, ControllerConfig, Decision,
-    LinkPressure, WorkloadMonitor,
+    plan_switch, AdjustController, ControllerConfig, Decision, LinkPressure, WorkloadMonitor,
 };
-use whale_net::{ClusterSpec, TopologyConfig};
+use whale_net::ClusterSpec;
 use whale_sim::{SimDuration, SimTime};
 
-impl Routing {
-    /// The run's topology config, if topology awareness is on.
-    fn topology_config(&self) -> Option<&TopologyConfig> {
-        self.config
-            .multicast_adaptive
-            .as_ref()
-            .and_then(|a| a.topology.as_ref())
-    }
+/// EWMA smoothing factor for the controller's arrival-rate estimate λ.
+const ADAPTIVE_ALPHA: f64 = 0.3;
+/// Per-hop emit-time estimate t_e (seconds) used until calibrated.
+const T_E_DEFAULT: f64 = 20e-6;
+/// Transfer-queue capacity Q feeding the controller's waterline and the
+/// M/D/1 `d*` computation.
+const QUEUE_CAPACITY: usize = 1024;
+/// Uplink queue depth at which a link counts as hot for the controller's
+/// congestion signal.
+const HOT_UPLINK_QUEUE: u64 = 256;
 
+impl Routing {
     /// Rack-uplink pressure snapshot for the controller (zeros when no
     /// tracker is installed).
     fn link_pressure(&self) -> LinkPressure {
-        match (self.tracker.as_deref(), self.topology_config()) {
-            (Some(t), Some(cfg)) => LinkPressure {
+        match self.tracker.as_deref() {
+            Some(t) => LinkPressure {
                 max_uplink_queue: t.max_uplink_queue(),
                 uplink_bytes: t.uplink_bytes(),
-                hot_uplinks: t.hot_uplinks(cfg.hot_uplink_queue),
+                hot_uplinks: t.hot_uplinks(HOT_UPLINK_QUEUE),
             },
-            _ => LinkPressure::default(),
+            None => LinkPressure::default(),
         }
     }
 
@@ -42,9 +44,9 @@ impl Routing {
     /// the cluster spec plus the current per-rack uplink loads.
     fn topo_tree_inputs(&self) -> Option<(&ClusterSpec, Vec<u64>)> {
         let tracker = self.tracker.as_deref()?;
-        self.topology_config()
-            .filter(|cfg| cfg.topo_trees)
-            .map(|_| (tracker.spec(), tracker.uplink_loads()))
+        let topo = self.config.topology()?;
+        topo.topo_trees
+            .then(|| (tracker.spec(), tracker.uplink_loads()))
     }
 }
 
@@ -82,9 +84,9 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
         .expect("adaptive implies relay state");
     let epoch0 = Instant::now();
     let interval = SimDuration::from_nanos((cfg.interval.as_nanos() as u64).max(1));
-    let mut monitor = WorkloadMonitor::new(interval, cfg.alpha, cfg.t_e_default);
+    let mut monitor = WorkloadMonitor::new(interval, ADAPTIVE_ALPHA, T_E_DEFAULT);
     let mut controller = AdjustController::new(
-        ControllerConfig::for_queue(cfg.queue_capacity, routing.placement.workers()),
+        ControllerConfig::for_queue(QUEUE_CAPACITY, routing.placement.workers()),
         relay.current().d_star,
     );
     let mut last_emitted = 0u64;
@@ -118,34 +120,24 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
         if let Some(new_d) = target {
             let new_d = new_d.max(1);
             if new_d != relay.current().d_star {
-                switch_structure(cfg, routing, new_d);
+                switch_structure(routing, new_d);
             }
         }
     }
 }
 
 /// Reconfigure the relay plane to out-degree `new_d`: wait (bounded) for
-/// the previous generation to drain so at most two are ever live,
-/// optionally drive the paper's coordinator/agent switch protocol over
-/// the data fabric, plan the per-origin moves, and publish the new
-/// generation. In-flight frames on the demoted generation keep being
-/// accepted until it drains (or the grace expires on a lossy run).
-pub(super) fn switch_structure(cfg: &AdaptiveConfig, routing: &Routing, new_d: u32) {
+/// the previous generation to drain so at most two are ever live, plan
+/// the per-origin moves, and publish the new generation. In-flight frames
+/// on the demoted generation keep being accepted until it drains (or the
+/// grace expires on a lossy run).
+pub(super) fn switch_structure(routing: &Routing, new_d: u32) {
     let relay = routing
         .relay
         .as_ref()
         .expect("switching implies relay state");
-    relay.await_prev_drained(cfg.drain_grace);
+    relay.await_prev_drained();
     let cur = relay.current();
-    if cfg.switch_protocol {
-        // One representative coordinator/agent session per switch: every
-        // per-origin tree shares the same shape, so one session carries
-        // the status/control/ACK exchange the paper describes. Protocol
-        // endpoints sit above the shard endpoint range to avoid
-        // collisions.
-        let base = routing.placement.workers() * routing.shards;
-        let _ = run_switch_over_fabric_at(Arc::clone(&routing.fabric), &cur.trees[0], new_d, base);
-    }
     let mut total_moves = 0u64;
     let trees = if let Some((spec, loads)) = routing.topo_tree_inputs() {
         // Rack-aware rebuild: the new generation's rack entries route
@@ -212,9 +204,8 @@ mod tests {
 
     #[test]
     fn adaptive_forced_switch_keeps_every_delivery() {
-        // Phase-shift the tree mid-run (d* 1 → 4) through the full
-        // switch protocol: every broadcast still reaches every instance,
-        // nothing lands on a retired generation.
+        // Phase-shift the tree mid-run (d* 1 → 4): every broadcast still
+        // reaches every instance, nothing lands on a retired generation.
         let mut b = crate::topology::TopologyBuilder::new();
         b.spout("src", 1, Schema::new(vec!["n"]))
             .bolt("fan", 16, Schema::new(vec!["n"]))
@@ -235,11 +226,10 @@ mod tests {
             ops,
             LiveConfig {
                 machines: 8,
+                multicast_d_star: Some(1),
                 multicast_adaptive: Some(AdaptiveConfig {
-                    initial_d: 1,
                     interval: Duration::from_millis(1),
                     forced_switches: vec![(30, 4)],
-                    switch_protocol: true,
                     ..AdaptiveConfig::default()
                 }),
                 ..LiveConfig::default()
@@ -272,8 +262,8 @@ mod tests {
                 ops,
                 LiveConfig {
                     machines: 8,
+                    multicast_d_star: Some(2),
                     multicast_adaptive: Some(AdaptiveConfig {
-                        initial_d: 2,
                         // No mid-run switches: one deterministic tree.
                         interval: Duration::from_secs(30),
                         topology: Some(TopologyConfig {

@@ -181,6 +181,12 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
     )
 }
 
+/// Capacity of each pipeline's cross-shard inbox. Deliveries to a task
+/// another shard owns go through this bounded queue; a full inbox
+/// backpressures the sender under [`LiveConfig::send`] and drops loudly
+/// (`send_failed`) if it never clears.
+const SHARD_INBOX_CAPACITY: usize = 4096;
+
 /// Everything of a run that exists before a thread does: the shared
 /// [`Routing`] over `fabric` and one empty pipeline per (worker, shard),
 /// each registered on the fabric, plus the channel the pipelines report
@@ -196,10 +202,7 @@ fn wire_up(
 ) {
     // Topology awareness (racks, per-link accounting) comes in through
     // the adaptive config; without it the cluster is one flat rack.
-    let topo_config = config
-        .multicast_adaptive
-        .as_ref()
-        .and_then(|a| a.topology.clone());
+    let topo_config = config.topology().cloned();
     let cluster = match &topo_config {
         Some(t) => t.cluster_spec(config.machines, 16),
         None => ClusterSpec::new(config.machines, 1, 16),
@@ -221,11 +224,8 @@ fn wire_up(
     });
 
     let relay = config.relay_enabled().then(|| {
-        let d = config
-            .multicast_d_star
-            .or(config.multicast_adaptive.as_ref().map(|a| a.initial_d))
-            .expect("relay_enabled implies one of the two")
-            .max(1);
+        // An adaptive run that names no degree starts at 2.
+        let d = config.multicast_d_star.unwrap_or(2).max(1);
         let trees = if topo_config.as_ref().is_some_and(|t| t.topo_trees) {
             // No traffic yet: the initial generation sees idle uplinks.
             rack_aware_trees(d, &placement, &cluster, &[])
@@ -240,14 +240,13 @@ fn wire_up(
     // collide) and a bounded cross-shard inbox.
     let shards = config.shards.max(1);
     let n_flat = (placement.workers() * shards) as usize;
-    let inbox_capacity = config.shard_inbox_capacity.max(1);
     let mut shard_inboxes = Vec::with_capacity(n_flat);
     let mut pipelines: Vec<ShardPipeline> = Vec::with_capacity(n_flat);
     let (done_tx, done_rx) = unbounded::<()>();
     for flat in 0..n_flat {
         let endpoint = EndpointId(flat as u32);
         let worker = flat as u32 / shards;
-        let (tx, inbox_rx) = bounded(inbox_capacity);
+        let (tx, inbox_rx) = bounded(SHARD_INBOX_CAPACITY);
         shard_inboxes.push(ShardInbox::new(tx));
         let fabric_rx = fabric
             .register(endpoint)

@@ -169,7 +169,7 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
             }
             state.phase = SpoutPhase::Draining {
                 deadline,
-                next_poll: now + ack.config.poll_interval,
+                next_poll: now + ACK_POLL_INTERVAL,
             };
             replayed
         }
@@ -370,6 +370,8 @@ fn finish_bolt(state: &mut BoltState, routing: &Routing) {
     routing.broadcast_eos(state.task);
 }
 
+/// Gap between a draining spout's passes over its expired trees.
+const ACK_POLL_INTERVAL: Duration = Duration::from_millis(1);
 /// Fabric frames and cross-shard messages consumed per scheduling pass
 /// before the pipeline rotates to its other work (keeps one flooded
 /// source from starving the rest).
@@ -1317,8 +1319,8 @@ mod tests {
         let now = Instant::now();
         let near = now + Duration::from_millis(20);
         assert!(pipeline.idle_wait(Some(near)) <= Duration::from_millis(20));
-        // A draining spout is due at `AckConfig::poll_interval`, whatever
-        // else bounds the wait.
+        // A draining spout is due at `ACK_POLL_INTERVAL`, whatever else
+        // bounds the wait.
         pipeline.add_spout(
             TaskId(0),
             Box::new(IterSpout::new(std::iter::empty())),
@@ -1326,10 +1328,10 @@ mod tests {
         );
         pipeline.spouts[0].phase = SpoutPhase::Draining {
             deadline: now + Duration::from_secs(30),
-            next_poll: now + AckConfig::default().poll_interval,
+            next_poll: now + ACK_POLL_INTERVAL,
         };
-        assert!(pipeline.idle_wait(Some(near)) <= AckConfig::default().poll_interval);
-        assert!(pipeline.idle_wait(None) <= AckConfig::default().poll_interval);
+        assert!(pipeline.idle_wait(Some(near)) <= ACK_POLL_INTERVAL);
+        assert!(pipeline.idle_wait(None) <= ACK_POLL_INTERVAL);
     }
 
     #[test]

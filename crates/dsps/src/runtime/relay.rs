@@ -44,6 +44,11 @@ pub(super) fn relay_node_of_worker(origin: u32, worker: u32) -> Option<u32> {
 /// bucket absorbs deeper hops).
 pub(super) const DEPTH_BUCKETS: usize = 16;
 
+/// Bounded wait for the previous tree generation to drain before a switch
+/// retires it and before EOS departs on the current tree. Frames a fault
+/// swallowed never drain; the grace keeps lossy runs moving.
+const DRAIN_GRACE: Duration = Duration::from_millis(250);
+
 /// One immutable generation of relay structures: every origin worker's
 /// tree over the *other* workers (node index i = the i-th worker id
 /// excluding the origin), all built with the same out-degree.
@@ -270,11 +275,12 @@ impl RelayState {
         }
     }
 
-    /// Bounded wait for the previous generation to drain; frames a fault
-    /// swallowed never decrement the slot, so the grace keeps a lossy run
-    /// from wedging the switch (tracked replays recover the loss).
-    pub(super) fn await_prev_drained(&self, grace: Duration) -> bool {
-        let deadline = Instant::now() + grace;
+    /// Wait up to [`DRAIN_GRACE`] for the previous generation to drain;
+    /// frames a fault swallowed never decrement the slot, so the grace
+    /// keeps a lossy run from wedging the switch (tracked replays recover
+    /// the loss).
+    pub(super) fn await_prev_drained(&self) -> bool {
+        let deadline = Instant::now() + DRAIN_GRACE;
         loop {
             if self.try_retire_prev() {
                 return true;
@@ -403,7 +409,7 @@ impl Routing {
         // data from before a switch — holding nothing meanwhile, or a
         // switch during the wait would find this thread in its way.
         drop(swap_held(None));
-        relay.await_prev_drained(self.drain_grace());
+        relay.await_prev_drained();
         let epoch = relay.hold(None).expect("a current generation");
         let eos = RelayEos {
             origin: src_worker.0,
@@ -737,7 +743,6 @@ mod tests {
     #[test]
     fn a_switch_storm_under_saturation_loses_nothing() {
         const SWITCHES: u64 = 24;
-        let cfg = AdaptiveConfig::default();
         for shards in [1, 2] {
             let stop = Arc::new(AtomicBool::new(false));
             let (topology, ops, counts, emitted) = windowed_broadcast(1, &stop);
@@ -757,12 +762,12 @@ mod tests {
                     std::thread::yield_now();
                 }
                 // The generation before last drains while traffic runs on
-                // (the default grace is the bound, never the mechanism),
-                // so at most two are ever alive.
-                let drained = relay.await_prev_drained(cfg.drain_grace);
+                // (the grace is the bound, never the mechanism), so at most
+                // two are ever alive.
+                let drained = relay.await_prev_drained();
                 assert!(drained, "{shards} shards, switch {k}");
                 let d_star = [3, 1, 2][k as usize % 3];
-                super::super::control::switch_structure(&cfg, &run.routing, d_star);
+                super::super::control::switch_structure(&run.routing, d_star);
                 generations.push(Arc::downgrade(&relay.current()));
                 let alive = generations.iter().filter(|g| g.strong_count() > 0);
                 assert!(alive.count() <= 2, "{shards} shards, switch {k}");
@@ -810,7 +815,7 @@ mod tests {
         // (`PARK_CAP`), not when the drain grace runs out — because none
         // of them took its reference into the block.
         let relay = run.routing.relay.as_ref().unwrap();
-        super::super::control::switch_structure(&AdaptiveConfig::default(), &run.routing, 3);
+        super::super::control::switch_structure(&run.routing, 3);
         assert!(relay.try_retire_prev());
         run.finish();
     }

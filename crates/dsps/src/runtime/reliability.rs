@@ -500,7 +500,6 @@ mod tests {
             log: Some(LogConfig {
                 segment_bytes: 256,
                 max_segments: 1 << 20,
-                rack_hops: 0,
             }),
             ..LiveConfig::default()
         };
@@ -586,7 +585,6 @@ mod tests {
                         max_replays: 20,
                         drain_deadline: Duration::from_secs(20),
                         eos_redundancy: 4,
-                        ..AckConfig::default()
                     }),
                     fault: Some(FaultPlan::uniform_drops(7, 0.2)),
                     run_deadline: Some(Duration::from_secs(5)),
@@ -633,7 +631,6 @@ mod tests {
                     max_replays: 3,
                     drain_deadline: Duration::from_secs(10),
                     eos_redundancy: 2,
-                    ..AckConfig::default()
                 }),
                 fault: Some(plan),
                 run_deadline: Some(Duration::from_secs(5)),
@@ -678,7 +675,6 @@ mod tests {
                     max_replays: 3,
                     drain_deadline: Duration::from_secs(30),
                     eos_redundancy: 2,
-                    ..AckConfig::default()
                 }),
                 fault: Some(plan),
                 log: Some(LogConfig::default()),
@@ -734,7 +730,6 @@ mod tests {
                 log: Some(LogConfig {
                     segment_bytes: 256,
                     max_segments: 4096,
-                    rack_hops: 0,
                 }),
                 ..LiveConfig::default()
             },

@@ -24,7 +24,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use whale_net::{EndpointId, FabricPath, LinkTracker, Payload, SendError};
 
 /// What an executor receives in its incoming queue.
@@ -55,7 +54,7 @@ pub(super) enum Dest {
 /// One entry of a pipeline's loopback queue or cross-shard inbox.
 pub(super) type Entry = (Dest, ExecMsg);
 
-// The inboxes preallocate `shard_inbox_capacity` (4 096) entries per
+// The inboxes preallocate `SHARD_INBOX_CAPACITY` (4 096) entries per
 // pipeline: naming a batch must not cost more than naming a task did
 // (`(TaskId, ExecMsg)` was 40 bytes).
 const _: () = assert!(std::mem::size_of::<Entry>() <= 40);
@@ -627,11 +626,6 @@ impl Routing {
         }
     }
 
-    /// Bounded drain wait used before EOS departure and switches.
-    pub(super) fn drain_grace(&self) -> Duration {
-        let adaptive = self.config.multicast_adaptive.as_ref();
-        adaptive.map_or(Duration::from_millis(250), |a| a.drain_grace)
-    }
 }
 
 impl Groupings {

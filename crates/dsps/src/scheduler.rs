@@ -28,8 +28,6 @@ pub struct Placement {
     task_worker: Vec<WorkerId>,
     /// worker (dense index) → machine
     worker_machine: Vec<MachineId>,
-    /// worker (dense index) → tasks hosted there, ascending
-    worker_tasks: Vec<Vec<TaskId>>,
 }
 
 impl Placement {
@@ -51,23 +49,16 @@ impl Placement {
             .map(|w| MachineId(w / workers_per_machine))
             .collect();
         let mut task_worker = vec![WorkerId(0); topology.total_tasks() as usize];
-        let mut worker_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); n_workers as usize];
         // Deal each component's tasks round-robin, starting each component
         // at worker 0 (Storm restarts per component).
         for comp in topology.components() {
             for (i, task) in topology.tasks().tasks_of(comp.id).into_iter().enumerate() {
-                let w = WorkerId((i as u32) % n_workers);
-                task_worker[task.0 as usize] = w;
-                worker_tasks[w.0 as usize].push(task);
+                task_worker[task.0 as usize] = WorkerId((i as u32) % n_workers);
             }
-        }
-        for tasks in &mut worker_tasks {
-            tasks.sort_unstable();
         }
         Placement {
             task_worker,
             worker_machine,
-            worker_tasks,
         }
     }
 
@@ -84,16 +75,6 @@ impl Placement {
     /// The machine running a worker.
     pub fn machine_of_worker(&self, worker: WorkerId) -> MachineId {
         self.worker_machine[worker.0 as usize]
-    }
-
-    /// The machine hosting a task.
-    pub fn machine_of(&self, task: TaskId) -> MachineId {
-        self.machine_of_worker(self.worker_of(task))
-    }
-
-    /// Tasks hosted on a worker, ascending.
-    pub fn tasks_on(&self, worker: WorkerId) -> &[TaskId] {
-        &self.worker_tasks[worker.0 as usize]
     }
 
     /// True if two tasks share a worker process.
@@ -122,12 +103,11 @@ mod tests {
         let c = ClusterSpec::paper_testbed();
         let p = Placement::even(&t, &c);
         assert_eq!(p.workers(), 30);
-        // The 480 matching tasks spread 16 per worker; worker 0 also hosts
-        // the spout task.
-        let spout = t.tasks_of("src")[0];
+        // The 480 matching tasks spread 16 per worker.
+        let matching = t.tasks_of("match");
         for w in 0..30 {
-            let tasks = p.tasks_on(WorkerId(w));
-            assert_eq!(tasks.iter().filter(|&&t| t != spout).count(), 16);
+            let hosted = matching.iter().filter(|&&t| p.worker_of(t) == WorkerId(w));
+            assert_eq!(hosted.count(), 16);
         }
     }
 
@@ -155,22 +135,6 @@ mod tests {
         assert_eq!(p.machine_of_worker(WorkerId(1)), MachineId(0));
         assert_eq!(p.machine_of_worker(WorkerId(2)), MachineId(1));
         assert_eq!(p.machine_of_worker(WorkerId(3)), MachineId(1));
-    }
-
-    #[test]
-    fn tasks_on_is_consistent_with_worker_of() {
-        let t = topo(2, 10);
-        let c = ClusterSpec::new(4, 1, 4);
-        let p = Placement::even(&t, &c);
-        for w in 0..p.workers() {
-            for &task in p.tasks_on(WorkerId(w)) {
-                assert_eq!(p.worker_of(task), WorkerId(w));
-            }
-        }
-        let total: usize = (0..p.workers())
-            .map(|w| p.tasks_on(WorkerId(w)).len())
-            .sum();
-        assert_eq!(total, t.total_tasks() as usize);
     }
 
     #[test]

@@ -75,20 +75,9 @@ impl TaskTable {
         self.owners.get(task.0 as usize).copied()
     }
 
-    /// Index of a task within its component (0-based).
-    pub fn index_within(&self, task: TaskId) -> Option<u32> {
-        let c = self.component_of(task)?;
-        Some(task.0 - self.ranges[&c].start)
-    }
-
     /// Total number of tasks allocated.
     pub fn total_tasks(&self) -> u32 {
         self.next
-    }
-
-    /// All task ids in order.
-    pub fn all_tasks(&self) -> Vec<TaskId> {
-        (0..self.next).map(TaskId).collect()
     }
 }
 
@@ -120,16 +109,8 @@ mod tests {
         assert_eq!(t.component_of(TaskId(9)), None);
         assert!(t.task_ids(ComponentId(1)).eq(t.tasks_of(ComponentId(1))));
         assert_eq!(t.task_ids(ComponentId(9)).count(), 0);
-        assert_eq!(t.index_within(TaskId(3)), Some(1));
         assert_eq!(t.parallelism(ComponentId(1)), 3);
         assert_eq!(t.parallelism(ComponentId(9)), 0);
-    }
-
-    #[test]
-    fn all_tasks_enumerates() {
-        let mut t = TaskTable::new();
-        t.allocate(ComponentId(0), 4);
-        assert_eq!(t.all_tasks().len(), 4);
     }
 
     #[test]

@@ -158,31 +158,6 @@ impl Topology {
     pub fn total_tasks(&self) -> u32 {
         self.tasks.total_tasks()
     }
-
-    /// Components in a topological order (spouts first).
-    pub fn topo_order(&self) -> Vec<ComponentId> {
-        let n = self.components.len();
-        let mut indegree = vec![0usize; n];
-        for e in &self.edges {
-            indegree[e.to.0 as usize] += 1;
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        while let Some(i) = ready.pop() {
-            order.push(ComponentId(i as u32));
-            for e in &self.edges {
-                if e.from.0 as usize == i {
-                    let j = e.to.0 as usize;
-                    indegree[j] -= 1;
-                    if indegree[j] == 0 {
-                        ready.push(j);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n, "validated topology must be acyclic");
-        order
-    }
 }
 
 /// Builder for [`Topology`].
@@ -366,14 +341,6 @@ mod tests {
         assert_eq!(t.downstream_edges(src).len(), 1);
         assert_eq!(t.upstream_edges(mat).len(), 1);
         assert_eq!(t.downstream_edges(src)[0].grouping, Grouping::All);
-    }
-
-    #[test]
-    fn topo_order_spouts_first() {
-        let t = linear();
-        let order = t.topo_order();
-        assert_eq!(order.len(), 3);
-        assert_eq!(order[0], t.component("source").unwrap().id);
     }
 
     #[test]

@@ -81,7 +81,6 @@ fn run_chaos(
                 max_replays: 20,
                 drain_deadline: Duration::from_secs(20),
                 eos_redundancy: 4,
-                ..AckConfig::default()
             }),
             fault: Some(plan),
             run_deadline: Some(Duration::from_secs(10)),

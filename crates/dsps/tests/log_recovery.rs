@@ -80,7 +80,6 @@ fn run_recovery(
                 max_replays: 3,
                 drain_deadline: Duration::from_secs(30),
                 eos_redundancy: 4,
-                ..AckConfig::default()
             }),
             fault: Some(plan),
             log: Some(LogConfig::default()),

@@ -71,7 +71,6 @@ fn run_cell(
                 drain_deadline: Duration::from_secs(20),
                 // Redundant EOS copies survive lossy multi-hop trees.
                 eos_redundancy: 8,
-                ..AckConfig::default()
             }),
             fault: plan,
             run_deadline: Some(Duration::from_secs(10)),
@@ -149,7 +148,6 @@ proptest! {
         to_idx in 0usize..DEGREES.len(),
     ) {
         let adaptive = AdaptiveConfig {
-            initial_d: DEGREES[from_idx],
             interval: Duration::from_millis(1),
             forced_switches: vec![(TUPLES as u64 / 2, DEGREES[to_idx])],
             ..AdaptiveConfig::default()
@@ -160,7 +158,7 @@ proptest! {
             "switch d={}→{} m={machines} drop={drop_pct}%",
             DEGREES[from_idx], DEGREES[to_idx]
         );
-        let (r, counts) = run_cell(machines, None, Some(adaptive), plan);
+        let (r, counts) = run_cell(machines, Some(DEGREES[from_idx]), Some(adaptive), plan);
         assert_exact_delivery(&label, &r, &counts);
         if DEGREES[from_idx] != DEGREES[to_idx] {
             prop_assert!(r.relay_switches >= 1, "{}: switch must land", label);

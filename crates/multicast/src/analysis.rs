@@ -3,7 +3,7 @@
 //! structures and pick one — the planning counterpart of the runtime
 //! controller.
 //!
-//! Everything here is cross-checked against the [`RelaySim`] event
+//! Everything here is cross-checked against the [`RelaySim`](crate::RelaySim) event
 //! simulation in tests, so the formulas and the executable model cannot
 //! drift apart.
 
@@ -41,11 +41,6 @@ impl StructureAnalysis {
             completion_units,
             max_affordable_rate: mdone::max_affordable_rate(source_degree.max(1), t_e_secs, q),
         }
-    }
-
-    /// Expected one-tuple multicast latency in seconds (units × t_e).
-    pub fn multicast_latency_secs(&self, t_e_secs: f64) -> f64 {
-        self.completion_units as f64 * t_e_secs
     }
 
     /// True if the structure sustains `lambda` tuples/s without blocking.
@@ -164,13 +159,6 @@ mod tests {
         for lambda in [100.0, 10_000.0, 1e6] {
             assert_ne!(recommend(480, lambda, T_E, Q), Structure::Sequential);
         }
-    }
-
-    #[test]
-    fn latency_helper() {
-        let a = StructureAnalysis::of(Structure::Binomial, 480, T_E, Q);
-        // 9 units × 8 µs = 72 µs.
-        assert!((a.multicast_latency_secs(T_E) - 72e-6).abs() < 1e-12);
     }
 
     #[test]

@@ -140,19 +140,6 @@ impl RelaySim {
         }
     }
 
-    /// Deliver a back-to-back stream of `k` tuples entering one unit apart
-    /// starting at `start`; returns each tuple's schedule.
-    pub fn multicast_stream(
-        &mut self,
-        start: u64,
-        k: u32,
-        inter_arrival: u64,
-    ) -> Vec<TupleSchedule> {
-        (0..k as u64)
-            .map(|i| self.multicast(start + i * inter_arrival))
-            .collect()
-    }
-
     /// Reset all busy clocks.
     pub fn reset(&mut self) {
         self.free.iter_mut().for_each(|f| *f = 0);
@@ -289,7 +276,7 @@ mod tests {
         // the same as the first.
         let tree = build_nonblocking(63, 2);
         let mut sim = RelaySim::new(tree);
-        let schedules = sim.multicast_stream(0, 10, 2);
+        let schedules: Vec<_> = (0..10).map(|i| sim.multicast(i * 2)).collect();
         let lat0 = schedules[0].latency(0);
         for (i, s) in schedules.iter().enumerate() {
             assert_eq!(
@@ -306,7 +293,7 @@ mod tests {
         // latencies must grow without bound.
         let tree = build_nonblocking(63, 3);
         let mut sim = RelaySim::new(tree);
-        let schedules = sim.multicast_stream(0, 20, 1);
+        let schedules: Vec<_> = (0..20).map(|i| sim.multicast(i)).collect();
         let first = schedules[0].latency(0);
         let last = schedules[19].latency(19);
         assert!(last > first + 20, "first={first} last={last}");

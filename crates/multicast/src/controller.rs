@@ -211,41 +211,6 @@ impl AdjustController {
     }
 }
 
-/// Theorem 4: dynamic switching for negative scale-down loses no tuples iff
-/// the switching delay satisfies `T_switch < (Q − q(t*)) / v_in(t*)`.
-///
-/// All arguments in consistent units (lengths in tuples, rate in tuples/s,
-/// delay in seconds).
-pub fn switch_without_loss(
-    queue_capacity: usize,
-    queue_len_at_trigger: usize,
-    input_rate: f64,
-    switch_delay_secs: f64,
-) -> bool {
-    assert!(input_rate >= 0.0 && switch_delay_secs >= 0.0);
-    if input_rate == 0.0 {
-        return true;
-    }
-    let headroom = queue_capacity.saturating_sub(queue_len_at_trigger) as f64;
-    switch_delay_secs < headroom / input_rate
-}
-
-/// Theorem 5: active scale-up improves multicast performance iff the number
-/// of tuples still to multicast exceeds `γ·γ'·T_switch / (γ − γ')`, where
-/// γ' and γ are the multicast rates before/after switching.
-pub fn scale_up_worthwhile(
-    tuples_remaining: f64,
-    rate_after: f64,
-    rate_before: f64,
-    switch_delay_secs: f64,
-) -> bool {
-    assert!(rate_after > 0.0 && rate_before > 0.0);
-    if rate_after <= rate_before {
-        return false;
-    }
-    tuples_remaining > rate_after * rate_before * switch_delay_secs / (rate_after - rate_before)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,24 +365,6 @@ mod tests {
         // Queue saturated at capacity: no growth, but overloaded.
         let d = c.decide(&report(100_000.0, 2_048, 2_048));
         assert_eq!(d, Decision::ScaleDown { d_star: 1 });
-    }
-
-    #[test]
-    fn theorem4_no_loss_condition() {
-        // Q=1000, q(t*)=400, v_in=60k/s → headroom time = 10ms.
-        assert!(switch_without_loss(1_000, 400, 60_000.0, 0.009));
-        assert!(!switch_without_loss(1_000, 400, 60_000.0, 0.011));
-        // Idle input never loses.
-        assert!(switch_without_loss(10, 10, 0.0, 100.0));
-    }
-
-    #[test]
-    fn theorem5_scale_up_worthwhile() {
-        // γ'=10k/s → γ=20k/s with 10ms switch: X > 2e8*0.01/1e4 = 200.
-        assert!(scale_up_worthwhile(300.0, 20_000.0, 10_000.0, 0.01));
-        assert!(!scale_up_worthwhile(100.0, 20_000.0, 10_000.0, 0.01));
-        // No rate gain → never worthwhile.
-        assert!(!scale_up_worthwhile(1e9, 10_000.0, 10_000.0, 0.01));
     }
 
     #[test]

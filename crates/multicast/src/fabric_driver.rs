@@ -277,17 +277,12 @@ pub struct SwitchDriverReport {
     pub metrics: MetricsRegistry,
 }
 
-/// Coordinator endpoint of a switch round anchored at `base`; agent `i`
-/// lives at `EndpointId(base + i + 1)`. A base of 0 gives the protocol a
-/// dedicated fabric; a non-zero base lets the round share a fabric whose
-/// low endpoint ids are already taken (the live runtime's data plane
-/// carries the switch protocol above its worker endpoints).
-fn coordinator_endpoint(base: u32) -> EndpointId {
-    EndpointId(base)
-}
+/// The coordinator's endpoint in a switch round; agent `i` lives at
+/// `EndpointId(i + 1)`.
+const COORDINATOR: EndpointId = EndpointId(0);
 
-fn agent_endpoint(base: u32, i: u32) -> EndpointId {
-    EndpointId(base + i + 1)
+fn agent_endpoint(i: u32) -> EndpointId {
+    EndpointId(i + 1)
 }
 
 /// Backpressure retries performed by the driver's bounded sends (shared
@@ -365,32 +360,18 @@ pub fn run_switch_over_fabric(
     tree: &MulticastTree,
     new_d: u32,
 ) -> Result<SwitchDriverReport, DriverError> {
-    run_switch_over_fabric_at(fabric, tree, new_d, 0)
-}
-
-/// [`run_switch_over_fabric`] anchored at `endpoint_base`: the protocol
-/// occupies endpoints `base..=base + n` instead of `0..=n`, so it can run
-/// over a fabric whose low ids belong to another plane (the live runtime
-/// keeps workers at `0..n_workers` and carries switch rounds above them).
-pub fn run_switch_over_fabric_at(
-    fabric: Arc<dyn FabricPath>,
-    tree: &MulticastTree,
-    new_d: u32,
-    endpoint_base: u32,
-) -> Result<SwitchDriverReport, DriverError> {
     let n = tree.n();
-    let base = endpoint_base;
     let coord_rx = fabric
-        .register(coordinator_endpoint(base))
+        .register(COORDINATOR)
         .map_err(DriverError::Register)?;
     let mut agent_rx = Vec::with_capacity(n as usize);
     for i in 0..n {
-        match fabric.register(agent_endpoint(base, i)) {
+        match fabric.register(agent_endpoint(i)) {
             Ok(rx) => agent_rx.push(rx),
             Err(e) => {
-                fabric.deregister(coordinator_endpoint(base));
+                fabric.deregister(COORDINATOR);
                 for j in 0..i {
-                    fabric.deregister(agent_endpoint(base, j));
+                    fabric.deregister(agent_endpoint(j));
                 }
                 return Err(DriverError::Register(e));
             }
@@ -415,8 +396,8 @@ pub fn run_switch_over_fabric_at(
                 if let Some(ack) = agent.on_message(decoded) {
                     push(
                         fabric.as_ref(),
-                        agent_endpoint(base, i as u32),
-                        coordinator_endpoint(base),
+                        agent_endpoint(i as u32),
+                        COORDINATOR,
                         &encode_msg(&ack),
                     )?;
                 }
@@ -433,7 +414,7 @@ pub fn run_switch_over_fabric_at(
             let Node::Dest(i) = node else { return Ok(()) };
             frames_sent += 1;
             let frame = cache.frame(msg);
-            push_shared(fabric.as_ref(), coordinator_endpoint(base), agent_endpoint(base, i), &frame)
+            push_shared(fabric.as_ref(), COORDINATOR, agent_endpoint(i), &frame)
         };
         for (dst, msg) in &outbox {
             send_to(*dst, msg)?;
@@ -538,7 +519,7 @@ pub fn run_switch_over_fabric_at(
         let shutdown: Arc<[u8]> = Vec::new().into();
         for i in 0..n {
             frames_sent += 1;
-            push_shared(fabric.as_ref(), coordinator_endpoint(base), agent_endpoint(base, i), &shutdown)?;
+            push_shared(fabric.as_ref(), COORDINATOR, agent_endpoint(i), &shutdown)?;
         }
         fabric.flush();
         Ok((coord, t_switch, frames_sent, cache.encoded, acks_received))
@@ -548,7 +529,7 @@ pub fn run_switch_over_fabric_at(
         // Best-effort shutdown frames so agents unblock before the join
         // below (the success path sent them inside `run`).
         for i in 0..n {
-            let _ = fabric.send_copied(coordinator_endpoint(base), agent_endpoint(base, i), &[]);
+            let _ = fabric.send_copied(COORDINATOR, agent_endpoint(i), &[]);
         }
         fabric.flush();
     }
@@ -557,7 +538,7 @@ pub fn run_switch_over_fabric_at(
     // unblocks its agent even if a lossy transport swallowed the shutdown
     // frame (frames already queued are still drained first).
     for i in 0..n {
-        fabric.deregister(agent_endpoint(base, i));
+        fabric.deregister(agent_endpoint(i));
     }
     // Join every agent before reporting any failure — a poisoned run must
     // not leak threads.
@@ -569,7 +550,7 @@ pub fn run_switch_over_fabric_at(
             Err(_) => panicked = Some(Node::Dest(i as u32)),
         }
     }
-    fabric.deregister(coordinator_endpoint(base));
+    fabric.deregister(COORDINATOR);
     let (coord, t_switch, frames_sent, frames_encoded, acks_received) = result?;
     if let Some(node) = panicked {
         return Err(DriverError::AgentPanicked(node));

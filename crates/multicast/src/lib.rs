@@ -31,8 +31,7 @@ pub use builder::{
 pub use capability::{capability, completion_time, RelaySim, TupleSchedule};
 pub use controller::{AdjustController, ControllerConfig, Decision};
 pub use fabric_driver::{
-    decode_msg, encode_msg, run_switch_over_fabric, run_switch_over_fabric_at, CodecError,
-    DriverError, SwitchDriverReport,
+    decode_msg, encode_msg, run_switch_over_fabric, CodecError, DriverError, SwitchDriverReport,
 };
 pub use monitor::{LinkPressure, MonitorReport, WorkloadMonitor};
 pub use protocol::{AckOutcome, CoordinatorState, InstanceAgent, ProtocolMsg, SwitchCoordinator};

@@ -23,7 +23,6 @@
 //! [`build_nonblocking`]: crate::build_nonblocking
 
 use crate::tree::{MulticastTree, Node};
-use whale_net::{ClusterSpec, MachineId};
 
 /// Rack-aware non-blocking tree builder: Algorithm 1's layer-by-layer
 /// growth constrained to rack-local subtrees with load-aware rack entry.
@@ -55,20 +54,6 @@ impl TopoTreeBuilder {
             node_racks,
             uplink_load: vec![0; racks as usize],
         }
-    }
-
-    /// Builder over a [`ClusterSpec`] placement: destination `i` lives on
-    /// `dest_machines[i]`, the source on `source`.
-    pub fn from_cluster(
-        d_star: u32,
-        spec: &ClusterSpec,
-        source: MachineId,
-        dest_machines: &[MachineId],
-    ) -> Self {
-        let node_racks = dest_machines.iter().map(|&m| spec.rack_of(m).0).collect();
-        let mut b = TopoTreeBuilder::new(d_star, spec.rack_of(source).0, node_racks);
-        b.uplink_load.resize(spec.racks() as usize, 0);
-        b
     }
 
     /// Feed a per-rack uplink load snapshot (e.g.
@@ -374,18 +359,6 @@ mod tests {
         // full or hot; dest0 exhausted rack 0 and opens rack 1; dest1
         // (cool rack 1) opens rack 2.
         assert_eq!(tree.parent(2), Some(Node::Dest(1)));
-    }
-
-    #[test]
-    fn builds_from_cluster_spec_placement() {
-        let spec = ClusterSpec::with_rack_map(6, 2, 1, vec![0, 0, 0, 1, 1, 1]);
-        let dests: Vec<MachineId> = (1..6).map(MachineId).collect();
-        let tree = TopoTreeBuilder::from_cluster(2, &spec, MachineId(0), &dests).build();
-        tree.validate(2).unwrap();
-        assert_eq!(tree.reachable_count(), 5);
-        let node_racks: Vec<u32> = dests.iter().map(|&m| spec.rack_of(m).0).collect();
-        let cost = tree_cost(&tree, 0, &node_racks, 20.0, 5.0, 40.0);
-        assert_eq!(cost.uplink_edges, 1);
     }
 
     #[test]

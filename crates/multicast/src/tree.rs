@@ -272,16 +272,6 @@ impl MulticastTree {
         walk(self, Node::Source, "", &mut out);
         out
     }
-
-    /// Per-node out-degree histogram `(degree → count)`, for diagnostics.
-    pub fn degree_histogram(&self) -> std::collections::BTreeMap<u32, u32> {
-        let mut map = std::collections::BTreeMap::new();
-        *map.entry(self.out_degree(Node::Source)).or_insert(0) += 1;
-        for i in 0..self.n {
-            *map.entry(self.out_degree(Node::Dest(i))).or_insert(0) += 1;
-        }
-        map
-    }
 }
 
 #[cfg(test)]
@@ -401,15 +391,6 @@ mod tests {
         let pos = |n: Node| order.iter().position(|&x| x == n).unwrap();
         assert!(pos(Node::Dest(0)) < pos(Node::Dest(2)));
         assert!(pos(Node::Dest(2)) < pos(Node::Dest(5)));
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_node_count() {
-        let t = fig6_tree();
-        let hist = t.degree_histogram();
-        let total: u32 = hist.values().sum();
-        assert_eq!(total, 8);
-        assert_eq!(hist[&2], 3); // S, T0, T1
     }
 
     #[test]

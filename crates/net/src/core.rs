@@ -5,7 +5,7 @@
 //! policy's per-endpoint state, duplicate-id rejection, the lazily
 //! rebuilt id-sorted snapshot drain passes walk), the counter block
 //! behind [`FabricStats`], the [`LinkTracker`] slot, the hand-off into an
-//! inbox ([`Transport::deliver`], the only place a delivered or lost
+//! inbox (`Transport::deliver`, the only place a delivered or lost
 //! frame is counted), the doorbells and the drain thread. A [`Policy`]
 //! supplies the rest:
 //!
@@ -14,8 +14,8 @@
 //!   posts to the endpoint's ring, a drain pass batches at MMS/WTL and
 //!   delivers;
 //! - [`crate::one_sided::OneSided`] ([`crate::OneSidedFabric`]): the
-//!   sender publishes to the link's outbox, a drain pass prices a READ
-//!   and delivers.
+//!   sender publishes to the link's outbox, a drain pass reads each
+//!   frame across and delivers.
 //!
 //! [`FabricPath`] is implemented here for every policy at once.
 

@@ -44,8 +44,6 @@ pub struct LogConfig {
     /// Retention cap: appending past this many segments evicts the
     /// oldest (counted as GC'd bytes, distinct from watermark GC).
     pub max_segments: usize,
-    /// Topology distance priced into replay READs.
-    pub rack_hops: u32,
 }
 
 impl Default for LogConfig {
@@ -53,7 +51,6 @@ impl Default for LogConfig {
         LogConfig {
             segment_bytes: 64 * 1024,
             max_segments: 64,
-            rack_hops: 0,
         }
     }
 }
@@ -236,7 +233,8 @@ impl PartitionLog {
                     verb: Verb::Read,
                     bytes: RECORD_HEADER + payload.len(),
                 };
-                let costs = self.qp.post(&wr, &self.cost, self.config.rack_hops);
+                // Priced at in-rack distance (0 rack hops).
+                let costs = self.qp.post(&wr, &self.cost, 0);
                 self.reads_posted += 1;
                 self.read_bytes += wr.bytes as u64;
                 // Both the post and the completion are the reader's CPU:
@@ -383,11 +381,6 @@ impl PartitionLog {
         self.segments.iter().map(|s| s.buf.len() as u64).sum()
     }
 
-    /// Segments currently retained.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Memory registrations paid over the log's lifetime.
     pub fn registrations(&self) -> u64 {
         self.registry.registrations()
@@ -433,7 +426,6 @@ mod tests {
         LogConfig {
             segment_bytes: 64,
             max_segments: 4,
-            rack_hops: 0,
         }
     }
 
@@ -443,7 +435,6 @@ mod tests {
         LogConfig {
             segment_bytes: 64,
             max_segments: 1024,
-            rack_hops: 0,
         }
     }
 
@@ -516,15 +507,15 @@ mod tests {
         for i in 0..40u64 {
             log.append(&payload(i));
         }
-        let segs = log.segment_count();
+        let segs = log.segments.len();
         assert!(segs > 2, "test needs multiple segments, got {segs}");
         let before = log.retained_bytes();
         log.truncate_to(20);
-        assert!(log.segment_count() < segs);
+        assert!(log.segments.len() < segs);
         assert!(log.retained_bytes() < before);
         assert!(log.first_seq() <= 20, "GC only drops fully-acked segments");
         assert!(log.gcd_records() > 0);
-        assert_eq!(log.deregistrations(), (segs - log.segment_count()) as u64);
+        assert_eq!(log.deregistrations(), (segs - log.segments.len()) as u64);
         // Every record >= the watermark is still readable.
         let read = log.read_from(20);
         assert_eq!(read.records.len(), 20);
@@ -556,7 +547,7 @@ mod tests {
         for i in 0..10_000u64 {
             log.append(&payload(i));
         }
-        assert!(log.segment_count() <= cfg.max_segments);
+        assert!(log.segments.len() <= cfg.max_segments);
         assert!(log.retained_bytes() <= (cfg.max_segments * cfg.segment_bytes) as u64);
         assert!(log.evicted_segments() > 0);
         assert_eq!(
@@ -571,15 +562,15 @@ mod tests {
         for i in 0..8u64 {
             log.append(&payload(i));
         }
-        assert!(log.segment_count() >= 2);
+        assert!(log.segments.len() >= 2);
         let first = log.segments[0].buf.as_ptr();
         let (registered, end) = (log.registrations(), log.segments[1].base_seq);
         log.truncate_to(end);
         assert_eq!(log.deregistrations(), 1);
         // Fill the open segment; the one after it reuses the block.
-        let open = log.segment_count();
+        let open = log.segments.len();
         let mut next = log.next_seq();
-        while log.segment_count() == open {
+        while log.segments.len() == open {
             log.append(&payload(next));
             next += 1;
         }

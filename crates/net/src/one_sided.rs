@@ -8,8 +8,8 @@
 //! *publishes* frames into it (server-bypass: no destination code runs on
 //! the send path), and the receive side *fetches* — a modeled `RDMA READ`
 //! of the tail slot, addressed purely by sequence number via
-//! [`RingRegion::peek_at`], costed with [`Verb::Read`] through the
-//! [`QueuePair`] cost model. A doorbell wakes the background drain thread
+//! [`RingRegion::peek_at`], priced as an RDMA READ by the [`CostModel`]
+//! when the metrics are exported. A doorbell wakes the background drain thread
 //! ([`crate::spawn_drain`]); deterministic callers drive
 //! [`OneSidedFabric::fetch_all`] themselves.
 //!
@@ -35,12 +35,12 @@ use crate::fabric::{EndpointId, FabricStats, IdHashMap, LiveMessage, Payload, Se
 use crate::log::{LogConfig, PartitionLog};
 use crate::memory::{MemoryRegistry, RingRegion};
 use crate::topology::MachineId;
-use crate::verbs::{QpId, QueuePair, WorkRequest, WrId};
+use crate::verbs::QpId;
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use whale_sim::{CostModel, MetricsRegistry, SimTime, Verb};
+use whale_sim::{CostModel, MetricsRegistry, SimTime, Transport as Wire};
 
 /// Per-slot registration accounting: bytes of registered memory each
 /// outbox slot reserves.
@@ -73,15 +73,13 @@ impl Default for OneSidedConfig {
 }
 
 /// One (sender → destination) link: the registered outbox ring, the frame
-/// a full inbox bounced back (kept at the logical front so FIFO holds),
-/// and the queue pair whose posts price the fetches.
+/// a full inbox bounced back (kept at the logical front so FIFO holds).
 pub struct LinkOutbox {
     /// Set when the destination is deregistered: a publish through a
     /// handle resolved earlier must not strand a frame nothing fetches.
     closed: bool,
     ring: RingRegion<LiveMessage>,
     staged: Option<LiveMessage>,
-    qp: QueuePair,
     /// Durable history of every frame published on this link, present
     /// when [`OneSidedConfig::log`] is set.
     log: Option<PartitionLog>,
@@ -103,23 +101,21 @@ type Inbound = IdHashMap<EndpointId, LinkHandle>;
 type Fetch = (EndpointId, Sender<LiveMessage>, LinkHandle);
 
 /// The remote-fetch policy: a send publishes to the link's outbox (and
-/// write-through log); a drain pass prices a READ per frame and delivers.
+/// write-through log); a drain pass reads each frame across and delivers.
 pub struct OneSided {
     config: OneSidedConfig,
-    cost: CostModel,
     /// Registration ledger: one registration per link, paid lazily on the
     /// first publish, refunded on deregistration.
     registry: Mutex<MemoryRegistry>,
+    /// Queue-pair ids of the write-through logs.
     next_qp: AtomicU64,
-    /// Modeled `RDMA READ`s posted by the fetch side.
+    /// Modeled `RDMA READ`s posted by the fetch side. Kept on the policy,
+    /// not the link, so a link closed before the export loses nothing.
     reads_posted: AtomicU64,
     read_bytes: AtomicU64,
-    /// Modeled sender-side publish CPU (`ring_publish` per fetched frame).
-    publish_cpu_ns: AtomicU64,
-    /// Modeled fetch-side CPU (`rdma_post_read` per fetched frame).
-    fetch_cpu_ns: AtomicU64,
-    /// Modeled wire occupancy plus the READ's request/response round trip.
-    fetch_wire_ns: AtomicU64,
+    /// Modeled wire occupancy, summed frame by frame (the per-frame
+    /// nanosecond floor does not commute with a sum over bytes).
+    read_wire_ns: AtomicU64,
 }
 
 /// The remote-fetch transport. See the module docs for semantics.
@@ -136,7 +132,6 @@ impl OneSided {
             SLOT_BYTES,
             &mut self.registry.lock(),
         );
-        let qp = QueuePair::new(next_qp(), local, remote, whale_sim::Transport::Rdma);
         let log = self
             .config
             .log
@@ -145,7 +140,6 @@ impl OneSided {
             closed: false,
             ring,
             staged: None,
-            qp,
             log,
         }))
     }
@@ -277,13 +271,28 @@ impl Policy for OneSided {
     ) {
         let p = &t.policy;
         let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        // Every fetched frame is one READ: `ring_publish` on the sender,
+        // `rdma_post_read` on the fetcher, and a request/response round
+        // trip (two propagation legs) on top of its wire time.
+        let cost = CostModel::default();
+        let reads = get(&p.reads_posted);
+        let round_trip = 2 * cost.net_latency(Wire::Rdma, RACK_HOPS).as_nanos();
         reg.set_counter(&format!("{prefix}.posted"), stats.posted);
         reg.set_counter(&format!("{prefix}.doorbell_rings"), stats.doorbell_rings);
-        reg.set_counter(&format!("{prefix}.reads_posted"), get(&p.reads_posted));
+        reg.set_counter(&format!("{prefix}.reads_posted"), reads);
         reg.set_counter(&format!("{prefix}.read_bytes"), get(&p.read_bytes));
-        reg.set_counter(&format!("{prefix}.publish_cpu_ns"), get(&p.publish_cpu_ns));
-        reg.set_counter(&format!("{prefix}.fetch_cpu_ns"), get(&p.fetch_cpu_ns));
-        reg.set_counter(&format!("{prefix}.fetch_wire_ns"), get(&p.fetch_wire_ns));
+        reg.set_counter(
+            &format!("{prefix}.publish_cpu_ns"),
+            reads * cost.ring_publish.as_nanos(),
+        );
+        reg.set_counter(
+            &format!("{prefix}.fetch_cpu_ns"),
+            reads * cost.rdma_post_read.as_nanos(),
+        );
+        reg.set_counter(
+            &format!("{prefix}.fetch_wire_ns"),
+            get(&p.read_wire_ns) + reads * round_trip,
+        );
         reg.set_gauge(&format!("{prefix}.links"), t.link_count() as f64);
         reg.set_gauge(&format!("{prefix}.queue_depth"), stats.queue_depth as f64);
         if p.config.log.is_some() {
@@ -312,14 +321,11 @@ impl OneSidedFabric {
         assert!(config.ring_slots > 0, "outbox needs at least one slot");
         Transport::with_policy(OneSided {
             config,
-            cost: CostModel::default(),
             registry: Mutex::new(MemoryRegistry::new()),
             next_qp: AtomicU64::new(0),
             reads_posted: AtomicU64::new(0),
             read_bytes: AtomicU64::new(0),
-            publish_cpu_ns: AtomicU64::new(0),
-            fetch_cpu_ns: AtomicU64::new(0),
-            fetch_wire_ns: AtomicU64::new(0),
+            read_wire_ns: AtomicU64::new(0),
         })
     }
 
@@ -370,13 +376,14 @@ impl OneSidedFabric {
             .sum()
     }
 
-    /// One fetch pass over every link: model the `RDMA READ` of each tail
+    /// One fetch pass over every link: count the `RDMA READ` of each tail
     /// slot (addressed by seq), consume it, and hand the frame to the
     /// destination inbox. Stops at a full bounded inbox — the frame stays
     /// staged, the ring backs up, and publishes eventually see
     /// [`SendError::Full`]. Returns the number of frames delivered.
     pub fn fetch_all(&self) -> u64 {
-        let p = &self.policy;
+        let cost = CostModel::default();
+        let (mut reads, mut read_bytes, mut read_wire_ns) = (0u64, 0u64, 0u64);
         let mut delivered = 0;
         for (to, inbox, link) in self.snapshot().iter() {
             let mut link = link.lock();
@@ -391,24 +398,9 @@ impl OneSidedFabric {
                             break;
                         };
                         let bytes = frame.payload.len();
-                        let wr = WorkRequest {
-                            wr_id: WrId(seq),
-                            verb: Verb::Read,
-                            bytes,
-                        };
-                        let costs = link.qp.post(&wr, &p.cost, RACK_HOPS);
-                        p.reads_posted.fetch_add(1, Ordering::Relaxed);
-                        p.read_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                        p.publish_cpu_ns
-                            .fetch_add(costs.post_cpu.as_nanos(), Ordering::Relaxed);
-                        p.fetch_cpu_ns
-                            .fetch_add(costs.remote_cpu.as_nanos(), Ordering::Relaxed);
-                        // A READ is a request/response round trip: two
-                        // propagation legs plus the wire serialization.
-                        p.fetch_wire_ns.fetch_add(
-                            costs.wire.as_nanos() + 2 * costs.latency.as_nanos(),
-                            Ordering::Relaxed,
-                        );
+                        reads += 1;
+                        read_bytes += bytes as u64;
+                        read_wire_ns += cost.wire_time(Wire::Rdma, bytes).as_nanos();
                         let (addr, msg) = link.ring.consume().expect("peeked tail slot");
                         debug_assert_eq!(addr.seq, seq);
                         msg
@@ -424,6 +416,10 @@ impl OneSidedFabric {
                 }
             }
         }
+        let p = &self.policy;
+        p.reads_posted.fetch_add(reads, Ordering::Relaxed);
+        p.read_bytes.fetch_add(read_bytes, Ordering::Relaxed);
+        p.read_wire_ns.fetch_add(read_wire_ns, Ordering::Relaxed);
         delivered
     }
 
@@ -440,7 +436,7 @@ mod tests {
     use crate::fabric::FabricPath;
     use crossbeam::channel::Receiver;
     use std::time::Duration;
-    use whale_sim::Transport as Wire;
+    use whale_sim::Verb;
 
     fn cfg(ring_slots: usize) -> OneSidedConfig {
         OneSidedConfig {
@@ -489,7 +485,8 @@ mod tests {
             reg.counter("os.fetch_cpu_ns"),
             Some(3 * cost.recv_cpu(Wire::Rdma, Verb::Read).as_nanos())
         );
-        assert!(reg.counter("os.fetch_wire_ns").unwrap() > 0);
+        let read = cost.wire_time(Wire::Rdma, 100) + cost.net_latency(Wire::Rdma, 0) * 2;
+        assert_eq!(reg.counter("os.fetch_wire_ns"), Some(3 * read.as_nanos()));
     }
 
     #[test]
@@ -702,7 +699,6 @@ mod tests {
             log: Some(LogConfig {
                 segment_bytes: 256,
                 max_segments: 1024,
-                rack_hops: 0,
             }),
         }
     }

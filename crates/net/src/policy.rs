@@ -45,18 +45,6 @@ impl Default for SendPolicy {
 }
 
 impl SendPolicy {
-    /// A policy that never parks and gives up after the spin/yield
-    /// phases — useful in tests that must not sleep.
-    pub fn immediate() -> Self {
-        SendPolicy {
-            spin: 0,
-            yields: 0,
-            park_initial: Duration::ZERO,
-            park_max: Duration::ZERO,
-            deadline: Duration::ZERO,
-        }
-    }
-
     /// Run `attempt` under this policy. Retries [`SendError::Full`]
     /// per the schedule, incrementing `retries` once per re-attempt;
     /// any other result is returned as-is. Returns `Err(Full)` when
@@ -159,11 +147,17 @@ mod tests {
     }
 
     #[test]
-    fn immediate_policy_never_sleeps() {
+    fn zero_budget_policy_never_sleeps() {
+        let policy = SendPolicy {
+            spin: 0,
+            yields: 0,
+            park_initial: Duration::ZERO,
+            park_max: Duration::ZERO,
+            deadline: Duration::ZERO,
+        };
         let retries = AtomicU64::new(0);
         let started = Instant::now();
-        let r: Result<(), SendError> =
-            SendPolicy::immediate().run(&retries, || Err(SendError::Full));
+        let r: Result<(), SendError> = policy.run(&retries, || Err(SendError::Full));
         assert_eq!(r, Err(SendError::Full));
         assert!(started.elapsed() < Duration::from_secs(1));
     }

@@ -14,7 +14,6 @@ use parking_lot::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Identifier of a physical machine in the cluster.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -103,16 +102,6 @@ impl ClusterSpec {
         self.cores_per_machine
     }
 
-    /// Total cores in the cluster.
-    pub fn total_cores(&self) -> u32 {
-        self.machines * self.cores_per_machine
-    }
-
-    /// Iterate over all machine ids.
-    pub fn machine_ids(&self) -> impl Iterator<Item = MachineId> {
-        (0..self.machines).map(MachineId)
-    }
-
     /// The rack a machine belongs to: the explicit [`rack map`] when one
     /// was given, round-robin otherwise.
     ///
@@ -136,12 +125,6 @@ impl ClusterSpec {
         } else {
             1
         }
-    }
-
-    /// True if both machines are the same physical host (loopback traffic
-    /// does not cross the NIC).
-    pub fn is_local(&self, a: MachineId, b: MachineId) -> bool {
-        a == b
     }
 
     /// The single link a `from → to` transfer occupies in the modeled
@@ -378,8 +361,8 @@ impl LinkTracker {
 }
 
 /// Topology description threaded through the live runtime's adaptive
-/// config: how the worker machines split into racks, the modeled per-edge
-/// latencies, and whether relay epochs should be built topology-aware.
+/// config: how the worker machines split into racks and whether relay
+/// epochs should be built topology-aware.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TopologyConfig {
     /// Number of racks the worker machines split into.
@@ -387,19 +370,12 @@ pub struct TopologyConfig {
     /// Explicit machine → rack assignment (skewed placement); `None`
     /// spreads machines round-robin.
     pub rack_of_machine: Option<Vec<u32>>,
-    /// Modeled one-hop latency within a rack.
-    pub t_intra: Duration,
-    /// Modeled one-hop latency across the rack uplink.
-    pub t_uplink: Duration,
     /// Build relay epochs with the rack-aware [`TopoTreeBuilder`]; when
     /// false the runtime keeps Whale's placement-oblivious trees but
     /// still accounts per-link load (the comparison baseline).
     ///
     /// [`TopoTreeBuilder`]: https://docs.rs/whale-multicast
     pub topo_trees: bool,
-    /// Uplink queue depth at which the link counts as hot for the
-    /// controller's congestion signal.
-    pub hot_uplink_queue: u64,
 }
 
 impl Default for TopologyConfig {
@@ -407,10 +383,7 @@ impl Default for TopologyConfig {
         TopologyConfig {
             racks: 1,
             rack_of_machine: None,
-            t_intra: Duration::from_micros(5),
-            t_uplink: Duration::from_micros(40),
             topo_trees: true,
-            hot_uplink_queue: 256,
         }
     }
 }
@@ -438,7 +411,6 @@ mod tests {
         assert_eq!(c.machines(), 30);
         assert_eq!(c.racks(), 1);
         assert_eq!(c.cores_per_machine(), 16);
-        assert_eq!(c.total_cores(), 480);
     }
 
     #[test]
@@ -463,24 +435,9 @@ mod tests {
     #[test]
     fn single_rack_never_hops() {
         let c = ClusterSpec::new(30, 1, 16);
-        for a in c.machine_ids() {
+        for a in (0..30).map(MachineId) {
             assert_eq!(c.rack_hops(a, MachineId(0)), 0);
         }
-    }
-
-    #[test]
-    fn locality() {
-        let c = ClusterSpec::new(4, 2, 2);
-        assert!(c.is_local(MachineId(1), MachineId(1)));
-        assert!(!c.is_local(MachineId(1), MachineId(3)));
-    }
-
-    #[test]
-    fn machine_ids_enumerates_all() {
-        let c = ClusterSpec::new(5, 1, 1);
-        let ids: Vec<_> = c.machine_ids().collect();
-        assert_eq!(ids.len(), 5);
-        assert_eq!(ids[4], MachineId(4));
     }
 
     #[test]

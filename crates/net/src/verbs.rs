@@ -1,14 +1,12 @@
-//! Verbs-style RDMA abstraction: queue pairs, work requests, completions.
+//! Verbs-style RDMA abstraction: queue pairs and work requests.
 //!
 //! This mirrors the shape of the ibverbs API Whale programs against via
 //! DiSNI, reduced to what the simulation needs: posting a work request has
-//! a (verb-dependent) CPU cost, the transfer occupies the NIC for the wire
-//! time, and a completion is delivered to the completion queue when the
-//! transfer finishes. The cost numbers come from [`whale_sim::CostModel`].
+//! a (verb-dependent) CPU cost and the transfer occupies the NIC for the
+//! wire time. The cost numbers come from [`whale_sim::CostModel`].
 
 use crate::topology::MachineId;
-use std::collections::VecDeque;
-use whale_sim::{CostModel, MetricsRegistry, SimDuration, SimTime, Transport, Verb};
+use whale_sim::{CostModel, MetricsRegistry, SimDuration, Transport, Verb};
 
 /// Identifier of a queue pair (one reliable connection between two nodes).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -27,73 +25,6 @@ pub struct WorkRequest {
     pub verb: Verb,
     /// Message size in bytes.
     pub bytes: usize,
-}
-
-/// Completion status.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WcStatus {
-    /// Transfer finished successfully.
-    Success,
-    /// The remote end was disconnected mid-transfer.
-    FlushError,
-}
-
-/// A work completion delivered to a completion queue.
-#[derive(Clone, Copy, Debug)]
-pub struct Completion {
-    /// The id of the completed work request.
-    pub wr_id: WrId,
-    /// Outcome.
-    pub status: WcStatus,
-    /// Virtual time the completion was generated.
-    pub at: SimTime,
-}
-
-/// A completion queue: completions are polled in delivery order.
-#[derive(Clone, Debug, Default)]
-pub struct CompletionQueue {
-    queue: VecDeque<Completion>,
-    delivered: u64,
-}
-
-impl CompletionQueue {
-    /// New empty CQ.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Deliver a completion (called by the fabric).
-    pub fn deliver(&mut self, c: Completion) {
-        self.queue.push_back(c);
-        self.delivered += 1;
-    }
-
-    /// Poll one completion, if any.
-    pub fn poll(&mut self) -> Option<Completion> {
-        self.queue.pop_front()
-    }
-
-    /// Poll up to `n` completions.
-    pub fn poll_n(&mut self, n: usize) -> Vec<Completion> {
-        let take = n.min(self.queue.len());
-        self.queue.drain(..take).collect()
-    }
-
-    /// Completions waiting to be polled.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total completions ever delivered.
-    pub fn total_delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Export delivery counters into `reg` under `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.completions"), self.delivered);
-        reg.set_gauge(&format!("{prefix}.pending"), self.queue.len() as f64);
-    }
 }
 
 /// A queue pair: one end of a reliable connection, bound to a transport.
@@ -126,14 +57,6 @@ pub struct PostCosts {
     pub latency: SimDuration,
     /// CPU time the remote side spends receiving/completing.
     pub remote_cpu: SimDuration,
-}
-
-impl PostCosts {
-    /// Earliest time data can be visible remotely if posted at `now` on an
-    /// idle NIC: post + wire + latency.
-    pub fn arrival_after(&self) -> SimDuration {
-        self.post_cpu + self.wire + self.latency
-    }
 }
 
 impl QueuePair {
@@ -265,37 +188,6 @@ mod tests {
         let far = qp(Transport::Rdma).post(&wr, &cost, 1);
         assert!(far.latency > near.latency);
         assert_eq!(far.post_cpu, near.post_cpu);
-    }
-
-    #[test]
-    fn arrival_composition() {
-        let cost = CostModel::default();
-        let wr = WorkRequest {
-            wr_id: WrId(7),
-            verb: Verb::Write,
-            bytes: 1024,
-        };
-        let c = qp(Transport::Rdma).post(&wr, &cost, 0);
-        assert_eq!(c.arrival_after(), c.post_cpu + c.wire + c.latency);
-    }
-
-    #[test]
-    fn cq_delivery_order() {
-        let mut cq = CompletionQueue::new();
-        for i in 0..3 {
-            cq.deliver(Completion {
-                wr_id: WrId(i),
-                status: WcStatus::Success,
-                at: SimTime::from_micros(i),
-            });
-        }
-        assert_eq!(cq.pending(), 3);
-        assert_eq!(cq.poll().unwrap().wr_id, WrId(0));
-        let rest = cq.poll_n(10);
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest[1].wr_id, WrId(2));
-        assert_eq!(cq.total_delivered(), 3);
-        assert!(cq.poll().is_none());
     }
 
     #[test]

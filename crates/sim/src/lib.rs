@@ -29,7 +29,7 @@ pub use event::{EventId, EventQueue};
 pub use metrics::{
     Counter, Histogram, JsonValue, MetricValue, MetricsRegistry, RateMeter, Summary, TimeSeries,
 };
-pub use queue::{BoundedQueue, PushOutcome, QueueSample, QueueWatch};
+pub use queue::{BoundedQueue, PushOutcome};
 pub use resource::{CoreClock, CpuAccount, CpuCategory};
 pub use rng::{SimRng, Zipf};
 pub use stats::{Ewma, Running};

@@ -23,12 +23,6 @@ impl Counter {
         Self::default()
     }
 
-    /// Add one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
     /// Add `n`.
     #[inline]
     pub fn add(&mut self, n: u64) {
@@ -635,8 +629,7 @@ mod tests {
     #[test]
     fn counter_rate() {
         let mut c = Counter::new();
-        c.add(500);
-        c.incr();
+        c.add(501);
         assert_eq!(c.get(), 501);
         assert!((c.rate(SimDuration::from_secs(2)) - 250.5).abs() < 1e-9);
         assert_eq!(c.rate(SimDuration::ZERO), 0.0);

@@ -4,9 +4,8 @@
 //! paper's analysis (M/D/1, warning waterline, overflow = tuple loss).
 //! [`BoundedQueue`] implements that queue with the bookkeeping the
 //! self-adjusting controller and the experiments need: current length,
-//! high-water mark, drop counts, and enqueue/dequeue tallies.
+//! high-water mark, and drop counts.
 
-use crate::time::SimTime;
 use std::collections::VecDeque;
 
 /// Outcome of a push attempt on a bounded queue.
@@ -27,10 +26,6 @@ pub struct BoundedQueue<T> {
     high_water: usize,
     /// Items rejected because the queue was full.
     dropped: u64,
-    /// Total successful enqueues.
-    enqueued: u64,
-    /// Total dequeues.
-    dequeued: u64,
 }
 
 impl<T> BoundedQueue<T> {
@@ -42,8 +37,6 @@ impl<T> BoundedQueue<T> {
             capacity,
             high_water: 0,
             dropped: 0,
-            enqueued: 0,
-            dequeued: 0,
         }
     }
 
@@ -54,7 +47,6 @@ impl<T> BoundedQueue<T> {
             return PushOutcome::Dropped;
         }
         self.items.push_back(item);
-        self.enqueued += 1;
         if self.items.len() > self.high_water {
             self.high_water = self.items.len();
         }
@@ -63,11 +55,7 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeue the oldest item.
     pub fn pop(&mut self) -> Option<T> {
-        let item = self.items.pop_front();
-        if item.is_some() {
-            self.dequeued += 1;
-        }
-        item
+        self.items.pop_front()
     }
 
     /// Peek at the oldest item without removing it.
@@ -95,11 +83,6 @@ impl<T> BoundedQueue<T> {
         self.capacity
     }
 
-    /// Occupancy as a fraction of capacity in `[0, 1]` (the "waterline").
-    pub fn load_factor(&self) -> f64 {
-        self.items.len() as f64 / self.capacity as f64
-    }
-
     /// Largest occupancy ever observed.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -108,79 +91,6 @@ impl<T> BoundedQueue<T> {
     /// Number of items dropped due to overflow.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Total successful enqueues.
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Total dequeues.
-    pub fn total_dequeued(&self) -> u64 {
-        self.dequeued
-    }
-
-    /// Reset statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.high_water = self.items.len();
-        self.dropped = 0;
-        self.enqueued = 0;
-        self.dequeued = 0;
-    }
-}
-
-/// A periodic sample of queue occupancy, used by the workload monitor.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QueueSample {
-    /// When the sample was taken.
-    pub at: SimTime,
-    /// Queue length at that time.
-    pub len: usize,
-    /// Load factor at that time.
-    pub load: f64,
-}
-
-/// A rolling window of queue samples with the deltas the controller rules
-/// (negative scale-down / active scale-up) are expressed over.
-#[derive(Clone, Debug, Default)]
-pub struct QueueWatch {
-    last: Option<QueueSample>,
-    samples: Vec<QueueSample>,
-    keep_history: bool,
-}
-
-impl QueueWatch {
-    /// Create a watch; `keep_history` retains every sample for plotting.
-    pub fn new(keep_history: bool) -> Self {
-        QueueWatch {
-            last: None,
-            samples: Vec::new(),
-            keep_history,
-        }
-    }
-
-    /// Record a sample; returns the previous one, if any.
-    pub fn observe(&mut self, at: SimTime, len: usize, capacity: usize) -> Option<QueueSample> {
-        let sample = QueueSample {
-            at,
-            len,
-            load: len as f64 / capacity as f64,
-        };
-        let prev = self.last.replace(sample);
-        if self.keep_history {
-            self.samples.push(sample);
-        }
-        prev
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<QueueSample> {
-        self.last
-    }
-
-    /// Full history (empty unless `keep_history`).
-    pub fn history(&self) -> &[QueueSample] {
-        &self.samples
     }
 }
 
@@ -227,47 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn load_factor_and_waterline() {
-        let mut q = BoundedQueue::new(4);
-        assert_eq!(q.load_factor(), 0.0);
-        q.push(1);
-        q.push(2);
-        assert!((q.load_factor() - 0.5).abs() < 1e-12);
-        q.push(3);
-        q.push(4);
-        assert!((q.load_factor() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counters_balance() {
-        let mut q = BoundedQueue::new(8);
-        for i in 0..6 {
-            q.push(i);
-        }
-        for _ in 0..4 {
-            q.pop();
-        }
-        assert_eq!(q.total_enqueued(), 6);
-        assert_eq!(q.total_dequeued(), 4);
-        assert_eq!(q.total_enqueued() - q.total_dequeued(), q.len() as u64);
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut q = BoundedQueue::new(4);
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        q.push(4);
-        q.push(5); // dropped
-        q.reset_stats();
-        assert_eq!(q.dropped(), 0);
-        assert_eq!(q.total_enqueued(), 0);
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.high_water(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = BoundedQueue::<u8>::new(0);
@@ -279,24 +148,5 @@ mod tests {
         q.push(7);
         assert_eq!(q.front(), Some(&7));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn watch_returns_previous_sample() {
-        let mut w = QueueWatch::new(true);
-        assert!(w.observe(SimTime::from_millis(1), 2, 10).is_none());
-        let prev = w.observe(SimTime::from_millis(2), 5, 10).unwrap();
-        assert_eq!(prev.len, 2);
-        assert_eq!(w.last().unwrap().len, 5);
-        assert_eq!(w.history().len(), 2);
-    }
-
-    #[test]
-    fn watch_without_history() {
-        let mut w = QueueWatch::new(false);
-        w.observe(SimTime::ZERO, 1, 10);
-        w.observe(SimTime::from_millis(1), 2, 10);
-        assert!(w.history().is_empty());
-        assert_eq!(w.last().unwrap().len, 2);
     }
 }

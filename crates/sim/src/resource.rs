@@ -146,11 +146,6 @@ impl CoreClock {
         self.free_at
     }
 
-    /// True if the core is idle at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
     /// Occupy the core for `d` starting no earlier than `now`.
     /// Returns `(start, end)` of the work interval.
     pub fn begin_work(&mut self, now: SimTime, d: SimDuration) -> (SimTime, SimTime) {
@@ -240,13 +235,12 @@ mod tests {
     }
 
     #[test]
-    fn core_idle_checks() {
+    fn core_reset_moves_the_free_time() {
         let mut core = CoreClock::new();
-        assert!(core.is_idle(SimTime::ZERO));
+        assert_eq!(core.free_at(), SimTime::ZERO);
         core.begin_work(SimTime::ZERO, SimDuration::from_micros(10));
-        assert!(!core.is_idle(SimTime::from_micros(5)));
-        assert!(core.is_idle(SimTime::from_micros(10)));
+        assert_eq!(core.free_at(), SimTime::from_micros(10));
         core.reset(SimTime::from_micros(3));
-        assert!(core.is_idle(SimTime::from_micros(3)));
+        assert_eq!(core.free_at(), SimTime::from_micros(3));
     }
 }

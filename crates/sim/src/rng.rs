@@ -74,13 +74,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform usize in `[lo, hi)`.
-    #[inline]
-    pub fn gen_range_usize(&mut self, lo: usize, hi: usize) -> usize {
-        debug_assert!(hi > lo);
-        lo + self.gen_range((hi - lo) as u64) as usize
-    }
-
     /// Bernoulli trial with probability `p`.
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
@@ -97,32 +90,6 @@ impl SimRng {
         -u.ln() / rate
     }
 
-    /// Poisson-distributed count with the given mean.
-    ///
-    /// Uses Knuth's product method for small means and a normal
-    /// approximation for large ones (mean > 64), which is accurate to well
-    /// under the noise floor of any experiment here.
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        debug_assert!(mean >= 0.0);
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let x = self.normal(mean, mean.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.next_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Standard-normal variate via Box–Muller.
     pub fn std_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
@@ -134,12 +101,6 @@ impl SimRng {
     #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.std_normal()
-    }
-
-    /// Log-normal variate: `exp(N(mu, sigma))`.
-    #[inline]
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 
     /// Fisher–Yates shuffle.
@@ -295,17 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_small_and_large() {
-        let mut rng = SimRng::new(6);
-        for &mean in &[0.5, 4.0, 30.0, 500.0] {
-            let n = 20_000;
-            let avg: f64 = (0..n).map(|_| rng.poisson(mean) as f64).sum::<f64>() / n as f64;
-            assert!((avg - mean).abs() / mean < 0.05, "mean={mean} avg={avg}");
-        }
-        assert_eq!(rng.poisson(0.0), 0);
-    }
-
-    #[test]
     fn normal_moments() {
         let mut rng = SimRng::new(8);
         let n = 100_000;
@@ -314,14 +264,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.05);
         assert!((var.sqrt() - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn log_normal_positive() {
-        let mut rng = SimRng::new(9);
-        for _ in 0..1_000 {
-            assert!(rng.log_normal(0.0, 1.0) > 0.0);
-        }
     }
 
     #[test]

@@ -133,12 +133,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds, truncated.
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds, truncated.
     #[inline]
     pub const fn as_millis(self) -> u64 {
@@ -161,13 +155,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Scale by a non-negative float, rounding to the nearest nanosecond.
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k >= 0.0, "durations cannot be negative");
-        SimDuration((self.0 as f64 * k).round() as u64)
     }
 
     /// The larger of two durations.
@@ -352,8 +339,6 @@ mod tests {
         let d = SimDuration::from_micros(10);
         assert_eq!(d * 3, SimDuration::from_micros(30));
         assert_eq!(d / 2, SimDuration::from_micros(5));
-        assert_eq!(d.mul_f64(2.5), SimDuration::from_micros(25));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -15,8 +15,6 @@ pub mod scale {
     pub const PAPER_DRIVERS: u64 = 6_000_000;
     /// Trajectory records in the full dataset.
     pub const PAPER_TRAJECTORIES: u64 = 13_000_000_000;
-    /// Passenger requests in the full dataset.
-    pub const PAPER_ORDERS: u64 = 74_000_000;
 }
 
 /// A driver location update (the key-grouped stream).
@@ -70,17 +68,6 @@ impl Default for DidiConfig {
             drivers: 60_000, // 1% of the paper's cardinality: laptop scale
             hotspot_skew: 0.9,
             tick_ms: 1,
-        }
-    }
-}
-
-impl DidiConfig {
-    /// Full paper-scale key cardinality (memory heavy; used by Table 2
-    /// accounting, not by default benchmarks).
-    pub fn paper_scale() -> Self {
-        DidiConfig {
-            drivers: scale::PAPER_DRIVERS,
-            ..Default::default()
         }
     }
 }

@@ -19,17 +19,6 @@ pub enum RatePlan {
 }
 
 impl RatePlan {
-    /// The dynamic profile of the paper's Figs 23–24.
-    pub fn paper_dynamic() -> RatePlan {
-        RatePlan::Steps(vec![
-            (SimTime::ZERO, 30_000.0),
-            (SimTime::from_secs(40), 60_000.0),
-            (SimTime::from_secs(80), 80_000.0),
-            (SimTime::from_secs(120), 100_000.0),
-            (SimTime::from_secs(160), 80_000.0),
-        ])
-    }
-
     /// Target rate at time `t`.
     pub fn rate_at(&self, t: SimTime) -> f64 {
         match self {
@@ -138,28 +127,24 @@ impl ArrivalProcess {
             _ => None,
         }
     }
-
-    /// Iterate arrivals up to `until` without collecting.
-    pub fn iter_until(&mut self, until: SimTime) -> impl Iterator<Item = SimTime> + '_ {
-        std::iter::from_fn(move || self.next_arrival()).take_while(move |&t| t <= until)
-    }
-
-    /// Generate all arrivals up to `until` (convenience for tests/benches).
-    pub fn arrivals_until(&mut self, until: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        while let Some(t) = self.next_arrival() {
-            if t > until {
-                break;
-            }
-            out.push(t);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Arrivals up to `until` (consumes the first one past it).
+    fn arrivals_until(p: &mut ArrivalProcess, until: SimTime) -> Vec<SimTime> {
+        p.take_while(|&t| t <= until).collect()
+    }
+
+    fn stepped() -> RatePlan {
+        RatePlan::Steps(vec![
+            (SimTime::ZERO, 30_000.0),
+            (SimTime::from_millis(40), 60_000.0),
+            (SimTime::from_millis(80), 100_000.0),
+        ])
+    }
 
     #[test]
     fn fixed_rate_spacing() {
@@ -172,20 +157,20 @@ mod tests {
     #[test]
     fn poisson_rate_approximates_target() {
         let mut p = ArrivalProcess::new(RatePlan::Poisson(10_000.0), 2);
-        let arrivals = p.arrivals_until(SimTime::from_secs(5));
+        let arrivals = arrivals_until(&mut p, SimTime::from_secs(5));
         let rate = arrivals.len() as f64 / 5.0;
         assert!((rate - 10_000.0).abs() / 10_000.0 < 0.03, "rate={rate}");
     }
 
     #[test]
-    fn paper_dynamic_steps() {
-        let plan = RatePlan::paper_dynamic();
-        assert_eq!(plan.rate_at(SimTime::from_secs(0)), 30_000.0);
-        assert_eq!(plan.rate_at(SimTime::from_secs(39)), 30_000.0);
-        assert_eq!(plan.rate_at(SimTime::from_secs(40)), 60_000.0);
-        assert_eq!(plan.rate_at(SimTime::from_secs(119)), 80_000.0);
-        assert_eq!(plan.rate_at(SimTime::from_secs(120)), 100_000.0);
-        assert_eq!(plan.rate_at(SimTime::from_secs(200)), 80_000.0);
+    fn a_step_takes_effect_at_its_boundary() {
+        let plan = stepped();
+        assert_eq!(plan.rate_at(SimTime::ZERO), 30_000.0);
+        assert_eq!(plan.rate_at(SimTime::from_millis(39)), 30_000.0);
+        assert_eq!(plan.rate_at(SimTime::from_millis(40)), 60_000.0);
+        assert_eq!(plan.rate_at(SimTime::from_millis(79)), 60_000.0);
+        assert_eq!(plan.rate_at(SimTime::from_millis(80)), 100_000.0);
+        assert_eq!(plan.rate_at(SimTime::from_secs(200)), 100_000.0);
     }
 
     #[test]
@@ -195,7 +180,7 @@ mod tests {
             (SimTime::from_secs(1), 10_000.0),
         ]);
         let mut p = ArrivalProcess::new(plan, 3);
-        let arrivals = p.arrivals_until(SimTime::from_secs(2));
+        let arrivals = arrivals_until(&mut p, SimTime::from_secs(2));
         let first: usize = arrivals
             .iter()
             .filter(|&&t| t <= SimTime::from_secs(1))
@@ -221,7 +206,7 @@ mod tests {
 
     #[test]
     fn deterministic_with_seed() {
-        let plan = RatePlan::paper_dynamic();
+        let plan = stepped();
         let mut a = ArrivalProcess::new(plan.clone(), 9);
         let mut b = ArrivalProcess::new(plan, 9);
         for _ in 0..1_000 {
@@ -235,15 +220,15 @@ mod tests {
         let first_three: Vec<SimTime> = p.by_ref().take(3).collect();
         assert_eq!(first_three.len(), 3);
         assert!(first_three[0] < first_three[2]);
-        let more: Vec<SimTime> = p.iter_until(SimTime::from_millis(10)).collect();
+        let more = arrivals_until(&mut p, SimTime::from_millis(10));
         assert!(!more.is_empty());
         assert!(more.iter().all(|&t| t <= SimTime::from_millis(10)));
     }
 
     #[test]
     fn arrivals_monotone() {
-        let mut p = ArrivalProcess::new(RatePlan::paper_dynamic(), 6);
-        let arrivals = p.arrivals_until(SimTime::from_millis(100));
+        let mut p = ArrivalProcess::new(stepped(), 6);
+        let arrivals = arrivals_until(&mut p, SimTime::from_millis(100));
         for w in arrivals.windows(2) {
             assert!(w[1] >= w[0]);
         }
