@@ -138,7 +138,7 @@ fn bench_relay_receive(c: &mut Criterion) {
                     assert_eq!(worker.take_sent(), forwards);
                 }
             });
-            let executed = worker.stats().executed[1].load(std::sync::atomic::Ordering::Relaxed);
+            let executed = worker.snapshot().executed[1];
             assert!(executed > 0 && executed.is_multiple_of(4));
         });
     }

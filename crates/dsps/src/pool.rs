@@ -21,7 +21,7 @@ use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Relaxed, Ordering::Release};
 use std::sync::Arc;
 use whale_sim::MetricsRegistry;
 
@@ -44,13 +44,14 @@ impl Default for PoolConfig {
     }
 }
 
-/// The counters of a [`Lane`], by index.
+/// The counters of a [`Lane`], by index: the returns first, because
+/// [`Lane::absorb`] reads in this order.
 #[derive(Clone, Copy)]
 enum Stat {
-    Hits,
-    Misses,
     Released,
     Discarded,
+    Hits,
+    Misses,
     /// Wire-buffer snapshots taken via [`PooledBuf::share`].
     Shares,
     /// Bytes copied out of scratch buffers by those snapshots.
@@ -71,7 +72,7 @@ impl Lane {
     }
 
     fn set(&self, stat: Stat, value: u64) {
-        self.0[stat as usize].store(value, Relaxed);
+        self.0[stat as usize].store(value, Release);
     }
 
     fn add(&self, stat: Stat, by: u64) {
@@ -79,10 +80,13 @@ impl Lane {
     }
 
     /// Fold `other` into `self`: every counter a sum, [`Stat::Peak`] a
-    /// maximum.
+    /// maximum. `other`'s thread may be counting meanwhile, so its returns
+    /// are read first, each load pairing with the `Release` store that
+    /// counted it: every return summed has the acquire before it summed
+    /// too, and no lane reads as holding fewer than zero buffers.
     fn absorb(&self, other: &Lane) {
         for (i, (mine, theirs)) in self.0.iter().zip(&other.0).enumerate() {
-            let (a, b) = (mine.load(Relaxed), theirs.load(Relaxed));
+            let (a, b) = (mine.load(Relaxed), theirs.load(Acquire));
             let peak = i == Peak as usize;
             mine.store(if peak { a.max(b) } else { a + b }, Relaxed);
         }
@@ -282,10 +286,12 @@ impl BufferPool {
 
     /// Released buffers currently available for reuse (the shared free
     /// list plus every thread's cached buffer): each release added one,
-    /// each hit took one.
+    /// each hit took one. Exact only while no thread is using the pool: a
+    /// buffer released on one thread can be hit on another, so a busy
+    /// pool may read low.
     pub fn pooled(&self) -> usize {
         let t = self.inner.totals();
-        (t.get(Released) - t.get(Hits)) as usize
+        t.get(Released).saturating_sub(t.get(Hits)) as usize
     }
 
     /// Hits over total acquires (0 before the first acquire). Approaches

@@ -67,7 +67,8 @@ pub struct LiveConfig {
     /// root-id dedup absorbs the overlap with live and acker-replayed
     /// deliveries, so delivery upgrades to effectively-once without
     /// spending the acker's replay budget. Relay-tree frames are not
-    /// logged (crash recovery on relay runs stays with the acker).
+    /// logged, so a run with the relay tree on cannot set it
+    /// ([`BuildError::RelayBypassesLog`]).
     pub log: Option<LogConfig>,
     /// Liveness backstop: executors give up waiting for traffic (EOS
     /// included) this long after the run starts, so a lost EOS frame can
@@ -170,6 +171,10 @@ pub enum BuildError {
     /// [`LiveConfig::multicast_adaptive`]) forwards worker-oriented
     /// frames, but the run asked for [`CommMode::InstanceOriented`].
     RelayNeedsWorkerOriented,
+    /// The run asked for the partition log ([`LiveConfig::log`]) and the
+    /// relay tree together. Relay frames are not written to the log, so a
+    /// crash would fall back to acker replay for every broadcast.
+    RelayBypassesLog,
     /// An edge (`"from->to"`) uses [`Grouping::Direct`], which the live
     /// runtime does not route.
     UnsupportedGrouping(String),
@@ -191,6 +196,7 @@ impl std::fmt::Display for BuildError {
             BuildError::RelayNeedsWorkerOriented => {
                 write!(f, "the multicast tree relays worker-oriented messages")
             }
+            BuildError::RelayBypassesLog => write!(f, "relay frames bypass the partition log"),
             BuildError::UnsupportedGrouping(edge) => {
                 write!(
                     f,
@@ -281,6 +287,9 @@ impl LiveConfig {
         }
         if self.relay_enabled() && self.comm_mode != CommMode::WorkerOriented {
             return Err(BuildError::RelayNeedsWorkerOriented);
+        }
+        if self.relay_enabled() && self.log.is_some() {
+            return Err(BuildError::RelayBypassesLog);
         }
         self.validate_cluster().map_err(BuildError::BadCluster)?;
         self.validate_transport().map_err(BuildError::BadTransport)
@@ -459,26 +468,54 @@ mod tests {
             log: Some(no_segments),
             ..LiveConfig::default()
         };
-        // Each shape used to reach an `assert!` in `ClusterSpec::new`,
-        // `ClusterSpec::with_rack_map`, a transport constructor or
-        // `PartitionLog::new`.
+        // Logged and relayed: the log would silently miss every broadcast.
+        let logged_relay = LiveConfig {
+            multicast_d_star: Some(2),
+            log: Some(LogConfig::default()),
+            ..LiveConfig::default()
+        };
+        let cluster = std::mem::discriminant(&BuildError::BadCluster(String::new()));
+        let transport = std::mem::discriminant(&BuildError::BadTransport(String::new()));
+        // Each shape but the last used to reach an `assert!` in
+        // `ClusterSpec::new`, `ClusterSpec::with_rack_map`, a transport
+        // constructor or `PartitionLog::new`.
         let shapes = [
-            ("machines: 0", no_machines, true),
-            ("racks: 0", topo(0, None), true),
-            ("racks > machines", topo(5, None), true),
-            ("short rack map", topo(2, Some(vec![0, 1, 0])), true),
-            ("rack map entry >= racks", topo(2, Some(vec![0, 1, 2, 0])), true),
-            ("ring_capacity: 0", fabric(FabricKind::Ring(no_ring)), false),
-            ("ring_slots: 0", fabric(FabricKind::OneSided(no_slots)), false),
-            ("max_segments: 0", logged, false),
-            ("segment too small", fabric(FabricKind::OneSided(logged_outbox)), false),
+            ("machines: 0", no_machines, cluster),
+            ("racks: 0", topo(0, None), cluster),
+            ("racks > machines", topo(5, None), cluster),
+            ("short rack map", topo(2, Some(vec![0, 1, 0])), cluster),
+            (
+                "rack map entry >= racks",
+                topo(2, Some(vec![0, 1, 2, 0])),
+                cluster,
+            ),
+            (
+                "ring_capacity: 0",
+                fabric(FabricKind::Ring(no_ring)),
+                transport,
+            ),
+            (
+                "ring_slots: 0",
+                fabric(FabricKind::OneSided(no_slots)),
+                transport,
+            ),
+            ("max_segments: 0", logged, transport),
+            (
+                "segment too small",
+                fabric(FabricKind::OneSided(logged_outbox)),
+                transport,
+            ),
+            (
+                "log + relay",
+                logged_relay,
+                std::mem::discriminant(&BuildError::RelayBypassesLog),
+            ),
         ];
-        for (shape, config, cluster) in shapes {
+        for (shape, config, want) in shapes {
             let (t, ops) = counting_topology(4, 4);
             let r = run_topology(t, ops, config);
             match &r.outcome {
-                RunOutcome::ConfigError(BuildError::BadCluster(_)) if cluster => {}
-                RunOutcome::ConfigError(BuildError::BadTransport(_)) if !cluster => {}
+                RunOutcome::ConfigError(e) if std::mem::discriminant(e) == want => {}
                 other => panic!("{shape}: {other:?}"),
             }
             assert_nothing_ran(&r);

@@ -4,9 +4,9 @@
 
 use super::config::AdaptiveConfig;
 use super::relay::{rack_aware_trees, RelayEpoch};
-use super::report::TimelineSample;
+use super::report::{Ctr, TimelineSample};
 use super::send::Routing;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use whale_multicast::{
@@ -93,7 +93,7 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
     let mut next_forced = 0usize;
     while sleep_with_stop(cfg.interval, stop) {
         relay.try_retire_prev();
-        let emitted = routing.stats.spout_emitted.load(Ordering::Relaxed);
+        let emitted = routing.stats.get(Ctr::spout_emitted);
         let target = if cfg.forced_switches.is_empty() {
             monitor.record_arrivals(emitted.saturating_sub(last_emitted));
             let now = SimTime::from_nanos(epoch0.elapsed().as_nanos() as u64);
@@ -161,39 +161,23 @@ pub(super) fn switch_structure(routing: &Routing, new_d: u32) {
         trees
     };
     relay.publish(Arc::new(RelayEpoch::new(cur.epoch + 1, new_d, trees)));
-    relay.switches.fetch_add(1, Ordering::Relaxed);
-    relay.switch_moves.fetch_add(total_moves, Ordering::Relaxed);
+    routing.stats.add(Ctr::relay_switches, 1);
+    routing.stats.add(Ctr::relay_switch_moves, total_moves);
 }
 
-/// The monitor thread: snapshot the run's counters every `interval`
-/// until stopped, plus one final post-run sample.
+/// The monitor thread: snapshot the run every `interval` until stopped,
+/// plus one final post-run sample.
 pub(super) fn monitor_loop(
     routing: &Routing,
     interval: Duration,
     start: Instant,
     stop: &AtomicBool,
 ) -> Vec<TimelineSample> {
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let (stats, ack) = (&routing.stats, routing.ack.as_ref());
-    let sample = || {
-        let fabric = routing.fabric.stats();
-        TimelineSample {
-            at: start.elapsed(),
-            spout_emitted: get(&stats.spout_emitted),
-            executed: stats.executed.iter().map(get).sum(),
-            fabric_messages: fabric.messages,
-            send_errors: fabric.send_errors,
-            send_retries: get(&stats.send_retries),
-            acked: ack.map_or(0, |a| a.acker.lock().acked()),
-            failed: ack.map_or(0, |a| get(&a.failed)),
-            replayed: ack.map_or(0, |a| get(&a.replayed)),
-        }
-    };
     let mut timeline = Vec::new();
     while sleep_with_stop(interval, stop) {
-        timeline.push(sample());
+        timeline.push(routing.snapshot(start.elapsed()));
     }
-    timeline.push(sample());
+    timeline.push(routing.snapshot(start.elapsed()));
     timeline
 }
 
@@ -316,14 +300,27 @@ mod tests {
         assert!(!r.timeline.is_empty(), "the final sample always lands");
         let last = r.timeline.last().unwrap();
         assert_eq!(last.spout_emitted, 100);
-        assert!(last.executed > 0);
+        assert!(last.executed.iter().sum::<u64>() > 0);
         // Samples are orderable and the series export is wired through.
         for w in r.timeline.windows(2) {
-            assert!(w[0].at <= w[1].at);
+            assert!(w[0].elapsed <= w[1].elapsed);
         }
         let m = r.metrics();
         assert!(m.get("dsps.timeline.spout_emitted").is_some());
         assert!(m.get("dsps.timeline.executed").is_some());
+        // The final sample is taken once every pipeline has joined: each
+        // series ends on the run's own total.
+        let ends_on = |name: &str| match m.get(name) {
+            Some(whale_sim::MetricValue::Series(points)) => points.last().unwrap().1,
+            other => panic!("{name}: {other:?}"),
+        };
+        let executed: u64 = r.executed.iter().sum();
+        assert_eq!(ends_on("dsps.timeline.executed"), executed as f64);
+        assert_eq!(
+            ends_on("dsps.timeline.fabric_messages"),
+            r.fabric_messages as f64
+        );
+        assert_eq!(ends_on("dsps.timeline.send_errors"), r.send_errors as f64);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod wire;
 pub use config::{AckConfig, AdaptiveConfig, BuildError, LiveConfig, Operators};
 #[doc(hidden)]
 pub use pipeline::PipelineHarness;
-pub use report::{RunOutcome, RunReport, RunStats, TimelineSample};
+pub use report::{RunOutcome, RunReport, TimelineSample};
 
 use crate::pool::BufferPool;
 use crate::scheduler::{Placement, WorkerId};
@@ -47,8 +47,9 @@ use crossbeam::channel::{bounded, unbounded};
 use pipeline::ShardPipeline;
 use relay::{oblivious_trees, rack_aware_trees, RelayEpoch, RelayState};
 use reliability::{AckRuntime, LogRuntime};
+use report::{Ctr, RunStats};
 use send::{Groupings, LocalGroups, Routing, ShardInbox};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use whale_net::{ClusterSpec, EndpointId, FabricPath, FaultFabric, LinkTracker};
@@ -82,7 +83,8 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         Some(f) => Arc::clone(f) as Arc<dyn FabricPath>,
         None => Arc::clone(&instance.fabric),
     };
-    let (routing, mut pipelines, done_rx) = wire_up(topology, config, Arc::clone(&fabric));
+    let (routing, mut pipelines, done_rx) =
+        wire_up(topology, config, Arc::clone(&fabric), fault.clone());
     let routing = Arc::new(routing);
     let n_flat = pipelines.len();
 
@@ -163,22 +165,16 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
     for h in handles {
         thread_panics += h.join().is_err() as u64;
     }
-    // Operator panics were caught on the pipelines (the thread survives
-    // to run its other tasks); fold them into the same degradation
-    // signal a dying thread produces.
-    thread_panics += routing.stats.op_panics.load(Ordering::Relaxed);
+    // Operator panics were counted where the pipelines caught them (the
+    // thread survives to run its other tasks); a dying thread joins the
+    // same degradation signal.
+    routing.stats.add(Ctr::thread_panics, thread_panics);
     monitor_stop.store(true, Ordering::Relaxed);
     let timeline = monitor_handle
         .and_then(|h| h.join().ok())
         .unwrap_or_default();
 
-    RunReport::collect(
-        &routing,
-        fault.as_deref(),
-        start.elapsed(),
-        thread_panics,
-        timeline,
-    )
+    RunReport::collect(&routing, start.elapsed(), timeline)
 }
 
 /// Capacity of each pipeline's cross-shard inbox. Deliveries to a task
@@ -188,13 +184,14 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
 const SHARD_INBOX_CAPACITY: usize = 4096;
 
 /// Everything of a run that exists before a thread does: the shared
-/// [`Routing`] over `fabric` and one empty pipeline per (worker, shard),
-/// each registered on the fabric, plus the channel the pipelines report
-/// completion on.
+/// [`Routing`] over `fabric` (the `fault` wrapper, when there is one) and
+/// one empty pipeline per (worker, shard), each registered on the fabric,
+/// plus the channel the pipelines report completion on.
 fn wire_up(
     topology: Topology,
     config: LiveConfig,
     fabric: Arc<dyn FabricPath>,
+    fault: Option<Arc<FaultFabric>>,
 ) -> (
     Routing,
     Vec<ShardPipeline>,
@@ -209,10 +206,7 @@ fn wire_up(
     };
     let placement = Placement::even(&topology, &cluster);
 
-    let stats = Arc::new(RunStats {
-        executed: (topology.components().iter().map(|_| AtomicU64::new(0))).collect(),
-        ..RunStats::default()
-    });
+    let stats = Arc::new(RunStats::new(topology.components().len()));
 
     // Per-link accounting: attribute every send on the *outermost*
     // fabric (the fault wrapper delegates inward, so injected drops
@@ -278,6 +272,7 @@ fn wire_up(
         config,
         relay,
         fabric,
+        fault,
         pool: BufferPool::default(),
         shard_inboxes,
         shards,
@@ -408,7 +403,7 @@ mod testkit {
     impl LiveRun {
         pub(super) fn start(topology: Topology, operators: &Operators, config: LiveConfig) -> Self {
             let fabric: Arc<dyn FabricPath> = Arc::new(whale_net::LiveFabric::new());
-            let (routing, mut pipelines, done_rx) = wire_up(topology, config, fabric);
+            let (routing, mut pipelines, done_rx) = wire_up(topology, config, fabric, None);
             let routing = Arc::new(routing);
             populate(&routing, operators, &mut pipelines);
             let spawn = |p: ShardPipeline| p.spawn(Arc::clone(&routing));
@@ -450,10 +445,11 @@ mod testkit {
             placement,
             config,
             fabric: Arc::new(whale_net::LiveFabric::new()),
+            fault: None,
             pool: BufferPool::default(),
             shard_inboxes: Vec::new(),
             shards: 1,
-            stats: Arc::new(RunStats::default()),
+            stats: Arc::new(RunStats::new(0)),
             ack: None,
             relay,
             log: None,

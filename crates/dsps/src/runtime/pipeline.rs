@@ -5,6 +5,7 @@
 use super::config::{LiveConfig, Operators};
 use super::relay::{swap_held, RelayEpoch};
 use super::reliability::{anchor_for, AckRuntime, Admit, DedupWindow};
+use super::report::{Ctr, RunReport, RunStats};
 use super::send::{
     Dest, Entry, ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE,
 };
@@ -54,16 +55,16 @@ impl SpoutState {
     /// Give up on everything still in flight: late acks are rejected from
     /// here on, each root counts as failed exactly once, and the ledger's
     /// watermark releases its log records.
-    fn fail_pending(&mut self, ack: &AckRuntime) {
+    fn fail_pending(&mut self, ack: &AckRuntime, stats: &RunStats) {
         let given_up = ack.acker.lock().fail_owned(self.task.0);
-        ack.failed.fetch_add(given_up, Ordering::Relaxed);
+        stats.add(Ctr::tuples_failed, given_up);
     }
 
     /// Emit one tuple the spout produced; on a tracked run, under a fresh
     /// root. Returns the tracked id.
     fn emit(&mut self, routing: &Routing, t: Tuple) -> Option<u64> {
         let stats = &routing.stats;
-        stats.spout_emitted.fetch_add(1, Ordering::Relaxed);
+        stats.add(Ctr::spout_emitted, 1);
         stats.delivery.on_emit(t.id);
         let t = Arc::new(t);
         let tracked = routing.ack.as_ref().map(|ack| {
@@ -97,9 +98,9 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
         SpoutPhase::Emitting => {
             let next = catch_unwind(AssertUnwindSafe(|| state.spout.next_tuple()));
             let Ok(next) = next else {
-                stats.op_panics.fetch_add(1, Ordering::Relaxed);
+                stats.add(Ctr::thread_panics, 1);
                 if let Some(ack) = routing.ack.as_ref() {
-                    state.fail_pending(ack);
+                    state.fail_pending(ack, stats);
                 }
                 state.finish(routing);
                 return true;
@@ -148,13 +149,13 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
                     // A failed root is resolved: the watermark moves past
                     // it and its log records will never be needed again.
                     ack.acker.lock().give_up(root);
-                    ack.failed.fetch_add(1, Ordering::Relaxed);
+                    stats.add(Ctr::tuples_failed, 1);
                     in_flight -= 1;
                     continue;
                 }
                 let rearmed = ack.acker.lock().replay(root, ack.now());
                 let tracked = rearmed.expect("expired a moment ago, by this spout");
-                ack.replayed.fetch_add(1, Ordering::Relaxed);
+                stats.add(Ctr::tuples_replayed, 1);
                 replayed = true;
                 routing.emit(state.task, &mut state.groupings, tuple, Some(tracked));
             }
@@ -163,7 +164,7 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
                 return true;
             }
             if now >= deadline {
-                state.fail_pending(ack);
+                state.fail_pending(ack, stats);
                 state.finish(routing);
                 return true;
             }
@@ -192,8 +193,8 @@ pub(super) struct RecvScratch {
 /// a data item is handed on as one shared [`LazyTuple`] per destination
 /// pipeline, built in `scratch`. A frame that is
 /// truncated, fails to validate or carries an unknown kind is dropped and
-/// counted (`RunStats::dropped_frames`), and so is every destination id
-/// this run executes nothing on — a bad peer must not crash the worker.
+/// counted (`dropped_frames`), and so is every destination id this run
+/// executes nothing on — a bad peer must not crash the worker.
 pub(super) fn on_frame(
     worker: u32,
     msg: &whale_net::LiveMessage,
@@ -203,7 +204,7 @@ pub(super) fn on_frame(
     let RecvScratch { dsts, spare } = scratch;
     let dropped = |n: u64| {
         if n > 0 {
-            routing.stats.dropped_frames.fetch_add(n, Ordering::Relaxed);
+            routing.stats.add(Ctr::dropped_frames, n);
         }
     };
     // Hand one received data item to `dsts` as a view over the shared
@@ -296,8 +297,8 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
     // The batch's acks, folded: XOR is what the ledger does with them.
     let mut ack_xor = None;
     for state in bolts.iter_mut().filter(|b| !b.done && !b.poisoned) {
-        if let Some((tracked, ack, live)) = &ack {
-            let (tracked, admit) = (*tracked, state.dedup.admit(*tracked, live, ack));
+        if let Some((tracked, _, live)) = &ack {
+            let (tracked, admit) = (*tracked, state.dedup.admit(*tracked, live, stats));
             if matches!(admit, Admit::Execute | Admit::Duplicate { ack: true }) {
                 // The anchor is derived, not carried: the same pure
                 // function the sender armed the ledger with.
@@ -318,13 +319,11 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
         match catch_unwind(AssertUnwindSafe(|| bolt.execute_lazy(t, &mut emitter))) {
             Err(_) => {
                 state.poisoned = true;
-                stats.op_panics.fetch_add(1, Ordering::Relaxed);
+                stats.add(Ctr::thread_panics, 1);
             }
             // Corrupt wire bytes (deferred UTF-8 validation failed):
             // drop the tuple, keep the task healthy.
-            Ok(Err(_)) => {
-                stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(Err(_)) => stats.add(Ctr::dropped_frames, 1),
             Ok(Ok(())) => {}
         }
     }
@@ -333,7 +332,7 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
             ack.acker.lock().ack(tracked, xor);
         }
         if duplicates > 0 {
-            ack.dedup_dropped.fetch_add(duplicates, Ordering::Relaxed);
+            stats.add(Ctr::dedup_dropped, duplicates);
         }
     }
     if executed > 0 {
@@ -343,7 +342,7 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
         stats.delivery.record(ns, executed);
     }
     if !was_materialized && t.is_materialized() {
-        stats.tuples_materialized.fetch_add(1, Ordering::Relaxed);
+        stats.add(Ctr::tuples_materialized, 1);
     }
 }
 
@@ -364,7 +363,7 @@ fn finish_bolt(state: &mut BoltState, routing: &Routing) {
         let bolt = &mut state.bolt;
         if catch_unwind(AssertUnwindSafe(|| bolt.finish(&mut emitter))).is_err() {
             state.poisoned = true;
-            stats.op_panics.fetch_add(1, Ordering::Relaxed);
+            stats.add(Ctr::thread_panics, 1);
         }
     }
     routing.broadcast_eos(state.task);
@@ -563,7 +562,7 @@ impl ShardPipeline {
             if !all_done && deadline.is_some_and(|dl| Instant::now() >= dl) {
                 for b in &mut self.bolts {
                     if !b.done {
-                        routing.stats.deadline_exits.fetch_add(1, Ordering::Relaxed);
+                        routing.stats.add(Ctr::deadline_exits, 1);
                         finish_bolt(b, routing);
                     }
                 }
@@ -577,13 +576,12 @@ impl ShardPipeline {
                 // into futex-wake + preempt + re-park. Yielding first lets
                 // a busy producer run on, and this stage comes back to a
                 // batch instead of one frame.
-                let yields = &routing.stats.pipeline_yields;
-                yields.fetch_add(1, Ordering::Relaxed);
+                routing.stats.add(Ctr::pipeline_yields, 1);
                 std::thread::yield_now();
                 continue;
             }
             let wait = self.idle_wait(deadline.filter(|_| !all_done));
-            routing.stats.pipeline_parks.fetch_add(1, Ordering::Relaxed);
+            routing.stats.add(Ctr::pipeline_parks, 1);
             // A blocked pipeline must not keep a relay generation alive.
             drop(swap_held(None));
             let woke_with_work = if fabric_open {
@@ -606,8 +604,7 @@ impl ShardPipeline {
                     .is_ok()
             };
             if woke_with_work {
-                let woken = &routing.stats.pipeline_wakeups_with_work;
-                woken.fetch_add(1, Ordering::Relaxed);
+                routing.stats.add(Ctr::pipeline_wakeups_with_work, 1);
                 self.drain_local(routing);
                 idle_passes = 0;
             }
@@ -708,7 +705,7 @@ impl PipelineHarness {
         let valid = config.validate(&topology, operators);
         valid.expect("a configuration that runs");
         let fabric = Arc::new(whale_net::LiveFabric::new());
-        let (routing, mut peers, _) = super::wire_up(topology, config, fabric);
+        let (routing, mut peers, _) = super::wire_up(topology, config, fabric, None);
         super::populate(&routing, operators, &mut peers);
         let pipeline = peers.swap_remove((worker * routing.shards) as usize);
         PipelineHarness {
@@ -783,9 +780,10 @@ impl PipelineHarness {
         Arc::from(&buf[..])
     }
 
-    /// The run's counters so far.
-    pub fn stats(&self) -> &super::RunStats {
-        &self.routing.stats
+    /// The run's counters so far (`elapsed` reads zero: the harness keeps
+    /// no run clock).
+    pub fn snapshot(&self) -> RunReport {
+        self.routing.snapshot(Duration::ZERO)
     }
 }
 
@@ -886,10 +884,7 @@ mod tests {
             };
             on_frame(0, &msg, &routing, &mut scratch);
         }
-        assert_eq!(
-            routing.stats.dropped_frames.load(Ordering::Relaxed),
-            frames.len() as u64
-        );
+        assert_eq!(routing.stats.get(Ctr::dropped_frames), frames.len() as u64);
         let queued: Vec<_> = (inbox_rxs.iter())
             .flat_map(|rx| std::iter::from_fn(|| rx.try_recv().ok()))
             .collect();
@@ -899,7 +894,7 @@ mod tests {
         );
         // Nothing rejected was counted as delivered (copied payloads are
         // materialized at dispatch, so no delivery here is a lazy view).
-        assert_eq!(routing.stats.wire_tuples_lazy.load(Ordering::Relaxed), 0);
+        assert_eq!(routing.stats.get(Ctr::wire_tuples_lazy), 0);
     }
 
     /// src → 8 all-grouped sinks over two machines with the relay tree
@@ -972,14 +967,14 @@ mod tests {
         h.routing.stats.delivery.on_emit(8);
         let tuple = Tuple::with_id(8, vec![Value::I64(1)]);
         h.receive(&shared(h.relay_frame(0, "sink", None, &tuple)));
-        let stats = h.stats();
-        assert_eq!(stats.executed[1].load(Ordering::Relaxed), 4);
-        assert_eq!(stats.wire_tuples_lazy.load(Ordering::Relaxed), 4);
-        assert_eq!(stats.tuples_materialized.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.dropped_frames.load(Ordering::Relaxed), 0);
+        let r = h.snapshot();
+        assert_eq!(r.executed[1], 4);
+        assert_eq!(r.wire_tuples_lazy, 4);
+        assert_eq!(r.tuples_materialized, 1);
+        assert_eq!(r.dropped_frames, 0);
         let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(executed, 4);
-        let (kept, seen) = stats.delivery.take();
+        let (kept, seen) = h.routing.stats.delivery.take();
         assert_eq!((kept.len(), seen), (4, 4), "one latency per execution");
     }
 
@@ -1001,7 +996,7 @@ mod tests {
             h.receive(&shared(Arc::from(&buf[..])));
         }
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 0));
-        assert_eq!(h.stats().wire_tuples_lazy.load(Ordering::Relaxed), 0);
+        assert_eq!(h.snapshot().wire_tuples_lazy, 0);
     }
 
     #[test]
@@ -1015,9 +1010,9 @@ mod tests {
         let tuple = Tuple::new(vec![Value::I64(1)]);
         let elsewhere = arm(&h.routing, 1, &sinks);
         h.receive(&shared(h.relay_frame(0, "sink", Some(1), &tuple)));
-        let executed = |h: &PipelineHarness| h.stats().executed[1].load(Ordering::Relaxed);
+        let executed = |h: &PipelineHarness| h.snapshot().executed[1];
         assert_eq!(executed(&h), 4, "the rest of the batch still executed");
-        assert_eq!(h.stats().op_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(h.snapshot().thread_panics, 1);
         for idx in [1, 3, 5, 7] {
             assert_eq!(counts[idx].load(Ordering::Relaxed), 1, "instance {idx}");
         }
@@ -1033,7 +1028,7 @@ mod tests {
         h.receive(&shared(h.relay_frame(0, "sink", Some(2), &tuple)));
         assert_eq!(executed(&h), 7);
         assert_eq!(counts[3].load(Ordering::Relaxed), 1);
-        assert_eq!(h.stats().op_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(h.snapshot().thread_panics, 1);
         let mut acker = acker(&h);
         assert_eq!(acker.ack(2, elsewhere), crate::acker::TreeState::Pending);
         let state = acker.ack(2, anchor_for(2, sinks[1]));
@@ -1061,11 +1056,11 @@ mod tests {
         // original, as the spout's expiry would have.
         let replay_elsewhere = arm(&h.routing, replay, &sinks);
         h.receive(&shared(h.relay_frame(0, "sink", Some(replay), &tuple)));
-        assert_eq!(h.stats().executed[1].load(Ordering::Relaxed), 4);
+        assert_eq!(h.snapshot().executed[1], 4);
         let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(executed, 4, "no sink runs the root twice");
+        assert_eq!(h.snapshot().dedup_dropped, 8);
         let ack = h.routing.ack.as_ref().unwrap();
-        assert_eq!(ack.dedup_dropped.load(Ordering::Relaxed), 8);
         let mut acker = ack.acker.lock();
         let late = acker.ack(root, original_elsewhere);
         assert_eq!(late, crate::acker::TreeState::Failed, "superseded");
@@ -1095,17 +1090,16 @@ mod tests {
         for stale in [5, 99, tracked_id(5, 1)] {
             h.receive(&frame(&h, stale));
         }
-        assert_eq!(h.stats().executed[1].load(Ordering::Relaxed), 4);
+        let r = h.snapshot();
+        assert_eq!(r.executed[1], 4);
         let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(executed, 4, "only the live delivery ran");
-        let ack = h.routing.ack.as_ref().unwrap();
-        assert_eq!(ack.dedup_dropped.load(Ordering::Relaxed), 3 * 4);
-        assert_eq!(ack.acker.lock().acked(), 1);
+        assert_eq!(r.dedup_dropped, 3 * 4);
+        assert_eq!(r.tuples_acked, 1);
         // The live root still runs, on sinks whose window was trimmed.
         h.receive(&frame(&h, 6));
-        assert_eq!(h.stats().executed[1].load(Ordering::Relaxed), 8);
-        let ack = h.routing.ack.as_ref().unwrap();
-        assert_eq!(ack.dedup_window_peak.load(Ordering::Relaxed), 1);
+        assert_eq!(h.snapshot().executed[1], 8);
+        assert_eq!(h.snapshot().dedup_window_peak, 1);
     }
 
     #[test]
@@ -1122,10 +1116,10 @@ mod tests {
             wire::encode_worker(&mut buf, None, TaskId(0), dsts, &tuple, &mut (0..0));
             h.receive(&shared(Arc::from(&buf[..])));
             frames += 1;
-            let stats = h.stats();
-            assert_eq!(stats.dropped_frames.load(Ordering::Relaxed), frames);
-            assert_eq!(stats.executed[1].load(Ordering::Relaxed), 2 * frames);
-            assert_eq!(stats.wire_tuples_lazy.load(Ordering::Relaxed), 2 * frames);
+            let r = h.snapshot();
+            assert_eq!(r.dropped_frames, frames);
+            assert_eq!(r.executed[1], 2 * frames);
+            assert_eq!(r.wire_tuples_lazy, 2 * frames);
         }
         let per_instance: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         assert_eq!(per_instance, [0, 2, 0, 0, 0, 2, 0, 0]);
@@ -1303,7 +1297,7 @@ mod tests {
         let handle = pipeline.spawn(Arc::clone(&routing));
         // No tasks: done at once, then idle until the fabric closes.
         done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        while routing.stats.pipeline_parks.load(Ordering::Relaxed) == 0 {
+        while routing.stats.get(Ctr::pipeline_parks) == 0 {
             std::thread::yield_now();
         }
         let closed = Instant::now();

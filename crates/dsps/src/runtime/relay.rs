@@ -3,7 +3,7 @@
 //! validate-forward-deliver path for relayed data and relayed EOS.
 
 use super::reliability::anchor_for;
-use super::report::{Reservoir, LATENCY_SAMPLE};
+use super::report::{Ctr, Reservoir, LATENCY_SAMPLE};
 use super::send::{ExecMsg, Routing, CURRENT_SHARD};
 use super::wire::{self, RelayEos, Wire};
 use crate::codec::{LazyTuple, RelayHeader, TupleView, WireSpare};
@@ -136,29 +136,21 @@ pub(super) fn rack_aware_trees(
 }
 
 /// The live relay plane: the current tree generation behind a swap slot,
-/// the previous generation draining out, and the relay-path counters.
+/// the previous generation draining out, and the relay-path samples.
 ///
 /// Epoch lifecycle: senders stamp the current epoch into every relay
 /// frame; a switch publishes a new generation and demotes the old one to
 /// `prev`, which keeps accepting its in-flight frames until drained (or
 /// until the bounded grace expires). Frames from any older generation
-/// are dropped and counted in `stale_drops` — on tracked runs the acker
-/// replays them on the current tree, so a switch can delay but never
-/// silently lose a tracked tuple.
+/// are dropped and counted in `relay_stale_drops` — on tracked runs the
+/// acker replays them on the current tree, so a switch can delay but
+/// never silently lose a tracked tuple.
 pub(super) struct RelayState {
     current: RwLock<Arc<RelayEpoch>>,
     /// `current`'s epoch id, stored under `current`'s write lock: what a
     /// pipeline revalidates the generation it holds against (one load).
     current_id: AtomicU32,
     prev: RwLock<Option<Arc<RelayEpoch>>>,
-    /// Frames dropped because their epoch was already retired.
-    pub(super) stale_drops: AtomicU64,
-    /// Tree reconfigurations performed.
-    pub(super) switches: AtomicU64,
-    /// Per-instance connection moves across all reconfigurations.
-    pub(super) switch_moves: AtomicU64,
-    /// Wire bytes sent on the relay path (origin sends + forwards).
-    pub(super) relay_bytes: AtomicU64,
     /// Received relay frames by tree depth of the receiving node.
     pub(super) depth_counts: [AtomicU64; DEPTH_BUCKETS],
     /// Sampled per-hop forward latencies (receipt to last child send).
@@ -173,10 +165,6 @@ impl RelayState {
             current_id: AtomicU32::new(initial.epoch),
             current: RwLock::new(Arc::new(initial)),
             prev: RwLock::new(None),
-            stale_drops: AtomicU64::new(0),
-            switches: AtomicU64::new(0),
-            switch_moves: AtomicU64::new(0),
-            relay_bytes: AtomicU64::new(0),
             depth_counts: [(); DEPTH_BUCKETS].map(|_| AtomicU64::new(0)),
             forward_ns: Mutex::default(),
             forward_events: AtomicU64::new(0),
@@ -236,10 +224,6 @@ impl RelayState {
     pub(super) fn revalidate_held(&self) {
         let published = self.current_id.load(Ordering::Acquire);
         HELD.set(HELD.take().filter(|held| held.epoch == published));
-    }
-
-    pub(super) fn note_bytes(&self, bytes: usize) {
-        self.relay_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     pub(super) fn record_depth(&self, depth: u32) {
@@ -373,7 +357,7 @@ impl Routing {
         tracked: Option<u64>,
     ) -> u64 {
         let relay = self.relay.as_ref().expect("relayed implies relay state");
-        self.stats.serializations.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Ctr::serializations, 1);
         let src_worker = self.placement.worker_of(src);
         let mut arm_xor = 0u64;
         if let Some(tr) = tracked {
@@ -464,11 +448,11 @@ impl Routing {
         epoch: u32,
     ) -> Option<(&RelayState, Held, u32)> {
         let Some(relay) = self.relay.as_ref() else {
-            self.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Ctr::dropped_frames, 1);
             return None;
         };
         let Some(epoch) = relay.hold(Some(epoch)) else {
-            relay.stale_drops.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Ctr::relay_stale_drops, 1);
             return None;
         };
         match relay_node_of_worker(origin, my_worker) {
@@ -478,7 +462,7 @@ impl Routing {
                 Some((relay, epoch, node))
             }
             _ => {
-                self.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Ctr::dropped_frames, 1);
                 epoch.note_received();
                 None
             }
@@ -518,9 +502,7 @@ impl Routing {
         // subtree has drained.
         epoch.note_received();
         if forwarded > 0 {
-            self.stats
-                .relay_forwards
-                .fetch_add(forwarded, Ordering::Relaxed);
+            self.stats.add(Ctr::relay_forwards, forwarded);
             if let Some(t0) = t0 {
                 let ns = t0.elapsed().as_nanos() as u64;
                 relay.forward_ns.lock().record(ns);
@@ -534,7 +516,7 @@ impl Routing {
         let lazy = match lazy {
             Ok(l) => l,
             Err(_) => {
-                self.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Ctr::dropped_frames, 1);
                 return;
             }
         };
@@ -779,12 +761,12 @@ mod tests {
             for (sink, count) in counts.iter().enumerate() {
                 assert_eq!(count.load(Ordering::Relaxed), emitted, "sink {sink}");
             }
-            assert_eq!(relay.switches.load(Ordering::Relaxed), SWITCHES);
-            assert_eq!(relay.current().epoch as u64, SWITCHES);
-            assert_eq!(relay.stale_drops.load(Ordering::Relaxed), 0);
             let stats = &run.routing.stats;
-            assert_eq!(stats.dropped_frames.load(Ordering::Relaxed), 0);
-            assert_eq!(stats.send_failed.load(Ordering::Relaxed), 0);
+            assert_eq!(stats.get(Ctr::relay_switches), SWITCHES);
+            assert_eq!(relay.current().epoch as u64, SWITCHES);
+            assert_eq!(stats.get(Ctr::relay_stale_drops), 0);
+            assert_eq!(stats.get(Ctr::dropped_frames), 0);
+            assert_eq!(stats.get(Ctr::send_failed), 0);
             run.finish();
         }
     }
@@ -857,8 +839,7 @@ mod tests {
         // A frame on the live generation with a corrupt (empty) item:
         // accepted by the epoch check, dropped at decode.
         receive(3);
-        let relay = routing.relay.as_ref().unwrap();
-        assert_eq!(relay.stale_drops.load(Ordering::Relaxed), 1);
-        assert_eq!(routing.stats.dropped_frames.load(Ordering::Relaxed), 1);
+        assert_eq!(routing.stats.get(Ctr::relay_stale_drops), 1);
+        assert_eq!(routing.stats.get(Ctr::dropped_frames), 1);
     }
 }

@@ -5,6 +5,7 @@
 
 use super::config::AckConfig;
 use super::control::sleep_with_stop;
+use super::report::{Ctr, RunStats};
 use super::send::Routing;
 use super::wire::Wire;
 use crate::acker::{attempt_of, root_of, Acker, LedgerGauges};
@@ -12,7 +13,7 @@ use crate::task::TaskId;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use whale_net::{EndpointId, FaultFabric, LogConfig, PartitionLog};
@@ -43,16 +44,6 @@ pub(super) struct AckRuntime {
     pub(super) gauges: Arc<LedgerGauges>,
     /// Wall-clock epoch backing the acker's [`SimTime`] clock.
     epoch: Instant,
-    /// Roots given up on after the replay budget or drain deadline.
-    pub(super) failed: AtomicU64,
-    /// Replay emissions performed.
-    pub(super) replayed: AtomicU64,
-    /// Duplicate deliveries suppressed at executors (same root seen
-    /// again: a replay that raced the original, a duplicated frame, or a
-    /// late frame of a root already resolved).
-    pub(super) dedup_dropped: AtomicU64,
-    /// The longest any executor's [`DedupWindow`] has been.
-    pub(super) dedup_window_peak: AtomicU64,
 }
 
 impl AckRuntime {
@@ -64,10 +55,6 @@ impl AckRuntime {
             gauges: acker.gauges(),
             acker: Mutex::new(acker),
             epoch: Instant::now(),
-            failed: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-            dedup_dropped: AtomicU64::new(0),
-            dedup_window_peak: AtomicU64::new(0),
         }
     }
 
@@ -104,8 +91,9 @@ pub(super) struct DedupWindow {
 
 impl DedupWindow {
     /// Decide one frame of tree `tracked` and record the decision. `live`
-    /// is [`LedgerGauges::live_roots`], read once per batch.
-    pub(super) fn admit(&mut self, tracked: u64, live: &Range<u64>, ack: &AckRuntime) -> Admit {
+    /// is [`LedgerGauges::live_roots`], read once per batch; the longest
+    /// any window grows is `stats`' `dedup_window_peak`.
+    pub(super) fn admit(&mut self, tracked: u64, live: &Range<u64>, stats: &RunStats) -> Admit {
         let root = root_of(tracked);
         if !live.contains(&root) {
             return Admit::Resolved;
@@ -120,8 +108,8 @@ impl DedupWindow {
             // Bounded by the ledger's own window: `root` is one it opened.
             self.acked_through.resize(idx + 1, 0);
             let len = self.acked_through.len() as u64;
-            if len > ack.dedup_window_peak.load(Ordering::Relaxed) {
-                ack.dedup_window_peak.fetch_max(len, Ordering::Relaxed);
+            if len > stats.get(Ctr::dedup_window_peak) {
+                stats.raise(Ctr::dedup_window_peak, len);
             }
         }
         let seen = &mut self.acked_through[idx];
@@ -164,18 +152,13 @@ impl EndpointLog {
 
 /// The per-run partition-log machinery (see [`super::LiveConfig::log`]): one
 /// write-ahead [`PartitionLog`] per flat destination endpoint, garbage
-/// collected by its appender against the ledger's watermark, and replay
-/// counters.
+/// collected by its appender against the ledger's watermark.
 pub(super) struct LogRuntime {
     /// One log per flat fabric endpoint, indexed by endpoint id.
     logs: Vec<Mutex<EndpointLog>>,
     /// The ledger's gauges (all zero on an untracked run, which logs no
     /// tracked append either).
     ledger: Arc<LedgerGauges>,
-    /// Records re-sent from the log after an endpoint restart.
-    pub(super) replayed_records: AtomicU64,
-    /// Bytes re-sent from the log after an endpoint restart.
-    pub(super) replayed_bytes: AtomicU64,
 }
 
 impl LogRuntime {
@@ -187,8 +170,6 @@ impl LogRuntime {
         LogRuntime {
             logs: (0..n_flat).map(|_| Mutex::new(endpoint())).collect(),
             ledger,
-            replayed_records: AtomicU64::new(0),
-            replayed_bytes: AtomicU64::new(0),
         }
     }
 
@@ -292,8 +273,8 @@ pub(super) fn replay_endpoint(routing: &Routing, ep: EndpointId) {
         let n = bytes.len() as u64;
         let buf: Arc<[u8]> = Arc::from(bytes.into_boxed_slice());
         if routing.send_wire(ep, ep, Wire::Shared(&buf), None) {
-            log.replayed_records.fetch_add(1, Ordering::Relaxed);
-            log.replayed_bytes.fetch_add(n, Ordering::Relaxed);
+            routing.stats.add(Ctr::log_replayed_records, 1);
+            routing.stats.add(Ctr::log_replayed_bytes, n);
         }
     }
 }
@@ -340,6 +321,7 @@ mod tests {
             script in proptest::collection::vec((0u8..8, any::<u64>()), 0..200),
         ) {
             let ack = AckRuntime::new(AckConfig::default());
+            let stats = RunStats::new(0);
             let gauge = |g: &AtomicU64| g.load(Ordering::Relaxed);
             let mut tasks: Vec<(DedupWindow, HashSets)> = Default::default();
             tasks.resize_with(3, Default::default);
@@ -362,7 +344,7 @@ mod tests {
                         let tracked = tracked_id(root, (arg % 3) as u32);
                         let (window, sets) = &mut tasks[(arg >> 4) as usize % 3];
                         let live = g.live_roots();
-                        let admit = window.admit(tracked, &live, &ack);
+                        let admit = window.admit(tracked, &live, &stats);
                         peak = peak.max(window.acked_through.len() as u64);
                         if !live.contains(&root) {
                             prop_assert_eq!(admit, Admit::Resolved);
@@ -386,7 +368,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(gauge(&ack.dedup_window_peak), peak);
+            prop_assert_eq!(stats.get(Ctr::dedup_window_peak), peak);
         }
     }
 

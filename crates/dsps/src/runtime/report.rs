@@ -1,14 +1,16 @@
-//! What a live run reports: the shared [`RunStats`] counters the data
-//! plane bumps, the [`RunReport`] assembled from them at teardown, and
+//! What a live run reports: one table declaring every run counter once —
+//! the [`RunStats`] slots the data plane bumps and the facts other layers
+//! own — the [`RunReport`] a [`Routing::snapshot`] reads them into, and
 //! its [`MetricsRegistry`](whale_sim::MetricsRegistry) export.
 
 use super::config::BuildError;
-use super::reliability::splitmix64;
+use super::relay::RelayEpoch;
+use super::reliability::{splitmix64, LogRuntime};
 use super::send::Routing;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use whale_net::{FaultFabric, PartitionLog};
+use whale_net::{FabricStats, FaultFabric, LinkTracker, PartitionLog};
 use whale_sim::SimTime;
 
 /// Structured shutdown reason of a live run.
@@ -44,53 +46,306 @@ impl RunOutcome {
     }
 }
 
-/// Counters collected during a live run.
-#[derive(Debug, Default)]
-pub struct RunStats {
-    /// Times a data item was serialized.
-    pub serializations: AtomicU64,
-    /// Wire frames encoded (each a pool acquire + fill). Redundant EOS
-    /// copies and relay forwards resend existing bytes, so they grow
-    /// fabric messages without growing this.
-    pub frames_encoded: AtomicU64,
-    /// Tuples executed, indexed by component id (filled at build).
-    pub executed: Vec<AtomicU64>,
-    /// Tuples emitted by spouts.
-    pub spout_emitted: AtomicU64,
-    /// Relay forwards performed by non-source workers (multicast tree).
-    pub relay_forwards: AtomicU64,
-    /// Malformed, truncated, unroutable fabric frames — and tuples whose
-    /// grouping could not route them (e.g. a missing key field) —
-    /// dropped by the pipelines instead of crashing the worker.
-    pub dropped_frames: AtomicU64,
-    /// Operator invocations (`next_tuple`/`execute`/`finish`) that
-    /// panicked; the owning pipeline poisons the task and keeps running.
-    pub op_panics: AtomicU64,
-    /// Executor messages that crossed shard pipelines through a bounded
-    /// inbox (same-shard deliveries loop back without a channel).
-    pub cross_shard_msgs: AtomicU64,
-    /// Executor deliveries made as lazy wire views (shared receive
-    /// buffer, nothing decoded at dispatch).
-    pub wire_tuples_lazy: AtomicU64,
-    /// Lazy wire tuples an executor actually materialized (first touch
-    /// of a tuple that crossed the operator boundary; fan-out sharing
-    /// means this counts decodes, not deliveries).
-    pub tuples_materialized: AtomicU64,
-    /// Backpressure retries performed under the send policy.
-    pub send_retries: AtomicU64,
-    /// Frames dropped after the send policy's deadline exhausted.
-    pub send_failed: AtomicU64,
-    /// Executors that exited on the run deadline instead of EOS.
-    pub deadline_exits: AtomicU64,
-    /// Idle episodes that outlasted the spin rung and yielded the CPU.
-    pub pipeline_yields: AtomicU64,
-    /// Blocking waits pipelines entered after spinning and yielding.
-    pub pipeline_parks: AtomicU64,
-    /// Blocking waits that returned work (a frame or an inbox wake-up)
-    /// rather than timing out.
-    pub pipeline_wakeups_with_work: AtomicU64,
+/// Export one row of the counter table into `reg`. A `Counter` is a count
+/// (a slot of this kind is written with [`RunStats::add`]), a `Gauge` a
+/// level (a slot of this kind is a high-water mark, [`RunStats::raise`]).
+/// A row with no key is reported, not exported.
+macro_rules! export {
+    ($reg:ident, Counter $key:literal, $value:expr) => {
+        $reg.set_counter($key, $value)
+    };
+    ($reg:ident, Gauge $key:literal, $value:expr) => {
+        $reg.set_gauge($key, $value as f64)
+    };
+    ($reg:ident, Counter, $value:expr) => {};
+}
+
+/// The counter table. A row `field: Kind "key" => "series"` declares a
+/// `u64` field of [`RunReport`] carrying the row's doc, its kind, the
+/// `dsps.*` key it exports under (none: reported, not exported) and the
+/// `dsps.timeline.*` series it is sampled into (none: not sampled).
+/// `slots` rows are the runtime's own: one [`RunStats`] slot each, named
+/// by a [`Ctr`]. A `read` row belongs to another layer and ends in how
+/// [`Routing::snapshot`] reads it from its owner. `report` holds the
+/// fields that are not counters.
+macro_rules! counter_table {
+    (
+        slots { $($(#[doc = $sdoc:literal])* $slot:ident: $skind:ident $($skey:literal)? $(=> $sseries:literal)?;)* }
+        read($($owner:ident: $owner_ty:ty),*) {
+            $($(#[doc = $rdoc:literal])* $read:ident: $rkind:ident $($rkey:literal)? $(=> $rseries:literal)? = $from:expr;)*
+        }
+        report { $($fields:tt)* }
+    ) => {
+        /// A run counter the runtime writes: the index of its slot in
+        /// [`RunStats`].
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        pub(super) enum Ctr {
+            $($slot,)*
+        }
+
+        const SLOTS: usize = [$(Ctr::$slot),*].len();
+
+        /// The rows sampled into the timeline: each series' name and how
+        /// a sample reads it.
+        const SERIES: &[(&str, fn(&RunReport) -> u64)] = &[
+            $($(($sseries, |r| r.$slot),)?)*
+            $($(($rseries, |r| r.$read),)?)*
+        ];
+
+        /// Result of a live run: its counters, one field per row of the
+        /// counter table, and the facts that are not counters.
+        #[derive(Debug, Default)]
+        pub struct RunReport {
+            $($(#[doc = $sdoc])* pub $slot: u64,)*
+            $($(#[doc = $rdoc])* pub $read: u64,)*
+            $($fields)*
+        }
+
+        impl RunReport {
+            /// Every row that has a key, exported under it.
+            fn export_rows(&self, reg: &mut whale_sim::MetricsRegistry) {
+                $(export!(reg, $skind $($skey)?, self.$slot);)*
+                $(export!(reg, $rkind $($rkey)?, self.$read);)*
+            }
+
+            /// Every row as it reads now: the slots of `stats`, and each
+            /// `read` row from its owner. Every other field at its default.
+            fn read(stats: &RunStats, $($owner: $owner_ty),*) -> Self {
+                RunReport {
+                    $($slot: stats.get(Ctr::$slot),)*
+                    $($read: $from,)*
+                    ..RunReport::default()
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    slots {
+        /// Data-item serializations performed.
+        serializations: Counter "dsps.serializations";
+        /// Wire frames encoded (pool acquire + fill). Redundant EOS copies
+        /// and relay forwards resend existing bytes without re-encoding.
+        frames_encoded: Counter "dsps.frames_encoded";
+        /// Tuples emitted by spouts.
+        spout_emitted: Counter "dsps.spout_emitted" => "dsps.timeline.spout_emitted";
+        /// Relay forwards performed by non-source workers (multicast tree).
+        relay_forwards: Counter "dsps.relay_forwards";
+        /// Wire bytes sent on the relay path (origin sends + forwards); the
+        /// remainder of the fabric byte totals moved point-to-point.
+        relay_bytes: Counter "dsps.relay.bytes";
+        /// Relay frames dropped because their tree generation was retired.
+        relay_stale_drops: Counter "dsps.relay.stale_drops";
+        /// Runtime tree reconfigurations performed.
+        relay_switches: Counter "dsps.relay.switches";
+        /// Per-instance connection moves across all reconfigurations.
+        relay_switch_moves: Counter "dsps.relay.switch_moves";
+        /// Malformed or unroutable fabric frames (and unroutable tuples)
+        /// dropped by the pipelines.
+        dropped_frames: Counter "dsps.dropped_frames";
+        /// Panicked operator invocations plus panicked runtime threads; a
+        /// panicking operator poisons its task, and the run still joins
+        /// every thread and tears the fabric down in order.
+        thread_panics: Counter "dsps.thread_panics";
+        /// Executor messages that crossed shard pipelines through bounded
+        /// inboxes (0 when every delivery stayed shard-local).
+        cross_shard_msgs: Counter "dsps.cross_shard_msgs";
+        /// Executor deliveries made as lazy wire views — received frames
+        /// dispatched without decoding anything.
+        wire_tuples_lazy: Counter;
+        /// Lazy wire tuples materialized on first executor touch; the gap to
+        /// `wire_tuples_lazy` is decode work the view layer never did.
+        tuples_materialized: Counter;
+        /// Backpressure retries performed under the send policy.
+        send_retries: Counter "dsps.send.retries" => "dsps.timeline.send_retries";
+        /// Frames dropped after the send policy's deadline exhausted (these
+        /// degrade the run; teardown races do not).
+        send_failed: Counter "dsps.send.failed";
+        /// Executors that exited on [`super::LiveConfig::run_deadline`].
+        deadline_exits: Counter "dsps.deadline_exits";
+        /// Idle episodes that outlasted the spin rung and yielded the CPU
+        /// (each then either found work or went on to block).
+        pipeline_yields: Counter "dsps.pipeline.yields";
+        /// Blocking waits the pipelines entered (idle after spin and yield).
+        /// Scales with how often work arrives at an idle pipeline, not with
+        /// run length.
+        pipeline_parks: Counter "dsps.pipeline.parks";
+        /// Blocking waits that returned work rather than timing out.
+        pipeline_wakeups_with_work: Counter "dsps.pipeline.wakeups_with_work";
+        /// Tracked tuples given up on after the replay budget (ack runs only).
+        tuples_failed: Counter "dsps.ack.failed" => "dsps.timeline.failed";
+        /// Replay emissions performed (ack runs only).
+        tuples_replayed: Counter "dsps.ack.replayed" => "dsps.timeline.replayed";
+        /// Duplicate deliveries suppressed at executors by root-id dedup.
+        dedup_dropped: Counter "dsps.ack.dedup_dropped";
+        /// The most roots any one executor's dedup window has held at once
+        /// (it is trimmed to the ledger's watermark).
+        dedup_window_peak: Gauge "dsps.ack.dedup_window_peak";
+        /// Frames re-sent from the log after an endpoint restart.
+        log_replayed_records: Counter "dsps.log.replayed_records";
+        /// Bytes re-sent from the log after an endpoint restart.
+        log_replayed_bytes: Counter "dsps.log.replayed_bytes";
+    }
+    read(r: &Routing, fabric: &FabricStats, tree: Option<&RelayEpoch>) {
+        /// Network messages through the fabric.
+        fabric_messages: Counter "dsps.fabric.messages" => "dsps.timeline.fabric_messages"
+            = fabric.messages;
+        /// Bytes copied (TCP semantics).
+        copied_bytes: Counter "dsps.fabric.copied_bytes" = fabric.copied_bytes;
+        /// Bytes shared (RDMA semantics).
+        shared_bytes: Counter "dsps.fabric.shared_bytes" = fabric.shared_bytes;
+        /// Sends that failed at the fabric (unknown endpoint, backpressure
+        /// that never cleared, or a receiver dropped during teardown). Failed
+        /// sends never count toward the byte totals.
+        send_errors: Counter "dsps.fabric.send_errors" => "dsps.timeline.send_errors"
+            = fabric.send_errors;
+        /// Batches the transport flushed (0 on the per-send path).
+        batches_flushed: Counter "dsps.fabric.batches_flushed" = fabric.flushed_batches;
+        /// Encode-buffer pool acquires served from a reused buffer.
+        pool_hits: Counter "dsps.pool.hits" = r.pool.hits();
+        /// Encode-buffer pool acquires that had to allocate.
+        pool_misses: Counter "dsps.pool.misses" = r.pool.misses();
+        /// Most encode buffers outstanding at once during the run.
+        pool_high_watermark: Gauge "dsps.pool.high_watermark" = r.pool.high_watermark();
+        /// Bytes delivered over rack uplinks — the oversubscribed links a
+        /// topology-aware tree economizes (0 unless a topology is
+        /// configured).
+        uplink_bytes: Counter "dsps.links.uplink_bytes"
+            = r.tracker.as_deref().map_or(0, LinkTracker::uplink_bytes);
+        /// Final relay tree generation (0 when no switch happened).
+        relay_epoch: Gauge "dsps.relay.epoch" = tree.map_or(0, |g| g.epoch.into());
+        /// Final relay out-degree (0 when the relay path was off).
+        relay_d_star: Gauge "dsps.relay.d_star" = tree.map_or(0, |g| g.d_star.into());
+        /// Pipeline shards per worker the run executed with.
+        shards: Gauge "dsps.shards" = r.shards.into();
+        /// Tracked tuples fully delivered (ack runs only).
+        tuples_acked: Counter "dsps.ack.acked" => "dsps.timeline.acked"
+            = r.ack.as_ref().map_or(0, |a| a.acker.lock().acked());
+        /// The most roots the ledger's window has held at once: the distance
+        /// from the oldest unresolved root to the newest, not the length of
+        /// the stream.
+        ack_window_peak: Gauge "dsps.ack.window_peak"
+            = r.ack.as_ref().map_or(0, |a| a.acker.lock().window_peak() as u64);
+        /// Frames silently dropped by injected drop faults.
+        fault_drops: Counter "dsps.fault.drops" = r.fault_count(FaultFabric::drops);
+        /// Frames duplicated by injected faults.
+        fault_duplicates: Counter "dsps.fault.duplicates"
+            = r.fault_count(FaultFabric::duplicates);
+        /// Frames parked by injected delay faults.
+        fault_delayed: Counter "dsps.fault.delayed" = r.fault_count(FaultFabric::delayed);
+        /// Sends rejected by injected `Full` bursts.
+        fault_full_injected: Counter "dsps.fault.full_injected"
+            = r.fault_count(FaultFabric::full_injected);
+        /// Frames lost inside injected partition windows.
+        fault_partition_drops: Counter "dsps.fault.partition_drops"
+            = r.fault_count(FaultFabric::partition_drops);
+        /// Sends rejected because an injected crash took the destination.
+        fault_crashed_sends: Counter "dsps.fault.crashed_sends"
+            = r.fault_count(FaultFabric::crashed_sends);
+        /// Data frames written through the partition log before the fabric
+        /// (0 unless [`super::LiveConfig::log`] is set).
+        log_appended_records: Counter "dsps.log.appended_records"
+            = r.log_sum(PartitionLog::appended_records);
+        /// Payload bytes written through the partition log.
+        log_appended_bytes: Counter "dsps.log.appended_bytes"
+            = r.log_sum(PartitionLog::appended_bytes);
+        /// Log bytes reclaimed by acker-watermark garbage collection.
+        log_gcd_bytes: Counter "dsps.log.gcd_bytes" = r.log_sum(PartitionLog::gcd_bytes);
+        /// Highest per-endpoint log GC watermark (sequence number).
+        log_gc_watermark: Gauge "dsps.log.gc_watermark"
+            = r.log.as_ref().map_or(0, LogRuntime::gc_watermark);
+        /// Log bytes still resident at shutdown.
+        log_retained_bytes: Gauge "dsps.log.retained_bytes"
+            = r.log_sum(PartitionLog::retained_bytes);
+        /// Torn tails healed when recovering persisted log images.
+        log_torn_tails: Counter "dsps.log.torn_tails" = r.log_sum(PartitionLog::torn_tails);
+        /// Sampled deliveries timed, exact (≥ `delivery_ns.len()`).
+        delivery_samples: Counter "dsps.delivery_samples" = r.stats.delivery.samples();
+    }
+    report {
+        /// Wall-clock time of the run.
+        pub elapsed: Duration,
+        /// Tuples executed per component (by component id index).
+        pub executed: Vec<u64>,
+        /// Delivered bytes per link (`LinkId` rendered, bytes), every link
+        /// with traffic. Sums to `copied_bytes + shared_bytes`: each send
+        /// traverses exactly one link, so per-link totals tile the wire
+        /// total. Empty unless a topology is configured.
+        pub link_bytes: Vec<(String, u64)>,
+        /// Received relay frames by tree depth of the receiving node (last
+        /// bucket absorbs deeper hops); empty when the relay path was off.
+        pub relay_depths: Vec<u64>,
+        /// Sampled per-hop relay forward latencies (receipt to last child
+        /// send, ns), unordered; a uniform sample of them once a long run has
+        /// taken more than the reservoir holds.
+        pub relay_forward_ns: Vec<u64>,
+        /// Mean messages per flushed batch (0 on the per-send path).
+        pub mean_batch_size: f64,
+        /// Pool hits over total acquires (≈ 1.0 once warm: the steady-state
+        /// hot path allocates nothing).
+        pub pool_hit_rate: f64,
+        /// Periodic snapshots of the run (empty unless
+        /// [`super::LiveConfig::monitor_interval`] is set).
+        pub timeline: Vec<TimelineSample>,
+        /// Structured shutdown reason.
+        pub outcome: RunOutcome,
+        /// Sampled spout-to-execute delivery latencies (ns), unordered; a
+        /// uniform sample of them once a long run has taken more than the
+        /// reservoir holds.
+        pub delivery_ns: Vec<u64>,
+    }
+}
+
+/// One periodic snapshot of a live run (see
+/// [`super::LiveConfig::monitor_interval`]): the report as it stood
+/// `elapsed` into the run — the run's final report taken early, without
+/// the latency reservoirs.
+pub type TimelineSample = RunReport;
+
+/// The slots of a live run's own counters, one per [`Ctr`], plus the two
+/// facts sized by the run rather than by the table. Every write is one
+/// relaxed read-modify-write on one slot.
+#[derive(Debug)]
+pub(super) struct RunStats {
+    slots: [AtomicU64; SLOTS],
+    /// Tuples executed, indexed by component id.
+    pub(super) executed: Vec<AtomicU64>,
     /// Spout-to-execute delivery-latency probes of sampled tuples.
     pub(super) delivery: DeliveryProbes,
+}
+
+impl RunStats {
+    pub(super) fn new(components: usize) -> Self {
+        RunStats {
+            slots: std::array::from_fn(|_| AtomicU64::new(0)),
+            executed: (0..components).map(|_| AtomicU64::new(0)).collect(),
+            delivery: DeliveryProbes::default(),
+        }
+    }
+
+    /// Count `n` more of `ctr`.
+    #[inline]
+    pub(super) fn add(&self, ctr: Ctr, n: u64) {
+        self.slot(ctr).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raise the high-water mark `ctr` to at least `to`.
+    pub(super) fn raise(&self, ctr: Ctr, to: u64) {
+        self.slot(ctr).fetch_max(to, Ordering::Relaxed);
+    }
+
+    pub(super) fn get(&self, ctr: Ctr) -> u64 {
+        self.slot(ctr).load(Ordering::Relaxed)
+    }
+
+    /// `ctr`'s slot itself, for a callee that counts into an `AtomicU64`
+    /// (the send policy's retries, off the steady-state path).
+    #[inline]
+    pub(super) fn slot(&self, ctr: Ctr) -> &AtomicU64 {
+        &self.slots[ctr as usize]
+    }
 }
 
 /// Every `LATENCY_SAMPLE`-th tuple id is timed from spout emission to the
@@ -198,189 +453,11 @@ impl DeliveryProbes {
     pub(super) fn take(&self) -> (Vec<u64>, u64) {
         self.latencies.lock().take()
     }
-}
 
-/// Result of a completed live run.
-#[derive(Debug, Default)]
-pub struct RunReport {
-    /// Wall-clock time of the run.
-    pub elapsed: Duration,
-    /// Data-item serializations performed.
-    pub serializations: u64,
-    /// Tuples executed per component (by component id index).
-    pub executed: Vec<u64>,
-    /// Tuples emitted by spouts.
-    pub spout_emitted: u64,
-    /// Network messages through the fabric.
-    pub fabric_messages: u64,
-    /// Bytes copied (TCP semantics).
-    pub copied_bytes: u64,
-    /// Bytes shared (RDMA semantics).
-    pub shared_bytes: u64,
-    /// Relay forwards performed by non-source workers (multicast tree).
-    pub relay_forwards: u64,
-    /// Wire frames encoded (pool acquire + fill). Redundant EOS copies
-    /// and relay forwards resend existing bytes without re-encoding.
-    pub frames_encoded: u64,
-    /// Wire bytes sent on the relay path (origin sends + forwards); the
-    /// remainder of the fabric byte totals moved point-to-point.
-    pub relay_bytes: u64,
-    /// Relay frames dropped because their tree generation was retired.
-    pub relay_stale_drops: u64,
-    /// Bytes delivered over rack uplinks — the oversubscribed links a
-    /// topology-aware tree economizes (0 unless a topology is
-    /// configured).
-    pub uplink_bytes: u64,
-    /// Delivered bytes per link (`LinkId` rendered, bytes), every link
-    /// with traffic. Sums to `copied_bytes + shared_bytes`: each send
-    /// traverses exactly one link, so per-link totals tile the wire
-    /// total. Empty unless a topology is configured.
-    pub link_bytes: Vec<(String, u64)>,
-    /// Runtime tree reconfigurations performed.
-    pub relay_switches: u64,
-    /// Per-instance connection moves across all reconfigurations.
-    pub relay_switch_moves: u64,
-    /// Final relay tree generation (0 when no switch happened).
-    pub relay_epoch: u32,
-    /// Final relay out-degree (0 when the relay path was off).
-    pub relay_d_star: u32,
-    /// Received relay frames by tree depth of the receiving node (last
-    /// bucket absorbs deeper hops); empty when the relay path was off.
-    pub relay_depths: Vec<u64>,
-    /// Sampled per-hop relay forward latencies (receipt to last child
-    /// send, ns), unordered; a uniform sample of them once a long run has
-    /// taken more than the reservoir holds.
-    pub relay_forward_ns: Vec<u64>,
-    /// Malformed or unroutable fabric frames (and unroutable tuples)
-    /// dropped by the pipelines.
-    pub dropped_frames: u64,
-    /// Panicked operator invocations plus panicked runtime threads; a
-    /// panicking operator poisons its task, and the run still joins
-    /// every thread and tears the fabric down in order.
-    pub thread_panics: u64,
-    /// Pipeline shards per worker the run executed with.
-    pub shards: u64,
-    /// Executor messages that crossed shard pipelines through bounded
-    /// inboxes (0 when every delivery stayed shard-local).
-    pub cross_shard_msgs: u64,
-    /// Executor deliveries made as lazy wire views — received frames
-    /// dispatched without decoding anything.
-    pub wire_tuples_lazy: u64,
-    /// Lazy wire tuples materialized on first executor touch; the gap to
-    /// `wire_tuples_lazy` is decode work the view layer never did.
-    pub tuples_materialized: u64,
-    /// Sends that failed at the fabric (unknown endpoint, backpressure
-    /// that never cleared, or a receiver dropped during teardown). Failed
-    /// sends never count toward the byte totals.
-    pub send_errors: u64,
-    /// Batches the transport flushed (0 on the per-send path).
-    pub batches_flushed: u64,
-    /// Mean messages per flushed batch (0 on the per-send path).
-    pub mean_batch_size: f64,
-    /// Encode-buffer pool acquires served from a reused buffer.
-    pub pool_hits: u64,
-    /// Encode-buffer pool acquires that had to allocate.
-    pub pool_misses: u64,
-    /// Most encode buffers outstanding at once during the run.
-    pub pool_high_watermark: u64,
-    /// Pool hits over total acquires (≈ 1.0 once warm: the steady-state
-    /// hot path allocates nothing).
-    pub pool_hit_rate: f64,
-    /// Backpressure retries performed under the send policy.
-    pub send_retries: u64,
-    /// Frames dropped after the send policy's deadline exhausted (these
-    /// degrade the run; teardown races do not).
-    pub send_failed: u64,
-    /// Executors that exited on [`super::LiveConfig::run_deadline`].
-    pub deadline_exits: u64,
-    /// Idle episodes that outlasted the spin rung and yielded the CPU
-    /// (each then either found work or went on to block).
-    pub pipeline_yields: u64,
-    /// Blocking waits the pipelines entered (idle after spin and yield).
-    /// Scales with how often work arrives at an idle pipeline, not with
-    /// run length.
-    pub pipeline_parks: u64,
-    /// Blocking waits that returned work rather than timing out.
-    pub pipeline_wakeups_with_work: u64,
-    /// Tracked tuples fully delivered (ack runs only).
-    pub tuples_acked: u64,
-    /// Tracked tuples given up on after the replay budget (ack runs only).
-    pub tuples_failed: u64,
-    /// Replay emissions performed (ack runs only).
-    pub tuples_replayed: u64,
-    /// Duplicate deliveries suppressed at executors by root-id dedup.
-    pub dedup_dropped: u64,
-    /// The most roots the ledger's window has held at once: the distance
-    /// from the oldest unresolved root to the newest, not the length of
-    /// the stream.
-    pub ack_window_peak: u64,
-    /// The most roots any one executor's dedup window has held at once
-    /// (it is trimmed to the ledger's watermark).
-    pub dedup_window_peak: u64,
-    /// Frames silently dropped by injected drop faults.
-    pub fault_drops: u64,
-    /// Frames duplicated by injected faults.
-    pub fault_duplicates: u64,
-    /// Frames parked by injected delay faults.
-    pub fault_delayed: u64,
-    /// Sends rejected by injected `Full` bursts.
-    pub fault_full_injected: u64,
-    /// Frames lost inside injected partition windows.
-    pub fault_partition_drops: u64,
-    /// Sends rejected because an injected crash took the destination.
-    pub fault_crashed_sends: u64,
-    /// Data frames written through the partition log before the fabric
-    /// (0 unless [`super::LiveConfig::log`] is set).
-    pub log_appended_records: u64,
-    /// Payload bytes written through the partition log.
-    pub log_appended_bytes: u64,
-    /// Frames re-sent from the log after an endpoint restart.
-    pub log_replayed_records: u64,
-    /// Bytes re-sent from the log after an endpoint restart.
-    pub log_replayed_bytes: u64,
-    /// Log bytes reclaimed by acker-watermark garbage collection.
-    pub log_gcd_bytes: u64,
-    /// Highest per-endpoint log GC watermark (sequence number).
-    pub log_gc_watermark: u64,
-    /// Log bytes still resident at shutdown.
-    pub log_retained_bytes: u64,
-    /// Torn tails healed when recovering persisted log images.
-    pub log_torn_tails: u64,
-    /// Periodic counter snapshots (empty unless
-    /// [`super::LiveConfig::monitor_interval`] is set).
-    pub timeline: Vec<TimelineSample>,
-    /// Structured shutdown reason.
-    pub outcome: RunOutcome,
-    /// Sampled spout-to-execute delivery latencies (ns), unordered; a
-    /// uniform sample of them once a long run has taken more than the
-    /// reservoir holds.
-    pub delivery_ns: Vec<u64>,
-    /// Sampled deliveries timed, exact (≥ `delivery_ns.len()`).
-    pub delivery_samples: u64,
-}
-
-/// One periodic snapshot of a live run's counters (see
-/// [`super::LiveConfig::monitor_interval`]).
-#[derive(Clone, Copy, Debug)]
-pub struct TimelineSample {
-    /// Wall-clock offset from run start.
-    pub at: Duration,
-    /// Tuples emitted by spouts so far.
-    pub spout_emitted: u64,
-    /// Tuples executed so far (all components).
-    pub executed: u64,
-    /// Fabric messages delivered so far.
-    pub fabric_messages: u64,
-    /// Fabric send errors so far (includes injected faults).
-    pub send_errors: u64,
-    /// Backpressure retries so far.
-    pub send_retries: u64,
-    /// Tracked tuples acked so far (0 on untracked runs).
-    pub acked: u64,
-    /// Tracked tuples failed so far (0 on untracked runs).
-    pub failed: u64,
-    /// Replays performed so far (0 on untracked runs).
-    pub replayed: u64,
+    /// The exact number of sampled deliveries so far.
+    fn samples(&self) -> u64 {
+        self.latencies.lock().seen
+    }
 }
 
 impl RunReport {
@@ -408,225 +485,120 @@ impl RunReport {
     /// dispatch/send/relay counters, fabric byte split, and the sampled
     /// delivery-latency distribution as a percentile summary.
     pub fn metrics(&self) -> whale_sim::MetricsRegistry {
-        use whale_sim::{Histogram, MetricsRegistry};
+        use whale_sim::{Histogram, MetricsRegistry, TimeSeries};
         let mut reg = MetricsRegistry::new();
+        self.export_rows(&mut reg);
         reg.set_gauge("dsps.elapsed_secs", self.elapsed.as_secs_f64());
-        reg.set_counter("dsps.serializations", self.serializations);
-        reg.set_counter("dsps.spout_emitted", self.spout_emitted);
-        reg.set_counter("dsps.frames_encoded", self.frames_encoded);
-        reg.set_counter("dsps.relay_forwards", self.relay_forwards);
+        reg.set_gauge(
+            "dsps.clean",
+            if self.outcome.is_clean() { 1.0 } else { 0.0 },
+        );
+        reg.set_gauge("dsps.fabric.mean_batch_size", self.mean_batch_size);
+        reg.set_gauge("dsps.pool.hit_rate", self.pool_hit_rate);
         // The relay/direct byte split: what traveled the multicast tree
         // vs point-to-point. (A fault-swallowed relay frame is charged
         // here but never reached the fabric totals, hence saturating.)
-        let wire = self.copied_bytes + self.shared_bytes;
-        reg.set_counter("dsps.relay.bytes", self.relay_bytes);
-        reg.set_counter("dsps.direct_bytes", wire.saturating_sub(self.relay_bytes));
-        reg.set_counter("dsps.relay.stale_drops", self.relay_stale_drops);
-        reg.set_counter("dsps.links.uplink_bytes", self.uplink_bytes);
+        let counter = |key| reg.counter(key).unwrap_or(0);
+        let wire = counter("dsps.fabric.copied_bytes") + counter("dsps.fabric.shared_bytes");
+        let direct = wire.saturating_sub(counter("dsps.relay.bytes"));
+        reg.set_counter("dsps.direct_bytes", direct);
         for (link, bytes) in &self.link_bytes {
             reg.set_counter(&format!("dsps.links.bytes.{link}"), *bytes);
         }
-        reg.set_counter("dsps.relay.switches", self.relay_switches);
-        reg.set_counter("dsps.relay.switch_moves", self.relay_switch_moves);
-        reg.set_gauge("dsps.relay.epoch", self.relay_epoch as f64);
-        reg.set_gauge("dsps.relay.d_star", self.relay_d_star as f64);
         for (d, &n) in self.relay_depths.iter().enumerate() {
             if n > 0 {
                 reg.set_counter(&format!("dsps.relay.depth_{d}"), n);
             }
         }
-        if !self.relay_forward_ns.is_empty() {
-            let mut h = Histogram::new();
-            for &ns in &self.relay_forward_ns {
-                h.record(ns);
-            }
-            reg.set_summary("dsps.relay.forward_ns", &h);
+        for (i, &n) in self.executed.iter().enumerate() {
+            reg.set_counter(&format!("dsps.executed.component_{i}"), n);
         }
-        reg.set_counter("dsps.dropped_frames", self.dropped_frames);
-        reg.set_counter("dsps.thread_panics", self.thread_panics);
-        reg.set_gauge("dsps.shards", self.shards as f64);
-        reg.set_counter("dsps.cross_shard_msgs", self.cross_shard_msgs);
-        reg.set_counter("dsps.fabric.messages", self.fabric_messages);
-        reg.set_counter("dsps.fabric.copied_bytes", self.copied_bytes);
-        reg.set_counter("dsps.fabric.shared_bytes", self.shared_bytes);
-        reg.set_counter("dsps.fabric.send_errors", self.send_errors);
-        reg.set_counter("dsps.fabric.batches_flushed", self.batches_flushed);
-        reg.set_gauge("dsps.fabric.mean_batch_size", self.mean_batch_size);
-        reg.set_counter("dsps.pool.hits", self.pool_hits);
-        reg.set_counter("dsps.pool.misses", self.pool_misses);
-        reg.set_gauge("dsps.pool.high_watermark", self.pool_high_watermark as f64);
-        reg.set_gauge("dsps.pool.hit_rate", self.pool_hit_rate);
-        reg.set_counter("dsps.send.retries", self.send_retries);
-        reg.set_counter("dsps.send.failed", self.send_failed);
-        reg.set_counter("dsps.deadline_exits", self.deadline_exits);
-        reg.set_counter("dsps.pipeline.yields", self.pipeline_yields);
-        reg.set_counter("dsps.pipeline.parks", self.pipeline_parks);
-        reg.set_counter(
-            "dsps.pipeline.wakeups_with_work",
-            self.pipeline_wakeups_with_work,
-        );
-        reg.set_counter("dsps.ack.acked", self.tuples_acked);
-        reg.set_counter("dsps.ack.failed", self.tuples_failed);
-        reg.set_counter("dsps.ack.replayed", self.tuples_replayed);
-        reg.set_counter("dsps.ack.dedup_dropped", self.dedup_dropped);
-        reg.set_gauge("dsps.ack.window_peak", self.ack_window_peak as f64);
-        reg.set_gauge("dsps.ack.dedup_window_peak", self.dedup_window_peak as f64);
-        reg.set_counter("dsps.fault.drops", self.fault_drops);
-        reg.set_counter("dsps.fault.duplicates", self.fault_duplicates);
-        reg.set_counter("dsps.fault.delayed", self.fault_delayed);
-        reg.set_counter("dsps.fault.full_injected", self.fault_full_injected);
-        reg.set_counter("dsps.fault.partition_drops", self.fault_partition_drops);
-        reg.set_counter("dsps.fault.crashed_sends", self.fault_crashed_sends);
-        reg.set_counter("dsps.log.appended_records", self.log_appended_records);
-        reg.set_counter("dsps.log.appended_bytes", self.log_appended_bytes);
-        reg.set_counter("dsps.log.replayed_records", self.log_replayed_records);
-        reg.set_counter("dsps.log.replayed_bytes", self.log_replayed_bytes);
-        reg.set_counter("dsps.log.gcd_bytes", self.log_gcd_bytes);
-        reg.set_counter("dsps.log.torn_tails", self.log_torn_tails);
-        reg.set_gauge("dsps.log.gc_watermark", self.log_gc_watermark as f64);
-        reg.set_gauge("dsps.log.retained_bytes", self.log_retained_bytes as f64);
+        let histogram = |ns: &[u64]| {
+            let mut h = Histogram::new();
+            ns.iter().for_each(|&ns| h.record(ns));
+            h
+        };
+        if !self.relay_forward_ns.is_empty() {
+            reg.set_summary("dsps.relay.forward_ns", &histogram(&self.relay_forward_ns));
+        }
+        reg.set_summary("dsps.delivery_ns", &histogram(&self.delivery_ns));
         if !self.timeline.is_empty() {
-            use whale_sim::TimeSeries;
-            type SampleField = fn(&TimelineSample) -> u64;
-            let by_metric: [(&str, SampleField); 8] = [
-                ("dsps.timeline.spout_emitted", |s| s.spout_emitted),
-                ("dsps.timeline.executed", |s| s.executed),
-                ("dsps.timeline.fabric_messages", |s| s.fabric_messages),
-                ("dsps.timeline.send_errors", |s| s.send_errors),
-                ("dsps.timeline.send_retries", |s| s.send_retries),
-                ("dsps.timeline.acked", |s| s.acked),
-                ("dsps.timeline.failed", |s| s.failed),
-                ("dsps.timeline.replayed", |s| s.replayed),
-            ];
-            for (name, f) in by_metric {
+            let executed: fn(&TimelineSample) -> u64 = |s| s.executed.iter().sum();
+            for &(name, value) in [("dsps.timeline.executed", executed)].iter().chain(SERIES) {
                 let mut ts = TimeSeries::new();
                 for s in &self.timeline {
-                    ts.push(SimTime::from_nanos(s.at.as_nanos() as u64), f(s) as f64);
+                    let at = SimTime::from_nanos(s.elapsed.as_nanos() as u64);
+                    ts.push(at, value(s) as f64);
                 }
                 reg.set_series(name, &ts);
             }
         }
-        reg.set_gauge(
-            "dsps.clean",
-            if self.outcome.is_clean() { 1.0 } else { 0.0 },
-        );
-        for (i, &n) in self.executed.iter().enumerate() {
-            reg.set_counter(&format!("dsps.executed.component_{i}"), n);
-        }
-        let mut h = Histogram::new();
-        for &ns in &self.delivery_ns {
-            h.record(ns);
-        }
-        reg.set_summary("dsps.delivery_ns", &h);
-        reg.set_counter("dsps.delivery_samples", self.delivery_samples);
         reg
+    }
+
+    /// The report of a finished run: its last snapshot, with the sampled
+    /// latencies and the timeline.
+    pub(super) fn collect(
+        routing: &Routing,
+        elapsed: Duration,
+        timeline: Vec<TimelineSample>,
+    ) -> RunReport {
+        let (delivery_ns, _) = routing.stats.delivery.take();
+        let relay = routing.relay.as_ref();
+        RunReport {
+            relay_forward_ns: relay.map_or_else(Vec::new, |r| r.forward_ns.lock().take().0),
+            delivery_ns,
+            timeline,
+            ..routing.snapshot(elapsed)
+        }
     }
 }
 
-impl RunReport {
-    /// Assemble the report of a finished run from its counters.
-    /// `thread_panics` already includes caught operator panics.
-    pub(super) fn collect(
-        routing: &Routing,
-        fault: Option<&FaultFabric>,
-        elapsed: Duration,
-        thread_panics: u64,
-        timeline: Vec<TimelineSample>,
-    ) -> RunReport {
+impl Routing {
+    /// The run's counters as they read now, `elapsed` into it: every slot,
+    /// each row another layer owns read from its owner, and the outcome
+    /// they add up to so far. What [`RunReport::collect`] returns at
+    /// teardown and the monitor samples mid-run, less the latency
+    /// reservoirs and the timeline.
+    pub(super) fn snapshot(&self, elapsed: Duration) -> RunReport {
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let (stats, fabric, pool) = (&routing.stats, &routing.fabric, &routing.pool);
-        let (ack, relay, log) = (
-            routing.ack.as_ref(),
-            routing.relay.as_ref(),
-            routing.log.as_ref(),
-        );
-        let tracker = routing.tracker.as_ref();
-        let failed_sends = get(&stats.send_failed);
-        let failed_tuples = ack.map_or(0, |a| get(&a.failed));
-        let deadline_exits = get(&stats.deadline_exits);
-        let degraded =
-            thread_panics > 0 || failed_sends > 0 || failed_tuples > 0 || deadline_exits > 0;
-        let fabric = fabric.stats();
-        let (delivery_ns, delivery_samples) = stats.delivery.take();
-        RunReport {
+        let fabric = self.fabric.stats();
+        let relay = self.relay.as_ref();
+        let tree = relay.map(|r| r.current());
+        let tracker = self.tracker.as_deref();
+        let mut r = RunReport {
             elapsed,
-            serializations: get(&stats.serializations),
-            executed: stats.executed.iter().map(get).collect(),
-            spout_emitted: get(&stats.spout_emitted),
-            fabric_messages: fabric.messages,
-            copied_bytes: fabric.copied_bytes,
-            shared_bytes: fabric.shared_bytes,
-            relay_forwards: get(&stats.relay_forwards),
-            frames_encoded: get(&stats.frames_encoded),
-            relay_bytes: relay.map_or(0, |r| get(&r.relay_bytes)),
-            relay_stale_drops: relay.map_or(0, |r| get(&r.stale_drops)),
-            uplink_bytes: tracker.map_or(0, |t| t.uplink_bytes()),
+            executed: self.stats.executed.iter().map(get).collect(),
             link_bytes: tracker.map_or_else(Vec::new, |t| {
-                t.snapshot()
-                    .into_iter()
-                    .filter(|l| l.bytes > 0)
-                    .map(|l| (l.link.to_string(), l.bytes))
-                    .collect()
+                let links = t.snapshot().into_iter().filter(|l| l.bytes > 0);
+                links.map(|l| (l.link.to_string(), l.bytes)).collect()
             }),
-            relay_switches: relay.map_or(0, |r| get(&r.switches)),
-            relay_switch_moves: relay.map_or(0, |r| get(&r.switch_moves)),
-            relay_epoch: relay.map_or(0, |r| r.current().epoch),
-            relay_d_star: relay.map_or(0, |r| r.current().d_star),
             relay_depths: relay.map_or_else(Vec::new, |r| r.depth_counts.iter().map(get).collect()),
-            relay_forward_ns: relay.map_or_else(Vec::new, |r| r.forward_ns.lock().take().0),
-            dropped_frames: get(&stats.dropped_frames),
-            thread_panics,
-            shards: routing.shards as u64,
-            cross_shard_msgs: get(&stats.cross_shard_msgs),
-            wire_tuples_lazy: get(&stats.wire_tuples_lazy),
-            tuples_materialized: get(&stats.tuples_materialized),
-            send_errors: fabric.send_errors,
-            batches_flushed: fabric.flushed_batches,
             mean_batch_size: fabric.mean_batch_size(),
-            pool_hits: pool.hits(),
-            pool_misses: pool.misses(),
-            pool_high_watermark: pool.high_watermark(),
-            pool_hit_rate: pool.hit_rate(),
-            send_retries: get(&stats.send_retries),
-            send_failed: failed_sends,
-            deadline_exits,
-            pipeline_yields: get(&stats.pipeline_yields),
-            pipeline_parks: get(&stats.pipeline_parks),
-            pipeline_wakeups_with_work: get(&stats.pipeline_wakeups_with_work),
-            tuples_acked: ack.map_or(0, |a| a.acker.lock().acked()),
-            tuples_failed: failed_tuples,
-            tuples_replayed: ack.map_or(0, |a| get(&a.replayed)),
-            dedup_dropped: ack.map_or(0, |a| get(&a.dedup_dropped)),
-            ack_window_peak: ack.map_or(0, |a| a.acker.lock().window_peak() as u64),
-            dedup_window_peak: ack.map_or(0, |a| get(&a.dedup_window_peak)),
-            fault_drops: fault.map_or(0, |f| f.drops()),
-            fault_duplicates: fault.map_or(0, |f| f.duplicates()),
-            fault_delayed: fault.map_or(0, |f| f.delayed()),
-            fault_full_injected: fault.map_or(0, |f| f.full_injected()),
-            fault_partition_drops: fault.map_or(0, |f| f.partition_drops()),
-            fault_crashed_sends: fault.map_or(0, |f| f.crashed_sends()),
-            log_appended_records: log.map_or(0, |l| l.sum(PartitionLog::appended_records)),
-            log_appended_bytes: log.map_or(0, |l| l.sum(PartitionLog::appended_bytes)),
-            log_replayed_records: log.map_or(0, |l| get(&l.replayed_records)),
-            log_replayed_bytes: log.map_or(0, |l| get(&l.replayed_bytes)),
-            log_gcd_bytes: log.map_or(0, |l| l.sum(PartitionLog::gcd_bytes)),
-            log_gc_watermark: log.map_or(0, |l| l.gc_watermark()),
-            log_retained_bytes: log.map_or(0, |l| l.sum(PartitionLog::retained_bytes)),
-            log_torn_tails: log.map_or(0, |l| l.sum(PartitionLog::torn_tails)),
-            timeline,
-            outcome: if degraded {
-                RunOutcome::Degraded {
-                    thread_panics,
-                    failed_sends,
-                    failed_tuples,
-                    deadline_exits,
-                }
-            } else {
-                RunOutcome::Clean
-            },
-            delivery_ns,
-            delivery_samples,
+            pool_hit_rate: self.pool.hit_rate(),
+            ..RunReport::read(&self.stats, self, &fabric, tree.as_deref())
+        };
+        let (thread_panics, failed_sends) = (r.thread_panics, r.send_failed);
+        let (failed_tuples, deadline_exits) = (r.tuples_failed, r.deadline_exits);
+        if thread_panics + failed_sends + failed_tuples + deadline_exits > 0 {
+            r.outcome = RunOutcome::Degraded {
+                thread_panics,
+                failed_sends,
+                failed_tuples,
+                deadline_exits,
+            };
         }
+        r
+    }
+
+    /// An injected-fault counter (0 on a run without faults).
+    fn fault_count(&self, count: fn(&FaultFabric) -> u64) -> u64 {
+        self.fault.as_deref().map_or(0, count)
+    }
+
+    /// A partition-log counter summed over every endpoint (0 unlogged).
+    fn log_sum(&self, count: fn(&PartitionLog) -> u64) -> u64 {
+        self.log.as_ref().map_or(0, |l| l.sum(count))
     }
 }
 
@@ -691,6 +663,296 @@ mod tests {
         let s = m.summary("dsps.delivery_ns").unwrap();
         assert!(s.count >= 50, "samples = {}", s.count);
         assert!(s.p99 >= s.p50);
+    }
+
+    /// The five run shapes whose exports are pinned below, by name.
+    fn pinned_runs() -> Vec<(&'static str, RunReport)> {
+        use whale_net::{EndpointCrash, EndpointRestart, FaultPlan, LogConfig, TopologyConfig};
+        let counting = |config: LiveConfig| {
+            let (t, ops) = counting_topology(config.machines, 8);
+            run_topology(t, ops, config)
+        };
+        let relay = {
+            let (t, ops) = counting_topology(8, 16);
+            let config = LiveConfig {
+                machines: 8,
+                multicast_d_star: Some(2),
+                multicast_adaptive: Some(AdaptiveConfig {
+                    // Longer than the run: no switch.
+                    interval: Duration::from_secs(30),
+                    topology: Some(TopologyConfig {
+                        racks: 2,
+                        ..TopologyConfig::default()
+                    }),
+                    ..AdaptiveConfig::default()
+                }),
+                ..LiveConfig::default()
+            };
+            run_topology(t, ops, config)
+        };
+        let ring = counting(LiveConfig {
+            fabric: FabricKind::Ring(whale_net::RingConfig::default()),
+            ..LiveConfig::default()
+        });
+        let one_sided = counting(LiveConfig {
+            fabric: FabricKind::OneSided(whale_net::OneSidedConfig::default()),
+            ..LiveConfig::default()
+        });
+        let recovered = {
+            let (t, ops) = ack_topology(60, 2);
+            let plan = FaultPlan {
+                seed: 11,
+                crashes: vec![EndpointCrash {
+                    endpoint: EndpointId(1),
+                    at_frame: 10,
+                }],
+                restarts: vec![EndpointRestart {
+                    endpoint: EndpointId(1),
+                    at_frame: 25,
+                }],
+                ..FaultPlan::default()
+            };
+            let config = LiveConfig {
+                machines: 2,
+                ack: Some(AckConfig {
+                    timeout: Duration::from_secs(10),
+                    max_replays: 3,
+                    drain_deadline: Duration::from_secs(30),
+                    eos_redundancy: 2,
+                }),
+                fault: Some(plan),
+                log: Some(LogConfig::default()),
+                ..LiveConfig::default()
+            };
+            run_topology(t, ops, config)
+        };
+        let monitored = counting(LiveConfig {
+            monitor_interval: Some(Duration::from_millis(1)),
+            ..LiveConfig::default()
+        });
+        vec![
+            ("per-send relay", relay),
+            ("ring", ring),
+            ("one-sided", one_sided),
+            ("tracked logged recovery", recovered),
+            ("monitored", monitored),
+        ]
+    }
+
+    /// What every run exports, as `"key kind"`.
+    const EVERY_RUN: &[&str] = &[
+        "dsps.ack.acked counter",
+        "dsps.ack.dedup_dropped counter",
+        "dsps.ack.dedup_window_peak gauge",
+        "dsps.ack.failed counter",
+        "dsps.ack.replayed counter",
+        "dsps.ack.window_peak gauge",
+        "dsps.clean gauge",
+        "dsps.cross_shard_msgs counter",
+        "dsps.deadline_exits counter",
+        "dsps.delivery_ns summary",
+        "dsps.delivery_samples counter",
+        "dsps.direct_bytes counter",
+        "dsps.dropped_frames counter",
+        "dsps.elapsed_secs gauge",
+        "dsps.executed.component_0 counter",
+        "dsps.executed.component_1 counter",
+        "dsps.fabric.batches_flushed counter",
+        "dsps.fabric.copied_bytes counter",
+        "dsps.fabric.mean_batch_size gauge",
+        "dsps.fabric.messages counter",
+        "dsps.fabric.send_errors counter",
+        "dsps.fabric.shared_bytes counter",
+        "dsps.fault.crashed_sends counter",
+        "dsps.fault.delayed counter",
+        "dsps.fault.drops counter",
+        "dsps.fault.duplicates counter",
+        "dsps.fault.full_injected counter",
+        "dsps.fault.partition_drops counter",
+        "dsps.frames_encoded counter",
+        "dsps.links.uplink_bytes counter",
+        "dsps.log.appended_bytes counter",
+        "dsps.log.appended_records counter",
+        "dsps.log.gc_watermark gauge",
+        "dsps.log.gcd_bytes counter",
+        "dsps.log.replayed_bytes counter",
+        "dsps.log.replayed_records counter",
+        "dsps.log.retained_bytes gauge",
+        "dsps.log.torn_tails counter",
+        "dsps.pipeline.parks counter",
+        "dsps.pipeline.wakeups_with_work counter",
+        "dsps.pipeline.yields counter",
+        "dsps.pool.high_watermark gauge",
+        "dsps.pool.hit_rate gauge",
+        "dsps.pool.hits counter",
+        "dsps.pool.misses counter",
+        "dsps.relay.bytes counter",
+        "dsps.relay.d_star gauge",
+        "dsps.relay.epoch gauge",
+        "dsps.relay.stale_drops counter",
+        "dsps.relay.switch_moves counter",
+        "dsps.relay.switches counter",
+        "dsps.relay_forwards counter",
+        "dsps.send.failed counter",
+        "dsps.send.retries counter",
+        "dsps.serializations counter",
+        "dsps.shards gauge",
+        "dsps.spout_emitted counter",
+        "dsps.thread_panics counter",
+    ];
+    /// The third component of [`counting_topology`].
+    const THIRD_COMPONENT: &[&str] = &["dsps.executed.component_2 counter"];
+    /// The relay tree over eight machines in two racks: the links it
+    /// loads, the depths it reaches, its forward-latency sample.
+    const RACKED_RELAY: &[&str] = &[
+        "dsps.links.bytes.intra(r0) counter",
+        "dsps.links.bytes.intra(r1) counter",
+        "dsps.links.bytes.uplink(r0) counter",
+        "dsps.links.bytes.uplink(r1) counter",
+        "dsps.relay.depth_1 counter",
+        "dsps.relay.depth_2 counter",
+        "dsps.relay.depth_3 counter",
+        "dsps.relay.depth_4 counter",
+        "dsps.relay.forward_ns summary",
+    ];
+    const TIMELINE: &[&str] = &[
+        "dsps.timeline.acked series",
+        "dsps.timeline.executed series",
+        "dsps.timeline.fabric_messages series",
+        "dsps.timeline.failed series",
+        "dsps.timeline.replayed series",
+        "dsps.timeline.send_errors series",
+        "dsps.timeline.send_retries series",
+        "dsps.timeline.spout_emitted series",
+    ];
+
+    /// The metric names a run exports, and what each is, are an interface:
+    /// the bench reports and the docs read them by name. Pinned for five
+    /// shapes of run, with the counters no schedule can move.
+    #[test]
+    fn every_run_exports_its_pinned_key_set() {
+        use whale_sim::MetricValue;
+        let counting = |c1: u64, serializations: u64, frames: u64, messages: u64| {
+            [
+                ("dsps.spout_emitted", 100),
+                ("dsps.executed.component_0", 0),
+                ("dsps.executed.component_1", c1),
+                ("dsps.executed.component_2", c1),
+                ("dsps.serializations", serializations),
+                ("dsps.frames_encoded", frames),
+                ("dsps.fabric.messages", messages),
+            ]
+        };
+        let bytes = |shared: u64| {
+            [
+                ("dsps.fabric.copied_bytes", 0),
+                ("dsps.fabric.shared_bytes", shared),
+            ]
+        };
+        // The key lists a run exports, and the counters it pins.
+        type Pins = (&'static [&'static [&'static str]], Vec<(&'static str, u64)>);
+        let runs: [Pins; 5] = [
+            (
+                &[EVERY_RUN, THIRD_COMPONENT, RACKED_RELAY],
+                [&counting(1600, 1700, 1515, 2121)[..], &bytes(73_101)].concat(),
+            ),
+            (
+                &[EVERY_RUN, THIRD_COMPONENT],
+                counting(800, 900, 909, 909).to_vec(),
+            ),
+            (
+                &[EVERY_RUN, THIRD_COMPONENT],
+                counting(800, 900, 909, 909).to_vec(),
+            ),
+            (
+                &[EVERY_RUN],
+                vec![
+                    ("dsps.spout_emitted", 60),
+                    ("dsps.executed.component_0", 0),
+                    ("dsps.executed.component_1", 120),
+                ],
+            ),
+            (
+                &[EVERY_RUN, THIRD_COMPONENT, TIMELINE],
+                [&counting(800, 900, 909, 909)[..], &bytes(30_129)].concat(),
+            ),
+        ];
+        for ((name, report), (keys, values)) in pinned_runs().into_iter().zip(runs) {
+            assert_eq!(report.outcome, RunOutcome::Clean, "{name}");
+            let m = report.metrics();
+            let kind = |v: &MetricValue| match v {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Summary(_) => "summary",
+                MetricValue::Series(_) => "series",
+            };
+            let got: Vec<String> = m.iter().map(|(k, v)| format!("{k} {}", kind(v))).collect();
+            let mut want = keys.concat();
+            want.sort_unstable();
+            assert_eq!(got, want, "{name}");
+            for (key, value) in values {
+                assert_eq!(m.counter(key), Some(value), "{name}: {key}");
+            }
+        }
+    }
+
+    /// Whether `key` is one the docs' `pattern` names: `*` stands for any
+    /// run of characters, `{a,b}` for one of the alternatives, and a
+    /// brace with no comma (`_{d}`) for a number.
+    fn doc_name_matches(pattern: &str, key: &str) -> bool {
+        let Some(at) = pattern.find(['*', '{']) else {
+            return pattern == key;
+        };
+        let Some(key) = key.strip_prefix(&pattern[..at]) else {
+            return false;
+        };
+        if let Some(rest) = pattern[at..].strip_prefix('*') {
+            return (0..=key.len()).any(|i| doc_name_matches(rest, &key[i..]));
+        }
+        let close = at + pattern[at..].find('}').expect("a closed brace");
+        let (group, rest) = (&pattern[at + 1..close], &pattern[close + 1..]);
+        if group.contains(',') {
+            let alternative = |alt| {
+                key.strip_prefix(alt)
+                    .is_some_and(|k| doc_name_matches(rest, k))
+            };
+            return group.split(',').any(alternative);
+        }
+        let digits = key.len() - key.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        digits > 0 && doc_name_matches(rest, &key[digits..])
+    }
+
+    /// Every `dsps.` metric the README and DESIGN.md name is one a run
+    /// exports.
+    #[test]
+    fn the_docs_name_only_exported_keys() {
+        let pinned = [EVERY_RUN, THIRD_COMPONENT, RACKED_RELAY, TIMELINE].concat();
+        let pinned: Vec<&str> = pinned
+            .iter()
+            .map(|k| k.split(' ').next().unwrap())
+            .collect();
+        let docs = [
+            ("README.md", include_str!("../../../../README.md")),
+            ("DESIGN.md", include_str!("../../../../DESIGN.md")),
+        ];
+        let mut named = 0;
+        for (doc, text) in docs {
+            for (at, _) in text.match_indices("dsps.") {
+                let before = text[..at].chars().next_back();
+                if before.is_some_and(|c| c.is_alphanumeric() || "_-/".contains(c)) {
+                    continue;
+                }
+                let in_name = |c: char| c.is_ascii_alphanumeric() || "_.*{},".contains(c);
+                let end = text[at..]
+                    .find(|c: char| !in_name(c))
+                    .unwrap_or(text.len() - at);
+                let name = text[at..at + end].trim_end_matches(['.', ',']);
+                let exported = pinned.iter().any(|key| doc_name_matches(name, key));
+                assert!(exported, "{doc} names `{name}`, which no run exports");
+                named += 1;
+            }
+        }
+        assert!(named >= 20, "{named} names found");
     }
 
     #[test]

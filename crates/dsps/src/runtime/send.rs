@@ -7,7 +7,7 @@
 use super::config::LiveConfig;
 use super::relay::{RelayEpoch, RelayState};
 use super::reliability::{anchor_for, splitmix64, AckRuntime, LogRuntime};
-use super::report::RunStats;
+use super::report::{Ctr, RunStats};
 use super::wire::{self, Wire};
 use crate::codec::{DecodeError, LazyTuple, TupleView, WireSpare};
 use crate::grouping::GroupingExec;
@@ -24,7 +24,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
-use whale_net::{EndpointId, FabricPath, LinkTracker, Payload, SendError};
+use whale_net::{EndpointId, FabricPath, FaultFabric, LinkTracker, Payload, SendError};
 
 /// What an executor receives in its incoming queue.
 #[derive(Clone)]
@@ -172,6 +172,9 @@ pub(super) struct Routing {
     pub(super) placement: Placement,
     pub(super) config: LiveConfig,
     pub(super) fabric: Arc<dyn FabricPath>,
+    /// The fault-injection wrapper `fabric` is, kept for its counters;
+    /// `None` unless [`LiveConfig::fault`] is set.
+    pub(super) fault: Option<Arc<FaultFabric>>,
     /// Encode scratch buffers, reused across frames: the steady-state hot
     /// path allocates nothing (see [`BufferPool`]).
     pub(super) pool: BufferPool,
@@ -290,8 +293,7 @@ impl Routing {
         let lazy = matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire());
         let accepted = || {
             if lazy {
-                let n = n_tasks as u64;
-                self.stats.wire_tuples_lazy.fetch_add(n, Ordering::Relaxed);
+                self.stats.add(Ctr::wire_tuples_lazy, n_tasks as u64);
             }
         };
         if CURRENT_SHARD.with(|c| c.get()) == Some(flat) {
@@ -300,7 +302,8 @@ impl Routing {
             return true;
         }
         let mut item = Some((dest, msg));
-        let sent = self.config.send.run(&self.stats.send_retries, || {
+        let retries = self.stats.slot(Ctr::send_retries);
+        let sent = self.config.send.run(retries, || {
             match inbox.tx.try_send(item.take().expect("re-armed on Full")) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(v)) => {
@@ -313,7 +316,7 @@ impl Routing {
         match sent {
             Ok(()) => {
                 accepted();
-                self.stats.cross_shard_msgs.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Ctr::cross_shard_msgs, 1);
                 // The owning pipeline blocks on its fabric endpoint, not on
                 // this inbox: if it is parked, wake it through the fabric
                 // (the swap elects one waker per park).
@@ -326,7 +329,7 @@ impl Routing {
             Err(SendError::Full) => {
                 // Backpressure never cleared: the message is lost,
                 // loudly (tracked tuples time out into replays).
-                self.stats.send_failed.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Ctr::send_failed, 1);
             }
             // Teardown race: the owning pipeline already exited.
             Err(_) => {}
@@ -396,9 +399,7 @@ impl Routing {
             } else {
                 match g.route_into(&shared, None, scratch) {
                     Ok(()) => arm_xor ^= self.send_data(src, &shared, scratch, plan, tracked),
-                    Err(_) => {
-                        self.stats.dropped_frames.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Err(_) => self.stats.add(Ctr::dropped_frames, 1),
                 }
             }
         }
@@ -451,8 +452,7 @@ impl Routing {
             }
         }
         self.stats
-            .serializations
-            .fetch_add(plan.serializations as u64, Ordering::Relaxed);
+            .add(Ctr::serializations, plan.serializations as u64);
         if plan.remote().is_empty() {
             return arm_xor;
         }
@@ -531,7 +531,7 @@ impl Routing {
         send: impl FnOnce(Wire<'_>) -> R,
     ) -> R {
         let frame = &scratch[start..];
-        self.stats.frames_encoded.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Ctr::frames_encoded, 1);
         if let (Some(log), Some((to, tracked))) = (&self.log, log_to) {
             log.append(to, tracked, frame);
         }
@@ -563,11 +563,10 @@ impl Routing {
         frame: Wire<'_>,
         charge: Option<&RelayEpoch>,
     ) -> bool {
-        let charge = charge.zip(self.relay.as_ref());
-        if let Some((epoch, _)) = charge {
+        if let Some(epoch) = charge {
             epoch.note_sent();
         }
-        let retries = &self.stats.send_retries;
+        let retries = self.stats.slot(Ctr::send_retries);
         let sent = match frame {
             Wire::Shared(buf) => self.config.send.run(retries, || {
                 self.fabric.send_shared(from, to, Arc::clone(buf))
@@ -578,11 +577,11 @@ impl Routing {
                 .run(retries, || self.fabric.send_copied(from, to, bytes)),
         };
         if sent == Err(SendError::Full) {
-            self.stats.send_failed.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Ctr::send_failed, 1);
         }
         match charge {
-            Some((_, relay)) if sent.is_ok() => relay.note_bytes(frame.len()),
-            Some((epoch, _)) => epoch.note_received(),
+            Some(_) if sent.is_ok() => self.stats.add(Ctr::relay_bytes, frame.len() as u64),
+            Some(epoch) => epoch.note_received(),
             None => {}
         }
         sent.is_ok()
@@ -807,11 +806,11 @@ mod tests {
             assert!(routing.deliver(Dest::Group(row), ExecMsg::Data(lazy, None)));
         }
         let stats = &routing.stats;
-        let lazy = stats.wire_tuples_lazy.load(Ordering::Relaxed);
-        let failed = stats.send_failed.load(Ordering::Relaxed);
+        let lazy = stats.get(Ctr::wire_tuples_lazy);
+        let failed = stats.get(Ctr::send_failed);
         assert_eq!(lazy / n_tasks + failed, ATTEMPTS, "every attempt, once");
         assert_eq!((lazy, failed), (n_tasks, ATTEMPTS - 1));
-        assert_eq!(stats.cross_shard_msgs.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.get(Ctr::cross_shard_msgs), 1);
     }
 
     #[test]

@@ -372,10 +372,7 @@ fn a_memoized_tuple_is_not_visible_on_the_next_frame() {
     for n in 0..20 {
         worker.receive(&relayed(&worker, n));
     }
-    assert_eq!(
-        worker.stats().tuples_materialized.load(Ordering::Relaxed),
-        20
-    );
+    assert_eq!(worker.snapshot().tuples_materialized, 20);
     let seen = seen.lock().unwrap();
     for (n, frame) in seen.chunks(4).enumerate() {
         let expected = [false, true, true, true].map(|m| (m, n as i64));
