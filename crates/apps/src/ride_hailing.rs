@@ -10,11 +10,12 @@
 
 mod driver_index;
 
+use crate::{owned_field, Field, NO_DEFERRED_DECODE};
 use driver_index::DriverIndex;
 use std::collections::HashMap;
 use whale_dsps::{
     Bolt, DecodeError, Emitter, Grouping, LazyTuple, Operators, Schema, Spout, Topology,
-    TopologyBuilder, Tuple, Value, ValueView,
+    TopologyBuilder, Tuple, Value,
 };
 use whale_workloads::{DidiConfig, DidiGenerator};
 
@@ -135,17 +136,6 @@ impl Spout for RequestSpout {
         ))
     }
 }
-
-/// Field `i` of an input as both entry points of a bolt read it:
-/// [`Bolt::execute`] off an owned tuple (never `Err`),
-/// [`Bolt::execute_lazy`] straight off the wire view.
-type Field<'a> = Result<Option<ValueView<'a>>, DecodeError>;
-
-fn owned_field(input: &Tuple, i: usize) -> Field<'_> {
-    Ok(input.get(i).map(ValueView::from))
-}
-
-const NO_DEFERRED_DECODE: &str = "an owned tuple has no deferred decode to fail";
 
 /// The matching bolt: stores driver locations, joins requests against
 /// them, and emits the best local candidate per request.
@@ -300,6 +290,7 @@ pub fn operators(seed: u64, config: DidiConfig, locations: u64, requests: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::assert_lazy_equals_eager;
     use whale_dsps::VecEmitter;
 
     fn loc(driver: i64, lat: f64, lng: f64) -> Tuple {
@@ -382,31 +373,6 @@ mod tests {
         assert_eq!(out.emitted.len(), 1, "the instance still answers");
         assert_eq!(out.emitted[0].get(1).unwrap().as_i64(), Some(1));
         assert_eq!(out.emitted[0].get(2).unwrap().as_f64(), Some(0.0));
-    }
-
-    /// The same inputs through `execute` and through `execute_lazy`, off
-    /// the wire and as owned handles: identical emissions, and a wire
-    /// handle is never materialized.
-    fn assert_lazy_equals_eager<B: Bolt>(new: fn() -> B, inputs: &[Tuple]) -> Vec<Tuple> {
-        let mut runs = [new(), new(), new()].map(|bolt| (bolt, VecEmitter::default()));
-        for t in inputs {
-            let bytes = whale_dsps::codec::encode_tuple(t);
-            let wire = LazyTuple::from_wire(std::sync::Arc::from(&bytes[..]), 0).unwrap();
-            let [(eager, eager_out), (lazy, lazy_out), (owned, owned_out)] = &mut runs;
-            eager.execute(t, eager_out);
-            lazy.execute_lazy(&wire, lazy_out).unwrap();
-            owned
-                .execute_lazy(&LazyTuple::from_tuple(t.clone()), owned_out)
-                .unwrap();
-            assert!(wire.is_wire() && !wire.is_materialized());
-        }
-        let [eager, lazy, owned] = runs.map(|(mut bolt, mut out)| {
-            bolt.finish(&mut out);
-            out.emitted
-        });
-        assert_eq!(eager, lazy);
-        assert_eq!(eager, owned);
-        eager
     }
 
     #[test]

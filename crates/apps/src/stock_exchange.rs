@@ -9,11 +9,17 @@
 //! executed trades and an aggregation operator computes real-time trading
 //! volume.
 
+mod order_book;
+
+use crate::{owned_field, Field, NO_DEFERRED_DECODE};
+use order_book::OrderBook;
 use std::collections::HashMap;
+use std::sync::Arc;
 use whale_dsps::{
-    Bolt, Emitter, Grouping, Operators, Schema, Spout, Topology, TopologyBuilder, Tuple, Value,
+    Bolt, DecodeError, Emitter, Grouping, LazyTuple, Operators, Schema, Spout, Topology,
+    TopologyBuilder, Tuple, Value,
 };
-use whale_workloads::{NasdaqConfig, NasdaqGenerator, Side, StockRecord};
+use whale_workloads::{NasdaqConfig, NasdaqGenerator, Side};
 
 /// Schema of raw and split exchange records.
 pub fn record_schema() -> Schema {
@@ -78,33 +84,60 @@ impl Spout for ExchangeSpout {
     }
 }
 
-/// Filter bolt keeping only valid records of one side.
+/// Field positions of [`record_schema`].
+const SYMBOL: usize = 0;
+const SIDE: usize = 1;
+const PRICE: usize = 2;
+const VOLUME: usize = 3;
+const VALID: usize = 5;
+/// Field position of the share count in [`trade_schema`].
+const TRADED: usize = 2;
+
+/// Filter bolt keeping only valid records of one side, passed on as they
+/// arrived: a record read off the wire is forwarded, never decoded.
 pub struct SplitBolt {
     side: Side,
-    passed: u64,
-    filtered: u64,
 }
 
 impl SplitBolt {
     /// Keep only `side` records that comply with trading rules.
     pub fn new(side: Side) -> Self {
-        SplitBolt {
-            side,
-            passed: 0,
-            filtered: 0,
-        }
+        SplitBolt { side }
+    }
+
+    /// Whether this split passes the record on: two fields decide.
+    fn keeps<'a>(&self, field: impl Fn(usize) -> Field<'a>) -> Result<bool, DecodeError> {
+        let side = field(SIDE)?.and_then(|v| v.as_i64());
+        let side = side.and_then(Side::from_code).expect("side field");
+        let valid = field(VALID)?.and_then(|v| v.as_bool());
+        Ok(valid.expect("valid field") && side == self.side)
     }
 }
 
 impl Bolt for SplitBolt {
     fn execute(&mut self, input: &Tuple, out: &mut dyn Emitter) {
-        let r = StockRecord::from_tuple(input).expect("well-formed record");
-        if !r.valid || r.side != self.side {
-            self.filtered += 1;
-            return;
+        if self
+            .keeps(|i| owned_field(input, i))
+            .expect(NO_DEFERRED_DECODE)
+        {
+            out.emit(input.clone());
         }
-        self.passed += 1;
-        out.emit(input.clone());
+    }
+
+    fn execute_lazy(
+        &mut self,
+        input: &LazyTuple,
+        out: &mut dyn Emitter,
+    ) -> Result<(), DecodeError> {
+        // One view for the reads (`LazyTuple::field` rebuilds it per call).
+        let keeps = match input.view() {
+            Some(view) => self.keeps(|i| view.field(i).transpose())?,
+            None => self.keeps(|i| input.field(i).transpose())?,
+        };
+        if keeps {
+            out.forward(input)?;
+        }
+        Ok(())
     }
 }
 
@@ -113,11 +146,16 @@ impl Bolt for SplitBolt {
 ///
 /// Sells arrive key-grouped (each symbol's book lives on one instance);
 /// buys arrive broadcast, and only the instance owning the symbol's book
-/// produces trades for them.
+/// produces trades for them — the others look the symbol up and are done,
+/// having read two fields and allocated nothing. A buy fills against the
+/// lowest asks it can pay, equal asks in the order they arrived
+/// (price-time priority); an ask with a non-finite price never rests.
 #[derive(Default)]
 pub struct MatchingBolt {
-    books: HashMap<String, Vec<(f64, i64)>>,
-    trades: u64,
+    /// Symbol → the symbol again (one allocation, made when the symbol's
+    /// first sell rests, shared by every trade on it) and its book.
+    /// Looked up with the borrowed symbol.
+    books: HashMap<Arc<str>, (Arc<str>, OrderBook)>,
 }
 
 impl MatchingBolt {
@@ -125,52 +163,66 @@ impl MatchingBolt {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn on_record<'a>(
+        &mut self,
+        id: u64,
+        field: impl Fn(usize) -> Field<'a>,
+        out: &mut dyn Emitter,
+    ) -> Result<(), DecodeError> {
+        let side = field(SIDE)?.and_then(|v| v.as_i64());
+        let side = side.and_then(Side::from_code).expect("side field");
+        let symbol = field(SYMBOL)?.and_then(|v| v.as_str());
+        let symbol = symbol.expect("symbol field");
+        let order = || -> Result<(f64, i64), DecodeError> {
+            let price = field(PRICE)?.and_then(|v| v.as_f64());
+            let volume = field(VOLUME)?.and_then(|v| v.as_i64());
+            Ok((price.expect("price field"), volume.expect("volume field")))
+        };
+        match (side, self.books.get_mut(symbol)) {
+            // This instance does not own the symbol's book.
+            (Side::Buy, None) => {}
+            (Side::Buy, Some((symbol, book))) => {
+                let (limit, volume) = order()?;
+                book.buy(limit, volume, |price, shares| {
+                    let trade = vec![
+                        Value::Str(Arc::clone(symbol)),
+                        Value::F64(price),
+                        Value::I64(shares),
+                    ];
+                    out.emit(Tuple::with_id(id, trade));
+                });
+            }
+            (Side::Sell, Some((_, book))) => {
+                let (price, volume) = order()?;
+                book.rest(price, volume);
+            }
+            (Side::Sell, None) => {
+                let (price, volume) = order()?;
+                let mut book = OrderBook::default();
+                book.rest(price, volume);
+                let symbol: Arc<str> = symbol.into();
+                self.books.insert(Arc::clone(&symbol), (symbol, book));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Bolt for MatchingBolt {
     fn execute(&mut self, input: &Tuple, out: &mut dyn Emitter) {
-        let r = StockRecord::from_tuple(input).expect("well-formed record");
-        match r.side {
-            Side::Sell => {
-                self.books
-                    .entry(r.symbol)
-                    .or_default()
-                    .push((r.price, r.volume));
-            }
-            Side::Buy => {
-                let Some(book) = self.books.get_mut(&r.symbol) else {
-                    return; // this instance does not own the symbol's book
-                };
-                // Match against the cheapest resting sell the buy can pay.
-                let mut remaining = r.volume;
-                while remaining > 0 {
-                    let Some((best_idx, _)) = book
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &(p, _))| p <= r.price)
-                        .min_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).unwrap())
-                    else {
-                        break;
-                    };
-                    let (price, avail) = book[best_idx];
-                    let qty = remaining.min(avail);
-                    remaining -= qty;
-                    if qty == avail {
-                        book.swap_remove(best_idx);
-                    } else {
-                        book[best_idx].1 -= qty;
-                    }
-                    self.trades += 1;
-                    out.emit(Tuple::with_id(
-                        input.id,
-                        vec![
-                            Value::str(r.symbol.as_str()),
-                            Value::F64(price),
-                            Value::I64(qty),
-                        ],
-                    ));
-                }
-            }
+        self.on_record(input.id, |i| owned_field(input, i), out)
+            .expect(NO_DEFERRED_DECODE)
+    }
+
+    fn execute_lazy(
+        &mut self,
+        input: &LazyTuple,
+        out: &mut dyn Emitter,
+    ) -> Result<(), DecodeError> {
+        match input.view() {
+            Some(view) => self.on_record(view.id(), |i| view.field(i).transpose(), out),
+            None => self.on_record(input.id(), |i| input.field(i).transpose(), out),
         }
     }
 }
@@ -178,8 +230,9 @@ impl Bolt for MatchingBolt {
 /// The aggregation bolt: real-time trading volume per symbol.
 #[derive(Default)]
 pub struct VolumeBolt {
-    volume: HashMap<String, i64>,
-    total: i64,
+    /// Looked up with the borrowed symbol: a symbol is allocated once,
+    /// at its first trade.
+    volume: HashMap<Box<str>, i64>,
 }
 
 impl VolumeBolt {
@@ -187,14 +240,37 @@ impl VolumeBolt {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn on_trade<'a>(&mut self, field: impl Fn(usize) -> Field<'a>) -> Result<(), DecodeError> {
+        let symbol = field(SYMBOL)?.and_then(|v| v.as_str());
+        let symbol = symbol.expect("symbol field");
+        let shares = field(TRADED)?.and_then(|v| v.as_i64());
+        let shares = shares.expect("volume field");
+        match self.volume.get_mut(symbol) {
+            Some(total) => *total += shares,
+            None => {
+                self.volume.insert(symbol.into(), shares);
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Bolt for VolumeBolt {
     fn execute(&mut self, input: &Tuple, _out: &mut dyn Emitter) {
-        let sym = input.get(0).and_then(Value::as_str).expect("symbol");
-        let vol = input.get(2).and_then(Value::as_i64).expect("volume");
-        *self.volume.entry(sym.to_string()).or_insert(0) += vol;
-        self.total += vol;
+        self.on_trade(|i| owned_field(input, i))
+            .expect(NO_DEFERRED_DECODE)
+    }
+
+    fn execute_lazy(
+        &mut self,
+        input: &LazyTuple,
+        _out: &mut dyn Emitter,
+    ) -> Result<(), DecodeError> {
+        match input.view() {
+            Some(view) => self.on_trade(|i| view.field(i).transpose()),
+            None => self.on_trade(|i| input.field(i).transpose()),
+        }
     }
 
     fn finish(&mut self, out: &mut dyn Emitter) {
@@ -202,7 +278,7 @@ impl Bolt for VolumeBolt {
         rows.sort_by(|a, b| a.0.cmp(b.0));
         for (sym, &vol) in rows {
             out.emit(Tuple::new(vec![
-                Value::str(sym.as_str()),
+                Value::str(&**sym),
                 Value::F64(0.0),
                 Value::I64(vol),
             ]));
@@ -225,7 +301,9 @@ pub fn operators(seed: u64, config: NasdaqConfig, records: u64) -> Operators {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::assert_lazy_equals_eager;
     use whale_dsps::VecEmitter;
+    use whale_workloads::StockRecord;
 
     fn record(symbol: &str, side: Side, price: f64, volume: i64, valid: bool) -> Tuple {
         StockRecord {
@@ -348,5 +426,57 @@ mod tests {
         );
         // Trades happened and were aggregated.
         assert!(report.executed[4] > 100, "trades = {}", report.executed[4]);
+        // Every bolt read its fields off the wire view.
+        assert_eq!(report.tuples_materialized, 0);
+    }
+
+    #[test]
+    fn stock_entry_points_agree() {
+        // A small pool cycled three times, as the benchmark cycles its
+        // own: every sell rests again at exactly a price it rested at.
+        let config = NasdaqConfig {
+            symbols: 12,
+            ..NasdaqConfig::default()
+        };
+        let mut gen = NasdaqGenerator::new(5, config);
+        let pool: Vec<StockRecord> = (0..300).map(|_| gen.next_record()).collect();
+        let records: Vec<Tuple> = (0..3)
+            .flat_map(|_| &pool)
+            .enumerate()
+            .map(|(i, r)| r.to_tuple(i as u64 + 1))
+            .collect();
+        let sells = assert_lazy_equals_eager(|| SplitBolt::new(Side::Sell), &records);
+        let buys = assert_lazy_equals_eager(|| SplitBolt::new(Side::Buy), &records);
+        // Matching sees what the splits pass, in arrival order.
+        let passed: Vec<Tuple> = (records.iter())
+            .filter(|t| sells.contains(t) || buys.contains(t))
+            .cloned()
+            .collect();
+        assert_eq!(passed.len(), sells.len() + buys.len());
+        let asks: Vec<(&str, u64)> = (sells.iter())
+            .map(|t| {
+                (
+                    t.get(SYMBOL).unwrap().as_str().unwrap(),
+                    t.get(PRICE).unwrap().as_f64().unwrap().to_bits(),
+                )
+            })
+            .collect();
+        let ties = (1..asks.len())
+            .filter(|&i| asks[..i].contains(&asks[i]))
+            .count();
+        assert!(
+            ties > sells.len() / 2,
+            "{ties} asks at a price an earlier ask of the symbol had"
+        );
+        let trades = assert_lazy_equals_eager(MatchingBolt::new, &passed);
+        assert!(trades.len() > 100, "{} trades", trades.len());
+        let totals = assert_lazy_equals_eager(VolumeBolt::new, &trades);
+        let traded: i64 = (trades.iter())
+            .map(|t| t.get(TRADED).unwrap().as_i64().unwrap())
+            .sum();
+        let summed: i64 = (totals.iter())
+            .map(|t| t.get(TRADED).unwrap().as_i64().unwrap())
+            .sum();
+        assert_eq!(traded, summed);
     }
 }

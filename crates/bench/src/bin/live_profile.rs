@@ -4,7 +4,8 @@
 //! d* = 2 relay tree on the per-send fabric; `stock`: `stock_acklog`'s,
 //! the stock exchange with 16 matching instances over 4 machines on the
 //! per-send fabric, every tuple tracked by the acker and every frame
-//! written ahead to the partition log. `SIGPROF` on process CPU time,
+//! written ahead to the partition log, its spout cycling a 65 536-record
+//! pool generated before sampling starts. `SIGPROF` on process CPU time,
 //! the handler stores the interrupted `rip` and a bounded frame-pointer
 //! walk. A developer tool for containers without `perf` — not a knob,
 //! not linked into the runtime. README "Profiling" has the build line
@@ -35,14 +36,17 @@ fn main() {
     assert!(args.len() <= 1, "{USAGE}");
     let tuples: u64 = args.first().map_or(3_000_000, |n| n.parse().expect(USAGE));
     let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
+    // Generated before the sampler starts: the benchmark pays no
+    // generator either.
+    let pool = stock.then(stock_pool);
     sampler::start();
-    let elapsed = if stock {
+    let elapsed = if let Some(pool) = &pool {
         // As the benchmark runs it: segment after segment, each a run of
-        // its own, so the order books a matching instance scans stay the
+        // its own, so the order books a matching instance keeps stay the
         // size they are there.
         let segments = (0..tuples.div_ceil(STOCK_SEGMENT)).map(|i| {
             let n = STOCK_SEGMENT.min(tuples - i * STOCK_SEGMENT);
-            let report = run_stock(i, n);
+            let report = run_stock(pool, n);
             assert!(report.outcome.is_clean(), "{:?}", report.outcome);
             assert_eq!((report.spout_emitted, report.tuples_acked), (n, n));
             assert_eq!(report.tuples_replayed, 0);
@@ -84,12 +88,23 @@ fn main() {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 const STOCK_SEGMENT: u64 = 200_000;
 
+/// `stock_acklog`'s record pool: 65 536 exchange records drawn from the
+/// generator once, cycled by every segment.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn stock_pool() -> Vec<whale_dsps::Tuple> {
+    use whale_dsps::Spout;
+    let nasdaq = whale_workloads::NasdaqConfig::default();
+    let mut spout = whale_apps::stock_exchange::ExchangeSpout::new(1, nasdaq, 65_536);
+    std::iter::from_fn(|| spout.next_tuple()).collect()
+}
+
 /// `stock_acklog`'s shape, unthrottled: the timeout is one nothing needs
 /// on a fault-free fabric, so no replay changes the work per run.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run_stock(seed: u64, tuples: u64) -> whale_dsps::RunReport {
-    use whale_apps::stock_exchange;
-    use whale_dsps::{AckConfig, LiveConfig, LogConfig};
+fn run_stock(pool: &[whale_dsps::Tuple], tuples: u64) -> whale_dsps::RunReport {
+    use whale_apps::stock_exchange::{self, MatchingBolt, SplitBolt, VolumeBolt};
+    use whale_dsps::{AckConfig, IterSpout, LiveConfig, LogConfig, Operators, Tuple};
+    use whale_workloads::Side;
     let config = LiveConfig {
         machines: 4,
         ack: Some(AckConfig {
@@ -99,8 +114,20 @@ fn run_stock(seed: u64, tuples: u64) -> whale_dsps::RunReport {
         log: Some(LogConfig::default()),
         ..LiveConfig::default()
     };
-    let nasdaq = whale_workloads::NasdaqConfig::default();
-    let ops = stock_exchange::operators(seed, nasdaq, tuples);
+    let pool = std::sync::Arc::new(pool.to_vec());
+    let ops = Operators::new()
+        .spout("source", move |_| {
+            let records = std::sync::Arc::clone(&pool);
+            let cycled = (0..tuples).map(move |i| {
+                let record = &records[i as usize % records.len()];
+                Tuple::with_id(i + 1, record.values.clone())
+            });
+            Box::new(IterSpout::new(cycled))
+        })
+        .bolt("split_sell", |_| Box::new(SplitBolt::new(Side::Sell)))
+        .bolt("split_buy", |_| Box::new(SplitBolt::new(Side::Buy)))
+        .bolt("matching", |_| Box::new(MatchingBolt::new()))
+        .bolt("aggregation", |_| Box::new(VolumeBolt::new()));
     whale_dsps::run_topology(stock_exchange::topology(16), ops, config)
 }
 

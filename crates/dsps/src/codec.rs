@@ -555,10 +555,14 @@ struct WireTuple {
 }
 
 impl WireTuple {
-    fn view(&self) -> TupleView<'_> {
+    fn bytes(&self) -> &[u8] {
         let buf = self.buf.as_deref().expect("a handle in use has its buffer");
+        &buf[self.start as usize..(self.start + self.len) as usize]
+    }
+
+    fn view(&self) -> TupleView<'_> {
         TupleView {
-            bytes: &buf[self.start as usize..(self.start + self.len) as usize],
+            bytes: self.bytes(),
             id: self.id,
             arity: self.arity,
             offsets: self.offsets,
@@ -665,6 +669,7 @@ impl LazyTuple {
 
     /// True when the handle still points at wire bytes (materialized or
     /// not) rather than an owned tuple.
+    #[inline]
     pub fn is_wire(&self) -> bool {
         matches!(self.0, LazyRepr::Wire(_))
     }
@@ -706,6 +711,39 @@ impl LazyTuple {
                 .get_or_init(|| w.view().to_tuple())
                 .as_ref()
                 .map_err(|e| e.clone()),
+        }
+    }
+
+    /// Field `i` as a routing key reads it: `None` past the arity, and
+    /// for a wire string whose deferred UTF-8 check fails.
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> Option<ValueView<'_>> {
+        match &self.0 {
+            LazyRepr::Owned(t) => t.get(i).map(ValueView::from),
+            LazyRepr::Wire(w) => w.view().field(i)?.ok(),
+        }
+    }
+
+    /// The length of the tuple's encoding: what [`Self::encode_into`]
+    /// appends.
+    #[inline]
+    pub(crate) fn wire_len(&self) -> usize {
+        match &self.0 {
+            LazyRepr::Owned(t) => t.payload_bytes(),
+            LazyRepr::Wire(w) => w.len as usize,
+        }
+    }
+
+    /// Append the tuple's encoding to `buf`. An owned tuple is
+    /// serialized; a wire-backed handle copies the bytes it was received
+    /// as — never decoded, never validated past framing, and byte for
+    /// byte what [`encode_tuple_into`] writes for their decode (for any
+    /// bytes this codec wrote).
+    #[inline]
+    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
+        match &self.0 {
+            LazyRepr::Owned(t) => encode_tuple_into(buf, t),
+            LazyRepr::Wire(w) => buf.put_slice(w.bytes()),
         }
     }
 }

@@ -88,6 +88,17 @@ impl GroupingExec {
         direct: Option<TaskId>,
         out: &mut Vec<TaskId>,
     ) -> Result<(), RouteError> {
+        self.route_by(|i| tuple.get(i).map(ValueView::from), direct, out)
+    }
+
+    /// [`Self::route_into`] with the key field read by `field`: how the
+    /// runtime routes a tuple it holds only as a wire view.
+    pub(crate) fn route_by<'k>(
+        &mut self,
+        field: impl FnOnce(usize) -> Option<ValueView<'k>>,
+        direct: Option<TaskId>,
+        out: &mut Vec<TaskId>,
+    ) -> Result<(), RouteError> {
         out.clear();
         match &self.grouping {
             Grouping::Shuffle => {
@@ -97,8 +108,8 @@ impl GroupingExec {
                 out.push(t);
             }
             Grouping::Fields(idx) => {
-                let key = tuple.get(*idx).ok_or(RouteError::MissingKeyField(*idx))?;
-                let h = hash_value(key);
+                let key = field(*idx).ok_or(RouteError::MissingKeyField(*idx))?;
+                let h = hash_value_view(&key);
                 out.push(self.targets[(h % self.targets.len() as u64) as usize]);
             }
             Grouping::All => out.extend_from_slice(&self.targets),

@@ -7,6 +7,21 @@ use crate::tuple::Tuple;
 pub trait Emitter {
     /// Emit a tuple to all subscribed downstream components.
     fn emit(&mut self, tuple: Tuple);
+
+    /// Pass `input` on as it arrived: the same id and values to the same
+    /// downstream tasks as emitting a copy of it. The default does just
+    /// that, `emit(input.materialize()?.clone())`, so an emitter that
+    /// collects tuples needs nothing more; its `Err` is that
+    /// materialization's. The runtime's emitter decodes nothing instead:
+    /// a wire-backed input is routed off its view and its bytes are
+    /// copied behind each frame's header — frames byte for byte those a
+    /// re-encode would build, no serialization counted, and a string
+    /// nobody read still unvalidated until the next reader touches it —
+    /// and an owned input shares its tuple.
+    fn forward(&mut self, input: &LazyTuple) -> Result<(), DecodeError> {
+        self.emit(input.materialize()?.clone());
+        Ok(())
+    }
 }
 
 /// A simple collecting emitter for tests and batch-style execution.

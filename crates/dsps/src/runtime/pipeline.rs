@@ -76,7 +76,12 @@ impl SpoutState {
             let now = ack.now();
             ack.acker.lock().track(self.task.0, Arc::clone(&t), now)
         });
-        routing.emit(self.task, &mut self.groupings, t, tracked);
+        routing.emit(
+            self.task,
+            &mut self.groupings,
+            &LazyTuple::from_arc(t),
+            tracked,
+        );
         tracked
     }
 
@@ -157,7 +162,8 @@ fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
                 let tracked = rearmed.expect("expired a moment ago, by this spout");
                 stats.add(Ctr::tuples_replayed, 1);
                 replayed = true;
-                routing.emit(state.task, &mut state.groupings, tuple, Some(tracked));
+                let item = LazyTuple::from_arc(tuple);
+                routing.emit(state.task, &mut state.groupings, &item, Some(tracked));
             }
             if in_flight == 0 {
                 state.finish(routing);
@@ -776,7 +782,7 @@ impl PipelineHarness {
             tracked: tracked.unwrap_or(0),
         };
         let mut buf = bytes::BytesMut::new();
-        wire::encode_relay(&mut buf, header, tuple);
+        wire::encode_relay(&mut buf, header, &LazyTuple::from_tuple(tuple.clone()));
         Arc::from(&buf[..])
     }
 
@@ -820,7 +826,7 @@ mod tests {
             fill(&mut buf);
             buf.to_vec()
         };
-        let tuple = Tuple::new(vec![Value::I64(1)]);
+        let tuple = LazyTuple::from_tuple(Tuple::new(vec![Value::I64(1)]));
         let relay = encoded(&|b| {
             let h = RelayHeader {
                 origin: 0,
@@ -992,7 +998,8 @@ mod tests {
                 tracked: 0,
             };
             let mut buf = bytes::BytesMut::new();
-            wire::encode_relay(&mut buf, header, &Tuple::new(vec![Value::I64(1)]));
+            let item = LazyTuple::from_tuple(Tuple::new(vec![Value::I64(1)]));
+            wire::encode_relay(&mut buf, header, &item);
             h.receive(&shared(Arc::from(&buf[..])));
         }
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 0));
@@ -1106,7 +1113,7 @@ mod tests {
     fn a_worker_frame_with_an_unknown_id_drops_that_id_and_runs_the_rest() {
         let (counts, tap) = counting();
         let (mut h, sinks) = leaf_harness(None, tap);
-        let tuple = Tuple::new(vec![Value::I64(1)]);
+        let tuple = LazyTuple::from_tuple(Tuple::new(vec![Value::I64(1)]));
         let spout = h.routing.topology.tasks_of("src")[0];
         let mut frames = 0;
         for stranger in [TaskId(99), spout] {

@@ -10,7 +10,6 @@ use crate::codec::{LazyTuple, RelayHeader, TupleView, WireSpare};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Grouping;
-use crate::tuple::Tuple;
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
@@ -342,22 +341,25 @@ impl Routing {
         self.relay.is_some() && *grouping == Grouping::All
     }
 
-    /// Whale's multicast path: serialize once into a child-invariant
-    /// relay frame, dispatch locally, and send the same wire buffer to
-    /// each of the source worker's tree children; relays forward the
-    /// received bytes verbatim. Returns the XOR of the anchors armed for
-    /// the component's tasks when `tracked` is set (the whole subscriber
-    /// set, local and remote, is charged up front — an undelivered
-    /// branch times out into a replay).
+    /// Whale's multicast path: encode once into a child-invariant relay
+    /// frame (a forwarded wire item's bytes are copied, not serialized),
+    /// dispatch locally, and send the same wire buffer to each of the
+    /// source worker's tree children; relays forward the received bytes
+    /// verbatim. Returns the XOR of the anchors armed for the component's
+    /// tasks when `tracked` is set (the whole subscriber set, local and
+    /// remote, is charged up front — an undelivered branch times out into
+    /// a replay).
     pub(super) fn relay_broadcast(
         &self,
         src: TaskId,
-        tuple: &Arc<Tuple>,
+        item: &LazyTuple,
         comp: ComponentId,
         tracked: Option<u64>,
     ) -> u64 {
         let relay = self.relay.as_ref().expect("relayed implies relay state");
-        self.stats.add(Ctr::serializations, 1);
+        if !item.is_wire() {
+            self.stats.add(Ctr::serializations, 1);
+        }
         let src_worker = self.placement.worker_of(src);
         let mut arm_xor = 0u64;
         if let Some(tr) = tracked {
@@ -365,8 +367,8 @@ impl Routing {
                 arm_xor ^= anchor_for(tr, t);
             }
         }
-        let lazy = LazyTuple::from_arc(Arc::clone(tuple));
-        self.deliver_to_component(src_worker, comp, ExecMsg::Data(lazy, tracked));
+        let data = ExecMsg::Data(item.clone(), tracked);
+        self.deliver_to_component(src_worker, comp, data);
         let epoch = relay.hold(None).expect("a current generation");
         let header = RelayHeader {
             origin: src_worker.0,
@@ -375,7 +377,7 @@ impl Routing {
             tracked: tracked.unwrap_or(0),
         };
         self.with_frame(
-            |buf| wire::encode_relay(buf, header, tuple),
+            |buf| wire::encode_relay(buf, header, item),
             |frame| self.relay_fanout(&epoch, src_worker.0, Node::Source, frame, 1),
         );
         arm_xor
@@ -826,7 +828,7 @@ mod tests {
                 tracked: 0,
             };
             let mut f = bytes::BytesMut::new();
-            wire::encode_relay(&mut f, h, &Tuple::new(vec![]));
+            wire::encode_relay(&mut f, h, &LazyTuple::from_tuple(Tuple::new(vec![])));
             let msg = whale_net::LiveMessage {
                 from: whale_net::EndpointId(1),
                 payload: Payload::Copied(f[..1 + RelayHeader::WIRE_BYTES].to_vec()),

@@ -373,18 +373,22 @@ impl Routing {
         }
     }
 
-    /// Send one tuple from `src` to routed destinations of every
-    /// downstream edge. `groupings` carries the per-task grouping state.
-    /// A `tracked` id pre-registered with the acker is armed here: one
-    /// anchor per destination, XOR'd into the ledger atomically after
-    /// every destination is known (an empty destination set arms to zero
-    /// and acks immediately). A tuple a grouping cannot route (missing
-    /// key field) is dropped and counted, never a panic.
+    /// Send one item from `src` to routed destinations of every
+    /// downstream edge: an emitted tuple, or a received one passed on as
+    /// it arrived ([`Emitter::forward`]) — routed off its wire view, its
+    /// bytes copied into every frame ([`LazyTuple::encode_into`]) and no
+    /// serialization counted for it. `groupings` carries the per-task
+    /// grouping state. A `tracked` id pre-registered with the acker is
+    /// armed here: one anchor per destination, XOR'd into the ledger
+    /// atomically after every destination is known (an empty destination
+    /// set arms to zero and acks immediately). An item a grouping cannot
+    /// route (missing key field, or a wire key whose deferred UTF-8 check
+    /// fails) is dropped and counted, never a panic.
     pub(super) fn emit(
         &self,
         src: TaskId,
         groupings: &mut Groupings,
-        shared: Arc<Tuple>,
+        item: &LazyTuple,
         tracked: Option<u64>,
     ) {
         let Groupings {
@@ -395,10 +399,10 @@ impl Routing {
         let mut arm_xor = 0u64;
         for (comp, g) in edges.iter_mut() {
             if self.relayed(g.grouping()) {
-                arm_xor ^= self.relay_broadcast(src, &shared, *comp, tracked);
+                arm_xor ^= self.relay_broadcast(src, item, *comp, tracked);
             } else {
-                match g.route_into(&shared, None, scratch) {
-                    Ok(()) => arm_xor ^= self.send_data(src, &shared, scratch, plan, tracked),
+                match g.route_by(|i| item.key(i), None, scratch) {
+                    Ok(()) => arm_xor ^= self.send_data(src, item, scratch, plan, tracked),
                     Err(_) => self.stats.add(Ctr::dropped_frames, 1),
                 }
             }
@@ -416,28 +420,28 @@ impl Routing {
     /// an undelivered destination leaves the ledger non-zero and the
     /// tuple times out into a replay instead of silently "completing".
     ///
-    /// All remote frames of the tuple are built in one pooled scratch:
-    /// the first worker frame serializes the data item behind its own
+    /// All remote frames of the item are built in one pooled scratch:
+    /// the first worker frame encodes the data item behind its own
     /// header, later ones copy those bytes ([`wire::encode_worker`]), so
     /// one and N remote workers take the same path.
     fn send_data(
         &self,
         src: TaskId,
-        tuple: &Arc<Tuple>,
+        item: &LazyTuple,
         dsts: &[TaskId],
         plan: &mut MessagePlan,
         tracked: Option<u64>,
     ) -> u64 {
         let mode = self.config.comm_mode;
-        plan.fill(mode, src, tuple.payload_bytes(), dsts, &self.placement);
+        plan.fill(mode, src, item.wire_len(), dsts, &self.placement);
         let arm_xor = tracked.map_or(0, |tr| {
             let anchors = dsts.iter().map(|&t| anchor_for(tr, t));
             anchors.fold(0, |xor, anchor| xor ^ anchor)
         });
-        // Local deliveries: no serialization beyond what the mode charges.
-        // The owning pipeline may already have exited after EOS; the
-        // delivery layer swallows that race.
-        let data = || ExecMsg::Data(LazyTuple::from_arc(Arc::clone(tuple)), tracked);
+        // Local deliveries share the item's handle: no serialization
+        // beyond what the mode charges. The owning pipeline may already
+        // have exited after EOS; the delivery layer swallows that race.
+        let data = || ExecMsg::Data(item.clone(), tracked);
         match plan.local_tasks() {
             [] => {}
             [dst] => {
@@ -451,34 +455,36 @@ impl Routing {
                 self.deliver_to_component(self.placement.worker_of(src), comp, data());
             }
         }
-        self.stats
-            .add(Ctr::serializations, plan.serializations as u64);
+        if !item.is_wire() {
+            self.stats
+                .add(Ctr::serializations, plan.serializations as u64);
+        }
         if plan.remote().is_empty() {
             return arm_xor;
         }
         let from = self.endpoint(self.placement.worker_of(src).0, self.shard_of(src));
         let mut scratch = self.pool.acquire();
-        let mut item = 0..0;
+        let mut encoded = 0..0;
         for env in plan.remote() {
             let tasks = plan.tasks_of(env);
             for (to, owned) in self.pipelines_of(env.dst_worker, tasks) {
                 let start = scratch.len();
                 match mode {
                     CommMode::WorkerOriented => {
-                        wire::encode_worker(&mut scratch, tracked, src, owned, tuple, &mut item)
+                        wire::encode_worker(&mut scratch, tracked, src, owned, item, &mut encoded)
                     }
                     // Storm serializes per destination, but without a deep
-                    // clone of the tuple: the shared decoded tuple is
-                    // borrowed straight into the frame.
+                    // clone of the tuple: the shared item is encoded
+                    // straight into the frame.
                     CommMode::InstanceOriented => {
-                        wire::encode_instance(&mut scratch, tracked, src, tasks[0], tuple)
+                        wire::encode_instance(&mut scratch, tracked, src, tasks[0], item)
                     }
                 }
                 self.send_frame(&scratch, start, Some((to, tracked)), |frame| {
                     self.send_wire(from, to, frame, None)
                 });
-                // Only the frame holding the serialized item is kept.
-                if item.end <= start {
+                // Only the frame holding the encoded item is kept.
+                if encoded.end <= start {
                     scratch.truncate(start);
                 }
             }
@@ -624,7 +630,6 @@ impl Routing {
             }
         }
     }
-
 }
 
 impl Groupings {
@@ -661,13 +666,18 @@ pub(super) struct TaskEmitter<'a> {
     pub(super) groupings: &'a mut Groupings,
 }
 
+// Bolt emissions are untracked: the acker tracks spout roots to their
+// first-hop subscribers (delivery tracking, not full tree tracking —
+// replays re-enter at the spout).
 impl Emitter for TaskEmitter<'_> {
     fn emit(&mut self, tuple: Tuple) {
-        // Bolt emissions are untracked: the acker tracks spout roots to
-        // their first-hop subscribers (delivery tracking, not full tree
-        // tracking — replays re-enter at the spout).
-        let tuple = Arc::new(tuple);
-        self.routing.emit(self.src, self.groupings, tuple, None);
+        let item = LazyTuple::from_tuple(tuple);
+        self.routing.emit(self.src, self.groupings, &item, None);
+    }
+
+    fn forward(&mut self, input: &LazyTuple) -> Result<(), DecodeError> {
+        self.routing.emit(self.src, self.groupings, input, None);
+        Ok(())
     }
 }
 
@@ -676,8 +686,168 @@ mod tests {
     use super::super::reliability::replay_endpoint;
     use super::super::testkit::*;
     use super::*;
+    use crate::operator::LazyFnBolt;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
     use std::time::Instant;
-    use whale_net::{ClusterSpec, FaultPlan, LogConfig, SendPolicy};
+    use whale_net::{
+        ClusterSpec, FaultPlan, LogConfig, OneSidedConfig, RingConfig, SendPolicy, TopologyConfig,
+    };
+
+    /// How the pass-through bolt of [`pass_through`] hands its input on.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum PassOn {
+        Forward,
+        Reemit,
+    }
+
+    /// Sink instances of [`pass_through`].
+    const PASS_SINKS: u32 = 5;
+
+    /// src → shuffle → 6 `pass` → `edge` → 5 `sink`: what the run
+    /// reports, every sink delivery as `(instance, tuple)` sorted, and
+    /// how many of the inputs `pass` forwarded were wire-backed.
+    fn pass_through(
+        on: PassOn,
+        edge: Grouping,
+        config: LiveConfig,
+    ) -> (RunReport, Vec<(u32, Tuple)>, u64) {
+        let fields = || Schema::new(vec!["n", "x", "key"]);
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, fields())
+            .bolt("pass", 6, fields())
+            .bolt("sink", PASS_SINKS, fields())
+            .connect("src", "pass", Grouping::Shuffle)
+            .connect("pass", "sink", edge);
+        let delivered: Arc<Mutex<Vec<(u32, Tuple)>>> = Arc::default();
+        let forwarded_wire: Arc<AtomicU64> = Arc::default();
+        let (sunk, wire) = (Arc::clone(&delivered), Arc::clone(&forwarded_wire));
+        let ops = Operators::new()
+            .spout("src", |_| {
+                Box::new(IterSpout::new((1..=120i64).map(|i| {
+                    let key = Value::str(format!("key-{}", i % 7).as_str());
+                    Tuple::with_id(
+                        i as u64,
+                        vec![Value::I64(i), Value::F64(i as f64 / 3.0), key],
+                    )
+                })))
+            })
+            .bolt("pass", move |_| {
+                let wire = Arc::clone(&wire);
+                Box::new(LazyFnBolt::new(
+                    move |t: &LazyTuple, out: &mut dyn Emitter| match on {
+                        PassOn::Forward => {
+                            wire.fetch_add(t.is_wire() as u64, Ordering::Relaxed);
+                            out.forward(t).unwrap();
+                        }
+                        PassOn::Reemit => out.emit(t.materialize().unwrap().clone()),
+                    },
+                ))
+            })
+            .bolt("sink", move |idx| {
+                let sunk = Arc::clone(&sunk);
+                Box::new(FnBolt::new(move |t: &Tuple, _out: &mut dyn Emitter| {
+                    sunk.lock().unwrap().push((idx, t.clone()));
+                }))
+            });
+        let r = run_topology(b.build().unwrap(), ops, config);
+        let mut delivered = std::mem::take(&mut *delivered.lock().unwrap());
+        delivered.sort_by_key(|(idx, t)| (*idx, t.id));
+        (r, delivered, forwarded_wire.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn forwarding_is_invisible_except_in_its_counters() {
+        let fabrics = [
+            FabricKind::PerSend,
+            FabricKind::Ring(RingConfig::default()),
+            FabricKind::OneSided(OneSidedConfig::default()),
+        ];
+        let modes = [
+            (CommMode::WorkerOriented, true),
+            (CommMode::InstanceOriented, true),
+            // Storm's shape: copied frames are decoded at dispatch, so
+            // every input arrives owned and is forwarded by sharing it.
+            (CommMode::InstanceOriented, false),
+        ];
+        let edges = [
+            ("fields", Grouping::Fields(2), false),
+            ("all", Grouping::All, false),
+            ("relayed", Grouping::All, true),
+        ];
+        for fabric in fabrics {
+            for (comm_mode, zero_copy) in modes {
+                for (edge_name, edge, relayed) in edges.clone() {
+                    if relayed && comm_mode == CommMode::InstanceOriented {
+                        continue;
+                    }
+                    for tracked in [false, true] {
+                        let what = format!(
+                            "{fabric:?} {comm_mode:?} zero_copy={zero_copy} {edge_name} tracked={tracked}"
+                        );
+                        // A relayed run cannot log; it tracks its links
+                        // instead (the controller never ticks).
+                        let topology = TopologyConfig {
+                            racks: 2,
+                            ..TopologyConfig::default()
+                        };
+                        let config = LiveConfig {
+                            machines: 4,
+                            comm_mode,
+                            zero_copy,
+                            fabric,
+                            multicast_d_star: relayed.then_some(2),
+                            multicast_adaptive: relayed.then(|| AdaptiveConfig {
+                                interval: Duration::from_secs(600),
+                                topology: Some(topology),
+                                ..AdaptiveConfig::default()
+                            }),
+                            ack: tracked.then(|| AckConfig {
+                                timeout: Duration::from_secs(20),
+                                ..AckConfig::default()
+                            }),
+                            log: (tracked && !relayed).then(LogConfig::default),
+                            ..LiveConfig::default()
+                        };
+                        let (fwd, fwd_sunk, wire_items) =
+                            pass_through(PassOn::Forward, edge.clone(), config.clone());
+                        let (re, re_sunk, _) = pass_through(PassOn::Reemit, edge.clone(), config);
+                        assert_eq!(fwd.outcome, RunOutcome::Clean, "{what}");
+                        assert_eq!(re.outcome, RunOutcome::Clean, "{what}");
+                        assert_eq!(fwd_sunk, re_sunk, "{what}");
+                        let fanout = if edge == Grouping::All { PASS_SINKS } else { 1 };
+                        assert_eq!(fwd_sunk.len() as u32, 120 * fanout, "{what}");
+                        let frames = |r: &RunReport| {
+                            (
+                                (r.fabric_messages, r.shared_bytes, r.copied_bytes),
+                                (r.frames_encoded, r.relay_forwards, r.relay_bytes),
+                                (r.log_appended_records, r.log_appended_bytes),
+                                r.link_bytes.clone(),
+                                (r.executed.clone(), r.tuples_acked, r.dropped_frames),
+                            )
+                        };
+                        assert_eq!(frames(&fwd), frames(&re), "{what}");
+                        assert_eq!(relayed, !fwd.link_bytes.is_empty(), "{what}");
+                        assert_eq!(tracked && !relayed, fwd.log_appended_bytes > 0, "{what}");
+                        // Per forwarded wire item, the serializations its
+                        // re-emission costs: one, or one per destination
+                        // task of an instance-oriented broadcast.
+                        let per_item = match comm_mode {
+                            CommMode::InstanceOriented => fanout as u64,
+                            CommMode::WorkerOriented => 1,
+                        };
+                        assert_eq!(
+                            re.serializations - fwd.serializations,
+                            wire_items * per_item,
+                            "{what}"
+                        );
+                        assert_eq!(zero_copy, wire_items > 0, "{what}");
+                        assert!(wire_items < 120, "{what}: some pass runs beside the spout");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn zero_copy_uses_shared_path() {
@@ -749,7 +919,8 @@ mod tests {
                 let src = routing.topology.tasks_of("src")[0];
                 let comp = routing.topology.tasks().component_of(src).unwrap();
                 let mut groupings = Groupings::new(&routing.topology, src, comp);
-                routing.emit(src, &mut groupings, Arc::new(tuple.clone()), tracked);
+                let owned = LazyTuple::from_tuple(tuple.clone());
+                routing.emit(src, &mut groupings, &owned, tracked);
                 for w in 1..machines {
                     let dsts: Vec<TaskId> = routing
                         .topology

@@ -21,10 +21,9 @@
 //! from `(tracked, dst)`.
 
 use crate::codec::{
-    need, DecodeError, InstanceMessage, InstanceMessageView, RelayHeader, WorkerMessageView,
+    need, DecodeError, InstanceMessageView, LazyTuple, RelayHeader, WorkerMessageView,
 };
 use crate::task::{ComponentId, TaskId};
-use crate::tuple::Tuple;
 use bytes::{Buf, BufMut, BytesMut};
 use std::ops::Range;
 use std::sync::Arc;
@@ -137,17 +136,19 @@ fn put_kind(buf: &mut BytesMut, kind: u8, tracked: Option<u64>) {
     }
 }
 
-/// Storm's per-destination frame. The shared decoded tuple is borrowed
-/// straight into the frame — no per-destination clone.
+/// Storm's per-destination frame. The item is encoded straight into the
+/// frame — no per-destination clone.
 pub(super) fn encode_instance(
     buf: &mut BytesMut,
     tracked: Option<u64>,
     src: TaskId,
     dst: TaskId,
-    tuple: &Tuple,
+    item: &LazyTuple,
 ) {
     put_kind(buf, KIND_INSTANCE, tracked);
-    InstanceMessage::encode_parts_into(src, dst, tuple, buf);
+    buf.put_u32_le(src.0);
+    buf.put_u32_le(dst.0);
+    item.encode_into(buf);
 }
 
 /// `n u32` `dst u32 × n`.
@@ -158,29 +159,29 @@ fn put_ids(buf: &mut BytesMut, ids: impl Iterator<Item = TaskId> + Clone) {
     }
 }
 
-/// Whale's per-worker frame, appended to `buf`. A tuple's data item is
-/// serialized once however many worker frames it takes: `item` is where
-/// an earlier frame of the same tuple left it in `buf`. Empty, this is
-/// the first frame — the tuple is serialized straight behind the header
-/// and `item` set to those bytes; otherwise they are copied.
+/// Whale's per-worker frame, appended to `buf`. A data item is encoded
+/// once however many worker frames it takes: `encoded` is where an
+/// earlier frame of the same item left it in `buf`. Empty, this is the
+/// first frame — the item is encoded straight behind the header and
+/// `encoded` set to those bytes; otherwise they are copied.
 pub(super) fn encode_worker(
     buf: &mut BytesMut,
     tracked: Option<u64>,
     src: TaskId,
     dsts: impl Iterator<Item = TaskId> + Clone,
-    tuple: &Tuple,
-    item: &mut Range<usize>,
+    item: &LazyTuple,
+    encoded: &mut Range<usize>,
 ) {
     put_kind(buf, KIND_WORKER, tracked);
     buf.put_u32_le(src.0);
     put_ids(buf, dsts);
     let at = buf.len();
-    if Range::is_empty(item) {
-        crate::codec::encode_tuple_into(buf, tuple);
-        *item = at..buf.len();
+    if Range::is_empty(encoded) {
+        item.encode_into(buf);
+        *encoded = at..buf.len();
     } else {
-        buf.resize(at + item.len(), 0);
-        buf.copy_within(item.clone(), at);
+        buf.resize(at + encoded.len(), 0);
+        buf.copy_within(encoded.clone(), at);
     }
 }
 
@@ -210,12 +211,12 @@ pub(super) fn encode_eos(
     put_ids(buf, dsts);
 }
 
-/// A broadcast tuple entering the relay tree: the whole frame is encoded
+/// A broadcast item entering the relay tree: the whole frame is encoded
 /// exactly once and every hop forwards these bytes.
-pub(super) fn encode_relay(buf: &mut BytesMut, header: RelayHeader, tuple: &Tuple) {
+pub(super) fn encode_relay(buf: &mut BytesMut, header: RelayHeader, item: &LazyTuple) {
     buf.put_u8(KIND_RELAY);
     header.encode_into(buf);
-    crate::codec::encode_tuple_into(buf, tuple);
+    item.encode_into(buf);
 }
 
 /// End-of-stream entering the relay tree.
@@ -258,7 +259,7 @@ impl<'a> From<&'a Payload> for Wire<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Value;
+    use crate::tuple::{Tuple, Value};
 
     fn tuple() -> Tuple {
         Tuple::with_id(9, vec![Value::I64(-3), Value::str("driver-42")])
@@ -282,6 +283,7 @@ mod tests {
     #[test]
     fn every_kind_roundtrips_and_every_strict_prefix_is_rejected() {
         let t = tuple();
+        let owned = LazyTuple::from_tuple(t.clone());
         let item = crate::codec::encode_tuple(&t);
         let dsts = [TaskId(4), TaskId(5), TaskId(6)];
         let eos = RelayEos {
@@ -292,7 +294,7 @@ mod tests {
         };
         let mut frames = Vec::new();
         for tracked in [None, Some((3u64 << 48) | 0xBEEF)] {
-            let f = encoded(|b| encode_instance(b, tracked, TaskId(1), TaskId(8), &t));
+            let f = encoded(|b| encode_instance(b, tracked, TaskId(1), TaskId(8), &owned));
             assert_eq!(f.len(), 1 + tracked.map_or(0, |_| 8) + 8 + item.len());
             match parse(&f).unwrap() {
                 FrameView::Instance(tr, m) => {
@@ -305,7 +307,7 @@ mod tests {
             frames.push(f);
 
             let ids = dsts.iter().copied();
-            let f = encoded(|b| encode_worker(b, tracked, TaskId(1), ids, &t, &mut (0..0)));
+            let f = encoded(|b| encode_worker(b, tracked, TaskId(1), ids, &owned, &mut (0..0)));
             assert_eq!(f, worker_around_item(tracked, TaskId(1), &dsts, &item));
             assert_eq!(
                 f.len(),
@@ -328,7 +330,7 @@ mod tests {
                 component: 1,
                 tracked: tracked.unwrap_or(0),
             };
-            let f = encoded(|b| encode_relay(b, header, &t));
+            let f = encoded(|b| encode_relay(b, header, &owned));
             assert_eq!(f.len(), 1 + RelayHeader::WIRE_BYTES + item.len());
             match parse(&f).unwrap() {
                 FrameView::Relay { header: h, item: i } => {
@@ -372,6 +374,7 @@ mod tests {
         // serializes the item in place, the rest copy it — and every one
         // is the frame a separately serialized item would have given.
         let t = tuple();
+        let owned = LazyTuple::from_tuple(t.clone());
         let item = crate::codec::encode_tuple(&t);
         for workers in 1..=4u32 {
             for tracked in [None, Some((3u64 << 48) | 0xBEEF)] {
@@ -382,7 +385,7 @@ mod tests {
                     let dsts: Vec<TaskId> = (0..=w).map(|i| TaskId(10 * w + i)).collect();
                     let start = buf.len();
                     let ids = dsts.iter().copied();
-                    encode_worker(&mut buf, tracked, TaskId(1), ids, &t, &mut at);
+                    encode_worker(&mut buf, tracked, TaskId(1), ids, &owned, &mut at);
                     assert_eq!(
                         buf[start..],
                         worker_around_item(tracked, TaskId(1), &dsts, &item)[..],
@@ -393,6 +396,42 @@ mod tests {
                 assert_eq!(buf[at], item[..], "the item was serialized once");
             }
         }
+    }
+
+    #[test]
+    fn a_received_item_frames_as_its_reencode_does() {
+        // The item in the middle of a received frame, as a pipeline
+        // anchors it — materialized or not, every kind of frame built
+        // around its bytes is the frame built around its decode.
+        let t = tuple();
+        let (mut received, owned) = (BytesMut::new(), LazyTuple::from_tuple(t));
+        let dst = [TaskId(2)].into_iter();
+        encode_worker(&mut received, None, TaskId(0), dst, &owned, &mut (0..0));
+        let received: Arc<[u8]> = Arc::from(&received[..]);
+        let Ok(FrameView::Worker(_, m)) = parse(&received) else {
+            panic!("a worker frame")
+        };
+        let wire = LazyTuple::from_wire_view(Arc::clone(&received), m.tuple());
+        let header = RelayHeader {
+            origin: 1,
+            epoch: 2,
+            component: 3,
+            tracked: 4,
+        };
+        let frames = |item: &LazyTuple| {
+            let dsts = [TaskId(5), TaskId(6)].into_iter();
+            [
+                encoded(|b| encode_instance(b, Some(7), TaskId(1), TaskId(5), item)),
+                encoded(|b| encode_worker(b, Some(7), TaskId(1), dsts, item, &mut (0..0))),
+                encoded(|b| encode_relay(b, header, item)),
+            ]
+        };
+        let forwarded = frames(&wire);
+        assert!(wire.is_wire() && !wire.is_materialized());
+        let reencoded = LazyTuple::from_tuple(wire.materialize().unwrap().clone());
+        assert_eq!(wire.wire_len(), reencoded.wire_len());
+        assert_eq!(forwarded, frames(&reencoded));
+        assert_eq!(forwarded, frames(&wire), "once materialized, as before");
     }
 
     #[test]

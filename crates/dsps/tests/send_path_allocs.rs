@@ -9,9 +9,10 @@
 //! planning, frame encode, scratch reuse and the hand-off to local tasks
 //! must not allocate in steady state — and the receive path is allowed
 //! none: the handle anchoring a received item to its buffer is the block
-//! of the frame before, unless a bolt kept that one. (That a queue entry
-//! naming a batch is no larger than one naming a task is a `const`
-//! assertion beside the type, in `runtime/send.rs`.)
+//! of the frame before, unless a bolt kept that one. A bolt that forwards
+//! a received tuple pays the frame it sends and nothing else. (That a
+//! queue entry naming a batch is no larger than one naming a task is a
+//! `const` assertion beside the type, in `runtime/send.rs`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -311,6 +312,60 @@ fn a_relayed_frame_costs_its_receiver_no_heap_block() {
         relays, 1,
         "d* = 2 over three receivers: one of them forwards"
     );
+}
+
+/// Per relayed frame worker 1 of two receives, the blocks its one `pass`
+/// instance costs handing the tuple on to the sink on worker 0 — sorted,
+/// after warm-up — with `pass` built by `pass`.
+fn pass_on_costs(pass: fn(&LazyTuple, &mut dyn Emitter)) -> Vec<u64> {
+    let mut b = TopologyBuilder::new();
+    b.spout("src", 1, Schema::new(vec!["n", "k"]))
+        .bolt("pass", 2, Schema::new(vec!["n", "k"]))
+        .bolt("sink", 1, Schema::new(vec!["n", "k"]))
+        .connect("src", "pass", Grouping::All)
+        .connect("pass", "sink", Grouping::Shuffle);
+    let ops = Operators::new()
+        .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+        .bolt("pass", move |_| Box::new(LazyFnBolt::new(pass)))
+        .bolt("sink", |_| {
+            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+        });
+    let config = LiveConfig {
+        machines: 2,
+        multicast_d_star: Some(2),
+        ..LiveConfig::default()
+    };
+    let mut worker = PipelineHarness::new(b.build().unwrap(), &ops, config, 1);
+    let tuple = Tuple::with_id(15, vec![Value::I64(0), Value::str("key-07")]);
+    let msg = LiveMessage {
+        from: EndpointId(0),
+        payload: Payload::Shared(worker.relay_frame(0, "pass", None, &tuple)),
+    };
+    let mut costs = Vec::with_capacity(TUPLES);
+    for _ in 0..TUPLES {
+        let before = blocks();
+        worker.receive(&msg);
+        costs.push(blocks() - before);
+        assert_eq!(worker.take_sent(), 1, "one frame to the sink");
+    }
+    let mut steady = costs.split_off(WARMUP);
+    steady.sort_unstable();
+    steady
+}
+
+#[test]
+fn a_forwarded_wire_tuple_costs_no_block_beyond_its_frame() {
+    // The frame's shared buffer, and one send in 31 a new segment of the
+    // fabric's queue.
+    let forwarded = pass_on_costs(|t, out| out.forward(t).unwrap());
+    let p90 = forwarded[forwarded.len() * 9 / 10];
+    let mean = forwarded.iter().sum::<u64>() as f64 / forwarded.len() as f64;
+    assert!(p90 <= 1 && mean <= 1.05, "p90 {p90}, mean {mean:.3}");
+    // The copy it replaces: a decode (the value vector and the string),
+    // the copy's vector and its `Arc`, beside the frame.
+    let reemitted = pass_on_costs(|t, out| out.emit(t.materialize().unwrap().clone()));
+    let median = |costs: &[u64]| costs[costs.len() / 2];
+    assert_eq!(median(&reemitted), median(&forwarded) + 4);
 }
 
 #[test]
