@@ -2,7 +2,7 @@
 //! acquire/release vs fresh allocation, pooled encode + share, the
 //! per-tuple send path up to the fabric, the receive path from a relayed
 //! frame to its local sinks, one tracked and logged source tuple with its
-//! acks, and the sharded ring drain.
+//! acks, and the ring drain.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -193,44 +193,33 @@ fn bench_tracked_logged_send(c: &mut Criterion) {
     });
 }
 
-fn sharded_ring(shards: usize) -> RingFabric {
-    RingFabric::new(RingConfig {
-        ring_capacity: 64 * 1024,
-        batch: BatchConfig {
-            mms: 4 * 1024,
-            wtl: SimDuration::from_millis(1),
-        },
-        flusher_shards: shards,
-        ..RingConfig::default()
-    })
-}
-
-fn bench_sharded_flush(c: &mut Criterion) {
-    for shards in [1usize, 4] {
-        c.bench_function(&format!("ring_fanout8_flush_{shards}shard"), |b| {
-            let fabric = sharded_ring(shards);
-            let receivers: Vec<_> = (0..8)
-                .map(|d| fabric.register(EndpointId(d + 1)).unwrap())
-                .collect();
-            let buf: Arc<[u8]> = Arc::from(&[0u8; 150][..]);
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                for d in 0..8u32 {
-                    fabric
-                        .send_shared(EndpointId(0), EndpointId(d + 1), buf.clone())
-                        .unwrap();
-                }
-                let now = SimTime::from_nanos(i);
-                for s in 0..fabric.config().shard_count() {
-                    fabric.flush_shard_at(s, now);
-                }
-                for rx in &receivers {
-                    black_box(rx.try_recv().unwrap());
-                }
-            })
+fn bench_ring_flush(c: &mut Criterion) {
+    c.bench_function("ring_fanout8_flush", |b| {
+        let fabric = RingFabric::new(RingConfig {
+            ring_capacity: 64 * 1024,
+            batch: BatchConfig {
+                mms: 4 * 1024,
+                wtl: SimDuration::from_millis(1),
+            },
         });
-    }
+        let receivers: Vec<_> = (0..8)
+            .map(|d| fabric.register(EndpointId(d + 1)).unwrap())
+            .collect();
+        let buf: Arc<[u8]> = Arc::from(&[0u8; 150][..]);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            for d in 0..8u32 {
+                fabric
+                    .send_shared(EndpointId(0), EndpointId(d + 1), buf.clone())
+                    .unwrap();
+            }
+            fabric.flush_at(SimTime::from_nanos(i));
+            for rx in &receivers {
+                black_box(rx.try_recv().unwrap());
+            }
+        })
+    });
 }
 
 criterion_group!(
@@ -239,6 +228,6 @@ criterion_group!(
     bench_send_path,
     bench_relay_receive,
     bench_tracked_logged_send,
-    bench_sharded_flush
+    bench_ring_flush
 );
 criterion_main!(benches);

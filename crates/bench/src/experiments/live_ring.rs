@@ -1,9 +1,9 @@
 //! E19 — live path: batched ring delivery vs synchronous per-send.
 //!
 //! Drives a real [`whale_net::RingFabric`] in deterministic mode (virtual clock, no
-//! flusher thread) with a rate-driven one-to-many workload: one source
-//! posting each tuple to `fanout` destination endpoints, the ring drained
-//! on every tick exactly as the doorbell-woken flusher would. The measured
+//! reader) with a rate-driven one-to-many workload: one source posting
+//! each tuple to `fanout` destination endpoints, every ring passed on
+//! every tick as its reader's own receive would. The measured
 //! mean batch size then prices both delivery disciplines on the paper's
 //! cost model — one work-request post per *message* (the per-send path,
 //! what `LiveFabric` does) vs one post per *batch* plus a ring-buffer
@@ -52,13 +52,13 @@ fn sender_capacity(batch_n: f64, cost: &CostModel) -> f64 {
     batch_n / (post + batch_n * per_msg)
 }
 
-/// Drive E20's deterministic ring workload (one flusher, every tuple one
-/// shared buffer posted to `fanout` endpoints, lossless delivery
+/// Drive E20's deterministic ring workload (every tuple one shared
+/// buffer posted to `fanout` endpoints, lossless delivery
 /// asserted) for `tuples` tuples, and price the result.
 pub fn measure(scale: Scale, fanout: u32) -> LivePoint {
     let tuples: u64 = scale.pick3(2_000, 10_000, 50_000);
     let payload: Arc<[u8]> = Arc::from(vec![0u8; MSG_BYTES].into_boxed_slice());
-    let fabric = drive(ring_config(1), tuples, fanout, |fabric, _seq| {
+    let fabric = drive(ring_config(), tuples, fanout, |fabric, _seq| {
         for d in 0..fanout {
             fabric
                 .send_shared(EndpointId(0), EndpointId(d + 1), Arc::clone(&payload))

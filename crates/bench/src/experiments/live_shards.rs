@@ -9,8 +9,8 @@
 //!   dispatcher bottleneck the runtime refactor removes. With `S`
 //!   shard-owned pipelines the sender stage divides by `S` (each shard
 //!   owns its slice of tasks end to end) and the drain stage shards the
-//!   same way (each pipeline owns its own fabric endpoint, mirroring
-//!   `RingConfig::flusher_shards`); capacity is the slower stage. The
+//!   same way (each pipeline owns its own fabric endpoint and drains it
+//!   itself: E20's modeled drain shards); capacity is the slower stage. The
 //!   1-shard column reproduces E20's `shared_tuples_s` numbers exactly
 //!   — same counters, same pricing — so the sweep's scaling curve is
 //!   anchored to the committed `BENCH_live_path.json` baseline.
@@ -53,7 +53,7 @@ pub struct ShardPoint {
     pub mean_batch: f64,
     /// Messages on the most loaded pipeline (drain critical path).
     pub max_shard_msgs: u64,
-    /// E20's own shared-path capacity at this (fanout, flusher shards):
+    /// E20's own shared-path capacity at this (fanout, modeled drain shards):
     /// at (8, 1) the `BENCH_live_path.json` baseline the 1-shard cell
     /// must not regress below.
     pub e20_tuples_s: f64,
@@ -70,14 +70,14 @@ pub struct ShardPoint {
 impl ShardPoint {
     /// Sender-sharding gain: capacity over an unsharded sender on the
     /// same drain configuration (isolates the dispatcher removal from
-    /// the flusher sharding E20 already measured).
+    /// the drain sharding E20 already models).
     pub fn speedup(&self) -> f64 {
         self.sharded_tuples_s / self.single_tuples_s
     }
 }
 
 /// Measure one (fanout, shards) cell: drive E20's deterministic ring
-/// workload with `shards` flusher shards for the drain counters, then
+/// workload with `shards` modeled drain shards for the drain counters, then
 /// price the sender stage divided across `shards` pipelines.
 pub fn measure(scale: Scale, fanout: u32, shards: u32) -> ShardPoint {
     let p = live_zero_copy::measure(scale, fanout, shards as usize);

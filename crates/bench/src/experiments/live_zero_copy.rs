@@ -1,9 +1,9 @@
 //! E20 — live path: clone-per-destination vs serialize-once zero-copy
-//! fan-out over the sharded ring.
+//! fan-out over the ring.
 //!
 //! Drives a real [`RingFabric`] in deterministic mode (virtual clock,
-//! per-shard pumping exactly as the sharded doorbell-woken flusher would
-//! drain) with a one-to-many workload under both send disciplines:
+//! every endpoint passed on every tick as its reader's own receive would)
+//! with a one-to-many workload under both send disciplines:
 //!
 //! * **clone-per-dest** — every destination gets its own freshly
 //!   allocated encode of the frame, posted through the copied (TCP
@@ -14,8 +14,9 @@
 //!   by reference to every destination: one serialization per tuple and
 //!   a pool hit-rate that approaches 1.0 after the first acquire.
 //!
-//! The measured batch sizes, per-shard message loads, and pool counters
-//! then price both disciplines on the paper's cost model. Every run is a
+//! The measured batch sizes and pool counters, with the message load of
+//! the busiest of `shards` modeled drain shards, then price both
+//! disciplines on the paper's cost model. Every run is a
 //! pure function of the config, so reruns emit byte-identical JSON.
 
 use super::Output;
@@ -34,7 +35,8 @@ pub const MSG_BYTES: usize = 150;
 pub struct ZeroCopyPoint {
     /// Destinations per tuple.
     pub fanout: u32,
-    /// Flusher shards draining the ring.
+    /// Modeled drain shards: the drain stage is priced as this many
+    /// drainers in parallel, endpoint `d` on shard `d % shards`.
     pub shards: usize,
     /// Tuples the source emitted (per discipline).
     pub tuples: u64,
@@ -56,12 +58,13 @@ pub struct ZeroCopyPoint {
     pub pool_hit_rate: f64,
     /// Mean messages per flushed batch (shared run).
     pub mean_batch: f64,
-    /// Messages on the most loaded flusher shard (drain critical path).
+    /// Messages on the most loaded modeled drain shard (drain critical
+    /// path).
     pub max_shard_msgs: u64,
     /// Modeled time the shared discipline's sender stage takes (s).
     /// Public, with `drain_s`, so E24 divides it across pipelines.
     pub sender_shared_s: f64,
-    /// Modeled time the slowest flusher shard takes to drain (s).
+    /// Modeled time the slowest drain shard takes to drain (s).
     pub drain_s: f64,
     /// Modeled end-to-end capacity of clone-per-dest (tuples/s).
     pub clone_tuples_s: f64,
@@ -82,31 +85,20 @@ fn fill_frame(out: &mut impl BufMut, seq: u64) {
     out.put_slice(&[0u8; MSG_BYTES - 8]);
 }
 
-/// Drain every shard the way its flusher thread would, on the virtual
-/// clock. Equivalent to `pump(now)` but exercises the sharded slot
-/// filtering used by the live drain workers.
-fn pump_all_shards(fabric: &RingFabric, now: SimTime) {
-    for shard in 0..fabric.config().shard_count() {
-        fabric.pump_shard(shard, now);
-    }
-}
-
 /// The ring every live-path sweep (E19, E20, E24) drives: 64 KiB of ring
-/// sliced at MMS = 4 KiB / WTL = 1 ms, drained by `shards` flushers.
-pub(super) fn ring_config(shards: usize) -> RingConfig {
+/// sliced at MMS = 4 KiB / WTL = 1 ms.
+pub(super) fn ring_config() -> RingConfig {
     RingConfig {
         ring_capacity: 64 * 1024,
         batch: BatchConfig {
             mms: 4 * 1024,
             wtl: SimDuration::from_millis(1),
         },
-        flusher_shards: shards,
-        ..RingConfig::default()
     }
 }
 
 /// Run one discipline: emit `tuples` frames to `fanout` destinations,
-/// draining per shard on every tick, and return the fabric for its
+/// passing every endpoint on every tick, and return the fabric for its
 /// counters. `send` posts one frame to all destinations.
 pub(super) fn drive(
     config: RingConfig,
@@ -127,12 +119,10 @@ pub(super) fn drive(
     let mut now = SimTime::ZERO;
     for seq in 0..tuples {
         send(&fabric, seq);
-        pump_all_shards(&fabric, now);
+        fabric.pump(now);
         now += gap;
     }
-    for shard in 0..config.shard_count() {
-        fabric.flush_shard_at(shard, now);
-    }
+    fabric.flush_at(now);
     let mut delivered = 0u64;
     for rx in &receivers {
         delivered += std::iter::from_fn(|| rx.try_recv().ok()).count() as u64;
@@ -149,7 +139,7 @@ pub(super) fn drive(
 /// the result on the cost model.
 pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
     let tuples: u64 = scale.pick3(600, 10_000, 50_000);
-    let config = ring_config(shards);
+    let config = ring_config();
     let source = EndpointId(0);
 
     // Clone-per-dest: a fresh encode and a physical copy per destination.
@@ -183,13 +173,12 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
     );
     assert_eq!(shared.copied_bytes, 0, "shared run never copies");
 
-    // Drain critical path: each endpoint belongs to exactly one shard, so
-    // the slowest shard drains `tuples × (endpoints it owns)` messages.
-    let max_shard_msgs = (0..config.shard_count())
+    // Drain critical path: the model deals each endpoint to exactly one
+    // drain shard, by id, so the slowest shard drains `tuples × (endpoints
+    // it owns)` messages.
+    let max_shard_msgs = (0..shards)
         .map(|s| {
-            let owned = (0..fanout)
-                .filter(|d| config.shard_of(EndpointId(d + 1)) == s)
-                .count() as u64;
+            let owned = (1..=fanout).filter(|d| *d as usize % shards == s).count() as u64;
             owned * tuples
         })
         .max()
@@ -198,7 +187,7 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
     // Pricing. The sender pays serialization (per destination for the
     // clone discipline, once plus id-pack-sized reference handoffs for
     // the shared one) and a ring-region bookkeeping op per posted
-    // message; the flusher shards pay one work-request post per batch
+    // message; the drain shards pay one work-request post per batch
     // plus wire time per message, and drain in parallel, so the slowest
     // shard is the drain critical path. Capacity is the slower of the
     // two stages.
@@ -216,7 +205,7 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
     let sender_shared = tuples as f64 * (ser + f * (id_pack + mr_op));
     ZeroCopyPoint {
         fanout,
-        shards: config.shard_count(),
+        shards,
         tuples,
         messages: shared.messages,
         clone_bytes: cloned.copied_bytes,
@@ -238,7 +227,7 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
 /// Fan-outs swept by the experiment.
 pub const FANOUTS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Flusher shard counts swept by the experiment.
+/// Modeled drain-shard counts swept by the experiment.
 pub const SHARDS: [usize; 3] = [1, 2, 4];
 
 /// Measure every (shards, fanout) point of the sweep, in row order.

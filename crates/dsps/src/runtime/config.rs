@@ -33,10 +33,11 @@ pub struct LiveConfig {
     pub multicast_adaptive: Option<AdaptiveConfig>,
     /// Shard-owned pipelines per worker. Each worker's tasks are split
     /// across this many pipeline threads by the stable map
-    /// `task % shards` (mirroring `RingConfig::flusher_shards`); every
-    /// pipeline owns its own fabric endpoint, routing state, and
-    /// executors, so the per-worker receive path scales with cores
-    /// instead of serializing behind one dispatcher. `1` (the default)
+    /// `task % shards`; every pipeline owns its own fabric endpoint —
+    /// on a buffered transport it drains that endpoint's ring or links
+    /// itself — routing state, and executors, so the per-worker receive
+    /// path scales with cores instead of serializing behind one
+    /// dispatcher or drain thread. `1` (the default)
     /// runs one pipeline per worker. Values are clamped to at least 1.
     pub shards: u32,
     /// Which live transport carries inter-worker frames: synchronous
@@ -45,7 +46,7 @@ pub struct LiveConfig {
     pub fabric: FabricKind,
     /// Bounded retry schedule for backpressured sends. The default parks
     /// up to 5 s before declaring a frame failed; a run can never
-    /// livelock on a dead flusher.
+    /// livelock on a reader that stopped reading.
     pub send: SendPolicy,
     /// At-least-once delivery tracking (Storm's XOR acker wired into the
     /// live path). `None` (the default) runs exactly the untracked wire

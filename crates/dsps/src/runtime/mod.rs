@@ -71,17 +71,17 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         };
     }
 
-    let mut instance = config.fabric.build();
+    let transport = config.fabric.build();
     // Fault injection wraps the concrete transport: every runtime send
     // and registration goes through the wrapper so the plan sees each
-    // frame in order. The concrete handle is kept for its counters.
+    // frame in order.
     let fault: Option<Arc<FaultFabric>> = config
         .fault
         .clone()
-        .map(|plan| Arc::new(FaultFabric::new(Arc::clone(&instance.fabric), plan)));
+        .map(|plan| Arc::new(FaultFabric::new(Arc::clone(&transport), plan)));
     let fabric: Arc<dyn FabricPath> = match &fault {
         Some(f) => Arc::clone(f) as Arc<dyn FabricPath>,
-        None => Arc::clone(&instance.fabric),
+        None => transport,
     };
     let (routing, mut pipelines, done_rx) =
         wire_up(topology, config, Arc::clone(&fabric), fault.clone());
@@ -97,7 +97,7 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
     let awaiting = reliability::restarting_endpoints(&routing, n_flat);
     let log_handle = fault.clone().filter(|_| !awaiting.is_empty()).map(|fault| {
         let (routing, stop) = (Arc::clone(&routing), Arc::clone(&log_stop));
-        std::thread::spawn(move || {
+        spawn_named("log-replay", move || {
             reliability::log_recovery_loop(&routing, &fault, awaiting, &stop)
         })
     });
@@ -107,7 +107,9 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
     let adaptive_stop = Arc::new(AtomicBool::new(false));
     let adaptive_handle = routing.config.multicast_adaptive.clone().map(|cfg| {
         let (routing, stop) = (Arc::clone(&routing), Arc::clone(&adaptive_stop));
-        std::thread::spawn(move || control::adaptive_loop(&cfg, &routing, &stop))
+        spawn_named("adaptive", move || {
+            control::adaptive_loop(&cfg, &routing, &stop)
+        })
     });
 
     // Monitor thread: snapshot the run's counters every interval into
@@ -115,7 +117,9 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
     let monitor_stop = Arc::new(AtomicBool::new(false));
     let monitor_handle = routing.config.monitor_interval.map(|interval| {
         let (routing, stop) = (Arc::clone(&routing), Arc::clone(&monitor_stop));
-        std::thread::spawn(move || control::monitor_loop(&routing, interval, start, &stop))
+        spawn_named("monitor", move || {
+            control::monitor_loop(&routing, interval, start, &stop)
+        })
     });
 
     populate(&routing, &operators, &mut pipelines);
@@ -151,14 +155,11 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
     if let Some(log) = &routing.log {
         log.gc_pass();
     }
-    // All producers done: release any fault-parked frames, flush
-    // anything still buffered in the transport (and stop the ring
-    // flusher), then close the fabric endpoints so the pipelines exit
-    // (they keep draining/relaying frames until their endpoint closes).
-    if let Some(f) = &fault {
-        f.flush();
-    }
-    instance.shutdown();
+    // All producers done: release any fault-parked frames and flush
+    // anything still buffered in the transport, then close the fabric
+    // endpoints so the pipelines exit (they keep draining/relaying frames
+    // until their endpoint closes).
+    fabric.flush();
     for flat in 0..n_flat {
         fabric.deregister(EndpointId(flat as u32));
     }
@@ -175,6 +176,17 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         .unwrap_or_default();
 
     RunReport::collect(&routing, start.elapsed(), timeline)
+}
+
+/// Spawn a runtime thread under `name`, so its CPU can be attributed.
+fn spawn_named<T: Send + 'static>(
+    name: impl Into<String>,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(f)
+        .expect("spawn a runtime thread")
 }
 
 /// Capacity of each pipeline's cross-shard inbox. Deliveries to a task

@@ -397,7 +397,7 @@ pub(super) struct ShardPipeline {
     /// endpoint this pipeline reads.
     flat: usize,
     worker: u32,
-    fabric_rx: Receiver<whale_net::LiveMessage>,
+    fabric_rx: whale_net::Inbox,
     inbox_rx: Receiver<Entry>,
     spouts: Vec<SpoutState>,
     /// Ascending by task id, so one component's bolts — a
@@ -414,7 +414,7 @@ impl ShardPipeline {
     pub(super) fn new(
         flat: usize,
         worker: u32,
-        fabric_rx: Receiver<whale_net::LiveMessage>,
+        fabric_rx: whale_net::Inbox,
         inbox_rx: Receiver<Entry>,
         done_tx: Sender<()>,
     ) -> Self {
@@ -468,7 +468,7 @@ impl ShardPipeline {
     /// Run the pipeline on its own thread until its tasks are done and
     /// the fabric closes.
     pub(super) fn spawn(self, routing: Arc<Routing>) -> std::thread::JoinHandle<()> {
-        std::thread::spawn(move || {
+        super::spawn_named(format!("pipeline-{}", self.flat), move || {
             // Operator panics are caught inside the pipeline; a panic
             // escaping here is a runtime bug, but the completion signal
             // must still fire or the driver would block forever.
@@ -503,7 +503,10 @@ impl ShardPipeline {
             // received, so an empty queue is never probed and no failing
             // receive ends a slice. (A counted send may still be in
             // flight: `Empty` ends the slice early. A closed endpoint is
-            // learnt when the pipeline blocks on it.)
+            // learnt when the pipeline blocks on it.) On a buffered
+            // transport the fabric endpoint's `len` first runs its own
+            // pass, so a busy pipeline drains its ring or links once per
+            // scheduling pass.
             for _ in 0..self.fabric_rx.len().min(PIPELINE_BATCH) {
                 match self.fabric_rx.try_recv() {
                     Ok(msg) => {
@@ -634,9 +637,12 @@ impl ShardPipeline {
     }
 
     /// Block on the fabric endpoint for up to `timeout`. A delivered frame
-    /// is its own wake-up (the channel send unblocks the receive); a
-    /// cross-shard inbox send sees `parked` and drops an empty frame into
-    /// the endpoint (see [`ShardInbox`](super::send::ShardInbox)).
+    /// is its own wake-up (the channel send unblocks the receive), and so,
+    /// inside the receive, is a post that leaves a buffered endpoint's
+    /// pass something to do (the receive's wait is also bounded by the
+    /// pass's WTL deadline); a cross-shard inbox send sees `parked` and
+    /// drops an empty frame into the endpoint (see
+    /// [`ShardInbox`](super::send::ShardInbox)).
     fn park(
         &self,
         routing: &Routing,

@@ -550,11 +550,11 @@ impl Routing {
 
     /// The one fabric send. Waits out transient backpressure under the
     /// run's [`SendPolicy`](whale_net::SendPolicy) (`Full` means posted
-    /// descriptors outran the flusher, the bounded transfer queue of the
-    /// paper's model — spin, yield, then park with exponential backoff up
-    /// to the policy deadline); `Full` past the deadline fails the frame
-    /// loudly, so a dead flusher degrades the run instead of livelocking
-    /// it. Teardown races (unknown or disconnected endpoints) are dropped
+    /// descriptors outran the destination's passes, the bounded transfer
+    /// queue of the paper's model — spin, yield, then park with
+    /// exponential backoff up to the policy deadline); `Full` past the
+    /// deadline fails the frame loudly, so a reader that stopped reading
+    /// degrades the run instead of livelocking it. Teardown races (unknown or disconnected endpoints) are dropped
     /// here; the fabric counts them in `send_errors`.
     ///
     /// A relay send names the generation to `charge`: the in-flight count

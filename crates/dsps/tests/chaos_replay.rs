@@ -3,7 +3,8 @@
 //! dedup'd delivery must equal the emitted set — every spout tuple
 //! executed exactly once per sink instance, no silent loss, no
 //! duplicate execution surviving the root-id dedup — across the
-//! per-send transport and the ring transport at 1/2/4 flusher shards.
+//! per-send, ring and one-sided transports, the ring at one and at four
+//! pipelines per worker (each pipeline drains its own endpoint).
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -18,25 +19,21 @@ use whale_net::{FabricKind, FaultPlan, OneSidedConfig, RingConfig};
 const TUPLES: i64 = 60;
 const FANOUT: u32 = 2;
 
-/// Every transport variant the property must hold on.
-fn fabric_kinds() -> Vec<(&'static str, FabricKind)> {
-    let ring = |shards: usize| {
-        FabricKind::Ring(RingConfig {
-            flusher_shards: shards,
-            ..RingConfig::default()
-        })
-    };
+/// Every transport variant the property must hold on, with its
+/// pipelines per worker.
+fn fabric_kinds() -> Vec<(&'static str, FabricKind, u32)> {
+    let ring = FabricKind::Ring(RingConfig::default());
     vec![
-        ("per_send", FabricKind::PerSend),
-        ("ring/1", ring(1)),
-        ("ring/2", ring(2)),
-        ("ring/4", ring(4)),
+        ("per_send", FabricKind::PerSend, 1),
+        ("ring/1", ring, 1),
+        ("ring/4", ring, 4),
         (
             "one_sided",
             FabricKind::OneSided(OneSidedConfig {
                 ring_slots: 64,
                 ..OneSidedConfig::default()
             }),
+            1,
         ),
     ]
 }
@@ -45,6 +42,7 @@ fn fabric_kinds() -> Vec<(&'static str, FabricKind)> {
 /// `(report, per-value execution counts unioned over sink instances)`.
 fn run_chaos(
     kind: FabricKind,
+    shards: u32,
     plan: FaultPlan,
 ) -> (whale_dsps::RunReport, HashMap<i64, u64>) {
     let mut b = TopologyBuilder::new();
@@ -75,6 +73,7 @@ fn run_chaos(
         ops,
         LiveConfig {
             machines: 3,
+            shards,
             fabric: kind,
             ack: Some(AckConfig {
                 timeout: Duration::from_millis(25),
@@ -103,9 +102,9 @@ proptest! {
         seed in 0u64..u64::MAX,
         drop_pct in 0u32..31,
     ) {
-        for (label, kind) in fabric_kinds() {
+        for (label, kind, shards) in fabric_kinds() {
             let plan = FaultPlan::uniform_drops(seed, drop_pct as f64 / 100.0);
-            let (r, counts) = run_chaos(kind, plan);
+            let (r, counts) = run_chaos(kind, shards, plan);
 
             prop_assert_eq!(r.spout_emitted, TUPLES as u64, "{}", label);
             prop_assert_eq!(

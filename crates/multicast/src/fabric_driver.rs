@@ -292,7 +292,7 @@ static DRIVER_RETRIES: AtomicU64 = AtomicU64::new(0);
 /// Send one frame, waiting out ring backpressure under the default
 /// [`SendPolicy`]. A `Full` that never clears within the policy deadline
 /// is a terminal [`DriverError::Send`] — the driver cannot livelock on a
-/// dead flusher.
+/// reader that stopped reading.
 fn push(
     fabric: &dyn FabricPath,
     from: EndpointId,
@@ -686,12 +686,11 @@ mod tests {
     #[test]
     fn driver_converges_over_one_sided_fabric() {
         // Remote-fetch transport: frames sit in per-link outboxes until the
-        // fetcher thread pulls them, so the protocol must converge without
-        // any synchronous delivery guarantee.
+        // agent's own receive pulls them, so the protocol must converge
+        // without any synchronous delivery guarantee.
         let tree = build_nonblocking(12, 4);
-        let mut instance =
-            whale_net::FabricKind::OneSided(whale_net::OneSidedConfig::default()).build();
-        let report = run_switch_over_fabric(Arc::clone(&instance.fabric), &tree, 2).unwrap();
+        let fabric = whale_net::FabricKind::OneSided(whale_net::OneSidedConfig::default()).build();
+        let report = run_switch_over_fabric(Arc::clone(&fabric), &tree, 2).unwrap();
         report.new_tree.validate(2).unwrap();
         assert!(report.t_switch > SimDuration::ZERO);
         assert!(report.moves > 0);
@@ -699,10 +698,8 @@ mod tests {
         // The shared status broadcast stays serialize-once on this path too.
         assert!(report.frames_encoded + 12 <= report.frames_sent);
         // Endpoints released: the driver can run again on the same fabric.
-        let again = run_switch_over_fabric(Arc::clone(&instance.fabric), &report.new_tree, 4)
-            .unwrap();
+        let again = run_switch_over_fabric(fabric, &report.new_tree, 4).unwrap();
         again.new_tree.validate(4).unwrap();
-        instance.shutdown();
     }
 
     #[test]

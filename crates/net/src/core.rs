@@ -2,103 +2,50 @@
 //! *who moves the bytes and when*.
 //!
 //! [`Transport`] owns, once, the endpoint table (inbox sender beside the
-//! policy's per-endpoint state, duplicate-id rejection, the lazily
-//! rebuilt id-sorted snapshot drain passes walk), the counter block
-//! behind [`FabricStats`], the [`LinkTracker`] slot, the hand-off into an
-//! inbox (`Transport::deliver`, the only place a delivered or lost
-//! frame is counted), the doorbells and the drain thread. A [`Policy`]
-//! supplies the rest:
+//! policy's per-endpoint state and the counts its reader shares with its
+//! posts, duplicate-id rejection), the counter block behind
+//! [`FabricStats`], the [`LinkTracker`] slot and the hand-off into an
+//! inbox (`Transport::deliver`, the only place a delivered or lost frame
+//! is counted). A [`Policy`] supplies the rest:
 //!
 //! - [`PerSend`] ([`LiveFabric`]): the sender delivers now;
 //! - [`crate::ring_fabric::Ring`] ([`crate::RingFabric`]): the sender
-//!   posts to the endpoint's ring, a drain pass batches at MMS/WTL and
+//!   posts to the endpoint's ring, a pass batches at MMS/WTL and
 //!   delivers;
 //! - [`crate::one_sided::OneSided`] ([`crate::OneSidedFabric`]): the
-//!   sender publishes to the link's outbox, a drain pass reads each
-//!   frame across and delivers.
+//!   sender publishes to the link's outbox, a pass reads each frame
+//!   across and delivers.
+//!
+//! A buffered frame moves only in a pass over its endpoint, and a pass
+//! runs in three places: on the endpoint's reader, before its [`Inbox`]
+//! reads; on a sender whose post found the buffer full, before it reports
+//! [`SendError::Full`]; and over every endpoint in id order in the
+//! deterministic drivers and [`FabricPath::flush`]. A transport runs no
+//! thread of its own.
 //!
 //! [`FabricPath`] is implemented here for every policy at once.
 
 use crate::fabric::{
     EndpointId, FabricPath, FabricStats, IdHashMap, LiveMessage, Payload, RegisterError, SendError,
 };
+use crate::inbox::{Inbox, Port, Reader};
 use crate::one_sided::{OneSidedConfig, OneSidedFabric};
 use crate::ring_fabric::{RingConfig, RingFabric};
 use crate::topology::LinkTracker;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
-use std::thread::JoinHandle;
+use parking_lot::{RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use whale_sim::{MetricsRegistry, SimTime};
 
-/// Idle heartbeat of a drain shard: the longest a lost doorbell wake-up
-/// can stall a fully idle fabric.
-pub(crate) const IDLE_HEARTBEAT: Duration = Duration::from_millis(5);
-
-/// Drain-thread backoff while a bounded inbox stays full and a pass makes
-/// no delivery progress.
-const STALL_BACKOFF: Duration = Duration::from_micros(100);
-
-/// Doorbell: posts set a pending flag and wake the drain thread; the
-/// thread clears the flag before sleeping so a post between pass and wait
-/// can never be missed. Only the ring that flips the flag notifies — while
-/// it stays set the drain thread has not slept since, so it needs no
-/// second wake-up (std's `notify_all` is a futex syscall even with no
-/// waiter).
-struct Doorbell {
-    pending: StdMutex<bool>,
-    bell: Condvar,
-    /// Rings that flipped the flag and notified.
-    rings: AtomicU64,
-}
-
-impl Doorbell {
-    fn new() -> Self {
-        Doorbell {
-            pending: StdMutex::new(false),
-            bell: Condvar::new(),
-            rings: AtomicU64::new(0),
-        }
-    }
-
-    // Doorbell locks tolerate poison: a panicking drain shard must
-    // degrade the run, not cascade panics into every sender that rings
-    // the bell afterwards. The flag is a plain bool, so the inner value
-    // is valid even if a holder died mid-critical-section.
-    fn ring(&self) {
-        let was_pending = std::mem::replace(
-            &mut *self
-                .pending
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            true,
-        );
-        if !was_pending {
-            self.rings.fetch_add(1, Ordering::Relaxed);
-            self.bell.notify_all();
-        }
-    }
-
-    /// Sleep until rung or `timeout`, consuming the pending flag.
-    fn wait(&self, timeout: Duration) {
-        let guard = self
-            .pending
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (mut guard, _) = self
-            .bell
-            .wait_timeout_while(guard, timeout, |pending| !*pending)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *guard = false;
-    }
-}
-
-/// A registered endpoint: its inbox and, beside it, the policy's state,
-/// so reaching the inbox never takes a policy lock.
+/// A registered endpoint: its inbox, the counts its reader shares with its
+/// posts and, beside them, the policy's state, so reaching the inbox never
+/// takes a policy lock.
 pub struct Entry<S> {
-    pub(crate) tx: Sender<LiveMessage>,
+    /// `None` is a post's wake-up ([`Inbox`] swallows it).
+    pub(crate) tx: Sender<Option<LiveMessage>>,
+    pub(crate) port: Arc<Port>,
     pub(crate) state: S,
 }
 
@@ -107,59 +54,44 @@ pub struct Entry<S> {
 pub trait Policy: Send + Sync + Sized + 'static {
     /// State kept per registered endpoint, beside its inbox.
     type Endpoint: Send + Sync;
-    /// What a drain pass walks, built from the id-sorted table and
-    /// rebuilt only after an endpoint (or link) came or went.
-    type Snapshot: Send + Sync;
 
-    /// Drain shards — one doorbell and, under [`spawn_drain`], one thread
-    /// each. 0: sends deliver directly and there is nothing to drain.
-    fn shards(&self) -> usize {
-        0
-    }
-
-    /// Longest a drain shard sleeps with nothing due.
-    fn idle_heartbeat(&self) -> Duration {
-        IDLE_HEARTBEAT
-    }
+    /// Sends buffer frames for a pass, which the endpoint's [`Inbox`] runs
+    /// before it reads. `false`: sends deliver directly and nothing is
+    /// ever buffered.
+    const BUFFERED: bool;
 
     /// State of a newly registered endpoint.
     fn open(&self, id: EndpointId) -> Self::Endpoint;
 
-    /// The endpoint was deregistered: release what `state` held, refuse later
-    /// sends through handles already resolved, and pass every frame still
-    /// buffered to `dropped`.
+    /// The endpoint was deregistered: release what `state` held and pass
+    /// every frame still buffered to `dropped`.
     fn close(&self, _state: Self::Endpoint, _dropped: &mut dyn FnMut(LiveMessage)) {}
 
-    /// Build the drain snapshot from the table, sorted by endpoint id.
-    fn snapshot(&self, entries: &[(EndpointId, &Entry<Self::Endpoint>)]) -> Self::Snapshot;
-
-    /// Accept `msg` for `to`: deliver it, or buffer it for a drain pass.
+    /// Accept `msg` for `to`: deliver it, or buffer it for a pass.
     fn send(t: &Transport<Self>, to: EndpointId, msg: LiveMessage) -> Result<(), SendError>;
 
-    /// One drain pass at `now` over `shard`'s endpoints (`None`: all of
-    /// them, in id order). `force` also pushes out what the policy would
-    /// still hold back. Returns the frames delivered and when the shard
-    /// next needs a pass: `SimTime::ZERO` if work is already waiting,
-    /// `None` when idle.
-    fn drain(
+    /// One pass over `to`'s buffered frames at `now`; `force` also pushes
+    /// out what the policy would still hold back. Returns the frames
+    /// delivered and when the endpoint next needs a pass: `SimTime::ZERO`
+    /// if work is already waiting, `None` when only a post can make some.
+    fn pass(
         _t: &Transport<Self>,
-        _shard: Option<usize>,
+        _to: EndpointId,
+        _entry: &Entry<Self::Endpoint>,
         _now: SimTime,
         _force: bool,
     ) -> (u64, Option<SimTime>) {
         (0, None)
     }
 
-    /// Frames accepted but not yet in (or drained from) an inbox.
-    fn queue_depth(t: &Transport<Self>) -> u64;
-
     /// Export what this policy adds to the shared delivery counters.
     fn export_metrics(
-        t: &Transport<Self>,
-        stats: &FabricStats,
-        reg: &mut MetricsRegistry,
-        prefix: &str,
-    );
+        _t: &Transport<Self>,
+        _stats: &FabricStats,
+        _reg: &mut MetricsRegistry,
+        _prefix: &str,
+    ) {
+    }
 }
 
 /// Outcome of handing a frame to an inbox ([`Transport::deliver`]).
@@ -172,12 +104,6 @@ pub(crate) enum Handoff {
     Disconnected,
 }
 
-struct Table<P: Policy> {
-    by_id: IdHashMap<EndpointId, Entry<P::Endpoint>>,
-    /// `None` while stale.
-    snapshot: Option<Arc<P::Snapshot>>,
-}
-
 #[derive(Default)]
 struct Counters {
     messages: AtomicU64,
@@ -185,44 +111,49 @@ struct Counters {
     shared_bytes: AtomicU64,
     send_errors: AtomicU64,
     posted: AtomicU64,
+    doorbell_rings: AtomicU64,
     flushed_batches: AtomicU64,
     flushed_items: AtomicU64,
 }
 
-/// A live transport: the shared core around one delivery [`Policy`].
-pub struct Transport<P: Policy> {
-    pub(crate) policy: P,
-    table: RwLock<Table<P>>,
+/// What a [`Transport`] handle and the inboxes of its buffered endpoints
+/// share.
+struct Core<P: Policy> {
+    policy: P,
+    table: RwLock<IdHashMap<EndpointId, Entry<P::Endpoint>>>,
     counters: Counters,
     /// Optional per-link attribution: accepting a frame raises its link's
     /// queue gauge, [`Transport::deliver`] settles it.
     tracker: OnceLock<Arc<LinkTracker>>,
-    /// One doorbell per drain shard; a post rings only its endpoint's
-    /// shard so drain workers never wake for another shard's traffic.
-    doorbells: Vec<Doorbell>,
     /// Live-mode clock origin for mapping wall time onto [`SimTime`].
     epoch: Instant,
-    stopping: AtomicBool,
+}
+
+/// A live transport: the shared core around one delivery [`Policy`].
+pub struct Transport<P: Policy> {
+    core: Arc<Core<P>>,
 }
 
 impl<P: Policy> Transport<P> {
     pub(crate) fn with_policy(policy: P) -> Self {
         Transport {
-            doorbells: (0..policy.shards()).map(|_| Doorbell::new()).collect(),
-            policy,
-            table: RwLock::new(Table {
-                by_id: IdHashMap::default(),
-                snapshot: None,
+            core: Arc::new(Core {
+                policy,
+                table: RwLock::new(IdHashMap::default()),
+                counters: Counters::default(),
+                tracker: OnceLock::new(),
+                epoch: Instant::now(),
             }),
-            counters: Counters::default(),
-            tracker: OnceLock::new(),
-            epoch: Instant::now(),
-            stopping: AtomicBool::new(false),
         }
     }
 
+    /// The delivery policy.
+    pub(crate) fn policy(&self) -> &P {
+        &self.core.policy
+    }
+
     /// [`FabricPath::register`], for callers without the trait in scope.
-    pub fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
+    pub fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError> {
         FabricPath::register(self, id)
     }
 
@@ -237,21 +168,53 @@ impl<P: Policy> Transport<P> {
     }
 
     /// Wall time since this transport was created, as a [`SimTime`] (what
-    /// the drain thread passes its policy; deterministic callers pass
-    /// their own clock).
+    /// a reader's pass runs at; deterministic callers pass their own
+    /// clock).
     pub fn wall_now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        SimTime::from_nanos(self.core.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn install(&self, id: EndpointId, tx: Sender<LiveMessage>) -> Result<(), RegisterError> {
-        let mut table = self.table.write();
-        if table.by_id.contains_key(&id) {
+    /// Install `id` with the inbox `tx → rx`; a buffered policy's inbox
+    /// gets the endpoint's port and pass.
+    fn open(
+        &self,
+        id: EndpointId,
+        tx: Sender<Option<LiveMessage>>,
+        rx: Receiver<Option<LiveMessage>>,
+    ) -> Result<Inbox, RegisterError> {
+        let mut table = self.core.table.write();
+        if table.contains_key(&id) {
             return Err(RegisterError::AlreadyRegistered(id));
         }
-        let state = self.policy.open(id);
-        table.by_id.insert(id, Entry { tx, state });
-        table.snapshot = None;
-        Ok(())
+        let port = Arc::new(Port::default());
+        let state = self.core.policy.open(id);
+        let reader = P::BUFFERED.then(|| {
+            let transport = Transport {
+                core: Arc::clone(&self.core),
+            };
+            Reader {
+                port: Arc::clone(&port),
+                pass: Box::new(move || transport.read_pass(id)),
+            }
+        });
+        table.insert(id, Entry { tx, port, state });
+        Ok(Inbox::new(rx, reader))
+    }
+
+    /// `id`'s own pass at wall time, as its inbox runs it before reading:
+    /// how long until the endpoint next needs one.
+    fn read_pass(&self, id: EndpointId) -> Option<Duration> {
+        let now = self.wall_now();
+        let (_, due) = self.with_entry(id, |entry| P::pass(self, id, entry, now, false))?;
+        Some(Duration::from_nanos(
+            due?.as_nanos().saturating_sub(now.as_nanos()),
+        ))
+    }
+
+    /// The endpoint table under its read lock. A pass holds it throughout,
+    /// so `deregister` never runs under one.
+    pub(crate) fn entries(&self) -> RwLockReadGuard<'_, IdHashMap<EndpointId, Entry<P::Endpoint>>> {
+        self.core.table.read()
     }
 
     /// Run `f` on `id`'s entry under the table's read lock.
@@ -260,71 +223,90 @@ impl<P: Policy> Transport<P> {
         id: EndpointId,
         f: impl FnOnce(&Entry<P::Endpoint>) -> R,
     ) -> Option<R> {
-        self.table.read().by_id.get(&id).map(f)
+        self.entries().get(&id).map(f)
     }
 
-    /// Change `id`'s policy state under the table's write lock (so it
-    /// cannot race `deregister`) and mark the snapshot stale.
-    pub(crate) fn with_state_mut<R>(
+    /// Change `id`'s entry under the table's write lock, so it cannot race
+    /// `deregister`.
+    pub(crate) fn with_entry_mut<R>(
         &self,
         id: EndpointId,
-        f: impl FnOnce(&mut P::Endpoint) -> R,
+        f: impl FnOnce(&mut Entry<P::Endpoint>) -> R,
     ) -> Option<R> {
-        let mut table = self.table.write();
-        let out = f(&mut table.by_id.get_mut(&id)?.state);
-        table.snapshot = None;
-        Some(out)
+        self.core.table.write().get_mut(&id).map(f)
     }
 
-    /// The current drain snapshot. An endpoint coming or going only marks
-    /// it stale; the next caller rebuilds it once, however many endpoints
-    /// changed meanwhile, and every later pass clones one `Arc` — it never
-    /// collects or sorts.
-    pub(crate) fn snapshot(&self) -> Arc<P::Snapshot> {
-        if let Some(snapshot) = &self.table.read().snapshot {
-            return Arc::clone(snapshot);
-        }
-        let mut table = self.table.write();
-        let Table { by_id, snapshot } = &mut *table;
-        Arc::clone(snapshot.get_or_insert_with(|| {
-            let mut entries: Vec<_> = by_id.iter().map(|(id, entry)| (*id, entry)).collect();
-            entries.sort_unstable_by_key(|(id, _)| *id);
-            Arc::new(self.policy.snapshot(&entries))
-        }))
+    /// Every endpoint's pass at `now`, in id order (the deterministic
+    /// drivers and [`FabricPath::flush`]). Returns the frames delivered.
+    pub(crate) fn drain(&self, now: SimTime, force: bool) -> u64 {
+        let table = self.entries();
+        let mut ids: Vec<EndpointId> = table.keys().copied().collect();
+        ids.sort_unstable();
+        ids.iter()
+            .map(|id| P::pass(self, *id, &table[id], now, force).0)
+            .sum()
+    }
+
+    /// Accept `msg` for `to` through `post`, which hands the frame back
+    /// when the buffer is full. Then `to`'s pass runs here and the post is
+    /// tried once more: a reader that is slow — or is this very thread —
+    /// cannot wedge its senders, and an unbounded inbox absorbs the
+    /// backlog.
+    pub(crate) fn post_or_pass(
+        &self,
+        to: EndpointId,
+        entry: &Entry<P::Endpoint>,
+        msg: LiveMessage,
+        post: impl Fn(LiveMessage) -> Result<(), LiveMessage>,
+    ) -> Result<(), SendError> {
+        post(msg).or_else(|msg| {
+            P::pass(self, to, entry, self.wall_now(), false);
+            post(msg).map_err(|_| SendError::Full)
+        })
     }
 
     /// Count a send the transport refused.
     pub(crate) fn reject(&self, err: SendError) -> SendError {
-        self.counters.send_errors.fetch_add(1, Ordering::Relaxed);
+        self.core
+            .counters
+            .send_errors
+            .fetch_add(1, Ordering::Relaxed);
         err
     }
 
     /// A frame was buffered for `from → to`: it occupies its link's queue
     /// until [`Transport::deliver`] settles it.
     pub(crate) fn note_queued(&self, from: EndpointId, to: EndpointId, bytes: usize) {
-        if let Some(tracker) = self.tracker.get() {
+        if let Some(tracker) = self.core.tracker.get() {
             tracker.on_send(from, to, bytes);
         }
     }
 
     /// Count a frame accepted into a ring or outbox.
     pub(crate) fn note_posted(&self) {
-        self.counters.posted.fetch_add(1, Ordering::Relaxed);
+        self.core.counters.posted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one flushed batch of `n_items`.
     pub(crate) fn note_batch(&self, n_items: usize) {
-        self.counters
-            .flushed_batches
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .flushed_items
-            .fetch_add(n_items as u64, Ordering::Relaxed);
+        let c = &self.core.counters;
+        c.flushed_batches.fetch_add(1, Ordering::Relaxed);
+        c.flushed_items.fetch_add(n_items as u64, Ordering::Relaxed);
     }
 
-    /// Ring `shard`'s doorbell.
-    pub(crate) fn ring_doorbell(&self, shard: usize) {
-        self.doorbells[shard].ring();
+    /// A post just accepted into `entry`'s buffer leaves its reader
+    /// something to do now: wake the reader if it is blocked on its inbox.
+    /// Call after releasing the buffer's lock: a reader woken under it
+    /// would preempt its waker on a shared core only to block on that
+    /// lock.
+    pub(crate) fn wake_reader(&self, entry: &Entry<P::Endpoint>) {
+        if entry.port.claim_wake() {
+            self.core
+                .counters
+                .doorbell_rings
+                .fetch_add(1, Ordering::Relaxed);
+            let _ = entry.tx.try_send(None);
+        }
     }
 
     /// Hand `msg` to `to`'s inbox — the one place a frame leaves the
@@ -342,15 +324,16 @@ impl<P: Policy> Transport<P> {
     /// counted here.
     pub(crate) fn deliver(
         &self,
-        inbox: Option<&Sender<LiveMessage>>,
+        inbox: Option<&Sender<Option<LiveMessage>>>,
         to: EndpointId,
         msg: LiveMessage,
         queued: bool,
     ) -> Handoff {
         let (from, len) = (msg.from, msg.payload.len());
-        let tracker = self.tracker.get();
+        let counters = &self.core.counters;
+        let tracker = self.core.tracker.get();
         let lost = || {
-            self.counters.send_errors.fetch_add(1, Ordering::Relaxed);
+            counters.send_errors.fetch_add(1, Ordering::Relaxed);
             if let (Some(tracker), true) = (tracker, queued) {
                 tracker.on_dropped(from, to, len);
             }
@@ -360,12 +343,12 @@ impl<P: Policy> Transport<P> {
             return lost();
         };
         let bytes_ctr = match msg.payload {
-            Payload::Shared(_) => &self.counters.shared_bytes,
-            Payload::Copied(_) => &self.counters.copied_bytes,
+            Payload::Shared(_) => &counters.shared_bytes,
+            Payload::Copied(_) => &counters.copied_bytes,
         };
-        self.counters.messages.fetch_add(1, Ordering::Relaxed);
+        counters.messages.fetch_add(1, Ordering::Relaxed);
         bytes_ctr.fetch_add(len as u64, Ordering::Relaxed);
-        let failed = match inbox.try_send(msg) {
+        let failed = match inbox.try_send(Some(msg)) {
             Ok(()) => {
                 if let Some(tracker) = tracker {
                     if !queued {
@@ -377,45 +360,35 @@ impl<P: Policy> Transport<P> {
             }
             Err(failed) => failed,
         };
-        self.counters.messages.fetch_sub(1, Ordering::Relaxed);
+        counters.messages.fetch_sub(1, Ordering::Relaxed);
         bytes_ctr.fetch_sub(len as u64, Ordering::Relaxed);
         match failed {
-            TrySendError::Full(msg) => Handoff::Full(msg),
+            TrySendError::Full(msg) => Handoff::Full(msg.expect("a frame, not a wake-up")),
             TrySendError::Disconnected(_) => lost(),
         }
     }
 }
 
 impl<P: Policy> FabricPath for Transport<P> {
-    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
+    fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError> {
         let (tx, rx) = unbounded();
-        self.install(id, tx)?;
-        Ok(rx)
+        self.open(id, tx, rx)
     }
 
-    fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
+    fn register_bounded(&self, id: EndpointId, capacity: usize) -> Result<Inbox, RegisterError> {
         let (tx, rx) = bounded(capacity);
-        self.install(id, tx)?;
-        Ok(rx)
+        self.open(id, tx, rx)
     }
 
     fn deregister(&self, id: EndpointId) {
-        let removed = {
-            let mut table = self.table.write();
-            let removed = table.by_id.remove(&id);
-            if removed.is_some() {
-                table.snapshot = None;
-            }
-            removed
-        };
+        let removed = self.core.table.write().remove(&id);
         if let Some(entry) = removed {
-            self.policy.close(entry.state, &mut |msg| {
+            let mut dropped = 0;
+            self.core.policy.close(entry.state, &mut |msg| {
+                dropped += 1;
                 self.deliver(None, id, msg, true);
             });
+            entry.port.settle(dropped);
         }
     }
 
@@ -435,34 +408,45 @@ impl<P: Policy> FabricPath for Transport<P> {
     }
 
     fn flush(&self) {
-        P::drain(self, None, self.wall_now(), true);
+        self.drain(self.wall_now(), true);
     }
 
     fn wake(&self, id: EndpointId) {
         self.with_entry(id, |entry| {
-            let _ = entry.tx.try_send(LiveMessage::wake(id));
+            let _ = entry.tx.try_send(Some(LiveMessage::wake(id)));
         });
     }
 
     fn stats(&self) -> FabricStats {
         let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        let c = &self.counters;
+        let c = &self.core.counters;
+        let table = self.entries();
         FabricStats {
             messages: get(&c.messages),
             copied_bytes: get(&c.copied_bytes),
             shared_bytes: get(&c.shared_bytes),
             send_errors: get(&c.send_errors),
             posted: get(&c.posted),
-            doorbell_rings: self.doorbells.iter().map(|bell| get(&bell.rings)).sum(),
+            doorbell_rings: get(&c.doorbell_rings),
             flushed_batches: get(&c.flushed_batches),
             flushed_items: get(&c.flushed_items),
-            queue_depth: P::queue_depth(self),
-            endpoints: self.table.read().by_id.len(),
+            // The per-endpoint counts, summed: no buffer is locked.
+            queue_depth: table
+                .values()
+                .map(|entry| {
+                    if P::BUFFERED {
+                        entry.port.pending()
+                    } else {
+                        entry.tx.len() as u64
+                    }
+                })
+                .sum(),
+            endpoints: table.len(),
         }
     }
 
     fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        let _ = self.tracker.set(tracker);
+        let _ = self.core.tracker.set(tracker);
     }
 
     fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
@@ -472,6 +456,7 @@ impl<P: Policy> FabricPath for Transport<P> {
         reg.set_counter(&format!("{prefix}.shared_bytes"), stats.shared_bytes);
         reg.set_counter(&format!("{prefix}.send_errors"), stats.send_errors);
         reg.set_gauge(&format!("{prefix}.endpoints"), stats.endpoints as f64);
+        reg.set_gauge(&format!("{prefix}.queue_depth"), stats.queue_depth as f64);
         P::export_metrics(self, &stats, reg, prefix);
     }
 }
@@ -500,17 +485,15 @@ impl Default for LiveFabric {
 
 impl Policy for PerSend {
     type Endpoint = ();
-    type Snapshot = ();
+    const BUFFERED: bool = false;
 
     fn open(&self, _id: EndpointId) {}
-
-    fn snapshot(&self, _entries: &[(EndpointId, &Entry<()>)]) {}
 
     fn send(t: &LiveFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
         // Not `with_entry`: moving the frame into a closure and its
         // `Handoff` back out measured ≈ 8 ns of a ≈ 100 ns send + receive.
-        let table = t.table.read();
-        let Some(entry) = table.by_id.get(&to) else {
+        let table = t.entries();
+        let Some(entry) = table.get(&to) else {
             drop(table);
             return Err(t.reject(SendError::UnknownEndpoint));
         };
@@ -522,111 +505,6 @@ impl Policy for PerSend {
             Handoff::Disconnected => Err(SendError::Disconnected),
         }
     }
-
-    fn queue_depth(t: &LiveFabric) -> u64 {
-        let table = t.table.read();
-        table.by_id.values().map(|e| e.tx.len() as u64).sum()
-    }
-
-    fn export_metrics(
-        _: &LiveFabric,
-        stats: &FabricStats,
-        reg: &mut MetricsRegistry,
-        prefix: &str,
-    ) {
-        reg.set_gauge(&format!("{prefix}.queue_depth"), stats.queue_depth as f64);
-    }
-}
-
-/// Handle to a transport's background drain shards. Stop it (or drop it)
-/// to force a final pass and join every drain worker.
-pub struct DrainThread {
-    /// Raises the transport's stop flag and rings every doorbell.
-    signal_stop: Box<dyn Fn() + Send + Sync>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl DrainThread {
-    /// Signal every drain shard to push out everything it can and exit,
-    /// then join them all.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    /// Number of drain workers running.
-    pub fn shard_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    fn shutdown(&mut self) {
-        (self.signal_stop)();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for DrainThread {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Spawn the background drain: one worker per [`Policy::shards`], each
-/// running a pass over its shard when its doorbell rings or the pass's
-/// own deadline falls due, backing off while a bounded inbox stalls, and
-/// forcing everything out on stop. An endpoint is always drained by the
-/// same shard, so per-endpoint FIFO order holds.
-pub fn spawn_drain<P: Policy>(transport: Arc<Transport<P>>) -> DrainThread {
-    let handles = (0..transport.doorbells.len())
-        .map(|shard| {
-            let worker = Arc::clone(&transport);
-            std::thread::Builder::new()
-                .name(format!("fabric-drain-{shard}"))
-                .spawn(move || drain_loop(&worker, shard))
-                .expect("spawn fabric drain shard")
-        })
-        .collect();
-    let signal_stop = Box::new(move || {
-        transport.stopping.store(true, Ordering::SeqCst);
-        for bell in &transport.doorbells {
-            bell.ring();
-        }
-    });
-    DrainThread {
-        signal_stop,
-        handles,
-    }
-}
-
-fn drain_loop<P: Policy>(t: &Transport<P>, shard: usize) {
-    let idle = t.policy.idle_heartbeat();
-    loop {
-        // The deadline comes out of the pass's own walk over the endpoint
-        // locks. A post that lands behind the pass either found its
-        // endpoint idle and rang — the wait below returns at once — or
-        // rides a deadline this pass already saw.
-        let (delivered, due) = P::drain(t, Some(shard), t.wall_now(), false);
-        if t.stopping.load(Ordering::SeqCst) {
-            P::drain(t, Some(shard), t.wall_now(), true);
-            return;
-        }
-        let wait = match due {
-            Some(due) => {
-                let now = t.wall_now();
-                if due > now {
-                    Duration::from_nanos(due.as_nanos() - now.as_nanos())
-                } else if delivered == 0 {
-                    STALL_BACKOFF
-                } else {
-                    // More work is already due; run another pass now.
-                    continue;
-                }
-            }
-            None => idle,
-        };
-        t.doorbells[shard].wait(wait);
-    }
 }
 
 /// Which live transport a runtime should instantiate.
@@ -635,50 +513,23 @@ pub enum FabricKind {
     /// Synchronous per-send delivery ([`LiveFabric`]).
     #[default]
     PerSend,
-    /// The batched ring-buffer path ([`RingFabric`]) with a background
-    /// drain thread flushing at MMS/WTL.
+    /// The batched ring-buffer path ([`RingFabric`]): each reader batches
+    /// its own endpoint's ring at MMS/WTL.
     Ring(RingConfig),
-    /// The remote-fetch path ([`OneSidedFabric`]) with a background drain
-    /// thread: senders publish into per-link ring regions, the receive
-    /// side pulls via modeled `RDMA READ`s.
+    /// The remote-fetch path ([`OneSidedFabric`]): senders publish into
+    /// per-link ring regions, each reader pulls its inbound links via
+    /// modeled `RDMA READ`s.
     OneSided(OneSidedConfig),
 }
 
-/// A built live transport plus, on the buffered paths, its background
-/// drain thread.
-pub struct FabricInstance {
-    /// The shared transport handle.
-    pub fabric: Arc<dyn FabricPath>,
-    drain: Option<DrainThread>,
-}
-
 impl FabricKind {
-    /// Instantiate the transport (and its drain thread, for the buffered
-    /// paths).
-    pub fn build(self) -> FabricInstance {
-        fn live<P: Policy>(transport: Transport<P>) -> FabricInstance {
-            let transport = Arc::new(transport);
-            let buffered = transport.policy.shards() > 0;
-            FabricInstance {
-                drain: buffered.then(|| spawn_drain(Arc::clone(&transport))),
-                fabric: transport,
-            }
-        }
+    /// Instantiate the transport. Flush it ([`FabricPath::flush`]) after
+    /// every sender has finished and before deregistering the receivers.
+    pub fn build(self) -> Arc<dyn FabricPath> {
         match self {
-            FabricKind::PerSend => live(LiveFabric::new()),
-            FabricKind::Ring(config) => live(RingFabric::new(config)),
-            FabricKind::OneSided(config) => live(OneSidedFabric::new(config)),
-        }
-    }
-}
-
-impl FabricInstance {
-    /// Flush buffered sends and stop the drain thread (if any). Call after
-    /// all senders have finished but before deregistering receivers.
-    pub fn shutdown(&mut self) {
-        self.fabric.flush();
-        if let Some(drain) = self.drain.take() {
-            drain.stop();
+            FabricKind::PerSend => Arc::new(LiveFabric::new()),
+            FabricKind::Ring(config) => Arc::new(RingFabric::new(config)),
+            FabricKind::OneSided(config) => Arc::new(OneSidedFabric::new(config)),
         }
     }
 }
@@ -820,10 +671,10 @@ mod tests {
             "endpoints",
             "flushed_batches",
             "flushed_items",
-            "flusher_shards",
             "mean_batch_size",
             "messages",
             "posted",
+            "queue_depth",
             "send_errors",
             "shared_bytes",
         ];
@@ -866,12 +717,10 @@ mod tests {
             (FabricKind::OneSided(OneSidedConfig::default()), ONE_SIDED),
             (FabricKind::OneSided(logged), &one_sided_logged[..]),
         ] {
-            let mut instance = kind.build();
             let mut reg = MetricsRegistry::new();
-            instance.fabric.export_metrics(&mut reg, "p");
+            kind.build().export_metrics(&mut reg, "p");
             let got: Vec<&str> = reg.iter().map(|(key, _)| &key[2..]).collect();
             assert_eq!(got, want, "{kind:?}");
-            instance.shutdown();
         }
     }
 

@@ -16,8 +16,8 @@
 //! snapshot. [`crate::core`] implements the trait once, for every
 //! delivery policy.
 
+use crate::inbox::Inbox;
 use crate::topology::LinkTracker;
-use crossbeam::channel::Receiver;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -169,8 +169,9 @@ pub struct FabricStats {
     /// Frames accepted into a ring or outbox (0 when sends deliver
     /// directly).
     pub posted: u64,
-    /// Doorbell rings that woke (or would have woken) a drain thread: one
-    /// per idle→pending transition or MMS crossing, not one per post.
+    /// Posts that woke a blocked reader: at most one per idle→pending
+    /// transition or MMS crossing (ring) or publish (one-sided), not one
+    /// per post.
     pub doorbell_rings: u64,
     /// Batches flushed so far (0 for unbatched transports).
     pub flushed_batches: u64,
@@ -201,18 +202,15 @@ impl FabricStats {
 /// delivery policies ([`crate::FabricKind`]) and the fault decorator
 /// freely.
 pub trait FabricPath: Send + Sync {
-    /// Register an endpoint with an unbounded inbox; returns its receiver.
-    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError>;
+    /// Register an endpoint with an unbounded inbox; returns its receive
+    /// side.
+    fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError>;
 
     /// Register an endpoint with a bounded inbox of `capacity` (models the
     /// destination's transfer queue). A per-send delivery into a full
     /// inbox fails with [`SendError::Full`]; the buffered transports keep
     /// the frame and retry it first, so nothing is lost or reordered.
-    fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError>;
+    fn register_bounded(&self, id: EndpointId, capacity: usize) -> Result<Inbox, RegisterError>;
 
     /// Remove an endpoint; subsequent sends fail. Frames still buffered
     /// for it are dropped and counted as send errors — flush first if

@@ -33,10 +33,8 @@
 //!
 //! [`flush`]: FabricPath::flush
 
-use crate::fabric::{
-    EndpointId, FabricPath, FabricStats, LiveMessage, Payload, RegisterError, SendError,
-};
-use crossbeam::channel::Receiver;
+use crate::fabric::{EndpointId, FabricPath, FabricStats, Payload, RegisterError, SendError};
+use crate::inbox::Inbox;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -454,15 +452,11 @@ impl FaultFabric {
 }
 
 impl FabricPath for FaultFabric {
-    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
+    fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError> {
         self.inner.register(id)
     }
 
-    fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
+    fn register_bounded(&self, id: EndpointId, capacity: usize) -> Result<Inbox, RegisterError> {
         self.inner.register_bounded(id, capacity)
     }
 
@@ -543,7 +537,7 @@ mod tests {
     use super::*;
     use crate::core::LiveFabric;
 
-    fn drain(rx: &Receiver<LiveMessage>) -> Vec<Vec<u8>> {
+    fn drain(rx: &Inbox) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         while let Ok(m) = rx.try_recv() {
             out.push(m.payload.bytes().to_vec());

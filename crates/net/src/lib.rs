@@ -15,6 +15,7 @@ pub mod batch;
 pub mod core;
 pub mod fabric;
 pub mod fault;
+pub mod inbox;
 pub mod log;
 pub mod memory;
 pub mod nic;
@@ -25,14 +26,13 @@ pub mod topology;
 pub mod verbs;
 
 pub use batch::{Batch, BatchConfig, Batcher, FlushReason};
-pub use crate::core::{
-    spawn_drain, DrainThread, FabricInstance, FabricKind, LiveFabric, Transport,
-};
+pub use crate::core::{FabricKind, LiveFabric, Transport};
 pub use fabric::{
     EndpointId, FabricPath, FabricStats, IdHashMap, IdHashSet, IdHasher, LiveMessage, Payload,
     RegisterError, SendError,
 };
 pub use fault::{EndpointCrash, EndpointRestart, FaultFabric, FaultPlan, LinkFaults, Partition};
+pub use inbox::Inbox;
 pub use log::{LogConfig, LogRead, PartitionLog, RECORD_HEADER};
 pub use one_sided::{OneSidedConfig, OneSidedFabric};
 pub use policy::SendPolicy;
@@ -66,8 +66,6 @@ mod tests {
         let RingConfig {
             ring_capacity: _,
             batch: BatchConfig { mms: _, wtl: _ },
-            flusher_shards: _,
-            idle_heartbeat: _,
         } = RingConfig::default();
         let OneSidedConfig {
             ring_slots: _,

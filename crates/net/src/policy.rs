@@ -1,9 +1,9 @@
 //! Bounded retry policy for backpressured sends.
 //!
 //! The live runtime used to spin forever on [`SendError::Full`] — a
-//! livelock if a flusher shard dies and the ring never drains. A
-//! [`SendPolicy`] bounds that wait: a short spin phase for the common
-//! transient case, a yield phase to let the flusher run, then parked
+//! livelock if the destination never drains. A [`SendPolicy`] bounds
+//! that wait: a short spin phase for the common transient case, a yield
+//! phase to let a reader on the same core run, then parked
 //! exponential backoff under a hard deadline. On exhaustion the send
 //! fails with [`SendError::Full`] and the caller decides what "failed"
 //! means (the dsps runtime counts the frame and degrades the run).
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 pub struct SendPolicy {
     /// Busy-spin retries before yielding (cheapest, for sub-µs stalls).
     pub spin: u32,
-    /// `yield_now` retries before parking (lets a same-core flusher run).
+    /// `yield_now` retries before parking (lets a same-core reader run).
     pub yields: u32,
     /// First parked sleep; doubles on each subsequent park.
     pub park_initial: Duration,

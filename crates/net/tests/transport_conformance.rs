@@ -4,15 +4,14 @@
 //! is behind it: each test below is one row, run for the per-send, ring
 //! and one-sided transports and for each of them again under a
 //! [`FaultFabric`] whose plan injects nothing. Policy-specific behaviour
-//! (MMS/WTL triggers, doorbell coalescing, READ pricing, the write-through
-//! log, shard assignment) is tested beside its policy.
+//! (MMS/WTL triggers, wake-up coalescing, READ pricing, the write-through
+//! log) is tested beside its policy.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use whale_net::{
-    BatchConfig, ClusterSpec, EndpointId, FabricInstance, FabricKind, FabricPath, FaultFabric,
-    FaultPlan, LinkTracker, LiveFabric, MachineId, OneSidedConfig, OneSidedFabric, Payload,
-    RegisterError, RingConfig, RingFabric, SendError,
+    BatchConfig, ClusterSpec, EndpointId, FabricKind, FabricPath, FaultFabric, FaultPlan,
+    LinkTracker, MachineId, OneSidedConfig, Payload, RegisterError, RingConfig, SendError,
 };
 use whale_sim::SimDuration;
 
@@ -42,29 +41,16 @@ fn variants() -> Vec<(String, FabricKind, bool)> {
     variants_with(RingConfig::default(), OneSidedConfig::default())
 }
 
-fn zero_fault(inner: Arc<dyn FabricPath>, faulted: bool) -> Arc<dyn FabricPath> {
+/// The transport as the runtime builds it, bare or behind the zero-fault
+/// decorator. Only `flush()` and its readers' receives move a buffered
+/// frame: no thread runs behind it.
+fn built(kind: FabricKind, faulted: bool) -> Arc<dyn FabricPath> {
+    let inner = kind.build();
     if faulted {
         Arc::new(FaultFabric::new(inner, FaultPlan::default()))
     } else {
         inner
     }
-}
-
-/// A transport with no drain thread: `flush()` is the only thing that
-/// moves a buffered frame, so the deterministic rows see every step.
-fn manual(kind: FabricKind, faulted: bool) -> Arc<dyn FabricPath> {
-    let inner: Arc<dyn FabricPath> = match kind {
-        FabricKind::PerSend => Arc::new(LiveFabric::new()),
-        FabricKind::Ring(config) => Arc::new(RingFabric::new(config)),
-        FabricKind::OneSided(config) => Arc::new(OneSidedFabric::new(config)),
-    };
-    zero_fault(inner, faulted)
-}
-
-/// A transport with its drain thread running, as the runtime builds it.
-fn live(kind: FabricKind, faulted: bool) -> (Arc<dyn FabricPath>, FabricInstance) {
-    let instance = kind.build();
-    (zero_fault(Arc::clone(&instance.fabric), faulted), instance)
 }
 
 /// Four machines in two racks, endpoint `i` on machine `i`.
@@ -84,7 +70,7 @@ fn tracker() -> Arc<LinkTracker> {
 #[test]
 fn duplicate_id_is_refused_and_the_first_inbox_keeps_its_frames() {
     for (name, kind, faulted) in variants() {
-        let fabric = manual(kind, faulted);
+        let fabric = built(kind, faulted);
         let id = EndpointId(1);
         let rx = fabric.register(id).unwrap();
         fabric.send_copied(EndpointId(0), id, b"queued").unwrap();
@@ -115,7 +101,7 @@ fn duplicate_id_is_refused_and_the_first_inbox_keeps_its_frames() {
 #[test]
 fn unknown_and_dropped_receivers_count_errors_and_no_bytes() {
     for (name, kind, faulted) in variants() {
-        let fabric = manual(kind, faulted);
+        let fabric = built(kind, faulted);
         let unknown = fabric.send_copied(EndpointId(0), EndpointId(9), b"x");
         assert_eq!(unknown, Err(SendError::UnknownEndpoint), "{name}");
         assert_eq!(fabric.stats().send_errors, 1, "{name}");
@@ -149,7 +135,7 @@ fn a_full_bounded_inbox_loses_nothing_and_keeps_per_link_fifo() {
     const SENDERS: u32 = 2;
     const PER_SENDER: u8 = 40;
     for (name, kind, faulted) in variants() {
-        let fabric = manual(kind, faulted);
+        let fabric = built(kind, faulted);
         let to = EndpointId(1);
         let rx = fabric.register_bounded(to, 2).unwrap();
         let mut got: Vec<Vec<u8>> = vec![Vec::new(); SENDERS as usize];
@@ -193,7 +179,7 @@ fn a_full_bounded_inbox_loses_nothing_and_keeps_per_link_fifo() {
 #[test]
 fn send_shared_delivers_the_same_allocation() {
     for (name, kind, faulted) in variants() {
-        let fabric = manual(kind, faulted);
+        let fabric = built(kind, faulted);
         let rx1 = fabric.register(EndpointId(1)).unwrap();
         let rx2 = fabric.register(EndpointId(2)).unwrap();
         let buf: Arc<[u8]> = Arc::from(&b"payload"[..]);
@@ -220,7 +206,7 @@ fn send_shared_delivers_the_same_allocation() {
 #[test]
 fn wake_frames_are_outside_every_count() {
     for (name, kind, faulted) in variants() {
-        let fabric = manual(kind, faulted);
+        let fabric = built(kind, faulted);
         let tracker = tracker();
         fabric.install_link_tracker(Arc::clone(&tracker));
         let rx = fabric.register_bounded(EndpointId(1), 1).unwrap();
@@ -246,7 +232,7 @@ fn wake_frames_are_outside_every_count() {
 #[test]
 fn a_second_link_tracker_install_keeps_the_first() {
     for (name, kind, faulted) in variants() {
-        let fabric = manual(kind, faulted);
+        let fabric = built(kind, faulted);
         let (first, second) = (tracker(), tracker());
         fabric.install_link_tracker(Arc::clone(&first));
         fabric.install_link_tracker(Arc::clone(&second));
@@ -263,7 +249,7 @@ fn a_second_link_tracker_install_keeps_the_first() {
 #[test]
 fn per_link_byte_sums_equal_the_delivered_byte_totals() {
     for (name, kind, faulted) in variants() {
-        let fabric = manual(kind, faulted);
+        let fabric = built(kind, faulted);
         let tracker = tracker();
         fabric.install_link_tracker(Arc::clone(&tracker));
         let _inboxes: Vec<_> = (0..4)
@@ -314,9 +300,9 @@ fn per_link_byte_sums_equal_the_delivered_byte_totals() {
 }
 
 #[test]
-fn stop_drains_stragglers() {
-    // MMS and a 10 s WTL out of reach: only the stop can flush the ring
-    // in time.
+fn flush_delivers_stragglers() {
+    // MMS and a 10 s WTL out of reach: only the flush can deliver from the
+    // ring in time.
     let held_back = RingConfig {
         batch: BatchConfig {
             mms: 1_000_000,
@@ -325,12 +311,12 @@ fn stop_drains_stragglers() {
         ..RingConfig::default()
     };
     for (name, kind, faulted) in variants_with(held_back, OneSidedConfig::default()) {
-        let (fabric, mut instance) = live(kind, faulted);
+        let fabric = built(kind, faulted);
         let rx = fabric.register(EndpointId(1)).unwrap();
         fabric
             .send_copied(EndpointId(0), EndpointId(1), b"tail")
             .unwrap();
-        instance.shutdown();
+        fabric.flush();
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"tail", "{name}");
         assert_eq!(fabric.stats().messages, 1, "{name}");
     }
@@ -350,7 +336,7 @@ fn four_producer_stress_keeps_per_sender_order() {
         ..OneSidedConfig::default()
     };
     for (name, kind, faulted) in variants_with(ring, one_sided) {
-        let (fabric, mut instance) = live(kind, faulted);
+        let fabric = built(kind, faulted);
         let rx = fabric.register(EndpointId(0)).unwrap();
         let producers: Vec<_> = (1..=SENDERS)
             .map(|s| {
@@ -359,8 +345,8 @@ fn four_producer_stress_keeps_per_sender_order() {
                     for seq in 0..PER_SENDER {
                         let frame = [s.to_le_bytes(), seq.to_le_bytes()].concat();
                         // Backpressure shows up as `Full`, never a
-                        // deadlock or a loss: retry until the drain
-                        // thread frees ring capacity.
+                        // deadlock or a loss: retry until a pass frees
+                        // ring capacity.
                         loop {
                             match fabric.send_copied(EndpointId(s), EndpointId(0), &frame) {
                                 Ok(()) => break,
@@ -396,6 +382,45 @@ fn four_producer_stress_keeps_per_sender_order() {
         if stats.posted > 0 {
             assert_eq!(stats.posted, stats.messages, "{name}");
         }
-        instance.shutdown();
+    }
+}
+
+#[test]
+fn a_blocked_reader_receives_each_post_within_wtl() {
+    const FRAMES: u32 = 1_000;
+    let wtl = Duration::from_nanos(BatchConfig::default().wtl.as_nanos());
+    let bound = wtl + Duration::from_millis(100);
+    for (name, kind, faulted) in variants() {
+        let fabric = built(kind, faulted);
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        let epoch = Instant::now();
+        let reader = std::thread::spawn(move || {
+            let mut longest = Duration::ZERO;
+            for seq in 0..FRAMES {
+                let msg = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a post wakes its reader, or the reader's WTL deadline does");
+                // The agents of `run_switch_over_fabric` read an empty
+                // frame as shutdown: a post's wake-up must never surface.
+                let bytes = msg.payload.bytes();
+                assert_eq!(bytes.len(), 12, "a wake-up reached the reader");
+                assert_eq!(u32::from_le_bytes(bytes[..4].try_into().unwrap()), seq);
+                let posted = u64::from_le_bytes(bytes[4..].try_into().unwrap());
+                longest = longest.max(epoch.elapsed() - Duration::from_nanos(posted));
+            }
+            longest
+        });
+        for seq in 0..FRAMES {
+            let posted = epoch.elapsed().as_nanos() as u64;
+            let frame = [&seq.to_le_bytes()[..], &posted.to_le_bytes()].concat();
+            fabric
+                .send_copied(EndpointId(0), EndpointId(1), &frame)
+                .unwrap();
+            // Gaps of 0–400 µs: the reader blocks between many posts, on
+            // an idle endpoint and on one with a batch waiting out its WTL.
+            std::thread::sleep(Duration::from_micros(u64::from(seq % 5) * 100));
+        }
+        let longest = reader.join().unwrap();
+        assert!(longest <= bound, "{name}: a frame waited {longest:?}");
     }
 }

@@ -29,24 +29,21 @@ fn switch_protocol_converges_over_the_live_fabric() {
 
 #[test]
 fn switch_protocol_converges_over_the_ring_fabric() {
-    let mut instance = FabricKind::Ring(RingConfig::default()).build();
-    let report = drive(Arc::clone(&instance.fabric), 20, 5, 2);
+    let fabric = FabricKind::Ring(RingConfig::default()).build();
+    let report = drive(Arc::clone(&fabric), 20, 5, 2);
     assert!(report.moves > 0);
     assert!(report.t_switch > SimDuration::ZERO);
-    // Ring delivery is batched: the flusher must have drained at least one
-    // doorbell-triggered batch to carry the protocol traffic.
-    assert!(instance.fabric.stats().flushed_batches > 0, "ring path must batch");
-    assert_eq!(instance.fabric.stats().send_errors, 0);
-    instance.shutdown();
+    // Ring delivery is batched: the agents' own receives must have drained
+    // at least one batch to carry the protocol traffic.
+    assert!(fabric.stats().flushed_batches > 0, "ring path must batch");
+    assert_eq!(fabric.stats().send_errors, 0);
 }
 
 #[test]
 fn both_transports_agree_on_the_switched_structure() {
     let live: Arc<dyn FabricPath> = Arc::new(LiveFabric::new());
     let a = drive(live, 30, 6, 2);
-    let mut instance = FabricKind::Ring(RingConfig::default()).build();
-    let b = drive(Arc::clone(&instance.fabric), 30, 6, 2);
-    instance.shutdown();
+    let b = drive(FabricKind::Ring(RingConfig::default()).build(), 30, 6, 2);
     // The plan is deterministic and the transport is invisible to it.
     assert_eq!(a.new_tree, b.new_tree);
     assert_eq!(a.moves, b.moves);
@@ -78,8 +75,6 @@ fn coordinator_metrics_exported_after_the_switch() {
 fn scale_up_also_converges_over_both_transports() {
     let live: Arc<dyn FabricPath> = Arc::new(LiveFabric::new());
     let a = drive(live, 24, 2, 5);
-    let mut instance = FabricKind::Ring(RingConfig::default()).build();
-    let b = drive(Arc::clone(&instance.fabric), 24, 2, 5);
-    instance.shutdown();
+    let b = drive(FabricKind::Ring(RingConfig::default()).build(), 24, 2, 5);
     assert_eq!(a.new_tree, b.new_tree);
 }
