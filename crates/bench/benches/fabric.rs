@@ -5,10 +5,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Duration;
 use whale_net::{
     BatchConfig, Batcher, EndpointId, FabricPath, LiveFabric, MemoryRegistry, RingRegion,
 };
-use whale_sim::{SimDuration, SimTime};
 
 fn bench_fabric(c: &mut Criterion) {
     c.bench_function("ring_produce_consume", |b| {
@@ -23,12 +23,12 @@ fn bench_fabric(c: &mut Criterion) {
     c.bench_function("batcher_offer", |b| {
         let mut batcher: Batcher<u64> = Batcher::new(BatchConfig {
             mms: 256 * 1024,
-            wtl: SimDuration::from_millis(1),
+            wtl: Duration::from_millis(1),
         });
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(batcher.offer(SimTime::from_nanos(i), i, 150))
+            black_box(batcher.offer(Duration::from_nanos(i), i, 150))
         })
     });
 
@@ -66,7 +66,7 @@ fn bench_fabric(c: &mut Criterion) {
             fabric
                 .send_shared(EndpointId(0), EndpointId(1), black_box(buf.clone()))
                 .unwrap();
-            fabric.flush_at(SimTime::from_nanos(i));
+            fabric.flush_at(Duration::from_nanos(i));
             rx.try_recv().unwrap()
         })
     });

@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Duration;
 use whale_dsps::runtime::PipelineHarness;
 use whale_dsps::{
     codec, AckConfig, BufferPool, CommMode, Emitter, Grouping, GroupingExec, IterSpout, LazyFnBolt,
@@ -16,7 +17,6 @@ use whale_dsps::{
 use whale_net::{
     BatchConfig, ClusterSpec, EndpointId, LiveMessage, Payload, RingConfig, RingFabric,
 };
-use whale_sim::{SimDuration, SimTime};
 
 use bytes::BufMut;
 
@@ -199,7 +199,7 @@ fn bench_ring_flush(c: &mut Criterion) {
             ring_capacity: 64 * 1024,
             batch: BatchConfig {
                 mms: 4 * 1024,
-                wtl: SimDuration::from_millis(1),
+                wtl: Duration::from_millis(1),
             },
         });
         let receivers: Vec<_> = (0..8)
@@ -214,7 +214,7 @@ fn bench_ring_flush(c: &mut Criterion) {
                     .send_shared(EndpointId(0), EndpointId(d + 1), buf.clone())
                     .unwrap();
             }
-            fabric.flush_at(SimTime::from_nanos(i));
+            fabric.flush_at(Duration::from_nanos(i));
             for rx in &receivers {
                 black_box(rx.try_recv().unwrap());
             }

@@ -7,8 +7,9 @@
 //! capacity) and mean per-message latency.
 
 use crate::{fmt_rate, Scale, Table};
-use whale_net::{BatchConfig, Batcher, Nic};
-use whale_sim::{CoreClock, CostModel, SimDuration, SimTime, Transport};
+use std::time::Duration;
+use whale_net::{BatchConfig, Batcher};
+use whale_sim::{CoreClock, CostModel, Nic, SimDuration, SimTime, Transport};
 
 /// Result of one batching operating point.
 #[derive(Clone, Copy, Debug)]
@@ -57,13 +58,15 @@ pub fn simulate(config: BatchConfig, msg_bytes: usize, rate: f64, horizon: SimTi
     };
 
     while t <= horizon {
-        // Timer flushes due before this arrival.
+        // Timer flushes due before this arrival. The batcher's clock is a
+        // `Duration` from the simulation's time zero.
         if let Some(deadline) = batcher.deadline() {
-            if deadline <= t {
+            let at = SimTime::from_nanos(deadline.as_nanos() as u64);
+            if at <= t {
                 if let Some(batch) = batcher.on_timer(deadline) {
                     flush(
                         batch,
-                        deadline,
+                        at,
                         &mut nic,
                         &mut sender,
                         &mut total_latency,
@@ -72,7 +75,7 @@ pub fn simulate(config: BatchConfig, msg_bytes: usize, rate: f64, horizon: SimTi
                 }
             }
         }
-        if let Some(batch) = batcher.offer(t, t, msg_bytes) {
+        if let Some(batch) = batcher.offer(Duration::from_nanos(t.as_nanos()), t, msg_bytes) {
             flush(
                 batch,
                 t,
@@ -129,7 +132,7 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
     ] {
         let config = BatchConfig {
             mms,
-            wtl: SimDuration::from_millis(1),
+            wtl: Duration::from_millis(1),
         };
         // Drive at 80% of this point's fill capacity so batches actually
         // form (the paper saturates the sender the same way).
@@ -151,7 +154,7 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
     for &wtl_ms in &[1u64, 2, 5, 10, 20, 30] {
         let config = BatchConfig {
             mms: 256 * 1024,
-            wtl: SimDuration::from_millis(wtl_ms),
+            wtl: Duration::from_millis(wtl_ms),
         };
         // Moderate rate: the buffer never reaches MMS, so WTL governs.
         let point = simulate(config, msg_bytes, 50_000.0, horizon);
@@ -194,7 +197,7 @@ mod tests {
             simulate(
                 BatchConfig {
                     mms: 256 * 1024,
-                    wtl: SimDuration::from_millis(wtl_ms),
+                    wtl: Duration::from_millis(wtl_ms),
                 },
                 150,
                 50_000.0,

@@ -5,8 +5,7 @@ use crate::experiments::common::{config, Dataset};
 use crate::report::engine_run_json;
 use crate::{fmt_rate, Scale, Table};
 use whale_core::{run, SystemMode};
-use whale_net::VerbPolicy;
-use whale_sim::{CostModel, Transport, Verb};
+use whale_sim::{CostModel, Transport, Verb, VerbPolicy};
 
 /// Verb microbenchmark point: sender-limited throughput and one-message
 /// latency for a given message size, straight from the verbs cost model.

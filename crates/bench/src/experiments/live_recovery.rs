@@ -19,9 +19,10 @@
 //! * **Late subscriber**: a net-level [`OneSidedFabric`] with per-link
 //!   logs publishes a stream, the live consumer drains it, and a reader
 //!   that attaches *after* the fact backfills the whole history with
-//!   [`OneSidedFabric::backfill`] — modeled one-sided READs against the
-//!   sender's log region. The cell asserts the sender's publish-CPU
-//!   counter does not move during the backfill.
+//!   [`OneSidedFabric::backfill`] — one-sided reads of the sender's log
+//!   region. The cell asserts the backfill appends nothing to the
+//!   sender's log, and prices that count with the simulator's cost of
+//!   posting an RDMA WRITE: zero sender CPU.
 //! * **Bounded retention** and **torn tail**: a sustained acked run with
 //!   tiny log segments whose watermark GC reclaims every byte by
 //!   shutdown (retention flat, nothing left resident), and a persisted
@@ -42,7 +43,7 @@ use whale_net::{
     EndpointCrash, EndpointId, EndpointRestart, FabricKind, FabricPath, FaultPlan, OneSidedConfig,
     OneSidedFabric, PartitionLog,
 };
-use whale_sim::JsonValue;
+use whale_sim::{CostModel, JsonValue, Transport, Verb};
 
 /// Simulated worker processes per crash cell.
 const MACHINES: u32 = 4;
@@ -67,8 +68,9 @@ pub struct RecoveryPoint {
     /// Whether the cell completed without spending the acker's replay
     /// budget (`tuples_replayed == 0`).
     pub acker_replay_free: bool,
-    /// Sender publish-CPU nanoseconds consumed *during* the late
-    /// subscriber's backfill; identically zero (one-sided READs only).
+    /// Sender CPU nanoseconds spent *during* the late subscriber's
+    /// backfill: the records it appended to the sender's log, each priced
+    /// as one RDMA WRITE post. Identically zero (one-sided reads only).
     pub backfill_sender_cpu_ns: u64,
     /// Log bytes still resident when the run reported; zero wherever the
     /// acker watermark drives GC.
@@ -183,8 +185,8 @@ pub fn measure_crash(scale: Scale, kind: FabricKind, with_log: bool) -> (Recover
 
 /// Late-subscriber cell: publish a stream over a logged one-sided link,
 /// drain it live, then attach a fresh reader and backfill the whole
-/// history from sequence 0 — asserting the sender's publish CPU never
-/// moves while the backfill runs.
+/// history from sequence 0 — asserting the sender's log gains no record
+/// while the backfill runs.
 pub fn measure_late_subscriber(scale: Scale) -> RecoveryPoint {
     let frames: u64 = scale.pick3(48, 200, 800);
     let fabric = OneSidedFabric::new(OneSidedConfig {
@@ -216,16 +218,18 @@ pub fn measure_late_subscriber(scale: Scale) -> RecoveryPoint {
 
     // The history now lives only in the log: the ring slots were all
     // consumed. A late reader attaches and fetches it with one-sided
-    // READs — the sender-side publish CPU counter must not move.
+    // reads — the sender appends nothing, so it spends no CPU.
     let late = fabric
         .register(EndpointId(9))
         .expect("late endpoint registers");
-    let cpu_before = fabric.log_sum(PartitionLog::sender_cpu_ns);
+    let appended_before = fabric.log_sum(PartitionLog::appended_records);
     let reads_before = fabric.log_sum(PartitionLog::reads_posted);
     let backfilled = fabric
         .backfill(EndpointId(0), EndpointId(1), EndpointId(9), 0)
         .expect("backfill reads the retained history");
-    let cpu_during_backfill = fabric.log_sum(PartitionLog::sender_cpu_ns) - cpu_before;
+    let appended = fabric.log_sum(PartitionLog::appended_records) - appended_before;
+    let per_append = CostModel::default().send_cpu(Transport::Rdma, Verb::Write, 0);
+    let cpu_during_backfill = appended * per_append.as_nanos();
     assert_eq!(backfilled, frames, "backfill must replay the full history");
     assert_eq!(
         cpu_during_backfill, 0,
@@ -234,7 +238,7 @@ pub fn measure_late_subscriber(scale: Scale) -> RecoveryPoint {
     assert_eq!(
         fabric.log_sum(PartitionLog::reads_posted) - reads_before,
         frames,
-        "each backfilled record is one modeled one-sided READ"
+        "each backfilled record is one one-sided read"
     );
     let mut late_seen = 0u64;
     let mut expect = 0u64;

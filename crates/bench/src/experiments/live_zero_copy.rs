@@ -22,9 +22,10 @@
 use super::Output;
 use crate::{object, Scale, Table};
 use bytes::BufMut;
+use std::time::Duration;
 use whale_dsps::BufferPool;
 use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
-use whale_sim::{CostModel, JsonValue, SimDuration, SimTime, Transport};
+use whale_sim::{CostModel, JsonValue, Transport};
 
 /// Tuple payload size, matching the Figs 11/12 calibration runs. Public
 /// so E19 drives the same frames.
@@ -92,7 +93,7 @@ pub(super) fn ring_config() -> RingConfig {
         ring_capacity: 64 * 1024,
         batch: BatchConfig {
             mms: 4 * 1024,
-            wtl: SimDuration::from_millis(1),
+            wtl: Duration::from_millis(1),
         },
     }
 }
@@ -115,8 +116,8 @@ pub(super) fn drive(
         })
         .collect();
     let rate = 50_000.0; // tuples/s — WTL governs, as in the Fig 12 runs
-    let gap = SimDuration::from_secs_f64(1.0 / rate);
-    let mut now = SimTime::ZERO;
+    let gap = Duration::from_secs_f64(1.0 / rate);
+    let mut now = Duration::ZERO;
     for seq in 0..tuples {
         send(&fabric, seq);
         fabric.pump(now);

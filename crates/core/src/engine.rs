@@ -16,18 +16,19 @@
 //!   bounded transfer queue — measures queue dynamics, drops, and the
 //!   dynamic switching behaviour of Figs 3 and 23–24.
 
+use crate::latency::{LatencyTracker, MulticastTracker};
 use crate::modes::SystemMode;
 use std::collections::HashMap;
-use whale_dsps::{CommMode, LatencyTracker, MulticastTracker};
+use whale_dsps::CommMode;
 use whale_multicast::{
     plan_switch, AdjustController, ControllerConfig, Decision, MulticastTree, Node, Structure,
     WorkloadMonitor,
 };
-use whale_net::{ClusterSpec, MachineId, Nic, VerbPolicy};
+use whale_net::{ClusterSpec, MachineId};
 use whale_sim::{
-    BoundedQueue, CoreClock, CostModel, CpuAccount, CpuCategory, Engine, MetricsRegistry,
+    BoundedQueue, CoreClock, CostModel, CpuAccount, CpuCategory, Engine, MetricsRegistry, Nic,
     PushOutcome, RateMeter, Scheduler, SimDuration, SimRng, SimTime, SimWorld, StopReason,
-    TimeSeries,
+    TimeSeries, VerbPolicy,
 };
 use whale_workloads::{ArrivalProcess, RatePlan};
 

@@ -10,9 +10,11 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod latency;
 pub mod modes;
 pub mod sweep;
 
 pub use engine::{run, AppProfile, Drive, EngineConfig, EngineReport};
+pub use latency::{LatencyTracker, MulticastTracker};
 pub use modes::SystemMode;
 pub use sweep::{par_map, par_map_with, sweep_grid, SweepPoint};

@@ -13,8 +13,7 @@
 
 use whale_dsps::CommMode;
 use whale_multicast::Structure;
-use whale_net::VerbPolicy;
-use whale_sim::Transport;
+use whale_sim::{Transport, VerbPolicy};
 
 /// One of the five evaluated systems.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

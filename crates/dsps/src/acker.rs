@@ -15,7 +15,7 @@ use crate::tuple::Tuple;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use whale_sim::{SimDuration, SimRng, SimTime};
+use whale_sim::{SimDuration, SimTime};
 
 /// A tracked id packs a replay attempt above [`ROOT_BITS`] bits of root
 /// id (`attempt << ROOT_BITS | root`): every replay registers under a
@@ -426,40 +426,6 @@ impl Acker {
     }
 }
 
-/// Executor-side helper: accumulates the XOR an execution must report —
-/// the consumed anchor plus one fresh random anchor per emitted tuple.
-#[derive(Debug)]
-pub struct AckBuilder {
-    xor: u64,
-    rng: SimRng,
-    emitted_anchors: Vec<u64>,
-}
-
-impl AckBuilder {
-    /// Start an execution that consumed `consumed_anchor`.
-    pub fn consuming(consumed_anchor: u64, rng: SimRng) -> Self {
-        AckBuilder {
-            xor: consumed_anchor,
-            rng,
-            emitted_anchors: Vec::new(),
-        }
-    }
-
-    /// Register one emitted (anchored) tuple; returns its new anchor id
-    /// to attach to the outgoing tuple.
-    pub fn emit(&mut self) -> u64 {
-        let anchor = self.rng.next_u64().max(1); // 0 would be a no-op in XOR
-        self.xor ^= anchor;
-        self.emitted_anchors.push(anchor);
-        anchor
-    }
-
-    /// The value to send to the acker for this execution.
-    pub fn finish(self) -> u64 {
-        self.xor
-    }
-}
-
 /// The ledger this module used to be — a map from tracked id to tree —
 /// kept as what the window is checked against.
 #[cfg(test)]
@@ -551,6 +517,7 @@ mod tests {
     use super::*;
     use crate::tuple::Value;
     use proptest::prelude::*;
+    use whale_sim::SimRng;
 
     fn acker() -> Acker {
         Acker::new(SimDuration::from_secs(30))
@@ -568,14 +535,13 @@ mod tests {
         let anchor0 = 0xDEAD;
         a.init(root, anchor0, SimTime::ZERO);
 
-        // A consumes anchor0 and emits one tuple with anchor1.
-        let mut b1 = AckBuilder::consuming(anchor0, SimRng::new(1));
-        let anchor1 = b1.emit();
-        assert_eq!(a.ack(root, b1.finish()), TreeState::Pending);
+        // A consumes anchor0 and emits one tuple with a fresh anchor1: it
+        // reports the consumed anchor XOR every emitted one.
+        let anchor1 = SimRng::new(1).next_u64().max(1);
+        assert_eq!(a.ack(root, anchor0 ^ anchor1), TreeState::Pending);
 
         // B consumes anchor1, emits nothing.
-        let b2 = AckBuilder::consuming(anchor1, SimRng::new(2));
-        assert_eq!(a.ack(root, b2.finish()), TreeState::Acked);
+        assert_eq!(a.ack(root, anchor1), TreeState::Acked);
         assert_eq!(a.acked(), 1);
         assert_eq!(a.pending(), 0);
     }
@@ -637,13 +603,13 @@ mod tests {
         let spout_anchor = 0x1234_5678;
         a.init(root, spout_anchor, SimTime::ZERO);
         // Stage 1 consumes the spout anchor and emits 3 tuples.
-        let mut s1 = AckBuilder::consuming(spout_anchor, SimRng::new(5));
-        let children: Vec<u64> = (0..3).map(|_| s1.emit()).collect();
-        assert_eq!(a.ack(root, s1.finish()), TreeState::Pending);
-        // Stage 2: each child is a leaf.
+        let mut rng = SimRng::new(5);
+        let children: Vec<u64> = (0..3).map(|_| rng.next_u64().max(1)).collect();
+        let s1 = children.iter().fold(spout_anchor, |x, &c| x ^ c);
+        assert_eq!(a.ack(root, s1), TreeState::Pending);
+        // Stage 2: each child is a leaf, reporting only what it consumed.
         for (i, &c) in children.iter().enumerate() {
-            let b = AckBuilder::consuming(c, SimRng::new(50 + i as u64));
-            let state = a.ack(root, b.finish());
+            let state = a.ack(root, c);
             if i == 2 {
                 assert_eq!(state, TreeState::Acked);
             } else {
@@ -680,14 +646,6 @@ mod tests {
         // The unmatched tree is still live and completable.
         assert_eq!(a.ack(2, 0xBB), TreeState::Acked);
         assert!(!a.contains(2));
-    }
-
-    #[test]
-    fn anchors_never_zero() {
-        let mut b = AckBuilder::consuming(1, SimRng::new(3));
-        for _ in 0..1_000 {
-            assert_ne!(b.emit(), 0);
-        }
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! worker-oriented `WorkerMessage`/`BatchTuple`), topology building with
 //! shuffle/fields/all groupings, Storm-style task allocation and even
 //! scheduling onto workers and machines, communication planning with
-//! serialization/traffic accounting, latency trackers, and a live
+//! serialization/traffic accounting, Storm's XOR acker, and a live
 //! multi-threaded runtime that executes topologies end-to-end over the
 //! in-process fabric.
 
 #![warn(missing_docs)]
 
-pub mod ack;
 pub mod acker;
 pub mod codec;
 pub mod grouping;
@@ -26,8 +25,7 @@ pub mod task;
 pub mod topology;
 pub mod tuple;
 
-pub use ack::{LatencyTracker, MulticastTracker};
-pub use acker::{AckBuilder, Acker, TreeState};
+pub use acker::{Acker, TreeState};
 pub use codec::{
     AddressedTuple, DecodeError, InstanceMessage, InstanceMessageView, LazyTuple, RelayHeader,
     TupleView, ValueView, WireSpare, WorkerMessage, WorkerMessageView,

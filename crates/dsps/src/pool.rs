@@ -23,7 +23,6 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Relaxed, Ordering::Release};
 use std::sync::Arc;
-use whale_sim::MetricsRegistry;
 
 /// Sizing policy of a [`BufferPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -302,23 +301,6 @@ impl BufferPool {
         let (hits, misses) = (t.get(Hits), t.get(Misses));
         hits as f64 / (hits + misses).max(1) as f64
     }
-
-    /// Export pool counters into `reg` under `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.hits"), self.hits());
-        reg.set_counter(&format!("{prefix}.misses"), self.misses());
-        reg.set_counter(&format!("{prefix}.released"), self.released());
-        reg.set_counter(&format!("{prefix}.discarded"), self.discarded());
-        reg.set_gauge(&format!("{prefix}.outstanding"), self.outstanding() as f64);
-        reg.set_gauge(
-            &format!("{prefix}.high_watermark"),
-            self.high_watermark() as f64,
-        );
-        reg.set_gauge(&format!("{prefix}.pooled"), self.pooled() as f64);
-        reg.set_gauge(&format!("{prefix}.hit_rate"), self.hit_rate());
-        reg.set_counter(&format!("{prefix}.shares"), self.shares());
-        reg.set_counter(&format!("{prefix}.shared_bytes"), self.shared_bytes());
-    }
 }
 
 /// An acquired pool buffer. Dereferences to `BytesMut` for encoding and
@@ -526,17 +508,12 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_snapshot() {
+    fn counters_snapshot() {
         let pool = BufferPool::default();
         drop(pool.acquire());
         drop(pool.acquire());
-        let mut reg = MetricsRegistry::new();
-        pool.export_metrics(&mut reg, "pool");
-        assert_eq!(reg.counter("pool.misses"), Some(1));
-        assert_eq!(reg.counter("pool.hits"), Some(1));
-        assert_eq!(reg.counter("pool.released"), Some(2));
-        assert_eq!(reg.gauge("pool.outstanding"), Some(0.0));
-        assert_eq!(reg.gauge("pool.high_watermark"), Some(1.0));
-        assert!((reg.gauge("pool.hit_rate").unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!((pool.misses(), pool.hits(), pool.released()), (1, 1, 2));
+        assert_eq!((pool.outstanding(), pool.high_watermark()), (0, 1));
+        assert!((pool.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -303,6 +303,12 @@ impl LiveConfig {
             FabricKind::Ring(ring) if ring.ring_capacity == 0 => {
                 return Err("RingConfig::ring_capacity must be positive".into());
             }
+            FabricKind::Ring(ring) if ring.batch.mms == 0 => {
+                return Err("BatchConfig::mms must be positive".into());
+            }
+            FabricKind::Ring(ring) if ring.batch.wtl.is_zero() => {
+                return Err("BatchConfig::wtl must be positive".into());
+            }
             FabricKind::OneSided(one_sided) if one_sided.ring_slots == 0 => {
                 return Err("OneSidedConfig::ring_slots must be positive".into());
             }
@@ -450,6 +456,20 @@ mod tests {
             ring_capacity: 0,
             ..Default::default()
         };
+        let no_mms = whale_net::RingConfig {
+            batch: whale_net::BatchConfig {
+                mms: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let no_wtl = whale_net::RingConfig {
+            batch: whale_net::BatchConfig {
+                wtl: Duration::ZERO,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
         let no_slots = whale_net::OneSidedConfig {
             ring_slots: 0,
             ..Default::default()
@@ -479,7 +499,7 @@ mod tests {
         let transport = std::mem::discriminant(&BuildError::BadTransport(String::new()));
         // Each shape but the last used to reach an `assert!` in
         // `ClusterSpec::new`, `ClusterSpec::with_rack_map`, a transport
-        // constructor or `PartitionLog::new`.
+        // constructor, `Batcher::new` or `PartitionLog::new`.
         let shapes = [
             ("machines: 0", no_machines, cluster),
             ("racks: 0", topo(0, None), cluster),
@@ -495,6 +515,8 @@ mod tests {
                 fabric(FabricKind::Ring(no_ring)),
                 transport,
             ),
+            ("mms: 0", fabric(FabricKind::Ring(no_mms)), transport),
+            ("wtl: 0", fabric(FabricKind::Ring(no_wtl)), transport),
             (
                 "ring_slots: 0",
                 fabric(FabricKind::OneSided(no_slots)),

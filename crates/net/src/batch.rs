@@ -6,7 +6,7 @@
 //! Time Limit* (WTL) so a slow stream still flushes promptly. The paper
 //! calibrates MMS = 256 KB and WTL = 1 ms (Figs 11–12).
 
-use whale_sim::{MetricsRegistry, SimDuration, SimTime};
+use std::time::Duration;
 
 /// Configuration of the stream-slicing batcher.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -14,7 +14,7 @@ pub struct BatchConfig {
     /// Max Memory Size: flush once this many bytes are buffered.
     pub mms: usize,
     /// Wait Time Limit: flush once the oldest buffered item is this old.
-    pub wtl: SimDuration,
+    pub wtl: Duration,
 }
 
 impl Default for BatchConfig {
@@ -22,7 +22,7 @@ impl Default for BatchConfig {
         // The paper's chosen operating point.
         BatchConfig {
             mms: 256 * 1024,
-            wtl: SimDuration::from_millis(1),
+            wtl: Duration::from_millis(1),
         }
     }
 }
@@ -35,7 +35,7 @@ pub struct Batch<T> {
     /// Total payload bytes.
     pub bytes: usize,
     /// Arrival time of the oldest item (for latency accounting).
-    pub oldest_at: SimTime,
+    pub oldest_at: Duration,
     /// Why the batch was emitted.
     pub reason: FlushReason,
 }
@@ -53,15 +53,15 @@ pub enum FlushReason {
 
 /// The stream-slicing transfer buffer.
 ///
-/// Deterministic and time-explicit: the caller passes `now` and asks for
-/// the next timer [`Batcher::deadline`]. This is how both the DES world and
-/// the live runtime drive it.
+/// Deterministic and time-explicit: the caller passes `now`, measured from
+/// an origin of its choosing (a transport's creation, or a simulation's
+/// start), and asks for the next timer [`Batcher::deadline`].
 #[derive(Clone, Debug)]
 pub struct Batcher<T> {
     config: BatchConfig,
     items: Vec<T>,
     bytes: usize,
-    oldest_at: Option<SimTime>,
+    oldest_at: Option<Duration>,
     flushed_batches: u64,
     flushed_items: u64,
 }
@@ -103,7 +103,7 @@ impl<T> Batcher<T> {
 
     /// Offer an item of `bytes` at time `now`. Returns a batch if this
     /// offer filled the buffer to MMS.
-    pub fn offer(&mut self, now: SimTime, item: T, bytes: usize) -> Option<Batch<T>> {
+    pub fn offer(&mut self, now: Duration, item: T, bytes: usize) -> Option<Batch<T>> {
         if self.items.is_empty() {
             self.oldest_at = Some(now);
         }
@@ -119,12 +119,12 @@ impl<T> Batcher<T> {
     /// When the WTL timer for the current buffer fires (None if empty).
     /// The timer resets whenever a batch is emitted, matching the paper:
     /// "the timer will be reset when an RDMA work request is consumed".
-    pub fn deadline(&self) -> Option<SimTime> {
+    pub fn deadline(&self) -> Option<Duration> {
         self.oldest_at.map(|t| t + self.config.wtl)
     }
 
     /// Handle a timer tick at `now`: flush if the deadline has passed.
-    pub fn on_timer(&mut self, now: SimTime) -> Option<Batch<T>> {
+    pub fn on_timer(&mut self, now: Duration) -> Option<Batch<T>> {
         match self.deadline() {
             Some(d) if now >= d && !self.items.is_empty() => Some(self.emit(FlushReason::Timer)),
             _ => None,
@@ -173,18 +173,6 @@ impl<T> Batcher<T> {
             self.flushed_items as f64 / self.flushed_batches as f64
         }
     }
-
-    /// Export batch counters and current occupancy into `reg` under
-    /// `prefix.*`. `occupancy` is buffered bytes as a fraction of MMS.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.flushed_batches"), self.flushed_batches);
-        reg.set_counter(&format!("{prefix}.flushed_items"), self.flushed_items);
-        reg.set_gauge(&format!("{prefix}.mean_batch_size"), self.mean_batch_size());
-        reg.set_gauge(
-            &format!("{prefix}.occupancy"),
-            self.bytes as f64 / self.config.mms as f64,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -194,17 +182,17 @@ mod tests {
     fn cfg(mms: usize, wtl_ms: u64) -> BatchConfig {
         BatchConfig {
             mms,
-            wtl: SimDuration::from_millis(wtl_ms),
+            wtl: Duration::from_millis(wtl_ms),
         }
     }
 
     #[test]
     fn size_trigger_at_mms() {
         let mut b = Batcher::new(cfg(1000, 10));
-        assert!(b.offer(SimTime::ZERO, 1, 400).is_none());
-        assert!(b.offer(SimTime::ZERO, 2, 400).is_none());
+        assert!(b.offer(Duration::ZERO, 1, 400).is_none());
+        assert!(b.offer(Duration::ZERO, 2, 400).is_none());
         let batch = b
-            .offer(SimTime::ZERO, 3, 400)
+            .offer(Duration::ZERO, 3, 400)
             .expect("third offer crosses MMS");
         assert_eq!(batch.reason, FlushReason::Size);
         assert_eq!(batch.items, vec![1, 2, 3]);
@@ -215,41 +203,41 @@ mod tests {
     #[test]
     fn timer_trigger_at_wtl() {
         let mut b = Batcher::new(cfg(1_000_000, 1));
-        b.offer(SimTime::from_micros(100), 7, 50);
+        b.offer(Duration::from_micros(100), 7, 50);
         let deadline = b.deadline().unwrap();
-        assert_eq!(deadline, SimTime::from_micros(1_100));
+        assert_eq!(deadline, Duration::from_micros(1_100));
         // Before the deadline: no flush.
-        assert!(b.on_timer(SimTime::from_micros(1_099)).is_none());
+        assert!(b.on_timer(Duration::from_micros(1_099)).is_none());
         // At the deadline: flush.
         let batch = b.on_timer(deadline).unwrap();
         assert_eq!(batch.reason, FlushReason::Timer);
-        assert_eq!(batch.oldest_at, SimTime::from_micros(100));
+        assert_eq!(batch.oldest_at, Duration::from_micros(100));
         assert!(b.deadline().is_none());
     }
 
     #[test]
     fn deadline_tracks_oldest_item() {
         let mut b = Batcher::new(cfg(1_000_000, 5));
-        b.offer(SimTime::from_millis(1), 1, 10);
-        b.offer(SimTime::from_millis(4), 2, 10);
+        b.offer(Duration::from_millis(1), 1, 10);
+        b.offer(Duration::from_millis(4), 2, 10);
         // Deadline is oldest + WTL, unaffected by the second item.
-        assert_eq!(b.deadline(), Some(SimTime::from_millis(6)));
+        assert_eq!(b.deadline(), Some(Duration::from_millis(6)));
     }
 
     #[test]
     fn timer_resets_after_size_flush() {
         let mut b = Batcher::new(cfg(100, 5));
-        b.offer(SimTime::from_millis(1), 1, 100).unwrap();
+        b.offer(Duration::from_millis(1), 1, 100).unwrap();
         assert!(b.deadline().is_none(), "buffer empty after size flush");
-        b.offer(SimTime::from_millis(10), 2, 10);
-        assert_eq!(b.deadline(), Some(SimTime::from_millis(15)));
+        b.offer(Duration::from_millis(10), 2, 10);
+        assert_eq!(b.deadline(), Some(Duration::from_millis(15)));
     }
 
     #[test]
     fn forced_flush() {
         let mut b = Batcher::new(cfg(1_000, 10));
         assert!(b.flush().is_none());
-        b.offer(SimTime::ZERO, 1, 10);
+        b.offer(Duration::ZERO, 1, 10);
         let batch = b.flush().unwrap();
         assert_eq!(batch.reason, FlushReason::Forced);
         assert_eq!(batch.items.len(), 1);
@@ -258,9 +246,9 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut b = Batcher::new(cfg(100, 10));
-        b.offer(SimTime::ZERO, 1, 60);
-        b.offer(SimTime::ZERO, 2, 60).unwrap();
-        b.offer(SimTime::ZERO, 3, 150).unwrap();
+        b.offer(Duration::ZERO, 1, 60);
+        b.offer(Duration::ZERO, 2, 60).unwrap();
+        b.offer(Duration::ZERO, 3, 150).unwrap();
         assert_eq!(b.flushed_batches(), 2);
         assert_eq!(b.flushed_items(), 3);
         assert!((b.mean_batch_size() - 1.5).abs() < 1e-12);
@@ -269,9 +257,9 @@ mod tests {
     #[test]
     fn offer_exactly_on_wtl_deadline() {
         let mut b = Batcher::new(cfg(1_000_000, 1));
-        b.offer(SimTime::from_micros(500), 1, 10);
+        b.offer(Duration::from_micros(500), 1, 10);
         let deadline = b.deadline().unwrap();
-        assert_eq!(deadline, SimTime::from_micros(1_500));
+        assert_eq!(deadline, Duration::from_micros(1_500));
 
         // An offer landing exactly on the deadline joins the buffer (the
         // flusher drains posts before firing the timer) and must not move
@@ -285,9 +273,9 @@ mod tests {
         let batch = b.on_timer(deadline).unwrap();
         assert_eq!(batch.reason, FlushReason::Timer);
         assert_eq!(batch.items, vec![1, 2]);
-        assert_eq!(batch.oldest_at, SimTime::from_micros(500));
+        assert_eq!(batch.oldest_at, Duration::from_micros(500));
         b.offer(deadline, 3, 10);
-        assert_eq!(b.deadline(), Some(deadline + SimDuration::from_millis(1)));
+        assert_eq!(b.deadline(), Some(deadline + Duration::from_millis(1)));
         assert!(b.on_timer(deadline).is_none());
     }
 
@@ -295,13 +283,13 @@ mod tests {
     fn default_is_paper_operating_point() {
         let c = BatchConfig::default();
         assert_eq!(c.mms, 256 * 1024);
-        assert_eq!(c.wtl, SimDuration::from_millis(1));
+        assert_eq!(c.wtl, Duration::from_millis(1));
     }
 
     #[test]
     fn single_oversized_item_flushes_alone() {
         let mut b = Batcher::new(cfg(100, 10));
-        let batch = b.offer(SimTime::ZERO, 9, 500).unwrap();
+        let batch = b.offer(Duration::ZERO, 9, 500).unwrap();
         assert_eq!(batch.items, vec![9]);
         assert_eq!(batch.bytes, 500);
     }

@@ -37,7 +37,6 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use whale_sim::{MetricsRegistry, SimTime};
 
 /// A registered endpoint: its inbox, the counts its reader shares with its
 /// posts and, beside them, the policy's state, so reaching the inbox never
@@ -70,27 +69,20 @@ pub trait Policy: Send + Sync + Sized + 'static {
     /// Accept `msg` for `to`: deliver it, or buffer it for a pass.
     fn send(t: &Transport<Self>, to: EndpointId, msg: LiveMessage) -> Result<(), SendError>;
 
-    /// One pass over `to`'s buffered frames at `now`; `force` also pushes
-    /// out what the policy would still hold back. Returns the frames
-    /// delivered and when the endpoint next needs a pass: `SimTime::ZERO`
-    /// if work is already waiting, `None` when only a post can make some.
+    /// One pass over `to`'s buffered frames at `now` (time since the
+    /// transport was created, or a deterministic caller's own clock);
+    /// `force` also pushes out what the policy would still hold back.
+    /// Returns the frames delivered and when the endpoint next needs a
+    /// pass: `Duration::ZERO` if work is already waiting, `None` when only
+    /// a post can make some.
     fn pass(
         _t: &Transport<Self>,
         _to: EndpointId,
         _entry: &Entry<Self::Endpoint>,
-        _now: SimTime,
+        _now: Duration,
         _force: bool,
-    ) -> (u64, Option<SimTime>) {
+    ) -> (u64, Option<Duration>) {
         (0, None)
-    }
-
-    /// Export what this policy adds to the shared delivery counters.
-    fn export_metrics(
-        _t: &Transport<Self>,
-        _stats: &FabricStats,
-        _reg: &mut MetricsRegistry,
-        _prefix: &str,
-    ) {
     }
 }
 
@@ -125,7 +117,7 @@ struct Core<P: Policy> {
     /// Optional per-link attribution: accepting a frame raises its link's
     /// queue gauge, [`Transport::deliver`] settles it.
     tracker: OnceLock<Arc<LinkTracker>>,
-    /// Live-mode clock origin for mapping wall time onto [`SimTime`].
+    /// Origin of the live clock ([`Transport::wall_now`]).
     epoch: Instant,
 }
 
@@ -167,11 +159,10 @@ impl<P: Policy> Transport<P> {
         FabricPath::send_shared(self, from, to, buf)
     }
 
-    /// Wall time since this transport was created, as a [`SimTime`] (what
-    /// a reader's pass runs at; deterministic callers pass their own
-    /// clock).
-    pub fn wall_now(&self) -> SimTime {
-        SimTime::from_nanos(self.core.epoch.elapsed().as_nanos() as u64)
+    /// Wall time since this transport was created (what a reader's pass
+    /// runs at; deterministic callers pass their own clock).
+    pub fn wall_now(&self) -> Duration {
+        self.core.epoch.elapsed()
     }
 
     /// Install `id` with the inbox `tx → rx`; a buffered policy's inbox
@@ -206,9 +197,7 @@ impl<P: Policy> Transport<P> {
     fn read_pass(&self, id: EndpointId) -> Option<Duration> {
         let now = self.wall_now();
         let (_, due) = self.with_entry(id, |entry| P::pass(self, id, entry, now, false))?;
-        Some(Duration::from_nanos(
-            due?.as_nanos().saturating_sub(now.as_nanos()),
-        ))
+        Some(due?.saturating_sub(now))
     }
 
     /// The endpoint table under its read lock. A pass holds it throughout,
@@ -238,7 +227,7 @@ impl<P: Policy> Transport<P> {
 
     /// Every endpoint's pass at `now`, in id order (the deterministic
     /// drivers and [`FabricPath::flush`]). Returns the frames delivered.
-    pub(crate) fn drain(&self, now: SimTime, force: bool) -> u64 {
+    pub(crate) fn drain(&self, now: Duration, force: bool) -> u64 {
         let table = self.entries();
         let mut ids: Vec<EndpointId> = table.keys().copied().collect();
         ids.sort_unstable();
@@ -448,17 +437,6 @@ impl<P: Policy> FabricPath for Transport<P> {
     fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
         let _ = self.core.tracker.set(tracker);
     }
-
-    fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let stats = self.stats();
-        reg.set_counter(&format!("{prefix}.messages"), stats.messages);
-        reg.set_counter(&format!("{prefix}.copied_bytes"), stats.copied_bytes);
-        reg.set_counter(&format!("{prefix}.shared_bytes"), stats.shared_bytes);
-        reg.set_counter(&format!("{prefix}.send_errors"), stats.send_errors);
-        reg.set_gauge(&format!("{prefix}.endpoints"), stats.endpoints as f64);
-        reg.set_gauge(&format!("{prefix}.queue_depth"), stats.queue_depth as f64);
-        P::export_metrics(self, &stats, reg, prefix);
-    }
 }
 
 /// The per-send policy: the sender hands the frame to the destination
@@ -517,8 +495,8 @@ pub enum FabricKind {
     /// its own endpoint's ring at MMS/WTL.
     Ring(RingConfig),
     /// The remote-fetch path ([`OneSidedFabric`]): senders publish into
-    /// per-link ring regions, each reader pulls its inbound links via
-    /// modeled `RDMA READ`s.
+    /// per-link ring regions, each reader pulls its inbound links by
+    /// sequence number.
     OneSided(OneSidedConfig),
 }
 
@@ -641,87 +619,6 @@ mod tests {
         sender.join().unwrap();
         receiver.join().unwrap();
         assert_eq!(fabric.stats().queue_depth, 0);
-    }
-
-    #[test]
-    fn export_metrics_includes_send_errors() {
-        let fabric = LiveFabric::new();
-        let _ = fabric.send_copied(EndpointId(0), EndpointId(9), b"x");
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "fabric");
-        assert_eq!(reg.counter("fabric.send_errors"), Some(1));
-        assert_eq!(reg.counter("fabric.messages"), Some(0));
-    }
-
-    /// The metric names each kind exports are an interface (the bench
-    /// reports and the runtime's registry read them by name).
-    #[test]
-    fn each_kind_exports_its_pinned_key_set() {
-        const PER_SEND: &[&str] = &[
-            "copied_bytes",
-            "endpoints",
-            "messages",
-            "queue_depth",
-            "send_errors",
-            "shared_bytes",
-        ];
-        const RING: &[&str] = &[
-            "copied_bytes",
-            "doorbell_rings",
-            "endpoints",
-            "flushed_batches",
-            "flushed_items",
-            "mean_batch_size",
-            "messages",
-            "posted",
-            "queue_depth",
-            "send_errors",
-            "shared_bytes",
-        ];
-        const ONE_SIDED: &[&str] = &[
-            "copied_bytes",
-            "deregistrations",
-            "doorbell_rings",
-            "endpoints",
-            "fetch_cpu_ns",
-            "fetch_wire_ns",
-            "links",
-            "messages",
-            "posted",
-            "publish_cpu_ns",
-            "queue_depth",
-            "read_bytes",
-            "reads_posted",
-            "registered_bytes",
-            "registrations",
-            "send_errors",
-            "shared_bytes",
-        ];
-        const LOG: &[&str] = &[
-            "log.appended_bytes",
-            "log.appended_records",
-            "log.read_bytes",
-            "log.reads_posted",
-            "log.retained_bytes",
-            "log.sender_cpu_ns",
-        ];
-        let logged = OneSidedConfig {
-            log: Some(crate::LogConfig::default()),
-            ..OneSidedConfig::default()
-        };
-        let mut one_sided_logged = [ONE_SIDED, LOG].concat();
-        one_sided_logged.sort_unstable();
-        for (kind, want) in [
-            (FabricKind::PerSend, PER_SEND),
-            (FabricKind::Ring(RingConfig::default()), RING),
-            (FabricKind::OneSided(OneSidedConfig::default()), ONE_SIDED),
-            (FabricKind::OneSided(logged), &one_sided_logged[..]),
-        ] {
-            let mut reg = MetricsRegistry::new();
-            kind.build().export_metrics(&mut reg, "p");
-            let got: Vec<&str> = reg.iter().map(|(key, _)| &key[2..]).collect();
-            assert_eq!(got, want, "{kind:?}");
-        }
     }
 
     /// Four machines in two racks, endpoint `i` on machine `i`.

@@ -252,7 +252,4 @@ pub trait FabricPath: Send + Sync {
     /// to a tracked inner transport would double-count every frame.
     /// Install once, before traffic: a second install keeps the first.
     fn install_link_tracker(&self, tracker: Arc<LinkTracker>);
-
-    /// Export delivery counters into `reg` under `prefix.*`.
-    fn export_metrics(&self, reg: &mut whale_sim::MetricsRegistry, prefix: &str);
 }

@@ -27,9 +27,10 @@
 //!   counter keeps advancing through the outage so the restart point is
 //!   always reached).
 //!
-//! Injected faults are counted under `{prefix}.fault.*` by
-//! [`FaultFabric::export_metrics`], on top of the inner fabric's own
-//! counters.
+//! Injected faults are counted by the wrapper's own accessors
+//! ([`FaultFabric::drops`], [`FaultFabric::parked_split`], ...); its
+//! [`FabricPath::stats`] adds the refused sends and the deliverable parked
+//! frames to the inner fabric's snapshot.
 //!
 //! [`flush`]: FabricPath::flush
 
@@ -505,31 +506,6 @@ impl FabricPath for FaultFabric {
         // travel. Installing here as well would double-count.
         self.inner.install_link_tracker(tracker);
     }
-
-    fn export_metrics(&self, reg: &mut whale_sim::MetricsRegistry, prefix: &str) {
-        self.inner.export_metrics(reg, prefix);
-        reg.set_counter(&format!("{prefix}.fault.drops"), self.drops());
-        reg.set_counter(&format!("{prefix}.fault.duplicates"), self.duplicates());
-        reg.set_counter(&format!("{prefix}.fault.delayed"), self.delayed());
-        reg.set_counter(
-            &format!("{prefix}.fault.full_injected"),
-            self.full_injected(),
-        );
-        reg.set_counter(
-            &format!("{prefix}.fault.partition_drops"),
-            self.partition_drops(),
-        );
-        reg.set_counter(
-            &format!("{prefix}.fault.crashed_sends"),
-            self.crashed_sends(),
-        );
-        let (deliverable, doomed) = self.parked_split();
-        reg.set_gauge(
-            &format!("{prefix}.fault.parked_deliverable"),
-            deliverable as f64,
-        );
-        reg.set_gauge(&format!("{prefix}.fault.parked_doomed"), doomed as f64);
-    }
 }
 
 #[cfg(test)]
@@ -833,11 +809,6 @@ mod tests {
         assert_eq!(fabric.parked_split(), (1, 2));
         // Only the deliverable frame is λ-pressure.
         assert_eq!(fabric.stats().queue_depth, 1);
-
-        let mut reg = whale_sim::MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "net");
-        assert_eq!(reg.gauge("net.fault.parked_deliverable"), Some(1.0));
-        assert_eq!(reg.gauge("net.fault.parked_doomed"), Some(2.0));
     }
 
     #[test]
@@ -882,16 +853,15 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_counts_faults_on_top_of_inner() {
-        let (fabric, _) = faulty(FaultPlan::uniform_drops(4, 1.0));
+    fn fault_counters_sit_on_top_of_the_inner_stats() {
+        let (fabric, inner) = faulty(FaultPlan::uniform_drops(4, 1.0));
         let _rx = fabric.register(EndpointId(1)).unwrap();
         fabric
             .send_copied(EndpointId(0), EndpointId(1), b"x")
             .unwrap();
-        let mut reg = whale_sim::MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "net");
-        assert_eq!(reg.counter("net.fault.drops"), Some(1));
-        assert_eq!(reg.counter("net.fault.duplicates"), Some(0));
-        assert_eq!(reg.counter("net.messages"), Some(0));
+        assert_eq!((fabric.drops(), fabric.duplicates()), (1, 0));
+        // A dropped frame never reaches the inner fabric.
+        assert_eq!(fabric.stats().messages, 0);
+        assert_eq!(fabric.stats(), inner.stats());
     }
 }

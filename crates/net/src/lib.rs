@@ -1,13 +1,15 @@
-//! # whale-net — RDMA/TCP fabric emulation
+//! # whale-net — the live fabric
 //!
 //! Stand-in for the Mellanox InfiniBand FDR + DiSNI verbs stack the paper
-//! runs on. Provides: the cluster topology (machines/racks), a verbs-style
-//! cost API (queue pairs and work requests, one-sided/two-sided verbs with
-//! per-verb costs), registered memory with the ring memory region
-//! multiplexing of §4, the MMS/WTL stream-slicing batcher, a NIC transmit
-//! model for the discrete-event simulation, the live in-process transports
+//! runs on, as a crate that moves frames between threads and counts them.
+//! Provides: the cluster topology (machines/racks) and its per-link load
+//! tracker, registered memory with the ring memory region multiplexing of
+//! §4, the MMS/WTL stream-slicing batcher, the live in-process transports
 //! (per-send, batched ring, one-sided fetch) behind [`FabricPath`] with
-//! their fault-injection wrapper, and the partition log.
+//! their fault-injection wrapper, and the partition log. It prices
+//! nothing: the simulator's cost model, NIC model and verb choice live in
+//! `whale-sim`, and a live clock here is a [`std::time::Duration`] since
+//! the transport was created.
 
 #![warn(missing_docs)]
 
@@ -18,12 +20,10 @@ pub mod fault;
 pub mod inbox;
 pub mod log;
 pub mod memory;
-pub mod nic;
 pub mod one_sided;
 pub mod policy;
 pub mod ring_fabric;
 pub mod topology;
-pub mod verbs;
 
 pub use batch::{Batch, BatchConfig, Batcher, FlushReason};
 pub use crate::core::{FabricKind, LiveFabric, Transport};
@@ -38,9 +38,7 @@ pub use one_sided::{OneSidedConfig, OneSidedFabric};
 pub use policy::SendPolicy;
 pub use ring_fabric::{RingConfig, RingFabric};
 pub use memory::{MemoryRegionId, MemoryRegistry, RingFull, RingRegion, SlotAddr};
-pub use nic::Nic;
 pub use topology::{ClusterSpec, LinkId, LinkLoad, LinkTracker, MachineId, RackId, TopologyConfig};
-pub use verbs::{PostCosts, QpId, QueuePair, VerbPolicy, WorkRequest, WrId};
 
 #[cfg(test)]
 mod tests {

@@ -5,10 +5,11 @@
 //! consumer has nothing to read back. [`PartitionLog`] is the durable
 //! sibling — a per-link, segment-based append log that sends write
 //! through *before* the outbox. Every record keeps its sequence number,
-//! and [`PartitionLog::read_from`] serves any retained suffix via modeled
-//! one-sided RDMA READs through a real [`QueuePair`], so recovery and
-//! late-subscriber backfill never touch the log owner's CPU (the same
-//! server-bypass property the one-sided transport has on the hot path).
+//! and [`PartitionLog::read_from`] serves any retained suffix as one-sided
+//! reads — one counted per record, nothing appended or published on the
+//! owner's side — so recovery and late-subscriber backfill never touch the
+//! log owner (the same server-bypass property the one-sided transport has
+//! on the hot path).
 //!
 //! Layout: records are framed `seq u64 LE | len u32 LE | payload` and
 //! packed into fixed-size segments, each registered as one memory region
@@ -27,10 +28,7 @@
 //! `torn_tails`, and never panics.
 
 use crate::memory::{MemoryRegionId, MemoryRegistry};
-use crate::topology::MachineId;
-use crate::verbs::{QpId, QueuePair, WorkRequest, WrId};
 use std::collections::VecDeque;
-use whale_sim::{CostModel, MetricsRegistry, Transport, Verb};
 
 /// Bytes of record-framing overhead per appended record.
 pub const RECORD_HEADER: usize = 12;
@@ -79,12 +77,10 @@ pub struct LogRead {
 }
 
 /// A per-link, segment-based append log readable by sequence number via
-/// modeled RDMA READs. See the module docs for layout and semantics.
+/// one-sided reads. See the module docs for layout and semantics.
 pub struct PartitionLog {
     config: LogConfig,
     registry: MemoryRegistry,
-    qp: QueuePair,
-    cost: CostModel,
     segments: VecDeque<Segment>,
     /// The buffers of the last standard-size segment dropped, emptied:
     /// the next segment's, so a log in steady state (one segment GC'd
@@ -105,26 +101,17 @@ pub struct PartitionLog {
     // Reader-side (replay / backfill):
     reads_posted: u64,
     read_bytes: u64,
-    read_cpu_ns: u64,
-    read_wire_ns: u64,
     torn_tails: u64,
 }
 
 impl PartitionLog {
-    /// New empty log with a loopback queue pair (both ends on machine 0).
+    /// New empty log.
     pub fn new(config: LogConfig) -> Self {
-        Self::for_link(config, QpId(0), MachineId(0), MachineId(0))
-    }
-
-    /// New empty log whose replay READs are priced on the given link.
-    pub fn for_link(config: LogConfig, qp: QpId, local: MachineId, remote: MachineId) -> Self {
         assert!(config.segment_bytes > RECORD_HEADER, "segment too small");
         assert!(config.max_segments > 0, "need at least one segment");
         PartitionLog {
             config,
             registry: MemoryRegistry::new(),
-            qp: QueuePair::new(qp, local, remote, Transport::Rdma),
-            cost: CostModel::default(),
             segments: VecDeque::new(),
             spare: None,
             next_seq: 0,
@@ -137,15 +124,13 @@ impl PartitionLog {
             gc_watermark: 0,
             reads_posted: 0,
             read_bytes: 0,
-            read_cpu_ns: 0,
-            read_wire_ns: 0,
             torn_tails: 0,
         }
     }
 
-    /// Append one record; returns its sequence number. The write is
-    /// priced as the sender-side CPU of a one-sided WRITE (the log lives
-    /// next to the outbox, on the sender): see [`Self::sender_cpu_ns`].
+    /// Append one record; returns its sequence number. This is the log
+    /// owner's only work: [`Self::appended_records`] counts it, and reads
+    /// never move that count.
     pub fn append(&mut self, payload: &[u8]) -> u64 {
         let need = RECORD_HEADER + payload.len();
         let roll = match self.segments.back() {
@@ -200,50 +185,27 @@ impl PartitionLog {
         }
     }
 
-    /// Read every retained record with sequence `>= seq`, pricing each as
-    /// a one-sided READ on this log's queue pair. The log owner's CPU
-    /// counter is untouched — the cost lands on the reader
-    /// ([`PartitionLog::read_cpu_ns`]) and the wire.
+    /// Read every retained record with sequence `>= seq`, counting each as
+    /// one one-sided read of its framed bytes ([`Self::reads_posted`],
+    /// [`Self::read_bytes`]). The log owner's counters are untouched.
     pub fn read_from(&mut self, seq: u64) -> LogRead {
         let start = seq.max(self.first_seq);
         let mut out = LogRead {
             records: Vec::new(),
             gc_skipped: start - seq,
         };
-        for si in 0..self.segments.len() {
-            let (base, n) = {
-                let s = &self.segments[si];
-                (s.base_seq, s.offsets.len() as u64)
-            };
-            if base + n <= start {
-                continue;
-            }
-            let from = start.saturating_sub(base) as usize;
-            for ri in from..n as usize {
-                let (rec_seq, payload) = {
-                    let s = &self.segments[si];
-                    let off = s.offsets[ri];
-                    let rec_seq = u64::from_le_bytes(s.buf[off..off + 8].try_into().unwrap());
-                    let len =
-                        u32::from_le_bytes(s.buf[off + 8..off + 12].try_into().unwrap()) as usize;
-                    (rec_seq, s.buf[off + RECORD_HEADER..off + RECORD_HEADER + len].to_vec())
-                };
-                let wr = WorkRequest {
-                    wr_id: WrId(rec_seq),
-                    verb: Verb::Read,
-                    bytes: RECORD_HEADER + payload.len(),
-                };
-                // Priced at in-rack distance (0 rack hops).
-                let costs = self.qp.post(&wr, &self.cost, 0);
-                self.reads_posted += 1;
-                self.read_bytes += wr.bytes as u64;
-                // Both the post and the completion are the reader's CPU:
-                // one-sided READs bypass the log owner entirely.
-                self.read_cpu_ns += costs.post_cpu.as_nanos() + costs.remote_cpu.as_nanos();
-                self.read_wire_ns += costs.wire.as_nanos() + 2 * costs.latency.as_nanos();
-                out.records.push((rec_seq, payload));
+        for s in &self.segments {
+            let from = start.saturating_sub(s.base_seq) as usize;
+            for &off in s.offsets.iter().skip(from) {
+                let rec_seq = u64::from_le_bytes(s.buf[off..off + 8].try_into().unwrap());
+                let len = u32::from_le_bytes(s.buf[off + 8..off + 12].try_into().unwrap()) as usize;
+                let record = &s.buf[off..off + RECORD_HEADER + len];
+                self.read_bytes += record.len() as u64;
+                out.records
+                    .push((rec_seq, record[RECORD_HEADER..].to_vec()));
             }
         }
+        self.reads_posted += out.records.len() as u64;
         out
     }
 
@@ -322,15 +284,6 @@ impl PartitionLog {
         self.appended_bytes
     }
 
-    /// Modeled sender-side CPU nanoseconds spent appending: posting an
-    /// RDMA WRITE costs the same whatever it carries, so this is the
-    /// record count times that constant. Reads never move it — that is
-    /// the server-bypass property recovery leans on.
-    pub fn sender_cpu_ns(&self) -> u64 {
-        let post = self.cost.send_cpu(Transport::Rdma, Verb::Write, 0);
-        self.appended_records * post.as_nanos()
-    }
-
     /// Records dropped by watermark GC or the segment cap.
     pub fn gcd_records(&self) -> u64 {
         self.gcd_records
@@ -356,24 +309,14 @@ impl PartitionLog {
         self.torn_tails
     }
 
-    /// One-sided READs posted serving [`Self::read_from`].
+    /// One-sided reads serving [`Self::read_from`], one per record.
     pub fn reads_posted(&self) -> u64 {
         self.reads_posted
     }
 
-    /// Bytes moved by replay READs (record framing included).
+    /// Bytes moved by replay reads (record framing included).
     pub fn read_bytes(&self) -> u64 {
         self.read_bytes
-    }
-
-    /// Modeled reader-side CPU nanoseconds across all replay READs.
-    pub fn read_cpu_ns(&self) -> u64 {
-        self.read_cpu_ns
-    }
-
-    /// Modeled wire + propagation nanoseconds across all replay READs.
-    pub fn read_wire_ns(&self) -> u64 {
-        self.read_wire_ns
     }
 
     /// Bytes currently retained across all segments.
@@ -389,32 +332,6 @@ impl PartitionLog {
     /// Memory deregistrations (segment evictions and watermark GC).
     pub fn deregistrations(&self) -> u64 {
         self.registry.deregistrations()
-    }
-
-    /// Export counters and gauges into `reg` under `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.appended_records"), self.appended_records);
-        reg.set_counter(&format!("{prefix}.appended_bytes"), self.appended_bytes);
-        reg.set_counter(&format!("{prefix}.sender_cpu_ns"), self.sender_cpu_ns());
-        reg.set_counter(&format!("{prefix}.gcd_records"), self.gcd_records);
-        reg.set_counter(&format!("{prefix}.gcd_bytes"), self.gcd_bytes);
-        reg.set_counter(&format!("{prefix}.evicted_segments"), self.evicted_segments);
-        reg.set_counter(&format!("{prefix}.reads_posted"), self.reads_posted);
-        reg.set_counter(&format!("{prefix}.read_bytes"), self.read_bytes);
-        reg.set_counter(&format!("{prefix}.read_cpu_ns"), self.read_cpu_ns);
-        reg.set_counter(&format!("{prefix}.read_wire_ns"), self.read_wire_ns);
-        reg.set_counter(&format!("{prefix}.torn_tails"), self.torn_tails);
-        reg.set_gauge(&format!("{prefix}.gc_watermark"), self.gc_watermark as f64);
-        reg.set_gauge(
-            &format!("{prefix}.watermark_lag"),
-            self.next_seq.saturating_sub(self.gc_watermark) as f64,
-        );
-        reg.set_gauge(
-            &format!("{prefix}.retained_bytes"),
-            self.retained_bytes() as f64,
-        );
-        reg.set_gauge(&format!("{prefix}.segments"), self.segments.len() as f64);
-        self.registry.export_metrics(reg, prefix);
     }
 }
 
@@ -470,35 +387,28 @@ mod tests {
     }
 
     #[test]
-    fn reads_are_priced_as_one_sided_reads_with_zero_sender_cpu() {
+    fn reads_count_each_record_and_its_framed_bytes_and_move_no_owner_work() {
         let mut log = PartitionLog::new(roomy());
         for i in 0..8u64 {
             log.append(&payload(i));
         }
-        let writer_cpu = log.sender_cpu_ns();
-        assert!(writer_cpu > 0, "appends cost sender CPU");
-        let before_reads = log.reads_posted();
-        assert_eq!(before_reads, 0);
+        let (appended, bytes) = (log.appended_records(), log.appended_bytes());
+        assert_eq!(log.reads_posted(), 0);
         let read = log.read_from(0);
         assert_eq!(read.records.len(), 8);
-        assert_eq!(log.reads_posted(), 8);
-        let cost = CostModel::default();
-        // Priced at read time, to what pricing each append came to.
-        let per_append = |i| {
-            let bytes = RECORD_HEADER + payload(i).len();
-            cost.send_cpu(Transport::Rdma, Verb::Write, bytes)
-                .as_nanos()
-        };
-        assert_eq!(writer_cpu, (0..8u64).map(per_append).sum::<u64>());
-        let expect_bytes: u64 = (0..8u64)
+        assert_eq!(log.reads_posted(), 8, "one read per record");
+        let framed: u64 = (0..8u64)
             .map(|i| (RECORD_HEADER + payload(i).len()) as u64)
             .sum();
-        assert_eq!(log.read_bytes(), expect_bytes);
-        let per = cost.send_cpu(Transport::Rdma, Verb::Read, RECORD_HEADER + payload(0).len());
-        assert!(log.read_cpu_ns() >= 8 * per.as_nanos());
-        // The server-bypass property: reads moved zero sender CPU.
-        assert_eq!(log.sender_cpu_ns(), writer_cpu);
-        assert!(log.read_wire_ns() > 0);
+        assert_eq!(log.read_bytes(), framed);
+        // A suffix read counts only the records it returns.
+        log.read_from(6);
+        assert_eq!(log.reads_posted(), 10);
+        // The server-bypass property: reads appended nothing.
+        assert_eq!(
+            (log.appended_records(), log.appended_bytes()),
+            (appended, bytes)
+        );
     }
 
     #[test]
@@ -664,22 +574,20 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_covers_counters_and_gauges() {
+    fn counters_and_gauges_after_append_gc_and_read() {
         let mut log = PartitionLog::new(roomy());
         for i in 0..20u64 {
             log.append(&payload(i));
         }
         log.truncate_to(8);
         log.read_from(8);
-        let mut reg = MetricsRegistry::new();
-        log.export_metrics(&mut reg, "log");
-        assert_eq!(reg.counter("log.appended_records"), Some(20));
-        assert!(reg.counter("log.appended_bytes").unwrap() > 0);
-        assert!(reg.counter("log.reads_posted").unwrap() > 0);
-        assert_eq!(reg.counter("log.torn_tails"), Some(0));
-        assert_eq!(reg.gauge("log.gc_watermark"), Some(8.0));
-        assert!(reg.gauge("log.retained_bytes").unwrap() > 0.0);
-        assert!(reg.gauge("log.watermark_lag").unwrap() > 0.0);
-        assert!(reg.counter("log.registrations").unwrap() > 0);
+        assert_eq!(log.appended_records(), 20);
+        assert!(log.appended_bytes() > 0);
+        assert!(log.reads_posted() > 0);
+        assert_eq!(log.torn_tails(), 0);
+        assert_eq!(log.gc_watermark(), 8);
+        assert!(log.retained_bytes() > 0);
+        assert!(log.next_seq() > log.gc_watermark());
+        assert!(log.registrations() > 0);
     }
 }

@@ -8,8 +8,6 @@
 //! its accounting — slot reuse means registration is paid once, not per
 //! message.
 
-use whale_sim::MetricsRegistry;
-
 /// A registered memory region handle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MemoryRegionId(pub u64);
@@ -59,13 +57,6 @@ impl MemoryRegistry {
     /// Total deregistrations performed.
     pub fn deregistrations(&self) -> u64 {
         self.deregistrations
-    }
-
-    /// Export registration counters into `reg` under `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.registrations"), self.registrations);
-        reg.set_counter(&format!("{prefix}.registered_bytes"), self.registered_bytes);
-        reg.set_counter(&format!("{prefix}.deregistrations"), self.deregistrations);
     }
 }
 
@@ -181,19 +172,6 @@ impl<T> RingRegion<T> {
         let seq = self.consumed;
         self.consumed += 1;
         Some((SlotAddr { index, seq }, value))
-    }
-
-    /// Export ring occupancy and slot-reuse counters into `reg` under
-    /// `prefix.*`. `slot_reuses` counts consumptions beyond the first pass
-    /// over the ring — the registrations the ring design avoided.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_gauge(&format!("{prefix}.capacity"), self.capacity() as f64);
-        reg.set_gauge(&format!("{prefix}.occupied"), self.len() as f64);
-        reg.set_counter(&format!("{prefix}.consumed"), self.consumed);
-        reg.set_counter(
-            &format!("{prefix}.slot_reuses"),
-            self.consumed.saturating_sub(self.capacity() as u64),
-        );
     }
 
     /// Read the value at the tail without consuming (models a remote

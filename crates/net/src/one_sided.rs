@@ -6,10 +6,9 @@
 //! inverts the data movement: each (sender, destination) link owns a
 //! [`RingRegion`]-backed outbox registered once, the sender *publishes*
 //! frames into it (server-bypass: no destination code runs on the send
-//! path), and the receive side *fetches* — a modeled `RDMA READ` of the
-//! tail slot, addressed purely by sequence number via
-//! [`RingRegion::peek_at`], priced as an RDMA READ by the [`CostModel`]
-//! when the metrics are exported. The fetcher is the destination's own
+//! path), and the receive side *fetches* — the in-process stand-in for an
+//! `RDMA READ` of the tail slot, addressed purely by sequence number
+//! ([`RingRegion::tail_seq`]). The fetcher is the destination's own
 //! reader: before its [`crate::Inbox`] reads, it fetches its inbound
 //! links, and a publish wakes it if it is blocked. Deterministic callers
 //! drive [`OneSidedFabric::fetch_all`] themselves.
@@ -33,21 +32,15 @@
 //! [`crate::core`]'s.
 
 use crate::core::{Entry, Handoff, Policy, Transport};
-use crate::fabric::{EndpointId, FabricStats, IdHashMap, LiveMessage, Payload, SendError};
+use crate::fabric::{EndpointId, IdHashMap, LiveMessage, Payload, SendError};
 use crate::log::{LogConfig, PartitionLog};
 use crate::memory::{MemoryRegistry, RingRegion};
-use crate::topology::MachineId;
-use crate::verbs::QpId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use whale_sim::{CostModel, MetricsRegistry, SimTime, Transport as Wire};
+use std::time::Duration;
 
 /// Per-slot registration accounting: bytes of registered memory each
 /// outbox slot reserves.
 const SLOT_BYTES: usize = 2 * 1024;
-
-/// Rack distance assumed for the modeled READ round trip.
-const RACK_HOPS: u32 = 0;
 
 /// Configuration of the one-sided (remote-fetch) transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,15 +85,6 @@ pub struct OneSided {
     /// Registration ledger: one registration per link, paid lazily on the
     /// first publish, refunded on deregistration.
     registry: Mutex<MemoryRegistry>,
-    /// Queue-pair ids of the write-through logs.
-    next_qp: AtomicU64,
-    /// Modeled `RDMA READ`s posted by the fetch side. Kept on the policy,
-    /// not the link, so a link closed before the export loses nothing.
-    reads_posted: AtomicU64,
-    read_bytes: AtomicU64,
-    /// Modeled wire occupancy, summed frame by frame (the per-frame
-    /// nanosecond floor does not commute with a sum over bytes).
-    read_wire_ns: AtomicU64,
 }
 
 /// The remote-fetch transport. See the module docs for semantics.
@@ -109,18 +93,13 @@ pub type OneSidedFabric = Transport<OneSided>;
 impl OneSided {
     /// A fresh outbox for `from → to`: registration is paid here, once per
     /// link, never per message.
-    fn new_link(&self, from: EndpointId, to: EndpointId) -> Mutex<LinkOutbox> {
-        let next_qp = || QpId(self.next_qp.fetch_add(1, Ordering::Relaxed));
-        let (local, remote) = (MachineId(from.0), MachineId(to.0));
+    fn new_link(&self) -> Mutex<LinkOutbox> {
         let ring = RingRegion::new(
             self.config.ring_slots,
             SLOT_BYTES,
             &mut self.registry.lock(),
         );
-        let log = self
-            .config
-            .log
-            .map(|cfg| PartitionLog::for_link(cfg, next_qp(), local, remote));
+        let log = self.config.log.map(PartitionLog::new);
         Mutex::new(LinkOutbox {
             ring,
             staged: None,
@@ -198,7 +177,7 @@ impl Policy for OneSided {
         let sent = match published {
             Some(Ok(sent)) => Some(sent),
             Some(Err(msg)) => t.with_entry_mut(to, |entry| {
-                let fresh = || t.policy().new_link(from, to);
+                let fresh = || t.policy().new_link();
                 entry.state.entry(from).or_insert_with(fresh);
                 let entry = &*entry;
                 publish(entry, &entry.state[&from], msg)
@@ -209,20 +188,17 @@ impl Policy for OneSided {
             .map_err(|err| t.reject(err))
     }
 
-    /// Fetch every inbound link of `to`: count the `RDMA READ` of each
-    /// tail slot (addressed by seq), consume it, and hand the frame to the
-    /// inbox. A full bounded inbox stops a link — the frame stays staged,
-    /// the ring backs up, and publishes eventually see
-    /// [`SendError::Full`].
+    /// Fetch every inbound link of `to`: read each tail slot (addressed by
+    /// seq), consume it, and hand the frame to the inbox. A full bounded
+    /// inbox stops a link — the frame stays staged, the ring backs up, and
+    /// publishes eventually see [`SendError::Full`].
     fn pass(
         t: &OneSidedFabric,
         to: EndpointId,
         entry: &Entry<Inbound>,
-        _now: SimTime,
+        _now: Duration,
         _force: bool,
-    ) -> (u64, Option<SimTime>) {
-        let cost = CostModel::default();
-        let (mut reads, mut read_bytes, mut read_wire_ns) = (0u64, 0u64, 0u64);
+    ) -> (u64, Option<Duration>) {
         let (mut delivered, mut settled) = (0, 0);
         for link in entry.state.values() {
             let mut link = link.lock();
@@ -231,17 +207,11 @@ impl Policy for OneSided {
                     Some(staged) => staged,
                     None => {
                         // The remote reader locates the next frame by
-                        // sequence number alone — no control message (§4).
-                        let seq = link.ring.tail_seq();
-                        let Some(frame) = link.ring.peek_at(seq) else {
+                        // sequence number alone — no control message (§4):
+                        // the tail slot holds `tail_seq`.
+                        let Some((_, msg)) = link.ring.consume() else {
                             break;
                         };
-                        let bytes = frame.payload.len();
-                        reads += 1;
-                        read_bytes += bytes as u64;
-                        read_wire_ns += cost.wire_time(Wire::Rdma, bytes).as_nanos();
-                        let (addr, msg) = link.ring.consume().expect("peeked tail slot");
-                        debug_assert_eq!(addr.seq, seq);
                         msg
                     }
                 };
@@ -257,61 +227,7 @@ impl Policy for OneSided {
             }
         }
         entry.port.settle(settled);
-        if reads > 0 {
-            let p = t.policy();
-            p.reads_posted.fetch_add(reads, Ordering::Relaxed);
-            p.read_bytes.fetch_add(read_bytes, Ordering::Relaxed);
-            p.read_wire_ns.fetch_add(read_wire_ns, Ordering::Relaxed);
-        }
         (delivered, None)
-    }
-
-    fn export_metrics(
-        t: &OneSidedFabric,
-        stats: &FabricStats,
-        reg: &mut MetricsRegistry,
-        prefix: &str,
-    ) {
-        let p = t.policy();
-        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        // Every fetched frame is one READ: `ring_publish` on the sender,
-        // `rdma_post_read` on the fetcher, and a request/response round
-        // trip (two propagation legs) on top of its wire time.
-        let cost = CostModel::default();
-        let reads = get(&p.reads_posted);
-        let round_trip = 2 * cost.net_latency(Wire::Rdma, RACK_HOPS).as_nanos();
-        reg.set_counter(&format!("{prefix}.posted"), stats.posted);
-        reg.set_counter(&format!("{prefix}.doorbell_rings"), stats.doorbell_rings);
-        reg.set_counter(&format!("{prefix}.reads_posted"), reads);
-        reg.set_counter(&format!("{prefix}.read_bytes"), get(&p.read_bytes));
-        reg.set_counter(
-            &format!("{prefix}.publish_cpu_ns"),
-            reads * cost.ring_publish.as_nanos(),
-        );
-        reg.set_counter(
-            &format!("{prefix}.fetch_cpu_ns"),
-            reads * cost.rdma_post_read.as_nanos(),
-        );
-        reg.set_counter(
-            &format!("{prefix}.fetch_wire_ns"),
-            get(&p.read_wire_ns) + reads * round_trip,
-        );
-        reg.set_gauge(&format!("{prefix}.links"), t.link_count() as f64);
-        if p.config.log.is_some() {
-            let log = |name: &str| format!("{prefix}.log.{name}");
-            let sum = |f: fn(&PartitionLog) -> u64| t.log_sum(f);
-            reg.set_counter(
-                &log("appended_records"),
-                sum(PartitionLog::appended_records),
-            );
-            reg.set_counter(&log("appended_bytes"), sum(PartitionLog::appended_bytes));
-            reg.set_counter(&log("sender_cpu_ns"), sum(PartitionLog::sender_cpu_ns));
-            reg.set_counter(&log("reads_posted"), sum(PartitionLog::reads_posted));
-            reg.set_counter(&log("read_bytes"), sum(PartitionLog::read_bytes));
-            let retained = sum(PartitionLog::retained_bytes);
-            reg.set_gauge(&log("retained_bytes"), retained as f64);
-        }
-        p.registry.lock().export_metrics(reg, prefix);
     }
 }
 
@@ -324,17 +240,14 @@ impl OneSidedFabric {
         Transport::with_policy(OneSided {
             config,
             registry: Mutex::new(MemoryRegistry::new()),
-            next_qp: AtomicU64::new(0),
-            reads_posted: AtomicU64::new(0),
-            read_bytes: AtomicU64::new(0),
-            read_wire_ns: AtomicU64::new(0),
         })
     }
 
     /// Late-subscriber backfill: replay the `from → to` link's logged
     /// history starting at sequence `seq` into `reader`'s inbox, as
-    /// modeled one-sided READs against the sender's log — the sender's
-    /// publish CPU counters never move. Returns the number of frames
+    /// one-sided reads of the sender's log: the reads are counted on the
+    /// log ([`PartitionLog::reads_posted`]), and nothing is appended or
+    /// published on the sender's side. Returns the number of frames
     /// delivered. Fails with [`SendError::UnknownEndpoint`] if the
     /// reader is not registered, the link has never carried a frame, or
     /// the fabric runs without a log.
@@ -367,9 +280,9 @@ impl OneSidedFabric {
     }
 
     /// Sum `f` over every link's partition log (0 without a log), e.g.
-    /// `log_sum(PartitionLog::sender_cpu_ns)` — the modeled sender-side
-    /// CPU spent writing the logs, which backfills never move (the
-    /// acceptance criterion E26 checks).
+    /// `log_sum(PartitionLog::appended_records)` — the sender-side log
+    /// writes, which backfills never move (the acceptance criterion E26
+    /// checks).
     pub fn log_sum(&self, f: impl Fn(&PartitionLog) -> u64) -> u64 {
         self.entries()
             .values()
@@ -381,7 +294,7 @@ impl OneSidedFabric {
     /// Every destination's fetch pass, in id order. Returns the number of
     /// frames delivered.
     pub fn fetch_all(&self) -> u64 {
-        self.drain(SimTime::ZERO, false)
+        self.drain(Duration::ZERO, false)
     }
 
     /// Live (sender, destination) link count.
@@ -395,9 +308,8 @@ mod tests {
     use super::*;
     use crate::fabric::FabricPath;
     use crate::Inbox;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
-    use whale_sim::Verb;
 
     fn cfg(ring_slots: usize) -> OneSidedConfig {
         OneSidedConfig {
@@ -437,36 +349,7 @@ mod tests {
         assert_eq!(fabric.stats().queue_depth, 0, "one pass fetched both");
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"b");
         assert!(rx.try_recv().is_err());
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "os");
-        assert_eq!(reg.counter("os.reads_posted"), Some(2));
-    }
-
-    #[test]
-    fn fetches_are_priced_as_reads() {
-        let fabric = OneSidedFabric::new(cfg(16));
-        let _rx = fabric.register(EndpointId(1)).unwrap();
-        for _ in 0..3 {
-            fabric
-                .send_copied(EndpointId(0), EndpointId(1), &[0u8; 100])
-                .unwrap();
-        }
-        fabric.fetch_all();
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "os");
-        assert_eq!(reg.counter("os.reads_posted"), Some(3));
-        assert_eq!(reg.counter("os.read_bytes"), Some(300));
-        let cost = CostModel::default();
-        assert_eq!(
-            reg.counter("os.publish_cpu_ns"),
-            Some(3 * cost.send_cpu(Wire::Rdma, Verb::Read, 100).as_nanos())
-        );
-        assert_eq!(
-            reg.counter("os.fetch_cpu_ns"),
-            Some(3 * cost.recv_cpu(Wire::Rdma, Verb::Read).as_nanos())
-        );
-        let read = cost.wire_time(Wire::Rdma, 100) + cost.net_latency(Wire::Rdma, 0) * 2;
-        assert_eq!(reg.counter("os.fetch_wire_ns"), Some(3 * read.as_nanos()));
+        assert_eq!(fabric.stats().messages, 2);
     }
 
     #[test]
@@ -483,9 +366,8 @@ mod tests {
                 .unwrap();
         }
         fabric.fetch_all();
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "os");
-        assert_eq!(reg.counter("os.registrations"), Some(2), "one per link");
+        let registrations = fabric.policy().registry.lock().registrations();
+        assert_eq!(registrations, 2, "one per link");
         assert_eq!(fabric.link_count(), 2);
     }
 
@@ -565,9 +447,8 @@ mod tests {
                 .unwrap_err(),
             SendError::UnknownEndpoint
         );
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "os");
-        assert_eq!(reg.counter("os.deregistrations"), Some(1));
+        assert_eq!(fabric.policy().registry.lock().deregistrations(), 1);
+        assert_eq!(live_registrations(&fabric), 0);
     }
 
     /// Registrations not yet refunded (the registry's byte total is
@@ -601,7 +482,7 @@ mod tests {
     fn publishes_racing_deregister_leave_no_link_behind() {
         const ROUNDS: u32 = 1_000;
         let fabric = Arc::new(OneSidedFabric::new(cfg(4)));
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
         let publisher = {
             let (fabric, done) = (Arc::clone(&fabric), Arc::clone(&done));
             std::thread::spawn(move || {
@@ -676,10 +557,7 @@ mod tests {
         // At most one wake-up per publish, and only to a blocked reader.
         let rings = fabric.stats().doorbell_rings;
         assert!(rings <= 50, "rings = {rings}");
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "net.one_sided");
-        assert_eq!(reg.counter("net.one_sided.reads_posted"), Some(50));
-        assert_eq!(reg.counter("net.one_sided.doorbell_rings"), Some(rings));
+        assert_eq!(fabric.stats().messages, 50);
     }
 
     fn drain(rx: &Inbox) -> Vec<Vec<u8>> {
@@ -710,14 +588,16 @@ mod tests {
                 .unwrap();
         }
         fabric.fetch_all();
-        // The ring slots are consumed, but the log kept everything.
+        // The ring slots are consumed, but the log kept everything; the
+        // live fetches read the ring, never the log.
         assert_eq!(fabric.log_sum(PartitionLog::appended_records), 10);
         assert_eq!(fabric.log_sum(PartitionLog::appended_bytes), 80);
         assert!(fabric.log_sum(PartitionLog::retained_bytes) > 0);
+        assert_eq!(fabric.log_sum(PartitionLog::reads_posted), 0);
     }
 
     #[test]
-    fn backfill_replays_history_into_a_late_reader_with_zero_sender_cpu() {
+    fn backfill_replays_history_into_a_late_reader_without_sender_work() {
         let fabric = OneSidedFabric::new(logged_config());
         let rx = fabric.register(EndpointId(1)).unwrap();
         for i in 0..20u64 {
@@ -731,7 +611,7 @@ mod tests {
 
         // A late subscriber attaches mid-run and backfills from seq 5.
         let late = fabric.register(EndpointId(9)).unwrap();
-        let sender_cpu_before = fabric.log_sum(PartitionLog::sender_cpu_ns);
+        let appended_before = fabric.log_sum(PartitionLog::appended_records);
         let reads_before = fabric.log_sum(PartitionLog::reads_posted);
         let delivered = fabric
             .backfill(EndpointId(0), EndpointId(1), EndpointId(9), 5)
@@ -741,13 +621,17 @@ mod tests {
         assert_eq!(got.len(), 15);
         assert_eq!(got[0], 5u64.to_le_bytes().to_vec());
         assert_eq!(got[14], 19u64.to_le_bytes().to_vec());
-        // Server bypass: the backfill posted READs and moved zero
-        // sender-side CPU.
-        assert!(fabric.log_sum(PartitionLog::reads_posted) > reads_before);
+        // Server bypass: the backfill is one read per record and moves
+        // no sender-side work — nothing is appended or published.
         assert_eq!(
-            fabric.log_sum(PartitionLog::sender_cpu_ns),
-            sender_cpu_before
+            fabric.log_sum(PartitionLog::reads_posted) - reads_before,
+            15
         );
+        assert_eq!(
+            fabric.log_sum(PartitionLog::appended_records),
+            appended_before
+        );
+        assert_eq!(fabric.stats().posted, 20);
     }
 
     #[test]
@@ -770,23 +654,5 @@ mod tests {
             logged.backfill(EndpointId(0), EndpointId(1), EndpointId(1), 0),
             Err(SendError::UnknownEndpoint)
         );
-    }
-
-    #[test]
-    fn log_metrics_export_under_the_log_prefix() {
-        let fabric = OneSidedFabric::new(logged_config());
-        let _rx = fabric.register(EndpointId(1)).unwrap();
-        for i in 0..5u64 {
-            fabric
-                .send_copied(EndpointId(0), EndpointId(1), &i.to_le_bytes())
-                .unwrap();
-        }
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "os");
-        assert_eq!(reg.counter("os.log.appended_records"), Some(5));
-        assert_eq!(reg.counter("os.log.appended_bytes"), Some(40));
-        assert!(reg.counter("os.log.sender_cpu_ns").unwrap() > 0);
-        assert_eq!(reg.counter("os.log.reads_posted"), Some(0));
-        assert!(reg.gauge("os.log.retained_bytes").unwrap() > 0.0);
     }
 }

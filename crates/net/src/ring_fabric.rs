@@ -26,10 +26,10 @@
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::core::{Entry, Handoff, Policy, Transport};
-use crate::fabric::{EndpointId, FabricStats, LiveMessage, SendError};
+use crate::fabric::{EndpointId, LiveMessage, SendError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use whale_sim::{MetricsRegistry, SimTime};
+use std::time::Duration;
 
 /// Configuration of the ring transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,9 +68,9 @@ pub struct EndpointRing {
 impl EndpointRing {
     /// When this endpoint next needs a pass: at once if the ring or the
     /// retry queue holds work, else at the armed WTL deadline, if any.
-    fn next_due(&self) -> Option<SimTime> {
+    fn next_due(&self) -> Option<Duration> {
         if !self.ring.is_empty() || !self.undelivered.is_empty() {
-            Some(SimTime::ZERO)
+            Some(Duration::ZERO)
         } else {
             self.batcher.deadline()
         }
@@ -169,9 +169,9 @@ impl Policy for Ring {
         t: &RingFabric,
         to: EndpointId,
         entry: &Entry<Mutex<EndpointRing>>,
-        now: SimTime,
+        now: Duration,
         force: bool,
-    ) -> (u64, Option<SimTime>) {
+    ) -> (u64, Option<Duration>) {
         let mut guard = entry.state.lock();
         let ep = &mut *guard;
         ep.ring_bytes = 0;
@@ -206,22 +206,6 @@ impl Policy for Ring {
         entry.port.settle(settled);
         (delivered, ep.next_due())
     }
-
-    fn export_metrics(
-        _: &RingFabric,
-        stats: &FabricStats,
-        reg: &mut MetricsRegistry,
-        prefix: &str,
-    ) {
-        reg.set_counter(&format!("{prefix}.posted"), stats.posted);
-        reg.set_counter(&format!("{prefix}.doorbell_rings"), stats.doorbell_rings);
-        reg.set_counter(&format!("{prefix}.flushed_batches"), stats.flushed_batches);
-        reg.set_counter(&format!("{prefix}.flushed_items"), stats.flushed_items);
-        reg.set_gauge(
-            &format!("{prefix}.mean_batch_size"),
-            stats.mean_batch_size(),
-        );
-    }
 }
 
 impl RingFabric {
@@ -238,28 +222,19 @@ impl RingFabric {
         self.policy().config
     }
 
-    /// Every endpoint's pass at time `now`, in id order: empty each ring
-    /// into its batcher (size-triggered batches flush immediately), fire
-    /// expired WTL timers, and deliver flushed items. Returns the number
-    /// delivered.
-    pub fn pump(&self, now: SimTime) -> u64 {
+    /// Every endpoint's pass at `now` (see [`Policy::pass`]), in id order:
+    /// empty each ring into its batcher (size-triggered batches flush
+    /// immediately), fire expired WTL timers, and deliver flushed items.
+    /// Returns the number delivered.
+    pub fn pump(&self, now: Duration) -> u64 {
         self.drain(now, false)
     }
 
     /// Force everything out at time `now`: pump, then force-flush every
     /// batcher regardless of MMS/WTL and deliver (shutdown / end of a
     /// deterministic run). Returns the number delivered.
-    pub fn flush_at(&self, now: SimTime) -> u64 {
+    pub fn flush_at(&self, now: Duration) -> u64 {
         self.drain(now, true)
-    }
-
-    /// Earliest WTL deadline across endpoints; `SimTime::ZERO` if any ring
-    /// or retry queue already holds work. `None` when fully idle.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.entries()
-            .values()
-            .filter_map(|entry| entry.state.lock().next_due())
-            .min()
     }
 }
 
@@ -268,15 +243,14 @@ mod tests {
     use super::*;
     use crate::fabric::FabricPath;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use whale_sim::SimDuration;
+    use std::time::Instant;
 
     fn cfg(ring_capacity: usize, mms: usize, wtl_ms: u64) -> RingConfig {
         RingConfig {
             ring_capacity,
             batch: BatchConfig {
                 mms,
-                wtl: SimDuration::from_millis(wtl_ms),
+                wtl: Duration::from_millis(wtl_ms),
             },
         }
     }
@@ -294,11 +268,11 @@ mod tests {
         assert_eq!(stats.copied_bytes, 0, "bytes count on delivery only");
 
         // Under MMS and before WTL: still buffered after a pump.
-        assert_eq!(fabric.pump(SimTime::ZERO), 0);
+        assert_eq!(fabric.pump(Duration::ZERO), 0);
         assert_eq!(fabric.stats().queue_depth, 1);
 
         // Past WTL: the timer flushes the batch.
-        let delivered = fabric.pump(SimTime::from_millis(1));
+        let delivered = fabric.pump(Duration::from_millis(1));
         assert_eq!(delivered, 1);
         assert_eq!(rx.recv().unwrap().payload.bytes(), b"hello");
         assert_eq!(fabric.stats().copied_bytes, 5);
@@ -316,12 +290,12 @@ mod tests {
                 .unwrap();
         }
         // 10 × 25 B versus MMS 100 B: pumps flush by size alone, no WTL.
-        let delivered = fabric.pump(SimTime::ZERO);
+        let delivered = fabric.pump(Duration::ZERO);
         assert_eq!(delivered, 8, "two full batches of four 25 B items");
         assert_eq!(fabric.stats().flushed_batches, 2);
         assert!((fabric.stats().mean_batch_size() - 4.0).abs() < 1e-12);
         // The remainder needs a forced flush (or a WTL tick).
-        assert_eq!(fabric.flush_at(SimTime::ZERO), 2);
+        assert_eq!(fabric.flush_at(Duration::ZERO), 2);
         assert_eq!(std::iter::from_fn(|| rx.try_recv().ok()).count(), 10);
     }
 
@@ -342,7 +316,7 @@ mod tests {
         assert_eq!(err, SendError::Full);
         assert_eq!(fabric.stats().send_errors, 1);
         // Draining the ring frees capacity.
-        fabric.flush_at(SimTime::ZERO);
+        fabric.flush_at(Duration::ZERO);
         fabric
             .send_copied(EndpointId(0), EndpointId(1), b"c")
             .unwrap();
@@ -356,36 +330,13 @@ mod tests {
             fabric.send_copied(EndpointId(0), EndpointId(1), b).unwrap();
         }
         // Only two fit the inbox; the rest park, nothing is lost.
-        assert_eq!(fabric.flush_at(SimTime::ZERO), 2);
+        assert_eq!(fabric.flush_at(Duration::ZERO), 2);
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"a");
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"b");
-        assert_eq!(fabric.pump(SimTime::ZERO), 2);
+        assert_eq!(fabric.pump(Duration::ZERO), 2);
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"c");
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"d");
         assert_eq!(fabric.stats().send_errors, 0);
-    }
-
-    #[test]
-    fn next_deadline_reflects_pending_work() {
-        let fabric = RingFabric::new(cfg(16, 1_000_000, 2));
-        let _rx = fabric.register(EndpointId(1)).unwrap();
-        assert_eq!(fabric.next_deadline(), None, "idle fabric has no deadline");
-        fabric
-            .send_copied(EndpointId(0), EndpointId(1), b"x")
-            .unwrap();
-        assert_eq!(
-            fabric.next_deadline(),
-            Some(SimTime::ZERO),
-            "undrained ring is immediately due"
-        );
-        fabric.pump(SimTime::from_millis(1));
-        assert_eq!(
-            fabric.next_deadline(),
-            Some(SimTime::from_millis(3)),
-            "buffered item is due at offer time + WTL"
-        );
-        fabric.pump(SimTime::from_millis(3));
-        assert_eq!(fabric.next_deadline(), None);
     }
 
     #[test]
@@ -455,13 +406,7 @@ mod tests {
             "one batch, not one per post"
         );
         assert!(fabric.stats().doorbell_rings <= 1);
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "net.ring");
-        assert_eq!(
-            reg.counter("net.ring.doorbell_rings"),
-            Some(fabric.stats().doorbell_rings)
-        );
-        assert_eq!(reg.counter("net.ring.posted"), Some(N as u64));
+        assert_eq!(fabric.stats().posted, N as u64);
     }
 
     #[test]
@@ -706,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_snapshot() {
+    fn stats_snapshot_after_a_forced_flush() {
         let fabric = RingFabric::new(cfg(16, 64, 1));
         let rx = fabric.register(EndpointId(1)).unwrap();
         for _ in 0..4 {
@@ -714,15 +659,13 @@ mod tests {
                 .send_copied(EndpointId(0), EndpointId(1), &[0u8; 32])
                 .unwrap();
         }
-        fabric.flush_at(SimTime::ZERO);
+        fabric.flush_at(Duration::ZERO);
         drop(rx);
-        let mut reg = MetricsRegistry::new();
-        fabric.export_metrics(&mut reg, "ring");
-        assert_eq!(reg.counter("ring.posted"), Some(4));
-        assert_eq!(reg.counter("ring.messages"), Some(4));
-        assert_eq!(reg.counter("ring.copied_bytes"), Some(128));
-        assert_eq!(reg.counter("ring.flushed_batches"), Some(2));
-        assert_eq!(reg.gauge("ring.queue_depth"), Some(0.0));
-        assert!(reg.gauge("ring.mean_batch_size").unwrap() > 1.0);
+        let stats = fabric.stats();
+        assert_eq!((stats.posted, stats.messages), (4, 4));
+        assert_eq!(stats.copied_bytes, 128);
+        assert_eq!(stats.flushed_batches, 2);
+        assert_eq!(stats.queue_depth, 0);
+        assert!(stats.mean_batch_size() > 1.0);
     }
 }

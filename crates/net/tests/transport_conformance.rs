@@ -4,8 +4,8 @@
 //! is behind it: each test below is one row, run for the per-send, ring
 //! and one-sided transports and for each of them again under a
 //! [`FaultFabric`] whose plan injects nothing. Policy-specific behaviour
-//! (MMS/WTL triggers, wake-up coalescing, READ pricing, the write-through
-//! log) is tested beside its policy.
+//! (MMS/WTL triggers, wake-up coalescing, registration per link, the
+//! write-through log) is tested beside its policy.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,7 +13,6 @@ use whale_net::{
     BatchConfig, ClusterSpec, EndpointId, FabricKind, FabricPath, FaultFabric, FaultPlan,
     LinkTracker, MachineId, OneSidedConfig, Payload, RegisterError, RingConfig, SendError,
 };
-use whale_sim::SimDuration;
 
 /// Every transport variant under test, by name: the three kinds, then
 /// each again behind a zero-fault decorator.
@@ -306,7 +305,7 @@ fn flush_delivers_stragglers() {
     let held_back = RingConfig {
         batch: BatchConfig {
             mms: 1_000_000,
-            wtl: SimDuration::from_millis(10_000),
+            wtl: Duration::from_millis(10_000),
         },
         ..RingConfig::default()
     };
@@ -388,7 +387,7 @@ fn four_producer_stress_keeps_per_sender_order() {
 #[test]
 fn a_blocked_reader_receives_each_post_within_wtl() {
     const FRAMES: u32 = 1_000;
-    let wtl = Duration::from_nanos(BatchConfig::default().wtl.as_nanos());
+    let wtl = BatchConfig::default().wtl;
     let bound = wtl + Duration::from_millis(100);
     for (name, kind, faulted) in variants() {
         let fabric = built(kind, faulted);

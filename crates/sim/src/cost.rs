@@ -42,6 +42,42 @@ pub enum Verb {
     Read,
 }
 
+/// Chooses the verb per message class, reproducing Whale's "DiffVerbs"
+/// optimization (§4): bulk stream data goes through one-sided READ from a
+/// ring region (receiver pulls, sender CPU untouched); control messages —
+/// whose addresses the ring cannot predict — use two-sided SEND/RECV.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum VerbPolicy {
+    /// Always two-sided SEND/RECV.
+    TwoSided,
+    /// Always one-sided WRITE.
+    OneSidedWrite,
+    /// Always one-sided READ.
+    OneSidedRead,
+    /// Whale's choice: READ for data, SEND/RECV for control.
+    DiffVerbs,
+}
+
+impl VerbPolicy {
+    /// Verb used for stream data messages.
+    pub fn data_verb(self) -> Verb {
+        match self {
+            VerbPolicy::TwoSided => Verb::SendRecv,
+            VerbPolicy::OneSidedWrite => Verb::Write,
+            VerbPolicy::OneSidedRead | VerbPolicy::DiffVerbs => Verb::Read,
+        }
+    }
+
+    /// Verb used for control messages.
+    pub fn control_verb(self) -> Verb {
+        match self {
+            VerbPolicy::TwoSided | VerbPolicy::DiffVerbs => Verb::SendRecv,
+            VerbPolicy::OneSidedWrite => Verb::Write,
+            VerbPolicy::OneSidedRead => Verb::Read,
+        }
+    }
+}
+
 /// All calibrated constants. Construct with [`CostModel::default`] and
 /// override fields for ablations.
 #[derive(Clone, Debug)]
@@ -327,6 +363,16 @@ mod tests {
         assert!(tcp > two_sided, "TCP costs more CPU than any RDMA verb");
         assert!(two_sided > write, "one-sided write beats two-sided");
         assert!(write > read, "read offloads sender entirely");
+    }
+
+    #[test]
+    fn verb_policy_diffverbs() {
+        assert_eq!(VerbPolicy::DiffVerbs.data_verb(), Verb::Read);
+        assert_eq!(VerbPolicy::DiffVerbs.control_verb(), Verb::SendRecv);
+        assert_eq!(VerbPolicy::TwoSided.data_verb(), Verb::SendRecv);
+        assert_eq!(VerbPolicy::OneSidedWrite.data_verb(), Verb::Write);
+        assert_eq!(VerbPolicy::OneSidedWrite.control_verb(), Verb::Write);
+        assert_eq!(VerbPolicy::OneSidedRead.control_verb(), Verb::Read);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!
 //! This crate re-exports the whole system:
 //!
-//! - [`sim`]: deterministic discrete-event substrate + calibrated cost model
-//! - [`net`]: RDMA/TCP fabric emulation (verbs, ring memory region, MMS/WTL
-//!   batching, cluster topology, live in-process fabric)
+//! - [`sim`]: deterministic discrete-event substrate, calibrated cost
+//!   model, the DES NIC model and the per-message-class verb choice
+//! - [`net`]: the live in-process fabric (per-send, batched ring and
+//!   one-sided transports, ring memory region, MMS/WTL batching, partition
+//!   log, cluster topology), which moves frames and counts them
 //! - [`dsps`]: the Storm-like substrate (tuples, codec, topologies,
 //!   groupings, scheduler, live multi-threaded runtime)
 //! - [`multicast`]: the core contribution (Algorithm 1, baselines,

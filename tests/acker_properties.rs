@@ -3,11 +3,13 @@
 //! tree, and omitting any single execution leaves it pending.
 
 use proptest::prelude::*;
-use whale::dsps::{AckBuilder, Acker, TreeState};
+use whale::dsps::{Acker, TreeState};
 use whale::sim::{SimDuration, SimRng, SimTime};
 
 /// Build a random tuple tree: returns the spout's initial ledger and the
-/// per-execution XOR values (one per node in the tree).
+/// per-execution XOR values (one per node in the tree). An execution
+/// reports the anchor it consumed XOR one fresh nonzero anchor per tuple
+/// it emits.
 fn random_tree(seed: u64, fanouts: &[u8]) -> (u64, Vec<u64>) {
     let mut rng = SimRng::new(seed);
     // The spout emits one root tuple with one anchor.
@@ -16,17 +18,17 @@ fn random_tree(seed: u64, fanouts: &[u8]) -> (u64, Vec<u64>) {
     let mut executions = Vec::new();
     for &fanout in fanouts {
         let Some(consumed) = frontier.pop() else { break };
-        let mut b = AckBuilder::consuming(consumed, rng.fork(consumed));
+        let mut anchors = rng.fork(consumed);
+        let mut xor = consumed;
         for _ in 0..fanout {
-            frontier.push(b.emit());
+            let anchor = anchors.next_u64().max(1);
+            xor ^= anchor;
+            frontier.push(anchor);
         }
-        executions.push(b.finish());
+        executions.push(xor);
     }
     // Remaining frontier tuples are consumed by leaves that emit nothing.
-    for consumed in frontier {
-        let b = AckBuilder::consuming(consumed, rng.fork(consumed));
-        executions.push(b.finish());
-    }
+    executions.extend(frontier);
     (root_anchor, executions)
 }
 
