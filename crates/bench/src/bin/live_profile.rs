@@ -5,7 +5,15 @@
 //! the stock exchange with 16 matching instances over 4 machines on the
 //! per-send fabric, every tuple tracked by the acker and every frame
 //! written ahead to the partition log, its spout cycling a 65 536-record
-//! pool generated before sampling starts. `SIGPROF` on process CPU time,
+//! pool generated before sampling starts; `keyed`: `keyed_ring`'s, 30 B
+//! two-integer tuples grouped by `Fields(0)` over 4 096 keys to 16
+//! field-reading sinks over 4 machines on the batched ring; `ride`:
+//! `ride_onesided`'s, the ride-hailing topology with 16 matching
+//! instances over 4 machines through the d* = 2 relay tree on the
+//! one-sided fabric, its two spouts cycling 65 536-record pools and
+//! every matching instance preloaded, outside the sampled time, with the
+//! drivers its key routes to it. `stock` and `ride` run in segments, each
+//! a run of its own, as the benchmark runs them. `SIGPROF` on process CPU time,
 //! the handler stores the interrupted `rip` and a bounded frame-pointer
 //! walk. A developer tool for containers without `perf` — not a knob,
 //! not linked into the runtime. README "Profiling" has the build line
@@ -24,23 +32,22 @@ fn main() {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
-    const USAGE: &str = "usage: live_profile [fanout|stock] [tuples]";
+    const USAGE: &str = "usage: live_profile [fanout|stock|keyed|ride] [tuples]";
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let shape = args
-        .first()
-        .filter(|a| ["fanout", "stock"].contains(&a.as_str()));
-    let stock = shape.is_some_and(|s| s == "stock");
-    if shape.is_some() {
-        args.remove(0);
-    }
+    let shapes = ["fanout", "stock", "keyed", "ride"];
+    let shape = match args.first().filter(|a| shapes.contains(&a.as_str())) {
+        Some(_) => args.remove(0),
+        None => "fanout".to_string(),
+    };
     assert!(args.len() <= 1, "{USAGE}");
     let tuples: u64 = args.first().map_or(3_000_000, |n| n.parse().expect(USAGE));
     let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
     // Generated before the sampler starts: the benchmark pays no
     // generator either.
-    let pool = stock.then(stock_pool);
+    let stock = (shape == "stock").then(stock_pool);
+    let ride = (shape == "ride").then(ride_pools);
     sampler::start();
-    let elapsed = if let Some(pool) = &pool {
+    let elapsed = if let Some(pool) = &stock {
         // As the benchmark runs it: segment after segment, each a run of
         // its own, so the order books a matching instance keeps stay the
         // size they are there.
@@ -53,6 +60,20 @@ fn main() {
             report.elapsed
         });
         segments.sum()
+    } else if let Some(pools) = &ride {
+        let segments = (0..tuples.div_ceil(RIDE_SEGMENT)).map(|i| {
+            let n = RIDE_SEGMENT.min(tuples - i * RIDE_SEGMENT);
+            let report = run_ride(pools, n);
+            assert!(report.outcome.is_clean(), "{:?}", report.outcome);
+            assert_eq!(report.spout_emitted, n);
+            report.elapsed
+        });
+        segments.sum()
+    } else if shape == "keyed" {
+        let report = run_keyed(tuples);
+        assert!(report.outcome.is_clean(), "{:?}", report.outcome);
+        assert_eq!(report.executed[1], tuples);
+        report.elapsed
     } else {
         let report = run_fanout(tuples);
         assert!(report.outcome.is_clean(), "{:?}", report.outcome);
@@ -129,6 +150,122 @@ fn run_stock(pool: &[whale_dsps::Tuple], tuples: u64) -> whale_dsps::RunReport {
         .bolt("matching", |_| Box::new(MatchingBolt::new()))
         .bolt("aggregation", |_| Box::new(VolumeBolt::new()));
     whale_dsps::run_topology(stock_exchange::topology(16), ops, config)
+}
+
+/// `keyed_ring`'s shape, unthrottled: `[key, n]` tuples over 4 096 keys.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn run_keyed(tuples: u64) -> whale_dsps::RunReport {
+    use whale_dsps::{
+        Emitter, FabricKind, Grouping, IterSpout, LazyFnBolt, LazyTuple, LiveConfig, Operators,
+        RingConfig, Schema, TopologyBuilder, Tuple, Value,
+    };
+    let mut t = TopologyBuilder::new();
+    t.spout("src", 1, Schema::new(vec!["key", "n"]))
+        .bolt("sink", 16, Schema::new(vec!["key", "n"]))
+        .connect("src", "sink", Grouping::Fields(0));
+    let ops = Operators::new()
+        .spout("src", move |_| {
+            Box::new(IterSpout::new((1..=tuples).map(|i| {
+                let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52;
+                let t = Tuple::with_id(i, vec![Value::I64(key as i64), Value::I64(i as i64)]);
+                debug_assert_eq!(t.payload_bytes(), 30);
+                t
+            })))
+        })
+        .bolt("sink", |_| {
+            Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
+                std::hint::black_box(t.field(1));
+            }))
+        });
+    let config = LiveConfig {
+        machines: 4,
+        fabric: FabricKind::Ring(RingConfig::default()),
+        ..LiveConfig::default()
+    };
+    whale_dsps::run_topology(t.build().unwrap(), ops, config)
+}
+
+/// Source tuples per `ride` run, split evenly between its two spouts.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+const RIDE_SEGMENT: u64 = 100_000;
+
+/// `ride_onesided`'s input: 65 536 driver locations and 65 536 requests
+/// drawn from the generators once, cycled by every segment, and per
+/// matching instance the locations its key routes to it (its preload).
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+struct RidePools {
+    locations: Vec<whale_dsps::Tuple>,
+    requests: Vec<whale_dsps::Tuple>,
+    preload: Vec<Vec<whale_dsps::Tuple>>,
+}
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn ride_pools() -> RidePools {
+    use whale_apps::ride_hailing::{LocationSpout, RequestSpout};
+    use whale_dsps::{Grouping, GroupingExec, Spout, TaskId};
+    let config = whale_workloads::DidiConfig::default();
+    let drain = |mut spout: Box<dyn Spout>| std::iter::from_fn(move || spout.next_tuple());
+    let locations: Vec<_> = drain(Box::new(LocationSpout::new(1, config, 65_536))).collect();
+    let requests = drain(Box::new(RequestSpout::new(2, config, 65_536))).collect();
+    let mut keyed = GroupingExec::new(Grouping::Fields(1), (0..16).map(TaskId).collect());
+    let (mut preload, mut owner) = (vec![Vec::new(); 16], Vec::new());
+    for t in &locations {
+        keyed.route_into(t, None, &mut owner).expect("key field");
+        preload[owner[0].0 as usize].push(t.clone());
+    }
+    RidePools {
+        locations,
+        requests,
+        preload,
+    }
+}
+
+/// `ride_onesided`'s shape, unthrottled, its spouts alternating one for
+/// one. The matching instances are preloaded with the sampler disarmed:
+/// the benchmark builds them in its operators' set-up.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn run_ride(pools: &RidePools, tuples: u64) -> whale_dsps::RunReport {
+    use std::sync::{Arc, Mutex};
+    use whale_apps::ride_hailing::{self, AggregationBolt, MatchingBolt};
+    use whale_dsps::{Bolt, FabricKind, IterSpout, LiveConfig, Operators, Tuple, VecEmitter};
+    use whale_net::OneSidedConfig;
+    sampler::arm(0);
+    let matching: Vec<Mutex<Option<MatchingBolt>>> = (pools.preload.iter())
+        .map(|drivers| {
+            let mut bolt = MatchingBolt::new();
+            for t in drivers {
+                bolt.execute(t, &mut VecEmitter::default());
+            }
+            Mutex::new(Some(bolt))
+        })
+        .collect();
+    sampler::arm(1_000);
+    let cycled = |pool: &[Tuple], n: u64| {
+        let pool = Arc::new(pool.to_vec());
+        move |_| {
+            let records = Arc::clone(&pool);
+            let tuples = (0..n).map(move |i| {
+                let record = &records[i as usize % records.len()];
+                Tuple::with_id(i + 1, record.values.clone())
+            });
+            Box::new(IterSpout::new(tuples)) as Box<dyn whale_dsps::Spout>
+        }
+    };
+    let ops = Operators::new()
+        .spout("locations", cycled(&pools.locations, tuples - tuples / 2))
+        .spout("requests", cycled(&pools.requests, tuples / 2))
+        .bolt("matching", move |i| {
+            let bolt = matching[i as usize].lock().unwrap().take();
+            Box::new(bolt.expect("one instance each"))
+        })
+        .bolt("aggregation", |_| Box::new(AggregationBolt::new()));
+    let config = LiveConfig {
+        machines: 4,
+        multicast_d_star: Some(2),
+        fabric: FabricKind::OneSided(OneSidedConfig::default()),
+        ..LiveConfig::default()
+    };
+    whale_dsps::run_topology(ride_hailing::topology(16), ops, config)
 }
 
 /// `fanout_relay`'s shape, unthrottled.

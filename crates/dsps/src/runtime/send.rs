@@ -250,9 +250,10 @@ impl Routing {
 
     /// Turn a received data item into the executor-facing handle. A
     /// shared payload (RDMA semantics) is anchored as-is — the view
-    /// rides the receive buffer's refcount and nothing is decoded until
-    /// an executor touches it — in the block `spare` kept from the
-    /// pipeline's last batch, if it kept one. A copied payload (TCP
+    /// rides the receive buffer's refcount, a slice's frame the slice's
+    /// one buffer, and nothing is decoded until an executor touches it —
+    /// in the block `spare` kept from the pipeline's last batch, if it
+    /// kept one. A copied payload (TCP
     /// semantics) does not outlive dispatch, so the tuple is
     /// materialized here, eagerly — which is also where a copied frame's
     /// bad UTF-8 still surfaces.
@@ -263,7 +264,9 @@ impl Routing {
         spare: &mut WireSpare,
     ) -> Result<LazyTuple, DecodeError> {
         match payload {
-            Payload::Shared(buf) => Ok(spare.anchor(Arc::clone(buf), view)),
+            Payload::Shared(buf) | Payload::Slice(buf, _) => {
+                Ok(spare.anchor(Arc::clone(buf), view))
+            }
             Payload::Copied(_) => view.to_tuple().map(LazyTuple::from_tuple),
         }
     }
@@ -508,8 +511,9 @@ impl Routing {
         })
     }
 
-    /// Encode one unlogged frame (relay, EOS) into pooled scratch and hand
-    /// it to `send` (see [`Self::send_frame`]).
+    /// Encode one unlogged frame that is sent several times or to several
+    /// endpoints (relay, EOS) into pooled scratch and hand it to `send`
+    /// (see [`Self::send_frame`]).
     pub(super) fn with_frame<R>(
         &self,
         fill: impl FnOnce(&mut BytesMut),
@@ -521,30 +525,34 @@ impl Routing {
     }
 
     /// Hand the frame encoded at `scratch[start..]` to `send` as a
-    /// [`Wire`] — the one place a frame leaves for the fabric. With
-    /// `log_to` (and a log configured) the encoded bytes are appended to
-    /// that endpoint's partition log *before* any send (write-ahead), so a
+    /// [`Wire`] — the one place a frame leaves for the fabric. `once`
+    /// names the one endpoint (and the ledger key) of a data frame sent
+    /// once; with a log configured the encoded bytes are appended to that
+    /// endpoint's partition log *before* the send (write-ahead), so a
     /// crash after the append can always be healed by replaying the log.
-    /// Zero-copy runs snapshot the frame into a single shared buffer that
-    /// every send and retry refcounts; copied runs lend the scratch
-    /// itself and pay the TCP copy per send. Sending `frame` several
-    /// times costs wire bytes but never a second encode.
+    /// Zero-copy runs lend a frame sent once to the fabric (the ring
+    /// writes it into the destination's stream slice; the other
+    /// transports take one shared buffer), and snapshot any other frame
+    /// into a single shared buffer that every send and retry refcounts;
+    /// copied runs lend the scratch itself and pay the TCP copy per send.
+    /// Sending `frame` several times costs wire bytes but never a second
+    /// encode.
     fn send_frame<R>(
         &self,
         scratch: &PooledBuf<'_>,
         start: usize,
-        log_to: Option<(EndpointId, Option<u64>)>,
+        once: Option<(EndpointId, Option<u64>)>,
         send: impl FnOnce(Wire<'_>) -> R,
     ) -> R {
         let frame = &scratch[start..];
         self.stats.add(Ctr::frames_encoded, 1);
-        if let (Some(log), Some((to, tracked))) = (&self.log, log_to) {
+        if let (Some(log), Some((to, tracked))) = (&self.log, once) {
             log.append(to, tracked, frame);
         }
-        if self.config.zero_copy {
-            send(Wire::Shared(&scratch.share_from(start)))
-        } else {
-            send(Wire::Copied(frame))
+        match (self.config.zero_copy, once) {
+            (true, Some(_)) => send(Wire::Lent(frame)),
+            (true, None) => send(Wire::Shared(&scratch.share_from(start))),
+            (false, _) => send(Wire::Copied(frame)),
         }
     }
 
@@ -577,6 +585,10 @@ impl Routing {
             Wire::Shared(buf) => self.config.send.run(retries, || {
                 self.fabric.send_shared(from, to, Arc::clone(buf))
             }),
+            Wire::Lent(bytes) => self
+                .config
+                .send
+                .run(retries, || self.fabric.send_lent(from, to, bytes)),
             Wire::Copied(bytes) => self
                 .config
                 .send

@@ -229,12 +229,17 @@ pub(super) fn encode_relay_eos(buf: &mut BytesMut, eos: RelayEos) {
 }
 
 /// An encoded frame ready for the fabric, by send semantics: one shared
-/// buffer every post and retry refcounts (RDMA), or borrowed bytes the
-/// fabric copies per send (TCP). A received [`Payload`] converts for
-/// free, so a relay forwards what it received without touching it.
+/// buffer every post and retry refcounts (RDMA, a frame sent several
+/// times), borrowed bytes lent to the fabric for a frame sent once (RDMA:
+/// the ring writes them into the destination's stream slice), or borrowed
+/// bytes the fabric copies per send (TCP). A received [`Payload`]
+/// converts for free, so a relay forwards what it received without
+/// touching it: a shared buffer is refcounted on, a frame that came in a
+/// slice is lent again.
 #[derive(Clone, Copy)]
 pub(super) enum Wire<'a> {
     Shared(&'a Arc<[u8]>),
+    Lent(&'a [u8]),
     Copied(&'a [u8]),
 }
 
@@ -242,7 +247,7 @@ impl Wire<'_> {
     pub(super) fn len(&self) -> usize {
         match self {
             Wire::Shared(buf) => buf.len(),
-            Wire::Copied(bytes) => bytes.len(),
+            Wire::Lent(bytes) | Wire::Copied(bytes) => bytes.len(),
         }
     }
 }
@@ -251,6 +256,7 @@ impl<'a> From<&'a Payload> for Wire<'a> {
     fn from(payload: &'a Payload) -> Self {
         match payload {
             Payload::Shared(buf) => Wire::Shared(buf),
+            Payload::Slice(..) => Wire::Lent(payload.bytes()),
             Payload::Copied(bytes) => Wire::Copied(bytes),
         }
     }

@@ -5,14 +5,15 @@
 //! suite.
 //!
 //! The tuple's own `Arc` and the wire `Arc<[u8]>` the receiver ends up
-//! owning are the only blocks the direct send path is allowed — grouping,
-//! planning, frame encode, scratch reuse and the hand-off to local tasks
-//! must not allocate in steady state — and the receive path is allowed
-//! none: the handle anchoring a received item to its buffer is the block
-//! of the frame before, unless a bolt kept that one. A bolt that forwards
-//! a received tuple pays the frame it sends and nothing else. (That a
-//! queue entry naming a batch is no larger than one naming a task is a
-//! `const` assertion beside the type, in `runtime/send.rs`.)
+//! owning (none on the ring, which writes a frame sent once into its
+//! stream slice) are the only blocks the direct send path is allowed —
+//! grouping, planning, frame encode, scratch reuse and the hand-off to
+//! local tasks must not allocate in steady state — and the receive path
+//! is allowed none: the handle anchoring a received item to its buffer is
+//! the block of the frame before, unless a bolt kept that one. A bolt
+//! that forwards a received tuple pays the frame it sends and nothing
+//! else. (That a queue entry naming a batch is no larger than one naming
+//! a task is a `const` assertion beside the type, in `runtime/send.rs`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +24,7 @@ use whale_dsps::{
     run_topology, AckConfig, Bolt, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt, LazyTuple,
     LiveConfig, LogConfig, Operators, RunOutcome, Schema, Spout, TopologyBuilder, Tuple, Value,
 };
-use whale_net::{EndpointId, FabricKind, LiveMessage, Payload, RingConfig};
+use whale_net::{EndpointId, FabricKind, FabricPath, LiveMessage, Payload, RingConfig, RingFabric};
 
 thread_local! {
     /// Heap blocks this thread has asked the allocator for.
@@ -195,6 +196,62 @@ fn a_keyed_tuple_to_one_remote_worker_costs_two_heap_blocks() {
         let steady = send_costs(Grouping::Fields(1), fabric, 2, 1, false);
         assert_one_block_per_frame(&steady, 1, &format!("keyed over {fabric:?}"));
     }
+}
+
+#[test]
+fn a_keyed_tuple_lent_to_the_ring_costs_only_the_tuples_own_block() {
+    // The frame is written into the destination's stream slice: no buffer
+    // of its own. (The slice's one buffer is the pass's, on the reader.)
+    let steady = send_costs(
+        Grouping::Fields(1),
+        FabricKind::Ring(RingConfig::default()),
+        2,
+        1,
+        false,
+    );
+    assert_one_block_per_frame(&steady, 0, "keyed, lent to the ring");
+}
+
+#[test]
+fn a_frame_taken_from_a_slice_costs_its_receiver_no_heap_block() {
+    // Worker 1 of two, a leaf of worker 0's tree: each round lends 64
+    // relayed frames to its ring endpoint and flushes them as one slice;
+    // taking a frame off the inbox and running its four sinks is judged.
+    // The slice's buffer and its frame list are the pass's blocks.
+    let executed = Arc::new(AtomicU64::new(0));
+    let tap = Arc::clone(&executed);
+    let mut worker = relay_worker(2, 1, move || {
+        let executed = Arc::clone(&tap);
+        Box::new(LazyFnBolt::new(
+            move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                assert!(t.field(0).is_some());
+                executed.fetch_add(1, Ordering::Relaxed);
+            },
+        ))
+    });
+    let frames: Vec<LiveMessage> = (0..64).map(|n| relayed(&worker, n)).collect();
+    let ring = RingFabric::new(RingConfig::default());
+    let rx = ring.register(EndpointId(1)).unwrap();
+    let mut costs = Vec::with_capacity(TUPLES);
+    while costs.len() < TUPLES {
+        for msg in &frames {
+            ring.send_lent(msg.from, EndpointId(1), msg.payload.bytes())
+                .unwrap();
+        }
+        ring.flush_at(ring.wall_now());
+        for _ in &frames {
+            let before = blocks();
+            let msg = rx.try_recv().expect("the flushed slice");
+            assert!(matches!(msg.payload, Payload::Slice(..)));
+            worker.receive(&msg);
+            drop(msg);
+            costs.push(blocks() - before);
+        }
+    }
+    assert_eq!(executed.load(Ordering::Relaxed), 4 * costs.len() as u64);
+    let steady = &costs[WARMUP..];
+    let max = steady.iter().max();
+    assert!(steady.iter().all(|&c| c == 0), "max {max:?}");
 }
 
 #[test]

@@ -5,13 +5,14 @@
 //! policy's per-endpoint state and the counts its reader shares with its
 //! posts, duplicate-id rejection), the counter block behind
 //! [`FabricStats`], the [`LinkTracker`] slot and the hand-off into an
-//! inbox (`Transport::deliver`, the only place a delivered or lost frame
-//! is counted). A [`Policy`] supplies the rest:
+//! inbox (`Transport::deliver` for one frame, `Transport::deliver_slice`
+//! for a flushed ring slice: the only places a delivered or lost frame is
+//! counted). A [`Policy`] supplies the rest:
 //!
 //! - [`PerSend`] ([`LiveFabric`]): the sender delivers now;
 //! - [`crate::ring_fabric::Ring`] ([`crate::RingFabric`]): the sender
-//!   posts to the endpoint's ring, a pass batches at MMS/WTL and
-//!   delivers;
+//!   posts to the endpoint's ring, a pass batches at MMS/WTL and hands
+//!   what it flushed over as one slice;
 //! - [`crate::one_sided::OneSided`] ([`crate::OneSidedFabric`]): the
 //!   sender publishes to the link's outbox, a pass reads each frame
 //!   across and delivers.
@@ -28,11 +29,11 @@
 use crate::fabric::{
     EndpointId, FabricPath, FabricStats, IdHashMap, LiveMessage, Payload, RegisterError, SendError,
 };
-use crate::inbox::{Inbox, Port, Reader};
+use crate::inbox::{Inbox, Parcel, Port, Reader};
 use crate::one_sided::{OneSidedConfig, OneSidedFabric};
 use crate::ring_fabric::{RingConfig, RingFabric};
 use crate::topology::LinkTracker;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Sender, TrySendError};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -42,8 +43,8 @@ use std::time::{Duration, Instant};
 /// posts and, beside them, the policy's state, so reaching the inbox never
 /// takes a policy lock.
 pub struct Entry<S> {
-    /// `None` is a post's wake-up ([`Inbox`] swallows it).
-    pub(crate) tx: Sender<Option<LiveMessage>>,
+    /// Unbounded on a buffered endpoint, whose `port` keeps its room.
+    pub(crate) tx: Sender<Parcel>,
     pub(crate) port: Arc<Port>,
     pub(crate) state: S,
 }
@@ -68,6 +69,17 @@ pub trait Policy: Send + Sync + Sized + 'static {
 
     /// Accept `msg` for `to`: deliver it, or buffer it for a pass.
     fn send(t: &Transport<Self>, to: EndpointId, msg: LiveMessage) -> Result<(), SendError>;
+
+    /// [`FabricPath::send_lent`]: by default one shared buffer per frame.
+    fn send_lent(
+        t: &Transport<Self>,
+        from: EndpointId,
+        to: EndpointId,
+        bytes: &[u8],
+    ) -> Result<(), SendError> {
+        let payload = Payload::Shared(Arc::from(bytes));
+        Self::send(t, to, LiveMessage { from, payload })
+    }
 
     /// One pass over `to`'s buffered frames at `now` (time since the
     /// transport was created, or a deterministic caller's own clock);
@@ -165,19 +177,20 @@ impl<P: Policy> Transport<P> {
         self.core.epoch.elapsed()
     }
 
-    /// Install `id` with the inbox `tx → rx`; a buffered policy's inbox
-    /// gets the endpoint's port and pass.
-    fn open(
-        &self,
-        id: EndpointId,
-        tx: Sender<Option<LiveMessage>>,
-        rx: Receiver<Option<LiveMessage>>,
-    ) -> Result<Inbox, RegisterError> {
+    /// Install `id` with an inbox of `capacity` frames (`None`:
+    /// unbounded). A per-send inbox is a channel of that bound; a buffered
+    /// policy's inbox gets the endpoint's port, which keeps the room, and
+    /// pass.
+    fn open(&self, id: EndpointId, capacity: Option<usize>) -> Result<Inbox, RegisterError> {
         let mut table = self.core.table.write();
         if table.contains_key(&id) {
             return Err(RegisterError::AlreadyRegistered(id));
         }
-        let port = Arc::new(Port::default());
+        let (tx, rx) = match capacity {
+            Some(capacity) if !P::BUFFERED => bounded(capacity),
+            _ => unbounded(),
+        };
+        let port = Arc::new(Port::new(capacity));
         let state = self.core.policy.open(id);
         let reader = P::BUFFERED.then(|| {
             let transport = Transport {
@@ -241,12 +254,12 @@ impl<P: Policy> Transport<P> {
     /// tried once more: a reader that is slow — or is this very thread —
     /// cannot wedge its senders, and an unbounded inbox absorbs the
     /// backlog.
-    pub(crate) fn post_or_pass(
+    pub(crate) fn post_or_pass<M>(
         &self,
         to: EndpointId,
         entry: &Entry<P::Endpoint>,
-        msg: LiveMessage,
-        post: impl Fn(LiveMessage) -> Result<(), LiveMessage>,
+        msg: M,
+        post: impl Fn(M) -> Result<(), M>,
     ) -> Result<(), SendError> {
         post(msg).or_else(|msg| {
             P::pass(self, to, entry, self.wall_now(), false);
@@ -294,12 +307,13 @@ impl<P: Policy> Transport<P> {
                 .counters
                 .doorbell_rings
                 .fetch_add(1, Ordering::Relaxed);
-            let _ = entry.tx.try_send(None);
+            let _ = entry.tx.try_send(Parcel::Wake);
         }
     }
 
-    /// Hand `msg` to `to`'s inbox — the one place a frame leaves the
-    /// transport's books, delivered or lost. `inbox` is `None` when the
+    /// Hand `msg` to `to`'s inbox, `entry`'s — with
+    /// [`Transport::deliver_slice`], the one place a frame leaves the
+    /// transport's books, delivered or lost. `entry` is `None` when the
     /// endpoint was deregistered under the frame. `queued` says the frame
     /// was buffered ([`Transport::note_queued`]) rather than arriving
     /// straight from its sender.
@@ -313,7 +327,7 @@ impl<P: Policy> Transport<P> {
     /// counted here.
     pub(crate) fn deliver(
         &self,
-        inbox: Option<&Sender<Option<LiveMessage>>>,
+        entry: Option<&Entry<P::Endpoint>>,
         to: EndpointId,
         msg: LiveMessage,
         queued: bool,
@@ -328,16 +342,19 @@ impl<P: Policy> Transport<P> {
             }
             Handoff::Disconnected
         };
-        let Some(inbox) = inbox else {
+        let Some(entry) = entry else {
             return lost();
         };
+        if P::BUFFERED && entry.port.reserve(1) == 0 {
+            return Handoff::Full(msg);
+        }
         let bytes_ctr = match msg.payload {
-            Payload::Shared(_) => &counters.shared_bytes,
             Payload::Copied(_) => &counters.copied_bytes,
+            Payload::Shared(_) | Payload::Slice(..) => &counters.shared_bytes,
         };
         counters.messages.fetch_add(1, Ordering::Relaxed);
         bytes_ctr.fetch_add(len as u64, Ordering::Relaxed);
-        let failed = match inbox.try_send(Some(msg)) {
+        let failed = match entry.tx.try_send(Parcel::Frame(msg)) {
             Ok(()) => {
                 if let Some(tracker) = tracker {
                     if !queued {
@@ -351,22 +368,88 @@ impl<P: Policy> Transport<P> {
         };
         counters.messages.fetch_sub(1, Ordering::Relaxed);
         bytes_ctr.fetch_sub(len as u64, Ordering::Relaxed);
+        if P::BUFFERED {
+            entry.port.release(1);
+        }
         match failed {
-            TrySendError::Full(msg) => Handoff::Full(msg.expect("a frame, not a wake-up")),
+            TrySendError::Full(Parcel::Frame(msg)) => Handoff::Full(msg),
+            TrySendError::Full(_) => unreachable!("a frame went in"),
             TrySendError::Disconnected(_) => lost(),
         }
+    }
+
+    /// Hand `frames`, everything one pass flushed for `to`, to `entry`'s
+    /// inbox as one slice, for which the caller reserved room
+    /// ([`Port::reserve`]). Counted as [`Transport::deliver`] counts, but
+    /// once for the slice; each frame still counts as one message.
+    /// Returns the frames delivered: all of them, or none when the reader
+    /// is gone (then each is counted lost).
+    pub(crate) fn deliver_slice(
+        &self,
+        entry: &Entry<P::Endpoint>,
+        to: EndpointId,
+        frames: Vec<LiveMessage>,
+    ) -> u64 {
+        let n = frames.len() as u64;
+        if n == 0 {
+            return 0;
+        }
+        let (mut copied, mut shared) = (0, 0);
+        for msg in &frames {
+            match msg.payload {
+                Payload::Copied(_) => copied += msg.payload.len() as u64,
+                Payload::Shared(_) | Payload::Slice(..) => shared += msg.payload.len() as u64,
+            }
+        }
+        let counters = &self.core.counters;
+        let tallies = [
+            (&counters.messages, n),
+            (&counters.copied_bytes, copied),
+            (&counters.shared_bytes, shared),
+        ];
+        let count = |undo: bool| {
+            for (counter, v) in tallies.iter().filter(|(_, v)| *v > 0) {
+                if undo {
+                    counter.fetch_sub(*v, Ordering::Relaxed);
+                } else {
+                    counter.fetch_add(*v, Ordering::Relaxed);
+                }
+            }
+        };
+        count(false);
+        // Per link, only when a tracker is installed: the frames move.
+        let tracker = self.core.tracker.get();
+        let links: Vec<(EndpointId, usize)> = tracker.map_or_else(Vec::new, |_| {
+            let link = |msg: &LiveMessage| (msg.from, msg.payload.len());
+            frames.iter().map(link).collect()
+        });
+        let delivered = entry.tx.try_send(Parcel::Slice(frames)).is_ok();
+        if let Some(tracker) = tracker {
+            for &(from, len) in &links {
+                if delivered {
+                    tracker.on_delivered(from, to, len);
+                } else {
+                    tracker.on_dropped(from, to, len);
+                }
+            }
+        }
+        if delivered {
+            return n;
+        }
+        count(true);
+        counters.send_errors.fetch_add(n, Ordering::Relaxed);
+        entry.port.release(n);
+        0
     }
 }
 
 impl<P: Policy> FabricPath for Transport<P> {
     fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError> {
-        let (tx, rx) = unbounded();
-        self.open(id, tx, rx)
+        self.open(id, None)
     }
 
     fn register_bounded(&self, id: EndpointId, capacity: usize) -> Result<Inbox, RegisterError> {
-        let (tx, rx) = bounded(capacity);
-        self.open(id, tx, rx)
+        self.open(id, Some(capacity))
     }
 
     fn deregister(&self, id: EndpointId) {
@@ -396,13 +479,23 @@ impl<P: Policy> FabricPath for Transport<P> {
         P::send(self, to, LiveMessage { from, payload })
     }
 
+    fn send_lent(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
+        P::send_lent(self, from, to, bytes)
+    }
+
     fn flush(&self) {
         self.drain(self.wall_now(), true);
     }
 
     fn wake(&self, id: EndpointId) {
         self.with_entry(id, |entry| {
-            let _ = entry.tx.try_send(Some(LiveMessage::wake(id)));
+            if P::BUFFERED && entry.port.reserve(1) == 0 {
+                return;
+            }
+            let sent = entry.tx.try_send(Parcel::Frame(LiveMessage::wake(id)));
+            if P::BUFFERED && sent.is_err() {
+                entry.port.release(1);
+            }
         });
     }
 
@@ -475,7 +568,7 @@ impl Policy for PerSend {
             drop(table);
             return Err(t.reject(SendError::UnknownEndpoint));
         };
-        let handoff = t.deliver(Some(&entry.tx), to, msg, false);
+        let handoff = t.deliver(Some(entry), to, msg, false);
         drop(table);
         match handoff {
             Handoff::Delivered => Ok(()),

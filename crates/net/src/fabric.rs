@@ -20,6 +20,7 @@ use crate::inbox::Inbox;
 use crate::topology::LinkTracker;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifier of a fabric endpoint (a worker process in the live runtime).
@@ -60,13 +61,18 @@ pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// A `HashSet` hashed by [`IdHasher`].
 pub type IdHashSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
-/// Message payload: copied (TCP semantics) or shared (RDMA semantics).
+/// Message payload: copied (TCP semantics) or shared (RDMA semantics: a
+/// buffer of its own, or its range of a stream slice's buffer).
 #[derive(Clone, Debug)]
 pub enum Payload {
     /// An owned copy of the serialized bytes (each destination pays a copy).
     Copied(Vec<u8>),
     /// A shared reference to one serialized buffer (zero-copy fan-out).
     Shared(Arc<[u8]>),
+    /// A frame lent into a stream slice ([`FabricPath::send_lent`]): its
+    /// bytes are `range` of the slice's one buffer, which every frame of
+    /// the slice shares. Counted as shared bytes.
+    Slice(Arc<[u8]>, Range<usize>),
 }
 
 impl Payload {
@@ -75,6 +81,7 @@ impl Payload {
         match self {
             Payload::Copied(v) => v,
             Payload::Shared(a) => a,
+            Payload::Slice(buf, range) => &buf[range.clone()],
         }
     }
 
@@ -228,6 +235,17 @@ pub trait FabricPath: Send + Sync {
         to: EndpointId,
         buf: Arc<[u8]>,
     ) -> Result<(), SendError>;
+
+    /// Send bytes the caller sends only this once and keeps no handle on.
+    /// Delivered with RDMA semantics, counted as shared bytes like
+    /// [`Self::send_shared`]. The default takes one shared buffer per
+    /// frame, which is what `send_shared` of a fresh snapshot would do. The
+    /// ring transport overrides it: the bytes are written into the
+    /// destination's stream slice, and every frame of one flushed slice
+    /// arrives as a [`Payload::Slice`] of the slice's one buffer.
+    fn send_lent(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
+        self.send_shared(from, to, Arc::from(bytes))
+    }
 
     /// Force out anything the transport has buffered (no-op when the
     /// transport delivers synchronously).

@@ -325,6 +325,7 @@ impl FaultFabric {
         match payload {
             Payload::Copied(bytes) => self.inner.send_copied(from, to, bytes),
             Payload::Shared(buf) => self.inner.send_shared(from, to, Arc::clone(buf)),
+            Payload::Slice(..) => self.inner.send_lent(from, to, payload.bytes()),
         }
     }
 

@@ -215,7 +215,7 @@ impl Policy for OneSided {
                         msg
                     }
                 };
-                match t.deliver(Some(&entry.tx), to, msg, true) {
+                match t.deliver(Some(entry), to, msg, true) {
                     Handoff::Delivered => delivered += 1,
                     Handoff::Full(msg) => {
                         link.staged = Some(msg);
@@ -258,25 +258,27 @@ impl OneSidedFabric {
         reader: EndpointId,
         seq: u64,
     ) -> Result<u64, SendError> {
-        let inbox = self.with_entry(reader, |entry| entry.tx.clone());
         let read = self.with_entry(to, |entry| {
             let link = entry.state.get(&from)?;
             link.lock().log.as_mut().map(|log| log.read_from(seq))
         });
-        let (Some(inbox), Some(Some(read))) = (inbox, read) else {
+        let Some(Some(read)) = read else {
             return Err(SendError::UnknownEndpoint);
         };
-        let mut delivered = 0;
-        for (_seq, bytes) in read.records {
-            let payload = Payload::Copied(bytes);
-            // Backfill READs land synchronously in the reader's inbox.
-            match self.deliver(Some(&inbox), reader, LiveMessage { from, payload }, false) {
-                Handoff::Delivered => delivered += 1,
-                Handoff::Full(_) => return Err(self.reject(SendError::Full)),
-                Handoff::Disconnected => return Err(SendError::Disconnected),
+        let backfilled = self.with_entry(reader, |entry| {
+            let mut delivered = 0;
+            for (_seq, bytes) in read.records {
+                let payload = Payload::Copied(bytes);
+                // Backfill READs land synchronously in the reader's inbox.
+                match self.deliver(Some(entry), reader, LiveMessage { from, payload }, false) {
+                    Handoff::Delivered => delivered += 1,
+                    Handoff::Full(_) => return Err(self.reject(SendError::Full)),
+                    Handoff::Disconnected => return Err(SendError::Disconnected),
+                }
             }
-        }
-        Ok(delivered)
+            Ok(delivered)
+        });
+        backfilled.unwrap_or(Err(SendError::UnknownEndpoint))
     }
 
     /// Sum `f` over every link's partition log (0 without a log), e.g.

@@ -5,9 +5,10 @@
 //! they never touch the destination inbox directly. A pass over the
 //! endpoint (its reader's, before its [`crate::Inbox`] reads, in live
 //! mode; the caller's via [`RingFabric::pump`] in deterministic mode)
-//! empties the ring into the stream-slicing [`Batcher`] and delivers whole
-//! MMS/WTL batches, so the live path exercises the same batching policy
-//! the simulator models (§4, Figs 11–12):
+//! runs the stream-slicing [`Batcher`] over the ring and hands every
+//! flushed MMS/WTL slice to the inbox in one piece, so the live path
+//! exercises the same batching policy the simulator models (§4,
+//! Figs 11–12):
 //!
 //! - a post that finds the ring at capacity runs the endpoint's pass
 //!   itself and tries again; only if the ring is still full does it fail
@@ -17,18 +18,24 @@
 //!   has waited WTL (a blocked reader's wait is bounded by
 //!   [`Batcher::deadline`]);
 //! - per-sender FIFO order is preserved end to end: posts enter the ring
-//!   in order, batches drain in order, deliveries retry in order when the
-//!   destination inbox is bounded and momentarily full.
+//!   in order, slices leave it in order, and flushed frames a bounded,
+//!   momentarily full inbox cannot take stay at the front of the ring;
+//! - a frame sent with [`FabricPath::send_lent`](crate::FabricPath::send_lent)
+//!   has no buffer of its own: its bytes are appended to the endpoint's
+//!   slice buffer under the ring's lock, the pass freezes the lent bytes
+//!   of a slice into one shared buffer, and each such frame arrives as a
+//!   [`Payload::Slice`] of it — the slice as one work request (§4).
 //!
 //! Only the policy lives here — what a post and a pass do. The endpoint
 //! table, counters, link attribution and the reader's side are
 //! [`crate::core`]'s.
 
-use crate::batch::{BatchConfig, Batcher};
-use crate::core::{Entry, Handoff, Policy, Transport};
-use crate::fabric::{EndpointId, LiveMessage, SendError};
+use crate::batch::{Batch, BatchConfig, Batcher};
+use crate::core::{Entry, Policy, Transport};
+use crate::fabric::{EndpointId, LiveMessage, Payload, SendError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of the ring transport.
@@ -51,34 +58,91 @@ impl Default for RingConfig {
     }
 }
 
-/// One endpoint's send state: the descriptor ring and the transfer buffer
-/// it drains into.
+/// A posted descriptor: a frame that brought its own payload, or one
+/// whose sender lent its `len` bytes into the endpoint's slice buffer.
+enum Posted {
+    Own(LiveMessage),
+    Lent { from: EndpointId, len: usize },
+}
+
+impl Posted {
+    fn len(&self) -> usize {
+        match self {
+            Posted::Own(msg) => msg.payload.len(),
+            Posted::Lent { len, .. } => *len,
+        }
+    }
+
+    /// Bytes this descriptor holds in the slice buffer.
+    fn lent(&self) -> usize {
+        match self {
+            Posted::Own(_) => 0,
+            Posted::Lent { len, .. } => *len,
+        }
+    }
+}
+
+/// One endpoint's send state: the descriptor ring, the MMS/WTL state of
+/// the slice it is filling, and the bytes lent into that slice.
 pub struct EndpointRing {
-    /// Posted, not yet drained descriptors (the send ring proper).
-    ring: VecDeque<LiveMessage>,
-    /// Payload bytes sitting in `ring` (posted since the last pass).
+    /// Posted descriptors not yet handed to the inbox, oldest first:
+    /// `[..flushed]` were flushed (a bounded inbox had no room for them
+    /// yet), `[flushed..offered]` make up the open slice, and the rest
+    /// were posted since the last pass.
+    ring: VecDeque<Posted>,
+    flushed: usize,
+    offered: usize,
+    /// Payload bytes posted since the last pass.
     ring_bytes: usize,
-    /// The MMS/WTL transfer buffer the pass empties the ring into.
-    batcher: Batcher<LiveMessage>,
-    /// Batch items a bounded inbox could not yet accept; retried first on
-    /// the next pass so FIFO order holds.
-    undelivered: VecDeque<LiveMessage>,
+    /// MMS/WTL over the open slice: it counts and times, and holds nothing.
+    batcher: Batcher<()>,
+    /// The bytes of every lent descriptor in `ring`, in ring order.
+    lent: Vec<u8>,
 }
 
 impl EndpointRing {
-    /// When this endpoint next needs a pass: at once if the ring or the
-    /// retry queue holds work, else at the armed WTL deadline, if any.
+    /// When this endpoint next needs a pass: at once if the ring holds
+    /// descriptors not yet offered or flushed ones a bounded inbox could
+    /// not take, else at the armed WTL deadline, if any.
     fn next_due(&self) -> Option<Duration> {
-        if !self.ring.is_empty() || !self.undelivered.is_empty() {
+        if self.flushed > 0 || self.offered < self.ring.len() {
             Some(Duration::ZERO)
         } else {
             self.batcher.deadline()
         }
     }
+
+    /// The open slice was flushed.
+    fn close_slice(&mut self, t: &RingFabric, batch: Batch<()>) {
+        t.note_batch(batch.items.len());
+        self.flushed = self.offered;
+    }
+
+    /// The ring's first `k` descriptors as frames, oldest first: the
+    /// bytes they lent are frozen into one buffer, of which each lent
+    /// frame gets its range.
+    fn take(&mut self, k: usize) -> Vec<LiveMessage> {
+        let lent: usize = self.ring.iter().take(k).map(Posted::lent).sum();
+        let slice: Option<Arc<[u8]>> = (lent > 0).then(|| Arc::from(&self.lent[..lent]));
+        self.lent.drain(..lent);
+        self.flushed -= k;
+        self.offered -= k;
+        let mut at = 0;
+        let frame = |posted| match posted {
+            Posted::Own(msg) => msg,
+            Posted::Lent { from, len } => {
+                let buf = Arc::clone(slice.as_ref().expect("lent bytes were frozen"));
+                at += len;
+                let payload = Payload::Slice(buf, at - len..at);
+                LiveMessage { from, payload }
+            }
+        };
+        self.ring.drain(..k).map(frame).collect()
+    }
 }
 
 /// The batched-ring policy: a send posts to the endpoint's ring; a pass
-/// batches at MMS/WTL and delivers.
+/// batches at MMS/WTL and hands the flushed frames over as one slice.
 pub struct Ring {
     config: RingConfig,
 }
@@ -87,33 +151,40 @@ pub struct Ring {
 pub type RingFabric = Transport<Ring>;
 
 impl Ring {
-    /// Post a descriptor to `to`'s ring, or hand it back if the ring is at
-    /// capacity. The reader is woken only when it could otherwise sleep
-    /// past this descriptor: the endpoint was idle (nothing pending, so no
-    /// WTL deadline is armed for it), or this post carries the bytes
-    /// buffered since the last flush across MMS. Every other post rides
-    /// the deadline its predecessors armed — the reader wakes for it
-    /// anyway and passes whatever was posted meanwhile, which is what makes
-    /// a stream slice cost one wake-up, not one per message.
+    /// Post a descriptor to `to`'s ring — `lent` holds a lent
+    /// descriptor's bytes — or hand it back if the ring is at capacity.
+    /// The reader is woken only when it could otherwise sleep past this
+    /// descriptor: the endpoint was idle (nothing pending, so no WTL
+    /// deadline is armed for it), or this post carries the bytes buffered
+    /// since the last flush across MMS. Every other post rides the
+    /// deadline its predecessors armed — the reader wakes for it anyway
+    /// and passes whatever was posted meanwhile, which is what makes a
+    /// stream slice cost one wake-up, not one per message.
     fn post(
         t: &RingFabric,
         to: EndpointId,
         entry: &Entry<Mutex<EndpointRing>>,
-        msg: LiveMessage,
-    ) -> Result<(), LiveMessage> {
+        posted: Posted,
+        lent: &[u8],
+    ) -> Result<(), Posted> {
         let config = &t.policy().config;
         let mut ep = entry.state.lock();
         let pending = entry.port.pending();
         if pending >= config.ring_capacity as u64 {
-            return Err(msg);
+            return Err(posted);
         }
-        let bytes = msg.payload.len();
+        let from = match &posted {
+            Posted::Own(msg) => msg.from,
+            Posted::Lent { from, .. } => *from,
+        };
+        let bytes = posted.len();
         // Accepted into the ring: the frame now occupies its link's queue
         // until a pass delivers (or drops) it.
-        t.note_queued(msg.from, to, bytes);
+        t.note_queued(from, to, bytes);
         let buffered = ep.batcher.buffered_bytes() + ep.ring_bytes;
         ep.ring_bytes += bytes;
-        ep.ring.push_back(msg);
+        ep.lent.extend_from_slice(lent);
+        ep.ring.push_back(posted);
         entry.port.accept();
         let mms = config.batch.mms;
         let wake = pending == 0 || (buffered < mms && buffered + bytes >= mms);
@@ -124,6 +195,23 @@ impl Ring {
         t.note_posted();
         Ok(())
     }
+
+    /// Post `posted` to `to`'s ring, running `to`'s pass once if the ring
+    /// is full.
+    fn post_to(
+        t: &RingFabric,
+        to: EndpointId,
+        posted: Posted,
+        lent: &[u8],
+    ) -> Result<(), SendError> {
+        let sent = t.with_entry(to, |entry| {
+            t.post_or_pass(to, entry, posted, |posted| {
+                Ring::post(t, to, entry, posted, lent)
+            })
+        });
+        sent.unwrap_or(Err(SendError::UnknownEndpoint))
+            .map_err(|err| t.reject(err))
+    }
 }
 
 impl Policy for Ring {
@@ -133,38 +221,43 @@ impl Policy for Ring {
     fn open(&self, _id: EndpointId) -> Mutex<EndpointRing> {
         Mutex::new(EndpointRing {
             ring: VecDeque::new(),
+            flushed: 0,
+            offered: 0,
             ring_bytes: 0,
             batcher: Batcher::new(self.config.batch),
-            undelivered: VecDeque::new(),
+            lent: Vec::new(),
         })
     }
 
     fn close(&self, slot: Mutex<EndpointRing>, dropped: &mut dyn FnMut(LiveMessage)) {
         let mut ep = slot.into_inner();
-        let batched = ep
-            .batcher
-            .flush()
-            .map_or_else(Vec::new, |batch| batch.items);
-        ep.undelivered
-            .drain(..)
-            .chain(batched)
-            .chain(ep.ring.drain(..))
-            .for_each(dropped);
+        let all = ep.ring.len();
+        (ep.flushed, ep.offered) = (all, all);
+        ep.take(all).into_iter().for_each(dropped);
     }
 
     fn send(t: &RingFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        let sent = t.with_entry(to, |entry| {
-            t.post_or_pass(to, entry, msg, |msg| Ring::post(t, to, entry, msg))
-        });
-        sent.unwrap_or(Err(SendError::UnknownEndpoint))
-            .map_err(|err| t.reject(err))
+        Ring::post_to(t, to, Posted::Own(msg), &[])
     }
 
-    /// Empty the ring into the batcher (size-triggered batches flush at
-    /// once), fire an expired WTL timer — or, forced, flush regardless —
-    /// and hand the flushed items to the inbox in order. A full bounded
-    /// inbox keeps the rest for the next pass; a disconnected one drops
-    /// them as errors.
+    /// The bytes go into `to`'s slice buffer under the ring's lock: no
+    /// buffer of their own.
+    fn send_lent(
+        t: &RingFabric,
+        from: EndpointId,
+        to: EndpointId,
+        bytes: &[u8],
+    ) -> Result<(), SendError> {
+        let len = bytes.len();
+        Ring::post_to(t, to, Posted::Lent { from, len }, bytes)
+    }
+
+    /// Offer what was posted since the last pass to the batcher (a
+    /// size-triggered flush closes the slice at once), fire an expired
+    /// WTL timer — or, forced, flush regardless — and hand every flushed
+    /// frame to the inbox as one slice. A bounded inbox takes what it has
+    /// room for; the rest stays at the front of the ring for the next
+    /// pass. A disconnected inbox drops them as errors.
     fn pass(
         t: &RingFabric,
         to: EndpointId,
@@ -175,11 +268,11 @@ impl Policy for Ring {
         let mut guard = entry.state.lock();
         let ep = &mut *guard;
         ep.ring_bytes = 0;
-        while let Some(msg) = ep.ring.pop_front() {
-            let bytes = msg.payload.len();
-            if let Some(batch) = ep.batcher.offer(now, msg, bytes) {
-                t.note_batch(batch.items.len());
-                ep.undelivered.extend(batch.items);
+        while ep.offered < ep.ring.len() {
+            let bytes = ep.ring[ep.offered].len();
+            ep.offered += 1;
+            if let Some(batch) = ep.batcher.offer(now, (), bytes) {
+                ep.close_slice(t, batch);
             }
         }
         let due = if force {
@@ -188,22 +281,15 @@ impl Policy for Ring {
             ep.batcher.on_timer(now)
         };
         if let Some(batch) = due {
-            t.note_batch(batch.items.len());
-            ep.undelivered.extend(batch.items);
+            ep.close_slice(t, batch);
         }
-        let (mut delivered, mut settled) = (0, 0);
-        while let Some(msg) = ep.undelivered.pop_front() {
-            match t.deliver(Some(&entry.tx), to, msg, true) {
-                Handoff::Delivered => delivered += 1,
-                Handoff::Full(msg) => {
-                    ep.undelivered.push_front(msg);
-                    break;
-                }
-                Handoff::Disconnected => {}
-            }
-            settled += 1;
+        if ep.flushed == 0 {
+            return (0, ep.next_due());
         }
-        entry.port.settle(settled);
+        let room = entry.port.reserve(ep.flushed as u64);
+        let slice = ep.take(room as usize);
+        let delivered = t.deliver_slice(entry, to, slice);
+        entry.port.settle(room);
         (delivered, ep.next_due())
     }
 }
@@ -242,7 +328,6 @@ impl RingFabric {
 mod tests {
     use super::*;
     use crate::fabric::FabricPath;
-    use std::sync::Arc;
     use std::time::Instant;
 
     fn cfg(ring_capacity: usize, mms: usize, wtl_ms: u64) -> RingConfig {
@@ -337,6 +422,53 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"c");
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"d");
         assert_eq!(fabric.stats().send_errors, 0);
+    }
+
+    #[test]
+    fn a_pass_hands_over_one_slice_whose_lent_frames_share_one_buffer() {
+        let fabric = RingFabric::new(cfg(16, 1_000_000, 1));
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        let shared: Arc<[u8]> = Arc::from(&b"shared"[..]);
+        fabric
+            .send_lent(EndpointId(0), EndpointId(1), b"one")
+            .unwrap();
+        fabric
+            .send_shared(EndpointId(2), EndpointId(1), Arc::clone(&shared))
+            .unwrap();
+        fabric
+            .send_lent(EndpointId(2), EndpointId(1), b"three")
+            .unwrap();
+        assert_eq!(fabric.flush_at(Duration::ZERO), 3);
+        assert_eq!(rx.len(), 3, "the slice counts its frames");
+        let got: Vec<LiveMessage> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        let bytes: Vec<&[u8]> = got.iter().map(|m| m.payload.bytes()).collect();
+        assert_eq!(bytes, [&b"one"[..], b"shared", b"three"]);
+        match [&got[0].payload, &got[1].payload, &got[2].payload] {
+            [Payload::Slice(a, first), Payload::Shared(b), Payload::Slice(c, last)] => {
+                assert!(Arc::ptr_eq(a, c), "one buffer per slice");
+                assert_eq!((&a[..], first, last), (&b"onethree"[..], &(0..3), &(3..8)));
+                assert!(Arc::ptr_eq(b, &shared), "a shared frame keeps its buffer");
+            }
+            other => panic!("{other:?}"),
+        }
+        let stats = fabric.stats();
+        assert_eq!((stats.messages, stats.shared_bytes), (3, 14));
+        assert_eq!((stats.flushed_batches, stats.queue_depth), (1, 0));
+    }
+
+    #[test]
+    fn lent_frames_dropped_with_their_endpoint_count_as_errors() {
+        let fabric = RingFabric::new(cfg(16, 1_000_000, 1));
+        let _rx = fabric.register(EndpointId(1)).unwrap();
+        for frame in [&b"a"[..], b"bb", b"ccc"] {
+            fabric
+                .send_lent(EndpointId(0), EndpointId(1), frame)
+                .unwrap();
+        }
+        fabric.deregister(EndpointId(1));
+        let stats = fabric.stats();
+        assert_eq!((stats.send_errors, stats.messages), (3, 0));
+        assert_eq!((stats.shared_bytes, stats.queue_depth), (0, 0));
     }
 
     #[test]
