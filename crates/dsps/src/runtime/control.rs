@@ -3,7 +3,7 @@
 //! timeline monitor.
 
 use super::config::AdaptiveConfig;
-use super::relay::{rack_aware_trees, RelayEpoch};
+use super::relay::{rack_aware_trees, RelayEpoch, MARKER_RESEND};
 use super::report::{Ctr, TimelineSample};
 use super::send::Routing;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,14 +69,17 @@ pub(super) fn sleep_with_stop(total: Duration, stop: &AtomicBool) -> bool {
     }
 }
 
-/// The adaptive controller thread: every interval, retire drained tree
-/// generations, sample the live workload (λ from spout emissions, queue
-/// length from the fabric's transfer queue plus the acker's pending
-/// trees), and let the self-adjusting controller re-plan `d*`; a changed
-/// target triggers a generation switch. Forced switches (when
-/// configured) replace the controller with deterministic thresholds on
-/// `spout_emitted` — benchmarks and tests use those to make switching
-/// reproducible.
+/// The adaptive controller thread: every interval, re-send the overdue
+/// markers of a flushing tree generation, sample the live workload (λ
+/// from spout emissions, queue length from the fabric's transfer queue
+/// plus the acker's pending trees), and let the self-adjusting controller
+/// re-plan `d*`; a changed target triggers a generation switch, deferred
+/// while the last switch's generation is still flushing. Forced switches
+/// (when configured) replace the controller with deterministic thresholds
+/// on `spout_emitted` — benchmarks and tests use those to make switching
+/// reproducible. Before the thread exits, the last demoted generation
+/// retires: the pipelines that forward its markers run until the fabric
+/// closes.
 pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &AtomicBool) {
     let relay = routing
         .relay
@@ -91,8 +94,9 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
     );
     let mut last_emitted = 0u64;
     let mut next_forced = 0usize;
+    let mut wanted = None;
     while sleep_with_stop(cfg.interval, stop) {
-        relay.try_retire_prev();
+        routing.tend_flush();
         let emitted = routing.stats.get(Ctr::spout_emitted);
         let target = if cfg.forced_switches.is_empty() {
             monitor.record_arrivals(emitted.saturating_sub(last_emitted));
@@ -117,26 +121,33 @@ pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &Atom
             t
         };
         last_emitted = emitted;
-        if let Some(new_d) = target {
-            let new_d = new_d.max(1);
-            if new_d != relay.current().d_star {
-                switch_structure(routing, new_d);
+        wanted = target.map(|d| d.max(1)).or(wanted);
+        if let Some(new_d) = wanted {
+            if new_d == relay.current().d_star || switch_structure(routing, new_d) {
+                wanted = None;
             }
         }
     }
+    while !routing.tend_flush() {
+        std::thread::sleep(MARKER_RESEND / 10);
+    }
 }
 
-/// Reconfigure the relay plane to out-degree `new_d`: wait (bounded) for
-/// the previous generation to drain so at most two are ever live, plan
-/// the per-origin moves, and publish the new generation. In-flight frames
-/// on the demoted generation keep being accepted until it drains (or the
-/// grace expires on a lossy run).
-pub(super) fn switch_structure(routing: &Routing, new_d: u32) {
+/// Reconfigure the relay plane to out-degree `new_d`: plan the per-origin
+/// moves, publish the new generation and start the old one's flush by
+/// end-of-generation markers. Frames on the demoted generation are
+/// accepted until every node has its markers. Returns false, having
+/// switched nothing, while the last switch's generation is still
+/// flushing (its overdue markers are re-sent instead): at most two
+/// generations are ever live.
+pub(super) fn switch_structure(routing: &Routing, new_d: u32) -> bool {
     let relay = routing
         .relay
         .as_ref()
         .expect("switching implies relay state");
-    relay.await_prev_drained();
+    if !routing.tend_flush() {
+        return false;
+    }
     let cur = relay.current();
     let mut total_moves = 0u64;
     let trees = if let Some((spec, loads)) = routing.topo_tree_inputs() {
@@ -160,9 +171,14 @@ pub(super) fn switch_structure(routing: &Routing, new_d: u32) {
         }
         trees
     };
-    relay.publish(Arc::new(RelayEpoch::new(cur.epoch + 1, new_d, trees)));
+    let next = RelayEpoch::new(cur.epoch + 1, new_d, trees);
+    // The flush waits for every reference but the demoted slot's.
+    drop(cur);
+    relay.publish(Arc::new(next));
     routing.stats.add(Ctr::relay_switches, 1);
     routing.stats.add(Ctr::relay_switch_moves, total_moves);
+    routing.flush_demoted();
+    true
 }
 
 /// The monitor thread: snapshot the run every `interval` until stopped,
@@ -227,6 +243,47 @@ mod tests {
         assert!(r.relay_forwards > 0);
         assert_eq!(r.relay_stale_drops, 0, "drained switch drops nothing");
         assert_eq!(r.outcome, RunOutcome::Clean);
+    }
+
+    #[test]
+    fn spouts_on_two_workers_finishing_right_after_a_switch_end_clean() {
+        // Two spouts, on workers 0 and 1, broadcast 100 tuples each; the
+        // forced switch lands a handful of tuples before both finish, so
+        // each EOS waits on its own origin's tree of the demoted
+        // generation — and is sent, by its pipeline, once that flushed.
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 2, Schema::new(vec!["n"]))
+            .bolt("fan", 16, Schema::new(vec!["n"]))
+            .connect("src", "fan", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", |idx| {
+                Box::new(IterSpout::new((0..100u64).map(move |i| {
+                    std::thread::sleep(Duration::from_millis(1));
+                    Tuple::with_id(1_000 * idx as u64 + i, vec![Value::I64(i as i64)])
+                })))
+            })
+            .bolt("fan", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            });
+        let r = run_topology(
+            b.build().unwrap(),
+            ops,
+            LiveConfig {
+                machines: 4,
+                multicast_d_star: Some(1),
+                multicast_adaptive: Some(AdaptiveConfig {
+                    interval: Duration::from_millis(1),
+                    forced_switches: vec![(190, 3)],
+                    ..AdaptiveConfig::default()
+                }),
+                ..LiveConfig::default()
+            },
+        );
+        assert_eq!(r.outcome, RunOutcome::Clean);
+        assert_eq!(r.executed[1], 200 * 16, "every broadcast, once each");
+        assert_eq!(r.relay_switches, 1);
+        assert_eq!(r.relay_retire_ns.len(), 1, "the demoted generation retired");
+        assert_eq!(r.relay_stale_drops, 0);
     }
 
     #[test]

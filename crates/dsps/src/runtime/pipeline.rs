@@ -242,6 +242,7 @@ pub(super) fn on_frame(
             routing.on_relay_frame(worker, header, &msg.payload, item, spare)
         }
         Ok(FrameView::RelayEos(eos)) => routing.on_relay_eos(worker, eos, &msg.payload),
+        Ok(FrameView::RelayMarker(marker)) => routing.on_relay_marker(worker, marker, &msg.payload),
         Err(_) => dropped(1),
     }
 }
@@ -375,7 +376,9 @@ fn finish_bolt(state: &mut BoltState, routing: &Routing) {
     routing.broadcast_eos(state.task);
 }
 
-/// Gap between a draining spout's passes over its expired trees.
+/// Gap between a draining spout's passes over its expired trees, and
+/// the longest an idle pipeline blocks while a relayed EOS waits on a
+/// tree flush.
 const ACK_POLL_INTERVAL: Duration = Duration::from_millis(1);
 /// Fabric frames and cross-shard messages consumed per scheduling pass
 /// before the pipeline rotates to its other work (keeps one flooded
@@ -387,7 +390,7 @@ const IDLE_SPINS: u32 = 64;
 /// Longest single blocking wait. Nothing depends on it firing — every
 /// source of work either wakes the block or bounds it by its own due time —
 /// so it only caps how long a missed wake-up could stall a pipeline.
-const PARK_CAP: Duration = Duration::from_millis(100);
+pub(super) const PARK_CAP: Duration = Duration::from_millis(100);
 
 /// One shard-owned pipeline: the whole hot path for its slice of tasks —
 /// fabric reader, routing (each task's grouping state), execution, and
@@ -539,11 +542,13 @@ impl ShardPipeline {
             if self.drain_local(routing) {
                 progress = true;
             }
+            let eos_waiting = routing.relay.is_some() && routing.send_waiting_eos();
             let all_done = self
                 .spouts
                 .iter()
                 .all(|s| matches!(s.phase, SpoutPhase::Done))
-                && self.bolts.iter().all(|b| b.done);
+                && self.bolts.iter().all(|b| b.done)
+                && !eos_waiting;
             if all_done && !signaled {
                 signaled = true;
                 let _ = self.done_tx.send(());
@@ -589,7 +594,10 @@ impl ShardPipeline {
                 std::thread::yield_now();
                 continue;
             }
-            let wait = self.idle_wait(deadline.filter(|_| !all_done));
+            let mut wait = self.idle_wait(deadline.filter(|_| !all_done));
+            if eos_waiting {
+                wait = wait.min(ACK_POLL_INTERVAL);
+            }
             routing.stats.add(Ctr::pipeline_parks, 1);
             // A blocked pipeline must not keep a relay generation alive.
             drop(swap_held(None));
@@ -851,6 +859,13 @@ mod tests {
             };
             wire::encode_relay_eos(b, eos)
         });
+        let marker = encoded(&|b| {
+            let marker = wire::RelayMarker {
+                origin: 0,
+                epoch: 0,
+            };
+            wire::encode_relay_marker(b, marker)
+        });
         let instance = encoded(&|b| wire::encode_instance(b, None, TaskId(0), TaskId(7), &tuple));
         let worker_to = |dsts: &'static [TaskId]| {
             encoded(&|b| {
@@ -869,11 +884,14 @@ mod tests {
             relay[..3].to_vec(),     // truncated relay header (2 of 20 bytes)
             relay[..13].to_vec(),    // truncated relay header (12 of 20 bytes)
             relay_eos[..4].to_vec(), // truncated relay EOS
+            marker[..5].to_vec(),    // truncated relay marker
             instance[..4].to_vec(),  // truncated instance message
             worker[..1].to_vec(),    // truncated worker message
             eos[..2].to_vec(),       // truncated EOS header
-            // Well-formed relay header on a worker with the relay path off.
+            // Well-formed relay header and marker on a worker with the
+            // relay path off.
             relay[..1 + RelayHeader::WIRE_BYTES].to_vec(),
+            marker,
             // EOS claiming 100 destinations but carrying none.
             {
                 eos[5..9].copy_from_slice(&100u32.to_le_bytes());

@@ -1,19 +1,20 @@
 //! The multicast relay plane: epoch-versioned tree generations, the
-//! source-side broadcast into the tree, and the per-hop
-//! validate-forward-deliver path for relayed data and relayed EOS.
+//! source-side broadcast into the tree, the per-hop
+//! validate-forward-deliver path for relayed data and relayed EOS, and
+//! the end-of-generation markers that flush a demoted generation.
 
 use super::reliability::anchor_for;
 use super::report::{Ctr, Reservoir, LATENCY_SAMPLE};
 use super::send::{ExecMsg, Routing, CURRENT_SHARD};
-use super::wire::{self, RelayEos, Wire};
+use super::wire::{self, RelayEos, RelayMarker, Wire};
 use crate::codec::{LazyTuple, RelayHeader, TupleView, WireSpare};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Grouping;
 use parking_lot::{Mutex, RwLock};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use whale_multicast::{build_nonblocking, MulticastTree, Node, TopoTreeBuilder};
 use whale_net::{ClusterSpec, Payload};
@@ -43,19 +44,18 @@ pub(super) fn relay_node_of_worker(origin: u32, worker: u32) -> Option<u32> {
 /// bucket absorbs deeper hops).
 pub(super) const DEPTH_BUCKETS: usize = 16;
 
-/// Bounded wait for the previous tree generation to drain before a switch
-/// retires it and before EOS departs on the current tree. Frames a fault
-/// swallowed never drain; the grace keeps lossy runs moving.
-const DRAIN_GRACE: Duration = Duration::from_millis(250);
+/// How long the roots of a demoted generation wait on its flush before
+/// they send their markers again. A marker lost on the way delays
+/// retirement by about this much; it cannot wedge it.
+pub(super) const MARKER_RESEND: Duration = Duration::from_millis(10);
 
 /// One immutable generation of relay structures: every origin worker's
 /// tree over the *other* workers (node index i = the i-th worker id
 /// excluding the origin), all built with the same out-degree.
 ///
-/// Each generation owns its in-flight send accounting: the counter is
-/// charged against the epoch a frame was stamped with, travels with the
-/// generation through demotion, and dies with it — so a retired
-/// generation's leftover charges can never bleed into a fresh epoch.
+/// Once demoted, a generation keeps the record of its own flush: which
+/// nodes of which origin's tree have received that origin's
+/// end-of-generation marker. It retires at the last receipt.
 pub(super) struct RelayEpoch {
     pub(super) epoch: u32,
     pub(super) d_star: u32,
@@ -63,11 +63,17 @@ pub(super) struct RelayEpoch {
     /// Per origin, each destination node's hop distance from the source
     /// (`None` if unreachable) — walked once here, read per frame.
     depths: Vec<Vec<Option<u32>>>,
-    /// Relay frames sent minus received on this generation. A node
-    /// forwards to its children *before* decrementing its own receipt,
-    /// so zero means the generation is genuinely drained (frames a fault
-    /// dropped never decrement; the bounded grace covers those).
-    pub(super) inflight: AtomicI64,
+    /// Per origin, one flag per node, set by the node's first receipt of
+    /// the marker. A node no marker can reach starts set.
+    flushed: Vec<Box<[AtomicBool]>>,
+    /// Per origin, the nodes whose flag is still clear.
+    unflushed: Vec<AtomicU32>,
+    /// Origins whose tree has not flushed yet.
+    origins_left: AtomicU32,
+    /// When the generation was demoted: where T_switch starts.
+    demoted_at: OnceLock<Instant>,
+    /// When its roots last sent their markers; `None` until the first.
+    markers_sent_at: Mutex<Option<Instant>>,
 }
 
 impl RelayEpoch {
@@ -81,25 +87,45 @@ impl RelayEpoch {
             }
             depths
         };
+        let depths: Vec<_> = trees.iter().map(depths_of).collect();
+        let flushed: Vec<Box<[AtomicBool]>> = (depths.iter())
+            .map(|d| d.iter().map(|d| AtomicBool::new(d.is_none())).collect())
+            .collect();
+        let reachable = |d: &Vec<Option<u32>>| d.iter().flatten().count() as u32;
+        let unflushed: Vec<AtomicU32> = depths.iter().map(reachable).map(AtomicU32::new).collect();
+        let origins_left = depths.iter().filter(|d| reachable(d) > 0).count() as u32;
         RelayEpoch {
             epoch,
             d_star,
-            depths: trees.iter().map(depths_of).collect(),
+            depths,
             trees,
-            inflight: AtomicI64::new(0),
+            flushed,
+            unflushed,
+            origins_left: AtomicU32::new(origins_left),
+            demoted_at: OnceLock::new(),
+            markers_sent_at: Mutex::new(None),
         }
     }
 
-    /// Charge one in-flight frame — called *before* the send, so the
-    /// generation can never read drained while an accepted frame sits
-    /// uncounted in a fabric queue. Undo with [`Self::note_received`] if
-    /// the fabric rejects the send.
-    pub(super) fn note_sent(&self) {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
+    /// Nodes of `origin`'s tree that have not received its marker yet.
+    pub(super) fn unflushed(&self, origin: u32) -> u32 {
+        self.unflushed[origin as usize].load(Ordering::Acquire)
     }
 
-    pub(super) fn note_received(&self) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
+    /// Record that nothing more of this generation can reach `nodes` of
+    /// `origin`'s tree. Returns whether that flushed the last of it. The
+    /// `AcqRel` updates pair with [`Self::unflushed`]'s `Acquire`: whoever
+    /// reads a tree flushed sees the receipts that flushed it.
+    fn mark_flushed(&self, origin: u32, nodes: impl IntoIterator<Item = u32>) -> bool {
+        let o = origin as usize;
+        let mut last = false;
+        for node in nodes {
+            let first = !self.flushed[o][node as usize].swap(true, Ordering::AcqRel);
+            if first && self.unflushed[o].fetch_sub(1, Ordering::AcqRel) == 1 {
+                last = self.origins_left.fetch_sub(1, Ordering::AcqRel) == 1;
+            }
+        }
+        last
     }
 }
 
@@ -135,21 +161,26 @@ pub(super) fn rack_aware_trees(
 }
 
 /// The live relay plane: the current tree generation behind a swap slot,
-/// the previous generation draining out, and the relay-path samples.
+/// the previous generation flushing out, and the relay-path samples.
 ///
 /// Epoch lifecycle: senders stamp the current epoch into every relay
 /// frame; a switch publishes a new generation and demotes the old one to
-/// `prev`, which keeps accepting its in-flight frames until drained (or
-/// until the bounded grace expires). Frames from any older generation
-/// are dropped and counted in `relay_stale_drops` — on tracked runs the
-/// acker replays them on the current tree, so a switch can delay but
-/// never silently lose a tracked tuple.
+/// `prev`, which keeps accepting its frames until every node has
+/// received the end-of-generation marker of every origin — per-link FIFO
+/// puts the marker behind all of the generation's data — and then
+/// retires. Frames from any older generation are dropped and counted in
+/// `relay_stale_drops`; on tracked runs the acker replays them on the
+/// current tree, so a switch can delay but never silently lose a tracked
+/// tuple.
 pub(super) struct RelayState {
     current: RwLock<Arc<RelayEpoch>>,
     /// `current`'s epoch id, stored under `current`'s write lock: what a
     /// pipeline revalidates the generation it holds against (one load).
     current_id: AtomicU32,
     prev: RwLock<Option<Arc<RelayEpoch>>>,
+    /// T_switch of each retired generation: demotion to the last marker
+    /// receipt, ns.
+    pub(super) retire_ns: Mutex<Reservoir>,
     /// Received relay frames by tree depth of the receiving node.
     pub(super) depth_counts: [AtomicU64; DEPTH_BUCKETS],
     /// Sampled per-hop forward latencies (receipt to last child send).
@@ -164,6 +195,7 @@ impl RelayState {
             current_id: AtomicU32::new(initial.epoch),
             current: RwLock::new(Arc::new(initial)),
             prev: RwLock::new(None),
+            retire_ns: Mutex::default(),
             depth_counts: [(); DEPTH_BUCKETS].map(|_| AtomicU64::new(0)),
             forward_ns: Mutex::default(),
             forward_events: AtomicU64::new(0),
@@ -174,7 +206,13 @@ impl RelayState {
         Arc::clone(&self.current.read())
     }
 
-    /// The generation a frame's epoch belongs to: current, draining
+    /// The demoted generation if its epoch is `epoch`.
+    fn demoted(&self, epoch: u32) -> Option<Arc<RelayEpoch>> {
+        let prev = self.prev.read();
+        prev.as_ref().filter(|p| p.epoch == epoch).map(Arc::clone)
+    }
+
+    /// The generation a frame's epoch belongs to: current, flushing
     /// previous, or `None` (retired — the frame is stale).
     fn lookup(&self, epoch: u32) -> Option<Arc<RelayEpoch>> {
         let cur = self.current.read();
@@ -182,17 +220,16 @@ impl RelayState {
             return Some(Arc::clone(&cur));
         }
         drop(cur);
-        let prev = self.prev.read();
-        prev.as_ref().filter(|p| p.epoch == epoch).map(Arc::clone)
+        self.demoted(epoch)
     }
 
     /// The generation `want` names — `None`: whichever is current — for
-    /// the caller to charge and send on, or `None` for a retired one.
+    /// the caller to send on, or `None` for a retired one.
     ///
     /// A pipeline thread answers for the current generation from the
     /// reference it [holds](HELD) whenever that still is the published
     /// one (one load), and refills it under the lock when it is not; a
-    /// draining or stale epoch, and any other thread, take the locked
+    /// flushing or stale epoch, and any other thread, take the locked
     /// [`Self::lookup`] / [`Self::current`], one reference per call.
     pub(super) fn hold(&self, want: Option<u32>) -> Option<Held> {
         let uncached = |generation: Arc<RelayEpoch>| Held {
@@ -219,7 +256,7 @@ impl RelayState {
     /// Let go of a held generation that is no longer the published one.
     /// Every [`Self::hold`] does this for itself; a pipeline also calls it
     /// once per scheduling pass, so one that stops using the relay plane
-    /// cannot keep a demoted generation from retiring.
+    /// cannot keep a demoted generation from being flushed.
     pub(super) fn revalidate_held(&self) {
         let published = self.current_id.load(Ordering::Acquire);
         HELD.set(HELD.take().filter(|held| held.epoch == published));
@@ -230,59 +267,28 @@ impl RelayState {
         self.depth_counts[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Retire the previous generation if it has drained. Returns true
-    /// when no previous generation remains.
-    pub(super) fn try_retire_prev(&self) -> bool {
-        let mut prev = self.prev.write();
-        match prev.as_ref() {
-            None => true,
-            Some(p) => {
-                // Invariant: whoever can still charge a generation holds
-                // a strong reference to it. Drained therefore means no
-                // counted frames in flight AND nobody else holds the
-                // generation — senders and receivers keep theirs from
-                // resolving it until after their last `note_sent`, a
-                // pipeline for up to one scheduling pass (see [`HELD`]) —
-                // so a frame between resolve and charge can't slip
-                // through retirement. The counter is the generation's
-                // own, so retirement is exact: it fires the moment *this*
-                // epoch's queue is empty, not when a shared slot happens
-                // to read zero.
-                if p.inflight.load(Ordering::Relaxed) <= 0 && Arc::strong_count(p) == 1 {
-                    *prev = None;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Wait up to [`DRAIN_GRACE`] for the previous generation to drain;
-    /// frames a fault swallowed never decrement the slot, so the grace
-    /// keeps a lossy run from wedging the switch (tracked replays recover
-    /// the loss).
-    pub(super) fn await_prev_drained(&self) -> bool {
-        let deadline = Instant::now() + DRAIN_GRACE;
-        loop {
-            if self.try_retire_prev() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// Install a new generation: the current one becomes `prev` (any
-    /// unretired `prev` is force-retired — its remaining frames become
-    /// stale and their charges die with the dropped generation).
+    /// Install a new generation and demote the current one to `prev`,
+    /// which starts its flush. The previous flush must be over: at most
+    /// two generations are ever live.
     pub(super) fn publish(&self, next: Arc<RelayEpoch>) {
         let mut cur = self.current.write();
+        let mut prev = self.prev.write();
+        debug_assert!(prev.is_none(), "the last demoted generation retired first");
         self.current_id.store(next.epoch, Ordering::Release);
         let old = std::mem::replace(&mut *cur, next);
-        *self.prev.write() = Some(old);
+        let _ = old.demoted_at.set(Instant::now());
+        *prev = Some(old);
+    }
+
+    /// Retire the demoted generation `epoch` (if it still is the demoted
+    /// one), recording its T_switch before anyone can see it gone.
+    fn retire(&self, epoch: u32) {
+        let mut prev = self.prev.write();
+        if let Some(retired) = prev.take_if(|p| p.epoch == epoch) {
+            let demoted_at = retired.demoted_at.get().expect("demoted by publish");
+            let ns = demoted_at.elapsed().as_nanos() as u64;
+            self.retire_ns.lock().record(ns);
+        }
     }
 }
 
@@ -296,6 +302,10 @@ thread_local! {
     /// a pipeline that is not running. Threads without a pipeline never
     /// fill it.
     static HELD: Cell<Option<Arc<RelayEpoch>>> = const { Cell::new(None) };
+    /// The relayed EOS this thread's pipeline holds back until its
+    /// origin's tree of the demoted generation has flushed; retried once
+    /// per scheduling pass ([`Routing::send_waiting_eos`]).
+    static WAITING_EOS: RefCell<Vec<WaitingEos>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Exchange this thread's held generation for `with`. `swap_held(None)`
@@ -330,6 +340,14 @@ impl Drop for Held {
             let _ = HELD.try_with(|held| held.set(self.generation.take()));
         }
     }
+}
+
+/// A relayed end-of-stream not yet sent down the tree.
+#[derive(Clone, Copy)]
+struct WaitingEos {
+    src: TaskId,
+    comp: ComponentId,
+    copies: u32,
 }
 
 impl Routing {
@@ -378,40 +396,72 @@ impl Routing {
         };
         self.with_frame(
             |buf| wire::encode_relay(buf, header, item),
-            |frame| self.relay_fanout(&epoch, src_worker.0, Node::Source, frame, 1),
+            |frame| self.relay_fanout(&epoch, src_worker.0, Node::Source, frame, 1, drop),
         );
         arm_xor
     }
 
     /// End-of-stream for a relayed stream: it travels the same tree as
     /// the data so it stays behind every in-flight tuple (per-hop FIFO
-    /// channels).
+    /// channels). Held back while its origin's tree of a demoted
+    /// generation is flushing — sent on the new tree it could overtake
+    /// data still on the old one — and then sent by the pipeline's
+    /// [`Self::send_waiting_eos`].
     pub(super) fn relay_eos(&self, src: TaskId, comp: ComponentId, copies: u32) {
-        let relay = self.relay.as_ref().expect("relayed implies relay state");
         let src_worker = self.placement.worker_of(src);
         self.deliver_to_component(src_worker, comp, ExecMsg::Eos(src));
-        // EOS departs on the current generation; wait (bounded) for the
-        // previous one to drain first so it cannot beat still-relaying
-        // data from before a switch — holding nothing meanwhile, or a
-        // switch during the wait would find this thread in its way.
-        drop(swap_held(None));
-        relay.await_prev_drained();
+        let eos = WaitingEos { src, comp, copies };
+        if !self.try_relay_eos(eos) {
+            WAITING_EOS.with_borrow_mut(|waiting| waiting.push(eos));
+        }
+    }
+
+    /// Send the relayed EOS this thread holds back whose origin's tree has
+    /// flushed by now; returns whether any still waits. While one does,
+    /// the demoted generation's overdue markers are re-sent: a pipeline
+    /// that waits on a flush cannot count on anyone else to repair it.
+    pub(super) fn send_waiting_eos(&self) -> bool {
+        let waiting = WAITING_EOS.with_borrow_mut(|waiting| {
+            waiting.retain(|&eos| !self.try_relay_eos(eos));
+            !waiting.is_empty()
+        });
+        if waiting {
+            self.tend_flush();
+        }
+        waiting
+    }
+
+    /// Send `eos` down its origin's tree of the current generation,
+    /// unless that origin's tree of the demoted one has yet to flush.
+    /// Returns whether it went. A switch that demotes the generation held
+    /// here waits for this thread to let go of it before its markers
+    /// leave, so they trail this EOS.
+    fn try_relay_eos(&self, eos: WaitingEos) -> bool {
+        let relay = self.relay.as_ref().expect("relayed implies relay state");
+        let origin = self.placement.worker_of(eos.src).0;
         let epoch = relay.hold(None).expect("a current generation");
-        let eos = RelayEos {
-            origin: src_worker.0,
+        let prev = relay.prev.read();
+        if (prev.as_ref()).is_some_and(|p| p.epoch < epoch.epoch && p.unflushed(origin) > 0) {
+            return false;
+        }
+        drop(prev);
+        let frame = RelayEos {
+            origin,
             epoch: epoch.epoch,
-            component: comp,
-            src,
+            component: eos.comp,
+            src: eos.src,
         };
         self.with_frame(
-            |buf| wire::encode_relay_eos(buf, eos),
-            |frame| self.relay_fanout(&epoch, src_worker.0, Node::Source, frame, copies),
+            |buf| wire::encode_relay_eos(buf, frame),
+            |frame| self.relay_fanout(&epoch, origin, Node::Source, frame, eos.copies, drop),
         );
+        true
     }
 
     /// Send `frame` `copies` times to each tree child of `node` in
-    /// `origin`'s tree, charging every send to `epoch`. Returns how many
-    /// the fabric accepted.
+    /// `origin`'s tree of `epoch`, counting the accepted bytes as relay
+    /// bytes and telling `rejected` each child a send was refused for.
+    /// Returns how many the fabric accepted.
     fn relay_fanout(
         &self,
         epoch: &RelayEpoch,
@@ -419,6 +469,7 @@ impl Routing {
         node: Node,
         frame: Wire<'_>,
         copies: u32,
+        mut rejected: impl FnMut(u32),
     ) -> u64 {
         let workers = self.placement.workers();
         let me = match node {
@@ -431,18 +482,33 @@ impl Routing {
             let Node::Dest(c) = child else { continue };
             let to = self.relay_endpoint(relay_node_worker(origin, c, workers).0);
             for _ in 0..copies {
-                accepted += self.send_wire(from, to, frame, Some(epoch)) as u64;
+                if self.send_wire(from, to, frame) {
+                    accepted += 1;
+                } else {
+                    rejected(c);
+                }
             }
+        }
+        if accepted > 0 {
+            let bytes = accepted * frame.len() as u64;
+            self.stats.add(Ctr::relay_bytes, bytes);
         }
         accepted
     }
 
+    /// This worker's node in `origin`'s tree of `epoch`, if both exist.
+    fn node_in(&self, epoch: &RelayEpoch, origin: u32, my_worker: u32) -> Option<u32> {
+        let node = relay_node_of_worker(origin, my_worker)?;
+        let exists = origin < self.placement.workers() && node < epoch.trees[origin as usize].n();
+        exists.then_some(node)
+    }
+
     /// The shared admission check of relayed data and relayed EOS: the
-    /// generation the frame was stamped with (current or draining) and
+    /// generation the frame was stamped with (current or flushing) and
     /// this worker's node in `origin`'s tree. A frame on a retired
     /// generation is stale-dropped — never delivered; tracked runs replay
     /// the tuple on the current tree — and one whose origin or node does
-    /// not exist is dropped and its in-flight charge released.
+    /// not exist is dropped.
     fn relay_admit(
         &self,
         my_worker: u32,
@@ -457,18 +523,11 @@ impl Routing {
             self.stats.add(Ctr::relay_stale_drops, 1);
             return None;
         };
-        match relay_node_of_worker(origin, my_worker) {
-            Some(node)
-                if origin < self.placement.workers() && node < epoch.trees[origin as usize].n() =>
-            {
-                Some((relay, epoch, node))
-            }
-            _ => {
-                self.stats.add(Ctr::dropped_frames, 1);
-                epoch.note_received();
-                None
-            }
-        }
+        let Some(node) = self.node_in(&epoch, origin, my_worker) else {
+            self.stats.add(Ctr::dropped_frames, 1);
+            return None;
+        };
+        Some((relay, epoch, node))
     }
 
     /// A relay worker received a broadcast frame: forward the *received
@@ -498,11 +557,8 @@ impl Routing {
         let sampled =
             forwards && relay.forward_events.fetch_add(1, Ordering::Relaxed) % LATENCY_SAMPLE == 0;
         let t0 = sampled.then(Instant::now);
-        let forwarded = self.relay_fanout(&epoch, h.origin, Node::Dest(node), payload.into(), 1);
-        // Children are charged before this receipt is released, so the
-        // epoch's in-flight count can only read zero once the whole
-        // subtree has drained.
-        epoch.note_received();
+        let forwarded =
+            self.relay_fanout(&epoch, h.origin, Node::Dest(node), payload.into(), 1, drop);
         if forwarded > 0 {
             self.stats.add(Ctr::relay_forwards, forwarded);
             if let Some(t0) = t0 {
@@ -534,9 +590,123 @@ impl Routing {
         let Some((_, epoch, node)) = self.relay_admit(my_worker, eos.origin, eos.epoch) else {
             return;
         };
-        self.relay_fanout(&epoch, eos.origin, Node::Dest(node), payload.into(), 1);
-        epoch.note_received();
+        let from = Node::Dest(node);
+        self.relay_fanout(&epoch, eos.origin, from, payload.into(), 1, drop);
         self.deliver_to_component(WorkerId(my_worker), eos.component, ExecMsg::Eos(eos.src));
+    }
+
+    /// A relay worker received a demoted generation's marker: whatever of
+    /// that generation its parent sent has arrived ahead of it. Forward
+    /// it to the children — every copy, so that a root's resend repairs a
+    /// loss anywhere below — and record the receipt; the last receipt of
+    /// the generation retires it. A marker of any other generation is a
+    /// resend that outlived its flush, and is ignored.
+    pub(super) fn on_relay_marker(&self, my_worker: u32, marker: RelayMarker, payload: &Payload) {
+        let Some(relay) = self.relay.as_ref() else {
+            self.stats.add(Ctr::dropped_frames, 1);
+            return;
+        };
+        let Some(generation) = relay.demoted(marker.epoch) else {
+            return;
+        };
+        let Some(node) = self.node_in(&generation, marker.origin, my_worker) else {
+            self.stats.add(Ctr::dropped_frames, 1);
+            return;
+        };
+        let from = Node::Dest(node);
+        self.send_marker(&generation, marker.origin, from, payload.into());
+        if generation.mark_flushed(marker.origin, [node]) {
+            relay.retire(marker.epoch);
+        }
+    }
+
+    /// Send `origin`'s marker of the demoted `generation` to the children
+    /// of `node`. A child the fabric rejects outright (a crashed
+    /// endpoint) can be sent nothing more of the generation either: its
+    /// whole subtree counts as flushed.
+    fn send_marker(&self, generation: &RelayEpoch, origin: u32, node: Node, frame: Wire<'_>) {
+        let relay = self.relay.as_ref().expect("markers imply relay state");
+        let tree = &generation.trees[origin as usize];
+        self.relay_fanout(generation, origin, node, frame, 1, |child| {
+            if generation.mark_flushed(origin, tree.subtree(child)) {
+                relay.retire(generation.epoch);
+            }
+        });
+    }
+
+    /// Each root of `generation` whose tree has not flushed sends its
+    /// marker down it. Returns how many did.
+    fn post_markers(&self, generation: &RelayEpoch) -> u64 {
+        let mut posted = 0;
+        for origin in 0..self.placement.workers() {
+            if generation.unflushed(origin) == 0 {
+                continue;
+            }
+            let marker = RelayMarker {
+                origin,
+                epoch: generation.epoch,
+            };
+            self.with_frame(
+                |buf| wire::encode_relay_marker(buf, marker),
+                |frame| self.send_marker(generation, origin, Node::Source, frame),
+            );
+            posted += 1;
+        }
+        posted
+    }
+
+    /// Start the flush of the generation a switch has just demoted. Its
+    /// markers must trail every frame a root sent on it, so they wait
+    /// until no thread but the `prev` slot holds it: each root that
+    /// resolved it has sent and let go (a pipeline within one scheduling
+    /// pass, see [`HELD`]). A forwarder that still looks it up passes on
+    /// only frames that reached it ahead of the marker. Then each
+    /// origin's root posts its marker.
+    pub(super) fn flush_demoted(&self) {
+        let relay = self.relay.as_ref().expect("a switch implies relay state");
+        let generation = loop {
+            let prev = relay.prev.read();
+            let demoted = prev.as_ref().expect("a switch demoted a generation");
+            if Arc::strong_count(demoted) == 1 {
+                // Pairs with the release in the last other reference's
+                // drop: the sends made under it happened before these.
+                fence(Ordering::Acquire);
+                break Arc::clone(demoted);
+            }
+            drop(prev);
+            std::thread::yield_now();
+        };
+        *generation.markers_sent_at.lock() = Some(Instant::now());
+        self.post_markers(&generation);
+        // A generation without nodes has nothing to wait for.
+        if generation.origins_left.load(Ordering::Acquire) == 0 {
+            relay.retire(generation.epoch);
+        }
+    }
+
+    /// Whether no demoted generation is left. If one is, and its markers
+    /// left [`MARKER_RESEND`] ago or more, each root whose tree has not
+    /// flushed sends its marker again — down the whole tree, so a marker
+    /// lost anywhere on it is replaced.
+    pub(super) fn tend_flush(&self) -> bool {
+        let relay = self.relay.as_ref().expect("a flush implies relay state");
+        // Takes a reference only to resend: a pipeline polling this while
+        // a switch waits for the references to go must not hold it up.
+        let generation = {
+            let prev = relay.prev.read();
+            let Some(generation) = prev.as_ref() else {
+                return true;
+            };
+            let mut sent_at = generation.markers_sent_at.lock();
+            if !sent_at.is_some_and(|at| at.elapsed() >= MARKER_RESEND) {
+                return false;
+            }
+            *sent_at = Some(Instant::now());
+            Arc::clone(generation)
+        };
+        let resent = self.post_markers(&generation);
+        self.stats.add(Ctr::relay_marker_resends, resent);
+        false
     }
 }
 
@@ -544,7 +714,6 @@ impl Routing {
 mod tests {
     use super::super::testkit::*;
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn relay_node_worker_mapping_skips_origin() {
@@ -724,6 +893,18 @@ mod tests {
         (b.build().unwrap(), ops, counts, emitted)
     }
 
+    /// Whether `relay` is left with no demoted generation within `timeout`.
+    fn retires_within(relay: &RelayState, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while relay.prev.read().is_some() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
     #[test]
     fn a_switch_storm_under_saturation_loses_nothing() {
         const SWITCHES: u64 = 24;
@@ -745,13 +926,18 @@ mod tests {
                 while emitted.load(Ordering::Relaxed) < mark {
                     std::thread::yield_now();
                 }
-                // The generation before last drains while traffic runs on
-                // (the grace is the bound, never the mechanism), so at most
-                // two are ever alive.
-                let drained = relay.await_prev_drained();
-                assert!(drained, "{shards} shards, switch {k}");
+                // The generation before last retires by marker while
+                // traffic runs on, and the thread that took its last
+                // marker lets go of it: at most two are ever alive.
+                let retired = retires_within(relay, Duration::from_secs(10));
+                assert!(retired, "{shards} shards, switch {k}");
+                let before_last = &generations[generations.len().saturating_sub(2)];
+                while k > 0 && before_last.strong_count() > 0 {
+                    std::thread::yield_now();
+                }
                 let d_star = [3, 1, 2][k as usize % 3];
-                super::super::control::switch_structure(&run.routing, d_star);
+                let switched = super::super::control::switch_structure(&run.routing, d_star);
+                assert!(switched, "{shards} shards, switch {k}");
                 generations.push(Arc::downgrade(&relay.current()));
                 let alive = generations.iter().filter(|g| g.strong_count() > 0);
                 assert!(alive.count() <= 2, "{shards} shards, switch {k}");
@@ -794,14 +980,172 @@ mod tests {
         while !all_parked() {
             std::thread::yield_now();
         }
-        // One switch: the demoted generation has nothing in flight, and
-        // retires at once — not when the blocked pipelines next wake
-        // (`PARK_CAP`), not when the drain grace runs out — because none
-        // of them took its reference into the block.
+        // One switch: none of the blocked pipelines took generation 0's
+        // reference into the block, so its markers leave at once, and
+        // their arrival wakes each pipeline that forwards them. The
+        // generation retires well before any block would have timed out
+        // (`PARK_CAP`).
         let relay = run.routing.relay.as_ref().unwrap();
-        super::super::control::switch_structure(&run.routing, 3);
-        assert!(relay.try_retire_prev());
+        assert!(super::super::control::switch_structure(&run.routing, 3));
+        assert!(retires_within(relay, Duration::from_secs(10)));
+        let (t_switch, switches) = relay.retire_ns.lock().take();
+        assert_eq!(switches, 1);
+        let cap = super::super::pipeline::PARK_CAP / 2;
+        let t_switch = Duration::from_nanos(t_switch[0]);
+        assert!(t_switch < cap, "T_switch {t_switch:?}");
         run.finish();
+    }
+
+    /// [`counting_topology`] over four workers, one pipeline each and no
+    /// thread behind any, relaying at `d* = 1` — every origin's tree a
+    /// chain of three nodes. Each worker's endpoint is registered on
+    /// `fabric`; what the receive path hands its pipeline lands in the
+    /// worker's executor queue.
+    fn chains(fabric: Arc<dyn FabricPath>) -> (Routing, Vec<whale_net::Inbox>, Vec<Rx>) {
+        const WORKERS: u32 = 4;
+        let (topology, _ops) = counting_topology(WORKERS, 8);
+        let placement = Placement::even(&topology, &ClusterSpec::new(WORKERS, 1, 16));
+        let endpoints = (0..WORKERS)
+            .map(|w| fabric.register(EndpointId(w)).unwrap())
+            .collect();
+        let (inboxes, queues) = (0..WORKERS)
+            .map(|_| {
+                let (tx, rx) = crossbeam::channel::bounded(1024);
+                (super::super::send::ShardInbox::new(tx), rx)
+            })
+            .unzip();
+        let config = LiveConfig {
+            machines: WORKERS,
+            multicast_d_star: Some(1),
+            ..LiveConfig::default()
+        };
+        let relay = RelayState::new(RelayEpoch::new(0, 1, oblivious_trees(1, WORKERS)));
+        let routing = Routing {
+            groups: LocalGroups::new(&topology, &placement, 1),
+            topology,
+            placement,
+            fabric,
+            shard_inboxes: inboxes,
+            ..bare_routing(config, Some(relay))
+        };
+        (routing, endpoints, queues)
+    }
+
+    type Rx = crossbeam::channel::Receiver<super::super::send::Entry>;
+
+    /// Run every frame on the endpoints through the receive path until
+    /// they are all empty; `keep` sees each `(receiving worker, frame)`
+    /// first and may lose it instead.
+    fn pump(
+        routing: &Routing,
+        endpoints: &[whale_net::Inbox],
+        mut keep: impl FnMut(u32, &[u8]) -> bool,
+    ) {
+        let mut scratch = Default::default();
+        let mut any = true;
+        while std::mem::take(&mut any) {
+            for (worker, endpoint) in (0..).zip(endpoints) {
+                while let Ok(msg) = endpoint.try_recv() {
+                    any = true;
+                    if keep(worker, msg.payload.bytes()) {
+                        super::super::pipeline::on_frame(worker, &msg, routing, &mut scratch);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The queue entries a worker's pipeline was handed: `(data, EOS)`.
+    fn handed(queue: &Rx) -> (usize, usize) {
+        let entries: Vec<_> = std::iter::from_fn(|| queue.try_recv().ok()).collect();
+        let eos = entries.iter().filter(|(_, m)| matches!(m, ExecMsg::Eos(_)));
+        (entries.len() - eos.clone().count(), eos.count())
+    }
+
+    #[test]
+    fn a_lost_marker_is_resent_by_its_root_and_the_generation_still_retires() {
+        let (routing, endpoints, queues) = chains(Arc::new(whale_net::LiveFabric::new()));
+        let relay = routing.relay.as_ref().unwrap();
+        let src = routing.topology.tasks_of("src")[0];
+        let origin = routing.placement.worker_of(src).0;
+        let double = routing.topology.component("double").unwrap().id;
+        let emit = |n: u64| {
+            let item = LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::I64(n as i64)]));
+            routing.relay_broadcast(src, &item, double, None);
+        };
+        // Three tuples on generation 0, a switch (d* 1 → 2), two more on
+        // generation 1.
+        (0..3).for_each(emit);
+        assert!(super::super::control::switch_structure(&routing, 2));
+        (3..5).for_each(emit);
+        // The origin's marker is lost on its way to the second node of its
+        // chain: neither that node nor the one below it hears of it.
+        let second = relay_node_worker(origin, 1, 4).0;
+        let mut lost = 0;
+        pump(&routing, &endpoints, |worker, frame| {
+            let ours = matches!(
+                wire::parse(frame),
+                Ok(wire::FrameView::RelayMarker(m)) if m.origin == origin
+            );
+            let lose = ours && worker == second && lost == 0;
+            lost += lose as u32;
+            !lose
+        });
+        assert_eq!(lost, 1);
+        let demoted = relay.demoted(0).expect("generation 0 is still flushing");
+        assert_eq!(demoted.unflushed(origin), 2);
+        let others = (0..4).filter(|&o| o != origin);
+        assert!(others.map(|o| demoted.unflushed(o)).all(|n| n == 0));
+        drop(demoted);
+        // The spout finishes: its EOS waits behind the unflushed chain.
+        // Its first retry comes after the resend interval, and so the
+        // root sends its marker again, once, down the whole chain.
+        std::thread::sleep(MARKER_RESEND);
+        routing.relay_eos(src, double, 1);
+        assert!(routing.send_waiting_eos(), "the EOS waits on the flush");
+        assert_eq!(routing.stats.get(Ctr::relay_marker_resends), 1);
+        pump(&routing, &endpoints, |_, _| true);
+        assert!(relay.prev.read().is_none(), "the resend flushed the chain");
+        assert_eq!(relay.retire_ns.lock().take().1, 1);
+        assert!(!routing.send_waiting_eos(), "the EOS went");
+        pump(&routing, &endpoints, |_, _| true);
+        // Every worker's pipeline got each tuple once, then the EOS.
+        for (worker, queue) in queues.iter().enumerate() {
+            assert_eq!(handed(queue), (5, 1), "worker {worker}");
+        }
+        let stats = &routing.stats;
+        assert_eq!(stats.get(Ctr::relay_marker_resends), 1);
+        assert_eq!(stats.get(Ctr::relay_stale_drops), 0);
+        assert_eq!(stats.get(Ctr::dropped_frames), 0);
+    }
+
+    #[test]
+    fn a_marker_the_fabric_rejects_counts_the_childs_subtree_as_flushed() {
+        // Worker 1 has crashed: every send to it is refused.
+        let plan = whale_net::FaultPlan {
+            crashes: vec![whale_net::EndpointCrash {
+                endpoint: EndpointId(1),
+                at_frame: 0,
+            }],
+            ..whale_net::FaultPlan::default()
+        };
+        let inner = Arc::new(whale_net::LiveFabric::new());
+        let (routing, endpoints, _) = chains(Arc::new(FaultFabric::new(inner, plan)));
+        let relay = routing.relay.as_ref().unwrap();
+        assert!(super::super::control::switch_structure(&routing, 2));
+        // Worker 0's chain starts at worker 1: refused at the root, the
+        // whole chain counts as flushed before any marker arrives.
+        let demoted = relay.demoted(0).expect("generation 0 is flushing");
+        assert_eq!(demoted.unflushed(0), 0);
+        assert!((1..4).all(|origin| demoted.unflushed(origin) > 0));
+        drop(demoted);
+        // Elsewhere worker 1 sits lower in the chain: the node above it
+        // is refused, and worker 1 and what is below it count as
+        // flushed. The generation retires on what gets through.
+        pump(&routing, &endpoints, |_, _| true);
+        assert!(relay.prev.read().is_none());
+        assert_eq!(relay.retire_ns.lock().take().1, 1);
+        assert_eq!(routing.stats.get(Ctr::relay_marker_resends), 0);
     }
 
     #[test]

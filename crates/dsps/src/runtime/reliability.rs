@@ -272,7 +272,7 @@ pub(super) fn replay_endpoint(routing: &Routing, ep: EndpointId) {
     for (_seq, bytes) in read.records {
         let n = bytes.len() as u64;
         let buf: Arc<[u8]> = Arc::from(bytes.into_boxed_slice());
-        if routing.send_wire(ep, ep, Wire::Shared(&buf), None) {
+        if routing.send_wire(ep, ep, Wire::Shared(&buf)) {
             routing.stats.add(Ctr::log_replayed_records, 1);
             routing.stats.add(Ctr::log_replayed_bytes, n);
         }

@@ -142,6 +142,9 @@ counter_table! {
         relay_switches: Counter "dsps.relay.switches";
         /// Per-instance connection moves across all reconfigurations.
         relay_switch_moves: Counter "dsps.relay.switch_moves";
+        /// Markers a root sent again because its tree of a demoted
+        /// generation had not flushed within the resend interval.
+        relay_marker_resends: Counter "dsps.relay.marker_resends";
         /// Malformed or unroutable fabric frames (and unroutable tuples)
         /// dropped by the pipelines.
         dropped_frames: Counter "dsps.dropped_frames";
@@ -281,6 +284,11 @@ counter_table! {
         /// send, ns), unordered; a uniform sample of them once a long run has
         /// taken more than the reservoir holds.
         pub relay_forward_ns: Vec<u64>,
+        /// T_switch of each retired tree generation (ns): from the switch
+        /// that demoted it to the last node's receipt of its
+        /// end-of-generation marker. One sample per switch whose
+        /// generation retired before the run ended.
+        pub relay_retire_ns: Vec<u64>,
         /// Mean messages per flushed batch (0 on the per-send path).
         pub mean_batch_size: f64,
         /// Pool hits over total acquires (≈ 1.0 once warm: the steady-state
@@ -521,6 +529,9 @@ impl RunReport {
         if !self.relay_forward_ns.is_empty() {
             reg.set_summary("dsps.relay.forward_ns", &histogram(&self.relay_forward_ns));
         }
+        if !self.relay_retire_ns.is_empty() {
+            reg.set_summary("dsps.relay.retire_ns", &histogram(&self.relay_retire_ns));
+        }
         reg.set_summary("dsps.delivery_ns", &histogram(&self.delivery_ns));
         if !self.timeline.is_empty() {
             let executed: fn(&TimelineSample) -> u64 = |s| s.executed.iter().sum();
@@ -547,6 +558,7 @@ impl RunReport {
         let relay = routing.relay.as_ref();
         RunReport {
             relay_forward_ns: relay.map_or_else(Vec::new, |r| r.forward_ns.lock().take().0),
+            relay_retire_ns: relay.map_or_else(Vec::new, |r| r.retire_ns.lock().take().0),
             delivery_ns,
             timeline,
             ..routing.snapshot(elapsed)
@@ -665,7 +677,7 @@ mod tests {
         assert!(s.p99 >= s.p50);
     }
 
-    /// The five run shapes whose exports are pinned below, by name.
+    /// The six run shapes whose exports are pinned below, by name.
     fn pinned_runs() -> Vec<(&'static str, RunReport)> {
         use whale_net::{EndpointCrash, EndpointRestart, FaultPlan, LogConfig, TopologyConfig};
         let counting = |config: LiveConfig| {
@@ -730,12 +742,42 @@ mod tests {
             monitor_interval: Some(Duration::from_millis(1)),
             ..LiveConfig::default()
         });
+        let switched = {
+            // 100 tuples, 300 µs apart, from a chain (d* = 1) over four
+            // machines to a star (d* = 3) after the 30th.
+            let mut b = crate::topology::TopologyBuilder::new();
+            b.spout("src", 1, Schema::new(vec!["n"]))
+                .bolt("fan", 16, Schema::new(vec!["n"]))
+                .connect("src", "fan", Grouping::All);
+            let ops = Operators::new()
+                .spout("src", |_| {
+                    Box::new(IterSpout::new((0..100u64).map(|i| {
+                        std::thread::sleep(Duration::from_micros(300));
+                        Tuple::with_id(i, vec![Value::I64(i as i64)])
+                    })))
+                })
+                .bolt("fan", |_| {
+                    Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+                });
+            let config = LiveConfig {
+                machines: 4,
+                multicast_d_star: Some(1),
+                multicast_adaptive: Some(AdaptiveConfig {
+                    interval: Duration::from_millis(1),
+                    forced_switches: vec![(30, 3)],
+                    ..AdaptiveConfig::default()
+                }),
+                ..LiveConfig::default()
+            };
+            run_topology(b.build().unwrap(), ops, config)
+        };
         vec![
             ("per-send relay", relay),
             ("ring", ring),
             ("one-sided", one_sided),
             ("tracked logged recovery", recovered),
             ("monitored", monitored),
+            ("switched relay", switched),
         ]
     }
 
@@ -789,6 +831,7 @@ mod tests {
         "dsps.relay.bytes counter",
         "dsps.relay.d_star gauge",
         "dsps.relay.epoch gauge",
+        "dsps.relay.marker_resends counter",
         "dsps.relay.stale_drops counter",
         "dsps.relay.switch_moves counter",
         "dsps.relay.switches counter",
@@ -815,6 +858,15 @@ mod tests {
         "dsps.relay.depth_4 counter",
         "dsps.relay.forward_ns summary",
     ];
+    /// A chain over four machines switched to a star: the depths the
+    /// chain reached, its forward-latency sample, the switch's T_switch.
+    const SWITCHED_RELAY: &[&str] = &[
+        "dsps.relay.depth_1 counter",
+        "dsps.relay.depth_2 counter",
+        "dsps.relay.depth_3 counter",
+        "dsps.relay.forward_ns summary",
+        "dsps.relay.retire_ns summary",
+    ];
     const TIMELINE: &[&str] = &[
         "dsps.timeline.acked series",
         "dsps.timeline.executed series",
@@ -827,7 +879,7 @@ mod tests {
     ];
 
     /// The metric names a run exports, and what each is, are an interface:
-    /// the bench reports and the docs read them by name. Pinned for five
+    /// the bench reports and the docs read them by name. Pinned for six
     /// shapes of run, with the counters no schedule can move.
     #[test]
     fn every_run_exports_its_pinned_key_set() {
@@ -851,7 +903,7 @@ mod tests {
         };
         // The key lists a run exports, and the counters it pins.
         type Pins = (&'static [&'static [&'static str]], Vec<(&'static str, u64)>);
-        let runs: [Pins; 5] = [
+        let runs: [Pins; 6] = [
             (
                 &[EVERY_RUN, THIRD_COMPONENT, RACKED_RELAY],
                 [&counting(1600, 1700, 1515, 2121)[..], &bytes(73_101)].concat(),
@@ -875,6 +927,14 @@ mod tests {
             (
                 &[EVERY_RUN, THIRD_COMPONENT, TIMELINE],
                 [&counting(800, 900, 909, 909)[..], &bytes(30_129)].concat(),
+            ),
+            (
+                &[EVERY_RUN, SWITCHED_RELAY],
+                vec![
+                    ("dsps.spout_emitted", 100),
+                    ("dsps.executed.component_1", 1600),
+                    ("dsps.relay.switches", 1),
+                ],
             ),
         ];
         for ((name, report), (keys, values)) in pinned_runs().into_iter().zip(runs) {
@@ -926,7 +986,14 @@ mod tests {
     /// exports.
     #[test]
     fn the_docs_name_only_exported_keys() {
-        let pinned = [EVERY_RUN, THIRD_COMPONENT, RACKED_RELAY, TIMELINE].concat();
+        let pinned = [
+            EVERY_RUN,
+            THIRD_COMPONENT,
+            RACKED_RELAY,
+            SWITCHED_RELAY,
+            TIMELINE,
+        ]
+        .concat();
         let pinned: Vec<&str> = pinned
             .iter()
             .map(|k| k.split(' ').next().unwrap())

@@ -5,7 +5,7 @@
 //! [`Routing::send_wire`].
 
 use super::config::LiveConfig;
-use super::relay::{RelayEpoch, RelayState};
+use super::relay::RelayState;
 use super::reliability::{anchor_for, splitmix64, AckRuntime, LogRuntime};
 use super::report::{Ctr, RunStats};
 use super::wire::{self, Wire};
@@ -484,7 +484,7 @@ impl Routing {
                     }
                 }
                 self.send_frame(&scratch, start, Some((to, tracked)), |frame| {
-                    self.send_wire(from, to, frame, None)
+                    self.send_wire(from, to, frame)
                 });
                 // Only the frame holding the encoded item is kept.
                 if encoded.end <= start {
@@ -563,23 +563,9 @@ impl Routing {
     /// exponential backoff up to the policy deadline); `Full` past the
     /// deadline fails the frame loudly, so a reader that stopped reading
     /// degrades the run instead of livelocking it. Teardown races (unknown or disconnected endpoints) are dropped
-    /// here; the fabric counts them in `send_errors`.
-    ///
-    /// A relay send names the generation to `charge`: the in-flight count
-    /// is raised *before* the send, so the generation can never read
-    /// drained while an accepted frame sits uncounted in a fabric queue,
-    /// and released again if the fabric rejects; accepted bytes count
-    /// toward the relay byte total. Returns whether the fabric accepted.
-    pub(super) fn send_wire(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        frame: Wire<'_>,
-        charge: Option<&RelayEpoch>,
-    ) -> bool {
-        if let Some(epoch) = charge {
-            epoch.note_sent();
-        }
+    /// here; the fabric counts them in `send_errors`. Returns whether the
+    /// fabric accepted.
+    pub(super) fn send_wire(&self, from: EndpointId, to: EndpointId, frame: Wire<'_>) -> bool {
         let retries = self.stats.slot(Ctr::send_retries);
         let sent = match frame {
             Wire::Shared(buf) => self.config.send.run(retries, || {
@@ -596,11 +582,6 @@ impl Routing {
         };
         if sent == Err(SendError::Full) {
             self.stats.add(Ctr::send_failed, 1);
-        }
-        match charge {
-            Some(_) if sent.is_ok() => self.stats.add(Ctr::relay_bytes, frame.len() as u64),
-            Some(epoch) => epoch.note_received(),
-            None => {}
         }
         sent.is_ok()
     }
@@ -634,7 +615,7 @@ impl Routing {
                         |buf| wire::encode_eos(buf, src, owned),
                         |frame| {
                             for _ in 0..copies {
-                                self.send_wire(from, to, frame, None);
+                                self.send_wire(from, to, frame);
                             }
                         },
                     );

@@ -12,6 +12,7 @@
 //! | 3 EOS | `src u32` `n u32` `dst u32 × n` | 9 + 4n |
 //! | 4 relay | `origin u32` `epoch u32` `component u32` `tracked u64` item | 21 + item |
 //! | 5 relay EOS | `origin u32` `epoch u32` `component u32` `src u32` | 17 |
+//! | 6 relay marker | `origin u32` `epoch u32` | 9 |
 //!
 //! Only instance and worker frames take the [`TRACKED`] bit. A relay
 //! frame always carries its ledger key inline (0 = untracked) so its
@@ -34,6 +35,7 @@ const KIND_WORKER: u8 = 2;
 const KIND_EOS: u8 = 3;
 const KIND_RELAY: u8 = 4;
 const KIND_RELAY_EOS: u8 = 5;
+const KIND_RELAY_MARKER: u8 = 6;
 /// Kind-byte flag: a `tracked u64` ledger key follows the kind byte.
 const TRACKED: u8 = 0x80;
 
@@ -51,6 +53,17 @@ pub(super) struct RelayEos {
     pub src: TaskId,
 }
 
+/// End of a tree generation: the last frame `origin`'s tree of a
+/// demoted generation carries down each link, behind all of that
+/// generation's data (per-link FIFO).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) struct RelayMarker {
+    /// Worker id of the tree's root.
+    pub origin: u32,
+    /// The demoted generation.
+    pub epoch: u32,
+}
+
 /// One validated frame, borrowing the received bytes. Data items stay
 /// lazy views; nothing is materialized here.
 #[derive(Debug)]
@@ -66,6 +79,8 @@ pub(super) enum FrameView<'a> {
     Relay { header: RelayHeader, item: &'a [u8] },
     /// A relayed end-of-stream.
     RelayEos(RelayEos),
+    /// A demoted generation's end-of-generation marker.
+    RelayMarker(RelayMarker),
 }
 
 /// The destination ids of an EOS frame, read straight off the wire.
@@ -120,6 +135,13 @@ pub(super) fn parse(frame: &[u8]) -> Result<FrameView<'_>, DecodeError> {
                 epoch: buf.get_u32_le(),
                 component: ComponentId(buf.get_u32_le()),
                 src: TaskId(buf.get_u32_le()),
+            }))
+        }
+        KIND_RELAY_MARKER => {
+            need(&buf, 8)?;
+            Ok(FrameView::RelayMarker(RelayMarker {
+                origin: buf.get_u32_le(),
+                epoch: buf.get_u32_le(),
             }))
         }
         _ => Err(DecodeError::BadTag(byte)),
@@ -226,6 +248,13 @@ pub(super) fn encode_relay_eos(buf: &mut BytesMut, eos: RelayEos) {
     buf.put_u32_le(eos.epoch);
     buf.put_u32_le(eos.component.0);
     buf.put_u32_le(eos.src.0);
+}
+
+/// A demoted generation's marker leaving `origin`, the root of its tree.
+pub(super) fn encode_relay_marker(buf: &mut BytesMut, marker: RelayMarker) {
+    buf.put_u8(KIND_RELAY_MARKER);
+    buf.put_u32_le(marker.origin);
+    buf.put_u32_le(marker.epoch);
 }
 
 /// An encoded frame ready for the fabric, by send semantics: one shared
@@ -364,6 +393,17 @@ mod tests {
             other => panic!("relay EOS frame parsed as {other:?}"),
         }
         frames.push(f);
+        let marker = RelayMarker {
+            origin: 2,
+            epoch: 7,
+        };
+        let f = encoded(|b| encode_relay_marker(b, marker));
+        assert_eq!(f.len(), 9);
+        match parse(&f).unwrap() {
+            FrameView::RelayMarker(back) => assert_eq!(back, marker),
+            other => panic!("relay marker parsed as {other:?}"),
+        }
+        frames.push(f);
 
         for f in &frames {
             assert!(valid(f));
@@ -442,13 +482,13 @@ mod tests {
 
     #[test]
     fn unknown_kinds_misplaced_flags_and_lying_lengths_are_rejected() {
-        for kind in [0u8, 6, 7, 99, 0x7f, TRACKED, TRACKED | 6] {
+        for kind in [0u8, 7, 8, 99, 0x7f, TRACKED, TRACKED | 7] {
             let mut f = vec![kind];
             f.extend_from_slice(&[0u8; 64]);
             assert_eq!(parse(&f).err(), Some(DecodeError::BadTag(kind)));
         }
         // Only instance and worker frames take the TRACKED bit.
-        for kind in [KIND_EOS, KIND_RELAY, KIND_RELAY_EOS] {
+        for kind in [KIND_EOS, KIND_RELAY, KIND_RELAY_EOS, KIND_RELAY_MARKER] {
             let mut f = vec![kind | TRACKED];
             f.extend_from_slice(&[0u8; 64]);
             assert_eq!(parse(&f).err(), Some(DecodeError::BadTag(kind | TRACKED)));

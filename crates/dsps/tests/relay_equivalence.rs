@@ -1,7 +1,7 @@
 //! Property tests for the relay data plane: routing all-grouped
 //! broadcasts through a worker-level multicast tree — at any out-degree,
 //! across worker counts, with injected drops and a mid-run epoch switch
-//! — must be observationally equivalent to the source sending to every
+//! on every transport — must be observationally equivalent to the source sending to every
 //! worker directly. The executor-side root-id dedup makes the check
 //! sharp: every emitted value executes exactly once per sink instance,
 //! so a frame delivered twice (e.g. on a retired epoch *and* via its
@@ -15,7 +15,7 @@ use whale_dsps::{
     run_topology, AckConfig, AdaptiveConfig, Emitter, FnBolt, Grouping, IterSpout, LiveConfig,
     Operators, RunReport, Schema, Tuple, TopologyBuilder, Value,
 };
-use whale_net::FaultPlan;
+use whale_net::{FabricKind, FaultPlan, OneSidedConfig, RingConfig};
 
 const TUPLES: i64 = 50;
 const FANOUT: u32 = 4;
@@ -23,13 +23,24 @@ const FANOUT: u32 = 4;
 /// Relay out-degrees the equivalence must hold at.
 const DEGREES: [u32; 3] = [1, 2, 4];
 
-/// Run one tracked all-grouped topology and return `(report, per-value
-/// execution counts unioned over sink instances)`.
+/// The transports a switch must hold on.
+fn fabrics() -> [FabricKind; 3] {
+    [
+        FabricKind::PerSend,
+        FabricKind::Ring(RingConfig::default()),
+        FabricKind::OneSided(OneSidedConfig::default()),
+    ]
+}
+
+/// Run one tracked all-grouped topology over `fabric` with `shards`
+/// pipelines per worker and return `(report, per-value execution counts
+/// unioned over sink instances)`.
 fn run_cell(
     machines: u32,
     d_star: Option<u32>,
     adaptive: Option<AdaptiveConfig>,
     plan: Option<FaultPlan>,
+    (fabric, shards): (FabricKind, u32),
 ) -> (RunReport, HashMap<i64, u64>) {
     let mut b = TopologyBuilder::new();
     b.spout("src", 1, Schema::new(vec!["n"]))
@@ -59,6 +70,8 @@ fn run_cell(
         ops,
         LiveConfig {
             machines,
+            shards,
+            fabric,
             multicast_d_star: d_star,
             multicast_adaptive: adaptive,
             ack: Some(AckConfig {
@@ -120,12 +133,13 @@ proptest! {
             (drop_pct > 0)
                 .then(|| FaultPlan::uniform_drops(seed ^ salt, drop_pct as f64 / 100.0))
         };
-        let (direct_r, direct_counts) = run_cell(machines, None, None, plan(0));
+        let per_send = (FabricKind::PerSend, 1);
+        let (direct_r, direct_counts) = run_cell(machines, None, None, plan(0), per_send);
         assert_exact_delivery("direct", &direct_r, &direct_counts);
         prop_assert_eq!(direct_r.relay_forwards, 0, "direct plan never relays");
 
         let label = format!("relay d={d} m={machines} drop={drop_pct}%");
-        let (relay_r, relay_counts) = run_cell(machines, Some(d), None, plan(1));
+        let (relay_r, relay_counts) = run_cell(machines, Some(d), None, plan(1), per_send);
         assert_exact_delivery(&label, &relay_r, &relay_counts);
         prop_assert_eq!(&relay_counts, &direct_counts, "{}: delivery differs", label);
         // A tree wider than the worker set degenerates to the direct
@@ -136,9 +150,12 @@ proptest! {
     }
 
     /// A mid-run epoch switch under injected drops loses nothing and
-    /// never double-delivers: frames caught on the old generation drain
-    /// or are dropped as stale and replayed on the new tree, and the
-    /// root-id dedup keeps every (instance, value) count at exactly one.
+    /// never double-delivers, on every transport at one and two
+    /// pipelines per worker: frames caught on the old generation are
+    /// flushed out ahead of its end-of-generation markers or dropped as
+    /// stale and replayed on the new tree, the root-id dedup keeps every
+    /// (instance, value) count at exactly one, and every switch's
+    /// generation has retired by the end of the run.
     #[test]
     fn epoch_switch_under_drops_keeps_exact_delivery(
         seed in 0u64..u64::MAX,
@@ -146,6 +163,8 @@ proptest! {
         machines in 4u32..8,
         from_idx in 0usize..DEGREES.len(),
         to_idx in 0usize..DEGREES.len(),
+        fabric_idx in 0usize..3,
+        shards in 1u32..3,
     ) {
         let adaptive = AdaptiveConfig {
             interval: Duration::from_millis(1),
@@ -154,15 +173,28 @@ proptest! {
         };
         let plan = (drop_pct > 0)
             .then(|| FaultPlan::uniform_drops(seed, drop_pct as f64 / 100.0));
+        let fabric = fabrics()[fabric_idx];
         let label = format!(
-            "switch d={}→{} m={machines} drop={drop_pct}%",
+            "switch d={}→{} m={machines} drop={drop_pct}% {fabric:?} shards={shards}",
             DEGREES[from_idx], DEGREES[to_idx]
         );
-        let (r, counts) = run_cell(machines, Some(DEGREES[from_idx]), Some(adaptive), plan);
+        let (r, counts) = run_cell(
+            machines,
+            Some(DEGREES[from_idx]),
+            Some(adaptive),
+            plan,
+            (fabric, shards),
+        );
         assert_exact_delivery(&label, &r, &counts);
         if DEGREES[from_idx] != DEGREES[to_idx] {
             prop_assert!(r.relay_switches >= 1, "{}: switch must land", label);
             prop_assert!(r.relay_epoch >= 1, "{}: epoch must advance", label);
         }
+        prop_assert_eq!(
+            r.relay_retire_ns.len() as u64,
+            r.relay_switches,
+            "{}: a switch's generation never retired",
+            label
+        );
     }
 }

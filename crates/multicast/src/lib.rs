@@ -17,7 +17,6 @@ pub mod analysis;
 pub mod builder;
 pub mod capability;
 pub mod controller;
-pub mod fabric_driver;
 pub mod monitor;
 pub mod protocol;
 pub mod switching;
@@ -30,9 +29,6 @@ pub use builder::{
 };
 pub use capability::{capability, completion_time, RelaySim, TupleSchedule};
 pub use controller::{AdjustController, ControllerConfig, Decision};
-pub use fabric_driver::{
-    decode_msg, encode_msg, run_switch_over_fabric, CodecError, DriverError, SwitchDriverReport,
-};
 pub use monitor::{LinkPressure, MonitorReport, WorkloadMonitor};
 pub use protocol::{AckOutcome, CoordinatorState, InstanceAgent, ProtocolMsg, SwitchCoordinator};
 pub use switching::{

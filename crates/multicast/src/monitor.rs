@@ -8,8 +8,8 @@
 use whale_sim::stats::{Ewma, Running};
 use whale_sim::{SimDuration, SimTime};
 
-/// Per-link congestion pressure sampled from a
-/// [`LinkTracker`](whale_net::LinkTracker) snapshot and folded into each
+/// Per-link congestion pressure sampled from a live runtime's per-link
+/// load tracker (`whale_net::LinkTracker`) and folded into each
 /// [`MonitorReport`]. All-zero (the [`Default`]) means "no topology
 /// feedback" — the controller then behaves exactly as the λ-only §3.3
 /// rules.
@@ -120,8 +120,8 @@ impl WorkloadMonitor {
     }
 
     /// [`sample`](Self::sample) with a rack-uplink pressure snapshot
-    /// attached, for runtimes with a
-    /// [`LinkTracker`](whale_net::LinkTracker) installed.
+    /// attached, for runtimes with a per-link load tracker
+    /// (`whale_net::LinkTracker`) installed.
     pub fn sample_with_links(
         &mut self,
         now: SimTime,

@@ -57,11 +57,9 @@ impl TopoTreeBuilder {
     }
 
     /// Feed a per-rack uplink load snapshot (e.g.
-    /// [`LinkTracker::uplink_loads`]); gateway election then routes rack
-    /// entries over the coolest uplinks. Entries beyond the rack count
-    /// are ignored; missing entries count as idle.
-    ///
-    /// [`LinkTracker::uplink_loads`]: whale_net::LinkTracker::uplink_loads
+    /// `whale_net::LinkTracker::uplink_loads`); gateway election then
+    /// routes rack entries over the coolest uplinks. Entries beyond the
+    /// rack count are ignored; missing entries count as idle.
     pub fn with_uplink_load(mut self, load: &[u64]) -> Self {
         for (slot, &l) in self.uplink_load.iter_mut().zip(load) {
             *slot = l;

@@ -400,8 +400,8 @@ fn a_blocked_reader_receives_each_post_within_wtl() {
                 let msg = rx
                     .recv_timeout(Duration::from_secs(30))
                     .expect("a post wakes its reader, or the reader's WTL deadline does");
-                // The agents of `run_switch_over_fabric` read an empty
-                // frame as shutdown: a post's wake-up must never surface.
+                // A reader may take an empty frame for a signal of its
+                // own: a post's wake-up must never surface.
                 let bytes = msg.payload.bytes();
                 assert_eq!(bytes.len(), 12, "a wake-up reached the reader");
                 assert_eq!(u32::from_le_bytes(bytes[..4].try_into().unwrap()), seq);
