@@ -1,10 +1,11 @@
 //! Offline-compatible subset of the `crossbeam` crate.
 //!
 //! Only [`channel`] is provided — the workspace uses crossbeam solely for
-//! MPSC channels with a bounded `try_send`. The implementation delegates
-//! to `std::sync::mpsc`, whose `Sender`/`SyncSender` are `Sync` on modern
-//! rustc, so the fabric can share senders behind an `RwLock` exactly as it
-//! does with upstream crossbeam.
+//! MPSC channels with a bounded `try_send`, and only in the live runtime
+//! (`whale-dsps`: its cross-shard inboxes and completion signals). The
+//! fabric does not use it: each endpoint's queue is `whale-net`'s own.
+//! The implementation delegates to `std::sync::mpsc`, whose
+//! `Sender`/`SyncSender` are `Sync` on modern rustc.
 
 pub mod channel {
     use std::sync::atomic::{AtomicUsize, Ordering};

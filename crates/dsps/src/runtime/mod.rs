@@ -218,7 +218,11 @@ fn wire_up(
     };
     let placement = Placement::even(&topology, &cluster);
 
-    let stats = Arc::new(RunStats::new(topology.components().len()));
+    // One flat shard per (worker, shard): each gets its own fabric
+    // endpoint, a bounded cross-shard inbox and a lane of every counter.
+    let shards = config.shards.max(1);
+    let n_flat = (placement.workers() * shards) as usize;
+    let stats = Arc::new(RunStats::new(topology.components().len(), n_flat));
 
     // Per-link accounting: attribute every send on the *outermost*
     // fabric (the fault wrapper delegates inward, so injected drops
@@ -238,14 +242,11 @@ fn wire_up(
         } else {
             oblivious_trees(d, placement.workers())
         };
-        RelayState::new(RelayEpoch::new(0, d, trees))
+        RelayState::new(RelayEpoch::new(0, d, trees), n_flat)
     });
 
-    // One flat shard per (worker, shard): each gets its own fabric
-    // endpoint (ids are assigned sequentially, so registration cannot
-    // collide) and a bounded cross-shard inbox.
-    let shards = config.shards.max(1);
-    let n_flat = (placement.workers() * shards) as usize;
+    // Endpoint ids are assigned sequentially, so registration cannot
+    // collide.
     let mut shard_inboxes = Vec::with_capacity(n_flat);
     let mut pipelines: Vec<ShardPipeline> = Vec::with_capacity(n_flat);
     let (done_tx, done_rx) = unbounded::<()>();
@@ -461,7 +462,7 @@ mod testkit {
             pool: BufferPool::default(),
             shard_inboxes: Vec::new(),
             shards: 1,
-            stats: Arc::new(RunStats::new(0)),
+            stats: Arc::new(RunStats::new(0, 0)),
             ack: None,
             relay,
             log: None,

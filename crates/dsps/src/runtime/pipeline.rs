@@ -16,12 +16,12 @@ use crate::operator::{Bolt, Spout};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Topology;
 use crate::tuple::Tuple;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whale_net::IdHashSet;
+use whale_net::{IdHashSet, RecvTimeoutError, TryRecvError};
 
 /// Where one spout is in its lifecycle. The drain phase (tracked runs
 /// only) is a cooperative state machine, not a blocking loop: the owning
@@ -343,7 +343,7 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
         }
     }
     if executed > 0 {
-        stats.executed[comp.0 as usize].fetch_add(executed, Ordering::Relaxed);
+        stats.add_executed(comp.0 as usize, executed);
     }
     if let Some(ns) = latency_ns {
         stats.delivery.record(ns, executed);
@@ -645,7 +645,7 @@ impl ShardPipeline {
     }
 
     /// Block on the fabric endpoint for up to `timeout`. A delivered frame
-    /// is its own wake-up (the channel send unblocks the receive), and so,
+    /// is its own wake-up (the push notifies the waiting receive), and so,
     /// inside the receive, is a post that leaves a buffered endpoint's
     /// pass something to do (the receive's wait is also bounded by the
     /// pass's WTL deadline); a cross-shard inbox send sees `parked` and

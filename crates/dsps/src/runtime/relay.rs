@@ -4,7 +4,7 @@
 //! the end-of-generation markers that flush a demoted generation.
 
 use super::reliability::anchor_for;
-use super::report::{Ctr, Reservoir, LATENCY_SAMPLE};
+use super::report::{Ctr, Lanes, Reservoir, LATENCY_SAMPLE};
 use super::send::{ExecMsg, Routing, CURRENT_SHARD};
 use super::wire::{self, RelayEos, RelayMarker, Wire};
 use crate::codec::{LazyTuple, RelayHeader, TupleView, WireSpare};
@@ -13,7 +13,7 @@ use crate::task::{ComponentId, TaskId};
 use crate::topology::Grouping;
 use parking_lot::{Mutex, RwLock};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use whale_multicast::{build_nonblocking, MulticastTree, Node, TopoTreeBuilder};
@@ -182,23 +182,26 @@ pub(super) struct RelayState {
     /// receipt, ns.
     pub(super) retire_ns: Mutex<Reservoir>,
     /// Received relay frames by tree depth of the receiving node.
-    pub(super) depth_counts: [AtomicU64; DEPTH_BUCKETS],
+    pub(super) depth_counts: Lanes,
     /// Sampled per-hop forward latencies (receipt to last child send).
     pub(super) forward_ns: Mutex<Reservoir>,
-    /// Forward events so far (drives latency sampling).
-    forward_events: AtomicU64,
+    /// Forward events so far, one count per pipeline (drives latency
+    /// sampling).
+    forward_events: Lanes,
 }
 
 impl RelayState {
-    pub(super) fn new(initial: RelayEpoch) -> Self {
+    /// The relay plane of a run over `pipelines` pipelines, starting on
+    /// `initial`.
+    pub(super) fn new(initial: RelayEpoch, pipelines: usize) -> Self {
         RelayState {
             current_id: AtomicU32::new(initial.epoch),
             current: RwLock::new(Arc::new(initial)),
             prev: RwLock::new(None),
             retire_ns: Mutex::default(),
-            depth_counts: [(); DEPTH_BUCKETS].map(|_| AtomicU64::new(0)),
+            depth_counts: Lanes::new(DEPTH_BUCKETS, pipelines),
             forward_ns: Mutex::default(),
-            forward_events: AtomicU64::new(0),
+            forward_events: Lanes::new(1, pipelines),
         }
     }
 
@@ -264,7 +267,7 @@ impl RelayState {
 
     pub(super) fn record_depth(&self, depth: u32) {
         let bucket = (depth as usize).min(DEPTH_BUCKETS - 1);
-        self.depth_counts[bucket].fetch_add(1, Ordering::Relaxed);
+        self.depth_counts.add(bucket, 1);
     }
 
     /// Install a new generation and demote the current one to `prev`,
@@ -549,13 +552,16 @@ impl Routing {
         if let Some(depth) = epoch.depths[h.origin as usize][node as usize] {
             relay.record_depth(depth);
         }
-        // Only 1 in LATENCY_SAMPLE forwarding hops is timed: pick first,
-        // read the clock only for the pick.
+        // Only 1 in LATENCY_SAMPLE forwarding hops of each pipeline is
+        // timed: pick first, read the clock only for the pick.
         let forwards = !epoch.trees[h.origin as usize]
             .children(Node::Dest(node))
             .is_empty();
-        let sampled =
-            forwards && relay.forward_events.fetch_add(1, Ordering::Relaxed) % LATENCY_SAMPLE == 0;
+        let sampled = forwards
+            && relay
+                .forward_events
+                .add(0, 1)
+                .is_multiple_of(LATENCY_SAMPLE);
         let t0 = sampled.then(Instant::now);
         let forwarded =
             self.relay_fanout(&epoch, h.origin, Node::Dest(node), payload.into(), 1, drop);
@@ -714,6 +720,7 @@ impl Routing {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn relay_node_worker_mapping_skips_origin() {
@@ -1019,7 +1026,7 @@ mod tests {
             multicast_d_star: Some(1),
             ..LiveConfig::default()
         };
-        let relay = RelayState::new(RelayEpoch::new(0, 1, oblivious_trees(1, WORKERS)));
+        let relay = RelayState::new(RelayEpoch::new(0, 1, oblivious_trees(1, WORKERS)), 0);
         let routing = Routing {
             groups: LocalGroups::new(&topology, &placement, 1),
             topology,
@@ -1157,11 +1164,10 @@ mod tests {
                 multicast_d_star: Some(2),
                 ..LiveConfig::default()
             },
-            Some(RelayState::new(RelayEpoch::new(
-                3,
-                2,
-                oblivious_trees(2, 2),
-            ))),
+            Some(RelayState::new(
+                RelayEpoch::new(3, 2, oblivious_trees(2, 2)),
+                0,
+            )),
         );
         // A relay frame from worker 1 whose item is empty (corrupt).
         let receive = |epoch: u32| {

@@ -321,7 +321,7 @@ mod tests {
             script in proptest::collection::vec((0u8..8, any::<u64>()), 0..200),
         ) {
             let ack = AckRuntime::new(AckConfig::default());
-            let stats = RunStats::new(0);
+            let stats = RunStats::new(0, 0);
             let gauge = |g: &AtomicU64| g.load(Ordering::Relaxed);
             let mut tasks: Vec<(DedupWindow, HashSets)> = Default::default();
             tasks.resize_with(3, Default::default);

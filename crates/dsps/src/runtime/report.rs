@@ -6,8 +6,9 @@
 use super::config::BuildError;
 use super::relay::RelayEpoch;
 use super::reliability::{splitmix64, LogRuntime};
-use super::send::Routing;
+use super::send::{Routing, CURRENT_SHARD};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use whale_net::{FabricStats, FaultFabric, LinkTracker, PartitionLog};
@@ -312,23 +313,92 @@ counter_table! {
 /// the latency reservoirs.
 pub type TimelineSample = RunReport;
 
-/// The slots of a live run's own counters, one per [`Ctr`], plus the two
-/// facts sized by the run rather than by the table. Every write is one
-/// relaxed read-modify-write on one slot.
+/// Eight counters on one cache line of their own.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct Line([AtomicU64; 8]);
+
+/// Counters every pipeline thread bumps in a lane of its own, the
+/// `BufferPool`'s lane pattern: on a pipeline thread ([`CURRENT_SHARD`])
+/// a count is a plain load and store on lines only that thread writes;
+/// any other thread (the controller, log replay, a test harness) takes a
+/// read-modify-write on the shared slots. Readers sum the shared slot and
+/// every lane, so a count is exact whenever it is read, and a later read
+/// is never smaller.
+#[derive(Debug)]
+pub(super) struct Lanes {
+    shared: Box<[AtomicU64]>,
+    /// One per pipeline, each `ceil(n / 8)` lines.
+    lanes: Box<[Box<[Line]>]>,
+}
+
+impl Lanes {
+    /// `n` counters, with a lane for each of `pipelines` pipelines.
+    pub(super) fn new(n: usize, pipelines: usize) -> Self {
+        let lane = || (0..n.div_ceil(8)).map(|_| Line::default()).collect();
+        Lanes {
+            shared: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            lanes: (0..pipelines).map(|_| lane()).collect(),
+        }
+    }
+
+    /// This thread's own copy of counter `i`, if it is a pipeline's.
+    #[inline]
+    fn own(&self, i: usize) -> Option<&AtomicU64> {
+        let lane = self.lanes.get(CURRENT_SHARD.with(Cell::get)?)?;
+        Some(&lane[i / 8].0[i % 8])
+    }
+
+    /// Count `n` more of counter `i`; returns what this thread's copy of
+    /// it read before (the shared slot's, off a pipeline thread).
+    #[inline]
+    pub(super) fn add(&self, i: usize, n: u64) -> u64 {
+        match self.own(i) {
+            Some(own) => {
+                let was = own.load(Ordering::Relaxed);
+                own.store(was + n, Ordering::Relaxed);
+                was
+            }
+            None => self.shared[i].fetch_add(n, Ordering::Relaxed),
+        }
+    }
+
+    /// Counter `i`: the shared slot and every lane, summed.
+    pub(super) fn get(&self, i: usize) -> u64 {
+        let lanes = self
+            .lanes
+            .iter()
+            .map(|lane| lane[i / 8].0[i % 8].load(Ordering::Relaxed));
+        self.shared[i].load(Ordering::Relaxed) + lanes.sum::<u64>()
+    }
+
+    /// Counter `i`'s shared slot.
+    pub(super) fn shared(&self, i: usize) -> &AtomicU64 {
+        &self.shared[i]
+    }
+
+    /// Every counter, summed.
+    pub(super) fn all(&self) -> Vec<u64> {
+        (0..self.shared.len()).map(|i| self.get(i)).collect()
+    }
+}
+
+/// The counters of a live run's own rows, one per [`Ctr`], then one per
+/// component for the tuples it executed, in [`Lanes`]; and the delivery
+/// probes.
 #[derive(Debug)]
 pub(super) struct RunStats {
-    slots: [AtomicU64; SLOTS],
-    /// Tuples executed, indexed by component id.
-    pub(super) executed: Vec<AtomicU64>,
+    counters: Lanes,
     /// Spout-to-execute delivery-latency probes of sampled tuples.
     pub(super) delivery: DeliveryProbes,
 }
 
 impl RunStats {
-    pub(super) fn new(components: usize) -> Self {
+    /// The counters of a run of `components` components over `pipelines`
+    /// pipelines.
+    pub(super) fn new(components: usize, pipelines: usize) -> Self {
         RunStats {
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
-            executed: (0..components).map(|_| AtomicU64::new(0)).collect(),
+            counters: Lanes::new(SLOTS + components, pipelines),
             delivery: DeliveryProbes::default(),
         }
     }
@@ -336,23 +406,35 @@ impl RunStats {
     /// Count `n` more of `ctr`.
     #[inline]
     pub(super) fn add(&self, ctr: Ctr, n: u64) {
-        self.slot(ctr).fetch_add(n, Ordering::Relaxed);
+        self.counters.add(ctr as usize, n);
     }
 
-    /// Raise the high-water mark `ctr` to at least `to`.
+    /// Count `n` more tuples executed by `component`.
+    #[inline]
+    pub(super) fn add_executed(&self, component: usize, n: u64) {
+        self.counters.add(SLOTS + component, n);
+    }
+
+    /// Raise the high-water mark `ctr` to at least `to` (shared: a mark is
+    /// a maximum, not a sum).
     pub(super) fn raise(&self, ctr: Ctr, to: u64) {
         self.slot(ctr).fetch_max(to, Ordering::Relaxed);
     }
 
     pub(super) fn get(&self, ctr: Ctr) -> u64 {
-        self.slot(ctr).load(Ordering::Relaxed)
+        self.counters.get(ctr as usize)
     }
 
-    /// `ctr`'s slot itself, for a callee that counts into an `AtomicU64`
+    /// Tuples executed, by component.
+    pub(super) fn executed(&self) -> Vec<u64> {
+        self.counters.all().split_off(SLOTS)
+    }
+
+    /// `ctr`'s shared slot, for a callee that counts into an `AtomicU64`
     /// (the send policy's retries, off the steady-state path).
     #[inline]
     pub(super) fn slot(&self, ctr: Ctr) -> &AtomicU64 {
-        &self.slots[ctr as usize]
+        self.counters.shared(ctr as usize)
     }
 }
 
@@ -573,19 +655,18 @@ impl Routing {
     /// teardown and the monitor samples mid-run, less the latency
     /// reservoirs and the timeline.
     pub(super) fn snapshot(&self, elapsed: Duration) -> RunReport {
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let fabric = self.fabric.stats();
         let relay = self.relay.as_ref();
         let tree = relay.map(|r| r.current());
         let tracker = self.tracker.as_deref();
         let mut r = RunReport {
             elapsed,
-            executed: self.stats.executed.iter().map(get).collect(),
+            executed: self.stats.executed(),
             link_bytes: tracker.map_or_else(Vec::new, |t| {
                 let links = t.snapshot().into_iter().filter(|l| l.bytes > 0);
                 links.map(|l| (l.link.to_string(), l.bytes)).collect()
             }),
-            relay_depths: relay.map_or_else(Vec::new, |r| r.depth_counts.iter().map(get).collect()),
+            relay_depths: relay.map_or_else(Vec::new, |r| r.depth_counts.all()),
             mean_batch_size: fabric.mean_batch_size(),
             pool_hit_rate: self.pool.hit_rate(),
             ..RunReport::read(&self.stats, self, &fabric, tree.as_deref())
@@ -617,7 +698,45 @@ impl Routing {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use super::{DeliveryProbes, Reservoir, EMIT_WINDOW, LATENCY_SAMPLE, RESERVOIR_CAP};
+    use super::{
+        Ctr, DeliveryProbes, Reservoir, RunStats, CURRENT_SHARD, EMIT_WINDOW, LATENCY_SAMPLE,
+        RESERVOIR_CAP,
+    };
+    use std::sync::Arc;
+
+    #[test]
+    fn lane_counts_are_exact_across_pipelines_and_other_threads() {
+        // Four pipeline threads count into their own lanes with plain
+        // stores, a fifth thread (no pipeline) into the shared slots; a
+        // reader summing meanwhile never sees a count fall.
+        const ADDS: u64 = 200_000;
+        let stats = Arc::new(RunStats::new(2, 4));
+        let writers: Vec<_> = (0..5)
+            .map(|thread| {
+                let stats = Arc::clone(&stats);
+                std::thread::spawn(move || {
+                    let lane = (thread < 4).then_some(thread);
+                    CURRENT_SHARD.with(|c| c.set(lane));
+                    for _ in 0..ADDS {
+                        stats.add(Ctr::serializations, 1);
+                        stats.add_executed(1, 2);
+                    }
+                })
+            })
+            .collect();
+        let mut last = (0, 0);
+        while !writers.iter().all(|w| w.is_finished()) {
+            let now = (stats.get(Ctr::serializations), stats.executed()[1]);
+            assert!(now.0 >= last.0 && now.1 >= last.1, "{now:?} after {last:?}");
+            last = now;
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(stats.get(Ctr::serializations), 5 * ADDS);
+        assert_eq!(stats.executed(), [0, 10 * ADDS]);
+        assert_eq!(stats.get(Ctr::frames_encoded), 0);
+    }
 
     #[test]
     fn delivery_probes_stay_bounded_and_count_exactly() {

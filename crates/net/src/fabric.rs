@@ -77,6 +77,7 @@ pub enum Payload {
 
 impl Payload {
     /// Access the bytes regardless of representation.
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
         match self {
             Payload::Copied(v) => v,
@@ -86,6 +87,7 @@ impl Payload {
     }
 
     /// Payload length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.bytes().len()
     }

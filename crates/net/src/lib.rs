@@ -32,7 +32,7 @@ pub use fabric::{
     RegisterError, SendError,
 };
 pub use fault::{EndpointCrash, EndpointRestart, FaultFabric, FaultPlan, LinkFaults, Partition};
-pub use inbox::Inbox;
+pub use inbox::{Inbox, RecvError, RecvTimeoutError, TryRecvError};
 pub use log::{LogConfig, LogRead, PartitionLog, RECORD_HEADER};
 pub use one_sided::{OneSidedConfig, OneSidedFabric};
 pub use policy::SendPolicy;

@@ -24,7 +24,7 @@
 //!   `send_errors`;
 //! - per-link FIFO order holds end to end: the ring is consumed strictly
 //!   in sequence order, and a frame the (bounded) inbox cannot yet accept
-//!   stays staged at the front of its link.
+//!   stays at the front of its link's ring.
 //!
 //! Only the policy lives here — what a publish and a fetch pass do. The
 //! endpoint table (a destination's links hang off its entry, so they go
@@ -65,11 +65,9 @@ impl Default for OneSidedConfig {
     }
 }
 
-/// One (sender → destination) link: the registered outbox ring, the frame
-/// a full inbox bounced back (kept at the logical front so FIFO holds).
+/// One (sender → destination) link: the registered outbox ring.
 pub struct LinkOutbox {
     ring: RingRegion<LiveMessage>,
-    staged: Option<LiveMessage>,
     /// Durable history of every frame published on this link, present
     /// when [`OneSidedConfig::log`] is set.
     log: Option<PartitionLog>,
@@ -100,11 +98,7 @@ impl OneSided {
             &mut self.registry.lock(),
         );
         let log = self.config.log.map(PartitionLog::new);
-        Mutex::new(LinkOutbox {
-            ring,
-            staged: None,
-            log,
-        })
+        Mutex::new(LinkOutbox { ring, log })
     }
 
     /// Publish `msg` into `link`, `entry`'s outbox from its sender, and
@@ -131,9 +125,9 @@ impl OneSided {
         // Published into the outbox: the frame occupies its link's queue
         // until a fetch pass pulls it across.
         t.note_queued(from, to, bytes);
-        entry.port.accept();
+        entry.queue.port.accept();
         drop(guard);
-        t.wake_reader(entry);
+        entry.queue.wake_reader();
         t.note_posted();
         Ok(())
     }
@@ -153,9 +147,6 @@ impl Policy for OneSided {
         for link in links.into_values() {
             let mut link = link.into_inner();
             self.registry.lock().deregister(link.ring.region());
-            if let Some(staged) = link.staged.take() {
-                dropped(staged);
-            }
             while let Some((_, msg)) = link.ring.consume() {
                 dropped(msg);
             }
@@ -189,9 +180,10 @@ impl Policy for OneSided {
     }
 
     /// Fetch every inbound link of `to`: read each tail slot (addressed by
-    /// seq), consume it, and hand the frame to the inbox. A full bounded
-    /// inbox stops a link — the frame stays staged, the ring backs up, and
-    /// publishes eventually see [`SendError::Full`].
+    /// seq), consume it, and hand the link's run to the inbox in one push.
+    /// A full bounded inbox stops a link — its frames stay in the ring,
+    /// the ring backs up, and publishes eventually see
+    /// [`SendError::Full`].
     fn pass(
         t: &OneSidedFabric,
         to: EndpointId,
@@ -202,31 +194,22 @@ impl Policy for OneSided {
         let (mut delivered, mut settled) = (0, 0);
         for link in entry.state.values() {
             let mut link = link.lock();
-            loop {
-                let msg = match link.staged.take() {
-                    Some(staged) => staged,
-                    None => {
-                        // The remote reader locates the next frame by
-                        // sequence number alone — no control message (§4):
-                        // the tail slot holds `tail_seq`.
-                        let Some((_, msg)) = link.ring.consume() else {
-                            break;
-                        };
-                        msg
-                    }
-                };
-                match t.deliver(Some(entry), to, msg, true) {
-                    Handoff::Delivered => delivered += 1,
-                    Handoff::Full(msg) => {
-                        link.staged = Some(msg);
-                        break;
-                    }
-                    Handoff::Disconnected => {}
-                }
-                settled += 1;
+            let ready = link.ring.len();
+            if ready == 0 {
+                continue;
+            }
+            // The remote reader locates the next frame by sequence number
+            // alone — no control message (§4): the tail slot holds
+            // `tail_seq`.
+            let ring = &mut link.ring;
+            let fetch = move |n| (0..n).map_while(move |_| ring.consume().map(|(_, msg)| msg));
+            match t.deliver(&entry.queue, to, ready, true, fetch) {
+                Handoff::Delivered(n) => (delivered, settled) = (delivered + n, settled + n),
+                Handoff::Disconnected => settled += ready as u64,
+                Handoff::Closed => {}
             }
         }
-        entry.port.settle(settled);
+        entry.queue.port.settle(settled);
         (delivered, None)
     }
 }
@@ -266,17 +249,22 @@ impl OneSidedFabric {
             return Err(SendError::UnknownEndpoint);
         };
         let backfilled = self.with_entry(reader, |entry| {
-            let mut delivered = 0;
-            for (_seq, bytes) in read.records {
-                let payload = Payload::Copied(bytes);
-                // Backfill READs land synchronously in the reader's inbox.
-                match self.deliver(Some(entry), reader, LiveMessage { from, payload }, false) {
-                    Handoff::Delivered => delivered += 1,
-                    Handoff::Full(_) => return Err(self.reject(SendError::Full)),
-                    Handoff::Disconnected => return Err(SendError::Disconnected),
-                }
+            // Backfill READs land synchronously in the reader's inbox, as
+            // one run.
+            let ready = read.records.len();
+            let frames = |n| {
+                let records = read.records.into_iter().take(n);
+                records.map(|(_seq, bytes)| LiveMessage {
+                    from,
+                    payload: Payload::Copied(bytes),
+                })
+            };
+            match self.deliver(&entry.queue, reader, ready, false, frames) {
+                Handoff::Delivered(n) if n == ready as u64 => Ok(n),
+                Handoff::Delivered(_) => Err(self.reject(SendError::Full)),
+                Handoff::Disconnected => Err(SendError::Disconnected),
+                Handoff::Closed => Err(SendError::UnknownEndpoint),
             }
-            Ok(delivered)
         });
         backfilled.unwrap_or(Err(SendError::UnknownEndpoint))
     }
@@ -376,15 +364,15 @@ mod tests {
     #[test]
     fn full_outbox_backpressures_without_deadlock() {
         let fabric = OneSidedFabric::new(cfg(2));
-        // A one-frame inbox: once it is full and a frame is staged behind
-        // it, the publisher's own fetch pass frees no slot.
+        // A one-frame inbox: once it is full, the publisher's own fetch
+        // pass frees no slot.
         let rx = fabric.register_bounded(EndpointId(1), 1).unwrap();
-        for b in [b"a", b"b", b"c", b"d"] {
+        for b in [b"a", b"b", b"c"] {
             fabric.send_copied(EndpointId(0), EndpointId(1), b).unwrap();
         }
         assert_eq!(
             fabric
-                .send_copied(EndpointId(0), EndpointId(1), b"e")
+                .send_copied(EndpointId(0), EndpointId(1), b"d")
                 .unwrap_err(),
             SendError::Full
         );

@@ -31,7 +31,7 @@
 //! [`crate::core`]'s.
 
 use crate::batch::{Batch, BatchConfig, Batcher};
-use crate::core::{Entry, Policy, Transport};
+use crate::core::{Entry, Handoff, Policy, Transport};
 use crate::fabric::{EndpointId, LiveMessage, Payload, SendError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -121,14 +121,14 @@ impl EndpointRing {
     /// The ring's first `k` descriptors as frames, oldest first: the
     /// bytes they lent are frozen into one buffer, of which each lent
     /// frame gets its range.
-    fn take(&mut self, k: usize) -> Vec<LiveMessage> {
+    fn take(&mut self, k: usize) -> impl Iterator<Item = LiveMessage> + '_ {
         let lent: usize = self.ring.iter().take(k).map(Posted::lent).sum();
         let slice: Option<Arc<[u8]>> = (lent > 0).then(|| Arc::from(&self.lent[..lent]));
         self.lent.drain(..lent);
         self.flushed -= k;
         self.offered -= k;
         let mut at = 0;
-        let frame = |posted| match posted {
+        let frame = move |posted| match posted {
             Posted::Own(msg) => msg,
             Posted::Lent { from, len } => {
                 let buf = Arc::clone(slice.as_ref().expect("lent bytes were frozen"));
@@ -137,12 +137,12 @@ impl EndpointRing {
                 LiveMessage { from, payload }
             }
         };
-        self.ring.drain(..k).map(frame).collect()
+        self.ring.drain(..k).map(frame)
     }
 }
 
 /// The batched-ring policy: a send posts to the endpoint's ring; a pass
-/// batches at MMS/WTL and hands the flushed frames over as one slice.
+/// batches at MMS/WTL and hands the flushed frames over in one push.
 pub struct Ring {
     config: RingConfig,
 }
@@ -169,7 +169,7 @@ impl Ring {
     ) -> Result<(), Posted> {
         let config = &t.policy().config;
         let mut ep = entry.state.lock();
-        let pending = entry.port.pending();
+        let pending = entry.queue.port.pending();
         if pending >= config.ring_capacity as u64 {
             return Err(posted);
         }
@@ -185,12 +185,12 @@ impl Ring {
         ep.ring_bytes += bytes;
         ep.lent.extend_from_slice(lent);
         ep.ring.push_back(posted);
-        entry.port.accept();
+        entry.queue.port.accept();
         let mms = config.batch.mms;
         let wake = pending == 0 || (buffered < mms && buffered + bytes >= mms);
         drop(ep);
         if wake {
-            t.wake_reader(entry);
+            entry.queue.wake_reader();
         }
         t.note_posted();
         Ok(())
@@ -233,7 +233,7 @@ impl Policy for Ring {
         let mut ep = slot.into_inner();
         let all = ep.ring.len();
         (ep.flushed, ep.offered) = (all, all);
-        ep.take(all).into_iter().for_each(dropped);
+        ep.take(all).for_each(dropped);
     }
 
     fn send(t: &RingFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
@@ -255,7 +255,7 @@ impl Policy for Ring {
     /// Offer what was posted since the last pass to the batcher (a
     /// size-triggered flush closes the slice at once), fire an expired
     /// WTL timer — or, forced, flush regardless — and hand every flushed
-    /// frame to the inbox as one slice. A bounded inbox takes what it has
+    /// frame to the inbox in one push. A bounded inbox takes what it has
     /// room for; the rest stays at the front of the ring for the next
     /// pass. A disconnected inbox drops them as errors.
     fn pass(
@@ -286,10 +286,13 @@ impl Policy for Ring {
         if ep.flushed == 0 {
             return (0, ep.next_due());
         }
-        let room = entry.port.reserve(ep.flushed as u64);
-        let slice = ep.take(room as usize);
-        let delivered = t.deliver_slice(entry, to, slice);
-        entry.port.settle(room);
+        let ready = ep.flushed;
+        let (delivered, settled) = match t.deliver(&entry.queue, to, ready, true, |n| ep.take(n)) {
+            Handoff::Delivered(n) => (n, n),
+            Handoff::Disconnected => (0, ready as u64),
+            Handoff::Closed => (0, 0),
+        };
+        entry.queue.port.settle(settled);
         (delivered, ep.next_due())
     }
 }
@@ -454,6 +457,22 @@ mod tests {
         let stats = fabric.stats();
         assert_eq!((stats.messages, stats.shared_bytes), (3, 14));
         assert_eq!((stats.flushed_batches, stats.queue_depth), (1, 0));
+    }
+
+    #[test]
+    fn frames_flushed_to_a_dropped_reader_leave_the_queue_depth() {
+        let fabric = RingFabric::new(cfg(16, 1_000_000, 1));
+        drop(fabric.register(EndpointId(1)).unwrap());
+        for frame in [&b"a"[..], b"bb", b"ccc"] {
+            fabric
+                .send_copied(EndpointId(0), EndpointId(1), frame)
+                .unwrap();
+        }
+        assert_eq!(fabric.stats().queue_depth, 3);
+        fabric.flush_at(Duration::ZERO);
+        let stats = fabric.stats();
+        assert_eq!((stats.send_errors, stats.messages), (3, 0));
+        assert_eq!((stats.queue_depth, stats.endpoints), (0, 1));
     }
 
     #[test]

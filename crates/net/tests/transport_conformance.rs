@@ -7,11 +7,12 @@
 //! (MMS/WTL triggers, wake-up coalescing, registration per link, the
 //! write-through log) is tested beside its policy.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use whale_net::{
     BatchConfig, ClusterSpec, EndpointId, FabricKind, FabricPath, FaultFabric, FaultPlan,
-    LinkTracker, MachineId, OneSidedConfig, Payload, RegisterError, RingConfig, SendError,
+    LinkTracker, MachineId, OneSidedConfig, Payload, RecvTimeoutError, RegisterError, RingConfig,
+    SendError, TryRecvError,
 };
 
 /// Every transport variant under test, by name: the three kinds, then
@@ -551,5 +552,98 @@ fn a_bounded_inbox_fed_by_slices_holds_at_most_its_capacity_in_frames() {
         if stats.posted > 0 {
             assert_eq!(stats.send_errors, 0, "{name}: held, never refused");
         }
+    }
+}
+
+#[test]
+fn a_sender_holding_a_handle_sees_deregister_and_the_new_inbox() {
+    for (name, kind, faulted) in variants() {
+        let fabric = built(kind, faulted);
+        let to = EndpointId(1);
+        let old = fabric.register(to).unwrap();
+        // One sender thread for the whole row, so that a per-send handle
+        // it resolved on its first frame is still its own on the next.
+        let (go, steps) = mpsc::channel::<&'static [u8]>();
+        let (done, results) = mpsc::channel();
+        let sender = {
+            let fabric = Arc::clone(&fabric);
+            std::thread::spawn(move || {
+                for frame in steps {
+                    done.send(fabric.send_copied(EndpointId(0), to, frame))
+                        .unwrap();
+                }
+            })
+        };
+        let send = |frame| {
+            go.send(frame).unwrap();
+            let sent = results.recv().unwrap();
+            fabric.flush();
+            sent
+        };
+        assert_eq!(send(b"first"), Ok(()), "{name}");
+        assert_eq!(old.try_recv().unwrap().payload.bytes(), b"first", "{name}");
+
+        fabric.deregister(to);
+        assert_eq!(send(b"lost"), Err(SendError::UnknownEndpoint), "{name}");
+        assert_eq!(fabric.stats().send_errors, 1, "{name}: counted once");
+        assert_eq!(
+            old.try_recv().unwrap_err(),
+            TryRecvError::Disconnected,
+            "{name}"
+        );
+
+        let new = fabric.register(to).unwrap();
+        assert_eq!(send(b"again"), Ok(()), "{name}");
+        assert_eq!(new.try_recv().unwrap().payload.bytes(), b"again", "{name}");
+        drop(go);
+        sender.join().unwrap();
+        let stats = fabric.stats();
+        assert_eq!((stats.messages, stats.send_errors), (2, 1), "{name}");
+    }
+}
+
+#[test]
+fn dropping_the_fabric_disconnects_a_blocked_reader_whose_sender_holds_a_handle() {
+    for (name, kind, faulted) in variants() {
+        let fabric = built(kind, faulted);
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        // The sender thread stays alive, its per-send handle with it,
+        // until the reader has seen the end.
+        let (sent_tx, sent) = mpsc::channel();
+        let (release, hold) = mpsc::channel::<()>();
+        let sender = {
+            let fabric = Arc::clone(&fabric);
+            std::thread::spawn(move || {
+                sent_tx
+                    .send(fabric.send_copied(EndpointId(0), EndpointId(1), b"x"))
+                    .unwrap();
+                drop(fabric);
+                let _ = hold.recv();
+            })
+        };
+        assert_eq!(sent.recv().unwrap(), Ok(()), "{name}");
+        fabric.flush();
+        let reader = std::thread::spawn(move || {
+            let first = rx.recv_timeout(Duration::from_secs(30)).map(|m| m.payload);
+            let started = Instant::now();
+            let then = rx.recv_timeout(Duration::from_secs(30));
+            (
+                first.map(|p| p.bytes().to_vec()),
+                then.map(|_| ()),
+                started.elapsed(),
+            )
+        });
+        // Let the reader block on its empty queue.
+        std::thread::sleep(Duration::from_millis(50));
+        drop(fabric);
+        let (first, then, waited) = reader.join().unwrap();
+        assert_eq!(first, Ok(b"x".to_vec()), "{name}");
+        assert_eq!(then, Err(RecvTimeoutError::Disconnected), "{name}");
+        assert!(
+            waited < Duration::from_secs(10),
+            "{name}: waited {waited:?}"
+        );
+        release.send(()).unwrap();
+        sender.join().unwrap();
     }
 }
