@@ -724,8 +724,8 @@ impl World {
                 };
                 if let Some(d) = new_d {
                     let (new_tree, plan) = plan_switch(&self.tree, d);
-                    // Control-plane traffic (§3.4/§4): the StatusMessage is
-                    // multicast to every relay node and a ControlMessage
+                    // Control-plane traffic (§3.4/§4): a switch announcement
+                    // is multicast to every relay node and a ControlMessage
                     // goes to each participant, all via two-sided verbs
                     // (DiffVerbs keeps control on SEND/RECV). Charge the
                     // source CPU and count the bytes.

@@ -77,7 +77,8 @@ pub struct LiveConfig {
     pub run_deadline: Option<Duration>,
     /// Snapshot the run's counters at this interval into
     /// [`super::RunReport::timeline`], so long runs show *when* things happened
-    /// rather than only end-of-run totals. `None` records no timeline.
+    /// rather than only end-of-run totals. `None` records no timeline;
+    /// zero is a [`BuildError::BadInterval`].
     pub monitor_interval: Option<Duration>,
 }
 
@@ -104,7 +105,8 @@ impl Default for LiveConfig {
 /// Runtime tree adaptation (see [`LiveConfig::multicast_adaptive`]).
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
-    /// Controller sampling interval (wall clock).
+    /// Controller sampling interval (wall clock); zero is a
+    /// [`BuildError::BadInterval`].
     pub interval: Duration,
     /// Deterministic forced switches for benchmarks and tests: when
     /// `spout_emitted` crosses each threshold, switch to the paired
@@ -187,6 +189,9 @@ pub enum BuildError {
     /// it, cannot be built (a ring or outbox with no slots, a log with no
     /// segments or segments too small for one record header).
     BadTransport(String),
+    /// A sampling interval ([`LiveConfig::monitor_interval`] or
+    /// [`AdaptiveConfig::interval`]) is zero: its thread would spin.
+    BadInterval(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -206,6 +211,7 @@ impl std::fmt::Display for BuildError {
             }
             BuildError::BadCluster(why) => write!(f, "unrunnable cluster: {why}"),
             BuildError::BadTransport(why) => write!(f, "unrunnable transport: {why}"),
+            BuildError::BadInterval(why) => write!(f, "unrunnable interval: {why}"),
         }
     }
 }
@@ -291,6 +297,13 @@ impl LiveConfig {
         }
         if self.relay_enabled() && self.log.is_some() {
             return Err(BuildError::RelayBypassesLog);
+        }
+        let zero = |what: &str| Err(BuildError::BadInterval(format!("{what} must be positive")));
+        if self.monitor_interval.is_some_and(|i| i.is_zero()) {
+            return zero("LiveConfig::monitor_interval");
+        }
+        if (self.multicast_adaptive.as_ref()).is_some_and(|a| a.interval.is_zero()) {
+            return zero("AdaptiveConfig::interval");
         }
         self.validate_cluster().map_err(BuildError::BadCluster)?;
         self.validate_transport().map_err(BuildError::BadTransport)
@@ -495,9 +508,23 @@ mod tests {
             log: Some(LogConfig::default()),
             ..LiveConfig::default()
         };
+        // A zero sampling interval: the monitor or controller thread
+        // would spin for the whole run.
+        let no_monitor_interval = LiveConfig {
+            monitor_interval: Some(Duration::ZERO),
+            ..LiveConfig::default()
+        };
+        let no_adaptive_interval = LiveConfig {
+            multicast_adaptive: Some(AdaptiveConfig {
+                interval: Duration::ZERO,
+                ..AdaptiveConfig::default()
+            }),
+            ..LiveConfig::default()
+        };
         let cluster = std::mem::discriminant(&BuildError::BadCluster(String::new()));
         let transport = std::mem::discriminant(&BuildError::BadTransport(String::new()));
-        // Each shape but the last used to reach an `assert!` in
+        let interval = std::mem::discriminant(&BuildError::BadInterval(String::new()));
+        // Each shape but the last three used to reach an `assert!` in
         // `ClusterSpec::new`, `ClusterSpec::with_rack_map`, a transport
         // constructor, `Batcher::new` or `PartitionLog::new`.
         let shapes = [
@@ -533,6 +560,8 @@ mod tests {
                 logged_relay,
                 std::mem::discriminant(&BuildError::RelayBypassesLog),
             ),
+            ("monitor_interval: 0", no_monitor_interval, interval),
+            ("adaptive interval: 0", no_adaptive_interval, interval),
         ];
         for (shape, config, want) in shapes {
             let (t, ops) = counting_topology(4, 4);

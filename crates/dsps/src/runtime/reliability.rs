@@ -179,9 +179,9 @@ impl LogRuntime {
 
     /// Write one encoded frame through the destination's log (called
     /// before the fabric send) and, under the same lock, collect what the
-    /// ledger's watermark has released since the last append. Endpoints
-    /// outside the data range (switch protocol endpoints sit above it)
-    /// are not logged.
+    /// ledger's watermark has released since the last append. Every
+    /// endpoint of the run is a pipeline's, and each has a log, so `to`
+    /// always finds one; an id past them is ignored rather than a panic.
     pub(super) fn append(&self, to: EndpointId, tracked: Option<u64>, bytes: &[u8]) {
         let Some(endpoint) = self.logs.get(to.0 as usize) else {
             return;

@@ -6,10 +6,11 @@
 //! analysis `L(t)` with a relay-schedule simulator verified against the
 //! paper's Fig 6 walkthrough, the queue-watching workload monitor, the
 //! negative-scale-down / active-scale-up self-adjusting controller
-//! (§3.3), the dynamic switching machinery with its
-//! `StatusMessage`/`ControlMessage`/ACK protocol (§3.4), and a
-//! Gleam-style topology-aware tree builder that keeps subtrees
-//! intra-rack and routes rack entries over the coolest uplinks.
+//! (§3.3), the §3.4 switch planner that turns a new `d*` into a list of
+//! [`ControlMessage`] moves, and a Gleam-style topology-aware tree
+//! builder that keeps subtrees intra-rack and routes rack entries over
+//! the coolest uplinks. The switch itself runs in `whale-dsps`' live
+//! runtime, and `whale-core`'s DES prices it from the plan's move count.
 
 #![warn(missing_docs)]
 
@@ -18,7 +19,6 @@ pub mod builder;
 pub mod capability;
 pub mod controller;
 pub mod monitor;
-pub mod protocol;
 pub mod switching;
 pub mod topo;
 pub mod tree;
@@ -30,10 +30,6 @@ pub use builder::{
 pub use capability::{capability, completion_time, RelaySim, TupleSchedule};
 pub use controller::{AdjustController, ControllerConfig, Decision};
 pub use monitor::{LinkPressure, MonitorReport, WorkloadMonitor};
-pub use protocol::{AckOutcome, CoordinatorState, InstanceAgent, ProtocolMsg, SwitchCoordinator};
-pub use switching::{
-    plan_scale_down, plan_scale_up, plan_switch, ControlMessage, StatusMessage, SwitchPlan,
-    SwitchSession,
-};
+pub use switching::{plan_scale_down, plan_scale_up, plan_switch, ControlMessage, SwitchPlan};
 pub use topo::{tree_cost, TopoTreeBuilder, TreeCost};
 pub use tree::{MulticastTree, Node, TreeError};

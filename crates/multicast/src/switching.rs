@@ -1,6 +1,9 @@
-//! Dynamic switching (§3.4): reorganizing the live multicast tree to a new
-//! maximum out-degree with minimal change, plus the
-//! `StatusMessage`/`ControlMessage`/ACK coordination protocol.
+//! Dynamic switching (§3.4): reorganizing the multicast tree to a new
+//! maximum out-degree with minimal change. A plan is the list of
+//! [`ControlMessage`] moves between the old tree and the new one; the
+//! live runtime (`whale-dsps`) carries the switch out on the data path
+//! and counts the moves, and the DES (`whale-core`) prices the switch
+//! from their number.
 //!
 //! - **Negative scale-down**: walk from `S` layer by layer; wherever a
 //!   node's out-degree exceeds the new `d*`, detach the excess subtrees
@@ -11,17 +14,6 @@
 //!   would not reduce its depth.
 
 use crate::tree::{MulticastTree, Node};
-use std::collections::HashSet;
-use whale_sim::SimTime;
-
-/// The reorganization kind, multicast to all instances before switching.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StatusMessage {
-    /// Out-degree is decreasing.
-    NegativeScaleDown,
-    /// Out-degree is increasing.
-    ActiveScaleUp,
-}
 
 /// One connection change an instance must perform.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,8 +30,6 @@ pub struct ControlMessage {
 /// trees.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SwitchPlan {
-    /// Status broadcast that precedes the control messages.
-    pub status: Option<StatusMessage>,
     /// Per-instance connection changes, in execution order.
     pub moves: Vec<ControlMessage>,
 }
@@ -53,19 +43,6 @@ impl SwitchPlan {
     /// True if nothing changes.
     pub fn is_empty(&self) -> bool {
         self.moves.is_empty()
-    }
-
-    /// The set of instances that must participate (and later ACK).
-    pub fn participants(&self) -> HashSet<Node> {
-        let mut set = HashSet::new();
-        for m in &self.moves {
-            set.insert(m.node);
-            if let Some(p) = m.disconnect_from {
-                set.insert(p);
-            }
-            set.insert(m.connect_to);
-        }
-        set
     }
 }
 
@@ -98,9 +75,8 @@ pub fn plan_scale_down(tree: &MulticastTree, new_d: u32) -> (MulticastTree, Swit
             }
         }
     }
-    for (old_parent, root) in &marked {
+    for (_, root) in &marked {
         t.detach(*root);
-        let _ = old_parent;
     }
     // Re-insert each marked subtree at the first node with spare degree.
     for (old_parent, root) in marked {
@@ -113,13 +89,7 @@ pub fn plan_scale_down(tree: &MulticastTree, new_d: u32) -> (MulticastTree, Swit
             connect_to: target,
         });
     }
-    (
-        t,
-        SwitchPlan {
-            status: Some(StatusMessage::NegativeScaleDown),
-            moves,
-        },
-    )
+    (t, SwitchPlan { moves })
 }
 
 /// Arrival time unit of every node for one tuple entering at 0: the
@@ -199,13 +169,7 @@ pub fn plan_scale_up(tree: &MulticastTree, new_d: u32) -> (MulticastTree, Switch
             connect_to: target,
         });
     }
-    (
-        t,
-        SwitchPlan {
-            status: Some(StatusMessage::ActiveScaleUp),
-            moves,
-        },
-    )
+    (t, SwitchPlan { moves })
 }
 
 /// Plan whichever reorganization moves the tree to `new_d`.
@@ -222,72 +186,11 @@ pub fn plan_switch(tree: &MulticastTree, new_d: u32) -> (MulticastTree, SwitchPl
     }
 }
 
-/// Tracks one in-flight switch: which instances still owe an ACK, and the
-/// switch delay `T_switch` once complete.
-#[derive(Clone, Debug)]
-pub struct SwitchSession {
-    started: SimTime,
-    pending: HashSet<Node>,
-    completed_at: Option<SimTime>,
-}
-
-impl SwitchSession {
-    /// Open a session at `now` for the plan's participants. An empty plan
-    /// completes immediately.
-    pub fn start(now: SimTime, plan: &SwitchPlan) -> Self {
-        let mut pending = plan.participants();
-        pending.remove(&Node::Source); // the source coordinates; it does not ACK itself
-        SwitchSession {
-            started: now,
-            completed_at: if pending.is_empty() { Some(now) } else { None },
-            pending,
-        }
-    }
-
-    /// Record an ACK from an instance at `now`. Returns true when this was
-    /// the final outstanding ACK.
-    pub fn ack(&mut self, node: Node, now: SimTime) -> bool {
-        if self.completed_at.is_some() {
-            return false;
-        }
-        self.pending.remove(&node);
-        if self.pending.is_empty() {
-            self.completed_at = Some(now);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Instances that have not ACKed yet.
-    pub fn pending(&self) -> &HashSet<Node> {
-        &self.pending
-    }
-
-    /// True once every participant ACKed.
-    pub fn is_complete(&self) -> bool {
-        self.completed_at.is_some()
-    }
-
-    /// The measured switch delay, if complete.
-    pub fn switch_delay(&self) -> Option<whale_sim::SimDuration> {
-        self.completed_at.map(|t| t.since(self.started))
-    }
-
-    /// True if the session has been open longer than `timeout` at `now`
-    /// without completing — the coordinator should abort the switch (keep
-    /// the old structure) and retry later. Theorem 4 bounds how long a
-    /// switch may safely take; a session outliving that bound risks
-    /// stream input loss.
-    pub fn expired(&self, now: SimTime, timeout: whale_sim::SimDuration) -> bool {
-        self.completed_at.is_none() && now.since(self.started) > timeout
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{build_nonblocking, build_sequential};
+    use std::collections::HashSet;
 
     #[test]
     fn fig8a_scale_down_three_to_two() {
@@ -296,7 +199,7 @@ mod tests {
         let (new_tree, plan) = plan_scale_down(&tree, 2);
         new_tree.validate(2).unwrap();
         assert_eq!(new_tree.reachable_count(), 7);
-        assert_eq!(plan.status, Some(StatusMessage::NegativeScaleDown));
+        assert_eq!(plan_switch(&tree, 2), (new_tree, plan.clone()));
         assert!(!plan.is_empty());
         // Moved nodes disconnect from an over-degree parent and reconnect
         // to one that had spare capacity.
@@ -313,9 +216,9 @@ mod tests {
         let (new_tree, plan) = plan_scale_up(&tree, 3);
         new_tree.validate(3).unwrap();
         assert_eq!(new_tree.reachable_count(), 7);
-        assert_eq!(plan.status, Some(StatusMessage::ActiveScaleUp));
         assert!(!plan.is_empty());
         assert!(new_tree.height() <= depth_before);
+        assert_eq!(plan_switch(&tree, 3), (new_tree, plan.clone()));
         // The paper's example: T6 (=T_{4-1}) reconnects to S.
         let moved: Vec<Node> = plan.moves.iter().map(|m| m.node).collect();
         assert!(moved.contains(&Node::Dest(6)), "moved={moved:?}");
@@ -346,11 +249,13 @@ mod tests {
     fn plan_switch_picks_direction() {
         let tree = build_nonblocking(31, 3);
         let (down, p_down) = plan_switch(&tree, 2);
-        assert_eq!(p_down.status, Some(StatusMessage::NegativeScaleDown));
         down.validate(2).unwrap();
+        assert!(!p_down.is_empty());
+        assert_eq!((down, p_down), plan_scale_down(&tree, 2));
         let (up, p_up) = plan_switch(&tree, 5);
-        assert_eq!(p_up.status, Some(StatusMessage::ActiveScaleUp));
         up.validate(5).unwrap();
+        assert!(!p_up.is_empty());
+        assert_eq!((up, p_up), plan_scale_up(&tree, 5));
     }
 
     #[test]
@@ -398,61 +303,6 @@ mod tests {
             if !moved.contains(&i) {
                 assert_eq!(tree.parent(i), new_tree.parent(i), "T{i} must not move");
             }
-        }
-    }
-
-    #[test]
-    fn session_tracks_acks_and_delay() {
-        let tree = build_sequential(6);
-        let (_, plan) = plan_scale_down(&tree, 2);
-        let mut session = SwitchSession::start(SimTime::from_millis(10), &plan);
-        assert!(!session.is_complete());
-        let participants: Vec<Node> = session.pending().iter().copied().collect();
-        let mut done = false;
-        for (i, node) in participants.iter().enumerate() {
-            done = session.ack(*node, SimTime::from_millis(10 + i as u64 + 1));
-        }
-        assert!(done);
-        assert!(session.is_complete());
-        let delay = session.switch_delay().unwrap();
-        assert_eq!(delay.as_millis(), participants.len() as u64);
-        // Late ACKs are ignored.
-        assert!(!session.ack(Node::Dest(0), SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn session_expiry_detects_lost_acks() {
-        let tree = build_sequential(6);
-        let (_, plan) = plan_scale_down(&tree, 2);
-        let mut session = SwitchSession::start(SimTime::from_millis(10), &plan);
-        let timeout = whale_sim::SimDuration::from_millis(5);
-        assert!(!session.expired(SimTime::from_millis(12), timeout));
-        assert!(session.expired(SimTime::from_millis(16), timeout));
-        // Completing clears expiry.
-        let pending: Vec<Node> = session.pending().iter().copied().collect();
-        for n in pending {
-            session.ack(n, SimTime::from_millis(20));
-        }
-        assert!(session.is_complete());
-        assert!(!session.expired(SimTime::from_secs(10), timeout));
-    }
-
-    #[test]
-    fn empty_plan_session_completes_immediately() {
-        let plan = SwitchPlan::default();
-        let s = SwitchSession::start(SimTime::ZERO, &plan);
-        assert!(s.is_complete());
-        assert_eq!(s.switch_delay().unwrap().as_nanos(), 0);
-    }
-
-    #[test]
-    fn participants_cover_all_roles() {
-        let tree = build_sequential(5);
-        let (_, plan) = plan_scale_down(&tree, 2);
-        let parts = plan.participants();
-        for m in &plan.moves {
-            assert!(parts.contains(&m.node));
-            assert!(parts.contains(&m.connect_to));
         }
     }
 }

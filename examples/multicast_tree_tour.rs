@@ -1,8 +1,7 @@
 //! A guided tour of the core contribution: build the paper's Fig 6 tree,
 //! relay a tuple through it (Fig 6's time-unit walkthrough), derive `d*`
-//! from the M/D/1 model, and run the full dynamic-switching protocol
-//! (StatusMessage → ControlMessages → ACKs) between a coordinator and
-//! per-instance agents.
+//! from the M/D/1 model, and plan a §3.4 switch from d* = 3 to 2 — the
+//! moves the live runtime carries out on the data path.
 //!
 //! Run with:
 //! ```text
@@ -10,11 +9,9 @@
 //! ```
 
 use whale::multicast::{
-    build_binomial, build_nonblocking, build_sequential, capability, AckOutcome, InstanceAgent,
-    Node, ProtocolMsg, RelaySim, SwitchCoordinator,
+    build_binomial, build_nonblocking, build_sequential, capability, plan_switch, Node, RelaySim,
 };
 use whale::sim::cost::mdone;
-use whale::sim::{SimDuration, SimTime};
 
 fn main() {
     println!("== the paper's Fig 6: |T| = 7, d* = 2 ==\n");
@@ -73,14 +70,11 @@ fn main() {
         println!("  lambda = {lambda:>7.0}/s over 480 instances -> {choice:?}");
     }
 
-    println!("\n== dynamic switching protocol: d* 3 -> 2 over 15 instances ==\n");
+    println!("\n== dynamic switching: d* 3 -> 2 over 15 instances ==\n");
     let tree = build_nonblocking(15, 3);
-    let mut agents: Vec<InstanceAgent> = (0..15)
-        .map(|i| InstanceAgent::new(Node::Dest(i), tree.clone()))
-        .collect();
-    let (mut coord, outbox) = SwitchCoordinator::start(SimTime::ZERO, &tree, 2);
-    println!("plan: {} connection moves", coord.plan().len());
-    for m in &coord.plan().moves {
+    let (new_tree, plan) = plan_switch(&tree, 2);
+    println!("plan: {} connection moves", plan.len());
+    for m in &plan.moves {
         println!(
             "  {} disconnects from {:?} and connects to {}",
             m.node,
@@ -88,24 +82,14 @@ fn main() {
             m.connect_to
         );
     }
-    let mut t = SimTime::ZERO;
-    let mut delivered = 0;
-    for (dst, msg) in outbox {
-        let Node::Dest(i) = dst else { continue };
-        delivered += 1;
-        if let Some(ProtocolMsg::Ack { from }) = agents[i as usize].on_message(msg) {
-            t += SimDuration::from_micros(12);
-            if let AckOutcome::Completed { t_switch } = coord.on_ack(from, t) {
-                println!("\nall ACKs received; T_switch = {t_switch}");
-            }
-        }
-    }
-    for (dst, msg) in coord.deferred_notifications() {
-        let Node::Dest(i) = dst else { continue };
-        agents[i as usize].on_message(msg);
-    }
-    println!("{delivered} protocol messages delivered; final structure:\n");
-    println!("{}", coord.new_tree().render_ascii());
-    assert!(agents.iter().all(|a| a.replica() == coord.new_tree()));
-    println!("every instance agent's replica matches the coordinator's tree.");
+    println!("\nnew structure:\n");
+    println!("{}", new_tree.render_ascii());
+    new_tree
+        .validate(2)
+        .expect("the switched tree respects d* = 2");
+    assert_eq!(new_tree.reachable_count(), 15);
+    println!(
+        "every instance is still reachable. The live runtime (whale::dsps) runs this switch \
+         on the data path and reports its duration as `dsps.relay.retire_ns`."
+    );
 }

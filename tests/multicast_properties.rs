@@ -55,6 +55,16 @@ proptest! {
                 prop_assert_eq!(tree.parent(i), switched.parent(i));
             }
         }
+        // Replaying the moves in order, each node leaving the parent its
+        // move names, turns the old tree into exactly the switched one.
+        let mut replayed = tree.clone();
+        for m in &plan.moves {
+            let Node::Dest(i) = m.node else { panic!("the source never moves") };
+            prop_assert_eq!(replayed.parent(i), m.disconnect_from);
+            replayed.detach(i);
+            replayed.attach(m.connect_to, i);
+        }
+        prop_assert_eq!(replayed, switched);
     }
 
     #[test]
