@@ -23,8 +23,10 @@ pub struct BatchPoint {
 }
 
 /// Sender-side capacity: messages per second the post+wire pipeline can
-/// sustain when batches reach `batch_n` messages.
-fn capacity(batch_n: f64, msg_bytes: usize, cost: &CostModel) -> f64 {
+/// sustain when batches reach `batch_n` messages — each flush one
+/// work-request post, each message a ring-region reuse plus its wire
+/// time.
+pub(super) fn capacity(batch_n: f64, msg_bytes: usize, cost: &CostModel) -> f64 {
     let post = cost.rdma_post_send.as_secs_f64();
     let per_msg =
         cost.ring_mr_op.as_secs_f64() + cost.wire_time(Transport::Rdma, msg_bytes).as_secs_f64();

@@ -10,11 +10,12 @@
 //! memory-region reuse per message (stream slicing, §4). Every run is a
 //! pure function of the config, so reruns emit byte-identical JSON.
 
+use super::fig11_12_batching::capacity;
 use super::live_zero_copy::{drive, ring_config, MSG_BYTES};
 use crate::{Scale, Table};
 use std::sync::Arc;
 use whale_net::{EndpointId, FabricPath};
-use whale_sim::{CostModel, Transport};
+use whale_sim::CostModel;
 
 /// One fan-out operating point.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -42,16 +43,6 @@ impl LivePoint {
     }
 }
 
-/// Sender-side sustainable messages/s when flushes carry `batch_n`
-/// messages: each flush costs one work-request post, each message a
-/// ring-region reuse plus its wire time (same model as Figs 11/12).
-fn sender_capacity(batch_n: f64, cost: &CostModel) -> f64 {
-    let post = cost.rdma_post_send.as_secs_f64();
-    let per_msg =
-        cost.ring_mr_op.as_secs_f64() + cost.wire_time(Transport::Rdma, MSG_BYTES).as_secs_f64();
-    batch_n / (post + batch_n * per_msg)
-}
-
 /// Drive E20's deterministic ring workload (every tuple one shared
 /// buffer posted to `fanout` endpoints, lossless delivery
 /// asserted) for `tuples` tuples, and price the result.
@@ -74,8 +65,8 @@ pub fn measure(scale: Scale, fanout: u32) -> LivePoint {
         messages: stats.messages,
         batches: stats.flushed_batches,
         mean_batch: stats.mean_batch_size(),
-        per_send_msgs_s: sender_capacity(1.0, &cost),
-        ring_msgs_s: sender_capacity(stats.mean_batch_size().max(1.0), &cost),
+        per_send_msgs_s: capacity(1.0, MSG_BYTES, &cost),
+        ring_msgs_s: capacity(stats.mean_batch_size().max(1.0), MSG_BYTES, &cost),
     }
 }
 

@@ -37,8 +37,8 @@ pub use operator::{
 };
 pub use pool::{BufferPool, PoolConfig, PooledBuf};
 pub use runtime::{
-    run_topology, AckConfig, AdaptiveConfig, BuildError, LiveConfig, Operators, RunOutcome,
-    RunReport, TimelineSample,
+    run_topology, spawn_topology, AckConfig, AdaptiveConfig, BuildError, LiveConfig, Operators,
+    RunHandle, RunOutcome, RunReport,
 };
 pub use whale_net::{FabricKind, LogConfig, RingConfig};
 pub use scheduler::{Placement, WorkerId};

@@ -75,11 +75,6 @@ pub struct LiveConfig {
     /// included) this long after the run starts, so a lost EOS frame can
     /// degrade the run but never hang it. `None` waits forever.
     pub run_deadline: Option<Duration>,
-    /// Snapshot the run's counters at this interval into
-    /// [`super::RunReport::timeline`], so long runs show *when* things happened
-    /// rather than only end-of-run totals. `None` records no timeline;
-    /// zero is a [`BuildError::BadInterval`].
-    pub monitor_interval: Option<Duration>,
 }
 
 impl Default for LiveConfig {
@@ -97,7 +92,6 @@ impl Default for LiveConfig {
             fault: None,
             log: None,
             run_deadline: None,
-            monitor_interval: None,
         }
     }
 }
@@ -189,8 +183,8 @@ pub enum BuildError {
     /// it, cannot be built (a ring or outbox with no slots, a log with no
     /// segments or segments too small for one record header).
     BadTransport(String),
-    /// A sampling interval ([`LiveConfig::monitor_interval`] or
-    /// [`AdaptiveConfig::interval`]) is zero: its thread would spin.
+    /// The controller's sampling interval ([`AdaptiveConfig::interval`])
+    /// is zero: its thread would spin.
     BadInterval(String),
 }
 
@@ -298,12 +292,9 @@ impl LiveConfig {
         if self.relay_enabled() && self.log.is_some() {
             return Err(BuildError::RelayBypassesLog);
         }
-        let zero = |what: &str| Err(BuildError::BadInterval(format!("{what} must be positive")));
-        if self.monitor_interval.is_some_and(|i| i.is_zero()) {
-            return zero("LiveConfig::monitor_interval");
-        }
         if (self.multicast_adaptive.as_ref()).is_some_and(|a| a.interval.is_zero()) {
-            return zero("AdaptiveConfig::interval");
+            let why = "AdaptiveConfig::interval must be positive";
+            return Err(BuildError::BadInterval(why.into()));
         }
         self.validate_cluster().map_err(BuildError::BadCluster)?;
         self.validate_transport().map_err(BuildError::BadTransport)
@@ -508,12 +499,8 @@ mod tests {
             log: Some(LogConfig::default()),
             ..LiveConfig::default()
         };
-        // A zero sampling interval: the monitor or controller thread
-        // would spin for the whole run.
-        let no_monitor_interval = LiveConfig {
-            monitor_interval: Some(Duration::ZERO),
-            ..LiveConfig::default()
-        };
+        // A zero sampling interval: the controller thread would spin for
+        // the whole run.
         let no_adaptive_interval = LiveConfig {
             multicast_adaptive: Some(AdaptiveConfig {
                 interval: Duration::ZERO,
@@ -524,7 +511,7 @@ mod tests {
         let cluster = std::mem::discriminant(&BuildError::BadCluster(String::new()));
         let transport = std::mem::discriminant(&BuildError::BadTransport(String::new()));
         let interval = std::mem::discriminant(&BuildError::BadInterval(String::new()));
-        // Each shape but the last three used to reach an `assert!` in
+        // Each shape but the last two used to reach an `assert!` in
         // `ClusterSpec::new`, `ClusterSpec::with_rack_map`, a transport
         // constructor, `Batcher::new` or `PartitionLog::new`.
         let shapes = [
@@ -560,7 +547,6 @@ mod tests {
                 logged_relay,
                 std::mem::discriminant(&BuildError::RelayBypassesLog),
             ),
-            ("monitor_interval: 0", no_monitor_interval, interval),
             ("adaptive interval: 0", no_adaptive_interval, interval),
         ];
         for (shape, config, want) in shapes {
@@ -619,7 +605,6 @@ mod tests {
             fault: _,
             log: _,
             run_deadline: _,
-            monitor_interval: _,
         } = LiveConfig::default();
         let AdaptiveConfig {
             interval: _,

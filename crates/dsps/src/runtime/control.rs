@@ -1,10 +1,9 @@
-//! The run's background control threads: the adaptive relay controller
-//! (workload monitor → `d*` re-plan → generation switch) and the
-//! timeline monitor.
+//! The run's background control thread: the adaptive relay controller
+//! (workload monitor → `d*` re-plan → generation switch).
 
 use super::config::AdaptiveConfig;
 use super::relay::{rack_aware_trees, RelayEpoch, MARKER_RESEND};
-use super::report::{Ctr, TimelineSample};
+use super::report::Ctr;
 use super::send::Routing;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -181,22 +180,6 @@ pub(super) fn switch_structure(routing: &Routing, new_d: u32) -> bool {
     true
 }
 
-/// The monitor thread: snapshot the run every `interval` until stopped,
-/// plus one final post-run sample.
-pub(super) fn monitor_loop(
-    routing: &Routing,
-    interval: Duration,
-    start: Instant,
-    stop: &AtomicBool,
-) -> Vec<TimelineSample> {
-    let mut timeline = Vec::new();
-    while sleep_with_stop(interval, stop) {
-        timeline.push(routing.snapshot(start.elapsed()));
-    }
-    timeline.push(routing.snapshot(start.elapsed()));
-    timeline
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
@@ -343,48 +326,10 @@ mod tests {
     }
 
     #[test]
-    fn monitor_interval_records_timeline() {
-        let (t, ops) = counting_topology(4, 8);
-        let r = run_topology(
-            t,
-            ops,
-            LiveConfig {
-                machines: 4,
-                monitor_interval: Some(Duration::from_millis(1)),
-                ..LiveConfig::default()
-            },
-        );
-        assert!(!r.timeline.is_empty(), "the final sample always lands");
-        let last = r.timeline.last().unwrap();
-        assert_eq!(last.spout_emitted, 100);
-        assert!(last.executed.iter().sum::<u64>() > 0);
-        // Samples are orderable and the series export is wired through.
-        for w in r.timeline.windows(2) {
-            assert!(w[0].elapsed <= w[1].elapsed);
-        }
-        let m = r.metrics();
-        assert!(m.get("dsps.timeline.spout_emitted").is_some());
-        assert!(m.get("dsps.timeline.executed").is_some());
-        // The final sample is taken once every pipeline has joined: each
-        // series ends on the run's own total.
-        let ends_on = |name: &str| match m.get(name) {
-            Some(whale_sim::MetricValue::Series(points)) => points.last().unwrap().1,
-            other => panic!("{name}: {other:?}"),
-        };
-        let executed: u64 = r.executed.iter().sum();
-        assert_eq!(ends_on("dsps.timeline.executed"), executed as f64);
-        assert_eq!(
-            ends_on("dsps.timeline.fabric_messages"),
-            r.fabric_messages as f64
-        );
-        assert_eq!(ends_on("dsps.timeline.send_errors"), r.send_errors as f64);
-    }
-
-    #[test]
     fn background_threads_shut_down_promptly() {
-        // Monitor and adaptive intervals far longer than the run: both
-        // threads used to sleep the whole interval before noticing the
-        // stop flag, stalling teardown by up to a full interval each.
+        // An adaptive interval far longer than the run: the controller
+        // used to sleep the whole interval before noticing the stop flag,
+        // stalling teardown by up to a full interval.
         let (t, ops) = counting_topology(4, 8);
         let started = Instant::now();
         let r = run_topology(
@@ -392,7 +337,6 @@ mod tests {
             ops,
             LiveConfig {
                 machines: 4,
-                monitor_interval: Some(Duration::from_secs(30)),
                 multicast_adaptive: Some(AdaptiveConfig {
                     interval: Duration::from_secs(30),
                     ..AdaptiveConfig::default()
@@ -404,10 +348,8 @@ mod tests {
         assert_eq!(r.spout_emitted, 100);
         assert!(
             started.elapsed() < Duration::from_secs(10),
-            "shutdown must not wait out 30s sampling intervals (took {:?})",
+            "shutdown must not wait out a 30s sampling interval (took {:?})",
             started.elapsed()
         );
-        let last = r.timeline.last().expect("final sample always lands");
-        assert_eq!(last.spout_emitted, 100);
     }
 }

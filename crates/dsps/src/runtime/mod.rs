@@ -23,7 +23,7 @@
 //! Layout: `wire` owns the frame bytes, `send` the one path a frame
 //! takes to the fabric, `relay` the multicast tree, `reliability` the
 //! acker and partition-log wiring, `pipeline` the per-shard loop,
-//! `control` the adaptive and monitor threads, `config` and `report` what
+//! `control` the adaptive controller thread, `config` and `report` what
 //! goes in and what comes out.
 
 mod config;
@@ -38,7 +38,7 @@ mod wire;
 pub use config::{AckConfig, AdaptiveConfig, BuildError, LiveConfig, Operators};
 #[doc(hidden)]
 pub use pipeline::PipelineHarness;
-pub use report::{RunOutcome, RunReport, TimelineSample};
+pub use report::{RunOutcome, RunReport};
 
 use crate::pool::BufferPool;
 use crate::scheduler::{Placement, WorkerId};
@@ -51,25 +51,56 @@ use report::{Ctr, RunStats};
 use send::{Groupings, LocalGroups, Routing, ShardInbox};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 use whale_net::{ClusterSpec, EndpointId, FabricPath, FaultFabric, LinkTracker};
 
-/// Execute a topology to completion on the live runtime.
-///
-/// Every spout runs until its `next_tuple` returns `None`; EOS then
-/// propagates through the DAG; the run finishes when every executor has
-/// drained. Returns aggregate statistics. A configuration that cannot
-/// run comes back as [`RunOutcome::ConfigError`] with all-zero counters,
-/// before the fabric is built or a thread spawned.
+/// Execute a topology to completion on the live runtime
+/// ([`spawn_topology`], then [`RunHandle::join`]). A configuration that
+/// cannot run comes back as [`RunOutcome::ConfigError`] with all-zero
+/// counters.
 pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig) -> RunReport {
     let n_components = topology.components().len();
-    if let Err(err) = config.validate(&topology, &operators) {
-        return RunReport {
+    match spawn_topology(topology, operators, config) {
+        Ok(run) => run.join(),
+        Err(err) => RunReport {
             outcome: RunOutcome::ConfigError(err),
             executed: vec![0; n_components],
             ..RunReport::default()
-        };
+        },
     }
+}
+
+/// Start a topology on the live runtime and return once its threads run.
+/// Every spout runs until its `next_tuple` returns `None`; EOS then
+/// propagates through the DAG; the run is over when every executor has
+/// drained. A configuration that cannot run is a [`BuildError`], before
+/// the fabric is built or a thread spawned.
+///
+/// ```
+/// use whale_dsps::{spawn_topology, Emitter, FnBolt, Grouping, IterSpout, LiveConfig};
+/// use whale_dsps::{Operators, Schema, TopologyBuilder, Tuple, Value};
+///
+/// let mut b = TopologyBuilder::new();
+/// b.spout("src", 1, Schema::new(vec!["n"]))
+///     .bolt("sink", 2, Schema::new(vec!["n"]))
+///     .connect("src", "sink", Grouping::All);
+/// let numbers = (0..100u64).map(|i| Tuple::with_id(i, vec![Value::I64(i as i64)]));
+/// let ops = Operators::new()
+///     .spout("src", move |_| Box::new(IterSpout::new(numbers.clone())))
+///     .bolt("sink", |_| Box::new(FnBolt::new(|_: &Tuple, _: &mut dyn Emitter| {})));
+/// let run = spawn_topology(b.build().unwrap(), ops, LiveConfig::default()).unwrap();
+/// let so_far = run.snapshot();
+/// let report = run.join();
+/// assert!(so_far.spout_emitted <= report.spout_emitted);
+/// assert_eq!(report.executed[1], 200);
+/// ```
+pub fn spawn_topology(
+    topology: Topology,
+    operators: Operators,
+    config: LiveConfig,
+) -> Result<RunHandle, BuildError> {
+    config.validate(&topology, &operators)?;
 
     let transport = config.fabric.build();
     // Fault injection wraps the concrete transport: every runtime send
@@ -83,20 +114,18 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
         Some(f) => Arc::clone(f) as Arc<dyn FabricPath>,
         None => transport,
     };
-    let (routing, mut pipelines, done_rx) =
-        wire_up(topology, config, Arc::clone(&fabric), fault.clone());
+    let (routing, mut pipelines, done_rx) = wire_up(topology, config, fabric, fault.clone());
     let routing = Arc::new(routing);
-    let n_flat = pipelines.len();
 
     let start = Instant::now();
 
     // Log replay thread, only for a plan that restarts an endpoint: its
     // log slice is replayed when the fault layer reports it back. (Log GC
     // needs no thread: each appender collects under the lock it holds.)
-    let log_stop = Arc::new(AtomicBool::new(false));
-    let awaiting = reliability::restarting_endpoints(&routing, n_flat);
-    let log_handle = fault.clone().filter(|_| !awaiting.is_empty()).map(|fault| {
-        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&log_stop));
+    let stop = Arc::new(AtomicBool::new(false));
+    let awaiting = reliability::restarting_endpoints(&routing, pipelines.len());
+    let log_replay = fault.filter(|_| !awaiting.is_empty()).map(|fault| {
+        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&stop));
         spawn_named("log-replay", move || {
             reliability::log_recovery_loop(&routing, &fault, awaiting, &stop)
         })
@@ -104,85 +133,111 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
 
     // Adaptive controller thread: samples the live workload, re-plans
     // d*, and switches tree generations while the data plane runs.
-    let adaptive_stop = Arc::new(AtomicBool::new(false));
-    let adaptive_handle = routing.config.multicast_adaptive.clone().map(|cfg| {
-        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&adaptive_stop));
+    let adaptive = routing.config.multicast_adaptive.clone().map(|cfg| {
+        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&stop));
         spawn_named("adaptive", move || {
             control::adaptive_loop(&cfg, &routing, &stop)
         })
     });
 
-    // Monitor thread: snapshot the run's counters every interval into
-    // the timeline (plus one final post-run sample at teardown).
-    let monitor_stop = Arc::new(AtomicBool::new(false));
-    let monitor_handle = routing.config.monitor_interval.map(|interval| {
-        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&monitor_stop));
-        spawn_named("monitor", move || {
-            control::monitor_loop(&routing, interval, start, &stop)
-        })
-    });
-
     populate(&routing, &operators, &mut pipelines);
-    let handles: Vec<_> = pipelines
-        .into_iter()
-        .map(|p| p.spawn(Arc::clone(&routing)))
-        .collect();
+    let spawn = |p: ShardPipeline| p.spawn(Arc::clone(&routing));
+    Ok(RunHandle {
+        pipelines: pipelines.into_iter().map(spawn).collect(),
+        // At most one of the two: the controller needs the relay tree,
+        // replay the log, and `validate` refuses the pair.
+        control: adaptive.into_iter().chain(log_replay).collect(),
+        stop,
+        routing,
+        start,
+        done_rx,
+    })
+}
 
-    // Wait until every pipeline reports its tasks complete (a pipeline
-    // that panicked counts: its wrapper signals before re-raising).
-    for _ in 0..n_flat {
-        if done_rx.recv().is_err() {
-            break;
+/// A live run in progress (see [`spawn_topology`]). Dropping it without
+/// [`Self::join`] tears the run down the same way, unreported.
+pub struct RunHandle {
+    routing: Arc<Routing>,
+    start: Instant,
+    done_rx: crossbeam::channel::Receiver<()>,
+    /// One per (worker, shard); empty once torn down.
+    pipelines: Vec<JoinHandle<()>>,
+    /// The control threads and the flag that stops them.
+    control: Vec<JoinHandle<()>>,
+    stop: Arc<AtomicBool>,
+}
+
+impl RunHandle {
+    /// The run as it reads now: every counter so far, `elapsed` since it
+    /// started, and the outcome they add up to, without the latency
+    /// reservoirs [`Self::join`] takes. No counter reads lower later.
+    pub fn snapshot(&self) -> RunReport {
+        self.routing.snapshot(self.start.elapsed())
+    }
+
+    /// Wait until every executor has drained, tear the run down in order
+    /// and report it.
+    pub fn join(mut self) -> RunReport {
+        self.teardown();
+        RunReport::collect(&self.routing, self.start.elapsed())
+    }
+
+    /// Wait for every pipeline to report its tasks complete, stop the
+    /// control threads, close the fabric and join everything. A second
+    /// call finds no pipeline left and does nothing.
+    fn teardown(&mut self) {
+        if self.pipelines.is_empty() {
+            return;
         }
+        let (routing, fabric) = (&self.routing, &self.routing.fabric);
+        // A pipeline that panicked counts: its wrapper signals before
+        // re-raising.
+        for _ in 0..self.pipelines.len() {
+            if self.done_rx.recv().is_err() {
+                break;
+            }
+        }
+        // Join every thread even if some panicked: bailing on the first
+        // failure would skip the endpoint teardown below and leave the
+        // pipeline threads spinning on an open fabric forever.
+        let mut thread_panics = 0u64;
+        // Producers done: stop reconfiguring, and replaying (every replay
+        // that can still complete a tuple has happened), before the fabric
+        // tears down. Then collect what resolved after each endpoint's last
+        // append, so the retained-bytes gauge is the end-of-run one.
+        self.stop.store(true, Ordering::Relaxed);
+        for thread in self.control.drain(..) {
+            thread_panics += thread.join().is_err() as u64;
+        }
+        if let Some(log) = &routing.log {
+            log.gc_pass();
+        }
+        // All producers done: release any fault-parked frames and flush
+        // anything still buffered in the transport, then close the fabric
+        // endpoints so the pipelines exit (they keep draining/relaying
+        // frames until their endpoint closes).
+        fabric.flush();
+        for flat in 0..self.pipelines.len() {
+            fabric.deregister(EndpointId(flat as u32));
+        }
+        for thread in self.pipelines.drain(..) {
+            thread_panics += thread.join().is_err() as u64;
+        }
+        // Operator panics were counted where the pipelines caught them
+        // (the thread survives to run its other tasks); a dying thread
+        // joins the same degradation signal.
+        routing.stats.add(Ctr::thread_panics, thread_panics);
     }
-    // Join every thread even if some panicked: bailing on the first
-    // failure would skip the endpoint teardown below and leave the
-    // pipeline threads spinning on an open fabric forever.
-    let mut thread_panics = 0u64;
-    // Producers done: stop reconfiguring before the fabric tears down.
-    adaptive_stop.store(true, Ordering::Relaxed);
-    if let Some(h) = adaptive_handle {
-        thread_panics += h.join().is_err() as u64;
-    }
-    // Producers done means every replay that can still complete a tuple
-    // has happened; stop the log replay thread before teardown, and
-    // collect what resolved after each endpoint's last append so the
-    // report's retained-bytes gauge reflects the end-of-run watermark.
-    log_stop.store(true, Ordering::Relaxed);
-    if let Some(h) = log_handle {
-        thread_panics += h.join().is_err() as u64;
-    }
-    if let Some(log) = &routing.log {
-        log.gc_pass();
-    }
-    // All producers done: release any fault-parked frames and flush
-    // anything still buffered in the transport, then close the fabric
-    // endpoints so the pipelines exit (they keep draining/relaying frames
-    // until their endpoint closes).
-    fabric.flush();
-    for flat in 0..n_flat {
-        fabric.deregister(EndpointId(flat as u32));
-    }
-    for h in handles {
-        thread_panics += h.join().is_err() as u64;
-    }
-    // Operator panics were counted where the pipelines caught them (the
-    // thread survives to run its other tasks); a dying thread joins the
-    // same degradation signal.
-    routing.stats.add(Ctr::thread_panics, thread_panics);
-    monitor_stop.store(true, Ordering::Relaxed);
-    let timeline = monitor_handle
-        .and_then(|h| h.join().ok())
-        .unwrap_or_default();
+}
 
-    RunReport::collect(&routing, start.elapsed(), timeline)
+impl Drop for RunHandle {
+    fn drop(&mut self) {
+        self.teardown();
+    }
 }
 
 /// Spawn a runtime thread under `name`, so its CPU can be attributed.
-fn spawn_named<T: Send + 'static>(
-    name: impl Into<String>,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> std::thread::JoinHandle<T> {
+fn spawn_named(name: impl Into<String>, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(name.into())
         .spawn(f)
@@ -447,6 +502,21 @@ mod testkit {
         }
     }
 
+    /// Snapshot `run` every millisecond until a read satisfies `until`, or
+    /// for at most 30 s: every read taken, oldest first.
+    pub(super) fn read_until(
+        run: &RunHandle,
+        until: impl Fn(&RunReport) -> bool,
+    ) -> Vec<RunReport> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut reads = vec![run.snapshot()];
+        while !until(reads.last().unwrap()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            reads.push(run.snapshot());
+        }
+        reads
+    }
+
     /// A [`Routing`] over [`counting_topology`] on two machines with no
     /// pipelines behind it, for driving the receive path frame by frame.
     pub(super) fn bare_routing(config: LiveConfig, relay: Option<RelayState>) -> Routing {
@@ -628,5 +698,120 @@ mod tests {
                 assert_eq!(r.executed[1] as u32, 100 * p, "machines={machines} p={p}");
             }
         }
+    }
+
+    /// src → an all-grouped `sink` of `sinks` instances over four
+    /// machines; the spout calls `before` with each of its `tuples`' index
+    /// before it emits that tuple.
+    fn broadcast(
+        tuples: u64,
+        before: impl Fn(u64) + Clone + Send + Sync + 'static,
+        sinks: u32,
+        sink: impl Fn() -> Box<dyn crate::operator::Bolt> + Send + Sync + 'static,
+    ) -> (Topology, Operators) {
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("sink", sinks, Schema::new(vec!["n"]))
+            .connect("src", "sink", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", move |_| {
+                let before = before.clone();
+                Box::new(IterSpout::new((0..tuples).map(move |i| {
+                    before(i);
+                    Tuple::with_id(i, vec![Value::I64(i as i64)])
+                })))
+            })
+            .bolt("sink", move |_| sink());
+        (b.build().unwrap(), ops)
+    }
+
+    #[test]
+    fn a_snapshot_mid_run_reads_the_run_so_far() {
+        // The caller's thread reads a running broadcast at its own pace:
+        // a read lands mid-stream (the spout waits at its midpoint until
+        // one has seen it there), no counter a read shows ever falls, and
+        // the joined report is at least the last read.
+        const TUPLES: u64 = 200;
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let spout_gate = Arc::clone(&gate);
+        let throttled = move |i| {
+            std::thread::sleep(Duration::from_micros(200));
+            if i == TUPLES / 2 {
+                spout_gate.wait();
+            }
+        };
+        let (t, ops) = broadcast(TUPLES, throttled, 8, || {
+            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+        });
+        let run = spawn_topology(t, ops, LiveConfig::default()).expect("a runnable config");
+        let mut snapshots = read_until(&run, |s| s.spout_emitted >= TUPLES / 2);
+        gate.wait();
+        snapshots.extend(read_until(&run, |s| s.spout_emitted == TUPLES));
+        let joined = run.join();
+        assert_eq!(joined.outcome, RunOutcome::Clean);
+        assert_eq!(joined.executed[1], TUPLES * 8);
+        assert!(
+            (snapshots.iter()).any(|s| (1..TUPLES).contains(&s.spout_emitted)),
+            "no read landed mid-stream"
+        );
+        // (elapsed, spout_emitted, executed, fabric_messages)
+        let read = |r: &RunReport| {
+            let executed: u64 = r.executed.iter().sum();
+            (r.elapsed, r.spout_emitted, executed, r.fabric_messages)
+        };
+        let reads: Vec<_> = snapshots.iter().chain([&joined]).map(read).collect();
+        for w in reads.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let none_fell = b.0 >= a.0 && b.1 >= a.1 && b.2 >= a.2 && b.3 >= a.3;
+            assert!(none_fell, "a later read fell: {a:?} then {b:?}");
+        }
+    }
+
+    /// A bolt that counts what it executes (`[0]`) and its own drop (`[1]`).
+    struct Counted(Arc<[std::sync::atomic::AtomicU64; 2]>);
+
+    impl crate::operator::Bolt for Counted {
+        fn execute(&mut self, _input: &Tuple, _out: &mut dyn Emitter) {
+            self.0[0].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0[1].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn dropping_a_run_handle_tears_the_run_down() {
+        // A handle dropped mid-run, never joined, tears down as `join`
+        // does: the run finishes, then closes its fabric and joins its
+        // pipelines, which drop their bolts. The drop runs on a thread of
+        // its own and the wait is bounded, so a teardown that never comes
+        // fails instead of hanging.
+        const SINKS: u32 = 8;
+        let counts: Arc<[std::sync::atomic::AtomicU64; 2]> = Arc::default();
+        let counter = Arc::clone(&counts);
+        let throttled = |_| std::thread::sleep(Duration::from_micros(200));
+        let (t, ops) = broadcast(100, throttled, SINKS, move || {
+            Box::new(Counted(Arc::clone(&counter)))
+        });
+        let run = spawn_topology(t, ops, LiveConfig::default()).expect("a runnable config");
+        let dropper = std::thread::spawn(move || drop(run));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while counts[1].load(Ordering::Relaxed) < SINKS as u64 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let [executed, dropped] = [0, 1].map(|i| counts[i].load(Ordering::Relaxed));
+        assert_eq!(
+            dropped, SINKS as u64,
+            "every bolt is dropped once its pipeline is joined"
+        );
+        assert_eq!(
+            executed,
+            100 * SINKS as u64,
+            "the run finished before it tore down"
+        );
+        dropper.join().expect("dropping a handle does not panic");
     }
 }

@@ -287,7 +287,7 @@ mod tests {
     use crate::task::TaskId;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use whale_net::{EndpointId, FaultPlan, IdHashSet, LogConfig};
+    use whale_net::{EndpointId, FaultPlan, IdHashSet, LogConfig, RECORD_HEADER};
 
     /// The two sets a bolt used to keep: tracked ids it XOR'd into the
     /// ledger, roots it executed. What [`DedupWindow`] is checked against.
@@ -447,19 +447,30 @@ mod tests {
         );
     }
 
+    /// Segment size of [`closed_loop_run`]'s logs: small, so a short
+    /// stream fills many segments.
+    const SEGMENT_BYTES: usize = 256;
+
     /// src → two all-grouped sinks over two machines, tracked and logged,
-    /// the spout held to `window` tuples ahead of the slower sink.
-    fn closed_loop_run(tuples: u64, window: u64) -> RunReport {
+    /// the spout held to `window` tuples ahead of the slower sink. Returns
+    /// the joined report and every snapshot read while the run went; the
+    /// spout waits at its midpoint until a read has seen it there.
+    fn closed_loop_run(tuples: u64, window: u64) -> (RunReport, Vec<RunReport>) {
         let mut b = crate::topology::TopologyBuilder::new();
         b.spout("src", 1, Schema::new(vec!["n"]))
             .bolt("sink", 2, Schema::new(vec!["n"]))
             .connect("src", "sink", Grouping::All);
         let done: Arc<[AtomicU64; 2]> = Arc::default();
-        let executed = Arc::clone(&done);
+        let (executed, spout_done) = (Arc::clone(&done), Arc::clone(&done));
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let spout_gate = Arc::clone(&gate);
         let ops = Operators::new()
             .spout("src", move |_| {
-                let done = Arc::clone(&done);
+                let (done, gate) = (Arc::clone(&spout_done), Arc::clone(&spout_gate));
                 Box::new(IterSpout::new((0..tuples).map(move |i| {
+                    if i == tuples / 2 {
+                        gate.wait();
+                    }
                     let behind = |d: &AtomicU64| d.load(Ordering::Relaxed) + window <= i;
                     while done.iter().any(behind) {
                         std::thread::yield_now();
@@ -480,16 +491,21 @@ mod tests {
                 ..AckConfig::default()
             }),
             log: Some(LogConfig {
-                segment_bytes: 256,
+                segment_bytes: SEGMENT_BYTES,
                 max_segments: 1 << 20,
             }),
             ..LiveConfig::default()
         };
-        let r = run_topology(b.build().unwrap(), ops, config);
+        let run = spawn_topology(b.build().unwrap(), ops, config).expect("a runnable config");
+        let mut snapshots = read_until(&run, |s| s.spout_emitted >= tuples / 2);
+        gate.wait();
+        let sunk = |_: &RunReport| done.iter().all(|d| d.load(Ordering::Relaxed) == tuples);
+        snapshots.extend(read_until(&run, sunk));
+        let r = run.join();
         assert_eq!(r.outcome, RunOutcome::Clean);
         assert_eq!((r.tuples_acked, r.tuples_replayed), (tuples, 0));
         assert_eq!(r.executed[1], 2 * tuples);
-        r
+        (r, snapshots)
     }
 
     #[test]
@@ -499,7 +515,7 @@ mod tests {
         // not what has been emitted: four times the stream, same state.
         const WINDOW: u64 = 32;
         for tuples in [3_000, 12_000] {
-            let r = closed_loop_run(tuples, WINDOW);
+            let (r, snapshots) = closed_loop_run(tuples, WINDOW);
             let m = r.metrics();
             let gauge = |name: &str| m.gauge(name).unwrap_or_else(|| panic!("{name} exported"));
             // An ack lands after the execution the spout waited for, and
@@ -523,6 +539,29 @@ mod tests {
             assert_eq!(
                 r.log_gcd_bytes,
                 r.log_appended_bytes + 12 * r.log_appended_records
+            );
+            // And while the run went, the log held what was in flight and
+            // no more: each append collects every resolved record below
+            // it, so what stays is the unresolved roots' records (one
+            // each, every frame here the same size), plus up to
+            // `per_segment - 1` resolved ones sharing the oldest one's
+            // segment — at most this many whole segments.
+            let unresolved = in_flight as usize;
+            let record = RECORD_HEADER + (r.log_appended_bytes / r.log_appended_records) as usize;
+            let per_segment = SEGMENT_BYTES / record;
+            let bound = (unresolved + per_segment - 1).div_ceil(per_segment) * SEGMENT_BYTES;
+            for s in &snapshots {
+                let retained = s.log_retained_bytes;
+                assert!(
+                    retained <= bound as u64,
+                    "{tuples}: {retained} B retained {:?} into the run, bound {bound} B",
+                    s.elapsed
+                );
+            }
+            assert!(
+                snapshots.iter().any(|s| s.log_retained_bytes > 0),
+                "{tuples}: no read saw the log mid-run ({} reads)",
+                snapshots.len()
             );
         }
     }

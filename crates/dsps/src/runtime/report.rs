@@ -12,7 +12,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use whale_net::{FabricStats, FaultFabric, LinkTracker, PartitionLog};
-use whale_sim::SimTime;
 
 /// Structured shutdown reason of a live run.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -61,19 +60,18 @@ macro_rules! export {
     ($reg:ident, Counter, $value:expr) => {};
 }
 
-/// The counter table. A row `field: Kind "key" => "series"` declares a
-/// `u64` field of [`RunReport`] carrying the row's doc, its kind, the
-/// `dsps.*` key it exports under (none: reported, not exported) and the
-/// `dsps.timeline.*` series it is sampled into (none: not sampled).
+/// The counter table. A row `field: Kind "key"` declares a `u64` field of
+/// [`RunReport`] carrying the row's doc, its kind and the `dsps.*` key it
+/// exports under (none: reported, not exported).
 /// `slots` rows are the runtime's own: one [`RunStats`] slot each, named
 /// by a [`Ctr`]. A `read` row belongs to another layer and ends in how
 /// [`Routing::snapshot`] reads it from its owner. `report` holds the
 /// fields that are not counters.
 macro_rules! counter_table {
     (
-        slots { $($(#[doc = $sdoc:literal])* $slot:ident: $skind:ident $($skey:literal)? $(=> $sseries:literal)?;)* }
+        slots { $($(#[doc = $sdoc:literal])* $slot:ident: $skind:ident $($skey:literal)?;)* }
         read($($owner:ident: $owner_ty:ty),*) {
-            $($(#[doc = $rdoc:literal])* $read:ident: $rkind:ident $($rkey:literal)? $(=> $rseries:literal)? = $from:expr;)*
+            $($(#[doc = $rdoc:literal])* $read:ident: $rkind:ident $($rkey:literal)? = $from:expr;)*
         }
         report { $($fields:tt)* }
     ) => {
@@ -86,13 +84,6 @@ macro_rules! counter_table {
         }
 
         const SLOTS: usize = [$(Ctr::$slot),*].len();
-
-        /// The rows sampled into the timeline: each series' name and how
-        /// a sample reads it.
-        const SERIES: &[(&str, fn(&RunReport) -> u64)] = &[
-            $($(($sseries, |r| r.$slot),)?)*
-            $($(($rseries, |r| r.$read),)?)*
-        ];
 
         /// Result of a live run: its counters, one field per row of the
         /// counter table, and the facts that are not counters.
@@ -131,7 +122,7 @@ counter_table! {
         /// and relay forwards resend existing bytes without re-encoding.
         frames_encoded: Counter "dsps.frames_encoded";
         /// Tuples emitted by spouts.
-        spout_emitted: Counter "dsps.spout_emitted" => "dsps.timeline.spout_emitted";
+        spout_emitted: Counter "dsps.spout_emitted";
         /// Relay forwards performed by non-source workers (multicast tree).
         relay_forwards: Counter "dsps.relay_forwards";
         /// Wire bytes sent on the relay path (origin sends + forwards); the
@@ -163,7 +154,7 @@ counter_table! {
         /// `wire_tuples_lazy` is decode work the view layer never did.
         tuples_materialized: Counter;
         /// Backpressure retries performed under the send policy.
-        send_retries: Counter "dsps.send.retries" => "dsps.timeline.send_retries";
+        send_retries: Counter "dsps.send.retries";
         /// Frames dropped after the send policy's deadline exhausted (these
         /// degrade the run; teardown races do not).
         send_failed: Counter "dsps.send.failed";
@@ -179,9 +170,9 @@ counter_table! {
         /// Blocking waits that returned work rather than timing out.
         pipeline_wakeups_with_work: Counter "dsps.pipeline.wakeups_with_work";
         /// Tracked tuples given up on after the replay budget (ack runs only).
-        tuples_failed: Counter "dsps.ack.failed" => "dsps.timeline.failed";
+        tuples_failed: Counter "dsps.ack.failed";
         /// Replay emissions performed (ack runs only).
-        tuples_replayed: Counter "dsps.ack.replayed" => "dsps.timeline.replayed";
+        tuples_replayed: Counter "dsps.ack.replayed";
         /// Duplicate deliveries suppressed at executors by root-id dedup.
         dedup_dropped: Counter "dsps.ack.dedup_dropped";
         /// The most roots any one executor's dedup window has held at once
@@ -194,7 +185,7 @@ counter_table! {
     }
     read(r: &Routing, fabric: &FabricStats, tree: Option<&RelayEpoch>) {
         /// Network messages through the fabric.
-        fabric_messages: Counter "dsps.fabric.messages" => "dsps.timeline.fabric_messages"
+        fabric_messages: Counter "dsps.fabric.messages"
             = fabric.messages;
         /// Bytes copied (TCP semantics).
         copied_bytes: Counter "dsps.fabric.copied_bytes" = fabric.copied_bytes;
@@ -203,7 +194,7 @@ counter_table! {
         /// Sends that failed at the fabric (unknown endpoint, backpressure
         /// that never cleared, or a receiver dropped during teardown). Failed
         /// sends never count toward the byte totals.
-        send_errors: Counter "dsps.fabric.send_errors" => "dsps.timeline.send_errors"
+        send_errors: Counter "dsps.fabric.send_errors"
             = fabric.send_errors;
         /// Batches the transport flushed (0 on the per-send path).
         batches_flushed: Counter "dsps.fabric.batches_flushed" = fabric.flushed_batches;
@@ -225,7 +216,7 @@ counter_table! {
         /// Pipeline shards per worker the run executed with.
         shards: Gauge "dsps.shards" = r.shards.into();
         /// Tracked tuples fully delivered (ack runs only).
-        tuples_acked: Counter "dsps.ack.acked" => "dsps.timeline.acked"
+        tuples_acked: Counter "dsps.ack.acked"
             = r.ack.as_ref().map_or(0, |a| a.acker.lock().acked());
         /// The most roots the ledger's window has held at once: the distance
         /// from the oldest unresolved root to the newest, not the length of
@@ -260,7 +251,8 @@ counter_table! {
         /// Highest per-endpoint log GC watermark (sequence number).
         log_gc_watermark: Gauge "dsps.log.gc_watermark"
             = r.log.as_ref().map_or(0, LogRuntime::gc_watermark);
-        /// Log bytes still resident at shutdown.
+        /// Log bytes still resident: at shutdown in a joined report, now in
+        /// a snapshot.
         log_retained_bytes: Gauge "dsps.log.retained_bytes"
             = r.log_sum(PartitionLog::retained_bytes);
         /// Torn tails healed when recovering persisted log images.
@@ -295,9 +287,6 @@ counter_table! {
         /// Pool hits over total acquires (≈ 1.0 once warm: the steady-state
         /// hot path allocates nothing).
         pub pool_hit_rate: f64,
-        /// Periodic snapshots of the run (empty unless
-        /// [`super::LiveConfig::monitor_interval`] is set).
-        pub timeline: Vec<TimelineSample>,
         /// Structured shutdown reason.
         pub outcome: RunOutcome,
         /// Sampled spout-to-execute delivery latencies (ns), unordered; a
@@ -306,12 +295,6 @@ counter_table! {
         pub delivery_ns: Vec<u64>,
     }
 }
-
-/// One periodic snapshot of a live run (see
-/// [`super::LiveConfig::monitor_interval`]): the report as it stood
-/// `elapsed` into the run — the run's final report taken early, without
-/// the latency reservoirs.
-pub type TimelineSample = RunReport;
 
 /// Eight counters on one cache line of their own.
 #[repr(align(64))]
@@ -575,7 +558,7 @@ impl RunReport {
     /// dispatch/send/relay counters, fabric byte split, and the sampled
     /// delivery-latency distribution as a percentile summary.
     pub fn metrics(&self) -> whale_sim::MetricsRegistry {
-        use whale_sim::{Histogram, MetricsRegistry, TimeSeries};
+        use whale_sim::{Histogram, MetricsRegistry};
         let mut reg = MetricsRegistry::new();
         self.export_rows(&mut reg);
         reg.set_gauge("dsps.elapsed_secs", self.elapsed.as_secs_f64());
@@ -615,34 +598,17 @@ impl RunReport {
             reg.set_summary("dsps.relay.retire_ns", &histogram(&self.relay_retire_ns));
         }
         reg.set_summary("dsps.delivery_ns", &histogram(&self.delivery_ns));
-        if !self.timeline.is_empty() {
-            let executed: fn(&TimelineSample) -> u64 = |s| s.executed.iter().sum();
-            for &(name, value) in [("dsps.timeline.executed", executed)].iter().chain(SERIES) {
-                let mut ts = TimeSeries::new();
-                for s in &self.timeline {
-                    let at = SimTime::from_nanos(s.elapsed.as_nanos() as u64);
-                    ts.push(at, value(s) as f64);
-                }
-                reg.set_series(name, &ts);
-            }
-        }
         reg
     }
 
-    /// The report of a finished run: its last snapshot, with the sampled
-    /// latencies and the timeline.
-    pub(super) fn collect(
-        routing: &Routing,
-        elapsed: Duration,
-        timeline: Vec<TimelineSample>,
-    ) -> RunReport {
+    /// The report of a finished run: its last snapshot and latency samples.
+    pub(super) fn collect(routing: &Routing, elapsed: Duration) -> RunReport {
         let (delivery_ns, _) = routing.stats.delivery.take();
         let relay = routing.relay.as_ref();
         RunReport {
             relay_forward_ns: relay.map_or_else(Vec::new, |r| r.forward_ns.lock().take().0),
             relay_retire_ns: relay.map_or_else(Vec::new, |r| r.retire_ns.lock().take().0),
             delivery_ns,
-            timeline,
             ..routing.snapshot(elapsed)
         }
     }
@@ -652,8 +618,8 @@ impl Routing {
     /// The run's counters as they read now, `elapsed` into it: every slot,
     /// each row another layer owns read from its owner, and the outcome
     /// they add up to so far. What [`RunReport::collect`] returns at
-    /// teardown and the monitor samples mid-run, less the latency
-    /// reservoirs and the timeline.
+    /// teardown and [`super::RunHandle::snapshot`] reads mid-run, less the
+    /// latency reservoirs.
     pub(super) fn snapshot(&self, elapsed: Duration) -> RunReport {
         let fabric = self.fabric.stats();
         let relay = self.relay.as_ref();
@@ -796,7 +762,7 @@ mod tests {
         assert!(s.p99 >= s.p50);
     }
 
-    /// The six run shapes whose exports are pinned below, by name.
+    /// The five run shapes whose exports are pinned below, by name.
     fn pinned_runs() -> Vec<(&'static str, RunReport)> {
         use whale_net::{EndpointCrash, EndpointRestart, FaultPlan, LogConfig, TopologyConfig};
         let counting = |config: LiveConfig| {
@@ -857,10 +823,6 @@ mod tests {
             };
             run_topology(t, ops, config)
         };
-        let monitored = counting(LiveConfig {
-            monitor_interval: Some(Duration::from_millis(1)),
-            ..LiveConfig::default()
-        });
         let switched = {
             // 100 tuples, 300 µs apart, from a chain (d* = 1) over four
             // machines to a star (d* = 3) after the 30th.
@@ -895,7 +857,6 @@ mod tests {
             ("ring", ring),
             ("one-sided", one_sided),
             ("tracked logged recovery", recovered),
-            ("monitored", monitored),
             ("switched relay", switched),
         ]
     }
@@ -986,19 +947,9 @@ mod tests {
         "dsps.relay.forward_ns summary",
         "dsps.relay.retire_ns summary",
     ];
-    const TIMELINE: &[&str] = &[
-        "dsps.timeline.acked series",
-        "dsps.timeline.executed series",
-        "dsps.timeline.fabric_messages series",
-        "dsps.timeline.failed series",
-        "dsps.timeline.replayed series",
-        "dsps.timeline.send_errors series",
-        "dsps.timeline.send_retries series",
-        "dsps.timeline.spout_emitted series",
-    ];
 
     /// The metric names a run exports, and what each is, are an interface:
-    /// the bench reports and the docs read them by name. Pinned for six
+    /// the bench reports and the docs read them by name. Pinned for five
     /// shapes of run, with the counters no schedule can move.
     #[test]
     fn every_run_exports_its_pinned_key_set() {
@@ -1022,7 +973,7 @@ mod tests {
         };
         // The key lists a run exports, and the counters it pins.
         type Pins = (&'static [&'static [&'static str]], Vec<(&'static str, u64)>);
-        let runs: [Pins; 6] = [
+        let runs: [Pins; 5] = [
             (
                 &[EVERY_RUN, THIRD_COMPONENT, RACKED_RELAY],
                 [&counting(1600, 1700, 1515, 2121)[..], &bytes(73_101)].concat(),
@@ -1042,10 +993,6 @@ mod tests {
                     ("dsps.executed.component_0", 0),
                     ("dsps.executed.component_1", 120),
                 ],
-            ),
-            (
-                &[EVERY_RUN, THIRD_COMPONENT, TIMELINE],
-                [&counting(800, 900, 909, 909)[..], &bytes(30_129)].concat(),
             ),
             (
                 &[EVERY_RUN, SWITCHED_RELAY],
@@ -1105,14 +1052,7 @@ mod tests {
     /// exports.
     #[test]
     fn the_docs_name_only_exported_keys() {
-        let pinned = [
-            EVERY_RUN,
-            THIRD_COMPONENT,
-            RACKED_RELAY,
-            SWITCHED_RELAY,
-            TIMELINE,
-        ]
-        .concat();
+        let pinned = [EVERY_RUN, THIRD_COMPONENT, RACKED_RELAY, SWITCHED_RELAY].concat();
         let pinned: Vec<&str> = pinned
             .iter()
             .map(|k| k.split(' ').next().unwrap())

@@ -949,7 +949,6 @@ mod tests {
                         spin: 0,
                         yields: 0,
                         deadline: Duration::ZERO,
-                        ..SendPolicy::default()
                     },
                     ..LiveConfig::default()
                 },
@@ -1035,8 +1034,6 @@ mod tests {
                 send: SendPolicy {
                     spin: 4,
                     yields: 4,
-                    park_initial: Duration::from_micros(50),
-                    park_max: Duration::from_micros(200),
                     deadline: Duration::from_millis(5),
                 },
                 fault: Some(plan),

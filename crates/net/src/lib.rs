@@ -72,8 +72,6 @@ mod tests {
         let SendPolicy {
             spin: _,
             yields: _,
-            park_initial: _,
-            park_max: _,
             deadline: _,
         } = SendPolicy::default();
     }

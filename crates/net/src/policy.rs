@@ -24,10 +24,6 @@ pub struct SendPolicy {
     pub spin: u32,
     /// `yield_now` retries before parking (lets a same-core reader run).
     pub yields: u32,
-    /// First parked sleep; doubles on each subsequent park.
-    pub park_initial: Duration,
-    /// Ceiling for the parked sleep.
-    pub park_max: Duration,
     /// Total parked time budget; once exceeded the send fails `Full`.
     pub deadline: Duration,
 }
@@ -37,14 +33,17 @@ impl Default for SendPolicy {
         SendPolicy {
             spin: 64,
             yields: 256,
-            park_initial: Duration::from_micros(10),
-            park_max: Duration::from_millis(1),
             deadline: Duration::from_secs(5),
         }
     }
 }
 
 impl SendPolicy {
+    /// First parked sleep; doubles on each subsequent park.
+    const PARK_INITIAL: Duration = Duration::from_micros(10);
+    /// Ceiling for the parked sleep.
+    const PARK_MAX: Duration = Duration::from_millis(1);
+
     /// Run `attempt` under this policy. Retries [`SendError::Full`]
     /// per the schedule, incrementing `retries` once per re-attempt;
     /// any other result is returned as-is. Returns `Err(Full)` when
@@ -60,7 +59,7 @@ impl SendPolicy {
         }
         let mut spins = 0u32;
         let mut yields = 0u32;
-        let mut park = self.park_initial.max(Duration::from_micros(1));
+        let mut park = Self::PARK_INITIAL;
         let mut deadline: Option<Instant> = None;
         loop {
             if spins < self.spin {
@@ -76,7 +75,7 @@ impl SendPolicy {
                     return Err(SendError::Full);
                 }
                 std::thread::sleep(park.min(limit - now));
-                park = (park * 2).min(self.park_max.max(park));
+                park = (park * 2).min(Self::PARK_MAX);
             }
             retries.fetch_add(1, Ordering::Relaxed);
             match attempt() {
@@ -133,8 +132,6 @@ mod tests {
         let policy = SendPolicy {
             spin: 2,
             yields: 2,
-            park_initial: Duration::from_micros(50),
-            park_max: Duration::from_micros(200),
             deadline: Duration::from_millis(20),
         };
         let retries = AtomicU64::new(0);
@@ -151,8 +148,6 @@ mod tests {
         let policy = SendPolicy {
             spin: 0,
             yields: 0,
-            park_initial: Duration::ZERO,
-            park_max: Duration::ZERO,
             deadline: Duration::ZERO,
         };
         let retries = AtomicU64::new(0);
