@@ -264,9 +264,8 @@ impl Routing {
         spare: &mut WireSpare,
     ) -> Result<LazyTuple, DecodeError> {
         match payload {
-            Payload::Shared(buf) | Payload::Slice(buf, _) => {
-                Ok(spare.anchor(Arc::clone(buf), view))
-            }
+            Payload::Shared(buf) => Ok(spare.anchor(Arc::clone(buf), view)),
+            Payload::Slice(slice) => Ok(spare.anchor(Arc::clone(slice.buffer()), view)),
             Payload::Copied(_) => view.to_tuple().map(LazyTuple::from_tuple),
         }
     }

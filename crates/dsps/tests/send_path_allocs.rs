@@ -25,7 +25,8 @@ use whale_dsps::{
     LiveConfig, LogConfig, Operators, RunOutcome, Schema, Spout, TopologyBuilder, Tuple, Value,
 };
 use whale_net::{
-    EndpointId, FabricKind, FabricPath, LiveFabric, LiveMessage, Payload, RingConfig, RingFabric,
+    EndpointId, FabricKind, FabricPath, LiveFabric, LiveMessage, OneSidedConfig, OneSidedFabric,
+    Payload, RingConfig, RingFabric,
 };
 
 thread_local! {
@@ -212,6 +213,41 @@ fn a_keyed_tuple_lent_to_the_ring_costs_only_the_tuples_own_block() {
         false,
     );
     assert_one_block_per_frame(&steady, 0, "keyed, lent to the ring");
+}
+
+#[test]
+fn a_warm_lent_one_sided_frame_costs_its_sender_no_heap_block() {
+    // The frame is written into its link's slice buffer; the outbox slot
+    // holds a descriptor.
+    let one_sided = FabricKind::OneSided(OneSidedConfig::default());
+    let steady = send_costs(Grouping::Fields(1), one_sided, 2, 1, false);
+    assert_one_block_per_frame(&steady, 0, "keyed, lent to a one-sided link");
+    // The reader's fetch pays for the run, not per frame: its one buffer
+    // and the thin handle the frames share.
+    let fabric = OneSidedFabric::new(OneSidedConfig::default());
+    let rx = fabric.register(EndpointId(1)).unwrap();
+    let frame = [7u8; 30];
+    let (mut publish, mut fetch) = (Vec::new(), Vec::new());
+    for _ in 0..TUPLES / 64 {
+        let before = blocks();
+        for _ in 0..64 {
+            fabric
+                .send_lent(EndpointId(0), EndpointId(1), &frame)
+                .unwrap();
+        }
+        publish.push(blocks() - before);
+        let before = blocks();
+        let mut got = 0;
+        while let Ok(msg) = rx.try_recv() {
+            assert!(matches!(msg.payload, Payload::Slice(..)));
+            got += 1;
+        }
+        fetch.push(blocks() - before);
+        assert_eq!(got, 64);
+    }
+    let (publish, fetch) = (&publish[WARMUP / 64..], &fetch[WARMUP / 64..]);
+    assert!(publish.iter().all(|&c| c == 0), "publish {publish:?}");
+    assert!(fetch.iter().all(|&c| c == 2), "fetch {fetch:?}");
 }
 
 #[test]

@@ -69,7 +69,8 @@ pub trait Policy: Send + Sync + Sized + 'static {
     /// Accept `msg` for `to`: deliver it, or buffer it for a pass.
     fn send(t: &Transport<Self>, to: EndpointId, msg: LiveMessage) -> Result<(), SendError>;
 
-    /// [`FabricPath::send_lent`]: by default one shared buffer per frame.
+    /// [`FabricPath::send_lent`]: by default one shared buffer per frame;
+    /// the buffered policies lend the bytes into a stream slice.
     fn send_lent(
         t: &Transport<Self>,
         from: EndpointId,
@@ -78,6 +79,13 @@ pub trait Policy: Send + Sync + Sized + 'static {
     ) -> Result<(), SendError> {
         let payload = Payload::Shared(Arc::from(bytes));
         Self::send(t, to, LiveMessage { from, payload })
+    }
+
+    /// What `state` has counted: frames accepted into its buffers, and
+    /// the batches and frames it flushed — each written under the lock
+    /// that guards the frames it counts, so with plain stores.
+    fn posts(_state: &Self::Endpoint) -> [u64; 3] {
+        [0; 3]
     }
 
     /// One pass over `to`'s buffered frames at `now` (time since the
@@ -100,7 +108,8 @@ pub trait Policy: Send + Sync + Sized + 'static {
 /// Outcome of a hand-off into a queue ([`Transport::deliver`]).
 pub(crate) enum Handoff {
     /// This many frames are in the queue and counted: all that were
-    /// ready, or what a bounded queue had room for.
+    /// ready, or what a bounded queue had room for (and the hand-off
+    /// took).
     Delivered(u64),
     /// The queue's entry left the table; nothing was taken.
     Closed,
@@ -114,10 +123,9 @@ pub(crate) enum Handoff {
 #[derive(Default)]
 struct Counters {
     retired: Tally,
+    /// [`Policy::posts`] of the endpoints that have left the table.
+    retired_posts: [AtomicU64; 3],
     send_errors: AtomicU64,
-    posted: AtomicU64,
-    flushed_batches: AtomicU64,
-    flushed_items: AtomicU64,
 }
 
 /// What a [`Transport`] handle, the passes of its buffered endpoints and
@@ -292,18 +300,6 @@ impl<P: Policy> Transport<P> {
         }
     }
 
-    /// Count a frame accepted into a ring or outbox.
-    pub(crate) fn note_posted(&self) {
-        self.core.counters.posted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one flushed batch of `n_items`.
-    pub(crate) fn note_batch(&self, n_items: usize) {
-        let c = &self.core.counters;
-        c.flushed_batches.fetch_add(1, Ordering::Relaxed);
-        c.flushed_items.fetch_add(n_items as u64, Ordering::Relaxed);
-    }
-
     /// `msg`, for `to`, is lost: count it as an error and, if it was
     /// buffered, take it off its link's queue gauge.
     fn lose(&self, to: EndpointId, msg: &LiveMessage, queued: bool) {
@@ -316,10 +312,11 @@ impl<P: Policy> Transport<P> {
 
     /// Hand `queue`, `to`'s, up to `ready` frames under its one lock:
     /// `take(n)` gives the oldest `n` of them, `n` being what the queue
-    /// has room for. The one place a frame leaves the transport's books,
-    /// delivered or lost (with `deregister`'s drops). `queued` says the
-    /// frames were buffered ([`Transport::note_queued`]) rather than
-    /// arriving straight from their sender.
+    /// has room for (or none, for a hand-off that is all or nothing). The
+    /// one place a frame leaves the transport's books, delivered or lost
+    /// (with `deregister`'s drops). `queued` says the frames were
+    /// buffered ([`Transport::note_queued`]) rather than arriving
+    /// straight from their sender.
     ///
     /// Counted under the lock, before the reader can take a frame, so a
     /// reader that has seen a delivery also sees it counted. A full queue
@@ -346,6 +343,7 @@ impl<P: Policy> Transport<P> {
         };
         let n = inflow.room().min(ready as u64) as usize;
         let tracker = self.core.tracker.get();
+        let mut pushed = 0;
         for msg in take(n) {
             if let Some(tracker) = tracker {
                 let (from, len) = (msg.from, msg.payload.len());
@@ -355,9 +353,10 @@ impl<P: Policy> Transport<P> {
                 tracker.on_delivered(from, to, len);
             }
             inflow.push(msg);
+            pushed += 1;
         }
         inflow.finish();
-        Handoff::Delivered(n as u64)
+        Handoff::Delivered(pushed)
     }
 }
 
@@ -379,9 +378,17 @@ impl<P: Policy> FabricPath for Transport<P> {
             return;
         };
         entry.queue.close();
-        let retired = self.core.counters.retired.counts();
-        for (total, count) in retired.into_iter().zip(entry.queue.tally.counts()) {
+        let counters = &self.core.counters;
+        for (total, count) in counters
+            .retired
+            .counts()
+            .into_iter()
+            .zip(entry.queue.tally.counts())
+        {
             total.fetch_add(count.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        for (total, count) in counters.retired_posts.iter().zip(P::posts(&entry.state)) {
+            total.fetch_add(count, Ordering::Relaxed);
         }
         drop(table);
         let mut dropped = 0;
@@ -433,11 +440,15 @@ impl<P: Policy> FabricPath for Transport<P> {
         // into the totals under the write lock.
         let table = self.entries();
         let mut tally = c.retired.counts().map(get);
+        let mut posts = c.retired_posts.each_ref().map(get);
         let mut queue_depth = 0;
         for entry in table.values() {
             let queue = &entry.queue;
             for (sum, count) in tally.iter_mut().zip(queue.tally.counts()) {
                 *sum += get(count);
+            }
+            for (sum, count) in posts.iter_mut().zip(P::posts(&entry.state)) {
+                *sum += count;
             }
             queue_depth += if P::BUFFERED {
                 queue.port.pending()
@@ -446,15 +457,16 @@ impl<P: Policy> FabricPath for Transport<P> {
             };
         }
         let [messages, copied_bytes, shared_bytes, doorbell_rings] = tally;
+        let [posted, flushed_batches, flushed_items] = posts;
         FabricStats {
             messages,
             copied_bytes,
             shared_bytes,
             send_errors: get(&c.send_errors),
-            posted: get(&c.posted),
+            posted,
             doorbell_rings,
-            flushed_batches: get(&c.flushed_batches),
-            flushed_items: get(&c.flushed_items),
+            flushed_batches,
+            flushed_items,
             queue_depth,
             endpoints: table.len(),
         }

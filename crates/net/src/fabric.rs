@@ -70,9 +70,44 @@ pub enum Payload {
     /// A shared reference to one serialized buffer (zero-copy fan-out).
     Shared(Arc<[u8]>),
     /// A frame lent into a stream slice ([`FabricPath::send_lent`]): its
-    /// bytes are `range` of the slice's one buffer, which every frame of
-    /// the slice shares. Counted as shared bytes.
-    Slice(Arc<[u8]>, Range<usize>),
+    /// range of the slice's one buffer, which every frame of the slice
+    /// shares. Counted as shared bytes.
+    Slice(SliceRef),
+}
+
+/// A frame's range of a stream slice's one buffer: a pointer and two
+/// 32-bit bounds, 16 bytes, so a [`LiveMessage`] stays 32 bytes whatever
+/// its payload.
+#[derive(Clone, Debug)]
+pub struct SliceRef {
+    /// The slice's buffer, behind a thin handle.
+    buf: Arc<Arc<[u8]>>,
+    start: u32,
+    len: u32,
+}
+
+impl SliceRef {
+    /// `range` of `buf`, if its bounds fit 32 bits.
+    pub(crate) fn new(buf: &Arc<Arc<[u8]>>, range: Range<usize>) -> Option<Self> {
+        let start = u32::try_from(range.start).ok()?;
+        let len = u32::try_from(range.len()).ok()?;
+        Some(SliceRef {
+            buf: Arc::clone(buf),
+            start,
+            len,
+        })
+    }
+
+    /// The slice's whole buffer, which the frame's bytes are part of.
+    pub fn buffer(&self) -> &Arc<[u8]> {
+        &self.buf
+    }
+
+    /// Where the frame's bytes lie in [`Self::buffer`].
+    pub fn range(&self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
 }
 
 impl Payload {
@@ -82,7 +117,7 @@ impl Payload {
         match self {
             Payload::Copied(v) => v,
             Payload::Shared(a) => a,
-            Payload::Slice(buf, range) => &buf[range.clone()],
+            Payload::Slice(slice) => &slice.buf[slice.range()],
         }
     }
 
@@ -242,9 +277,10 @@ pub trait FabricPath: Send + Sync {
     /// Delivered with RDMA semantics, counted as shared bytes like
     /// [`Self::send_shared`]. The default takes one shared buffer per
     /// frame, which is what `send_shared` of a fresh snapshot would do. The
-    /// ring transport overrides it: the bytes are written into the
-    /// destination's stream slice, and every frame of one flushed slice
-    /// arrives as a [`Payload::Slice`] of the slice's one buffer.
+    /// ring and one-sided transports override it: the bytes are written
+    /// into the destination's (or the link's) stream slice, and every frame
+    /// of one flushed slice or fetched run arrives as a [`Payload::Slice`]
+    /// of its one buffer.
     fn send_lent(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
         self.send_shared(from, to, Arc::from(bytes))
     }
@@ -272,4 +308,26 @@ pub trait FabricPath: Send + Sync {
     /// to a tracked inner transport would double-count every frame.
     /// Install once, before traffic: a second install keeps the first.
     fn install_link_tracker(&self, tracker: Arc<LinkTracker>);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every queue, ring and outbox holds frames by value: a slice's frame
+    /// costs them no more than a copied or shared one.
+    #[test]
+    fn a_frame_is_32_bytes_whatever_its_payload() {
+        assert!(std::mem::size_of::<SliceRef>() <= 16);
+        assert!(std::mem::size_of::<LiveMessage>() <= 32);
+    }
+
+    #[test]
+    fn a_slice_frame_reads_its_range_of_the_buffer() {
+        let buf: Arc<Arc<[u8]>> = Arc::new(Arc::from(&b"onethree"[..]));
+        let slice = SliceRef::new(&buf, 3..8).unwrap();
+        assert_eq!(Payload::Slice(slice.clone()).bytes(), b"three");
+        assert!(Arc::ptr_eq(slice.buffer(), &*buf));
+        assert!(SliceRef::new(&buf, 0..1 << 32).is_none());
+    }
 }

@@ -23,13 +23,14 @@ pub mod memory;
 pub mod one_sided;
 pub mod policy;
 pub mod ring_fabric;
+mod slice;
 pub mod topology;
 
 pub use batch::{Batch, BatchConfig, Batcher, FlushReason};
 pub use crate::core::{FabricKind, LiveFabric, Transport};
 pub use fabric::{
     EndpointId, FabricPath, FabricStats, IdHashMap, IdHashSet, IdHasher, LiveMessage, Payload,
-    RegisterError, SendError,
+    RegisterError, SendError, SliceRef,
 };
 pub use fault::{EndpointCrash, EndpointRestart, FaultFabric, FaultPlan, LinkFaults, Partition};
 pub use inbox::{Inbox, RecvError, RecvTimeoutError, TryRecvError};

@@ -8,6 +8,8 @@
 //! its accounting — slot reuse means registration is paid once, not per
 //! message.
 
+use std::collections::VecDeque;
+
 /// A registered memory region handle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MemoryRegionId(pub u64);
@@ -79,13 +81,18 @@ pub struct RingFull;
 /// remote `RDMA READ`) frees slots at the tail. A slot is never overwritten
 /// before it is consumed, and consumption is strictly sequential — the two
 /// invariants the paper relies on for destination nodes to locate data
-/// without extra control messages.
+/// without extra control messages. Sequence number `seq` lives in slot
+/// `seq % capacity`.
+///
+/// The whole region is registered once, at creation, but its slots are
+/// backed only as they are first used: the storage grows with the
+/// occupancy, up to the capacity, and a ring that never holds more than a
+/// few values never touches the rest.
 #[derive(Clone, Debug)]
 pub struct RingRegion<T> {
-    slots: Vec<Option<T>>,
-    head: usize,
-    tail: usize,
-    len: usize,
+    /// The readable window, oldest (`tail_seq`) first.
+    slots: VecDeque<T>,
+    capacity: usize,
     next_seq: u64,
     consumed: u64,
     /// Registration handle for the whole ring (paid once).
@@ -93,17 +100,16 @@ pub struct RingRegion<T> {
 }
 
 impl<T> RingRegion<T> {
-    /// Allocate a ring with `slots` slots, registering its backing space
-    /// once in `registry`. `slot_bytes` is the per-slot capacity used for
-    /// registration accounting.
+    /// A ring with `slots` slots, registering its backing space once in
+    /// `registry`. `slot_bytes` is the per-slot capacity used for
+    /// registration accounting. No slot storage is allocated until the
+    /// first produce.
     pub fn new(slots: usize, slot_bytes: usize, registry: &mut MemoryRegistry) -> Self {
         assert!(slots > 0, "ring needs at least one slot");
         let region = registry.register(slots * slot_bytes);
         RingRegion {
-            slots: (0..slots).map(|_| None).collect(),
-            head: 0,
-            tail: 0,
-            len: 0,
+            slots: VecDeque::new(),
+            capacity: slots,
             next_seq: 0,
             consumed: 0,
             region,
@@ -117,28 +123,39 @@ impl<T> RingRegion<T> {
 
     /// Number of occupied slots.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
     /// True if no slots are occupied.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slots.is_empty()
     }
 
     /// True if every slot is occupied.
     pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
+        self.len() == self.capacity
     }
 
     /// Total slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
+    }
+
+    /// Slots the ring holds storage for: 0 until the first produce, then
+    /// the most ever occupied at once, rounded up to the storage's growth
+    /// step.
+    pub fn backed_slots(&self) -> usize {
+        self.slots.capacity()
     }
 
     /// Total values consumed since creation (reuse = consumed beyond
     /// capacity implies slots were recycled).
     pub fn total_consumed(&self) -> u64 {
         self.consumed
+    }
+
+    fn index_of(&self, seq: u64) -> usize {
+        (seq % self.capacity as u64) as usize
     }
 
     /// Produce a value at the head. Fails if the ring is full (the caller
@@ -148,40 +165,45 @@ impl<T> RingRegion<T> {
         if self.is_full() {
             return Err(RingFull);
         }
-        let index = self.head;
-        debug_assert!(self.slots[index].is_none(), "overwriting unconsumed slot");
-        self.slots[index] = Some(value);
-        self.head = (self.head + 1) % self.slots.len();
-        self.len += 1;
         let seq = self.next_seq;
+        self.slots.push_back(value);
         self.next_seq += 1;
-        Ok(SlotAddr { index, seq })
+        Ok(SlotAddr {
+            index: self.index_of(seq),
+            seq,
+        })
     }
 
     /// Consume the oldest value (tail), freeing its slot for reuse.
     pub fn consume(&mut self) -> Option<(SlotAddr, T)> {
-        if self.is_empty() {
-            return None;
-        }
-        let index = self.tail;
-        let value = self.slots[index]
-            .take()
-            .expect("tail slot must be occupied");
-        self.tail = (self.tail + 1) % self.slots.len();
-        self.len -= 1;
+        let value = self.slots.pop_front()?;
         let seq = self.consumed;
         self.consumed += 1;
-        Some((SlotAddr { index, seq }, value))
+        Some((
+            SlotAddr {
+                index: self.index_of(seq),
+                seq,
+            },
+            value,
+        ))
+    }
+
+    /// The readable window's values, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter()
+    }
+
+    /// Consume the `n` oldest values (all of them, if fewer are held).
+    pub fn drain(&mut self, n: usize) -> impl Iterator<Item = T> + '_ {
+        let n = n.min(self.len());
+        self.consumed += n as u64;
+        self.slots.drain(..n)
     }
 
     /// Read the value at the tail without consuming (models a remote
     /// `RDMA READ` of the next message before acknowledging it).
     pub fn peek(&self) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            self.slots[self.tail].as_ref()
-        }
+        self.slots.front()
     }
 
     /// Sequence number of the oldest unconsumed value — the seq a remote
@@ -203,9 +225,10 @@ impl<T> RingRegion<T> {
         if seq < self.consumed || seq >= self.next_seq {
             return None;
         }
-        let offset = (seq - self.consumed) as usize;
-        let index = (self.tail + offset) % self.slots.len();
-        Some(SlotAddr { index, seq })
+        Some(SlotAddr {
+            index: self.index_of(seq),
+            seq,
+        })
     }
 
     /// Read the value holding sequence number `seq` without consuming —
@@ -213,8 +236,8 @@ impl<T> RingRegion<T> {
     /// addresses slots with. Returns `None` when `seq` is outside the
     /// readable window `tail_seq()..next_seq()`.
     pub fn peek_at(&self, seq: u64) -> Option<&T> {
-        let addr = self.addr_of(seq)?;
-        self.slots[addr.index].as_ref()
+        self.addr_of(seq)?;
+        self.slots.get((seq - self.consumed) as usize)
     }
 }
 
@@ -340,6 +363,47 @@ mod tests {
             r.consume().unwrap();
         }
         assert_eq!(r.tail_seq(), r.next_seq());
+    }
+
+    #[test]
+    fn a_fresh_ring_backs_no_slot_until_its_first_produce() {
+        let (mut r, reg) = ring(16 * 1024);
+        assert_eq!(reg.registered_bytes(), 16 * 1024 * 256, "registered whole");
+        assert_eq!(r.backed_slots(), 0);
+        r.produce(7).unwrap();
+        assert!(r.backed_slots() > 0);
+        assert_eq!(r.peek_at(0), Some(&7));
+    }
+
+    #[test]
+    fn backed_slots_are_bounded_by_the_high_water_occupancy() {
+        const HIGH_WATER: u32 = 37;
+        let (mut r, _) = ring(16 * 1024);
+        for _ in 0..100 {
+            for v in 0..HIGH_WATER {
+                r.produce(v).unwrap();
+            }
+            for v in 0..HIGH_WATER {
+                assert_eq!(r.consume().unwrap().1, v);
+            }
+        }
+        let backed = r.backed_slots();
+        let bound = (HIGH_WATER as usize).next_power_of_two();
+        assert!((HIGH_WATER as usize..=bound).contains(&backed), "{backed}");
+        assert_eq!(r.tail_seq(), 100 * HIGH_WATER as u64);
+    }
+
+    #[test]
+    fn a_full_lazily_backed_ring_still_refuses_at_capacity() {
+        let (mut r, _) = ring(1000);
+        for v in 0..1000 {
+            r.produce(v).unwrap();
+        }
+        assert_eq!(r.produce(1000), Err(RingFull));
+        assert!(r.backed_slots() <= 1024);
+        assert_eq!(r.addr_of(999).map(|a| a.index), Some(999));
+        r.consume().unwrap();
+        assert_eq!(r.produce(1000).map(|a| a.index), Ok(0), "slot 0 reused");
     }
 
     #[test]

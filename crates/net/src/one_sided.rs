@@ -24,7 +24,13 @@
 //!   `send_errors`;
 //! - per-link FIFO order holds end to end: the ring is consumed strictly
 //!   in sequence order, and a frame the (bounded) inbox cannot yet accept
-//!   stays at the front of its link's ring.
+//!   stays at the front of its link's ring;
+//! - a frame sent with [`FabricPath::send_lent`](crate::FabricPath::send_lent)
+//!   has no buffer of its own: the outbox slot holds its descriptor, its
+//!   bytes are appended to the link's slice buffer under the link's lock,
+//!   and a fetch pass freezes the lent bytes of the link's run into one
+//!   shared buffer, of which each such frame arrives as a
+//!   [`Payload::Slice`] — the whole run as one `RDMA READ` (§4).
 //!
 //! Only the policy lives here — what a publish and a fetch pass do. The
 //! endpoint table (a destination's links hang off its entry, so they go
@@ -35,6 +41,7 @@ use crate::core::{Entry, Handoff, Policy, Transport};
 use crate::fabric::{EndpointId, IdHashMap, LiveMessage, Payload, SendError};
 use crate::log::{LogConfig, PartitionLog};
 use crate::memory::{MemoryRegistry, RingRegion};
+use crate::slice::{Lent, Posted};
 use parking_lot::Mutex;
 use std::time::Duration;
 
@@ -65,12 +72,22 @@ impl Default for OneSidedConfig {
     }
 }
 
-/// One (sender → destination) link: the registered outbox ring.
+/// One (sender → destination) link: the registered outbox ring of
+/// descriptors, and the bytes its lent frames lent.
 pub struct LinkOutbox {
-    ring: RingRegion<LiveMessage>,
+    ring: RingRegion<Posted>,
+    lent: Lent,
     /// Durable history of every frame published on this link, present
     /// when [`OneSidedConfig::log`] is set.
     log: Option<PartitionLog>,
+}
+
+impl LinkOutbox {
+    /// The ring's `n` oldest frames, consumed ([`Lent::take`]).
+    fn fetch(&mut self, n: usize) -> impl Iterator<Item = LiveMessage> + '_ {
+        let lent = Posted::lent_in(self.ring.iter().take(n));
+        self.lent.take(lent, self.ring.drain(n))
+    }
 }
 
 /// A destination's inbound links, by sender.
@@ -98,38 +115,81 @@ impl OneSided {
             &mut self.registry.lock(),
         );
         let log = self.config.log.map(PartitionLog::new);
-        Mutex::new(LinkOutbox { ring, log })
+        Mutex::new(LinkOutbox {
+            ring,
+            lent: Lent::default(),
+            log,
+        })
     }
 
-    /// Publish `msg` into `link`, `entry`'s outbox from its sender, and
-    /// wake the reader; hand the frame back if the outbox is full.
+    /// Publish `posted` into `link`, `entry`'s outbox from its sender —
+    /// `lent` holds a lent descriptor's bytes — and wake the reader; hand
+    /// the descriptor back if the outbox is full.
     fn publish(
         t: &OneSidedFabric,
         to: EndpointId,
         entry: &Entry<Inbound>,
         link: &Mutex<LinkOutbox>,
-        msg: LiveMessage,
-    ) -> Result<(), LiveMessage> {
-        let (from, bytes) = (msg.from, msg.payload.len());
+        posted: Posted,
+        lent: &[u8],
+    ) -> Result<(), Posted> {
+        let (from, bytes) = (posted.from(), posted.len());
         let mut guard = link.lock();
         let link = &mut *guard;
         if link.ring.is_full() {
-            return Err(msg);
+            return Err(posted);
         }
         // Write-through: the durable copy is taken as part of the
         // publish, so every frame the ring ever held is in the log.
         if let Some(log) = link.log.as_mut() {
-            log.append(msg.payload.bytes());
+            log.append(match &posted {
+                Posted::Own(msg) => msg.payload.bytes(),
+                Posted::Lent { .. } => lent,
+            });
         }
-        link.ring.produce(msg).expect("checked for a free slot");
+        link.lent.push(lent);
+        link.ring.produce(posted).expect("checked for a free slot");
         // Published into the outbox: the frame occupies its link's queue
         // until a fetch pass pulls it across.
         t.note_queued(from, to, bytes);
         entry.queue.port.accept();
         drop(guard);
         entry.queue.wake_reader();
-        t.note_posted();
         Ok(())
+    }
+
+    /// Publish `posted` into its sender's outbox to `to`. A link's first
+    /// frame creates it under the table's write lock, so a `deregister`
+    /// racing the publish either still sees the destination or took it
+    /// with it.
+    fn publish_to(
+        t: &OneSidedFabric,
+        to: EndpointId,
+        posted: Posted,
+        lent: &[u8],
+    ) -> Result<(), SendError> {
+        let from = posted.from();
+        let publish = |entry: &Entry<Inbound>, link: &Mutex<LinkOutbox>, posted| {
+            t.post_or_pass(to, entry, posted, |posted| {
+                Self::publish(t, to, entry, link, posted, lent)
+            })
+        };
+        let published = t.with_entry(to, |entry| match entry.state.get(&from) {
+            Some(link) => Ok(publish(entry, link, posted)),
+            None => Err(posted),
+        });
+        let sent = match published {
+            Some(Ok(sent)) => Some(sent),
+            Some(Err(posted)) => t.with_entry_mut(to, |entry| {
+                let fresh = || t.policy().new_link();
+                entry.state.entry(from).or_insert_with(fresh);
+                let entry = &*entry;
+                publish(entry, &entry.state[&from], posted)
+            }),
+            None => None,
+        };
+        sent.unwrap_or(Err(SendError::UnknownEndpoint))
+            .map_err(|err| t.reject(err))
     }
 }
 
@@ -147,41 +207,35 @@ impl Policy for OneSided {
         for link in links.into_values() {
             let mut link = link.into_inner();
             self.registry.lock().deregister(link.ring.region());
-            while let Some((_, msg)) = link.ring.consume() {
-                dropped(msg);
-            }
+            link.fetch(link.ring.len()).for_each(&mut *dropped);
         }
     }
 
-    /// Publish a frame into the `from → to` outbox. A link's first frame
-    /// creates it under the table's write lock, so a `deregister` racing
-    /// the publish either still sees the destination or took it with it.
     fn send(t: &OneSidedFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        let from = msg.from;
-        let publish = |entry: &Entry<Inbound>, link: &Mutex<LinkOutbox>, msg| {
-            t.post_or_pass(to, entry, msg, |msg| Self::publish(t, to, entry, link, msg))
-        };
-        let published = t.with_entry(to, |entry| match entry.state.get(&from) {
-            Some(link) => Ok(publish(entry, link, msg)),
-            None => Err(msg),
-        });
-        let sent = match published {
-            Some(Ok(sent)) => Some(sent),
-            Some(Err(msg)) => t.with_entry_mut(to, |entry| {
-                let fresh = || t.policy().new_link();
-                entry.state.entry(from).or_insert_with(fresh);
-                let entry = &*entry;
-                publish(entry, &entry.state[&from], msg)
-            }),
-            None => None,
-        };
-        sent.unwrap_or(Err(SendError::UnknownEndpoint))
-            .map_err(|err| t.reject(err))
+        Self::publish_to(t, to, Posted::Own(msg), &[])
     }
 
-    /// Fetch every inbound link of `to`: read each tail slot (addressed by
-    /// seq), consume it, and hand the link's run to the inbox in one push.
-    /// A full bounded inbox stops a link — its frames stay in the ring,
+    /// The bytes go into the link's slice buffer under the link's lock:
+    /// no buffer of their own.
+    fn send_lent(
+        t: &OneSidedFabric,
+        from: EndpointId,
+        to: EndpointId,
+        bytes: &[u8],
+    ) -> Result<(), SendError> {
+        let len = bytes.len();
+        Self::publish_to(t, to, Posted::Lent { from, len }, bytes)
+    }
+
+    /// Frames published on each link, which its ring numbers.
+    fn posts(links: &Inbound) -> [u64; 3] {
+        let posted = links.values().map(|link| link.lock().ring.next_seq());
+        [posted.sum(), 0, 0]
+    }
+
+    /// Fetch every inbound link of `to`: read its run from the tail slot
+    /// (addressed by seq) on, consume it, and hand it to the inbox in one
+    /// push. A full bounded inbox stops a link — its frames stay in the ring,
     /// the ring backs up, and publishes eventually see
     /// [`SendError::Full`].
     fn pass(
@@ -201,9 +255,7 @@ impl Policy for OneSided {
             // The remote reader locates the next frame by sequence number
             // alone — no control message (§4): the tail slot holds
             // `tail_seq`.
-            let ring = &mut link.ring;
-            let fetch = move |n| (0..n).map_while(move |_| ring.consume().map(|(_, msg)| msg));
-            match t.deliver(&entry.queue, to, ready, true, fetch) {
+            match t.deliver(&entry.queue, to, ready, true, |n| link.fetch(n)) {
                 Handoff::Delivered(n) => (delivered, settled) = (delivered + n, settled + n),
                 Handoff::Disconnected => settled += ready as u64,
                 Handoff::Closed => {}
@@ -231,7 +283,10 @@ impl OneSidedFabric {
     /// one-sided reads of the sender's log: the reads are counted on the
     /// log ([`PartitionLog::reads_posted`]), and nothing is appended or
     /// published on the sender's side. Returns the number of frames
-    /// delivered. Fails with [`SendError::UnknownEndpoint`] if the
+    /// delivered. All or nothing: a reader whose inbox has no room for
+    /// the whole run gets none of it and the backfill fails with
+    /// [`SendError::Full`], so a retry from the same `seq` delivers each
+    /// frame once. Fails with [`SendError::UnknownEndpoint`] if the
     /// reader is not registered, the link has never carried a frame, or
     /// the fabric runs without a log.
     pub fn backfill(
@@ -250,10 +305,10 @@ impl OneSidedFabric {
         };
         let backfilled = self.with_entry(reader, |entry| {
             // Backfill READs land synchronously in the reader's inbox, as
-            // one run.
+            // one run, if it has room for all of it.
             let ready = read.records.len();
             let frames = |n| {
-                let records = read.records.into_iter().take(n);
+                let records = read.records.into_iter().filter(move |_| n == ready);
                 records.map(|(_seq, bytes)| LiveMessage {
                     from,
                     payload: Payload::Copied(bytes),
@@ -503,6 +558,40 @@ mod tests {
         assert!(stats.posted <= stats.messages + stats.send_errors);
     }
 
+    /// As above, with lent frames: bytes lent into a link's slice buffer
+    /// go with the link, as dropped frames, whatever the interleaving.
+    #[test]
+    fn lent_publishes_racing_deregister_leave_no_bytes_behind() {
+        let fabric = Arc::new(OneSidedFabric::new(cfg(4)));
+        let done = Arc::new(AtomicBool::new(false));
+        let publisher = {
+            let (fabric, done) = (Arc::clone(&fabric), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    match fabric.send_lent(EndpointId(0), EndpointId(1), b"lent frame") {
+                        Ok(()) | Err(SendError::UnknownEndpoint | SendError::Full) => {}
+                        Err(e) => panic!("unexpected send error: {e}"),
+                    }
+                }
+            })
+        };
+        for _ in 0..1_000 {
+            let rx = fabric.register(EndpointId(1)).unwrap();
+            std::thread::yield_now();
+            while let Ok(msg) = rx.try_recv() {
+                assert_eq!(msg.payload.bytes(), b"lent frame");
+            }
+            fabric.deregister(EndpointId(1));
+            assert_eq!((fabric.link_count(), live_registrations(&fabric)), (0, 0));
+        }
+        done.store(true, Ordering::SeqCst);
+        publisher.join().unwrap();
+        let stats = fabric.stats();
+        assert_eq!(stats.queue_depth, 0);
+        assert_eq!(stats.shared_bytes, stats.messages * 10);
+        assert!(stats.posted <= stats.messages + stats.send_errors);
+    }
+
     #[test]
     fn per_link_fifo_holds_across_wraparound() {
         let fabric = OneSidedFabric::new(cfg(4));
@@ -622,6 +711,95 @@ mod tests {
             appended_before
         );
         assert_eq!(fabric.stats().posted, 20);
+    }
+
+    #[test]
+    fn a_backfill_into_a_reader_without_room_for_it_delivers_nothing() {
+        let fabric = OneSidedFabric::new(logged_config());
+        let _rx = fabric.register(EndpointId(1)).unwrap();
+        for i in 0..6u64 {
+            fabric
+                .send_copied(EndpointId(0), EndpointId(1), &i.to_le_bytes())
+                .unwrap();
+        }
+        fabric.fetch_all();
+        let late = fabric.register_bounded(EndpointId(9), 2).unwrap();
+        let backfill = || fabric.backfill(EndpointId(0), EndpointId(1), EndpointId(9), 0);
+        assert_eq!(backfill(), Err(SendError::Full));
+        assert!(late.try_recv().is_err(), "nothing of the run delivered");
+        assert_eq!(fabric.stats().send_errors, 1);
+        // Room for the whole run: a retry from the same seq delivers each
+        // frame once.
+        let late = {
+            drop(late);
+            fabric.deregister(EndpointId(9));
+            fabric.register_bounded(EndpointId(9), 6).unwrap()
+        };
+        assert_eq!(backfill(), Ok(6));
+        let got = drain(&late);
+        let expected: Vec<Vec<u8>> = (0..6u64).map(|i| i.to_le_bytes().to_vec()).collect();
+        assert_eq!(got, expected);
+        assert_eq!(fabric.stats().messages, 12);
+    }
+
+    #[test]
+    fn lent_frames_of_a_fetched_run_share_one_buffer() {
+        let fabric = OneSidedFabric::new(cfg(16));
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        let shared: Arc<[u8]> = Arc::from(&b"shared"[..]);
+        fabric
+            .send_lent(EndpointId(0), EndpointId(1), b"one")
+            .unwrap();
+        fabric
+            .send_shared(EndpointId(0), EndpointId(1), Arc::clone(&shared))
+            .unwrap();
+        fabric
+            .send_lent(EndpointId(0), EndpointId(1), b"three")
+            .unwrap();
+        fabric
+            .send_lent(EndpointId(2), EndpointId(1), b"other link")
+            .unwrap();
+        assert_eq!(fabric.fetch_all(), 4);
+        let got: Vec<LiveMessage> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        let mut bufs = Vec::new();
+        for msg in &got {
+            match &msg.payload {
+                Payload::Slice(slice) => bufs.push((msg.from, slice.buffer().clone())),
+                Payload::Shared(buf) => assert!(Arc::ptr_eq(buf, &shared)),
+                Payload::Copied(_) => panic!("a lent frame was copied"),
+            }
+        }
+        let [(a, one), (b, three), (c, other)] = &bufs[..] else {
+            panic!("{got:?}");
+        };
+        assert_eq!((*a, *b, *c), (EndpointId(0), EndpointId(0), EndpointId(2)));
+        assert!(Arc::ptr_eq(one, three), "one buffer per link's run");
+        assert_eq!(
+            (&one[..], &other[..]),
+            (&b"onethree"[..], &b"other link"[..])
+        );
+        let stats = fabric.stats();
+        assert_eq!((stats.posted, stats.messages), (4, 4));
+        assert_eq!(stats.shared_bytes, 3 + 6 + 5 + 10);
+    }
+
+    #[test]
+    fn a_lent_frame_is_logged_and_backfilled_like_any_other() {
+        let fabric = OneSidedFabric::new(logged_config());
+        let _rx = fabric.register(EndpointId(1)).unwrap();
+        fabric
+            .send_lent(EndpointId(0), EndpointId(1), b"lent")
+            .unwrap();
+        fabric
+            .send_copied(EndpointId(0), EndpointId(1), b"copied")
+            .unwrap();
+        fabric.fetch_all();
+        let late = fabric.register(EndpointId(9)).unwrap();
+        assert_eq!(
+            fabric.backfill(EndpointId(0), EndpointId(1), EndpointId(9), 0),
+            Ok(2)
+        );
+        assert_eq!(drain(&late), [b"lent".to_vec(), b"copied".to_vec()]);
     }
 
     #[test]

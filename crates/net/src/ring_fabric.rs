@@ -24,18 +24,19 @@
 //!   has no buffer of its own: its bytes are appended to the endpoint's
 //!   slice buffer under the ring's lock, the pass freezes the lent bytes
 //!   of a slice into one shared buffer, and each such frame arrives as a
-//!   [`Payload::Slice`] of it — the slice as one work request (§4).
+//!   [`Payload::Slice`](crate::Payload::Slice) of it — the slice as one
+//!   work request (§4).
 //!
 //! Only the policy lives here — what a post and a pass do. The endpoint
 //! table, counters, link attribution and the reader's side are
 //! [`crate::core`]'s.
 
-use crate::batch::{Batch, BatchConfig, Batcher};
+use crate::batch::{BatchConfig, Batcher};
 use crate::core::{Entry, Handoff, Policy, Transport};
-use crate::fabric::{EndpointId, LiveMessage, Payload, SendError};
+use crate::fabric::{EndpointId, LiveMessage, SendError};
+use crate::slice::{Lent, Posted};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of the ring transport.
@@ -58,33 +59,11 @@ impl Default for RingConfig {
     }
 }
 
-/// A posted descriptor: a frame that brought its own payload, or one
-/// whose sender lent its `len` bytes into the endpoint's slice buffer.
-enum Posted {
-    Own(LiveMessage),
-    Lent { from: EndpointId, len: usize },
-}
-
-impl Posted {
-    fn len(&self) -> usize {
-        match self {
-            Posted::Own(msg) => msg.payload.len(),
-            Posted::Lent { len, .. } => *len,
-        }
-    }
-
-    /// Bytes this descriptor holds in the slice buffer.
-    fn lent(&self) -> usize {
-        match self {
-            Posted::Own(_) => 0,
-            Posted::Lent { len, .. } => *len,
-        }
-    }
-}
-
 /// One endpoint's send state: the descriptor ring, the MMS/WTL state of
 /// the slice it is filling, and the bytes lent into that slice.
 pub struct EndpointRing {
+    /// Descriptors ever accepted into the ring.
+    posted: u64,
     /// Posted descriptors not yet handed to the inbox, oldest first:
     /// `[..flushed]` were flushed (a bounded inbox had no room for them
     /// yet), `[flushed..offered]` make up the open slice, and the rest
@@ -94,10 +73,11 @@ pub struct EndpointRing {
     offered: usize,
     /// Payload bytes posted since the last pass.
     ring_bytes: usize,
-    /// MMS/WTL over the open slice: it counts and times, and holds nothing.
+    /// MMS/WTL over the open slice: it counts (the flushed slices too) and
+    /// times, and holds nothing.
     batcher: Batcher<()>,
     /// The bytes of every lent descriptor in `ring`, in ring order.
-    lent: Vec<u8>,
+    lent: Lent,
 }
 
 impl EndpointRing {
@@ -112,32 +92,13 @@ impl EndpointRing {
         }
     }
 
-    /// The open slice was flushed.
-    fn close_slice(&mut self, t: &RingFabric, batch: Batch<()>) {
-        t.note_batch(batch.items.len());
-        self.flushed = self.offered;
-    }
-
-    /// The ring's first `k` descriptors as frames, oldest first: the
-    /// bytes they lent are frozen into one buffer, of which each lent
-    /// frame gets its range.
+    /// The ring's first `k` descriptors as frames, oldest first
+    /// ([`Lent::take`]).
     fn take(&mut self, k: usize) -> impl Iterator<Item = LiveMessage> + '_ {
-        let lent: usize = self.ring.iter().take(k).map(Posted::lent).sum();
-        let slice: Option<Arc<[u8]>> = (lent > 0).then(|| Arc::from(&self.lent[..lent]));
-        self.lent.drain(..lent);
         self.flushed -= k;
         self.offered -= k;
-        let mut at = 0;
-        let frame = move |posted| match posted {
-            Posted::Own(msg) => msg,
-            Posted::Lent { from, len } => {
-                let buf = Arc::clone(slice.as_ref().expect("lent bytes were frozen"));
-                at += len;
-                let payload = Payload::Slice(buf, at - len..at);
-                LiveMessage { from, payload }
-            }
-        };
-        self.ring.drain(..k).map(frame)
+        let lent = Posted::lent_in(self.ring.iter().take(k));
+        self.lent.take(lent, self.ring.drain(..k))
     }
 }
 
@@ -173,18 +134,15 @@ impl Ring {
         if pending >= config.ring_capacity as u64 {
             return Err(posted);
         }
-        let from = match &posted {
-            Posted::Own(msg) => msg.from,
-            Posted::Lent { from, .. } => *from,
-        };
         let bytes = posted.len();
         // Accepted into the ring: the frame now occupies its link's queue
         // until a pass delivers (or drops) it.
-        t.note_queued(from, to, bytes);
+        t.note_queued(posted.from(), to, bytes);
         let buffered = ep.batcher.buffered_bytes() + ep.ring_bytes;
         ep.ring_bytes += bytes;
-        ep.lent.extend_from_slice(lent);
+        ep.lent.push(lent);
         ep.ring.push_back(posted);
+        ep.posted += 1;
         entry.queue.port.accept();
         let mms = config.batch.mms;
         let wake = pending == 0 || (buffered < mms && buffered + bytes >= mms);
@@ -192,7 +150,6 @@ impl Ring {
         if wake {
             entry.queue.wake_reader();
         }
-        t.note_posted();
         Ok(())
     }
 
@@ -220,12 +177,13 @@ impl Policy for Ring {
 
     fn open(&self, _id: EndpointId) -> Mutex<EndpointRing> {
         Mutex::new(EndpointRing {
+            posted: 0,
             ring: VecDeque::new(),
             flushed: 0,
             offered: 0,
             ring_bytes: 0,
             batcher: Batcher::new(self.config.batch),
-            lent: Vec::new(),
+            lent: Lent::default(),
         })
     }
 
@@ -238,6 +196,16 @@ impl Policy for Ring {
 
     fn send(t: &RingFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
         Ring::post_to(t, to, Posted::Own(msg), &[])
+    }
+
+    fn posts(slot: &Mutex<EndpointRing>) -> [u64; 3] {
+        let ep = slot.lock();
+        let batcher = &ep.batcher;
+        [
+            ep.posted,
+            batcher.flushed_batches(),
+            batcher.flushed_items(),
+        ]
     }
 
     /// The bytes go into `to`'s slice buffer under the ring's lock: no
@@ -271,8 +239,9 @@ impl Policy for Ring {
         while ep.offered < ep.ring.len() {
             let bytes = ep.ring[ep.offered].len();
             ep.offered += 1;
-            if let Some(batch) = ep.batcher.offer(now, (), bytes) {
-                ep.close_slice(t, batch);
+            // A flush closes the open slice.
+            if ep.batcher.offer(now, (), bytes).is_some() {
+                ep.flushed = ep.offered;
             }
         }
         let due = if force {
@@ -280,8 +249,8 @@ impl Policy for Ring {
         } else {
             ep.batcher.on_timer(now)
         };
-        if let Some(batch) = due {
-            ep.close_slice(t, batch);
+        if due.is_some() {
+            ep.flushed = ep.offered;
         }
         if ep.flushed == 0 {
             return (0, ep.next_due());
@@ -330,7 +299,8 @@ impl RingFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::FabricPath;
+    use crate::fabric::{FabricPath, Payload};
+    use std::sync::Arc;
     use std::time::Instant;
 
     fn cfg(ring_capacity: usize, mms: usize, wtl_ms: u64) -> RingConfig {
@@ -447,9 +417,11 @@ mod tests {
         let bytes: Vec<&[u8]> = got.iter().map(|m| m.payload.bytes()).collect();
         assert_eq!(bytes, [&b"one"[..], b"shared", b"three"]);
         match [&got[0].payload, &got[1].payload, &got[2].payload] {
-            [Payload::Slice(a, first), Payload::Shared(b), Payload::Slice(c, last)] => {
+            [Payload::Slice(first), Payload::Shared(b), Payload::Slice(last)] => {
+                let (a, c) = (first.buffer(), last.buffer());
                 assert!(Arc::ptr_eq(a, c), "one buffer per slice");
-                assert_eq!((&a[..], first, last), (&b"onethree"[..], &(0..3), &(3..8)));
+                let ranges = (first.range(), last.range());
+                assert_eq!((&a[..], ranges), (&b"onethree"[..], (0..3, 3..8)));
                 assert!(Arc::ptr_eq(b, &shared), "a shared frame keeps its buffer");
             }
             other => panic!("{other:?}"),

@@ -556,6 +556,80 @@ fn a_bounded_inbox_fed_by_slices_holds_at_most_its_capacity_in_frames() {
 }
 
 #[test]
+fn lent_frames_of_one_fetched_run_share_one_buffer_in_link_order_across_wraparound() {
+    const SLOTS: usize = 4;
+    const SENDERS: u32 = 2;
+    const PER_ROUND: u32 = 3;
+    const ROUNDS: u32 = 10;
+    let ring = RingConfig {
+        ring_capacity: SLOTS * SENDERS as usize,
+        ..RingConfig::default()
+    };
+    let one_sided = OneSidedConfig {
+        ring_slots: SLOTS,
+        log: None,
+    };
+    for (name, kind, faulted) in variants_with(ring, one_sided) {
+        let fabric = built(kind, faulted);
+        let to = EndpointId(1);
+        let rx = fabric.register(to).unwrap();
+        let (mut frames, mut bytes) = (0u64, 0u64);
+        let mut next = [0u32; SENDERS as usize];
+        // Three frames a link per round through four-slot outboxes: every
+        // round but the first wraps around some link's ring.
+        for round in 0..ROUNDS {
+            let mut sent: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS as usize];
+            for seq in round * PER_ROUND..(round + 1) * PER_ROUND {
+                for s in 0..SENDERS {
+                    let frame = numbered(s, seq);
+                    fabric.send_lent(EndpointId(10 + s), to, &frame).unwrap();
+                    frames += 1;
+                    bytes += frame.len() as u64;
+                    sent[s as usize].push(frame);
+                }
+            }
+            fabric.flush();
+            let mut buffers: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); SENDERS as usize];
+            while let Ok(msg) = rx.try_recv() {
+                let got = msg.payload.bytes();
+                let s = sender_of(got);
+                let seq = u32::from_le_bytes(got[4..8].try_into().unwrap());
+                assert_eq!(seq, next[s], "{name}: link {s} out of order");
+                next[s] += 1;
+                match &msg.payload {
+                    Payload::Slice(slice) => buffers[s].push(Arc::clone(slice.buffer())),
+                    // Lent frames a transport does not slice (per-send,
+                    // the decorator) get a buffer each.
+                    Payload::Shared(_) => assert!(name != "one_sided", "{name}: not sliced"),
+                    Payload::Copied(_) => panic!("{name}: a lent frame was copied"),
+                }
+            }
+            for (s, bufs) in buffers.iter().enumerate() {
+                if let Some(first) = bufs.first() {
+                    assert_eq!(bufs.len(), PER_ROUND as usize, "{name}: round {round}");
+                    assert!(
+                        bufs.iter().all(|b| Arc::ptr_eq(b, first)),
+                        "{name}: link {s}'s run in one buffer"
+                    );
+                    if name == "one_sided" {
+                        let run = sent[s].concat();
+                        assert_eq!(&first[..], &run[..], "{name}: the buffer is the run");
+                    }
+                }
+            }
+        }
+        assert_eq!(next, [ROUNDS * PER_ROUND; SENDERS as usize], "{name}");
+        let stats = fabric.stats();
+        assert_eq!(
+            (stats.messages, stats.shared_bytes),
+            (frames, bytes),
+            "{name}"
+        );
+        assert_eq!((stats.send_errors, stats.queue_depth), (0, 0), "{name}");
+    }
+}
+
+#[test]
 fn a_sender_holding_a_handle_sees_deregister_and_the_new_inbox() {
     for (name, kind, faulted) in variants() {
         let fabric = built(kind, faulted);
