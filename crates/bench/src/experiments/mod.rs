@@ -18,10 +18,8 @@ pub mod fig25_28_communication;
 pub mod fig29_32_verbs;
 pub mod fig33_34_racks;
 pub mod live_adaptive;
-pub mod live_chaos;
 pub mod live_lazy_decode;
 pub mod live_one_sided;
-pub mod live_recovery;
 pub mod live_ring;
 pub mod live_shards;
 pub mod live_topology;
@@ -235,13 +233,6 @@ pub const REGISTRY: &[Experiment] = &[
         run: live_zero_copy::run_experiment,
     },
     Experiment {
-        id: "E21",
-        name: "chaos",
-        title: "Live chaos: at-least-once delivery under injected drops and crashes",
-        headline: Some("BENCH_chaos.json"),
-        run: live_chaos::run_experiment,
-    },
-    Experiment {
         id: "E22",
         name: "adaptive",
         title: "Live adaptive: runtime tree switching + zero-copy relay forwarding",
@@ -268,13 +259,6 @@ pub const REGISTRY: &[Experiment] = &[
         title: "Lazy decode: borrowed tuple views over the wire buffer",
         headline: Some("BENCH_lazy_decode.json"),
         run: live_lazy_decode::run_experiment,
-    },
-    Experiment {
-        id: "E26",
-        name: "recovery",
-        title: "Live recovery: crash replay and late-subscriber backfill from the partition log",
-        headline: Some("BENCH_recovery.json"),
-        run: live_recovery::run_experiment,
     },
     Experiment {
         id: "E27",
@@ -358,10 +342,9 @@ mod tests {
         };
         // Rows of the table, and keys the headline must carry beyond the
         // ones `check` requires.
-        let shape: [(&str, usize, &[&str]); 9] = [
+        let shape: [(&str, usize, &[&str]); 7] = [
             ("ring", 4, &[]),
             ("zero_copy", 21, &["fanout_8", "best", "min_pool_hit_rate"]),
-            ("chaos", 14, &["cells", "max_drop_pct", "silent_lost_total"]),
             (
                 "adaptive",
                 25,
@@ -378,7 +361,6 @@ mod tests {
                 4,
                 &["key_touch_speedup_16kib", "acceptance_cells"],
             ),
-            ("recovery", 7, &["silent_lost_total", "acceptance_cells"]),
             (
                 "topology",
                 27,

@@ -179,9 +179,9 @@ pub enum BuildError {
     /// a cluster: no machines, a rack count outside `1..=machines`, or a
     /// rack map of the wrong length or naming a rack that does not exist.
     BadCluster(String),
-    /// The [`LiveConfig::fabric`] transport, or a partition log behind
-    /// it, cannot be built (a ring or outbox with no slots, a log with no
-    /// segments or segments too small for one record header).
+    /// The [`LiveConfig::fabric`] transport, or the [`LiveConfig::log`]
+    /// partition logs, cannot be built (a ring or outbox with no slots, a
+    /// log with no segments or segments too small for one record header).
     BadTransport(String),
     /// The controller's sampling interval ([`AdaptiveConfig::interval`])
     /// is zero: its thread would spin.
@@ -303,7 +303,7 @@ impl LiveConfig {
     /// What the transports' and [`whale_net::PartitionLog`]'s constructors
     /// would panic on.
     fn validate_transport(&self) -> Result<(), String> {
-        let outbox_log = match self.fabric {
+        match self.fabric {
             FabricKind::Ring(ring) if ring.ring_capacity == 0 => {
                 return Err("RingConfig::ring_capacity must be positive".into());
             }
@@ -316,10 +316,9 @@ impl LiveConfig {
             FabricKind::OneSided(one_sided) if one_sided.ring_slots == 0 => {
                 return Err("OneSidedConfig::ring_slots must be positive".into());
             }
-            FabricKind::OneSided(one_sided) => one_sided.log,
-            FabricKind::PerSend | FabricKind::Ring(_) => None,
-        };
-        for log in [self.log, outbox_log].into_iter().flatten() {
+            _ => {}
+        }
+        if let Some(log) = self.log {
             if log.segment_bytes <= whale_net::RECORD_HEADER {
                 return Err("LogConfig::segment_bytes must exceed one record header".into());
             }
@@ -474,20 +473,17 @@ mod tests {
             },
             ..Default::default()
         };
-        let no_slots = whale_net::OneSidedConfig {
-            ring_slots: 0,
-            ..Default::default()
-        };
+        let no_slots = whale_net::OneSidedConfig { ring_slots: 0 };
         let no_segments = LogConfig {
             max_segments: 0,
             ..LogConfig::default()
         };
-        let logged_outbox = whale_net::OneSidedConfig {
+        let small_segments = LiveConfig {
             log: Some(LogConfig {
                 segment_bytes: whale_net::RECORD_HEADER,
                 ..LogConfig::default()
             }),
-            ..Default::default()
+            ..LiveConfig::default()
         };
         let logged = LiveConfig {
             log: Some(no_segments),
@@ -537,11 +533,7 @@ mod tests {
                 transport,
             ),
             ("max_segments: 0", logged, transport),
-            (
-                "segment too small",
-                fabric(FabricKind::OneSided(logged_outbox)),
-                transport,
-            ),
+            ("segment too small", small_segments, transport),
             (
                 "log + relay",
                 logged_relay,

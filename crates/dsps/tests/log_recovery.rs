@@ -3,8 +3,11 @@
 //! enabled must deliver the emitted set exactly once per sink instance —
 //! the crashed endpoint's slice is replayed from the log after the
 //! restart (never from the acker's replay budget), root-id dedup absorbs
-//! the overlap, and nothing is silently lost — across the per-send,
-//! ring, and one-sided transports at 1 and 4 pipeline shards.
+//! the overlap, nothing is silently lost, and the acker's watermark has
+//! reclaimed every log byte by the report — across the per-send, ring,
+//! and one-sided transports at 1 and 4 pipeline shards. Beside it, one
+//! fixed outage that certainly rejects sends, run with the log (which
+//! alone heals it) and without (where the acker's replay budget does).
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -28,21 +31,36 @@ fn fabric_kinds() -> Vec<(&'static str, FabricKind)> {
         ("ring", FabricKind::Ring(RingConfig::default())),
         (
             "one_sided",
-            FabricKind::OneSided(OneSidedConfig {
-                ring_slots: 64,
-                ..OneSidedConfig::default()
-            }),
+            FabricKind::OneSided(OneSidedConfig { ring_slots: 64 }),
         ),
     ]
 }
 
-/// Run one tracked, logged topology with a crash-then-restart plan and
-/// return `(report, per-value execution counts unioned over sinks)`.
-fn run_recovery(
-    kind: FabricKind,
-    shards: u32,
-    plan: FaultPlan,
-) -> (whale_dsps::RunReport, HashMap<i64, u64>) {
+/// The tracked, logged run the property makes over `kind` at `shards`
+/// pipelines per worker, under a crash-then-restart `plan`.
+fn recovery_config(kind: FabricKind, shards: u32, plan: FaultPlan) -> LiveConfig {
+    LiveConfig {
+        machines: 3,
+        shards,
+        fabric: kind,
+        ack: Some(AckConfig {
+            // Long timeout: recovery must come from the log replay,
+            // not from acker-timeout replays racing it.
+            timeout: Duration::from_secs(10),
+            max_replays: 3,
+            drain_deadline: Duration::from_secs(30),
+            eos_redundancy: 4,
+        }),
+        fault: Some(plan),
+        log: Some(LogConfig::default()),
+        run_deadline: Some(Duration::from_secs(20)),
+        ..LiveConfig::default()
+    }
+}
+
+/// Run one tracked topology under `config` and return `(report,
+/// per-value execution counts unioned over sinks)`.
+fn run_recovery(config: LiveConfig) -> (whale_dsps::RunReport, HashMap<i64, u64>) {
     let mut b = TopologyBuilder::new();
     b.spout("src", 1, Schema::new(vec!["n"]))
         .bolt("sink", FANOUT, Schema::new(vec!["n"]))
@@ -66,27 +84,7 @@ fn run_recovery(
             }))
         });
 
-    let report = run_topology(
-        t,
-        ops,
-        LiveConfig {
-            machines: 3,
-            shards,
-            fabric: kind,
-            ack: Some(AckConfig {
-                // Long timeout: recovery must come from the log replay,
-                // not from acker-timeout replays racing it.
-                timeout: Duration::from_secs(10),
-                max_replays: 3,
-                drain_deadline: Duration::from_secs(30),
-                eos_redundancy: 4,
-            }),
-            fault: Some(plan),
-            log: Some(LogConfig::default()),
-            run_deadline: Some(Duration::from_secs(20)),
-            ..LiveConfig::default()
-        },
-    );
+    let report = run_topology(t, ops, config);
     let counts = std::mem::take(&mut *seen.lock().unwrap());
     (report, counts)
 }
@@ -117,7 +115,7 @@ proptest! {
                     restarts: vec![EndpointRestart { endpoint, at_frame: crash_at + gap }],
                     ..FaultPlan::default()
                 };
-                let (r, counts) = run_recovery(kind, shards, plan);
+                let (r, counts) = run_recovery(recovery_config(kind, shards, plan));
 
                 prop_assert_eq!(r.spout_emitted, TUPLES as u64, "{}/{}", label, shards);
                 prop_assert_eq!(
@@ -137,6 +135,10 @@ proptest! {
                 prop_assert!(
                     r.log_appended_records > 0,
                     "{}/{}: sends must write through the log", label, shards
+                );
+                prop_assert_eq!(
+                    r.log_retained_bytes, 0,
+                    "{}/{}: the watermark must reclaim the whole log", label, shards
                 );
                 if r.fault_crashed_sends > 0 {
                     // The crash bit a data frame, so recovery must have
@@ -163,5 +165,103 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The four transport variants the fixed-outage rows run on: every
+/// transport, the ring at one and at four pipelines per worker.
+fn outage_variants() -> [(&'static str, FabricKind, u32); 4] {
+    let ring = FabricKind::Ring(RingConfig::default());
+    [
+        ("per_send", FabricKind::PerSend, 1),
+        ("ring/1", ring, 1),
+        ("ring/4", ring, 4),
+        (
+            "one_sided",
+            FabricKind::OneSided(OneSidedConfig { ring_slots: 64 }),
+            1,
+        ),
+    ]
+}
+
+/// Every shard endpoint of worker 1 goes dark at its 10th addressed
+/// frame and rejoins at its 30th.
+fn worker_1_outage(shards: u32) -> FaultPlan {
+    let worker_1 = (shards..2 * shards).map(EndpointId);
+    FaultPlan {
+        seed: 0xE26,
+        crashes: worker_1
+            .clone()
+            .map(|endpoint| EndpointCrash {
+                endpoint,
+                at_frame: 10,
+            })
+            .collect(),
+        restarts: worker_1
+            .map(|endpoint| EndpointRestart {
+                endpoint,
+                at_frame: 30,
+            })
+            .collect(),
+        ..FaultPlan::default()
+    }
+}
+
+/// [`worker_1_outage`] with the log on and an acker timeout past the run:
+/// the crash certainly rejects sends, so the log certainly replays, and
+/// it alone heals the window — every tuple acked once per sink instance,
+/// no acker replay spent, every log byte reclaimed.
+#[test]
+fn with_a_log_a_crash_then_restart_heals_from_the_log_alone() {
+    for (label, kind, shards) in outage_variants() {
+        let (r, counts) = run_recovery(recovery_config(kind, shards, worker_1_outage(shards)));
+        assert_eq!(r.spout_emitted, TUPLES as u64, "{label}");
+        assert_eq!(r.tuples_acked, r.spout_emitted, "{label}: every tuple acked");
+        assert_eq!(r.tuples_failed, 0, "{label}");
+        assert!(r.fault_crashed_sends > 0, "{label}: the crash must reject sends");
+        assert!(r.log_replayed_records > 0, "{label}: the log must replay");
+        assert_eq!(r.tuples_replayed, 0, "{label}: no acker replay spent");
+        assert_eq!(r.log_retained_bytes, 0, "{label}: the log drains");
+        assert_eq!(r.thread_panics, 0, "{label}");
+        assert!(
+            (0..TUPLES).all(|v| counts.get(&v) == Some(&(FANOUT as u64))),
+            "{label}: each value executed once per sink instance"
+        );
+    }
+}
+
+/// The same outage without a log: with a 40 ms timeout and 20 replays the
+/// acker heals the window by replaying — every tuple acked, nothing
+/// written through a log.
+#[test]
+fn without_a_log_the_acker_replays_heal_a_crash_then_restart() {
+    for (label, kind, shards) in outage_variants() {
+        let config = LiveConfig {
+            ack: Some(AckConfig {
+                timeout: Duration::from_millis(40),
+                max_replays: 20,
+                drain_deadline: Duration::from_secs(30),
+                eos_redundancy: 4,
+            }),
+            log: None,
+            ..recovery_config(kind, shards, worker_1_outage(shards))
+        };
+        let (r, _) = run_recovery(config);
+        assert_eq!(r.spout_emitted, TUPLES as u64, "{label}");
+        assert_eq!(
+            r.tuples_acked, r.spout_emitted,
+            "{label}: every tuple acked"
+        );
+        assert_eq!(r.tuples_failed, 0, "{label}");
+        assert!(
+            r.fault_crashed_sends > 0,
+            "{label}: the crash must reject sends"
+        );
+        assert!(
+            r.tuples_replayed > 0,
+            "{label}: the acker must replay the outage"
+        );
+        assert_eq!(r.log_appended_records, 0, "{label}: nothing is logged");
+        assert_eq!(r.thread_panics, 0, "{label}");
     }
 }

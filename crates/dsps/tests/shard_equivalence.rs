@@ -25,10 +25,7 @@ fn fabric_kinds() -> Vec<(&'static str, FabricKind)> {
         ("ring", FabricKind::Ring(RingConfig::default())),
         (
             "one_sided",
-            FabricKind::OneSided(OneSidedConfig {
-                ring_slots: 64,
-                ..OneSidedConfig::default()
-            }),
+            FabricKind::OneSided(OneSidedConfig { ring_slots: 64 }),
         ),
     ]
 }

@@ -300,23 +300,23 @@ impl<P: Policy> Transport<P> {
         }
     }
 
-    /// `msg`, for `to`, is lost: count it as an error and, if it was
-    /// buffered, take it off its link's queue gauge.
-    fn lose(&self, to: EndpointId, msg: &LiveMessage, queued: bool) {
+    /// `msg`, for `to`, is lost: count it as an error and, if the policy
+    /// buffered it, take it off its link's queue gauge.
+    fn lose(&self, to: EndpointId, msg: &LiveMessage) {
         let counters = &self.core.counters;
         counters.send_errors.fetch_add(1, Ordering::Relaxed);
-        if let (Some(tracker), true) = (self.core.tracker.get(), queued) {
+        if let (Some(tracker), true) = (self.core.tracker.get(), P::BUFFERED) {
             tracker.on_dropped(msg.from, to, msg.payload.len());
         }
     }
 
     /// Hand `queue`, `to`'s, up to `ready` frames under its one lock:
     /// `take(n)` gives the oldest `n` of them, `n` being what the queue
-    /// has room for (or none, for a hand-off that is all or nothing). The
-    /// one place a frame leaves the transport's books, delivered or lost
-    /// (with `deregister`'s drops). `queued` says the frames were
-    /// buffered ([`Transport::note_queued`]) rather than arriving
-    /// straight from their sender.
+    /// has room for. The one place a frame leaves the transport's books,
+    /// delivered or lost (with `deregister`'s drops). A buffered policy's
+    /// frames were counted onto their link's queue when they were posted
+    /// ([`Transport::note_queued`]); a direct send's arrive straight from
+    /// their sender.
     ///
     /// Counted under the lock, before the reader can take a frame, so a
     /// reader that has seen a delivery also sees it counted. A full queue
@@ -328,7 +328,6 @@ impl<P: Policy> Transport<P> {
         queue: &Queue,
         to: EndpointId,
         ready: usize,
-        queued: bool,
         take: impl FnOnce(usize) -> I,
     ) -> Handoff {
         let mut inflow = match queue.inflow() {
@@ -336,7 +335,7 @@ impl<P: Policy> Transport<P> {
             Err(Shut::Closed) => return Handoff::Closed,
             Err(Shut::Gone) => {
                 for msg in take(ready) {
-                    self.lose(to, &msg, queued);
+                    self.lose(to, &msg);
                 }
                 return Handoff::Disconnected;
             }
@@ -347,7 +346,7 @@ impl<P: Policy> Transport<P> {
         for msg in take(n) {
             if let Some(tracker) = tracker {
                 let (from, len) = (msg.from, msg.payload.len());
-                if !queued {
+                if !P::BUFFERED {
                     tracker.on_send(from, to, len);
                 }
                 tracker.on_delivered(from, to, len);
@@ -394,7 +393,7 @@ impl<P: Policy> FabricPath for Transport<P> {
         let mut dropped = 0;
         self.core.policy.close(entry.state, &mut |msg| {
             dropped += 1;
-            self.lose(id, &msg, true);
+            self.lose(id, &msg);
         });
         entry.queue.port.settle(dropped);
     }
@@ -534,7 +533,7 @@ impl Handles {
                     }
                 }
             };
-            match t.deliver(queue, to, 1, false, |n| msg.take().filter(|_| n == 1)) {
+            match t.deliver(queue, to, 1, |n| msg.take().filter(|_| n == 1)) {
                 Handoff::Delivered(1) => return Ok(()),
                 Handoff::Delivered(_) => return Err(t.reject(SendError::Full)),
                 Handoff::Disconnected => return Err(SendError::Disconnected),

@@ -280,7 +280,8 @@ pub trait FabricPath: Send + Sync {
     /// ring and one-sided transports override it: the bytes are written
     /// into the destination's (or the link's) stream slice, and every frame
     /// of one flushed slice or fetched run arrives as a [`Payload::Slice`]
-    /// of its one buffer.
+    /// of its one buffer. The fault decorator passes a frame it leaves
+    /// unchanged on to its inner fabric's `send_lent`.
     fn send_lent(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
         self.send_shared(from, to, Arc::from(bytes))
     }

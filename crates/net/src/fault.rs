@@ -27,6 +27,10 @@
 //!   counter keeps advancing through the outage so the restart point is
 //!   always reached).
 //!
+//! A frame the plan leaves unchanged goes on by the call it came in by: a
+//! lent frame stays lent, so a slicing transport slices it, and a copied
+//! one is copied once. A parked or duplicated frame takes its own payload.
+//!
 //! Injected faults are counted by the wrapper's own accessors
 //! ([`FaultFabric::drops`], [`FaultFabric::parked_split`], ...); its
 //! [`FabricPath::stats`] adds the refused sends and the deliverable parked
@@ -180,6 +184,25 @@ struct Parked {
     release_at: u64,
     from: EndpointId,
     payload: Payload,
+}
+
+/// One send as it reached the decorator, by the call it came in by.
+enum Frame<'a> {
+    Copied(&'a [u8]),
+    Shared(Arc<[u8]>),
+    Lent(&'a [u8]),
+}
+
+impl Frame<'_> {
+    /// The payload this frame is kept as when parked or duplicated: the
+    /// borrowed bytes last only the call, so they are copied now.
+    fn into_payload(self) -> Payload {
+        match self {
+            Frame::Copied(bytes) => Payload::Copied(bytes.to_vec()),
+            Frame::Shared(buf) => Payload::Shared(buf),
+            Frame::Lent(bytes) => Payload::Shared(Arc::from(bytes)),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -339,7 +362,7 @@ impl FaultFabric {
         }
     }
 
-    fn send(&self, from: EndpointId, to: EndpointId, payload: Payload) -> Result<(), SendError> {
+    fn send(&self, from: EndpointId, to: EndpointId, frame: Frame) -> Result<(), SendError> {
         let plan = &self.plan;
         let faults = plan.faults_for(from, to);
 
@@ -424,6 +447,7 @@ impl FaultFabric {
                 .parked
                 .back()
                 .map_or(release_at, |b| b.release_at.max(release_at));
+            let payload = frame.into_payload();
             for _ in 0..copies {
                 state.parked.push_back(Parked {
                     release_at,
@@ -434,13 +458,20 @@ impl FaultFabric {
             return Ok(());
         }
 
-        let result = self.deliver(from, to, &payload);
-        if copies > 1 {
-            // The duplicate is best-effort, like a parked release: the
-            // first copy already decided this send's outcome, and the
-            // receiver may legitimately vanish between the two copies.
-            let _ = self.deliver(from, to, &payload);
+        if !duplicate {
+            // Sent once, unchanged: by the call it came in by.
+            return match frame {
+                Frame::Copied(bytes) => self.inner.send_copied(from, to, bytes),
+                Frame::Shared(buf) => self.inner.send_shared(from, to, buf),
+                Frame::Lent(bytes) => self.inner.send_lent(from, to, bytes),
+            };
         }
+        let payload = frame.into_payload();
+        let result = self.deliver(from, to, &payload);
+        // The duplicate is best-effort, like a parked release: the
+        // first copy already decided this send's outcome, and the
+        // receiver may legitimately vanish between the two copies.
+        let _ = self.deliver(from, to, &payload);
         result
     }
 
@@ -467,7 +498,7 @@ impl FabricPath for FaultFabric {
     }
 
     fn send_copied(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
-        self.send(from, to, Payload::Copied(bytes.to_vec()))
+        self.send(from, to, Frame::Copied(bytes))
     }
 
     fn send_shared(
@@ -476,7 +507,11 @@ impl FabricPath for FaultFabric {
         to: EndpointId,
         buf: Arc<[u8]>,
     ) -> Result<(), SendError> {
-        self.send(from, to, Payload::Shared(buf))
+        self.send(from, to, Frame::Shared(buf))
+    }
+
+    fn send_lent(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
+        self.send(from, to, Frame::Lent(bytes))
     }
 
     fn flush(&self) {
@@ -513,6 +548,7 @@ impl FabricPath for FaultFabric {
 mod tests {
     use super::*;
     use crate::core::LiveFabric;
+    use crate::one_sided::{OneSidedConfig, OneSidedFabric};
 
     fn drain(rx: &Inbox) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
@@ -565,6 +601,74 @@ mod tests {
         assert_eq!(rx.recv().unwrap().payload.bytes(), b"d");
         assert_eq!(rx.recv().unwrap().payload.bytes(), b"d");
         assert_eq!(fabric.duplicates(), 1);
+    }
+
+    /// `n` one-byte lent frames on one link, through `faults` and a
+    /// transport that slices lent frames: each frame that arrives, and
+    /// whether it came lent through (sliced) or as a snapshot of its own.
+    fn lent_through(faults: LinkFaults, n: u8) -> (FaultFabric, Vec<(u8, bool)>) {
+        let plan = FaultPlan {
+            seed: 6,
+            default_link: faults,
+            ..FaultPlan::default()
+        };
+        let inner = OneSidedFabric::new(OneSidedConfig { ring_slots: 64 });
+        let fabric = FaultFabric::new(Arc::new(inner), plan);
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        for b in 0..n {
+            fabric
+                .send_lent(EndpointId(0), EndpointId(1), &[b])
+                .unwrap();
+        }
+        fabric.flush();
+        let got = std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|m| match &m.payload {
+                Payload::Slice(_) => (m.payload.bytes()[0], true),
+                Payload::Shared(_) => (m.payload.bytes()[0], false),
+                Payload::Copied(_) => panic!("a lent frame was copied"),
+            })
+            .collect();
+        (fabric, got)
+    }
+
+    #[test]
+    fn a_duplicated_lent_frame_arrives_twice_as_a_snapshot() {
+        let dup = LinkFaults {
+            duplicate: 1.0,
+            ..LinkFaults::default()
+        };
+        let (fabric, got) = lent_through(dup, 4);
+        let want: Vec<_> = (0..4).flat_map(|b| [(b, false); 2]).collect();
+        assert_eq!(got, want);
+        assert_eq!(fabric.duplicates(), 4);
+        assert_eq!(fabric.stats().messages, 8);
+    }
+
+    #[test]
+    fn parked_lent_frames_keep_link_fifo_with_the_lent_frames_around_them() {
+        // Every frame parked: each is a snapshot, released in order.
+        let every = LinkFaults {
+            delay: 1.0,
+            delay_frames: 2,
+            ..LinkFaults::default()
+        };
+        let (fabric, got) = lent_through(every, 5);
+        assert_eq!(got, (0..5).map(|b| (b, false)).collect::<Vec<_>>());
+        assert_eq!((fabric.delayed(), fabric.stats().messages), (5, 5));
+        // Some parked: the frames that skip the park stay lent and are
+        // sliced, and arrive in link order among the snapshots.
+        let some = LinkFaults {
+            delay: 0.3,
+            delay_frames: 2,
+            ..LinkFaults::default()
+        };
+        let (fabric, got) = lent_through(some, 40);
+        let order: Vec<u8> = got.iter().map(|&(b, _)| b).collect();
+        assert_eq!(order, (0..40).collect::<Vec<_>>());
+        let sliced = got.iter().filter(|&&(_, sliced)| sliced).count();
+        assert!(fabric.delayed() > 0, "the plan parked nothing");
+        assert!((1..40).contains(&sliced), "{sliced} of 40 sliced");
+        assert_eq!(fabric.parked_split(), (0, 0));
     }
 
     #[test]

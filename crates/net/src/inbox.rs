@@ -2,8 +2,8 @@
 //!
 //! Every endpoint owns one queue: a `VecDeque` of frames behind one
 //! mutex, with a condvar its reader blocks on. Every hand-off — a per-send
-//! frame, a ring pass's flushed slice, a one-sided fetch's run of one link,
-//! a backfill — pushes under that one lock and counts what it delivered
+//! frame, a ring pass's flushed slice, a one-sided fetch's run of one link
+//! — pushes under that one lock and counts what it delivered
 //! there, with plain stores: the lock already orders the writers, so the
 //! counts take no read-modify-write of their own. A bounded endpoint's
 //! capacity is checked under the same lock.

@@ -66,10 +66,7 @@ mod tests {
             ring_capacity: _,
             batch: BatchConfig { mms: _, wtl: _ },
         } = RingConfig::default();
-        let OneSidedConfig {
-            ring_slots: _,
-            log: _,
-        } = OneSidedConfig::default();
+        let OneSidedConfig { ring_slots: _ } = OneSidedConfig::default();
         let SendPolicy {
             spin: _,
             yields: _,

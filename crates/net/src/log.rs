@@ -1,15 +1,15 @@
-//! Persistent RDMA-readable partition log behind the outbox rings.
+//! Persistent RDMA-readable partition log.
 //!
-//! The outbox rings ([`crate::memory::RingRegion`]) are transient: a slot
-//! is reused as soon as the fetcher consumes it, so a crashed or late
-//! consumer has nothing to read back. [`PartitionLog`] is the durable
-//! sibling — a per-link, segment-based append log that sends write
-//! through *before* the outbox. Every record keeps its sequence number,
-//! and [`PartitionLog::read_from`] serves any retained suffix as one-sided
+//! The transports' rings and outboxes ([`crate::memory::RingRegion`]) are
+//! transient: a slot is reused as soon as its frame is delivered, so a
+//! crashed consumer has nothing to read back. [`PartitionLog`] is the
+//! durable sibling — a segment-based append log that a sender writes
+//! through *before* the fabric (the dsps runtime keeps one per
+//! destination endpoint). Every record keeps its sequence number, and
+//! [`PartitionLog::read_from`] serves any retained suffix as one-sided
 //! reads — one counted per record, nothing appended or published on the
-//! owner's side — so recovery and late-subscriber backfill never touch the
-//! log owner (the same server-bypass property the one-sided transport has
-//! on the hot path).
+//! owner's side — so recovery never touches the log owner (the same
+//! server-bypass property the one-sided transport has on the hot path).
 //!
 //! Layout: records are framed `seq u64 LE | len u32 LE | payload` and
 //! packed into fixed-size segments, each registered as one memory region
@@ -98,7 +98,7 @@ pub struct PartitionLog {
     gcd_bytes: u64,
     evicted_segments: u64,
     gc_watermark: u64,
-    // Reader-side (replay / backfill):
+    // Reader-side (replay):
     reads_posted: u64,
     read_bytes: u64,
     torn_tails: u64,

@@ -30,7 +30,8 @@
 //!   bytes are appended to the link's slice buffer under the link's lock,
 //!   and a fetch pass freezes the lent bytes of the link's run into one
 //!   shared buffer, of which each such frame arrives as a
-//!   [`Payload::Slice`] — the whole run as one `RDMA READ` (§4).
+//!   [`Payload::Slice`](crate::Payload::Slice) — the whole run as one
+//!   `RDMA READ` (§4).
 //!
 //! Only the policy lives here — what a publish and a fetch pass do. The
 //! endpoint table (a destination's links hang off its entry, so they go
@@ -38,8 +39,7 @@
 //! [`crate::core`]'s.
 
 use crate::core::{Entry, Handoff, Policy, Transport};
-use crate::fabric::{EndpointId, IdHashMap, LiveMessage, Payload, SendError};
-use crate::log::{LogConfig, PartitionLog};
+use crate::fabric::{EndpointId, IdHashMap, LiveMessage, SendError};
 use crate::memory::{MemoryRegistry, RingRegion};
 use crate::slice::{Lent, Posted};
 use parking_lot::Mutex;
@@ -56,18 +56,12 @@ pub struct OneSidedConfig {
     /// but not yet fetched frames between one sender and one destination.
     /// Publishes beyond it fail with [`SendError::Full`].
     pub ring_slots: usize,
-    /// When set, every publish also writes through a per-link
-    /// [`PartitionLog`] before the frame reaches the outbox ring, making
-    /// published history re-readable via [`OneSidedFabric::backfill`]
-    /// after the ring slot is long recycled.
-    pub log: Option<LogConfig>,
 }
 
 impl Default for OneSidedConfig {
     fn default() -> Self {
         OneSidedConfig {
             ring_slots: 16 * 1024,
-            log: None,
         }
     }
 }
@@ -77,9 +71,6 @@ impl Default for OneSidedConfig {
 pub struct LinkOutbox {
     ring: RingRegion<Posted>,
     lent: Lent,
-    /// Durable history of every frame published on this link, present
-    /// when [`OneSidedConfig::log`] is set.
-    log: Option<PartitionLog>,
 }
 
 impl LinkOutbox {
@@ -93,8 +84,8 @@ impl LinkOutbox {
 /// A destination's inbound links, by sender.
 type Inbound = IdHashMap<EndpointId, Mutex<LinkOutbox>>;
 
-/// The remote-fetch policy: a send publishes to the link's outbox (and
-/// write-through log); a pass reads each frame across and delivers.
+/// The remote-fetch policy: a send publishes to the link's outbox; a pass
+/// reads each frame across and delivers.
 pub struct OneSided {
     config: OneSidedConfig,
     /// Registration ledger: one registration per link, paid lazily on the
@@ -114,11 +105,9 @@ impl OneSided {
             SLOT_BYTES,
             &mut self.registry.lock(),
         );
-        let log = self.config.log.map(PartitionLog::new);
         Mutex::new(LinkOutbox {
             ring,
             lent: Lent::default(),
-            log,
         })
     }
 
@@ -138,14 +127,6 @@ impl OneSided {
         let link = &mut *guard;
         if link.ring.is_full() {
             return Err(posted);
-        }
-        // Write-through: the durable copy is taken as part of the
-        // publish, so every frame the ring ever held is in the log.
-        if let Some(log) = link.log.as_mut() {
-            log.append(match &posted {
-                Posted::Own(msg) => msg.payload.bytes(),
-                Posted::Lent { .. } => lent,
-            });
         }
         link.lent.push(lent);
         link.ring.produce(posted).expect("checked for a free slot");
@@ -255,7 +236,7 @@ impl Policy for OneSided {
             // The remote reader locates the next frame by sequence number
             // alone — no control message (§4): the tail slot holds
             // `tail_seq`.
-            match t.deliver(&entry.queue, to, ready, true, |n| link.fetch(n)) {
+            match t.deliver(&entry.queue, to, ready, |n| link.fetch(n)) {
                 Handoff::Delivered(n) => (delivered, settled) = (delivered + n, settled + n),
                 Handoff::Disconnected => settled += ready as u64,
                 Handoff::Closed => {}
@@ -278,64 +259,6 @@ impl OneSidedFabric {
         })
     }
 
-    /// Late-subscriber backfill: replay the `from → to` link's logged
-    /// history starting at sequence `seq` into `reader`'s inbox, as
-    /// one-sided reads of the sender's log: the reads are counted on the
-    /// log ([`PartitionLog::reads_posted`]), and nothing is appended or
-    /// published on the sender's side. Returns the number of frames
-    /// delivered. All or nothing: a reader whose inbox has no room for
-    /// the whole run gets none of it and the backfill fails with
-    /// [`SendError::Full`], so a retry from the same `seq` delivers each
-    /// frame once. Fails with [`SendError::UnknownEndpoint`] if the
-    /// reader is not registered, the link has never carried a frame, or
-    /// the fabric runs without a log.
-    pub fn backfill(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        reader: EndpointId,
-        seq: u64,
-    ) -> Result<u64, SendError> {
-        let read = self.with_entry(to, |entry| {
-            let link = entry.state.get(&from)?;
-            link.lock().log.as_mut().map(|log| log.read_from(seq))
-        });
-        let Some(Some(read)) = read else {
-            return Err(SendError::UnknownEndpoint);
-        };
-        let backfilled = self.with_entry(reader, |entry| {
-            // Backfill READs land synchronously in the reader's inbox, as
-            // one run, if it has room for all of it.
-            let ready = read.records.len();
-            let frames = |n| {
-                let records = read.records.into_iter().filter(move |_| n == ready);
-                records.map(|(_seq, bytes)| LiveMessage {
-                    from,
-                    payload: Payload::Copied(bytes),
-                })
-            };
-            match self.deliver(&entry.queue, reader, ready, false, frames) {
-                Handoff::Delivered(n) if n == ready as u64 => Ok(n),
-                Handoff::Delivered(_) => Err(self.reject(SendError::Full)),
-                Handoff::Disconnected => Err(SendError::Disconnected),
-                Handoff::Closed => Err(SendError::UnknownEndpoint),
-            }
-        });
-        backfilled.unwrap_or(Err(SendError::UnknownEndpoint))
-    }
-
-    /// Sum `f` over every link's partition log (0 without a log), e.g.
-    /// `log_sum(PartitionLog::appended_records)` — the sender-side log
-    /// writes, which backfills never move (the acceptance criterion E26
-    /// checks).
-    pub fn log_sum(&self, f: impl Fn(&PartitionLog) -> u64) -> u64 {
-        self.entries()
-            .values()
-            .flat_map(|entry| entry.state.values())
-            .map(|link| link.lock().log.as_ref().map_or(0, &f))
-            .sum()
-    }
-
     /// Every destination's fetch pass, in id order. Returns the number of
     /// frames delivered.
     pub fn fetch_all(&self) -> u64 {
@@ -351,16 +274,12 @@ impl OneSidedFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::FabricPath;
-    use crate::Inbox;
+    use crate::fabric::{FabricPath, Payload};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn cfg(ring_slots: usize) -> OneSidedConfig {
-        OneSidedConfig {
-            ring_slots,
-            ..OneSidedConfig::default()
-        }
+        OneSidedConfig { ring_slots }
     }
 
     #[test]
@@ -639,109 +558,6 @@ mod tests {
         assert_eq!(fabric.stats().messages, 50);
     }
 
-    fn drain(rx: &Inbox) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        while let Ok(msg) = rx.try_recv() {
-            out.push(msg.payload.bytes().to_vec());
-        }
-        out
-    }
-
-    fn logged_config() -> OneSidedConfig {
-        OneSidedConfig {
-            ring_slots: 64,
-            log: Some(LogConfig {
-                segment_bytes: 256,
-                max_segments: 1024,
-            }),
-        }
-    }
-
-    #[test]
-    fn publishes_write_through_the_link_log() {
-        let fabric = OneSidedFabric::new(logged_config());
-        let _rx = fabric.register(EndpointId(1)).unwrap();
-        for i in 0..10u64 {
-            fabric
-                .send_copied(EndpointId(0), EndpointId(1), &i.to_le_bytes())
-                .unwrap();
-        }
-        fabric.fetch_all();
-        // The ring slots are consumed, but the log kept everything; the
-        // live fetches read the ring, never the log.
-        assert_eq!(fabric.log_sum(PartitionLog::appended_records), 10);
-        assert_eq!(fabric.log_sum(PartitionLog::appended_bytes), 80);
-        assert!(fabric.log_sum(PartitionLog::retained_bytes) > 0);
-        assert_eq!(fabric.log_sum(PartitionLog::reads_posted), 0);
-    }
-
-    #[test]
-    fn backfill_replays_history_into_a_late_reader_without_sender_work() {
-        let fabric = OneSidedFabric::new(logged_config());
-        let rx = fabric.register(EndpointId(1)).unwrap();
-        for i in 0..20u64 {
-            fabric
-                .send_copied(EndpointId(0), EndpointId(1), &i.to_le_bytes())
-                .unwrap();
-        }
-        // The live consumer drains everything; the ring is empty now.
-        fabric.fetch_all();
-        assert_eq!(drain(&rx).len(), 20);
-
-        // A late subscriber attaches mid-run and backfills from seq 5.
-        let late = fabric.register(EndpointId(9)).unwrap();
-        let appended_before = fabric.log_sum(PartitionLog::appended_records);
-        let reads_before = fabric.log_sum(PartitionLog::reads_posted);
-        let delivered = fabric
-            .backfill(EndpointId(0), EndpointId(1), EndpointId(9), 5)
-            .unwrap();
-        assert_eq!(delivered, 15);
-        let got = drain(&late);
-        assert_eq!(got.len(), 15);
-        assert_eq!(got[0], 5u64.to_le_bytes().to_vec());
-        assert_eq!(got[14], 19u64.to_le_bytes().to_vec());
-        // Server bypass: the backfill is one read per record and moves
-        // no sender-side work — nothing is appended or published.
-        assert_eq!(
-            fabric.log_sum(PartitionLog::reads_posted) - reads_before,
-            15
-        );
-        assert_eq!(
-            fabric.log_sum(PartitionLog::appended_records),
-            appended_before
-        );
-        assert_eq!(fabric.stats().posted, 20);
-    }
-
-    #[test]
-    fn a_backfill_into_a_reader_without_room_for_it_delivers_nothing() {
-        let fabric = OneSidedFabric::new(logged_config());
-        let _rx = fabric.register(EndpointId(1)).unwrap();
-        for i in 0..6u64 {
-            fabric
-                .send_copied(EndpointId(0), EndpointId(1), &i.to_le_bytes())
-                .unwrap();
-        }
-        fabric.fetch_all();
-        let late = fabric.register_bounded(EndpointId(9), 2).unwrap();
-        let backfill = || fabric.backfill(EndpointId(0), EndpointId(1), EndpointId(9), 0);
-        assert_eq!(backfill(), Err(SendError::Full));
-        assert!(late.try_recv().is_err(), "nothing of the run delivered");
-        assert_eq!(fabric.stats().send_errors, 1);
-        // Room for the whole run: a retry from the same seq delivers each
-        // frame once.
-        let late = {
-            drop(late);
-            fabric.deregister(EndpointId(9));
-            fabric.register_bounded(EndpointId(9), 6).unwrap()
-        };
-        assert_eq!(backfill(), Ok(6));
-        let got = drain(&late);
-        let expected: Vec<Vec<u8>> = (0..6u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        assert_eq!(got, expected);
-        assert_eq!(fabric.stats().messages, 12);
-    }
-
     #[test]
     fn lent_frames_of_a_fetched_run_share_one_buffer() {
         let fabric = OneSidedFabric::new(cfg(16));
@@ -781,46 +597,5 @@ mod tests {
         let stats = fabric.stats();
         assert_eq!((stats.posted, stats.messages), (4, 4));
         assert_eq!(stats.shared_bytes, 3 + 6 + 5 + 10);
-    }
-
-    #[test]
-    fn a_lent_frame_is_logged_and_backfilled_like_any_other() {
-        let fabric = OneSidedFabric::new(logged_config());
-        let _rx = fabric.register(EndpointId(1)).unwrap();
-        fabric
-            .send_lent(EndpointId(0), EndpointId(1), b"lent")
-            .unwrap();
-        fabric
-            .send_copied(EndpointId(0), EndpointId(1), b"copied")
-            .unwrap();
-        fabric.fetch_all();
-        let late = fabric.register(EndpointId(9)).unwrap();
-        assert_eq!(
-            fabric.backfill(EndpointId(0), EndpointId(1), EndpointId(9), 0),
-            Ok(2)
-        );
-        assert_eq!(drain(&late), [b"lent".to_vec(), b"copied".to_vec()]);
-    }
-
-    #[test]
-    fn backfill_without_a_log_or_link_is_an_unknown_endpoint() {
-        let plain = OneSidedFabric::new(OneSidedConfig {
-            ring_slots: 64,
-            ..OneSidedConfig::default()
-        });
-        let _rx = plain.register(EndpointId(1)).unwrap();
-        plain
-            .send_copied(EndpointId(0), EndpointId(1), b"x")
-            .unwrap();
-        assert_eq!(
-            plain.backfill(EndpointId(0), EndpointId(1), EndpointId(1), 0),
-            Err(SendError::UnknownEndpoint)
-        );
-        let logged = OneSidedFabric::new(logged_config());
-        let _rx = logged.register(EndpointId(1)).unwrap();
-        assert_eq!(
-            logged.backfill(EndpointId(0), EndpointId(1), EndpointId(1), 0),
-            Err(SendError::UnknownEndpoint)
-        );
     }
 }

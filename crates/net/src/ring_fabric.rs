@@ -256,7 +256,7 @@ impl Policy for Ring {
             return (0, ep.next_due());
         }
         let ready = ep.flushed;
-        let (delivered, settled) = match t.deliver(&entry.queue, to, ready, true, |n| ep.take(n)) {
+        let (delivered, settled) = match t.deliver(&entry.queue, to, ready, |n| ep.take(n)) {
             Handoff::Delivered(n) => (n, n),
             Handoff::Disconnected => (0, ready as u64),
             Handoff::Closed => (0, 0),

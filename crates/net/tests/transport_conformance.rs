@@ -4,8 +4,8 @@
 //! is behind it: each test below is one row, run for the per-send, ring
 //! and one-sided transports and for each of them again under a
 //! [`FaultFabric`] whose plan injects nothing. Policy-specific behaviour
-//! (MMS/WTL triggers, wake-up coalescing, registration per link, the
-//! write-through log) is tested beside its policy.
+//! (MMS/WTL triggers, wake-up coalescing, registration per link) is
+//! tested beside its policy.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -332,10 +332,7 @@ fn four_producer_stress_keeps_per_sender_order() {
         ring_capacity: 64,
         ..RingConfig::default()
     };
-    let one_sided = OneSidedConfig {
-        ring_slots: 64,
-        ..OneSidedConfig::default()
-    };
+    let one_sided = OneSidedConfig { ring_slots: 64 };
     for (name, kind, faulted) in variants_with(ring, one_sided) {
         let fabric = built(kind, faulted);
         let rx = fabric.register(EndpointId(0)).unwrap();
@@ -555,70 +552,117 @@ fn a_bounded_inbox_fed_by_slices_holds_at_most_its_capacity_in_frames() {
     }
 }
 
-#[test]
-fn lent_frames_of_one_fetched_run_share_one_buffer_in_link_order_across_wraparound() {
-    const SLOTS: usize = 4;
-    const SENDERS: u32 = 2;
-    const PER_ROUND: u32 = 3;
-    const ROUNDS: u32 = 10;
+const SLOTS: usize = 4;
+const SENDERS: u32 = 2;
+const PER_ROUND: u32 = 3;
+const ROUNDS: u32 = 10;
+
+/// Lent frames from [`SENDERS`] senders through `fabric`, whose outboxes
+/// hold [`SLOTS`] frames, [`PER_ROUND`] a link per round: every round but
+/// the first wraps around some link's ring. Each link's frames arrive
+/// intact, in order and in the round that sent them; a slicing transport
+/// hands a link's run of one round over in one buffer, and on the
+/// one-sided transport that buffer is the run. When `lossless`, each
+/// round delivers every frame it sent, so the run is the round's whole
+/// run. Returns `(frames, bytes)` received.
+fn lent_runs_through(name: &str, fabric: &dyn FabricPath, lossless: bool) -> (u64, u64) {
+    let to = EndpointId(1);
+    let rx = fabric.register(to).unwrap();
+    let (mut frames, mut bytes) = (0u64, 0u64);
+    let mut next = [0u32; SENDERS as usize];
+    for round in 0..ROUNDS {
+        let seqs = round * PER_ROUND..(round + 1) * PER_ROUND;
+        let mut sent: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS as usize];
+        for seq in seqs.clone() {
+            for s in 0..SENDERS {
+                let frame = numbered(s, seq);
+                fabric.send_lent(EndpointId(10 + s), to, &frame).unwrap();
+                sent[s as usize].push(frame);
+            }
+        }
+        fabric.flush();
+        let mut got: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS as usize];
+        let mut buffers: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); SENDERS as usize];
+        while let Ok(msg) = rx.try_recv() {
+            let frame = msg.payload.bytes();
+            let s = sender_of(frame);
+            let seq = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+            assert!(seq >= next[s], "{name}: link {s} out of order");
+            assert!(seqs.contains(&seq), "{name}: seq {seq} outside round {round}");
+            assert_eq!(frame, numbered(s as u32, seq), "{name}: bytes differ");
+            next[s] = seq + 1;
+            (frames, bytes) = (frames + 1, bytes + frame.len() as u64);
+            got[s].push(frame.to_vec());
+            match &msg.payload {
+                Payload::Slice(slice) => buffers[s].push(Arc::clone(slice.buffer())),
+                // Lent frames a transport does not slice (per-send) get a
+                // buffer each.
+                Payload::Shared(_) => assert!(!name.starts_with("one_sided"), "{name}: not sliced"),
+                Payload::Copied(_) => panic!("{name}: a lent frame was copied"),
+            }
+        }
+        if lossless {
+            assert_eq!(got, sent, "{name}: round {round} arrives whole");
+        }
+        for (s, bufs) in buffers.iter().enumerate() {
+            if let Some(first) = bufs.first() {
+                assert_eq!(bufs.len(), got[s].len(), "{name}: round {round}");
+                assert!(
+                    bufs.iter().all(|b| Arc::ptr_eq(b, first)),
+                    "{name}: link {s}'s run in one buffer"
+                );
+                if name.starts_with("one_sided") {
+                    let run = got[s].concat();
+                    assert_eq!(&first[..], &run[..], "{name}: the buffer is the run");
+                }
+            }
+        }
+    }
+    (frames, bytes)
+}
+
+/// Every frame sent, what [`lent_runs_through`] sends.
+fn lent_runs_sent() -> (u64, u64) {
+    let seqs = (0..ROUNDS * PER_ROUND).flat_map(|seq| (0..SENDERS).map(move |s| (s, seq)));
+    seqs.fold((0, 0), |(n, b), (s, seq)| {
+        (n + 1, b + numbered(s, seq).len() as u64)
+    })
+}
+
+fn lent_runs_variants() -> Vec<(String, FabricKind, bool)> {
     let ring = RingConfig {
         ring_capacity: SLOTS * SENDERS as usize,
         ..RingConfig::default()
     };
-    let one_sided = OneSidedConfig {
-        ring_slots: SLOTS,
-        log: None,
-    };
-    for (name, kind, faulted) in variants_with(ring, one_sided) {
+    variants_with(ring, OneSidedConfig { ring_slots: SLOTS })
+}
+
+#[test]
+fn lent_frames_of_one_fetched_run_share_one_buffer_in_link_order_across_wraparound() {
+    for (name, kind, faulted) in lent_runs_variants() {
         let fabric = built(kind, faulted);
-        let to = EndpointId(1);
-        let rx = fabric.register(to).unwrap();
-        let (mut frames, mut bytes) = (0u64, 0u64);
-        let mut next = [0u32; SENDERS as usize];
-        // Three frames a link per round through four-slot outboxes: every
-        // round but the first wraps around some link's ring.
-        for round in 0..ROUNDS {
-            let mut sent: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS as usize];
-            for seq in round * PER_ROUND..(round + 1) * PER_ROUND {
-                for s in 0..SENDERS {
-                    let frame = numbered(s, seq);
-                    fabric.send_lent(EndpointId(10 + s), to, &frame).unwrap();
-                    frames += 1;
-                    bytes += frame.len() as u64;
-                    sent[s as usize].push(frame);
-                }
-            }
-            fabric.flush();
-            let mut buffers: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); SENDERS as usize];
-            while let Ok(msg) = rx.try_recv() {
-                let got = msg.payload.bytes();
-                let s = sender_of(got);
-                let seq = u32::from_le_bytes(got[4..8].try_into().unwrap());
-                assert_eq!(seq, next[s], "{name}: link {s} out of order");
-                next[s] += 1;
-                match &msg.payload {
-                    Payload::Slice(slice) => buffers[s].push(Arc::clone(slice.buffer())),
-                    // Lent frames a transport does not slice (per-send,
-                    // the decorator) get a buffer each.
-                    Payload::Shared(_) => assert!(name != "one_sided", "{name}: not sliced"),
-                    Payload::Copied(_) => panic!("{name}: a lent frame was copied"),
-                }
-            }
-            for (s, bufs) in buffers.iter().enumerate() {
-                if let Some(first) = bufs.first() {
-                    assert_eq!(bufs.len(), PER_ROUND as usize, "{name}: round {round}");
-                    assert!(
-                        bufs.iter().all(|b| Arc::ptr_eq(b, first)),
-                        "{name}: link {s}'s run in one buffer"
-                    );
-                    if name == "one_sided" {
-                        let run = sent[s].concat();
-                        assert_eq!(&first[..], &run[..], "{name}: the buffer is the run");
-                    }
-                }
-            }
+        let received = lent_runs_through(&name, &*fabric, true);
+        assert_eq!(received, lent_runs_sent(), "{name}: every frame arrives");
+        let stats = fabric.stats();
+        assert_eq!((stats.messages, stats.shared_bytes), received, "{name}");
+        assert_eq!((stats.send_errors, stats.queue_depth), (0, 0), "{name}");
+    }
+}
+
+/// The decorator decides a lent frame's fate, not its delivery: under a
+/// plan that drops a quarter of them, each frame it keeps reaches the
+/// inner transport as a lent frame and is sliced there like any other.
+#[test]
+fn lent_frames_a_dropping_decorator_keeps_are_sliced_by_its_inner_transport() {
+    for (name, kind, faulted) in lent_runs_variants() {
+        if !faulted {
+            continue;
         }
-        assert_eq!(next, [ROUNDS * PER_ROUND; SENDERS as usize], "{name}");
+        let fabric = FaultFabric::new(kind.build(), FaultPlan::uniform_drops(41, 0.25));
+        let (frames, bytes) = lent_runs_through(&name, &fabric, false);
+        let (sent, _) = lent_runs_sent();
+        assert!(fabric.drops() > 0, "{name}: the plan dropped nothing");
+        assert_eq!(frames + fabric.drops(), sent, "{name}");
         let stats = fabric.stats();
         assert_eq!(
             (stats.messages, stats.shared_bytes),
