@@ -59,16 +59,19 @@ pub struct LiveConfig {
     /// fault counters surface in the [`super::RunReport`].
     pub fault: Option<FaultPlan>,
     /// Persistent partition log behind the send path: every
-    /// point-to-point data frame is appended to a per-endpoint
+    /// point-to-point data frame the acker tracks (a spout's, on a run
+    /// with [`Self::ack`]) is appended to a per-endpoint
     /// [`whale_net::PartitionLog`] *before* the fabric send (write-ahead, so frames
-    /// rejected inside a crash window are still replayable). On tracked
-    /// runs the acker's resolved roots drive the log's GC watermark, and
-    /// a crashed endpoint with a scheduled [`whale_net::EndpointRestart`]
-    /// gets its slice replayed from the log once it rejoins — executors'
-    /// root-id dedup absorbs the overlap with live and acker-replayed
-    /// deliveries, so delivery upgrades to effectively-once without
-    /// spending the acker's replay budget. Relay-tree frames are not
-    /// logged, so a run with the relay tree on cannot set it
+    /// rejected inside a crash window are still replayable). The acker's
+    /// resolved roots drive the log's GC watermark, and a crashed endpoint
+    /// with a scheduled [`whale_net::EndpointRestart`] gets its slice
+    /// replayed from the log once it rejoins — executors' root-id dedup
+    /// absorbs the overlap with live and acker-replayed deliveries, so
+    /// delivery upgrades to effectively-once without spending the acker's
+    /// replay budget. A bolt's emission carries no root, so it is not
+    /// logged: a later hop heals as it would in an unlogged run, and an
+    /// untracked run logs nothing. Relay-tree frames are not logged
+    /// either, so a run with the relay tree on cannot set it
     /// ([`BuildError::RelayBypassesLog`]).
     pub log: Option<LogConfig>,
     /// Liveness backstop: executors give up waiting for traffic (EOS

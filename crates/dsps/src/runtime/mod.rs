@@ -328,7 +328,7 @@ fn wire_up(
     }
 
     let ack = config.ack.map(AckRuntime::new);
-    // An untracked run logs no tracked record: its watermark stays at 0.
+    // An untracked run logs nothing: its watermark stays at 0.
     let ledger = ack.as_ref().map(|a| Arc::clone(&a.gauges));
     let log = config.log;
     let routing = Routing {

@@ -124,40 +124,42 @@ impl DedupWindow {
     }
 }
 
-/// One destination endpoint's write-ahead log and the tracked appends in
-/// it that log GC still waits on.
+/// One destination endpoint's write-ahead log and the roots its records
+/// name, oldest first. Every record is tracked, so the roots not yet
+/// collected are the log's newest records: the one at `roots[i]` has seq
+/// `next_seq − roots.len() + i`.
 struct EndpointLog {
     log: PartitionLog,
-    /// `(seq, root)` of every tracked append, oldest first.
-    tracked: VecDeque<(u64, u64)>,
+    roots: VecDeque<u64>,
 }
 
 impl EndpointLog {
-    /// Advance the GC watermark over the prefix of tracked appends whose
-    /// roots are resolved and truncate the log to it.
+    /// Advance the GC watermark over the prefix of records whose roots
+    /// are resolved and truncate the log to it.
     fn gc(&mut self, resolved_below: u64) {
-        let mut watermark = None;
-        while let Some(&(seq, root)) = self.tracked.front() {
-            if root >= resolved_below {
-                break;
-            }
-            watermark = Some(seq + 1);
-            self.tracked.pop_front();
-        }
-        if let Some(wm) = watermark {
-            self.log.truncate_to(wm);
+        let log = &mut self.log;
+        // A record the segment cap evicted needs its root no more.
+        let retained = (log.next_seq() - log.first_seq()) as usize;
+        self.roots
+            .drain(..self.roots.len().saturating_sub(retained));
+        let resolved = self.roots.iter().take_while(|&&root| root < resolved_below);
+        let n = resolved.count();
+        if n > 0 {
+            self.roots.drain(..n);
+            log.truncate_to(log.next_seq() - self.roots.len() as u64);
         }
     }
 }
 
 /// The per-run partition-log machinery (see [`super::LiveConfig::log`]): one
-/// write-ahead [`PartitionLog`] per flat destination endpoint, garbage
-/// collected by its appender against the ledger's watermark.
+/// write-ahead [`PartitionLog`] per flat destination endpoint, holding the
+/// frames the acker tracks and garbage collected by its appender against
+/// the ledger's watermark.
 pub(super) struct LogRuntime {
     /// One log per flat fabric endpoint, indexed by endpoint id.
     logs: Vec<Mutex<EndpointLog>>,
-    /// The ledger's gauges (all zero on an untracked run, which logs no
-    /// tracked append either).
+    /// The ledger's gauges (all zero on an untracked run, which logs
+    /// nothing).
     ledger: Arc<LedgerGauges>,
 }
 
@@ -165,7 +167,7 @@ impl LogRuntime {
     pub(super) fn new(config: LogConfig, n_flat: usize, ledger: Arc<LedgerGauges>) -> Self {
         let endpoint = || EndpointLog {
             log: PartitionLog::new(config),
-            tracked: VecDeque::new(),
+            roots: VecDeque::new(),
         };
         LogRuntime {
             logs: (0..n_flat).map(|_| Mutex::new(endpoint())).collect(),
@@ -177,20 +179,19 @@ impl LogRuntime {
         self.ledger.resolved_below.load(Ordering::Relaxed)
     }
 
-    /// Write one encoded frame through the destination's log (called
-    /// before the fabric send) and, under the same lock, collect what the
-    /// ledger's watermark has released since the last append. Every
-    /// endpoint of the run is a pipeline's, and each has a log, so `to`
-    /// always finds one; an id past them is ignored rather than a panic.
-    pub(super) fn append(&self, to: EndpointId, tracked: Option<u64>, bytes: &[u8]) {
+    /// Write one encoded frame of tree `tracked` through the
+    /// destination's log (called before the fabric send) and, under the
+    /// same lock, collect what the ledger's watermark has released since
+    /// the last append. Every endpoint of the run is a pipeline's, and
+    /// each has a log, so `to` always finds one; an id past them is
+    /// ignored rather than a panic.
+    pub(super) fn append(&self, to: EndpointId, tracked: u64, bytes: &[u8]) {
         let Some(endpoint) = self.logs.get(to.0 as usize) else {
             return;
         };
         let mut endpoint = endpoint.lock();
-        let seq = endpoint.log.append(bytes);
-        if let Some(tr) = tracked {
-            endpoint.tracked.push_back((seq, root_of(tr)));
-        }
+        endpoint.log.append(bytes);
+        endpoint.roots.push_back(root_of(tracked));
         endpoint.gc(self.resolved_below());
     }
 
@@ -287,7 +288,7 @@ mod tests {
     use crate::task::TaskId;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use whale_net::{EndpointId, FaultPlan, IdHashSet, LogConfig, RECORD_HEADER};
+    use whale_net::{EndpointId, FaultPlan, IdHashSet, LogConfig, PartitionLog, RECORD_HEADER};
 
     /// The two sets a bolt used to keep: tracked ids it XOR'd into the
     /// ledger, roots it executed. What [`DedupWindow`] is checked against.
@@ -452,14 +453,22 @@ mod tests {
     const SEGMENT_BYTES: usize = 256;
 
     /// src → two all-grouped sinks over two machines, tracked and logged,
-    /// the spout held to `window` tuples ahead of the slower sink. Returns
-    /// the joined report and every snapshot read while the run went; the
-    /// spout waits at its midpoint until a read has seen it there.
-    fn closed_loop_run(tuples: u64, window: u64) -> (RunReport, Vec<RunReport>) {
+    /// the spout held to `window` tuples ahead of the slower sink; with
+    /// `via_bolt`, through two shuffle-grouped `mid` bolts that emit what
+    /// they receive, so every sink frame is a bolt's. Returns the joined
+    /// report and every snapshot read while the run went; the spout waits
+    /// at its midpoint until a read has seen it there.
+    fn closed_loop_run(tuples: u64, window: u64, via_bolt: bool) -> (RunReport, Vec<RunReport>) {
         let mut b = crate::topology::TopologyBuilder::new();
         b.spout("src", 1, Schema::new(vec!["n"]))
-            .bolt("sink", 2, Schema::new(vec!["n"]))
-            .connect("src", "sink", Grouping::All);
+            .bolt("sink", 2, Schema::new(vec!["n"]));
+        if via_bolt {
+            b.bolt("mid", 2, Schema::new(vec!["n"]))
+                .connect("src", "mid", Grouping::Shuffle)
+                .connect("mid", "sink", Grouping::All);
+        } else {
+            b.connect("src", "sink", Grouping::All);
+        }
         let done: Arc<[AtomicU64; 2]> = Arc::default();
         let (executed, spout_done) = (Arc::clone(&done), Arc::clone(&done));
         let gate = Arc::new(std::sync::Barrier::new(2));
@@ -477,6 +486,11 @@ mod tests {
                     }
                     Tuple::with_id(i, vec![Value::I64(i as i64)])
                 })))
+            })
+            .bolt("mid", |_| {
+                Box::new(FnBolt::new(|t: &Tuple, out: &mut dyn Emitter| {
+                    out.emit(t.clone())
+                }))
             })
             .bolt("sink", move |idx| {
                 let executed = Arc::clone(&executed);
@@ -504,6 +518,7 @@ mod tests {
         let r = run.join();
         assert_eq!(r.outcome, RunOutcome::Clean);
         assert_eq!((r.tuples_acked, r.tuples_replayed), (tuples, 0));
+        // `sink` is the second component declared, with or without `mid`.
         assert_eq!(r.executed[1], 2 * tuples);
         (r, snapshots)
     }
@@ -515,7 +530,7 @@ mod tests {
         // not what has been emitted: four times the stream, same state.
         const WINDOW: u64 = 32;
         for tuples in [3_000, 12_000] {
-            let (r, snapshots) = closed_loop_run(tuples, WINDOW);
+            let (r, snapshots) = closed_loop_run(tuples, WINDOW, false);
             let m = r.metrics();
             let gauge = |name: &str| m.gauge(name).unwrap_or_else(|| panic!("{name} exported"));
             // An ack lands after the execution the spout waited for, and
@@ -533,37 +548,88 @@ mod tests {
                 "{tuples}: dedup window {dedup_peak}"
             );
             assert!(dedup_peak >= 1.0 && window_peak >= 1.0);
-            // Every root resolved, so the final pass reclaimed every
-            // segment; the cap (a million segments) never evicted one.
-            assert_eq!(gauge("dsps.log.retained_bytes"), 0.0, "{tuples}");
-            assert_eq!(
-                r.log_gcd_bytes,
-                r.log_appended_bytes + 12 * r.log_appended_records
-            );
-            // And while the run went, the log held what was in flight and
-            // no more: each append collects every resolved record below
-            // it, so what stays is the unresolved roots' records (one
-            // each, every frame here the same size), plus up to
-            // `per_segment - 1` resolved ones sharing the oldest one's
-            // segment — at most this many whole segments.
-            let unresolved = in_flight as usize;
-            let record = RECORD_HEADER + (r.log_appended_bytes / r.log_appended_records) as usize;
-            let per_segment = SEGMENT_BYTES / record;
-            let bound = (unresolved + per_segment - 1).div_ceil(per_segment) * SEGMENT_BYTES;
-            for s in &snapshots {
-                let retained = s.log_retained_bytes;
-                assert!(
-                    retained <= bound as u64,
-                    "{tuples}: {retained} B retained {:?} into the run, bound {bound} B",
-                    s.elapsed
-                );
-            }
+            log_holds_what_is_in_flight(&tuples.to_string(), &r, &snapshots, WINDOW + 4);
+        }
+    }
+
+    /// The same closed loop through a bolt: the sinks are fed only by
+    /// bolt emissions, which the acker does not track and the log does not
+    /// hold, so the log is bounded by the spout's frames in flight.
+    #[test]
+    fn a_long_tracked_logged_run_through_a_bolt_keeps_its_log_bounded() {
+        const WINDOW: u64 = 32;
+        for tuples in [3_000, 12_000] {
+            let (r, snapshots) = closed_loop_run(tuples, WINDOW, true);
+            let hop = format!("{tuples} via a bolt");
+            log_holds_what_is_in_flight(&hop, &r, &snapshots, WINDOW + 4);
+        }
+    }
+
+    /// What a closed loop's log keeps: nothing at exit, and while the run
+    /// went, the records of at most `unresolved` roots, in whole segments.
+    fn log_holds_what_is_in_flight(
+        run: &str,
+        r: &RunReport,
+        snapshots: &[RunReport],
+        unresolved: u64,
+    ) {
+        // While the run went, the log held what was in flight and no
+        // more: each append collects every resolved record below it, so
+        // what stays is the unresolved roots' records (one each, every
+        // frame here the same size), plus up to `per_segment - 1` resolved
+        // ones sharing the oldest one's segment — at most this many whole
+        // segments.
+        let record = RECORD_HEADER + (r.log_appended_bytes / r.log_appended_records) as usize;
+        let per_segment = SEGMENT_BYTES / record;
+        let bound = (unresolved as usize + per_segment - 1).div_ceil(per_segment) * SEGMENT_BYTES;
+        for s in snapshots {
+            let retained = s.log_retained_bytes;
             assert!(
-                snapshots.iter().any(|s| s.log_retained_bytes > 0),
-                "{tuples}: no read saw the log mid-run ({} reads)",
-                snapshots.len()
+                retained <= bound as u64,
+                "{run}: {retained} B retained {:?} into the run, bound {bound} B",
+                s.elapsed
             );
         }
+        assert!(
+            snapshots.iter().any(|s| s.log_retained_bytes > 0),
+            "{run}: no read saw the log mid-run ({} reads)",
+            snapshots.len()
+        );
+        // Every root resolved, so the final pass reclaimed every
+        // segment; the cap (a million segments) never evicted one.
+        let retained = r.metrics().gauge("dsps.log.retained_bytes");
+        assert_eq!(retained, Some(0.0), "{run}");
+        assert_eq!(
+            r.log_gcd_bytes,
+            r.log_appended_bytes + RECORD_HEADER as u64 * r.log_appended_records,
+            "{run}"
+        );
+    }
+
+    #[test]
+    fn a_stalled_watermark_holds_the_log_and_its_roots_to_the_segment_cap() {
+        // No root ever resolves: the segment cap evicts, and the roots of
+        // evicted records go with them. Once the ledger moves, one pass
+        // collects the rest.
+        let config = LogConfig {
+            segment_bytes: 256,
+            max_segments: 4,
+        };
+        let ledger = Arc::new(crate::acker::LedgerGauges::default());
+        let logs = super::LogRuntime::new(config, 1, Arc::clone(&ledger));
+        let frame = [7u8; 20];
+        for root in 0..1_000u64 {
+            logs.append(EndpointId(0), tracked_id(root, 0), &frame);
+            let endpoint = logs.logs[0].lock();
+            let log = &endpoint.log;
+            assert!(endpoint.roots.len() as u64 <= log.next_seq() - log.first_seq());
+            assert!(log.retained_bytes() <= 4 * 256);
+        }
+        assert!(logs.sum(PartitionLog::evicted_segments) > 0);
+        ledger.resolved_below.store(1_000, Ordering::Relaxed);
+        logs.gc_pass();
+        assert_eq!(logs.sum(PartitionLog::retained_bytes), 0);
+        assert!(logs.logs[0].lock().roots.is_empty());
     }
 
     #[test]

@@ -198,6 +198,9 @@ counter_table! {
             = fabric.send_errors;
         /// Batches the transport flushed (0 on the per-send path).
         batches_flushed: Counter "dsps.fabric.batches_flushed" = fabric.flushed_batches;
+        /// Frames handed over as a slice of a flushed slice's or fetched
+        /// run's one buffer (0 on the per-send path and on copied runs).
+        sliced_frames: Counter "dsps.fabric.sliced_frames" = fabric.sliced_frames;
         /// Encode-buffer pool acquires served from a reused buffer.
         pool_hits: Counter "dsps.pool.hits" = r.pool.hits();
         /// Encode-buffer pool acquires that had to allocate.
@@ -885,6 +888,7 @@ mod tests {
         "dsps.fabric.messages counter",
         "dsps.fabric.send_errors counter",
         "dsps.fabric.shared_bytes counter",
+        "dsps.fabric.sliced_frames counter",
         "dsps.fault.crashed_sends counter",
         "dsps.fault.delayed counter",
         "dsps.fault.drops counter",

@@ -1,7 +1,7 @@
 //! The send side of the hot path: the shared [`Routing`] context, per-task
 //! grouping state, local delivery across shard pipelines, and the one
 //! path every frame takes to the fabric — encode once into pooled
-//! scratch, optionally write ahead to the partition log, then
+//! scratch, write a tracked frame ahead to the partition log, then
 //! [`Routing::send_wire`].
 
 use super::config::LiveConfig;
@@ -526,14 +526,18 @@ impl Routing {
     /// Hand the frame encoded at `scratch[start..]` to `send` as a
     /// [`Wire`] — the one place a frame leaves for the fabric. `once`
     /// names the one endpoint (and the ledger key) of a data frame sent
-    /// once; with a log configured the encoded bytes are appended to that
-    /// endpoint's partition log *before* the send (write-ahead), so a
-    /// crash after the append can always be healed by replaying the log.
-    /// Zero-copy runs lend a frame sent once to the fabric (the ring
-    /// writes it into the destination's stream slice; the other
-    /// transports take one shared buffer), and snapshot any other frame
-    /// into a single shared buffer that every send and retry refcounts;
-    /// copied runs lend the scratch itself and pay the TCP copy per send.
+    /// once. With a log configured, a frame the acker tracks is appended
+    /// to that endpoint's partition log *before* the send (write-ahead),
+    /// so a crash after the append can always be healed by replaying the
+    /// log, and root dedup absorbs every replayed copy that already
+    /// arrived. An untracked frame (a bolt's emission) is not logged: no
+    /// root would let a replay of it be deduplicated, and no ledger
+    /// watermark would ever collect it. Zero-copy runs lend a frame sent
+    /// once to the fabric (the ring writes it into the destination's
+    /// stream slice; the other transports take one shared buffer), and
+    /// snapshot any other frame into a single shared buffer that every
+    /// send and retry refcounts; copied runs lend the scratch itself and
+    /// pay the TCP copy per send.
     /// Sending `frame` several times costs wire bytes but never a second
     /// encode.
     fn send_frame<R>(
@@ -545,7 +549,7 @@ impl Routing {
     ) -> R {
         let frame = &scratch[start..];
         self.stats.add(Ctr::frames_encoded, 1);
-        if let (Some(log), Some((to, tracked))) = (&self.log, once) {
+        if let (Some(log), Some((to, Some(tracked)))) = (&self.log, once) {
             log.append(to, tracked, frame);
         }
         match (self.config.zero_copy, once) {
@@ -881,8 +885,10 @@ mod tests {
     fn log_and_fabric_see_the_frames_a_separate_item_would_have_given() {
         // One broadcast tuple, sent directly to 1..=4 remote workers with
         // the write-ahead log on: every worker's frame — as the fabric
-        // delivers it and as the log replays it — is byte for byte the
-        // frame built around a separately serialized item.
+        // delivers it and, when the acker tracks it, as the log replays
+        // it — is byte for byte the frame built around a separately
+        // serialized item. An untracked frame is not logged, so its
+        // endpoint's log replays nothing.
         let tuple = Tuple::with_id(9, vec![Value::I64(-3), Value::str("driver-42")]);
         let item = crate::codec::encode_tuple(&tuple);
         for remote in 1..=4u32 {
@@ -924,8 +930,16 @@ mod tests {
                     let sent = inboxes[w as usize].try_recv().unwrap();
                     assert_eq!(sent.payload.bytes(), expected, "{remote} remote: {w}");
                     replay_endpoint(&routing, EndpointId(w));
-                    let logged = inboxes[w as usize].try_recv().unwrap();
-                    assert_eq!(logged.payload.bytes(), expected, "log of worker {w}");
+                    let logged = inboxes[w as usize].try_recv();
+                    match tracked {
+                        Some(_) => {
+                            let logged = logged.unwrap();
+                            assert_eq!(logged.payload.bytes(), expected, "log of worker {w}");
+                        }
+                        None => {
+                            assert!(logged.is_err(), "worker {w}: an untracked frame is logged")
+                        }
+                    }
                     assert!(inboxes[w as usize].try_recv().is_err(), "one frame each");
                 }
                 assert_eq!(routing.pool.high_watermark(), 1, "one scratch per tuple");

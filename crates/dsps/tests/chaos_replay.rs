@@ -4,7 +4,8 @@
 //! every spout tuple executed exactly once per sink instance, no silent
 //! loss, no duplicate execution surviving the root-id dedup — across the
 //! per-send, ring and one-sided transports, the ring at one and at four
-//! pipelines per worker (each pipeline drains its own endpoint). Beside
+//! pipelines per worker (each pipeline drains its own endpoint), the
+//! buffered two handing frames over as slices as they do unfaulted. Beside
 //! it, a worker that crashes and never comes back: the tuples routed at
 //! it fail, none is lost silently, and the run ends at its deadline.
 
@@ -126,6 +127,12 @@ proptest! {
                     "{}: plan injected nothing at drop={}%", label, drop_pct
                 );
             }
+            // The buffered transports hand lent frames over as slices of
+            // one buffer under the plan too, as they do without one.
+            prop_assert_eq!(
+                r.sliced_frames > 0, label != "per_send",
+                "{}: {} frames handed over as slices", label, r.sliced_frames
+            );
 
             // The dedup'd execution multiset: exactly the emitted values,
             // each executed once per sink instance.

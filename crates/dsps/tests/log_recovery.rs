@@ -7,7 +7,10 @@
 //! reclaimed every log byte by the report — across the per-send, ring,
 //! and one-sided transports at 1 and 4 pipeline shards. Beside it, one
 //! fixed outage that certainly rejects sends, run with the log (which
-//! alone heals it) and without (where the acker's replay budget does).
+//! alone heals it) and without (where the acker's replay budget does),
+//! and the same outage under a second hop: the log holds only what the
+//! acker tracks, so it heals the first hop, replays nothing a sink
+//! executes twice, and leaves the second hop as an unlogged run does.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -263,5 +266,84 @@ fn without_a_log_the_acker_replays_heal_a_crash_then_restart() {
         );
         assert_eq!(r.log_appended_records, 0, "{label}: nothing is logged");
         assert_eq!(r.thread_panics, 0, "{label}");
+    }
+}
+
+/// Values of [`run_two_hops`].
+const TWO_HOP_TUPLES: i64 = 200;
+/// Sink instances of [`run_two_hops`].
+const TWO_HOP_SINKS: u32 = 3;
+
+/// src → 3 `mid` (`Fields`) → 3 `sink` (`All`) under `config`: the
+/// report, and how often each sink instance executed each value.
+fn run_two_hops(config: LiveConfig) -> (whale_dsps::RunReport, HashMap<(u32, i64), u64>) {
+    let mut b = TopologyBuilder::new();
+    b.spout("src", 1, Schema::new(vec!["n"]))
+        .bolt("mid", 3, Schema::new(vec!["n"]))
+        .bolt("sink", TWO_HOP_SINKS, Schema::new(vec!["n"]))
+        .connect("src", "mid", Grouping::Fields(0))
+        .connect("mid", "sink", Grouping::All);
+    let seen: Arc<Mutex<HashMap<(u32, i64), u64>>> = Arc::default();
+    let sink_seen = Arc::clone(&seen);
+    let ops = Operators::new()
+        .spout("src", |_| {
+            Box::new(IterSpout::new(
+                (0..TWO_HOP_TUPLES).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
+            ))
+        })
+        .bolt("mid", |_| {
+            Box::new(FnBolt::new(|t: &Tuple, out: &mut dyn Emitter| {
+                out.emit(t.clone())
+            }))
+        })
+        .bolt("sink", move |idx| {
+            let seen = Arc::clone(&sink_seen);
+            Box::new(FnBolt::new(move |t: &Tuple, _out: &mut dyn Emitter| {
+                if let Some(Value::I64(v)) = t.get(0) {
+                    *seen.lock().unwrap().entry((idx, *v)).or_insert(0) += 1;
+                }
+            }))
+        });
+    let report = run_topology(b.build().unwrap(), ops, config);
+    let counts = std::mem::take(&mut *seen.lock().unwrap());
+    (report, counts)
+}
+
+/// [`worker_1_outage`] under a second hop, with the log on. The acker
+/// tracks only the spout's frames, and only those are logged: the log
+/// replays worker 1's `mid` inputs, root dedup absorbs every replayed
+/// copy that already ran, and the whole log is reclaimed. A `mid`
+/// emission sent into the outage is lost, as it is without a log —
+/// at most one value per rejected send — and none runs twice.
+#[test]
+fn under_a_second_hop_the_log_replays_only_what_dedup_absorbs() {
+    for (label, kind, shards) in outage_variants() {
+        let config = recovery_config(kind, shards, worker_1_outage(shards));
+        let (r, counts) = run_two_hops(config);
+        assert_eq!(r.spout_emitted, TWO_HOP_TUPLES as u64, "{label}");
+        assert_eq!(
+            r.tuples_acked, r.spout_emitted,
+            "{label}: every tuple acked"
+        );
+        assert_eq!(r.thread_panics, 0, "{label}");
+        assert!(
+            r.fault_crashed_sends > 0,
+            "{label}: the crash must reject sends"
+        );
+        let twice = counts.values().filter(|&&n| n > 1).count();
+        assert_eq!(
+            twice, 0,
+            "{label}: (sink, value) pairs executed more than once"
+        );
+        assert!(r.log_replayed_records > 0, "{label}: the log must replay");
+        assert_eq!(r.log_retained_bytes, 0, "{label}: the log drains");
+        let short = (0..TWO_HOP_TUPLES)
+            .filter(|&v| (0..TWO_HOP_SINKS).any(|sink| !counts.contains_key(&(sink, v))))
+            .count() as u64;
+        assert!(
+            short <= r.fault_crashed_sends,
+            "{label}: {short} values short, {} sends rejected",
+            r.fault_crashed_sends
+        );
     }
 }

@@ -455,12 +455,13 @@ impl<P: Policy> FabricPath for Transport<P> {
                 queue.depth()
             };
         }
-        let [messages, copied_bytes, shared_bytes, doorbell_rings] = tally;
+        let [messages, copied_bytes, shared_bytes, sliced_frames, doorbell_rings] = tally;
         let [posted, flushed_batches, flushed_items] = posts;
         FabricStats {
             messages,
             copied_bytes,
             shared_bytes,
+            sliced_frames,
             send_errors: get(&c.send_errors),
             posted,
             doorbell_rings,

@@ -206,6 +206,10 @@ pub struct FabricStats {
     pub copied_bytes: u64,
     /// Bytes delivered through the RDMA (shared) path so far.
     pub shared_bytes: u64,
+    /// Frames delivered as a [`Payload::Slice`] of a flushed slice's or
+    /// fetched run's one buffer (0 when nothing is lent to a buffered
+    /// transport).
+    pub sliced_frames: u64,
     /// Sends that failed: unknown endpoint, backpressure, a dropped
     /// receiver, or an endpoint deregistered with the frame still
     /// buffered. Failed sends never count toward the byte totals.

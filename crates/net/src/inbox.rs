@@ -119,17 +119,20 @@ pub(crate) struct Tally {
     pub(crate) messages: AtomicU64,
     pub(crate) copied_bytes: AtomicU64,
     pub(crate) shared_bytes: AtomicU64,
+    /// Frames handed over as a [`Payload::Slice`].
+    pub(crate) sliced_frames: AtomicU64,
     /// Hand-offs and posts that woke the reader.
     pub(crate) doorbell_rings: AtomicU64,
 }
 
 impl Tally {
-    /// The four counts, in field order.
-    pub(crate) fn counts(&self) -> [&AtomicU64; 4] {
+    /// The five counts, in field order.
+    pub(crate) fn counts(&self) -> [&AtomicU64; 5] {
         [
             &self.messages,
             &self.copied_bytes,
             &self.shared_bytes,
+            &self.sliced_frames,
             &self.doorbell_rings,
         ]
     }
@@ -230,7 +233,7 @@ impl Queue {
             room,
             pushed,
             frames: 0,
-            counts: [0; 3],
+            counts: [0; 4],
         })
     }
 
@@ -278,8 +281,9 @@ pub(crate) struct Inflow<'a> {
     pushed: u64,
     /// Frames pushed so far, counted or not.
     frames: u64,
-    /// Messages, copied bytes and shared bytes pushed so far.
-    counts: [u64; 3],
+    /// Messages, copied bytes, shared bytes and sliced frames pushed so
+    /// far.
+    counts: [u64; 4],
 }
 
 impl Inflow<'_> {
@@ -294,7 +298,11 @@ impl Inflow<'_> {
         let bytes = msg.payload.len() as u64;
         match msg.payload {
             Payload::Copied(_) => self.counts[1] += bytes,
-            Payload::Shared(_) | Payload::Slice(..) => self.counts[2] += bytes,
+            Payload::Shared(_) => self.counts[2] += bytes,
+            Payload::Slice(..) => {
+                self.counts[2] += bytes;
+                self.counts[3] += 1;
+            }
         }
         self.counts[0] += 1;
         self.push_uncounted(msg);

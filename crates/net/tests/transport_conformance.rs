@@ -456,16 +456,20 @@ fn lent_and_shared_frames_arrive_intact_in_order_and_counted_once() {
         let rx = fabric.register(to).unwrap();
         let mut sent: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS as usize];
         let mut got: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS as usize];
+        // Returns how many of the frames it took arrived as slices.
         let take = |got: &mut Vec<Vec<Vec<u8>>>| {
+            let mut sliced = 0;
             while let Ok(msg) = rx.try_recv() {
                 let bytes = msg.payload.bytes();
                 assert_eq!(msg.from, EndpointId(10 + sender_of(bytes) as u32), "{name}");
                 // Both kinds travel with RDMA semantics.
                 assert!(!matches!(msg.payload, Payload::Copied(_)), "{name}");
+                sliced += matches!(msg.payload, Payload::Slice(..)) as u64;
                 got[sender_of(bytes)].push(bytes.to_vec());
             }
+            sliced
         };
-        let (mut frames, mut bytes) = (0u64, 0u64);
+        let (mut frames, mut bytes, mut sliced) = (0u64, 0u64, 0u64);
         for seq in 0..PER_SENDER {
             for s in 0..SENDERS {
                 let frame = numbered(s, seq);
@@ -482,11 +486,11 @@ fn lent_and_shared_frames_arrive_intact_in_order_and_counted_once() {
                 sent[s as usize].push(frame);
             }
             if seq % 7 == 0 {
-                take(&mut got);
+                sliced += take(&mut got);
             }
         }
         fabric.flush();
-        take(&mut got);
+        sliced += take(&mut got);
         for (s, (got, sent)) in got.iter().zip(&sent).enumerate() {
             assert_eq!(got.len(), sent.len(), "{name}: sender {s}");
             assert!(got == sent, "{name}: sender {s}: bytes or order differ");
@@ -497,6 +501,7 @@ fn lent_and_shared_frames_arrive_intact_in_order_and_counted_once() {
             (frames, bytes),
             "{name}"
         );
+        assert_eq!(stats.sliced_frames, sliced, "{name}");
         assert_eq!((stats.copied_bytes, stats.send_errors), (0, 0), "{name}");
         assert_eq!(stats.queue_depth, 0, "{name}");
         if stats.posted > 0 {
