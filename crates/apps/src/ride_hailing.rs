@@ -12,9 +12,8 @@ mod driver_index;
 
 use crate::{owned_field, Field, NO_DEFERRED_DECODE};
 use driver_index::DriverIndex;
-use std::collections::HashMap;
 use whale_dsps::{
-    Bolt, DecodeError, Emitter, Grouping, LazyTuple, Operators, Schema, Spout, Topology,
+    Bolt, DecodeError, Emitter, Grouping, IdHashMap, LazyTuple, Operators, Schema, Spout, Topology,
     TopologyBuilder, Tuple, Value,
 };
 use whale_workloads::{DidiConfig, DidiGenerator};
@@ -204,7 +203,9 @@ impl Bolt for MatchingBolt {
 /// final assignments on stream end.
 #[derive(Default)]
 pub struct AggregationBolt {
-    best: HashMap<i64, (i64, f64)>,
+    /// Order ids are numbered by the topology's own request spout, so
+    /// there is no crafted-collision attack for SipHash to stop.
+    best: IdHashMap<i64, (i64, f64)>,
 }
 
 impl AggregationBolt {
@@ -220,11 +221,9 @@ impl AggregationBolt {
         // Equal distances go to the lower driver id, as in `DriverIndex`:
         // the assignment is a function of the candidate set, not of which
         // worker's frame arrived first.
-        match self.best.get(&order) {
-            Some(&(best, best_d2)) if best_d2 < d2 || (best_d2 == d2 && best <= driver) => {}
-            _ => {
-                self.best.insert(order, (driver, d2));
-            }
+        let best = self.best.entry(order).or_insert((driver, d2));
+        if !(best.1 < d2 || (best.1 == d2 && best.0 <= driver)) {
+            *best = (driver, d2);
         }
         Ok(())
     }

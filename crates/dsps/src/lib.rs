@@ -40,7 +40,7 @@ pub use runtime::{
     run_topology, spawn_topology, AckConfig, AdaptiveConfig, BuildError, LiveConfig, Operators,
     RunHandle, RunOutcome, RunReport,
 };
-pub use whale_net::{FabricKind, LogConfig, RingConfig};
+pub use whale_net::{FabricKind, IdHashMap, LogConfig, RingConfig};
 pub use scheduler::{Placement, WorkerId};
 pub use task::{ComponentId, TaskId, TaskTable};
 pub use topology::{
