@@ -31,9 +31,6 @@ const RULES: &[(&str, &str, Rule<'static>)] = &[
     ("one_sided", "crossover_bytes", Rule::Present),
     ("shards", "scaling_curve", Rule::Present),
     ("shards", "one_shard_matches_baseline", Rule::All("true")),
-    ("lazy_decode", "decode_curve", Rule::Present),
-    ("lazy_decode", "sink", Rule::Any("\"lazy\"")),
-    ("lazy_decode", "materialized_any", Rule::Any("false")),
     ("topology", "switched", Rule::Any("true")),
 ];
 
@@ -233,16 +230,18 @@ mod tests {
             wrong_report.iter().any(|b| b.contains("scaling_curve")),
             "{wrong_report:?}"
         );
-        let lazy = object(&[
+        let shards = object(&[
             ("schema", &JSON_SCHEMA),
-            ("report", &"lazy_decode"),
-            ("experiment", &"live_lazy_decode"),
-            ("decode_curve", &Vec::<u64>::new()),
-            ("sink", &"lazy"),
-            ("materialized_any", &true),
+            ("report", &"shards"),
+            ("experiment", &"live_shards"),
+            ("scaling_curve", &Vec::<u64>::new()),
+            ("one_shard_matches_baseline", &false),
         ]);
-        let broken = invariant_violations("lazy_decode", &lazy);
+        let broken = invariant_violations("shards", &shards);
         assert_eq!(broken.len(), 1, "{broken:?}");
-        assert!(broken[0].contains("materialized_any"), "{broken:?}");
+        assert!(
+            broken[0].contains("one_shard_matches_baseline"),
+            "{broken:?}"
+        );
     }
 }

@@ -15,41 +15,21 @@
 
 use std::time::Duration;
 use whale_dsps::{
-    run_topology, AckConfig, Bolt, Emitter, FnBolt, Grouping, IterSpout, LiveConfig, Operators,
+    run_topology, AckConfig, Emitter, FnBolt, Grouping, IterSpout, LiveConfig, Operators,
     RunOutcome, RunReport, Schema, Topology, TopologyBuilder, Tuple, Value,
 };
 use whale_net::{FabricKind, LinkFaults, OneSidedConfig, RingConfig};
 use whale_sim::JsonValue;
 
-/// What the spout emits and what each sink does with it.
-#[derive(Clone, Copy)]
-pub struct Workload {
-    /// Field names of the stream.
-    pub fields: &'static [&'static str],
-    /// The `i`-th tuple.
-    pub tuple: fn(i64) -> Tuple,
-    /// One sink instance.
-    pub sink: fn(u32) -> Box<dyn Bolt>,
-}
-
-impl Workload {
-    /// A bare counter into sinks that do nothing: the cell measures the
-    /// path, not the operator.
-    pub const COUNTER: Workload = Workload {
-        fields: &["n"],
-        tuple: |i| Tuple::with_id(i as u64, vec![Value::I64(i)]),
-        sink: |_| Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {})),
-    };
-}
-
-/// All-grouped spout → sink topology: every tuple is tracked to `fanout`
-/// first-hop subscribers. A non-zero `gap` throttles the spout, so a
-/// mid-run event (a forced tree switch) lands while the stream is in
-/// flight.
-pub fn fanout_topology(n: i64, fanout: u32, gap: Duration, w: Workload) -> (Topology, Operators) {
+/// All-grouped spout → sink topology: a bare counter, every tuple tracked
+/// to `fanout` first-hop subscribers that do nothing with it — the cell
+/// measures the path, not the operator. A non-zero `gap` throttles the
+/// spout, so a mid-run event (a forced tree switch) lands while the
+/// stream is in flight.
+pub fn fanout_topology(n: i64, fanout: u32, gap: Duration) -> (Topology, Operators) {
     let mut b = TopologyBuilder::new();
-    b.spout("src", 1, Schema::new(w.fields.to_vec()))
-        .bolt("sink", fanout, Schema::new(w.fields.to_vec()))
+    b.spout("src", 1, Schema::new(vec!["n"]))
+        .bolt("sink", fanout, Schema::new(vec!["n"]))
         .connect("src", "sink", Grouping::All);
     let t = b.build().expect("static topology is valid");
     let ops = Operators::new()
@@ -58,10 +38,12 @@ pub fn fanout_topology(n: i64, fanout: u32, gap: Duration, w: Workload) -> (Topo
                 if !gap.is_zero() {
                     std::thread::sleep(gap);
                 }
-                (w.tuple)(i)
+                Tuple::with_id(i as u64, vec![Value::I64(i)])
             })))
         })
-        .bolt("sink", w.sink);
+        .bolt("sink", |_| {
+            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+        });
     (t, ops)
 }
 
@@ -111,12 +93,6 @@ pub enum Expect {
     SharesBuffers,
     /// Every frame was copied, none shared.
     CopiesOnly,
-    /// Cross-machine tuples arrived as borrowed wire views.
-    LazyWire,
-    /// Wire tuples were materialized.
-    Materializes,
-    /// No wire tuple was ever materialized.
-    NeverMaterializes,
 }
 
 impl Expect {
@@ -129,9 +105,6 @@ impl Expect {
             Expect::NoStaleDrops => r.relay_stale_drops == 0,
             Expect::SharesBuffers => r.shared_bytes > 0,
             Expect::CopiesOnly => r.shared_bytes == 0 && r.copied_bytes > 0,
-            Expect::LazyWire => r.wire_tuples_lazy > 0,
-            Expect::Materializes => r.tuples_materialized > 0,
-            Expect::NeverMaterializes => r.tuples_materialized == 0,
         }
     }
 }
@@ -149,8 +122,6 @@ pub struct CellSpec {
     pub fanout: u32,
     /// Spout throttle (see [`fanout_topology`]).
     pub gap: Duration,
-    /// Stream and sink.
-    pub workload: Workload,
     /// Machines, shards, transport, relay tree, acker, log, fault plan.
     pub config: LiveConfig,
     /// Expectations beyond the shared contract.
@@ -167,7 +138,6 @@ impl CellSpec {
             tuples,
             fanout,
             gap: Duration::ZERO,
-            workload: Workload::COUNTER,
             config: LiveConfig {
                 machines,
                 ack: Some(tracked_ack()),
@@ -213,7 +183,7 @@ pub fn run_cell(spec: &CellSpec) -> CellOutcome {
             && f.partitions.is_empty()
     });
 
-    let (t, ops) = fanout_topology(spec.tuples, spec.fanout, spec.gap, spec.workload);
+    let (t, ops) = fanout_topology(spec.tuples, spec.fanout, spec.gap);
     let r = run_topology(t, ops, config.clone());
 
     assert_eq!(
@@ -291,8 +261,6 @@ impl CellOutcome {
             "relay_active" => JsonValue::Bool(r.relay_forwards > 0),
             "switched" => JsonValue::Bool(r.relay_switches >= 1),
             "cross_shard_active" => JsonValue::Bool(r.cross_shard_msgs > 0),
-            "lazy_wire_active" => JsonValue::Bool(r.wire_tuples_lazy > 0),
-            "materialized_any" => JsonValue::Bool(r.tuples_materialized > 0),
             other => panic!("a live cell reports no field {other:?}"),
         }
     }

@@ -27,7 +27,7 @@
 //! Emits `results/live_topology.{csv,json}` and the headline
 //! `BENCH_topology.json`; both are byte-identical across reruns.
 
-use super::cell::{cells_json, run_cell, tracked_ack, CellOutcome, CellSpec, Expect, Workload};
+use super::cell::{cells_json, run_cell, tracked_ack, CellOutcome, CellSpec, Expect};
 use super::live_adaptive::planned_d;
 use super::Output;
 use crate::{object, Scale, Table};
@@ -174,7 +174,6 @@ fn live_cell(scale: Scale, label: String, gap: Duration, adaptive: AdaptiveConfi
         tuples: scale.pick3(120, 400, 1_200),
         fanout: 16,
         gap,
-        workload: Workload::COUNTER,
         config: LiveConfig {
             machines: MACHINES,
             zero_copy: true,

@@ -18,7 +18,6 @@ pub mod fig25_28_communication;
 pub mod fig29_32_verbs;
 pub mod fig33_34_racks;
 pub mod live_adaptive;
-pub mod live_lazy_decode;
 pub mod live_one_sided;
 pub mod live_ring;
 pub mod live_shards;
@@ -254,13 +253,6 @@ pub const REGISTRY: &[Experiment] = &[
         run: live_shards::run_experiment,
     },
     Experiment {
-        id: "E25",
-        name: "lazy_decode",
-        title: "Lazy decode: borrowed tuple views over the wire buffer",
-        headline: Some("BENCH_lazy_decode.json"),
-        run: live_lazy_decode::run_experiment,
-    },
-    Experiment {
         id: "E27",
         name: "topology",
         title: "Live topology: rack-aware multicast trees vs oblivious d* and binomial",
@@ -342,7 +334,7 @@ mod tests {
         };
         // Rows of the table, and keys the headline must carry beyond the
         // ones `check` requires.
-        let shape: [(&str, usize, &[&str]); 7] = [
+        let shape: [(&str, usize, &[&str]); 6] = [
             ("ring", 4, &[]),
             ("zero_copy", 21, &["fanout_8", "best", "min_pool_hit_rate"]),
             (
@@ -355,11 +347,6 @@ mod tests {
                 "shards",
                 12,
                 &["fanout8_4shard_speedup", "acceptance_cells"],
-            ),
-            (
-                "lazy_decode",
-                4,
-                &["key_touch_speedup_16kib", "acceptance_cells"],
             ),
             (
                 "topology",

@@ -35,7 +35,7 @@ fn a_smoke_run_leaves_a_committed_report_untouched() {
         );
     }
     let full = whale_bench(&dir)
-        .args(["run", "lazy_decode"])
+        .args(["run", "one_sided"])
         .env("WHALE_SCALE", "full")
         .output()
         .unwrap();
@@ -44,10 +44,10 @@ fn a_smoke_run_leaves_a_committed_report_untouched() {
         std::fs::read_to_string(&committed).unwrap(),
         "the committed report\n"
     );
-    assert!(!dir.join("BENCH_lazy_decode.json").exists());
+    assert!(!dir.join("BENCH_one_sided.json").exists());
     for report in [
         "BENCH_shards.json",
-        "BENCH_lazy_decode.json",
+        "BENCH_one_sided.json",
         "live_shards.json",
     ] {
         let written = std::fs::read_to_string(dir.join("results").join(report)).unwrap();

@@ -6,10 +6,12 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 use whale_dsps::codec::{self, decode_tuple, encode_tuple};
 use whale_dsps::{
-    DecodeError, InstanceMessage, InstanceMessageView, LazyTuple, TaskId, Tuple, TupleView, Value,
-    WorkerMessage, WorkerMessageView,
+    run_topology, AckConfig, Bolt, DecodeError, Emitter, FnBolt, Grouping, InstanceMessage,
+    InstanceMessageView, IterSpout, LazyFnBolt, LazyTuple, LiveConfig, Operators, RunOutcome,
+    Schema, TaskId, TopologyBuilder, Tuple, TupleView, Value, WorkerMessage, WorkerMessageView,
 };
 
 /// Strategy over every `Value` variant, including arbitrary (valid)
@@ -205,4 +207,50 @@ fn bad_utf8_is_deferred_to_the_touching_access() {
     assert!(view.to_tuple().is_err());
     let lazy = LazyTuple::from_wire(Arc::from(&bytes[..]), 0).unwrap();
     assert!(lazy.materialize().is_err());
+}
+
+/// The live runtime end to end, acker on: 120 tuples of a key and a
+/// 200-byte string fan out to 16 sinks over 4 machines. Cross-machine
+/// tuples arrive as borrowed wire views; a sink that takes owned tuples
+/// materializes them, one that reads its key off the view never does,
+/// and every tuple is acked either way.
+#[test]
+fn a_live_run_materializes_only_for_a_sink_that_takes_owned_tuples() {
+    let eager: fn(u32) -> Box<dyn Bolt> = |_| {
+        Box::new(FnBolt::new(|t: &Tuple, _out: &mut dyn Emitter| {
+            std::hint::black_box(t.arity());
+        }))
+    };
+    let lazy: fn(u32) -> Box<dyn Bolt> = |_| {
+        Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
+            let key = t.field(0).and_then(|f| f.ok()).and_then(|v| v.as_i64());
+            std::hint::black_box(key);
+        }))
+    };
+    for (sink, materializes) in [(eager, true), (lazy, false)] {
+        let mut b = TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["key", "body"]))
+            .bolt("sink", 16, Schema::new(vec!["key", "body"]))
+            .connect("src", "sink", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", |_| {
+                Box::new(IterSpout::new((0..120).map(|i| {
+                    let body = Value::str("w".repeat(200).as_str());
+                    Tuple::with_id(i as u64, vec![Value::I64(i), body])
+                })))
+            })
+            .bolt("sink", sink);
+        let config = LiveConfig {
+            machines: 4,
+            ack: Some(AckConfig::default()),
+            run_deadline: Some(Duration::from_secs(10)),
+            ..LiveConfig::default()
+        };
+        let r = run_topology(b.build().unwrap(), ops, config);
+        assert_eq!(r.spout_emitted, 120);
+        assert_eq!(r.tuples_acked + r.tuples_failed, r.spout_emitted);
+        assert_eq!((r.tuples_failed, r.outcome), (0, RunOutcome::Clean));
+        assert!(r.wire_tuples_lazy > 0, "cross-machine tuples are views");
+        assert_eq!(r.tuples_materialized > 0, materializes);
+    }
 }

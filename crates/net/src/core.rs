@@ -10,12 +10,11 @@
 //!
 //! - [`PerSend`] ([`LiveFabric`]): the sender delivers now, through a
 //!   handle on the destination's queue it resolved once;
-//! - [`crate::ring_fabric::Ring`] ([`crate::RingFabric`]): the sender
-//!   posts to the endpoint's ring, a pass batches at MMS/WTL and hands
-//!   what it flushed over in one push;
-//! - [`crate::one_sided::OneSided`] ([`crate::OneSidedFabric`]): the
-//!   sender publishes to the link's outbox, a pass reads each link's run
-//!   across and delivers it in one push.
+//! - [`crate::slice::Slice`] ([`crate::RingFabric`],
+//!   [`crate::OneSidedFabric`]): the sender posts to an outbox — its
+//!   destination's one (the ring) or its link's (one-sided) — and a pass
+//!   hands each outbox's ready run over in one push: what MMS/WTL flushed
+//!   (the ring) or everything published (one-sided).
 //!
 //! A buffered frame moves only in a pass over its endpoint, and a pass
 //! runs in three places: on the endpoint's reader, before its [`Inbox`]

@@ -2,8 +2,8 @@
 //!
 //! Every endpoint owns one queue: a `VecDeque` of frames behind one
 //! mutex, with a condvar its reader blocks on. Every hand-off — a per-send
-//! frame, a ring pass's flushed slice, a one-sided fetch's run of one link
-//! — pushes under that one lock and counts what it delivered
+//! frame, or one outbox's ready run in a buffered pass (a ring's flushed
+//! slice, a one-sided link's fetched run) — pushes under that one lock and counts what it delivered
 //! there, with plain stores: the lock already orders the writers, so the
 //! counts take no read-modify-write of their own. A bounded endpoint's
 //! capacity is checked under the same lock.
@@ -12,20 +12,21 @@
 //! last take swaps everything queued into that local remainder in one
 //! lock, and gives frames out of it with none. `len` is exact: frames
 //! pushed (written under the lock) less frames given out (written by the
-//! reader alone). On the buffered transports (ring, one-sided) the reader
-//! is also its endpoint's drainer: a receive that finds the queue empty
-//! first runs the endpoint's own pass on the caller's thread — the ring's
-//! frames that MMS/WTL flushed, or a fetch of the destination's inbound
-//! links by sequence number — and a blocking receive bounds its wait by
-//! the pass's next WTL deadline.
+//! reader alone). On the buffered transports (the one
+//! [`Slice`](crate::slice::Slice) policy, on its ring or one-sided rules)
+//! the reader is also its endpoint's drainer: a receive that finds the
+//! queue empty first runs the endpoint's own pass on the caller's thread —
+//! what MMS/WTL flushed from the ring's outbox, or everything published to
+//! the destination's link outboxes — and a blocking receive bounds its
+//! wait by the pass's next WTL deadline.
 //!
 //! A reader with nothing to read sets `waiting` under the lock and waits
 //! on the condvar. A hand-off that finds `waiting` set clears it and
 //! notifies, after releasing the lock: once per wait, however many frames
 //! follow before the reader runs. A buffered post wakes a blocked reader
-//! only when the reader could otherwise sleep past it (the policy decides
-//! when: an idle ring turning pending or an MMS crossing; any one-sided
-//! publish). The two sides meet Dekker-style on the endpoint's `Port`:
+//! only when the reader could otherwise sleep past it (the flush rule
+//! decides when: an idle ring outbox turning pending or an MMS crossing;
+//! any one-sided publish). The two sides meet Dekker-style on the endpoint's `Port`:
 //! the reader sets `parked`, fences and reads `pending` before it blocks;
 //! a post raises `pending`, fences and reads `parked` — one of the two
 //! always sees the other. The elected post sets `woken` under the queue

@@ -5,7 +5,8 @@
 //! Provides: the cluster topology (machines/racks) and its per-link load
 //! tracker, registered memory with the ring memory region multiplexing of
 //! §4, the MMS/WTL stream-slicing batcher, the live in-process transports
-//! (per-send, batched ring, one-sided fetch) behind [`FabricPath`] with
+//! (per-send, and the batched ring and one-sided fetch, the two rule sets
+//! of one buffered policy) behind [`FabricPath`] with
 //! their fault-injection wrapper, and the partition log. It prices
 //! nothing: the simulator's cost model, NIC model and verb choice live in
 //! `whale-sim`, and a live clock here is a [`std::time::Duration`] since
@@ -23,7 +24,7 @@ pub mod memory;
 pub mod one_sided;
 pub mod policy;
 pub mod ring_fabric;
-mod slice;
+pub mod slice;
 pub mod topology;
 
 pub use batch::{Batch, BatchConfig, Batcher, FlushReason};

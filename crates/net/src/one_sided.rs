@@ -1,60 +1,19 @@
-//! `OneSidedFabric`: the remote-fetch live transport (§4's one-sided
-//! READ paradigm).
-//!
-//! Where [`crate::LiveFabric`] pushes into destination inboxes and
-//! [`crate::RingFabric`] batches pushes through a pass, this transport
-//! inverts the data movement: each (sender, destination) link owns a
-//! [`RingRegion`]-backed outbox registered once, the sender *publishes*
-//! frames into it (server-bypass: no destination code runs on the send
-//! path), and the receive side *fetches* — the in-process stand-in for an
-//! `RDMA READ` of the tail slot, addressed purely by sequence number
-//! ([`RingRegion::tail_seq`]). The fetcher is the destination's own
-//! reader: before its [`crate::Inbox`] reads, it fetches its inbound
-//! links, and a publish wakes it if it is blocked. Deterministic callers
-//! drive [`OneSidedFabric::fetch_all`] themselves.
-//!
-//! Semantics shared with the other transports:
-//!
-//! - a publish into a full outbox ring runs the destination's fetch pass
-//!   itself and tries again; only if the ring is still full does it fail
-//!   with [`SendError::Full`] — the bounded transfer queue of the M/D/1
-//!   model, surfaced as backpressure the `SendPolicy` retries;
-//! - only bytes that actually reach an inbox count toward the byte
-//!   totals; failed publishes and dead destinations increment
-//!   `send_errors`;
-//! - per-link FIFO order holds end to end: the ring is consumed strictly
-//!   in sequence order, and a frame the (bounded) inbox cannot yet accept
-//!   stays at the front of its link's ring;
-//! - a frame sent with [`FabricPath::send_lent`](crate::FabricPath::send_lent)
-//!   has no buffer of its own: the outbox slot holds its descriptor, its
-//!   bytes are appended to the link's slice buffer under the link's lock,
-//!   and a fetch pass freezes the lent bytes of the link's run into one
-//!   shared buffer, of which each such frame arrives as a
-//!   [`Payload::Slice`](crate::Payload::Slice) — the whole run as one
-//!   `RDMA READ` (§4).
-//!
-//! Only the policy lives here — what a publish and a fetch pass do. The
-//! endpoint table (a destination's links hang off its entry, so they go
-//! when it goes), counters, link attribution and the reader's side are
-//! [`crate::core`]'s.
+//! `OneSidedFabric`: the remote-fetch transport (§4's one-sided READ
+//! paradigm) — [`Slice`] on the fetch rules: one outbox per (sender,
+//! destination) link, registered on its first frame, from which the
+//! destination's reader fetches everything published. Only the
+//! configuration lives here; what a publish and a fetch do is
+//! [`crate::slice`]'s.
 
-use crate::core::{Entry, Handoff, Policy, Transport};
-use crate::fabric::{EndpointId, IdHashMap, LiveMessage, SendError};
-use crate::memory::{MemoryRegistry, RingRegion};
-use crate::slice::{Lent, Posted};
-use parking_lot::Mutex;
-use std::time::Duration;
-
-/// Per-slot registration accounting: bytes of registered memory each
-/// outbox slot reserves.
-const SLOT_BYTES: usize = 2 * 1024;
+use crate::core::Transport;
+use crate::slice::Slice;
 
 /// Configuration of the one-sided (remote-fetch) transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OneSidedConfig {
     /// Per-link outbox capacity in slots: the maximum number of published
     /// but not yet fetched frames between one sender and one destination.
-    /// Publishes beyond it fail with [`SendError::Full`].
+    /// Publishes beyond it fail with [`SendError::Full`](crate::SendError::Full).
     pub ring_slots: usize,
 }
 
@@ -66,217 +25,18 @@ impl Default for OneSidedConfig {
     }
 }
 
-/// One (sender → destination) link: the registered outbox ring of
-/// descriptors, and the bytes its lent frames lent.
-pub struct LinkOutbox {
-    ring: RingRegion<Posted>,
-    lent: Lent,
-}
-
-impl LinkOutbox {
-    /// The ring's `n` oldest frames, consumed ([`Lent::take`]).
-    fn fetch(&mut self, n: usize) -> impl Iterator<Item = LiveMessage> + '_ {
-        let lent = Posted::lent_in(self.ring.iter().take(n));
-        self.lent.take(lent, self.ring.drain(n))
-    }
-}
-
-/// A destination's inbound links, by sender.
-type Inbound = IdHashMap<EndpointId, Mutex<LinkOutbox>>;
-
-/// The remote-fetch policy: a send publishes to the link's outbox; a pass
-/// reads each frame across and delivers.
-pub struct OneSided {
-    config: OneSidedConfig,
-    /// Registration ledger: one registration per link, paid lazily on the
-    /// first publish, refunded on deregistration.
-    registry: Mutex<MemoryRegistry>,
-}
-
-/// The remote-fetch transport. See the module docs for semantics.
-pub type OneSidedFabric = Transport<OneSided>;
-
-impl OneSided {
-    /// A fresh outbox for `from → to`: registration is paid here, once per
-    /// link, never per message.
-    fn new_link(&self) -> Mutex<LinkOutbox> {
-        let ring = RingRegion::new(
-            self.config.ring_slots,
-            SLOT_BYTES,
-            &mut self.registry.lock(),
-        );
-        Mutex::new(LinkOutbox {
-            ring,
-            lent: Lent::default(),
-        })
-    }
-
-    /// Publish `posted` into `link`, `entry`'s outbox from its sender —
-    /// `lent` holds a lent descriptor's bytes — and wake the reader; hand
-    /// the descriptor back if the outbox is full.
-    fn publish(
-        t: &OneSidedFabric,
-        to: EndpointId,
-        entry: &Entry<Inbound>,
-        link: &Mutex<LinkOutbox>,
-        posted: Posted,
-        lent: &[u8],
-    ) -> Result<(), Posted> {
-        let (from, bytes) = (posted.from(), posted.len());
-        let mut guard = link.lock();
-        let link = &mut *guard;
-        if link.ring.is_full() {
-            return Err(posted);
-        }
-        link.lent.push(lent);
-        link.ring.produce(posted).expect("checked for a free slot");
-        // Published into the outbox: the frame occupies its link's queue
-        // until a fetch pass pulls it across.
-        t.note_queued(from, to, bytes);
-        entry.queue.port.accept();
-        drop(guard);
-        entry.queue.wake_reader();
-        Ok(())
-    }
-
-    /// Publish `posted` into its sender's outbox to `to`. A link's first
-    /// frame creates it under the table's write lock, so a `deregister`
-    /// racing the publish either still sees the destination or took it
-    /// with it.
-    fn publish_to(
-        t: &OneSidedFabric,
-        to: EndpointId,
-        posted: Posted,
-        lent: &[u8],
-    ) -> Result<(), SendError> {
-        let from = posted.from();
-        let publish = |entry: &Entry<Inbound>, link: &Mutex<LinkOutbox>, posted| {
-            t.post_or_pass(to, entry, posted, |posted| {
-                Self::publish(t, to, entry, link, posted, lent)
-            })
-        };
-        let published = t.with_entry(to, |entry| match entry.state.get(&from) {
-            Some(link) => Ok(publish(entry, link, posted)),
-            None => Err(posted),
-        });
-        let sent = match published {
-            Some(Ok(sent)) => Some(sent),
-            Some(Err(posted)) => t.with_entry_mut(to, |entry| {
-                let fresh = || t.policy().new_link();
-                entry.state.entry(from).or_insert_with(fresh);
-                let entry = &*entry;
-                publish(entry, &entry.state[&from], posted)
-            }),
-            None => None,
-        };
-        sent.unwrap_or(Err(SendError::UnknownEndpoint))
-            .map_err(|err| t.reject(err))
-    }
-}
-
-impl Policy for OneSided {
-    type Endpoint = Inbound;
-    const BUFFERED: bool = true;
-
-    fn open(&self, _id: EndpointId) -> Inbound {
-        Inbound::default()
-    }
-
-    /// The destination is gone: refund its links' registrations and drop
-    /// the frames still published to it.
-    fn close(&self, links: Inbound, dropped: &mut dyn FnMut(LiveMessage)) {
-        for link in links.into_values() {
-            let mut link = link.into_inner();
-            self.registry.lock().deregister(link.ring.region());
-            link.fetch(link.ring.len()).for_each(&mut *dropped);
-        }
-    }
-
-    fn send(t: &OneSidedFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        Self::publish_to(t, to, Posted::Own(msg), &[])
-    }
-
-    /// The bytes go into the link's slice buffer under the link's lock:
-    /// no buffer of their own.
-    fn send_lent(
-        t: &OneSidedFabric,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        let len = bytes.len();
-        Self::publish_to(t, to, Posted::Lent { from, len }, bytes)
-    }
-
-    /// Frames published on each link, which its ring numbers.
-    fn posts(links: &Inbound) -> [u64; 3] {
-        let posted = links.values().map(|link| link.lock().ring.next_seq());
-        [posted.sum(), 0, 0]
-    }
-
-    /// Fetch every inbound link of `to`: read its run from the tail slot
-    /// (addressed by seq) on, consume it, and hand it to the inbox in one
-    /// push. A full bounded inbox stops a link — its frames stay in the ring,
-    /// the ring backs up, and publishes eventually see
-    /// [`SendError::Full`].
-    fn pass(
-        t: &OneSidedFabric,
-        to: EndpointId,
-        entry: &Entry<Inbound>,
-        _now: Duration,
-        _force: bool,
-    ) -> (u64, Option<Duration>) {
-        let (mut delivered, mut settled) = (0, 0);
-        for link in entry.state.values() {
-            let mut link = link.lock();
-            let ready = link.ring.len();
-            if ready == 0 {
-                continue;
-            }
-            // The remote reader locates the next frame by sequence number
-            // alone — no control message (§4): the tail slot holds
-            // `tail_seq`.
-            match t.deliver(&entry.queue, to, ready, |n| link.fetch(n)) {
-                Handoff::Delivered(n) => (delivered, settled) = (delivered + n, settled + n),
-                Handoff::Disconnected => settled += ready as u64,
-                Handoff::Closed => {}
-            }
-        }
-        entry.queue.port.settle(settled);
-        (delivered, None)
-    }
-}
-
-impl OneSidedFabric {
-    /// New fabric with no endpoints. Each destination's reader fetches its
-    /// own inbound links; deterministic runs drive
-    /// [`OneSidedFabric::fetch_all`] instead.
-    pub fn new(config: OneSidedConfig) -> Self {
-        assert!(config.ring_slots > 0, "outbox needs at least one slot");
-        Transport::with_policy(OneSided {
-            config,
-            registry: Mutex::new(MemoryRegistry::new()),
-        })
-    }
-
-    /// Every destination's fetch pass, in id order. Returns the number of
-    /// frames delivered.
-    pub fn fetch_all(&self) -> u64 {
-        self.drain(Duration::ZERO, false)
-    }
-
-    /// Live (sender, destination) link count.
-    pub fn link_count(&self) -> usize {
-        self.entries().values().map(|entry| entry.state.len()).sum()
-    }
-}
+/// The remote-fetch transport: [`Slice`] built from a
+/// [`OneSidedConfig`]. See the module docs for semantics.
+pub type OneSidedFabric = Transport<Slice>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{FabricPath, Payload};
+    use crate::fabric::{EndpointId, FabricPath, LiveMessage, Payload, SendError};
+    use crate::{RingConfig, RingFabric};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn cfg(ring_slots: usize) -> OneSidedConfig {
         OneSidedConfig { ring_slots }
@@ -316,23 +76,34 @@ mod tests {
         assert_eq!(fabric.stats().messages, 2);
     }
 
+    /// The ring at the same capacity, for the accounting both keep.
+    fn ring(ring_capacity: usize) -> RingFabric {
+        RingFabric::new(RingConfig {
+            ring_capacity,
+            ..RingConfig::default()
+        })
+    }
+
+    /// One registration per outbox, whatever the traffic: per (sender,
+    /// destination) link here, per destination on the ring.
     #[test]
     fn registration_paid_once_per_link() {
-        let fabric = OneSidedFabric::new(cfg(8));
-        let _rx1 = fabric.register(EndpointId(1)).unwrap();
-        let _rx2 = fabric.register(EndpointId(2)).unwrap();
-        for _ in 0..5 {
-            fabric
-                .send_copied(EndpointId(0), EndpointId(1), b"x")
-                .unwrap();
-            fabric
-                .send_copied(EndpointId(0), EndpointId(2), b"x")
-                .unwrap();
+        for (fabric, outboxes) in [(OneSidedFabric::new(cfg(16)), 4), (ring(16), 2)] {
+            let _rx1 = fabric.register(EndpointId(1)).unwrap();
+            let _rx2 = fabric.register(EndpointId(2)).unwrap();
+            for _ in 0..5 {
+                for (from, to) in [(0, 1), (0, 2), (3, 1), (3, 2)] {
+                    fabric
+                        .send_copied(EndpointId(from), EndpointId(to), b"x")
+                        .unwrap();
+                }
+            }
+            fabric.flush_at(Duration::ZERO);
+            let registrations = fabric.policy().registry.lock().registrations();
+            assert_eq!(registrations, outboxes, "one per outbox");
+            assert_eq!(fabric.link_count(), outboxes as usize);
+            assert_eq!(fabric.stats().messages, 20);
         }
-        fabric.fetch_all();
-        let registrations = fabric.policy().registry.lock().registrations();
-        assert_eq!(registrations, 2, "one per link");
-        assert_eq!(fabric.link_count(), 2);
     }
 
     #[test]
@@ -397,22 +168,24 @@ mod tests {
 
     #[test]
     fn deregister_refunds_registrations_and_drops_frames() {
-        let fabric = OneSidedFabric::new(cfg(8));
-        let _rx = fabric.register(EndpointId(1)).unwrap();
-        fabric
-            .send_copied(EndpointId(0), EndpointId(1), b"stranded")
-            .unwrap();
-        fabric.deregister(EndpointId(1));
-        assert_eq!(fabric.link_count(), 0);
-        assert_eq!(fabric.stats().queue_depth, 0);
-        assert_eq!(
+        for fabric in [OneSidedFabric::new(cfg(8)), ring(8)] {
+            let _rx = fabric.register(EndpointId(1)).unwrap();
             fabric
-                .send_copied(EndpointId(0), EndpointId(1), b"x")
-                .unwrap_err(),
-            SendError::UnknownEndpoint
-        );
-        assert_eq!(fabric.policy().registry.lock().deregistrations(), 1);
-        assert_eq!(live_registrations(&fabric), 0);
+                .send_copied(EndpointId(0), EndpointId(1), b"stranded")
+                .unwrap();
+            fabric.deregister(EndpointId(1));
+            assert_eq!(fabric.link_count(), 0);
+            let stats = fabric.stats();
+            assert_eq!((stats.queue_depth, stats.send_errors), (0, 1));
+            assert_eq!(
+                fabric
+                    .send_copied(EndpointId(0), EndpointId(1), b"x")
+                    .unwrap_err(),
+                SendError::UnknownEndpoint
+            );
+            assert_eq!(fabric.policy().registry.lock().deregistrations(), 1);
+            assert_eq!(live_registrations(&fabric), 0);
+        }
     }
 
     /// Registrations not yet refunded (the registry's byte total is

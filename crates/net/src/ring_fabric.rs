@@ -1,50 +1,19 @@
-//! `RingFabric`: a bounded ring-buffer live transport with verbs-style
-//! post/poll semantics.
-//!
-//! Sends *post a descriptor* into a fixed-capacity per-endpoint ring —
-//! they never touch the destination inbox directly. A pass over the
-//! endpoint (its reader's, before its [`crate::Inbox`] reads, in live
-//! mode; the caller's via [`RingFabric::pump`] in deterministic mode)
-//! runs the stream-slicing [`Batcher`] over the ring and hands every
-//! flushed MMS/WTL slice to the inbox in one piece, so the live path
-//! exercises the same batching policy the simulator models (§4,
-//! Figs 11–12):
-//!
-//! - a post that finds the ring at capacity runs the endpoint's pass
-//!   itself and tries again; only if the ring is still full does it fail
-//!   with [`SendError::Full`] — the bounded transfer queue of the paper's
-//!   M/D/1 model, surfaced as backpressure instead of a deadlock;
-//! - batches flush when buffered bytes reach MMS or the oldest descriptor
-//!   has waited WTL (a blocked reader's wait is bounded by
-//!   [`Batcher::deadline`]);
-//! - per-sender FIFO order is preserved end to end: posts enter the ring
-//!   in order, slices leave it in order, and flushed frames a bounded,
-//!   momentarily full inbox cannot take stay at the front of the ring;
-//! - a frame sent with [`FabricPath::send_lent`](crate::FabricPath::send_lent)
-//!   has no buffer of its own: its bytes are appended to the endpoint's
-//!   slice buffer under the ring's lock, the pass freezes the lent bytes
-//!   of a slice into one shared buffer, and each such frame arrives as a
-//!   [`Payload::Slice`](crate::Payload::Slice) of it — the slice as one
-//!   work request (§4).
-//!
-//! Only the policy lives here — what a post and a pass do. The endpoint
-//! table, counters, link attribution and the reader's side are
-//! [`crate::core`]'s.
+//! `RingFabric`: the batched ring transport — [`Slice`] on the push
+//! rules: one outbox per destination, which a pass cuts into MMS/WTL
+//! stream slices, so the live path exercises the batching policy the
+//! simulator models (§4, Figs 11–12). Only the configuration lives here;
+//! what a post and a pass do is [`crate::slice`]'s.
 
-use crate::batch::{BatchConfig, Batcher};
-use crate::core::{Entry, Handoff, Policy, Transport};
-use crate::fabric::{EndpointId, LiveMessage, SendError};
-use crate::slice::{Lent, Posted};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::time::Duration;
+use crate::batch::BatchConfig;
+use crate::core::Transport;
+use crate::slice::Slice;
 
 /// Configuration of the ring transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RingConfig {
     /// Per-endpoint descriptor-ring capacity: the maximum number of posted
     /// but not yet delivered descriptors. Posts beyond it fail with
-    /// [`SendError::Full`].
+    /// [`SendError::Full`](crate::SendError::Full).
     pub ring_capacity: usize,
     /// The MMS/WTL stream-slicing policy the pass applies.
     pub batch: BatchConfig,
@@ -59,249 +28,17 @@ impl Default for RingConfig {
     }
 }
 
-/// One endpoint's send state: the descriptor ring, the MMS/WTL state of
-/// the slice it is filling, and the bytes lent into that slice.
-pub struct EndpointRing {
-    /// Descriptors ever accepted into the ring.
-    posted: u64,
-    /// Posted descriptors not yet handed to the inbox, oldest first:
-    /// `[..flushed]` were flushed (a bounded inbox had no room for them
-    /// yet), `[flushed..offered]` make up the open slice, and the rest
-    /// were posted since the last pass.
-    ring: VecDeque<Posted>,
-    flushed: usize,
-    offered: usize,
-    /// Payload bytes posted since the last pass.
-    ring_bytes: usize,
-    /// MMS/WTL over the open slice: it counts (the flushed slices too) and
-    /// times, and holds nothing.
-    batcher: Batcher<()>,
-    /// The bytes of every lent descriptor in `ring`, in ring order.
-    lent: Lent,
-}
-
-impl EndpointRing {
-    /// When this endpoint next needs a pass: at once if the ring holds
-    /// descriptors not yet offered or flushed ones a bounded inbox could
-    /// not take, else at the armed WTL deadline, if any.
-    fn next_due(&self) -> Option<Duration> {
-        if self.flushed > 0 || self.offered < self.ring.len() {
-            Some(Duration::ZERO)
-        } else {
-            self.batcher.deadline()
-        }
-    }
-
-    /// The ring's first `k` descriptors as frames, oldest first
-    /// ([`Lent::take`]).
-    fn take(&mut self, k: usize) -> impl Iterator<Item = LiveMessage> + '_ {
-        self.flushed -= k;
-        self.offered -= k;
-        let lent = Posted::lent_in(self.ring.iter().take(k));
-        self.lent.take(lent, self.ring.drain(..k))
-    }
-}
-
-/// The batched-ring policy: a send posts to the endpoint's ring; a pass
-/// batches at MMS/WTL and hands the flushed frames over in one push.
-pub struct Ring {
-    config: RingConfig,
-}
-
-/// The batched ring-buffer transport. See the module docs for semantics.
-pub type RingFabric = Transport<Ring>;
-
-impl Ring {
-    /// Post a descriptor to `to`'s ring — `lent` holds a lent
-    /// descriptor's bytes — or hand it back if the ring is at capacity.
-    /// The reader is woken only when it could otherwise sleep past this
-    /// descriptor: the endpoint was idle (nothing pending, so no WTL
-    /// deadline is armed for it), or this post carries the bytes buffered
-    /// since the last flush across MMS. Every other post rides the
-    /// deadline its predecessors armed — the reader wakes for it anyway
-    /// and passes whatever was posted meanwhile, which is what makes a
-    /// stream slice cost one wake-up, not one per message.
-    fn post(
-        t: &RingFabric,
-        to: EndpointId,
-        entry: &Entry<Mutex<EndpointRing>>,
-        posted: Posted,
-        lent: &[u8],
-    ) -> Result<(), Posted> {
-        let config = &t.policy().config;
-        let mut ep = entry.state.lock();
-        let pending = entry.queue.port.pending();
-        if pending >= config.ring_capacity as u64 {
-            return Err(posted);
-        }
-        let bytes = posted.len();
-        // Accepted into the ring: the frame now occupies its link's queue
-        // until a pass delivers (or drops) it.
-        t.note_queued(posted.from(), to, bytes);
-        let buffered = ep.batcher.buffered_bytes() + ep.ring_bytes;
-        ep.ring_bytes += bytes;
-        ep.lent.push(lent);
-        ep.ring.push_back(posted);
-        ep.posted += 1;
-        entry.queue.port.accept();
-        let mms = config.batch.mms;
-        let wake = pending == 0 || (buffered < mms && buffered + bytes >= mms);
-        drop(ep);
-        if wake {
-            entry.queue.wake_reader();
-        }
-        Ok(())
-    }
-
-    /// Post `posted` to `to`'s ring, running `to`'s pass once if the ring
-    /// is full.
-    fn post_to(
-        t: &RingFabric,
-        to: EndpointId,
-        posted: Posted,
-        lent: &[u8],
-    ) -> Result<(), SendError> {
-        let sent = t.with_entry(to, |entry| {
-            t.post_or_pass(to, entry, posted, |posted| {
-                Ring::post(t, to, entry, posted, lent)
-            })
-        });
-        sent.unwrap_or(Err(SendError::UnknownEndpoint))
-            .map_err(|err| t.reject(err))
-    }
-}
-
-impl Policy for Ring {
-    type Endpoint = Mutex<EndpointRing>;
-    const BUFFERED: bool = true;
-
-    fn open(&self, _id: EndpointId) -> Mutex<EndpointRing> {
-        Mutex::new(EndpointRing {
-            posted: 0,
-            ring: VecDeque::new(),
-            flushed: 0,
-            offered: 0,
-            ring_bytes: 0,
-            batcher: Batcher::new(self.config.batch),
-            lent: Lent::default(),
-        })
-    }
-
-    fn close(&self, slot: Mutex<EndpointRing>, dropped: &mut dyn FnMut(LiveMessage)) {
-        let mut ep = slot.into_inner();
-        let all = ep.ring.len();
-        (ep.flushed, ep.offered) = (all, all);
-        ep.take(all).for_each(dropped);
-    }
-
-    fn send(t: &RingFabric, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        Ring::post_to(t, to, Posted::Own(msg), &[])
-    }
-
-    fn posts(slot: &Mutex<EndpointRing>) -> [u64; 3] {
-        let ep = slot.lock();
-        let batcher = &ep.batcher;
-        [
-            ep.posted,
-            batcher.flushed_batches(),
-            batcher.flushed_items(),
-        ]
-    }
-
-    /// The bytes go into `to`'s slice buffer under the ring's lock: no
-    /// buffer of their own.
-    fn send_lent(
-        t: &RingFabric,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        let len = bytes.len();
-        Ring::post_to(t, to, Posted::Lent { from, len }, bytes)
-    }
-
-    /// Offer what was posted since the last pass to the batcher (a
-    /// size-triggered flush closes the slice at once), fire an expired
-    /// WTL timer — or, forced, flush regardless — and hand every flushed
-    /// frame to the inbox in one push. A bounded inbox takes what it has
-    /// room for; the rest stays at the front of the ring for the next
-    /// pass. A disconnected inbox drops them as errors.
-    fn pass(
-        t: &RingFabric,
-        to: EndpointId,
-        entry: &Entry<Mutex<EndpointRing>>,
-        now: Duration,
-        force: bool,
-    ) -> (u64, Option<Duration>) {
-        let mut guard = entry.state.lock();
-        let ep = &mut *guard;
-        ep.ring_bytes = 0;
-        while ep.offered < ep.ring.len() {
-            let bytes = ep.ring[ep.offered].len();
-            ep.offered += 1;
-            // A flush closes the open slice.
-            if ep.batcher.offer(now, (), bytes).is_some() {
-                ep.flushed = ep.offered;
-            }
-        }
-        let due = if force {
-            ep.batcher.flush()
-        } else {
-            ep.batcher.on_timer(now)
-        };
-        if due.is_some() {
-            ep.flushed = ep.offered;
-        }
-        if ep.flushed == 0 {
-            return (0, ep.next_due());
-        }
-        let ready = ep.flushed;
-        let (delivered, settled) = match t.deliver(&entry.queue, to, ready, |n| ep.take(n)) {
-            Handoff::Delivered(n) => (n, n),
-            Handoff::Disconnected => (0, ready as u64),
-            Handoff::Closed => (0, 0),
-        };
-        entry.queue.port.settle(settled);
-        (delivered, ep.next_due())
-    }
-}
-
-impl RingFabric {
-    /// New ring fabric with no endpoints. Each endpoint's reader drains
-    /// its own ring; a deterministic benchmark drives
-    /// [`RingFabric::pump`] with a virtual clock instead.
-    pub fn new(config: RingConfig) -> Self {
-        assert!(config.ring_capacity > 0, "ring capacity must be positive");
-        Transport::with_policy(Ring { config })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> RingConfig {
-        self.policy().config
-    }
-
-    /// Every endpoint's pass at `now` (see [`Policy::pass`]), in id order:
-    /// empty each ring into its batcher (size-triggered batches flush
-    /// immediately), fire expired WTL timers, and deliver flushed items.
-    /// Returns the number delivered.
-    pub fn pump(&self, now: Duration) -> u64 {
-        self.drain(now, false)
-    }
-
-    /// Force everything out at time `now`: pump, then force-flush every
-    /// batcher regardless of MMS/WTL and deliver (shutdown / end of a
-    /// deterministic run). Returns the number delivered.
-    pub fn flush_at(&self, now: Duration) -> u64 {
-        self.drain(now, true)
-    }
-}
+/// The batched ring-buffer transport: [`Slice`] built from a
+/// [`RingConfig`]. See the module docs for semantics.
+pub type RingFabric = Transport<Slice>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{FabricPath, Payload};
+    use crate::fabric::{EndpointId, FabricPath, LiveMessage, Payload, SendError};
+    use crate::{OneSidedConfig, OneSidedFabric};
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn cfg(ring_capacity: usize, mms: usize, wtl_ms: u64) -> RingConfig {
         RingConfig {
@@ -579,13 +316,22 @@ mod tests {
 
     /// Senders pause for about a WTL between posts, so posts keep landing
     /// between a reader's pass and its block. No heartbeat exists: a
-    /// frame can only arrive in time if no wake-up was lost.
+    /// frame can only arrive in time if no wake-up was lost — under the
+    /// batch rule's wakes (idle → pending, an MMS crossing) and the fetch
+    /// rule's (every publish).
     #[test]
     fn post_wake_ups_are_never_lost() {
+        let ring = RingFabric::new(cfg(4096, 4 * 1024, 1));
+        let one_sided = OneSidedFabric::new(OneSidedConfig { ring_slots: 4096 });
+        for fabric in [ring, one_sided] {
+            wake_ups_are_never_lost(Arc::new(fabric));
+        }
+    }
+
+    fn wake_ups_are_never_lost(fabric: Arc<RingFabric>) {
         const SENDERS: u32 = 4;
         const ENDPOINTS: u32 = 6;
         const PER_PAIR: u32 = 40;
-        let fabric = Arc::new(RingFabric::new(cfg(4096, 4 * 1024, 1)));
         let epoch = Instant::now();
         let readers: Vec<_> = (0..ENDPOINTS)
             .map(|d| {
@@ -708,8 +454,6 @@ mod tests {
         let d = RingConfig::default();
         assert_eq!(d.ring_capacity, 64 * 1024);
         assert_eq!(d.batch, BatchConfig::default());
-        let custom = cfg(128, 4 * 1024, 1);
-        assert_eq!(RingFabric::new(custom).config(), custom);
     }
 
     #[test]
