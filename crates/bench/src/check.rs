@@ -230,18 +230,15 @@ mod tests {
             wrong_report.iter().any(|b| b.contains("scaling_curve")),
             "{wrong_report:?}"
         );
-        let shards = object(&[
+        let cell = |switched: bool| object(&[("switched", &switched)]);
+        let topology = object(&[
             ("schema", &JSON_SCHEMA),
-            ("report", &"shards"),
-            ("experiment", &"live_shards"),
-            ("scaling_curve", &Vec::<u64>::new()),
-            ("one_shard_matches_baseline", &false),
+            ("report", &"topology"),
+            ("experiment", &"live_topology"),
+            ("cells", &vec![cell(false), cell(false)]),
         ]);
-        let broken = invariant_violations("shards", &shards);
+        let broken = invariant_violations("topology", &topology);
         assert_eq!(broken.len(), 1, "{broken:?}");
-        assert!(
-            broken[0].contains("one_shard_matches_baseline"),
-            "{broken:?}"
-        );
+        assert!(broken[0].contains("some \"switched\""), "{broken:?}");
     }
 }

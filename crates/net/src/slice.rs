@@ -196,10 +196,9 @@ type Outboxes = IdHashMap<EndpointId, Mutex<Outbox>>;
 pub struct Slice {
     /// Slots of one outbox.
     slots: usize,
-    /// Keying: one outbox per (sender, destination) link, else one per
-    /// destination.
-    per_link: bool,
-    /// Flush rule: MMS/WTL, or (`None`) fetch everything published.
+    /// Flush rule: MMS/WTL, or (`None`) fetch everything published. It
+    /// also sets the keying: one outbox per destination under MMS/WTL,
+    /// one per (sender, destination) link for a fetch.
     batch: Option<BatchConfig>,
     /// Registration ledger: one registration per outbox, refunded when
     /// its destination leaves.
@@ -208,22 +207,21 @@ pub struct Slice {
 
 impl From<RingConfig> for Slice {
     fn from(config: RingConfig) -> Self {
-        Slice::new(config.ring_capacity, false, Some(config.batch))
+        Slice::new(config.ring_capacity, Some(config.batch))
     }
 }
 
 impl From<OneSidedConfig> for Slice {
     fn from(config: OneSidedConfig) -> Self {
-        Slice::new(config.ring_slots, true, None)
+        Slice::new(config.ring_slots, None)
     }
 }
 
 impl Slice {
-    fn new(slots: usize, per_link: bool, batch: Option<BatchConfig>) -> Self {
+    fn new(slots: usize, batch: Option<BatchConfig>) -> Self {
         assert!(slots > 0, "an outbox needs at least one slot");
         Slice {
             slots,
-            per_link,
             batch,
             registry: Mutex::new(MemoryRegistry::new()),
         }
@@ -294,8 +292,7 @@ impl Slice {
         posted: Posted,
         lent: &[u8],
     ) -> Result<(), SendError> {
-        let per_link = t.policy().per_link;
-        let key = if per_link { posted.link().0 } else { to };
+        let key = t.policy().batch.map_or(posted.link().0, |_| to);
         let post = |entry: &Entry<Outboxes>, outbox: &Mutex<Outbox>, posted| {
             t.post_or_pass(to, entry, posted, |posted| {
                 Self::post(t, to, entry, outbox, posted, lent)
@@ -326,7 +323,7 @@ impl Policy for Slice {
 
     fn open(&self, id: EndpointId) -> Outboxes {
         let mut outboxes = Outboxes::default();
-        if !self.per_link {
+        if self.batch.is_some() {
             outboxes.insert(id, self.outbox());
         }
         outboxes
