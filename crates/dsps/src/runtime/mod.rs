@@ -168,9 +168,10 @@ pub struct RunHandle {
 }
 
 impl RunHandle {
-    /// The run as it reads now: every counter so far, `elapsed` since it
-    /// started, and the outcome they add up to, without the latency
-    /// reservoirs [`Self::join`] takes. No counter reads lower later.
+    /// The run as it reads now: every counter and the delivery-latency
+    /// histogram so far, `elapsed` since it started, and the outcome they
+    /// add up to, without the relay's timing reservoirs [`Self::join`]
+    /// takes. No counter reads lower later.
     pub fn snapshot(&self) -> RunReport {
         self.routing.snapshot(self.start.elapsed())
     }
@@ -730,7 +731,8 @@ mod tests {
         // The caller's thread reads a running broadcast at its own pace:
         // a read lands mid-stream (the spout waits at its midpoint until
         // one has seen it there), no counter a read shows ever falls, and
-        // the joined report is at least the last read.
+        // the joined report is at least the last read, its delivery
+        // histogram included.
         const TUPLES: u64 = 200;
         let gate = Arc::new(std::sync::Barrier::new(2));
         let spout_gate = Arc::clone(&gate);
@@ -754,15 +756,24 @@ mod tests {
             (snapshots.iter()).any(|s| (1..TUPLES).contains(&s.spout_emitted)),
             "no read landed mid-stream"
         );
-        // (elapsed, spout_emitted, executed, fabric_messages)
+        // Ids 8, 16, …, 192 are sampled, each executed by all 8 sinks.
+        assert_eq!(joined.delivery_ns.count(), 24 * 8);
+        // (elapsed, spout_emitted, executed, fabric_messages, latencies)
         let read = |r: &RunReport| {
             let executed: u64 = r.executed.iter().sum();
-            (r.elapsed, r.spout_emitted, executed, r.fabric_messages)
+            let latencies = r.delivery_ns.count();
+            (
+                r.elapsed,
+                r.spout_emitted,
+                executed,
+                r.fabric_messages,
+                latencies,
+            )
         };
         let reads: Vec<_> = snapshots.iter().chain([&joined]).map(read).collect();
         for w in reads.windows(2) {
             let (a, b) = (w[0], w[1]);
-            let none_fell = b.0 >= a.0 && b.1 >= a.1 && b.2 >= a.2 && b.3 >= a.3;
+            let none_fell = b.0 >= a.0 && b.1 >= a.1 && b.2 >= a.2 && b.3 >= a.3 && b.4 >= a.4;
             assert!(none_fell, "a later read fell: {a:?} then {b:?}");
         }
     }

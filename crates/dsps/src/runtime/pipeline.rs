@@ -298,8 +298,7 @@ fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, r
     let was_materialized = t.is_materialized();
     // A sampled delivery is timed to the start of the batch that executes
     // it: one clock read per sampled batch.
-    let emitted_at = stats.delivery.emitted_at(t.id());
-    let latency_ns = emitted_at.map(|at| at.elapsed().as_nanos() as u64);
+    let latency_ns = stats.delivery.latency(t.id());
     let (mut executed, mut duplicates) = (0u64, 0u64);
     // The batch's acks, folded: XOR is what the ledger does with them.
     let mut ack_xor = None;
@@ -1004,8 +1003,8 @@ mod tests {
         assert_eq!(r.dropped_frames, 0);
         let executed: u64 = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(executed, 4);
-        let (kept, seen) = h.routing.stats.delivery.take();
-        assert_eq!((kept.len(), seen), (4, 4), "one latency per execution");
+        let latencies = h.snapshot().delivery_ns;
+        assert_eq!(latencies.count(), 4, "one latency per execution");
     }
 
     #[test]

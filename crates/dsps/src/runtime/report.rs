@@ -7,11 +7,11 @@ use super::config::BuildError;
 use super::relay::RelayEpoch;
 use super::reliability::{splitmix64, LogRuntime};
 use super::send::{Routing, CURRENT_SHARD};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use whale_net::{FabricStats, FaultFabric, LinkTracker, PartitionLog};
+use whale_sim::Histogram;
 
 /// Structured shutdown reason of a live run.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -260,7 +260,8 @@ counter_table! {
             = r.log_sum(PartitionLog::retained_bytes);
         /// Torn tails healed when recovering persisted log images.
         log_torn_tails: Counter "dsps.log.torn_tails" = r.log_sum(PartitionLog::torn_tails);
-        /// Sampled deliveries timed, exact (≥ `delivery_ns.len()`).
+        /// Sampled deliveries timed, exact (`delivery_ns.count()` once the
+        /// run is joined).
         delivery_samples: Counter "dsps.delivery_samples" = r.stats.delivery.samples();
     }
     report {
@@ -292,10 +293,9 @@ counter_table! {
         pub pool_hit_rate: f64,
         /// Structured shutdown reason.
         pub outcome: RunOutcome,
-        /// Sampled spout-to-execute delivery latencies (ns), unordered; a
-        /// uniform sample of them once a long run has taken more than the
-        /// reservoir holds.
-        pub delivery_ns: Vec<u64>,
+        /// Sampled spout-to-execute delivery latencies (ns), every one,
+        /// counted in ≈ 4.6 % log buckets with their exact count and sum.
+        pub delivery_ns: Histogram,
     }
 }
 
@@ -371,7 +371,7 @@ impl Lanes {
 
 /// The counters of a live run's own rows, one per [`Ctr`], then one per
 /// component for the tuples it executed, in [`Lanes`]; and the delivery
-/// probes.
+/// probes, with lanes of their own.
 #[derive(Debug)]
 pub(super) struct RunStats {
     counters: Lanes,
@@ -385,7 +385,7 @@ impl RunStats {
     pub(super) fn new(components: usize, pipelines: usize) -> Self {
         RunStats {
             counters: Lanes::new(SLOTS + components, pipelines),
-            delivery: DeliveryProbes::default(),
+            delivery: DeliveryProbes::new(pipelines),
         }
     }
 
@@ -431,27 +431,43 @@ impl RunStats {
 /// forward latency is sampled at the same rate.
 pub(super) const LATENCY_SAMPLE: u64 = 8;
 
-/// Emit stamps kept at once: a sampled id's stamp is evicted by the id
-/// `EMIT_WINDOW` samples after it, so the table is one fixed allocation
-/// however long the run. A delivery that far behind its spout goes
-/// untimed.
+/// Emit stamps kept at once: a sampled id's stamp is overwritten by the
+/// id `EMIT_WINDOW` samples after it, so the table is one fixed
+/// allocation (64 KiB) however long the run. A delivery that far behind
+/// its spout goes untimed.
 const EMIT_WINDOW: usize = 8 * 1024;
 
-/// Sampled timings kept for the report, per [`Reservoir`]. Past it the
-/// kept values are a uniform sample of every recorded one (algorithm R,
-/// seeded by the running count, so a replayed sequence keeps the same
-/// values).
-const RESERVOIR_CAP: usize = 64 * 1024;
+/// Low bits of a stamp: the emit time, in ns since the probes were
+/// built, modulo 2^44 (≈ 4.9 h; a latency is taken modulo the same).
+const TIME_BITS: u32 = 44;
+const TIME_MASK: u64 = (1 << TIME_BITS) - 1;
 
-/// Delivery-latency bookkeeping in bounded memory: a fixed window of emit
-/// stamps and a fixed-size reservoir of latencies with an exact count.
-#[derive(Debug, Default)]
+/// Sampled relay timings kept for the report, per [`Reservoir`] (64 KiB
+/// of values, below the allocator's threshold for a block of its own
+/// mapping). Past it the kept values are a uniform sample of every
+/// recorded one (algorithm R, seeded by the running count, so a replayed
+/// sequence keeps the same values).
+const RESERVOIR_CAP: usize = 8 * 1024;
+
+/// Delivery-latency probes in memory fixed when they are built: a table
+/// of emit stamps, one `AtomicU64` per slot, and a histogram of
+/// latencies kept in [`Lanes`], so neither side of a sampled delivery
+/// takes a lock.
+#[derive(Debug)]
 pub(super) struct DeliveryProbes {
-    /// `(id, emit instant)` of sampled ids, at slot
-    /// `(id / LATENCY_SAMPLE) % EMIT_WINDOW`; allocated on first use.
-    stamps: Mutex<Vec<Option<(u64, Instant)>>>,
-    latencies: Mutex<Reservoir>,
+    /// What [`Self::now`] counts from.
+    start: Instant,
+    /// The stamp of a sampled id, at slot `(id / LATENCY_SAMPLE) %
+    /// EMIT_WINDOW`: a tag of the id above `TIME_BITS`, its emit time
+    /// below; 0 for none. Written with one store and read with one load,
+    /// so a read is one writer's whole stamp.
+    stamps: Box<[AtomicU64]>,
+    /// Latency counts by [`Histogram`] bucket, then their sum (ns).
+    latencies: Lanes,
 }
+
+/// The [`DeliveryProbes::latencies`] counter of the latencies' sum.
+const LATENCY_SUM: usize = Histogram::BUCKETS;
 
 /// Sampled timings in bounded memory: an exact count and at most
 /// [`RESERVOIR_CAP`] of the values.
@@ -481,6 +497,16 @@ impl Reservoir {
 }
 
 impl DeliveryProbes {
+    /// Probes for a run of `pipelines` pipelines, each with a lane of the
+    /// histogram, counting time from now.
+    pub(super) fn new(pipelines: usize) -> Self {
+        DeliveryProbes {
+            start: Instant::now(),
+            stamps: (0..EMIT_WINDOW).map(|_| AtomicU64::new(0)).collect(),
+            latencies: Lanes::new(LATENCY_SUM + 1, pipelines),
+        }
+    }
+
     fn sampled(id: u64) -> bool {
         id != 0 && id.is_multiple_of(LATENCY_SAMPLE)
     }
@@ -489,79 +515,92 @@ impl DeliveryProbes {
         (id / LATENCY_SAMPLE) as usize % EMIT_WINDOW
     }
 
-    /// A spout emitted tuple `id`: stamp it if it is a sampled one.
-    pub(super) fn on_emit(&self, id: u64) {
-        if !Self::sampled(id) {
-            return;
-        }
-        let mut stamps = self.stamps.lock();
-        if stamps.is_empty() {
-            stamps.resize(EMIT_WINDOW, None);
-        }
-        stamps[Self::slot(id)] = Some((id, Instant::now()));
+    /// What a stamp of `id` holds above `TIME_BITS`: the id's bits above
+    /// those that chose its slot, with the lowest bit set, so a stamp is
+    /// never 0 and two ids share a slot and a tag only 2^35 ids apart.
+    fn tag(id: u64) -> u64 {
+        let above_slot = id / LATENCY_SAMPLE / EMIT_WINDOW as u64;
+        (above_slot << 1 | 1) << TIME_BITS
     }
 
-    /// When tuple `id` left its spout, if it is a sampled one whose emit
-    /// stamp is still in the window — one lock per batch of deliveries;
-    /// an unsampled id costs a modulo.
-    pub(super) fn emitted_at(&self, id: u64) -> Option<Instant> {
+    /// Now, in ns since the probes were built, modulo 2^`TIME_BITS`.
+    fn now(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64 & TIME_MASK
+    }
+
+    /// A spout emitted tuple `id`: stamp it if it is a sampled one.
+    #[inline]
+    pub(super) fn on_emit(&self, id: u64) {
+        if Self::sampled(id) {
+            self.stamp(id, self.now());
+        }
+    }
+
+    /// Stamp sampled tuple `id` as emitted at `at` (ns, [`Self::now`]).
+    fn stamp(&self, id: u64, at: u64) {
+        let stamp = Self::tag(id) | at & TIME_MASK;
+        self.stamps[Self::slot(id)].store(stamp, Ordering::Relaxed);
+    }
+
+    /// When tuple `id` left its spout ([`Self::now`]), if it is a sampled
+    /// one whose stamp is still in its slot.
+    fn emitted_at(&self, id: u64) -> Option<u64> {
         if !Self::sampled(id) {
             return None;
         }
-        let stamp = self.stamps.lock().get(Self::slot(id)).copied().flatten();
-        let (_, at) = stamp.filter(|(stamped, _)| *stamped == id)?;
-        Some(at)
+        let stamp = self.stamps[Self::slot(id)].load(Ordering::Relaxed);
+        (stamp & !TIME_MASK == Self::tag(id)).then_some(stamp & TIME_MASK)
+    }
+
+    /// How long ago tuple `id` left its spout (ns), if it is a sampled one
+    /// whose stamp is still in its slot — one load; an unsampled id costs
+    /// a test of its low bits.
+    #[inline]
+    pub(super) fn latency(&self, id: u64) -> Option<u64> {
+        let at = self.emitted_at(id)?;
+        Some(self.now().wrapping_sub(at) & TIME_MASK)
     }
 
     /// Record one batch's emit-to-batch-start time once per task that
-    /// executed it, under one lock.
+    /// executed it: two counts on this pipeline's own lane.
+    #[inline]
     pub(super) fn record(&self, ns: u64, executions: u64) {
         if executions == 0 {
             return;
         }
-        let mut r = self.latencies.lock();
-        for _ in 0..executions {
-            r.record(ns);
-        }
+        self.latencies.add(Histogram::bucket_of(ns), executions);
+        self.latencies.add(LATENCY_SUM, ns * executions);
     }
 
-    /// The kept latencies and the exact number of sampled deliveries.
-    pub(super) fn take(&self) -> (Vec<u64>, u64) {
-        self.latencies.lock().take()
+    /// Every latency recorded so far, every lane merged.
+    pub(super) fn histogram(&self) -> Histogram {
+        let mut counts = self.latencies.all();
+        let sum = counts.pop().expect("the sum follows the buckets");
+        Histogram::from_buckets(counts, sum as f64)
     }
 
     /// The exact number of sampled deliveries so far.
     fn samples(&self) -> u64 {
-        self.latencies.lock().seen
+        (0..LATENCY_SUM).map(|b| self.latencies.get(b)).sum()
     }
 }
 
 impl RunReport {
     /// Mean sampled delivery latency.
     pub fn mean_delivery(&self) -> Duration {
-        if self.delivery_ns.is_empty() {
-            return Duration::ZERO;
-        }
-        let sum: u64 = self.delivery_ns.iter().sum();
-        Duration::from_nanos(sum / self.delivery_ns.len() as u64)
+        Duration::from_nanos(self.delivery_ns.mean() as u64)
     }
 
-    /// p99 sampled delivery latency.
+    /// p99 sampled delivery latency, within one histogram bucket.
     pub fn p99_delivery(&self) -> Duration {
-        if self.delivery_ns.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut v = self.delivery_ns.clone();
-        v.sort_unstable();
-        let idx = ((v.len() - 1) as f64 * 0.99).round() as usize;
-        Duration::from_nanos(v[idx])
+        Duration::from_nanos(self.delivery_ns.percentile(99.0) as u64)
     }
 
     /// Export the run as a [`whale_sim::MetricsRegistry`] snapshot under `dsps.*`:
     /// dispatch/send/relay counters, fabric byte split, and the sampled
     /// delivery-latency distribution as a percentile summary.
     pub fn metrics(&self) -> whale_sim::MetricsRegistry {
-        use whale_sim::{Histogram, MetricsRegistry};
+        use whale_sim::MetricsRegistry;
         let mut reg = MetricsRegistry::new();
         self.export_rows(&mut reg);
         reg.set_gauge("dsps.elapsed_secs", self.elapsed.as_secs_f64());
@@ -600,18 +639,17 @@ impl RunReport {
         if !self.relay_retire_ns.is_empty() {
             reg.set_summary("dsps.relay.retire_ns", &histogram(&self.relay_retire_ns));
         }
-        reg.set_summary("dsps.delivery_ns", &histogram(&self.delivery_ns));
+        reg.set_summary("dsps.delivery_ns", &self.delivery_ns);
         reg
     }
 
-    /// The report of a finished run: its last snapshot and latency samples.
+    /// The report of a finished run: its last snapshot and the relay's
+    /// timing samples.
     pub(super) fn collect(routing: &Routing, elapsed: Duration) -> RunReport {
-        let (delivery_ns, _) = routing.stats.delivery.take();
         let relay = routing.relay.as_ref();
         RunReport {
             relay_forward_ns: relay.map_or_else(Vec::new, |r| r.forward_ns.lock().take().0),
             relay_retire_ns: relay.map_or_else(Vec::new, |r| r.retire_ns.lock().take().0),
-            delivery_ns,
             ..routing.snapshot(elapsed)
         }
     }
@@ -622,7 +660,7 @@ impl Routing {
     /// each row another layer owns read from its owner, and the outcome
     /// they add up to so far. What [`RunReport::collect`] returns at
     /// teardown and [`super::RunHandle::snapshot`] reads mid-run, less the
-    /// latency reservoirs.
+    /// relay's timing reservoirs.
     pub(super) fn snapshot(&self, elapsed: Duration) -> RunReport {
         let fabric = self.fabric.stats();
         let relay = self.relay.as_ref();
@@ -636,6 +674,7 @@ impl Routing {
                 links.map(|l| (l.link.to_string(), l.bytes)).collect()
             }),
             relay_depths: relay.map_or_else(Vec::new, |r| r.depth_counts.all()),
+            delivery_ns: self.stats.delivery.histogram(),
             mean_batch_size: fabric.mean_batch_size(),
             pool_hit_rate: self.pool.hit_rate(),
             ..RunReport::read(&self.stats, self, &fabric, tree.as_deref())
@@ -668,9 +707,10 @@ impl Routing {
 mod tests {
     use super::super::testkit::*;
     use super::{
-        Ctr, DeliveryProbes, Reservoir, RunStats, CURRENT_SHARD, EMIT_WINDOW, LATENCY_SAMPLE,
-        RESERVOIR_CAP,
+        Ctr, DeliveryProbes, Histogram, Reservoir, RunStats, CURRENT_SHARD, EMIT_WINDOW,
+        LATENCY_SAMPLE, RESERVOIR_CAP, TIME_MASK,
     };
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -709,27 +749,130 @@ mod tests {
 
     #[test]
     fn delivery_probes_stay_bounded_and_count_exactly() {
-        let probes = DeliveryProbes::default();
+        // Every probe block is a boxed slice allocated when the probes are
+        // built, none of them 128 KiB or more (the allocator's threshold
+        // for a block of its own mapping, which it raises when one is
+        // freed).
+        let probes = DeliveryProbes::new(2);
+        assert_eq!(std::mem::size_of_val(&*probes.stamps), 64 * 1024);
+        let lane = std::mem::size_of_val(&*probes.latencies.lanes[0]);
+        assert!(lane < 128 * 1024, "a lane is {lane} B");
         // Unsampled ids cost nothing; a sampled id is timed per delivery.
         probes.on_emit(LATENCY_SAMPLE + 1);
-        assert!(probes.emitted_at(LATENCY_SAMPLE + 1).is_none());
+        assert!(probes.latency(LATENCY_SAMPLE + 1).is_none());
         probes.on_emit(LATENCY_SAMPLE);
-        assert!(probes.emitted_at(LATENCY_SAMPLE).is_some());
+        assert!(probes.latency(LATENCY_SAMPLE).is_some());
         probes.record(5, 2);
         // A stamp lives until the id one window later takes its slot.
         let evictor = LATENCY_SAMPLE * (1 + EMIT_WINDOW as u64);
         probes.on_emit(evictor);
-        assert!(probes.emitted_at(LATENCY_SAMPLE).is_none());
-        assert!(probes.emitted_at(evictor).is_some());
-        assert_eq!(probes.stamps.lock().len(), EMIT_WINDOW);
+        assert!(probes.latency(LATENCY_SAMPLE).is_none());
+        assert!(probes.latency(evictor).is_some());
         probes.record(9, 0);
-        let sampled = 2 + 2 * RESERVOIR_CAP as u64;
-        for _ in 0..(sampled - 2) / 16 {
-            probes.record(9, 16);
+        // On a pipeline's lane and off one, the count stays exact.
+        const RECORDS: u64 = 3 * 64 * 1024;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                CURRENT_SHARD.with(|c| c.set(Some(1)));
+                (0..RECORDS / 32).for_each(|ns| probes.record(ns, 16));
+            });
+            (0..RECORDS / 32).for_each(|ns| probes.record(ns << 20, 16));
+        });
+        let h = probes.histogram();
+        assert_eq!(h.count(), 2 + RECORDS, "the count stays exact");
+        assert_eq!(probes.samples(), h.count());
+        let sum = 10 + 16 * (0..RECORDS / 32).map(|ns| ns + (ns << 20)).sum::<u64>();
+        assert_eq!(h.mean(), sum as f64 / h.count() as f64, "the sum is exact");
+    }
+
+    #[test]
+    fn a_stamp_is_read_whole_and_only_by_its_own_id() {
+        // Two emitters stamp ids that all share one slot, each stamp's
+        // time a function of its id, while two executors look up what the
+        // emitters last wrote: a lookup finds its own id's stamp or none.
+        const ROUNDS: u64 = 200_000;
+        let probes = DeliveryProbes::new(0);
+        let id = |round: u64, emitter: u64| {
+            LATENCY_SAMPLE * (7 + EMIT_WINDOW as u64 * (2 * round + emitter + 1))
+        };
+        let at = |id: u64| id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+        let last = [AtomicU64::new(0), AtomicU64::new(0)];
+        let running = AtomicU64::new(2);
+        let start = std::sync::Barrier::new(4);
+        let found = std::thread::scope(|s| {
+            for emitter in 0..2 {
+                let (probes, last, running, start) = (&probes, &last, &running, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let id = id(round, emitter);
+                        probes.stamp(id, at(id));
+                        last[emitter as usize].store(id, Ordering::Relaxed);
+                    }
+                    running.fetch_sub(1, Ordering::Release);
+                });
+            }
+            let readers: Vec<_> = (0..2)
+                .map(|reader| {
+                    let (probes, last, running, start) = (&probes, &last, &running, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut found = 0u64;
+                        // The last lookup follows both emitters' last
+                        // stamps, so one reader finds its emitter's.
+                        loop {
+                            let done = running.load(Ordering::Acquire) == 0;
+                            let id = last[reader].load(Ordering::Relaxed);
+                            if let Some(stamped) = probes.emitted_at(id) {
+                                assert_eq!(stamped, at(id) & TIME_MASK, "id {id}");
+                                found += 1;
+                            }
+                            if done {
+                                break found;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).sum::<u64>()
+        });
+        assert!(found > 0, "no lookup found a stamp");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn merged_lanes_give_percentiles_within_one_bucket_of_exact(
+            latencies in proptest::collection::vec(0u64..1 << 34, 1..600),
+        ) {
+            // Spread over two lanes and the shared slots.
+            let probes = DeliveryProbes::new(2);
+            std::thread::scope(|s| {
+                let chunks = latencies.chunks(latencies.len().div_ceil(3));
+                for (lane, chunk) in chunks.enumerate() {
+                    let probes = &probes;
+                    s.spawn(move || {
+                        CURRENT_SHARD.with(|c| c.set((lane < 2).then_some(lane)));
+                        chunk.iter().for_each(|&ns| probes.record(ns, 1));
+                    });
+                }
+            });
+            let h = probes.histogram();
+            let mut sorted = latencies.clone();
+            sorted.sort_unstable();
+            proptest::prop_assert_eq!(h.count(), sorted.len() as u64);
+            for p in [50.0, 99.0] {
+                let rank = (p / 100.0 * sorted.len() as f64).ceil().max(1.0) as usize;
+                let exact = Histogram::bucket_of(sorted[rank - 1]);
+                let got = Histogram::bucket_of(h.percentile(p) as u64);
+                proptest::prop_assert!(
+                    got.abs_diff(exact) <= 1,
+                    "p{}: bucket {} for {}",
+                    p,
+                    got,
+                    exact
+                );
+            }
         }
-        let (kept, seen) = probes.take();
-        assert_eq!(seen, sampled, "the count stays exact");
-        assert_eq!(kept.len(), RESERVOIR_CAP, "the values are capped");
     }
 
     #[test]
@@ -1090,11 +1233,9 @@ mod tests {
         let r = run(CommMode::WorkerOriented, true, 4, 8);
         // 100 source tuples with ids 0..100: ids 8,16,...,96 are sampled,
         // each executed by 8 instances → at least some dozens of samples.
-        assert!(
-            r.delivery_ns.len() >= 50,
-            "samples = {}",
-            r.delivery_ns.len()
-        );
+        let samples = r.delivery_ns.count();
+        assert!(samples >= 50, "samples = {samples}");
+        assert_eq!(samples, r.delivery_samples);
         assert!(r.mean_delivery() > std::time::Duration::ZERO);
         assert!(r.p99_delivery() >= r.mean_delivery() / 2);
     }

@@ -82,6 +82,8 @@ const WARMUP: usize = 1_000;
 /// cost its thread (its own tuple construction is excluded).
 struct ProbeSpout {
     sent: usize,
+    /// Tuple `i` has id `i * stride`.
+    stride: u64,
     /// `blocks()` when the previous `next_tuple` returned.
     handed_over_at: u64,
     /// Blocks per send.
@@ -101,7 +103,10 @@ impl Spout for ProbeSpout {
         }
         let i = self.sent as i64;
         self.sent += 1;
-        let t = Tuple::with_id(i as u64, vec![Value::I64(i), Value::str("key-07")]);
+        let t = Tuple::with_id(
+            i as u64 * self.stride,
+            vec![Value::I64(i), Value::str("key-07")],
+        );
         assert_eq!(t.payload_bytes(), 30);
         self.handed_over_at = blocks();
         Some(t)
@@ -114,14 +119,15 @@ impl Spout for ProbeSpout {
 /// machines`, all local to it on one machine, where a send runs through
 /// to the last sink's execution before the spout is asked again.
 /// `reliable` tracks every tuple in the acker and writes every frame
-/// ahead to the partition log. Returns the emitter's per-send block
-/// counts after warm-up, sorted.
+/// ahead to the partition log. Tuple ids are `stride` apart. Returns the
+/// emitter's per-send block counts after warm-up, sorted.
 fn send_costs(
     grouping: Grouping,
     fabric: FabricKind,
     machines: u32,
     sinks: u32,
     reliable: bool,
+    stride: u64,
 ) -> Vec<u64> {
     assert!(sinks < machines || machines == 1);
     let fanout = if grouping == Grouping::All { sinks } else { 1 };
@@ -136,6 +142,7 @@ fn send_costs(
             let emits = instance == machines - 1;
             Box::new(ProbeSpout {
                 sent: if emits { 0 } else { TUPLES },
+                stride,
                 handed_over_at: 0,
                 costs: Vec::with_capacity(TUPLES),
                 report: report.lock().unwrap().clone(),
@@ -163,6 +170,10 @@ fn send_costs(
     );
     assert_eq!(r.outcome, RunOutcome::Clean);
     assert_eq!(r.executed[1], (TUPLES as u64) * fanout as u64);
+    if stride == SAMPLED {
+        // Every id but the first is timed at each sink that executes it.
+        assert_eq!(r.delivery_samples, (TUPLES as u64 - 1) * fanout as u64);
+    }
     if reliable {
         assert_eq!((r.tuples_acked, r.tuples_replayed), (TUPLES as u64, 0));
         assert_eq!(r.log_appended_records, (TUPLES as u64) * fanout as u64);
@@ -179,10 +190,8 @@ fn send_costs(
 /// One block for the tuple's `Arc` plus one wire buffer per frame: held
 /// by nine sends in ten, and on average up to 0.05 of a block per frame
 /// and 0.01 per send. (The slack is the fabric's own queues, behind the
-/// accept, while their buffers still grow, and, where sinks run on the
-/// sending thread, the run's reservoir of
-/// sampled delivery latencies doubling; which is why this is not a bound
-/// on the maximum.)
+/// accept, while their buffers still grow; which is why this is not a
+/// bound on the maximum.)
 fn assert_one_block_per_frame(steady: &[u64], frames: u64, what: &str) {
     let budget = 1 + frames;
     let p90 = steady[steady.len() * 9 / 10];
@@ -196,7 +205,7 @@ fn assert_one_block_per_frame(steady: &[u64], frames: u64, what: &str) {
 #[test]
 fn a_keyed_tuple_to_one_remote_worker_costs_two_heap_blocks() {
     for fabric in [FabricKind::PerSend, FabricKind::Ring(RingConfig::default())] {
-        let steady = send_costs(Grouping::Fields(1), fabric, 2, 1, false);
+        let steady = send_costs(Grouping::Fields(1), fabric, 2, 1, false, 1);
         assert_one_block_per_frame(&steady, 1, &format!("keyed over {fabric:?}"));
     }
 }
@@ -211,6 +220,7 @@ fn a_keyed_tuple_lent_to_the_ring_costs_only_the_tuples_own_block() {
         2,
         1,
         false,
+        1,
     );
     assert_one_block_per_frame(&steady, 0, "keyed, lent to the ring");
 }
@@ -220,7 +230,7 @@ fn a_warm_lent_one_sided_frame_costs_its_sender_no_heap_block() {
     // The frame is written into its link's slice buffer; the outbox slot
     // holds a descriptor.
     let one_sided = FabricKind::OneSided(OneSidedConfig::default());
-    let steady = send_costs(Grouping::Fields(1), one_sided, 2, 1, false);
+    let steady = send_costs(Grouping::Fields(1), one_sided, 2, 1, false, 1);
     assert_one_block_per_frame(&steady, 0, "keyed, lent to a one-sided link");
     // The reader's fetch pays for the run, not per frame: its one buffer
     // and the thin handle the frames share.
@@ -332,7 +342,7 @@ fn a_warm_per_send_inbox_costs_no_heap_block_per_frame() {
 fn a_direct_broadcast_costs_one_block_plus_one_per_remote_frame() {
     for fabric in [FabricKind::PerSend, FabricKind::Ring(RingConfig::default())] {
         // Four sinks on four other workers: four worker frames.
-        let steady = send_costs(Grouping::All, fabric, 5, 4, false);
+        let steady = send_costs(Grouping::All, fabric, 5, 4, false, 1);
         assert_one_block_per_frame(&steady, 4, &format!("broadcast over {fabric:?}"));
     }
 }
@@ -345,7 +355,7 @@ fn a_tracked_logged_tuple_costs_no_block_beyond_its_frames() {
     // rehash now and then), arming and the write-ahead appends allocate
     // nothing (a log segment is 64 KiB: one block per ≈ 1 200 of these
     // frames, until GC starts handing segments back).
-    let steady = send_costs(Grouping::All, FabricKind::PerSend, 3, 2, true);
+    let steady = send_costs(Grouping::All, FabricKind::PerSend, 3, 2, true, 1);
     assert_one_block_per_frame(&steady, 2, "tracked + logged broadcast");
 }
 
@@ -353,8 +363,21 @@ fn a_tracked_logged_tuple_costs_no_block_beyond_its_frames() {
 fn a_broadcast_to_four_local_sinks_costs_the_tuples_own_block() {
     // One machine: nothing is framed, and handing the tuple to its four
     // local sinks (one queue entry) and running them adds no block.
-    let steady = send_costs(Grouping::All, FabricKind::PerSend, 1, 4, false);
+    let steady = send_costs(Grouping::All, FabricKind::PerSend, 1, 4, false, 1);
     assert_one_block_per_frame(&steady, 0, "local broadcast");
+}
+
+/// The runtime times the delivery of every id that is a multiple of this.
+const SAMPLED: u64 = 8;
+
+#[test]
+fn a_sampled_local_broadcast_costs_the_tuples_own_block_and_nothing_more() {
+    // Every id timed: stamping the emit and recording each sink's latency
+    // write into memory the run allocated when it started, so no warm
+    // send and execute costs a block beyond the tuple's own.
+    let steady = send_costs(Grouping::All, FabricKind::PerSend, 1, 4, false, SAMPLED);
+    let max = steady.iter().max();
+    assert!(steady.iter().all(|&c| c == 1), "max {max:?}");
 }
 
 /// `worker`'s pipeline of src → `4 * machines` all-grouped sinks over

@@ -173,9 +173,10 @@ impl PartitionLog {
 
     /// Account one segment's removal and advance `first_seq` past it.
     fn drop_segment(&mut self, mut seg: Segment) {
-        self.gcd_records += seg.offsets.len() as u64;
-        self.gcd_bytes += seg.buf.len() as u64;
-        self.first_seq = seg.base_seq + seg.offsets.len() as u64;
+        let records = seg.offsets.len();
+        self.gcd_records += records as u64;
+        self.gcd_bytes += (seg.buf.len() - RECORD_HEADER * records) as u64;
+        self.first_seq = seg.base_seq + records as u64;
         self.registry.deregister(seg.region);
         // An oversized record's segment is not worth holding on to.
         if seg.cap == self.config.segment_bytes {
@@ -279,7 +280,7 @@ impl PartitionLog {
         self.appended_records
     }
 
-    /// Payload bytes appended over the log's lifetime.
+    /// Payload bytes appended over the log's lifetime (no framing).
     pub fn appended_bytes(&self) -> u64 {
         self.appended_bytes
     }
@@ -289,7 +290,8 @@ impl PartitionLog {
         self.gcd_records
     }
 
-    /// Bytes dropped by watermark GC or the segment cap.
+    /// Payload bytes of the records dropped by watermark GC or the segment
+    /// cap, the unit of [`Self::appended_bytes`] (no framing).
     pub fn gcd_bytes(&self) -> u64 {
         self.gcd_bytes
     }
@@ -314,12 +316,14 @@ impl PartitionLog {
         self.reads_posted
     }
 
-    /// Bytes moved by replay reads (record framing included).
+    /// Bytes moved by replay reads, as on the wire (record framing
+    /// included).
     pub fn read_bytes(&self) -> u64 {
         self.read_bytes
     }
 
-    /// Bytes currently retained across all segments.
+    /// Bytes currently retained across all segments, as held in memory
+    /// (record framing included).
     pub fn retained_bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.buf.len() as u64).sum()
     }
@@ -434,6 +438,19 @@ mod tests {
         let wm = log.gc_watermark();
         log.truncate_to(5);
         assert_eq!(log.gc_watermark(), wm);
+    }
+
+    #[test]
+    fn a_log_collected_to_its_last_record_has_dropped_every_payload_byte_it_took() {
+        let mut log = PartitionLog::new(roomy());
+        for i in 0..40u64 {
+            log.append(&payload(i));
+        }
+        assert!(log.segments.len() > 2, "test needs multiple segments");
+        log.truncate_to(log.next_seq());
+        assert_eq!(log.retained_bytes(), 0);
+        assert_eq!(log.gcd_records(), log.appended_records());
+        assert_eq!(log.gcd_bytes(), log.appended_bytes(), "one unit, payload");
     }
 
     #[test]

@@ -85,9 +85,35 @@ impl Histogram {
         }
     }
 
-    fn bucket_of(v: u64) -> usize {
+    /// How many buckets every histogram has.
+    pub const BUCKETS: usize = HIST_BUCKETS;
+
+    /// The bucket `v` is counted in, below [`Self::BUCKETS`].
+    pub fn bucket_of(v: u64) -> usize {
         let b = ((v as f64 + 1.0).ln() * HIST_SCALE) as usize;
         b.min(HIST_BUCKETS - 1)
+    }
+
+    /// The smallest value bucket `b` counts (saturating past `u64::MAX`).
+    fn bucket_floor(b: usize) -> u64 {
+        ((b as f64 / HIST_SCALE).exp() - 1.0).ceil() as u64
+    }
+
+    /// A histogram of values counted elsewhere, one count per
+    /// [`Self::bucket_of`] bucket, with their exact sum. Its count is the
+    /// buckets' total; its min and max are the edges of its lowest and
+    /// highest non-empty bucket, within one bucket of the values counted.
+    pub fn from_buckets(buckets: Vec<u64>, sum: f64) -> Self {
+        assert_eq!(buckets.len(), HIST_BUCKETS, "one count per bucket");
+        let lowest = buckets.iter().position(|&n| n > 0);
+        let highest = buckets.iter().rposition(|&n| n > 0);
+        Histogram {
+            count: buckets.iter().sum(),
+            sum,
+            min: lowest.map_or(u64::MAX, Self::bucket_floor),
+            max: highest.map_or(0, |b| Self::bucket_floor(b + 1).saturating_sub(1)),
+            buckets,
+        }
     }
 
     fn bucket_mid(b: usize) -> f64 {
@@ -693,6 +719,32 @@ mod tests {
         assert!((a.mean() - 200.0).abs() < 1e-9);
         assert_eq!(a.min(), 100);
         assert_eq!(a.max(), 300);
+    }
+
+    #[test]
+    fn a_histogram_rebuilt_from_its_buckets_keeps_count_sum_and_percentiles() {
+        let mut h = Histogram::new();
+        let mut buckets = vec![0; Histogram::BUCKETS];
+        for v in (0..5_000u64).map(|i| i * i % 90_001) {
+            h.record(v);
+            buckets[Histogram::bucket_of(v)] += 1;
+        }
+        let rebuilt = Histogram::from_buckets(buckets, h.sum);
+        assert_eq!((rebuilt.count(), rebuilt.mean()), (h.count(), h.mean()));
+        for p in [50.0, 99.0] {
+            assert_eq!(rebuilt.percentile(p), h.percentile(p), "p{p}");
+        }
+        // The extremes are the edges of the buckets holding them.
+        assert_eq!(
+            Histogram::bucket_of(rebuilt.min()),
+            Histogram::bucket_of(h.min())
+        );
+        assert_eq!(
+            Histogram::bucket_of(rebuilt.max()),
+            Histogram::bucket_of(h.max())
+        );
+        let empty = Histogram::from_buckets(vec![0; Histogram::BUCKETS], 0.0);
+        assert_eq!((empty.count(), empty.min(), empty.max()), (0, 0, 0));
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn main() {
             "  delivery latency   mean {:?} / p99 {:?} ({} samples)",
             report.mean_delivery(),
             report.p99_delivery(),
-            report.delivery_ns.len()
+            report.delivery_ns.count()
         );
         println!(
             "  bytes moved        {} copied + {} shared",
