@@ -38,12 +38,24 @@ impl Emitter for VecEmitter {
 }
 
 /// A source of tuples (one instance per spout task).
+///
+/// The live runtime runs every pipeline of a run as steps on a few shared
+/// executor threads, one per core. A spout may block in
+/// [`next_tuple`](Self::next_tuple) — sleep until its next tuple is due,
+/// wait on an outside source — and its executor pays for that time: no
+/// other pipeline on it runs meanwhile. A call that blocks ends the
+/// spout's step, so the others run between two blocking calls. It must not
+/// wait on its own run's bolts: those may be on its executor.
 pub trait Spout: Send {
     /// Produce the next tuple, or `None` when the stream is exhausted.
     fn next_tuple(&mut self) -> Option<Tuple>;
 }
 
 /// A processing operator (one instance per bolt task).
+///
+/// A bolt must not block — sleep, wait on a lock another task holds, or on
+/// a channel: the live runtime runs it as part of a step on an executor
+/// thread shared with other pipelines, which all wait while it does.
 pub trait Bolt: Send {
     /// Process one input tuple, emitting any outputs.
     fn execute(&mut self, input: &Tuple, out: &mut dyn Emitter);

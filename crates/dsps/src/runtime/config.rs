@@ -32,13 +32,14 @@ pub struct LiveConfig {
     /// is `None`). Requires [`CommMode::WorkerOriented`].
     pub multicast_adaptive: Option<AdaptiveConfig>,
     /// Shard-owned pipelines per worker. Each worker's tasks are split
-    /// across this many pipeline threads by the stable map
-    /// `task % shards`; every pipeline owns its own fabric endpoint —
-    /// on a buffered transport it drains that endpoint's ring or links
-    /// itself — routing state, and executors, so the per-worker receive
-    /// path scales with cores instead of serializing behind one
-    /// dispatcher or drain thread. `1` (the default)
-    /// runs one pipeline per worker. Values are clamped to at least 1.
+    /// across this many pipelines by the stable map `task % shards`;
+    /// every pipeline owns its own fabric endpoint — on a buffered
+    /// transport it drains that endpoint's ring or links itself — routing
+    /// state, and bolts, and runs as steps on one of the run's executor
+    /// threads (one per available core), so the per-worker receive path
+    /// scales with cores instead of serializing behind one dispatcher or
+    /// drain thread. `1` (the default) runs one pipeline per worker.
+    /// Values are clamped to at least 1.
     pub shards: u32,
     /// Which live transport carries inter-worker frames: synchronous
     /// per-send delivery, or descriptors posted to per-endpoint rings and

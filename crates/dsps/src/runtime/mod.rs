@@ -2,16 +2,18 @@
 //! threads, with workers and shard-owned pipelines wired through the
 //! in-process fabric.
 //!
-//! Each worker's tasks are split across [`LiveConfig::shards`] pipeline
-//! threads by the stable map `task % shards`. A pipeline owns the whole
-//! hot path for its slice — reader (its own fabric endpoint), routing
-//! (per-task [`GroupingExec`](crate::grouping::GroupingExec) state),
-//! execution, and sink — with no central dispatcher thread and no global
-//! queue. Traffic crosses pipelines only when a grouping demands it (a
-//! destination task another shard owns), through bounded per-shard
-//! inboxes with [`SendError::Full`](whale_net::SendError::Full)
-//! backpressure; same-shard deliveries loop back through a thread-local
-//! queue without touching a channel at all.
+//! Each worker's tasks are split across [`LiveConfig::shards`] pipelines
+//! by the stable map `task % shards`. A pipeline owns the whole hot path
+//! for its slice — reader (its own fabric endpoint), routing (per-task
+//! [`GroupingExec`](crate::grouping::GroupingExec) state), execution, and
+//! sink — with no central dispatcher and no global queue. The pipelines
+//! run as steps on one executor thread per available core, which parks
+//! only when none of its steps progressed. Traffic crosses pipelines only
+//! when a grouping demands it (a destination task another shard owns),
+//! through bounded per-shard inboxes with
+//! [`SendError::Full`](whale_net::SendError::Full) backpressure;
+//! same-shard deliveries loop back through a thread-local queue without
+//! touching a channel at all.
 //!
 //! The [`CommMode`](crate::messaging::CommMode) decides whether an
 //! emitted tuple becomes one
@@ -22,12 +24,14 @@
 //!
 //! Layout: `wire` owns the frame bytes, `send` the one path a frame
 //! takes to the fabric, `relay` the multicast tree, `reliability` the
-//! acker and partition-log wiring, `pipeline` the per-shard loop,
-//! `control` the adaptive controller thread, `config` and `report` what
-//! goes in and what comes out.
+//! acker and partition-log wiring, `pipeline` the per-shard step,
+//! `executor` the threads that run the steps, `control` the adaptive
+//! controller thread, `config` and `report` what goes in and what comes
+//! out.
 
 mod config;
 mod control;
+mod executor;
 mod pipeline;
 mod relay;
 mod reliability;
@@ -44,6 +48,7 @@ use crate::pool::BufferPool;
 use crate::scheduler::{Placement, WorkerId};
 use crate::topology::{ComponentKind, Topology};
 use crossbeam::channel::{bounded, unbounded};
+use executor::Executor;
 use pipeline::ShardPipeline;
 use relay::{oblivious_trees, rack_aware_trees, RelayEpoch, RelayState};
 use reliability::{AckRuntime, LogRuntime};
@@ -53,7 +58,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use whale_net::{ClusterSpec, EndpointId, FabricPath, FaultFabric, LinkTracker};
+use whale_net::{ClusterSpec, EndpointId, FabricPath, FaultFabric, LinkTracker, Waker};
 
 /// Execute a topology to completion on the live runtime
 /// ([`spawn_topology`], then [`RunHandle::join`]). A configuration that
@@ -73,7 +78,7 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
 
 /// Start a topology on the live runtime and return once its threads run.
 /// Every spout runs until its `next_tuple` returns `None`; EOS then
-/// propagates through the DAG; the run is over when every executor has
+/// propagates through the DAG; the run is over when every pipeline has
 /// drained. A configuration that cannot run is a [`BuildError`], before
 /// the fabric is built or a thread spawned.
 ///
@@ -100,6 +105,30 @@ pub fn spawn_topology(
     operators: Operators,
     config: LiveConfig,
 ) -> Result<RunHandle, BuildError> {
+    spawn_on(topology, operators, config, None)
+}
+
+/// [`spawn_topology`] on `executors` data-plane threads, however many
+/// cores there are (at most one per pipeline): for tests that need each
+/// pipeline alone on its thread, or all of them on one.
+#[doc(hidden)]
+pub fn spawn_topology_on(
+    topology: Topology,
+    operators: Operators,
+    config: LiveConfig,
+    executors: usize,
+) -> Result<RunHandle, BuildError> {
+    spawn_on(topology, operators, config, Some(executors))
+}
+
+/// [`spawn_topology`] on `executors` data-plane threads (`None`: one per
+/// available core, at most one per pipeline).
+fn spawn_on(
+    topology: Topology,
+    operators: Operators,
+    config: LiveConfig,
+    executors: Option<usize>,
+) -> Result<RunHandle, BuildError> {
     config.validate(&topology, &operators)?;
 
     let transport = config.fabric.build();
@@ -114,7 +143,8 @@ pub fn spawn_topology(
         Some(f) => Arc::clone(f) as Arc<dyn FabricPath>,
         None => transport,
     };
-    let (routing, mut pipelines, done_rx) = wire_up(topology, config, fabric, fault.clone());
+    let (routing, mut pipelines, wakers, done_rx) =
+        wire_up(topology, config, fabric, fault.clone(), executors);
     let routing = Arc::new(routing);
 
     let start = Instant::now();
@@ -141,9 +171,9 @@ pub fn spawn_topology(
     });
 
     populate(&routing, &operators, &mut pipelines);
-    let spawn = |p: ShardPipeline| p.spawn(Arc::clone(&routing));
     Ok(RunHandle {
-        pipelines: pipelines.into_iter().map(spawn).collect(),
+        pipelines: pipelines.len(),
+        executors: Executor::spawn_all(pipelines, &wakers, &routing),
         // At most one of the two: the controller needs the relay tree,
         // replay the log, and `validate` refuses the pair.
         control: adaptive.into_iter().chain(log_replay).collect(),
@@ -160,8 +190,10 @@ pub struct RunHandle {
     routing: Arc<Routing>,
     start: Instant,
     done_rx: crossbeam::channel::Receiver<()>,
-    /// One per (worker, shard); empty once torn down.
-    pipelines: Vec<JoinHandle<()>>,
+    /// One per (worker, shard), each with a fabric endpoint.
+    pipelines: usize,
+    /// The data-plane threads; empty once torn down.
+    executors: Vec<JoinHandle<()>>,
     /// The control threads and the flag that stops them.
     control: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -185,22 +217,22 @@ impl RunHandle {
 
     /// Wait for every pipeline to report its tasks complete, stop the
     /// control threads, close the fabric and join everything. A second
-    /// call finds no pipeline left and does nothing.
+    /// call finds no executor left and does nothing.
     fn teardown(&mut self) {
-        if self.pipelines.is_empty() {
+        if self.executors.is_empty() {
             return;
         }
         let (routing, fabric) = (&self.routing, &self.routing.fabric);
-        // A pipeline that panicked counts: its wrapper signals before
-        // re-raising.
-        for _ in 0..self.pipelines.len() {
+        // A pipeline on an executor that panicked counts: the executor
+        // signals for it before re-raising.
+        for _ in 0..self.pipelines {
             if self.done_rx.recv().is_err() {
                 break;
             }
         }
         // Join every thread even if some panicked: bailing on the first
         // failure would skip the endpoint teardown below and leave the
-        // pipeline threads spinning on an open fabric forever.
+        // executors spinning on an open fabric forever.
         let mut thread_panics = 0u64;
         // Producers done: stop reconfiguring, and replaying (every replay
         // that can still complete a tuple has happened), before the fabric
@@ -218,14 +250,14 @@ impl RunHandle {
         // endpoints so the pipelines exit (they keep draining/relaying
         // frames until their endpoint closes).
         fabric.flush();
-        for flat in 0..self.pipelines.len() {
+        for flat in 0..self.pipelines {
             fabric.deregister(EndpointId(flat as u32));
         }
-        for thread in self.pipelines.drain(..) {
+        for thread in self.executors.drain(..) {
             thread_panics += thread.join().is_err() as u64;
         }
         // Operator panics were counted where the pipelines caught them
-        // (the thread survives to run its other tasks); a dying thread
+        // (the executor survives to run its other tasks); a dying thread
         // joins the same degradation signal.
         routing.stats.add(Ctr::thread_panics, thread_panics);
     }
@@ -252,17 +284,20 @@ fn spawn_named(name: impl Into<String>, f: impl FnOnce() + Send + 'static) -> Jo
 const SHARD_INBOX_CAPACITY: usize = 4096;
 
 /// Everything of a run that exists before a thread does: the shared
-/// [`Routing`] over `fabric` (the `fault` wrapper, when there is one) and
-/// one empty pipeline per (worker, shard), each registered on the fabric,
-/// plus the channel the pipelines report completion on.
+/// [`Routing`] over `fabric` (the `fault` wrapper, when there is one), one
+/// empty pipeline per (worker, shard), each registered on the fabric, the
+/// waker of each of `executors` executors (`None`: [`executor::executors_for`]),
+/// and the channel the pipelines report completion on.
 fn wire_up(
     topology: Topology,
     config: LiveConfig,
     fabric: Arc<dyn FabricPath>,
     fault: Option<Arc<FaultFabric>>,
+    executors: Option<usize>,
 ) -> (
     Routing,
     Vec<ShardPipeline>,
+    Vec<Arc<Waker>>,
     crossbeam::channel::Receiver<()>,
 ) {
     // Topology awareness (racks, per-link accounting) comes in through
@@ -301,18 +336,24 @@ fn wire_up(
         RelayState::new(RelayEpoch::new(0, d, trees), n_flat)
     });
 
-    // Endpoint ids are assigned sequentially, so registration cannot
-    // collide.
+    // Each pipeline's endpoint and cross-shard inbox wake the executor it
+    // runs on. Endpoint ids are assigned sequentially, so registration
+    // cannot collide.
+    let executors = executors.unwrap_or_else(|| executor::executors_for(n_flat));
+    let wakers: Vec<Arc<Waker>> = (0..executors.clamp(1, n_flat.max(1)))
+        .map(|_| Arc::default())
+        .collect();
     let mut shard_inboxes = Vec::with_capacity(n_flat);
     let mut pipelines: Vec<ShardPipeline> = Vec::with_capacity(n_flat);
     let (done_tx, done_rx) = unbounded::<()>();
     for flat in 0..n_flat {
         let endpoint = EndpointId(flat as u32);
         let worker = flat as u32 / shards;
+        let waker = &wakers[executor::executor_of(flat, n_flat, wakers.len())];
         let (tx, inbox_rx) = bounded(SHARD_INBOX_CAPACITY);
-        shard_inboxes.push(ShardInbox::new(tx));
+        shard_inboxes.push(ShardInbox::new(tx, Arc::clone(waker)));
         let fabric_rx = fabric
-            .register(endpoint)
+            .register_woken(endpoint, Arc::clone(waker))
             .expect("shard endpoint ids are unique");
         if let Some(t) = &tracker {
             // Pipeline endpoint → hosting machine, so the tracker can
@@ -348,7 +389,7 @@ fn wire_up(
         stats,
         tracker,
     };
-    (routing, pipelines, done_rx)
+    (routing, pipelines, wakers, done_rx)
 }
 
 /// Hand every task to the pipeline owning its shard slice (stable
@@ -458,13 +499,28 @@ mod testkit {
         (t, ops)
     }
 
+    /// [`run_topology`] on `executors` data-plane threads, however many
+    /// cores there are.
+    pub(super) fn run_on(
+        topology: Topology,
+        operators: Operators,
+        config: LiveConfig,
+        executors: usize,
+    ) -> RunReport {
+        let run = spawn_topology_on(topology, operators, config, executors);
+        run.expect("a runnable config").join()
+    }
+
     /// The threads of a run without the run around them: `topology`'s
-    /// pipelines spawned over a per-send fabric and left running — blocked
-    /// on their endpoints once their tasks are done — until
-    /// [`Self::finish`], for tests that reach into the shared state of a
-    /// run in progress. No control thread is started.
+    /// pipelines on their executors over a per-send fabric, left running —
+    /// parked once their tasks are done — until [`Self::finish`], for tests
+    /// that reach into the shared state of a run in progress. No control
+    /// thread is started.
     pub(super) struct LiveRun {
         pub(super) routing: Arc<Routing>,
+        /// What each executor parks on.
+        pub(super) wakers: Vec<Arc<Waker>>,
+        pipelines: usize,
         handles: Vec<std::thread::JoinHandle<()>>,
         done_rx: crossbeam::channel::Receiver<()>,
     }
@@ -472,33 +528,34 @@ mod testkit {
     impl LiveRun {
         pub(super) fn start(topology: Topology, operators: &Operators, config: LiveConfig) -> Self {
             let fabric: Arc<dyn FabricPath> = Arc::new(whale_net::LiveFabric::new());
-            let (routing, mut pipelines, done_rx) = wire_up(topology, config, fabric, None);
+            let (routing, mut pipelines, wakers, done_rx) =
+                wire_up(topology, config, fabric, None, None);
             let routing = Arc::new(routing);
             populate(&routing, operators, &mut pipelines);
-            let spawn = |p: ShardPipeline| p.spawn(Arc::clone(&routing));
-            let handles = pipelines.into_iter().map(spawn).collect();
             LiveRun {
+                pipelines: pipelines.len(),
+                handles: Executor::spawn_all(pipelines, &wakers, &routing),
                 routing,
-                handles,
+                wakers,
                 done_rx,
             }
         }
 
         /// Block until every pipeline has completed its tasks.
         pub(super) fn wait_done(&self) {
-            for _ in &self.handles {
+            for _ in 0..self.pipelines {
                 self.done_rx.recv().expect("pipelines report completion");
             }
         }
 
-        /// Close the endpoints and join the pipelines (after
+        /// Close the endpoints and join the executors (after
         /// [`Self::wait_done`]).
         pub(super) fn finish(self) {
-            for flat in 0..self.handles.len() {
+            for flat in 0..self.pipelines {
                 self.routing.fabric.deregister(EndpointId(flat as u32));
             }
             for h in self.handles {
-                h.join().expect("no pipeline panicked");
+                h.join().expect("no executor panicked");
             }
         }
     }

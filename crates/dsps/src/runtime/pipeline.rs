@@ -1,9 +1,10 @@
-//! The shard-owned pipeline: one thread running the whole receive →
-//! route → execute → send loop for its slice of tasks — spout stepping,
-//! frame dispatch, bolt execution — with no central dispatcher.
+//! The shard-owned pipeline: the whole receive → route → execute → send
+//! path for its slice of tasks — spout stepping, frame dispatch, bolt
+//! execution — as a [`ShardPipeline::step`] its executor calls, with no
+//! central dispatcher.
 
 use super::config::{LiveConfig, Operators};
-use super::relay::{swap_held, RelayEpoch};
+use super::relay::RelayLocal;
 use super::reliability::{anchor_for, AckRuntime, Admit, DedupWindow};
 use super::report::{Ctr, RunReport, RunStats};
 use super::send::{
@@ -17,17 +18,16 @@ use crate::task::{ComponentId, TaskId};
 use crate::topology::Topology;
 use crate::tuple::Tuple;
 use crossbeam::channel::{Receiver, Sender};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whale_net::{IdHashSet, RecvTimeoutError, TryRecvError};
+use whale_net::{IdHashSet, TryRecvError};
 
 /// Where one spout is in its lifecycle. The drain phase (tracked runs
 /// only) is a cooperative state machine, not a blocking loop: the owning
-/// pipeline interleaves drain passes with frame dispatch and executor
-/// work, so a draining spout never starves the executors sharing its
-/// thread.
+/// pipeline interleaves drain passes with frame dispatch and bolt work,
+/// so a draining spout never starves the pipelines sharing its executor.
 enum SpoutPhase {
     /// Still producing tuples.
     Emitting,
@@ -49,6 +49,11 @@ struct SpoutState {
     spout: Box<dyn Spout>,
     groupings: Groupings,
     phase: SpoutPhase,
+    /// `next_tuple` calls the next step makes: 1 to [`PIPELINE_BATCH`],
+    /// doubling while calls return promptly ([`spout_step`]).
+    batch: usize,
+    /// Steps left at a batch of 1 after a slow call.
+    hold: u32,
 }
 
 impl SpoutState {
@@ -92,38 +97,70 @@ impl SpoutState {
     }
 }
 
-/// Advance one spout by one step: emit one tuple, or run one drain pass.
-/// Returns whether the step made progress (drives the pipeline's idle
-/// backoff). A panicking `next_tuple` poisons the spout: its pending
-/// tuples are failed loudly and EOS still departs so downstream drains.
-fn spout_step(state: &mut SpoutState, routing: &Routing) -> bool {
+/// A `next_tuple` call slower than this is taken for a spout that
+/// blocks (sleeps until its next tuple is due, waits on a source): its
+/// step ends there, and the next [`SLOW_HOLD_STEPS`] make one call each.
+const SLOW_CALL: Duration = Duration::from_micros(40);
+/// Steps a spout stays at a batch of 1 after a slow call.
+const SLOW_HOLD_STEPS: u32 = 64;
+
+/// Advance one spout by one step: emit an adaptive batch of tuples, or
+/// run one drain pass. Returns whether the step made progress.
+///
+/// A spout may block in `next_tuple`; every pipeline on its executor
+/// waits that long. So a batch starts at one call and doubles each step,
+/// up to [`PIPELINE_BATCH`], while calls return promptly; a call slower
+/// than [`SLOW_CALL`] ends the step and pins the batch at one for
+/// [`SLOW_HOLD_STEPS`] steps. Below the cap every call is timed; at the
+/// cap only a step's first is (a clock read pair per step, not per
+/// call). A panicking `next_tuple` poisons the spout: its pending tuples
+/// are failed loudly and EOS still departs so downstream drains.
+/// `drain` runs what each emitted tuple caused on the spout's own
+/// pipeline before the next call, as it would if the spout were asked
+/// once per step.
+fn spout_step(state: &mut SpoutState, routing: &Routing, drain: &mut dyn FnMut()) -> bool {
     let stats = &routing.stats;
     match state.phase {
         SpoutPhase::Done => false,
         SpoutPhase::Emitting => {
-            let next = catch_unwind(AssertUnwindSafe(|| state.spout.next_tuple()));
-            let Ok(next) = next else {
-                stats.add(Ctr::thread_panics, 1);
-                if let Some(ack) = routing.ack.as_ref() {
-                    state.fail_pending(ack, stats);
-                }
-                state.finish(routing);
-                return true;
-            };
-            let Some(t) = next else {
-                match routing.ack.as_ref() {
-                    Some(ack) => {
-                        let now = Instant::now();
-                        state.phase = SpoutPhase::Draining {
-                            deadline: now + ack.config.drain_deadline,
-                            next_poll: now,
-                        };
+            let batch = state.batch;
+            for call in 0..batch {
+                let timed = (batch < PIPELINE_BATCH || call == 0).then(Instant::now);
+                let next = catch_unwind(AssertUnwindSafe(|| state.spout.next_tuple()));
+                let slow = timed.is_some_and(|at| at.elapsed() > SLOW_CALL);
+                let Ok(next) = next else {
+                    stats.add(Ctr::thread_panics, 1);
+                    if let Some(ack) = routing.ack.as_ref() {
+                        state.fail_pending(ack, stats);
                     }
-                    None => state.finish(routing),
+                    state.finish(routing);
+                    return true;
+                };
+                let Some(t) = next else {
+                    match routing.ack.as_ref() {
+                        Some(ack) => {
+                            let now = Instant::now();
+                            state.phase = SpoutPhase::Draining {
+                                deadline: now + ack.config.drain_deadline,
+                                next_poll: now,
+                            };
+                        }
+                        None => state.finish(routing),
+                    }
+                    return true;
+                };
+                state.emit(routing, t);
+                drain();
+                if slow {
+                    (state.batch, state.hold) = (1, SLOW_HOLD_STEPS);
+                    return true;
                 }
-                return true;
-            };
-            state.emit(routing, t);
+            }
+            if state.hold > 0 {
+                state.hold -= 1;
+            } else {
+                state.batch = (batch * 2).min(PIPELINE_BATCH);
+            }
             true
         }
         SpoutPhase::Draining {
@@ -221,11 +258,7 @@ pub(super) fn on_frame(
             routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked))
         }))
     };
-    let bytes = msg.payload.bytes();
-    if bytes.is_empty() {
-        return;
-    }
-    match wire::parse(bytes) {
+    match wire::parse(msg.payload.bytes()) {
         Ok(FrameView::Instance(tracked, m)) => deliver_data(m.tuple(), tracked, &[m.dst()]),
         Ok(FrameView::Worker(tracked, m)) => {
             codec::dispatch_worker_message_into(&m, dsts);
@@ -376,31 +409,39 @@ fn finish_bolt(state: &mut BoltState, routing: &Routing) {
 }
 
 /// Gap between a draining spout's passes over its expired trees, and
-/// the longest an idle pipeline blocks while a relayed EOS waits on a
+/// the longest an idle pipeline waits while a relayed EOS waits on a
 /// tree flush.
 const ACK_POLL_INTERVAL: Duration = Duration::from_millis(1);
-/// Fabric frames and cross-shard messages consumed per scheduling pass
-/// before the pipeline rotates to its other work (keeps one flooded
-/// source from starving the rest).
+/// The most `next_tuple` calls a spout makes in one step before the
+/// pipeline hands its executor on (keeps a saturating spout from starving
+/// the pipelines it feeds).
 const PIPELINE_BATCH: usize = 128;
-/// Idle passes of busy-spinning before the pipeline yields once and, still
-/// idle after that, blocks on its fabric endpoint.
-const IDLE_SPINS: u32 = 64;
-/// Longest single blocking wait. Nothing depends on it firing — every
-/// source of work either wakes the block or bounds it by its own due time —
-/// so it only caps how long a missed wake-up could stall a pipeline.
-pub(super) const PARK_CAP: Duration = Duration::from_millis(100);
+
+/// What one [`ShardPipeline::step`] did.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum Step {
+    /// Some work: step again.
+    Progressed,
+    /// Nothing to do until a hand-off wakes its executor or
+    /// [`ShardPipeline::wake_at`] falls due.
+    Idle,
+    /// Its tasks are complete and its endpoint closed: never step again.
+    Exited,
+}
 
 /// One shard-owned pipeline: the whole hot path for its slice of tasks —
 /// fabric reader, routing (each task's grouping state), execution, and
-/// sink — on one thread, with no central dispatcher. See the module docs.
+/// sink — stepped by one executor, with no central dispatcher. See the
+/// module docs.
 pub(super) struct ShardPipeline {
     /// Flat shard id (`worker * shards + shard`) — also the fabric
     /// endpoint this pipeline reads.
-    flat: usize,
+    pub(super) flat: usize,
     worker: u32,
     fabric_rx: whale_net::Inbox,
     inbox_rx: Receiver<Entry>,
+    /// What steps of its own executor handed it, taken in one swap.
+    handed: VecDeque<Entry>,
     spouts: Vec<SpoutState>,
     /// Ascending by task id, so one component's bolts — a
     /// [`LocalGroups`](super::send::LocalGroups) row — are one slice.
@@ -408,7 +449,18 @@ pub(super) struct ShardPipeline {
     /// Signals the run driver once every owned task has completed (the
     /// pipeline keeps relaying/draining frames until the fabric closes).
     done_tx: Sender<()>,
+    /// Whether it has.
+    signaled: bool,
+    /// Whether its endpoint has not yet been seen closed.
+    fabric_open: bool,
+    /// [`LiveConfig::run_deadline`] from the pipeline's start, until it
+    /// fires or the tasks complete.
+    deadline: Option<Instant>,
+    /// Whether the last step left a relayed EOS waiting on a flush.
+    eos_waiting: bool,
     scratch: RecvScratch,
+    /// What the thread running the pipeline holds for it while it runs.
+    relay: RelayLocal,
 }
 
 impl ShardPipeline {
@@ -425,10 +477,16 @@ impl ShardPipeline {
             worker,
             fabric_rx,
             inbox_rx,
+            handed: VecDeque::new(),
             spouts: Vec::new(),
             bolts: Vec::new(),
             done_tx,
+            signaled: false,
+            fabric_open: true,
+            deadline: None,
+            eos_waiting: false,
             scratch: RecvScratch::default(),
+            relay: RelayLocal::default(),
         }
     }
 
@@ -438,6 +496,8 @@ impl ShardPipeline {
             spout,
             groupings,
             phase: SpoutPhase::Emitting,
+            batch: 1,
+            hold: 0,
         });
     }
 
@@ -467,238 +527,228 @@ impl ShardPipeline {
         self.bolts.push(state);
     }
 
-    /// Run the pipeline on its own thread until its tasks are done and
-    /// the fabric closes.
-    pub(super) fn spawn(self, routing: Arc<Routing>) -> std::thread::JoinHandle<()> {
-        super::spawn_named(format!("pipeline-{}", self.flat), move || {
-            // Operator panics are caught inside the pipeline; a panic
-            // escaping here is a runtime bug, but the completion signal
-            // must still fire or the driver would block forever.
-            let done_tx = self.done_tx.clone();
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.run(&routing))) {
-                let _ = done_tx.send(());
-                std::panic::resume_unwind(payload);
-            }
-        })
+    /// Run `f` as this pipeline on the calling thread: its shard and its
+    /// relay state are the thread's for `f` and everything `f` causes
+    /// locally, and are swapped back out after. The one way a pipeline's
+    /// code runs, on its executor and in [`PipelineHarness`] alike.
+    pub(super) fn within<R>(
+        &mut self,
+        routing: &Routing,
+        f: impl FnOnce(&mut Self, &Routing) -> R,
+    ) -> R {
+        CURRENT_SHARD.with(|c| c.set(Some(self.flat)));
+        self.relay.enter();
+        let result = f(self, routing);
+        self.drain_local(routing);
+        debug_assert!(
+            LOCAL_QUEUE.with_borrow(|q| q.is_empty()),
+            "a pipeline leaves nothing in the loopback queue"
+        );
+        self.relay.leave();
+        CURRENT_SHARD.with(|c| c.set(None));
+        result
     }
 
-    fn run(mut self, routing: &Routing) {
-        CURRENT_SHARD.with(|c| c.set(Some(self.flat)));
-        // A bolt with no upstream can never receive EOS; close it out
-        // up front instead of hanging the pipeline.
+    /// Put the thread back after a step [`within`](Self::within) this
+    /// pipeline unwound, and report it done: it will not step again, and
+    /// what it left in the loopback queue is lost with it.
+    pub(super) fn unwound(&mut self) {
+        LOCAL_QUEUE.with_borrow_mut(VecDeque::clear);
+        self.relay.leave();
+        CURRENT_SHARD.with(|c| c.set(None));
+        self.report_done();
+    }
+
+    /// What a pipeline does once, before its first step: arm the run
+    /// deadline and close out the bolts no upstream feeds (they can never
+    /// receive EOS, and would hang the run).
+    pub(super) fn start(&mut self, routing: &Routing) {
+        self.deadline = routing.config.run_deadline.map(|d| Instant::now() + d);
         for b in &mut self.bolts {
             if b.expected_eos == 0 {
                 finish_bolt(b, routing);
             }
         }
-        self.drain_local(routing);
-        let mut deadline = routing.config.run_deadline.map(|d| Instant::now() + d);
-        let mut fabric_open = true;
-        let mut signaled = false;
-        let mut idle_passes = 0u32;
-        loop {
-            let mut progress = false;
-            if let Some(relay) = &routing.relay {
-                relay.revalidate_held();
+    }
+
+    /// One pass of the pipeline's work, [`within`](Self::within) it: every
+    /// frame its endpoint and every entry its cross-shard inbox held when
+    /// the step began (sent, or handed over by its executor's other
+    /// steps), one step of each spout, and everything those caused
+    /// locally.
+    pub(super) fn step(&mut self, routing: &Routing) -> Step {
+        let mut progress = false;
+        if let Some(relay) = &routing.relay {
+            relay.revalidate_held();
+        }
+        // A queue's depth is one load; only what it counts is received,
+        // so an empty queue is never probed and no failing receive ends a
+        // slice. (A counted send may still be in flight: `Empty` ends the
+        // slice early.) On a buffered transport the fabric endpoint's `len`
+        // first runs its own pass, so a busy pipeline drains its ring or
+        // links once per step. All of what is counted, as for the inbox
+        // below: a producer on this executor adds to it only between this
+        // pipeline's steps, so what one round brings the next one takes,
+        // and no backlog builds up round by round.
+        for _ in 0..self.fabric_rx.len() {
+            match self.fabric_rx.try_recv() {
+                Ok(msg) => {
+                    on_frame(self.worker, &msg, routing, &mut self.scratch);
+                    progress = true;
+                    self.drain_local(routing);
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    self.fabric_open = false;
+                    break;
+                }
             }
-            // A queue's depth is one load; only what it counts is
-            // received, so an empty queue is never probed and no failing
-            // receive ends a slice. (A counted send may still be in
-            // flight: `Empty` ends the slice early. A closed endpoint is
-            // learnt when the pipeline blocks on it.) On a buffered
-            // transport the fabric endpoint's `len` first runs its own
-            // pass, so a busy pipeline drains its ring or links once per
-            // scheduling pass.
-            for _ in 0..self.fabric_rx.len().min(PIPELINE_BATCH) {
+        }
+        for _ in 0..self.inbox_rx.len() {
+            match self.inbox_rx.try_recv() {
+                Ok(entry) => {
+                    exec_entry(&mut self.bolts, &mut self.scratch.spare, entry, routing);
+                    progress = true;
+                    self.drain_local(routing);
+                }
+                Err(_) => break,
+            }
+        }
+        let inbox = routing.shard_inboxes.get(self.flat);
+        if inbox.is_some_and(|inbox| inbox.take_handed(&mut self.handed)) {
+            while let Some(entry) = self.handed.pop_front() {
+                exec_entry(&mut self.bolts, &mut self.scratch.spare, entry, routing);
+                progress = true;
+                self.drain_local(routing);
+            }
+        }
+        let (bolts, spare) = (&mut self.bolts, &mut self.scratch.spare);
+        for spout in &mut self.spouts {
+            let mut drain = || {
+                drain_loopback(bolts, spare, routing);
+            };
+            if spout_step(spout, routing, &mut drain) {
+                progress = true;
+            }
+        }
+        if self.drain_local(routing) {
+            progress = true;
+        }
+        self.eos_waiting = routing.relay.is_some() && routing.send_waiting_eos();
+        let all_done = self
+            .spouts
+            .iter()
+            .all(|s| matches!(s.phase, SpoutPhase::Done))
+            && self.bolts.iter().all(|b| b.done)
+            && !self.eos_waiting;
+        if all_done {
+            self.report_done();
+            self.deadline = None;
+            if !progress && self.fabric_open {
+                // Nothing counted: a closed endpoint is learnt here.
                 match self.fabric_rx.try_recv() {
                     Ok(msg) => {
                         on_frame(self.worker, &msg, routing, &mut self.scratch);
-                        progress = true;
-                        self.drain_local(routing);
+                        return Step::Progressed;
                     }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        fabric_open = false;
-                        break;
-                    }
+                    Err(TryRecvError::Disconnected) => self.fabric_open = false,
+                    Err(TryRecvError::Empty) => {}
                 }
             }
-            for _ in 0..self.inbox_rx.len().min(PIPELINE_BATCH) {
-                match self.inbox_rx.try_recv() {
-                    Ok((dst, msg)) => {
-                        self.handle_exec(dst, msg, routing);
-                        progress = true;
-                        self.drain_local(routing);
-                    }
-                    Err(_) => break,
-                }
-            }
-            for i in 0..self.spouts.len() {
-                if spout_step(&mut self.spouts[i], routing) {
-                    progress = true;
-                }
-            }
-            if self.drain_local(routing) {
-                progress = true;
-            }
-            let eos_waiting = routing.relay.is_some() && routing.send_waiting_eos();
-            let all_done = self
-                .spouts
-                .iter()
-                .all(|s| matches!(s.phase, SpoutPhase::Done))
-                && self.bolts.iter().all(|b| b.done)
-                && !eos_waiting;
-            if all_done && !signaled {
-                signaled = true;
-                let _ = self.done_tx.send(());
-            }
-            if all_done && !fabric_open {
-                break;
-            }
-            if progress {
-                idle_passes = 0;
-                continue;
-            }
-            // Out of work: spin, yield once, then block on what delivers
-            // the work — the receive-side mirror of the send policy's
-            // spin → yield → park ladder.
-            idle_passes += 1;
-            if idle_passes < IDLE_SPINS {
-                std::hint::spin_loop();
-                continue;
-            }
-            // Liveness backstop, checked once per idle episode — at the
-            // yield rung and after each park, never on the spin passes
-            // (already-queued traffic is still processed first): a lost
-            // EOS degrades the run but never hangs it. Finishing still
-            // broadcasts this task's own EOS so downstream can drain.
-            if !all_done && deadline.is_some_and(|dl| Instant::now() >= dl) {
-                for b in &mut self.bolts {
-                    if !b.done {
-                        routing.stats.add(Ctr::deadline_exits, 1);
-                        finish_bolt(b, routing);
-                    }
-                }
-                self.drain_local(routing);
-                // Fired: every bolt is finished, nothing left to reap.
-                deadline = None;
-                continue;
-            }
-            if idle_passes == IDLE_SPINS {
-                // Load-bearing: blocking straight away turns every frame
-                // into futex-wake + preempt + re-park. Yielding first lets
-                // a busy producer run on, and this stage comes back to a
-                // batch instead of one frame.
-                routing.stats.add(Ctr::pipeline_yields, 1);
-                std::thread::yield_now();
-                continue;
-            }
-            let mut wait = self.idle_wait(deadline.filter(|_| !all_done));
-            if eos_waiting {
-                wait = wait.min(ACK_POLL_INTERVAL);
-            }
-            routing.stats.add(Ctr::pipeline_parks, 1);
-            // A blocked pipeline must not keep a relay generation alive.
-            drop(swap_held(None));
-            let woke_with_work = if fabric_open {
-                match self.park(routing, wait) {
-                    Ok(msg) => {
-                        on_frame(self.worker, &msg, routing, &mut self.scratch);
-                        true
-                    }
-                    Err(RecvTimeoutError::Timeout) => false,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        fabric_open = false;
-                        false
-                    }
-                }
-            } else {
-                // The endpoint is closed; only the inbox can still deliver.
-                self.inbox_rx
-                    .recv_timeout(wait)
-                    .map(|(dst, msg)| self.handle_exec(dst, msg, routing))
-                    .is_ok()
-            };
-            if woke_with_work {
-                routing.stats.add(Ctr::pipeline_wakeups_with_work, 1);
-                self.drain_local(routing);
-                idle_passes = 0;
+            if !self.fabric_open {
+                return Step::Exited;
             }
         }
-        drop(swap_held(None));
-        CURRENT_SHARD.with(|c| c.set(None));
+        if progress {
+            return Step::Progressed;
+        }
+        // Liveness backstop, checked on idle steps only (queued traffic
+        // is processed first): a lost EOS degrades the run but never
+        // hangs it. Finishing still broadcasts this task's own EOS so
+        // downstream can drain.
+        if self.deadline.is_some_and(|at| Instant::now() >= at) {
+            for b in &mut self.bolts {
+                if !b.done {
+                    routing.stats.add(Ctr::deadline_exits, 1);
+                    finish_bolt(b, routing);
+                }
+            }
+            // Fired: every bolt is finished, nothing left to reap.
+            self.deadline = None;
+            return Step::Progressed;
+        }
+        Step::Idle
     }
 
-    /// How long an idle pipeline may block: until the nearest draining
-    /// spout's next acker poll or the run deadline, at most [`PARK_CAP`].
-    fn idle_wait(&self, run_deadline: Option<Instant>) -> Duration {
-        let now = Instant::now();
+    /// Tell the run driver this pipeline's tasks are complete, once.
+    pub(super) fn report_done(&mut self) {
+        if !std::mem::replace(&mut self.signaled, true) {
+            let _ = self.done_tx.send(());
+        }
+    }
+
+    /// When an idle pipeline next needs a step with nothing arriving: its
+    /// endpoint's next pass (a WTL deadline), a draining spout's next
+    /// acker poll, a relayed EOS's next retry, or the run deadline. `None`:
+    /// only a hand-off can give it work.
+    pub(super) fn wake_at(&self, now: Instant) -> Option<Instant> {
         let polls = self.spouts.iter().filter_map(|s| match s.phase {
             SpoutPhase::Draining { next_poll, .. } => Some(next_poll),
             _ => None,
         });
-        polls
-            .chain(run_deadline)
-            .map(|at| at.saturating_duration_since(now))
-            .fold(PARK_CAP, Duration::min)
+        let pass = self.fabric_rx.next_pass().map(|due| now + due);
+        let eos = self.eos_waiting.then(|| now + ACK_POLL_INTERVAL);
+        polls.chain(pass).chain(eos).chain(self.deadline).min()
     }
 
-    /// Block on the fabric endpoint for up to `timeout`. A delivered frame
-    /// is its own wake-up (the push notifies the waiting receive), and so,
-    /// inside the receive, is a post that leaves a buffered endpoint's
-    /// pass something to do (the receive's wait is also bounded by the
-    /// pass's WTL deadline); a cross-shard inbox send sees `parked` and
-    /// drops an empty frame into the endpoint (see
-    /// [`ShardInbox`](super::send::ShardInbox)).
-    fn park(
-        &self,
-        routing: &Routing,
-        timeout: Duration,
-    ) -> Result<whale_net::LiveMessage, RecvTimeoutError> {
-        let parked = &routing.shard_inboxes[self.flat].parked;
-        parked.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let got = if self.inbox_rx.is_empty() {
-            self.fabric_rx.recv_timeout(timeout)
-        } else {
-            Err(RecvTimeoutError::Timeout)
-        };
-        parked.store(false, Ordering::SeqCst);
-        got
+    /// Let go of the relay generation the pipeline holds: its executor is
+    /// about to park.
+    pub(super) fn release_relay(&mut self) {
+        self.relay.release();
     }
 
-    /// Run one queue entry on the bolts it names. Entries for tasks this
-    /// shard does not own (a stale frame for a completed run) are
-    /// ignored.
-    fn handle_exec(&mut self, dest: Dest, msg: ExecMsg, routing: &Routing) {
-        let (first, n) = match dest {
-            Dest::Task(t) => (Some(t), 1),
-            Dest::Group(row) => {
-                let tasks = routing.groups.tasks(row);
-                (tasks.first().copied(), tasks.len())
-            }
-        };
-        let at = first.and_then(|t| self.bolts.binary_search_by_key(&t, |b| b.task).ok());
-        if let Some(bolts) = at.and_then(|i| self.bolts.get_mut(i..i + n)) {
-            run_batch(bolts, msg, routing, &mut self.scratch.spare);
-        }
-    }
-
-    /// Drain the thread-local same-shard loopback queue. Executions may
-    /// push more (a bolt emitting to a same-shard successor), so this
-    /// loops until the queue is genuinely empty.
+    /// [`drain_loopback`] into this pipeline's bolts.
     fn drain_local(&mut self, routing: &Routing) -> bool {
-        let mut any = false;
-        while let Some((dst, msg)) = LOCAL_QUEUE.with_borrow_mut(|q| q.pop_front()) {
-            self.handle_exec(dst, msg, routing);
-            any = true;
-        }
-        any
+        drain_loopback(&mut self.bolts, &mut self.scratch.spare, routing)
     }
 }
 
-/// One worker's shard-0 pipeline with no thread behind it, driven frame by
-/// frame on the caller's thread: the real receive path — parse, relay
+/// Run one queue entry on the bolts of `bolts` (a pipeline's, ascending)
+/// it names. Entries for tasks the pipeline does not own (a stale frame
+/// for a completed run) are ignored.
+fn exec_entry(
+    bolts: &mut [BoltState],
+    spare: &mut WireSpare,
+    (dest, msg): Entry,
+    routing: &Routing,
+) {
+    let (first, n) = match dest {
+        Dest::Task(t) => (Some(t), 1),
+        Dest::Group(row) => {
+            let tasks = routing.groups.tasks(row);
+            (tasks.first().copied(), tasks.len())
+        }
+    };
+    let at = first.and_then(|t| bolts.binary_search_by_key(&t, |b| b.task).ok());
+    if let Some(bolts) = at.and_then(|i| bolts.get_mut(i..i + n)) {
+        run_batch(bolts, msg, routing, spare);
+    }
+}
+
+/// Drain the thread-local same-shard loopback queue into `bolts`.
+/// Executions may push more (a bolt emitting to a same-shard successor),
+/// so this loops until the queue is genuinely empty.
+fn drain_loopback(bolts: &mut [BoltState], spare: &mut WireSpare, routing: &Routing) -> bool {
+    let mut any = false;
+    while let Some(entry) = LOCAL_QUEUE.with_borrow_mut(|q| q.pop_front()) {
+        exec_entry(bolts, spare, entry, routing);
+        any = true;
+    }
+    any
+}
+
+/// One worker's shard-0 pipeline with no executor behind it, driven frame
+/// by frame on the caller's thread: the real receive path — parse, relay
 /// admission, forwarding, local delivery, batch execution — for benches
 /// and tests that need it without a run around it. The other pipelines'
 /// endpoints exist and accept what this one sends them; nothing reads
@@ -708,10 +758,6 @@ pub struct PipelineHarness {
     routing: Routing,
     pipeline: ShardPipeline,
     peers: Vec<ShardPipeline>,
-    /// The pipeline's held relay generation between two `receive`s (a
-    /// pipeline thread keeps it in a thread-local; this thread is only
-    /// that pipeline's while it is inside `receive`).
-    held: Option<Arc<RelayEpoch>>,
 }
 
 impl PipelineHarness {
@@ -724,27 +770,19 @@ impl PipelineHarness {
         let valid = config.validate(&topology, operators);
         valid.expect("a configuration that runs");
         let fabric = Arc::new(whale_net::LiveFabric::new());
-        let (routing, mut peers, _) = super::wire_up(topology, config, fabric, None);
+        let (routing, mut peers, ..) = super::wire_up(topology, config, fabric, None, Some(1));
         super::populate(&routing, operators, &mut peers);
         let pipeline = peers.swap_remove((worker * routing.shards) as usize);
         PipelineHarness {
             routing,
             pipeline,
             peers,
-            held: None,
         }
     }
 
-    /// Run `f` with this thread standing in for the pipeline's own, then
-    /// everything `f` caused locally.
+    /// Run `f` with this thread standing in for the pipeline's executor.
     fn as_pipeline<R>(&mut self, f: impl FnOnce(&mut ShardPipeline, &Routing) -> R) -> R {
-        CURRENT_SHARD.with(|c| c.set(Some(self.pipeline.flat)));
-        swap_held(self.held.take());
-        let result = f(&mut self.pipeline, &self.routing);
-        self.pipeline.drain_local(&self.routing);
-        self.held = swap_held(None);
-        CURRENT_SHARD.with(|c| c.set(None));
-        result
+        self.pipeline.within(&self.routing, f)
     }
 
     /// Receive one fabric frame and run everything it causes locally.
@@ -820,7 +858,8 @@ mod tests {
         let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) = (0..2)
             .map(|_| {
                 let (tx, rx) = crossbeam::channel::bounded(4);
-                (super::super::send::ShardInbox::new(tx), rx)
+                let waker = Arc::default();
+                (super::super::send::ShardInbox::new(tx, waker), rx)
             })
             .unzip();
         let routing = Routing {
@@ -879,6 +918,7 @@ mod tests {
         let spout = routing.topology.tasks_of("src")[0];
         assert_eq!(spout, TaskId(0));
         let frames: Vec<Vec<u8>> = vec![
+            vec![],                  // empty
             vec![99],                // unknown kind
             relay[..3].to_vec(),     // truncated relay header (2 of 20 bytes)
             relay[..13].to_vec(),    // truncated relay header (12 of 20 bytes)
@@ -1202,148 +1242,31 @@ mod tests {
         assert_eq!(m.gauge("dsps.shards"), Some(4.0));
     }
 
-    /// `tuples` tuples, one every `gap`, broadcast to 8 sinks.
-    fn sparse_topology(tuples: u64, gap: Duration) -> (Topology, Operators) {
-        let mut b = crate::topology::TopologyBuilder::new();
-        b.spout("src", 1, Schema::new(vec!["n"]))
-            .bolt("sink", 8, Schema::new(vec!["n"]))
-            .connect("src", "sink", Grouping::All);
-        let ops = Operators::new()
-            .spout("src", move |_| {
-                Box::new(IterSpout::new((1..=tuples).map(move |i| {
-                    std::thread::sleep(gap);
-                    Tuple::with_id(i, vec![Value::I64(i as i64)])
-                })))
-            })
-            .bolt("sink", |_| {
-                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
-            });
-        (b.build().unwrap(), ops)
-    }
-
-    #[test]
-    fn idle_pipelines_block_once_per_arrival_not_once_per_tick() {
-        const TUPLES: u64 = 40;
-        let gap = Duration::from_millis(5);
-        for fabric in [
-            FabricKind::PerSend,
-            FabricKind::Ring(whale_net::RingConfig::default()),
-            FabricKind::OneSided(whale_net::OneSidedConfig::default()),
-        ] {
-            for shards in [1u32, 4] {
-                let (t, ops) = sparse_topology(TUPLES, gap);
-                let r = run_topology(
-                    t,
-                    ops,
-                    LiveConfig {
-                        machines: 4,
-                        shards,
-                        fabric,
-                        ..LiveConfig::default()
-                    },
-                );
-                let what = format!("{fabric:?} shards={shards}");
-                assert_eq!(r.outcome, RunOutcome::Clean, "{what}");
-                assert_eq!(r.executed[1], TUPLES * 8, "{what}");
-                // At most one block per arriving tuple (plus EOS and the
-                // odd liveness-cap expiry) per pipeline. Polling on a
-                // fixed 50 µs period would enter ~4 000 waits per pipeline
-                // over the same 200 ms.
-                let pipelines = 4 * shards as u64;
-                assert!(
-                    r.pipeline_parks <= pipelines * (TUPLES + 20),
-                    "{what}: parks = {}",
-                    r.pipeline_parks
-                );
-                assert!(
-                    r.pipeline_wakeups_with_work >= TUPLES / 2,
-                    "{what}: arrivals wake blocked pipelines, woke = {}",
-                    r.pipeline_wakeups_with_work
-                );
-                assert!(r.pipeline_wakeups_with_work <= r.pipeline_parks);
-                // An idle episode yields once before it first blocks, and
-                // a block that returns work ends the episode.
-                assert!(r.pipeline_yields >= r.pipeline_wakeups_with_work);
-                let m = r.metrics();
-                assert_eq!(m.counter("dsps.pipeline.yields"), Some(r.pipeline_yields));
-                assert_eq!(m.counter("dsps.pipeline.parks"), Some(r.pipeline_parks));
-                assert_eq!(
-                    m.counter("dsps.pipeline.wakeups_with_work"),
-                    Some(r.pipeline_wakeups_with_work)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_cross_shard_inbox_send_wakes_a_blocked_pipeline() {
-        // One machine, 4 shards: nothing crosses the fabric, so a pipeline
-        // blocked on its (silent) endpoint can only be woken by the empty
-        // frame an inbox send drops there. The 5 ms gaps make sure the
-        // receivers are blocked when the next tuple arrives.
-        const TUPLES: u64 = 20;
-        let (t, ops) = sparse_topology(TUPLES, Duration::from_millis(5));
-        let r = run_topology(
-            t,
-            ops,
-            LiveConfig {
-                machines: 1,
-                shards: 4,
-                ..LiveConfig::default()
-            },
-        );
-        assert_eq!(r.outcome, RunOutcome::Clean);
-        assert_eq!(r.executed[1], TUPLES * 8);
-        assert_eq!(r.copied_bytes + r.shared_bytes, 0, "single worker");
-        assert!(r.cross_shard_msgs >= TUPLES);
-        // A timed-out wait does not count as a wake-up with work: these
-        // are inbox sends that found the flag set and rang the endpoint.
-        assert!(
-            r.pipeline_wakeups_with_work >= TUPLES,
-            "woke = {}",
-            r.pipeline_wakeups_with_work
-        );
-    }
-
     /// A task-less pipeline on endpoint 0 of its own per-send fabric.
-    fn empty_pipeline() -> (ShardPipeline, Routing, Receiver<()>) {
+    fn empty_pipeline() -> (ShardPipeline, Routing) {
         let fabric = Arc::new(whale_net::LiveFabric::new());
         let fabric_rx = fabric.register(whale_net::EndpointId(0)).unwrap();
-        let (inbox_tx, inbox_rx) = crossbeam::channel::bounded(4);
-        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        let (tx, inbox_rx) = crossbeam::channel::bounded(4);
+        let (done_tx, _) = crossbeam::channel::unbounded();
+        let waker = Arc::default();
         let routing = Routing {
             fabric,
-            shard_inboxes: vec![super::super::send::ShardInbox::new(inbox_tx)],
+            shard_inboxes: vec![super::super::send::ShardInbox::new(tx, waker)],
             ..bare_routing(LiveConfig::default(), None)
         };
         let pipeline = ShardPipeline::new(0, 0, fabric_rx, inbox_rx, done_tx);
-        (pipeline, routing, done_rx)
+        (pipeline, routing)
     }
 
     #[test]
-    fn a_blocked_pipeline_exits_as_soon_as_its_endpoint_closes() {
-        let (pipeline, routing, done_rx) = empty_pipeline();
-        let routing = Arc::new(routing);
-        let handle = pipeline.spawn(Arc::clone(&routing));
-        // No tasks: done at once, then idle until the fabric closes.
-        done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        while routing.stats.get(Ctr::pipeline_parks) == 0 {
-            std::thread::yield_now();
-        }
-        let closed = Instant::now();
-        routing.fabric.deregister(whale_net::EndpointId(0));
-        handle.join().unwrap();
-        assert!(closed.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn idle_wait_is_bounded_by_the_next_ack_poll_and_the_run_deadline() {
-        let (mut pipeline, routing, _done_rx) = empty_pipeline();
-        assert_eq!(pipeline.idle_wait(None), PARK_CAP);
+    fn wake_at_is_the_next_ack_poll_or_the_run_deadline() {
+        let (mut pipeline, routing) = empty_pipeline();
         let now = Instant::now();
+        assert_eq!(pipeline.wake_at(now), None, "only a hand-off gives it work");
         let near = now + Duration::from_millis(20);
-        assert!(pipeline.idle_wait(Some(near)) <= Duration::from_millis(20));
-        // A draining spout is due at `ACK_POLL_INTERVAL`, whatever else
+        pipeline.deadline = Some(near);
+        assert_eq!(pipeline.wake_at(now), Some(near));
+        // A draining spout is due at its next acker poll, whatever else
         // bounds the wait.
         pipeline.add_spout(
             TaskId(0),
@@ -1354,8 +1277,93 @@ mod tests {
             deadline: now + Duration::from_secs(30),
             next_poll: now + ACK_POLL_INTERVAL,
         };
-        assert!(pipeline.idle_wait(Some(near)) <= ACK_POLL_INTERVAL);
-        assert!(pipeline.idle_wait(None) <= ACK_POLL_INTERVAL);
+        assert_eq!(pipeline.wake_at(now), Some(now + ACK_POLL_INTERVAL));
+        pipeline.deadline = None;
+        assert_eq!(pipeline.wake_at(now), Some(now + ACK_POLL_INTERVAL));
+    }
+
+    /// Spout task 0 of [`bare_routing`]'s topology over `spout`: what it
+    /// emits reaches no pipeline, which is all a batch test needs.
+    fn lone_spout(spout: impl Spout + 'static) -> (SpoutState, Routing) {
+        let routing = bare_routing(LiveConfig::default(), None);
+        let state = SpoutState {
+            task: TaskId(0),
+            spout: Box::new(spout),
+            groupings: Groupings::new(&routing.topology, TaskId(0), ComponentId(0)),
+            phase: SpoutPhase::Emitting,
+            batch: 1,
+            hold: 0,
+        };
+        (state, routing)
+    }
+
+    #[test]
+    fn a_prompt_spout_doubles_its_batch_up_to_the_cap() {
+        let tuples = (0..).map(|i| Tuple::with_id(i, vec![Value::I64(i as i64)]));
+        let (mut state, routing) = lone_spout(IterSpout::new(tuples));
+        let mut batches = Vec::new();
+        for _ in 0..9 {
+            batches.push(state.batch);
+            assert!(spout_step(&mut state, &routing, &mut || ()));
+        }
+        assert_eq!(batches, [1, 2, 4, 8, 16, 32, 64, 128, 128]);
+        assert_eq!(state.batch, PIPELINE_BATCH);
+        let emitted: usize = batches.iter().sum();
+        assert_eq!(routing.stats.get(Ctr::spout_emitted), emitted as u64);
+    }
+
+    #[test]
+    fn a_slow_call_ends_the_step_and_pins_the_batch_at_one() {
+        // Call `slow_at` (the index of the tuple it returns) blocks.
+        let slow_at = Arc::new(std::sync::atomic::AtomicU64::new(20));
+        let at = Arc::clone(&slow_at);
+        let tuples = (0..).map(move |i: u64| {
+            if i == at.load(Ordering::Relaxed) {
+                std::thread::sleep(SLOW_CALL * 3);
+            }
+            Tuple::with_id(i, vec![Value::I64(i as i64)])
+        });
+        let (mut state, routing) = lone_spout(IterSpout::new(tuples));
+        let emitted = || routing.stats.get(Ctr::spout_emitted);
+        // Below the cap every call is timed: call 20, the sixth of a step
+        // of 16, ends it.
+        while emitted() < 21 {
+            spout_step(&mut state, &routing, &mut || ());
+        }
+        assert_eq!(emitted(), 21, "the step ended at the slow call");
+        assert_eq!((state.batch, state.hold), (1, SLOW_HOLD_STEPS));
+        for _ in 0..SLOW_HOLD_STEPS {
+            spout_step(&mut state, &routing, &mut || ());
+            assert_eq!(state.batch, 1);
+        }
+        assert_eq!(emitted(), 21 + SLOW_HOLD_STEPS as u64);
+        spout_step(&mut state, &routing, &mut || ());
+        assert_eq!(state.batch, 2, "prompt again: doubling resumes");
+    }
+
+    #[test]
+    fn at_the_cap_a_spout_is_timed_at_a_steps_first_call() {
+        let slow_at = Arc::new(std::sync::atomic::AtomicU64::new(u64::MAX));
+        let at = Arc::clone(&slow_at);
+        let tuples = (0..).map(move |i: u64| {
+            if i == at.load(Ordering::Relaxed) {
+                std::thread::sleep(SLOW_CALL * 3);
+            }
+            Tuple::with_id(i, vec![Value::I64(i as i64)])
+        });
+        let (mut state, routing) = lone_spout(IterSpout::new(tuples));
+        let emitted = || routing.stats.get(Ctr::spout_emitted);
+        while state.batch < PIPELINE_BATCH {
+            spout_step(&mut state, &routing, &mut || ());
+        }
+        // A slow second call goes unseen; a slow first call ends its step.
+        let cap = PIPELINE_BATCH as u64;
+        for (offset, emits, batch) in [(1, cap, PIPELINE_BATCH), (0, 1, 1)] {
+            let before = emitted();
+            slow_at.store(before + offset, Ordering::Relaxed);
+            spout_step(&mut state, &routing, &mut || ());
+            assert_eq!((emitted() - before, state.batch), (emits, batch));
+        }
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl RelayState {
     /// The generation `want` names — `None`: whichever is current — for
     /// the caller to send on, or `None` for a retired one.
     ///
-    /// A pipeline thread answers for the current generation from the
+    /// A running pipeline answers for the current generation from the
     /// reference it [holds](HELD) whenever that still is the published
     /// one (one load), and refills it under the lock when it is not; a
     /// flushing or stale epoch, and any other thread, take the locked
@@ -258,8 +258,8 @@ impl RelayState {
 
     /// Let go of a held generation that is no longer the published one.
     /// Every [`Self::hold`] does this for itself; a pipeline also calls it
-    /// once per scheduling pass, so one that stops using the relay plane
-    /// cannot keep a demoted generation from being flushed.
+    /// once per step, so one that stops using the relay plane cannot keep
+    /// a demoted generation from being flushed.
     pub(super) fn revalidate_held(&self) {
         let published = self.current_id.load(Ordering::Acquire);
         HELD.set(HELD.take().filter(|held| held.epoch == published));
@@ -296,30 +296,52 @@ impl RelayState {
 }
 
 thread_local! {
-    /// The pipeline on this thread's own reference to the current
-    /// generation, kept from one [`RelayState::hold`] to the next so that
-    /// resolving it costs a load instead of a lock round trip and a
-    /// refcount round trip per frame. It is revalidated at every use and
-    /// once per scheduling pass, and given up ([`swap_held`]) before the
-    /// pipeline blocks and when it exits: a generation is never pinned by
-    /// a pipeline that is not running. Threads without a pipeline never
-    /// fill it.
+    /// The running pipeline's own reference to the current generation,
+    /// kept from one [`RelayState::hold`] to the next so that resolving it
+    /// costs a load instead of a lock round trip and a refcount round trip
+    /// per frame. It is revalidated at every use and once per step, moved
+    /// out with the rest of the pipeline's [`RelayLocal`] when the step
+    /// ends, and given up before the pipeline's executor parks: a
+    /// generation is never pinned by a pipeline that is not running.
+    /// Threads without a pipeline never fill it.
     static HELD: Cell<Option<Arc<RelayEpoch>>> = const { Cell::new(None) };
-    /// The relayed EOS this thread's pipeline holds back until its
-    /// origin's tree of the demoted generation has flushed; retried once
-    /// per scheduling pass ([`Routing::send_waiting_eos`]).
+    /// The relayed EOS the running pipeline holds back until its origin's
+    /// tree of the demoted generation has flushed; retried once per step
+    /// ([`Routing::send_waiting_eos`]).
     static WAITING_EOS: RefCell<Vec<WaitingEos>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Exchange this thread's held generation for `with`. `swap_held(None)`
-/// is how a pipeline lets go of it.
-pub(super) fn swap_held(with: Option<Arc<RelayEpoch>>) -> Option<Arc<RelayEpoch>> {
-    HELD.replace(with)
+/// A pipeline's relay state between its steps: what the thread running
+/// it keeps in [`HELD`] and [`WAITING_EOS`] while it runs.
+#[derive(Default)]
+pub(super) struct RelayLocal {
+    held: Option<Arc<RelayEpoch>>,
+    waiting_eos: Vec<WaitingEos>,
 }
 
-/// A generation resolved by [`RelayState::hold`], good for one use. On a
-/// pipeline thread dropping it hands the current generation's reference
-/// back to the thread instead of releasing it.
+impl RelayLocal {
+    /// Swap this pipeline's state into the calling thread's.
+    pub(super) fn enter(&mut self) {
+        HELD.set(self.held.take());
+        WAITING_EOS.with_borrow_mut(|waiting| std::mem::swap(waiting, &mut self.waiting_eos));
+    }
+
+    /// Swap it back out, leaving the thread's empty.
+    pub(super) fn leave(&mut self) {
+        self.held = HELD.take();
+        WAITING_EOS.with_borrow_mut(|waiting| std::mem::swap(waiting, &mut self.waiting_eos));
+    }
+
+    /// Let go of the held generation: a parked pipeline must not keep one
+    /// from flushing.
+    pub(super) fn release(&mut self) {
+        self.held = None;
+    }
+}
+
+/// A generation resolved by [`RelayState::hold`], good for one use. Inside
+/// a pipeline's step dropping it hands the current generation's reference
+/// back to the pipeline instead of releasing it.
 pub(super) struct Held {
     /// `Some` until dropped.
     generation: Option<Arc<RelayEpoch>>,
@@ -664,8 +686,8 @@ impl Routing {
     /// Start the flush of the generation a switch has just demoted. Its
     /// markers must trail every frame a root sent on it, so they wait
     /// until no thread but the `prev` slot holds it: each root that
-    /// resolved it has sent and let go (a pipeline within one scheduling
-    /// pass, see [`HELD`]). A forwarder that still looks it up passes on
+    /// resolved it has sent and let go (a pipeline by its next step, or
+    /// as its executor parks, see [`HELD`]). A forwarder that still looks it up passes on
     /// only frames that reached it ahead of the marker. Then each
     /// origin's root posts its marker.
     pub(super) fn flush_demoted(&self) {
@@ -858,11 +880,13 @@ mod tests {
     }
 
     /// src → 16 all-grouped sinks counting into the first array; the
-    /// spout counts into the second and emits ids 1, 2, … flat out — never
-    /// more than 256 ahead of the slowest sink: a spout that outruns its
-    /// sinks without bound would put the drain time of its backlog, not
-    /// the switch, under test — until `stop` is set and at least
-    /// `at_least` are out.
+    /// spout counts into the second and emits ids 1, 2, … flat out — but
+    /// pauses 50 µs before each tuple while it is 256 or more ahead of the
+    /// slowest sink: a spout that outruns its sinks without bound would put
+    /// the drain time of its backlog, not the switch, under test. (It
+    /// pauses rather than waits: sinks on its own executor run only once
+    /// its step returns.) Until `stop` is set and at least `at_least` are
+    /// out.
     fn windowed_broadcast(
         at_least: u64,
         stop: &Arc<AtomicBool>,
@@ -883,9 +907,9 @@ mod tests {
                     if n >= at_least && stop.load(Ordering::Relaxed) {
                         return None;
                     }
-                    let slowest = || seen.iter().map(|c| c.load(Ordering::Relaxed)).min();
-                    while slowest().unwrap() + 256 <= n {
-                        std::thread::yield_now();
+                    let slowest = seen.iter().map(|c| c.load(Ordering::Relaxed)).min();
+                    if slowest.unwrap() + 256 <= n {
+                        std::thread::sleep(Duration::from_micros(50));
                     }
                     sent.store(n + 1, Ordering::Relaxed);
                     Some(Tuple::with_id(n + 1, vec![Value::I64(n as i64)]))
@@ -967,9 +991,9 @@ mod tests {
     }
 
     #[test]
-    fn a_parked_pipeline_does_not_pin_a_generation() {
+    fn a_parked_executor_does_not_pin_a_generation() {
         // Every pipeline resolves generation 0 a thousand times over,
-        // then runs out of work and blocks on its endpoint.
+        // then runs out of work, and its executor parks.
         let stop = Arc::new(AtomicBool::new(true));
         let (topology, ops, counts, _) = windowed_broadcast(1_000, &stop);
         let config = LiveConfig {
@@ -980,24 +1004,19 @@ mod tests {
         let run = LiveRun::start(topology, &ops, config);
         run.wait_done();
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1_000));
-        let all_parked = || {
-            let parked = |i: &super::super::send::ShardInbox| i.parked.load(Ordering::SeqCst);
-            run.routing.shard_inboxes.iter().all(parked)
-        };
-        while !all_parked() {
+        while !run.wakers.iter().all(|waker| waker.is_parked()) {
             std::thread::yield_now();
         }
-        // One switch: none of the blocked pipelines took generation 0's
-        // reference into the block, so its markers leave at once, and
-        // their arrival wakes each pipeline that forwards them. The
-        // generation retires well before any block would have timed out
-        // (`PARK_CAP`).
+        // One switch: no parked executor took generation 0's reference
+        // into the park, so its markers leave at once, and their arrival
+        // wakes each executor that forwards them. The generation retires
+        // well before any park would have timed out (`PARK_CAP`).
         let relay = run.routing.relay.as_ref().unwrap();
         assert!(super::super::control::switch_structure(&run.routing, 3));
         assert!(retires_within(relay, Duration::from_secs(10)));
         let (t_switch, switches) = relay.retire_ns.lock().take();
         assert_eq!(switches, 1);
-        let cap = super::super::pipeline::PARK_CAP / 2;
+        let cap = super::super::executor::PARK_CAP / 2;
         let t_switch = Duration::from_nanos(t_switch[0]);
         assert!(t_switch < cap, "T_switch {t_switch:?}");
         run.finish();
@@ -1018,7 +1037,8 @@ mod tests {
         let (inboxes, queues) = (0..WORKERS)
             .map(|_| {
                 let (tx, rx) = crossbeam::channel::bounded(1024);
-                (super::super::send::ShardInbox::new(tx), rx)
+                let waker = Arc::default();
+                (super::super::send::ShardInbox::new(tx, waker), rx)
             })
             .unzip();
         let config = LiveConfig {

@@ -453,11 +453,14 @@ mod tests {
     const SEGMENT_BYTES: usize = 256;
 
     /// src → two all-grouped sinks over two machines, tracked and logged,
-    /// the spout held to `window` tuples ahead of the slower sink; with
-    /// `via_bolt`, through two shuffle-grouped `mid` bolts that emit what
-    /// they receive, so every sink frame is a bolt's. Returns the joined
-    /// report and every snapshot read while the run went; the spout waits
-    /// at its midpoint until a read has seen it there.
+    /// on one executor, the spout held to about `window` tuples ahead of
+    /// the slower sink; with `via_bolt`, through two shuffle-grouped `mid`
+    /// bolts that emit what they receive, so every sink frame is a bolt's.
+    /// Returns the joined report and every snapshot read while the run
+    /// went; the spout waits at its midpoint until a read has seen it
+    /// there. Ahead of a sink, the spout pauses before its tuple instead of
+    /// waiting for the sink: the sinks run on its executor once its step
+    /// ends, which the pause (a slow call) makes it do at once.
     fn closed_loop_run(tuples: u64, window: u64, via_bolt: bool) -> (RunReport, Vec<RunReport>) {
         let mut b = crate::topology::TopologyBuilder::new();
         b.spout("src", 1, Schema::new(vec!["n"]))
@@ -481,8 +484,8 @@ mod tests {
                         gate.wait();
                     }
                     let behind = |d: &AtomicU64| d.load(Ordering::Relaxed) + window <= i;
-                    while done.iter().any(behind) {
-                        std::thread::yield_now();
+                    if done.iter().any(behind) {
+                        std::thread::sleep(Duration::from_micros(50));
                     }
                     Tuple::with_id(i, vec![Value::I64(i as i64)])
                 })))
@@ -510,7 +513,8 @@ mod tests {
             }),
             ..LiveConfig::default()
         };
-        let run = spawn_topology(b.build().unwrap(), ops, config).expect("a runnable config");
+        let run = spawn_topology_on(b.build().unwrap(), ops, config, 1);
+        let run = run.expect("a runnable config");
         let mut snapshots = read_until(&run, |s| s.spout_emitted >= tuples / 2);
         gate.wait();
         let sunk = |_: &RunReport| done.iter().all(|d| d.load(Ordering::Relaxed) == tuples);

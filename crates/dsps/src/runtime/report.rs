@@ -160,14 +160,18 @@ counter_table! {
         send_failed: Counter "dsps.send.failed";
         /// Executors that exited on [`super::LiveConfig::run_deadline`].
         deadline_exits: Counter "dsps.deadline_exits";
-        /// Idle episodes that outlasted the spin rung and yielded the CPU
-        /// (each then either found work or went on to block).
+        /// Idle episodes of an executor (a round in which none of its
+        /// pipelines progressed, and the rounds after it) that outlasted
+        /// the spin rung and yielded the CPU (each then either found work
+        /// or went on to park). Counted per executor, not per pipeline.
         pipeline_yields: Counter "dsps.pipeline.yields";
-        /// Blocking waits the pipelines entered (idle after spin and yield).
-        /// Scales with how often work arrives at an idle pipeline, not with
-        /// run length.
+        /// Parks the executors entered (idle after spin and yield). Scales
+        /// with how often work arrives at an idle executor, not with run
+        /// length.
         pipeline_parks: Counter "dsps.pipeline.parks";
-        /// Blocking waits that returned work rather than timing out.
+        /// Parks an executor came back from to work — woken by a hand-off,
+        /// or at a pipeline's due time (a WTL deadline, an acker poll) —
+        /// rather than to another park.
         pipeline_wakeups_with_work: Counter "dsps.pipeline.wakeups_with_work";
         /// Tracked tuples given up on after the replay budget (ack runs only).
         tuples_failed: Counter "dsps.ack.failed";
@@ -304,11 +308,11 @@ counter_table! {
 #[derive(Debug, Default)]
 struct Line([AtomicU64; 8]);
 
-/// Counters every pipeline thread bumps in a lane of its own, the
-/// `BufferPool`'s lane pattern: on a pipeline thread ([`CURRENT_SHARD`])
-/// a count is a plain load and store on lines only that thread writes;
-/// any other thread (the controller, log replay, a test harness) takes a
-/// read-modify-write on the shared slots. Readers sum the shared slot and
+/// Counters every pipeline bumps in a lane of its own, the
+/// `BufferPool`'s lane pattern: inside a pipeline's step
+/// ([`CURRENT_SHARD`]) a count is a plain load and store on lines only
+/// that pipeline's executor writes; any other thread (the controller, log
+/// replay, a test harness) takes a read-modify-write on the shared slots. Readers sum the shared slot and
 /// every lane, so a count is exact whenever it is read, and a later read
 /// is never smaller.
 #[derive(Debug)]
@@ -336,7 +340,7 @@ impl Lanes {
     }
 
     /// Count `n` more of counter `i`; returns what this thread's copy of
-    /// it read before (the shared slot's, off a pipeline thread).
+    /// it read before (the shared slot's, outside a pipeline's step).
     #[inline]
     pub(super) fn add(&self, i: usize, n: u64) -> u64 {
         match self.own(i) {

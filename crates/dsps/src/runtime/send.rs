@@ -20,11 +20,12 @@ use crate::topology::{ComponentKind, Topology};
 use crate::tuple::Tuple;
 use bytes::BytesMut;
 use crossbeam::channel::{Sender, TrySendError};
+use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use whale_net::{EndpointId, FabricPath, FaultFabric, LinkTracker, Payload, SendError};
+use whale_net::{EndpointId, FabricPath, FaultFabric, LinkTracker, Payload, SendError, Waker};
 
 /// What an executor receives in its incoming queue.
 #[derive(Clone)]
@@ -136,21 +137,63 @@ fn flat_shard(placement: &Placement, shards: u32, task: TaskId) -> u32 {
 
 /// The sending side of one pipeline's cross-shard inbox.
 pub(super) struct ShardInbox {
+    /// What other threads send: bounded, so a busy pipeline backpressures
+    /// them.
     pub(super) tx: Sender<Entry>,
-    /// Set by the owning pipeline while it blocks on its fabric endpoint.
-    /// The pipeline re-checks the inbox after setting it, and a sender
-    /// tests it after sending (`SeqCst` fences on both sides), so one of
-    /// the two always sees the other: an inbox message can never sit
-    /// behind a blocked pipeline.
-    pub(super) parked: AtomicBool,
+    /// What the owning pipeline's executor parks on: a send wakes it
+    /// (a send from that executor itself wakes nothing).
+    pub(super) waker: Arc<Waker>,
+    /// What steps of the owning executor itself hand over.
+    handed: Handed,
 }
 
 impl ShardInbox {
-    pub(super) fn new(tx: Sender<Entry>) -> Self {
-        ShardInbox {
-            tx,
-            parked: AtomicBool::new(false),
+    pub(super) fn new(tx: Sender<Entry>, waker: Arc<Waker>) -> Self {
+        let handed = Handed::default();
+        ShardInbox { tx, waker, handed }
+    }
+
+    /// Entries queued for the pipeline, sent and handed over.
+    fn depth(&self) -> usize {
+        self.tx.len() + self.handed.len()
+    }
+
+    /// Move what steps of this executor handed the pipeline into `into`
+    /// (empty), keeping both buffers' capacity. Returns whether it moved
+    /// any.
+    pub(super) fn take_handed(&self, into: &mut VecDeque<Entry>) -> bool {
+        self.handed.len() > 0 && {
+            let mut queue = self.handed.queue.lock();
+            std::mem::swap(&mut *queue, into);
+            self.handed.len.store(0, Ordering::Relaxed);
+            true
         }
+    }
+}
+
+/// Hand-offs to one pipeline from a step of the executor that steps it.
+/// That one thread pushes and drains, so a push never waits on anyone and
+/// the queue takes no bound: the destination cannot drain a full one
+/// while its own executor waits on it, and what one step hands over the
+/// destination's next step takes, as with a pipeline's own
+/// [`LOCAL_QUEUE`].
+#[derive(Default)]
+struct Handed {
+    queue: Mutex<VecDeque<Entry>>,
+    /// The queue's length, read without its lock (its one thread writes
+    /// it under the lock).
+    len: AtomicUsize,
+}
+
+impl Handed {
+    fn push(&self, entry: Entry) {
+        let mut queue = self.queue.lock();
+        queue.push_back(entry);
+        self.len.store(queue.len(), Ordering::Relaxed);
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
     }
 }
 
@@ -243,7 +286,7 @@ impl Routing {
     pub(super) fn max_inbox_depth(&self) -> usize {
         self.shard_inboxes
             .iter()
-            .map(|s| s.tx.len())
+            .map(ShardInbox::depth)
             .max()
             .unwrap_or(0)
     }
@@ -272,7 +315,9 @@ impl Routing {
 
     /// Deliver one executor message to the pipeline owning `dest`.
     /// Same-shard deliveries loop back through the thread-local queue
-    /// (no channel, no lock); everything else goes to the owning shard's
+    /// (no channel, no lock); one from a step of the executor that steps
+    /// the owner is handed over unbounded (that executor alone could
+    /// drain a bounded inbox); everything else goes to the owning shard's
     /// bounded inbox under the send policy's backoff — a full inbox that
     /// never clears drops the message loudly (`send_failed`), mirroring
     /// fabric backpressure. Returns false only when `dest` is a task
@@ -303,30 +348,28 @@ impl Routing {
             accepted();
             return true;
         }
-        let mut item = Some((dest, msg));
-        let retries = self.stats.slot(Ctr::send_retries);
-        let sent = self.config.send.run(retries, || {
-            match inbox.tx.try_send(item.take().expect("re-armed on Full")) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(v)) => {
-                    item = Some(v);
-                    Err(SendError::Full)
+        let sent = if inbox.waker.is_owned() {
+            inbox.handed.push((dest, msg));
+            Ok(())
+        } else {
+            let mut item = Some((dest, msg));
+            let retries = self.stats.slot(Ctr::send_retries);
+            self.config.send.run(retries, || {
+                match inbox.tx.try_send(item.take().expect("re-armed on Full")) {
+                    Ok(()) => Ok(()),
+                    Err(TrySendError::Full(v)) => {
+                        item = Some(v);
+                        Err(SendError::Full)
+                    }
+                    Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
                 }
-                Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
-            }
-        });
+            })
+        };
         match sent {
             Ok(()) => {
                 accepted();
                 self.stats.add(Ctr::cross_shard_msgs, 1);
-                // The owning pipeline blocks on its fabric endpoint, not on
-                // this inbox: if it is parked, wake it through the fabric
-                // (the swap elects one waker per park).
-                fence(Ordering::SeqCst);
-                if inbox.parked.load(Ordering::SeqCst) && inbox.parked.swap(false, Ordering::SeqCst)
-                {
-                    self.fabric.wake(EndpointId(flat as u32));
-                }
+                inbox.waker.wake();
             }
             Err(SendError::Full) => {
                 // Backpressure never cleared: the message is lost,
@@ -954,7 +997,7 @@ mod tests {
         // Each attempt is in exactly one of the two counters.
         let (tx, _inbox_rx) = crossbeam::channel::bounded(1);
         let routing = Routing {
-            shard_inboxes: vec![ShardInbox::new(tx)],
+            shard_inboxes: vec![ShardInbox::new(tx, Arc::default())],
             ..bare_routing(
                 LiveConfig {
                     machines: 2,

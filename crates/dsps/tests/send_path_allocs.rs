@@ -14,15 +14,20 @@
 //! that forwards a received tuple pays the frame it sends and nothing
 //! else. (That a queue entry naming a batch is no larger than one naming
 //! a task is a `const` assertion beside the type, in `runtime/send.rs`.)
+//!
+//! A run here has one executor per pipeline, so the emitting thread runs
+//! the emitting pipeline alone, as it would on a host with a core per
+//! pipeline: what receivers sharing its executor would cost it is theirs,
+//! not the send path's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use whale_dsps::runtime::PipelineHarness;
+use whale_dsps::runtime::{spawn_topology_on, PipelineHarness};
 use whale_dsps::{
-    run_topology, AckConfig, Bolt, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt, LazyTuple,
-    LiveConfig, LogConfig, Operators, RunOutcome, Schema, Spout, TopologyBuilder, Tuple, Value,
+    AckConfig, Bolt, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt, LazyTuple, LiveConfig,
+    LogConfig, Operators, RunOutcome, Schema, Spout, TopologyBuilder, Tuple, Value,
 };
 use whale_net::{
     EndpointId, FabricKind, FabricPath, LiveFabric, LiveMessage, OneSidedConfig, OneSidedFabric,
@@ -151,23 +156,21 @@ fn send_costs(
         .bolt("sink", |_| {
             Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
         });
-    let r = run_topology(
-        b.build().unwrap(),
-        ops,
-        LiveConfig {
-            machines,
-            zero_copy: true,
-            fabric,
-            // Nothing is lost here, so nothing needs the timeout; a
-            // replay would be a second send between two `next_tuple`s.
-            ack: reliable.then(|| AckConfig {
-                timeout: std::time::Duration::from_secs(20),
-                ..AckConfig::default()
-            }),
-            log: reliable.then(LogConfig::default),
-            ..LiveConfig::default()
-        },
-    );
+    let config = LiveConfig {
+        machines,
+        zero_copy: true,
+        fabric,
+        // Nothing is lost here, so nothing needs the timeout; a replay
+        // would be a second send between two `next_tuple`s.
+        ack: reliable.then(|| AckConfig {
+            timeout: std::time::Duration::from_secs(20),
+            ..AckConfig::default()
+        }),
+        log: reliable.then(LogConfig::default),
+        ..LiveConfig::default()
+    };
+    let run = spawn_topology_on(b.build().unwrap(), ops, config, machines as usize);
+    let r = run.expect("a runnable config").join();
     assert_eq!(r.outcome, RunOutcome::Clean);
     assert_eq!(r.executed[1], (TUPLES as u64) * fanout as u64);
     if stride == SAMPLED {

@@ -28,7 +28,7 @@
 use crate::fabric::{
     EndpointId, FabricPath, FabricStats, IdHashMap, LiveMessage, Payload, RegisterError, SendError,
 };
-use crate::inbox::{Inbox, Queue, Shut, Tally};
+use crate::inbox::{Inbox, Queue, Shut, Tally, Waker};
 use crate::one_sided::{OneSidedConfig, OneSidedFabric};
 use crate::ring_fabric::{RingConfig, RingFabric};
 use crate::topology::LinkTracker;
@@ -195,14 +195,20 @@ impl<P: Policy> Transport<P> {
     }
 
     /// Install `id` with a queue of `capacity` frames (`None`:
-    /// unbounded). A buffered policy's inbox also gets the endpoint's
-    /// pass, which runs while the transport lives.
-    fn open(&self, id: EndpointId, capacity: Option<usize>) -> Result<Inbox, RegisterError> {
+    /// unbounded) whose reader parks on `waker`. A buffered policy's inbox
+    /// also gets the endpoint's pass, which runs while the transport
+    /// lives.
+    fn open(
+        &self,
+        id: EndpointId,
+        capacity: Option<usize>,
+        waker: Arc<Waker>,
+    ) -> Result<Inbox, RegisterError> {
         let mut table = self.core.table.write();
         if table.contains_key(&id) {
             return Err(RegisterError::AlreadyRegistered(id));
         }
-        let queue = Arc::new(Queue::new(capacity));
+        let queue = Arc::new(Queue::new(capacity, waker));
         let state = self.core.policy.open(id);
         let pass = P::BUFFERED.then(|| {
             let core = Arc::downgrade(&self.core);
@@ -359,12 +365,12 @@ impl<P: Policy> Transport<P> {
 }
 
 impl<P: Policy> FabricPath for Transport<P> {
-    fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError> {
-        self.open(id, None)
+    fn register_woken(&self, id: EndpointId, waker: Arc<Waker>) -> Result<Inbox, RegisterError> {
+        self.open(id, None, waker)
     }
 
     fn register_bounded(&self, id: EndpointId, capacity: usize) -> Result<Inbox, RegisterError> {
-        self.open(id, Some(capacity))
+        self.open(id, Some(capacity), Arc::default())
     }
 
     /// Close the queue and fold its counts into the totals under the
@@ -418,17 +424,6 @@ impl<P: Policy> FabricPath for Transport<P> {
 
     fn flush(&self) {
         self.drain(self.wall_now(), true);
-    }
-
-    fn wake(&self, id: EndpointId) {
-        self.with_entry(id, |entry| {
-            if let Ok(mut inflow) = entry.queue.inflow() {
-                if inflow.room() > 0 {
-                    inflow.push_uncounted(LiveMessage::wake(id));
-                }
-                inflow.finish();
-            }
-        });
     }
 
     fn stats(&self) -> FabricStats {

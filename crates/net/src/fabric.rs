@@ -16,7 +16,7 @@
 //! snapshot. [`crate::core`] implements the trait once, for every
 //! delivery policy.
 
-use crate::inbox::Inbox;
+use crate::inbox::{Inbox, Waker};
 use crate::topology::LinkTracker;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -142,16 +142,6 @@ pub struct LiveMessage {
     pub payload: Payload,
 }
 
-impl LiveMessage {
-    /// The empty frame [`FabricPath::wake`] delivers (allocates nothing).
-    pub(crate) fn wake(id: EndpointId) -> Self {
-        LiveMessage {
-            from: id,
-            payload: Payload::Copied(Vec::new()),
-        }
-    }
-}
-
 /// Errors from live sends.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SendError {
@@ -251,8 +241,16 @@ impl FabricStats {
 /// freely.
 pub trait FabricPath: Send + Sync {
     /// Register an endpoint with an unbounded inbox; returns its receive
-    /// side.
-    fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError>;
+    /// side, which blocks on a [`Waker`] of its own.
+    fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError> {
+        self.register_woken(id, Arc::default())
+    }
+
+    /// Register an endpoint with an unbounded inbox whose reader parks on
+    /// `waker`: a reader of many endpoints passes the same one to each,
+    /// and every frame pushed to any of them, buffered post that needs a
+    /// pass, or close wakes it.
+    fn register_woken(&self, id: EndpointId, waker: Arc<Waker>) -> Result<Inbox, RegisterError>;
 
     /// Register an endpoint with a bounded inbox of `capacity` (models the
     /// destination's transfer queue). A per-send delivery into a full
@@ -293,16 +291,6 @@ pub trait FabricPath: Send + Sync {
     /// Force out anything the transport has buffered (no-op when the
     /// transport delivers synchronously).
     fn flush(&self);
-
-    /// Wake the reader of `id`'s inbox: drop an empty frame straight into
-    /// it, past any ring, outbox or fault plan, outside the message, byte
-    /// and per-link counts. For a reader that blocks on its inbox but also
-    /// takes work from elsewhere; empty frames carry nothing and readers
-    /// skip them. Best effort — a full or missing inbox needs no wake-up.
-    /// Until the woken reader takes it the frame does sit in the inbox, so
-    /// the per-send [`FabricStats::queue_depth`], which reports inbox
-    /// lengths, sees it.
-    fn wake(&self, id: EndpointId);
 
     /// Snapshot the delivery counters and gauges.
     fn stats(&self) -> FabricStats;

@@ -39,7 +39,7 @@
 //! [`flush`]: FabricPath::flush
 
 use crate::fabric::{EndpointId, FabricPath, FabricStats, Payload, RegisterError, SendError};
-use crate::inbox::Inbox;
+use crate::inbox::{Inbox, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -485,8 +485,8 @@ impl FaultFabric {
 }
 
 impl FabricPath for FaultFabric {
-    fn register(&self, id: EndpointId) -> Result<Inbox, RegisterError> {
-        self.inner.register(id)
+    fn register_woken(&self, id: EndpointId, waker: Arc<Waker>) -> Result<Inbox, RegisterError> {
+        self.inner.register_woken(id, waker)
     }
 
     fn register_bounded(&self, id: EndpointId, capacity: usize) -> Result<Inbox, RegisterError> {
@@ -517,10 +517,6 @@ impl FabricPath for FaultFabric {
     fn flush(&self) {
         self.release_all();
         self.inner.flush();
-    }
-
-    fn wake(&self, id: EndpointId) {
-        self.inner.wake(id);
     }
 
     fn stats(&self) -> FabricStats {

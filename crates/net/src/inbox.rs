@@ -1,7 +1,8 @@
-//! The receive side of a registered endpoint, and the queue that feeds it.
+//! The receive side of a registered endpoint, the queue that feeds it,
+//! and the [`Waker`] its reader blocks on.
 //!
 //! Every endpoint owns one queue: a `VecDeque` of frames behind one
-//! mutex, with a condvar its reader blocks on. Every hand-off — a per-send
+//! mutex. Every hand-off — a per-send
 //! frame, or one outbox's ready run in a buffered pass (a ring's flushed
 //! slice, a one-sided link's fetched run) — pushes under that one lock and counts what it delivered
 //! there, with plain stores: the lock already orders the writers, so the
@@ -20,19 +21,20 @@
 //! the destination's link outboxes — and a blocking receive bounds its
 //! wait by the pass's next WTL deadline.
 //!
-//! A reader with nothing to read sets `waiting` under the lock and waits
-//! on the condvar. A hand-off that finds `waiting` set clears it and
-//! notifies, after releasing the lock: once per wait, however many frames
-//! follow before the reader runs. A buffered post wakes a blocked reader
-//! only when the reader could otherwise sleep past it (the flush rule
-//! decides when: an idle ring outbox turning pending or an MMS crossing;
-//! any one-sided publish). The two sides meet Dekker-style on the endpoint's `Port`:
-//! the reader sets `parked`, fences and reads `pending` before it blocks;
-//! a post raises `pending`, fences and reads `parked` — one of the two
-//! always sees the other. The elected post sets `woken` under the queue
-//! lock, which sends the reader back to its pass. No frame carries a
-//! wake-up, while [`FabricPath::wake`](crate::FabricPath::wake)'s empty
-//! frame stays a frame.
+//! A reader with nothing to read blocks on its queue's [`Waker`]: the
+//! endpoint's own, or one it shares with every other endpoint its reader
+//! reads ([`FabricPath::register_woken`](crate::FabricPath::register_woken)).
+//! A hand-off wakes it after releasing the queue's lock, and so does a
+//! buffered post when the reader could otherwise sleep past it (the flush
+//! rule decides when: an idle ring outbox turning pending or an MMS
+//! crossing; any one-sided publish) and the queue's close. The two sides
+//! meet Dekker-style on the waker's `parked` flag: the reader sets it,
+//! fences and looks at everything it reads before it blocks; a hand-off
+//! makes its frame visible (a post raises the port's `pending`), fences
+//! and reads the flag — one of the two always sees the other. The hand-off
+//! that swaps the flag back is the only one to notify: once per wait,
+//! however many frames follow before the reader runs. A hand-off made by
+//! the waker's own reader, which is running, notifies nothing.
 
 use crate::fabric::{LiveMessage, Payload};
 use std::cell::{Cell, RefCell};
@@ -78,8 +80,6 @@ pub(crate) struct Port {
     /// (or dropped) — raised and lowered under the lock of the buffer that
     /// holds the frame, so it is exact there.
     pending: AtomicU64,
-    /// Set while the reader is about to block, or blocked, on its queue.
-    parked: AtomicBool,
 }
 
 impl Port {
@@ -101,14 +101,135 @@ impl Port {
             self.pending.fetch_sub(n, Ordering::SeqCst);
         }
     }
+}
 
-    /// For a post that has just been [`accept`](Self::accept)ed and leaves
-    /// the reader something to do now: true when the reader is blocked (or
-    /// about to block) and this post is the one elected to wake it.
-    fn claim_wake(&self) -> bool {
-        fence(Ordering::SeqCst);
-        self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst)
+thread_local! {
+    /// The waker whose reader this thread is ([`Waker::own`]).
+    static OWNED: Cell<*const Waker> = const { Cell::new(std::ptr::null()) };
+}
+
+/// What a reader blocks on when nothing it reads has work: one endpoint's
+/// own, or one shared by every endpoint of one reader — an executor
+/// stepping many pipelines. See the module docs for the protocol.
+///
+/// The reader calls [`Self::prepare`], looks at everything it reads once
+/// more, then [`Self::park`]s if that found nothing (or [`Self::cancel`]s
+/// if it did). A producer makes its work visible, then calls
+/// [`Self::wake`].
+#[derive(Default)]
+pub struct Waker {
+    /// Set from the reader's `prepare` until a wake or the end of its
+    /// park.
+    parked: AtomicBool,
+    /// A wake was sent to this park.
+    notified: Mutex<bool>,
+    ready: Condvar,
+    /// Wake-ups sent so far.
+    sent: AtomicU64,
+}
+
+/// The calling thread is a [`Waker`]'s reader until this drops.
+pub struct Owned {
+    previous: *const Waker,
+}
+
+impl Drop for Owned {
+    fn drop(&mut self) {
+        OWNED.with(|owned| owned.set(self.previous));
     }
+}
+
+impl Waker {
+    /// Make the calling thread this waker's reader until the guard drops:
+    /// its own hand-offs then wake nothing (it is running, and looks at
+    /// its work again before it parks).
+    pub fn own(self: &Arc<Self>) -> Owned {
+        let previous = OWNED.with(|owned| owned.replace(Arc::as_ptr(self)));
+        Owned { previous }
+    }
+
+    /// Whether the calling thread is this waker's reader ([`Self::own`]).
+    #[inline]
+    pub fn is_owned(&self) -> bool {
+        std::ptr::eq(OWNED.with(Cell::get), self)
+    }
+
+    /// Work for the reader was just made visible: wake it if it is parked,
+    /// or about to park. Returns whether this call sent the wake-up. From
+    /// the reader's own thread it only keeps a park about to start from
+    /// blocking.
+    #[inline]
+    pub fn wake(&self) -> bool {
+        if self.is_owned() {
+            if self.parked.load(Ordering::Relaxed) {
+                self.parked.store(false, Ordering::Relaxed);
+            }
+            return false;
+        }
+        fence(Ordering::SeqCst);
+        if !(self.parked.load(Ordering::Relaxed) && self.parked.swap(false, Ordering::SeqCst)) {
+            return false;
+        }
+        *lock(&self.notified) = true;
+        self.ready.notify_one();
+        self.sent.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Wake-ups [`Self::wake`] has sent so far.
+    pub fn wakes_sent(&self) -> u64 {
+        self.sent.load(Ordering::Relaxed)
+    }
+
+    /// The reader is about to park: every hand-off from here on either is
+    /// seen by the reader's next look at its work or wakes the park.
+    pub fn prepare(&self) {
+        *lock(&self.notified) = false;
+        self.parked.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+    }
+
+    /// The reader's last look found work: it will not park.
+    pub fn cancel(&self) {
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Whether the reader is parked, or about to park.
+    pub fn is_parked(&self) -> bool {
+        self.parked.load(Ordering::SeqCst)
+    }
+
+    /// Block, after [`Self::prepare`], until a wake or `deadline` (`None`:
+    /// no deadline). Returns whether a wake ended it.
+    pub fn park(&self, deadline: Option<Instant>) -> bool {
+        let mut notified = lock(&self.notified);
+        let woken = loop {
+            if std::mem::take(&mut *notified) || !self.parked.load(Ordering::SeqCst) {
+                break true;
+            }
+            notified = match deadline {
+                Some(at) => {
+                    let now = Instant::now();
+                    if now >= at {
+                        break false;
+                    }
+                    let waited = self.ready.wait_timeout(notified, at - now);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => {
+                    let waited = self.ready.wait(notified);
+                    waited.unwrap_or_else(PoisonError::into_inner)
+                }
+            };
+        };
+        self.parked.store(false, Ordering::Relaxed);
+        woken
+    }
+}
+
+/// `mutex`'s guard, poisoned or not.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// What a queue has delivered: the per-endpoint share of
@@ -122,7 +243,8 @@ pub(crate) struct Tally {
     pub(crate) shared_bytes: AtomicU64,
     /// Frames handed over as a [`Payload::Slice`].
     pub(crate) sliced_frames: AtomicU64,
-    /// Hand-offs and posts that woke the reader.
+    /// Hand-offs and posts that woke the reader (counted outside the
+    /// lock, with a read-modify-write).
     pub(crate) doorbell_rings: AtomicU64,
 }
 
@@ -154,16 +276,13 @@ struct Held {
     frames: VecDeque<LiveMessage>,
     closed: bool,
     gone: bool,
-    /// The reader waits on the condvar: the next hand-off notifies it.
-    waiting: bool,
-    /// A buffered post asked the reader to pass again.
-    woken: bool,
 }
 
 /// An endpoint's queue. See the module docs.
 pub(crate) struct Queue {
     held: Mutex<Held>,
-    ready: Condvar,
+    /// What the reader blocks on.
+    waker: Arc<Waker>,
     /// Frames ever pushed: written under the lock.
     pushed: AtomicU64,
     /// Frames the reader has given out: written by the reader alone.
@@ -178,11 +297,11 @@ pub(crate) struct Queue {
 
 impl Queue {
     /// The queue of an endpoint whose inbox holds at most `capacity`
-    /// frames (`None`: unbounded).
-    pub(crate) fn new(capacity: Option<usize>) -> Self {
+    /// frames (`None`: unbounded) and whose reader blocks on `waker`.
+    pub(crate) fn new(capacity: Option<usize>, waker: Arc<Waker>) -> Self {
         Queue {
             held: Mutex::default(),
-            ready: Condvar::new(),
+            waker,
             pushed: AtomicU64::new(0),
             taken: AtomicU64::new(0),
             capacity: capacity.map_or(u64::MAX, |c| c as u64),
@@ -193,13 +312,13 @@ impl Queue {
 
     #[inline]
     fn lock(&self) -> MutexGuard<'_, Held> {
-        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.held)
     }
 
-    /// The reader waits on the condvar now.
+    /// The reader is parked, or about to park.
     #[cfg(test)]
     pub(crate) fn reader_waits(&self) -> bool {
-        self.lock().waiting
+        self.waker.is_parked()
     }
 
     /// Frames pushed and not yet given out.
@@ -241,33 +360,18 @@ impl Queue {
     /// The entry left the endpoint table: refuse every later hand-off and
     /// let the reader see `Disconnected` once it has taken what is queued.
     pub(crate) fn close(&self) {
-        let mut held = self.lock();
-        held.closed = true;
-        self.release(held);
+        self.lock().closed = true;
+        self.waker.wake();
     }
 
-    /// A buffered post just [`accept`](Port::accept)ed leaves the reader
-    /// something to do now: send it back to its pass if it is blocked, or
-    /// about to block. Call after releasing the buffer's lock: a reader
-    /// woken under it would preempt its waker on a shared core only to
-    /// block on that lock.
+    /// Work for the reader is visible (a frame pushed, or a buffered post
+    /// just [`accept`](Port::accept)ed that leaves its pass something to
+    /// do now): wake it if it parks. Call after releasing the lock that
+    /// guards that work: a reader woken under it would preempt its waker
+    /// on a shared core only to block on that lock.
     pub(crate) fn wake_reader(&self) {
-        if !self.port.claim_wake() {
-            return;
-        }
-        let mut held = self.lock();
-        held.woken = true;
-        bump(&self.tally.doorbell_rings, 1);
-        self.release(held);
-    }
-
-    /// Release the lock, and wake the reader if it waits: once per wait,
-    /// since the flag is cleared here.
-    fn release(&self, mut held: MutexGuard<'_, Held>) {
-        let notify = std::mem::take(&mut held.waiting);
-        drop(held);
-        if notify {
-            self.ready.notify_one();
+        if self.waker.wake() {
+            self.tally.doorbell_rings.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -306,20 +410,13 @@ impl Inflow<'_> {
             }
         }
         self.counts[0] += 1;
-        self.push_uncounted(msg);
-    }
-
-    /// Push a frame outside every count
-    /// ([`FabricPath::wake`](crate::FabricPath::wake)'s).
-    #[inline]
-    pub(crate) fn push_uncounted(&mut self, msg: LiveMessage) {
         debug_assert!(self.room > 0, "a hand-off checks the room first");
         self.held.frames.push_back(msg);
         self.room -= 1;
         self.frames += 1;
     }
 
-    /// Settle the counts, release the lock and wake a waiting reader.
+    /// Settle the counts, release the lock and wake a parked reader.
     #[inline]
     pub(crate) fn finish(self) {
         let Inflow {
@@ -340,19 +437,9 @@ impl Inflow<'_> {
                 bump(counter, by);
             }
         }
-        if held.waiting {
-            bump(&queue.tally.doorbell_rings, 1);
-        }
-        queue.release(held);
+        drop(held);
+        queue.wake_reader();
     }
-}
-
-/// Why a blocking receive stopped waiting without a frame.
-enum Woke {
-    /// The buffered endpoint's pass is due, or a post asked for one.
-    Pass,
-    Timeout,
-    Disconnected,
 }
 
 /// A registered endpoint's receive side. See the module docs.
@@ -389,8 +476,11 @@ impl Inbox {
     }
 
     /// Run the endpoint's pass if anything is buffered for it — one atomic
-    /// load when nothing is — and return how long until it next needs one.
-    fn refill(&self) -> Option<Duration> {
+    /// load when nothing is — and return how long until it next needs one
+    /// (`None`: only a post can make it need one, which wakes the reader;
+    /// always `None` on the per-send transport). A reader that parks on a
+    /// shared [`Waker`] bounds its park by this.
+    pub fn next_pass(&self) -> Option<Duration> {
         let pass = self.pass.as_ref()?;
         if self.queue.port.pending() == 0 {
             return None;
@@ -432,7 +522,7 @@ impl Inbox {
         }
         let mut taken = self.take();
         if taken == Err(TryRecvError::Empty) && self.pass.is_some() {
-            self.refill();
+            self.next_pass();
             taken = self.take();
         }
         taken?;
@@ -454,7 +544,7 @@ impl Inbox {
     #[inline]
     pub fn len(&self) -> usize {
         if self.pass.is_some() {
-            self.refill();
+            self.next_pass();
         }
         (self.queue.pushed.load(Ordering::Acquire) - self.taken.get()) as usize
     }
@@ -465,71 +555,32 @@ impl Inbox {
     }
 
     /// The blocking receive until `deadline` (`None`: forever). A
-    /// buffered endpoint passes and reads; with nothing to read, it blocks
-    /// until a hand-off or a post wakes the reader, the pass's next
-    /// deadline falls due, or `deadline`.
+    /// buffered endpoint passes and reads; with nothing to read, it parks
+    /// on the queue's waker until a hand-off or a post wakes it, the
+    /// pass's next deadline falls due, or `deadline`.
     fn recv_until(&self, deadline: Option<Instant>) -> Result<LiveMessage, RecvTimeoutError> {
-        let port = &self.queue.port;
+        let waker = &self.queue.waker;
         loop {
-            if let Some(msg) = self.next_of_rest() {
-                return Ok(msg);
+            match self.try_recv() {
+                Ok(msg) => return Ok(msg),
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) => {}
             }
-            let mut pass_at = None;
-            if self.pass.is_some() {
-                // `parked` is visible before the pass reads `pending`: a
-                // post either lands in this pass or sees the flag and
-                // wakes us.
-                port.parked.store(true, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                pass_at = self.refill().map(|due| Instant::now() + due);
+            waker.prepare();
+            // The last look: a pass that runs now, or a frame pushed
+            // before the flag was up.
+            let pass_at = self.next_pass().map(|due| Instant::now() + due);
+            let held = self.queue.lock();
+            let ready = !held.frames.is_empty() || held.closed;
+            drop(held);
+            if ready {
+                waker.cancel();
+                continue;
             }
-            let woke = self.wait(deadline, pass_at);
-            if self.pass.is_some() {
-                port.parked.store(false, Ordering::SeqCst);
+            let woken = waker.park(deadline.into_iter().chain(pass_at).min());
+            if !woken && deadline.is_some_and(|at| Instant::now() >= at) {
+                return Err(RecvTimeoutError::Timeout);
             }
-            match woke {
-                None | Some(Woke::Pass) => {}
-                Some(Woke::Timeout) => return Err(RecvTimeoutError::Timeout),
-                Some(Woke::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-            }
-        }
-    }
-
-    /// Wait under the queue's lock until something is queued (`None`: it
-    /// is in the remainder now), the queue closes, a post asks for a
-    /// pass, `pass_at` or `deadline`.
-    fn wait(&self, deadline: Option<Instant>, pass_at: Option<Instant>) -> Option<Woke> {
-        let mut held = self.queue.lock();
-        loop {
-            if !held.frames.is_empty() {
-                std::mem::swap(&mut held.frames, &mut *self.rest.borrow_mut());
-                return None;
-            }
-            if held.closed {
-                return Some(Woke::Disconnected);
-            }
-            if std::mem::take(&mut held.woken) {
-                return Some(Woke::Pass);
-            }
-            let now = Instant::now();
-            if deadline.is_some_and(|at| now >= at) {
-                return Some(Woke::Timeout);
-            }
-            if pass_at.is_some_and(|at| now >= at) {
-                return Some(Woke::Pass);
-            }
-            held.waiting = true;
-            held = match deadline.into_iter().chain(pass_at).min() {
-                Some(at) => {
-                    let waited = self.queue.ready.wait_timeout(held, at - now);
-                    waited.unwrap_or_else(PoisonError::into_inner).0
-                }
-                None => {
-                    let waited = self.queue.ready.wait(held);
-                    waited.unwrap_or_else(PoisonError::into_inner)
-                }
-            };
-            held.waiting = false;
         }
     }
 }
@@ -553,5 +604,72 @@ impl std::fmt::Debug for Inbox {
         f.debug_struct("Inbox")
             .field("buffered", &self.pass.is_some())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_wake_from_the_reader_itself_sends_nothing_but_keeps_it_from_blocking() {
+        let waker = Arc::new(Waker::default());
+        let _owner = waker.own();
+        waker.prepare();
+        assert!(!waker.wake(), "the reader is running: nothing to notify");
+        let at = Instant::now() + Duration::from_secs(10);
+        assert!(
+            waker.park(Some(at)),
+            "a park after its own hand-off returns at once"
+        );
+        // Once the guard is gone the thread is a stranger to it.
+        drop(_owner);
+        waker.prepare();
+        assert!(waker.wake(), "a stranger's wake is sent");
+        assert!(waker.park(Some(at)));
+    }
+
+    #[test]
+    fn a_wake_between_prepare_and_park_is_not_lost_and_a_quiet_park_times_out() {
+        let waker = Arc::new(Waker::default());
+        waker.prepare();
+        let at = Instant::now() + Duration::from_millis(5);
+        assert!(!waker.park(Some(at)), "nothing woke it");
+        assert!(Instant::now() >= at);
+        waker.prepare();
+        let other = {
+            let waker = Arc::clone(&waker);
+            std::thread::spawn(move || waker.wake())
+        };
+        assert!(
+            other.join().unwrap(),
+            "the flag was up: this wake is the one"
+        );
+        let far = Instant::now() + Duration::from_secs(30);
+        assert!(waker.park(Some(far)), "sent before the park, seen by it");
+        assert!(!waker.wake(), "no park: nothing to wake");
+    }
+
+    #[test]
+    fn one_waker_wakes_its_reader_for_a_frame_on_any_of_its_endpoints() {
+        let fabric = crate::LiveFabric::new();
+        let waker = Arc::new(Waker::default());
+        let inboxes: Vec<Inbox> = (0..3)
+            .map(|i| {
+                let id = crate::EndpointId(i);
+                crate::FabricPath::register_woken(&fabric, id, Arc::clone(&waker)).unwrap()
+            })
+            .collect();
+        waker.prepare();
+        assert!(inboxes.iter().all(|rx| rx.is_empty()));
+        let sender = std::thread::spawn(move || {
+            let (from, to) = (crate::EndpointId(9), crate::EndpointId(2));
+            crate::FabricPath::send_copied(&fabric, from, to, b"x").unwrap();
+            fabric
+        });
+        assert!(waker.park(Some(Instant::now() + Duration::from_secs(30))));
+        assert_eq!(inboxes[2].len(), 1);
+        let fabric = sender.join().unwrap();
+        assert_eq!(crate::FabricPath::stats(&fabric).doorbell_rings, 1);
     }
 }

@@ -34,7 +34,7 @@ pub use fabric::{
     RegisterError, SendError, SliceRef,
 };
 pub use fault::{EndpointCrash, EndpointRestart, FaultFabric, FaultPlan, LinkFaults, Partition};
-pub use inbox::{Inbox, RecvError, RecvTimeoutError, TryRecvError};
+pub use inbox::{Inbox, Owned, RecvError, RecvTimeoutError, TryRecvError, Waker};
 pub use log::{LogConfig, LogRead, PartitionLog, RECORD_HEADER};
 pub use one_sided::{OneSidedConfig, OneSidedFabric};
 pub use policy::SendPolicy;

@@ -205,32 +205,6 @@ fn send_shared_delivers_the_same_allocation() {
 }
 
 #[test]
-fn wake_frames_are_outside_every_count() {
-    for (name, kind, faulted) in variants() {
-        let fabric = built(kind, faulted);
-        let tracker = tracker();
-        fabric.install_link_tracker(Arc::clone(&tracker));
-        let rx = fabric.register_bounded(EndpointId(1), 1).unwrap();
-        fabric.wake(EndpointId(1));
-        // Best effort: a full inbox and a missing endpoint need no wake-up.
-        fabric.wake(EndpointId(1));
-        fabric.wake(EndpointId(9));
-        let frame = rx.try_recv().expect("the wake frame skips every buffer");
-        assert_eq!(frame.from, EndpointId(1), "{name}");
-        assert!(frame.payload.is_empty(), "{name}");
-        assert!(rx.try_recv().is_err(), "{name}");
-
-        let stats = fabric.stats();
-        assert_eq!((stats.messages, stats.send_errors), (0, 0), "{name}");
-        assert_eq!(stats.copied_bytes + stats.shared_bytes, 0, "{name}");
-        assert_eq!((stats.posted, stats.queue_depth), (0, 0), "{name}");
-        for load in tracker.snapshot() {
-            assert_eq!((load.frames, load.queued_frames), (0, 0), "{name}");
-        }
-    }
-}
-
-#[test]
 fn a_second_link_tracker_install_keeps_the_first() {
     for (name, kind, faulted) in variants() {
         let fabric = built(kind, faulted);
