@@ -188,7 +188,7 @@ pub enum BuildError {
     /// log with no segments or segments too small for one record header).
     BadTransport(String),
     /// The controller's sampling interval ([`AdaptiveConfig::interval`])
-    /// is zero: its thread would spin.
+    /// is zero: the control step would tick every round.
     BadInterval(String),
 }
 
@@ -499,8 +499,8 @@ mod tests {
             log: Some(LogConfig::default()),
             ..LiveConfig::default()
         };
-        // A zero sampling interval: the controller thread would spin for
-        // the whole run.
+        // A zero sampling interval: the control step would be due, and
+        // tick, every round of its executor for the whole run.
         let no_adaptive_interval = LiveConfig {
             multicast_adaptive: Some(AdaptiveConfig {
                 interval: Duration::ZERO,

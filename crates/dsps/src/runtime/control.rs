@@ -1,17 +1,21 @@
-//! The run's background control thread: the adaptive relay controller
-//! (workload monitor → `d*` re-plan → generation switch).
+//! The run's control step: the adaptive relay controller (workload
+//! monitor → `d*` re-plan → generation switch) and the log replay of a
+//! restarted endpoint, one more step of the last executor, ticked when
+//! due.
 
-use super::config::AdaptiveConfig;
+use super::pipeline::Step;
 use super::relay::{rack_aware_trees, RelayEpoch, MARKER_RESEND};
+use super::reliability;
 use super::report::Ctr;
 use super::send::Routing;
+use crossbeam::channel::Sender;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use whale_multicast::{
     plan_switch, AdjustController, ControllerConfig, Decision, LinkPressure, WorkloadMonitor,
 };
-use whale_net::ClusterSpec;
+use whale_net::{ClusterSpec, EndpointId};
 use whale_sim::{SimDuration, SimTime};
 
 /// EWMA smoothing factor for the controller's arrival-rate estimate λ.
@@ -49,96 +53,189 @@ impl Routing {
     }
 }
 
-/// Sleep up to `total`, in small slices, re-checking `stop` between
-/// slices, so a long sampling interval never delays shutdown. Returns
-/// `true` if the full interval elapsed, `false` if the stop flag cut it
-/// short.
-pub(super) fn sleep_with_stop(total: Duration, stop: &AtomicBool) -> bool {
-    const SLICE: Duration = Duration::from_millis(5);
-    let deadline = Instant::now() + total;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return false;
+/// How often a run without a controller looks for a restarted endpoint.
+const REPLAY_POLL: Duration = Duration::from_millis(1);
+
+/// The run's control work, one more step of the last executor, run
+/// outside any pipeline (its counts go to the shared slots, and it
+/// resolves relay generations under the lock). Each tick, `interval`
+/// apart, lets the adaptive controller switch the relay tree and replays
+/// the log slice of each endpoint the fault plan has restarted by then.
+/// It exits once it has no work left, or once the run handle raises
+/// `stop` and the last demoted generation has retired. Dropping it
+/// reports it done.
+pub(super) struct Control {
+    /// The controller and the workload monitor it reads, on an adaptive
+    /// run.
+    adaptive: Option<(AdjustController, WorkloadMonitor)>,
+    /// [`AdaptiveConfig::forced_switches`](super::AdaptiveConfig), and how
+    /// many have fired.
+    forced: Vec<(u64, u32)>,
+    next_forced: usize,
+    last_emitted: u64,
+    /// A re-planned degree not switched to yet: a switch waits while the
+    /// last one's generation is still flushing.
+    wanted: Option<u32>,
+    /// Restarting endpoints whose log slice is still to be replayed.
+    awaiting: Vec<EndpointId>,
+    epoch0: Instant,
+    /// The controller's sampling interval, or [`REPLAY_POLL`].
+    interval: Duration,
+    /// When the next tick falls due: the latest its executor parks until.
+    pub(super) due: Instant,
+    stop: Arc<AtomicBool>,
+    done_tx: Sender<()>,
+}
+
+impl Control {
+    /// The control step of a run over `routing`'s `pipelines`, if it has
+    /// control work: an adaptive relay plane, or a logged endpoint the
+    /// fault plan crashes and restarts.
+    pub(super) fn new(
+        routing: &Routing,
+        pipelines: usize,
+        stop: Arc<AtomicBool>,
+        done_tx: Sender<()>,
+    ) -> Option<Self> {
+        let awaiting = reliability::restarting_endpoints(routing, pipelines);
+        let cfg = routing.config.multicast_adaptive.as_ref();
+        if cfg.is_none() && awaiting.is_empty() {
+            return None;
         }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return true;
+        let interval = cfg.map_or(REPLAY_POLL, |cfg| cfg.interval);
+        let adaptive = routing
+            .relay
+            .as_ref()
+            .filter(|_| cfg.is_some())
+            .map(|relay| {
+                let workers = routing.placement.workers();
+                let config = ControllerConfig::for_queue(QUEUE_CAPACITY, workers);
+                let sampled = SimDuration::from_nanos((interval.as_nanos() as u64).max(1));
+                (
+                    AdjustController::new(config, relay.current().d_star),
+                    WorkloadMonitor::new(sampled, ADAPTIVE_ALPHA, T_E_DEFAULT),
+                )
+            });
+        Some(Control {
+            adaptive,
+            forced: cfg.map_or_else(Vec::new, |cfg| cfg.forced_switches.clone()),
+            next_forced: 0,
+            last_emitted: 0,
+            wanted: None,
+            awaiting,
+            epoch0: Instant::now(),
+            interval,
+            due: Instant::now() + interval,
+            stop,
+            done_tx,
+        })
+    }
+
+    /// A tick if one is due. While a demoted generation waits for its
+    /// first markers, the step tends its flush and reports progress, so
+    /// that it runs again next round: the pipelines that still hold the
+    /// generation let go of it in their next steps.
+    pub(super) fn step(&mut self, routing: &Routing) -> Step {
+        let adaptive = self.adaptive.is_some();
+        if adaptive && routing.markers_unposted() {
+            routing.tend_flush();
+            return Step::Progressed;
         }
-        std::thread::sleep(remaining.min(SLICE));
+        let now = Instant::now();
+        if self.stop.load(Ordering::Relaxed) {
+            // The producers are done: no more ticks, but the last demoted
+            // generation retires while the pipelines that forward its
+            // markers still run.
+            if !adaptive || routing.tend_flush() {
+                return Step::Exited;
+            }
+            self.due = now + MARKER_RESEND / 10;
+            return Step::Idle;
+        }
+        if now < self.due {
+            return Step::Idle;
+        }
+        self.due = now + self.interval;
+        if adaptive {
+            self.tick(routing);
+        }
+        if let Some(fault) = &routing.fault {
+            self.awaiting.retain(|&ep| {
+                let back = fault.restarted(ep);
+                if back {
+                    reliability::replay_endpoint(routing, ep);
+                }
+                !back
+            });
+        }
+        if !adaptive && self.awaiting.is_empty() {
+            return Step::Exited;
+        }
+        Step::Idle
+    }
+
+    /// One controller interval: re-send the overdue markers of a flushing
+    /// tree generation, sample the live workload (λ from spout emissions,
+    /// queue length from the fabric's transfer queue plus the acker's
+    /// pending trees), and let the self-adjusting controller re-plan `d*`;
+    /// a changed target triggers a generation switch, deferred while the
+    /// last switch's generation is still flushing. Forced switches (when
+    /// configured) replace the controller with deterministic thresholds
+    /// on `spout_emitted` — benchmarks and tests use those to make
+    /// switching reproducible.
+    fn tick(&mut self, routing: &Routing) {
+        routing.tend_flush();
+        let emitted = routing.stats.get(Ctr::spout_emitted);
+        let target = match &mut self.adaptive {
+            Some((controller, monitor)) if self.forced.is_empty() => {
+                monitor.record_arrivals(emitted.saturating_sub(self.last_emitted));
+                let now = SimTime::from_nanos(self.epoch0.elapsed().as_nanos() as u64);
+                let queue_len = routing.fabric.stats().queue_depth as usize
+                    + routing.max_inbox_depth()
+                    + (routing.ack.as_ref())
+                        .map_or(0, |a| a.gauges.pending.load(Ordering::Relaxed) as usize);
+                let report = monitor.sample_with_links(now, queue_len, routing.link_pressure());
+                match controller.decide(&report) {
+                    Decision::Hold => None,
+                    Decision::ScaleDown { d_star } | Decision::ScaleUp { d_star } => Some(d_star),
+                }
+            }
+            _ => {
+                let mut t = None;
+                while let Some(&(at, d)) = self.forced.get(self.next_forced) {
+                    if emitted < at {
+                        break;
+                    }
+                    t = Some(d);
+                    self.next_forced += 1;
+                }
+                t
+            }
+        };
+        self.last_emitted = emitted;
+        self.wanted = target.map(|d| d.max(1)).or(self.wanted);
+        if let (Some(new_d), Some(relay)) = (self.wanted, &routing.relay) {
+            if new_d == relay.current().d_star || switch_structure(routing, new_d) {
+                self.wanted = None;
+            }
+        }
     }
 }
 
-/// The adaptive controller thread: every interval, re-send the overdue
-/// markers of a flushing tree generation, sample the live workload (λ
-/// from spout emissions, queue length from the fabric's transfer queue
-/// plus the acker's pending trees), and let the self-adjusting controller
-/// re-plan `d*`; a changed target triggers a generation switch, deferred
-/// while the last switch's generation is still flushing. Forced switches
-/// (when configured) replace the controller with deterministic thresholds
-/// on `spout_emitted` — benchmarks and tests use those to make switching
-/// reproducible. Before the thread exits, the last demoted generation
-/// retires: the pipelines that forward its markers run until the fabric
-/// closes.
-pub(super) fn adaptive_loop(cfg: &AdaptiveConfig, routing: &Routing, stop: &AtomicBool) {
-    let relay = routing
-        .relay
-        .as_ref()
-        .expect("adaptive implies relay state");
-    let epoch0 = Instant::now();
-    let interval = SimDuration::from_nanos((cfg.interval.as_nanos() as u64).max(1));
-    let mut monitor = WorkloadMonitor::new(interval, ADAPTIVE_ALPHA, T_E_DEFAULT);
-    let mut controller = AdjustController::new(
-        ControllerConfig::for_queue(QUEUE_CAPACITY, routing.placement.workers()),
-        relay.current().d_star,
-    );
-    let mut last_emitted = 0u64;
-    let mut next_forced = 0usize;
-    let mut wanted = None;
-    while sleep_with_stop(cfg.interval, stop) {
-        routing.tend_flush();
-        let emitted = routing.stats.get(Ctr::spout_emitted);
-        let target = if cfg.forced_switches.is_empty() {
-            monitor.record_arrivals(emitted.saturating_sub(last_emitted));
-            let now = SimTime::from_nanos(epoch0.elapsed().as_nanos() as u64);
-            let queue_len = routing.fabric.stats().queue_depth as usize
-                + routing.max_inbox_depth()
-                + (routing.ack.as_ref())
-                    .map_or(0, |a| a.gauges.pending.load(Ordering::Relaxed) as usize);
-            let report = monitor.sample_with_links(now, queue_len, routing.link_pressure());
-            match controller.decide(&report) {
-                Decision::Hold => None,
-                Decision::ScaleDown { d_star } | Decision::ScaleUp { d_star } => Some(d_star),
-            }
-        } else {
-            let mut t = None;
-            while next_forced < cfg.forced_switches.len()
-                && emitted >= cfg.forced_switches[next_forced].0
-            {
-                t = Some(cfg.forced_switches[next_forced].1);
-                next_forced += 1;
-            }
-            t
-        };
-        last_emitted = emitted;
-        wanted = target.map(|d| d.max(1)).or(wanted);
-        if let Some(new_d) = wanted {
-            if new_d == relay.current().d_star || switch_structure(routing, new_d) {
-                wanted = None;
-            }
-        }
-    }
-    while !routing.tend_flush() {
-        std::thread::sleep(MARKER_RESEND / 10);
+impl Drop for Control {
+    fn drop(&mut self) {
+        let _ = self.done_tx.send(());
     }
 }
 
 /// Reconfigure the relay plane to out-degree `new_d`: plan the per-origin
 /// moves, publish the new generation and start the old one's flush by
-/// end-of-generation markers. Frames on the demoted generation are
-/// accepted until every node has its markers. Returns false, having
-/// switched nothing, while the last switch's generation is still
-/// flushing (its overdue markers are re-sent instead): at most two
-/// generations are ever live.
+/// end-of-generation markers — at once if nothing else holds it, else by a
+/// later [`Routing::tend_flush`]. It never waits. Frames on the demoted
+/// generation are accepted until every node has its markers. Returns
+/// false, having switched nothing, while the last switch's generation is
+/// still flushing (its flush is tended instead): at most two generations
+/// are ever live.
 pub(super) fn switch_structure(routing: &Routing, new_d: u32) -> bool {
     let relay = routing
         .relay
@@ -171,12 +268,12 @@ pub(super) fn switch_structure(routing: &Routing, new_d: u32) -> bool {
         trees
     };
     let next = RelayEpoch::new(cur.epoch + 1, new_d, trees);
-    // The flush waits for every reference but the demoted slot's.
+    // The markers wait for every reference but the demoted slot's.
     drop(cur);
     relay.publish(Arc::new(next));
     routing.stats.add(Ctr::relay_switches, 1);
     routing.stats.add(Ctr::relay_switch_moves, total_moves);
-    routing.flush_demoted();
+    routing.tend_flush();
     true
 }
 
@@ -185,10 +282,42 @@ mod tests {
     use super::super::testkit::*;
     use whale_net::TopologyConfig;
 
-    #[test]
-    fn adaptive_forced_switch_keeps_every_delivery() {
-        // Phase-shift the tree mid-run (d* 1 → 4): every broadcast still
-        // reaches every instance, nothing lands on a retired generation.
+    /// `topology` under `config`, on `executors` executors (`None`: one
+    /// per core) and on a thread of its own, so that a run that hangs
+    /// fails the test instead.
+    fn run_in_time(
+        topology: Topology,
+        operators: Operators,
+        config: LiveConfig,
+        executors: Option<usize>,
+    ) -> RunReport {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        std::thread::spawn(move || {
+            let _ = tx.send(match executors {
+                Some(n) => run_on(topology, operators, config, n),
+                None => run_topology(topology, operators, config),
+            });
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("the run ends in time")
+    }
+
+    /// Each switch of `r` retired its demoted generation well before a
+    /// park could have timed out: no switch waited on a park.
+    fn assert_switches_were_prompt(r: &RunReport) {
+        let t_switch = Duration::from_nanos(r.relay_retire_ns.iter().sum());
+        let cap = super::super::executor::PARK_CAP * r.relay_switches as u32 / 2;
+        assert!(
+            t_switch < cap,
+            "T_switch {t_switch:?} over {} switches",
+            r.relay_switches
+        );
+    }
+
+    /// Phase-shift the tree mid-run (d* 1 → 4) on `executors` executors:
+    /// every broadcast still reaches every instance, nothing lands on a
+    /// retired generation.
+    fn forced_switch_keeps_every_delivery(executors: Option<usize>) -> RunReport {
         let mut b = crate::topology::TopologyBuilder::new();
         b.spout("src", 1, Schema::new(vec!["n"]))
             .bolt("fan", 16, Schema::new(vec!["n"]))
@@ -204,20 +333,17 @@ mod tests {
             .bolt("fan", |_| {
                 Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
             });
-        let r = run_topology(
-            t,
-            ops,
-            LiveConfig {
-                machines: 8,
-                multicast_d_star: Some(1),
-                multicast_adaptive: Some(AdaptiveConfig {
-                    interval: Duration::from_millis(1),
-                    forced_switches: vec![(30, 4)],
-                    ..AdaptiveConfig::default()
-                }),
-                ..LiveConfig::default()
-            },
-        );
+        let config = LiveConfig {
+            machines: 8,
+            multicast_d_star: Some(1),
+            multicast_adaptive: Some(AdaptiveConfig {
+                interval: Duration::from_millis(1),
+                forced_switches: vec![(30, 4)],
+                ..AdaptiveConfig::default()
+            }),
+            ..LiveConfig::default()
+        };
+        let r = run_in_time(t, ops, config, executors);
         assert_eq!(r.executed[1], 100 * 16, "no broadcast lost to the switch");
         assert!(r.relay_switches >= 1, "the forced switch must fire");
         assert!(r.relay_switch_moves > 0, "d* 1→4 moves instances");
@@ -226,14 +352,28 @@ mod tests {
         assert!(r.relay_forwards > 0);
         assert_eq!(r.relay_stale_drops, 0, "drained switch drops nothing");
         assert_eq!(r.outcome, RunOutcome::Clean);
+        r
     }
 
     #[test]
-    fn spouts_on_two_workers_finishing_right_after_a_switch_end_clean() {
-        // Two spouts, on workers 0 and 1, broadcast 100 tuples each; the
-        // forced switch lands a handful of tuples before both finish, so
-        // each EOS waits on its own origin's tree of the demoted
-        // generation — and is sent, by its pipeline, once that flushed.
+    fn adaptive_forced_switch_keeps_every_delivery() {
+        forced_switch_keeps_every_delivery(None);
+    }
+
+    #[test]
+    fn a_forced_switch_on_one_executor_keeps_every_delivery() {
+        // The executor that switches also steps every pipeline holding
+        // the demoted generation: a switch that waited for them to let go
+        // would wait forever.
+        let r = forced_switch_keeps_every_delivery(Some(1));
+        assert_switches_were_prompt(&r);
+    }
+
+    /// Two spouts, on workers 0 and 1, broadcast 100 tuples each; the
+    /// forced switch lands a handful of tuples before both finish, so each
+    /// EOS waits on its own origin's tree of the demoted generation — and
+    /// is sent, by its pipeline, once that flushed.
+    fn spouts_finishing_right_after_a_switch(executors: Option<usize>) -> RunReport {
         let mut b = crate::topology::TopologyBuilder::new();
         b.spout("src", 2, Schema::new(vec!["n"]))
             .bolt("fan", 16, Schema::new(vec!["n"]))
@@ -248,25 +388,34 @@ mod tests {
             .bolt("fan", |_| {
                 Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
             });
-        let r = run_topology(
-            b.build().unwrap(),
-            ops,
-            LiveConfig {
-                machines: 4,
-                multicast_d_star: Some(1),
-                multicast_adaptive: Some(AdaptiveConfig {
-                    interval: Duration::from_millis(1),
-                    forced_switches: vec![(190, 3)],
-                    ..AdaptiveConfig::default()
-                }),
-                ..LiveConfig::default()
-            },
-        );
+        let config = LiveConfig {
+            machines: 4,
+            multicast_d_star: Some(1),
+            multicast_adaptive: Some(AdaptiveConfig {
+                interval: Duration::from_millis(1),
+                forced_switches: vec![(190, 3)],
+                ..AdaptiveConfig::default()
+            }),
+            ..LiveConfig::default()
+        };
+        let r = run_in_time(b.build().unwrap(), ops, config, executors);
         assert_eq!(r.outcome, RunOutcome::Clean);
         assert_eq!(r.executed[1], 200 * 16, "every broadcast, once each");
         assert_eq!(r.relay_switches, 1);
         assert_eq!(r.relay_retire_ns.len(), 1, "the demoted generation retired");
         assert_eq!(r.relay_stale_drops, 0);
+        r
+    }
+
+    #[test]
+    fn spouts_on_two_workers_finishing_right_after_a_switch_end_clean() {
+        spouts_finishing_right_after_a_switch(None);
+    }
+
+    #[test]
+    fn spouts_on_one_executor_finishing_right_after_a_switch_end_clean() {
+        let r = spouts_finishing_right_after_a_switch(Some(1));
+        assert_switches_were_prompt(&r);
     }
 
     #[test]

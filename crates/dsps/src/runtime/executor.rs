@@ -1,11 +1,14 @@
-//! The data-plane threads. A run's pipelines are split over
-//! `min(pipelines, available cores)` executors; each steps its share
-//! round-robin on one thread, so a tuple crosses from one of its
-//! pipelines to the next by function call, and parks on its one
+//! The data-plane threads, and the only threads a run starts. A run's
+//! pipelines are split over `min(pipelines, available cores)` executors;
+//! each steps its share round-robin on one thread, so a tuple crosses from
+//! one of its pipelines to the next by function call, and parks on its one
 //! [`Waker`] only when no step progressed. Every endpoint its pipelines
 //! read and every cross-shard inbox they own wakes that waker; a hand-off
-//! from the executor itself wakes nothing.
+//! from the executor itself wakes nothing. The last executor also steps
+//! the run's [`Control`] step, when it has one, and parks no later than it
+//! is due.
 
+use super::control::Control;
 use super::pipeline::{ShardPipeline, Step};
 use super::report::Ctr;
 use super::send::Routing;
@@ -38,9 +41,11 @@ pub(super) fn executor_of(flat: usize, pipelines: usize, executors: usize) -> us
     flat * executors / pipelines.max(1)
 }
 
-/// One data-plane thread's pipelines and the waker it parks on.
+/// One data-plane thread's steps and the waker it parks on.
 pub(super) struct Executor {
     pipelines: Vec<ShardPipeline>,
+    /// The last executor's, if the run has control work.
+    control: Option<Control>,
     waker: Arc<Waker>,
 }
 
@@ -52,6 +57,7 @@ impl Executor {
         let mut executors: Vec<Executor> = (wakers.iter())
             .map(|waker| Executor {
                 pipelines: Vec::new(),
+                control: None,
                 waker: Arc::clone(waker),
             })
             .collect();
@@ -63,39 +69,48 @@ impl Executor {
         executors
     }
 
-    /// [`Self::deal`] `pipelines` and start each executor on its own
-    /// thread.
+    /// [`Self::deal`] `pipelines`, give `control` to the last executor and
+    /// start each executor on its own thread. The last, because the even
+    /// placement puts spouts on the first workers: a controller stepped
+    /// beside a spout that sleeps in `next_tuple` would sample the run
+    /// only ever just after an emission, never between two, and so never
+    /// see the idle queue it scales up on.
     pub(super) fn spawn_all(
         pipelines: Vec<ShardPipeline>,
+        control: Option<Control>,
         wakers: &[Arc<Waker>],
         routing: &Arc<Routing>,
     ) -> Vec<JoinHandle<()>> {
-        let executors = Self::deal(pipelines, wakers).into_iter().enumerate();
+        let mut executors = Self::deal(pipelines, wakers);
+        executors.last_mut().expect("at least one executor").control = control;
+        let executors = executors.into_iter().enumerate();
         executors
             .map(|(i, e)| e.spawn(i, Arc::clone(routing)))
             .collect()
     }
 
-    /// Run the executor on a thread of its own until every pipeline on it
-    /// has exited.
+    /// Run the executor on a thread of its own until every step on it has
+    /// exited.
     pub(super) fn spawn(mut self, index: usize, routing: Arc<Routing>) -> JoinHandle<()> {
-        super::spawn_named(format!("executor-{index}"), move || {
+        let thread = std::thread::Builder::new().name(format!("executor-{index}"));
+        let run = move || {
             // A panic escaping a step is caught in `round`; one escaping
             // here (starting a pipeline, parking) is a runtime bug, but
             // every completion signal must still fire or the driver would
-            // block forever.
+            // block forever. (The control step signals as it drops.)
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.run(&routing))) {
                 self.pipelines
                     .iter_mut()
                     .for_each(ShardPipeline::report_done);
                 resume_unwind(payload);
             }
-        })
+        };
+        thread.spawn(run).expect("spawn an executor thread")
     }
 
-    /// Step the pipelines round-robin until all have exited. Out of work:
-    /// spin, yield once, then park until a hand-off wakes the executor or
-    /// the nearest pipeline's due time.
+    /// Step round-robin until every step has exited. Out of work: spin,
+    /// yield once, then park until a hand-off wakes the executor or the
+    /// nearest step's due time.
     fn run(&mut self, routing: &Routing) {
         let _owner = self.waker.own();
         for p in &mut self.pipelines {
@@ -104,7 +119,7 @@ impl Executor {
         let stats = &routing.stats;
         // Whether the last round followed a park.
         let (mut idle_rounds, mut parked) = (0u32, false);
-        while !self.pipelines.is_empty() {
+        while !self.pipelines.is_empty() || self.control.is_some() {
             if self.round(routing) {
                 if std::mem::take(&mut parked) {
                     stats.add(Ctr::pipeline_wakeups_with_work, 1);
@@ -137,7 +152,8 @@ impl Executor {
             }
             let now = Instant::now();
             let due = self.pipelines.iter().filter_map(|p| p.wake_at(now));
-            let until = due.fold(now + PARK_CAP, Instant::min);
+            let control = self.control.as_ref().map(|c| c.due);
+            let until = due.chain(control).fold(now + PARK_CAP, Instant::min);
             // A parked executor must not keep a relay generation alive.
             self.pipelines
                 .iter_mut()
@@ -148,38 +164,42 @@ impl Executor {
         }
     }
 
-    /// One step of every pipeline; drops those that exited. Returns
-    /// whether any progressed or exited.
+    /// One step of every pipeline, and of the control step; drops those
+    /// that exited. Returns whether any progressed or exited.
     ///
     /// Operator panics are caught inside the pipelines; one escaping a
-    /// step is a runtime bug. It takes down that pipeline alone, as it
-    /// took down the pipeline's own thread before pipelines shared one:
-    /// the pipeline reports done, is counted in `thread_panics` and is
-    /// dropped, and the executor steps the others on.
+    /// step is a runtime bug. It takes down that step alone, as it took
+    /// down the step's own thread before steps shared one: the step
+    /// reports done, is counted in `thread_panics` and is dropped, and the
+    /// executor steps the others on.
     fn round(&mut self, routing: &Routing) -> bool {
         let mut progressed = false;
         self.pipelines.retain_mut(|p| {
             let step = catch_unwind(AssertUnwindSafe(|| p.within(routing, ShardPipeline::step)));
-            match step {
-                Ok(Step::Progressed) => {
-                    progressed = true;
-                    true
-                }
-                Ok(Step::Idle) => true,
-                Ok(Step::Exited) => {
-                    progressed = true;
-                    false
-                }
-                Err(_) => {
-                    p.unwound();
-                    routing.stats.add(Ctr::thread_panics, 1);
-                    progressed = true;
-                    false
-                }
+            if step.is_err() {
+                p.unwound();
             }
+            keep(step, routing, &mut progressed)
         });
+        if let Some(control) = &mut self.control {
+            let step = catch_unwind(AssertUnwindSafe(|| control.step(routing)));
+            if !keep(step, routing, &mut progressed) {
+                self.control = None;
+            }
+        }
         progressed
     }
+}
+
+/// Whether a step that ended as `step` is stepped again. Sets
+/// `progressed` if it did any work or left; a panic that escaped it is
+/// counted in `thread_panics`.
+fn keep(step: std::thread::Result<Step>, routing: &Routing, progressed: &mut bool) -> bool {
+    *progressed |= !matches!(step, Ok(Step::Idle));
+    if step.is_err() {
+        routing.stats.add(Ctr::thread_panics, 1);
+    }
+    matches!(step, Ok(Step::Progressed | Step::Idle))
 }
 
 #[cfg(test)]
@@ -301,7 +321,8 @@ mod tests {
             ..LiveConfig::default()
         };
         let fabric = Arc::new(whale_net::LiveFabric::new());
-        let (routing, _pipelines, wakers, _done) = wire_up(t, config, fabric, None, Some(2));
+        let (done_tx, _) = crossbeam::channel::unbounded();
+        let (routing, _pipelines, wakers) = wire_up(t, config, fabric, None, Some(2), &done_tx);
         assert_eq!(wakers.len(), 2);
         let sink = |flat| {
             let sinks = routing.topology.tasks_of("sink");

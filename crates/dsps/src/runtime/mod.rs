@@ -25,8 +25,9 @@
 //! Layout: `wire` owns the frame bytes, `send` the one path a frame
 //! takes to the fabric, `relay` the multicast tree, `reliability` the
 //! acker and partition-log wiring, `pipeline` the per-shard step,
-//! `executor` the threads that run the steps, `control` the adaptive
-//! controller thread, `config` and `report` what goes in and what comes
+//! `executor` the threads that run the steps (a run has no others),
+//! `control` the step that runs the adaptive controller and log replay on
+//! the last executor, `config` and `report` what goes in and what comes
 //! out.
 
 mod config;
@@ -47,7 +48,8 @@ pub use report::{RunOutcome, RunReport};
 use crate::pool::BufferPool;
 use crate::scheduler::{Placement, WorkerId};
 use crate::topology::{ComponentKind, Topology};
-use crossbeam::channel::{bounded, unbounded};
+use control::Control;
+use crossbeam::channel::{bounded, unbounded, Sender};
 use executor::Executor;
 use pipeline::ShardPipeline;
 use relay::{oblivious_trees, rack_aware_trees, RelayEpoch, RelayState};
@@ -143,40 +145,19 @@ fn spawn_on(
         Some(f) => Arc::clone(f) as Arc<dyn FabricPath>,
         None => transport,
     };
-    let (routing, mut pipelines, wakers, done_rx) =
-        wire_up(topology, config, fabric, fault.clone(), executors);
+    let (done_tx, done_rx) = unbounded();
+    let (routing, mut pipelines, wakers) =
+        wire_up(topology, config, fabric, fault, executors, &done_tx);
     let routing = Arc::new(routing);
 
     let start = Instant::now();
-
-    // Log replay thread, only for a plan that restarts an endpoint: its
-    // log slice is replayed when the fault layer reports it back. (Log GC
-    // needs no thread: each appender collects under the lock it holds.)
     let stop = Arc::new(AtomicBool::new(false));
-    let awaiting = reliability::restarting_endpoints(&routing, pipelines.len());
-    let log_replay = fault.filter(|_| !awaiting.is_empty()).map(|fault| {
-        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&stop));
-        spawn_named("log-replay", move || {
-            reliability::log_recovery_loop(&routing, &fault, awaiting, &stop)
-        })
-    });
-
-    // Adaptive controller thread: samples the live workload, re-plans
-    // d*, and switches tree generations while the data plane runs.
-    let adaptive = routing.config.multicast_adaptive.clone().map(|cfg| {
-        let (routing, stop) = (Arc::clone(&routing), Arc::clone(&stop));
-        spawn_named("adaptive", move || {
-            control::adaptive_loop(&cfg, &routing, &stop)
-        })
-    });
-
+    let control = Control::new(&routing, pipelines.len(), Arc::clone(&stop), done_tx);
     populate(&routing, &operators, &mut pipelines);
     Ok(RunHandle {
         pipelines: pipelines.len(),
-        executors: Executor::spawn_all(pipelines, &wakers, &routing),
-        // At most one of the two: the controller needs the relay tree,
-        // replay the log, and `validate` refuses the pair.
-        control: adaptive.into_iter().chain(log_replay).collect(),
+        control_waker: control.as_ref().and(wakers.last()).map(Arc::clone),
+        executors: Executor::spawn_all(pipelines, control, &wakers, &routing),
         stop,
         routing,
         start,
@@ -192,10 +173,11 @@ pub struct RunHandle {
     done_rx: crossbeam::channel::Receiver<()>,
     /// One per (worker, shard), each with a fabric endpoint.
     pipelines: usize,
-    /// The data-plane threads; empty once torn down.
+    /// The run's threads; empty once torn down.
     executors: Vec<JoinHandle<()>>,
-    /// The control threads and the flag that stops them.
-    control: Vec<JoinHandle<()>>,
+    /// The waker of the executor that runs the control step, if there is
+    /// one, and the flag that ends that step.
+    control_waker: Option<Arc<Waker>>,
     stop: Arc<AtomicBool>,
 }
 
@@ -215,8 +197,8 @@ impl RunHandle {
         RunReport::collect(&self.routing, self.start.elapsed())
     }
 
-    /// Wait for every pipeline to report its tasks complete, stop the
-    /// control threads, close the fabric and join everything. A second
+    /// Wait for every pipeline to report its tasks complete, then for the
+    /// control step to end, close the fabric and join everything. A second
     /// call finds no executor left and does nothing.
     fn teardown(&mut self) {
         if self.executors.is_empty() {
@@ -230,18 +212,17 @@ impl RunHandle {
                 break;
             }
         }
-        // Join every thread even if some panicked: bailing on the first
-        // failure would skip the endpoint teardown below and leave the
-        // executors spinning on an open fabric forever.
-        let mut thread_panics = 0u64;
         // Producers done: stop reconfiguring, and replaying (every replay
         // that can still complete a tuple has happened), before the fabric
-        // tears down. Then collect what resolved after each endpoint's last
-        // append, so the retained-bytes gauge is the end-of-run one.
-        self.stop.store(true, Ordering::Relaxed);
-        for thread in self.control.drain(..) {
-            thread_panics += thread.join().is_err() as u64;
+        // tears down. The control step signals once the last demoted
+        // generation has retired (or at once, if it already went).
+        if let Some(waker) = &self.control_waker {
+            self.stop.store(true, Ordering::Relaxed);
+            waker.wake();
+            let _ = self.done_rx.recv();
         }
+        // Then collect what resolved after each endpoint's last append, so
+        // the retained-bytes gauge is the end-of-run one.
         if let Some(log) = &routing.log {
             log.gc_pass();
         }
@@ -253,12 +234,13 @@ impl RunHandle {
         for flat in 0..self.pipelines {
             fabric.deregister(EndpointId(flat as u32));
         }
-        for thread in self.executors.drain(..) {
-            thread_panics += thread.join().is_err() as u64;
-        }
-        // Operator panics were counted where the pipelines caught them
-        // (the executor survives to run its other tasks); a dying thread
-        // joins the same degradation signal.
+        // Join every thread even if some panicked: bailing on the first
+        // failure would leave the rest running. Operator panics were
+        // counted where the pipelines caught them (the executor survives
+        // to run its other tasks); a dying thread joins the same
+        // degradation signal.
+        let joins = self.executors.drain(..).map(JoinHandle::join);
+        let thread_panics = joins.filter(Result::is_err).count() as u64;
         routing.stats.add(Ctr::thread_panics, thread_panics);
     }
 }
@@ -267,14 +249,6 @@ impl Drop for RunHandle {
     fn drop(&mut self) {
         self.teardown();
     }
-}
-
-/// Spawn a runtime thread under `name`, so its CPU can be attributed.
-fn spawn_named(name: impl Into<String>, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name.into())
-        .spawn(f)
-        .expect("spawn a runtime thread")
 }
 
 /// Capacity of each pipeline's cross-shard inbox. Deliveries to a task
@@ -286,20 +260,16 @@ const SHARD_INBOX_CAPACITY: usize = 4096;
 /// Everything of a run that exists before a thread does: the shared
 /// [`Routing`] over `fabric` (the `fault` wrapper, when there is one), one
 /// empty pipeline per (worker, shard), each registered on the fabric, the
-/// waker of each of `executors` executors (`None`: [`executor::executors_for`]),
-/// and the channel the pipelines report completion on.
+/// waker of each of `executors` executors (`None`: [`executor::executors_for`]).
+/// The pipelines report completion on `done_tx`.
 fn wire_up(
     topology: Topology,
     config: LiveConfig,
     fabric: Arc<dyn FabricPath>,
     fault: Option<Arc<FaultFabric>>,
     executors: Option<usize>,
-) -> (
-    Routing,
-    Vec<ShardPipeline>,
-    Vec<Arc<Waker>>,
-    crossbeam::channel::Receiver<()>,
-) {
+    done_tx: &Sender<()>,
+) -> (Routing, Vec<ShardPipeline>, Vec<Arc<Waker>>) {
     // Topology awareness (racks, per-link accounting) comes in through
     // the adaptive config; without it the cluster is one flat rack.
     let topo_config = config.topology().cloned();
@@ -345,7 +315,6 @@ fn wire_up(
         .collect();
     let mut shard_inboxes = Vec::with_capacity(n_flat);
     let mut pipelines: Vec<ShardPipeline> = Vec::with_capacity(n_flat);
-    let (done_tx, done_rx) = unbounded::<()>();
     for flat in 0..n_flat {
         let endpoint = EndpointId(flat as u32);
         let worker = flat as u32 / shards;
@@ -389,7 +358,7 @@ fn wire_up(
         stats,
         tracker,
     };
-    (routing, pipelines, wakers, done_rx)
+    (routing, pipelines, wakers)
 }
 
 /// Hand every task to the pipeline owning its shard slice (stable
@@ -515,7 +484,7 @@ mod testkit {
     /// pipelines on their executors over a per-send fabric, left running —
     /// parked once their tasks are done — until [`Self::finish`], for tests
     /// that reach into the shared state of a run in progress. No control
-    /// thread is started.
+    /// step runs.
     pub(super) struct LiveRun {
         pub(super) routing: Arc<Routing>,
         /// What each executor parks on.
@@ -528,13 +497,14 @@ mod testkit {
     impl LiveRun {
         pub(super) fn start(topology: Topology, operators: &Operators, config: LiveConfig) -> Self {
             let fabric: Arc<dyn FabricPath> = Arc::new(whale_net::LiveFabric::new());
-            let (routing, mut pipelines, wakers, done_rx) =
-                wire_up(topology, config, fabric, None, None);
+            let (done_tx, done_rx) = unbounded();
+            let (routing, mut pipelines, wakers) =
+                wire_up(topology, config, fabric, None, None, &done_tx);
             let routing = Arc::new(routing);
             populate(&routing, operators, &mut pipelines);
             LiveRun {
                 pipelines: pipelines.len(),
-                handles: Executor::spawn_all(pipelines, &wakers, &routing),
+                handles: Executor::spawn_all(pipelines, None, &wakers, &routing),
                 routing,
                 wakers,
                 done_rx,

@@ -770,7 +770,9 @@ impl PipelineHarness {
         let valid = config.validate(&topology, operators);
         valid.expect("a configuration that runs");
         let fabric = Arc::new(whale_net::LiveFabric::new());
-        let (routing, mut peers, ..) = super::wire_up(topology, config, fabric, None, Some(1));
+        let (done_tx, _) = crossbeam::channel::unbounded();
+        let (routing, mut peers, _) =
+            super::wire_up(topology, config, fabric, None, Some(1), &done_tx);
         super::populate(&routing, operators, &mut peers);
         let pipeline = peers.swap_remove((worker * routing.shards) as usize);
         PipelineHarness {

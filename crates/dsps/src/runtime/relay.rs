@@ -458,9 +458,9 @@ impl Routing {
 
     /// Send `eos` down its origin's tree of the current generation,
     /// unless that origin's tree of the demoted one has yet to flush.
-    /// Returns whether it went. A switch that demotes the generation held
-    /// here waits for this thread to let go of it before its markers
-    /// leave, so they trail this EOS.
+    /// Returns whether it went. The markers of a generation a switch
+    /// demotes while it is held here leave only once this thread has let
+    /// go of it, so they trail this EOS.
     fn try_relay_eos(&self, eos: WaitingEos) -> bool {
         let relay = self.relay.as_ref().expect("relayed implies relay state");
         let origin = self.placement.worker_of(eos.src).0;
@@ -683,58 +683,56 @@ impl Routing {
         posted
     }
 
-    /// Start the flush of the generation a switch has just demoted. Its
-    /// markers must trail every frame a root sent on it, so they wait
-    /// until no thread but the `prev` slot holds it: each root that
-    /// resolved it has sent and let go (a pipeline by its next step, or
-    /// as its executor parks, see [`HELD`]). A forwarder that still looks it up passes on
-    /// only frames that reached it ahead of the marker. Then each
-    /// origin's root posts its marker.
-    pub(super) fn flush_demoted(&self) {
-        let relay = self.relay.as_ref().expect("a switch implies relay state");
-        let generation = loop {
-            let prev = relay.prev.read();
-            let demoted = prev.as_ref().expect("a switch demoted a generation");
-            if Arc::strong_count(demoted) == 1 {
-                // Pairs with the release in the last other reference's
-                // drop: the sends made under it happened before these.
-                fence(Ordering::Acquire);
-                break Arc::clone(demoted);
-            }
-            drop(prev);
-            std::thread::yield_now();
-        };
-        *generation.markers_sent_at.lock() = Some(Instant::now());
-        self.post_markers(&generation);
-        // A generation without nodes has nothing to wait for.
-        if generation.origins_left.load(Ordering::Acquire) == 0 {
-            relay.retire(generation.epoch);
-        }
-    }
-
-    /// Whether no demoted generation is left. If one is, and its markers
-    /// left [`MARKER_RESEND`] ago or more, each root whose tree has not
-    /// flushed sends its marker again — down the whole tree, so a marker
-    /// lost anywhere on it is replaced.
+    /// Drive the demoted generation's flush; returns whether none is
+    /// left. Its first markers must trail every frame a root sent on it,
+    /// so they wait until no thread but the `prev` slot holds it: each
+    /// root that resolved it has sent and let go (a pipeline by its next
+    /// step, or as its executor parks, see [`HELD`]). A forwarder that
+    /// still looks it up passes on only frames that reached it ahead of
+    /// the marker. Once they left, and again every [`MARKER_RESEND`], each
+    /// root whose tree has not flushed sends its marker down the whole
+    /// tree, so a marker lost anywhere on it is replaced.
     pub(super) fn tend_flush(&self) -> bool {
         let relay = self.relay.as_ref().expect("a flush implies relay state");
-        // Takes a reference only to resend: a pipeline polling this while
-        // a switch waits for the references to go must not hold it up.
-        let generation = {
+        // Checked and stamped under the one lock: two callers never both
+        // post the first markers, and a pipeline polling this never holds
+        // a reference that would keep them back.
+        let (generation, first) = {
             let prev = relay.prev.read();
             let Some(generation) = prev.as_ref() else {
                 return true;
             };
             let mut sent_at = generation.markers_sent_at.lock();
-            if !sent_at.is_some_and(|at| at.elapsed() >= MARKER_RESEND) {
+            let first = sent_at.is_none();
+            if first && Arc::strong_count(generation) > 1 {
                 return false;
             }
+            if sent_at.is_some_and(|at| at.elapsed() < MARKER_RESEND) {
+                return false;
+            }
+            // Pairs with the release in the last other reference's drop:
+            // the sends made under it happened before these.
+            fence(Ordering::Acquire);
             *sent_at = Some(Instant::now());
-            Arc::clone(generation)
+            (Arc::clone(generation), first)
         };
-        let resent = self.post_markers(&generation);
-        self.stats.add(Ctr::relay_marker_resends, resent);
+        let posted = self.post_markers(&generation);
+        if !first {
+            self.stats.add(Ctr::relay_marker_resends, posted);
+        } else if generation.origins_left.load(Ordering::Acquire) == 0 {
+            // A generation without nodes has nothing to wait for.
+            relay.retire(generation.epoch);
+        }
         false
+    }
+
+    /// Whether the demoted generation, if any, still waits for its first
+    /// markers.
+    pub(super) fn markers_unposted(&self) -> bool {
+        let relay = self.relay.as_ref().expect("a flush implies relay state");
+        let prev = relay.prev.read();
+        prev.as_ref()
+            .is_some_and(|p| p.markers_sent_at.lock().is_none())
     }
 }
 
@@ -924,10 +922,12 @@ mod tests {
         (b.build().unwrap(), ops, counts, emitted)
     }
 
-    /// Whether `relay` is left with no demoted generation within `timeout`.
-    fn retires_within(relay: &RelayState, timeout: Duration) -> bool {
+    /// Whether `routing` is left with no demoted generation within
+    /// `timeout`, tending its flush as the control step would: its first
+    /// markers leave once no pipeline holds it.
+    fn retires_within(routing: &Routing, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while relay.prev.read().is_some() {
+        while !routing.tend_flush() {
             if Instant::now() >= deadline {
                 return false;
             }
@@ -960,7 +960,7 @@ mod tests {
                 // The generation before last retires by marker while
                 // traffic runs on, and the thread that took its last
                 // marker lets go of it: at most two are ever alive.
-                let retired = retires_within(relay, Duration::from_secs(10));
+                let retired = retires_within(&run.routing, Duration::from_secs(10));
                 assert!(retired, "{shards} shards, switch {k}");
                 let before_last = &generations[generations.len().saturating_sub(2)];
                 while k > 0 && before_last.strong_count() > 0 {
@@ -1013,7 +1013,7 @@ mod tests {
         // well before any park would have timed out (`PARK_CAP`).
         let relay = run.routing.relay.as_ref().unwrap();
         assert!(super::super::control::switch_structure(&run.routing, 3));
-        assert!(retires_within(relay, Duration::from_secs(10)));
+        assert!(retires_within(&run.routing, Duration::from_secs(10)));
         let (t_switch, switches) = relay.retire_ns.lock().take();
         assert_eq!(switches, 1);
         let cap = super::super::executor::PARK_CAP / 2;
@@ -1144,6 +1144,29 @@ mod tests {
         assert_eq!(stats.get(Ctr::relay_marker_resends), 1);
         assert_eq!(stats.get(Ctr::relay_stale_drops), 0);
         assert_eq!(stats.get(Ctr::dropped_frames), 0);
+    }
+
+    #[test]
+    fn a_switch_while_the_generation_is_held_posts_its_markers_once_let_go() {
+        let (routing, endpoints, _) = chains(Arc::new(whale_net::LiveFabric::new()));
+        let relay = routing.relay.as_ref().unwrap();
+        let unsent = || endpoints.iter().all(whale_net::Inbox::is_empty);
+        // A root still holds generation 0: the switch returns at once,
+        // and no marker may overtake what that root sends on it.
+        let held = relay.current();
+        assert!(super::super::control::switch_structure(&routing, 2));
+        assert!(routing.markers_unposted() && unsent());
+        assert!(!routing.tend_flush());
+        assert!(routing.markers_unposted() && unsent());
+        // Let go: the next tend posts them, as first markers, not resends.
+        drop(held);
+        assert!(!routing.tend_flush());
+        assert!(!routing.markers_unposted() && !unsent());
+        assert_eq!(routing.stats.get(Ctr::relay_marker_resends), 0);
+        pump(&routing, &endpoints, |_, _| true);
+        assert!(routing.tend_flush(), "the generation retired");
+        assert_eq!(relay.retire_ns.lock().take().1, 1);
+        assert_eq!(routing.stats.get(Ctr::relay_stale_drops), 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! At-least-once delivery and crash recovery: anchor arithmetic, the
 //! acker wiring ([`AckRuntime`]), the executors' duplicate filter
 //! ([`DedupWindow`]), and the write-ahead partition logs with their
-//! inline GC and restart replay ([`LogRuntime`]).
+//! inline GC ([`LogRuntime`]) and the restart replay the control step
+//! runs ([`replay_endpoint`]).
 
 use super::config::AckConfig;
-use super::control::sleep_with_stop;
 use super::report::{Ctr, RunStats};
 use super::send::Routing;
 use super::wire::Wire;
@@ -13,10 +13,10 @@ use crate::task::TaskId;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use whale_net::{EndpointId, FaultFabric, LogConfig, PartitionLog};
+use std::time::Instant;
+use whale_net::{EndpointId, LogConfig, PartitionLog};
 use whale_sim::{SimDuration, SimTime};
 
 pub(super) fn splitmix64(mut z: u64) -> u64 {
@@ -235,34 +235,14 @@ pub(super) fn restarting_endpoints(routing: &Routing, n_flat: usize) -> Vec<Endp
         .collect()
 }
 
-/// The log replay thread (see [`super::LiveConfig::log`]), run only when the
-/// injected plan restarts an endpoint: when the fault layer reports one
-/// of `awaiting` back, its log slice is replayed from the oldest retained
-/// record. Replayed frames go straight to the fabric (one modeled
-/// one-sided READ per record against the log's registered region),
-/// bypassing `transmit` so they are not re-logged, and root-id dedup at
-/// executors absorbs overlap with in-flight acker replays.
-pub(super) fn log_recovery_loop(
-    routing: &Routing,
-    fault: &FaultFabric,
-    mut awaiting: Vec<EndpointId>,
-    stop: &AtomicBool,
-) {
-    while !awaiting.is_empty() && sleep_with_stop(Duration::from_millis(1), stop) {
-        awaiting.retain(|&ep| {
-            if !fault.restarted(ep) {
-                return true;
-            }
-            replay_endpoint(routing, ep);
-            false
-        });
-    }
-}
-
-/// Replay everything a restarted endpoint's log still retains. The read
-/// is priced as one-sided READs inside [`PartitionLog::read_from`]; the
-/// re-sends cross the fault wrapper, which accepts them now that the
-/// endpoint is back.
+/// Replay everything a restarted endpoint's log still retains, oldest
+/// record first (see [`super::LiveConfig::log`]); the control step calls
+/// this once the fault layer reports the endpoint back. The read is
+/// priced as one-sided READs inside [`PartitionLog::read_from`]; the
+/// re-sends go straight to the fabric, bypassing `transmit` so they are
+/// not re-logged, and cross the fault wrapper, which accepts them now that
+/// the endpoint is back. Root-id dedup at the executors absorbs overlap
+/// with in-flight acker replays.
 pub(super) fn replay_endpoint(routing: &Routing, ep: EndpointId) {
     let log = routing.log.as_ref().expect("replay implies logs");
     let read = {

@@ -208,8 +208,8 @@ pub(super) struct Groupings {
     plan: MessagePlan,
 }
 
-/// Shared, immutable context of one run, used by every pipeline and
-/// control thread.
+/// Shared, immutable context of one run, used by every pipeline and by
+/// the control step.
 pub(super) struct Routing {
     pub(super) topology: Topology,
     pub(super) placement: Placement,
