@@ -369,6 +369,51 @@ mod tests {
         assert_switches_were_prompt(&r);
     }
 
+    #[test]
+    fn a_forced_switch_between_two_saturating_spout_steps_keeps_each_run_on_one_generation() {
+        // A prompt spout relays a run of up to a batch's worth of records
+        // each step. On one executor the control step, and the switch
+        // with it, falls between two of the spout's steps: a run that
+        // straddled it would carry records of both generations in one
+        // frame, which its receivers drop (`dropped_frames`), or be sent
+        // after the demoted generation's markers (`relay_stale_drops`).
+        const TUPLES: u64 = 20_000;
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("fan", 16, Schema::new(vec!["n"]))
+            .connect("src", "fan", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", |_| {
+                let tuples = (0..TUPLES).map(|i| Tuple::with_id(i, vec![Value::I64(i as i64)]));
+                Box::new(IterSpout::new(tuples))
+            })
+            .bolt("fan", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            });
+        let config = LiveConfig {
+            machines: 8,
+            multicast_d_star: Some(1),
+            multicast_adaptive: Some(AdaptiveConfig {
+                interval: Duration::from_millis(1),
+                forced_switches: vec![(TUPLES / 10, 4)],
+                ..AdaptiveConfig::default()
+            }),
+            ..LiveConfig::default()
+        };
+        let r = run_in_time(b.build().unwrap(), ops, config, Some(1));
+        assert_eq!(r.outcome, RunOutcome::Clean);
+        assert_eq!(r.executed[1], TUPLES * 16, "every broadcast, once each");
+        assert_eq!((r.relay_switches, r.relay_retire_ns.len()), (1, 1));
+        assert_eq!((r.relay_stale_drops, r.dropped_frames), (0, 0));
+        // Seven tree edges, far fewer frames than tuples on each.
+        assert!(
+            r.fabric_messages < TUPLES * 7 / 8,
+            "{} frames",
+            r.fabric_messages
+        );
+        assert_switches_were_prompt(&r);
+    }
+
     /// Two spouts, on workers 0 and 1, broadcast 100 tuples each; the
     /// forced switch lands a handful of tuples before both finish, so each
     /// EOS waits on its own origin's tree of the demoted generation — and

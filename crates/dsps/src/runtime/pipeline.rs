@@ -237,12 +237,16 @@ pub(super) struct RecvScratch {
 /// pipeline, built in `scratch`. A frame that is
 /// truncated, fails to validate or carries an unknown kind is dropped and
 /// counted (`dropped_frames`), and so is every destination id this run
-/// executes nothing on — a bad peer must not crash the worker.
+/// executes nothing on — a bad peer must not crash the worker. Between
+/// the records of a relay frame, what each caused on this pipeline runs
+/// on `bolts` (the pipeline's own), so each is anchored in the block the
+/// one before it gave back.
 pub(super) fn on_frame(
     worker: u32,
     msg: &whale_net::LiveMessage,
     routing: &Routing,
     scratch: &mut RecvScratch,
+    bolts: &mut [BoltState],
 ) {
     let RecvScratch { dsts, spare } = scratch;
     let dropped = |n: u64| {
@@ -271,8 +275,11 @@ pub(super) fn on_frame(
         }
         // The received payload is handed along untouched so forwards
         // reuse its bytes.
-        Ok(FrameView::Relay { header, item }) => {
-            routing.on_relay_frame(worker, header, &msg.payload, item, spare)
+        Ok(FrameView::Relay(run)) => {
+            let mut drain = |spare: &mut WireSpare| {
+                drain_loopback(bolts, spare, routing);
+            };
+            routing.on_relay_frame(worker, run, &msg.payload, spare, &mut drain)
         }
         Ok(FrameView::RelayEos(eos)) => routing.on_relay_eos(worker, eos, &msg.payload),
         Ok(FrameView::RelayMarker(marker)) => routing.on_relay_marker(worker, marker, &msg.payload),
@@ -281,7 +288,7 @@ pub(super) fn on_frame(
 }
 
 /// One bolt task owned by a shard pipeline.
-struct BoltState {
+pub(super) struct BoltState {
     task: TaskId,
     comp: ComponentId,
     bolt: Box<dyn Bolt>,
@@ -415,7 +422,7 @@ const ACK_POLL_INTERVAL: Duration = Duration::from_millis(1);
 /// The most `next_tuple` calls a spout makes in one step before the
 /// pipeline hands its executor on (keeps a saturating spout from starving
 /// the pipelines it feeds).
-const PIPELINE_BATCH: usize = 128;
+pub(super) const PIPELINE_BATCH: usize = 128;
 
 /// What one [`ShardPipeline::step`] did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -529,8 +536,10 @@ impl ShardPipeline {
 
     /// Run `f` as this pipeline on the calling thread: its shard and its
     /// relay state are the thread's for `f` and everything `f` causes
-    /// locally, and are swapped back out after. The one way a pipeline's
-    /// code runs, on its executor and in [`PipelineHarness`] alike.
+    /// locally, and are swapped back out after — its pending relay run
+    /// sent first, while it still holds the run's generation. The one way
+    /// a pipeline's code runs, on its executor and in [`PipelineHarness`]
+    /// alike.
     pub(super) fn within<R>(
         &mut self,
         routing: &Routing,
@@ -544,6 +553,9 @@ impl ShardPipeline {
             LOCAL_QUEUE.with_borrow(|q| q.is_empty()),
             "a pipeline leaves nothing in the loopback queue"
         );
+        if routing.relay.is_some() {
+            routing.send_relay_run();
+        }
         self.relay.leave();
         CURRENT_SHARD.with(|c| c.set(None));
         result
@@ -551,10 +563,12 @@ impl ShardPipeline {
 
     /// Put the thread back after a step [`within`](Self::within) this
     /// pipeline unwound, and report it done: it will not step again, and
-    /// what it left in the loopback queue is lost with it.
+    /// what it left in the loopback queue and its pending relay run are
+    /// lost with it.
     pub(super) fn unwound(&mut self) {
         LOCAL_QUEUE.with_borrow_mut(VecDeque::clear);
         self.relay.leave();
+        self.relay.discard_run();
         CURRENT_SHARD.with(|c| c.set(None));
         self.report_done();
     }
@@ -593,7 +607,13 @@ impl ShardPipeline {
         for _ in 0..self.fabric_rx.len() {
             match self.fabric_rx.try_recv() {
                 Ok(msg) => {
-                    on_frame(self.worker, &msg, routing, &mut self.scratch);
+                    on_frame(
+                        self.worker,
+                        &msg,
+                        routing,
+                        &mut self.scratch,
+                        &mut self.bolts,
+                    );
                     progress = true;
                     self.drain_local(routing);
                 }
@@ -648,7 +668,13 @@ impl ShardPipeline {
                 // Nothing counted: a closed endpoint is learnt here.
                 match self.fabric_rx.try_recv() {
                     Ok(msg) => {
-                        on_frame(self.worker, &msg, routing, &mut self.scratch);
+                        on_frame(
+                            self.worker,
+                            &msg,
+                            routing,
+                            &mut self.scratch,
+                            &mut self.bolts,
+                        );
                         return Step::Progressed;
                     }
                     Err(TryRecvError::Disconnected) => self.fabric_open = false,
@@ -789,7 +815,9 @@ impl PipelineHarness {
 
     /// Receive one fabric frame and run everything it causes locally.
     pub fn receive(&mut self, msg: &whale_net::LiveMessage) {
-        self.as_pipeline(|p, routing| on_frame(p.worker, msg, routing, &mut p.scratch));
+        self.as_pipeline(|p, routing| {
+            on_frame(p.worker, msg, routing, &mut p.scratch, &mut p.bolts)
+        });
     }
 
     /// Emit `tuple` as the pipeline's first spout would (tracked under a
@@ -800,6 +828,21 @@ impl PipelineHarness {
     /// If the pipeline owns no spout.
     pub fn emit(&mut self, tuple: Tuple) -> Option<u64> {
         self.as_pipeline(|p, routing| p.spouts[0].emit(routing, tuple))
+    }
+
+    /// [`Self::emit`] each of `tuples` in one step, as a spout step that
+    /// makes that many calls would: what the step broadcasts on the relay
+    /// tree leaves as one run when it ends.
+    ///
+    /// # Panics
+    /// If the pipeline owns no spout.
+    pub fn emit_in_one_step(&mut self, tuples: impl IntoIterator<Item = Tuple>) {
+        self.as_pipeline(|p, routing| {
+            for tuple in tuples {
+                p.spouts[0].emit(routing, tuple);
+                drain_loopback(&mut p.bolts, &mut p.scratch.spare, routing);
+            }
+        })
     }
 
     /// Ack `tracked` as `task` would after executing it; true when that
@@ -815,6 +858,17 @@ impl PipelineHarness {
     pub fn take_sent(&mut self) -> usize {
         let sent = |p: &ShardPipeline| std::iter::from_fn(|| p.fabric_rx.try_recv().ok()).count();
         self.peers.iter().map(sent).sum()
+    }
+
+    /// What the pipeline has sent to its peers' fabric endpoints since the
+    /// last call, by destination worker: `(worker, frame)`, each worker's
+    /// in the order sent.
+    pub fn take_sent_frames(&mut self) -> Vec<(u32, whale_net::LiveMessage)> {
+        let sent = |p: &ShardPipeline| {
+            let frames = std::iter::from_fn(|| p.fabric_rx.try_recv().ok());
+            frames.map(|msg| (p.worker, msg)).collect::<Vec<_>>()
+        };
+        self.peers.iter().flat_map(sent).collect()
     }
 
     /// The frame `origin`'s worker would put on the relay tree for
@@ -953,7 +1007,7 @@ mod tests {
                 from: whale_net::EndpointId(1),
                 payload: whale_net::Payload::Copied(f.clone()),
             };
-            on_frame(0, &msg, &routing, &mut scratch);
+            on_frame(0, &msg, &routing, &mut scratch, &mut []);
         }
         assert_eq!(routing.stats.get(Ctr::dropped_frames), frames.len() as u64);
         let queued: Vec<_> = (inbox_rxs.iter())
@@ -1047,6 +1101,69 @@ mod tests {
         assert_eq!(executed, 4);
         let latencies = h.snapshot().delivery_ns;
         assert_eq!(latencies.count(), 4, "one latency per execution");
+    }
+
+    #[test]
+    fn a_step_that_panics_with_a_pending_relay_run_sends_none_of_it() {
+        // src → 2 `pass` → 4 `sink`, both edges relayed, over two machines,
+        // seen from worker 1: its `pass` relays what it receives on, in a
+        // run of its own pipeline's that goes to worker 0.
+        let fields = || Schema::new(vec!["n"]);
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, fields())
+            .bolt("pass", 2, fields())
+            .bolt("sink", 4, fields())
+            .connect("src", "pass", Grouping::All)
+            .connect("pass", "sink", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+            .bolt("pass", |_| {
+                Box::new(FnBolt::new(|t: &Tuple, out: &mut dyn Emitter| {
+                    out.emit(t.clone())
+                }))
+            })
+            .bolt("sink", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            });
+        let config = LiveConfig {
+            machines: 2,
+            multicast_d_star: Some(2),
+            ..LiveConfig::default()
+        };
+        let mut h = PipelineHarness::new(b.build().unwrap(), &ops, config, 1);
+        let tuple = Tuple::with_id(1, vec![Value::I64(1)]);
+        let frame = shared(h.relay_frame(0, "pass", None, &tuple));
+        h.receive(&frame);
+        let queued = |h: &PipelineHarness| h.peers[0].fabric_rx.len();
+        assert_eq!(queued(&h), 1, "a run of one to worker 0");
+        // The same step, unwinding once the pass has filled the run: the
+        // executor catches it and puts the thread back (`Executor::round`).
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            h.pipeline.within(&h.routing, |p, routing| {
+                on_frame(p.worker, &frame, routing, &mut p.scratch, &mut p.bolts);
+                panic!("a runtime bug, with a run pending");
+            })
+        }));
+        assert!(step.is_err());
+        h.pipeline.unwound();
+        assert_eq!(queued(&h), 1, "none of the second run left");
+        // Nor does any later: the run went with the step (an executor
+        // never steps the pipeline again, but if it did).
+        assert_eq!(
+            h.pipeline.within(&h.routing, ShardPipeline::step),
+            Step::Idle
+        );
+        assert_eq!(queued(&h), 1);
+        // The thread steps the other pipeline on; the first run reaches
+        // its sinks, and nothing of the dropped one ever does.
+        let (peer, routing) = (&mut h.peers[0], &h.routing);
+        assert_eq!(peer.within(routing, ShardPipeline::step), Step::Progressed);
+        let r = h.snapshot();
+        assert_eq!(r.executed[1], 2, "worker 1's pass, in both steps");
+        // Worker 1's two sinks run in both steps, worker 0's two on the
+        // first run only.
+        assert_eq!(r.executed[2], 2 * 2 + 2);
+        assert_eq!(r.thread_panics, 0, "counted by the executor, not here");
     }
 
     #[test]

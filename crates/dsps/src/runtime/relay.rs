@@ -2,15 +2,23 @@
 //! source-side broadcast into the tree, the per-hop
 //! validate-forward-deliver path for relayed data and relayed EOS, and
 //! the end-of-generation markers that flush a demoted generation.
+//!
+//! A pipeline's step does not put each broadcast tuple on the fabric by
+//! itself: its relay record joins the step's pending run
+//! ([`PendingRun`]), which leaves as one relay frame per tree child at
+//! the end of the step, before a relayed EOS, when the current generation
+//! changes, or at [`RUN_CAP`] records — whichever comes first.
 
+use super::pipeline::PIPELINE_BATCH;
 use super::reliability::anchor_for;
 use super::report::{Ctr, Lanes, Reservoir, LATENCY_SAMPLE};
 use super::send::{ExecMsg, Routing, CURRENT_SHARD};
-use super::wire::{self, RelayEos, RelayMarker, Wire};
-use crate::codec::{LazyTuple, RelayHeader, TupleView, WireSpare};
+use super::wire::{self, RelayEos, RelayMarker, RelayRun, Wire};
+use crate::codec::{LazyTuple, RelayHeader, WireSpare};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Grouping;
+use bytes::BytesMut;
 use parking_lot::{Mutex, RwLock};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, Ordering};
@@ -48,6 +56,10 @@ pub(super) const DEPTH_BUCKETS: usize = 16;
 /// they send their markers again. A marker lost on the way delays
 /// retirement by about this much; it cannot wedge it.
 pub(super) const MARKER_RESEND: Duration = Duration::from_millis(10);
+
+/// The most relay records a pending run holds: one that reaches it leaves
+/// at once. A spout step emits at most this many tuples.
+pub(super) const RUN_CAP: usize = PIPELINE_BATCH;
 
 /// One immutable generation of relay structures: every origin worker's
 /// tree over the *other* workers (node index i = the i-th worker id
@@ -181,7 +193,7 @@ pub(super) struct RelayState {
     /// T_switch of each retired generation: demotion to the last marker
     /// receipt, ns.
     pub(super) retire_ns: Mutex<Reservoir>,
-    /// Received relay frames by tree depth of the receiving node.
+    /// Received relay records by tree depth of the receiving node.
     pub(super) depth_counts: Lanes,
     /// Sampled per-hop forward latencies (receipt to last child send).
     pub(super) forward_ns: Mutex<Reservoir>,
@@ -265,9 +277,10 @@ impl RelayState {
         HELD.set(HELD.take().filter(|held| held.epoch == published));
     }
 
-    pub(super) fn record_depth(&self, depth: u32) {
+    /// Count `records` received at a node `depth` hops from the origin.
+    pub(super) fn record_depth(&self, depth: u32, records: u64) {
         let bucket = (depth as usize).min(DEPTH_BUCKETS - 1);
-        self.depth_counts.add(bucket, 1);
+        self.depth_counts.add(bucket, records);
     }
 
     /// Install a new generation and demote the current one to `prev`,
@@ -309,14 +322,21 @@ thread_local! {
     /// tree of the demoted generation has flushed; retried once per step
     /// ([`Routing::send_waiting_eos`]).
     static WAITING_EOS: RefCell<Vec<WaitingEos>> = const { RefCell::new(Vec::new()) };
+    /// The relay records the running pipeline's step has not sent yet
+    /// ([`Routing::send_relay_run`]). Threads without a pipeline never
+    /// fill it: their broadcasts leave one frame each.
+    static PENDING: RefCell<PendingRun> = RefCell::new(PendingRun::default());
 }
 
 /// A pipeline's relay state between its steps: what the thread running
-/// it keeps in [`HELD`] and [`WAITING_EOS`] while it runs.
+/// it keeps in [`HELD`], [`WAITING_EOS`] and [`PENDING`] while it runs.
+/// A step ends with its run sent, so between steps the run is empty and
+/// keeps only its buffer.
 #[derive(Default)]
 pub(super) struct RelayLocal {
     held: Option<Arc<RelayEpoch>>,
     waiting_eos: Vec<WaitingEos>,
+    run: PendingRun,
 }
 
 impl RelayLocal {
@@ -324,18 +344,49 @@ impl RelayLocal {
     pub(super) fn enter(&mut self) {
         HELD.set(self.held.take());
         WAITING_EOS.with_borrow_mut(|waiting| std::mem::swap(waiting, &mut self.waiting_eos));
+        PENDING.with_borrow_mut(|run| std::mem::swap(run, &mut self.run));
     }
 
     /// Swap it back out, leaving the thread's empty.
     pub(super) fn leave(&mut self) {
         self.held = HELD.take();
         WAITING_EOS.with_borrow_mut(|waiting| std::mem::swap(waiting, &mut self.waiting_eos));
+        PENDING.with_borrow_mut(|run| std::mem::swap(run, &mut self.run));
     }
 
     /// Let go of the held generation: a parked pipeline must not keep one
     /// from flushing.
     pub(super) fn release(&mut self) {
         self.held = None;
+    }
+
+    /// Drop the run a step that unwound left unsent: none of it leaves.
+    pub(super) fn discard_run(&mut self) {
+        self.run.clear();
+    }
+}
+
+/// The relay records one pipeline's step has broadcast on its origin's
+/// tree of one generation and not yet sent: encoded back to back into
+/// one buffer, they leave as one relay frame per tree child.
+#[derive(Default)]
+pub(super) struct PendingRun {
+    /// The generation every record is stamped with, held until they
+    /// leave, so its end-of-generation markers cannot overtake them.
+    /// `None` while the run is empty.
+    generation: Option<Arc<RelayEpoch>>,
+    /// The worker whose tree the records travel.
+    origin: u32,
+    records: usize,
+    bytes: BytesMut,
+}
+
+impl PendingRun {
+    /// Empty it, keeping the buffer's capacity.
+    fn clear(&mut self) {
+        self.generation = None;
+        self.records = 0;
+        self.bytes.clear();
     }
 }
 
@@ -347,6 +398,13 @@ pub(super) struct Held {
     generation: Option<Arc<RelayEpoch>>,
     /// Whether the reference goes back to [`HELD`].
     keep: bool,
+}
+
+impl Held {
+    /// A reference of the run's own to the generation.
+    fn share(&self) -> Arc<RelayEpoch> {
+        Arc::clone(self.generation.as_ref().expect("taken only by drop"))
+    }
 }
 
 impl std::ops::Deref for Held {
@@ -385,13 +443,15 @@ impl Routing {
     }
 
     /// Whale's multicast path: encode once into a child-invariant relay
-    /// frame (a forwarded wire item's bytes are copied, not serialized),
-    /// dispatch locally, and send the same wire buffer to each of the
-    /// source worker's tree children; relays forward the received bytes
-    /// verbatim. Returns the XOR of the anchors armed for the component's
-    /// tasks when `tracked` is set (the whole subscriber set, local and
-    /// remote, is charged up front — an undelivered branch times out into
-    /// a replay).
+    /// record (a forwarded wire item's bytes are copied, not serialized),
+    /// dispatch locally, and append the record to the step's pending run,
+    /// which sends one wire buffer to each of the source worker's tree
+    /// children ([`Self::send_relay_run`]); relays forward the received
+    /// bytes verbatim. Off a pipeline's step the record leaves at once, as
+    /// a frame of its own. Returns the XOR of the anchors armed for the
+    /// component's tasks when `tracked` is set (the whole subscriber set,
+    /// local and remote, is charged up front — an undelivered branch times
+    /// out into a replay).
     pub(super) fn relay_broadcast(
         &self,
         src: TaskId,
@@ -413,17 +473,51 @@ impl Routing {
         let data = ExecMsg::Data(item.clone(), tracked);
         self.deliver_to_component(src_worker, comp, data);
         let epoch = relay.hold(None).expect("a current generation");
+        let origin = src_worker.0;
         let header = RelayHeader {
-            origin: src_worker.0,
+            origin,
             epoch: epoch.epoch,
             component: comp.0,
             tracked: tracked.unwrap_or(0),
         };
-        self.with_frame(
-            |buf| wire::encode_relay(buf, header, item),
-            |frame| self.relay_fanout(&epoch, src_worker.0, Node::Source, frame, 1, drop),
-        );
+        // Off a pipeline's step nothing would send the run later.
+        let alone = CURRENT_SHARD.with(|c| c.get()).is_none();
+        self.stats.add(Ctr::frames_encoded, 1);
+        PENDING.with_borrow_mut(|run| {
+            let other = |g: &Arc<RelayEpoch>| g.epoch != epoch.epoch || run.origin != origin;
+            if run.generation.as_ref().is_some_and(other) {
+                self.send_run(run);
+            }
+            if run.generation.is_none() {
+                (run.generation, run.origin) = (Some(epoch.share()), origin);
+            }
+            wire::encode_relay(&mut run.bytes, header, item);
+            run.records += 1;
+            if alone || run.records >= RUN_CAP {
+                self.send_run(run);
+            }
+        });
         arm_xor
+    }
+
+    /// Send the running pipeline's pending relay run, if it has one: one
+    /// frame to each of its origin's tree children on the generation its
+    /// records carry. A pipeline's step ends with this.
+    pub(super) fn send_relay_run(&self) {
+        PENDING.with_borrow_mut(|run| self.send_run(run));
+    }
+
+    /// [`Self::send_relay_run`] of `run`, which is left empty. The records
+    /// were counted in `frames_encoded` as they were encoded; the frame
+    /// is snapshotted once into a buffer every child's send shares.
+    fn send_run(&self, run: &mut PendingRun) {
+        let Some(generation) = run.generation.take() else {
+            return;
+        };
+        self.with_encoded(&run.bytes, |frame| {
+            self.relay_fanout(&generation, run.origin, Node::Source, frame, 1, drop)
+        });
+        run.clear();
     }
 
     /// End-of-stream for a relayed stream: it travels the same tree as
@@ -463,6 +557,9 @@ impl Routing {
     /// go of it, so they trail this EOS.
     fn try_relay_eos(&self, eos: WaitingEos) -> bool {
         let relay = self.relay.as_ref().expect("relayed implies relay state");
+        // Behind every record this pipeline has broadcast, and not holding
+        // a generation whose flush it may wait on.
+        self.send_relay_run();
         let origin = self.placement.worker_of(eos.src).0;
         let epoch = relay.hold(None).expect("a current generation");
         let prev = relay.prev.read();
@@ -532,20 +629,21 @@ impl Routing {
     /// generation the frame was stamped with (current or flushing) and
     /// this worker's node in `origin`'s tree. A frame on a retired
     /// generation is stale-dropped — never delivered; tracked runs replay
-    /// the tuple on the current tree — and one whose origin or node does
-    /// not exist is dropped.
+    /// its tuples on the current tree — and counted as the `stale` tuples
+    /// it carries; one whose origin or node does not exist is dropped.
     fn relay_admit(
         &self,
         my_worker: u32,
         origin: u32,
         epoch: u32,
+        stale: impl FnOnce() -> u64,
     ) -> Option<(&RelayState, Held, u32)> {
         let Some(relay) = self.relay.as_ref() else {
             self.stats.add(Ctr::dropped_frames, 1);
             return None;
         };
         let Some(epoch) = relay.hold(Some(epoch)) else {
-            self.stats.add(Ctr::relay_stale_drops, 1);
+            self.stats.add(Ctr::relay_stale_drops, stale());
             return None;
         };
         let Some(node) = self.node_in(&epoch, origin, my_worker) else {
@@ -555,25 +653,33 @@ impl Routing {
         Some((relay, epoch, node))
     }
 
-    /// A relay worker received a broadcast frame: forward the *received
+    /// A relay worker received a broadcast frame: admit it once, on its
+    /// first record's origin and generation, and forward the *received
     /// wire bytes* to the tree children — no decode, no re-encode, no
     /// buffer-pool round-trip; a shared payload is refcount-bumped, a
-    /// copied one is copied by the fabric — then decode once, only for
-    /// local delivery.
+    /// copied one is copied by the fabric — then deliver its records in
+    /// order, each decoded once, only for local delivery. `drain` runs
+    /// what one record caused locally before the next is anchored, so the
+    /// block `spare` gets back serves every record. A record that does not
+    /// frame, or is on another tree than the first, is dropped with the
+    /// rest of the frame (nothing after it can be trusted) and counted
+    /// once in `dropped_frames`; forwarding, which comes first, sent the
+    /// frame on whole.
     pub(super) fn on_relay_frame(
         &self,
         my_worker: u32,
-        h: RelayHeader,
+        run: RelayRun<'_>,
         payload: &Payload,
-        item: &[u8],
         spare: &mut WireSpare,
+        drain: &mut dyn FnMut(&mut WireSpare),
     ) {
-        let Some((relay, epoch, node)) = self.relay_admit(my_worker, h.origin, h.epoch) else {
+        let h = run.header;
+        let stale = || run.records().count() as u64;
+        let Some((relay, epoch, node)) = self.relay_admit(my_worker, h.origin, h.epoch, stale)
+        else {
             return;
         };
-        if let Some(depth) = epoch.depths[h.origin as usize][node as usize] {
-            relay.record_depth(depth);
-        }
+        let depth = epoch.depths[h.origin as usize][node as usize];
         // Only 1 in LATENCY_SAMPLE forwarding hops of each pipeline is
         // timed: pick first, read the clock only for the pick.
         let forwards = !epoch.trees[h.origin as usize]
@@ -587,35 +693,51 @@ impl Routing {
         let t0 = sampled.then(Instant::now);
         let forwarded =
             self.relay_fanout(&epoch, h.origin, Node::Dest(node), payload.into(), 1, drop);
-        if forwarded > 0 {
-            self.stats.add(Ctr::relay_forwards, forwarded);
-            if let Some(t0) = t0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                relay.forward_ns.lock().record(ns);
-            }
+        if let Some(t0) = t0.filter(|_| forwarded > 0) {
+            let ns = t0.elapsed().as_nanos() as u64;
+            relay.forward_ns.lock().record(ns);
         }
-        // Validate framing once for the whole worker, then dispatch the
-        // lazy view — local executors decode at most once, on first
-        // touch, against the shared relay buffer. A corrupt frame is
-        // dropped (and counted) rather than crashing the relay worker.
-        let lazy = TupleView::parse(item).and_then(|v| self.lazy_tuple(payload, &v, spare));
-        let lazy = match lazy {
-            Ok(l) => l,
-            Err(_) => {
+        // What the records cause locally may broadcast on the generation
+        // in turn: the pipeline's own reference goes back to it first.
+        drop(epoch);
+        // Validate each record's framing once for the whole worker, then
+        // dispatch the lazy view — local executors decode at most once,
+        // on first touch, against the shared relay buffer. A corrupt
+        // record is dropped (and counted) rather than crashing the relay
+        // worker.
+        let mut records = 0u64;
+        for record in run.records() {
+            records += 1;
+            let record = record
+                .ok()
+                .filter(|(r, _)| (r.origin, r.epoch) == (h.origin, h.epoch));
+            let Some((r, view)) = record else {
                 self.stats.add(Ctr::dropped_frames, 1);
-                return;
-            }
-        };
-        let tracked = (h.tracked != 0).then_some(h.tracked);
-        let comp = ComponentId(h.component);
-        self.deliver_to_component(WorkerId(my_worker), comp, ExecMsg::Data(lazy, tracked));
+                break;
+            };
+            let Ok(lazy) = self.lazy_tuple(payload, &view, spare) else {
+                self.stats.add(Ctr::dropped_frames, 1);
+                continue;
+            };
+            let tracked = (r.tracked != 0).then_some(r.tracked);
+            let comp = ComponentId(r.component);
+            self.deliver_to_component(WorkerId(my_worker), comp, ExecMsg::Data(lazy, tracked));
+            drain(spare);
+        }
+        if let Some(depth) = depth {
+            relay.record_depth(depth, records);
+        }
+        if forwarded > 0 {
+            self.stats.add(Ctr::relay_forwards, forwarded * records);
+        }
     }
 
     /// A relay worker received an EOS frame: forward the received bytes
     /// along the tree, then deliver EOS to the local instances of the
     /// component.
     pub(super) fn on_relay_eos(&self, my_worker: u32, eos: RelayEos, payload: &Payload) {
-        let Some((_, epoch, node)) = self.relay_admit(my_worker, eos.origin, eos.epoch) else {
+        let admitted = self.relay_admit(my_worker, eos.origin, eos.epoch, || 1);
+        let Some((_, epoch, node)) = admitted else {
             return;
         };
         let from = Node::Dest(node);
@@ -1075,7 +1197,13 @@ mod tests {
                 while let Ok(msg) = endpoint.try_recv() {
                     any = true;
                     if keep(worker, msg.payload.bytes()) {
-                        super::super::pipeline::on_frame(worker, &msg, routing, &mut scratch);
+                        super::super::pipeline::on_frame(
+                            worker,
+                            &msg,
+                            routing,
+                            &mut scratch,
+                            &mut [],
+                        );
                     }
                 }
             }
@@ -1198,6 +1326,213 @@ mod tests {
         assert_eq!(routing.stats.get(Ctr::relay_marker_resends), 0);
     }
 
+    /// A sink that counts what it executes into its slot of the first
+    /// array, and what it had counted when its EOS arrived into the second.
+    struct AtEos {
+        idx: usize,
+        executed: Arc<[AtomicU64; 16]>,
+        at_eos: Arc<[AtomicU64; 16]>,
+    }
+
+    impl crate::operator::Bolt for AtEos {
+        fn execute(&mut self, _t: &Tuple, _out: &mut dyn Emitter) {
+            self.executed[self.idx].fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn finish(&mut self, _out: &mut dyn Emitter) {
+            let n = self.executed[self.idx].load(Ordering::Relaxed);
+            self.at_eos[self.idx].store(n, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_relayed_eos_sent_in_the_same_step_as_data_trails_all_of_it() {
+        // A prompt spout doubles its batch each step, so its last step
+        // emits a run's worth of tuples and then finds the source dry: the
+        // EOS it relays in that step must leave behind that run, or a sink
+        // would finish short and drop what came after.
+        const TUPLES: u64 = 1_000;
+        for fabric in [
+            FabricKind::PerSend,
+            FabricKind::Ring(whale_net::RingConfig::default()),
+            FabricKind::OneSided(whale_net::OneSidedConfig::default()),
+        ] {
+            let mut b = crate::topology::TopologyBuilder::new();
+            b.spout("src", 1, Schema::new(vec!["n"]))
+                .bolt("sink", 16, Schema::new(vec!["n"]))
+                .connect("src", "sink", Grouping::All);
+            let executed: Arc<[AtomicU64; 16]> = Arc::default();
+            let at_eos: Arc<[AtomicU64; 16]> = Arc::default();
+            let (counts, finished) = (Arc::clone(&executed), Arc::clone(&at_eos));
+            let ops = Operators::new()
+                .spout("src", |_| {
+                    let tuples = (0..TUPLES).map(|i| Tuple::with_id(i, vec![Value::I64(i as i64)]));
+                    Box::new(IterSpout::new(tuples))
+                })
+                .bolt("sink", move |idx| {
+                    Box::new(AtEos {
+                        idx: idx as usize,
+                        executed: Arc::clone(&counts),
+                        at_eos: Arc::clone(&finished),
+                    })
+                });
+            let config = LiveConfig {
+                machines: 4,
+                multicast_d_star: Some(2),
+                fabric,
+                ..LiveConfig::default()
+            };
+            let r = run_on(b.build().unwrap(), ops, config, 1);
+            assert_eq!(r.outcome, RunOutcome::Clean, "{fabric:?}");
+            assert_eq!(r.executed[1], TUPLES * 16, "{fabric:?}");
+            for sink in 0..16 {
+                let at_eos = at_eos[sink].load(Ordering::Relaxed);
+                assert_eq!(at_eos, TUPLES, "{fabric:?}: sink {sink} finished early");
+            }
+            // Runs, not a frame per tuple on each of the three tree edges.
+            assert!(r.fabric_messages < TUPLES * 3, "{fabric:?}: {r:?}");
+            assert_eq!(r.relay_forwards, TUPLES, "{fabric:?}: one forwarding node");
+        }
+    }
+
+    /// Run `f` as a step of worker `origin`'s pipeline in [`chains`] would
+    /// run: its relay state entered, its pending run sent at the end.
+    /// Returns what it delivered to the pipeline's own tasks.
+    fn as_step(routing: &Routing, origin: u32, local: &mut RelayLocal, f: impl FnOnce()) -> usize {
+        CURRENT_SHARD.with(|c| c.set(Some(origin as usize)));
+        local.enter();
+        f();
+        routing.send_relay_run();
+        local.leave();
+        CURRENT_SHARD.with(|c| c.set(None));
+        let own = super::super::send::LOCAL_QUEUE.with_borrow_mut(std::mem::take);
+        own.len()
+    }
+
+    /// `(epoch, records)` of a relay frame, each record's epoch checked
+    /// against the first's; `None` for any other frame.
+    fn relay_run(frame: &[u8]) -> Option<(u32, usize)> {
+        let Ok(wire::FrameView::Relay(run)) = wire::parse(frame) else {
+            return None;
+        };
+        let records: Vec<_> = run.records().map(Result::unwrap).collect();
+        let epoch = run.header.epoch;
+        assert!(
+            records.iter().all(|(h, _)| h.epoch == epoch),
+            "one generation per run"
+        );
+        Some((epoch, records.len()))
+    }
+
+    #[test]
+    fn a_switch_inside_a_step_cuts_its_run_and_the_markers_trail_the_first_part() {
+        let (routing, endpoints, queues) = chains(Arc::new(whale_net::LiveFabric::new()));
+        let src = routing.topology.tasks_of("src")[0];
+        let origin = routing.placement.worker_of(src).0;
+        let double = routing.topology.component("double").unwrap().id;
+        let emit = |n: u64| {
+            let item = LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::I64(n as i64)]));
+            routing.relay_broadcast(src, &item, double, None);
+        };
+        // Three tuples on generation 0, a switch (d* 1 → 2), two more on
+        // generation 1 — all in one step.
+        let mut local = RelayLocal::default();
+        let own = as_step(&routing, origin, &mut local, || {
+            (0..3).for_each(emit);
+            assert!(super::super::control::switch_structure(&routing, 2));
+            // The run holds generation 0: no marker may leave yet.
+            assert!(routing.markers_unposted());
+            (3..5).for_each(emit);
+        });
+        assert_eq!(own, 5, "the origin's own sinks, once per tuple");
+        // Between steps the pipeline holds only the current generation:
+        // the demoted one's markers leave now.
+        assert!(!routing.tend_flush());
+        assert!(!routing.markers_unposted());
+        // Each generation's tree delivers its part once to every node, and
+        // a link carries what it carries of one tree in order: the
+        // generation-0 run ahead of that generation's marker. (The two
+        // generations' parts may reach a node over different links.)
+        let mut seen: Vec<Vec<(&str, u32, usize)>> = vec![Vec::new(); 4];
+        pump(&routing, &endpoints, |worker, frame| {
+            let what = match (relay_run(frame), wire::parse(frame)) {
+                (Some((epoch, records)), _) => Some(("run", epoch, records)),
+                (None, Ok(wire::FrameView::RelayMarker(m))) if m.origin == origin => {
+                    Some(("marker", m.epoch, 0))
+                }
+                _ => None,
+            };
+            seen[worker as usize].extend(what);
+            true
+        });
+        for (worker, frames) in seen.iter().enumerate() {
+            if worker as u32 == origin {
+                assert!(frames.is_empty());
+                continue;
+            }
+            let mut runs: Vec<_> = frames.iter().filter(|f| f.0 == "run").collect();
+            runs.sort_unstable();
+            assert_eq!(runs, [&("run", 0, 3), &("run", 1, 2)], "worker {worker}");
+            let marker = frames.iter().position(|f| f.0 == "marker");
+            let first = frames.iter().position(|f| *f == ("run", 0, 3));
+            assert!(marker > first, "worker {worker}: {frames:?}");
+            assert_eq!(handed(&queues[worker]), (5, 0), "worker {worker}");
+        }
+        assert!(retires_within(&routing, Duration::from_secs(1)));
+        let stats = &routing.stats;
+        assert_eq!(stats.get(Ctr::relay_stale_drops), 0);
+        assert_eq!(stats.get(Ctr::dropped_frames), 0);
+        // Each tuple forwarded once per forwarding hop, and every record
+        // counted in the depth histogram it was received at.
+        assert_eq!(stats.get(Ctr::relay_forwards), 3 * 2 + 2);
+        assert_eq!(stats.get(Ctr::frames_encoded), 5 + 4);
+    }
+
+    #[test]
+    fn a_run_whose_third_record_is_corrupt_delivers_two_and_is_forwarded_whole() {
+        let (routing, endpoints, queues) = chains(Arc::new(whale_net::LiveFabric::new()));
+        let src = routing.topology.tasks_of("src")[0];
+        let origin = routing.placement.worker_of(src).0;
+        let double = routing.topology.component("double").unwrap().id;
+        let mut run = bytes::BytesMut::new();
+        let mut third = 0;
+        for n in 0..3u64 {
+            third = run.len();
+            let header = RelayHeader {
+                origin,
+                epoch: 0,
+                component: double.0,
+                tracked: 0,
+            };
+            let item = LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::I64(n as i64)]));
+            wire::encode_relay(&mut run, header, &item);
+        }
+        // The third item's first value tag (after kind, header, id and
+        // arity) names no type.
+        run[third + 1 + RelayHeader::WIRE_BYTES + 10] = 99;
+        let run: Arc<[u8]> = Arc::from(&run[..]);
+        let child = relay_node_worker(origin, 0, 4).0;
+        let (from, to) = (
+            routing.relay_endpoint(origin),
+            routing.relay_endpoint(child),
+        );
+        assert!(routing.send_wire(from, to, Wire::Shared(&run)));
+        let mut received = 0;
+        pump(&routing, &endpoints, |worker, frame| {
+            assert_ne!(worker, origin);
+            assert_eq!(frame, &run[..], "worker {worker}: forwarded whole");
+            received += 1;
+            true
+        });
+        assert_eq!(received, 3, "down the whole chain");
+        for (worker, queue) in queues.iter().enumerate() {
+            let expected = if worker as u32 == origin { 0 } else { 2 };
+            assert_eq!(handed(queue), (expected, 0), "worker {worker}");
+        }
+        // One drop per receiver: the corrupt record and what follows it.
+        assert_eq!(routing.stats.get(Ctr::dropped_frames), 3);
+    }
+
     #[test]
     fn stale_epoch_relay_frames_are_dropped_not_delivered() {
         let routing = bare_routing(
@@ -1226,7 +1561,7 @@ mod tests {
                 from: whale_net::EndpointId(1),
                 payload: Payload::Copied(f[..1 + RelayHeader::WIRE_BYTES].to_vec()),
             };
-            super::super::pipeline::on_frame(0, &msg, &routing, &mut Default::default());
+            super::super::pipeline::on_frame(0, &msg, &routing, &mut Default::default(), &mut []);
         };
         // A frame from a retired generation: stale-dropped, not counted
         // as a malformed frame, never delivered.
@@ -1235,6 +1570,26 @@ mod tests {
         // accepted by the epoch check, dropped at decode.
         receive(3);
         assert_eq!(routing.stats.get(Ctr::relay_stale_drops), 1);
+        assert_eq!(routing.stats.get(Ctr::dropped_frames), 1);
+        // A retired generation's run of three records: three tuples
+        // stale-dropped.
+        let mut run = bytes::BytesMut::new();
+        for n in 0..3 {
+            let h = RelayHeader {
+                origin: 1,
+                epoch: 0,
+                component: 1,
+                tracked: 0,
+            };
+            let item = LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::I64(1)]));
+            wire::encode_relay(&mut run, h, &item);
+        }
+        let msg = whale_net::LiveMessage {
+            from: whale_net::EndpointId(1),
+            payload: Payload::Copied(run.to_vec()),
+        };
+        super::super::pipeline::on_frame(0, &msg, &routing, &mut Default::default(), &mut []);
+        assert_eq!(routing.stats.get(Ctr::relay_stale_drops), 1 + 3);
         assert_eq!(routing.stats.get(Ctr::dropped_frames), 1);
     }
 }

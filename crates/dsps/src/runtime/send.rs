@@ -566,6 +566,18 @@ impl Routing {
         self.send_frame(&scratch, 0, None, send)
     }
 
+    /// Hand `frame`, encoded and counted elsewhere (a relay run), to `send`
+    /// as a [`Wire`] that may be sent several times: zero-copy runs
+    /// snapshot it once into a shared buffer every send refcounts, copied
+    /// runs lend it and pay the TCP copy per send.
+    pub(super) fn with_encoded<R>(&self, frame: &[u8], send: impl FnOnce(Wire<'_>) -> R) -> R {
+        if self.config.zero_copy {
+            send(Wire::Shared(&Arc::from(frame)))
+        } else {
+            send(Wire::Copied(frame))
+        }
+    }
+
     /// Hand the frame encoded at `scratch[start..]` to `send` as a
     /// [`Wire`] — the one place a frame leaves for the fabric. `once`
     /// names the one endpoint (and the ledger key) of a data frame sent
@@ -856,9 +868,12 @@ mod tests {
                         assert_eq!(fwd_sunk, re_sunk, "{what}");
                         let fanout = if edge == Grouping::All { PASS_SINKS } else { 1 };
                         assert_eq!(fwd_sunk.len() as u32, 120 * fanout, "{what}");
+                        // How many relay records share a frame follows the
+                        // schedule; what the frames carry does not.
+                        let messages = |r: &RunReport| (!relayed).then_some(r.fabric_messages);
                         let frames = |r: &RunReport| {
                             (
-                                (r.fabric_messages, r.shared_bytes, r.copied_bytes),
+                                (messages(r), r.shared_bytes, r.copied_bytes),
                                 (r.frames_encoded, r.relay_forwards, r.relay_bytes),
                                 (r.log_appended_records, r.log_appended_bytes),
                                 r.link_bytes.clone(),

@@ -10,19 +10,24 @@
 //! | 1 instance | `[tracked u64]` `src u32` `dst u32` item | 1 [+8] + 8 + item |
 //! | 2 worker | `[tracked u64]` `src u32` `n u32` `dst u32 × n` item | 1 [+8] + 8 + 4n + item |
 //! | 3 EOS | `src u32` `n u32` `dst u32 × n` | 9 + 4n |
-//! | 4 relay | `origin u32` `epoch u32` `component u32` `tracked u64` item | 21 + item |
+//! | 4 relay | `origin u32` `epoch u32` `component u32` `tracked u64` item, then more relay records | 21 + item per record |
 //! | 5 relay EOS | `origin u32` `epoch u32` `component u32` `src u32` | 17 |
 //! | 6 relay marker | `origin u32` `epoch u32` | 9 |
 //!
 //! Only instance and worker frames take the [`TRACKED`] bit. A relay
-//! frame always carries its ledger key inline (0 = untracked) so its
-//! header stays fixed-offset and *child-invariant* — no node index, every
-//! receiver derives its own — which is what lets a relay forward the
-//! received bytes verbatim. Anchors never travel: both sides derive them
-//! from `(tracked, dst)`.
+//! frame is one or more *relay records* back to back, each a kind byte
+//! (4), a header and an item, with no length field between them: an item
+//! delimits itself ([`TupleView::wire_len`]), so the next record starts
+//! where it ends. Every record of a frame is on the first one's tree and
+//! generation (same `origin` and `epoch`); a frame of one record is
+//! byte for byte what a lone tuple always was. A record always carries
+//! its ledger key inline (0 = untracked) so its header stays fixed-offset
+//! and *child-invariant* — no node index, every receiver derives its own
+//! — which is what lets a relay forward the received bytes verbatim.
+//! Anchors never travel: both sides derive them from `(tracked, dst)`.
 
 use crate::codec::{
-    need, DecodeError, InstanceMessageView, LazyTuple, RelayHeader, WorkerMessageView,
+    need, DecodeError, InstanceMessageView, LazyTuple, RelayHeader, TupleView, WorkerMessageView,
 };
 use crate::task::{ComponentId, TaskId};
 use bytes::{Buf, BufMut, BytesMut};
@@ -74,13 +79,75 @@ pub(super) enum FrameView<'a> {
     Worker(Option<u64>, WorkerMessageView<'a>),
     /// Point-to-point end-of-stream from `src` to the listed tasks.
     Eos { src: TaskId, dsts: EosDsts<'a> },
-    /// A relayed broadcast. The item is handed over unvalidated: a relay
-    /// forwards the received bytes before it decodes anything.
-    Relay { header: RelayHeader, item: &'a [u8] },
+    /// A relayed broadcast: one or more relay records. The items are
+    /// handed over unvalidated: a relay forwards the received bytes before
+    /// it decodes anything.
+    Relay(RelayRun<'a>),
     /// A relayed end-of-stream.
     RelayEos(RelayEos),
     /// A demoted generation's end-of-generation marker.
     RelayMarker(RelayMarker),
+}
+
+/// A received relay frame: the first record's header, read to admit the
+/// whole frame, and the bytes from its item on.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct RelayRun<'a> {
+    /// The first record's header: the frame's origin and generation.
+    pub header: RelayHeader,
+    /// The first record's item and every record after it.
+    body: &'a [u8],
+}
+
+impl<'a> RelayRun<'a> {
+    /// The frame's records in order, each a header and its item's view.
+    pub(super) fn records(&self) -> RelayRecords<'a> {
+        RelayRecords {
+            next: Some(self.header),
+            rest: self.body,
+        }
+    }
+}
+
+/// The records of a [`RelayRun`]. A record that does not frame (a kind
+/// byte other than relay, a short header, an item that fails to
+/// validate) comes out as one `Err` and ends the walk: nothing after it
+/// can be delimited.
+pub(super) struct RelayRecords<'a> {
+    /// The header already read for the next record (the first's).
+    next: Option<RelayHeader>,
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for RelayRecords<'a> {
+    type Item = Result<(RelayHeader, TupleView<'a>), DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let header = match self.next.take() {
+            Some(header) => Ok(header),
+            None if self.rest.is_empty() => return None,
+            None => relay_record_header(&mut self.rest),
+        };
+        let rest = self.rest;
+        let record = header.and_then(|header| {
+            let view = TupleView::parse(rest)?;
+            self.rest = &rest[view.wire_len()..];
+            Ok((header, view))
+        });
+        if record.is_err() {
+            self.rest = &[];
+        }
+        Some(record)
+    }
+}
+
+/// The kind byte and header of a relay record after the first.
+fn relay_record_header(buf: &mut &[u8]) -> Result<RelayHeader, DecodeError> {
+    need(&*buf, 1)?;
+    match buf.get_u8() {
+        KIND_RELAY => RelayHeader::decode(buf),
+        other => Err(DecodeError::BadTag(other)),
+    }
 }
 
 /// The destination ids of an EOS frame, read straight off the wire.
@@ -124,10 +191,10 @@ pub(super) fn parse(frame: &[u8]) -> Result<FrameView<'_>, DecodeError> {
                 dsts: EosDsts(&buf[..n * 4]),
             })
         }
-        KIND_RELAY => Ok(FrameView::Relay {
+        KIND_RELAY => Ok(FrameView::Relay(RelayRun {
             header: RelayHeader::decode(&mut buf)?,
-            item: buf,
-        }),
+            body: buf,
+        })),
         KIND_RELAY_EOS => {
             need(&buf, 16)?;
             Ok(FrameView::RelayEos(RelayEos {
@@ -233,8 +300,10 @@ pub(super) fn encode_eos(
     put_ids(buf, dsts);
 }
 
-/// A broadcast item entering the relay tree: the whole frame is encoded
-/// exactly once and every hop forwards these bytes.
+/// A broadcast item entering the relay tree as one relay record, appended
+/// to `buf`: alone it is a whole relay frame, and records appended back to
+/// back are one frame too. Encoded exactly once; every hop forwards these
+/// bytes.
 pub(super) fn encode_relay(buf: &mut BytesMut, header: RelayHeader, item: &LazyTuple) {
     buf.put_u8(KIND_RELAY);
     header.encode_into(buf);
@@ -306,13 +375,25 @@ mod tests {
         buf.to_vec()
     }
 
-    /// Framing and — for relay frames, whose item `parse` leaves to the
-    /// receiver — the data item both validate.
+    /// Framing and — for relay frames, whose items `parse` leaves to the
+    /// receiver — every record both validate.
     fn valid(frame: &[u8]) -> bool {
         match parse(frame) {
-            Ok(FrameView::Relay { item, .. }) => crate::codec::TupleView::parse(item).is_ok(),
+            Ok(FrameView::Relay(run)) => run.records().all(|record| record.is_ok()),
             other => other.is_ok(),
         }
+    }
+
+    /// `(header, item bytes)` of each record of a relay frame, up to the
+    /// first that does not frame.
+    fn records(frame: &[u8]) -> Vec<(RelayHeader, Vec<u8>)> {
+        let Ok(FrameView::Relay(run)) = parse(frame) else {
+            panic!("a relay frame")
+        };
+        let records = run.records().map_while(Result::ok);
+        records
+            .map(|(h, view)| (h, view.wire_bytes().to_vec()))
+            .collect()
     }
 
     #[test]
@@ -367,13 +448,7 @@ mod tests {
             };
             let f = encoded(|b| encode_relay(b, header, &owned));
             assert_eq!(f.len(), 1 + RelayHeader::WIRE_BYTES + item.len());
-            match parse(&f).unwrap() {
-                FrameView::Relay { header: h, item: i } => {
-                    assert_eq!(h, header);
-                    assert_eq!(i, &item[..]);
-                }
-                other => panic!("relay frame parsed as {other:?}"),
-            }
+            assert_eq!(records(&f), [(header, item.to_vec())]);
             frames.push(f);
         }
         let f = encoded(|b| encode_eos(b, TaskId(3), dsts.iter().copied()));
@@ -478,6 +553,76 @@ mod tests {
         assert_eq!(wire.wire_len(), reencoded.wire_len());
         assert_eq!(forwarded, frames(&reencoded));
         assert_eq!(forwarded, frames(&wire), "once materialized, as before");
+    }
+
+    #[test]
+    fn a_run_of_one_is_the_relay_frame_a_lone_tuple_always_was() {
+        // Golden bytes: kind 4, origin 2, epoch 7, component 1, tracked
+        // 0xBEEF, then the item (id 9, arity 2, i64 -3, str "driver-42").
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            4,
+            2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0,
+            0xEF, 0xBE, 0, 0, 0, 0, 0, 0,
+            9, 0, 0, 0, 0, 0, 0, 0, 2, 0,
+            1, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+            3, 9, 0, 0, 0, b'd', b'r', b'i', b'v', b'e', b'r', b'-', b'4', b'2',
+        ];
+        let header = RelayHeader {
+            origin: 2,
+            epoch: 7,
+            component: 1,
+            tracked: 0xBEEF,
+        };
+        let owned = LazyTuple::from_tuple(tuple());
+        assert_eq!(encoded(|b| encode_relay(b, header, &owned)), golden);
+        let item = golden[1 + RelayHeader::WIRE_BYTES..].to_vec();
+        assert_eq!(records(golden), [(header, item)]);
+    }
+
+    #[test]
+    fn records_back_to_back_are_one_frame_read_in_order_up_to_a_corrupt_one() {
+        let header = |n: u32| RelayHeader {
+            origin: 2,
+            epoch: 7,
+            component: n,
+            tracked: n as u64,
+        };
+        let items: Vec<LazyTuple> = (0..4)
+            .map(|n| {
+                LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::str("x".repeat(n as usize))]))
+            })
+            .collect();
+        let mut run = BytesMut::new();
+        let mut ends = Vec::new();
+        for (n, item) in (0..).zip(&items) {
+            encode_relay(&mut run, header(n), item);
+            ends.push(run.len());
+        }
+        let expected: Vec<(RelayHeader, Vec<u8>)> = (0..)
+            .zip(&items)
+            .map(|(n, item)| (header(n), encoded(|b| item.encode_into(b))))
+            .collect();
+        assert_eq!(records(&run), expected);
+        assert!(valid(&run));
+        // Cut at a record boundary, a run is a shorter run; cut anywhere
+        // else, its last record does not frame.
+        for cut in 1 + RelayHeader::WIRE_BYTES..run.len() {
+            let whole = ends.iter().position(|&end| end == cut);
+            assert_eq!(valid(&run[..cut]), whole.is_some(), "cut at {cut}");
+            let framed = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(records(&run[..cut]), expected[..framed], "cut at {cut}");
+        }
+        // A third record whose kind byte is not relay: the two before it
+        // are read, then one error, then nothing.
+        let mut corrupt = run.to_vec();
+        corrupt[ends[1]] = KIND_EOS;
+        let Ok(FrameView::Relay(run)) = parse(&corrupt) else {
+            panic!("a relay frame")
+        };
+        let read: Vec<_> = run.records().map(|r| r.map(|(h, _)| h)).collect();
+        let bad = Err(DecodeError::BadTag(KIND_EOS));
+        assert_eq!(read, [Ok(header(0)), Ok(header(1)), bad]);
     }
 
     #[test]

@@ -20,6 +20,33 @@ use whale_net::{FabricKind, FaultPlan, OneSidedConfig, RingConfig};
 const TUPLES: i64 = 50;
 const FANOUT: u32 = 4;
 
+/// How the spout hands out its tuples.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Pace {
+    /// `TUPLES`, each at once: a spout step emits a batch, and what it
+    /// relays leaves as one run of records per tree edge.
+    Prompt,
+    /// `SATURATING` tuples, each at once: runs of up to a full batch, even
+    /// after a call that a busy host made slow (the spout then emits one
+    /// tuple a step for a while).
+    Saturating,
+    /// `TUPLES`, each call slower than the runtime lets a step wait on one:
+    /// every step emits one tuple, and every run is a run of one.
+    Slow,
+}
+
+/// Tuples of a [`Pace::Saturating`] spout.
+const SATURATING: i64 = 400;
+
+impl Pace {
+    fn tuples(self) -> i64 {
+        match self {
+            Pace::Saturating => SATURATING,
+            Pace::Prompt | Pace::Slow => TUPLES,
+        }
+    }
+}
+
 /// Relay out-degrees the equivalence must hold at.
 const DEGREES: [u32; 3] = [1, 2, 4];
 
@@ -32,10 +59,11 @@ fn fabrics() -> [FabricKind; 3] {
     ]
 }
 
-/// Run one tracked all-grouped topology over `fabric` with `shards`
-/// pipelines per worker and return `(report, per-value execution counts
-/// unioned over sink instances)`.
+/// Run one tracked all-grouped topology, its spout paced by `pace`, over
+/// `fabric` with `shards` pipelines per worker and return `(report,
+/// per-value execution counts unioned over sink instances)`.
 fn run_cell(
+    pace: Pace,
     machines: u32,
     d_star: Option<u32>,
     adaptive: Option<AdaptiveConfig>,
@@ -52,9 +80,12 @@ fn run_cell(
     let sink_seen = Arc::clone(&seen);
     let ops = Operators::new()
         .spout("src", move |_| {
-            Box::new(IterSpout::new(
-                (0..TUPLES).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-            ))
+            Box::new(IterSpout::new((0..pace.tuples()).map(move |i| {
+                if pace == Pace::Slow {
+                    std::thread::sleep(Duration::from_micros(60));
+                }
+                Tuple::with_id(i as u64, vec![Value::I64(i)])
+            })))
         })
         .bolt("sink", move |_| {
             let seen = Arc::clone(&sink_seen);
@@ -94,10 +125,10 @@ fn run_cell(
     (report, counts)
 }
 
-/// The dedup'd execution multiset must be exactly the emitted set,
+/// The dedup'd execution multiset must be exactly the `tuples` emitted,
 /// executed once per sink instance — the shared oracle for every cell.
-fn assert_exact_delivery(label: &str, r: &RunReport, counts: &HashMap<i64, u64>) {
-    assert_eq!(r.spout_emitted, TUPLES as u64, "{label}: spout must finish");
+fn assert_exact_delivery(label: &str, r: &RunReport, counts: &HashMap<i64, u64>, tuples: i64) {
+    assert_eq!(r.spout_emitted, tuples as u64, "{label}: spout must finish");
     assert_eq!(
         r.tuples_acked + r.tuples_failed,
         r.spout_emitted,
@@ -105,8 +136,8 @@ fn assert_exact_delivery(label: &str, r: &RunReport, counts: &HashMap<i64, u64>)
     );
     assert_eq!(r.tuples_failed, 0, "{label}: replay budget exhausted");
     assert_eq!(r.thread_panics, 0, "{label}: no thread may panic");
-    assert_eq!(counts.len() as i64, TUPLES, "{label}: value set mismatch");
-    for v in 0..TUPLES {
+    assert_eq!(counts.len() as i64, tuples, "{label}: value set mismatch");
+    for v in 0..tuples {
         let n = counts.get(&v).copied().unwrap_or(0);
         assert_eq!(
             n, FANOUT as u64,
@@ -119,7 +150,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Relay ≡ direct: at any out-degree and worker count, with drops
-    /// injected, the relay tree delivers exactly the multiset the direct
+    /// injected, and whether a step relays a run of many records or of
+    /// one, the relay tree delivers exactly the multiset the direct
     /// source-to-every-worker plan delivers.
     #[test]
     fn relay_delivery_equals_direct_delivery(
@@ -127,25 +159,39 @@ proptest! {
         drop_pct in 0u32..21,
         machines in 3u32..8,
         d_idx in 0usize..DEGREES.len(),
+        saturating in any::<bool>(),
     ) {
         let d = DEGREES[d_idx];
+        let pace = if saturating { Pace::Saturating } else { Pace::Slow };
+        let tuples = pace.tuples();
         let plan = |salt: u64| {
             (drop_pct > 0)
                 .then(|| FaultPlan::uniform_drops(seed ^ salt, drop_pct as f64 / 100.0))
         };
         let per_send = (FabricKind::PerSend, 1);
-        let (direct_r, direct_counts) = run_cell(machines, None, None, plan(0), per_send);
-        assert_exact_delivery("direct", &direct_r, &direct_counts);
+        let (direct_r, direct_counts) = run_cell(pace, machines, None, None, plan(0), per_send);
+        assert_exact_delivery("direct", &direct_r, &direct_counts, tuples);
         prop_assert_eq!(direct_r.relay_forwards, 0, "direct plan never relays");
 
-        let label = format!("relay d={d} m={machines} drop={drop_pct}%");
-        let (relay_r, relay_counts) = run_cell(machines, Some(d), None, plan(1), per_send);
-        assert_exact_delivery(&label, &relay_r, &relay_counts);
+        let label = format!("relay d={d} m={machines} drop={drop_pct}% {pace:?}");
+        let (relay_r, relay_counts) = run_cell(pace, machines, Some(d), None, plan(1), per_send);
+        assert_exact_delivery(&label, &relay_r, &relay_counts, tuples);
         prop_assert_eq!(&relay_counts, &direct_counts, "{}: delivery differs", label);
         // A tree wider than the worker set degenerates to the direct
         // star; otherwise some relay node must have forwarded.
         if machines - 1 > d {
             prop_assert!(relay_r.relay_forwards > 0, "{}: tree unused", label);
+        }
+        // A tree over the other workers has one edge per worker. Frames
+        // of one record each would be at least that many per tuple.
+        if pace == Pace::Saturating {
+            let edges = u64::from(machines - 1);
+            prop_assert!(
+                relay_r.fabric_messages < tuples as u64 * edges,
+                "{}: {} frames, no runs",
+                label,
+                relay_r.fabric_messages
+            );
         }
     }
 
@@ -179,13 +225,14 @@ proptest! {
             DEGREES[from_idx], DEGREES[to_idx]
         );
         let (r, counts) = run_cell(
+            Pace::Prompt,
             machines,
             Some(DEGREES[from_idx]),
             Some(adaptive),
             plan,
             (fabric, shards),
         );
-        assert_exact_delivery(&label, &r, &counts);
+        assert_exact_delivery(&label, &r, &counts, TUPLES);
         if DEGREES[from_idx] != DEGREES[to_idx] {
             prop_assert!(r.relay_switches >= 1, "{}: switch must land", label);
             prop_assert!(r.relay_epoch >= 1, "{}: epoch must advance", label);

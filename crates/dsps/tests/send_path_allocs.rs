@@ -471,6 +471,89 @@ fn a_relayed_frame_costs_its_receiver_no_heap_block() {
     );
 }
 
+/// Tuples a spout step of [`a_spout_steps_run_costs_its_origin_one_frame_buffer_and_its_receivers_none`]
+/// relays.
+const RUN: usize = 32;
+
+#[test]
+fn a_spout_steps_run_costs_its_origin_one_frame_buffer_and_its_receivers_none() {
+    // Four machines, d* = 2: worker 0's spout step relays RUN tuples, and
+    // they leave as one run — one shared buffer that both of its tree
+    // children's frames refcount. Per step, the blocks are the tuples' own
+    // `Arc`s and that one buffer (a frame per tuple would be one each).
+    let sink = || -> Box<dyn Bolt> {
+        Box::new(LazyFnBolt::new(|t: &LazyTuple, _out: &mut dyn Emitter| {
+            assert!(t.field(0).is_some());
+        }))
+    };
+    let tuple = |n: usize| {
+        let n = n as i64;
+        Tuple::with_id(
+            (8 * n + 15) as u64,
+            vec![Value::I64(n), Value::str("key-07")],
+        )
+    };
+    let mut origin = relay_worker(4, 0, sink);
+    let mut costs = Vec::new();
+    let mut run = Vec::new();
+    for step in 0..TUPLES / RUN {
+        let tuples: Vec<Tuple> = (0..RUN).map(|i| tuple(step * RUN + i)).collect();
+        let before = blocks();
+        origin.emit_in_one_step(tuples);
+        costs.push(blocks() - before);
+        let sent = origin.take_sent_frames();
+        assert_eq!(sent.len(), 2, "one frame per tree child, not one per tuple");
+        run = sent[0].1.payload.bytes().to_vec();
+    }
+    let steady = &costs[WARMUP / RUN..];
+    let max = steady.iter().max();
+    assert!(steady.iter().all(|&c| c == RUN as u64 + 1), "max {max:?}");
+    // Every worker of the tree receives the run: it anchors each record
+    // in the one block the record before it gave back, and forwards the
+    // run as it came.
+    let run: Arc<[u8]> = Arc::from(run);
+    for worker in 1..4 {
+        let executed = Arc::new(AtomicU64::new(0));
+        let tap = Arc::clone(&executed);
+        let mut receiver = relay_worker(4, worker, move || {
+            let executed = Arc::clone(&tap);
+            Box::new(LazyFnBolt::new(
+                move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                    assert!(t.field(0).is_some());
+                    executed.fetch_add(1, Ordering::Relaxed);
+                },
+            ))
+        });
+        let msg = LiveMessage {
+            from: EndpointId(0),
+            payload: Payload::Shared(Arc::clone(&run)),
+        };
+        let mut costs = Vec::with_capacity(TUPLES / RUN);
+        for _ in 0..TUPLES / RUN {
+            let before = blocks();
+            receiver.receive(&msg);
+            costs.push(blocks() - before);
+            for (_, forwarded) in receiver.take_sent_frames() {
+                assert_eq!(forwarded.payload.bytes(), &run[..], "forwarded whole");
+            }
+        }
+        let received = (TUPLES / RUN * RUN * 4) as u64;
+        assert_eq!(
+            executed.load(Ordering::Relaxed),
+            received,
+            "worker {worker}"
+        );
+        // A forward enters the fabric's queue, whose buffer grows now and
+        // then.
+        let steady = &costs[WARMUP / RUN..];
+        let mean = steady.iter().sum::<u64>() as f64 / steady.len() as f64;
+        assert!(
+            mean <= 0.05,
+            "worker {worker}: mean {mean:.3} blocks per run"
+        );
+    }
+}
+
 /// Per relayed frame worker 1 of two receives, the blocks its one `pass`
 /// instance costs handing the tuple on to the sink on worker 0 — sorted,
 /// after warm-up — with `pass` built by `pass`.
