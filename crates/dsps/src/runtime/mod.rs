@@ -23,7 +23,8 @@
 //! buffers vs TCP-style copies on the fabric.
 //!
 //! Layout: `wire` owns the frame bytes, `send` the one path a frame
-//! takes to the fabric, `relay` the multicast tree, `reliability` the
+//! takes to the fabric, `runs` what a step has encoded and not sent yet,
+//! `relay` the multicast tree, `reliability` the
 //! acker and partition-log wiring, `pipeline` the per-shard step,
 //! `executor` the threads that run the steps (a run has no others),
 //! `control` the step that runs the adaptive controller and log replay on
@@ -37,6 +38,7 @@ mod pipeline;
 mod relay;
 mod reliability;
 mod report;
+mod runs;
 mod send;
 mod wire;
 
@@ -401,6 +403,7 @@ mod testkit {
     pub(super) use crate::operator::{Emitter, FnBolt, IterSpout};
     pub(super) use crate::topology::Grouping;
     pub(super) use crate::tuple::{Schema, Tuple, Value};
+    pub(super) use std::sync::atomic::AtomicU64;
     pub(super) use std::time::Duration;
     pub(super) use whale_net::FabricKind;
 
@@ -451,6 +454,14 @@ mod testkit {
     /// first-hop subscribers, so a one-edge topology makes the delivery
     /// accounting exact.
     pub(super) fn ack_topology(n: i64, fanout: u32) -> (Topology, Operators) {
+        paced_ack_topology(n, fanout, false)
+    }
+
+    /// [`ack_topology`] whose spout, when `slow`, takes longer on each
+    /// tuple than a step waits on one call: every step emits one tuple, so
+    /// every run it sends is a run of one — one frame per tuple and
+    /// destination, which is what a schedule counted in frames assumes.
+    pub(super) fn paced_ack_topology(n: i64, fanout: u32, slow: bool) -> (Topology, Operators) {
         let mut b = crate::topology::TopologyBuilder::new();
         b.spout("src", 1, Schema::new(vec!["n"]))
             .bolt("sink", fanout, Schema::new(vec!["n"]))
@@ -458,14 +469,64 @@ mod testkit {
         let t = b.build().unwrap();
         let ops = Operators::new()
             .spout("src", move |_| {
-                Box::new(IterSpout::new(
-                    (0..n).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-                ))
+                Box::new(IterSpout::new((0..n).map(move |i| {
+                    if slow {
+                        std::thread::sleep(Duration::from_micros(60));
+                    }
+                    Tuple::with_id(i as u64, vec![Value::I64(i)])
+                })))
             })
             .bolt("sink", |_| {
                 Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
             });
         (t, ops)
+    }
+
+    /// A sink that counts what it executes into its slot of the first
+    /// array, and what it had counted when its EOS arrived into the second.
+    pub(super) struct AtEos {
+        idx: usize,
+        executed: Arc<[AtomicU64; 16]>,
+        at_eos: Arc<[AtomicU64; 16]>,
+    }
+
+    impl crate::operator::Bolt for AtEos {
+        fn execute(&mut self, _t: &Tuple, _out: &mut dyn Emitter) {
+            self.executed[self.idx].fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn finish(&mut self, _out: &mut dyn Emitter) {
+            let n = self.executed[self.idx].load(Ordering::Relaxed);
+            self.at_eos[self.idx].store(n, Ordering::Relaxed);
+        }
+    }
+
+    /// A prompt spout of `tuples` tuples → 16 all-grouped [`AtEos`]
+    /// sinks, and what each sink had executed when its EOS arrived. The
+    /// spout doubles its batch each step, so its last step emits a run's
+    /// worth of tuples and then finds the source dry: the EOS it sends in
+    /// that step must leave behind that run, or a sink would finish short.
+    pub(super) fn at_eos_topology(tuples: u64) -> (Topology, Operators, Arc<[AtomicU64; 16]>) {
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, Schema::new(vec!["n"]))
+            .bolt("sink", 16, Schema::new(vec!["n"]))
+            .connect("src", "sink", Grouping::All);
+        let executed: Arc<[AtomicU64; 16]> = Arc::default();
+        let at_eos: Arc<[AtomicU64; 16]> = Arc::default();
+        let (counts, finished) = (Arc::clone(&executed), Arc::clone(&at_eos));
+        let ops = Operators::new()
+            .spout("src", move |_| {
+                let tuples = (0..tuples).map(|i| Tuple::with_id(i, vec![Value::I64(i as i64)]));
+                Box::new(IterSpout::new(tuples))
+            })
+            .bolt("sink", move |idx| {
+                Box::new(AtEos {
+                    idx: idx as usize,
+                    executed: Arc::clone(&counts),
+                    at_eos: Arc::clone(&finished),
+                })
+            });
+        (b.build().unwrap(), ops, at_eos)
     }
 
     /// [`run_topology`] on `executors` data-plane threads, however many
@@ -679,10 +740,12 @@ mod tests {
             },
         );
         let direct = run(CommMode::WorkerOriented, true, 4, 8);
-        // Same data-plane results through the batched path...
+        // Same data-plane results through the batched path: the same
+        // records and bytes (how many records share a frame follows the
+        // schedule)...
         assert_eq!(ring.executed, direct.executed);
         assert_eq!(ring.spout_emitted, direct.spout_emitted);
-        assert_eq!(ring.fabric_messages, direct.fabric_messages);
+        assert_eq!(ring.frames_encoded, direct.frames_encoded);
         assert_eq!(ring.shared_bytes, direct.shared_bytes);
         // ...but delivered through MMS/WTL batches, cleanly.
         assert!(ring.batches_flushed > 0, "ring path must batch");
@@ -707,10 +770,11 @@ mod tests {
             },
         );
         let direct = run(CommMode::WorkerOriented, true, 4, 8);
-        // Same data-plane results through the remote-fetch path...
+        // Same data-plane results through the remote-fetch path: the same
+        // records and bytes...
         assert_eq!(one_sided.executed, direct.executed);
         assert_eq!(one_sided.spout_emitted, direct.spout_emitted);
-        assert_eq!(one_sided.fabric_messages, direct.fabric_messages);
+        assert_eq!(one_sided.frames_encoded, direct.frames_encoded);
         assert_eq!(one_sided.shared_bytes, direct.shared_bytes);
         // ...delivered by the fetcher, cleanly, with no push batching.
         assert_eq!(one_sided.batches_flushed, 0, "fetch path never batches");

@@ -7,6 +7,7 @@ use super::config::{LiveConfig, Operators};
 use super::relay::RelayLocal;
 use super::reliability::{anchor_for, AckRuntime, Admit, DedupWindow};
 use super::report::{Ctr, RunReport, RunStats};
+use super::runs::StepRuns;
 use super::send::{
     Dest, Entry, ExecMsg, Groupings, Routing, TaskEmitter, CURRENT_SHARD, LOCAL_QUEUE,
 };
@@ -232,15 +233,16 @@ pub(super) struct RecvScratch {
 }
 
 /// Parse and dispatch one fabric frame received by `worker`'s pipeline.
-/// Framing is validated once per frame (views, nothing materialized);
+/// Framing is validated once per record (views, nothing materialized);
 /// a data item is handed on as one shared [`LazyTuple`] per destination
 /// pipeline, built in `scratch`. A frame that is
 /// truncated, fails to validate or carries an unknown kind is dropped and
 /// counted (`dropped_frames`), and so is every destination id this run
 /// executes nothing on — a bad peer must not crash the worker. Between
-/// the records of a relay frame, what each caused on this pipeline runs
-/// on `bolts` (the pipeline's own), so each is anchored in the block the
-/// one before it gave back.
+/// the records of a worker or relay frame, what each caused on this
+/// pipeline runs on `bolts` (the pipeline's own), so each is anchored in
+/// the block the one before it gave back. At the first record that does
+/// not frame, the rest of the frame is dropped and counted once.
 pub(super) fn on_frame(
     worker: u32,
     msg: &whale_net::LiveMessage,
@@ -256,17 +258,24 @@ pub(super) fn on_frame(
     };
     // Hand one received data item to `dsts` as a view over the shared
     // receive buffer.
-    let mut deliver_data = |item: &TupleView<'_>, tracked: Option<u64>, dsts: &[TaskId]| {
+    let deliver_data = |spare: &mut WireSpare, item: &TupleView<'_>, tracked, dsts: &[TaskId]| {
         let lazy = routing.lazy_tuple(&msg.payload, item, spare);
         dropped(lazy.map_or(1, |lazy| {
             routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked))
         }))
     };
     match wire::parse(msg.payload.bytes()) {
-        Ok(FrameView::Instance(tracked, m)) => deliver_data(m.tuple(), tracked, &[m.dst()]),
-        Ok(FrameView::Worker(tracked, m)) => {
-            codec::dispatch_worker_message_into(&m, dsts);
-            deliver_data(m.tuple(), tracked, dsts);
+        Ok(FrameView::Instance(tracked, m)) => deliver_data(spare, m.tuple(), tracked, &[m.dst()]),
+        Ok(FrameView::Worker(run)) => {
+            for record in run.records() {
+                let Ok((tracked, m)) = record else {
+                    dropped(1);
+                    break;
+                };
+                codec::dispatch_worker_message_into(&m, dsts);
+                deliver_data(spare, m.tuple(), tracked, dsts);
+                drain_loopback(bolts, spare, routing);
+            }
         }
         Ok(FrameView::Eos { src, dsts: listed }) => {
             dsts.clear();
@@ -466,8 +475,10 @@ pub(super) struct ShardPipeline {
     /// Whether the last step left a relayed EOS waiting on a flush.
     eos_waiting: bool,
     scratch: RecvScratch,
-    /// What the thread running the pipeline holds for it while it runs.
+    /// What the thread running the pipeline holds for it while it runs:
+    /// its relay state, and the runs its step has not sent yet.
     relay: RelayLocal,
+    runs: StepRuns,
 }
 
 impl ShardPipeline {
@@ -494,6 +505,7 @@ impl ShardPipeline {
             eos_waiting: false,
             scratch: RecvScratch::default(),
             relay: RelayLocal::default(),
+            runs: StepRuns::default(),
         }
     }
 
@@ -534,10 +546,10 @@ impl ShardPipeline {
         self.bolts.push(state);
     }
 
-    /// Run `f` as this pipeline on the calling thread: its shard and its
-    /// relay state are the thread's for `f` and everything `f` causes
-    /// locally, and are swapped back out after — its pending relay run
-    /// sent first, while it still holds the run's generation. The one way
+    /// Run `f` as this pipeline on the calling thread: its shard, its
+    /// relay state and its runs are the thread's for `f` and everything
+    /// `f` causes locally, and are swapped back out after — its runs sent
+    /// first, while it still holds the relay run's generation. The one way
     /// a pipeline's code runs, on its executor and in [`PipelineHarness`]
     /// alike.
     pub(super) fn within<R>(
@@ -547,15 +559,15 @@ impl ShardPipeline {
     ) -> R {
         CURRENT_SHARD.with(|c| c.set(Some(self.flat)));
         self.relay.enter();
+        self.runs.enter();
         let result = f(self, routing);
         self.drain_local(routing);
         debug_assert!(
             LOCAL_QUEUE.with_borrow(|q| q.is_empty()),
             "a pipeline leaves nothing in the loopback queue"
         );
-        if routing.relay.is_some() {
-            routing.send_relay_run();
-        }
+        routing.send_runs();
+        self.runs.leave();
         self.relay.leave();
         CURRENT_SHARD.with(|c| c.set(None));
         result
@@ -563,12 +575,13 @@ impl ShardPipeline {
 
     /// Put the thread back after a step [`within`](Self::within) this
     /// pipeline unwound, and report it done: it will not step again, and
-    /// what it left in the loopback queue and its pending relay run are
-    /// lost with it.
+    /// what it left in the loopback queue and its unsent runs are lost
+    /// with it.
     pub(super) fn unwound(&mut self) {
         LOCAL_QUEUE.with_borrow_mut(VecDeque::clear);
+        self.runs.leave();
+        self.runs.discard();
         self.relay.leave();
-        self.relay.discard_run();
         CURRENT_SHARD.with(|c| c.set(None));
         self.report_done();
     }
@@ -831,8 +844,9 @@ impl PipelineHarness {
     }
 
     /// [`Self::emit`] each of `tuples` in one step, as a spout step that
-    /// makes that many calls would: what the step broadcasts on the relay
-    /// tree leaves as one run when it ends.
+    /// makes that many calls would: what the step sends to each other
+    /// pipeline, and what it broadcasts on the relay tree, leaves as one
+    /// run when it ends.
     ///
     /// # Panics
     /// If the pipeline owns no spout.
@@ -964,7 +978,7 @@ mod tests {
         let worker_to = |dsts: &'static [TaskId]| {
             encoded(&|b| {
                 let dsts = dsts.iter().copied();
-                wire::encode_worker(b, None, TaskId(0), dsts, &tuple, &mut (0..0))
+                wire::encode_worker(b, None, TaskId(0), dsts, &tuple, None);
             })
         };
         let worker = worker_to(&[]);
@@ -1167,6 +1181,94 @@ mod tests {
     }
 
     #[test]
+    fn a_step_that_panics_with_pending_worker_runs_sends_none_of_them() {
+        // src → 2 `pass` → 4 `sink`, both edges all-grouped without the
+        // relay tree, over two machines, seen from worker 1: its `pass`
+        // hands what it receives on to worker 0's sinks in a worker run of
+        // its own pipeline's.
+        let fields = || Schema::new(vec!["n"]);
+        let mut b = crate::topology::TopologyBuilder::new();
+        b.spout("src", 1, fields())
+            .bolt("pass", 2, fields())
+            .bolt("sink", 4, fields())
+            .connect("src", "pass", Grouping::All)
+            .connect("pass", "sink", Grouping::All);
+        let ops = Operators::new()
+            .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+            .bolt("pass", |_| {
+                Box::new(FnBolt::new(|t: &Tuple, out: &mut dyn Emitter| {
+                    out.emit(t.clone())
+                }))
+            })
+            .bolt("sink", |_| {
+                Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+            });
+        let config = LiveConfig {
+            machines: 2,
+            ..LiveConfig::default()
+        };
+        let mut h = PipelineHarness::new(b.build().unwrap(), &ops, config, 1);
+        let src = h.routing.topology.tasks_of("src")[0];
+        let pass = h.routing.topology.component("pass").unwrap().id;
+        let mine = h.pipeline.bolts.iter().find(|b| b.comp == pass);
+        let mine = mine.unwrap().task;
+        let tuple = LazyTuple::from_tuple(Tuple::with_id(1, vec![Value::I64(1)]));
+        let mut buf = bytes::BytesMut::new();
+        wire::encode_worker(&mut buf, None, src, [mine].into_iter(), &tuple, None);
+        let frame = shared(Arc::from(&buf[..]));
+        h.receive(&frame);
+        let queued = |h: &PipelineHarness| h.peers[0].fabric_rx.len();
+        assert_eq!(queued(&h), 1, "a run of one to worker 0");
+        // The same step, unwinding once the pass has filled the run: the
+        // executor catches it and puts the thread back (`Executor::round`).
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            h.pipeline.within(&h.routing, |p, routing| {
+                on_frame(p.worker, &frame, routing, &mut p.scratch, &mut p.bolts);
+                panic!("a runtime bug, with a worker run pending");
+            })
+        }));
+        assert!(step.is_err());
+        h.pipeline.unwound();
+        assert_eq!(queued(&h), 1, "none of the second run left");
+        assert_eq!(
+            h.pipeline.within(&h.routing, ShardPipeline::step),
+            Step::Idle
+        );
+        assert_eq!(queued(&h), 1);
+        // The first run reaches worker 0's sinks; nothing of the dropped
+        // one ever does.
+        let (peer, routing) = (&mut h.peers[0], &h.routing);
+        assert_eq!(peer.within(routing, ShardPipeline::step), Step::Progressed);
+        let r = h.snapshot();
+        assert_eq!(r.executed[1], 2, "worker 1's pass, in both steps");
+        assert_eq!(r.executed[2], 2 * 2 + 2);
+        assert_eq!(r.thread_panics, 0, "counted by the executor, not here");
+    }
+
+    #[test]
+    fn a_worker_frame_whose_third_record_is_corrupt_delivers_two_and_counts_one_drop() {
+        let (counts, tap) = counting();
+        let (mut h, sinks) = leaf_harness(None, tap);
+        let mut run = bytes::BytesMut::new();
+        let mut third = 0;
+        for n in 0..3u64 {
+            third = run.len();
+            let item = LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::I64(n as i64)]));
+            let dsts = sinks[..2].iter().copied();
+            wire::encode_worker(&mut run, None, TaskId(0), dsts, &item, None);
+        }
+        // The third item's first value tag (after kind, src, two ids, id
+        // and arity) names no type.
+        run[third + 1 + 4 + 4 + 2 * 4 + 10] = 99;
+        h.receive(&shared(Arc::from(&run[..])));
+        let r = h.snapshot();
+        assert_eq!(r.executed[1], 2 * 2, "two records, two sinks each");
+        assert_eq!(r.dropped_frames, 1, "the rest of the frame, once");
+        let per_instance: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(per_instance, [0, 2, 0, 2, 0, 0, 0, 0]);
+    }
+
+    #[test]
     fn a_relay_frame_for_a_component_that_does_not_exist_reaches_nobody() {
         // The component id is read off the wire: one no row exists for
         // (or the spout's, which executes nothing) must find no sinks.
@@ -1302,7 +1404,7 @@ mod tests {
             let listed = [sinks[0], stranger, sinks[2]];
             let mut buf = bytes::BytesMut::new();
             let dsts = listed.iter().copied();
-            wire::encode_worker(&mut buf, None, TaskId(0), dsts, &tuple, &mut (0..0));
+            wire::encode_worker(&mut buf, None, TaskId(0), dsts, &tuple, None);
             h.receive(&shared(Arc::from(&buf[..])));
             frames += 1;
             let r = h.snapshot();

@@ -5,13 +5,14 @@
 //!
 //! A pipeline's step does not put each broadcast tuple on the fabric by
 //! itself: its relay record joins the step's pending run
-//! ([`PendingRun`]), which leaves as one relay frame per tree child at
-//! the end of the step, before a relayed EOS, when the current generation
-//! changes, or at [`RUN_CAP`] records — whichever comes first.
+//! ([`PendingRun`], one of the step's runs, see [`super::runs`]), which
+//! leaves as one relay frame per tree child at the end of the step,
+//! before an EOS, when the current generation changes, or at
+//! [`RUN_CAP`] records — whichever comes first.
 
-use super::pipeline::PIPELINE_BATCH;
 use super::reliability::anchor_for;
 use super::report::{Ctr, Lanes, Reservoir, LATENCY_SAMPLE};
+use super::runs::{RUNS, RUN_CAP};
 use super::send::{ExecMsg, Routing, CURRENT_SHARD};
 use super::wire::{self, RelayEos, RelayMarker, RelayRun, Wire};
 use crate::codec::{LazyTuple, RelayHeader, WireSpare};
@@ -56,10 +57,6 @@ pub(super) const DEPTH_BUCKETS: usize = 16;
 /// they send their markers again. A marker lost on the way delays
 /// retirement by about this much; it cannot wedge it.
 pub(super) const MARKER_RESEND: Duration = Duration::from_millis(10);
-
-/// The most relay records a pending run holds: one that reaches it leaves
-/// at once. A spout step emits at most this many tuples.
-pub(super) const RUN_CAP: usize = PIPELINE_BATCH;
 
 /// One immutable generation of relay structures: every origin worker's
 /// tree over the *other* workers (node index i = the i-th worker id
@@ -322,21 +319,14 @@ thread_local! {
     /// tree of the demoted generation has flushed; retried once per step
     /// ([`Routing::send_waiting_eos`]).
     static WAITING_EOS: RefCell<Vec<WaitingEos>> = const { RefCell::new(Vec::new()) };
-    /// The relay records the running pipeline's step has not sent yet
-    /// ([`Routing::send_relay_run`]). Threads without a pipeline never
-    /// fill it: their broadcasts leave one frame each.
-    static PENDING: RefCell<PendingRun> = RefCell::new(PendingRun::default());
 }
 
 /// A pipeline's relay state between its steps: what the thread running
-/// it keeps in [`HELD`], [`WAITING_EOS`] and [`PENDING`] while it runs.
-/// A step ends with its run sent, so between steps the run is empty and
-/// keeps only its buffer.
+/// it keeps in [`HELD`] and [`WAITING_EOS`] while it runs.
 #[derive(Default)]
 pub(super) struct RelayLocal {
     held: Option<Arc<RelayEpoch>>,
     waiting_eos: Vec<WaitingEos>,
-    run: PendingRun,
 }
 
 impl RelayLocal {
@@ -344,25 +334,18 @@ impl RelayLocal {
     pub(super) fn enter(&mut self) {
         HELD.set(self.held.take());
         WAITING_EOS.with_borrow_mut(|waiting| std::mem::swap(waiting, &mut self.waiting_eos));
-        PENDING.with_borrow_mut(|run| std::mem::swap(run, &mut self.run));
     }
 
     /// Swap it back out, leaving the thread's empty.
     pub(super) fn leave(&mut self) {
         self.held = HELD.take();
         WAITING_EOS.with_borrow_mut(|waiting| std::mem::swap(waiting, &mut self.waiting_eos));
-        PENDING.with_borrow_mut(|run| std::mem::swap(run, &mut self.run));
     }
 
     /// Let go of the held generation: a parked pipeline must not keep one
     /// from flushing.
     pub(super) fn release(&mut self) {
         self.held = None;
-    }
-
-    /// Drop the run a step that unwound left unsent: none of it leaves.
-    pub(super) fn discard_run(&mut self) {
-        self.run.clear();
     }
 }
 
@@ -383,7 +366,7 @@ pub(super) struct PendingRun {
 
 impl PendingRun {
     /// Empty it, keeping the buffer's capacity.
-    fn clear(&mut self) {
+    pub(super) fn clear(&mut self) {
         self.generation = None;
         self.records = 0;
         self.bytes.clear();
@@ -483,10 +466,11 @@ impl Routing {
         // Off a pipeline's step nothing would send the run later.
         let alone = CURRENT_SHARD.with(|c| c.get()).is_none();
         self.stats.add(Ctr::frames_encoded, 1);
-        PENDING.with_borrow_mut(|run| {
+        RUNS.with_borrow_mut(|runs| {
+            let run = &mut runs.relay;
             let other = |g: &Arc<RelayEpoch>| g.epoch != epoch.epoch || run.origin != origin;
             if run.generation.as_ref().is_some_and(other) {
-                self.send_run(run);
+                self.send_relay(run);
             }
             if run.generation.is_none() {
                 (run.generation, run.origin) = (Some(epoch.share()), origin);
@@ -494,7 +478,7 @@ impl Routing {
             wire::encode_relay(&mut run.bytes, header, item);
             run.records += 1;
             if alone || run.records >= RUN_CAP {
-                self.send_run(run);
+                self.send_relay(run);
             }
         });
         arm_xor
@@ -502,15 +486,15 @@ impl Routing {
 
     /// Send the running pipeline's pending relay run, if it has one: one
     /// frame to each of its origin's tree children on the generation its
-    /// records carry. A pipeline's step ends with this.
+    /// records carry.
     pub(super) fn send_relay_run(&self) {
-        PENDING.with_borrow_mut(|run| self.send_run(run));
+        RUNS.with_borrow_mut(|runs| self.send_relay(&mut runs.relay));
     }
 
     /// [`Self::send_relay_run`] of `run`, which is left empty. The records
     /// were counted in `frames_encoded` as they were encoded; the frame
     /// is snapshotted once into a buffer every child's send shares.
-    fn send_run(&self, run: &mut PendingRun) {
+    pub(super) fn send_relay(&self, run: &mut PendingRun) {
         let Some(generation) = run.generation.take() else {
             return;
         };
@@ -1326,25 +1310,6 @@ mod tests {
         assert_eq!(routing.stats.get(Ctr::relay_marker_resends), 0);
     }
 
-    /// A sink that counts what it executes into its slot of the first
-    /// array, and what it had counted when its EOS arrived into the second.
-    struct AtEos {
-        idx: usize,
-        executed: Arc<[AtomicU64; 16]>,
-        at_eos: Arc<[AtomicU64; 16]>,
-    }
-
-    impl crate::operator::Bolt for AtEos {
-        fn execute(&mut self, _t: &Tuple, _out: &mut dyn Emitter) {
-            self.executed[self.idx].fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn finish(&mut self, _out: &mut dyn Emitter) {
-            let n = self.executed[self.idx].load(Ordering::Relaxed);
-            self.at_eos[self.idx].store(n, Ordering::Relaxed);
-        }
-    }
-
     #[test]
     fn a_relayed_eos_sent_in_the_same_step_as_data_trails_all_of_it() {
         // A prompt spout doubles its batch each step, so its last step
@@ -1357,32 +1322,14 @@ mod tests {
             FabricKind::Ring(whale_net::RingConfig::default()),
             FabricKind::OneSided(whale_net::OneSidedConfig::default()),
         ] {
-            let mut b = crate::topology::TopologyBuilder::new();
-            b.spout("src", 1, Schema::new(vec!["n"]))
-                .bolt("sink", 16, Schema::new(vec!["n"]))
-                .connect("src", "sink", Grouping::All);
-            let executed: Arc<[AtomicU64; 16]> = Arc::default();
-            let at_eos: Arc<[AtomicU64; 16]> = Arc::default();
-            let (counts, finished) = (Arc::clone(&executed), Arc::clone(&at_eos));
-            let ops = Operators::new()
-                .spout("src", |_| {
-                    let tuples = (0..TUPLES).map(|i| Tuple::with_id(i, vec![Value::I64(i as i64)]));
-                    Box::new(IterSpout::new(tuples))
-                })
-                .bolt("sink", move |idx| {
-                    Box::new(AtEos {
-                        idx: idx as usize,
-                        executed: Arc::clone(&counts),
-                        at_eos: Arc::clone(&finished),
-                    })
-                });
+            let (topology, ops, at_eos) = at_eos_topology(TUPLES);
             let config = LiveConfig {
                 machines: 4,
                 multicast_d_star: Some(2),
                 fabric,
                 ..LiveConfig::default()
             };
-            let r = run_on(b.build().unwrap(), ops, config, 1);
+            let r = run_on(topology, ops, config, 1);
             assert_eq!(r.outcome, RunOutcome::Clean, "{fabric:?}");
             assert_eq!(r.executed[1], TUPLES * 16, "{fabric:?}");
             for sink in 0..16 {

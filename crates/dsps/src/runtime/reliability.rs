@@ -678,8 +678,9 @@ mod tests {
     fn tracked_run_with_crashed_endpoint_accounts_for_every_tuple() {
         // Crash worker 1 after its first 10 addressed frames: tuples
         // that can no longer reach it exhaust their replay budget and
-        // are failed — counted, not lost.
-        let (t, ops) = ack_topology(60, 2);
+        // are failed — counted, not lost. A slow spout sends a frame per
+        // tuple, so the crash lands among the data.
+        let (t, ops) = paced_ack_topology(60, 2, true);
         let plan = FaultPlan {
             seed: 11,
             crashes: vec![whale_net::EndpointCrash {
@@ -716,8 +717,9 @@ mod tests {
         // writes through a partition log: the recovery thread replays
         // the crashed slice from the log, so every tuple acks without
         // touching the acker's replay budget — effectively-once via
-        // root-id dedup, zero failed tuples.
-        let (t, ops) = ack_topology(60, 2);
+        // root-id dedup, zero failed tuples. A slow spout sends a frame
+        // per tuple, so the crash and the restart land among the data.
+        let (t, ops) = paced_ack_topology(60, 2, true);
         let plan = FaultPlan {
             seed: 11,
             crashes: vec![whale_net::EndpointCrash {

@@ -951,7 +951,9 @@ mod tests {
             ..LiveConfig::default()
         });
         let recovered = {
-            let (t, ops) = ack_topology(60, 2);
+            // A frame per tuple: the crash and the restart land among the
+            // data.
+            let (t, ops) = paced_ack_topology(60, 2, true);
             let plan = FaultPlan {
                 seed: 11,
                 crashes: vec![EndpointCrash {
@@ -1120,9 +1122,8 @@ mod tests {
                 ("dsps.frames_encoded", frames),
             ]
         };
-        // How many relay records share a fabric frame follows the
-        // schedule, so a relayed run pins its bytes, not its messages.
-        let messages = |n: u64| [("dsps.fabric.messages", n)];
+        // How many records share a fabric frame follows the schedule, so
+        // a run pins its bytes, not its messages.
         let bytes = |shared: u64| {
             [
                 ("dsps.fabric.copied_bytes", 0),
@@ -1138,11 +1139,11 @@ mod tests {
             ),
             (
                 &[EVERY_RUN, THIRD_COMPONENT],
-                [&counting(800, 900, 909)[..], &messages(909)].concat(),
+                [&counting(800, 900, 909)[..], &bytes(30_129)].concat(),
             ),
             (
                 &[EVERY_RUN, THIRD_COMPONENT],
-                [&counting(800, 900, 909)[..], &messages(909)].concat(),
+                [&counting(800, 900, 909)[..], &bytes(30_129)].concat(),
             ),
             (
                 &[EVERY_RUN],

@@ -1,8 +1,9 @@
 //! The send side of the hot path: the shared [`Routing`] context, per-task
 //! grouping state, local delivery across shard pipelines, and the one
-//! path every frame takes to the fabric — encode once into pooled
-//! scratch, write a tracked frame ahead to the partition log, then
-//! [`Routing::send_wire`].
+//! call every frame leaves by, [`Routing::send_wire`]. A worker or relay
+//! record is encoded once into its step's run ([`super::runs`]); any other
+//! frame into pooled scratch. A tracked record or frame is written ahead
+//! to its destination's partition log before it leaves.
 
 use super::config::LiveConfig;
 use super::relay::RelayState;
@@ -465,10 +466,10 @@ impl Routing {
     /// an undelivered destination leaves the ledger non-zero and the
     /// tuple times out into a replay instead of silently "completing".
     ///
-    /// All remote frames of the item are built in one pooled scratch:
-    /// the first worker frame encodes the data item behind its own
-    /// header, later ones copy those bytes ([`wire::encode_worker`]), so
-    /// one and N remote workers take the same path.
+    /// Whale's remote records join their destination pipelines' runs
+    /// ([`Self::append_worker_records`]), the item encoded once. Storm's
+    /// frames, one per destination task, are built one at a time in one
+    /// pooled scratch and leave at once.
     fn send_data(
         &self,
         src: TaskId,
@@ -507,31 +508,23 @@ impl Routing {
         if plan.remote().is_empty() {
             return arm_xor;
         }
+        if mode == CommMode::WorkerOriented {
+            self.append_worker_records(src, plan, item, tracked);
+            return arm_xor;
+        }
         let from = self.endpoint(self.placement.worker_of(src).0, self.shard_of(src));
         let mut scratch = self.pool.acquire();
-        let mut encoded = 0..0;
         for env in plan.remote() {
             let tasks = plan.tasks_of(env);
-            for (to, owned) in self.pipelines_of(env.dst_worker, tasks) {
-                let start = scratch.len();
-                match mode {
-                    CommMode::WorkerOriented => {
-                        wire::encode_worker(&mut scratch, tracked, src, owned, item, &mut encoded)
-                    }
-                    // Storm serializes per destination, but without a deep
-                    // clone of the tuple: the shared item is encoded
-                    // straight into the frame.
-                    CommMode::InstanceOriented => {
-                        wire::encode_instance(&mut scratch, tracked, src, tasks[0], item)
-                    }
-                }
-                self.send_frame(&scratch, start, Some((to, tracked)), |frame| {
+            for (to, _) in self.pipelines_of(env.dst_worker, tasks) {
+                // Storm serializes per destination, but without a deep
+                // clone of the tuple: the shared item is encoded straight
+                // into the frame.
+                wire::encode_instance(&mut scratch, tracked, src, tasks[0], item);
+                self.send_frame(&scratch, Some((to, tracked)), |frame| {
                     self.send_wire(from, to, frame)
                 });
-                // Only the frame holding the encoded item is kept.
-                if encoded.end <= start {
-                    scratch.truncate(start);
-                }
+                scratch.clear();
             }
         }
         arm_xor
@@ -540,7 +533,7 @@ impl Routing {
     /// One frame per destination *pipeline*: each reads only its own
     /// endpoint, so `tasks` (all on `worker`) are split by owning shard —
     /// the endpoint and tasks of every shard that owns any.
-    fn pipelines_of<'a>(
+    pub(super) fn pipelines_of<'a>(
         &'a self,
         worker: WorkerId,
         tasks: &'a [TaskId],
@@ -554,8 +547,8 @@ impl Routing {
     }
 
     /// Encode one unlogged frame that is sent several times or to several
-    /// endpoints (relay, EOS) into pooled scratch and hand it to `send`
-    /// (see [`Self::send_frame`]).
+    /// endpoints (EOS, relay EOS, marker) into pooled scratch and hand it
+    /// to `send` (see [`Self::send_frame`]).
     pub(super) fn with_frame<R>(
         &self,
         fill: impl FnOnce(&mut BytesMut),
@@ -563,7 +556,7 @@ impl Routing {
     ) -> R {
         let mut scratch = self.pool.acquire();
         fill(&mut scratch);
-        self.send_frame(&scratch, 0, None, send)
+        self.send_frame(&scratch, None, send)
     }
 
     /// Hand `frame`, encoded and counted elsewhere (a relay run), to `send`
@@ -578,8 +571,7 @@ impl Routing {
         }
     }
 
-    /// Hand the frame encoded at `scratch[start..]` to `send` as a
-    /// [`Wire`] — the one place a frame leaves for the fabric. `once`
+    /// Hand the frame encoded in `scratch` to `send` as a [`Wire`]. `once`
     /// names the one endpoint (and the ledger key) of a data frame sent
     /// once. With a log configured, a frame the acker tracks is appended
     /// to that endpoint's partition log *before* the send (write-ahead),
@@ -598,18 +590,17 @@ impl Routing {
     fn send_frame<R>(
         &self,
         scratch: &PooledBuf<'_>,
-        start: usize,
         once: Option<(EndpointId, Option<u64>)>,
         send: impl FnOnce(Wire<'_>) -> R,
     ) -> R {
-        let frame = &scratch[start..];
+        let frame = &scratch[..];
         self.stats.add(Ctr::frames_encoded, 1);
         if let (Some(log), Some((to, Some(tracked)))) = (&self.log, once) {
             log.append(to, tracked, frame);
         }
         match (self.config.zero_copy, once) {
             (true, Some(_)) => send(Wire::Lent(frame)),
-            (true, None) => send(Wire::Shared(&scratch.share_from(start))),
+            (true, None) => send(Wire::Shared(&scratch.share_from(0))),
             (false, _) => send(Wire::Copied(frame)),
         }
     }
@@ -645,8 +636,10 @@ impl Routing {
     }
 
     /// Broadcast end-of-stream from `src` to every subscriber of its
-    /// component, across both local and remote paths.
+    /// component, across both local and remote paths, behind every record
+    /// the step has sent so far: its runs leave first.
     pub(super) fn broadcast_eos(&self, src: TaskId) {
+        self.send_runs();
         let comp = self
             .topology
             .tasks()
@@ -868,9 +861,11 @@ mod tests {
                         assert_eq!(fwd_sunk, re_sunk, "{what}");
                         let fanout = if edge == Grouping::All { PASS_SINKS } else { 1 };
                         assert_eq!(fwd_sunk.len() as u32, 120 * fanout, "{what}");
-                        // How many relay records share a frame follows the
-                        // schedule; what the frames carry does not.
-                        let messages = |r: &RunReport| (!relayed).then_some(r.fabric_messages);
+                        // How many worker or relay records share a frame
+                        // follows the schedule; what the frames carry does
+                        // not. Storm's frames are one per record.
+                        let storm = comm_mode == CommMode::InstanceOriented;
+                        let messages = |r: &RunReport| storm.then_some(r.fabric_messages);
                         let frames = |r: &RunReport| {
                             (
                                 (messages(r), r.shared_bytes, r.copied_bytes),
@@ -916,10 +911,12 @@ mod tests {
     #[test]
     fn hot_path_reuses_pooled_encode_buffers() {
         // 100 broadcast tuples to 8 instances across 4 machines produce
-        // hundreds of frames; the pool must serve almost all of them from
-        // reused buffers and every buffer must be back after the run.
+        // hundreds of Storm frames, each built in pooled scratch (Whale's
+        // records go into their step's runs instead); the pool must serve
+        // almost all of them from reused buffers and every buffer must be
+        // back after the run.
         for zero_copy in [true, false] {
-            let r = run(CommMode::WorkerOriented, zero_copy, 4, 8);
+            let r = run(CommMode::InstanceOriented, zero_copy, 4, 8);
             assert!(
                 r.pool_hits > 0,
                 "zero_copy={zero_copy}: buffers returned after use are reused"
@@ -1000,7 +997,7 @@ mod tests {
                     }
                     assert!(inboxes[w as usize].try_recv().is_err(), "one frame each");
                 }
-                assert_eq!(routing.pool.high_watermark(), 1, "one scratch per tuple");
+                assert_eq!(routing.pool.high_watermark(), 0, "records go into runs");
             }
         }
     }

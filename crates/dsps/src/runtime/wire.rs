@@ -8,23 +8,26 @@
 //! | kind | after the kind byte | bytes |
 //! |---|---|---|
 //! | 1 instance | `[tracked u64]` `src u32` `dst u32` item | 1 [+8] + 8 + item |
-//! | 2 worker | `[tracked u64]` `src u32` `n u32` `dst u32 × n` item | 1 [+8] + 8 + 4n + item |
+//! | 2 worker | `[tracked u64]` `src u32` `n u32` `dst u32 × n` item, then more worker records | 1 [+8] + 8 + 4n + item per record |
 //! | 3 EOS | `src u32` `n u32` `dst u32 × n` | 9 + 4n |
 //! | 4 relay | `origin u32` `epoch u32` `component u32` `tracked u64` item, then more relay records | 21 + item per record |
 //! | 5 relay EOS | `origin u32` `epoch u32` `component u32` `src u32` | 17 |
 //! | 6 relay marker | `origin u32` `epoch u32` | 9 |
 //!
-//! Only instance and worker frames take the [`TRACKED`] bit. A relay
-//! frame is one or more *relay records* back to back, each a kind byte
-//! (4), a header and an item, with no length field between them: an item
+//! Only instance and worker frames take the [`TRACKED`] bit. A worker or
+//! relay frame is one or more *records* back to back, each a kind byte,
+//! a header and an item, with no length field between them: an item
 //! delimits itself ([`TupleView::wire_len`]), so the next record starts
-//! where it ends. Every record of a frame is on the first one's tree and
-//! generation (same `origin` and `epoch`); a frame of one record is
-//! byte for byte what a lone tuple always was. A record always carries
-//! its ledger key inline (0 = untracked) so its header stays fixed-offset
-//! and *child-invariant* — no node index, every receiver derives its own
-//! — which is what lets a relay forward the received bytes verbatim.
-//! Anchors never travel: both sides derive them from `(tracked, dst)`.
+//! where it ends. A frame of one record is byte for byte what a lone
+//! tuple always was. Each worker record has its own kind byte, so its own
+//! [`TRACKED`] bit and ledger key: one frame may mix tracked and
+//! untracked records. Every relay record of a frame is on the first
+//! one's tree and generation (same `origin` and `epoch`). A relay record
+//! always carries its ledger key inline (0 = untracked) so its header
+//! stays fixed-offset and *child-invariant* — no node index, every
+//! receiver derives its own — which is what lets a relay forward the
+//! received bytes verbatim. Anchors never travel: both sides derive them
+//! from `(tracked, dst)`.
 
 use crate::codec::{
     need, DecodeError, InstanceMessageView, LazyTuple, RelayHeader, TupleView, WorkerMessageView,
@@ -75,8 +78,9 @@ pub(super) struct RelayMarker {
 pub(super) enum FrameView<'a> {
     /// Storm's per-destination message, with its ledger key when tracked.
     Instance(Option<u64>, InstanceMessageView<'a>),
-    /// Whale's per-worker message, with its ledger key when tracked.
-    Worker(Option<u64>, WorkerMessageView<'a>),
+    /// Whale's per-worker messages: one or more worker records, the first
+    /// validated.
+    Worker(WorkerRun<'a>),
     /// Point-to-point end-of-stream from `src` to the listed tasks.
     Eos { src: TaskId, dsts: EosDsts<'a> },
     /// A relayed broadcast: one or more relay records. The items are
@@ -89,51 +93,70 @@ pub(super) enum FrameView<'a> {
     RelayMarker(RelayMarker),
 }
 
-/// A received relay frame: the first record's header, read to admit the
-/// whole frame, and the bytes from its item on.
+/// One worker record: its ledger key when tracked, and the message.
+pub(super) type WorkerRecord<'a> = (Option<u64>, WorkerMessageView<'a>);
+
+/// A received worker frame: its first record, read to tell the frame's
+/// kind, and the bytes after it.
 #[derive(Clone, Copy, Debug)]
-pub(super) struct RelayRun<'a> {
-    /// The first record's header: the frame's origin and generation.
-    pub header: RelayHeader,
-    /// The first record's item and every record after it.
-    body: &'a [u8],
+pub(super) struct WorkerRun<'a> {
+    first: WorkerRecord<'a>,
+    rest: &'a [u8],
 }
 
-impl<'a> RelayRun<'a> {
-    /// The frame's records in order, each a header and its item's view.
-    pub(super) fn records(&self) -> RelayRecords<'a> {
-        RelayRecords {
-            next: Some(self.header),
-            rest: self.body,
+impl<'a> WorkerRun<'a> {
+    /// The frame's records in order.
+    pub(super) fn records(&self) -> Records<'a, WorkerRecord<'a>> {
+        Records {
+            next: Some(self.first),
+            rest: self.rest,
+            read: worker_record,
         }
     }
 }
 
-/// The records of a [`RelayRun`]. A record that does not frame (a kind
-/// byte other than relay, a short header, an item that fails to
-/// validate) comes out as one `Err` and ends the walk: nothing after it
-/// can be delimited.
-pub(super) struct RelayRecords<'a> {
-    /// The header already read for the next record (the first's).
-    next: Option<RelayHeader>,
-    rest: &'a [u8],
+/// A received relay frame: the first record's header, read to admit the
+/// whole frame, and the frame's bytes.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct RelayRun<'a> {
+    /// The first record's header: the frame's origin and generation.
+    pub header: RelayHeader,
+    /// The whole frame, the first record's kind byte and header included.
+    frame: &'a [u8],
 }
 
-impl<'a> Iterator for RelayRecords<'a> {
-    type Item = Result<(RelayHeader, TupleView<'a>), DecodeError>;
+impl<'a> RelayRun<'a> {
+    /// The frame's records in order, each a header and its item's view.
+    pub(super) fn records(&self) -> Records<'a, (RelayHeader, TupleView<'a>)> {
+        Records {
+            next: None,
+            rest: self.frame,
+            read: relay_record,
+        }
+    }
+}
+
+/// The records of a worker or relay frame. A record that does not frame
+/// (another kind byte, a short header, an item that fails to validate)
+/// comes out as one `Err` and ends the walk: nothing after it can be
+/// delimited.
+pub(super) struct Records<'a, R> {
+    /// A record already read (a worker frame's first).
+    next: Option<R>,
+    rest: &'a [u8],
+    /// Read one record off the front of the bytes, advancing past it.
+    read: fn(&mut &'a [u8]) -> Result<R, DecodeError>,
+}
+
+impl<'a, R> Iterator for Records<'a, R> {
+    type Item = Result<R, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let header = match self.next.take() {
-            Some(header) => Ok(header),
+        let record = match self.next.take() {
+            Some(record) => Ok(record),
             None if self.rest.is_empty() => return None,
-            None => relay_record_header(&mut self.rest),
+            None => (self.read)(&mut self.rest),
         };
-        let rest = self.rest;
-        let record = header.and_then(|header| {
-            let view = TupleView::parse(rest)?;
-            self.rest = &rest[view.wire_len()..];
-            Ok((header, view))
-        });
         if record.is_err() {
             self.rest = &[];
         }
@@ -141,13 +164,35 @@ impl<'a> Iterator for RelayRecords<'a> {
     }
 }
 
-/// The kind byte and header of a relay record after the first.
-fn relay_record_header(buf: &mut &[u8]) -> Result<RelayHeader, DecodeError> {
+/// One worker record off the front of `buf`: kind byte (worker, tracked
+/// or not), `[tracked u64]` and the message.
+fn worker_record<'a>(buf: &mut &'a [u8]) -> Result<WorkerRecord<'a>, DecodeError> {
     need(&*buf, 1)?;
-    match buf.get_u8() {
-        KIND_RELAY => RelayHeader::decode(buf),
-        other => Err(DecodeError::BadTag(other)),
+    let byte = buf.get_u8();
+    if byte & !TRACKED != KIND_WORKER {
+        return Err(DecodeError::BadTag(byte));
     }
+    let tracked = if byte & TRACKED != 0 {
+        need(&*buf, 8)?;
+        Some(buf.get_u64_le())
+    } else {
+        None
+    };
+    let message = WorkerMessageView::parse(buf)?;
+    buf.advance(8 + 4 * message.dst_len() + message.tuple().wire_len());
+    Ok((tracked, message))
+}
+
+/// One relay record off the front of `buf`: kind byte, header and item.
+fn relay_record<'a>(buf: &mut &'a [u8]) -> Result<(RelayHeader, TupleView<'a>), DecodeError> {
+    need(&*buf, 1)?;
+    let header = match buf.get_u8() {
+        KIND_RELAY => RelayHeader::decode(buf)?,
+        other => return Err(DecodeError::BadTag(other)),
+    };
+    let item = TupleView::parse(buf)?;
+    buf.advance(item.wire_len());
+    Ok((header, item))
 }
 
 /// The destination ids of an EOS frame, read straight off the wire.
@@ -167,20 +212,22 @@ impl Iterator for EosDsts<'_> {
 pub(super) fn parse(frame: &[u8]) -> Result<FrameView<'_>, DecodeError> {
     let mut buf = frame;
     need(&buf, 1)?;
+    if buf[0] & !TRACKED == KIND_WORKER {
+        let first = worker_record(&mut buf)?;
+        return Ok(FrameView::Worker(WorkerRun { first, rest: buf }));
+    }
     let byte = buf.get_u8();
-    let (kind, tracked) = match byte & !TRACKED {
-        kind @ (KIND_INSTANCE | KIND_WORKER) if byte & TRACKED != 0 => {
-            need(&buf, 8)?;
-            (kind, Some(buf.get_u64_le()))
-        }
-        _ => (byte, None),
+    let (kind, tracked) = if byte == KIND_INSTANCE | TRACKED {
+        need(&buf, 8)?;
+        (KIND_INSTANCE, Some(buf.get_u64_le()))
+    } else {
+        (byte, None)
     };
     match kind {
         KIND_INSTANCE => Ok(FrameView::Instance(
             tracked,
             InstanceMessageView::parse(buf)?,
         )),
-        KIND_WORKER => Ok(FrameView::Worker(tracked, WorkerMessageView::parse(buf)?)),
         KIND_EOS => {
             need(&buf, 8)?;
             let src = TaskId(buf.get_u32_le());
@@ -193,7 +240,7 @@ pub(super) fn parse(frame: &[u8]) -> Result<FrameView<'_>, DecodeError> {
         }
         KIND_RELAY => Ok(FrameView::Relay(RelayRun {
             header: RelayHeader::decode(&mut buf)?,
-            body: buf,
+            frame,
         })),
         KIND_RELAY_EOS => {
             need(&buf, 16)?;
@@ -248,30 +295,30 @@ fn put_ids(buf: &mut BytesMut, ids: impl Iterator<Item = TaskId> + Clone) {
     }
 }
 
-/// Whale's per-worker frame, appended to `buf`. A data item is encoded
-/// once however many worker frames it takes: `encoded` is where an
-/// earlier frame of the same item left it in `buf`. Empty, this is the
-/// first frame — the item is encoded straight behind the header and
-/// `encoded` set to those bytes; otherwise they are copied.
+/// Whale's per-worker record, appended to `buf`: alone it is a whole
+/// worker frame, and records appended back to back are one frame too. A
+/// data item is encoded once however many records it takes: `encoded`
+/// holds its bytes when an earlier record of the same item already
+/// serialized it, and they are copied; `None`, the item is encoded
+/// straight behind the header. Returns where in `buf` the item's bytes
+/// now are.
 pub(super) fn encode_worker(
     buf: &mut BytesMut,
     tracked: Option<u64>,
     src: TaskId,
     dsts: impl Iterator<Item = TaskId> + Clone,
     item: &LazyTuple,
-    encoded: &mut Range<usize>,
-) {
+    encoded: Option<&[u8]>,
+) -> Range<usize> {
     put_kind(buf, KIND_WORKER, tracked);
     buf.put_u32_le(src.0);
     put_ids(buf, dsts);
     let at = buf.len();
-    if Range::is_empty(encoded) {
-        item.encode_into(buf);
-        *encoded = at..buf.len();
-    } else {
-        buf.resize(at + encoded.len(), 0);
-        buf.copy_within(encoded.clone(), at);
+    match encoded {
+        Some(bytes) => buf.put_slice(bytes),
+        None => item.encode_into(buf),
     }
+    at..buf.len()
 }
 
 /// A worker frame built the pre-fusion way — the item serialized on its
@@ -375,13 +422,29 @@ mod tests {
         buf.to_vec()
     }
 
-    /// Framing and — for relay frames, whose items `parse` leaves to the
-    /// receiver — every record both validate.
+    /// Framing and — for worker and relay frames, whose later records
+    /// `parse` leaves to the receiver — every record both validate.
     fn valid(frame: &[u8]) -> bool {
         match parse(frame) {
+            Ok(FrameView::Worker(run)) => run.records().all(|record| record.is_ok()),
             Ok(FrameView::Relay(run)) => run.records().all(|record| record.is_ok()),
             other => other.is_ok(),
         }
+    }
+
+    /// `(tracked, src, dsts, item bytes)` of each record of a worker
+    /// frame, up to the first that does not frame.
+    type Worker = (Option<u64>, TaskId, Vec<TaskId>, Vec<u8>);
+    fn worker_records(frame: &[u8]) -> Vec<Worker> {
+        let Ok(FrameView::Worker(run)) = parse(frame) else {
+            panic!("a worker frame")
+        };
+        let records = run.records().map_while(Result::ok);
+        let record = |(tracked, m): WorkerRecord<'_>| {
+            let item = m.tuple().wire_bytes().to_vec();
+            (tracked, m.src(), m.dst_ids().collect(), item)
+        };
+        records.map(record).collect()
     }
 
     /// `(header, item bytes)` of each record of a relay frame, up to the
@@ -423,14 +486,20 @@ mod tests {
             frames.push(f);
 
             let ids = dsts.iter().copied();
-            let f = encoded(|b| encode_worker(b, tracked, TaskId(1), ids, &owned, &mut (0..0)));
+            let f = encoded(|b| {
+                encode_worker(b, tracked, TaskId(1), ids, &owned, None);
+            });
             assert_eq!(f, worker_around_item(tracked, TaskId(1), &dsts, &item));
             assert_eq!(
                 f.len(),
                 1 + tracked.map_or(0, |_| 8) + 8 + 4 * 3 + item.len()
             );
             match parse(&f).unwrap() {
-                FrameView::Worker(tr, m) => {
+                FrameView::Worker(run) => {
+                    let records: Vec<_> = run.records().collect();
+                    let [Ok((tr, m))] = records[..] else {
+                        panic!("one record: {records:?}")
+                    };
                     assert_eq!(tr, tracked);
                     assert_eq!(m.src(), TaskId(1));
                     assert_eq!(m.dst_ids().collect::<Vec<_>>(), dsts);
@@ -490,31 +559,32 @@ mod tests {
 
     #[test]
     fn fused_worker_frames_match_frames_built_around_a_separate_item() {
-        // One tuple to 1..=4 remote workers, all frames back to back in
-        // one scratch the way the send path builds them: the first
-        // serializes the item in place, the rest copy it — and every one
-        // is the frame a separately serialized item would have given.
+        // One tuple to 1..=4 remote workers, each record in a run of its
+        // own the way the send path builds them: the first serializes the
+        // item in place, the rest copy its bytes — and every one is the
+        // frame a separately serialized item would have given.
         let t = tuple();
         let owned = LazyTuple::from_tuple(t.clone());
         let item = crate::codec::encode_tuple(&t);
         for workers in 1..=4u32 {
             for tracked in [None, Some((3u64 << 48) | 0xBEEF)] {
-                let mut buf = BytesMut::new();
-                let mut at = 0..0;
+                let mut first: Option<(BytesMut, Range<usize>)> = None;
                 for w in 0..workers {
                     // Worker w hosts w + 1 tasks: header lengths differ.
                     let dsts: Vec<TaskId> = (0..=w).map(|i| TaskId(10 * w + i)).collect();
-                    let start = buf.len();
+                    let mut buf = BytesMut::new();
                     let ids = dsts.iter().copied();
-                    encode_worker(&mut buf, tracked, TaskId(1), ids, &owned, &mut at);
+                    let encoded = first.as_ref().map(|(b, at)| &b[at.clone()]);
+                    let at = encode_worker(&mut buf, tracked, TaskId(1), ids, &owned, encoded);
                     assert_eq!(
-                        buf[start..],
+                        buf[..],
                         worker_around_item(tracked, TaskId(1), &dsts, &item)[..],
                         "frame {w} of {workers}, tracked {tracked:?}"
                     );
-                    assert!(valid(&buf[start..]));
+                    assert_eq!(buf[at.clone()], item[..]);
+                    assert!(valid(&buf));
+                    first.get_or_insert((buf, at));
                 }
-                assert_eq!(buf[at], item[..], "the item was serialized once");
             }
         }
     }
@@ -527,11 +597,12 @@ mod tests {
         let t = tuple();
         let (mut received, owned) = (BytesMut::new(), LazyTuple::from_tuple(t));
         let dst = [TaskId(2)].into_iter();
-        encode_worker(&mut received, None, TaskId(0), dst, &owned, &mut (0..0));
+        encode_worker(&mut received, None, TaskId(0), dst, &owned, None);
         let received: Arc<[u8]> = Arc::from(&received[..]);
-        let Ok(FrameView::Worker(_, m)) = parse(&received) else {
+        let Ok(FrameView::Worker(run)) = parse(&received) else {
             panic!("a worker frame")
         };
+        let (_, m) = run.records().next().unwrap().unwrap();
         let wire = LazyTuple::from_wire_view(Arc::clone(&received), m.tuple());
         let header = RelayHeader {
             origin: 1,
@@ -543,7 +614,9 @@ mod tests {
             let dsts = [TaskId(5), TaskId(6)].into_iter();
             [
                 encoded(|b| encode_instance(b, Some(7), TaskId(1), TaskId(5), item)),
-                encoded(|b| encode_worker(b, Some(7), TaskId(1), dsts, item, &mut (0..0))),
+                encoded(|b| {
+                    encode_worker(b, Some(7), TaskId(1), dsts, item, None);
+                }),
                 encoded(|b| encode_relay(b, header, item)),
             ]
         };
@@ -578,6 +651,84 @@ mod tests {
         assert_eq!(encoded(|b| encode_relay(b, header, &owned)), golden);
         let item = golden[1 + RelayHeader::WIRE_BYTES..].to_vec();
         assert_eq!(records(golden), [(header, item)]);
+    }
+
+    #[test]
+    fn a_worker_run_of_one_is_the_worker_frame_a_lone_tuple_always_was() {
+        // Golden bytes: kind 2 (| 0x80 tracked, then the ledger key
+        // 0xBEEF), src 1, two destinations 4 and 5, then the item (id 9,
+        // arity 2, i64 -3, str "driver-42").
+        #[rustfmt::skip]
+        let body: &[u8] = &[
+            1, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0,
+            9, 0, 0, 0, 0, 0, 0, 0, 2, 0,
+            1, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+            3, 9, 0, 0, 0, b'd', b'r', b'i', b'v', b'e', b'r', b'-', b'4', b'2',
+        ];
+        let untracked = [&[2u8][..], body].concat();
+        let key = [0xEF, 0xBE, 0, 0, 0, 0, 0, 0];
+        let tracked = [&[0x82u8][..], &key, body].concat();
+        let owned = LazyTuple::from_tuple(tuple());
+        let dsts = [TaskId(4), TaskId(5)];
+        let item = body[16..].to_vec();
+        for (key, golden) in [(None, &untracked), (Some(0xBEEF), &tracked)] {
+            let ids = dsts.iter().copied();
+            let f = encoded(|b| {
+                encode_worker(b, key, TaskId(1), ids, &owned, None);
+            });
+            assert_eq!(&f, golden, "tracked {key:?}");
+            let record = (key, TaskId(1), dsts.to_vec(), item.clone());
+            assert_eq!(worker_records(golden), [record]);
+        }
+    }
+
+    #[test]
+    fn worker_records_back_to_back_are_one_frame_read_in_order_up_to_a_corrupt_one() {
+        // Four records, tracked and not in turn, to one destination each.
+        let items: Vec<LazyTuple> = (0..4)
+            .map(|n| {
+                LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::str("x".repeat(n as usize))]))
+            })
+            .collect();
+        let key = |n: u32| (n % 2 == 1).then_some(n as u64 * 1000);
+        let mut run = BytesMut::new();
+        let mut ends = Vec::new();
+        for (n, item) in (0..).zip(&items) {
+            let dst = [TaskId(10 + n)].into_iter();
+            encode_worker(&mut run, key(n), TaskId(n), dst, item, None);
+            ends.push(run.len());
+        }
+        let expected: Vec<Worker> = (0..)
+            .zip(&items)
+            .map(|(n, item)| {
+                let bytes = encoded(|b| item.encode_into(b));
+                (key(n), TaskId(n), vec![TaskId(10 + n)], bytes)
+            })
+            .collect();
+        assert_eq!(worker_records(&run), expected);
+        assert!(valid(&run));
+        // Cut at a record boundary, a run is a shorter run; cut anywhere
+        // else, its last record does not frame (and a cut inside the
+        // first is no frame at all).
+        for cut in 1..run.len() {
+            let whole = ends.iter().position(|&end| end == cut);
+            assert_eq!(valid(&run[..cut]), whole.is_some(), "cut at {cut}");
+            if cut >= ends[0] {
+                let framed = ends.iter().filter(|&&end| end <= cut).count();
+                let read = worker_records(&run[..cut]);
+                assert_eq!(read, expected[..framed], "cut at {cut}");
+            }
+        }
+        // A third record whose kind byte is not worker: the two before it
+        // are read, then one error, then nothing.
+        let mut corrupt = run.to_vec();
+        corrupt[ends[1]] = KIND_RELAY;
+        let Ok(FrameView::Worker(run)) = parse(&corrupt) else {
+            panic!("a worker frame")
+        };
+        let read: Vec<_> = run.records().map(|r| r.map(|(_, m)| m.src())).collect();
+        let bad = Err(DecodeError::BadTag(KIND_RELAY));
+        assert_eq!(read, [Ok(TaskId(0)), Ok(TaskId(1)), bad]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! restart (never from the acker's replay budget), root-id dedup absorbs
 //! the overlap, nothing is silently lost, and the acker's watermark has
 //! reclaimed every log byte by the report — across the per-send, ring,
-//! and one-sided transports at 1 and 4 pipeline shards. Beside it, one
+//! and one-sided transports at 1 and 4 pipeline shards, whether the crash
+//! rejects runs of one record or of many. Beside it, one
 //! fixed outage that certainly rejects sends, run with the log (which
 //! alone heals it) and without (where the acker's replay budget does),
 //! and the same outage under a second hop: the log holds only what the
@@ -26,6 +27,32 @@ use whale_net::{
 
 const TUPLES: i64 = 60;
 const FANOUT: u32 = 2;
+
+/// How the spout hands out its tuples.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Pace {
+    /// `TUPLES`, each call slower than the runtime lets a step wait on
+    /// one: every step emits one tuple, and every run is a run of one — a
+    /// frame per tuple and destination, so a crash scheduled in addressed
+    /// frames lands among the data.
+    Slow,
+    /// `SATURATING` tuples, each at once: a spout step emits a batch, and
+    /// each worker gets it as one run of many records.
+    Saturating,
+}
+
+/// Tuples of a [`Pace::Saturating`] spout: steps of 1, 2, 4, … up to a
+/// full batch, so every worker is sent at least ten runs.
+const SATURATING: i64 = 400;
+
+impl Pace {
+    fn tuples(self) -> i64 {
+        match self {
+            Pace::Slow => TUPLES,
+            Pace::Saturating => SATURATING,
+        }
+    }
+}
 
 /// Every transport variant the property must hold on.
 fn fabric_kinds() -> Vec<(&'static str, FabricKind)> {
@@ -61,9 +88,9 @@ fn recovery_config(kind: FabricKind, shards: u32, plan: FaultPlan) -> LiveConfig
     }
 }
 
-/// Run one tracked topology under `config` and return `(report,
-/// per-value execution counts unioned over sinks)`.
-fn run_recovery(config: LiveConfig) -> (whale_dsps::RunReport, HashMap<i64, u64>) {
+/// Run one tracked topology at `pace` under `config` and return
+/// `(report, per-value execution counts unioned over sinks)`.
+fn run_recovery(pace: Pace, config: LiveConfig) -> (whale_dsps::RunReport, HashMap<i64, u64>) {
     let mut b = TopologyBuilder::new();
     b.spout("src", 1, Schema::new(vec!["n"]))
         .bolt("sink", FANOUT, Schema::new(vec!["n"]))
@@ -74,9 +101,7 @@ fn run_recovery(config: LiveConfig) -> (whale_dsps::RunReport, HashMap<i64, u64>
     let sink_seen = Arc::clone(&seen);
     let ops = Operators::new()
         .spout("src", move |_| {
-            Box::new(IterSpout::new(
-                (0..TUPLES).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-            ))
+            Box::new(IterSpout::new(paced(pace, pace.tuples())))
         })
         .bolt("sink", move |_| {
             let seen = Arc::clone(&sink_seen);
@@ -92,13 +117,25 @@ fn run_recovery(config: LiveConfig) -> (whale_dsps::RunReport, HashMap<i64, u64>
     (report, counts)
 }
 
+/// Tuples `0..n` with their value as the single field, at `pace`.
+fn paced(pace: Pace, n: i64) -> impl Iterator<Item = Tuple> {
+    (0..n).map(move |i| {
+        if pace == Pace::Slow {
+            std::thread::sleep(Duration::from_micros(60));
+        }
+        Tuple::with_id(i as u64, vec![Value::I64(i)])
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Replayed-from-log ∪ live delivery equals the emitted set exactly
     /// once per sink instance: wherever the crash lands and however long
     /// the outage window is, every tuple acks without spending the
-    /// acker's replay budget and without a duplicate surviving dedup.
+    /// acker's replay budget and without a duplicate surviving dedup —
+    /// whether the sends the crash rejects are runs of one record or of
+    /// many.
     #[test]
     fn log_replay_recovers_the_emitted_set_exactly_once(
         crash_at in 3u64..20,
@@ -106,21 +143,34 @@ proptest! {
         crashed_worker in 1u32..3,
         shard_pick in 0u32..4,
     ) {
-        for shards in [1u32, 4] {
+        for (shards, pace) in [1u32, 4]
+            .into_iter()
+            .flat_map(|shards| [(shards, Pace::Slow), (shards, Pace::Saturating)])
+        {
             for (label, kind) in fabric_kinds() {
+                let label = format!("{label} {pace:?}");
+                let label = label.as_str();
                 // Flat endpoint = worker * shards + shard; workers 1 and
-                // 2 receive every emission remotely, so the restart
-                // threshold (< 35 addressed frames) is always crossed.
+                // 2 receive every emission remotely, a data frame per
+                // tuple at the slow pace (the restart threshold, < 35
+                // addressed frames, is always crossed), and at least ten
+                // runs at the saturating one (so its window is drawn in
+                // the first eight frames).
                 let endpoint = EndpointId(crashed_worker * shards + shard_pick % shards);
+                let (crash_at, restart_at) = match pace {
+                    Pace::Slow => (crash_at, crash_at + gap),
+                    Pace::Saturating => (1 + crash_at % 4, 2 + crash_at % 4 + gap % 4),
+                };
                 let plan = FaultPlan {
                     seed: 7,
                     crashes: vec![EndpointCrash { endpoint, at_frame: crash_at }],
-                    restarts: vec![EndpointRestart { endpoint, at_frame: crash_at + gap }],
+                    restarts: vec![EndpointRestart { endpoint, at_frame: restart_at }],
                     ..FaultPlan::default()
                 };
-                let (r, counts) = run_recovery(recovery_config(kind, shards, plan));
+                let tuples = pace.tuples();
+                let (r, counts) = run_recovery(pace, recovery_config(kind, shards, plan));
 
-                prop_assert_eq!(r.spout_emitted, TUPLES as u64, "{}/{}", label, shards);
+                prop_assert_eq!(r.spout_emitted, tuples as u64, "{}/{}", label, shards);
                 prop_assert_eq!(
                     r.tuples_acked + r.tuples_failed, r.spout_emitted,
                     "{}/{}: silent loss (acked {} + failed {} != emitted {})",
@@ -155,10 +205,10 @@ proptest! {
                 // The dedup'd execution multiset: exactly the emitted
                 // values, each executed once per sink instance.
                 prop_assert_eq!(
-                    counts.len() as i64, TUPLES,
+                    counts.len() as i64, tuples,
                     "{}/{}: value set mismatch", label, shards
                 );
-                for v in 0..TUPLES {
+                for v in 0..tuples {
                     let n = counts.get(&v).copied().unwrap_or(0);
                     prop_assert_eq!(
                         n, FANOUT as u64,
@@ -188,7 +238,8 @@ fn outage_variants() -> [(&'static str, FabricKind, u32); 4] {
 }
 
 /// Every shard endpoint of worker 1 goes dark at its 10th addressed
-/// frame and rejoins at its 30th.
+/// frame and rejoins at its 30th: among the data, for a slow spout that
+/// sends a frame per tuple.
 fn worker_1_outage(shards: u32) -> FaultPlan {
     let worker_1 = (shards..2 * shards).map(EndpointId);
     FaultPlan {
@@ -217,7 +268,8 @@ fn worker_1_outage(shards: u32) -> FaultPlan {
 #[test]
 fn with_a_log_a_crash_then_restart_heals_from_the_log_alone() {
     for (label, kind, shards) in outage_variants() {
-        let (r, counts) = run_recovery(recovery_config(kind, shards, worker_1_outage(shards)));
+        let config = recovery_config(kind, shards, worker_1_outage(shards));
+        let (r, counts) = run_recovery(Pace::Slow, config);
         assert_eq!(r.spout_emitted, TUPLES as u64, "{label}");
         assert_eq!(r.tuples_acked, r.spout_emitted, "{label}: every tuple acked");
         assert_eq!(r.tuples_failed, 0, "{label}");
@@ -249,7 +301,7 @@ fn without_a_log_the_acker_replays_heal_a_crash_then_restart() {
             log: None,
             ..recovery_config(kind, shards, worker_1_outage(shards))
         };
-        let (r, _) = run_recovery(config);
+        let (r, _) = run_recovery(Pace::Slow, config);
         assert_eq!(r.spout_emitted, TUPLES as u64, "{label}");
         assert_eq!(
             r.tuples_acked, r.spout_emitted,
@@ -287,9 +339,7 @@ fn run_two_hops(config: LiveConfig) -> (whale_dsps::RunReport, HashMap<(u32, i64
     let sink_seen = Arc::clone(&seen);
     let ops = Operators::new()
         .spout("src", |_| {
-            Box::new(IterSpout::new(
-                (0..TWO_HOP_TUPLES).map(|i| Tuple::with_id(i as u64, vec![Value::I64(i)])),
-            ))
+            Box::new(IterSpout::new(paced(Pace::Slow, TWO_HOP_TUPLES)))
         })
         .bolt("mid", |_| {
             Box::new(FnBolt::new(|t: &Tuple, out: &mut dyn Emitter| {
@@ -314,7 +364,10 @@ fn run_two_hops(config: LiveConfig) -> (whale_dsps::RunReport, HashMap<(u32, i64
 /// replays worker 1's `mid` inputs, root dedup absorbs every replayed
 /// copy that already ran, and the whole log is reclaimed. A `mid`
 /// emission sent into the outage is lost, as it is without a log —
-/// at most one value per rejected send — and none runs twice.
+/// at most one value per rejected send — and none runs twice. The spout
+/// is slow, one tuple a step, so a `mid` step has one input to emit from
+/// and sends runs of one; the rejected sends also count the spout's
+/// frames to worker 1, which lose nothing.
 #[test]
 fn under_a_second_hop_the_log_replays_only_what_dedup_absorbs() {
     for (label, kind, shards) in outage_variants() {

@@ -554,6 +554,53 @@ fn a_spout_steps_run_costs_its_origin_one_frame_buffer_and_its_receivers_none() 
     }
 }
 
+#[test]
+fn a_spout_steps_keyed_emissions_cost_one_frame_per_destination_pipeline() {
+    // Four machines, one `src` instance each and three keyed sinks dealt
+    // to workers 0 to 2: worker 3's spout step emits RUN tuples with
+    // distinct keys, and each sink's worker gets its share as one run —
+    // three frames, not one per tuple. Per step, the blocks are the
+    // tuples' own `Arc`s and one buffer per frame the per-send fabric
+    // takes.
+    let mut b = TopologyBuilder::new();
+    b.spout("src", 4, Schema::new(vec!["n", "k"]))
+        .bolt("sink", 3, Schema::new(vec!["n", "k"]))
+        .connect("src", "sink", Grouping::Fields(1));
+    let ops = Operators::new()
+        .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
+        .bolt("sink", |_| {
+            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+        });
+    let config = LiveConfig {
+        machines: 4,
+        ..LiveConfig::default()
+    };
+    let mut origin = PipelineHarness::new(b.build().unwrap(), &ops, config, 3);
+    let tuple = |n: usize| {
+        let key = Value::str(format!("key-{n}").as_str());
+        Tuple::with_id(n as u64, vec![Value::I64(n as i64), key])
+    };
+    let mut costs = Vec::new();
+    let mut frames = 0;
+    for step in 0..TUPLES / RUN {
+        let tuples: Vec<Tuple> = (0..RUN).map(|i| tuple(step * RUN + i)).collect();
+        let before = blocks();
+        origin.emit_in_one_step(tuples);
+        costs.push(blocks() - before);
+        let sent = origin.take_sent_frames();
+        let mut workers: Vec<u32> = sent.iter().map(|(worker, _)| *worker).collect();
+        workers.sort_unstable();
+        assert_eq!(workers, [0, 1, 2], "one frame per pipeline, step {step}");
+        frames += sent.len();
+    }
+    let records = origin.snapshot().frames_encoded;
+    assert_eq!(records, (TUPLES / RUN * RUN) as u64);
+    assert_eq!(frames, TUPLES / RUN * 3);
+    let steady = &costs[WARMUP / RUN..];
+    let max = steady.iter().max();
+    assert!(steady.iter().all(|&c| c == RUN as u64 + 3), "max {max:?}");
+}
+
 /// Per relayed frame worker 1 of two receives, the blocks its one `pass`
 /// instance costs handing the tuple on to the sink on worker 0 — sorted,
 /// after warm-up — with `pass` built by `pass`.
