@@ -187,15 +187,9 @@ impl Bolt for MatchingBolt {
         input: &LazyTuple,
         out: &mut dyn Emitter,
     ) -> Result<(), DecodeError> {
-        // One view for the four reads (`LazyTuple::field` rebuilds it per
-        // call); a handle that is not wire-backed holds the owned tuple.
-        match input.view() {
-            Some(view) => self.on_event(view.id(), |i| view.field(i).transpose(), out),
-            None => {
-                self.execute(input.materialize()?, out);
-                Ok(())
-            }
-        }
+        // `LazyTuple::field` reads a wire handle's block in place, and an
+        // owned one's tuple.
+        self.on_event(input.id(), |i| input.field(i).transpose(), out)
     }
 }
 
@@ -238,15 +232,9 @@ impl Bolt for AggregationBolt {
     fn execute_lazy(
         &mut self,
         input: &LazyTuple,
-        out: &mut dyn Emitter,
+        _out: &mut dyn Emitter,
     ) -> Result<(), DecodeError> {
-        match input.view() {
-            Some(view) => self.on_candidate(|i| view.field(i).transpose()),
-            None => {
-                self.execute(input.materialize()?, out);
-                Ok(())
-            }
-        }
+        self.on_candidate(|i| input.field(i).transpose())
     }
 
     fn finish(&mut self, out: &mut dyn Emitter) {

@@ -129,12 +129,8 @@ impl Bolt for SplitBolt {
         input: &LazyTuple,
         out: &mut dyn Emitter,
     ) -> Result<(), DecodeError> {
-        // One view for the reads (`LazyTuple::field` rebuilds it per call).
-        let keeps = match input.view() {
-            Some(view) => self.keeps(|i| view.field(i).transpose())?,
-            None => self.keeps(|i| input.field(i).transpose())?,
-        };
-        if keeps {
+        // `LazyTuple::field` reads a wire handle's block in place.
+        if self.keeps(|i| input.field(i).transpose())? {
             out.forward(input)?;
         }
         Ok(())
@@ -220,10 +216,7 @@ impl Bolt for MatchingBolt {
         input: &LazyTuple,
         out: &mut dyn Emitter,
     ) -> Result<(), DecodeError> {
-        match input.view() {
-            Some(view) => self.on_record(view.id(), |i| view.field(i).transpose(), out),
-            None => self.on_record(input.id(), |i| input.field(i).transpose(), out),
-        }
+        self.on_record(input.id(), |i| input.field(i).transpose(), out)
     }
 }
 
@@ -267,10 +260,7 @@ impl Bolt for VolumeBolt {
         input: &LazyTuple,
         _out: &mut dyn Emitter,
     ) -> Result<(), DecodeError> {
-        match input.view() {
-            Some(view) => self.on_trade(|i| view.field(i).transpose()),
-            None => self.on_trade(|i| input.field(i).transpose()),
-        }
+        self.on_trade(|i| input.field(i).transpose())
     }
 
     fn finish(&mut self, out: &mut dyn Emitter) {

@@ -343,48 +343,10 @@ impl<'a> TupleView<'a> {
         self.bytes
     }
 
-    /// Byte offset of field `i` within the wire bytes. Framing was
-    /// validated at parse, so the walk past the offset table can't fail.
-    fn offset_of(&self, i: usize) -> usize {
-        if i < OFFSET_TABLE {
-            return self.offsets[i] as usize;
-        }
-        let mut at = self.offsets[OFFSET_TABLE - 1] as usize;
-        for _ in OFFSET_TABLE - 1..i {
-            at = skip_value(self.bytes, at).expect("validated at parse");
-        }
-        at
-    }
-
     /// Read field `i` in place. `None` past the arity; `Err(BadUtf8)`
     /// surfaces here for a string field whose (deferred) validation fails.
     pub fn field(&self, i: usize) -> Option<Result<ValueView<'a>, DecodeError>> {
-        if i >= self.arity as usize {
-            return None;
-        }
-        let at = self.offset_of(i);
-        let b = self.bytes;
-        Some(match b[at] {
-            TAG_I64 => Ok(ValueView::I64(i64::from_le_bytes(
-                b[at + 1..at + 9].try_into().unwrap(),
-            ))),
-            TAG_F64 => Ok(ValueView::F64(f64::from_le_bytes(
-                b[at + 1..at + 9].try_into().unwrap(),
-            ))),
-            TAG_STR => {
-                let len = read_u32(b, at + 1) as usize;
-                match std::str::from_utf8(&b[at + 5..at + 5 + len]) {
-                    Ok(s) => Ok(ValueView::Str(s)),
-                    Err(_) => Err(DecodeError::BadUtf8),
-                }
-            }
-            TAG_BYTES => {
-                let len = read_u32(b, at + 1) as usize;
-                Ok(ValueView::Bytes(&b[at + 5..at + 5 + len]))
-            }
-            TAG_BOOL => Ok(ValueView::Bool(b[at + 1] != 0)),
-            _ => unreachable!("tag validated at parse"),
-        })
+        field_at(self.bytes, self.arity, &self.offsets, i)
     }
 
     /// Iterate all fields in order.
@@ -404,6 +366,55 @@ impl<'a> TupleView<'a> {
             values,
         })
     }
+}
+
+/// Byte offset of field `i` within a tuple's wire bytes `b`, from the
+/// offsets of its first [`OFFSET_TABLE`] values. Framing was validated
+/// at parse, so the walk past the offset table can't fail.
+fn offset_of(b: &[u8], offsets: &[u32; OFFSET_TABLE], i: usize) -> usize {
+    if i < OFFSET_TABLE {
+        return offsets[i] as usize;
+    }
+    let mut at = offsets[OFFSET_TABLE - 1] as usize;
+    for _ in OFFSET_TABLE - 1..i {
+        at = skip_value(b, at).expect("validated at parse");
+    }
+    at
+}
+
+/// [`TupleView::field`] over the parts of a view, wherever they are kept:
+/// a [`LazyTuple`] reads its block's in place, building no view.
+fn field_at<'a>(
+    b: &'a [u8],
+    arity: u16,
+    offsets: &[u32; OFFSET_TABLE],
+    i: usize,
+) -> Option<Result<ValueView<'a>, DecodeError>> {
+    if i >= arity as usize {
+        return None;
+    }
+    let at = offset_of(b, offsets, i);
+    Some(match b[at] {
+        TAG_I64 => Ok(ValueView::I64(i64::from_le_bytes(
+            b[at + 1..at + 9].try_into().unwrap(),
+        ))),
+        TAG_F64 => Ok(ValueView::F64(f64::from_le_bytes(
+            b[at + 1..at + 9].try_into().unwrap(),
+        ))),
+        TAG_STR => {
+            let len = read_u32(b, at + 1) as usize;
+            match std::str::from_utf8(&b[at + 5..at + 5 + len]) {
+                Ok(s) => Ok(ValueView::Str(s)),
+                Err(_) => Err(DecodeError::BadUtf8),
+            }
+        }
+        TAG_BYTES => {
+            let len = read_u32(b, at + 1) as usize;
+            Ok(ValueView::Bytes(&b[at + 5..at + 5 + len]))
+        }
+        TAG_BOOL => Ok(ValueView::Bool(b[at + 1] != 0)),
+        _ => unreachable!("tag validated at parse"),
+    })
 }
 
 /// Borrowed view of a [`WorkerMessage`]: header fields resolve by fixed
@@ -544,7 +555,7 @@ enum LazyRepr {
 
 #[derive(Debug)]
 struct WireTuple {
-    /// `None` only while the block waits in a [`WireSpare`].
+    /// `None` only in a [`WireSpare`] that was released.
     buf: Option<Arc<[u8]>>,
     start: u32,
     len: u32,
@@ -568,51 +579,69 @@ impl WireTuple {
             offsets: self.offsets,
         }
     }
+
+    fn field(&self, i: usize) -> Option<Result<ValueView<'_>, DecodeError>> {
+        field_at(self.bytes(), self.arity, &self.offsets, i)
+    }
 }
 
-/// The heap block of a wire-backed [`LazyTuple`] between two frames. A
-/// receiver that handles frames one after the other hands each finished
-/// handle to [`WireSpare::reclaim`] and anchors the next frame with
+/// The heap block of a wire-backed [`LazyTuple`] between two records. A
+/// receiver that handles records one after the other hands each finished
+/// handle to [`WireSpare::reclaim`] and anchors the next record with
 /// [`WireSpare::anchor`]: when the handle came back unique its block is
 /// refilled in place, otherwise (a bolt kept a clone, the tuple crossed
-/// to another thread) the next frame gets a fresh block — there is one
+/// to another thread) the next record gets a fresh block — there is one
 /// way to build a wire handle, with or without a block to reuse.
+///
+/// A kept block keeps its buffer reference too, so the records of one
+/// frame, anchored one after another, share the one reference the first
+/// of them took: a frame holds its buffer once, not once per record.
+/// [`WireSpare::release`] lets go of it when the frame is done, so
+/// between frames the spare holds neither a frame's buffer nor a tuple
+/// memoized from it.
 #[derive(Debug, Default)]
 pub struct WireSpare(Option<Arc<WireTuple>>);
 
 impl WireSpare {
     /// Anchor a parsed view to its backing shared buffer. `view` must
-    /// borrow from `buf` (checked); no bytes are re-validated or copied.
-    pub fn anchor(&mut self, buf: Arc<[u8]>, view: &TupleView<'_>) -> LazyTuple {
+    /// borrow from `buf` (checked); no bytes are re-validated or copied,
+    /// and `buf` is referenced again only when the kept block does not
+    /// hold it already.
+    pub fn anchor(&mut self, buf: &Arc<[u8]>, view: &TupleView<'_>) -> LazyTuple {
         let base = buf.as_ptr() as usize;
         let p = view.bytes.as_ptr() as usize;
         assert!(
             p >= base && p + view.bytes.len() <= base + buf.len(),
             "view must borrow from the anchoring buffer"
         );
-        let filled = WireTuple {
-            start: (p - base) as u32,
-            len: view.bytes.len() as u32,
-            id: view.id,
-            arity: view.arity,
-            offsets: view.offsets,
-            cache: OnceLock::new(),
-            buf: Some(buf),
-        };
+        let (start, len) = ((p - base) as u32, view.bytes.len() as u32);
         let block = match self.0.take() {
             Some(mut block) => {
-                *Arc::get_mut(&mut block).expect("kept only when unique") = filled;
+                let w = Arc::get_mut(&mut block).expect("kept only when unique");
+                if !w.buf.as_ref().is_some_and(|held| Arc::ptr_eq(held, buf)) {
+                    w.buf = Some(Arc::clone(buf));
+                }
+                (w.start, w.len, w.id, w.arity) = (start, len, view.id, view.arity);
+                w.offsets = view.offsets;
                 block
             }
-            None => Arc::new(filled),
+            None => Arc::new(WireTuple {
+                buf: Some(Arc::clone(buf)),
+                start,
+                len,
+                id: view.id,
+                arity: view.arity,
+                offsets: view.offsets,
+                cache: OnceLock::new(),
+            }),
         };
         LazyTuple(LazyRepr::Wire(block))
     }
 
     /// Take `t` out of use. If it is the last handle on a wire block and
     /// no block is waiting already, the block is kept for the next
-    /// [`Self::anchor`] — emptied first: it holds on to neither the
-    /// frame's buffer nor a tuple memoized from it.
+    /// [`Self::anchor`], with its buffer; a tuple memoized from it is
+    /// dropped (if one was made).
     pub fn reclaim(&mut self, t: LazyTuple) {
         let LazyRepr::Wire(mut block) = t.0 else {
             return;
@@ -621,9 +650,18 @@ impl WireSpare {
             return;
         }
         if let Some(w) = Arc::get_mut(&mut block) {
-            w.buf = None;
-            w.cache = OnceLock::new();
+            if w.cache.get().is_some() {
+                w.cache = OnceLock::new();
+            }
             self.0 = Some(block);
+        }
+    }
+
+    /// Let go of the buffer the kept block holds, if it holds one: the
+    /// frame it came from is done. The block stays for the next frame.
+    pub fn release(&mut self) {
+        if let Some(w) = self.0.as_mut().and_then(Arc::get_mut) {
+            w.buf = None;
         }
     }
 }
@@ -642,13 +680,13 @@ impl LazyTuple {
     /// Anchor a parsed view to its backing shared buffer in a block of
     /// its own ([`WireSpare::anchor`] with nothing to reuse).
     pub fn from_wire_view(buf: Arc<[u8]>, view: &TupleView<'_>) -> Self {
-        WireSpare::default().anchor(buf, view)
+        WireSpare::default().anchor(&buf, view)
     }
 
     /// Validate framing at `start` within `buf` and anchor the view.
     pub fn from_wire(buf: Arc<[u8]>, start: usize) -> Result<Self, DecodeError> {
         let view = TupleView::parse(&buf[start..])?;
-        Ok(Self::from_wire_view(Arc::clone(&buf), &view))
+        Ok(WireSpare::default().anchor(&buf, &view))
     }
 
     /// The tuple id (header field, free to read).
@@ -687,7 +725,7 @@ impl LazyTuple {
     pub fn field(&self, i: usize) -> Option<Result<ValueView<'_>, DecodeError>> {
         match &self.0 {
             LazyRepr::Owned(t) => t.get(i).map(|v| Ok(ValueView::from(v))),
-            LazyRepr::Wire(w) => w.view().field(i),
+            LazyRepr::Wire(w) => w.field(i),
         }
     }
 
@@ -720,7 +758,7 @@ impl LazyTuple {
     pub(crate) fn key(&self, i: usize) -> Option<ValueView<'_>> {
         match &self.0 {
             LazyRepr::Owned(t) => t.get(i).map(ValueView::from),
-            LazyRepr::Wire(w) => w.view().field(i)?.ok(),
+            LazyRepr::Wire(w) => w.field(i)?.ok(),
         }
     }
 
@@ -1387,5 +1425,45 @@ mod tests {
         assert!(lazy.view().is_none());
         assert_eq!(lazy.field(2).unwrap().unwrap().as_str(), Some("driver-42"));
         assert_eq!(lazy.materialize().unwrap(), &t);
+    }
+
+    #[test]
+    fn a_frames_records_share_one_buffer_reference_until_the_release() {
+        // Three records back to back in one buffer, as a run carries them.
+        let tuples: Vec<Tuple> = (0..3)
+            .map(|i| Tuple::with_id(i, vec![Value::I64(i as i64), Value::str("rec")]))
+            .collect();
+        let mut bytes = Vec::new();
+        let mut starts = Vec::new();
+        for t in &tuples {
+            starts.push(bytes.len());
+            bytes.extend_from_slice(&encode_tuple(t));
+        }
+        let frame: Arc<[u8]> = Arc::from(bytes);
+        let mut spare = WireSpare::default();
+        for (t, &start) in tuples.iter().zip(&starts) {
+            let view = TupleView::parse(&frame[start..]).unwrap();
+            let lazy = spare.anchor(&frame, &view);
+            assert_eq!(Arc::strong_count(&frame), 2, "one reference, not one per record");
+            assert_eq!(lazy.field(1).unwrap().unwrap().as_str(), Some("rec"));
+            assert_eq!(lazy.materialize().unwrap(), t);
+            spare.reclaim(lazy);
+            assert_eq!(Arc::strong_count(&frame), 2, "kept for the next record");
+        }
+        spare.release();
+        assert_eq!(Arc::strong_count(&frame), 1, "the frame is done");
+        // The block stays; a record of another buffer swaps the reference.
+        let other: Arc<[u8]> = Arc::from(&encode_tuple(&tuples[2])[..]);
+        let view = TupleView::parse(&frame[starts[1]..]).unwrap();
+        let lazy = spare.anchor(&frame, &view);
+        spare.reclaim(lazy);
+        let lazy = spare.anchor(&other, &TupleView::parse(&other).unwrap());
+        assert_eq!(Arc::strong_count(&frame), 1, "the old buffer let go");
+        assert_eq!(Arc::strong_count(&other), 2);
+        assert!(!lazy.is_materialized(), "nothing memoized carries over");
+        assert_eq!(lazy.materialize().unwrap(), &tuples[2]);
+        spare.reclaim(lazy);
+        spare.release();
+        assert_eq!(Arc::strong_count(&other), 1);
     }
 }

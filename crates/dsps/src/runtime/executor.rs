@@ -311,6 +311,7 @@ mod tests {
 
     #[test]
     fn a_hand_off_between_two_steps_of_one_executor_issues_no_wake() {
+        use super::super::send::Delivery;
         // One machine, 4 shards on two executors: shards 0 and 1 on the
         // first, 2 and 3 on the second. This thread stands in for the
         // first, inside shard 0's step, with both executors about to park.
@@ -338,7 +339,8 @@ mod tests {
         let _owner = wakers[0].own();
         wakers.iter().for_each(|w| w.prepare());
         super::super::send::CURRENT_SHARD.with(|c| c.set(Some(0)));
-        assert!(routing.deliver(Dest::Task(sink(1)), data()));
+        let handed = routing.deliver(Dest::Task(sink(1)), data());
+        assert!(matches!(handed, Delivery::Handed));
         assert_eq!(routing.stats.get(Ctr::cross_shard_msgs), 1);
         assert_eq!(
             wakers[0].wakes_sent(),
@@ -346,7 +348,8 @@ mod tests {
             "shard 1 is a step of this executor"
         );
         assert!(wakers[1].is_parked(), "the other executor heard nothing");
-        assert!(routing.deliver(Dest::Task(sink(2)), data()));
+        let handed = routing.deliver(Dest::Task(sink(2)), data());
+        assert!(matches!(handed, Delivery::Handed));
         assert_eq!(wakers[1].wakes_sent(), 1, "shard 2 is another executor's");
         assert!(!wakers[1].is_parked());
         super::super::send::CURRENT_SHARD.with(|c| c.set(None));

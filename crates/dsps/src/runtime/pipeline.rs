@@ -228,21 +228,26 @@ pub(super) struct RecvScratch {
     /// Destination ids of a worker frame or EOS.
     dsts: Vec<TaskId>,
     /// The wire handle of the last batch executed, when it came back
-    /// unique (no bolt kept a clone, it did not cross to another shard).
+    /// unique (no bolt kept a clone, it did not cross to another shard),
+    /// holding its frame's buffer until that frame is done.
     spare: WireSpare,
 }
 
-/// Parse and dispatch one fabric frame received by `worker`'s pipeline.
+/// Parse and dispatch one fabric frame received by `worker`'s pipeline,
+/// and run everything it causes on `bolts` (the pipeline's own).
 /// Framing is validated once per record (views, nothing materialized);
 /// a data item is handed on as one shared [`LazyTuple`] per destination
 /// pipeline, built in `scratch`. A frame that is
 /// truncated, fails to validate or carries an unknown kind is dropped and
 /// counted (`dropped_frames`), and so is every destination id this run
-/// executes nothing on — a bad peer must not crash the worker. Between
-/// the records of a worker or relay frame, what each caused on this
-/// pipeline runs on `bolts` (the pipeline's own), so each is anchored in
-/// the block the one before it gave back. At the first record that does
-/// not frame, the rest of the frame is dropped and counted once.
+/// executes nothing on — a bad peer must not crash the worker. A received
+/// record runs where it lands: after its hand-offs to the worker's other
+/// pipelines, its entry for this pipeline runs on `bolts` at once
+/// ([`run_in_place`]), and what that caused here with it, before the next
+/// record is anchored — in the block, and on the buffer reference, the
+/// one before it gave back, which the frame lets go of when it is done.
+/// At the first record that does not frame, the rest of the frame is
+/// dropped and counted once.
 pub(super) fn on_frame(
     worker: u32,
     msg: &whale_net::LiveMessage,
@@ -257,15 +262,21 @@ pub(super) fn on_frame(
         }
     };
     // Hand one received data item to `dsts` as a view over the shared
-    // receive buffer.
+    // receive buffer; returns this pipeline's entry.
     let deliver_data = |spare: &mut WireSpare, item: &TupleView<'_>, tracked, dsts: &[TaskId]| {
-        let lazy = routing.lazy_tuple(&msg.payload, item, spare);
-        dropped(lazy.map_or(1, |lazy| {
-            routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked))
-        }))
+        let Ok(lazy) = routing.lazy_tuple(&msg.payload, item, spare) else {
+            dropped(1);
+            return None;
+        };
+        let (rejected, own) = routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked));
+        dropped(rejected);
+        own
     };
     match wire::parse(msg.payload.bytes()) {
-        Ok(FrameView::Instance(tracked, m)) => deliver_data(spare, m.tuple(), tracked, &[m.dst()]),
+        Ok(FrameView::Instance(tracked, m)) => {
+            let own = deliver_data(spare, m.tuple(), tracked, &[m.dst()]);
+            run_in_place(bolts, spare, own, routing);
+        }
         Ok(FrameView::Worker(run)) => {
             for record in run.records() {
                 let Ok((tracked, m)) = record else {
@@ -273,27 +284,33 @@ pub(super) fn on_frame(
                     break;
                 };
                 codec::dispatch_worker_message_into(&m, dsts);
-                deliver_data(spare, m.tuple(), tracked, dsts);
-                drain_loopback(bolts, spare, routing);
+                let own = deliver_data(spare, m.tuple(), tracked, dsts);
+                run_in_place(bolts, spare, own, routing);
             }
         }
         Ok(FrameView::Eos { src, dsts: listed }) => {
             dsts.clear();
             dsts.extend(listed);
-            dropped(routing.deliver_listed(dsts, ExecMsg::Eos(src)));
+            let (rejected, own) = routing.deliver_listed(dsts, ExecMsg::Eos(src));
+            dropped(rejected);
+            run_in_place(bolts, spare, own, routing);
         }
         // The received payload is handed along untouched so forwards
         // reuse its bytes.
         Ok(FrameView::Relay(run)) => {
-            let mut drain = |spare: &mut WireSpare| {
-                drain_loopback(bolts, spare, routing);
+            let mut run_own = |spare: &mut WireSpare, own: Option<Entry>| {
+                run_in_place(bolts, spare, own, routing);
             };
-            routing.on_relay_frame(worker, run, &msg.payload, spare, &mut drain)
+            routing.on_relay_frame(worker, run, &msg.payload, spare, &mut run_own)
         }
-        Ok(FrameView::RelayEos(eos)) => routing.on_relay_eos(worker, eos, &msg.payload),
+        Ok(FrameView::RelayEos(eos)) => {
+            let own = routing.on_relay_eos(worker, eos, &msg.payload);
+            run_in_place(bolts, spare, own, routing);
+        }
         Ok(FrameView::RelayMarker(marker)) => routing.on_relay_marker(worker, marker, &msg.payload),
         Err(_) => dropped(1),
     }
+    spare.release();
 }
 
 /// One bolt task owned by a shard pipeline.
@@ -562,6 +579,8 @@ impl ShardPipeline {
         self.runs.enter();
         let result = f(self, routing);
         self.drain_local(routing);
+        // Entries from other pipelines' frames kept their buffers.
+        self.scratch.spare.release();
         debug_assert!(
             LOCAL_QUEUE.with_borrow(|q| q.is_empty()),
             "a pipeline leaves nothing in the loopback queue"
@@ -628,7 +647,6 @@ impl ShardPipeline {
                         &mut self.bolts,
                     );
                     progress = true;
-                    self.drain_local(routing);
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
@@ -772,6 +790,22 @@ fn exec_entry(
     if let Some(bolts) = at.and_then(|i| bolts.get_mut(i..i + n)) {
         run_batch(bolts, msg, routing, spare);
     }
+}
+
+/// Run a received entry that landed on this pipeline (if one did) on
+/// `bolts` at once, then drain what its execution caused here. The emit
+/// path cannot: it runs inside an execution, with the bolts borrowed, and
+/// queues its own entries ([`LOCAL_QUEUE`]) instead.
+fn run_in_place(
+    bolts: &mut [BoltState],
+    spare: &mut WireSpare,
+    own: Option<Entry>,
+    routing: &Routing,
+) {
+    if let Some(entry) = own {
+        exec_entry(bolts, spare, entry, routing);
+    }
+    drain_loopback(bolts, spare, routing);
 }
 
 /// Drain the thread-local same-shard loopback queue into `bolts`.
@@ -1324,6 +1358,43 @@ mod tests {
         assert_eq!(acker.ack(2, elsewhere), crate::acker::TreeState::Pending);
         let state = acker.ack(2, anchor_for(2, sinks[1]));
         assert_eq!(state, crate::acker::TreeState::Acked);
+    }
+
+    #[test]
+    fn a_bolt_panicking_mid_frame_poisons_only_itself_and_the_frames_other_records_run() {
+        let (counts, tap) = counting();
+        let seen = Arc::clone(&counts);
+        // The second of worker 1's four sinks (instances 1, 3, 5, 7)
+        // panics on the frame's second record, which runs in place.
+        let (mut h, _sinks) = leaf_harness(None, move |idx| {
+            tap(idx);
+            let second = idx == 3 && seen[3].load(Ordering::Relaxed) == 2;
+            assert!(!second, "injected bolt failure");
+        });
+        let header = RelayHeader {
+            origin: 0,
+            epoch: h.routing.relay.as_ref().unwrap().current().epoch,
+            component: h.routing.topology.component("sink").unwrap().id.0,
+            tracked: 0,
+        };
+        let mut run = bytes::BytesMut::new();
+        for n in 0..3u64 {
+            let item = LazyTuple::from_tuple(Tuple::with_id(n, vec![Value::I64(n as i64)]));
+            wire::encode_relay(&mut run, header, &item);
+        }
+        h.receive(&shared(Arc::from(&run[..])));
+        assert!(
+            LOCAL_QUEUE.with_borrow(|q| q.is_empty()),
+            "nothing left in the loopback queue"
+        );
+        let r = h.snapshot();
+        assert_eq!(r.thread_panics, 1);
+        assert_eq!(r.dropped_frames, 0);
+        assert_eq!(r.executed[1], 4 + 4 + 3, "the poisoned sink sits the third out");
+        for idx in [1, 5, 7] {
+            assert_eq!(counts[idx].load(Ordering::Relaxed), 3, "instance {idx}");
+        }
+        assert_eq!(counts[3].load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use super::reliability::anchor_for;
 use super::report::{Ctr, Lanes, Reservoir, LATENCY_SAMPLE};
 use super::runs::{RUNS, RUN_CAP};
-use super::send::{ExecMsg, Routing, CURRENT_SHARD};
+use super::send::{loop_back, Entry, ExecMsg, Routing, CURRENT_SHARD};
 use super::wire::{self, RelayEos, RelayMarker, RelayRun, Wire};
 use crate::codec::{LazyTuple, RelayHeader, WireSpare};
 use crate::scheduler::{Placement, WorkerId};
@@ -454,7 +454,7 @@ impl Routing {
             }
         }
         let data = ExecMsg::Data(item.clone(), tracked);
-        self.deliver_to_component(src_worker, comp, data);
+        loop_back(self.deliver_to_component(src_worker, comp, data));
         let epoch = relay.hold(None).expect("a current generation");
         let origin = src_worker.0;
         let header = RelayHeader {
@@ -512,7 +512,7 @@ impl Routing {
     /// [`Self::send_waiting_eos`].
     pub(super) fn relay_eos(&self, src: TaskId, comp: ComponentId, copies: u32) {
         let src_worker = self.placement.worker_of(src);
-        self.deliver_to_component(src_worker, comp, ExecMsg::Eos(src));
+        loop_back(self.deliver_to_component(src_worker, comp, ExecMsg::Eos(src)));
         let eos = WaitingEos { src, comp, copies };
         if !self.try_relay_eos(eos) {
             WAITING_EOS.with_borrow_mut(|waiting| waiting.push(eos));
@@ -642,20 +642,22 @@ impl Routing {
     /// wire bytes* to the tree children — no decode, no re-encode, no
     /// buffer-pool round-trip; a shared payload is refcount-bumped, a
     /// copied one is copied by the fabric — then deliver its records in
-    /// order, each decoded once, only for local delivery. `drain` runs
-    /// what one record caused locally before the next is anchored, so the
-    /// block `spare` gets back serves every record. A record that does not
-    /// frame, or is on another tree than the first, is dropped with the
-    /// rest of the frame (nothing after it can be trusted) and counted
-    /// once in `dropped_frames`; forwarding, which comes first, sent the
-    /// frame on whole.
+    /// order, each decoded once, only for local delivery. Each record is
+    /// handed to the worker's other pipelines first; `run` then runs the
+    /// receiving pipeline's own entry in place, and what that caused,
+    /// before the next record is anchored — so the block (and the buffer
+    /// reference) `spare` gets back serves every record. A record that
+    /// does not frame, or is on another tree than the first, is dropped
+    /// with the rest of the frame (nothing after it can be trusted) and
+    /// counted once in `dropped_frames`; forwarding, which comes first,
+    /// sent the frame on whole.
     pub(super) fn on_relay_frame(
         &self,
         my_worker: u32,
         run: RelayRun<'_>,
         payload: &Payload,
         spare: &mut WireSpare,
-        drain: &mut dyn FnMut(&mut WireSpare),
+        run_own: &mut dyn FnMut(&mut WireSpare, Option<Entry>),
     ) {
         let h = run.header;
         let stale = || run.records().count() as u64;
@@ -705,8 +707,8 @@ impl Routing {
             };
             let tracked = (r.tracked != 0).then_some(r.tracked);
             let comp = ComponentId(r.component);
-            self.deliver_to_component(WorkerId(my_worker), comp, ExecMsg::Data(lazy, tracked));
-            drain(spare);
+            let data = ExecMsg::Data(lazy, tracked);
+            run_own(spare, self.deliver_to_component(WorkerId(my_worker), comp, data));
         }
         if let Some(depth) = depth {
             relay.record_depth(depth, records);
@@ -718,15 +720,20 @@ impl Routing {
 
     /// A relay worker received an EOS frame: forward the received bytes
     /// along the tree, then deliver EOS to the local instances of the
-    /// component.
-    pub(super) fn on_relay_eos(&self, my_worker: u32, eos: RelayEos, payload: &Payload) {
+    /// component. Returns the receiving pipeline's own entry, to run in
+    /// place.
+    pub(super) fn on_relay_eos(
+        &self,
+        my_worker: u32,
+        eos: RelayEos,
+        payload: &Payload,
+    ) -> Option<Entry> {
         let admitted = self.relay_admit(my_worker, eos.origin, eos.epoch, || 1);
-        let Some((_, epoch, node)) = admitted else {
-            return;
-        };
+        let (_, epoch, node) = admitted?;
         let from = Node::Dest(node);
         self.relay_fanout(&epoch, eos.origin, from, payload.into(), 1, drop);
-        self.deliver_to_component(WorkerId(my_worker), eos.component, ExecMsg::Eos(eos.src));
+        let worker = WorkerId(my_worker);
+        self.deliver_to_component(worker, eos.component, ExecMsg::Eos(eos.src))
     }
 
     /// A relay worker received a demoted generation's marker: whatever of

@@ -227,4 +227,83 @@ mod tests {
             assert!(r.fabric_messages < TUPLES * 3, "{fabric:?}: {r:?}");
         }
     }
+
+    #[test]
+    fn a_relayed_record_reaches_its_workers_other_pipeline_before_what_it_emits_there() {
+        // src → 6 `mid` → 6 `out`, both edges relayed, over three machines
+        // of two pipelines each. Worker 1 hosts a `mid` and an `out` task
+        // on each pipeline. A relayed record lands on its shard-0 pipeline,
+        // which hands it to shard 1 and runs it in place; its `mid`
+        // re-emits it to every `out`. Shard 1 must run the record on its
+        // `mid` before its `out` runs what shard 0's `mid` made of it.
+        const TUPLES: u64 = 300;
+        let fields = || Schema::new(vec!["n", "from"]);
+        let topology = || {
+            let mut b = crate::topology::TopologyBuilder::new();
+            b.spout("src", 1, Schema::new(vec!["n"]))
+                .bolt("mid", 6, fields())
+                .bolt("out", 6, fields())
+                .connect("src", "mid", Grouping::All)
+                .connect("mid", "out", Grouping::All);
+            b.build().unwrap()
+        };
+        let t = topology();
+        let placement = crate::scheduler::Placement::even(&t, &ClusterSpec::new(3, 1, 16));
+        let on_worker_1 = |comp: &str, shard: u32| {
+            let mut tasks = t.tasks_of(comp).into_iter();
+            let here = |t| placement.worker_of(t).0 == 1 && t.0 % 2 == shard;
+            tasks.position(here).expect("a task there") as u32
+        };
+        let (mid_0, mid_1, out_1) = (on_worker_1("mid", 0), on_worker_1("mid", 1), on_worker_1("out", 1));
+        for executors in [1, 2] {
+            // What shard 1 of worker 1 ran, in order: `(from mid_0, n)`.
+            let log: Arc<parking_lot::Mutex<Vec<(bool, i64)>>> = Arc::default();
+            let (mid_log, out_log) = (Arc::clone(&log), Arc::clone(&log));
+            let ops = Operators::new()
+                .spout("src", |_| {
+                    let tuples = (0..TUPLES).map(|i| Tuple::with_id(i, vec![Value::I64(i as i64)]));
+                    Box::new(IterSpout::new(tuples))
+                })
+                .bolt("mid", move |idx| {
+                    let log = Arc::clone(&mid_log);
+                    Box::new(FnBolt::new(move |t: &Tuple, out: &mut dyn Emitter| {
+                        let n = t.get(0).unwrap().as_i64().unwrap();
+                        if idx == mid_1 {
+                            log.lock().push((false, n));
+                        }
+                        let from = Value::I64(idx as i64);
+                        out.emit(Tuple::with_id(t.id, vec![Value::I64(n), from]));
+                    }))
+                })
+                .bolt("out", move |idx| {
+                    let log = Arc::clone(&out_log);
+                    Box::new(FnBolt::new(move |t: &Tuple, _out: &mut dyn Emitter| {
+                        let from = t.get(1).unwrap().as_i64().unwrap();
+                        if idx == out_1 && from == mid_0 as i64 {
+                            log.lock().push((true, t.get(0).unwrap().as_i64().unwrap()));
+                        }
+                    }))
+                });
+            let config = LiveConfig {
+                machines: 3,
+                shards: 2,
+                multicast_d_star: Some(2),
+                ..LiveConfig::default()
+            };
+            let r = run_on(topology(), ops, config, executors);
+            assert_eq!(r.outcome, RunOutcome::Clean, "{executors}");
+            assert_eq!(r.executed[2], TUPLES * 6 * 6, "{executors}");
+            let mut ran = std::collections::HashSet::new();
+            let mut emitted = 0;
+            for &(from_mid_0, n) in log.lock().iter() {
+                if from_mid_0 {
+                    assert!(ran.contains(&n), "{executors}: shard 0's emission of {n} came first");
+                    emitted += 1;
+                } else {
+                    ran.insert(n);
+                }
+            }
+            assert_eq!((ran.len() as u64, emitted), (TUPLES, TUPLES), "{executors}");
+        }
+    }
 }

@@ -249,14 +249,63 @@ pub(super) struct Routing {
 
 thread_local! {
     /// Flat shard id of the pipeline running on this thread, if any.
-    /// Deliveries targeting this shard skip the inbox and loop back
-    /// through [`LOCAL_QUEUE`]; threads without a pipeline (tests)
+    /// Deliveries targeting this shard skip the inbox and come back to
+    /// the caller ([`Delivery::Own`]); threads without a pipeline (tests)
     /// always deliver through the inboxes.
     pub(super) static CURRENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Same-shard deliveries looped back without touching any channel;
-    /// the owning pipeline drains it after every operator step.
+    /// Same-shard deliveries made while the pipeline's bolts are borrowed
+    /// (an operator emitting, a spout step, a bolt's EOS), looped back
+    /// without touching any channel; the owning pipeline drains it after
+    /// every operator step. A received entry is never queued here: its
+    /// receiver runs it in place ([`Delivery::Own`]).
     pub(super) static LOCAL_QUEUE: RefCell<VecDeque<Entry>> =
         const { RefCell::new(VecDeque::new()) };
+}
+
+/// Queue the running pipeline's own entry, if a delivery left one, to run
+/// when it drains [`LOCAL_QUEUE`] next.
+pub(super) fn loop_back(own: Option<Entry>) {
+    if let Some(entry) = own {
+        LOCAL_QUEUE.with_borrow_mut(|q| q.push_back(entry));
+    }
+}
+
+/// Where [`Routing::deliver`] left an executor message.
+#[must_use]
+pub(super) enum Delivery {
+    /// Addressed to a task this run executes nothing on.
+    Rejected,
+    /// Handed to the pipeline that owns it (or lost to backpressure,
+    /// counted).
+    Handed,
+    /// For the calling pipeline's own bolts: the caller runs it in place
+    /// (a received record) or queues it with [`loop_back`] (an emission,
+    /// made while those bolts are borrowed).
+    Own(Entry),
+}
+
+impl Delivery {
+    /// Queue an own entry with [`loop_back`]; returns whether the message
+    /// was accepted.
+    pub(super) fn loop_back(self) -> bool {
+        match self {
+            Delivery::Rejected => false,
+            Delivery::Handed => true,
+            Delivery::Own(entry) => {
+                loop_back(Some(entry));
+                true
+            }
+        }
+    }
+
+    /// `(rejected ids, own entry)` of a delivery to `n` listed ids.
+    fn listed(self, n: usize) -> (u64, Option<Entry>) {
+        match self {
+            Delivery::Rejected => (n as u64, None),
+            Delivery::Handed => (0, None),
+            Delivery::Own(entry) => (0, Some(entry)),
+        }
+    }
 }
 
 impl Routing {
@@ -308,35 +357,35 @@ impl Routing {
         spare: &mut WireSpare,
     ) -> Result<LazyTuple, DecodeError> {
         match payload {
-            Payload::Shared(buf) => Ok(spare.anchor(Arc::clone(buf), view)),
-            Payload::Slice(slice) => Ok(spare.anchor(Arc::clone(slice.buffer()), view)),
+            Payload::Shared(buf) => Ok(spare.anchor(buf, view)),
+            Payload::Slice(slice) => Ok(spare.anchor(slice.buffer(), view)),
             Payload::Copied(_) => view.to_tuple().map(LazyTuple::from_tuple),
         }
     }
 
     /// Deliver one executor message to the pipeline owning `dest`.
-    /// Same-shard deliveries loop back through the thread-local queue
-    /// (no channel, no lock); one from a step of the executor that steps
-    /// the owner is handed over unbounded (that executor alone could
-    /// drain a bounded inbox); everything else goes to the owning shard's
-    /// bounded inbox under the send policy's backoff — a full inbox that
-    /// never clears drops the message loudly (`send_failed`), mirroring
-    /// fabric backpressure. Returns false only when `dest` is a task
-    /// this run executes nothing on (the caller counts the drop when it
-    /// came off the wire); backpressure loss and teardown races are
-    /// handled here. Accepted deliveries of lazy wire views are counted
-    /// here, one per destination task.
-    pub(super) fn deliver(&self, dest: Dest, msg: ExecMsg) -> bool {
+    /// A same-shard delivery is handed back to the caller
+    /// ([`Delivery::Own`]: no channel, no lock, no queue); one from a
+    /// step of the executor that steps the owner is handed over unbounded
+    /// (that executor alone could drain a bounded inbox); everything else
+    /// goes to the owning shard's bounded inbox under the send policy's
+    /// backoff — a full inbox that never clears drops the message loudly
+    /// (`send_failed`), mirroring fabric backpressure. Rejected only when
+    /// `dest` is a task this run executes nothing on (the caller counts
+    /// the drop when it came off the wire); backpressure loss and
+    /// teardown races are handled here. Accepted deliveries of lazy wire
+    /// views are counted here, one per destination task.
+    pub(super) fn deliver(&self, dest: Dest, msg: ExecMsg) -> Delivery {
         let (row, n_tasks) = match dest {
             Dest::Task(t) => match self.groups.row_of(t) {
                 Some(row) => (row, 1),
-                None => return false,
+                None => return Delivery::Rejected,
             },
             Dest::Group(row) => (row, self.groups.tasks(row).len()),
         };
         let flat = self.groups.pipeline_of(row);
         let Some(inbox) = self.shard_inboxes.get(flat) else {
-            return false;
+            return Delivery::Rejected;
         };
         let lazy = matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire());
         let accepted = || {
@@ -345,9 +394,8 @@ impl Routing {
             }
         };
         if CURRENT_SHARD.with(|c| c.get()) == Some(flat) {
-            LOCAL_QUEUE.with_borrow_mut(|q| q.push_back((dest, msg)));
             accepted();
-            return true;
+            return Delivery::Own((dest, msg));
         }
         let sent = if inbox.waker.is_owned() {
             inbox.handed.push((dest, msg));
@@ -380,41 +428,54 @@ impl Routing {
             // Teardown race: the owning pipeline already exited.
             Err(_) => {}
         }
-        true
+        Delivery::Handed
     }
 
     /// Deliver `msg` to every bolt task of `comp` on `worker`: one entry
     /// per pipeline owning any (the cross-shard mirror of
-    /// [`Self::pipelines_of`]), the last one taking `msg` itself.
-    pub(super) fn deliver_to_component(&self, worker: WorkerId, comp: ComponentId, msg: ExecMsg) {
+    /// [`Self::pipelines_of`]), the last one taking `msg` itself. The
+    /// calling pipeline's own entry comes back only after every other
+    /// pipeline's hand-off, so whatever running it emits trails the
+    /// message everywhere else.
+    pub(super) fn deliver_to_component(
+        &self,
+        worker: WorkerId,
+        comp: ComponentId,
+        msg: ExecMsg,
+    ) -> Option<Entry> {
         let mut rows = self.groups.rows_on(worker, comp);
-        let Some(mut row) = rows.next() else {
-            return;
-        };
+        let mut row = rows.next()?;
+        let mut own = None;
         for next in rows {
-            self.deliver(Dest::Group(row), msg.clone());
+            if let Delivery::Own(entry) = self.deliver(Dest::Group(row), msg.clone()) {
+                own = Some(entry);
+            }
             row = next;
         }
-        self.deliver(Dest::Group(row), msg);
+        match self.deliver(Dest::Group(row), msg) {
+            Delivery::Own(entry) => Some(entry),
+            _ => own,
+        }
     }
 
     /// Deliver `msg` to a destination list read off the wire, returning
-    /// how many of its ids were rejected (see [`Self::deliver`]). A list
-    /// that is exactly one pipeline's tasks of one component — what
-    /// [`Self::pipelines_of`] writes for a broadcast — is one entry; any
-    /// other list is checked and delivered id by id.
-    pub(super) fn deliver_listed(&self, dsts: &[TaskId], msg: ExecMsg) -> u64 {
-        let rejected = |accepted: bool, n: usize| if accepted { 0 } else { n as u64 };
+    /// how many of its ids were rejected (see [`Self::deliver`]) and the
+    /// calling pipeline's own entry. A list that is exactly one
+    /// pipeline's tasks of one component — what [`Self::pipelines_of`]
+    /// writes for a broadcast — is one entry; any other list is checked
+    /// and delivered id by id, its own entries queued ([`loop_back`]) for
+    /// the caller's next drain.
+    pub(super) fn deliver_listed(&self, dsts: &[TaskId], msg: ExecMsg) -> (u64, Option<Entry>) {
         match dsts {
-            [] => 0,
-            [dst] => rejected(self.deliver(Dest::Task(*dst), msg), 1),
+            [] => (0, None),
+            [dst] => self.deliver(Dest::Task(*dst), msg).listed(1),
             [first, ..] => {
                 let row = self.groups.row_of(*first);
                 if let Some(row) = row.filter(|&row| self.groups.tasks(row) == dsts) {
-                    return rejected(self.deliver(Dest::Group(row), msg), dsts.len());
+                    return self.deliver(Dest::Group(row), msg).listed(dsts.len());
                 }
-                let deliver = |&dst| self.deliver(Dest::Task(dst), msg.clone());
-                dsts.iter().map(|dst| rejected(deliver(dst), 1)).sum()
+                let deliver = |&dst| self.deliver(Dest::Task(dst), msg.clone()).loop_back();
+                (dsts.iter().filter(|dst| !deliver(dst)).count() as u64, None)
             }
         }
     }
@@ -491,14 +552,15 @@ impl Routing {
         match plan.local_tasks() {
             [] => {}
             [dst] => {
-                self.deliver(Dest::Task(*dst), data());
+                self.deliver(Dest::Task(*dst), data()).loop_back();
             }
             // Only `Grouping::All` routes to more than one task, and it
             // routes to every task of the component.
             [dst, ..] => {
                 let tasks = self.topology.tasks();
                 let comp = tasks.component_of(*dst).expect("routed to a task");
-                self.deliver_to_component(self.placement.worker_of(src), comp, data());
+                let worker = self.placement.worker_of(src);
+                loop_back(self.deliver_to_component(worker, comp, data()));
             }
         }
         if !item.is_wire() {
@@ -659,7 +721,8 @@ impl Routing {
             let dsts = self.topology.tasks().tasks_of(edge.to);
             let mut plan = MessagePlan::default();
             plan.fill(CommMode::WorkerOriented, src, 0, &dsts, &self.placement);
-            self.deliver_to_component(self.placement.worker_of(src), edge.to, ExecMsg::Eos(src));
+            let worker = self.placement.worker_of(src);
+            loop_back(self.deliver_to_component(worker, edge.to, ExecMsg::Eos(src)));
             for env in plan.remote() {
                 for (to, owned) in self.pipelines_of(env.dst_worker, plan.tasks_of(env)) {
                     self.with_frame(
@@ -1034,7 +1097,8 @@ mod tests {
         const ATTEMPTS: u64 = 5;
         for _ in 0..ATTEMPTS {
             let lazy = LazyTuple::from_wire(Arc::clone(&item), 0).unwrap();
-            assert!(routing.deliver(Dest::Group(row), ExecMsg::Data(lazy, None)));
+            let handed = routing.deliver(Dest::Group(row), ExecMsg::Data(lazy, None));
+            assert!(matches!(handed, Delivery::Handed));
         }
         let stats = &routing.stats;
         let lazy = stats.get(Ctr::wire_tuples_lazy);

@@ -1,8 +1,9 @@
 //! A wire handle built in a recycled block ([`WireSpare`]) must be
-//! indistinguishable from one built in a fresh block — whatever the frame
-//! before it was, and whatever was done with that frame's handle: fields
-//! read, the tuple materialized (and memoized), a clone kept by a bolt, a
-//! clone sent to another thread.
+//! indistinguishable from one built in a fresh block — whatever the item
+//! before it was, whether it came from the same frame's buffer (whose
+//! reference the spare keeps) or another's, and whatever was done with
+//! that item's handle: fields read, the tuple materialized (and
+//! memoized), a clone kept by a bolt, a clone sent to another thread.
 
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc};
@@ -19,37 +20,47 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// What one frame's receiver does with its handle.
+/// What one item's receiver does with its handle.
 #[derive(Clone, Debug)]
-struct Frame {
+struct Item {
     tuple: Tuple,
-    /// Offset of the item in its buffer (a frame header precedes it).
-    start: usize,
     read_field: Option<usize>,
     materialize: bool,
     keep_clone: bool,
     cross_thread: bool,
 }
 
+/// One received frame: its items back to back in one buffer.
+#[derive(Clone, Debug)]
+struct Frame {
+    /// Offset of the first item in its buffer (a frame header precedes
+    /// it).
+    start: usize,
+    items: Vec<Item>,
+}
+
 /// Arity 0–20 crosses the inline offset table (16 entries).
-fn frame_strategy() -> impl Strategy<Value = Frame> {
+fn item_strategy() -> impl Strategy<Value = Item> {
     (
         (
             any::<u64>(),
             proptest::collection::vec(value_strategy(), 0..21),
         ),
-        0..24usize,
         (any::<bool>(), 0..21usize),
         (any::<bool>(), any::<bool>(), any::<bool>()),
     )
-        .prop_map(|((id, values), start, (read, field), (m, k, c))| Frame {
+        .prop_map(|((id, values), (read, field), (m, k, c))| Item {
             tuple: Tuple::with_id(id, values),
-            start,
             read_field: read.then_some(field),
             materialize: m,
             keep_clone: k,
             cross_thread: c,
         })
+}
+
+fn frame_strategy() -> impl Strategy<Value = Frame> {
+    (0..24usize, proptest::collection::vec(item_strategy(), 1..5))
+        .prop_map(|(start, items)| Frame { start, items })
 }
 
 /// Everything observable through a handle, as comparable data.
@@ -79,39 +90,50 @@ proptest! {
         let mut crossed: Vec<Tuple> = Vec::new();
         for f in &frames {
             let mut bytes = vec![0xA5u8; f.start];
-            bytes.extend_from_slice(&encode_tuple(&f.tuple));
+            let mut starts = Vec::new();
+            for item in &f.items {
+                starts.push(bytes.len());
+                bytes.extend_from_slice(&encode_tuple(&item.tuple));
+            }
             let buf: Arc<[u8]> = Arc::from(bytes);
-            let view = TupleView::parse(&buf[f.start..]).unwrap();
-            let recycled = spare.anchor(Arc::clone(&buf), &view);
-            let fresh = LazyTuple::from_wire_view(Arc::clone(&buf), &view);
-            prop_assert!(recycled.is_wire());
-            prop_assert_eq!(observe(&recycled, f.read_field), observe(&fresh, f.read_field));
-            prop_assert!(!recycled.is_materialized(), "nothing memoized carries over");
-            prop_assert_eq!(
-                recycled.view().unwrap().wire_bytes(),
-                fresh.view().unwrap().wire_bytes()
-            );
-            if f.materialize {
-                prop_assert_eq!(recycled.materialize().unwrap(), fresh.materialize().unwrap());
-                prop_assert_eq!(recycled.materialize().unwrap(), &f.tuple);
-                prop_assert_eq!(observe(&recycled, f.read_field), observe(&fresh, f.read_field));
-            }
-            if f.keep_clone {
-                kept.push((recycled.clone(), f.tuple.clone()));
-            }
-            if f.cross_thread {
-                to_peer.send(recycled.clone()).unwrap();
-                crossed.push(f.tuple.clone());
-            }
-            spare.reclaim(recycled);
-            // Every clone a bolt kept of an earlier frame still reads that
-            // frame, in its own block.
-            for (handle, tuple) in &kept {
-                prop_assert_eq!(handle.id(), tuple.id);
-                for i in 0..tuple.arity() {
-                    let v = handle.field(i).unwrap().unwrap().to_owned();
-                    prop_assert_eq!(&v, tuple.get(i).unwrap());
+            for (item, &start) in f.items.iter().zip(&starts) {
+                let view = TupleView::parse(&buf[start..]).unwrap();
+                let recycled = spare.anchor(&buf, &view);
+                let fresh = LazyTuple::from_wire_view(Arc::clone(&buf), &view);
+                prop_assert!(recycled.is_wire());
+                let field = item.read_field;
+                prop_assert_eq!(observe(&recycled, field), observe(&fresh, field));
+                prop_assert!(!recycled.is_materialized(), "nothing memoized carries over");
+                prop_assert_eq!(
+                    recycled.view().unwrap().wire_bytes(),
+                    fresh.view().unwrap().wire_bytes()
+                );
+                if item.materialize {
+                    prop_assert_eq!(recycled.materialize().unwrap(), fresh.materialize().unwrap());
+                    prop_assert_eq!(recycled.materialize().unwrap(), &item.tuple);
+                    prop_assert_eq!(observe(&recycled, field), observe(&fresh, field));
                 }
+                if item.keep_clone {
+                    kept.push((recycled.clone(), item.tuple.clone()));
+                }
+                if item.cross_thread {
+                    to_peer.send(recycled.clone()).unwrap();
+                    crossed.push(item.tuple.clone());
+                }
+                spare.reclaim(recycled);
+                // Every clone a bolt kept of an earlier item still reads
+                // that item, in its own block.
+                for (handle, tuple) in &kept {
+                    prop_assert_eq!(handle.id(), tuple.id);
+                    for i in 0..tuple.arity() {
+                        let v = handle.field(i).unwrap().unwrap().to_owned();
+                        prop_assert_eq!(&v, tuple.get(i).unwrap());
+                    }
+                }
+            }
+            spare.release();
+            if !f.items.iter().any(|item| item.keep_clone || item.cross_thread) {
+                prop_assert_eq!(Arc::strong_count(&buf), 1, "the spare let go of the frame");
             }
         }
         drop(to_peer);
