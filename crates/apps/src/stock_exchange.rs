@@ -297,7 +297,7 @@ mod tests {
 
     fn record(symbol: &str, side: Side, price: f64, volume: i64, valid: bool) -> Tuple {
         StockRecord {
-            symbol: symbol.to_string(),
+            symbol: symbol.into(),
             side,
             price,
             volume,

@@ -17,9 +17,9 @@
 //! [`InstanceMessageView`] validate framing once (tags and lengths;
 //! UTF-8 is deferred to per-field access) and then resolve fields by
 //! offset straight against the wire bytes — no `Vec<Value>`, no
-//! per-field allocation. [`LazyTuple`] carries a validated view across
-//! threads anchored to the shared `Arc<[u8]>` receive buffer and
-//! materializes an owned [`Tuple`] at most once, on first touch.
+//! per-field allocation. [`LazyTuple`] lends a received record to its
+//! tasks straight off the receive buffer, anchors it to the shared
+//! `Arc<[u8]>` only to outlive them, and decodes it at most once.
 
 use crate::task::TaskId;
 use crate::tuple::{Tuple, Value};
@@ -83,17 +83,12 @@ fn encode_value(buf: &mut BytesMut, v: &Value) {
 }
 
 pub(crate) fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
+    (buf.remaining() >= n).then_some(()).ok_or(DecodeError::Truncated)
 }
 
 fn decode_value(buf: &mut impl Buf) -> Result<Value, DecodeError> {
     need(buf, 1)?;
-    let tag = buf.get_u8();
-    match tag {
+    match buf.get_u8() {
         TAG_I64 => {
             need(buf, 8)?;
             Ok(Value::I64(buf.get_i64_le()))
@@ -302,9 +297,7 @@ impl<'a> TupleView<'a> {
     /// Trailing bytes past the tuple are ignored (callers embedding a
     /// tuple mid-frame use [`TupleView::wire_len`] to advance).
     pub fn parse(buf: &'a [u8]) -> Result<Self, DecodeError> {
-        if buf.len() < 10 {
-            return Err(DecodeError::Truncated);
-        }
+        need(&buf, 10)?;
         let id = read_u64(buf, 0);
         let arity = u16::from_le_bytes(buf[8..10].try_into().unwrap());
         let mut offsets = [0u32; OFFSET_TABLE];
@@ -431,15 +424,11 @@ pub struct WorkerMessageView<'a> {
 impl<'a> WorkerMessageView<'a> {
     /// Validate framing over `src | n | dstIds[n] | dataItem`.
     pub fn parse(buf: &'a [u8]) -> Result<Self, DecodeError> {
-        if buf.len() < 8 {
-            return Err(DecodeError::Truncated);
-        }
+        need(&buf, 8)?;
         let src = TaskId(read_u32(buf, 0));
         let n = read_u32(buf, 4) as usize;
         let ids_end = 8 + 4 * n;
-        if buf.len() < ids_end {
-            return Err(DecodeError::Truncated);
-        }
+        need(&buf, ids_end)?;
         let tuple = TupleView::parse(&buf[ids_end..])?;
         Ok(WorkerMessageView {
             src,
@@ -460,10 +449,7 @@ impl<'a> WorkerMessageView<'a> {
 
     /// Destination `i`, read at offset from the wire.
     pub fn dst(&self, i: usize) -> Option<TaskId> {
-        if i >= self.dst_len() {
-            return None;
-        }
-        Some(TaskId(read_u32(self.ids, 4 * i)))
+        (i < self.dst_len()).then(|| TaskId(read_u32(self.ids, 4 * i)))
     }
 
     /// All destination ids in wire order.
@@ -500,9 +486,7 @@ pub struct InstanceMessageView<'a> {
 impl<'a> InstanceMessageView<'a> {
     /// Validate framing over `src | dst | dataItem`.
     pub fn parse(buf: &'a [u8]) -> Result<Self, DecodeError> {
-        if buf.len() < 8 {
-            return Err(DecodeError::Truncated);
-        }
+        need(&buf, 8)?;
         Ok(InstanceMessageView {
             src: TaskId(read_u32(buf, 0)),
             dst: TaskId(read_u32(buf, 4)),
@@ -536,27 +520,39 @@ impl<'a> InstanceMessageView<'a> {
     }
 }
 
-/// A tuple as executors receive it: either owned, or a framing-validated
-/// lazy region of the shared `Arc<[u8]>` receive buffer.
-///
-/// Cloning shares (one handle per local destination); field access never
-/// allocates; [`LazyTuple::materialize`] decodes an owned [`Tuple`] at
-/// most once per worker and memoizes it, so a fan-out of local executors
-/// that all call it still pays one decode — and executors that only read
-/// a field or two never pay it at all.
-#[derive(Clone, Debug)]
-pub struct LazyTuple(LazyRepr);
-
-#[derive(Clone, Debug)]
-enum LazyRepr {
-    Owned(Arc<Tuple>),
-    Wire(Arc<WireTuple>),
-}
+/// A tuple as executors receive it: owned, or a framing-validated region
+/// of a received wire buffer — borrowed for the call that executes it
+/// ([`WireRecord::tuple`]: no heap block, no buffer reference), or, to
+/// outlive that call (a clone a bolt keeps, an entry handed to another
+/// pipeline or queued), *promoted* by [`Clone`] or [`Self::into_owned`]:
+/// anchored to the buffer's `Arc<[u8]>` in a block of its own, which
+/// every later promotion of the same record shares. Field access never
+/// allocates; [`LazyTuple::materialize`] decodes at most once and
+/// memoizes it with the record — the borrowed record and its block share
+/// the memo from the promotion on — so local executors that all call it
+/// pay one decode, and those that only read a field or two never pay it.
+/// A record materialized before its first promotion copies the decoded
+/// tuple into its block rather than decode it again.
+#[derive(Debug)]
+pub struct LazyTuple<'a>(LazyRepr<'a>);
 
 #[derive(Debug)]
-struct WireTuple {
-    /// `None` only in a [`WireSpare`] that was released.
-    buf: Option<Arc<[u8]>>,
+enum LazyRepr<'a> {
+    Owned(Arc<Tuple>),
+    Wire(Block),
+    Borrowed(&'a WireRecord<'a>),
+}
+
+/// What a handle reads: a tuple, or a record's bytes and framing.
+enum Parts<'s> {
+    Owned(&'s Tuple),
+    Wire(&'s [u8], &'s Record),
+}
+
+/// One record's place in its wire buffer, its parsed framing, and its
+/// memoized decode.
+#[derive(Clone, Debug)]
+struct Record {
     start: u32,
     len: u32,
     id: u64,
@@ -565,108 +561,85 @@ struct WireTuple {
     cache: OnceLock<Result<Tuple, DecodeError>>,
 }
 
-impl WireTuple {
-    fn bytes(&self) -> &[u8] {
-        let buf = self.buf.as_deref().expect("a handle in use has its buffer");
-        &buf[self.start as usize..(self.start + self.len) as usize]
+impl Record {
+    /// `view` must borrow from `buf` (checked); nothing is re-validated
+    /// or copied.
+    fn new(buf: &[u8], view: &TupleView<'_>) -> Self {
+        let (base, p) = (buf.as_ptr() as usize, view.bytes.as_ptr() as usize);
+        assert!(
+            p >= base && p + view.bytes.len() <= base + buf.len(),
+            "view must borrow from the anchoring buffer"
+        );
+        Record {
+            start: (p - base) as u32,
+            len: view.bytes.len() as u32,
+            id: view.id,
+            arity: view.arity,
+            offsets: view.offsets,
+            cache: OnceLock::new(),
+        }
     }
 
-    fn view(&self) -> TupleView<'_> {
+    /// The view over the record's own `bytes`.
+    fn view<'s>(&self, bytes: &'s [u8]) -> TupleView<'s> {
         TupleView {
-            bytes: self.bytes(),
+            bytes,
             id: self.id,
             arity: self.arity,
             offsets: self.offsets,
         }
     }
+}
 
-    fn field(&self, i: usize) -> Option<Result<ValueView<'_>, DecodeError>> {
-        field_at(self.bytes(), self.arity, &self.offsets, i)
+/// A received record borrowed from its wire buffer: what a receiver
+/// builds on its stack and lends the tasks that execute it
+/// ([`Self::tuple`]). It keeps the record's bytes at hand, the buffer
+/// only to promote it, and its block once promoted.
+#[derive(Debug)]
+pub struct WireRecord<'a>(&'a Arc<[u8]>, &'a [u8], Record, OnceLock<Block>);
+
+/// A promoted record: its buffer, and its place in it.
+type Block = Arc<(Arc<[u8]>, Record)>;
+
+impl<'a> WireRecord<'a> {
+    /// The record `view` frames within `buf`.
+    ///
+    /// # Panics
+    /// If `view` does not borrow from `buf`.
+    pub fn new(buf: &'a Arc<[u8]>, view: &TupleView<'a>) -> Self {
+        WireRecord(buf, view.bytes, Record::new(buf, view), OnceLock::new())
+    }
+
+    /// The record as its tasks execute it.
+    pub fn tuple(&'a self) -> LazyTuple<'a> {
+        LazyTuple(LazyRepr::Borrowed(self))
+    }
+
+    /// The record's block: made by the first promotion (one buffer
+    /// reference, and the memo so far), shared by every later one.
+    fn promote(&self) -> LazyRepr<'static> {
+        let block = self.3.get_or_init(|| Arc::new((Arc::clone(self.0), self.2.clone())));
+        LazyRepr::Wire(Arc::clone(block))
+    }
+
+    /// The framing and the memo: the block's once there is one.
+    fn record(&self) -> &Record {
+        self.3.get().map_or(&self.2, |block| &block.1)
     }
 }
 
-/// The heap block of a wire-backed [`LazyTuple`] between two records. A
-/// receiver that handles records one after the other hands each finished
-/// handle to [`WireSpare::reclaim`] and anchors the next record with
-/// [`WireSpare::anchor`]: when the handle came back unique its block is
-/// refilled in place, otherwise (a bolt kept a clone, the tuple crossed
-/// to another thread) the next record gets a fresh block — there is one
-/// way to build a wire handle, with or without a block to reuse.
-///
-/// A kept block keeps its buffer reference too, so the records of one
-/// frame, anchored one after another, share the one reference the first
-/// of them took: a frame holds its buffer once, not once per record.
-/// [`WireSpare::release`] lets go of it when the frame is done, so
-/// between frames the spare holds neither a frame's buffer nor a tuple
-/// memoized from it.
-#[derive(Debug, Default)]
-pub struct WireSpare(Option<Arc<WireTuple>>);
-
-impl WireSpare {
-    /// Anchor a parsed view to its backing shared buffer. `view` must
-    /// borrow from `buf` (checked); no bytes are re-validated or copied,
-    /// and `buf` is referenced again only when the kept block does not
-    /// hold it already.
-    pub fn anchor(&mut self, buf: &Arc<[u8]>, view: &TupleView<'_>) -> LazyTuple {
-        let base = buf.as_ptr() as usize;
-        let p = view.bytes.as_ptr() as usize;
-        assert!(
-            p >= base && p + view.bytes.len() <= base + buf.len(),
-            "view must borrow from the anchoring buffer"
-        );
-        let (start, len) = ((p - base) as u32, view.bytes.len() as u32);
-        let block = match self.0.take() {
-            Some(mut block) => {
-                let w = Arc::get_mut(&mut block).expect("kept only when unique");
-                if !w.buf.as_ref().is_some_and(|held| Arc::ptr_eq(held, buf)) {
-                    w.buf = Some(Arc::clone(buf));
-                }
-                (w.start, w.len, w.id, w.arity) = (start, len, view.id, view.arity);
-                w.offsets = view.offsets;
-                block
-            }
-            None => Arc::new(WireTuple {
-                buf: Some(Arc::clone(buf)),
-                start,
-                len,
-                id: view.id,
-                arity: view.arity,
-                offsets: view.offsets,
-                cache: OnceLock::new(),
-            }),
-        };
-        LazyTuple(LazyRepr::Wire(block))
-    }
-
-    /// Take `t` out of use. If it is the last handle on a wire block and
-    /// no block is waiting already, the block is kept for the next
-    /// [`Self::anchor`], with its buffer; a tuple memoized from it is
-    /// dropped (if one was made).
-    pub fn reclaim(&mut self, t: LazyTuple) {
-        let LazyRepr::Wire(mut block) = t.0 else {
-            return;
-        };
-        if self.0.is_some() {
-            return;
-        }
-        if let Some(w) = Arc::get_mut(&mut block) {
-            if w.cache.get().is_some() {
-                w.cache = OnceLock::new();
-            }
-            self.0 = Some(block);
-        }
-    }
-
-    /// Let go of the buffer the kept block holds, if it holds one: the
-    /// frame it came from is done. The block stays for the next frame.
-    pub fn release(&mut self) {
-        if let Some(w) = self.0.as_mut().and_then(Arc::get_mut) {
-            w.buf = None;
-        }
+impl Clone for LazyTuple<'_> {
+    /// Share an owned handle; promote a borrowed one.
+    fn clone(&self) -> Self {
+        LazyTuple(match &self.0 {
+            LazyRepr::Owned(t) => LazyRepr::Owned(Arc::clone(t)),
+            LazyRepr::Wire(w) => LazyRepr::Wire(Arc::clone(w)),
+            LazyRepr::Borrowed(w) => w.promote(),
+        })
     }
 }
 
-impl LazyTuple {
+impl LazyTuple<'static> {
     /// Wrap an already-owned tuple.
     pub fn from_tuple(t: Tuple) -> Self {
         LazyTuple(LazyRepr::Owned(Arc::new(t)))
@@ -678,30 +651,54 @@ impl LazyTuple {
     }
 
     /// Anchor a parsed view to its backing shared buffer in a block of
-    /// its own ([`WireSpare::anchor`] with nothing to reuse).
+    /// its own (`view` must borrow from `buf`, checked).
     pub fn from_wire_view(buf: Arc<[u8]>, view: &TupleView<'_>) -> Self {
-        WireSpare::default().anchor(&buf, view)
+        let record = Record::new(&buf, view);
+        LazyTuple(LazyRepr::Wire(Arc::new((buf, record))))
     }
 
     /// Validate framing at `start` within `buf` and anchor the view.
     pub fn from_wire(buf: Arc<[u8]>, start: usize) -> Result<Self, DecodeError> {
         let view = TupleView::parse(&buf[start..])?;
-        Ok(WireSpare::default().anchor(&buf, &view))
+        Ok(Self::from_wire_view(Arc::clone(&buf), &view))
+    }
+}
+
+impl LazyTuple<'_> {
+    /// The handle, free of the call it was lent for: an owned one as it
+    /// is, a borrowed one promoted.
+    pub fn into_owned(self) -> LazyTuple<'static> {
+        LazyTuple(match self.0 {
+            LazyRepr::Owned(t) => LazyRepr::Owned(t),
+            LazyRepr::Wire(w) => LazyRepr::Wire(w),
+            LazyRepr::Borrowed(w) => w.promote(),
+        })
+    }
+
+    fn parts(&self) -> Parts<'_> {
+        match &self.0 {
+            LazyRepr::Owned(t) => Parts::Owned(t),
+            LazyRepr::Wire(w) => {
+                let (start, len) = (w.1.start as usize, w.1.len as usize);
+                Parts::Wire(&w.0[start..start + len], &w.1)
+            }
+            LazyRepr::Borrowed(w) => Parts::Wire(w.1, w.record()),
+        }
     }
 
     /// The tuple id (header field, free to read).
     pub fn id(&self) -> u64 {
-        match &self.0 {
-            LazyRepr::Owned(t) => t.id,
-            LazyRepr::Wire(w) => w.id,
+        match self.parts() {
+            Parts::Owned(t) => t.id,
+            Parts::Wire(_, r) => r.id,
         }
     }
 
     /// Number of fields.
     pub fn arity(&self) -> usize {
-        match &self.0 {
-            LazyRepr::Owned(t) => t.arity(),
-            LazyRepr::Wire(w) => w.arity as usize,
+        match self.parts() {
+            Parts::Owned(t) => t.arity(),
+            Parts::Wire(_, r) => r.arity as usize,
         }
     }
 
@@ -709,31 +706,35 @@ impl LazyTuple {
     /// not) rather than an owned tuple.
     #[inline]
     pub fn is_wire(&self) -> bool {
-        matches!(self.0, LazyRepr::Wire(_))
+        !matches!(self.0, LazyRepr::Owned(_))
+    }
+
+    /// True while the handle borrows a received record: it lives for the
+    /// call, and a clone of it takes a block of its own.
+    #[inline]
+    pub fn is_borrowed(&self) -> bool {
+        matches!(self.0, LazyRepr::Borrowed(_))
     }
 
     /// True once an owned [`Tuple`] exists behind this handle.
     pub fn is_materialized(&self) -> bool {
-        match &self.0 {
-            LazyRepr::Owned(_) => true,
-            LazyRepr::Wire(w) => w.cache.get().is_some(),
-        }
+        !matches!(self.parts(), Parts::Wire(_, r) if r.cache.get().is_none())
     }
 
     /// Read field `i` without materializing. `None` past the arity;
     /// `Err(BadUtf8)` for a string field failing deferred validation.
     pub fn field(&self, i: usize) -> Option<Result<ValueView<'_>, DecodeError>> {
-        match &self.0 {
-            LazyRepr::Owned(t) => t.get(i).map(|v| Ok(ValueView::from(v))),
-            LazyRepr::Wire(w) => w.field(i),
+        match self.parts() {
+            Parts::Owned(t) => t.get(i).map(|v| Ok(ValueView::from(v))),
+            Parts::Wire(b, r) => field_at(b, r.arity, &r.offsets, i),
         }
     }
 
     /// The borrowed view, when the handle is wire-backed.
     pub fn view(&self) -> Option<TupleView<'_>> {
-        match &self.0 {
-            LazyRepr::Owned(_) => None,
-            LazyRepr::Wire(w) => Some(w.view()),
+        match self.parts() {
+            Parts::Owned(_) => None,
+            Parts::Wire(b, r) => Some(r.view(b)),
         }
     }
 
@@ -742,13 +743,12 @@ impl LazyTuple {
     /// means the wire bytes hide a bad string that framing validation
     /// deliberately did not scan.
     pub fn materialize(&self) -> Result<&Tuple, DecodeError> {
-        match &self.0 {
-            LazyRepr::Owned(t) => Ok(t),
-            LazyRepr::Wire(w) => w
-                .cache
-                .get_or_init(|| w.view().to_tuple())
-                .as_ref()
-                .map_err(|e| e.clone()),
+        match self.parts() {
+            Parts::Owned(t) => Ok(t),
+            Parts::Wire(b, r) => {
+                let memo = r.cache.get_or_init(|| r.view(b).to_tuple());
+                memo.as_ref().map_err(|e| e.clone())
+            }
         }
     }
 
@@ -756,9 +756,9 @@ impl LazyTuple {
     /// for a wire string whose deferred UTF-8 check fails.
     #[inline]
     pub(crate) fn key(&self, i: usize) -> Option<ValueView<'_>> {
-        match &self.0 {
-            LazyRepr::Owned(t) => t.get(i).map(ValueView::from),
-            LazyRepr::Wire(w) => w.field(i)?.ok(),
+        match self.parts() {
+            Parts::Owned(t) => t.get(i).map(ValueView::from),
+            Parts::Wire(b, r) => field_at(b, r.arity, &r.offsets, i)?.ok(),
         }
     }
 
@@ -766,9 +766,9 @@ impl LazyTuple {
     /// appends.
     #[inline]
     pub(crate) fn wire_len(&self) -> usize {
-        match &self.0 {
-            LazyRepr::Owned(t) => t.payload_bytes(),
-            LazyRepr::Wire(w) => w.len as usize,
+        match self.parts() {
+            Parts::Owned(t) => t.payload_bytes(),
+            Parts::Wire(b, _) => b.len(),
         }
     }
 
@@ -779,9 +779,9 @@ impl LazyTuple {
     /// bytes this codec wrote).
     #[inline]
     pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        match &self.0 {
-            LazyRepr::Owned(t) => encode_tuple_into(buf, t),
-            LazyRepr::Wire(w) => buf.put_slice(w.bytes()),
+        match self.parts() {
+            Parts::Owned(t) => encode_tuple_into(buf, t),
+            Parts::Wire(b, _) => buf.put_slice(b),
         }
     }
 }
@@ -864,8 +864,7 @@ impl WorkerMessage {
 
     /// Serialize: `src | n | dstIds[n] | dataItem`.
     pub fn encode(&self) -> Bytes {
-        let mut buf =
-            BytesMut::with_capacity(8 + 4 * self.dst_ids.len() + self.tuple.payload_bytes());
+        let mut buf = BytesMut::with_capacity(self.wire_bytes());
         self.encode_into(&mut buf);
         buf.freeze()
     }
@@ -1428,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn a_frames_records_share_one_buffer_reference_until_the_release() {
+    fn a_borrowed_record_takes_no_buffer_reference_until_it_is_promoted() {
         // Three records back to back in one buffer, as a run carries them.
         let tuples: Vec<Tuple> = (0..3)
             .map(|i| Tuple::with_id(i, vec![Value::I64(i as i64), Value::str("rec")]))
@@ -1440,30 +1439,28 @@ mod tests {
             bytes.extend_from_slice(&encode_tuple(t));
         }
         let frame: Arc<[u8]> = Arc::from(bytes);
-        let mut spare = WireSpare::default();
+        let mut kept = Vec::new();
         for (t, &start) in tuples.iter().zip(&starts) {
-            let view = TupleView::parse(&frame[start..]).unwrap();
-            let lazy = spare.anchor(&frame, &view);
-            assert_eq!(Arc::strong_count(&frame), 2, "one reference, not one per record");
+            let record = WireRecord::new(&frame, &TupleView::parse(&frame[start..]).unwrap());
+            let lazy = record.tuple();
+            assert!(lazy.is_wire() && lazy.is_borrowed());
             assert_eq!(lazy.field(1).unwrap().unwrap().as_str(), Some("rec"));
             assert_eq!(lazy.materialize().unwrap(), t);
-            spare.reclaim(lazy);
-            assert_eq!(Arc::strong_count(&frame), 2, "kept for the next record");
+            let held = 1 + kept.len();
+            assert_eq!(
+                Arc::strong_count(&frame),
+                held,
+                "a borrowed record holds nothing"
+            );
+            // A promotion is a block of its own, on a buffer reference of
+            // its own, and keeps what the record memoized.
+            let owned = lazy.clone().into_owned();
+            assert!(!owned.is_borrowed() && owned.is_materialized());
+            assert_eq!(owned.materialize().unwrap(), t);
+            kept.push(owned);
+            assert_eq!(Arc::strong_count(&frame), 1 + kept.len());
         }
-        spare.release();
-        assert_eq!(Arc::strong_count(&frame), 1, "the frame is done");
-        // The block stays; a record of another buffer swaps the reference.
-        let other: Arc<[u8]> = Arc::from(&encode_tuple(&tuples[2])[..]);
-        let view = TupleView::parse(&frame[starts[1]..]).unwrap();
-        let lazy = spare.anchor(&frame, &view);
-        spare.reclaim(lazy);
-        let lazy = spare.anchor(&other, &TupleView::parse(&other).unwrap());
-        assert_eq!(Arc::strong_count(&frame), 1, "the old buffer let go");
-        assert_eq!(Arc::strong_count(&other), 2);
-        assert!(!lazy.is_materialized(), "nothing memoized carries over");
-        assert_eq!(lazy.materialize().unwrap(), &tuples[2]);
-        spare.reclaim(lazy);
-        spare.release();
-        assert_eq!(Arc::strong_count(&other), 1);
+        drop(kept);
+        assert_eq!(Arc::strong_count(&frame), 1, "the promoted records let go");
     }
 }

@@ -28,7 +28,7 @@ pub mod tuple;
 pub use acker::{Acker, TreeState};
 pub use codec::{
     AddressedTuple, DecodeError, InstanceMessage, InstanceMessageView, LazyTuple, RelayHeader,
-    TupleView, ValueView, WireSpare, WorkerMessage, WorkerMessageView,
+    TupleView, ValueView, WireRecord, WorkerMessage, WorkerMessageView,
 };
 pub use grouping::{hash_value, hash_value_view, GroupingExec, RouteError};
 pub use messaging::{plan, CommMode, Envelope, MessagePlan};

@@ -66,9 +66,12 @@ pub trait Bolt: Send {
     /// tasks still decodes once) and forwards to [`Bolt::execute`].
     /// Bolts that only touch a field or two should override this and
     /// read straight off the wire view, skipping materialization
-    /// entirely. `Err` means the tuple's wire bytes are corrupt (its
-    /// deferred UTF-8 validation failed); the runtime drops the tuple
-    /// and counts it instead of crashing the pipeline.
+    /// entirely. A received input is lent for the call, borrowed from
+    /// its frame's buffer: a bolt that keeps it stores
+    /// `input.clone().into_owned()`, which anchors it to the buffer in a
+    /// block of its own. `Err` means the tuple's wire bytes are corrupt
+    /// (its deferred UTF-8 validation failed); the runtime drops the
+    /// tuple and counts it instead of crashing the pipeline.
     fn execute_lazy(
         &mut self,
         input: &LazyTuple,

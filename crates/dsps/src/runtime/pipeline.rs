@@ -13,7 +13,7 @@ use super::send::{
 };
 use super::wire::{self, FrameView};
 use crate::acker::Expired;
-use crate::codec::{self, LazyTuple, TupleView, WireSpare};
+use crate::codec::{self, LazyTuple, TupleView};
 use crate::operator::{Bolt, Spout};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Topology;
@@ -221,62 +221,48 @@ fn spout_step(state: &mut SpoutState, routing: &Routing, drain: &mut dyn FnMut()
     }
 }
 
-/// What a pipeline reuses from one received frame to the next, so the
-/// steady-state dispatch path allocates nothing.
-#[derive(Default)]
-pub(super) struct RecvScratch {
-    /// Destination ids of a worker frame or EOS.
-    dsts: Vec<TaskId>,
-    /// The wire handle of the last batch executed, when it came back
-    /// unique (no bolt kept a clone, it did not cross to another shard),
-    /// holding its frame's buffer until that frame is done.
-    spare: WireSpare,
-}
-
 /// Parse and dispatch one fabric frame received by `worker`'s pipeline,
 /// and run everything it causes on `bolts` (the pipeline's own).
 /// Framing is validated once per record (views, nothing materialized);
-/// a data item is handed on as one shared [`LazyTuple`] per destination
-/// pipeline, built in `scratch`. A frame that is
+/// `dsts` is reused for a record's destination ids. A frame that is
 /// truncated, fails to validate or carries an unknown kind is dropped and
 /// counted (`dropped_frames`), and so is every destination id this run
 /// executes nothing on — a bad peer must not crash the worker. A received
-/// record runs where it lands: after its hand-offs to the worker's other
-/// pipelines, its entry for this pipeline runs on `bolts` at once
-/// ([`run_in_place`]), and what that caused here with it, before the next
-/// record is anchored — in the block, and on the buffer reference, the
-/// one before it gave back, which the frame lets go of when it is done.
-/// At the first record that does not frame, the rest of the frame is
-/// dropped and counted once.
+/// record runs where it lands, on a handle borrowed from the frame's
+/// buffer ([`Routing::lazy_tuple`]): after its hand-offs to the worker's
+/// other pipelines (which share one promotion), its entry for this
+/// pipeline runs on `bolts` at once ([`run_in_place`]), and what that
+/// caused here with it, before the next record is parsed. Only a
+/// hand-off, a clone a bolt keeps or an entry the emit path queues takes
+/// a block and a buffer reference — the record's one block, however
+/// many take it. At the first record that does not frame, the rest of
+/// the frame is dropped and counted once.
 pub(super) fn on_frame(
     worker: u32,
     msg: &whale_net::LiveMessage,
     routing: &Routing,
-    scratch: &mut RecvScratch,
+    dsts: &mut Vec<TaskId>,
     bolts: &mut [BoltState],
 ) {
-    let RecvScratch { dsts, spare } = scratch;
     let dropped = |n: u64| {
         if n > 0 {
             routing.stats.add(Ctr::dropped_frames, n);
         }
     };
-    // Hand one received data item to `dsts` as a view over the shared
-    // receive buffer; returns this pipeline's entry.
-    let deliver_data = |spare: &mut WireSpare, item: &TupleView<'_>, tracked, dsts: &[TaskId]| {
-        let Ok(lazy) = routing.lazy_tuple(&msg.payload, item, spare) else {
+    // Run one received data item for `dsts`, borrowed from the receive
+    // buffer, after its hand-offs.
+    let run_data = |bolts: &mut [BoltState], item: &TupleView<'_>, tracked, dsts: &[TaskId]| {
+        let ran = routing.lazy_tuple(&msg.payload, item, |lazy| {
+            let (rejected, own) = routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked));
+            dropped(rejected);
+            run_in_place(bolts, own, routing);
+        });
+        if ran.is_err() {
             dropped(1);
-            return None;
-        };
-        let (rejected, own) = routing.deliver_listed(dsts, ExecMsg::Data(lazy, tracked));
-        dropped(rejected);
-        own
+        }
     };
     match wire::parse(msg.payload.bytes()) {
-        Ok(FrameView::Instance(tracked, m)) => {
-            let own = deliver_data(spare, m.tuple(), tracked, &[m.dst()]);
-            run_in_place(bolts, spare, own, routing);
-        }
+        Ok(FrameView::Instance(tracked, m)) => run_data(bolts, m.tuple(), tracked, &[m.dst()]),
         Ok(FrameView::Worker(run)) => {
             for record in run.records() {
                 let Ok((tracked, m)) = record else {
@@ -284,8 +270,7 @@ pub(super) fn on_frame(
                     break;
                 };
                 codec::dispatch_worker_message_into(&m, dsts);
-                let own = deliver_data(spare, m.tuple(), tracked, dsts);
-                run_in_place(bolts, spare, own, routing);
+                run_data(bolts, m.tuple(), tracked, dsts);
             }
         }
         Ok(FrameView::Eos { src, dsts: listed }) => {
@@ -293,24 +278,23 @@ pub(super) fn on_frame(
             dsts.extend(listed);
             let (rejected, own) = routing.deliver_listed(dsts, ExecMsg::Eos(src));
             dropped(rejected);
-            run_in_place(bolts, spare, own, routing);
+            run_in_place(bolts, own, routing);
         }
         // The received payload is handed along untouched so forwards
         // reuse its bytes.
         Ok(FrameView::Relay(run)) => {
-            let mut run_own = |spare: &mut WireSpare, own: Option<Entry>| {
-                run_in_place(bolts, spare, own, routing);
-            };
-            routing.on_relay_frame(worker, run, &msg.payload, spare, &mut run_own)
+            let payload = &msg.payload;
+            routing.on_relay_frame(worker, run, payload, |own| {
+                run_in_place(bolts, own, routing)
+            })
         }
         Ok(FrameView::RelayEos(eos)) => {
             let own = routing.on_relay_eos(worker, eos, &msg.payload);
-            run_in_place(bolts, spare, own, routing);
+            run_in_place(bolts, own, routing);
         }
         Ok(FrameView::RelayMarker(marker)) => routing.on_relay_marker(worker, marker, &msg.payload),
         Err(_) => dropped(1),
     }
-    spare.release();
 }
 
 /// One bolt task owned by a shard pipeline.
@@ -335,13 +319,10 @@ pub(super) struct BoltState {
 /// Process one queue entry for the bolts it names (all of one
 /// component): one after the other against the one message, with the
 /// shared bookkeeping — run counters, the acker, the latency probes —
-/// touched once per batch. The executed tuple's handle goes to `spare`.
-fn run_batch(bolts: &mut [BoltState], msg: ExecMsg, routing: &Routing, spare: &mut WireSpare) {
+/// touched once per batch.
+fn run_batch(bolts: &mut [BoltState], msg: ExecMsg<'_>, routing: &Routing) {
     match msg {
-        ExecMsg::Data(t, tracked) => {
-            execute_batch(bolts, &t, tracked, routing);
-            spare.reclaim(t);
-        }
+        ExecMsg::Data(t, tracked) => execute_batch(bolts, &t, tracked, routing),
         ExecMsg::Eos(src) => {
             for state in bolts.iter_mut().filter(|b| !b.done) {
                 state.eos_seen.insert(src);
@@ -353,7 +334,12 @@ fn run_batch(bolts: &mut [BoltState], msg: ExecMsg, routing: &Routing, spare: &m
     }
 }
 
-fn execute_batch(bolts: &mut [BoltState], t: &LazyTuple, tracked: Option<u64>, routing: &Routing) {
+fn execute_batch(
+    bolts: &mut [BoltState],
+    t: &LazyTuple<'_>,
+    tracked: Option<u64>,
+    routing: &Routing,
+) {
     let stats = &routing.stats;
     let Some(comp) = bolts.first().map(|b| b.comp) else {
         return;
@@ -472,9 +458,9 @@ pub(super) struct ShardPipeline {
     pub(super) flat: usize,
     worker: u32,
     fabric_rx: whale_net::Inbox,
-    inbox_rx: Receiver<Entry>,
+    inbox_rx: Receiver<Entry<'static>>,
     /// What steps of its own executor handed it, taken in one swap.
-    handed: VecDeque<Entry>,
+    handed: VecDeque<Entry<'static>>,
     spouts: Vec<SpoutState>,
     /// Ascending by task id, so one component's bolts — a
     /// [`LocalGroups`](super::send::LocalGroups) row — are one slice.
@@ -491,7 +477,8 @@ pub(super) struct ShardPipeline {
     deadline: Option<Instant>,
     /// Whether the last step left a relayed EOS waiting on a flush.
     eos_waiting: bool,
-    scratch: RecvScratch,
+    /// Destination ids of a received worker record or EOS, reused.
+    dsts: Vec<TaskId>,
     /// What the thread running the pipeline holds for it while it runs:
     /// its relay state, and the runs its step has not sent yet.
     relay: RelayLocal,
@@ -504,7 +491,7 @@ impl ShardPipeline {
         flat: usize,
         worker: u32,
         fabric_rx: whale_net::Inbox,
-        inbox_rx: Receiver<Entry>,
+        inbox_rx: Receiver<Entry<'static>>,
         done_tx: Sender<()>,
     ) -> Self {
         ShardPipeline {
@@ -520,7 +507,7 @@ impl ShardPipeline {
             fabric_open: true,
             deadline: None,
             eos_waiting: false,
-            scratch: RecvScratch::default(),
+            dsts: Vec::new(),
             relay: RelayLocal::default(),
             runs: StepRuns::default(),
         }
@@ -579,8 +566,6 @@ impl ShardPipeline {
         self.runs.enter();
         let result = f(self, routing);
         self.drain_local(routing);
-        // Entries from other pipelines' frames kept their buffers.
-        self.scratch.spare.release();
         debug_assert!(
             LOCAL_QUEUE.with_borrow(|q| q.is_empty()),
             "a pipeline leaves nothing in the loopback queue"
@@ -639,13 +624,7 @@ impl ShardPipeline {
         for _ in 0..self.fabric_rx.len() {
             match self.fabric_rx.try_recv() {
                 Ok(msg) => {
-                    on_frame(
-                        self.worker,
-                        &msg,
-                        routing,
-                        &mut self.scratch,
-                        &mut self.bolts,
-                    );
+                    on_frame(self.worker, &msg, routing, &mut self.dsts, &mut self.bolts);
                     progress = true;
                 }
                 Err(TryRecvError::Empty) => break,
@@ -658,7 +637,7 @@ impl ShardPipeline {
         for _ in 0..self.inbox_rx.len() {
             match self.inbox_rx.try_recv() {
                 Ok(entry) => {
-                    exec_entry(&mut self.bolts, &mut self.scratch.spare, entry, routing);
+                    exec_entry(&mut self.bolts, entry, routing);
                     progress = true;
                     self.drain_local(routing);
                 }
@@ -668,15 +647,15 @@ impl ShardPipeline {
         let inbox = routing.shard_inboxes.get(self.flat);
         if inbox.is_some_and(|inbox| inbox.take_handed(&mut self.handed)) {
             while let Some(entry) = self.handed.pop_front() {
-                exec_entry(&mut self.bolts, &mut self.scratch.spare, entry, routing);
+                exec_entry(&mut self.bolts, entry, routing);
                 progress = true;
                 self.drain_local(routing);
             }
         }
-        let (bolts, spare) = (&mut self.bolts, &mut self.scratch.spare);
+        let bolts = &mut self.bolts;
         for spout in &mut self.spouts {
             let mut drain = || {
-                drain_loopback(bolts, spare, routing);
+                drain_loopback(bolts, routing);
             };
             if spout_step(spout, routing, &mut drain) {
                 progress = true;
@@ -699,13 +678,7 @@ impl ShardPipeline {
                 // Nothing counted: a closed endpoint is learnt here.
                 match self.fabric_rx.try_recv() {
                     Ok(msg) => {
-                        on_frame(
-                            self.worker,
-                            &msg,
-                            routing,
-                            &mut self.scratch,
-                            &mut self.bolts,
-                        );
+                        on_frame(self.worker, &msg, routing, &mut self.dsts, &mut self.bolts);
                         return Step::Progressed;
                     }
                     Err(TryRecvError::Disconnected) => self.fabric_open = false,
@@ -766,19 +739,14 @@ impl ShardPipeline {
 
     /// [`drain_loopback`] into this pipeline's bolts.
     fn drain_local(&mut self, routing: &Routing) -> bool {
-        drain_loopback(&mut self.bolts, &mut self.scratch.spare, routing)
+        drain_loopback(&mut self.bolts, routing)
     }
 }
 
 /// Run one queue entry on the bolts of `bolts` (a pipeline's, ascending)
 /// it names. Entries for tasks the pipeline does not own (a stale frame
 /// for a completed run) are ignored.
-fn exec_entry(
-    bolts: &mut [BoltState],
-    spare: &mut WireSpare,
-    (dest, msg): Entry,
-    routing: &Routing,
-) {
+fn exec_entry(bolts: &mut [BoltState], (dest, msg): Entry<'_>, routing: &Routing) {
     let (first, n) = match dest {
         Dest::Task(t) => (Some(t), 1),
         Dest::Group(row) => {
@@ -788,7 +756,7 @@ fn exec_entry(
     };
     let at = first.and_then(|t| bolts.binary_search_by_key(&t, |b| b.task).ok());
     if let Some(bolts) = at.and_then(|i| bolts.get_mut(i..i + n)) {
-        run_batch(bolts, msg, routing, spare);
+        run_batch(bolts, msg, routing);
     }
 }
 
@@ -796,25 +764,20 @@ fn exec_entry(
 /// `bolts` at once, then drain what its execution caused here. The emit
 /// path cannot: it runs inside an execution, with the bolts borrowed, and
 /// queues its own entries ([`LOCAL_QUEUE`]) instead.
-fn run_in_place(
-    bolts: &mut [BoltState],
-    spare: &mut WireSpare,
-    own: Option<Entry>,
-    routing: &Routing,
-) {
+fn run_in_place(bolts: &mut [BoltState], own: Option<Entry<'_>>, routing: &Routing) {
     if let Some(entry) = own {
-        exec_entry(bolts, spare, entry, routing);
+        exec_entry(bolts, entry, routing);
     }
-    drain_loopback(bolts, spare, routing);
+    drain_loopback(bolts, routing);
 }
 
 /// Drain the thread-local same-shard loopback queue into `bolts`.
 /// Executions may push more (a bolt emitting to a same-shard successor),
 /// so this loops until the queue is genuinely empty.
-fn drain_loopback(bolts: &mut [BoltState], spare: &mut WireSpare, routing: &Routing) -> bool {
+fn drain_loopback(bolts: &mut [BoltState], routing: &Routing) -> bool {
     let mut any = false;
     while let Some(entry) = LOCAL_QUEUE.with_borrow_mut(|q| q.pop_front()) {
-        exec_entry(bolts, spare, entry, routing);
+        exec_entry(bolts, entry, routing);
         any = true;
     }
     any
@@ -862,9 +825,7 @@ impl PipelineHarness {
 
     /// Receive one fabric frame and run everything it causes locally.
     pub fn receive(&mut self, msg: &whale_net::LiveMessage) {
-        self.as_pipeline(|p, routing| {
-            on_frame(p.worker, msg, routing, &mut p.scratch, &mut p.bolts)
-        });
+        self.as_pipeline(|p, routing| on_frame(p.worker, msg, routing, &mut p.dsts, &mut p.bolts));
     }
 
     /// Emit `tuple` as the pipeline's first spout would (tracked under a
@@ -888,7 +849,7 @@ impl PipelineHarness {
         self.as_pipeline(|p, routing| {
             for tuple in tuples {
                 p.spouts[0].emit(routing, tuple);
-                drain_loopback(&mut p.bolts, &mut p.scratch.spare, routing);
+                drain_loopback(&mut p.bolts, routing);
             }
         })
     }
@@ -1049,7 +1010,7 @@ mod tests {
             worker_to(&[TaskId(1), TaskId(0)]),
             encoded(&|b| wire::encode_eos(b, TaskId(0), [TaskId(0)].into_iter())),
         ];
-        let mut scratch = RecvScratch::default();
+        let mut scratch = Vec::new();
         for f in &frames {
             let msg = whale_net::LiveMessage {
                 from: whale_net::EndpointId(1),
@@ -1188,7 +1149,7 @@ mod tests {
         // executor catches it and puts the thread back (`Executor::round`).
         let step = catch_unwind(AssertUnwindSafe(|| {
             h.pipeline.within(&h.routing, |p, routing| {
-                on_frame(p.worker, &frame, routing, &mut p.scratch, &mut p.bolts);
+                on_frame(p.worker, &frame, routing, &mut p.dsts, &mut p.bolts);
                 panic!("a runtime bug, with a run pending");
             })
         }));
@@ -1257,7 +1218,7 @@ mod tests {
         // executor catches it and puts the thread back (`Executor::round`).
         let step = catch_unwind(AssertUnwindSafe(|| {
             h.pipeline.within(&h.routing, |p, routing| {
-                on_frame(p.worker, &frame, routing, &mut p.scratch, &mut p.bolts);
+                on_frame(p.worker, &frame, routing, &mut p.dsts, &mut p.bolts);
                 panic!("a runtime bug, with a worker run pending");
             })
         }));

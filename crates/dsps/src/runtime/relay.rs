@@ -13,9 +13,9 @@
 use super::reliability::anchor_for;
 use super::report::{Ctr, Lanes, Reservoir, LATENCY_SAMPLE};
 use super::runs::{RUNS, RUN_CAP};
-use super::send::{loop_back, Entry, ExecMsg, Routing, CURRENT_SHARD};
+use super::send::{loop_back, Dest, Entry, ExecMsg, Routing, CURRENT_SHARD};
 use super::wire::{self, RelayEos, RelayMarker, RelayRun, Wire};
-use crate::codec::{LazyTuple, RelayHeader, WireSpare};
+use crate::codec::{LazyTuple, RelayHeader};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::{ComponentId, TaskId};
 use crate::topology::Grouping;
@@ -438,7 +438,7 @@ impl Routing {
     pub(super) fn relay_broadcast(
         &self,
         src: TaskId,
-        item: &LazyTuple,
+        item: &LazyTuple<'_>,
         comp: ComponentId,
         tracked: Option<u64>,
     ) -> u64 {
@@ -453,8 +453,11 @@ impl Routing {
                 arm_xor ^= anchor_for(tr, t);
             }
         }
-        let data = ExecMsg::Data(item.clone(), tracked);
-        loop_back(self.deliver_to_component(src_worker, comp, data));
+        // A worker that runs none of `comp` promotes nothing.
+        if self.hosts(src_worker, comp) {
+            let data = ExecMsg::Data(item.clone().into_owned(), tracked);
+            loop_back(self.deliver_to_component(src_worker, comp, data));
+        }
         let epoch = relay.hold(None).expect("a current generation");
         let origin = src_worker.0;
         let header = RelayHeader {
@@ -643,10 +646,14 @@ impl Routing {
     /// buffer-pool round-trip; a shared payload is refcount-bumped, a
     /// copied one is copied by the fabric — then deliver its records in
     /// order, each decoded once, only for local delivery. Each record is
-    /// handed to the worker's other pipelines first; `run` then runs the
-    /// receiving pipeline's own entry in place, and what that caused,
-    /// before the next record is anchored — so the block (and the buffer
-    /// reference) `spare` gets back serves every record. A record that
+    /// handed to the worker's other pipelines first (promoted once for
+    /// them); `run_own` then runs the receiving pipeline's own entry in
+    /// place, on the record borrowed from `payload`, and what that
+    /// caused, before the next record is parsed. Where a record's
+    /// component runs on this worker is resolved once per frame (per
+    /// component it names): when the receiving pipeline alone runs it,
+    /// the own entry is built straight off the row
+    /// ([`Routing::own_row`]), with no delivery per record. A record that
     /// does not frame, or is on another tree than the first, is dropped
     /// with the rest of the frame (nothing after it can be trusted) and
     /// counted once in `dropped_frames`; forwarding, which comes first,
@@ -656,8 +663,7 @@ impl Routing {
         my_worker: u32,
         run: RelayRun<'_>,
         payload: &Payload,
-        spare: &mut WireSpare,
-        run_own: &mut dyn FnMut(&mut WireSpare, Option<Entry>),
+        mut run_own: impl FnMut(Option<Entry<'_>>),
     ) {
         let h = run.header;
         let stale = || run.records().count() as u64;
@@ -692,6 +698,9 @@ impl Routing {
         // record is dropped (and counted) rather than crashing the relay
         // worker.
         let mut records = 0u64;
+        // The last component resolved, and its own entry's destination if
+        // this pipeline alone runs it here.
+        let mut resolved: Option<(ComponentId, Option<(Dest, u64)>)> = None;
         for record in run.records() {
             records += 1;
             let record = record
@@ -701,14 +710,26 @@ impl Routing {
                 self.stats.add(Ctr::dropped_frames, 1);
                 break;
             };
-            let Ok(lazy) = self.lazy_tuple(payload, &view, spare) else {
-                self.stats.add(Ctr::dropped_frames, 1);
-                continue;
-            };
             let tracked = (r.tracked != 0).then_some(r.tracked);
             let comp = ComponentId(r.component);
-            let data = ExecMsg::Data(lazy, tracked);
-            run_own(spare, self.deliver_to_component(WorkerId(my_worker), comp, data));
+            let own = match resolved {
+                Some((c, own)) if c == comp => own,
+                _ => {
+                    let own = self.own_row(WorkerId(my_worker), comp);
+                    resolved = Some((comp, own));
+                    own
+                }
+            };
+            let ran = self.lazy_tuple(payload, &view, |lazy| {
+                let data = ExecMsg::Data(lazy, tracked);
+                run_own(match own {
+                    Some((dest, tasks)) => Some(self.own_entry(dest, tasks, data)),
+                    None => self.deliver_to_component(WorkerId(my_worker), comp, data),
+                })
+            });
+            if ran.is_err() {
+                self.stats.add(Ctr::dropped_frames, 1);
+            }
         }
         if let Some(depth) = depth {
             relay.record_depth(depth, records);
@@ -727,7 +748,7 @@ impl Routing {
         my_worker: u32,
         eos: RelayEos,
         payload: &Payload,
-    ) -> Option<Entry> {
+    ) -> Option<Entry<'static>> {
         let admitted = self.relay_admit(my_worker, eos.origin, eos.epoch, || 1);
         let (_, epoch, node) = admitted?;
         let from = Node::Dest(node);
@@ -1171,7 +1192,7 @@ mod tests {
         (routing, endpoints, queues)
     }
 
-    type Rx = crossbeam::channel::Receiver<super::super::send::Entry>;
+    type Rx = crossbeam::channel::Receiver<super::super::send::Entry<'static>>;
 
     /// Run every frame on the endpoints through the receive path until
     /// they are all empty; `keep` sees each `(receiving worker, frame)`

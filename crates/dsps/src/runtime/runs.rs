@@ -306,4 +306,82 @@ mod tests {
             assert_eq!((ran.len() as u64, emitted), (TUPLES, TUPLES), "{executors}");
         }
     }
+
+    #[test]
+    fn a_relayed_record_runs_borrowed_on_one_pipeline_and_promoted_once_for_two() {
+        // src → 12 `sink`, relayed, over three machines: workers 1 and 2
+        // host four sinks each, two on each of their pipelines when they
+        // have two. With one pipeline a worker, the record runs borrowed
+        // from the frame's buffer; with two, the receiving pipeline hands
+        // it to the other, so it is promoted once, up front, and both run
+        // that one block — one decode per record per worker where no two
+        // executors race to it, and the same tuple on every sink.
+        use crate::codec::LazyTuple;
+        use crate::operator::LazyFnBolt;
+        const TUPLES: u64 = 400;
+        let topology = || {
+            let mut b = crate::topology::TopologyBuilder::new();
+            b.spout("src", 1, Schema::new(vec!["n", "k"]))
+                .bolt("sink", 12, Schema::new(vec!["n", "k"]))
+                .connect("src", "sink", Grouping::All);
+            b.build().unwrap()
+        };
+        for (shards, executors) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            // Per received execution: (borrowed, n read off the wire, n
+            // materialized).
+            let seen: Arc<parking_lot::Mutex<Vec<(bool, i64, i64)>>> = Arc::default();
+            let tap = Arc::clone(&seen);
+            let ops = Operators::new()
+                .spout("src", |_| {
+                    let tuples = (0..TUPLES).map(|i| {
+                        let k = Value::str(format!("key-{i}").as_str());
+                        Tuple::with_id(i, vec![Value::I64(i as i64), k])
+                    });
+                    Box::new(IterSpout::new(tuples))
+                })
+                .bolt("sink", move |_| {
+                    let seen = Arc::clone(&tap);
+                    Box::new(LazyFnBolt::new(
+                        move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                            if !t.is_wire() {
+                                return;
+                            }
+                            let n = t.field(0).unwrap().unwrap().as_i64().unwrap();
+                            let m = t.materialize().unwrap();
+                            assert_eq!(
+                                m.get(1).unwrap().as_str(),
+                                Some(format!("key-{n}").as_str())
+                            );
+                            let m = m.get(0).unwrap().as_i64().unwrap();
+                            seen.lock().push((t.is_borrowed(), n, m));
+                        },
+                    ))
+                });
+            let config = LiveConfig {
+                machines: 3,
+                shards,
+                multicast_d_star: Some(2),
+                ..LiveConfig::default()
+            };
+            let r = run_on(topology(), ops, config, executors);
+            let at = format!("{shards} shards, {executors} executors");
+            assert_eq!(r.outcome, RunOutcome::Clean, "{at}");
+            assert_eq!(r.executed[1], TUPLES * 12, "{at}");
+            let seen = seen.lock();
+            // Workers 1 and 2's sinks ran every tuple off the wire.
+            assert_eq!(seen.len() as u64, TUPLES * 8, "{at}");
+            assert!(seen.iter().all(|&(_, n, m)| n == m), "{at}");
+            assert!(
+                seen.iter().all(|&(borrowed, ..)| borrowed == (shards == 1)),
+                "{at}"
+            );
+            if shards == 1 || executors == 1 {
+                let decodes = TUPLES * 2;
+                assert_eq!(
+                    r.tuples_materialized, decodes,
+                    "{at}: one a record a worker"
+                );
+            }
+        }
+    }
 }

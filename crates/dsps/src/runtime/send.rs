@@ -10,7 +10,7 @@ use super::relay::RelayState;
 use super::reliability::{anchor_for, splitmix64, AckRuntime, LogRuntime};
 use super::report::{Ctr, RunStats};
 use super::wire::{self, Wire};
-use crate::codec::{DecodeError, LazyTuple, TupleView, WireSpare};
+use crate::codec::{DecodeError, LazyTuple, TupleView, WireRecord};
 use crate::grouping::GroupingExec;
 use crate::messaging::{CommMode, MessagePlan};
 use crate::operator::Emitter;
@@ -28,17 +28,29 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use whale_net::{EndpointId, FabricPath, FaultFabric, LinkTracker, Payload, SendError, Waker};
 
-/// What an executor receives in its incoming queue.
+/// What an executor receives in its incoming queue — or, borrowing a
+/// received record (`'a`), runs in place.
 #[derive(Clone)]
-pub(super) enum ExecMsg {
+pub(super) enum ExecMsg<'a> {
     /// A data tuple — locally emitted ones arrive owned, received wire
-    /// frames arrive as lazy views anchored to the shared receive buffer
-    /// (the handle memoizes, so a worker still decodes at most once) —
-    /// with the acker ledger key (`attempt << ROOT_BITS | root`) when the
-    /// run tracks deliveries. The receiving task derives its own anchor.
-    Data(LazyTuple, Option<u64>),
+    /// records as lazy views over the receive buffer (borrowed where they
+    /// run in place, anchored to it in their own block when queued; the
+    /// handle memoizes, so a worker still decodes at most once) — with
+    /// the acker ledger key (`attempt << ROOT_BITS | root`) when the run
+    /// tracks deliveries. The receiving task derives its own anchor.
+    Data(LazyTuple<'a>, Option<u64>),
     /// End-of-stream from one upstream task.
     Eos(TaskId),
+}
+
+impl ExecMsg<'_> {
+    /// The message, free to be queued: a borrowed record promoted.
+    pub(super) fn into_owned(self) -> ExecMsg<'static> {
+        match self {
+            ExecMsg::Data(t, tracked) => ExecMsg::Data(t.into_owned(), tracked),
+            ExecMsg::Eos(src) => ExecMsg::Eos(src),
+        }
+    }
 }
 
 /// Who one queue entry is for. The unit of local delivery is one message
@@ -53,13 +65,14 @@ pub(super) enum Dest {
     Group(u32),
 }
 
-/// One entry of a pipeline's loopback queue or cross-shard inbox.
-pub(super) type Entry = (Dest, ExecMsg);
+/// One entry of a pipeline's loopback queue or cross-shard inbox
+/// (`'static`), or a received one its receiver runs in place.
+pub(super) type Entry<'a> = (Dest, ExecMsg<'a>);
 
 // The inboxes preallocate `SHARD_INBOX_CAPACITY` (4 096) entries per
 // pipeline: naming a batch must not cost more than naming a task did
 // (`(TaskId, ExecMsg)` was 40 bytes).
-const _: () = assert!(std::mem::size_of::<Entry>() <= 40);
+const _: () = assert!(std::mem::size_of::<Entry<'static>>() <= 40);
 
 /// `(pipeline, component) → [TaskId]`: the bolt tasks of each component
 /// each pipeline owns, built once per run. It is what a [`Dest::Group`]
@@ -140,7 +153,7 @@ fn flat_shard(placement: &Placement, shards: u32, task: TaskId) -> u32 {
 pub(super) struct ShardInbox {
     /// What other threads send: bounded, so a busy pipeline backpressures
     /// them.
-    pub(super) tx: Sender<Entry>,
+    pub(super) tx: Sender<Entry<'static>>,
     /// What the owning pipeline's executor parks on: a send wakes it
     /// (a send from that executor itself wakes nothing).
     pub(super) waker: Arc<Waker>,
@@ -149,7 +162,7 @@ pub(super) struct ShardInbox {
 }
 
 impl ShardInbox {
-    pub(super) fn new(tx: Sender<Entry>, waker: Arc<Waker>) -> Self {
+    pub(super) fn new(tx: Sender<Entry<'static>>, waker: Arc<Waker>) -> Self {
         let handed = Handed::default();
         ShardInbox { tx, waker, handed }
     }
@@ -162,7 +175,7 @@ impl ShardInbox {
     /// Move what steps of this executor handed the pipeline into `into`
     /// (empty), keeping both buffers' capacity. Returns whether it moved
     /// any.
-    pub(super) fn take_handed(&self, into: &mut VecDeque<Entry>) -> bool {
+    pub(super) fn take_handed(&self, into: &mut VecDeque<Entry<'static>>) -> bool {
         self.handed.len() > 0 && {
             let mut queue = self.handed.queue.lock();
             std::mem::swap(&mut *queue, into);
@@ -180,14 +193,14 @@ impl ShardInbox {
 /// [`LOCAL_QUEUE`].
 #[derive(Default)]
 struct Handed {
-    queue: Mutex<VecDeque<Entry>>,
+    queue: Mutex<VecDeque<Entry<'static>>>,
     /// The queue's length, read without its lock (its one thread writes
     /// it under the lock).
     len: AtomicUsize,
 }
 
 impl Handed {
-    fn push(&self, entry: Entry) {
+    fn push(&self, entry: Entry<'static>) {
         let mut queue = self.queue.lock();
         queue.push_back(entry);
         self.len.store(queue.len(), Ordering::Relaxed);
@@ -258,13 +271,13 @@ thread_local! {
     /// without touching any channel; the owning pipeline drains it after
     /// every operator step. A received entry is never queued here: its
     /// receiver runs it in place ([`Delivery::Own`]).
-    pub(super) static LOCAL_QUEUE: RefCell<VecDeque<Entry>> =
+    pub(super) static LOCAL_QUEUE: RefCell<VecDeque<Entry<'static>>> =
         const { RefCell::new(VecDeque::new()) };
 }
 
 /// Queue the running pipeline's own entry, if a delivery left one, to run
 /// when it drains [`LOCAL_QUEUE`] next.
-pub(super) fn loop_back(own: Option<Entry>) {
+pub(super) fn loop_back(own: Option<Entry<'static>>) {
     if let Some(entry) = own {
         LOCAL_QUEUE.with_borrow_mut(|q| q.push_back(entry));
     }
@@ -272,19 +285,19 @@ pub(super) fn loop_back(own: Option<Entry>) {
 
 /// Where [`Routing::deliver`] left an executor message.
 #[must_use]
-pub(super) enum Delivery {
+pub(super) enum Delivery<'a> {
     /// Addressed to a task this run executes nothing on.
     Rejected,
     /// Handed to the pipeline that owns it (or lost to backpressure,
     /// counted).
     Handed,
     /// For the calling pipeline's own bolts: the caller runs it in place
-    /// (a received record) or queues it with [`loop_back`] (an emission,
-    /// made while those bolts are borrowed).
-    Own(Entry),
+    /// (a received record, still borrowed) or queues it with
+    /// [`loop_back`] (an emission, made while those bolts are borrowed).
+    Own(Entry<'a>),
 }
 
-impl Delivery {
+impl Delivery<'static> {
     /// Queue an own entry with [`loop_back`]; returns whether the message
     /// was accepted.
     pub(super) fn loop_back(self) -> bool {
@@ -297,9 +310,11 @@ impl Delivery {
             }
         }
     }
+}
 
+impl<'a> Delivery<'a> {
     /// `(rejected ids, own entry)` of a delivery to `n` listed ids.
-    fn listed(self, n: usize) -> (u64, Option<Entry>) {
+    fn listed(self, n: usize) -> (u64, Option<Entry<'a>>) {
         match self {
             Delivery::Rejected => (n as u64, None),
             Delivery::Handed => (0, None),
@@ -341,26 +356,26 @@ impl Routing {
             .unwrap_or(0)
     }
 
-    /// Turn a received data item into the executor-facing handle. A
-    /// shared payload (RDMA semantics) is anchored as-is — the view
-    /// rides the receive buffer's refcount, a slice's frame the slice's
-    /// one buffer, and nothing is decoded until an executor touches it —
-    /// in the block `spare` kept from the pipeline's last batch, if it
-    /// kept one. A copied payload (TCP
-    /// semantics) does not outlive dispatch, so the tuple is
-    /// materialized here, eagerly — which is also where a copied frame's
-    /// bad UTF-8 still surfaces.
-    pub(super) fn lazy_tuple(
+    /// Run `f` on a received data item as its tasks execute it. Over a
+    /// shared payload (RDMA semantics) the item is a record borrowed from
+    /// the receive buffer — a slice's frame from the slice's one buffer —
+    /// built on the stack: no block, no buffer reference, nothing decoded
+    /// until an executor touches it, and only what outlives `f` promoted
+    /// ([`LazyTuple::into_owned`]). A copied payload (TCP semantics) does
+    /// not outlive dispatch, so the tuple is materialized here, eagerly —
+    /// which is also where a copied frame's bad UTF-8 still surfaces.
+    pub(super) fn lazy_tuple<'p, R>(
         &self,
-        payload: &Payload,
-        view: &TupleView<'_>,
-        spare: &mut WireSpare,
-    ) -> Result<LazyTuple, DecodeError> {
-        match payload {
-            Payload::Shared(buf) => Ok(spare.anchor(buf, view)),
-            Payload::Slice(slice) => Ok(spare.anchor(slice.buffer(), view)),
-            Payload::Copied(_) => view.to_tuple().map(LazyTuple::from_tuple),
-        }
+        payload: &'p Payload,
+        view: &TupleView<'p>,
+        f: impl FnOnce(LazyTuple<'_>) -> R,
+    ) -> Result<R, DecodeError> {
+        let buf = match payload {
+            Payload::Shared(buf) => buf,
+            Payload::Slice(slice) => slice.buffer(),
+            Payload::Copied(_) => return view.to_tuple().map(|t| f(LazyTuple::from_tuple(t))),
+        };
+        Ok(f(WireRecord::new(buf, view).tuple()))
     }
 
     /// Deliver one executor message to the pipeline owning `dest`.
@@ -374,34 +389,30 @@ impl Routing {
     /// `dest` is a task this run executes nothing on (the caller counts
     /// the drop when it came off the wire); backpressure loss and
     /// teardown races are handled here. Accepted deliveries of lazy wire
-    /// views are counted here, one per destination task.
-    pub(super) fn deliver(&self, dest: Dest, msg: ExecMsg) -> Delivery {
+    /// views are counted here, one per destination task
+    /// ([`Self::own_entry`]). Only an own entry keeps a borrowed record; a
+    /// hand-off promotes it.
+    pub(super) fn deliver<'a>(&self, dest: Dest, msg: ExecMsg<'a>) -> Delivery<'a> {
         let (row, n_tasks) = match dest {
             Dest::Task(t) => match self.groups.row_of(t) {
                 Some(row) => (row, 1),
                 None => return Delivery::Rejected,
             },
-            Dest::Group(row) => (row, self.groups.tasks(row).len()),
+            Dest::Group(row) => (row, self.groups.tasks(row).len() as u64),
         };
         let flat = self.groups.pipeline_of(row);
         let Some(inbox) = self.shard_inboxes.get(flat) else {
             return Delivery::Rejected;
         };
-        let lazy = matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire());
-        let accepted = || {
-            if lazy {
-                self.stats.add(Ctr::wire_tuples_lazy, n_tasks as u64);
-            }
-        };
         if CURRENT_SHARD.with(|c| c.get()) == Some(flat) {
-            accepted();
-            return Delivery::Own((dest, msg));
+            return Delivery::Own(self.own_entry(dest, n_tasks, msg));
         }
+        let lazy = matches!(&msg, ExecMsg::Data(lazy, _) if lazy.is_wire());
         let sent = if inbox.waker.is_owned() {
-            inbox.handed.push((dest, msg));
+            inbox.handed.push((dest, msg.into_owned()));
             Ok(())
         } else {
-            let mut item = Some((dest, msg));
+            let mut item = Some((dest, msg.into_owned()));
             let retries = self.stats.slot(Ctr::send_retries);
             self.config.send.run(retries, || {
                 match inbox.tx.try_send(item.take().expect("re-armed on Full")) {
@@ -416,7 +427,9 @@ impl Routing {
         };
         match sent {
             Ok(()) => {
-                accepted();
+                if lazy {
+                    self.stats.add(Ctr::wire_tuples_lazy, n_tasks);
+                }
                 self.stats.add(Ctr::cross_shard_msgs, 1);
                 inbox.waker.wake();
             }
@@ -431,20 +444,42 @@ impl Routing {
         Delivery::Handed
     }
 
+    /// The own entry's destination, and how many tasks it names, when
+    /// the calling pipeline runs every task of `comp` on `worker`: what
+    /// [`Self::deliver_to_component`] would hand back as the own entry,
+    /// with nothing handed to another pipeline.
+    pub(super) fn own_row(&self, worker: WorkerId, comp: ComponentId) -> Option<(Dest, u64)> {
+        let mut rows = self.groups.rows_on(worker, comp);
+        let row = rows.next()?;
+        let own = CURRENT_SHARD.with(|c| c.get()) == Some(self.groups.pipeline_of(row));
+        let tasks = self.groups.tasks(row).len() as u64;
+        (own && rows.next().is_none()).then_some((Dest::Group(row), tasks))
+    }
+
+    /// Whether any pipeline of `worker` runs a bolt task of `comp`.
+    pub(super) fn hosts(&self, worker: WorkerId, comp: ComponentId) -> bool {
+        self.groups.rows_on(worker, comp).next().is_some()
+    }
+
     /// Deliver `msg` to every bolt task of `comp` on `worker`: one entry
     /// per pipeline owning any (the cross-shard mirror of
     /// [`Self::pipelines_of`]), the last one taking `msg` itself. The
     /// calling pipeline's own entry comes back only after every other
     /// pipeline's hand-off, so whatever running it emits trails the
-    /// message everywhere else.
-    pub(super) fn deliver_to_component(
+    /// message everywhere else. A borrowed record that more than one
+    /// pipeline takes is promoted once, up front, and every entry —
+    /// the own one too — shares that block.
+    pub(super) fn deliver_to_component<'a>(
         &self,
         worker: WorkerId,
         comp: ComponentId,
-        msg: ExecMsg,
-    ) -> Option<Entry> {
-        let mut rows = self.groups.rows_on(worker, comp);
+        mut msg: ExecMsg<'a>,
+    ) -> Option<Entry<'a>> {
+        let mut rows = self.groups.rows_on(worker, comp).peekable();
         let mut row = rows.next()?;
+        if rows.peek().is_some() {
+            msg = msg.into_owned();
+        }
         let mut own = None;
         for next in rows {
             if let Delivery::Own(entry) = self.deliver(Dest::Group(row), msg.clone()) {
@@ -458,14 +493,27 @@ impl Routing {
         }
     }
 
+    /// The calling pipeline's own entry for `msg` to `dest`, which names
+    /// `tasks` of its tasks, counted: one lazy wire delivery per task.
+    pub(super) fn own_entry<'a>(&self, dest: Dest, tasks: u64, msg: ExecMsg<'a>) -> Entry<'a> {
+        if matches!(&msg, ExecMsg::Data(t, _) if t.is_wire()) {
+            self.stats.add(Ctr::wire_tuples_lazy, tasks);
+        }
+        (dest, msg)
+    }
+
     /// Deliver `msg` to a destination list read off the wire, returning
     /// how many of its ids were rejected (see [`Self::deliver`]) and the
     /// calling pipeline's own entry. A list that is exactly one
     /// pipeline's tasks of one component — what [`Self::pipelines_of`]
     /// writes for a broadcast — is one entry; any other list is checked
-    /// and delivered id by id, its own entries queued ([`loop_back`]) for
-    /// the caller's next drain.
-    pub(super) fn deliver_listed(&self, dsts: &[TaskId], msg: ExecMsg) -> (u64, Option<Entry>) {
+    /// and delivered id by id, the record promoted once and its own
+    /// entries queued ([`loop_back`]) for the caller's next drain.
+    pub(super) fn deliver_listed<'a>(
+        &self,
+        dsts: &[TaskId],
+        msg: ExecMsg<'a>,
+    ) -> (u64, Option<Entry<'a>>) {
         match dsts {
             [] => (0, None),
             [dst] => self.deliver(Dest::Task(*dst), msg).listed(1),
@@ -474,6 +522,7 @@ impl Routing {
                 if let Some(row) = row.filter(|&row| self.groups.tasks(row) == dsts) {
                     return self.deliver(Dest::Group(row), msg).listed(dsts.len());
                 }
+                let msg = msg.into_owned();
                 let deliver = |&dst| self.deliver(Dest::Task(dst), msg.clone()).loop_back();
                 (dsts.iter().filter(|dst| !deliver(dst)).count() as u64, None)
             }
@@ -490,12 +539,14 @@ impl Routing {
     /// atomically after every destination is known (an empty destination
     /// set arms to zero and acks immediately). An item a grouping cannot
     /// route (missing key field, or a wire key whose deferred UTF-8 check
-    /// fails) is dropped and counted, never a panic.
+    /// fails) is dropped and counted, never a panic. A borrowed item is
+    /// promoted only where a local delivery queues it, into one block
+    /// every such delivery shares.
     pub(super) fn emit(
         &self,
         src: TaskId,
         groupings: &mut Groupings,
-        item: &LazyTuple,
+        item: &LazyTuple<'_>,
         tracked: Option<u64>,
     ) {
         let Groupings {
@@ -534,7 +585,7 @@ impl Routing {
     fn send_data(
         &self,
         src: TaskId,
-        item: &LazyTuple,
+        item: &LazyTuple<'_>,
         dsts: &[TaskId],
         plan: &mut MessagePlan,
         tracked: Option<u64>,
@@ -548,7 +599,7 @@ impl Routing {
         // Local deliveries share the item's handle: no serialization
         // beyond what the mode charges. The owning pipeline may already
         // have exited after EOS; the delivery layer swallows that race.
-        let data = || ExecMsg::Data(item.clone(), tracked);
+        let data = || ExecMsg::Data(item.clone().into_owned(), tracked);
         match plan.local_tasks() {
             [] => {}
             [dst] => {
@@ -782,7 +833,7 @@ impl Emitter for TaskEmitter<'_> {
         self.routing.emit(self.src, self.groupings, &item, None);
     }
 
-    fn forward(&mut self, input: &LazyTuple) -> Result<(), DecodeError> {
+    fn forward(&mut self, input: &LazyTuple<'_>) -> Result<(), DecodeError> {
         self.routing.emit(self.src, self.groupings, input, None);
         Ok(())
     }

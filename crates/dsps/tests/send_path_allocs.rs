@@ -9,10 +9,10 @@
 //! stream slice) are the only blocks the direct send path is allowed —
 //! grouping, planning, frame encode, scratch reuse and the hand-off to
 //! local tasks must not allocate in steady state — and the receive path
-//! is allowed none: the handle anchoring a received item to its buffer is
-//! the block of the frame before, unless a bolt kept that one. A bolt
-//! that forwards a received tuple pays the frame it sends and nothing
-//! else. (That a queue entry naming a batch is no larger than one naming
+//! is allowed none: a received record runs on a handle borrowed from its
+//! frame's buffer, and only a clone a bolt keeps takes a block (and a
+//! buffer reference) of its own. A bolt that forwards a received tuple
+//! pays the frame it sends and nothing else. (That a queue entry naming a batch is no larger than one naming
 //! a task is a `const` assertion beside the type, in `runtime/send.rs`.)
 //!
 //! A run here has one executor per pipeline, so the emitting thread runs
@@ -23,7 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use whale_dsps::runtime::{spawn_topology_on, PipelineHarness};
 use whale_dsps::{
     AckConfig, Bolt, Emitter, FnBolt, Grouping, IterSpout, LazyFnBolt, LazyTuple, LiveConfig,
@@ -508,9 +508,8 @@ fn a_spout_steps_run_costs_its_origin_one_frame_buffer_and_its_receivers_none() 
     let steady = &costs[WARMUP / RUN..];
     let max = steady.iter().max();
     assert!(steady.iter().all(|&c| c == RUN as u64 + 1), "max {max:?}");
-    // Every worker of the tree receives the run: it anchors each record
-    // in the one block the record before it gave back, and forwards the
-    // run as it came.
+    // Every worker of the tree receives the run: it runs each record
+    // borrowed from the run's buffer, and forwards the run as it came.
     let run: Arc<[u8]> = Arc::from(run);
     for worker in 1..4 {
         let executed = Arc::new(AtomicU64::new(0));
@@ -601,22 +600,41 @@ fn a_spout_steps_keyed_emissions_cost_one_frame_per_destination_pipeline() {
     assert!(steady.iter().all(|&c| c == RUN as u64 + 3), "max {max:?}");
 }
 
+/// Where `pass` hands a tuple on to: sinks of one task each, on worker 0.
+#[derive(Clone, Copy, Debug)]
+enum Downstream {
+    /// One shuffled edge.
+    Shuffle,
+    /// Two shuffled edges, to two sinks.
+    TwoShuffles,
+    /// One all-grouped edge, over the relay tree.
+    Relayed,
+}
+
 /// Per relayed frame worker 1 of two receives, the blocks its one `pass`
-/// instance costs handing the tuple on to the sink on worker 0 — sorted,
-/// after warm-up — with `pass` built by `pass`.
-fn pass_on_costs(pass: fn(&LazyTuple, &mut dyn Emitter)) -> Vec<u64> {
+/// instance costs handing the tuple on to `down`'s sinks on worker 0 —
+/// sorted, after warm-up — with `pass` built by `pass`.
+fn pass_on_costs(down: Downstream, pass: fn(&LazyTuple, &mut dyn Emitter)) -> Vec<u64> {
     let mut b = TopologyBuilder::new();
     b.spout("src", 1, Schema::new(vec!["n", "k"]))
         .bolt("pass", 2, Schema::new(vec!["n", "k"]))
         .bolt("sink", 1, Schema::new(vec!["n", "k"]))
-        .connect("src", "pass", Grouping::All)
-        .connect("pass", "sink", Grouping::Shuffle);
+        .bolt("sink2", 1, Schema::new(vec!["n", "k"]))
+        .connect("src", "pass", Grouping::All);
+    match down {
+        Downstream::Shuffle => b.connect("pass", "sink", Grouping::Shuffle),
+        Downstream::TwoShuffles => (b.connect("pass", "sink", Grouping::Shuffle))
+            .connect("pass", "sink2", Grouping::Shuffle),
+        Downstream::Relayed => b.connect("pass", "sink", Grouping::All),
+    };
+    let sink = |_: u32| -> Box<dyn Bolt> {
+        Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
+    };
     let ops = Operators::new()
         .spout("src", |_| Box::new(IterSpout::new(std::iter::empty())))
         .bolt("pass", move |_| Box::new(LazyFnBolt::new(pass)))
-        .bolt("sink", |_| {
-            Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {}))
-        });
+        .bolt("sink", sink)
+        .bolt("sink2", sink);
     let config = LiveConfig {
         machines: 2,
         multicast_d_star: Some(2),
@@ -633,34 +651,52 @@ fn pass_on_costs(pass: fn(&LazyTuple, &mut dyn Emitter)) -> Vec<u64> {
         let before = blocks();
         worker.receive(&msg);
         costs.push(blocks() - before);
-        assert_eq!(worker.take_sent(), 1, "one frame to the sink");
+        assert_eq!(worker.take_sent(), 1, "one frame to worker 0, {down:?}");
     }
     let mut steady = costs.split_off(WARMUP);
     steady.sort_unstable();
     steady
 }
 
+/// The frame's shared buffer, and now and then the fabric's queue
+/// growing its buffer.
+fn assert_no_block_beyond_the_frame(costs: &[u64], down: Downstream) {
+    let p90 = costs[costs.len() * 9 / 10];
+    let mean = costs.iter().sum::<u64>() as f64 / costs.len() as f64;
+    assert!(p90 <= 1 && mean <= 1.05, "{down:?}: p90 {p90}, mean {mean:.3}");
+}
+
 #[test]
 fn a_forwarded_wire_tuple_costs_no_block_beyond_its_frame() {
-    // The frame's shared buffer, and now and then the fabric's queue
-    // growing its buffer.
-    let forwarded = pass_on_costs(|t, out| out.forward(t).unwrap());
-    let p90 = forwarded[forwarded.len() * 9 / 10];
-    let mean = forwarded.iter().sum::<u64>() as f64 / forwarded.len() as f64;
-    assert!(p90 <= 1 && mean <= 1.05, "p90 {p90}, mean {mean:.3}");
+    let forward = |t: &LazyTuple, out: &mut dyn Emitter| out.forward(t).unwrap();
+    let forwarded = pass_on_costs(Downstream::Shuffle, forward);
+    assert_no_block_beyond_the_frame(&forwarded, Downstream::Shuffle);
     // The copy it replaces: a decode (the value vector and the string),
     // the copy's vector and its `Arc`, beside the frame.
-    let reemitted = pass_on_costs(|t, out| out.emit(t.materialize().unwrap().clone()));
+    let reemitted = pass_on_costs(Downstream::Shuffle, |t, out| {
+        out.emit(t.materialize().unwrap().clone())
+    });
     let median = |costs: &[u64]| costs[costs.len() / 2];
     assert_eq!(median(&reemitted), median(&forwarded) + 4);
 }
 
 #[test]
+fn a_record_forwarded_to_no_local_task_is_never_promoted() {
+    // Two edges that both leave the worker, and a relayed edge whose
+    // component has no task on the forwarding worker: the record is
+    // copied into the one frame and promoted for nothing.
+    let forward = |t: &LazyTuple, out: &mut dyn Emitter| out.forward(t).unwrap();
+    for down in [Downstream::TwoShuffles, Downstream::Relayed] {
+        assert_no_block_beyond_the_frame(&pass_on_costs(down, forward), down);
+    }
+}
+
+#[test]
 fn a_bolt_that_keeps_a_clone_gets_its_own_block_and_keeps_its_bytes() {
-    // One sink keeps a handle on tuple 3. That frame's block is then its
-    // own: the next frame allocates a fresh one (and only that), and the
-    // kept handle reads tuple 3 however many frames follow.
-    let kept: Arc<Mutex<Option<LazyTuple>>> = Arc::default();
+    // One sink keeps a handle on tuple 3: the clone promotes the borrowed
+    // record into a block of its own (frame 3's only block), and the kept
+    // handle reads tuple 3 however many frames follow.
+    let kept: Arc<Mutex<Option<LazyTuple<'static>>>> = Arc::default();
     let keeper = Arc::clone(&kept);
     let mut worker = relay_worker(2, 1, move || {
         let kept = Arc::clone(&keeper);
@@ -669,12 +705,12 @@ fn a_bolt_that_keeps_a_clone_gets_its_own_block_and_keeps_its_bytes() {
                 let n = t.field(0).unwrap().unwrap().as_i64();
                 let mut kept = kept.lock().unwrap();
                 if n == Some(3) && kept.is_none() {
-                    *kept = Some(t.clone());
+                    *kept = Some(t.clone().into_owned());
                 }
             },
         ))
     });
-    // Not judged: the pipeline's queue and first block come into being.
+    // Not judged: the pipeline's queues come into being.
     worker.receive(&relayed(&worker, -1));
     let frames: Vec<LiveMessage> = (0..14).map(|n| relayed(&worker, n)).collect();
     let costs: Vec<u64> = (frames.iter())
@@ -684,8 +720,7 @@ fn a_bolt_that_keeps_a_clone_gets_its_own_block_and_keeps_its_bytes() {
             blocks() - before
         })
         .collect();
-    // Frame 4 allocates the block replacing what the sink kept of frame 3.
-    assert_eq!(costs, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+    assert_eq!(costs, [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
     let kept = kept.lock().unwrap().take().expect("a sink saw tuple 3");
     assert_eq!(kept.id(), 8 * 3 + 15);
     assert_eq!(kept.field(0).unwrap().unwrap().as_i64(), Some(3));
@@ -696,9 +731,9 @@ fn a_bolt_that_keeps_a_clone_gets_its_own_block_and_keeps_its_bytes() {
 
 #[test]
 fn a_memoized_tuple_is_not_visible_on_the_next_frame() {
-    // Every sink materializes (the four of a frame share one decode). A
-    // recycled handle must start each frame unmaterialized and decode
-    // that frame's bytes.
+    // Every sink materializes (the four of a frame share one decode). Each
+    // frame's record must start unmaterialized and decode that frame's
+    // bytes.
     let seen: Arc<Mutex<Vec<(bool, i64)>>> = Arc::default();
     let tap = Arc::clone(&seen);
     let mut worker = relay_worker(2, 1, move || {
@@ -721,4 +756,177 @@ fn a_memoized_tuple_is_not_visible_on_the_next_frame() {
         assert_eq!(frame, expected, "frame {n}");
     }
     assert_eq!(seen.len(), 4 * 20);
+}
+
+/// A run of [`RUN`] relayed tuples, `n` = 0 up, as worker 1 of two — a
+/// leaf of worker 0's tree — receives it.
+fn leaf_run() -> Arc<[u8]> {
+    let sink =
+        || -> Box<dyn Bolt> { Box::new(FnBolt::new(|_t: &Tuple, _out: &mut dyn Emitter| {})) };
+    let mut origin = relay_worker(2, 0, sink);
+    origin.emit_in_one_step((0..RUN as i64).map(|n| {
+        Tuple::with_id(
+            (8 * n + 15) as u64,
+            vec![Value::I64(n), Value::str("key-07")],
+        )
+    }));
+    let mut sent = origin.take_sent_frames();
+    assert_eq!(sent.len(), 1, "one run to the one child");
+    Arc::from(sent.remove(0).1.payload.bytes())
+}
+
+/// Worker 1 of two, its four sinks built by `sink`, and `run` as its
+/// fabric hands it over.
+fn leaf_receiving(
+    run: &Arc<[u8]>,
+    sink: impl Fn() -> Box<dyn Bolt> + Send + Sync + 'static,
+) -> (PipelineHarness, LiveMessage) {
+    let msg = LiveMessage {
+        from: EndpointId(0),
+        payload: Payload::Shared(Arc::clone(run)),
+    };
+    (relay_worker(2, 1, sink), msg)
+}
+
+#[test]
+fn a_relay_runs_records_execute_without_touching_its_buffers_count() {
+    // Each sink reads one field and notes the buffer's strong count: the
+    // run itself and the message holding it, and nothing per record.
+    let run = leaf_run();
+    let counts: Arc<Mutex<Vec<usize>>> = Arc::default();
+    let (tap, buf) = (Arc::clone(&counts), Arc::downgrade(&run));
+    let (mut worker, msg) = leaf_receiving(&run, move || {
+        let (counts, buf) = (Arc::clone(&tap), Weak::clone(&buf));
+        Box::new(LazyFnBolt::new(
+            move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                assert!(t.field(0).unwrap().unwrap().as_i64().is_some());
+                counts.lock().unwrap().push(buf.strong_count());
+            },
+        ))
+    });
+    for _ in 0..4 {
+        worker.receive(&msg);
+    }
+    let counts = counts.lock().unwrap();
+    assert_eq!(counts.len(), 4 * 4 * RUN, "four sinks, four runs");
+    assert!(counts.iter().all(|&c| c == 2), "{counts:?}");
+}
+
+#[test]
+fn a_sink_that_keeps_every_other_record_takes_one_block_per_kept_record() {
+    // Each of the four sinks keeps a clone of every even record, into room
+    // reserved up front: the four clones of a record share one block, and
+    // those blocks are the only ones a run costs.
+    const FRAMES: usize = 8;
+    let run = leaf_run();
+    let kept: Arc<Mutex<Vec<LazyTuple<'static>>>> =
+        Arc::new(Mutex::new(Vec::with_capacity(4 * RUN * FRAMES)));
+    let keeper = Arc::clone(&kept);
+    let (mut worker, msg) = leaf_receiving(&run, move || {
+        let kept = Arc::clone(&keeper);
+        Box::new(LazyFnBolt::new(
+            move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                let n = t.field(0).unwrap().unwrap().as_i64().unwrap();
+                if n % 2 == 0 {
+                    kept.lock().unwrap().push(t.clone().into_owned());
+                }
+            },
+        ))
+    });
+    // Not judged: the pipeline's queues come into being.
+    worker.receive(&msg);
+    let mut costs = Vec::new();
+    for _ in 1..FRAMES {
+        let (before, kept_before) = (blocks(), kept.lock().unwrap().len());
+        worker.receive(&msg);
+        let kept_now = kept.lock().unwrap().len() - kept_before;
+        assert_eq!(kept_now, 4 * RUN / 2);
+        costs.push(blocks() - before);
+    }
+    assert!(costs.iter().all(|&c| c == RUN as u64 / 2), "{costs:?}");
+    for (i, t) in kept.lock().unwrap().iter().enumerate() {
+        let n = (i / 4 % (RUN / 2) * 2) as i64;
+        assert_eq!(t.field(0).unwrap().unwrap().as_i64(), Some(n));
+        assert_eq!(t.field(1).unwrap().unwrap().as_str(), Some("key-07"));
+    }
+}
+
+#[test]
+fn the_buffers_count_is_back_to_one_once_the_kept_clones_drop() {
+    // The sinks keep every other record: each kept record's block holds
+    // the buffer once, and nothing else the run left behind does.
+    let run = leaf_run();
+    let kept: Arc<Mutex<Vec<LazyTuple<'static>>>> = Arc::default();
+    let keeper = Arc::clone(&kept);
+    let (mut worker, msg) = leaf_receiving(&run, move || {
+        let kept = Arc::clone(&keeper);
+        Box::new(LazyFnBolt::new(
+            move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                if t.field(0).unwrap().unwrap().as_i64().unwrap() % 2 == 1 {
+                    kept.lock().unwrap().push(t.clone().into_owned());
+                }
+            },
+        ))
+    });
+    for _ in 0..3 {
+        worker.receive(&msg);
+    }
+    drop(msg);
+    let held = kept.lock().unwrap().len();
+    assert_eq!(held, 3 * 4 * RUN / 2);
+    assert_eq!(Arc::strong_count(&run), 1 + held / 4, "one per kept record");
+    kept.lock().unwrap().clear();
+    assert_eq!(Arc::strong_count(&run), 1);
+    drop(worker);
+}
+
+#[test]
+fn a_kept_record_shares_its_decode_with_the_sinks_that_run_it() {
+    // Every sink materializes every record. Of every four records, the
+    // sinks keep the first after materializing it, the second before, and
+    // not the others. A decode is a record's value vector and its string.
+    // A promotion is the record's block, which the other three sinks'
+    // clones share, and — after a decode — a copy of the value vector (the
+    // string is shared). Kept before the decode, the record decodes into
+    // its block: the sinks still run it and its clones read that one
+    // decode.
+    const FRAMES: usize = 8;
+    let run = leaf_run();
+    let kept: Arc<Mutex<Vec<LazyTuple<'static>>>> =
+        Arc::new(Mutex::new(Vec::with_capacity(4 * RUN * FRAMES)));
+    let keeper = Arc::clone(&kept);
+    let (mut worker, msg) = leaf_receiving(&run, move || {
+        let kept = Arc::clone(&keeper);
+        Box::new(LazyFnBolt::new(
+            move |t: &LazyTuple, _out: &mut dyn Emitter| {
+                let keep = || kept.lock().unwrap().push(t.clone().into_owned());
+                let n = t.field(0).unwrap().unwrap().as_i64().unwrap();
+                if n % 4 == 1 {
+                    keep();
+                }
+                assert_eq!(t.materialize().unwrap().get(0), Some(&Value::I64(n)));
+                if n % 4 == 0 {
+                    keep();
+                }
+            },
+        ))
+    });
+    // Not judged: the pipeline's queues come into being.
+    worker.receive(&msg);
+    for frame in 1..FRAMES {
+        let before = blocks();
+        worker.receive(&msg);
+        let (decodes, copies, blocks_kept) = (2 * RUN, RUN / 4, 2 * RUN / 4);
+        assert_eq!(blocks() - before, (decodes + copies + blocks_kept) as u64);
+        let materialized = worker.snapshot().tuples_materialized;
+        assert_eq!(materialized, ((frame + 1) * RUN) as u64, "one decode a record");
+    }
+    let kept = kept.lock().unwrap();
+    assert_eq!(kept.len(), 4 * FRAMES * RUN / 2);
+    for four in kept.chunks(4) {
+        assert!(four.iter().all(LazyTuple::is_materialized));
+        let first = four[0].materialize().unwrap() as *const Tuple;
+        assert!(four.iter().all(|t| std::ptr::eq(t.materialize().unwrap(), first)));
+    }
+    assert_eq!(Arc::strong_count(&run), 2 + kept.len() / 4, "one block a kept record");
 }

@@ -6,6 +6,7 @@
 //! follow a per-symbol log-normal baseline with small excursions, so the
 //! buy/sell matching operator sees realistic match rates.
 
+use std::sync::Arc;
 use whale_dsps::{Schema, Tuple, Value};
 use whale_sim::{SimRng, Zipf};
 
@@ -48,8 +49,9 @@ impl Side {
 /// One exchange record.
 #[derive(Clone, PartialEq, Debug)]
 pub struct StockRecord {
-    /// Ticker symbol (e.g. "SYM0042").
-    pub symbol: String,
+    /// Ticker symbol (e.g. "SYM0042"), shared by every record of the
+    /// symbol a generator makes.
+    pub symbol: Arc<str>,
     /// Buy or sell.
     pub side: Side,
     /// Limit price.
@@ -95,6 +97,9 @@ pub struct NasdaqGenerator {
     symbols: Zipf,
     /// Per-symbol log-price baseline, lazily materialized.
     base_log_price: Vec<f64>,
+    /// Each drawn symbol rank's ticker, formatted on the rank's first
+    /// draw (the vector grows to the highest rank drawn).
+    tickers: Vec<Option<Arc<str>>>,
     now_ms: i64,
     emitted: u64,
 }
@@ -114,6 +119,7 @@ impl NasdaqGenerator {
             rng,
             symbols,
             base_log_price,
+            tickers: Vec::new(),
             now_ms: 0,
             emitted: 0,
         }
@@ -146,7 +152,7 @@ impl NasdaqGenerator {
         let valid = !self.rng.gen_bool(self.config.invalid_rate);
         self.emitted += 1;
         StockRecord {
-            symbol: format!("SYM{sym:04}"),
+            symbol: self.ticker(sym),
             side,
             price,
             volume,
@@ -158,6 +164,16 @@ impl NasdaqGenerator {
     /// Records produced so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
+    }
+
+    /// The ticker of symbol rank `sym`, formatted once per generator.
+    fn ticker(&mut self, sym: u64) -> Arc<str> {
+        let sym = sym as usize;
+        if sym >= self.tickers.len() {
+            self.tickers.resize(sym + 1, None);
+        }
+        let ticker = self.tickers[sym].get_or_insert_with(|| format!("SYM{sym:04}").into());
+        Arc::clone(ticker)
     }
 }
 
@@ -172,7 +188,7 @@ impl StockRecord {
         Tuple::with_id(
             id,
             vec![
-                Value::str(self.symbol.as_str()),
+                Value::Str(Arc::clone(&self.symbol)),
                 Value::I64(self.side.code()),
                 Value::F64(self.price),
                 Value::I64(self.volume),
@@ -182,10 +198,13 @@ impl StockRecord {
         )
     }
 
-    /// Parse back from a tuple.
+    /// Parse back from a tuple (the symbol shared, not copied).
     pub fn from_tuple(t: &Tuple) -> Option<StockRecord> {
+        let Value::Str(symbol) = t.get(0)? else {
+            return None;
+        };
         Some(StockRecord {
-            symbol: t.get(0)?.as_str()?.to_string(),
+            symbol: Arc::clone(symbol),
             side: Side::from_code(t.get(1)?.as_i64()?)?,
             price: t.get(2)?.as_f64()?,
             volume: t.get(3)?.as_i64()?,
@@ -237,7 +256,7 @@ mod tests {
     #[test]
     fn prices_positive_and_per_symbol_stable() {
         let mut g = NasdaqGenerator::new(4, NasdaqConfig::default());
-        let mut by_symbol: std::collections::HashMap<String, Vec<f64>> = Default::default();
+        let mut by_symbol: std::collections::HashMap<Arc<str>, Vec<f64>> = Default::default();
         for _ in 0..20_000 {
             let r = g.next_record();
             assert!(r.price > 0.0);
@@ -261,7 +280,7 @@ mod tests {
         let mut sell_n = 0.0;
         for _ in 0..50_000 {
             let r = g.next_record();
-            if r.symbol == "SYM0000" {
+            if &*r.symbol == "SYM0000" {
                 match r.side {
                     Side::Buy => {
                         buy_sum += r.price;

@@ -210,7 +210,7 @@ pub fn import_stocks<R: BufRead>(input: R) -> Result<Vec<StockRecord>, TraceErro
         };
         let valid_raw: u8 = parse(f[5], "valid", i + 1)?;
         out.push(StockRecord {
-            symbol: f[0].to_string(),
+            symbol: f[0].into(),
             side,
             price: parse(f[2], "price", i + 1)?,
             volume: parse(f[3], "volume", i + 1)?,
